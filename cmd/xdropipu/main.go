@@ -268,6 +268,13 @@ func runServe(args []string) {
 		// Serve result streams over h2c as well as HTTP/1.1: one client
 		// can multiplex many job streams on a single connection.
 		Protocols: serveProtocols(),
+		// A client that opens a connection and never finishes its request
+		// headers, or parks an idle keep-alive connection, must not hold a
+		// socket forever. ReadTimeout and WriteTimeout stay unset on
+		// purpose: both bound the whole exchange, and a dataset upload or
+		// an NDJSON result stream legitimately lasts as long as its job.
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

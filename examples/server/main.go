@@ -71,7 +71,14 @@ func main() {
 		fmt.Println("listen:", err)
 		return
 	}
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := &http.Server{
+		Handler: svc.Handler(),
+		// Bound slow-header and idle keep-alive connections, as `xdropipu
+		// serve` does; no ReadTimeout/WriteTimeout, because uploads and
+		// result streams legitimately last as long as their job.
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	go srv.Serve(ln)
 	defer srv.Shutdown(context.Background())
 	base := "http://" + ln.Addr().String()

@@ -1,5 +1,7 @@
 package core
 
+import "unsafe"
+
 // Affine runs a Gotoh affine-gap X-Drop extension. It allocates its own
 // workspace; use (*Workspace).Affine in hot loops.
 func Affine(h, v View, p Params) Result {
@@ -7,11 +9,19 @@ func Affine(h, v View, p Params) Result {
 	return w.Affine(h, v, p)
 }
 
-// Affine is the affine-gap (Gotoh) X-Drop extension backing the ksw2-like
-// baseline (§6.2). A gap of length k costs GapOpen + k·Gap, so with
-// ksw2-style penalties long gaps are penalised less per column than under
-// the linear scheme, which genuinely enlarges the live search space — the
-// behaviour the paper names as the reason ksw2 trails SeqAn.
+// Affine runs the affine-gap X-Drop extension on the int32 tier using
+// the workspace buffers.
+func (w *Workspace) Affine(h, v View, p Params) Result {
+	p.Algo = AlgoAffine
+	return w.sweepWide(h, v, p)
+}
+
+// affineSweep is the affine-gap (Gotoh) X-Drop score sweep backing the
+// ksw2-like baseline (§6.2), written once for both score widths. A gap of
+// length k costs GapOpen + k·Gap, so with ksw2-style penalties long gaps
+// are penalised less per column than under the linear scheme, which
+// genuinely enlarges the live search space — the behaviour the paper
+// names as the reason ksw2 trails SeqAn.
 //
 // The recurrence keeps three channels per cell:
 //
@@ -23,34 +33,38 @@ func Affine(h, v View, p Params) Result {
 // A cell is live while any channel survives; at the boundaries the H
 // value equals the single surviving gap channel.
 //
-// Like the linear kernels, the loops run on NegInf-padded int32 buffers
-// (see dp32.go) with the view direction resolved to byte-row slices once
-// per extension, boundary cells peeled, liveness recovered by scanning
-// the stored channels, and trace counters accumulated in locals.
-func (w *Workspace) Affine(h, v View, p Params) Result {
+// Like the linear sweep, the loops run on NegInf-padded buffers (see
+// dp.go) with the view direction resolved to byte-row slices once per
+// extension, boundary cells peeled, liveness recovered by scanning the
+// stored channels, and trace counters accumulated in locals.
+//
+// ok is false when an antidiagonal's best H exceeded guard (int16
+// saturation, see tier.go; H dominates E and F wherever it is live): the
+// partial attempt is void and the caller must re-run on the wide tier.
+func affineSweep[S score](b *scoreBufs[S], h, v View, p Params, negInf, guard S) (Result, bool) {
 	m, n := h.Len(), v.Len()
 	delta := min(m, n) + 1
-	w.b0 = growBuf32(w.b0, delta)
-	w.b1 = growBuf32(w.b1, delta)
-	w.b2 = growBuf32(w.b2, delta)
-	w.e0 = growBuf32(w.e0, delta)
-	w.e1 = growBuf32(w.e1, delta)
-	w.f0 = growBuf32(w.f0, delta)
-	w.f1 = growBuf32(w.f1, delta)
+	b.b0 = growBuf(b.b0, delta)
+	b.b1 = growBuf(b.b1, delta)
+	b.b2 = growBuf(b.b2, delta)
+	b.e0 = growBuf(b.e0, delta)
+	b.e1 = growBuf(b.e1, delta)
+	b.f0 = growBuf(b.f0, delta)
+	b.f1 = growBuf(b.f1, delta)
 
 	res := Result{Stats: Stats{
 		TheoreticalCells: int64(m) * int64(n),
-		WorkBytes:        7 * delta * scoreBytes,
+		WorkBytes:        7 * delta * int(unsafe.Sizeof(negInf)),
 	}}
 
 	tab := p.Scorer.Table()
-	gape := int32(p.Gap)
-	gapo := int32(p.GapOpen)
+	gape := S(p.Gap)
 	// Hoist the gap-open+extend sum: max(a,b)+c ≡ max(a+c, b+c) (exact —
-	// int32 working values are orders of magnitude inside the range), so
+	// working values are far inside the range at either width: int32 by
+	// orders of magnitude, int16 by narrowEligible's penalty bounds), so
 	// each E/F update is two independent adds feeding one max instead of
 	// the serial add→max→add chain the textbook recurrence spells.
-	goe := gapo + gape
+	goe := S(p.GapOpen) + gape
 	hb, vb := h.data, v.data
 	hStep, hOrg := h.dir()
 	vStep, vD, vOrg := v.vdir()
@@ -58,20 +72,20 @@ func (w *Workspace) Affine(h, v View, p Params) Result {
 	// d1 buffers hold antidiagonal d−1 (all three channels), d2h holds
 	// d−2 (only H is read from it); out* are written for d. Window
 	// starts and the live bounds of d−1 rotate as plain scalars.
-	d1h, d1e, d1f := w.b1, w.e1, w.f1
-	d2h := w.b2
-	outH, outE, outF := w.b0, w.e0, w.f0
-	seedDiag(d1h, 0)
-	seedDiag(d1e, negInf32)
-	seedDiag(d1f, negInf32)
-	seedDiag(d2h, negInf32)
+	d1h, d1e, d1f := b.b1, b.e1, b.f1
+	d2h := b.b2
+	outH, outE, outF := b.b0, b.e0, b.f0
+	seedDiag(d1h, 0, negInf)
+	seedDiag(d1e, negInf, negInf)
+	seedDiag(d1f, negInf, negInf)
+	seedDiag(d2h, negInf, negInf)
 	d1cl, d1lo, d1hi := 0, 0, 0
 	d2cl := 0
 
 	var acc statAcc
 	acc.observe(1, 1)
 
-	best, t := int32(0), int32(0)
+	best, t := S(0), S(0)
 	bestI, bestD := 0, 0
 
 	for d := 1; d <= m+n; d++ {
@@ -80,7 +94,7 @@ func (w *Workspace) Affine(h, v View, p Params) Result {
 		if cl > cu {
 			break
 		}
-		limit := pruneLimit(t, p.X)
+		limit := pruneLimit(t, p.X, negInf)
 		lo, hi := -1, -1
 		o1 := bufPad - d1cl
 		o2 := bufPad - d2cl
@@ -92,9 +106,9 @@ func (w *Workspace) Affine(h, v View, p Params) Result {
 			// is also the cell's H value (H = max(−∞, E, −∞)).
 			e := max(d1e[o1]+gape, d1h[o1]+goe)
 			if e < limit {
-				e = negInf32
+				e = negInf
 			}
-			outH[oo], outE[oo], outF[oo] = e, e, negInf32
+			outH[oo], outE[oo], outF[oo] = e, e, negInf
 			i = 1
 		}
 		iB := cu
@@ -124,7 +138,7 @@ func (w *Workspace) Affine(h, v View, p Params) Result {
 					e := max(d1er[k]+gape, hrv+goe)
 					f := max(flv+gape, hlv+goe)
 					flv = d1fr[k]
-					s := d2v[k] + int32(tab[hRow[k]][vRow[cnt-1-k]])
+					s := d2v[k] + S(tab[hRow[k]][vRow[cnt-1-k]])
 					hlv = hrv
 					if e > s {
 						s = e
@@ -133,13 +147,13 @@ func (w *Workspace) Affine(h, v View, p Params) Result {
 						s = f
 					}
 					if s < limit {
-						s = negInf32
+						s = negInf
 					}
 					if e < limit {
-						e = negInf32
+						e = negInf
 					}
 					if f < limit {
-						f = negInf32
+						f = negInf
 					}
 					ohRow[k], oeRow[k], ofRow[k] = s, e, f
 				}
@@ -151,7 +165,7 @@ func (w *Workspace) Affine(h, v View, p Params) Result {
 					e := max(d1er[k]+gape, hrv+goe)
 					f := max(flv+gape, hlv+goe)
 					flv = d1fr[k]
-					s := d2v[k] + int32(tab[hRow[cnt-1-k]][vRow[k]])
+					s := d2v[k] + S(tab[hRow[cnt-1-k]][vRow[k]])
 					hlv = hrv
 					if e > s {
 						s = e
@@ -160,13 +174,13 @@ func (w *Workspace) Affine(h, v View, p Params) Result {
 						s = f
 					}
 					if s < limit {
-						s = negInf32
+						s = negInf
 					}
 					if e < limit {
-						e = negInf32
+						e = negInf
 					}
 					if f < limit {
-						f = negInf32
+						f = negInf
 					}
 					ohRow[k], oeRow[k], ofRow[k] = s, e, f
 				}
@@ -180,7 +194,7 @@ func (w *Workspace) Affine(h, v View, p Params) Result {
 					e := max(d1er[k]+gape, hrv+goe)
 					f := max(flv+gape, hlv+goe)
 					flv = d1fr[k]
-					s := d2v[k] + int32(tab[hb[hIdx]][vb[vIdx]])
+					s := d2v[k] + S(tab[hb[hIdx]][vb[vIdx]])
 					hIdx += hStep
 					vIdx += vStep
 					hlv = hrv
@@ -191,13 +205,13 @@ func (w *Workspace) Affine(h, v View, p Params) Result {
 						s = f
 					}
 					if s < limit {
-						s = negInf32
+						s = negInf
 					}
 					if e < limit {
-						e = negInf32
+						e = negInf
 					}
 					if f < limit {
-						f = negInf32
+						f = negInf
 					}
 					ohRow[k], oeRow[k], ofRow[k] = s, e, f
 				}
@@ -209,15 +223,15 @@ func (w *Workspace) Affine(h, v View, p Params) Result {
 			// it is also the cell's H value (H = max(−∞, −∞, F)).
 			f := max(d1f[i-1+o1]+gape, d1h[i-1+o1]+goe)
 			if f < limit {
-				f = negInf32
+				f = negInf
 			}
 			k := i + oo
-			outH[k], outE[k], outF[k] = f, negInf32, f
+			outH[k], outE[k], outF[k] = f, negInf, f
 		}
 		width := cu - cl + 1
-		setGuards(outH, width)
-		setGuards(outE, width)
-		setGuards(outF, width)
+		setGuards(outH, width, negInf)
+		setGuards(outE, width, negInf)
+		setGuards(outF, width, negInf)
 
 		// Recover the live sub-window (any surviving channel) and the
 		// row's best H from the stored channels: cheaper than branching
@@ -226,15 +240,15 @@ func (w *Workspace) Affine(h, v View, p Params) Result {
 		rowE := outE[bufPad:][:width]
 		rowF := outF[bufPad:][:width]
 		for k := 0; k < width; k++ {
-			if rowH[k] != negInf32 || rowE[k] != negInf32 || rowF[k] != negInf32 {
+			if rowH[k] != negInf || rowE[k] != negInf || rowF[k] != negInf {
 				lo = cl + k
 				break
 			}
 		}
-		rowBest, rowBestI := negInf32, -1
+		rowBest, rowBestI := negInf, -1
 		if lo >= 0 {
 			for k := width - 1; ; k-- {
-				if rowH[k] != negInf32 || rowE[k] != negInf32 || rowF[k] != negInf32 {
+				if rowH[k] != negInf || rowE[k] != negInf || rowF[k] != negInf {
 					hi = cl + k
 					break
 				}
@@ -244,6 +258,10 @@ func (w *Workspace) Affine(h, v View, p Params) Result {
 					rowBest, rowBestI = s, cl+k
 				}
 			}
+		}
+
+		if rowBest > guard {
+			return Result{}, false
 		}
 
 		liveW := 0
@@ -273,5 +291,5 @@ func (w *Workspace) Affine(h, v View, p Params) Result {
 	res.Score = int(best)
 	res.EndH = bestI
 	res.EndV = bestD - bestI
-	return res
+	return res, true
 }

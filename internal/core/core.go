@@ -17,6 +17,15 @@
 // All variants share identical recurrence and pruning semantics: a cell
 // whose score falls below T−X, where T is the best score seen on previous
 // antidiagonals, is removed from the search space (set to −∞).
+//
+// Apart from the oracle, the variants are served by four antidiagonal
+// sweeps, one per (recurrence × records-directions): linearSweep
+// (linear.go — Restricted2's in-place two-buffer walk, and Standard3 as
+// the same body writing to a third buffer) and affineSweep (affine.go)
+// score only and are generic over the score width (int32, or int16 for
+// the narrow tier of tier.go); fusedLinear and fusedAffine (fused.go)
+// score and record per-cell directions for traceback, whether as the
+// single fused pass or as the second pass after a score sweep.
 package core
 
 import (
@@ -113,7 +122,7 @@ type Params struct {
 	GapOpen int
 	// Algo selects the implementation used by Align.
 	Algo Algo
-	// Tier selects the kernel score width (see dp16.go). The zero value
+	// Tier selects the kernel score width (see tier.go). The zero value
 	// is TierWide; TierNarrow/TierAuto opt in to the int16 kernels with
 	// transparent overflow promotion back to int32.
 	Tier Tier
@@ -173,7 +182,7 @@ type Stats struct {
 	// those of the wide re-run). Both false means a plain wide run.
 	Narrow bool
 	// Promoted is set with Narrow == false: the wide re-run produced the
-	// result. See dp16.go for the saturation guard.
+	// result. See tier.go for the saturation guard.
 	Promoted bool
 }
 

@@ -178,20 +178,47 @@ func TestVariantsAgreeWithOracle(t *testing.T) {
 	}
 }
 
-// TestRestrictedWithSufficientBand checks the paper's δb selection claim
-// (§6.1): choosing δb ≥ δw preserves the computation exactly.
+// TestRestrictedWithSufficientBand pins the paper's δb selection claim
+// (§6.1) as a property: choosing δb ≥ δw preserves the computation
+// exactly. Restricted2 must equal Standard3 in every Result field except
+// Stats.WorkBytes (the one thing the layouts are meant to differ in) — at
+// both score widths and both view directions. One sweep body serves both
+// layouts, so this holds by construction; the test keeps it that way.
+// The bound is δw+1 cells: an antidiagonal's computed window reaches one
+// cell past the previous live window before pruning trims it back.
 func TestRestrictedWithSufficientBand(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 100; trial++ {
-		h := randDNA(rng, 80+rng.Intn(80))
-		v := mutate(rng, h, 0.15)
-		p := dnaParams(10)
-		full := Standard3(NewView(h), NewView(v), p)
-
-		p.DeltaB = full.Stats.MaxLiveBand + 1
-		rst := Restricted2(NewView(h), NewView(v), p)
-		if rst.Score != full.Score || rst.EndH != full.EndH || rst.EndV != full.EndV {
-			t.Fatalf("trial %d: δb=δw+1 diverged: %+v vs %+v", trial, rst, full)
+		hs := randDNA(rng, 80+rng.Intn(80))
+		vs := mutate(rng, hs, 0.15)
+		for _, rev := range []bool{false, true} {
+			h, v := NewView(hs), NewView(vs)
+			if rev {
+				h, v = NewReversedView(hs), NewReversedView(vs)
+			}
+			for _, tier := range []Tier{TierWide, TierNarrow} {
+				p := dnaParams(10)
+				p.Tier = tier
+				p.Algo = AlgoStandard3
+				full := Align(h, v, p)
+				if full.Stats.Narrow != (tier == TierNarrow) {
+					t.Fatalf("trial %d: tier %v ran narrow=%v", trial, tier, full.Stats.Narrow)
+				}
+				p.Algo = AlgoRestricted2
+				for _, slack := range []int{1, 2, 17} {
+					p.DeltaB = full.Stats.MaxLiveBand + slack
+					rst := Align(h, v, p)
+					if rst.Stats.WorkBytes >= full.Stats.WorkBytes {
+						t.Fatalf("trial %d: restricted2 WorkBytes %d not below standard3's %d",
+							trial, rst.Stats.WorkBytes, full.Stats.WorkBytes)
+					}
+					rst.Stats.WorkBytes = full.Stats.WorkBytes
+					if rst != full {
+						t.Fatalf("trial %d rev=%v %v δb=δw+%d diverged:\nrestricted2 %+v\nstandard3   %+v",
+							trial, rev, tier, slack, rst, full)
+					}
+				}
+			}
 		}
 	}
 }

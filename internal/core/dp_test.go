@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"unsafe"
@@ -166,54 +167,73 @@ func TestReversedViewsMatchMaterialised(t *testing.T) {
 	}
 }
 
-// TestWorkBytesMatchesBufferFootprint closes the WorkBytes honesty gap:
-// the modeled footprint must be computed from the actual element size of
-// the working buffers (4-byte scores, §3), not an assumed one.
+// heldFootprint counts the score buffers a width's buffer set has
+// allocated, checks each holds exactly cells window cells plus the
+// guards, and returns the bytes of window cells held.
+func heldFootprint[S score](t *testing.T, label string, b *scoreBufs[S], cells int) (bufs, bytes int) {
+	t.Helper()
+	for _, buf := range [][]S{b.b0, b.b1, b.b2, b.e0, b.e1, b.f0, b.f1} {
+		if buf == nil {
+			continue
+		}
+		bufs++
+		if len(buf) != cells+2*bufPad {
+			t.Errorf("%s: buffer holds %d cells, want %d window cells + %d guards", label, len(buf), cells, 2*bufPad)
+		}
+		bytes += (len(buf) - 2*bufPad) * int(unsafe.Sizeof(buf[0]))
+	}
+	return bufs, bytes
+}
+
+// TestWorkBytesMatchesBufferFootprint closes the WorkBytes honesty gap
+// and keeps Algorithm 1 literal: on a fresh Workspace a Restricted2 run
+// allocates exactly two score buffers of δb cells (the third stays nil —
+// antidiagonal d really overwrites d−2 in place), a Standard3 run three
+// of δ, an Affine run seven of δ, at either width; and the modeled
+// footprint equals the bytes of window cells those buffers actually hold
+// (4-byte scores on the wide tier, §3; 2-byte on the narrow).
 func TestWorkBytesMatchesBufferFootprint(t *testing.T) {
-	var w Workspace
 	h := []byte("ACGTACGTACGTACGT")
 	v := []byte("ACGTACGTACGTACGT")
-	p := Params{Scorer: scoring.DNADefault, Gap: -1, X: 10}
-
-	w.Restricted2(NewView(h), NewView(v), p)
-	elem := int(unsafe.Sizeof(w.b1[0]))
-	if elem != scoreBytes {
-		t.Fatalf("buffer element is %d B, WorkBytes math assumes %d B", elem, scoreBytes)
-	}
-
-	// The stored buffers carry 2·bufPad guard cells beyond the modeled
-	// window capacity; WorkBytes must equal capacity × element size per
-	// antidiagonal for each variant's buffer count.
 	delta := min(len(h), len(v)) + 1
-	r := w.Restricted2(NewView(h), NewView(v), p)
-	if want := 2 * delta * elem; r.Stats.WorkBytes != want {
-		t.Errorf("restricted2 WorkBytes = %d, want %d (2δ cells × %d B)", r.Stats.WorkBytes, want, elem)
-	}
-	if got := (len(w.b1) - 2*bufPad) * elem * 2; got != r.Stats.WorkBytes {
-		t.Errorf("restricted2 actual buffers hold %d B of window cells, WorkBytes says %d", got, r.Stats.WorkBytes)
-	}
-
-	p.DeltaB = 4
-	r = w.Restricted2(NewView(h), NewView(v), p)
-	if want := 2 * 4 * elem; r.Stats.WorkBytes != want {
-		t.Errorf("restricted2 δb=4 WorkBytes = %d, want %d", r.Stats.WorkBytes, want)
-	}
-	if got := (len(w.b1) - 2*bufPad) * elem * 2; got != r.Stats.WorkBytes {
-		t.Errorf("restricted2 δb=4 buffers hold %d B, WorkBytes says %d", got, r.Stats.WorkBytes)
-	}
-
-	p.DeltaB = 0
-	s := w.Standard3(NewView(h), NewView(v), p)
-	if want := 3 * delta * elem; s.Stats.WorkBytes != want {
-		t.Errorf("standard3 WorkBytes = %d, want %d", s.Stats.WorkBytes, want)
-	}
-	if got := (len(w.b0) - 2*bufPad) * elem * 3; got != s.Stats.WorkBytes {
-		t.Errorf("standard3 buffers hold %d B, WorkBytes says %d", got, s.Stats.WorkBytes)
-	}
-
-	a := w.Affine(NewView(h), NewView(v), p)
-	if want := 7 * delta * elem; a.Stats.WorkBytes != want {
-		t.Errorf("affine WorkBytes = %d, want %d", a.Stats.WorkBytes, want)
+	for _, tc := range []struct {
+		algo   Algo
+		deltaB int
+		bufs   int
+		cells  int
+	}{
+		{AlgoRestricted2, 0, 2, delta},
+		{AlgoRestricted2, 4, 2, 4},
+		{AlgoStandard3, 0, 3, delta},
+		{AlgoStandard3, 4, 3, delta}, // Standard3 ignores δb
+		{AlgoAffine, 0, 7, delta},
+	} {
+		for _, tier := range []Tier{TierWide, TierNarrow} {
+			p := Params{Scorer: scoring.DNADefault, Gap: -1, GapOpen: -2, X: 10, DeltaB: tc.deltaB, Algo: tc.algo, Tier: tier}
+			label := fmt.Sprintf("%v/δb=%d/%v", tc.algo, tc.deltaB, tier)
+			var w Workspace
+			r := w.align(NewView(h), NewView(v), p)
+			wb, wbytes := heldFootprint(t, label+"/wide", &w.wide, tc.cells)
+			nb, nbytes := heldFootprint(t, label+"/narrow", &w.narrow, tc.cells)
+			// A clean run touches only its own width's buffers.
+			ran, held, other, elem := wb, wbytes, nb, scoreBytes
+			if tier == TierNarrow {
+				ran, held, other, elem = nb, nbytes, wb, narrowScoreBytes
+			}
+			if other != 0 {
+				t.Errorf("%s: %d buffers allocated at the other width", label, other)
+			}
+			if ran != tc.bufs {
+				t.Errorf("%s: %d score buffers allocated, want %d", label, ran, tc.bufs)
+			}
+			if want := tc.bufs * tc.cells * elem; r.Stats.WorkBytes != want {
+				t.Errorf("%s: WorkBytes = %d, want %d (%d buffers × %d cells × %d B)",
+					label, r.Stats.WorkBytes, want, tc.bufs, tc.cells, elem)
+			}
+			if held != r.Stats.WorkBytes {
+				t.Errorf("%s: buffers hold %d B of window cells, WorkBytes says %d", label, held, r.Stats.WorkBytes)
+			}
+		}
 	}
 }
 

@@ -1,33 +1,39 @@
 package core
 
-// Fused single-pass traceback: the scoring sweep records 2/4-bit
-// direction codes as it goes, so eligible extensions skip the replay of
-// the two-pass scheme entirely. The loops are structured like the score
-// kernels (NegInf-padded rotating buffers, resolved byte-row slices,
+// The recording sweeps: a scoring sweep that also records 2/4-bit
+// direction codes as it goes. They are the only code that produces a
+// Trace, and serve both traceback schedules — fused (FusedExtend*: the
+// one sweep delivers the Result and the Trace, no second pass) and
+// two-pass (Traceback*: the score sweep ran first, this is the second
+// pass and only its Trace is kept). The loops are structured like the
+// score sweeps (NegInf-padded rotating buffers, resolved byte-row slices,
 // peeled boundaries, fringe-scan liveness recovery, statAcc counters) so
-// the recording costs roughly one sweep instead of two — and the
-// returned Result is bit-identical to the score kernels' in every field,
-// including the trace counters, while the recorded directions (and
-// therefore the CIGAR) are bit-identical to the replay tracer's.
+// recording costs roughly one sweep — and the returned Result is
+// bit-identical to the score sweeps' in every field, including the trace
+// counters.
 //
-// Eligibility (FusedEligible): the int32 wide kernels only. Narrow
-// (int16) extensions keep the two-pass scheme — fusing them would change
-// the batch tier counters — and AlgoReference keeps its full-matrix
-// oracle. The memory trade is explicit: a fused recording lives on its
-// thread for the whole scoring pass, so the SRAM model charges one
-// direction arena per thread (ipukernel.TileMemoryBytes) instead of the
-// single serialized replay arena.
+// Eligibility for the fused schedule (FusedEligible): extensions that
+// score on the int32 tier only. Narrow (int16) extensions keep the
+// two-pass schedule — fusing them would change the batch tier counters —
+// and AlgoReference keeps its full-matrix oracle as the score pass. The
+// memory trade is explicit: a fused recording lives on its thread for the
+// whole scoring pass, so the SRAM model charges one direction arena per
+// thread (ipukernel.TileMemoryBytes) instead of the single serialized
+// second-pass arena.
 
-// TraceMode selects how traceback direction data is recorded.
+// TraceMode selects the traceback schedule: whether direction data is
+// recorded inside the scoring pass or by a second pass. Either way the
+// recording sweep is the same code; the mode decides how many sweeps an
+// extension costs and how the SRAM model charges the direction arena.
 type TraceMode int
 
 const (
 	// TraceModeAuto fuses recording into the scoring pass for eligible
 	// extensions whose direction-arena bound fits the per-thread fused
-	// budget, and replays the rest. The default.
+	// budget, and runs the rest two-pass. The default.
 	TraceModeAuto TraceMode = iota
-	// TraceModeReplay always uses the two-pass replay scheme (PR 5
-	// behaviour).
+	// TraceModeReplay always uses the two-pass schedule: the score sweep,
+	// then the recording sweep as a serialized second pass.
 	TraceModeReplay
 	// TraceModeFused fuses every eligible extension regardless of the
 	// budget heuristic; SRAM admission still certifies the tile.
@@ -47,9 +53,9 @@ func (m TraceMode) String() string {
 }
 
 // FusedEligible reports whether an m×n extension under p can use the
-// fused single-pass recording: the wide (int32) linear and affine
-// kernels only. Narrow-tier extensions and the Reference oracle keep
-// the two-pass replay.
+// fused single-pass schedule: extensions scored by the wide (int32)
+// linear and affine sweeps only. Narrow-tier extensions and the
+// Reference oracle keep the two-pass schedule.
 func FusedEligible(m, n int, p Params) bool {
 	if p.Algo == AlgoReference {
 		return false
@@ -57,16 +63,28 @@ func FusedEligible(m, n int, p Params) bool {
 	return !useNarrow(m, n, p)
 }
 
-// fusedExtend dispatches the fused kernels, leaving the walk-order ops
-// in w.tb.ops like the replay tracer does.
-func (w *Workspace) fusedExtend(h, v View, p Params) (Result, Trace, error) {
+// record runs the recording sweep of p.Algo's recurrence over views h
+// and v and encodes the walked ops into the Trace's Cigar; rev consumes
+// the walk-order ops (best cell → origin) back to front, which for
+// forward views is view-forward order.
+func (w *Workspace) record(h, v View, p Params, rev bool) (Result, Trace, error) {
+	defer w.tb.trim()
 	if err := p.Validate(); err != nil {
 		return Result{}, Trace{}, err
 	}
+	var r Result
+	var tr Trace
+	var err error
 	if p.Algo == AlgoAffine {
-		return w.fusedAffine(h, v, p)
+		r, tr, err = w.fusedAffine(h, v, p)
+	} else {
+		r, tr, err = w.fusedLinear(h, v, p)
 	}
-	return w.fusedLinear(h, v, p)
+	if err != nil {
+		return Result{}, Trace{}, err
+	}
+	tr.Cigar = encodeOps(w.tb.ops, rev)
+	return r, tr, nil
 }
 
 // FusedExtendRight runs the right seed extension (ExtendRight geometry)
@@ -74,43 +92,30 @@ func (w *Workspace) fusedExtend(h, v View, p Params) (Result, Trace, error) {
 // the Trace bit-matches TracebackRight (Cigar in sequence-forward
 // order).
 func (w *Workspace) FusedExtendRight(h, v []byte, hOff, vOff int, p Params) (Result, Trace, error) {
-	r, tr, err := w.fusedExtend(NewView(h[hOff:]), NewView(v[vOff:]), p)
-	if err != nil {
-		w.tb.trim()
-		return Result{}, Trace{}, err
-	}
-	tr.Cigar = encodeOps(w.tb.ops, true)
-	w.tb.trim()
-	return r, tr, nil
+	return w.record(NewView(h[hOff:]), NewView(v[vOff:]), p, true)
 }
 
 // FusedExtendLeft is FusedExtendRight for the left seed extension
 // (ExtendLeft geometry, reversed views; Cigar in sequence-forward
 // order, matching TracebackLeft).
 func (w *Workspace) FusedExtendLeft(h, v []byte, hOff, vOff int, p Params) (Result, Trace, error) {
-	r, tr, err := w.fusedExtend(NewReversedView(h[:hOff]), NewReversedView(v[:vOff]), p)
-	if err != nil {
-		w.tb.trim()
-		return Result{}, Trace{}, err
-	}
-	tr.Cigar = encodeOps(w.tb.ops, false)
-	w.tb.trim()
-	return r, tr, nil
+	return w.record(NewReversedView(h[:hOff]), NewReversedView(v[:vOff]), p, false)
 }
 
-// fusedLinear is the fused linear-gap kernel (Restricted2 / Standard3
-// semantics, selected by p.Algo exactly like linearCapacity). The loop
-// body mirrors Restricted2's padded-window sweep with the replay
-// tracer's per-cell code assignment folded in; the rotation uses three
-// distinct buffers (like Standard3) so the recording loop needs no
-// in-place aliasing carry.
+// fusedLinear is the linear-gap recording sweep (Restricted2 / Standard3
+// / Reference window semantics, selected by p.Algo through
+// linearCapacity, so a recorded Reference keeps its unbounded window).
+// The loop body mirrors linearSweep's padded-window walk with a per-cell
+// direction code folded in; the rotation uses three distinct buffers
+// (like Standard3) so the recording loop needs no in-place aliasing
+// carry.
 func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 	m, n := h.Len(), v.Len()
 	delta := min(m, n) + 1
 	capacity := linearCapacity(m, n, p)
-	w.b0 = growBuf32(w.b0, capacity)
-	w.b1 = growBuf32(w.b1, capacity)
-	w.b2 = growBuf32(w.b2, capacity)
+	w.wide.b0 = growBuf(w.wide.b0, capacity)
+	w.wide.b1 = growBuf(w.wide.b1, capacity)
+	w.wide.b2 = growBuf(w.wide.b2, capacity)
 	tb := &w.tb
 	tb.reset(2)
 
@@ -127,9 +132,9 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 	hStep, hOrg := h.dir()
 	vStep, vD, vOrg := v.vdir()
 
-	out, d1b, d2b := w.b0, w.b1, w.b2
-	seedDiag(d1b, 0)
-	seedDiag(d2b, negInf32)
+	out, d1b, d2b := w.wide.b0, w.wide.b1, w.wide.b2
+	seedDiag(d1b, 0, negInf32)
+	seedDiag(d2b, negInf32, negInf32)
 	d1cl, d1lo, d1hi := 0, 0, 0
 	d2cl := 0
 
@@ -165,7 +170,7 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 			cu = cl + capacity - 1
 		}
 
-		limit := pruneLimit(t, p.X)
+		limit := pruneLimit(t, p.X, negInf32)
 		width := cu - cl + 1
 		dbase := tb.beginDiag(cl, width)
 		if dbase < 0 {
@@ -212,9 +217,9 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 					s := d2v[k] + int32(tab[hRow[k]][vRow[cnt-1-k]])
 					c := codeDiag
 					drv := d1r[k]
-					// The kernels take the gap branch only when it
+					// The score sweeps take the gap branch only when it
 					// strictly beats the diagonal; between the two gap
-					// sources up wins ties (the replay tracer's rule).
+					// sources up wins ties.
 					if g := max(dlv, drv) + gap; g > s {
 						s = g
 						if dlv >= drv {
@@ -303,7 +308,7 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 			out[i+oo] = s
 			codes[i-cl] = c
 		}
-		setGuards(out, width)
+		setGuards(out, width, negInf32)
 		tb.packRow(dbase, codes)
 
 		// Recover the live sub-window and the row argmax from the
@@ -351,7 +356,7 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 		d2cl = d1cl
 		d1cl, d1lo, d1hi = cl, lo, hi
 	}
-	w.b0, w.b1, w.b2 = out, d1b, d2b
+	w.wide.b0, w.wide.b1, w.wide.b2 = out, d1b, d2b
 
 	acc.flush(&res.Stats)
 	res.Score = int(best)
@@ -366,20 +371,20 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 	return res, trc, nil
 }
 
-// fusedAffine is the fused Gotoh affine-gap kernel: Affine's padded
-// three-channel sweep with the replay tracer's 4-bit nibble assignment
-// (H source in the low 2 bits, E/F gap-extension flags above) folded
-// into the scoring loop.
+// fusedAffine is the Gotoh affine-gap recording sweep: affineSweep's
+// padded three-channel walk with a 4-bit nibble per cell (H source in the
+// low 2 bits, E/F gap-extension flags above) folded into the scoring
+// loop.
 func (w *Workspace) fusedAffine(h, v View, p Params) (Result, Trace, error) {
 	m, n := h.Len(), v.Len()
 	delta := min(m, n) + 1
-	w.b0 = growBuf32(w.b0, delta)
-	w.b1 = growBuf32(w.b1, delta)
-	w.b2 = growBuf32(w.b2, delta)
-	w.e0 = growBuf32(w.e0, delta)
-	w.e1 = growBuf32(w.e1, delta)
-	w.f0 = growBuf32(w.f0, delta)
-	w.f1 = growBuf32(w.f1, delta)
+	w.wide.b0 = growBuf(w.wide.b0, delta)
+	w.wide.b1 = growBuf(w.wide.b1, delta)
+	w.wide.b2 = growBuf(w.wide.b2, delta)
+	w.wide.e0 = growBuf(w.wide.e0, delta)
+	w.wide.e1 = growBuf(w.wide.e1, delta)
+	w.wide.f0 = growBuf(w.wide.f0, delta)
+	w.wide.f1 = growBuf(w.wide.f1, delta)
 	tb := &w.tb
 	tb.reset(4)
 
@@ -396,13 +401,13 @@ func (w *Workspace) fusedAffine(h, v View, p Params) (Result, Trace, error) {
 	hStep, hOrg := h.dir()
 	vStep, vD, vOrg := v.vdir()
 
-	d1h, d1e, d1f := w.b1, w.e1, w.f1
-	d2h := w.b2
-	outH, outE, outF := w.b0, w.e0, w.f0
-	seedDiag(d1h, 0)
-	seedDiag(d1e, negInf32)
-	seedDiag(d1f, negInf32)
-	seedDiag(d2h, negInf32)
+	d1h, d1e, d1f := w.wide.b1, w.wide.e1, w.wide.f1
+	d2h := w.wide.b2
+	outH, outE, outF := w.wide.b0, w.wide.e0, w.wide.f0
+	seedDiag(d1h, 0, negInf32)
+	seedDiag(d1e, negInf32, negInf32)
+	seedDiag(d1f, negInf32, negInf32)
+	seedDiag(d2h, negInf32, negInf32)
 	d1cl, d1lo, d1hi := 0, 0, 0
 	d2cl := 0
 
@@ -422,7 +427,7 @@ func (w *Workspace) fusedAffine(h, v View, p Params) (Result, Trace, error) {
 		if cl > cu {
 			break
 		}
-		limit := pruneLimit(t, p.X)
+		limit := pruneLimit(t, p.X, negInf32)
 		width := cu - cl + 1
 		dbase := tb.beginDiag(cl, width)
 		if dbase < 0 {
@@ -615,9 +620,9 @@ func (w *Workspace) fusedAffine(h, v View, p Params) (Result, Trace, error) {
 			outH[k], outE[k], outF[k] = f, negInf32, f
 			codes[i-cl] = c
 		}
-		setGuards(outH, width)
-		setGuards(outE, width)
-		setGuards(outF, width)
+		setGuards(outH, width, negInf32)
+		setGuards(outE, width, negInf32)
+		setGuards(outF, width, negInf32)
 		tb.packRow(dbase, codes)
 
 		rowH := outH[bufPad:][:width]
@@ -665,8 +670,8 @@ func (w *Workspace) fusedAffine(h, v View, p Params) (Result, Trace, error) {
 		d2cl = d1cl
 		d1cl, d1lo, d1hi = cl, lo, hi
 	}
-	w.b0, w.b1, w.b2 = outH, d1h, d2h
-	w.e0, w.e1, w.f0, w.f1 = outE, d1e, outF, d1f
+	w.wide.b0, w.wide.b1, w.wide.b2 = outH, d1h, d2h
+	w.wide.e0, w.wide.e1, w.wide.f0, w.wide.f1 = outE, d1e, outF, d1f
 
 	acc.flush(&res.Stats)
 	res.Score = int(best)

@@ -15,32 +15,38 @@ func fusedVariants() map[string]Params {
 	return m
 }
 
-// checkFusedExtension runs one extension side three ways — score-only,
-// two-pass replay, fused single-pass — and pins the three-way contract:
-// the fused Result bit-matches the score kernel in every field (the
-// kernel accumulates fused Stats as if the score kernel ran), and the
-// fused Trace bit-matches the replay tracer's (score, end points, CIGAR,
-// clamp flag and trace-byte accounting), with the CIGAR independently
-// re-scoring to the kernel score.
+// checkFusedExtension runs one extension side four ways — score-only,
+// the production second pass, fused single-pass, and the naive replay
+// oracle (oracle_test.go) — and pins the contract: the fused Result
+// bit-matches the score sweep in every field (the kernel accumulates
+// fused Stats as if the score sweep ran), and both production Traces —
+// fused and second-pass — bit-match the oracle's (score, end points,
+// CIGAR, clamp flag and trace-byte accounting), with the CIGAR
+// independently re-scoring to the kernel score.
 func checkFusedExtension(t *testing.T, h, v []byte, hOff, vOff int, right bool, p Params, label string) {
 	t.Helper()
 	var ws Workspace
+	var or replayOracle
 	var want Result
-	var replay Trace
+	var oracle, second Trace
 	var fr Result
 	var ft Trace
 	var err error
 	if right {
 		want = ws.ExtendRight(h, v, hOff, vOff, p)
-		replay, err = ws.TracebackRight(h, v, hOff, vOff, p)
-		if err != nil {
+		if oracle, err = or.right(h, v, hOff, vOff, p); err != nil {
+			t.Fatalf("%s: oracle right: %v", label, err)
+		}
+		if second, err = ws.TracebackRight(h, v, hOff, vOff, p); err != nil {
 			t.Fatalf("%s: TracebackRight: %v", label, err)
 		}
 		fr, ft, err = ws.FusedExtendRight(h, v, hOff, vOff, p)
 	} else {
 		want = ws.ExtendLeft(h, v, hOff, vOff, p)
-		replay, err = ws.TracebackLeft(h, v, hOff, vOff, p)
-		if err != nil {
+		if oracle, err = or.left(h, v, hOff, vOff, p); err != nil {
+			t.Fatalf("%s: oracle left: %v", label, err)
+		}
+		if second, err = ws.TracebackLeft(h, v, hOff, vOff, p); err != nil {
 			t.Fatalf("%s: TracebackLeft: %v", label, err)
 		}
 		fr, ft, err = ws.FusedExtendLeft(h, v, hOff, vOff, p)
@@ -51,19 +57,8 @@ func checkFusedExtension(t *testing.T, h, v []byte, hOff, vOff int, right bool, 
 	if fr != want {
 		t.Fatalf("%s: fused Result differs from score kernel:\nfused: %+v\nscore: %+v", label, fr, want)
 	}
-	if ft.Score != replay.Score || ft.EndH != replay.EndH || ft.EndV != replay.EndV {
-		t.Fatalf("%s: fused trace (%d,%d,%d) != replay (%d,%d,%d)", label,
-			ft.Score, ft.EndH, ft.EndV, replay.Score, replay.EndH, replay.EndV)
-	}
-	if ft.Cigar != replay.Cigar {
-		t.Fatalf("%s: fused cigar %q != replay cigar %q", label, ft.Cigar, replay.Cigar)
-	}
-	if ft.Clamped != replay.Clamped {
-		t.Fatalf("%s: fused clamp flag %v != replay %v", label, ft.Clamped, replay.Clamped)
-	}
-	if ft.TraceBytes != replay.TraceBytes {
-		t.Fatalf("%s: fused trace bytes %d != replay %d", label, ft.TraceBytes, replay.TraceBytes)
-	}
+	checkTraceMatchesOracle(t, label+"/fused", ft, oracle)
+	checkTraceMatchesOracle(t, label+"/second-pass", second, oracle)
 	// Independent oracle: the CIGAR re-scores to the kernel score over
 	// the exact aligned spans.
 	var fh, fv []byte
@@ -81,9 +76,9 @@ func checkFusedExtension(t *testing.T, h, v []byte, hOff, vOff int, right bool, 
 	}
 }
 
-// TestFusedDifferentialOracle is the three-way seeded-fuzz oracle:
-// score-only vs replay vs fused across every fused-eligible variant,
-// tier, size class and mutation rate, on both extension sides.
+// TestFusedDifferentialOracle is the seeded-fuzz oracle: score-only vs
+// second pass vs fused vs the naive replay across every fused-eligible
+// variant, tier, size class and mutation rate, on both extension sides.
 func TestFusedDifferentialOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(4321))
 	for name, base := range fusedVariants() {

@@ -1,5 +1,7 @@
 package core
 
+import "unsafe"
+
 // Restricted2 runs the paper's memory-restricted X-Drop extension
 // (Algorithm 1). It allocates its own workspace; use
 // (*Workspace).Restricted2 in hot loops.
@@ -10,9 +12,45 @@ func Restricted2(h, v View, p Params) Result {
 
 // Restricted2 is the paper's contribution (§3): an X-Drop extension that
 // stores only two antidiagonals of bounded length δb (2δb scores total
-// instead of Standard3's 3δ).
+// instead of Standard3's 3δ). It is linearSweep's in-place layout on the
+// int32 tier.
+func (w *Workspace) Restricted2(h, v View, p Params) Result {
+	p.Algo = AlgoRestricted2
+	return w.sweepWide(h, v, p)
+}
+
+// Standard3 runs Zhang's three-antidiagonal X-Drop extension. It allocates
+// its own workspace; use (*Workspace).Standard3 in hot loops.
+func Standard3(h, v View, p Params) Result {
+	var w Workspace
+	return w.Standard3(h, v, p)
+}
+
+// Standard3 runs Zhang's three-antidiagonal X-Drop extension using the
+// workspace buffers. Memory footprint is 3δ scores, δ = min(m,n)+1
+// (Fig. 3, left). It is linearSweep's three-buffer layout on the int32
+// tier.
+func (w *Workspace) Standard3(h, v View, p Params) Result {
+	p.Algo = AlgoStandard3
+	return w.sweepWide(h, v, p)
+}
+
+// linearCapacity resolves the working-window bound of a linear-gap sweep:
+// Restricted2 honours DeltaB, every other linear variant (Standard3, and
+// Reference when it is recorded for traceback) is unbounded, i.e.
+// δ = min(m,n)+1.
+func linearCapacity(m, n int, p Params) int {
+	delta := min(m, n) + 1
+	if p.Algo == AlgoRestricted2 && p.DeltaB > 0 && p.DeltaB < delta {
+		return p.DeltaB
+	}
+	return delta
+}
+
+// linearSweep is the linear-gap X-Drop score sweep, written once for both
+// score widths and both buffer layouts.
 //
-// Two ideas compose:
+// The recurrence is walked the way the paper's Algorithm 1 states it:
 //
 //  1. Gotoh's observation that two antidiagonals suffice — antidiagonal d
 //     overwrites d−2 in place, carrying the one value that would be
@@ -27,48 +65,63 @@ func Restricted2(h, v View, p Params) Result {
 //
 // DeltaB = 0 (or ≥ δ) reproduces the unrestricted search space exactly.
 //
-// The kernel runs on NegInf-padded int32 buffers (see dp32.go): the view
-// direction is resolved to byte-row slices once per extension, the i=0
-// and j=0 boundary cells are peeled out of the inner loop, and interior
-// cells read their neighbors through exact-length row slices with no
-// direction branches and no window checks. The live sub-window is
-// recovered by scanning the stored row's pruned fringes instead of
-// branching on liveness per cell, and trace counters accumulate in
-// locals (statAcc), flushed once at the end.
-func (w *Workspace) Restricted2(h, v View, p Params) Result {
+// Standard3 is the same body with one per-extension choice: the write
+// target is a third buffer instead of d−2's own, the three rotate, and
+// every buffer has the unbounded capacity δ — Zhang's 3δ layout that
+// SeqAn and LOGAN use, held physically so WorkBytes stays true of the
+// buffers touched. The carry is then redundant but harmless, and with
+// δb ≥ δw the two layouts compute identical cells (§6.1).
+//
+// The sweep runs on NegInf-padded buffers (see dp.go): the view direction
+// is resolved to byte-row slices once per extension, the i=0 and j=0
+// boundary cells are peeled out of the inner loop, and interior cells
+// read their neighbors through exact-length row slices with no direction
+// branches and no window checks. The live sub-window is recovered by
+// scanning the stored row's pruned fringes instead of branching on
+// liveness per cell, and trace counters accumulate in locals (statAcc),
+// flushed once at the end.
+//
+// ok is false when an antidiagonal's best value exceeded guard (int16
+// saturation, see tier.go): the partial attempt is void and the caller
+// must re-run on the wide tier.
+func linearSweep[S score](b *scoreBufs[S], h, v View, p Params, negInf, guard S) (Result, bool) {
 	m, n := h.Len(), v.Len()
-	delta := min(m, n) + 1
-	capacity := delta
-	if p.DeltaB > 0 && p.DeltaB < delta {
-		capacity = p.DeltaB
+	capacity := linearCapacity(m, n, p)
+	inPlace := p.Algo != AlgoStandard3
+	b.b1 = growBuf(b.b1, capacity)
+	b.b2 = growBuf(b.b2, capacity)
+
+	// d1b holds antidiagonal d−1; d2b holds d−2. In place, antidiagonal d
+	// overwrites d−2 (out aliases d2b); otherwise out is the third
+	// buffer. Window starts and the live bounds of d−1 rotate as plain
+	// scalars.
+	d1b, d2b := b.b1, b.b2
+	out, nbuf := d2b, 2
+	if !inPlace {
+		b.b0 = growBuf(b.b0, capacity)
+		out, nbuf = b.b0, 3
 	}
-	w.b1 = growBuf32(w.b1, capacity)
-	w.b2 = growBuf32(w.b2, capacity)
 
 	res := Result{Stats: Stats{
 		TheoreticalCells: int64(m) * int64(n),
-		WorkBytes:        2 * capacity * scoreBytes,
+		WorkBytes:        nbuf * capacity * int(unsafe.Sizeof(negInf)),
 	}}
 
 	tab := p.Scorer.Table()
-	gap := int32(p.Gap)
+	gap := S(p.Gap)
 	hb, vb := h.data, v.data
 	hStep, hOrg := h.dir()
 	vStep, vD, vOrg := v.vdir()
 
-	// d1b holds antidiagonal d−1; d2b holds d−2 and is overwritten in
-	// place by d. Window starts and the live bounds of d−1 rotate as
-	// plain scalars.
-	d1b, d2b := w.b1, w.b2
-	seedDiag(d1b, 0)
-	seedDiag(d2b, negInf32)
+	seedDiag(d1b, 0, negInf)
+	seedDiag(d2b, negInf, negInf)
 	d1cl, d1lo, d1hi := 0, 0, 0
 	d2cl := 0
 
 	var acc statAcc
 	acc.observe(1, 1)
 
-	best, t := int32(0), int32(0)
+	best, t := S(0), S(0)
 	bestI, bestD := 0, 0
 	rowBestI := 0
 
@@ -95,28 +148,27 @@ func (w *Workspace) Restricted2(h, v View, p Params) Result {
 			cu = cl + capacity - 1
 		}
 
-		limit := pruneLimit(t, p.X)
+		limit := pruneLimit(t, p.X, negInf)
 		// rowBest tracks only the value in the hot loops (a single
 		// compare-and-move); its index is recovered afterwards by an
 		// equality scan that stops at the first argmax, matching the
 		// first-wins tie-breaking of a scalar best chain.
-		rowBest := negInf32
+		rowBest := negInf
 		lo, hi := -1, -1
 		o1 := bufPad - d1cl
 		o2 := bufPad - d2cl
 		oo := bufPad - cl
-		out := d2b // antidiagonal d overwrites d−2 in place
 		// wlast carries the d−2 value at i−1 (the diagonal
 		// predecessor), which the in-place write would clobber.
-		wlast := out[cl-1+o2]
+		wlast := d2b[cl-1+o2]
 
 		i := cl
 		if i == 0 {
 			// Top boundary (j = d): only the vertical gap move exists.
-			wnew := out[o2]
+			wnew := d2b[o2]
 			s := d1b[o1] + gap
 			if s < limit {
-				s = negInf32
+				s = negInf
 			}
 			if s > rowBest {
 				rowBest = s
@@ -134,11 +186,11 @@ func (w *Workspace) Restricted2(h, v View, p Params) Result {
 			base := i
 			// Exact-length row slices: the compiler proves almost all
 			// k accesses in range, so the inner loops are close to
-			// bounds-check-free. outRow aliases d2v shifted left by
-			// cl−d2cl cells; wnew is read before outRow[k] is stored,
-			// and writes trail reads because cl never decreases.
+			// bounds-check-free. In place, outRow aliases d2v shifted
+			// left by cl−d2cl cells; wnew is read before outRow[k] is
+			// stored, and writes trail reads because cl never decreases.
 			outRow := out[base+oo:][:cnt]
-			d2v := out[base+o2:][:cnt]
+			d2v := d2b[base+o2:][:cnt]
 			d1r := d1b[base+o1:][:cnt]
 			dlv := d1b[base-1+o1]
 			switch {
@@ -151,25 +203,25 @@ func (w *Workspace) Restricted2(h, v View, p Params) Result {
 				k := 0
 				for ; k+1 < cnt; k += 2 {
 					w0, w1 := d2v[k], d2v[k+1]
-					s0 := wlast + int32(tab[hRow[k]][vRow[cnt-1-k]])
+					s0 := wlast + S(tab[hRow[k]][vRow[cnt-1-k]])
 					drv0 := d1r[k]
 					if g := max(dlv, drv0) + gap; g > s0 {
 						s0 = g
 					}
 					if s0 < limit {
-						s0 = negInf32
+						s0 = negInf
 					}
 					if s0 > rowBest {
 						rowBest = s0
 					}
 					outRow[k] = s0
-					s1 := w0 + int32(tab[hRow[k+1]][vRow[cnt-2-k]])
+					s1 := w0 + S(tab[hRow[k+1]][vRow[cnt-2-k]])
 					drv1 := d1r[k+1]
 					if g := max(drv0, drv1) + gap; g > s1 {
 						s1 = g
 					}
 					if s1 < limit {
-						s1 = negInf32
+						s1 = negInf
 					}
 					if s1 > rowBest {
 						rowBest = s1
@@ -180,14 +232,14 @@ func (w *Workspace) Restricted2(h, v View, p Params) Result {
 				}
 				if k < cnt {
 					wnew := d2v[k]
-					s := wlast + int32(tab[hRow[k]][vRow[cnt-1-k]])
+					s := wlast + S(tab[hRow[k]][vRow[cnt-1-k]])
 					drv := d1r[k]
 					if g := max(dlv, drv) + gap; g > s {
 						s = g
 					}
 					dlv = drv
 					if s < limit {
-						s = negInf32
+						s = negInf
 					}
 					if s > rowBest {
 						rowBest = s
@@ -201,25 +253,25 @@ func (w *Workspace) Restricted2(h, v View, p Params) Result {
 				k := 0
 				for ; k+1 < cnt; k += 2 {
 					w0, w1 := d2v[k], d2v[k+1]
-					s0 := wlast + int32(tab[hRow[cnt-1-k]][vRow[k]])
+					s0 := wlast + S(tab[hRow[cnt-1-k]][vRow[k]])
 					drv0 := d1r[k]
 					if g := max(dlv, drv0) + gap; g > s0 {
 						s0 = g
 					}
 					if s0 < limit {
-						s0 = negInf32
+						s0 = negInf
 					}
 					if s0 > rowBest {
 						rowBest = s0
 					}
 					outRow[k] = s0
-					s1 := w0 + int32(tab[hRow[cnt-2-k]][vRow[k+1]])
+					s1 := w0 + S(tab[hRow[cnt-2-k]][vRow[k+1]])
 					drv1 := d1r[k+1]
 					if g := max(drv0, drv1) + gap; g > s1 {
 						s1 = g
 					}
 					if s1 < limit {
-						s1 = negInf32
+						s1 = negInf
 					}
 					if s1 > rowBest {
 						rowBest = s1
@@ -230,14 +282,14 @@ func (w *Workspace) Restricted2(h, v View, p Params) Result {
 				}
 				if k < cnt {
 					wnew := d2v[k]
-					s := wlast + int32(tab[hRow[cnt-1-k]][vRow[k]])
+					s := wlast + S(tab[hRow[cnt-1-k]][vRow[k]])
 					drv := d1r[k]
 					if g := max(dlv, drv) + gap; g > s {
 						s = g
 					}
 					dlv = drv
 					if s < limit {
-						s = negInf32
+						s = negInf
 					}
 					if s > rowBest {
 						rowBest = s
@@ -252,7 +304,7 @@ func (w *Workspace) Restricted2(h, v View, p Params) Result {
 				vIdx := vOrg + vD*d + vStep*base
 				for k := range outRow {
 					wnew := d2v[k]
-					s := wlast + int32(tab[hb[hIdx]][vb[vIdx]])
+					s := wlast + S(tab[hb[hIdx]][vb[vIdx]])
 					hIdx += hStep
 					vIdx += vStep
 					drv := d1r[k]
@@ -261,7 +313,7 @@ func (w *Workspace) Restricted2(h, v View, p Params) Result {
 					}
 					dlv = drv
 					if s < limit {
-						s = negInf32
+						s = negInf
 					}
 					if s > rowBest {
 						rowBest = s
@@ -276,22 +328,25 @@ func (w *Workspace) Restricted2(h, v View, p Params) Result {
 			// Bottom boundary (j = 0): only the horizontal gap move.
 			s := d1b[i-1+o1] + gap
 			if s < limit {
-				s = negInf32
+				s = negInf
 			}
 			if s > rowBest {
 				rowBest = s
 			}
 			out[i+oo] = s
 		}
+		if rowBest > guard {
+			return Result{}, false
+		}
 		width := cu - cl + 1
-		setGuards(out, width)
+		setGuards(out, width, negInf)
 
 		// Recover the live sub-window and the row maximum from the
 		// stored row: cheaper than branching on liveness and best-so-far
 		// per cell inside the DP loop.
 		row := out[bufPad:][:width]
 		for k := 0; k < width; k++ {
-			if row[k] != negInf32 {
+			if row[k] != negInf {
 				lo = cl + k
 				break
 			}
@@ -299,7 +354,7 @@ func (w *Workspace) Restricted2(h, v View, p Params) Result {
 		rowBestI = -1
 		if lo >= 0 {
 			for k := width - 1; ; k-- {
-				if row[k] != negInf32 {
+				if row[k] != negInf {
 					hi = cl + k
 					break
 				}
@@ -326,7 +381,13 @@ func (w *Workspace) Restricted2(h, v View, p Params) Result {
 		if rowBest > t {
 			t = rowBest
 		}
-		d1b, d2b = d2b, d1b
+		// Rotate: the row just written becomes d−1 and the old d−1 becomes
+		// d−2; the next write target is the old d−2 buffer — which in
+		// place is the new d−2 itself.
+		d1b, d2b, out = out, d1b, d2b
+		if inPlace {
+			out = d2b
+		}
 		d2cl = d1cl
 		d1cl, d1lo, d1hi = cl, lo, hi
 	}
@@ -335,5 +396,5 @@ func (w *Workspace) Restricted2(h, v View, p Params) Result {
 	res.Score = int(best)
 	res.EndH = bestI
 	res.EndV = bestD - bestI
-	return res
+	return res, true
 }

@@ -1,0 +1,395 @@
+package core
+
+import "testing"
+
+// The recording oracle: the naive two-pass replay that served every
+// Traceback* call before the recording sweeps (fused.go) took over the
+// second pass. It lives in the test build as the reference the production
+// recording is compared against — a deliberately plain cell-by-cell walk
+// (View.At per symbol, bounds-checked window reads, per-cell setCode,
+// liveness tracked per cell) that shares with production only the window
+// rule, pruneLimit and the tracer's direction store and walkers.
+
+// replayOracle is the naive replay's state: its own tracer and the seven
+// private rows it rotates.
+type replayOracle struct {
+	tb               tracer
+	rowA, rowB, rowC []int32 // rotating H rows (d, d-1, d-2)
+	e1, e0, f1, f0   []int32 // affine E/F rows (d-1 and d)
+}
+
+// extension replays h against v and encodes the walked ops like
+// (*Workspace).record does.
+func (w *replayOracle) extension(h, v View, p Params, rev bool) (Trace, error) {
+	if err := p.Validate(); err != nil {
+		return Trace{}, err
+	}
+	var tr Trace
+	var err error
+	if p.Algo == AlgoAffine {
+		tr, err = w.traceAffine(h, v, p)
+	} else {
+		tr, err = w.traceLinear(h, v, p)
+	}
+	if err != nil {
+		return Trace{}, err
+	}
+	tr.Cigar = encodeOps(w.tb.ops, rev)
+	return tr, nil
+}
+
+// right and left mirror TracebackRight / TracebackLeft.
+func (w *replayOracle) right(h, v []byte, hOff, vOff int, p Params) (Trace, error) {
+	return w.extension(NewView(h[hOff:]), NewView(v[vOff:]), p, true)
+}
+
+func (w *replayOracle) left(h, v []byte, hOff, vOff int, p Params) (Trace, error) {
+	return w.extension(NewReversedView(h[:hOff]), NewReversedView(v[:vOff]), p, false)
+}
+
+// checkTraceMatchesOracle pins one production Trace to the oracle's in
+// every field: score, end points, CIGAR, clamp flag and the exact
+// trace-byte accounting.
+func checkTraceMatchesOracle(t *testing.T, label string, got Trace, want Trace) {
+	t.Helper()
+	if got.Score != want.Score || got.EndH != want.EndH || got.EndV != want.EndV {
+		t.Fatalf("%s: trace (%d,%d,%d) != oracle replay (%d,%d,%d)", label,
+			got.Score, got.EndH, got.EndV, want.Score, want.EndH, want.EndV)
+	}
+	if got.Cigar != want.Cigar {
+		t.Fatalf("%s: cigar %q != oracle replay cigar %q", label, got.Cigar, want.Cigar)
+	}
+	if got.Clamped != want.Clamped {
+		t.Fatalf("%s: clamp flag %v != oracle replay %v", label, got.Clamped, want.Clamped)
+	}
+	if got.TraceBytes != want.TraceBytes {
+		t.Fatalf("%s: trace bytes %d != oracle replay %d", label, got.TraceBytes, want.TraceBytes)
+	}
+}
+
+// checkSidesMatchOracle runs both sides of a seed extension through the
+// production second pass and the oracle.
+func checkSidesMatchOracle(t *testing.T, h, v []byte, s Seed, p Params, label string) {
+	t.Helper()
+	var ws Workspace
+	var or replayOracle
+	got, err := ws.TracebackLeft(h, v, s.H, s.V, p)
+	if err != nil {
+		t.Fatalf("%s: TracebackLeft: %v", label, err)
+	}
+	want, err := or.left(h, v, s.H, s.V, p)
+	if err != nil {
+		t.Fatalf("%s: oracle left: %v", label, err)
+	}
+	checkTraceMatchesOracle(t, label+"/left", got, want)
+	got, err = ws.TracebackRight(h, v, s.H+s.Len, s.V+s.Len, p)
+	if err != nil {
+		t.Fatalf("%s: TracebackRight: %v", label, err)
+	}
+	want, err = or.right(h, v, s.H+s.Len, s.V+s.Len, p)
+	if err != nil {
+		t.Fatalf("%s: oracle right: %v", label, err)
+	}
+	checkTraceMatchesOracle(t, label+"/right", got, want)
+}
+
+func grow32(b []int32, n int) []int32 {
+	if cap(b) >= n {
+		return b[:n]
+	}
+	return make([]int32, n)
+}
+
+// get32 reads row value i from a window [cl, cu]; outside reads answer
+// −∞, exactly like the score kernels' guard cells.
+func get32(vals []int32, cl, cu, i int) int32 {
+	if i < cl || i > cu {
+		return negInf32
+	}
+	return vals[i-cl]
+}
+
+// traceLinear replays a linear-gap extension (Restricted2 / Standard3 /
+// Reference semantics) with direction recording and returns the walk-order
+// ops (best cell back to the origin) in tb.ops.
+func (w *replayOracle) traceLinear(h, v View, p Params) (Trace, error) {
+	m, n := h.Len(), v.Len()
+	capacity := linearCapacity(m, n, p)
+	tb := &w.tb
+	tb.reset(2)
+
+	tab := p.Scorer.Table()
+	gap := int32(p.Gap)
+
+	d1 := grow32(w.rowB, 1)
+	d1[0] = 0
+	d1cl, d1cu := 0, 0 // computed window of antidiagonal d-1
+	d1lo, d1hi := 0, 0 // live bounds of antidiagonal d-1
+	d2 := w.rowC[:0]
+	d2cl, d2cu := 0, -1 // antidiagonal d-2 starts empty (all −∞)
+	spare := w.rowA
+
+	var res Trace
+	base := tb.beginDiag(0, 1)
+	tb.setCode(base, 0, codeNone) // the origin
+
+	best, t := int32(0), int32(0)
+	bestI, bestD := 0, 0
+	prevBestI := 0
+
+	for d := 1; d <= m+n; d++ {
+		cl := max(d1lo, max(0, d-n))
+		cu := min(d1hi+1, min(d, m))
+		if cl > cu {
+			break
+		}
+		if cu-cl+1 > capacity {
+			// The δb clamp, re-centred on the previous antidiagonal's
+			// best cell — identical to Restricted2's realignment rule.
+			res.Clamped = true
+			ncl := prevBestI - capacity/2
+			if ncl < cl {
+				ncl = cl
+			}
+			if ncl > cu-capacity+1 {
+				ncl = cu - capacity + 1
+			}
+			cl = ncl
+			cu = cl + capacity - 1
+		}
+		limit := pruneLimit(t, p.X, negInf32)
+		width := cu - cl + 1
+		out := grow32(spare, width)
+		rowBest, rowBestI := negInf32, -1
+		lo, hi := -1, -1
+		base := tb.beginDiag(cl, width)
+		if base < 0 {
+			return Trace{}, ErrTraceTooLarge
+		}
+		for i := cl; i <= cu; i++ {
+			j := d - i
+			var s int32
+			var code byte
+			switch {
+			case i == 0:
+				// Top boundary (j = d): only the left (gap-in-H) move.
+				s = get32(d1, d1cl, d1cu, 0) + gap
+				code = codeLeft
+			case j == 0:
+				// Bottom boundary: only the up (gap-in-V) move.
+				s = get32(d1, d1cl, d1cu, i-1) + gap
+				code = codeUp
+			default:
+				s = get32(d2, d2cl, d2cu, i-1) + int32(tab[h.At(i-1)][v.At(j-1)])
+				code = codeDiag
+				up := get32(d1, d1cl, d1cu, i-1)
+				left := get32(d1, d1cl, d1cu, i)
+				// The kernels take the gap branch only when it strictly
+				// beats the diagonal; between the two gap sources the
+				// value is what matters, up wins ties here.
+				if g := max(up, left) + gap; g > s {
+					s = g
+					if up >= left {
+						code = codeUp
+					} else {
+						code = codeLeft
+					}
+				}
+			}
+			if s < limit {
+				s, code = negInf32, codeNone
+			} else {
+				if lo < 0 {
+					lo = i
+				}
+				hi = i
+			}
+			if s > rowBest {
+				rowBest, rowBestI = s, i
+			}
+			out[i-cl] = s
+			tb.setCode(base, i-cl, code)
+		}
+		if lo < 0 {
+			break
+		}
+		if rowBest > best {
+			best, bestI, bestD = rowBest, rowBestI, d
+		}
+		if rowBest > t {
+			t = rowBest
+		}
+		spare = d2
+		d2, d2cl, d2cu = d1, d1cl, d1cu
+		d1, d1cl, d1cu = out, cl, cu
+		d1lo, d1hi = lo, hi
+		prevBestI = rowBestI
+	}
+	w.rowA, w.rowB, w.rowC = spare[:0], d1[:0], d2[:0]
+
+	res.Score = int(best)
+	res.EndH = bestI
+	res.EndV = bestD - bestI
+	res.TraceBytes = tb.traceBytes()
+	if err := tb.walkLinear(h, v, bestI, bestD); err != nil {
+		return Trace{}, err
+	}
+	return res, nil
+}
+
+// traceAffine replays the Gotoh affine-gap extension with direction
+// recording (4 bits per cell) and leaves the walk-order ops in tb.ops.
+func (w *replayOracle) traceAffine(h, v View, p Params) (Trace, error) {
+	m, n := h.Len(), v.Len()
+	tb := &w.tb
+	tb.reset(4)
+
+	tab := p.Scorer.Table()
+	gape := int32(p.Gap)
+	gapo := int32(p.GapOpen)
+
+	d1h := grow32(w.rowB, 1)
+	d1e := grow32(w.e1, 1)
+	d1f := grow32(w.f1, 1)
+	d1h[0], d1e[0], d1f[0] = 0, negInf32, negInf32
+	d1cl, d1cu := 0, 0
+	d1lo, d1hi := 0, 0
+	d2h := w.rowC[:0]
+	d2cl, d2cu := 0, -1
+	spareH, spareE, spareF := w.rowA, w.e0, w.f0
+
+	var res Trace
+	base := tb.beginDiag(0, 1)
+	tb.setCode(base, 0, codeNone)
+
+	best, t := int32(0), int32(0)
+	bestI, bestD := 0, 0
+
+	for d := 1; d <= m+n; d++ {
+		cl := max(d1lo, max(0, d-n))
+		cu := min(d1hi+1, min(d, m))
+		if cl > cu {
+			break
+		}
+		limit := pruneLimit(t, p.X, negInf32)
+		width := cu - cl + 1
+		outH := grow32(spareH, width)
+		outE := grow32(spareE, width)
+		outF := grow32(spareF, width)
+		rowBest, rowBestI := negInf32, -1
+		lo, hi := -1, -1
+		base := tb.beginDiag(cl, width)
+		if base < 0 {
+			return Trace{}, ErrTraceTooLarge
+		}
+		for i := cl; i <= cu; i++ {
+			j := d - i
+			var hs, es, fs int32
+			var code byte
+			switch {
+			case i == 0:
+				// Top boundary: the cell is its own E channel.
+				pe := get32(d1e, d1cl, d1cu, 0)
+				ph := get32(d1h, d1cl, d1cu, 0)
+				es = max(pe, ph+gapo) + gape
+				if pe >= ph+gapo {
+					code |= afEExt
+				}
+				if es < limit {
+					es = negInf32
+				}
+				hs, fs = es, negInf32
+				if es != negInf32 {
+					code |= afSrcE
+				}
+			case j == 0:
+				// Bottom boundary: the cell is its own F channel.
+				pf := get32(d1f, d1cl, d1cu, i-1)
+				ph := get32(d1h, d1cl, d1cu, i-1)
+				fs = max(pf, ph+gapo) + gape
+				if pf >= ph+gapo {
+					code |= afFExt
+				}
+				if fs < limit {
+					fs = negInf32
+				}
+				hs, es = fs, negInf32
+				if fs != negInf32 {
+					code |= afSrcF
+				}
+			default:
+				pe := get32(d1e, d1cl, d1cu, i)
+				phr := get32(d1h, d1cl, d1cu, i)
+				es = max(pe, phr+gapo) + gape
+				if pe >= phr+gapo {
+					code |= afEExt
+				}
+				pf := get32(d1f, d1cl, d1cu, i-1)
+				phl := get32(d1h, d1cl, d1cu, i-1)
+				fs = max(pf, phl+gapo) + gape
+				if pf >= phl+gapo {
+					code |= afFExt
+				}
+				hs = get32(d2h, d2cl, d2cu, i-1) + int32(tab[h.At(i-1)][v.At(j-1)])
+				src := afSrcDiag
+				if es > hs {
+					hs = es
+					src = afSrcE
+				}
+				if fs > hs {
+					hs = fs
+					src = afSrcF
+				}
+				if hs < limit {
+					hs = negInf32
+					src = 0
+				}
+				if es < limit {
+					es = negInf32
+				}
+				if fs < limit {
+					fs = negInf32
+				}
+				code |= src
+			}
+			if hs != negInf32 || es != negInf32 || fs != negInf32 {
+				if lo < 0 {
+					lo = i
+				}
+				hi = i
+			}
+			if hs > rowBest {
+				rowBest, rowBestI = hs, i
+			}
+			outH[i-cl], outE[i-cl], outF[i-cl] = hs, es, fs
+			tb.setCode(base, i-cl, code)
+		}
+		if lo < 0 {
+			break
+		}
+		if rowBest > best {
+			best, bestI, bestD = rowBest, rowBestI, d
+		}
+		if rowBest > t {
+			t = rowBest
+		}
+		spareH = d2h
+		d2h, d2cl, d2cu = d1h, d1cl, d1cu
+		spareE, spareF = d1e, d1f
+		d1h, d1e, d1f = outH, outE, outF
+		d1cl, d1cu = cl, cu
+		d1lo, d1hi = lo, hi
+		_ = rowBestI // affine never clamps, the previous best index is unused
+	}
+	w.rowA, w.rowB, w.rowC = spareH[:0], d1h[:0], d2h[:0]
+	w.e0, w.e1, w.f0, w.f1 = spareE[:0], d1e[:0], spareF[:0], d1f[:0]
+
+	res.Score = int(best)
+	res.EndH = bestI
+	res.EndV = bestD - bestI
+	res.TraceBytes = tb.traceBytes()
+	if err := tb.walkAffine(h, v, bestI, bestD); err != nil {
+		return Trace{}, err
+	}
+	return res, nil
+}

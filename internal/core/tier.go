@@ -2,13 +2,13 @@ package core
 
 import "math"
 
-// The narrow kernel tier runs the same antidiagonal recurrences on int16
-// score buffers: half the working-buffer traffic of the int32 tier (the
-// tentpole of the narrow-integer design, mirroring ksw2/SSW's 16-bit
-// lanes) and hand-unrolled four-lane inner loops. Overflow is handled the
-// standard ksw2 way — a cheap headroom precheck plus a runtime saturation
-// guard that makes the kernel bail out so the caller transparently
-// re-runs the extension on the int32 path.
+// The narrow kernel tier is the int16 instantiation of the generic score
+// sweeps (dp.go, linear.go, affine.go): the same bodies as the int32 tier
+// on half the working-buffer traffic (mirroring ksw2/SSW's 16-bit
+// lanes). Overflow is handled the standard ksw2 way — a cheap headroom
+// precheck plus a runtime saturation guard, tested once per antidiagonal,
+// that makes the sweep bail out so the caller transparently re-runs the
+// extension on the int32 instantiation.
 //
 // Bit-identity contract. A narrow run that completes (does not saturate)
 // returns exactly the int32 tier's Result. The argument:
@@ -35,18 +35,18 @@ import "math"
 // Result.Stats.Promoted records the event.
 
 // Tier selects the kernel score width. The zero value is TierWide — the
-// int32 kernels of dp32.go — so existing configurations and goldens are
+// int32 instantiation — so existing configurations and goldens are
 // unchanged unless a caller opts in.
 type Tier uint8
 
 const (
-	// TierWide runs the int32 kernels unconditionally.
+	// TierWide runs the int32 sweeps unconditionally.
 	TierWide Tier = iota
-	// TierNarrow attempts the int16 kernels whenever the parameters are
+	// TierNarrow attempts the int16 sweeps whenever the parameters are
 	// narrow-eligible, relying on the runtime saturation guard (and the
 	// transparent int32 promotion) for overflow safety.
 	TierNarrow
-	// TierAuto attempts the int16 kernels only when the per-extension
+	// TierAuto attempts the int16 sweeps only when the per-extension
 	// headroom precheck proves saturation impossible, so an Auto run
 	// never promotes and its SRAM footprint is certifiably narrow.
 	TierAuto
@@ -69,9 +69,9 @@ func (t Tier) String() string {
 // by narrowEligible) cannot wrap.
 const negInf16 int16 = math.MinInt16 / 4
 
-// narrowScoreBytes is the narrow tier's working-buffer element size;
-// Stats.WorkBytes and the ipukernel SRAM model derive tile footprints
-// from it.
+// narrowScoreBytes is the narrow tier's working-buffer element size (the
+// sweeps take Stats.WorkBytes from the buffers' own element size, which
+// is this); the ipukernel SRAM model derives tile footprints from it.
 const narrowScoreBytes = 2
 
 // NarrowScoreBytes and WideScoreBytes export the per-cell working-buffer
@@ -143,33 +143,4 @@ func useNarrow(m, n int, p Params) bool {
 	default:
 		return false
 	}
-}
-
-// seedDiag16 initialises a narrow buffer to the one-cell window {0: v}
-// with its guards.
-func seedDiag16(b []int16, v int16) {
-	b[0], b[1], b[2], b[3], b[4] = negInf16, negInf16, v, negInf16, negInf16
-}
-
-// setGuards16 writes the −∞ guard cells around a freshly computed window.
-func setGuards16(buf []int16, width int) {
-	buf[0], buf[1] = negInf16, negInf16
-	buf[width+bufPad], buf[width+bufPad+1] = negInf16, negInf16
-}
-
-// growBuf16 returns a narrow buffer holding n window cells plus guards,
-// reusing b's storage when it is large enough.
-func growBuf16(b []int16, n int) []int16 {
-	n += 2 * bufPad
-	if cap(b) >= n {
-		return b[:n]
-	}
-	return make([]int16, n)
-}
-
-// pruneLimit16 returns the X-Drop cutoff T−X. Under narrowEligible the
-// value is always in int16 range (T ≥ 0 and X ≤ maxNarrowX), matching
-// the unclamped int32 limit exactly.
-func pruneLimit16(t int16, x int) int16 {
-	return int16(int(t) - x)
 }

@@ -6,21 +6,23 @@ import (
 	"github.com/sram-align/xdropipu/internal/alignment"
 )
 
-// This file is the opt-in second pass of the two-pass traceback scheme:
-// the score pass (restricted2.go, standard3.go, affine.go) stays exactly
-// as it is — branch-specialized, allocation-free, no per-cell bookkeeping
-// — and when a caller asks for edit operations the extension is replayed
-// once more with direction recording enabled.
+// This file is the direction store and the opt-in second pass of the
+// two-pass traceback scheme: the score pass (linear.go, affine.go) stays
+// exactly as it is — branch-specialized, allocation-free, no per-cell
+// bookkeeping — and when a caller asks for edit operations the extension
+// is swept once more by the recording sweep (fused.go), whose Trace is
+// kept and whose Result is dropped.
 //
-// The replay reproduces each variant's window semantics bit for bit
-// (same antidiagonal windows, the same δb clamp re-centred on the
+// The recording sweep reproduces each variant's window semantics bit for
+// bit (same antidiagonal windows, the same δb clamp re-centred on the
 // previous row's best cell, the same X-Drop pruning in int32 arithmetic,
 // the same first-wins tie-breaking), so its Score/EndH/EndV must equal
 // the score pass's — the kernel asserts exactly that, and the
-// differential oracle tests pin it per variant.
+// differential oracle tests pin it per variant against a naive replay
+// kept in the test build.
 //
 // Memory stays in the paper's SRAM discipline: instead of materialising
-// the O(m·n) score matrix, the replay records only direction codes over
+// the O(m·n) score matrix, a recording holds only direction codes over
 // the banded antidiagonal windows — 2 bits per computed cell for the
 // linear variants, 4 bits for affine (H-source plus the E/F gap-extension
 // bits) — plus one window descriptor per antidiagonal. Peak traceback
@@ -46,20 +48,18 @@ const (
 	afFExt byte = 8 // F came from F(i-1,j), not H(i-1,j)+open
 )
 
-// tracer is the workspace state of a traceback replay: the rotating DP
-// rows, the per-antidiagonal window index, and the packed direction
-// codes. Buffers are reused across replays; peak footprint is reported
-// per extension as Trace.TraceBytes.
+// tracer is the workspace state of a direction recording: the
+// per-antidiagonal window index and the packed direction codes (the DP
+// rows are the workspace's wide score buffers). Buffers are reused across
+// recordings; peak footprint is reported per extension as
+// Trace.TraceBytes.
 type tracer struct {
-	rowA, rowB, rowC []int32 // rotating H rows (d, d-1, d-2)
-	e1, e0, f1, f0   []int32 // affine E/F rows (d-1 and d)
-
 	cls  []int32 // window start per antidiagonal
 	offs []int32 // prefix cell counts per antidiagonal (len = diags+1)
 	dirs []byte  // packed direction codes
 	ops  []byte  // walker scratch: one op byte per alignment column
 
-	// codes is the fused kernels' unpacked scratch row: one byte per
+	// codes is the recording sweeps' unpacked scratch row: one byte per
 	// window cell, packed into dirs once per antidiagonal (packRow), so
 	// the scoring loop never does per-cell read-modify-write on dirs.
 	codes []byte
@@ -81,7 +81,7 @@ func (tb *tracer) reset(bits uint) {
 // SetTraceCellCapForTest can inject a tiny cap.
 var maxTraceCells int64 = 1<<31 - 1
 
-// ErrTraceTooLarge reports a traceback recording (replay or fused) that
+// ErrTraceTooLarge reports a traceback recording (either schedule) that
 // would exceed the 31-bit cell space (host-API-only; tile extensions
 // are SRAM-bounded). Callers distinguish it with errors.Is: it is a
 // per-extension resource condition, not a kernel bug, so the kernel
@@ -111,7 +111,7 @@ func (tb *tracer) beginDiag(cl, width int) int32 {
 	need := ((int(base)+width)*int(tb.bits) + 7) / 8
 	if need > len(tb.dirs) {
 		if need <= cap(tb.dirs) {
-			// Stale bits from a previous replay are fine: setCode masks
+			// Stale bits from a previous recording are fine: setCode masks
 			// every cell it writes and code() bounds-checks every read.
 			tb.dirs = tb.dirs[:need]
 		} else {
@@ -241,7 +241,7 @@ func (tb *tracer) packRow(base int32, codes []byte) {
 	}
 }
 
-// Trace is the outcome of one extension's traceback replay.
+// Trace is the outcome of one extension's direction recording.
 type Trace struct {
 	// Score, EndH and EndV bit-match the score-only kernel's Result for
 	// the same views and parameters.
@@ -253,167 +253,12 @@ type Trace struct {
 	// composition order of a left seed extension).
 	Cigar alignment.Cigar
 	// TraceBytes is the exact peak byte footprint of the recorded
-	// direction data for this replay: packed per-cell codes over the
+	// direction data for this recording: packed per-cell codes over the
 	// banded windows plus the window index — the measured space cost of
 	// traceback, bounded by antidiagonals × band, never by m·n.
 	TraceBytes int
 	// Clamped mirrors the score pass: the δb window clamped at least once.
 	Clamped bool
-}
-
-func grow32(b []int32, n int) []int32 {
-	if cap(b) >= n {
-		return b[:n]
-	}
-	return make([]int32, n)
-}
-
-// get32 reads row value i from a window [cl, cu]; outside reads answer
-// −∞, exactly like the score kernels' guard cells.
-func get32(vals []int32, cl, cu, i int) int32 {
-	if i < cl || i > cu {
-		return negInf32
-	}
-	return vals[i-cl]
-}
-
-// linearCapacity resolves the replay's working-window bound the same way
-// the score kernels do: Restricted2 honours DeltaB, every other linear
-// variant (Standard3, Reference) is unbounded.
-func linearCapacity(m, n int, p Params) int {
-	delta := min(m, n) + 1
-	if p.Algo == AlgoRestricted2 && p.DeltaB > 0 && p.DeltaB < delta {
-		return p.DeltaB
-	}
-	return delta
-}
-
-// traceLinear replays a linear-gap extension (Restricted2 / Standard3 /
-// Reference semantics) with direction recording and returns the walk-order
-// ops (best cell back to the origin) in tb.ops.
-func (w *Workspace) traceLinear(h, v View, p Params) (Trace, error) {
-	m, n := h.Len(), v.Len()
-	capacity := linearCapacity(m, n, p)
-	tb := &w.tb
-	tb.reset(2)
-
-	tab := p.Scorer.Table()
-	gap := int32(p.Gap)
-
-	d1 := grow32(tb.rowB, 1)
-	d1[0] = 0
-	d1cl, d1cu := 0, 0 // computed window of antidiagonal d-1
-	d1lo, d1hi := 0, 0 // live bounds of antidiagonal d-1
-	d2 := tb.rowC[:0]
-	d2cl, d2cu := 0, -1 // antidiagonal d-2 starts empty (all −∞)
-	spare := tb.rowA
-
-	var res Trace
-	base := tb.beginDiag(0, 1)
-	tb.setCode(base, 0, codeNone) // the origin
-
-	best, t := int32(0), int32(0)
-	bestI, bestD := 0, 0
-	prevBestI := 0
-
-	for d := 1; d <= m+n; d++ {
-		cl := max(d1lo, max(0, d-n))
-		cu := min(d1hi+1, min(d, m))
-		if cl > cu {
-			break
-		}
-		if cu-cl+1 > capacity {
-			// The δb clamp, re-centred on the previous antidiagonal's
-			// best cell — identical to Restricted2's realignment rule.
-			res.Clamped = true
-			ncl := prevBestI - capacity/2
-			if ncl < cl {
-				ncl = cl
-			}
-			if ncl > cu-capacity+1 {
-				ncl = cu - capacity + 1
-			}
-			cl = ncl
-			cu = cl + capacity - 1
-		}
-		limit := pruneLimit(t, p.X)
-		width := cu - cl + 1
-		out := grow32(spare, width)
-		rowBest, rowBestI := negInf32, -1
-		lo, hi := -1, -1
-		base := tb.beginDiag(cl, width)
-		if base < 0 {
-			return Trace{}, ErrTraceTooLarge
-		}
-		for i := cl; i <= cu; i++ {
-			j := d - i
-			var s int32
-			var code byte
-			switch {
-			case i == 0:
-				// Top boundary (j = d): only the left (gap-in-H) move.
-				s = get32(d1, d1cl, d1cu, 0) + gap
-				code = codeLeft
-			case j == 0:
-				// Bottom boundary: only the up (gap-in-V) move.
-				s = get32(d1, d1cl, d1cu, i-1) + gap
-				code = codeUp
-			default:
-				s = get32(d2, d2cl, d2cu, i-1) + int32(tab[h.At(i-1)][v.At(j-1)])
-				code = codeDiag
-				up := get32(d1, d1cl, d1cu, i-1)
-				left := get32(d1, d1cl, d1cu, i)
-				// The kernels take the gap branch only when it strictly
-				// beats the diagonal; between the two gap sources the
-				// value is what matters, up wins ties here.
-				if g := max(up, left) + gap; g > s {
-					s = g
-					if up >= left {
-						code = codeUp
-					} else {
-						code = codeLeft
-					}
-				}
-			}
-			if s < limit {
-				s, code = negInf32, codeNone
-			} else {
-				if lo < 0 {
-					lo = i
-				}
-				hi = i
-			}
-			if s > rowBest {
-				rowBest, rowBestI = s, i
-			}
-			out[i-cl] = s
-			tb.setCode(base, i-cl, code)
-		}
-		if lo < 0 {
-			break
-		}
-		if rowBest > best {
-			best, bestI, bestD = rowBest, rowBestI, d
-		}
-		if rowBest > t {
-			t = rowBest
-		}
-		spare = d2
-		d2, d2cl, d2cu = d1, d1cl, d1cu
-		d1, d1cl, d1cu = out, cl, cu
-		d1lo, d1hi = lo, hi
-		prevBestI = rowBestI
-	}
-	tb.rowA, tb.rowB, tb.rowC = spare[:0], d1[:0], d2[:0]
-
-	res.Score = int(best)
-	res.EndH = bestI
-	res.EndV = bestD - bestI
-	res.TraceBytes = tb.traceBytes()
-	if err := tb.walkLinear(h, v, bestI, bestD); err != nil {
-		return Trace{}, err
-	}
-	return res, nil
 }
 
 // walkLinear follows the recorded directions from the best cell back to
@@ -448,163 +293,6 @@ func (tb *tracer) walkLinear(h, v View, bestI, bestD int) error {
 	}
 	tb.ops = ops
 	return nil
-}
-
-// traceAffine replays the Gotoh affine-gap extension with direction
-// recording (4 bits per cell) and leaves the walk-order ops in tb.ops.
-func (w *Workspace) traceAffine(h, v View, p Params) (Trace, error) {
-	m, n := h.Len(), v.Len()
-	tb := &w.tb
-	tb.reset(4)
-
-	tab := p.Scorer.Table()
-	gape := int32(p.Gap)
-	gapo := int32(p.GapOpen)
-
-	d1h := grow32(tb.rowB, 1)
-	d1e := grow32(tb.e1, 1)
-	d1f := grow32(tb.f1, 1)
-	d1h[0], d1e[0], d1f[0] = 0, negInf32, negInf32
-	d1cl, d1cu := 0, 0
-	d1lo, d1hi := 0, 0
-	d2h := tb.rowC[:0]
-	d2cl, d2cu := 0, -1
-	spareH, spareE, spareF := tb.rowA, tb.e0, tb.f0
-
-	var res Trace
-	base := tb.beginDiag(0, 1)
-	tb.setCode(base, 0, codeNone)
-
-	best, t := int32(0), int32(0)
-	bestI, bestD := 0, 0
-
-	for d := 1; d <= m+n; d++ {
-		cl := max(d1lo, max(0, d-n))
-		cu := min(d1hi+1, min(d, m))
-		if cl > cu {
-			break
-		}
-		limit := pruneLimit(t, p.X)
-		width := cu - cl + 1
-		outH := grow32(spareH, width)
-		outE := grow32(spareE, width)
-		outF := grow32(spareF, width)
-		rowBest, rowBestI := negInf32, -1
-		lo, hi := -1, -1
-		base := tb.beginDiag(cl, width)
-		if base < 0 {
-			return Trace{}, ErrTraceTooLarge
-		}
-		for i := cl; i <= cu; i++ {
-			j := d - i
-			var hs, es, fs int32
-			var code byte
-			switch {
-			case i == 0:
-				// Top boundary: the cell is its own E channel.
-				pe := get32(d1e, d1cl, d1cu, 0)
-				ph := get32(d1h, d1cl, d1cu, 0)
-				es = max(pe, ph+gapo) + gape
-				if pe >= ph+gapo {
-					code |= afEExt
-				}
-				if es < limit {
-					es = negInf32
-				}
-				hs, fs = es, negInf32
-				if es != negInf32 {
-					code |= afSrcE
-				}
-			case j == 0:
-				// Bottom boundary: the cell is its own F channel.
-				pf := get32(d1f, d1cl, d1cu, i-1)
-				ph := get32(d1h, d1cl, d1cu, i-1)
-				fs = max(pf, ph+gapo) + gape
-				if pf >= ph+gapo {
-					code |= afFExt
-				}
-				if fs < limit {
-					fs = negInf32
-				}
-				hs, es = fs, negInf32
-				if fs != negInf32 {
-					code |= afSrcF
-				}
-			default:
-				pe := get32(d1e, d1cl, d1cu, i)
-				phr := get32(d1h, d1cl, d1cu, i)
-				es = max(pe, phr+gapo) + gape
-				if pe >= phr+gapo {
-					code |= afEExt
-				}
-				pf := get32(d1f, d1cl, d1cu, i-1)
-				phl := get32(d1h, d1cl, d1cu, i-1)
-				fs = max(pf, phl+gapo) + gape
-				if pf >= phl+gapo {
-					code |= afFExt
-				}
-				hs = get32(d2h, d2cl, d2cu, i-1) + int32(tab[h.At(i-1)][v.At(j-1)])
-				src := afSrcDiag
-				if es > hs {
-					hs = es
-					src = afSrcE
-				}
-				if fs > hs {
-					hs = fs
-					src = afSrcF
-				}
-				if hs < limit {
-					hs = negInf32
-					src = 0
-				}
-				if es < limit {
-					es = negInf32
-				}
-				if fs < limit {
-					fs = negInf32
-				}
-				code |= src
-			}
-			if hs != negInf32 || es != negInf32 || fs != negInf32 {
-				if lo < 0 {
-					lo = i
-				}
-				hi = i
-			}
-			if hs > rowBest {
-				rowBest, rowBestI = hs, i
-			}
-			outH[i-cl], outE[i-cl], outF[i-cl] = hs, es, fs
-			tb.setCode(base, i-cl, code)
-		}
-		if lo < 0 {
-			break
-		}
-		if rowBest > best {
-			best, bestI, bestD = rowBest, rowBestI, d
-		}
-		if rowBest > t {
-			t = rowBest
-		}
-		spareH = d2h
-		d2h, d2cl, d2cu = d1h, d1cl, d1cu
-		spareE, spareF = d1e, d1f
-		d1h, d1e, d1f = outH, outE, outF
-		d1cl, d1cu = cl, cu
-		d1lo, d1hi = lo, hi
-		_ = rowBestI // affine never clamps, the previous best index is unused
-	}
-	tb.rowA, tb.rowB, tb.rowC = spareH[:0], d1h[:0], d2h[:0]
-	tb.e0, tb.e1, tb.f0, tb.f1 = spareE[:0], d1e[:0], spareF[:0], d1f[:0]
-
-	res.Score = int(best)
-	res.EndH = bestI
-	res.EndV = bestD - bestI
-	res.TraceBytes = tb.traceBytes()
-	if err := tb.walkAffine(h, v, bestI, bestD); err != nil {
-		return Trace{}, err
-	}
-	return res, nil
 }
 
 // walkAffine follows the affine trace channel-aware: the H channel reads
@@ -659,18 +347,6 @@ func (tb *tracer) walkAffine(h, v View, bestI, bestD int) error {
 	return nil
 }
 
-// traceback dispatches on the variant and leaves the walk-order ops in
-// w.tb.ops.
-func (w *Workspace) traceback(h, v View, p Params) (Trace, error) {
-	if err := p.Validate(); err != nil {
-		return Trace{}, err
-	}
-	if p.Algo == AlgoAffine {
-		return w.traceAffine(h, v, p)
-	}
-	return w.traceLinear(h, v, p)
-}
-
 // encodeOps turns op bytes into a canonical Cigar. When rev is set the
 // ops are consumed back-to-front (turning walk order into view-forward
 // order).
@@ -688,39 +364,28 @@ func encodeOps(ops []byte, rev bool) alignment.Cigar {
 	return b.Cigar()
 }
 
-// TracebackExtension replays one extension of h against v with direction
-// recording and returns its Cigar in view-forward order. Score, EndH and
-// EndV bit-match Align(h, v, p) on the same inputs.
+// TracebackExtension runs the second pass for one extension of h against
+// v — the recording sweep, keeping only its Trace — and returns the Cigar
+// in view-forward order. Score, EndH and EndV bit-match Align(h, v, p) on
+// the same inputs.
 func (w *Workspace) TracebackExtension(h, v View, p Params) (Trace, error) {
-	tr, err := w.traceback(h, v, p)
-	if err != nil {
-		w.tb.trim()
-		return Trace{}, err
-	}
-	tr.Cigar = encodeOps(w.tb.ops, true)
-	w.tb.trim()
-	return tr, nil
+	_, tr, err := w.record(h, v, p, true)
+	return tr, err
 }
 
-// TracebackRight replays the right seed extension (ExtendRight) and
-// returns its Cigar in sequence-forward order.
+// TracebackRight runs the second pass of the right seed extension
+// (ExtendRight) and returns its Cigar in sequence-forward order.
 func (w *Workspace) TracebackRight(h, v []byte, hOff, vOff int, p Params) (Trace, error) {
 	return w.TracebackExtension(NewView(h[hOff:]), NewView(v[vOff:]), p)
 }
 
-// TracebackLeft replays the left seed extension (ExtendLeft, reversed
-// views) and returns its Cigar in sequence-forward order — for a
-// reversed view that is the walk order itself, so the left Cigar
-// concatenates directly in front of the seed.
+// TracebackLeft runs the second pass of the left seed extension
+// (ExtendLeft, reversed views) and returns its Cigar in sequence-forward
+// order — for a reversed view that is the walk order itself, so the left
+// Cigar concatenates directly in front of the seed.
 func (w *Workspace) TracebackLeft(h, v []byte, hOff, vOff int, p Params) (Trace, error) {
-	tr, err := w.traceback(NewReversedView(h[:hOff]), NewReversedView(v[:vOff]), p)
-	if err != nil {
-		w.tb.trim()
-		return Trace{}, err
-	}
-	tr.Cigar = encodeOps(w.tb.ops, false)
-	w.tb.trim()
-	return tr, nil
+	_, tr, err := w.record(NewReversedView(h[:hOff]), NewReversedView(v[:vOff]), p, false)
+	return tr, err
 }
 
 // SeedCigar emits the '='/'X' columns of the seed region itself. Exact
@@ -740,7 +405,7 @@ func SeedCigar(h, v []byte, s Seed) alignment.Cigar {
 }
 
 // TracebackSeed runs the traceback pass of a full two-sided seed
-// extension: both sides replayed with recording, the seed's own columns
+// extension: both sides swept with recording, the seed's own columns
 // bridged in between. The returned SeedResult carries the scores and
 // coordinates only (its Stats are zero — execution traces belong to the
 // score pass); the Alignment is the sequence-space result whose

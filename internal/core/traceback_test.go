@@ -25,14 +25,17 @@ func tbVariants() map[string]Params {
 }
 
 // checkSeedTraceback runs the full differential oracle for one workload
-// and parameter set: the traceback replay must bit-match the score-only
-// kernel (score and end points), the emitted CIGAR must validate and
+// and parameter set: both sides' second-pass Traces must equal the naive
+// replay oracle's in every field (oracle_test.go), the traceback must
+// bit-match the score-only kernel (score and end points), the emitted
+// CIGAR must validate and
 // consume exactly the aligned spans, and re-scoring the CIGAR over the
 // aligned fragments (alignment.ScoreOf — an independent recomputation)
 // must reproduce the kernel score exactly. For unclamped linear variants
 // the score is additionally pinned to the full-matrix reference oracle.
 func checkSeedTraceback(t *testing.T, h, v []byte, s Seed, p Params, label string) {
 	t.Helper()
+	checkSidesMatchOracle(t, h, v, s, p, label)
 	var ws Workspace
 	want, err := ws.ExtendSeed(h, v, s, p)
 	if err != nil {
@@ -179,6 +182,36 @@ func TestTracebackMemoryBoundedByBand(t *testing.T) {
 	}
 }
 
+// TestTracebackSecondPassAllocs pins the second pass's allocation
+// profile: it is the recording sweep with the Result dropped, so a warm
+// TracebackRight allocates no more than a warm FusedExtendRight — the
+// encoded CIGAR only, never DP rows or direction buffers.
+func TestTracebackSecondPassAllocs(t *testing.T) {
+	h, v := benchKernelPair(1200, 0.06)
+	for name, p := range tbVariants() {
+		if p.Algo == AlgoReference {
+			continue // not fused-eligible: nothing to compare against
+		}
+		var ws Workspace
+		if _, _, err := ws.FusedExtendRight(h, v, 0, 0, p); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fused := testing.AllocsPerRun(10, func() {
+			if _, _, err := ws.FusedExtendRight(h, v, 0, 0, p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		second := testing.AllocsPerRun(10, func() {
+			if _, err := ws.TracebackRight(h, v, 0, 0, p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if second > fused {
+			t.Errorf("%s: warm TracebackRight allocates %.0f objects, warm FusedExtendRight %.0f", name, second, fused)
+		}
+	}
+}
+
 // FuzzTracebackOracle is the fuzzing half of the differential layer:
 // arbitrary bytes become a workload (sequences, seed geometry, variant,
 // penalties) and every invariant of the table-driven oracle must hold.
@@ -191,7 +224,7 @@ func FuzzTracebackOracle(f *testing.F) {
 			return
 		}
 		p := Params{Scorer: scoring.DNADefault, Gap: -1, X: int(xb)}
-		switch mode % 4 {
+		switch mode % 5 {
 		case 0:
 			p.Algo = AlgoRestricted2
 		case 1:
@@ -202,6 +235,8 @@ func FuzzTracebackOracle(f *testing.F) {
 		case 3:
 			p.Algo = AlgoAffine
 			p.GapOpen = -1 - int(geom)%4
+		case 4:
+			p.Algo = AlgoReference
 		}
 		k := 1 + int(geom)%5
 		if k > len(hb) || k > len(vb) {
@@ -211,6 +246,7 @@ func FuzzTracebackOracle(f *testing.F) {
 		sV := int(xb) * 5 % (len(vb) - k + 1)
 		s := Seed{H: sH, V: sV, Len: k}
 
+		checkSidesMatchOracle(t, hb, vb, s, p, "fuzz")
 		var ws Workspace
 		want, err := ws.ExtendSeed(hb, vb, s, p)
 		if err != nil {

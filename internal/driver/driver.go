@@ -88,13 +88,15 @@ type Config struct {
 	// tracing, so a cache hit from a differently-gated run can never fan
 	// out a stale (or missing) CIGAR.
 	TraceMinScore int
-	// TraceMode selects how directions are recorded when a comparison is
-	// traced: core.TraceModeAuto fuses recording into the scoring pass
-	// when the extension's direction arena fits the per-thread budget
-	// (replaying otherwise), core.TraceModeReplay always replays (the
-	// PR 5 two-pass scheme), core.TraceModeFused forces fusing wherever
-	// the kernel is eligible. Fused and replayed recordings are
-	// bit-identical; the modes differ in SRAM charging and modeled time,
+	// TraceMode selects the schedule a traced comparison's directions are
+	// recorded on: core.TraceModeAuto fuses recording into the scoring
+	// pass when the extension's direction arena fits the per-thread
+	// budget (running a second pass otherwise), core.TraceModeReplay
+	// always runs the second pass (the two-pass scheme),
+	// core.TraceModeFused forces fusing wherever the kernel is eligible.
+	// Both schedules run the same recording sweep, so their recordings
+	// are bit-identical; the modes differ in SRAM charging and modeled
+	// time,
 	// and fold into KernelFingerprint while tracing. Normalized mirrors
 	// it with Kernel.TraceMode (non-auto wins).
 	TraceMode core.TraceMode

@@ -212,13 +212,15 @@ func WithTraceMinScore(min int) Option {
 	return func(e *Engine) { e.cfg.TraceMinScore = min }
 }
 
-// WithTraceMode selects how traced comparisons record their directions:
-// core.TraceModeAuto (default) fuses recording into the scoring pass
-// whenever the extension's direction arena fits the per-thread budget
-// and replays otherwise; core.TraceModeReplay always uses the two-pass
-// replay; core.TraceModeFused forces single-pass recording wherever the
-// kernel is eligible. Fused and replayed recordings are bit-identical —
-// the modes differ only in SRAM charging and modeled time — but the mode
+// WithTraceMode selects the schedule traced comparisons record their
+// directions on: core.TraceModeAuto (default) fuses recording into the
+// scoring pass whenever the extension's direction arena fits the
+// per-thread budget and runs a second pass otherwise;
+// core.TraceModeReplay always uses the two-pass schedule;
+// core.TraceModeFused forces single-pass recording wherever the kernel
+// is eligible. Both schedules run the same recording sweep, so their
+// recordings are bit-identical — the modes differ only in SRAM charging
+// and modeled time — but the mode
 // is still part of the kernel fingerprint, so caches never mix entries
 // whose trace accounting describes different execution shapes.
 func WithTraceMode(m core.TraceMode) Option {

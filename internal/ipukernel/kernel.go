@@ -200,17 +200,18 @@ type Config struct {
 	BusyWaitVariance bool
 	// DualIssue co-issues the integer and float pipelines (§4.1.4).
 	DualIssue bool
-	// Traceback enables the two-pass traceback: after the score pass each
-	// extension is replayed with direction recording (charged like a
-	// second DP sweep) and AlignOut carries the alignment's CIGAR plus
-	// exact trace-memory accounting. Off, results are bit-identical to
+	// Traceback enables traceback. In the two-pass schedule each
+	// extension is swept a second time after the score pass by core's
+	// recording sweep (charged like a second DP sweep), and AlignOut
+	// carries the alignment's CIGAR plus exact trace-memory accounting. Off, results are bit-identical to
 	// the score-only kernel. Trace memory stays bounded by the live
 	// window band (2 bits per banded cell for the linear variants, 4 for
 	// affine), never by the full matrix; the peak single-extension
-	// footprint surfaces as BatchResult.PeakTraceBytes. Replays are
-	// modeled as serialized through one per-tile trace arena (a replay
-	// holds the arena only while its CIGAR is emitted, and the scoring
-	// pass of other units proceeds meanwhile), so TileMemoryBytes folds a
+	// footprint surfaces as BatchResult.PeakTraceBytes. Second passes are
+	// modeled as serialized through one per-tile trace arena (a second
+	// pass holds the arena only while its CIGAR is emitted, and the
+	// scoring pass of other units proceeds meanwhile), so TileMemoryBytes
+	// folds a
 	// single arena allowance — ExtensionTraceBytes of the tile's worst
 	// extension — into the SRAM gate alongside the DP buffers, making
 	// traceback runs SRAM-certified end-to-end.
@@ -219,24 +220,26 @@ type Config struct {
 	// score (left + seed + right): with a positive cutoff only
 	// comparisons that reach it are traced — the rest return score-only
 	// results (no CIGAR, no trace bytes), exactly as a score-only run
-	// would report them. Gated replays are deferred until both extension
-	// scores are known and are charged to the threads that scored the
+	// would report them. Gated second passes are deferred until both
+	// extension scores are known and are charged to the threads that scored the
 	// sides. Zero or negative traces every comparison. Ignored unless
 	// Traceback is set; part of the kernel fingerprint (when tracing), so
 	// gated and ungated runs never share cache entries.
 	TraceMinScore int
-	// TraceMode selects how direction data is recorded when tracing:
-	// core.TraceModeAuto (fuse recording into the scoring pass for
-	// eligible extensions whose arena bound fits the per-thread fused
-	// budget), core.TraceModeReplay (always the PR 5 two-pass replay) or
-	// core.TraceModeFused (fuse every eligible extension). Fused
+	// TraceMode selects the traceback schedule and its SRAM charge when
+	// tracing — not a code path: every trace comes from core's recording
+	// sweep. core.TraceModeAuto runs that sweep as the scoring pass itself
+	// (one sweep, no second pass) for eligible extensions whose arena
+	// bound fits the per-thread fused budget, core.TraceModeReplay always
+	// runs it as a serialized second pass after the score sweep, and
+	// core.TraceModeFused fuses every eligible extension. Fused
 	// recordings live on their thread for the whole scoring pass, so
-	// TileMemoryBytes charges one arena per thread for them; the replay
-	// path keeps the single serialized arena allowance. The score gate
-	// takes precedence: with TraceMinScore active every traced extension
-	// uses the deferred replay (a fused recording cannot be deferred —
-	// its buffers are clobbered by the thread's next extension). Part of
-	// the kernel fingerprint when tracing.
+	// TileMemoryBytes charges one arena per thread for them; the
+	// two-pass schedule keeps the single serialized arena allowance. The
+	// score gate takes precedence: with TraceMinScore active every traced
+	// extension uses the deferred second pass (a fused recording cannot
+	// be deferred — its buffers are clobbered by the thread's next
+	// extension). Part of the kernel fingerprint when tracing.
 	TraceMode core.TraceMode
 	// KernelTier selects the kernel score width: core.TierWide (the
 	// default int32 kernels), core.TierNarrow (attempt int16 with runtime
