@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -652,27 +651,41 @@ func BuildBatches(ctx context.Context, d *workload.Dataset, cfg Config) (*BatchP
 	bp.batches = batches
 	bp.reuseFactor = partition.ReuseFactor(execD, items)
 	bp.arena, _ = execD.Spine()
-	bp.batchSlabs = batchSlabSets(batches)
+	bp.batchSlabs = batchSlabSets(batches, bp.arena.NumSlabs())
 	return bp, nil
 }
 
 // batchSlabSets computes, per batch, the sorted set of spine slabs its
 // tiles' spans reference — the exact residency the batch needs pinned
-// while it executes.
-func batchSlabSets(batches []*ipukernel.Batch) [][]int32 {
+// while it executes. On a single-slab arena every batch shares the one
+// set {0}.
+func batchSlabSets(batches []*ipukernel.Batch, numSlabs int) [][]int32 {
 	sets := make([][]int32, len(batches))
+	if numSlabs == 1 {
+		only := []int32{0}
+		for bi := range sets {
+			sets[bi] = only
+		}
+		return sets
+	}
+	seen := make([]bool, numSlabs)
 	for bi, b := range batches {
-		seen := make(map[int32]struct{})
+		clear(seen)
+		n := 0
 		for ti := range b.Tiles {
 			for _, r := range b.Tiles[ti].Seqs {
-				seen[r.Slab] = struct{}{}
+				if !seen[r.Slab] {
+					seen[r.Slab] = true
+					n++
+				}
 			}
 		}
-		set := make([]int32, 0, len(seen))
-		for si := range seen {
-			set = append(set, si)
+		set := make([]int32, 0, n)
+		for si, ok := range seen {
+			if ok {
+				set = append(set, int32(si))
+			}
 		}
-		slices.Sort(set)
 		sets[bi] = set
 	}
 	return sets

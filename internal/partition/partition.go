@@ -6,6 +6,7 @@
 package partition
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 
@@ -22,8 +23,9 @@ type Item struct {
 	Seqs []int
 	// Cmps lists comparison indices into the dataset.
 	Cmps []int
-	// Bytes is the sequence payload (what the item costs to transfer),
-	// summed from the arena's exact span lengths.
+	// Bytes is the sequence payload (what the item costs to transfer):
+	// the arena's exact span lengths summed over Seqs. The batcher prices
+	// the item from it without walking Seqs.
 	Bytes int
 	// Cost is the §4.2 runtime estimate: quadratic in the extension
 	// lengths, summed over the item's comparisons.
@@ -96,12 +98,28 @@ func BuildItems(d *workload.Dataset, opt Options) []Item {
 	// the sequence numbering, which is what makes reuse high on overlap
 	// graphs. The walk scans only the plan's H/V columns — the seed
 	// columns stay cold.
-	adj := make([][]int, len(refs)) // vertex → incident edges
-	for ci := range plan.H {
-		h, v := int(plan.H[ci]), int(plan.V[ci])
-		adj[h] = append(adj[h], ci)
-		if v != h {
-			adj[v] = append(adj[v], ci)
+	//
+	// vertex → incident edges in plan order, as one CSR: count degrees
+	// two slots ahead, prefix-sum so off[v+1] is v's first slot, then fill
+	// while advancing off[v+1] to v's end — which is v+1's start, leaving
+	// v's edges at edges[off[v]:off[v+1]].
+	off := make([]int32, len(refs)+2)
+	for ci, h := range plan.H {
+		off[h+2]++
+		if v := plan.V[ci]; v != h {
+			off[v+2]++
+		}
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	edges := make([]int32, off[len(off)-1])
+	for ci, h := range plan.H {
+		edges[off[h+1]] = int32(ci)
+		off[h+1]++
+		if v := plan.V[ci]; v != h {
+			edges[off[v+1]] = int32(ci)
+			off[v+1]++
 		}
 	}
 
@@ -136,14 +154,15 @@ func BuildItems(d *workload.Dataset, opt Options) []Item {
 	}
 
 	var queue []int
-	for seed := range adj {
-		if len(adj[seed]) == 0 {
+	for seed := range refs {
+		if off[seed] == off[seed+1] {
 			continue
 		}
 		queue = append(queue[:0], seed)
 		for qi := 0; qi < len(queue); qi++ {
 			u := queue[qi]
-			for _, ci := range adj[u] {
+			for _, e := range edges[off[u]:off[u+1]] {
+				ci := int(e)
 				if assigned[ci] {
 					continue
 				}
@@ -306,6 +325,30 @@ func DeriveSeqBudget(d *workload.Dataset, cfg ipukernel.Config, model platform.I
 	return budget, nil
 }
 
+// admission is the tile-independent part of an item's SRAM check: the
+// largest min-side extension and the largest fused/replay trace charges
+// over its comparisons. Computed once per item; a tile's running maxima
+// have the same shape.
+type admission struct {
+	maxMin, fused, replay int
+}
+
+func (a admission) with(b admission) admission {
+	return admission{max(a.maxMin, b.maxMin), max(a.fused, b.fused), max(a.replay, b.replay)}
+}
+
+// admissionOf reads the item's comparisons from the same source add()
+// does: admission and placement must agree on seed geometry.
+func admissionOf(refs []workload.SeqRef, plan *workload.Plan, it *Item, cfg ipukernel.Config) admission {
+	var a admission
+	for _, ci := range it.Cmps {
+		c := plan.At(ci)
+		f, r := cmpTraceCharges(refs, c, cfg)
+		a = a.with(admission{cmpMaxMin(refs, c), f, r})
+	}
+	return a
+}
+
 // tileBuilder incrementally assembles one tile's work while tracking the
 // SRAM formula of the kernel configuration. Tiles reference the dataset's
 // shared arena spine: adding a sequence appends its span, never its
@@ -313,44 +356,40 @@ func DeriveSeqBudget(d *workload.Dataset, cfg ipukernel.Config, model platform.I
 // execution attempt from the arena's pinned slab set (Batch.Bound), so
 // building batches never forces spilled slabs resident.
 type tileBuilder struct {
-	work      ipukernel.TileWork
-	localIdx  map[int]int
-	load      float64
-	seqBytes  int
-	maxMin    int
-	maxFused  int
-	maxReplay int
+	work     ipukernel.TileWork
+	localIdx map[int]int
+	index    int // tile position within the batch
+	load     float64
+	seqBytes int
+	adm      admission // running maxima over the placed items
 }
 
-func newTileBuilder() *tileBuilder {
-	return &tileBuilder{localIdx: make(map[int]int)}
+// reset returns the builder to the empty state for the next batch,
+// keeping only its local-index map's storage; the work it built now
+// belongs to the closed batch.
+func (tb *tileBuilder) reset() {
+	clear(tb.localIdx)
+	*tb = tileBuilder{localIdx: tb.localIdx, index: tb.index}
 }
 
-func (tb *tileBuilder) memoryWith(refs []workload.SeqRef, plan *workload.Plan, it *Item, cfg ipukernel.Config, threads int) int {
-	seqBytes := tb.seqBytes
-	nSeqs := len(tb.work.Seqs)
-	for _, s := range it.Seqs {
-		if _, ok := tb.localIdx[s]; !ok || it.Copies {
-			seqBytes += int(refs[s].Len)
-			nSeqs++
+// memoryWith is the tile's SRAM need with it added. Item.Bytes is the sum
+// over Item.Seqs, so only sequences the tile already holds need a lookup
+// — none on an empty tile or for an item carrying private copies.
+func (tb *tileBuilder) memoryWith(refs []workload.SeqRef, it *Item, adm admission, cfg ipukernel.Config, threads int) int {
+	seqBytes, nSeqs := tb.seqBytes+it.Bytes, len(tb.work.Seqs)+len(it.Seqs)
+	if !it.Copies && len(tb.localIdx) > 0 {
+		for _, s := range it.Seqs {
+			if _, ok := tb.localIdx[s]; ok {
+				seqBytes -= int(refs[s].Len)
+				nSeqs--
+			}
 		}
 	}
 	nJobs := len(tb.work.Jobs) + len(it.Cmps)
-	maxMin, maxFused, maxReplay := tb.maxMin, tb.maxFused, tb.maxReplay
-	// Same comparison source as add(): admission and placement must
-	// agree on seed geometry.
-	for _, ci := range it.Cmps {
-		c := plan.At(ci)
-		if mm := cmpMaxMin(refs, c); mm > maxMin {
-			maxMin = mm
-		}
-		f, r := cmpTraceCharges(refs, c, cfg)
-		maxFused = max(maxFused, f)
-		maxReplay = max(maxReplay, r)
-	}
+	adm = adm.with(tb.adm)
 	return seqBytes + nSeqs*8 + nJobs*ipukernel.JobTupleBytes +
-		threads*cfg.WorkBufBytesPerThread(maxMin) +
-		threads*maxFused + maxReplay +
+		threads*cfg.WorkBufBytesPerThread(adm.maxMin) +
+		threads*adm.fused + adm.replay +
 		nJobs*ipukernel.ResultBytes + 64
 }
 
@@ -376,7 +415,11 @@ func cmpTraceCharges(refs []workload.SeqRef, c workload.Comparison, cfg ipukerne
 	return max(lf, rf), max(lr, rr)
 }
 
-func (tb *tileBuilder) add(refs []workload.SeqRef, plan *workload.Plan, it *Item, cfg ipukernel.Config, fanout []int32) {
+func (tb *tileBuilder) add(refs []workload.SeqRef, plan *workload.Plan, it *Item, adm admission, fanout []int32) {
+	if tb.work.Jobs == nil {
+		tb.work.Seqs = make([]workload.SeqRef, 0, len(it.Seqs))
+		tb.work.Jobs = make([]ipukernel.SeedJob, 0, len(it.Cmps))
+	}
 	for _, s := range it.Seqs {
 		if _, ok := tb.localIdx[s]; !ok || it.Copies {
 			tb.localIdx[s] = len(tb.work.Seqs)
@@ -396,14 +439,26 @@ func (tb *tileBuilder) add(refs []workload.SeqRef, plan *workload.Plan, it *Item
 			job.Fanout = int(fanout[ci])
 		}
 		tb.work.Jobs = append(tb.work.Jobs, job)
-		if mm := cmpMaxMin(refs, c); mm > tb.maxMin {
-			tb.maxMin = mm
-		}
-		f, r := cmpTraceCharges(refs, c, cfg)
-		tb.maxFused = max(tb.maxFused, f)
-		tb.maxReplay = max(tb.maxReplay, r)
 	}
+	tb.adm = tb.adm.with(adm)
 	tb.load += it.Cost
+}
+
+// candidates is a batch's placement frontier as a container/heap ordered
+// by (load, index): the tiles that hold work plus one empty tile.
+type candidates []*tileBuilder
+
+func (c candidates) Len() int { return len(c) }
+func (c candidates) Less(i, j int) bool {
+	return c[i].load < c[j].load || c[i].load == c[j].load && c[i].index < c[j].index
+}
+func (c candidates) Swap(i, j int) { c[i], c[j] = c[j], c[i] }
+func (c *candidates) Push(x any)   { *c = append(*c, x.(*tileBuilder)) }
+func (c *candidates) Pop() any {
+	old := *c
+	tb := old[len(old)-1]
+	*c = old[:len(old)-1]
+	return tb
 }
 
 // MakeBatches distributes items across tiles into BSP batches: items are
@@ -426,6 +481,15 @@ func MakeBatchesLimit(d *workload.Dataset, items []Item, tiles int, cfg ipukerne
 // ci represents after duplicate-extension elimination (nil = every
 // comparison stands for itself). The counts ride along on the tile jobs
 // so the kernel can account the work dedup skipped.
+//
+// "Least-loaded tile that fits, lowest index on ties" is evaluated without
+// visiting every tile. All empty tiles of a batch are interchangeable
+// (same fit verdict, load 0), so the lowest-indexed one beats the rest on
+// the tie-break and the tiles holding work are always the index prefix
+// [0, used). The candidates are therefore those used tiles plus tile
+// `used` as the one empty representative, kept in (load, index) order;
+// the first that fits is the argmin over all tiles. Cost per item is
+// O(|item|) plus O(log used) per tile tried, independent of `tiles`.
 func MakeBatchesFanout(d *workload.Dataset, items []Item, tiles int, cfg ipukernel.Config, model platform.IPUModel, maxJobs int, fanout []int32) ([]*ipukernel.Batch, error) {
 	if tiles <= 0 {
 		return nil, fmt.Errorf("partition: tiles must be positive")
@@ -448,58 +512,64 @@ func MakeBatchesFanout(d *workload.Dataset, items []Item, tiles int, cfg ipukern
 	sort.SliceStable(order, func(a, b int) bool { return items[order[a]].Cost > items[order[b]].Cost })
 
 	var batches []*ipukernel.Batch
-	var builders []*tileBuilder
+	// pool[i] builds tile i of every batch; entries are created the first
+	// time a batch reaches that many tiles and reset when it closes.
+	var pool []*tileBuilder
+	builder := func(i int) *tileBuilder {
+		if i == len(pool) {
+			pool = append(pool, &tileBuilder{localIdx: make(map[int]int), index: i})
+		}
+		return pool[i]
+	}
+	used, batchJobs := 0, 0
+	cand := candidates{builder(0)}
+	var full []*tileBuilder // candidates the current item does not fit
 
 	closeBatch := func() {
-		if len(builders) == 0 {
-			return
-		}
-		b := &ipukernel.Batch{}
-		for _, tb := range builders {
+		b := &ipukernel.Batch{Tiles: make([]ipukernel.TileWork, 0, used)}
+		for _, tb := range pool[:used] {
 			if len(tb.work.Jobs) > 0 {
 				b.Tiles = append(b.Tiles, tb.work)
 			}
+			tb.reset()
 		}
 		if len(b.Tiles) > 0 {
 			batches = append(batches, b)
 		}
-		builders = nil
+		used, batchJobs = 0, 0
+		cand = append(cand[:0], pool[0])
 	}
 
-	batchJobs := 0
 	for _, idx := range order {
 		it := &items[idx]
+		adm := admissionOf(refs, plan, it, cfg)
 		placed := false
 		for attempt := 0; attempt < 2 && !placed; attempt++ {
 			if batchJobs+len(it.Cmps) > maxJobs && batchJobs > 0 {
 				closeBatch()
-				batchJobs = 0
 			}
-			if builders == nil {
-				builders = make([]*tileBuilder, tiles)
-				for i := range builders {
-					builders[i] = newTileBuilder()
+			full = full[:0]
+			for len(cand) > 0 && cand[0].memoryWith(refs, it, adm, cfg, threads) > budget {
+				full = append(full, heap.Pop(&cand).(*tileBuilder))
+			}
+			if len(cand) == 0 {
+				// No room anywhere: start a fresh batch and retry once.
+				closeBatch()
+				continue
+			}
+			tb := cand[0]
+			tb.add(refs, plan, it, adm, fanout)
+			heap.Fix(&cand, 0)
+			if tb.index == used {
+				if used++; used < tiles {
+					heap.Push(&cand, builder(used))
 				}
 			}
-			// Least-loaded tile that still fits the item.
-			best := -1
-			for ti, tb := range builders {
-				if tb.memoryWith(refs, plan, it, cfg, threads) > budget {
-					continue
-				}
-				if best < 0 || tb.load < builders[best].load {
-					best = ti
-				}
+			for _, f := range full {
+				heap.Push(&cand, f)
 			}
-			if best >= 0 {
-				builders[best].add(refs, plan, it, cfg, fanout)
-				batchJobs += len(it.Cmps)
-				placed = true
-				break
-			}
-			// No room anywhere: start a fresh batch and retry once.
-			closeBatch()
-			batchJobs = 0
+			batchJobs += len(it.Cmps)
+			placed = true
 		}
 		if !placed {
 			return nil, fmt.Errorf("partition: item with %d comparisons (%d B of sequences) cannot fit an empty tile; reduce δb or split the item",

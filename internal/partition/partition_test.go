@@ -1,7 +1,10 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/sram-align/xdropipu/internal/core"
@@ -430,6 +433,289 @@ func TestTracebackBudgetAdmitsWithinSRAM(t *testing.T) {
 				t.Fatalf("tier %v: peak trace %d B exceeds modeled arena allowance %d B",
 					tier, res.PeakTraceBytes, allowance)
 			}
+		}
+	}
+}
+
+// The exhaustive-scan batcher MakeBatchesFanout replaced, moved here
+// verbatim (identifiers renamed only) as the oracle: for every item it
+// evaluates the full SRAM formula on all `tiles` builders and takes the
+// least-loaded one that fits, lowest index on ties.
+type scanTileBuilder struct {
+	work      ipukernel.TileWork
+	localIdx  map[int]int
+	load      float64
+	seqBytes  int
+	maxMin    int
+	maxFused  int
+	maxReplay int
+}
+
+func newScanTileBuilder() *scanTileBuilder {
+	return &scanTileBuilder{localIdx: make(map[int]int)}
+}
+
+func (tb *scanTileBuilder) memoryWith(refs []workload.SeqRef, plan *workload.Plan, it *Item, cfg ipukernel.Config, threads int) int {
+	seqBytes := tb.seqBytes
+	nSeqs := len(tb.work.Seqs)
+	for _, s := range it.Seqs {
+		if _, ok := tb.localIdx[s]; !ok || it.Copies {
+			seqBytes += int(refs[s].Len)
+			nSeqs++
+		}
+	}
+	nJobs := len(tb.work.Jobs) + len(it.Cmps)
+	maxMin, maxFused, maxReplay := tb.maxMin, tb.maxFused, tb.maxReplay
+	// Same comparison source as add(): admission and placement must
+	// agree on seed geometry.
+	for _, ci := range it.Cmps {
+		c := plan.At(ci)
+		if mm := cmpMaxMin(refs, c); mm > maxMin {
+			maxMin = mm
+		}
+		f, r := cmpTraceCharges(refs, c, cfg)
+		maxFused = max(maxFused, f)
+		maxReplay = max(maxReplay, r)
+	}
+	return seqBytes + nSeqs*8 + nJobs*ipukernel.JobTupleBytes +
+		threads*cfg.WorkBufBytesPerThread(maxMin) +
+		threads*maxFused + maxReplay +
+		nJobs*ipukernel.ResultBytes + 64
+}
+
+func (tb *scanTileBuilder) add(refs []workload.SeqRef, plan *workload.Plan, it *Item, cfg ipukernel.Config, fanout []int32) {
+	for _, s := range it.Seqs {
+		if _, ok := tb.localIdx[s]; !ok || it.Copies {
+			tb.localIdx[s] = len(tb.work.Seqs)
+			tb.work.Seqs = append(tb.work.Seqs, refs[s])
+			tb.seqBytes += int(refs[s].Len)
+		}
+	}
+	for _, ci := range it.Cmps {
+		c := plan.At(ci)
+		job := ipukernel.SeedJob{
+			HLocal: tb.localIdx[c.H],
+			VLocal: tb.localIdx[c.V],
+			SeedH:  c.SeedH, SeedV: c.SeedV, SeedLen: c.SeedLen,
+			GlobalID: ci,
+		}
+		if fanout != nil {
+			job.Fanout = int(fanout[ci])
+		}
+		tb.work.Jobs = append(tb.work.Jobs, job)
+		if mm := cmpMaxMin(refs, c); mm > tb.maxMin {
+			tb.maxMin = mm
+		}
+		f, r := cmpTraceCharges(refs, c, cfg)
+		tb.maxFused = max(tb.maxFused, f)
+		tb.maxReplay = max(tb.maxReplay, r)
+	}
+	tb.load += it.Cost
+}
+
+func makeBatchesExhaustiveScan(d *workload.Dataset, items []Item, tiles int, cfg ipukernel.Config, model platform.IPUModel, maxJobs int, fanout []int32) ([]*ipukernel.Batch, error) {
+	if tiles <= 0 {
+		return nil, fmt.Errorf("partition: tiles must be positive")
+	}
+	if maxJobs <= 0 {
+		maxJobs = 1 << 30
+	}
+	threads := cfg.Threads
+	if threads <= 0 || threads > model.ThreadsPerTile {
+		threads = model.ThreadsPerTile
+	}
+	budget := model.DataSRAM()
+	arena, plan := d.Spine()
+	refs := arena.Refs()
+
+	order := make([]int, len(items))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return items[order[a]].Cost > items[order[b]].Cost })
+
+	var batches []*ipukernel.Batch
+	var builders []*scanTileBuilder
+
+	closeBatch := func() {
+		if len(builders) == 0 {
+			return
+		}
+		b := &ipukernel.Batch{}
+		for _, tb := range builders {
+			if len(tb.work.Jobs) > 0 {
+				b.Tiles = append(b.Tiles, tb.work)
+			}
+		}
+		if len(b.Tiles) > 0 {
+			batches = append(batches, b)
+		}
+		builders = nil
+	}
+
+	batchJobs := 0
+	for _, idx := range order {
+		it := &items[idx]
+		placed := false
+		for attempt := 0; attempt < 2 && !placed; attempt++ {
+			if batchJobs+len(it.Cmps) > maxJobs && batchJobs > 0 {
+				closeBatch()
+				batchJobs = 0
+			}
+			if builders == nil {
+				builders = make([]*scanTileBuilder, tiles)
+				for i := range builders {
+					builders[i] = newScanTileBuilder()
+				}
+			}
+			// Least-loaded tile that still fits the item.
+			best := -1
+			for ti, tb := range builders {
+				if tb.memoryWith(refs, plan, it, cfg, threads) > budget {
+					continue
+				}
+				if best < 0 || tb.load < builders[best].load {
+					best = ti
+				}
+			}
+			if best >= 0 {
+				builders[best].add(refs, plan, it, cfg, fanout)
+				batchJobs += len(it.Cmps)
+				placed = true
+				break
+			}
+			// No room anywhere: start a fresh batch and retry once.
+			closeBatch()
+			batchJobs = 0
+		}
+		if !placed {
+			return nil, fmt.Errorf("partition: item with %d comparisons (%d B of sequences) cannot fit an empty tile; reduce δb or split the item",
+				len(it.Cmps), it.Bytes)
+		}
+	}
+	closeBatch()
+	return batches, nil
+}
+
+// TestMakeBatchesMatchesExhaustiveScan pins the batcher's invariant — the
+// first candidate that fits in (load, index) order is the old argmin over
+// all tiles — by comparing whole schedules against the scan it replaced,
+// across the inputs that steer placement: tile count, job cap, private
+// copies (Reuse off), trace charges, SRAM tight enough that most
+// candidates are full, zero-cost items (load ties between used and empty
+// tiles) and budgets that leave an item unplaceable.
+func TestMakeBatchesMatchesExhaustiveScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	unplaceable := 0
+	for trial := 0; trial < 60; trial++ {
+		meanLen := []int{150, 600, 2000}[trial%3]
+		d := synth.Reads(synth.ReadsSpec{
+			Name: "oracle", GenomeLen: 12 * meanLen, Coverage: 6 + float64(rng.Intn(10)),
+			MeanReadLen: meanLen, MinReadLen: meanLen / 2, MaxReadLen: 3 * meanLen / 2, Errors: synth.HiFiDNA(),
+			SeedLen: 17, MinOverlap: meanLen / 4, Seed: int64(1000 + trial), MaxComparisons: 1500,
+		})
+		cfg := testKernelCfg()
+		cfg.Traceback = trial%4 >= 2
+		model := platform.GC200
+		model.SRAMPerTile = model.CodeReserve + []int{32, 64, 128, 552}[rng.Intn(4)]<<10
+		budget, err := DeriveSeqBudget(d, cfg, model)
+		if err != nil { // trace arenas of the longer reads need the real tile
+			model = platform.GC200
+			if budget, err = DeriveSeqBudget(d, cfg, model); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+		}
+		switch rng.Intn(4) {
+		case 0: // every comparison alone
+			budget = 1
+		case 1: // items the SRAM gate must refuse
+			budget *= 4
+		}
+		items := BuildItems(d, Options{SeqBudget: budget, Reuse: trial%2 == 0, MaxCmps: []int{0, 3, 40}[rng.Intn(3)]})
+		for i := range items {
+			if rng.Intn(5) == 0 {
+				items[i].Cost = 0
+			}
+		}
+		tiles := 1 + rng.Intn(1472)
+		if rng.Intn(3) == 0 {
+			tiles = 1 + rng.Intn(8)
+		}
+		maxJobs := []int{0, 1, 7, 64, 500}[rng.Intn(5)]
+		var fanout []int32
+		if rng.Intn(2) == 0 {
+			fanout = make([]int32, len(d.Comparisons))
+			for i := range fanout {
+				fanout[i] = int32(1 + rng.Intn(4))
+			}
+		}
+		want, wantErr := makeBatchesExhaustiveScan(d, items, tiles, cfg, model, maxJobs, fanout)
+		got, gotErr := MakeBatchesFanout(d, items, tiles, cfg, model, maxJobs, fanout)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("trial %d: error %v, exhaustive scan %v", trial, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			unplaceable++
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (tiles %d, maxJobs %d, %d items): %d batches differ from the exhaustive scan's %d",
+				trial, tiles, maxJobs, len(items), len(got), len(want))
+		}
+	}
+	if unplaceable == 0 || unplaceable == 60 {
+		t.Errorf("%d of 60 trials hit an unplaceable item; the sweep should cover both outcomes", unplaceable)
+	}
+}
+
+// shortReadItems is the benchmark's shortread_plan shape: 150 bp reads,
+// tens of thousands of tiny comparisons, the driver's spread cap for 184
+// tiles × SpreadFactor 3.
+func shortReadItems(tb testing.TB, comparisons int) (*workload.Dataset, []Item, ipukernel.Config) {
+	tb.Helper()
+	d := synth.Reads(synth.ReadsSpec{
+		Name: "short", GenomeLen: 8_400, Coverage: 30, MeanReadLen: 150, MinReadLen: 100, MaxReadLen: 250,
+		Errors: synth.HiFiDNA(), SeedLen: 17, MinOverlap: 40, Seed: 4001, MaxComparisons: comparisons,
+	})
+	cfg := testKernelCfg()
+	cfg.Params.X, cfg.Params.DeltaB = 5, 32
+	budget, err := DeriveSeqBudget(d, cfg, platform.GC200)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	maxCmps := (len(d.Comparisons) + 184*3 - 1) / (184 * 3)
+	return d, BuildItems(d, Options{SeqBudget: budget, Reuse: true, MaxCmps: maxCmps}), cfg
+}
+
+// TestMakeBatchesAllocsIndependentOfTiles keeps the O(tiles) blow-up from
+// coming back silently: the same items batched for a full GC200 allocate
+// within 10% of what they do for a 1/8-scale one.
+func TestMakeBatchesAllocsIndependentOfTiles(t *testing.T) {
+	d, items, cfg := shortReadItems(t, 8_000)
+	allocs := func(tiles int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := MakeBatchesFanout(d, items, tiles, cfg, platform.GC200, 64, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, full := allocs(184), allocs(1472)
+	if full > 1.1*small {
+		t.Errorf("allocs/run grew with the device: %.0f at 184 tiles, %.0f at 1472", small, full)
+	}
+}
+
+func BenchmarkMakeBatches(b *testing.B) {
+	d, items, cfg := shortReadItems(b, 32_000)
+	for _, tiles := range []int{184, 1472} {
+		for _, maxJobs := range []int{64, 0} {
+			b.Run(fmt.Sprintf("tiles=%d/maxJobs=%d", tiles, maxJobs), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := MakeBatchesFanout(d, items, tiles, cfg, platform.GC200, maxJobs, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

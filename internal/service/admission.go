@@ -70,6 +70,19 @@ func (s *Server) admitTenant(name string) (bool, time.Duration) {
 	return false, d
 }
 
+// refundTenant returns the token admitTenant drew, for a request that is
+// then refused for a reason other than the tenant's own rate (malformed
+// body, saturated shard): those refusals must not drain the bucket.
+func (s *Server) refundTenant(name string) {
+	if s.cfg.TenantRatePerSec <= 0 {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ts := s.tenantLocked(name)
+	ts.tokens = min(ts.tokens+1, float64(s.cfg.TenantBurst))
+}
+
 func (s *Server) tenantShed(name string) {
 	s.mu.Lock()
 	s.tenantLocked(name).Shed++

@@ -147,6 +147,67 @@ func TestServiceLoadShedding(t *testing.T) {
 	waitForLive(t, svc, 0, 10*time.Second)
 }
 
+// TestServiceRefusalsRefundTenantToken: a submission refused for a reason
+// other than the tenant's own rate — a malformed body, a saturated shard
+// — gives its admission token back, so a burst of such refusals larger
+// than the bucket leaves the tenant able to submit.
+func TestServiceRefusalsRefundTenantToken(t *testing.T) {
+	const burst, refusals = 2, 5
+	payload, err := wire.EncodeDataset(readsData(t, 7, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		saturate bool   // hold the shard at MaxLiveJobs with another tenant's job
+		body     []byte // what tenant "t" posts while being refused
+		status   int
+		shed     int64
+	}{
+		{"bad body", false, []byte("not a dataset"), http.StatusBadRequest, 0},
+		{"shard saturated", true, payload, service.StatusServiceSaturated, refusals},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := driver.NewFaultPlan(1, driver.FaultSpec{
+				StragglerRate: 1, StragglerDelay: 300 * time.Millisecond,
+			})
+			svc := service.New(service.Config{
+				Shards: 1, MaxLiveJobs: 1,
+				EngineOptions: []engine.Option{
+					engine.WithDriverConfig(testCfg(1)), engine.WithQueueDepth(8),
+					engine.WithExecutors(1), engine.WithFaultPlan(plan),
+				},
+				// No refill inside the test: only a refund restores a token.
+				TenantRatePerSec: 0.001, TenantBurst: burst,
+			})
+			defer svc.Close()
+			ts := httptest.NewServer(svc.Handler())
+			defer ts.Close()
+
+			if tc.saturate {
+				if resp := postDetached(t, ts, "holder", payload); resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("holder submit: %s", resp.Status)
+				}
+			}
+			for i := 0; i < refusals; i++ {
+				if resp := postDetached(t, ts, "t", tc.body); resp.StatusCode != tc.status {
+					t.Fatalf("refusal %d: got %s, want %d", i, resp.Status, tc.status)
+				}
+			}
+			var stats service.StatsReply
+			getJSON(t, ts, "/v1/stats", &stats)
+			if got := stats.Tenants["t"]; got.RateLimited != 0 || got.Shed != tc.shed {
+				t.Fatalf("tenant counters after %d refusals: %+v", refusals, got)
+			}
+			waitForLive(t, svc, 0, 10*time.Second)
+			if resp := postDetached(t, ts, "t", payload); resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("submit after %d refunded refusals (burst %d): %s", refusals, burst, resp.Status)
+			}
+			waitForLive(t, svc, 0, 10*time.Second)
+		})
+	}
+}
+
 // waitForLive polls the shard pool until the live-job total reaches n.
 func waitForLive(t *testing.T, svc *service.Server, n int, timeout time.Duration) {
 	t.Helper()

@@ -204,6 +204,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	d, err := s.decodeBody(r)
 	if err != nil {
+		s.refundTenant(tenant)
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -217,6 +218,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if st := eng.Stats(); st.JobsLive >= maxLive {
 		retry := retryAfterFromStats(st, maxLive)
 		s.tenantShed(tenant)
+		s.refundTenant(tenant)
 		writeRetryAfter(w, retry)
 		writeError(w, StatusServiceSaturated,
 			fmt.Sprintf("shard %d saturated (%d live jobs); retry after %s", shard, st.JobsLive, retry))

@@ -31,17 +31,26 @@ func TestServiceStatsAndMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two identical submissions from one tenant: the second must hit the
-	// affinity-routed shard's warm cache.
+	// affinity-routed shard's warm cache — so it may only be planned once
+	// the first has finished and stored its results.
 	for i := 0; i < 2; i++ {
 		resp := postDetached(t, ts, "alpha", payload)
 		if resp.StatusCode != 202 {
 			t.Fatalf("submit %d: %s", i, resp.Status)
 		}
+		waitForLive(t, svc, 0, 10*time.Second)
 	}
-	waitForLive(t, svc, 0, 10*time.Second)
 
+	// The pump settles a tenant's counters just after the engine reports
+	// the job done; poll until it has.
 	var stats service.StatsReply
-	getJSON(t, ts, "/v1/stats", &stats)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		stats = service.StatsReply{}
+		getJSON(t, ts, "/v1/stats", &stats)
+		if stats.Tenants["alpha"].Live == 0 || time.Now().After(deadline) {
+			break
+		}
+	}
 	if stats.Totals.JobsDone != 2 {
 		t.Fatalf("totals.JobsDone = %d, want 2", stats.Totals.JobsDone)
 	}

@@ -79,6 +79,10 @@ type slab struct {
 	// spilled). Slabs are immutable once sealed, so the file never needs
 	// rewriting.
 	path string
+	// sum is the CRC-32C of the bytes written to path, verified on every
+	// fault-in: a same-length corrupt spill file must fail the pin, not
+	// feed the kernel garbage.
+	sum uint32
 }
 
 // bytes returns the resident view, or nil while spilled.

@@ -14,9 +14,12 @@ package workload
 
 import (
 	"fmt"
+	"hash/crc32"
 	"os"
 	"sync"
 )
+
+var spillCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // EnableSpill sets the directory slab spill files are written into and
 // turns residency management on. It must be called before the arena is
@@ -74,7 +77,7 @@ func (a *Arena) Spill() (int64, error) {
 				os.Remove(f.Name())
 				return released, fmt.Errorf("workload: spill slab %d: %w", si, werr)
 			}
-			sl.path = f.Name()
+			sl.path, sl.sum = f.Name(), crc32.Checksum(b, spillCRC)
 		}
 		sl.data.Store(nil)
 		released += int64(sl.size)
@@ -105,6 +108,10 @@ func (a *Arena) faultInLocked(sl *slab) ([]byte, error) {
 	if len(buf) != sl.size {
 		return nil, fmt.Errorf("workload: spill file %s holds %d bytes, slab expects %d",
 			sl.path, len(buf), sl.size)
+	}
+	if sum := crc32.Checksum(buf, spillCRC); sum != sl.sum {
+		return nil, fmt.Errorf("workload: spill file %s is corrupt: CRC-32C %08x, slab was spilled with %08x",
+			sl.path, sum, sl.sum)
 	}
 	sl.setBytes(buf)
 	a.faults++

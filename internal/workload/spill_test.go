@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -381,5 +383,45 @@ func TestSpillFaultErrorSurfacesOnPin(t *testing.T) {
 	}
 	if _, err := a.Pin([]int32{0}); err == nil {
 		t.Error("pin of a slab with a missing spill file succeeded")
+	}
+}
+
+// TestSpillCorruptionFailsPin pins spill integrity: a spill file altered
+// without changing its length must fail the pin of that slab — and only
+// that slab — instead of handing the kernel wrong bytes.
+func TestSpillCorruptionFailsPin(t *testing.T) {
+	dir := t.TempDir()
+	a := rolledArena(t)
+	want := string(a.Seq(2))
+	a.EnableSpill(dir)
+	a.Seal()
+	if _, err := a.Spill(); err != nil {
+		t.Fatal(err)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "slab-0-*.bin"))
+	if len(files) != 1 {
+		t.Fatalf("slab 0 spill files: %v", files)
+	}
+	b, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0x01
+	if err := os.WriteFile(files[0], b, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Pin([]int32{0}); err == nil || !strings.Contains(err.Error(), "corrupt") {
+		t.Errorf("pin of a slab with a flipped spill byte: err = %v, want a corruption error", err)
+	}
+	if got := a.SlabStateOf(0); got != SlabSpilled {
+		t.Errorf("corrupt slab became %v; it must stay spilled", got)
+	}
+	pin, err := a.Pin([]int32{1})
+	if err != nil {
+		t.Fatalf("untouched spill file failed to round-trip: %v", err)
+	}
+	defer pin.Release()
+	if got := string(a.Seq(2)); got != want {
+		t.Errorf("slab 1 faulted back as %q, want %q", got, want)
 	}
 }
