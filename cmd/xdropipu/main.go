@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"github.com/sram-align/xdropipu"
+	"github.com/sram-align/xdropipu/internal/core"
 	"github.com/sram-align/xdropipu/internal/ipukernel"
 	"github.com/sram-align/xdropipu/internal/overlap"
 	"github.com/sram-align/xdropipu/internal/seqio"
@@ -281,8 +282,8 @@ func runServe(args []string) {
 	defer stop()
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "xdropipu serve: listening on %s (%d shard(s), %d IPU(s) each)\n",
-		*addr, *shards, *ipus)
+	fmt.Fprintf(os.Stderr, "xdropipu serve: listening on %s (%d shard(s), %d IPU(s) each, %s row kernel)\n",
+		*addr, *shards, *ipus, core.RowISA())
 
 	select {
 	case err := <-errCh:

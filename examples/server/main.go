@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"github.com/sram-align/xdropipu"
+	"github.com/sram-align/xdropipu/internal/core"
 	"github.com/sram-align/xdropipu/internal/synth"
 )
 
@@ -82,7 +83,7 @@ func main() {
 	go srv.Serve(ln)
 	defer srv.Shutdown(context.Background())
 	base := "http://" + ln.Addr().String()
-	fmt.Println("service listening on", base)
+	fmt.Printf("service listening on %s (%s row kernel)\n", base, core.RowISA())
 
 	var wg sync.WaitGroup
 	for client := 0; client < 4; client++ {

@@ -33,16 +33,16 @@ func (w *Workspace) Affine(h, v View, p Params) Result {
 // A cell is live while any channel survives; at the boundaries the H
 // value equals the single surviving gap channel.
 //
-// Like the linear sweep, the loops run on NegInf-padded buffers (see
-// dp.go) with the view direction resolved to byte-row slices once per
-// extension, boundary cells peeled, liveness recovered by scanning the
-// stored channels, and trace counters accumulated in locals.
+// Like the linear sweep, the loop runs on NegInf-padded buffers and
+// sweep-order operands (see dp.go) — one inner loop for every view
+// direction — with boundary cells peeled, liveness recovered by scanning
+// the stored channels, and trace counters accumulated in locals.
 //
 // ok is false when an antidiagonal's best H exceeded guard (int16
 // saturation, see tier.go; H dominates E and F wherever it is live): the
 // partial attempt is void and the caller must re-run on the wide tier.
-func affineSweep[S score](b *scoreBufs[S], h, v View, p Params, negInf, guard S) (Result, bool) {
-	m, n := h.Len(), v.Len()
+func affineSweep[S score](b *scoreBufs[S], hq, vq []byte, p Params, negInf, guard S) (Result, bool) {
+	m, n := len(hq), len(vq)
 	delta := min(m, n) + 1
 	b.b0 = growBuf(b.b0, delta)
 	b.b1 = growBuf(b.b1, delta)
@@ -65,9 +65,6 @@ func affineSweep[S score](b *scoreBufs[S], h, v View, p Params, negInf, guard S)
 	// each E/F update is two independent adds feeding one max instead of
 	// the serial add→max→add chain the textbook recurrence spells.
 	goe := S(p.GapOpen) + gape
-	hb, vb := h.data, v.data
-	hStep, hOrg := h.dir()
-	vStep, vD, vOrg := v.vdir()
 
 	// d1 buffers hold antidiagonal d−1 (all three channels), d2h holds
 	// d−2 (only H is read from it); out* are written for d. Window
@@ -129,92 +126,31 @@ func affineSweep[S score](b *scoreBufs[S], h, v View, p Params, negInf, guard S)
 			d1fr := d1f[base+o1:][:cnt]
 			hlv := d1h[base-1+o1]
 			flv := d1f[base-1+o1]
-			switch {
-			case !h.rev && !v.rev:
-				hRow := hb[base-1:][:cnt]
-				vRow := vb[d-base-cnt:][:cnt]
-				for k := range ohRow {
-					hrv := d1hr[k]
-					e := max(d1er[k]+gape, hrv+goe)
-					f := max(flv+gape, hlv+goe)
-					flv = d1fr[k]
-					s := d2v[k] + S(tab[hRow[k]][vRow[cnt-1-k]])
-					hlv = hrv
-					if e > s {
-						s = e
-					}
-					if f > s {
-						s = f
-					}
-					if s < limit {
-						s = negInf
-					}
-					if e < limit {
-						e = negInf
-					}
-					if f < limit {
-						f = negInf
-					}
-					ohRow[k], oeRow[k], ofRow[k] = s, e, f
+			hRow := hq[base-1:][:cnt]
+			vRow := vq[n-d+base:][:cnt]
+			for k := range ohRow {
+				hrv := d1hr[k]
+				e := max(d1er[k]+gape, hrv+goe)
+				f := max(flv+gape, hlv+goe)
+				flv = d1fr[k]
+				s := d2v[k] + S(tab[hRow[k]][vRow[k]])
+				hlv = hrv
+				if e > s {
+					s = e
 				}
-			case h.rev && v.rev:
-				hRow := hb[m-base-cnt+1:][:cnt]
-				vRow := vb[n-d+base:][:cnt]
-				for k := range ohRow {
-					hrv := d1hr[k]
-					e := max(d1er[k]+gape, hrv+goe)
-					f := max(flv+gape, hlv+goe)
-					flv = d1fr[k]
-					s := d2v[k] + S(tab[hRow[cnt-1-k]][vRow[k]])
-					hlv = hrv
-					if e > s {
-						s = e
-					}
-					if f > s {
-						s = f
-					}
-					if s < limit {
-						s = negInf
-					}
-					if e < limit {
-						e = negInf
-					}
-					if f < limit {
-						f = negInf
-					}
-					ohRow[k], oeRow[k], ofRow[k] = s, e, f
+				if f > s {
+					s = f
 				}
-			default:
-				// Mixed-direction views (never produced by the seed
-				// extension paths): generic index cursors.
-				hIdx := hOrg + hStep*base
-				vIdx := vOrg + vD*d + vStep*base
-				for k := range ohRow {
-					hrv := d1hr[k]
-					e := max(d1er[k]+gape, hrv+goe)
-					f := max(flv+gape, hlv+goe)
-					flv = d1fr[k]
-					s := d2v[k] + S(tab[hb[hIdx]][vb[vIdx]])
-					hIdx += hStep
-					vIdx += vStep
-					hlv = hrv
-					if e > s {
-						s = e
-					}
-					if f > s {
-						s = f
-					}
-					if s < limit {
-						s = negInf
-					}
-					if e < limit {
-						e = negInf
-					}
-					if f < limit {
-						f = negInf
-					}
-					ohRow[k], oeRow[k], ofRow[k] = s, e, f
+				if s < limit {
+					s = negInf
 				}
+				if e < limit {
+					e = negInf
+				}
+				if f < limit {
+					f = negInf
+				}
+				ohRow[k], oeRow[k], ofRow[k] = s, e, f
 			}
 			i = iB + 1
 		}

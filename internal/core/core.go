@@ -25,7 +25,12 @@
 // score only and are generic over the score width (int32, or int16 for
 // the narrow tier of tier.go); fusedLinear and fusedAffine (fused.go)
 // score and record per-cell directions for traceback, whether as the
-// single fused pass or as the second pass after a score sweep.
+// single fused pass or as the second pass after a score sweep. Each has
+// one inner loop: Workspace.operands lays h and v out in sweep order once
+// per extension, so no sweep knows a view's direction. The linear int32
+// row additionally has an AVX2 body on amd64 (row_amd64.s, eight cells
+// per instruction) that is bit-identical to the Go loop it is tested
+// against; RowISA reports which one this process runs.
 package core
 
 import (
@@ -40,8 +45,10 @@ import (
 const NegInf = math.MinInt / 4
 
 // View is the op(·) index transformation of §4.1.1: it presents a byte
-// slice either forwards or backwards without copying, so left seed
-// extensions can run on contiguous memory in reverse.
+// slice either forwards or backwards, so left seed extensions can run on
+// contiguous memory in reverse. (The host sweeps stage a reversed copy of
+// one operand per extension — Workspace.operands — which the device
+// model does not charge: there op(·) stays an index transformation.)
 type View struct {
 	data []byte
 	rev  bool
@@ -67,7 +74,7 @@ func (v View) At(i int) byte {
 // Reversed reports whether the view reads backwards.
 func (v View) Reversed() bool { return v.rev }
 
-// Bytes materialises the view (test helper; the kernels never copy).
+// Bytes materialises the view (test helper).
 func (v View) Bytes() []byte {
 	out := make([]byte, len(v.data))
 	for i := range out {
@@ -184,17 +191,6 @@ type Stats struct {
 	// Promoted is set with Narrow == false: the wide re-run produced the
 	// result. See tier.go for the saturation guard.
 	Promoted bool
-}
-
-func (s *Stats) observe(computedWidth, liveWidth int) {
-	s.Antidiagonals++
-	s.Cells += int64(computedWidth)
-	s.SumComputedBand += int64(computedWidth)
-	s.Chunks32 += int64((computedWidth + 31) / 32)
-	s.Chunks128 += int64((computedWidth + 127) / 128)
-	if liveWidth > s.MaxLiveBand {
-		s.MaxLiveBand = liveWidth
-	}
 }
 
 // add merges another trace (used when combining left+right extensions).

@@ -460,18 +460,21 @@ func TestWorkBytesAccounting(t *testing.T) {
 }
 
 func TestStatsObserveAndAdd(t *testing.T) {
+	var acc statAcc
+	acc.observe(100, 40)
+	acc.observe(200, 80)
 	var s Stats
-	s.observe(100, 40)
-	s.observe(200, 80)
+	acc.flush(&s)
 	if s.Antidiagonals != 2 || s.Cells != 300 || s.MaxLiveBand != 80 {
 		t.Errorf("observe: %+v", s)
 	}
 	if s.Chunks32 != 4+7 || s.Chunks128 != 1+2 {
 		t.Errorf("chunks: %+v", s)
 	}
-	var o Stats
-	o.observe(50, 90)
-	o.Clamped = true
+	acc = statAcc{}
+	acc.observe(50, 90)
+	o := Stats{Clamped: true}
+	acc.flush(&o)
 	s.add(o)
 	if s.Antidiagonals != 3 || s.MaxLiveBand != 90 || !s.Clamped {
 		t.Errorf("add: %+v", s)

@@ -1,6 +1,9 @@
 package core
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // The DP sweeps are written once, generic over the score width: int32
 // (the wide tier) or int16 (the narrow tier, see tier.go). The two widths
@@ -52,14 +55,47 @@ func setGuards[S score](buf []S, width int, negInf S) {
 	buf[width+bufPad], buf[width+bufPad+1] = negInf, negInf
 }
 
-// growBuf returns a buffer holding n window cells plus the guards,
-// reusing b's storage when it is large enough.
+// rowLanes is the vector row body's width in int32 cells; shorter rows
+// stay on the inlined Go loop.
+const rowLanes = 8
+
+// rowSlack is the spare capacity (not length — the modeled footprint
+// counts len) growBuf keeps behind every score buffer. The vector row
+// body (row_amd64.s) preloads the next vector's diagonal operand before
+// it stores the current one, which reads up to rowSlack elements past the
+// row's last cell.
+const rowSlack = rowLanes - 1
+
+// RowISA names the row body this process runs for the linear int32
+// sweep: "avx2" or "generic". Results are bit-identical either way.
+func RowISA() string {
+	if rowVec {
+		return "avx2"
+	}
+	return "generic"
+}
+
+// growBuf returns a buffer holding n window cells plus the guards (and
+// rowSlack spare capacity), reusing b's storage when it is large enough.
 func growBuf[S score](b []S, n int) []S {
 	n += 2 * bufPad
-	if cap(b) >= n {
+	if cap(b) >= n+rowSlack {
 		return b[:n]
 	}
-	return make([]S, n)
+	return make([]S, n, n+rowSlack)
+}
+
+// firstEq returns the index of the first cell of row holding v, which the
+// caller knows is there: v is the maximum of that stored row, recovered
+// only when its position is needed — the row sets a new best, or the δb
+// clamp re-centres on it — with the first-wins tie-breaking of a scalar
+// best chain.
+func firstEq[S score](row []S, v S) int {
+	k := 0
+	for row[k] != v {
+		k++
+	}
+	return k
 }
 
 // pruneLimit returns the X-Drop cutoff T−X for the current antidiagonal,
@@ -76,25 +112,44 @@ func pruneLimit[S score](t S, x int, negInf S) S {
 	return S(l)
 }
 
-// dir resolves the view's direction once per extension: the symbol read
-// by DP column i is data[org+step*i]. This replaces the per-cell
-// direction branch of View.At in the kernel inner loops.
-func (v View) dir() (step, org int) {
-	if v.rev {
-		// Column i reads logical symbol i−1, i.e. data[len−1−(i−1)].
-		return -1, len(v.data)
+// operands resolves the view directions once per extension into the two
+// byte streams every sweep reads unit-stride upward along an antidiagonal:
+// hq[i−1] is column i's h symbol and vq[n−d+i] is the v symbol of cell
+// (i, d−i) — h in view order, v in reversed view order. A view that
+// already lies that way is used in place; the other is copied reversed
+// into the workspace (forward/forward views reverse v, reversed/reversed
+// reverse h). The copy is host-side staging like the bufPad guards: it is
+// not part of Stats.WorkBytes or the SRAM model, where op(·) stays the
+// index transformation of §4.1.1.
+func (w *Workspace) operands(h, v View) (hq, vq []byte) {
+	hq, vq = h.data, v.data
+	if h.rev {
+		w.hq = reverseInto(w.hq, hq)
+		hq = w.hq
 	}
-	return 1, -1
+	if !v.rev {
+		w.vq = reverseInto(w.vq, vq)
+		vq = w.vq
+	}
+	return hq, vq
 }
 
-// vdir is dir for the vertical sequence, whose symbol index also depends
-// on the antidiagonal: column i of antidiagonal d reads symbol j−1 with
-// j = d−i, i.e. data[org + dd*d + step*i].
-func (v View) vdir() (step, dd, org int) {
-	if v.rev {
-		return 1, -1, len(v.data)
+// reverseInto returns src reversed, reusing dst's storage when it is large
+// enough; eight bytes per step.
+func reverseInto(dst, src []byte) []byte {
+	n := len(src)
+	if cap(dst) < n {
+		dst = make([]byte, n)
 	}
-	return -1, 1, -1
+	dst = dst[:n]
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		binary.LittleEndian.PutUint64(dst[i:], binary.BigEndian.Uint64(src[n-8-i:]))
+	}
+	for ; i < n; i++ {
+		dst[i] = src[n-1-i]
+	}
+	return dst
 }
 
 // scoreBufs is one score width's rotating antidiagonal buffers: the three
@@ -113,6 +168,8 @@ type Workspace struct {
 	// Narrow-tier (int16) buffers; allocated only when a narrow sweep
 	// actually runs, so wide-only workloads pay nothing.
 	narrow scoreBufs[int16]
+	// hq and vq stage the reversed operand copies of operands.
+	hq, vq []byte
 	// tb is the recording sweeps' direction state (window index, packed
 	// direction codes); see traceback.go. Untouched by the score pass.
 	tb tracer
@@ -122,30 +179,34 @@ type Workspace struct {
 // The saturation guard is a value no int32 can exceed, so the sweep
 // always completes.
 func (w *Workspace) sweepWide(h, v View, p Params) Result {
-	r, _ := sweep(&w.wide, h, v, p, negInf32, math.MaxInt32)
+	hq, vq := w.operands(h, v)
+	r, _ := sweep(&w.wide, hq, vq, p, negInf32, math.MaxInt32)
 	return r
 }
 
 // sweepNarrow runs the same sweep on int16 buffers; ok is false when the
 // saturation guard fired and the caller must promote to the wide tier.
 func (w *Workspace) sweepNarrow(h, v View, p Params) (Result, bool) {
-	r, ok := sweep(&w.narrow, h, v, p, negInf16, satGuard16)
+	hq, vq := w.operands(h, v)
+	r, ok := sweep(&w.narrow, hq, vq, p, negInf16, satGuard16)
 	r.Stats.Narrow = ok
 	return r, ok
 }
 
 // sweep dispatches on the recurrence: one affine sweep, one linear sweep
-// that serves both the Restricted2 and the Standard3 buffer layout.
-func sweep[S score](b *scoreBufs[S], h, v View, p Params, negInf, guard S) (Result, bool) {
+// that serves both the Restricted2 and the Standard3 buffer layout. hq
+// and vq are the sweep-order operands (see operands).
+func sweep[S score](b *scoreBufs[S], hq, vq []byte, p Params, negInf, guard S) (Result, bool) {
 	if p.Algo == AlgoAffine {
-		return affineSweep(b, h, v, p, negInf, guard)
+		return affineSweep(b, hq, vq, p, negInf, guard)
 	}
-	return linearSweep(b, h, v, p, negInf, guard)
+	return linearSweep(b, hq, vq, p, negInf, guard)
 }
 
 // statAcc accumulates the per-antidiagonal trace counters in plain locals
-// so the kernel inner loops touch registers, not Stats memory; kernels
-// flush it into the Result once per extension.
+// so the kernel inner loops touch registers, not Stats memory; every sweep
+// (the Reference oracle included) flushes it into the Result once per
+// extension.
 type statAcc struct {
 	antid               int
 	cells               int64
@@ -156,8 +217,8 @@ type statAcc struct {
 func (a *statAcc) observe(computedWidth, liveWidth int) {
 	a.antid++
 	a.cells += int64(computedWidth)
-	a.chunks32 += int64((computedWidth + 31) / 32)
-	a.chunks128 += int64((computedWidth + 127) / 128)
+	a.chunks32 += int64(uint(computedWidth+31) >> 5)
+	a.chunks128 += int64(uint(computedWidth+127) >> 7)
 	if liveWidth > a.maxLive {
 		a.maxLive = liveWidth
 	}

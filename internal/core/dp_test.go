@@ -46,7 +46,7 @@ func reversed(b []byte) []byte {
 }
 
 // TestOptimizedVariantsMatchReference is the fuzz-style equivalence
-// property for the branch-specialized int32 kernels: on random DNA and
+// property for the int32 kernels: on random DNA and
 // protein pairs, under forward AND reversed views, every optimized
 // variant must reproduce the full-matrix Reference oracle exactly —
 // Score, EndH/EndV and Stats.Cells. (Reference itself consumes the views
@@ -77,7 +77,7 @@ func TestOptimizedVariantsMatchReference(t *testing.T) {
 			hv, vv = NewView(hs), NewView(vs)
 		case 1:
 			hv, vv = NewReversedView(hs), NewReversedView(vs)
-		case 2: // mixed directions: the generic cursor fallback loops
+		case 2: // mixed directions: no staged operand copy, or two
 			hv, vv = NewView(hs), NewReversedView(vs)
 		default:
 			hv, vv = NewReversedView(hs), NewView(vs)
@@ -119,7 +119,7 @@ func TestAffineZeroOpenMatchesReference(t *testing.T) {
 			hv, vv = NewView(hs), NewView(vs)
 		case 1:
 			hv, vv = NewReversedView(hs), NewReversedView(vs)
-		case 2: // mixed directions: the generic cursor fallback loops
+		case 2: // mixed directions: no staged operand copy, or two
 			hv, vv = NewView(hs), NewReversedView(vs)
 		default:
 			hv, vv = NewReversedView(hs), NewView(vs)
@@ -139,8 +139,8 @@ func TestAffineZeroOpenMatchesReference(t *testing.T) {
 	}
 }
 
-// TestReversedViewsMatchMaterialised pins the direction-specialized
-// loops: running any variant on reversed views must equal running it on
+// TestReversedViewsMatchMaterialised pins the operand staging: running
+// any variant on reversed views must equal running it on
 // materialised reversed byte slices, including the full execution trace.
 func TestReversedViewsMatchMaterialised(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))

@@ -6,7 +6,7 @@ package core
 // one sweep delivers the Result and the Trace, no second pass) and
 // two-pass (Traceback*: the score sweep ran first, this is the second
 // pass and only its Trace is kept). The loops are structured like the
-// score sweeps (NegInf-padded rotating buffers, resolved byte-row slices,
+// score sweeps (NegInf-padded rotating buffers, sweep-order operands,
 // peeled boundaries, fringe-scan liveness recovery, statAcc counters) so
 // recording costs roughly one sweep — and the returned Result is
 // bit-identical to the score sweeps' in every field, including the trace
@@ -128,9 +128,7 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 
 	tab := p.Scorer.Table()
 	gap := int32(p.Gap)
-	hb, vb := h.data, v.data
-	hStep, hOrg := h.dir()
-	vStep, vD, vOrg := v.vdir()
+	hq, vq := w.operands(h, v)
 
 	out, d1b, d2b := w.wide.b0, w.wide.b1, w.wide.b2
 	seedDiag(d1b, 0, negInf32)
@@ -147,7 +145,7 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 
 	best, t := int32(0), int32(0)
 	bestI, bestD := 0, 0
-	rowBestI := 0
+	d1best := int32(0) // the maximum of antidiagonal d−1
 
 	for d := 1; d <= m+n; d++ {
 		cl := max(d1lo, max(0, d-n))
@@ -159,7 +157,7 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 			// The δb clamp, re-centred on the previous antidiagonal's
 			// best cell — identical to Restricted2's realignment rule.
 			res.Stats.Clamped = true
-			ncl := rowBestI - capacity/2
+			ncl := d1lo + firstEq(d1b[d1lo+bufPad-d1cl:], d1best) - capacity/2
 			if ncl < cl {
 				ncl = cl
 			}
@@ -209,89 +207,32 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 			d2v := d2b[kbase-1+o2:][:cnt]
 			d1r := d1b[kbase+o1:][:cnt]
 			dlv := d1b[kbase-1+o1]
-			switch {
-			case !h.rev && !v.rev:
-				hRow := hb[kbase-1:][:cnt]
-				vRow := vb[d-kbase-cnt:][:cnt]
-				for k := range outRow {
-					s := d2v[k] + int32(tab[hRow[k]][vRow[cnt-1-k]])
-					c := codeDiag
-					drv := d1r[k]
-					// The score sweeps take the gap branch only when it
-					// strictly beats the diagonal; between the two gap
-					// sources up wins ties.
-					if g := max(dlv, drv) + gap; g > s {
-						s = g
-						if dlv >= drv {
-							c = codeUp
-						} else {
-							c = codeLeft
-						}
+			hRow := hq[kbase-1:][:cnt]
+			vRow := vq[n-d+kbase:][:cnt]
+			for k := range outRow {
+				s := d2v[k] + int32(tab[hRow[k]][vRow[k]])
+				c := codeDiag
+				drv := d1r[k]
+				// The score sweeps take the gap branch only when it
+				// strictly beats the diagonal; between the two gap
+				// sources up wins ties.
+				if g := max(dlv, drv) + gap; g > s {
+					s = g
+					if dlv >= drv {
+						c = codeUp
+					} else {
+						c = codeLeft
 					}
-					dlv = drv
-					if s < limit {
-						s, c = negInf32, codeNone
-					}
-					if s > rowBest {
-						rowBest = s
-					}
-					outRow[k] = s
-					codeRow[k] = c
 				}
-			case h.rev && v.rev:
-				hRow := hb[m-kbase-cnt+1:][:cnt]
-				vRow := vb[n-d+kbase:][:cnt]
-				for k := range outRow {
-					s := d2v[k] + int32(tab[hRow[cnt-1-k]][vRow[k]])
-					c := codeDiag
-					drv := d1r[k]
-					if g := max(dlv, drv) + gap; g > s {
-						s = g
-						if dlv >= drv {
-							c = codeUp
-						} else {
-							c = codeLeft
-						}
-					}
-					dlv = drv
-					if s < limit {
-						s, c = negInf32, codeNone
-					}
-					if s > rowBest {
-						rowBest = s
-					}
-					outRow[k] = s
-					codeRow[k] = c
+				dlv = drv
+				if s < limit {
+					s, c = negInf32, codeNone
 				}
-			default:
-				// Mixed-direction views (never produced by the seed
-				// extension paths): generic index cursors.
-				hIdx := hOrg + hStep*kbase
-				vIdx := vOrg + vD*d + vStep*kbase
-				for k := range outRow {
-					s := d2v[k] + int32(tab[hb[hIdx]][vb[vIdx]])
-					hIdx += hStep
-					vIdx += vStep
-					c := codeDiag
-					drv := d1r[k]
-					if g := max(dlv, drv) + gap; g > s {
-						s = g
-						if dlv >= drv {
-							c = codeUp
-						} else {
-							c = codeLeft
-						}
-					}
-					dlv = drv
-					if s < limit {
-						s, c = negInf32, codeNone
-					}
-					if s > rowBest {
-						rowBest = s
-					}
-					outRow[k] = s
-					codeRow[k] = c
+				if s > rowBest {
+					rowBest = s
 				}
+				outRow[k] = s
+				codeRow[k] = c
 			}
 			i = iB + 1
 		}
@@ -311,9 +252,9 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 		setGuards(out, width, negInf32)
 		tb.packRow(dbase, codes)
 
-		// Recover the live sub-window and the row argmax from the
-		// stored row, exactly like the score kernels (the equality scan
-		// stops at the first argmax — first-wins tie-breaking).
+		// Recover the live sub-window from the stored row and, when the
+		// row sets a new best, its first argmax — exactly like the score
+		// kernels.
 		row := out[bufPad:][:width]
 		lo, hi := -1, -1
 		for k := 0; k < width; k++ {
@@ -322,17 +263,10 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 				break
 			}
 		}
-		rowBestI = -1
 		if lo >= 0 {
 			for k := width - 1; ; k-- {
 				if row[k] != negInf32 {
 					hi = cl + k
-					break
-				}
-			}
-			for k := lo - cl; ; k++ {
-				if row[k] == rowBest {
-					rowBestI = cl + k
 					break
 				}
 			}
@@ -347,11 +281,12 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 			break
 		}
 		if rowBest > best {
-			best, bestI, bestD = rowBest, rowBestI, d
+			best, bestI, bestD = rowBest, lo+firstEq(row[lo-cl:], rowBest), d
 		}
 		if rowBest > t {
 			t = rowBest
 		}
+		d1best = rowBest
 		out, d1b, d2b = d2b, out, d1b
 		d2cl = d1cl
 		d1cl, d1lo, d1hi = cl, lo, hi
@@ -397,9 +332,7 @@ func (w *Workspace) fusedAffine(h, v View, p Params) (Result, Trace, error) {
 	gape := int32(p.Gap)
 	gapo := int32(p.GapOpen)
 	goe := gapo + gape
-	hb, vb := h.data, v.data
-	hStep, hOrg := h.dir()
-	vStep, vD, vOrg := v.vdir()
+	hq, vq := w.operands(h, v)
 
 	d1h, d1e, d1f := w.wide.b1, w.wide.e1, w.wide.f1
 	d2h := w.wide.b2
@@ -475,129 +408,44 @@ func (w *Workspace) fusedAffine(h, v View, p Params) (Result, Trace, error) {
 			d1fr := d1f[kbase+o1:][:cnt]
 			hlv := d1h[kbase-1+o1]
 			flv := d1f[kbase-1+o1]
-			switch {
-			case !h.rev && !v.rev:
-				hRow := hb[kbase-1:][:cnt]
-				vRow := vb[d-kbase-cnt:][:cnt]
-				for k := range ohRow {
-					hrv := d1hr[k]
-					erv := d1er[k]
-					e := max(erv+gape, hrv+goe)
-					var c byte
-					if erv+gape >= hrv+goe {
-						c = afEExt
-					}
-					f := max(flv+gape, hlv+goe)
-					if flv+gape >= hlv+goe {
-						c |= afFExt
-					}
-					flv = d1fr[k]
-					s := d2v[k] + int32(tab[hRow[k]][vRow[cnt-1-k]])
-					hlv = hrv
-					src := afSrcDiag
-					if e > s {
-						s = e
-						src = afSrcE
-					}
-					if f > s {
-						s = f
-						src = afSrcF
-					}
-					if s < limit {
-						s = negInf32
-						src = 0
-					}
-					if e < limit {
-						e = negInf32
-					}
-					if f < limit {
-						f = negInf32
-					}
-					ohRow[k], oeRow[k], ofRow[k] = s, e, f
-					codeRow[k] = c | src
+			hRow := hq[kbase-1:][:cnt]
+			vRow := vq[n-d+kbase:][:cnt]
+			for k := range ohRow {
+				hrv := d1hr[k]
+				erv := d1er[k]
+				e := max(erv+gape, hrv+goe)
+				var c byte
+				if erv+gape >= hrv+goe {
+					c = afEExt
 				}
-			case h.rev && v.rev:
-				hRow := hb[m-kbase-cnt+1:][:cnt]
-				vRow := vb[n-d+kbase:][:cnt]
-				for k := range ohRow {
-					hrv := d1hr[k]
-					erv := d1er[k]
-					e := max(erv+gape, hrv+goe)
-					var c byte
-					if erv+gape >= hrv+goe {
-						c = afEExt
-					}
-					f := max(flv+gape, hlv+goe)
-					if flv+gape >= hlv+goe {
-						c |= afFExt
-					}
-					flv = d1fr[k]
-					s := d2v[k] + int32(tab[hRow[cnt-1-k]][vRow[k]])
-					hlv = hrv
-					src := afSrcDiag
-					if e > s {
-						s = e
-						src = afSrcE
-					}
-					if f > s {
-						s = f
-						src = afSrcF
-					}
-					if s < limit {
-						s = negInf32
-						src = 0
-					}
-					if e < limit {
-						e = negInf32
-					}
-					if f < limit {
-						f = negInf32
-					}
-					ohRow[k], oeRow[k], ofRow[k] = s, e, f
-					codeRow[k] = c | src
+				f := max(flv+gape, hlv+goe)
+				if flv+gape >= hlv+goe {
+					c |= afFExt
 				}
-			default:
-				hIdx := hOrg + hStep*kbase
-				vIdx := vOrg + vD*d + vStep*kbase
-				for k := range ohRow {
-					hrv := d1hr[k]
-					erv := d1er[k]
-					e := max(erv+gape, hrv+goe)
-					var c byte
-					if erv+gape >= hrv+goe {
-						c = afEExt
-					}
-					f := max(flv+gape, hlv+goe)
-					if flv+gape >= hlv+goe {
-						c |= afFExt
-					}
-					flv = d1fr[k]
-					s := d2v[k] + int32(tab[hb[hIdx]][vb[vIdx]])
-					hIdx += hStep
-					vIdx += vStep
-					hlv = hrv
-					src := afSrcDiag
-					if e > s {
-						s = e
-						src = afSrcE
-					}
-					if f > s {
-						s = f
-						src = afSrcF
-					}
-					if s < limit {
-						s = negInf32
-						src = 0
-					}
-					if e < limit {
-						e = negInf32
-					}
-					if f < limit {
-						f = negInf32
-					}
-					ohRow[k], oeRow[k], ofRow[k] = s, e, f
-					codeRow[k] = c | src
+				flv = d1fr[k]
+				s := d2v[k] + int32(tab[hRow[k]][vRow[k]])
+				hlv = hrv
+				src := afSrcDiag
+				if e > s {
+					s = e
+					src = afSrcE
 				}
+				if f > s {
+					s = f
+					src = afSrcF
+				}
+				if s < limit {
+					s = negInf32
+					src = 0
+				}
+				if e < limit {
+					e = negInf32
+				}
+				if f < limit {
+					f = negInf32
+				}
+				ohRow[k], oeRow[k], ofRow[k] = s, e, f
+				codeRow[k] = c | src
 			}
 			i = iB + 1
 		}

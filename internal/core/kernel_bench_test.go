@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/sram-align/xdropipu/internal/scoring"
+	"github.com/sram-align/xdropipu/internal/synth"
 )
 
 // Kernel-level micro-benchmarks: single-core Mcells/s of each variant at
@@ -52,18 +53,69 @@ func BenchmarkKernelStandard3Narrow(b *testing.B)   { benchKernel(b, AlgoStandar
 func BenchmarkKernelAffineWide(b *testing.B)        { benchKernel(b, AlgoAffine, 0, TierWide) }
 func BenchmarkKernelAffineNarrow(b *testing.B)      { benchKernel(b, AlgoAffine, 0, TierNarrow) }
 
+// benchKernelLongread measures the regime the benchmark's longread_cold
+// workload runs in: many mid-length extensions of noisy read pairs (mean
+// computed band ≈ 24 cells, so per-antidiagonal fixed cost counts), half
+// through forward and half through reversed views like the two sides of a
+// seed extension. The 2000 bp / 15 % pair above never takes reversed
+// views and runs a narrower band.
+func benchKernelLongread(b *testing.B, algo Algo, tier Tier) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(43))
+	noisy := synth.MutationProfile{Sub: 0.02, Ins: 0.02, Del: 0.02, Burst: 0.003, BurstLen: 24}
+	type pair struct{ h, v View }
+	pairs := make([]pair, 64)
+	for i := range pairs {
+		// Two reads of one locus under longread_cold's error profile.
+		g := randDNA(rng, 600+rng.Intn(601))
+		h, v := noisy.Apply(rng, g), noisy.Apply(rng, g)
+		if i%2 == 0 {
+			pairs[i] = pair{NewView(h), NewView(v)}
+		} else {
+			pairs[i] = pair{NewReversedView(reversed(h)), NewReversedView(reversed(v))}
+		}
+	}
+	p := Params{Scorer: scoring.DNADefault, Gap: -1, X: 15, DeltaB: 256, Algo: algo, Tier: tier}
+	var ws Workspace
+	for _, pr := range pairs {
+		ws.align(pr.h, pr.v, p)
+	}
+	var cells, antid int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, pr := range pairs {
+			r := ws.align(pr.h, pr.v, p)
+			cells += r.Stats.Cells
+			antid += int64(r.Stats.Antidiagonals)
+		}
+	}
+	b.ReportMetric(float64(cells)/b.Elapsed().Seconds()/1e6, "Mcells/s")
+	b.ReportMetric(float64(cells)/float64(antid), "band")
+}
+
+func BenchmarkKernelLongread(b *testing.B) {
+	b.Run("Restricted2Wide", func(b *testing.B) { benchKernelLongread(b, AlgoRestricted2, TierWide) })
+	b.Run("Standard3Wide", func(b *testing.B) { benchKernelLongread(b, AlgoStandard3, TierWide) })
+	b.Run("Restricted2Narrow", func(b *testing.B) { benchKernelLongread(b, AlgoRestricted2, TierNarrow) })
+}
+
 // TestKernelLoopsAllocationFree pins the alloc regression: with a warm
-// workspace, no variant may allocate per extension on either tier.
+// workspace, no variant may allocate per extension on either tier — under
+// any view direction, so the staged operand copies (forward/forward
+// reverses v, reversed/reversed h, reversed/forward both) are reused too.
 func TestKernelLoopsAllocationFree(t *testing.T) {
 	h, v := benchKernelPair(2000, 0.15)
-	hv, vv := NewView(h), NewView(v)
-	for _, algo := range []Algo{AlgoRestricted2, AlgoStandard3, AlgoAffine} {
-		for _, tier := range []Tier{TierWide, TierNarrow, TierAuto} {
-			p := Params{Scorer: scoring.DNADefault, Gap: -1, GapOpen: -2, X: 15, DeltaB: 256, Algo: algo, Tier: tier}
-			var ws Workspace
-			ws.align(hv, vv, p)
-			if n := testing.AllocsPerRun(10, func() { ws.align(hv, vv, p) }); n != 0 {
-				t.Errorf("%v/%v: %.0f allocs per warm extension, want 0", algo, tier, n)
+	for _, dir := range []struct{ hRev, vRev bool }{{false, false}, {true, true}, {false, true}, {true, false}} {
+		hv, vv := View{h, dir.hRev}, View{v, dir.vRev}
+		for _, algo := range []Algo{AlgoRestricted2, AlgoStandard3, AlgoAffine} {
+			for _, tier := range []Tier{TierWide, TierNarrow, TierAuto} {
+				p := Params{Scorer: scoring.DNADefault, Gap: -1, GapOpen: -2, X: 15, DeltaB: 256, Algo: algo, Tier: tier}
+				var ws Workspace
+				ws.align(hv, vv, p)
+				if n := testing.AllocsPerRun(10, func() { ws.align(hv, vv, p) }); n != 0 {
+					t.Errorf("%v/%v h.rev=%v v.rev=%v: %.0f allocs per warm extension, want 0", algo, tier, dir.hRev, dir.vRev, n)
+				}
 			}
 		}
 	}

@@ -72,20 +72,31 @@ func linearCapacity(m, n int, p Params) int {
 // buffers touched. The carry is then redundant but harmless, and with
 // δb ≥ δw the two layouts compute identical cells (§6.1).
 //
-// The sweep runs on NegInf-padded buffers (see dp.go): the view direction
-// is resolved to byte-row slices once per extension, the i=0 and j=0
-// boundary cells are peeled out of the inner loop, and interior cells
-// read their neighbors through exact-length row slices with no direction
-// branches and no window checks. The live sub-window is recovered by
-// scanning the stored row's pruned fringes instead of branching on
-// liveness per cell, and trace counters accumulate in locals (statAcc),
-// flushed once at the end.
+// The sweep runs on NegInf-padded buffers (see dp.go) and on operands
+// laid out in sweep order (Workspace.operands): hq and vq both run
+// unit-stride upward along an antidiagonal whatever the view directions
+// were, so there is one inner loop. The i=0 and j=0 boundary cells are
+// peeled out of it, and interior cells read their neighbors through
+// exact-length row slices with no window checks. The live sub-window is
+// recovered by scanning the stored row's pruned fringes instead of
+// branching on liveness per cell, the row's argmax only when the row sets
+// a new best (or the δb clamp needs the previous one), and trace counters
+// accumulate in locals (statAcc), flushed once at the end.
+//
+// Row bodies. The inlined Go loop below is the recurrence for both score
+// widths. On amd64 with AVX2 (rowVec; see row_amd64.go) the int32
+// instantiation hands the whole vectors of any row of at least rowLanes
+// interior cells to rowLinearVec, eight cells per instruction, and the Go
+// loop finishes the remainder from the carried diagonal predecessor; the
+// int16 tier, other GOARCHes, the purego build tag and shorter rows run
+// the Go loop alone. Both bodies store identical rows, so nothing
+// downstream — results, Stats, KernelFingerprint, caches — knows which ran.
 //
 // ok is false when an antidiagonal's best value exceeded guard (int16
 // saturation, see tier.go): the partial attempt is void and the caller
 // must re-run on the wide tier.
-func linearSweep[S score](b *scoreBufs[S], h, v View, p Params, negInf, guard S) (Result, bool) {
-	m, n := h.Len(), v.Len()
+func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p Params, negInf, guard S) (Result, bool) {
+	m, n := len(hq), len(vq)
 	capacity := linearCapacity(m, n, p)
 	inPlace := p.Algo != AlgoStandard3
 	b.b1 = growBuf(b.b1, capacity)
@@ -109,9 +120,6 @@ func linearSweep[S score](b *scoreBufs[S], h, v View, p Params, negInf, guard S)
 
 	tab := p.Scorer.Table()
 	gap := S(p.Gap)
-	hb, vb := h.data, v.data
-	hStep, hOrg := h.dir()
-	vStep, vD, vOrg := v.vdir()
 
 	seedDiag(d1b, 0, negInf)
 	seedDiag(d2b, negInf, negInf)
@@ -123,7 +131,7 @@ func linearSweep[S score](b *scoreBufs[S], h, v View, p Params, negInf, guard S)
 
 	best, t := S(0), S(0)
 	bestI, bestD := 0, 0
-	rowBestI := 0
+	d1best := S(0) // the maximum of antidiagonal d−1
 
 	for d := 1; d <= m+n; d++ {
 		cl := max(d1lo, max(0, d-n))
@@ -137,7 +145,7 @@ func linearSweep[S score](b *scoreBufs[S], h, v View, p Params, negInf, guard S)
 			// "constantly realigned to the active iteration
 			// position that stores the best score").
 			res.Stats.Clamped = true
-			ncl := rowBestI - capacity/2
+			ncl := d1lo + firstEq(d1b[d1lo+bufPad-d1cl:], d1best) - capacity/2
 			if ncl < cl {
 				ncl = cl
 			}
@@ -150,9 +158,8 @@ func linearSweep[S score](b *scoreBufs[S], h, v View, p Params, negInf, guard S)
 
 		limit := pruneLimit(t, p.X, negInf)
 		// rowBest tracks only the value in the hot loops (a single
-		// compare-and-move); its index is recovered afterwards by an
-		// equality scan that stops at the first argmax, matching the
-		// first-wins tie-breaking of a scalar best chain.
+		// compare-and-move); its index is recovered by firstEq, and only
+		// when needed.
 		rowBest := negInf
 		lo, hi := -1, -1
 		o1 := bufPad - d1cl
@@ -185,142 +192,73 @@ func linearSweep[S score](b *scoreBufs[S], h, v View, p Params, negInf, guard S)
 		if cnt := iB - i + 1; cnt > 0 {
 			base := i
 			// Exact-length row slices: the compiler proves almost all
-			// k accesses in range, so the inner loops are close to
+			// k accesses in range, so the inner loop is close to
 			// bounds-check-free. In place, outRow aliases d2v shifted
-			// left by cl−d2cl cells; wnew is read before outRow[k] is
+			// left by cl−d2cl cells; d2v[k] is read before outRow[k] is
 			// stored, and writes trail reads because cl never decreases.
 			outRow := out[base+oo:][:cnt]
 			d2v := d2b[base+o2:][:cnt]
 			d1r := d1b[base+o1:][:cnt]
 			dlv := d1b[base-1+o1]
-			switch {
-			case !h.rev && !v.rev:
-				hRow := hb[base-1:][:cnt]
-				vRow := vb[d-base-cnt:][:cnt]
-				// Two cells per iteration: both d−2 reads issue before
-				// the pair of in-place stores, so the may-alias
-				// load/store pairs serialize half as often.
-				k := 0
-				for ; k+1 < cnt; k += 2 {
-					w0, w1 := d2v[k], d2v[k+1]
-					s0 := wlast + S(tab[hRow[k]][vRow[cnt-1-k]])
-					drv0 := d1r[k]
-					if g := max(dlv, drv0) + gap; g > s0 {
-						s0 = g
-					}
-					if s0 < limit {
-						s0 = negInf
-					}
-					if s0 > rowBest {
-						rowBest = s0
-					}
-					outRow[k] = s0
-					s1 := w0 + S(tab[hRow[k+1]][vRow[cnt-2-k]])
-					drv1 := d1r[k+1]
-					if g := max(drv0, drv1) + gap; g > s1 {
-						s1 = g
-					}
-					if s1 < limit {
-						s1 = negInf
-					}
-					if s1 > rowBest {
-						rowBest = s1
-					}
-					outRow[k+1] = s1
-					dlv = drv1
-					wlast = w1
+			hRow := hq[base-1:][:cnt]
+			vRow := vq[n-d+base:][:cnt]
+			k := 0
+			if rowVec && unsafe.Sizeof(negInf) == 4 && cnt >= rowLanes {
+				// Whole vectors of the int32 row go through the vector
+				// body; the loop below finishes the remainder from the
+				// carried diagonal predecessor.
+				k = cnt &^ (rowLanes - 1)
+				vbest, carry := rowLinearVec(
+					(*int32)(unsafe.Pointer(&outRow[0])), (*int32)(unsafe.Pointer(&d2v[0])),
+					(*int32)(unsafe.Pointer(&d1r[0])), &hRow[0], &vRow[0], tab, k,
+					int32(wlast), int32(gap), int32(limit))
+				rowBest = max(rowBest, S(vbest))
+				wlast, dlv = S(carry), d1r[k-1]
+			}
+			// Two cells per iteration: both d−2 reads issue before the
+			// pair of in-place stores, so the may-alias load/store pairs
+			// serialize half as often.
+			for ; k+1 < cnt; k += 2 {
+				w0, w1 := d2v[k], d2v[k+1]
+				s0 := wlast + S(tab[hRow[k]][vRow[k]])
+				drv0 := d1r[k]
+				if g := max(dlv, drv0) + gap; g > s0 {
+					s0 = g
 				}
-				if k < cnt {
-					wnew := d2v[k]
-					s := wlast + S(tab[hRow[k]][vRow[cnt-1-k]])
-					drv := d1r[k]
-					if g := max(dlv, drv) + gap; g > s {
-						s = g
-					}
-					dlv = drv
-					if s < limit {
-						s = negInf
-					}
-					if s > rowBest {
-						rowBest = s
-					}
-					outRow[k] = s
-					wlast = wnew
+				if s0 < limit {
+					s0 = negInf
 				}
-			case h.rev && v.rev:
-				hRow := hb[m-base-cnt+1:][:cnt]
-				vRow := vb[n-d+base:][:cnt]
-				k := 0
-				for ; k+1 < cnt; k += 2 {
-					w0, w1 := d2v[k], d2v[k+1]
-					s0 := wlast + S(tab[hRow[cnt-1-k]][vRow[k]])
-					drv0 := d1r[k]
-					if g := max(dlv, drv0) + gap; g > s0 {
-						s0 = g
-					}
-					if s0 < limit {
-						s0 = negInf
-					}
-					if s0 > rowBest {
-						rowBest = s0
-					}
-					outRow[k] = s0
-					s1 := w0 + S(tab[hRow[cnt-2-k]][vRow[k+1]])
-					drv1 := d1r[k+1]
-					if g := max(drv0, drv1) + gap; g > s1 {
-						s1 = g
-					}
-					if s1 < limit {
-						s1 = negInf
-					}
-					if s1 > rowBest {
-						rowBest = s1
-					}
-					outRow[k+1] = s1
-					dlv = drv1
-					wlast = w1
+				if s0 > rowBest {
+					rowBest = s0
 				}
-				if k < cnt {
-					wnew := d2v[k]
-					s := wlast + S(tab[hRow[cnt-1-k]][vRow[k]])
-					drv := d1r[k]
-					if g := max(dlv, drv) + gap; g > s {
-						s = g
-					}
-					dlv = drv
-					if s < limit {
-						s = negInf
-					}
-					if s > rowBest {
-						rowBest = s
-					}
-					outRow[k] = s
-					wlast = wnew
+				outRow[k] = s0
+				s1 := w0 + S(tab[hRow[k+1]][vRow[k+1]])
+				drv1 := d1r[k+1]
+				if g := max(drv0, drv1) + gap; g > s1 {
+					s1 = g
 				}
-			default:
-				// Mixed-direction views (never produced by the seed
-				// extension paths): generic index cursors.
-				hIdx := hOrg + hStep*base
-				vIdx := vOrg + vD*d + vStep*base
-				for k := range outRow {
-					wnew := d2v[k]
-					s := wlast + S(tab[hb[hIdx]][vb[vIdx]])
-					hIdx += hStep
-					vIdx += vStep
-					drv := d1r[k]
-					if g := max(dlv, drv) + gap; g > s {
-						s = g
-					}
-					dlv = drv
-					if s < limit {
-						s = negInf
-					}
-					if s > rowBest {
-						rowBest = s
-					}
-					outRow[k] = s
-					wlast = wnew
+				if s1 < limit {
+					s1 = negInf
 				}
+				if s1 > rowBest {
+					rowBest = s1
+				}
+				outRow[k+1] = s1
+				dlv = drv1
+				wlast = w1
+			}
+			if k < cnt {
+				s := wlast + S(tab[hRow[k]][vRow[k]])
+				if g := max(dlv, d1r[k]) + gap; g > s {
+					s = g
+				}
+				if s < limit {
+					s = negInf
+				}
+				if s > rowBest {
+					rowBest = s
+				}
+				outRow[k] = s
 			}
 			i = iB + 1
 		}
@@ -351,17 +289,10 @@ func linearSweep[S score](b *scoreBufs[S], h, v View, p Params, negInf, guard S)
 				break
 			}
 		}
-		rowBestI = -1
 		if lo >= 0 {
 			for k := width - 1; ; k-- {
 				if row[k] != negInf {
 					hi = cl + k
-					break
-				}
-			}
-			for k := lo - cl; ; k++ {
-				if row[k] == rowBest {
-					rowBestI = cl + k
 					break
 				}
 			}
@@ -376,11 +307,12 @@ func linearSweep[S score](b *scoreBufs[S], h, v View, p Params, negInf, guard S)
 			break
 		}
 		if rowBest > best {
-			best, bestI, bestD = rowBest, rowBestI, d
+			best, bestI, bestD = rowBest, lo+firstEq(row[lo-cl:], rowBest), d
 		}
 		if rowBest > t {
 			t = rowBest
 		}
+		d1best = rowBest
 		// Rotate: the row just written becomes d−1 and the old d−1 becomes
 		// d−2; the next write target is the old d−2 buffer — which in
 		// place is the new d−2 itself.

@@ -64,7 +64,8 @@ func ReferenceMatrix(h, v View, p Params) (*Matrix, Result) {
 	at := func(i, j int) int { return mx.scores[i*stride+j] }
 
 	set(0, 0, 0)
-	res.Stats.observe(1, 1)
+	var acc statAcc
+	acc.observe(1, 1)
 
 	best, bestI, bestD := 0, 0, 0
 	t := 0
@@ -111,7 +112,7 @@ func ReferenceMatrix(h, v View, p Params) (*Matrix, Result) {
 		if lo >= 0 {
 			liveW = hi - lo + 1
 		}
-		res.Stats.observe(cu-cl+1, liveW)
+		acc.observe(cu-cl+1, liveW)
 		if lo < 0 {
 			break
 		}
@@ -123,6 +124,7 @@ func ReferenceMatrix(h, v View, p Params) (*Matrix, Result) {
 		}
 	}
 
+	acc.flush(&res.Stats)
 	res.Score = best
 	res.EndH = bestI
 	res.EndV = bestD - bestI

@@ -105,7 +105,7 @@ func TestChaosMatrix(t *testing.T) {
 				WithFaultPlan(plan),
 			}
 			if tc.cache {
-				opts = append(opts, WithResultCache(1 << 14))
+				opts = append(opts, WithResultCache(1<<14))
 			}
 			e := New(opts...)
 			jobs := 1

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strconv"
 
+	"github.com/sram-align/xdropipu/internal/core"
 	"github.com/sram-align/xdropipu/internal/engine"
 	"github.com/sram-align/xdropipu/internal/metrics"
 )
@@ -40,6 +41,10 @@ type StatsReply struct {
 	Totals ShardSnapshot `json:"totals"`
 	// TrackedJobs counts jobs currently addressable (live + retained).
 	TrackedJobs int `json:"trackedJobs"`
+	// KernelISA names the row body this host runs the linear int32 sweep
+	// with (core.RowISA: "avx2" or "generic"). Results do not depend on
+	// it; throughput does.
+	KernelISA string `json:"kernelISA"`
 }
 
 func (s *Server) snapshotShards() []ShardSnapshot {
@@ -98,6 +103,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(StatsReply{
 		Tenants: tenants, Shards: shards, Totals: tot, TrackedJobs: tracked,
+		KernelISA: core.RowISA(),
 	})
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/sram-align/xdropipu/internal/core"
 	"github.com/sram-align/xdropipu/internal/engine"
 	"github.com/sram-align/xdropipu/internal/service"
 	"github.com/sram-align/xdropipu/internal/service/wire"
@@ -59,6 +60,9 @@ func TestServiceStatsAndMetricsExposition(t *testing.T) {
 	}
 	if len(stats.Shards) != 2 {
 		t.Fatalf("stats carry %d shards, want 2", len(stats.Shards))
+	}
+	if stats.KernelISA == "" || stats.KernelISA != core.RowISA() {
+		t.Fatalf("stats kernelISA = %q, want %q", stats.KernelISA, core.RowISA())
 	}
 	a := stats.Tenants["alpha"]
 	if a.Submitted != 2 || a.Completed != 2 || a.Live != 0 {
