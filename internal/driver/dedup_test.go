@@ -179,7 +179,7 @@ func TestDedupFuzzEquivalence(t *testing.T) {
 // TestKernelSkippedWorkAccounting pins the ipukernel side of dedup
 // accounting: across a dedup'd build, the batches' DedupSkippedJobs must
 // sum to exactly the duplicates the dedup map collapsed, and
-// DedupSkippedCells to the duplicate rows' |H|·|V| volume.
+// SkippedTheoreticalCells to the duplicate rows' |H|·|V| volume.
 func TestKernelSkippedWorkAccounting(t *testing.T) {
 	ds := goldenDatasets(t)
 	d := duplicated(ds["uniform"], 3)
@@ -199,7 +199,7 @@ func TestKernelSkippedWorkAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 		skippedJobs += res.DedupSkippedJobs
-		skippedCells += res.DedupSkippedCells
+		skippedCells += res.SkippedTheoreticalCells
 	}
 	wantJobs := len(d.Comparisons) - len(ds["uniform"].Comparisons)
 	if skippedJobs != wantJobs {

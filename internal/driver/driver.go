@@ -227,31 +227,10 @@ type Plan struct {
 	tiles   int
 	results []ipukernel.AlignOut
 	batches []batchTiming
-	// aggregates
-	deviceCompute    float64
-	hostBytesIn      int64
-	uniqueSeqIn      int64
-	hostBytesOut     int64
-	theoretical      int64
-	cells            int64
-	sumBand          int64
-	antidiags        int64
-	races, stealOps  int
-	clamped, maxSRAM int
-	reuseFactor      float64
-	// dedup / cache accounting
-	uniqueExtensions     int
-	dedupedComparisons   int
-	cacheHits, cacheMiss int
-	skippedCells         int64
-	// traceback accounting
-	peakTraceBytes        int
-	traceBytes            int64
-	tracedExt, skippedExt int
-	// kernel-tier accounting
-	narrowExt, wideExt, promotedExt int
-	// degraded completion accounting
-	partialFailures int
+	// sum is the schedule-independent part of every Report: the batches'
+	// counters merged, plus the plan-level accounting. Schedule copies it
+	// whole and sets IPUs, WallSeconds and TransferSeconds.
+	sum Summary
 }
 
 type batchTiming struct {
@@ -260,83 +239,60 @@ type batchTiming struct {
 	outBytes int64
 }
 
-// Report is the outcome of one scheduled run.
-type Report struct {
-	// Results holds one entry per comparison, indexed like the dataset's
-	// comparison list.
-	Results []ipukernel.AlignOut
+// Summary is every scalar a run reports — the execution counters
+// (ipukernel.Counters, merged over the plan's batches) plus the plan- and
+// schedule-level accounting declared here. It is the report on the wire:
+// the service streams it as the final record, and Results travel in the
+// chunks. Float fields round-trip exactly (Go's JSON encoder emits
+// shortest-round-trip float64).
+type Summary struct {
 	// Batches is the number of BSP supersteps submitted.
-	Batches int
+	Batches int `json:"batches"`
 	// IPUs is the scheduled device count.
-	IPUs int
+	IPUs int `json:"ipus"`
 	// WallSeconds is the modeled end-to-end time: transfers on the
 	// shared link, compute, result return, with prefetch overlap. This
 	// is the Fig. 7 measure.
-	WallSeconds float64
+	WallSeconds float64 `json:"wallSeconds"`
 	// DeviceComputeSeconds sums on-device compute across batches — the
 	// paper's GCUPS time base for Fig. 5 (§5.1: cycles/f, no transfers).
-	DeviceComputeSeconds float64
+	DeviceComputeSeconds float64 `json:"deviceComputeSeconds"`
 	// TransferSeconds is the total busy time of the shared host link.
-	TransferSeconds float64
-	// HostBytesIn/HostBytesOut count link traffic.
-	HostBytesIn, HostBytesOut int64
-	// UniqueSeqBytesIn is the exact arena payload per §4.1: distinct slab
-	// bytes covered by the tiles' spans. The gap to HostBytesIn is what
-	// descriptor-level sequence duplication still costs on the link.
-	UniqueSeqBytesIn int64
-	// TheoreticalCells and Cells aggregate alignment traces.
-	TheoreticalCells, Cells int64
-	// SumBand and Antidiags support mean-live-band reporting.
-	SumBand, Antidiags int64
-	// Races and StealOps aggregate work-stealing behaviour.
-	Races, StealOps int
-	// Clamped counts alignments whose δb window clamped.
-	Clamped int
+	TransferSeconds float64 `json:"transferSeconds"`
+	// Counters merges the executed batches. One field carries more than
+	// their sum: SkippedTheoreticalCells also includes the volume
+	// result-cache hits kept off the device.
+	ipukernel.Counters
+	// Clamped counts alignments whose δb window clamped, over the
+	// fanned-out per-comparison results.
+	Clamped int `json:"clamped"`
 	// ReuseFactor is the partitioner's transfer saving (1 = none).
-	ReuseFactor float64
-	// MaxSRAM is the largest tile footprint seen.
-	MaxSRAM int
+	ReuseFactor float64 `json:"reuseFactor"`
 	// UniqueExtensions is the number of distinct (pair, seed) extensions
 	// behind Results — equal to len(Results) unless DedupExtensions
 	// collapsed duplicates.
-	UniqueExtensions int
+	UniqueExtensions int `json:"uniqueExtensions"`
 	// DedupedComparisons counts comparisons served by another row's
 	// extension (0 with dedup off).
-	DedupedComparisons int
+	DedupedComparisons int `json:"dedupedComparisons"`
 	// CacheHits and CacheMisses count result-cache lookups during plan
 	// building (0 without a cache).
-	CacheHits, CacheMisses int
-	// SkippedTheoreticalCells is the |H|·|V| volume dedup and the cache
-	// kept off the device: TheoreticalCells covers executed work only,
-	// and TheoreticalCells + SkippedTheoreticalCells is the per-comparison
-	// total a dedup-off run would model.
-	SkippedTheoreticalCells int64
-	// PeakTracebackBytes is the largest single-extension direction-trace
-	// footprint any tile thread held — the paper's space story measured
-	// for traceback: bounded by the live-window band (2 bits per banded
-	// cell, 4 for affine), never by the O(m·n) matrix. Zero with
-	// Config.Traceback off. TracebackBytes sums recorded trace storage
-	// over every executed extension.
-	PeakTracebackBytes int
-	TracebackBytes     int64
-	// TracedExtensions counts executed extensions that delivered a
-	// recorded trace; TraceSkippedExtensions counts ones the score gate
-	// skipped (score-only results). Disjoint; both zero with traceback
-	// off, and trace-overflow-degraded comparisons count in neither.
-	TracedExtensions       int
-	TraceSkippedExtensions int
+	CacheHits   int `json:"cacheHits"`
+	CacheMisses int `json:"cacheMisses"`
 	// PartialFailures counts comparisons that completed with a Failed
 	// placeholder instead of an alignment — quarantined work the engine's
 	// degraded partial-failure mode chose to report rather than retry
 	// forever. Zero on any non-degraded run; Results entries with Failed
 	// set carry no scores or coordinates.
-	PartialFailures int
-	// Kernel-tier accounting over executed extensions (cache-served and
-	// deduped comparisons contribute nothing — no kernel ran for them).
-	// NarrowExtensions completed on the int16 tier, PromotedExtensions
-	// saturated int16 and transparently re-ran wide, WideExtensions ran
-	// int32 outright; the three are disjoint.
-	NarrowExtensions, WideExtensions, PromotedExtensions int
+	PartialFailures int `json:"partialFailures"`
+}
+
+// Report is the outcome of one scheduled run.
+type Report struct {
+	// Results holds one entry per comparison, indexed like the dataset's
+	// comparison list.
+	Results []ipukernel.AlignOut
+	Summary
 }
 
 // GCUPS returns the paper's metric over the chosen time base.
@@ -813,20 +769,23 @@ func AssemblePlan(bp *BatchPlan, outs []*ipukernel.BatchResult) (*Plan, error) {
 		return nil, fmt.Errorf("driver: %d batch results for %d batches", len(outs), len(bp.batches))
 	}
 	p := &Plan{
-		cfg:              bp.cfg,
-		tiles:            bp.tiles,
-		results:          make([]ipukernel.AlignOut, bp.comparisons),
-		reuseFactor:      bp.reuseFactor,
-		uniqueExtensions: bp.comparisons,
-		cacheHits:        bp.cacheHits,
-		cacheMiss:        bp.cacheMisses,
-		skippedCells:     bp.cacheSkipCells,
+		cfg:     bp.cfg,
+		tiles:   bp.tiles,
+		results: make([]ipukernel.AlignOut, bp.comparisons),
+		sum: Summary{
+			Batches:          len(outs),
+			ReuseFactor:      bp.reuseFactor,
+			UniqueExtensions: bp.comparisons,
+			CacheHits:        bp.cacheHits,
+			CacheMisses:      bp.cacheMisses,
+			Counters:         ipukernel.Counters{SkippedTheoreticalCells: bp.cacheSkipCells},
+		},
 	}
 	var uniqueOut []ipukernel.AlignOut
 	var have []bool
 	if bp.dedup != nil {
-		p.uniqueExtensions = bp.dedup.Unique()
-		p.dedupedComparisons = bp.dedup.Duplicates()
+		p.sum.UniqueExtensions = bp.dedup.Unique()
+		p.sum.DedupedComparisons = bp.dedup.Duplicates()
 		uniqueOut = make([]ipukernel.AlignOut, bp.dedup.Unique())
 		have = make([]bool, bp.dedup.Unique())
 		for uid, out := range bp.cachedOuts {
@@ -853,7 +812,7 @@ func AssemblePlan(bp *BatchPlan, outs []*ipukernel.BatchResult) (*Plan, error) {
 			}
 			p.results[o.GlobalID] = o
 			if o.Clamped {
-				p.clamped++
+				p.sum.Clamped++
 			}
 		}
 		p.batches = append(p.batches, batchTiming{
@@ -861,29 +820,8 @@ func AssemblePlan(bp *BatchPlan, outs []*ipukernel.BatchResult) (*Plan, error) {
 			inBytes:  res.HostBytesIn,
 			outBytes: res.HostBytesOut,
 		})
-		p.deviceCompute += res.Seconds
-		p.hostBytesIn += res.HostBytesIn
-		p.uniqueSeqIn += res.UniqueSeqBytesIn
-		p.hostBytesOut += res.HostBytesOut
-		p.theoretical += res.TheoreticalCells
-		p.cells += res.Cells
-		p.sumBand += res.SumBand
-		p.antidiags += res.Antidiags
-		p.races += res.Races
-		p.stealOps += res.StealOps
-		p.skippedCells += res.DedupSkippedCells
-		p.traceBytes += res.TraceBytes
-		p.tracedExt += res.TracedExtensions
-		p.skippedExt += res.TraceSkippedExtensions
-		p.narrowExt += res.NarrowExtensions
-		p.wideExt += res.WideExtensions
-		p.promotedExt += res.PromotedExtensions
-		if res.PeakTraceBytes > p.peakTraceBytes {
-			p.peakTraceBytes = res.PeakTraceBytes
-		}
-		if res.MaxSRAM > p.maxSRAM {
-			p.maxSRAM = res.MaxSRAM
-		}
+		p.sum.DeviceComputeSeconds += res.Seconds
+		p.sum.Add(res.Counters)
 	}
 	if bp.dedup != nil {
 		// Fan each unique extension's result back out to every comparison
@@ -898,7 +836,7 @@ func AssemblePlan(bp *BatchPlan, outs []*ipukernel.BatchResult) (*Plan, error) {
 			o := uniqueOut[uid]
 			o.GlobalID = i
 			if o.Clamped {
-				p.clamped++
+				p.sum.Clamped++
 			}
 			p.results[i] = o
 		}
@@ -917,7 +855,7 @@ func AssemblePlan(bp *BatchPlan, outs []*ipukernel.BatchResult) (*Plan, error) {
 	}
 	for i := range p.results {
 		if p.results[i].Failed {
-			p.partialFailures++
+			p.sum.PartialFailures++
 		}
 	}
 	return p, nil
@@ -987,37 +925,8 @@ func (p *Plan) Schedule(ipus int) *Report {
 	if ipus <= 0 {
 		ipus = 1
 	}
-	rep := &Report{
-		Results:                 p.results,
-		Batches:                 len(p.batches),
-		IPUs:                    ipus,
-		DeviceComputeSeconds:    p.deviceCompute,
-		HostBytesIn:             p.hostBytesIn,
-		UniqueSeqBytesIn:        p.uniqueSeqIn,
-		HostBytesOut:            p.hostBytesOut,
-		TheoreticalCells:        p.theoretical,
-		Cells:                   p.cells,
-		SumBand:                 p.sumBand,
-		Antidiags:               p.antidiags,
-		Races:                   p.races,
-		StealOps:                p.stealOps,
-		Clamped:                 p.clamped,
-		ReuseFactor:             p.reuseFactor,
-		MaxSRAM:                 p.maxSRAM,
-		UniqueExtensions:        p.uniqueExtensions,
-		DedupedComparisons:      p.dedupedComparisons,
-		CacheHits:               p.cacheHits,
-		CacheMisses:             p.cacheMiss,
-		SkippedTheoreticalCells: p.skippedCells,
-		PeakTracebackBytes:      p.peakTraceBytes,
-		TracebackBytes:          p.traceBytes,
-		TracedExtensions:        p.tracedExt,
-		TraceSkippedExtensions:  p.skippedExt,
-		PartialFailures:         p.partialFailures,
-		NarrowExtensions:        p.narrowExt,
-		WideExtensions:          p.wideExt,
-		PromotedExtensions:      p.promotedExt,
-	}
+	rep := &Report{Results: p.results, Summary: p.sum}
+	rep.IPUs = ipus
 	overhead := p.cfg.BatchOverheadSeconds
 	if overhead <= 0 {
 		overhead = DefaultBatchOverheadSeconds

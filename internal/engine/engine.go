@@ -109,19 +109,10 @@ type Engine struct {
 	closed bool
 	seq    int64
 
-	// stats, guarded by mu
-	doneJobs    int64
-	doneBatches int64
-	doneCells   int64
-	stNarrow    int64
-	stWide      int64
-	stPromoted  int64
-	stTraced    int64
-	stSkipped   int64
-	stRetries   int64
-	stHedges    int64
-	stQuarant   int64
-	stDeadline  int64
+	// stats holds the lifetime counters Stats() reports, guarded by mu.
+	// JobsLive and InflightBatches are filled from live and busy at
+	// snapshot time; the fault-plan and cache fields from their owners.
+	stats Stats
 
 	closedCh  chan struct{}
 	slots     chan struct{} // admission tokens, cap queueDepth
@@ -419,25 +410,36 @@ type Stats struct {
 	TracedExtensions, TraceSkippedExtensions int64
 }
 
+// Add merges o into s — every field sums, which is how the service
+// totals its shards.
+func (s *Stats) Add(o Stats) {
+	s.JobsDone += o.JobsDone
+	s.BatchesDone += o.BatchesDone
+	s.CellsDone += o.CellsDone
+	s.JobsLive += o.JobsLive
+	s.InflightBatches += o.InflightBatches
+	s.CacheHits += o.CacheHits
+	s.CacheMisses += o.CacheMisses
+	s.CacheEvictions += o.CacheEvictions
+	s.CacheBytes += o.CacheBytes
+	s.Retries += o.Retries
+	s.Hedges += o.Hedges
+	s.Quarantined += o.Quarantined
+	s.FaultsInjected += o.FaultsInjected
+	s.DeadlineExceeded += o.DeadlineExceeded
+	s.NarrowExtensions += o.NarrowExtensions
+	s.WideExtensions += o.WideExtensions
+	s.PromotedExtensions += o.PromotedExtensions
+	s.TracedExtensions += o.TracedExtensions
+	s.TraceSkippedExtensions += o.TraceSkippedExtensions
+}
+
 // Stats returns engine-lifetime counters.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
-	st := Stats{
-		JobsDone:               e.doneJobs,
-		BatchesDone:            e.doneBatches,
-		CellsDone:              e.doneCells,
-		JobsLive:               e.live,
-		InflightBatches:        e.busy,
-		NarrowExtensions:       e.stNarrow,
-		WideExtensions:         e.stWide,
-		PromotedExtensions:     e.stPromoted,
-		TracedExtensions:       e.stTraced,
-		TraceSkippedExtensions: e.stSkipped,
-		Retries:                e.stRetries,
-		Hedges:                 e.stHedges,
-		Quarantined:            e.stQuarant,
-		DeadlineExceeded:       e.stDeadline,
-	}
+	st := e.stats
+	st.JobsLive = e.live
+	st.InflightBatches = e.busy
 	e.mu.Unlock()
 	if f := e.cfg.Faults; f != nil {
 		st.FaultsInjected = f.InjectedTotal()
@@ -678,7 +680,7 @@ func (e *Engine) pickLocked() (*Job, int, bool) {
 		return nil, -1, false
 	}
 	hj.hedged[hbi] = true
-	e.stHedges++
+	e.stats.Hedges++
 	e.issueLocked(hj, hbi)
 	return hj, hbi, true
 }
@@ -843,13 +845,13 @@ func (e *Engine) deliver(j *Job, bi int, out *ipukernel.BatchResult, err error, 
 	}
 	j.outs[bi] = out
 	j.done++
-	e.doneBatches++
-	e.doneCells += out.Cells
-	e.stNarrow += int64(out.NarrowExtensions)
-	e.stWide += int64(out.WideExtensions)
-	e.stPromoted += int64(out.PromotedExtensions)
-	e.stTraced += int64(out.TracedExtensions)
-	e.stSkipped += int64(out.TraceSkippedExtensions)
+	e.stats.BatchesDone++
+	e.stats.CellsDone += out.Cells
+	e.stats.NarrowExtensions += int64(out.NarrowExtensions)
+	e.stats.WideExtensions += int64(out.WideExtensions)
+	e.stats.PromotedExtensions += int64(out.PromotedExtensions)
+	e.stats.TracedExtensions += int64(out.TracedExtensions)
+	e.stats.TraceSkippedExtensions += int64(out.TraceSkippedExtensions)
 	if j.streaming {
 		if !streaming {
 			upd = streamUpdate(j, bi, out)
@@ -875,7 +877,7 @@ func (e *Engine) failedLocked(j *Job, bi int, err error, wasFallback bool) *ipuk
 		int(j.attempts[bi])-1 < e.retryMax &&
 		(e.retryBudget <= 0 || j.retriesUsed < e.retryBudget) {
 		j.retriesUsed++
-		e.stRetries++
+		e.stats.Retries++
 		e.scheduleRetryLocked(j, bi)
 		return nil
 	}
@@ -887,7 +889,7 @@ func (e *Engine) failedLocked(j *Job, bi int, err error, wasFallback bool) *ipuk
 			// runs the reference host path and is bit-identical.
 			if !j.fallback[bi] {
 				j.fallback[bi] = true
-				e.stQuarant++
+				e.stats.Quarantined++
 			}
 			e.requeueLocked(j, bi)
 			return nil
@@ -896,7 +898,7 @@ func (e *Engine) failedLocked(j *Job, bi int, err error, wasFallback bool) *ipuk
 		// re-run fixes it. Complete the batch with placeholders.
 		return j.bp.FailedBatchResult(bi)
 	case DegradePartial:
-		e.stQuarant++
+		e.stats.Quarantined++
 		return j.bp.FailedBatchResult(bi)
 	}
 	e.finishLocked(j, nil, err)
@@ -968,7 +970,7 @@ func (e *Engine) deadlineExpired(j *Job) {
 		e.mu.Unlock()
 		return
 	}
-	e.stDeadline++
+	e.stats.DeadlineExceeded++
 	switch e.degraded {
 	case DegradeFallback:
 		// Stop issuing fresh fleet executions and quarantine everything
@@ -987,7 +989,7 @@ func (e *Engine) deadlineExpired(j *Job) {
 				j.retryq = append(j.retryq, bi)
 			}
 		}
-		e.stQuarant += int64(n)
+		e.stats.Quarantined += int64(n)
 		if n > 0 {
 			e.addActiveLocked(j)
 			e.cond.Broadcast()
@@ -1006,8 +1008,8 @@ func (e *Engine) deadlineExpired(j *Job) {
 			out := bp.FailedBatchResult(bi)
 			j.outs[bi] = out
 			j.done++
-			e.doneBatches++
-			e.stQuarant++
+			e.stats.BatchesDone++
+			e.stats.Quarantined++
 			if j.streaming {
 				j.updates <- streamUpdate(j, bi, out)
 			}
@@ -1038,7 +1040,7 @@ func (e *Engine) complete(j *Job, bp *driver.BatchPlan) {
 		e.finishLocked(j, nil, err)
 		return
 	}
-	e.doneJobs++
+	e.stats.JobsDone++
 	e.finishLocked(j, plan.Schedule(e.cfg.IPUs), nil)
 }
 

@@ -397,7 +397,11 @@ func TestEngineBuildError(t *testing.T) {
 // TestWaitContextBoundsOnlyTheWait: a cancelled Wait leaves the job
 // running to completion.
 func TestWaitContextBoundsOnlyTheWait(t *testing.T) {
-	e := New(WithDriverConfig(testCfg(1)))
+	// Every batch straggles, so the job cannot settle before the dead-ctx
+	// Wait below: with both channels ready, Wait's select may pick either,
+	// and on a loaded host this 5 ms job used to finish first.
+	slow := driver.NewFaultPlan(1, driver.FaultSpec{StragglerRate: 1, StragglerDelay: 200 * time.Millisecond})
+	e := New(WithDriverConfig(testCfg(1)), WithFaultPlan(slow))
 	defer e.Close()
 	job, err := e.Submit(context.Background(), readsData(t, 4, 12))
 	if err != nil {
@@ -410,5 +414,26 @@ func TestWaitContextBoundsOnlyTheWait(t *testing.T) {
 	}
 	if _, err := job.Wait(context.Background()); err != nil {
 		t.Fatalf("job should still complete: %v", err)
+	}
+}
+
+// TestStatsAddCoversEveryField: the service totals its shards through
+// Stats.Add, so a Stats field it forgets reads zero in /v1/stats totals.
+func TestStatsAddCoversEveryField(t *testing.T) {
+	var st Stats
+	sv := reflect.ValueOf(&st).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		sv.Field(i).SetInt(int64(i + 1))
+	}
+	var zero Stats
+	zero.Add(st)
+	if zero != st {
+		t.Fatalf("Add into a zero value dropped a field:\n got %+v\nwant %+v", zero, st)
+	}
+	st.Add(st)
+	for i := 0; i < sv.NumField(); i++ {
+		if got, want := sv.Field(i).Int(), int64(2*(i+1)); got != want {
+			t.Errorf("%s: st.Add(st) = %d, want %d", sv.Type().Field(i).Name, got, want)
+		}
 	}
 }

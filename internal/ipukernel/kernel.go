@@ -207,7 +207,7 @@ type Config struct {
 	// the score-only kernel. Trace memory stays bounded by the live
 	// window band (2 bits per banded cell for the linear variants, 4 for
 	// affine), never by the full matrix; the peak single-extension
-	// footprint surfaces as BatchResult.PeakTraceBytes. Second passes are
+	// footprint surfaces as Counters.PeakTracebackBytes. Second passes are
 	// modeled as serialized through one per-tile trace arena (a second
 	// pass holds the arena only while its CIGAR is emitted, and the
 	// scoring pass of other units proceeds meanwhile), so TileMemoryBytes
@@ -508,57 +508,61 @@ type AlignOut struct {
 	TraceBytes int
 }
 
-// BatchResult aggregates one superstep.
-type BatchResult struct {
-	// Out holds one entry per job, in batch tile/job order.
-	Out []AlignOut
-	// Seconds is the modeled superstep duration (compute+exchange+sync).
-	Seconds float64
-	// TileInstr is the per-tile max thread instruction count.
-	TileInstr []int64
+// Counters is the one set of execution counters a run reports. Each is
+// declared here, once, with its name on the wire; every layer above —
+// tile, batch, plan, report, stream — embeds this struct and merges with
+// Add instead of re-declaring fields.
+type Counters struct {
 	// HostBytesIn is the host→device payload (sequences, descriptors,
 	// job tuples, header) — what the driver pushes over the shared link.
-	HostBytesIn int64
-	// UniqueSeqBytesIn is the exact arena payload: the distinct slab
-	// bytes the batch's spans cover, per tile. HostBytesIn − this gap is
-	// the duplication an offset-addressed exchange would eliminate.
-	UniqueSeqBytesIn int64
+	HostBytesIn int64 `json:"hostBytesIn"`
 	// HostBytesOut is the device→host result payload.
-	HostBytesOut int64
-	// MaxSRAM is the largest per-tile SRAM footprint in the batch.
-	MaxSRAM int
-	// Races counts duplicated steals (two threads grabbing one unit).
-	Races int
-	// StealOps counts work-steal attempts.
-	StealOps int
-	// Cells and TheoreticalCells aggregate the alignment traces.
-	Cells, TheoreticalCells int64
-	// SumBand and Antidiags support mean-band reporting.
-	SumBand   int64
-	Antidiags int64
-	// DedupSkippedCells counts theoretical cells of duplicate comparisons
-	// that this batch's jobs represent (SeedJob.Fanout) but that dedup
-	// kept off the device; DedupSkippedJobs counts those comparisons.
-	// Zero unless the driver planned with duplicate-extension elimination.
-	DedupSkippedCells int64
-	DedupSkippedJobs  int
-	// PeakTraceBytes is the largest single-extension direction-trace
-	// footprint any tile thread held during the batch — the extra SRAM a
-	// traceback-enabled tile needs at once, bounded by the live-window
-	// band (0 with Config.Traceback off). TraceBytes sums the recorded
-	// trace storage across all the batch's extensions.
-	PeakTraceBytes int
-	TraceBytes     int64
+	HostBytesOut int64 `json:"hostBytesOut"`
+	// UniqueSeqBytesIn is the exact arena payload per §4.1: the distinct
+	// slab bytes the tiles' spans cover. HostBytesIn − this gap is the
+	// duplication an offset-addressed exchange would eliminate.
+	UniqueSeqBytesIn int64 `json:"uniqueSeqBytesIn"`
+	// TheoreticalCells is the |H|·|V| volume of the executed comparisons
+	// (the GCUPS numerator, §5.1); Cells is what the X-Drop band computed.
+	TheoreticalCells int64 `json:"theoreticalCells"`
+	Cells            int64 `json:"cells"`
+	// SumBand and Antidiags support mean-live-band reporting.
+	SumBand   int64 `json:"sumBand"`
+	Antidiags int64 `json:"antidiags"`
+	// Races counts duplicated steals (two threads grabbing one unit);
+	// StealOps counts work-steal attempts (§4.1.3).
+	Races    int `json:"races"`
+	StealOps int `json:"stealOps"`
+	// MaxSRAM is the largest per-tile SRAM footprint seen.
+	MaxSRAM int `json:"maxSRAM"`
+	// SkippedTheoreticalCells is the |H|·|V| volume kept off the device:
+	// the duplicate comparisons the executed jobs stand for
+	// (SeedJob.Fanout), plus — in a driver.Summary — what result-cache
+	// hits served. TheoreticalCells covers executed work only, so the two
+	// add up to the total a dedup-off run would model. DedupSkippedJobs
+	// counts those duplicate comparisons; it stays off the wire. Both are
+	// zero unless the driver planned with duplicate-extension elimination.
+	SkippedTheoreticalCells int64 `json:"skippedTheoreticalCells"`
+	DedupSkippedJobs        int   `json:"-"`
+	// PeakTracebackBytes is the largest single-extension direction-trace
+	// footprint any tile thread held — the extra SRAM a traceback-enabled
+	// tile needs at once, bounded by the live-window band (2 bits per
+	// banded cell, 4 for affine), never by the O(m·n) matrix. Zero with
+	// Config.Traceback off. TracebackBytes sums the recorded trace storage
+	// over every executed extension.
+	PeakTracebackBytes int   `json:"peakTracebackBytes"`
+	TracebackBytes     int64 `json:"tracebackBytes"`
 	// Kernel-tier accounting, one count per executed extension (an
-	// LRSplit comparison contributes two). NarrowExtensions completed on
-	// the int16 tier; PromotedExtensions saturated the int16 kernel and
-	// transparently re-ran wide; WideExtensions ran int32 outright
-	// (TierWide, narrow-ineligible parameters, or an Auto headroom
-	// refusal). The three are disjoint and sum to the executed
-	// extensions.
-	NarrowExtensions   int
-	WideExtensions     int
-	PromotedExtensions int
+	// LRSplit comparison contributes two; cache-served and deduped
+	// comparisons contribute nothing — no kernel ran for them).
+	// NarrowExtensions completed on the int16 tier; PromotedExtensions
+	// saturated the int16 kernel and transparently re-ran wide;
+	// WideExtensions ran int32 outright (TierWide, narrow-ineligible
+	// parameters, or an Auto headroom refusal). The three are disjoint and
+	// sum to the executed extensions.
+	NarrowExtensions   int `json:"narrowExtensions"`
+	WideExtensions     int `json:"wideExtensions"`
+	PromotedExtensions int `json:"promotedExtensions"`
 	// Traceback-gate accounting, one count per executed extension (an
 	// extension is either traced or skipped, never both; both are zero
 	// with Config.Traceback off). TracedExtensions recorded and delivered
@@ -566,13 +570,47 @@ type BatchResult struct {
 	// score-gated below Config.TraceMinScore and returned score-only
 	// results. Extensions of comparisons degraded by a trace-overflow
 	// failure count in neither.
-	TracedExtensions       int
-	TraceSkippedExtensions int
+	TracedExtensions       int `json:"tracedExtensions"`
+	TraceSkippedExtensions int `json:"traceSkippedExtensions"`
 }
 
-// GCUPSDenominatorSeconds returns on-device compute seconds — the time
-// base the paper uses for IPU GCUPS (§5.1).
-func (r *BatchResult) GCUPSDenominatorSeconds() float64 { return r.Seconds }
+// Add merges o into c. This is the merge rule of every layer: counters
+// sum, except the two high-water marks (MaxSRAM, PeakTracebackBytes),
+// which take the maximum.
+func (c *Counters) Add(o Counters) {
+	c.HostBytesIn += o.HostBytesIn
+	c.HostBytesOut += o.HostBytesOut
+	c.UniqueSeqBytesIn += o.UniqueSeqBytesIn
+	c.TheoreticalCells += o.TheoreticalCells
+	c.Cells += o.Cells
+	c.SumBand += o.SumBand
+	c.Antidiags += o.Antidiags
+	c.Races += o.Races
+	c.StealOps += o.StealOps
+	c.MaxSRAM = max(c.MaxSRAM, o.MaxSRAM)
+	c.SkippedTheoreticalCells += o.SkippedTheoreticalCells
+	c.DedupSkippedJobs += o.DedupSkippedJobs
+	c.PeakTracebackBytes = max(c.PeakTracebackBytes, o.PeakTracebackBytes)
+	c.TracebackBytes += o.TracebackBytes
+	c.NarrowExtensions += o.NarrowExtensions
+	c.WideExtensions += o.WideExtensions
+	c.PromotedExtensions += o.PromotedExtensions
+	c.TracedExtensions += o.TracedExtensions
+	c.TraceSkippedExtensions += o.TraceSkippedExtensions
+}
+
+// BatchResult aggregates one superstep.
+type BatchResult struct {
+	// Out holds one entry per job, in batch tile/job order.
+	Out []AlignOut
+	// Seconds is the modeled superstep duration (compute+exchange+sync) —
+	// on-device seconds, the time base the paper uses for IPU GCUPS (§5.1).
+	Seconds float64
+	// TileInstr is the per-tile max thread instruction count.
+	TileInstr []int64
+	// Counters is the batch's fold of its tiles' counters.
+	Counters
+}
 
 // Run executes a batch on the device and accounts one BSP superstep.
 func Run(dev *ipu.Device, b *Batch, cfg Config) (*BatchResult, error) {
@@ -606,35 +644,14 @@ func Run(dev *ipu.Device, b *Batch, cfg Config) (*BatchResult, error) {
 	}
 	res.Out = make([]AlignOut, total)
 
-	type tileStats struct {
-		instr        int64
-		sram         int
-		races        int
-		steals       int
-		cells        int64
-		theo         int64
-		sumBand      int64
-		antidiag     int64
-		skippedCells int64
-		skippedJobs  int
-		peakTrace    int
-		traceBytes   int64
-		cigarBytes   int64
-		narrowExt    int
-		wideExt      int
-		promotedExt  int
-		tracedExt    int
-		skippedExt   int
-		err          error
-	}
-	stats := make([]tileStats, len(b.Tiles))
+	tiles := make([]tileResult, len(b.Tiles))
 
 	// A GOMAXPROCS-sized worker pool pulls tiles from an atomic cursor:
 	// per-worker executors carry the DP workspaces and scheduling scratch
 	// across tiles (and, via execPool, across Run calls), so steady-state
 	// tile execution allocates nothing. Results stay deterministic
 	// regardless of worker count: each tile writes a disjoint slice of
-	// res.Out and its own stats slot, and per-tile execution is itself
+	// res.Out and its own result slot, and per-tile execution is itself
 	// deterministic.
 	workers := cfg.Parallelism
 	if workers <= 0 {
@@ -656,66 +673,28 @@ func Run(dev *ipu.Device, b *Batch, cfg Config) (*BatchResult, error) {
 				if ti >= len(b.Tiles) {
 					return
 				}
-				st := &stats[ti]
 				tile := &b.Tiles[ti]
-				st.sram = cfg.TileMemoryBytes(tile, dev.Model())
-				if st.sram > dev.DataSRAM() {
-					st.err = fmt.Errorf("ipukernel: tile %d needs %d B SRAM, budget %d B (use graph partitioning / smaller δb)",
-						ti, st.sram, dev.DataSRAM())
+				sram := cfg.TileMemoryBytes(tile, dev.Model())
+				if sram > dev.DataSRAM() {
+					tiles[ti].err = fmt.Errorf("ipukernel: tile %d needs %d B SRAM, budget %d B (use graph partitioning / smaller δb)",
+						ti, sram, dev.DataSRAM())
 					continue
 				}
-				tr := runTile(tile, cfg, ex, res.Out[outOff[ti]:outOff[ti]+len(tile.Jobs)])
-				st.instr = tr.maxInstr
-				st.races = tr.races
-				st.steals = tr.steals
-				st.cells = tr.cells
-				st.theo = tr.theo
-				st.sumBand = tr.sumBand
-				st.antidiag = tr.antidiag
-				st.skippedCells = tr.skippedCells
-				st.skippedJobs = tr.skippedJobs
-				st.peakTrace = tr.peakTrace
-				st.traceBytes = tr.traceBytes
-				st.cigarBytes = tr.cigarBytes
-				st.narrowExt = tr.narrowExt
-				st.wideExt = tr.wideExt
-				st.promotedExt = tr.promotedExt
-				st.tracedExt = tr.tracedExt
-				st.skippedExt = tr.skippedExt
-				st.err = tr.err
+				tiles[ti] = runTile(tile, cfg, ex, res.Out[outOff[ti]:outOff[ti]+len(tile.Jobs)])
+				tiles[ti].MaxSRAM = sram
 			}
 		}()
 	}
 	wg.Wait()
 
-	maxSRAM := 0
 	var spanScratch []workload.SeqRef
-	for ti := range stats {
-		st := &stats[ti]
-		if st.err != nil {
-			return nil, st.err
+	for ti := range tiles {
+		tr := &tiles[ti]
+		if tr.err != nil {
+			return nil, tr.err
 		}
-		res.TileInstr[ti] = st.instr
-		res.Races += st.races
-		res.StealOps += st.steals
-		res.Cells += st.cells
-		res.TheoreticalCells += st.theo
-		res.SumBand += st.sumBand
-		res.Antidiags += st.antidiag
-		res.DedupSkippedCells += st.skippedCells
-		res.DedupSkippedJobs += st.skippedJobs
-		if st.peakTrace > res.PeakTraceBytes {
-			res.PeakTraceBytes = st.peakTrace
-		}
-		res.TraceBytes += st.traceBytes
-		res.NarrowExtensions += st.narrowExt
-		res.WideExtensions += st.wideExt
-		res.PromotedExtensions += st.promotedExt
-		res.TracedExtensions += st.tracedExt
-		res.TraceSkippedExtensions += st.skippedExt
-		if st.sram > maxSRAM {
-			maxSRAM = st.sram
-		}
+		res.TileInstr[ti] = tr.maxInstr
+		res.Add(tr.Counters)
 		tile := &b.Tiles[ti]
 		res.HostBytesIn += int64(tile.SeqBytes() + len(tile.Seqs)*seqDescrBytes +
 			len(tile.Jobs)*JobTupleBytes + batchHdrBytes)
@@ -724,14 +703,13 @@ func Run(dev *ipu.Device, b *Batch, cfg Config) (*BatchResult, error) {
 		res.UniqueSeqBytesIn += int64(unique)
 		// CIGARs ride the result return as 4-byte packed runs on top of
 		// the fixed result slot.
-		res.HostBytesOut += int64(len(tile.Jobs)*ResultBytes) + st.cigarBytes
+		res.HostBytesOut += int64(len(tile.Jobs)*ResultBytes) + tr.cigarBytes
 	}
-	res.MaxSRAM = maxSRAM
 
 	secs, err := dev.RunSuperstep(ipu.Superstep{
 		TileInstr:     res.TileInstr,
 		ExchangeBytes: res.HostBytesOut,
-		SRAMUsed:      maxSRAM,
+		SRAMUsed:      res.MaxSRAM,
 	})
 	if err != nil {
 		return nil, err

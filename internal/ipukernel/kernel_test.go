@@ -2,6 +2,7 @@ package ipukernel
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/sram-align/xdropipu/internal/core"
@@ -444,6 +445,36 @@ func TestDeterminism(t *testing.T) {
 	for i := range a.Out {
 		if a.Out[i] != b.Out[i] {
 			t.Fatalf("output %d differs between runs", i)
+		}
+	}
+}
+
+// TestCountersAddCoversEveryField: a counter declared in Counters but
+// forgotten in Add would silently report zero at every layer above the
+// tile. Every field must take part — summed, or maxed for the two
+// high-water marks.
+func TestCountersAddCoversEveryField(t *testing.T) {
+	var c Counters
+	cv := reflect.ValueOf(&c).Elem()
+	for i := 0; i < cv.NumField(); i++ {
+		cv.Field(i).SetInt(int64(i + 1))
+	}
+	var zero Counters
+	zero.Add(c)
+	if zero != c {
+		t.Fatalf("Add into a zero value dropped a field:\n got %+v\nwant %+v", zero, c)
+	}
+	maxed := map[string]bool{"MaxSRAM": true, "PeakTracebackBytes": true}
+	self := c
+	self.Add(c)
+	sv := reflect.ValueOf(self)
+	for i := 0; i < sv.NumField(); i++ {
+		name, want := sv.Type().Field(i).Name, int64(2*(i+1))
+		if maxed[name] {
+			want = int64(i + 1)
+		}
+		if got := sv.Field(i).Int(); got != want {
+			t.Errorf("%s: c.Add(c) = %d, want %d (maxed: %v)", name, got, want, maxed[name])
 		}
 	}
 }

@@ -22,33 +22,14 @@ const (
 	sideRight int8 = 2
 )
 
+// tileResult is one tile's execution outcome: its counters (incremented
+// in place by the helpers below) plus what only Run needs.
 type tileResult struct {
-	maxInstr     int64
-	races        int
-	steals       int
-	cells        int64
-	theo         int64
-	sumBand      int64
-	antidiag     int64
-	skippedCells int64
-	skippedJobs  int
-	// Traceback accounting (zero with Config.Traceback off): peakTrace is
-	// the largest single-extension direction-trace footprint any simulated
-	// thread held; traceBytes sums recorded trace storage; cigarBytes is
-	// the encoded CIGAR payload added to the result transfer; tracedExt
-	// and skippedExt count extensions that delivered a trace vs. ones the
-	// score gate skipped.
-	peakTrace  int
-	traceBytes int64
+	Counters
+	maxInstr int64
+	// cigarBytes is the encoded CIGAR payload added to the result transfer
+	// (zero with Config.Traceback off).
 	cigarBytes int64
-	tracedExt  int
-	skippedExt int
-	// Kernel-tier accounting per executed extension (disjoint): completed
-	// on the int16 tier, saturated-and-promoted to int32, or ran int32
-	// outright.
-	narrowExt   int
-	wideExt     int
-	promotedExt int
 	// err records a traceback divergence (recording not bit-matching the
 	// score pass) — a kernel bug surfaced loudly instead of shipping a
 	// wrong alignment. A trace-overflow (core.ErrTraceTooLarge) is not a
@@ -238,12 +219,12 @@ func runTile(t *TileWork, cfg Config, ex *executor, out []AlignOut) tileResult {
 					// perpetual lockstep (§4.1.3). A small
 					// deterministic hash stands in for the loop's
 					// timing variance.
-					instr[th] += stealJitter(th, tr.steals)
+					instr[th] += stealJitter(th, tr.StealOps)
 				}
 				exec(th, u)
-				tr.steals++
+				tr.StealOps++
 				if k > 0 {
-					tr.races++
+					tr.Races++
 				}
 			}
 		}
@@ -302,10 +283,10 @@ func runTile(t *TileWork, cfg Config, ex *executor, out []AlignOut) tileResult {
 		seed := core.Seed{H: job.SeedH, V: job.SeedV, Len: job.SeedLen}
 		o := &out[j]
 		o.Score = o.LeftScore + core.SeedScore(h, v, seed, cfg.Params) + o.RightScore
-		tr.theo += int64(len(h)) * int64(len(v))
+		tr.TheoreticalCells += int64(len(h)) * int64(len(v))
 		if f := job.Fanout; f > 1 {
-			tr.skippedCells += int64(f-1) * int64(len(h)) * int64(len(v))
-			tr.skippedJobs += f - 1
+			tr.SkippedTheoreticalCells += int64(f-1) * int64(len(h)) * int64(len(v))
+			tr.DedupSkippedJobs += f - 1
 		}
 		if !cfg.Traceback || tr.err != nil {
 			continue
@@ -321,7 +302,7 @@ func runTile(t *TileWork, cfg Config, ex *executor, out []AlignOut) tileResult {
 		if cfg.TraceMinScore > 0 && o.Score < cfg.TraceMinScore {
 			// Score-gated: deliver the score-only result, bit-identical
 			// to a traceback-off run's.
-			tr.skippedExt += 2
+			tr.TraceSkippedExtensions += 2
 			continue
 		}
 		// Bridge the seed's own columns between the two extension
@@ -333,9 +314,9 @@ func runTile(t *TileWork, cfg Config, ex *executor, out []AlignOut) tileResult {
 		}
 		o.Cigar = full
 		o.TraceBytes = ex.leftTB[j] + ex.rightTB[j]
-		tr.traceBytes += int64(o.TraceBytes)
+		tr.TracebackBytes += int64(o.TraceBytes)
 		tr.cigarBytes += int64(full.WireBytes())
-		tr.tracedExt += 2
+		tr.TracedExtensions += 2
 	}
 	return tr
 }
@@ -470,9 +451,7 @@ func recordTrace(trc core.Trace, err error, r *core.Result, side string, id int,
 	}
 	*cigar = trc.Cigar
 	*traceBytes = trc.TraceBytes
-	if trc.TraceBytes > tr.peakTrace {
-		tr.peakTrace = trc.TraceBytes
-	}
+	tr.PeakTracebackBytes = max(tr.PeakTracebackBytes, trc.TraceBytes)
 	return instrCost(cfg, r.Stats)
 }
 
@@ -482,9 +461,7 @@ func recordTrace(trc core.Trace, err error, r *core.Result, side string, id int,
 func storeTrace(trc core.Trace, cigar *alignment.Cigar, traceBytes *int, tr *tileResult) {
 	*cigar = trc.Cigar
 	*traceBytes = trc.TraceBytes
-	if trc.TraceBytes > tr.peakTrace {
-		tr.peakTrace = trc.TraceBytes
-	}
+	tr.PeakTracebackBytes = max(tr.PeakTracebackBytes, trc.TraceBytes)
 }
 
 func accumulate(o *AlignOut, tr *tileResult, s core.Stats) {
@@ -494,16 +471,16 @@ func accumulate(o *AlignOut, tr *tileResult, s core.Stats) {
 		o.MaxLiveBand = s.MaxLiveBand
 	}
 	o.Clamped = o.Clamped || s.Clamped
-	tr.cells += s.Cells
-	tr.sumBand += s.SumComputedBand
-	tr.antidiag += int64(s.Antidiagonals)
+	tr.Cells += s.Cells
+	tr.SumBand += s.SumComputedBand
+	tr.Antidiags += int64(s.Antidiagonals)
 	switch {
 	case s.Narrow:
-		tr.narrowExt++
+		tr.NarrowExtensions++
 	case s.Promoted:
-		tr.promotedExt++
+		tr.PromotedExtensions++
 	default:
-		tr.wideExt++
+		tr.WideExtensions++
 	}
 }
 

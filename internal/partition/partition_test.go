@@ -426,12 +426,12 @@ func TestTracebackBudgetAdmitsWithinSRAM(t *testing.T) {
 			if err != nil {
 				t.Fatalf("tier %v: %v", tier, err)
 			}
-			if res.PeakTraceBytes == 0 {
+			if res.PeakTracebackBytes == 0 {
 				t.Fatalf("tier %v: traceback run recorded no trace bytes", tier)
 			}
-			if res.PeakTraceBytes > allowance {
+			if res.PeakTracebackBytes > allowance {
 				t.Fatalf("tier %v: peak trace %d B exceeds modeled arena allowance %d B",
-					tier, res.PeakTraceBytes, allowance)
+					tier, res.PeakTracebackBytes, allowance)
 			}
 		}
 	}

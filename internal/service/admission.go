@@ -28,8 +28,24 @@ type tenantState struct {
 	Live        int
 }
 
+// maxTenants caps the distinct tenant names the server keeps state for.
+// X-Tenant is a client-chosen string: without a cap, cycling names would
+// mint a fresh full bucket per request — bypassing the fair-share rate —
+// and grow the map and /v1/metrics' label set forever. Names arriving
+// once the cap is reached share the overflowTenant bucket and label.
+// Tenant state never expires, so a name resolves the same way for its
+// jobs' whole life.
+const (
+	maxTenants     = 1024
+	overflowTenant = "_overflow"
+)
+
 func (s *Server) tenantLocked(name string) *tenantState {
 	ts := s.tenants[name]
+	if ts == nil && len(s.tenants) >= maxTenants {
+		name = overflowTenant
+		ts = s.tenants[name]
+	}
 	if ts == nil {
 		ts = &tenantState{tokens: float64(s.cfg.TenantBurst), last: time.Now()}
 		s.tenants[name] = ts

@@ -95,8 +95,7 @@ func (js *jobState) finish(rep *driver.Report, err error) {
 	if err != nil {
 		fin.Error = err.Error()
 	} else {
-		sum := wire.Summarize(rep)
-		fin.Report = &sum
+		fin.Report = &rep.Summary
 	}
 	line, _ := json.Marshal(wire.Envelope{Final: &fin})
 	line = append(line, '\n')

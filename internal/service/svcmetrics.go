@@ -63,32 +63,11 @@ func (s *Server) snapshotShards() []ShardSnapshot {
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	shards := s.snapshotShards()
-	var tot ShardSnapshot
-	tot.Shard = -1
+	tot := ShardSnapshot{Shard: -1}
 	for _, sn := range shards {
-		tot.JobsDone += sn.JobsDone
-		tot.BatchesDone += sn.BatchesDone
-		tot.CellsDone += sn.CellsDone
-		tot.JobsLive += sn.JobsLive
-		tot.InflightBatches += sn.InflightBatches
-		tot.CacheHits += sn.CacheHits
-		tot.CacheMisses += sn.CacheMisses
-		tot.CacheEvictions += sn.CacheEvictions
-		tot.CacheBytes += sn.CacheBytes
-		tot.NarrowExtensions += sn.NarrowExtensions
-		tot.WideExtensions += sn.WideExtensions
-		tot.PromotedExtensions += sn.PromotedExtensions
-		tot.TracedExtensions += sn.TracedExtensions
-		tot.TraceSkippedExtensions += sn.TraceSkippedExtensions
-		tot.Retries += sn.Retries
-		tot.Hedges += sn.Hedges
-		tot.Quarantined += sn.Quarantined
-		tot.FaultsInjected += sn.FaultsInjected
-		tot.DeadlineExceeded += sn.DeadlineExceeded
+		tot.Stats.Add(sn.Stats)
 		tot.QueueDepth += sn.QueueDepth
-		if sn.QueueOccupancy > tot.QueueOccupancy {
-			tot.QueueOccupancy = sn.QueueOccupancy
-		}
+		tot.QueueOccupancy = max(tot.QueueOccupancy, sn.QueueOccupancy)
 	}
 	tot.CacheHitRate = metrics.HitRate(tot.CacheHits, tot.CacheMisses)
 
@@ -121,72 +100,91 @@ func (t tenantState) MarshalJSON() ([]byte, error) {
 	}{t.Submitted, t.Completed, t.Failed, t.Cancelled, t.Shed, t.RateLimited, t.Live})
 }
 
+// shardFamilies is GET /v1/metrics' per-shard section, one row per
+// family in output order: a counter or gauge a shard reports is exported
+// by adding its row here (TestServiceStatsAndMetricsExposition fails on
+// an engine.Stats field no row renders).
+var shardFamilies = []struct {
+	name, help, typ string
+	get             func(*ShardSnapshot) float64
+}{
+	{"xdropipu_engine_jobs_done_total", "Completed submissions per shard.", metrics.PromCounter,
+		func(s *ShardSnapshot) float64 { return float64(s.JobsDone) }},
+	{"xdropipu_engine_batches_done_total", "Executed batches per shard.", metrics.PromCounter,
+		func(s *ShardSnapshot) float64 { return float64(s.BatchesDone) }},
+	{"xdropipu_engine_cells_done_total", "Computed DP cells per shard.", metrics.PromCounter,
+		func(s *ShardSnapshot) float64 { return float64(s.CellsDone) }},
+	{"xdropipu_engine_jobs_live", "Admitted unfinished submissions per shard.", metrics.PromGauge,
+		func(s *ShardSnapshot) float64 { return float64(s.JobsLive) }},
+	{"xdropipu_engine_inflight_batches", "Batches currently executing per shard.", metrics.PromGauge,
+		func(s *ShardSnapshot) float64 { return float64(s.InflightBatches) }},
+	{"xdropipu_engine_queue_depth", "Admission queue bound per shard.", metrics.PromGauge,
+		func(s *ShardSnapshot) float64 { return float64(s.QueueDepth) }},
+	{"xdropipu_engine_queue_occupancy", "JobsLive/QueueDepth per shard; the primary autoscaling signal.", metrics.PromGauge,
+		func(s *ShardSnapshot) float64 { return s.QueueOccupancy }},
+	{"xdropipu_engine_cache_hits_total", "Result-cache hits per shard.", metrics.PromCounter,
+		func(s *ShardSnapshot) float64 { return float64(s.CacheHits) }},
+	{"xdropipu_engine_cache_misses_total", "Result-cache misses per shard.", metrics.PromCounter,
+		func(s *ShardSnapshot) float64 { return float64(s.CacheMisses) }},
+	{"xdropipu_engine_cache_evictions_total", "Result-cache evictions per shard.", metrics.PromCounter,
+		func(s *ShardSnapshot) float64 { return float64(s.CacheEvictions) }},
+	{"xdropipu_engine_cache_bytes", "Approximate resident result-cache footprint per shard.", metrics.PromGauge,
+		func(s *ShardSnapshot) float64 { return float64(s.CacheBytes) }},
+	{"xdropipu_engine_cache_hit_rate", "Lifetime cache hit rate per shard.", metrics.PromGauge,
+		func(s *ShardSnapshot) float64 { return s.CacheHitRate }},
+	{"xdropipu_engine_narrow_extensions_total", "Extensions completed on the int16 kernel tier per shard.", metrics.PromCounter,
+		func(s *ShardSnapshot) float64 { return float64(s.NarrowExtensions) }},
+	{"xdropipu_engine_wide_extensions_total", "Extensions executed on the int32 kernel tier per shard.", metrics.PromCounter,
+		func(s *ShardSnapshot) float64 { return float64(s.WideExtensions) }},
+	{"xdropipu_engine_promoted_extensions_total", "Extensions that saturated int16 and re-ran int32 per shard.", metrics.PromCounter,
+		func(s *ShardSnapshot) float64 { return float64(s.PromotedExtensions) }},
+	{"xdropipu_engine_traced_extensions_total", "Extensions that delivered a recorded traceback per shard.", metrics.PromCounter,
+		func(s *ShardSnapshot) float64 { return float64(s.TracedExtensions) }},
+	{"xdropipu_engine_trace_skipped_extensions_total", "Extensions the traceback score gate skipped per shard.", metrics.PromCounter,
+		func(s *ShardSnapshot) float64 { return float64(s.TraceSkippedExtensions) }},
+	{"xdropipu_engine_retries_total", "Batch retries after transient faults per shard.", metrics.PromCounter,
+		func(s *ShardSnapshot) float64 { return float64(s.Retries) }},
+	{"xdropipu_engine_hedges_total", "Hedged duplicate executions per shard.", metrics.PromCounter,
+		func(s *ShardSnapshot) float64 { return float64(s.Hedges) }},
+	{"xdropipu_engine_quarantined_total", "Batches completed degraded per shard.", metrics.PromCounter,
+		func(s *ShardSnapshot) float64 { return float64(s.Quarantined) }},
+	{"xdropipu_engine_faults_injected_total", "Injected faults per shard.", metrics.PromCounter,
+		func(s *ShardSnapshot) float64 { return float64(s.FaultsInjected) }},
+	{"xdropipu_engine_deadline_exceeded_total", "Jobs past their deadline per shard.", metrics.PromCounter,
+		func(s *ShardSnapshot) float64 { return float64(s.DeadlineExceeded) }},
+}
+
+// tenantFamilies is the per-tenant section, likewise in output order.
+var tenantFamilies = []struct {
+	name, help, typ string
+	get             func(*tenantState) float64
+}{
+	{"xdropipu_service_jobs_submitted_total", "Admitted submissions per tenant.", metrics.PromCounter,
+		func(t *tenantState) float64 { return float64(t.Submitted) }},
+	{"xdropipu_service_jobs_completed_total", "Successfully finished jobs per tenant.", metrics.PromCounter,
+		func(t *tenantState) float64 { return float64(t.Completed) }},
+	{"xdropipu_service_jobs_failed_total", "Jobs settled with an error per tenant.", metrics.PromCounter,
+		func(t *tenantState) float64 { return float64(t.Failed) }},
+	{"xdropipu_service_jobs_cancelled_total", "Client-cancelled jobs per tenant.", metrics.PromCounter,
+		func(t *tenantState) float64 { return float64(t.Cancelled) }},
+	{"xdropipu_service_jobs_shed_total", "Submissions shed on queue depth per tenant.", metrics.PromCounter,
+		func(t *tenantState) float64 { return float64(t.Shed) }},
+	{"xdropipu_service_jobs_ratelimited_total", "Submissions refused by the fair-share bucket per tenant.", metrics.PromCounter,
+		func(t *tenantState) float64 { return float64(t.RateLimited) }},
+	{"xdropipu_service_jobs_live", "Live jobs per tenant.", metrics.PromGauge,
+		func(t *tenantState) float64 { return float64(t.Live) }},
+}
+
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	shards := s.snapshotShards()
-
-	counter := func(name, help string) metrics.PromFamily {
-		return metrics.PromFamily{Name: name, Help: help, Type: metrics.PromCounter}
+	fams := make([]metrics.PromFamily, 0, len(shardFamilies)+len(tenantFamilies)+1)
+	for _, row := range shardFamilies {
+		f := metrics.PromFamily{Name: row.name, Help: row.help, Type: row.typ}
+		for i := range shards {
+			f.Add(row.get(&shards[i]), "shard", strconv.Itoa(shards[i].Shard))
+		}
+		fams = append(fams, f)
 	}
-	gauge := func(name, help string) metrics.PromFamily {
-		return metrics.PromFamily{Name: name, Help: help, Type: metrics.PromGauge}
-	}
-
-	jobsDone := counter("xdropipu_engine_jobs_done_total", "Completed submissions per shard.")
-	batches := counter("xdropipu_engine_batches_done_total", "Executed batches per shard.")
-	cells := counter("xdropipu_engine_cells_done_total", "Computed DP cells per shard.")
-	live := gauge("xdropipu_engine_jobs_live", "Admitted unfinished submissions per shard.")
-	inflight := gauge("xdropipu_engine_inflight_batches", "Batches currently executing per shard.")
-	depth := gauge("xdropipu_engine_queue_depth", "Admission queue bound per shard.")
-	occ := gauge("xdropipu_engine_queue_occupancy", "JobsLive/QueueDepth per shard; the primary autoscaling signal.")
-	hits := counter("xdropipu_engine_cache_hits_total", "Result-cache hits per shard.")
-	misses := counter("xdropipu_engine_cache_misses_total", "Result-cache misses per shard.")
-	evict := counter("xdropipu_engine_cache_evictions_total", "Result-cache evictions per shard.")
-	cbytes := gauge("xdropipu_engine_cache_bytes", "Approximate resident result-cache footprint per shard.")
-	hitRate := gauge("xdropipu_engine_cache_hit_rate", "Lifetime cache hit rate per shard.")
-	narrow := counter("xdropipu_engine_narrow_extensions_total", "Extensions completed on the int16 kernel tier per shard.")
-	wide := counter("xdropipu_engine_wide_extensions_total", "Extensions executed on the int32 kernel tier per shard.")
-	promoted := counter("xdropipu_engine_promoted_extensions_total", "Extensions that saturated int16 and re-ran int32 per shard.")
-	traced := counter("xdropipu_engine_traced_extensions_total", "Extensions that delivered a recorded traceback per shard.")
-	traceSkipped := counter("xdropipu_engine_trace_skipped_extensions_total", "Extensions the traceback score gate skipped per shard.")
-	retries := counter("xdropipu_engine_retries_total", "Batch retries after transient faults per shard.")
-	hedges := counter("xdropipu_engine_hedges_total", "Hedged duplicate executions per shard.")
-	quarantined := counter("xdropipu_engine_quarantined_total", "Batches completed degraded per shard.")
-	faults := counter("xdropipu_engine_faults_injected_total", "Injected faults per shard.")
-	deadlines := counter("xdropipu_engine_deadline_exceeded_total", "Jobs past their deadline per shard.")
-
-	for _, sn := range shards {
-		l := strconv.Itoa(sn.Shard)
-		jobsDone.Add(float64(sn.JobsDone), "shard", l)
-		batches.Add(float64(sn.BatchesDone), "shard", l)
-		cells.Add(float64(sn.CellsDone), "shard", l)
-		live.Add(float64(sn.JobsLive), "shard", l)
-		inflight.Add(float64(sn.InflightBatches), "shard", l)
-		depth.Add(float64(sn.QueueDepth), "shard", l)
-		occ.Add(sn.QueueOccupancy, "shard", l)
-		hits.Add(float64(sn.CacheHits), "shard", l)
-		misses.Add(float64(sn.CacheMisses), "shard", l)
-		evict.Add(float64(sn.CacheEvictions), "shard", l)
-		cbytes.Add(float64(sn.CacheBytes), "shard", l)
-		hitRate.Add(sn.CacheHitRate, "shard", l)
-		narrow.Add(float64(sn.NarrowExtensions), "shard", l)
-		wide.Add(float64(sn.WideExtensions), "shard", l)
-		promoted.Add(float64(sn.PromotedExtensions), "shard", l)
-		traced.Add(float64(sn.TracedExtensions), "shard", l)
-		traceSkipped.Add(float64(sn.TraceSkippedExtensions), "shard", l)
-		retries.Add(float64(sn.Retries), "shard", l)
-		hedges.Add(float64(sn.Hedges), "shard", l)
-		quarantined.Add(float64(sn.Quarantined), "shard", l)
-		faults.Add(float64(sn.FaultsInjected), "shard", l)
-		deadlines.Add(float64(sn.DeadlineExceeded), "shard", l)
-	}
-
-	submitted := counter("xdropipu_service_jobs_submitted_total", "Admitted submissions per tenant.")
-	completed := counter("xdropipu_service_jobs_completed_total", "Successfully finished jobs per tenant.")
-	failed := counter("xdropipu_service_jobs_failed_total", "Jobs settled with an error per tenant.")
-	cancelled := counter("xdropipu_service_jobs_cancelled_total", "Client-cancelled jobs per tenant.")
-	shed := counter("xdropipu_service_jobs_shed_total", "Submissions shed on queue depth per tenant.")
-	limited := counter("xdropipu_service_jobs_ratelimited_total", "Submissions refused by the fair-share bucket per tenant.")
-	tliv := gauge("xdropipu_service_jobs_live", "Live jobs per tenant.")
 
 	s.mu.Lock()
 	names := make([]string, 0, len(s.tenants))
@@ -194,29 +192,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for _, name := range names {
-		ts := s.tenants[name]
-		submitted.Add(float64(ts.Submitted), "tenant", name)
-		completed.Add(float64(ts.Completed), "tenant", name)
-		failed.Add(float64(ts.Failed), "tenant", name)
-		cancelled.Add(float64(ts.Cancelled), "tenant", name)
-		shed.Add(float64(ts.Shed), "tenant", name)
-		limited.Add(float64(ts.RateLimited), "tenant", name)
-		tliv.Add(float64(ts.Live), "tenant", name)
+	for _, row := range tenantFamilies {
+		f := metrics.PromFamily{Name: row.name, Help: row.help, Type: row.typ}
+		for _, name := range names {
+			f.Add(row.get(s.tenants[name]), "tenant", name)
+		}
+		fams = append(fams, f)
 	}
 	tracked := len(s.jobs)
 	s.mu.Unlock()
 
-	trackedG := gauge("xdropipu_service_jobs_tracked", "Jobs currently addressable (live plus retained).")
+	trackedG := metrics.PromFamily{Name: "xdropipu_service_jobs_tracked",
+		Help: "Jobs currently addressable (live plus retained).", Type: metrics.PromGauge}
 	trackedG.Add(float64(tracked))
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	metrics.WriteProm(w, []metrics.PromFamily{
-		jobsDone, batches, cells, live, inflight, depth, occ,
-		hits, misses, evict, cbytes, hitRate,
-		narrow, wide, promoted, traced, traceSkipped,
-		retries, hedges, quarantined, faults, deadlines,
-		submitted, completed, failed, cancelled, shed, limited, tliv,
-		trackedG,
-	})
+	metrics.WriteProm(w, append(fams, trackedG))
 }

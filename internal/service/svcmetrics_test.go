@@ -7,6 +7,7 @@ package service_test
 import (
 	"io"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -69,6 +70,27 @@ func TestServiceStatsAndMetricsExposition(t *testing.T) {
 		t.Fatalf("tenant alpha counters: %+v", a)
 	}
 
+	// The shard object's key set is a scraped contract (the Go-cased keys
+	// are engine.Stats' untagged fields, embedded).
+	var raw struct {
+		Shards []map[string]any `json:"shards"`
+	}
+	getJSON(t, ts, "/v1/stats", &raw)
+	var shardKeys []string
+	for k := range raw.Shards[0] {
+		shardKeys = append(shardKeys, k)
+	}
+	slices.Sort(shardKeys)
+	if want := []string{
+		"BatchesDone", "CacheBytes", "CacheEvictions", "CacheHits", "CacheMisses",
+		"CellsDone", "DeadlineExceeded", "FaultsInjected", "Hedges", "InflightBatches",
+		"JobsDone", "JobsLive", "NarrowExtensions", "PromotedExtensions", "Quarantined",
+		"Retries", "TraceSkippedExtensions", "TracedExtensions", "WideExtensions",
+		"cacheHitRate", "queueDepth", "queueOccupancy", "shard",
+	}; !slices.Equal(shardKeys, want) {
+		t.Fatalf("/v1/stats shard keys changed:\n got %q\nwant %q", shardKeys, want)
+	}
+
 	resp, err := ts.Client().Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -82,6 +104,47 @@ func TestServiceStatsAndMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := string(body)
+	// Every family, its type and the order they render in.
+	var families []string
+	for _, line := range strings.Split(text, "\n") {
+		if fam, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			families = append(families, fam)
+		}
+	}
+	if want := []string{
+		"xdropipu_engine_jobs_done_total counter",
+		"xdropipu_engine_batches_done_total counter",
+		"xdropipu_engine_cells_done_total counter",
+		"xdropipu_engine_jobs_live gauge",
+		"xdropipu_engine_inflight_batches gauge",
+		"xdropipu_engine_queue_depth gauge",
+		"xdropipu_engine_queue_occupancy gauge",
+		"xdropipu_engine_cache_hits_total counter",
+		"xdropipu_engine_cache_misses_total counter",
+		"xdropipu_engine_cache_evictions_total counter",
+		"xdropipu_engine_cache_bytes gauge",
+		"xdropipu_engine_cache_hit_rate gauge",
+		"xdropipu_engine_narrow_extensions_total counter",
+		"xdropipu_engine_wide_extensions_total counter",
+		"xdropipu_engine_promoted_extensions_total counter",
+		"xdropipu_engine_traced_extensions_total counter",
+		"xdropipu_engine_trace_skipped_extensions_total counter",
+		"xdropipu_engine_retries_total counter",
+		"xdropipu_engine_hedges_total counter",
+		"xdropipu_engine_quarantined_total counter",
+		"xdropipu_engine_faults_injected_total counter",
+		"xdropipu_engine_deadline_exceeded_total counter",
+		"xdropipu_service_jobs_submitted_total counter",
+		"xdropipu_service_jobs_completed_total counter",
+		"xdropipu_service_jobs_failed_total counter",
+		"xdropipu_service_jobs_cancelled_total counter",
+		"xdropipu_service_jobs_shed_total counter",
+		"xdropipu_service_jobs_ratelimited_total counter",
+		"xdropipu_service_jobs_live gauge",
+		"xdropipu_service_jobs_tracked gauge",
+	}; !slices.Equal(families, want) {
+		t.Fatalf("/v1/metrics families changed:\n got %q\nwant %q", families, want)
+	}
 	for _, want := range []string{
 		"# TYPE xdropipu_engine_jobs_done_total counter",
 		`xdropipu_engine_jobs_done_total{shard="0"}`,

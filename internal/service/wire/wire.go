@@ -401,98 +401,10 @@ type Chunk struct {
 	Results []Result `json:"results"`
 }
 
-// ReportSummary carries every scalar field of driver.Report; Results
-// travel in the chunks. Float fields round-trip exactly (Go's JSON
-// encoder emits shortest-round-trip float64).
-type ReportSummary struct {
-	Batches                 int     `json:"batches"`
-	IPUs                    int     `json:"ipus"`
-	WallSeconds             float64 `json:"wallSeconds"`
-	DeviceComputeSeconds    float64 `json:"deviceComputeSeconds"`
-	TransferSeconds         float64 `json:"transferSeconds"`
-	HostBytesIn             int64   `json:"hostBytesIn"`
-	HostBytesOut            int64   `json:"hostBytesOut"`
-	UniqueSeqBytesIn        int64   `json:"uniqueSeqBytesIn"`
-	TheoreticalCells        int64   `json:"theoreticalCells"`
-	Cells                   int64   `json:"cells"`
-	SumBand                 int64   `json:"sumBand"`
-	Antidiags               int64   `json:"antidiags"`
-	Races                   int     `json:"races"`
-	StealOps                int     `json:"stealOps"`
-	Clamped                 int     `json:"clamped"`
-	ReuseFactor             float64 `json:"reuseFactor"`
-	MaxSRAM                 int     `json:"maxSRAM"`
-	UniqueExtensions        int     `json:"uniqueExtensions"`
-	DedupedComparisons      int     `json:"dedupedComparisons"`
-	CacheHits               int     `json:"cacheHits"`
-	CacheMisses             int     `json:"cacheMisses"`
-	SkippedTheoreticalCells int64   `json:"skippedTheoreticalCells"`
-	PeakTracebackBytes      int     `json:"peakTracebackBytes"`
-	TracebackBytes          int64   `json:"tracebackBytes"`
-	PartialFailures         int     `json:"partialFailures"`
-	NarrowExtensions        int     `json:"narrowExtensions"`
-	WideExtensions          int     `json:"wideExtensions"`
-	PromotedExtensions      int     `json:"promotedExtensions"`
-	TracedExtensions        int     `json:"tracedExtensions"`
-	TraceSkippedExtensions  int     `json:"traceSkippedExtensions"`
-}
-
-// Summarize extracts a report's scalar fields.
-func Summarize(rep *driver.Report) ReportSummary {
-	return ReportSummary{
-		Batches: rep.Batches, IPUs: rep.IPUs,
-		WallSeconds:          rep.WallSeconds,
-		DeviceComputeSeconds: rep.DeviceComputeSeconds,
-		TransferSeconds:      rep.TransferSeconds,
-		HostBytesIn:          rep.HostBytesIn, HostBytesOut: rep.HostBytesOut,
-		UniqueSeqBytesIn: rep.UniqueSeqBytesIn,
-		TheoreticalCells: rep.TheoreticalCells, Cells: rep.Cells,
-		SumBand: rep.SumBand, Antidiags: rep.Antidiags,
-		Races: rep.Races, StealOps: rep.StealOps, Clamped: rep.Clamped,
-		ReuseFactor: rep.ReuseFactor, MaxSRAM: rep.MaxSRAM,
-		UniqueExtensions:   rep.UniqueExtensions,
-		DedupedComparisons: rep.DedupedComparisons,
-		CacheHits:          rep.CacheHits, CacheMisses: rep.CacheMisses,
-		SkippedTheoreticalCells: rep.SkippedTheoreticalCells,
-		PeakTracebackBytes:      rep.PeakTracebackBytes,
-		TracebackBytes:          rep.TracebackBytes,
-		PartialFailures:         rep.PartialFailures,
-		NarrowExtensions:        rep.NarrowExtensions,
-		WideExtensions:          rep.WideExtensions,
-		PromotedExtensions:      rep.PromotedExtensions,
-		TracedExtensions:        rep.TracedExtensions,
-		TraceSkippedExtensions:  rep.TraceSkippedExtensions,
-	}
-}
-
-// Report rebuilds a driver report around client-assembled results.
-func (s ReportSummary) Report(results []ipukernel.AlignOut) *driver.Report {
-	return &driver.Report{
-		Results: results,
-		Batches: s.Batches, IPUs: s.IPUs,
-		WallSeconds:          s.WallSeconds,
-		DeviceComputeSeconds: s.DeviceComputeSeconds,
-		TransferSeconds:      s.TransferSeconds,
-		HostBytesIn:          s.HostBytesIn, HostBytesOut: s.HostBytesOut,
-		UniqueSeqBytesIn: s.UniqueSeqBytesIn,
-		TheoreticalCells: s.TheoreticalCells, Cells: s.Cells,
-		SumBand: s.SumBand, Antidiags: s.Antidiags,
-		Races: s.Races, StealOps: s.StealOps, Clamped: s.Clamped,
-		ReuseFactor: s.ReuseFactor, MaxSRAM: s.MaxSRAM,
-		UniqueExtensions:   s.UniqueExtensions,
-		DedupedComparisons: s.DedupedComparisons,
-		CacheHits:          s.CacheHits, CacheMisses: s.CacheMisses,
-		SkippedTheoreticalCells: s.SkippedTheoreticalCells,
-		PeakTracebackBytes:      s.PeakTracebackBytes,
-		TracebackBytes:          s.TracebackBytes,
-		PartialFailures:         s.PartialFailures,
-		NarrowExtensions:        s.NarrowExtensions,
-		WideExtensions:          s.WideExtensions,
-		PromotedExtensions:      s.PromotedExtensions,
-		TracedExtensions:        s.TracedExtensions,
-		TraceSkippedExtensions:  s.TraceSkippedExtensions,
-	}
-}
+// ReportSummary is the report on the wire: driver.Summary itself, which
+// declares each scalar and its JSON key once. Results travel in the
+// chunks; the client rebuilds driver.Report{Results, Summary}.
+type ReportSummary = driver.Summary
 
 // Final closes every result stream: the report summary on success, the
 // job's terminal error otherwise.

@@ -5,6 +5,10 @@
 package wire
 
 import (
+	"encoding/json"
+	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -280,5 +284,174 @@ func TestServiceWireRejectsOutOfRangeSlabIndex(t *testing.T) {
 		t.Fatal("out-of-range slab index decoded without error")
 	} else if !strings.Contains(err.Error(), "wire") {
 		t.Fatalf("error %q lost the wire prefix", err)
+	}
+}
+
+// spanOverflowPayload is a 21-byte XDW1 body whose one span is
+// (off 0x7fffffff, len 1): the int32 sum wraps negative, which once passed
+// the restore bounds check and panicked the slab slice.
+func spanOverflowPayload() []byte {
+	p := []byte{'X', 'D', 'W', '1', 0, 0} // magic, flags, empty name
+	p = append(p, 4)                      // slab length
+	p = append(p, "ACGT"...)
+	p = append(p, 1)                   // ref count
+	p = u32le(u32le(p, 0x7fffffff), 1) // off MaxInt32, len 1
+	return append(p, 0)                // empty plan
+}
+
+// TestServiceWireRejectsSpanOverflow: the span's end must be checked
+// without int32 overflow — this body is reachable from POST /v1/jobs.
+func TestServiceWireRejectsSpanOverflow(t *testing.T) {
+	if _, err := DecodeDataset(spanOverflowPayload()); err == nil {
+		t.Fatal("span with off+len overflowing int32 decoded without error")
+	} else if !strings.Contains(err.Error(), "wire") {
+		t.Fatalf("error %q lost the wire prefix", err)
+	}
+}
+
+// sameDataset fails unless two decoded datasets carry the same spine
+// (spans, bytes, digests) and plan.
+func sameDataset(t *testing.T, got, want *workload.Dataset) {
+	t.Helper()
+	if got.Name != want.Name || got.Protein != want.Protein {
+		t.Fatalf("metadata drift: %q/%v vs %q/%v", got.Name, got.Protein, want.Name, want.Protein)
+	}
+	ga, gp := got.Spine()
+	wa, wp := want.Spine()
+	if ga.Len() != wa.Len() || gp.Len() != wp.Len() {
+		t.Fatalf("%d seqs / %d rows, want %d / %d", ga.Len(), gp.Len(), wa.Len(), wp.Len())
+	}
+	for i := 0; i < wa.Len(); i++ {
+		if ga.Ref(i) != wa.Ref(i) || ga.Digest(i) != wa.Digest(i) || string(ga.Seq(i)) != string(wa.Seq(i)) {
+			t.Fatalf("sequence %d drifted: %+v vs %+v", i, ga.Ref(i), wa.Ref(i))
+		}
+	}
+	for i := 0; i < wp.Len(); i++ {
+		if gp.At(i) != wp.At(i) {
+			t.Fatalf("plan row %d drifted: %+v vs %+v", i, gp.At(i), wp.At(i))
+		}
+	}
+}
+
+// FuzzDecodeDataset: whatever the bytes, the decoder returns a dataset or
+// an error — it never panics and never lets a count in the payload size
+// an allocation the payload could not back — and a dataset it accepts
+// survives encode→decode with the same spine and plan.
+func FuzzDecodeDataset(f *testing.F) {
+	small := workload.NewArena(0, 2)
+	small.Append([]byte("AAAACCCCGGGG"))
+	small.Append([]byte("AAAACCCCTTTT"))
+	xdw1, err := EncodeDataset(small.NewDataset("s", workload.PlanOf([]workload.Comparison{
+		{H: 0, V: 1, SeedH: 2, SeedV: 2, SeedLen: 4},
+	}), false))
+	if err != nil {
+		f.Fatal(err)
+	}
+	multi := workload.NewArena(0, 2)
+	multi.SetMaxSlabBytes(8)
+	multi.Append([]byte("AAAACCCC"))
+	multi.Append([]byte("GGGGTTTT"))
+	xdw2, err := EncodeDataset(multi.NewDataset("m", workload.PlanOf([]workload.Comparison{
+		{H: 0, V: 1, SeedH: 0, SeedV: 0, SeedLen: 4},
+	}), true))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(xdw1)
+	f.Add(xdw2)
+	f.Add(spanOverflowPayload())
+
+	f.Fuzz(func(t *testing.T, p []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d, err := DecodeDataset(p)
+		runtime.ReadMemStats(&after)
+		// An honest body costs at most ~20× its size (an all-spans payload:
+		// digest and two map entries per 8 wire bytes); the slack absorbs
+		// the fuzz engine's own goroutines. An unchecked count allocates
+		// orders beyond both.
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(p)+1<<20); grew > limit {
+			t.Fatalf("decoding %d bytes allocated %d B (limit %d)", len(p), grew, limit)
+		}
+		if err != nil {
+			return
+		}
+		p2, err := EncodeDataset(d)
+		if err != nil {
+			t.Fatalf("re-encoding an accepted dataset: %v", err)
+		}
+		d2, err := DecodeDataset(p2)
+		if err != nil {
+			t.Fatalf("decoding the re-encoded dataset: %v", err)
+		}
+		sameDataset(t, d2, d)
+	})
+}
+
+// setNonZero gives every scalar field of v (embedded structs included) a
+// distinct non-zero value.
+func setNonZero(v reflect.Value, next *int) {
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Struct:
+			setNonZero(f, next)
+		case reflect.Float64:
+			*next++
+			f.SetFloat(float64(*next) + 0.5)
+		default:
+			*next++
+			f.SetInt(int64(*next))
+		}
+	}
+}
+
+// TestReportWireKeys pins the final record's report object: clients in
+// other languages read these 30 keys, and the struct behind them is now
+// assembled by embedding — a renamed, retagged or newly exported field
+// must show up here, not in someone's dashboard.
+func TestReportWireKeys(t *testing.T) {
+	var sum ReportSummary
+	n := 0
+	setNonZero(reflect.ValueOf(&sum).Elem(), &n)
+	line, err := json.Marshal(Final{Report: &sum})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var obj struct {
+		Report map[string]float64 `json:"report"`
+	}
+	if err := json.Unmarshal(line, &obj); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"antidiags", "batches", "cacheHits", "cacheMisses", "cells", "clamped",
+		"dedupedComparisons", "deviceComputeSeconds", "hostBytesIn", "hostBytesOut",
+		"ipus", "maxSRAM", "narrowExtensions", "partialFailures", "peakTracebackBytes",
+		"promotedExtensions", "races", "reuseFactor", "skippedTheoreticalCells",
+		"stealOps", "sumBand", "theoreticalCells", "traceSkippedExtensions",
+		"tracebackBytes", "tracedExtensions", "transferSeconds", "uniqueExtensions",
+		"uniqueSeqBytesIn", "wallSeconds", "wideExtensions",
+	}
+	var got []string
+	for k, v := range obj.Report {
+		if v == 0 {
+			t.Errorf("key %q carries zero for a non-zero field", k)
+		}
+		got = append(got, k)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("final.report keys changed:\n got %q\nwant %q", got, want)
+	}
+
+	// And the keys carry the values back: the client's report is the
+	// server's, field for field (DedupSkippedJobs stays off the wire).
+	var back Final
+	if err := json.Unmarshal(line, &back); err != nil {
+		t.Fatal(err)
+	}
+	sum.DedupSkippedJobs = 0
+	if *back.Report != sum {
+		t.Fatalf("report did not round-trip:\n got %+v\nwant %+v", *back.Report, sum)
 	}
 }

@@ -319,7 +319,7 @@ func (j *RemoteJob) settle(fin *wire.Final, results []ipukernel.AlignOut) {
 		j.err = errors.New("serviceclient: final record carried neither report nor error")
 		return
 	}
-	j.rep = fin.Report.Report(results)
+	j.rep = &driver.Report{Results: results, Summary: *fin.Report}
 }
 
 // resume re-opens the result stream from cursor, retrying transport

@@ -41,7 +41,9 @@ func RestoreArenaSlabs(slabs [][]byte, refs []SeqRef) (*Arena, error) {
 			return nil, fmt.Errorf("workload: restored span %d references slab %d of a %d-slab spine",
 				i, r.Slab, len(slabs))
 		}
-		if r.Off < 0 || r.Len < 0 || int(r.End()) > len(slabs[r.Slab]) {
+		// Off+Len is compared in 64 bits: the int32 sum End() returns wraps
+		// negative for a hostile span such as (0x7fffffff, 1).
+		if r.Off < 0 || r.Len < 0 || int64(r.Off)+int64(r.Len) > int64(len(slabs[r.Slab])) {
 			return nil, fmt.Errorf("workload: restored span %d (%d+%d) outside the %d-byte slab %d",
 				i, r.Off, r.Len, len(slabs[r.Slab]), r.Slab)
 		}
