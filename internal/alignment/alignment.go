@@ -244,11 +244,12 @@ func (b *Builder) flush() {
 	}
 }
 
-// Cigar returns the accumulated encoding and resets the builder.
+// Cigar returns the accumulated encoding and resets the builder, which
+// keeps its buffer: a reused Builder allocates only the returned string.
 func (b *Builder) Cigar() Cigar {
 	b.flush()
 	c := Cigar(b.buf)
-	b.buf = nil
+	b.buf = b.buf[:0]
 	b.lastOp, b.lastLen = 0, 0
 	return c
 }

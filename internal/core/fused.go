@@ -7,8 +7,10 @@ package core
 // two-pass (Traceback*: the score sweep ran first, this is the second
 // pass and only its Trace is kept). The loops are structured like the
 // score sweeps (NegInf-padded rotating buffers, sweep-order operands,
-// peeled boundaries, fringe-scan liveness recovery, statAcc counters) so
-// recording costs roughly one sweep — and the returned Result is
+// peeled boundaries, fringe-scan liveness recovery, statAcc counters) and
+// the linear one shares their vector row body (rowCodesVec: the direction
+// codes fall out of the compare masks the row arithmetic computes anyway),
+// so recording costs roughly one sweep — and the returned Result is
 // bit-identical to the score sweeps' in every field, including the trace
 // counters.
 //
@@ -83,7 +85,7 @@ func (w *Workspace) record(h, v View, p Params, rev bool) (Result, Trace, error)
 	if err != nil {
 		return Result{}, Trace{}, err
 	}
-	tr.Cigar = encodeOps(w.tb.ops, rev)
+	tr.Cigar = w.tb.encodeOps(rev)
 	return r, tr, nil
 }
 
@@ -105,10 +107,10 @@ func (w *Workspace) FusedExtendLeft(h, v []byte, hOff, vOff int, p Params) (Resu
 // fusedLinear is the linear-gap recording sweep (Restricted2 / Standard3
 // / Reference window semantics, selected by p.Algo through
 // linearCapacity, so a recorded Reference keeps its unbounded window).
-// The loop body mirrors linearSweep's padded-window walk with a per-cell
-// direction code folded in; the rotation uses three distinct buffers
-// (like Standard3) so the recording loop needs no in-place aliasing
-// carry.
+// Rows are linearSweep's padded-window walk with a per-cell direction code
+// folded in: rowCodesVec for rows of at least rowLanes cells, the Go loop
+// — the complete recurrence — otherwise. The rotation uses three distinct
+// buffers (like Standard3), so no row needs an in-place aliasing carry.
 func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 	m, n := h.Len(), v.Len()
 	delta := min(m, n) + 1
@@ -117,7 +119,7 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 	w.wide.b1 = growBuf(w.wide.b1, capacity)
 	w.wide.b2 = growBuf(w.wide.b2, capacity)
 	tb := &w.tb
-	tb.reset(2)
+	tb.reset(2, m+n+1)
 
 	res := Result{Stats: Stats{TheoreticalCells: int64(m) * int64(n)}}
 	if p.Algo == AlgoStandard3 {
@@ -209,30 +211,41 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 			dlv := d1b[kbase-1+o1]
 			hRow := hq[kbase-1:][:cnt]
 			vRow := vq[n-d+kbase:][:cnt]
-			for k := range outRow {
-				s := d2v[k] + int32(tab[hRow[k]][vRow[k]])
-				c := codeDiag
-				drv := d1r[k]
-				// The score sweeps take the gap branch only when it
-				// strictly beats the diagonal; between the two gap
-				// sources up wins ties.
-				if g := max(dlv, drv) + gap; g > s {
-					s = g
-					if dlv >= drv {
-						c = codeUp
-					} else {
-						c = codeLeft
+			if rowVec && cnt >= rowLanes {
+				// The vector body takes the whole row, ending it with one
+				// overlapped vector that recomputes stored cells. Legal only
+				// because out, d1b and d2b are three distinct buffers here —
+				// linearSweep's in-place row must never do this.
+				rowBest = max(rowBest, rowCodesVec(&outRow[0], &d2b[kbase+o2], &d1r[0],
+					&hRow[0], &vRow[0], tab, cnt, d2v[0], gap, limit, &codeRow[0]))
+			} else {
+				// The vector body's only oracle: with rowVec off this loop
+				// computes every cell of every row.
+				for k := range outRow {
+					s := d2v[k] + int32(tab[hRow[k]][vRow[k]])
+					c := codeDiag
+					drv := d1r[k]
+					// The score sweeps take the gap branch only when it
+					// strictly beats the diagonal; between the two gap
+					// sources up wins ties.
+					if g := max(dlv, drv) + gap; g > s {
+						s = g
+						if dlv >= drv {
+							c = codeUp
+						} else {
+							c = codeLeft
+						}
 					}
+					dlv = drv
+					if s < limit {
+						s, c = negInf32, codeNone
+					}
+					if s > rowBest {
+						rowBest = s
+					}
+					outRow[k] = s
+					codeRow[k] = c
 				}
-				dlv = drv
-				if s < limit {
-					s, c = negInf32, codeNone
-				}
-				if s > rowBest {
-					rowBest = s
-				}
-				outRow[k] = s
-				codeRow[k] = c
 			}
 			i = iB + 1
 		}
@@ -321,7 +334,7 @@ func (w *Workspace) fusedAffine(h, v View, p Params) (Result, Trace, error) {
 	w.wide.f0 = growBuf(w.wide.f0, delta)
 	w.wide.f1 = growBuf(w.wide.f1, delta)
 	tb := &w.tb
-	tb.reset(4)
+	tb.reset(4, m+n+1)
 
 	res := Result{Stats: Stats{
 		TheoreticalCells: int64(m) * int64(n),

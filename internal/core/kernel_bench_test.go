@@ -59,7 +59,7 @@ func BenchmarkKernelAffineNarrow(b *testing.B)      { benchKernel(b, AlgoAffine,
 // through forward and half through reversed views like the two sides of a
 // seed extension. The 2000 bp / 15 % pair above never takes reversed
 // views and runs a narrower band.
-func benchKernelLongread(b *testing.B, algo Algo, tier Tier) {
+func benchKernelLongread(b *testing.B, run func(ws *Workspace, h, v View) Result) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(43))
 	noisy := synth.MutationProfile{Sub: 0.02, Ins: 0.02, Del: 0.02, Burst: 0.003, BurstLen: 24}
@@ -75,17 +75,16 @@ func benchKernelLongread(b *testing.B, algo Algo, tier Tier) {
 			pairs[i] = pair{NewReversedView(reversed(h)), NewReversedView(reversed(v))}
 		}
 	}
-	p := Params{Scorer: scoring.DNADefault, Gap: -1, X: 15, DeltaB: 256, Algo: algo, Tier: tier}
 	var ws Workspace
 	for _, pr := range pairs {
-		ws.align(pr.h, pr.v, p)
+		run(&ws, pr.h, pr.v)
 	}
 	var cells, antid int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, pr := range pairs {
-			r := ws.align(pr.h, pr.v, p)
+			r := run(&ws, pr.h, pr.v)
 			cells += r.Stats.Cells
 			antid += int64(r.Stats.Antidiagonals)
 		}
@@ -95,9 +94,28 @@ func benchKernelLongread(b *testing.B, algo Algo, tier Tier) {
 }
 
 func BenchmarkKernelLongread(b *testing.B) {
-	b.Run("Restricted2Wide", func(b *testing.B) { benchKernelLongread(b, AlgoRestricted2, TierWide) })
-	b.Run("Standard3Wide", func(b *testing.B) { benchKernelLongread(b, AlgoStandard3, TierWide) })
-	b.Run("Restricted2Narrow", func(b *testing.B) { benchKernelLongread(b, AlgoRestricted2, TierNarrow) })
+	p := Params{Scorer: scoring.DNADefault, Gap: -1, X: 15, DeltaB: 256}
+	score := func(algo Algo, tier Tier) func(*testing.B) {
+		p := p
+		p.Algo, p.Tier = algo, tier
+		return func(b *testing.B) {
+			benchKernelLongread(b, func(ws *Workspace, h, v View) Result { return ws.align(h, v, p) })
+		}
+	}
+	b.Run("Restricted2Wide", score(AlgoRestricted2, TierWide))
+	b.Run("Standard3Wide", score(AlgoStandard3, TierWide))
+	b.Run("Restricted2Narrow", score(AlgoRestricted2, TierNarrow))
+	// The recording sweep alone (what a traced extension costs beyond its
+	// score pass): direction codes, packing, walk and CIGAR included.
+	b.Run("RecordRestricted2Wide", func(b *testing.B) {
+		benchKernelLongread(b, func(ws *Workspace, h, v View) Result {
+			r, _, err := ws.record(h, v, p, !h.rev)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return r
+		})
+	})
 }
 
 // TestKernelLoopsAllocationFree pins the alloc regression: with a warm

@@ -34,7 +34,7 @@ func (w *replayOracle) extension(h, v View, p Params, rev bool) (Trace, error) {
 	if err != nil {
 		return Trace{}, err
 	}
-	tr.Cigar = encodeOps(w.tb.ops, rev)
+	tr.Cigar = w.tb.encodeOps(rev)
 	return tr, nil
 }
 
@@ -116,7 +116,7 @@ func (w *replayOracle) traceLinear(h, v View, p Params) (Trace, error) {
 	m, n := h.Len(), v.Len()
 	capacity := linearCapacity(m, n, p)
 	tb := &w.tb
-	tb.reset(2)
+	tb.reset(2, m+n+1)
 
 	tab := p.Scorer.Table()
 	gap := int32(p.Gap)
@@ -242,7 +242,7 @@ func (w *replayOracle) traceLinear(h, v View, p Params) (Trace, error) {
 func (w *replayOracle) traceAffine(h, v View, p Params) (Trace, error) {
 	m, n := h.Len(), v.Len()
 	tb := &w.tb
-	tb.reset(4)
+	tb.reset(4, m+n+1)
 
 	tab := p.Scorer.Table()
 	gape := int32(p.Gap)

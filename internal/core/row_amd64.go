@@ -41,3 +41,13 @@ func xgetbv() (eax, edx uint32)
 //
 //go:noescape
 func rowLinearVec(out, d2, d1 *int32, hq, vq *byte, tab *scoring.PairTable, n int, wlast, gap, limit int32) (best, carry int32)
+
+// rowCodesVec is the recording sweep's row body: rowLinearVec's arithmetic
+// over any n ≥ rowLanes cells, also storing cell k's direction code
+// (codeNone/Diag/Up/Left by fusedLinear's rule) in codes[k]. out must
+// alias neither d2 nor d1: a row that is not whole vectors ends with one
+// vector recomputed over cells [n−rowLanes, n). Reads are bounded like
+// rowLinearVec's; it returns the row maximum.
+//
+//go:noescape
+func rowCodesVec(out, d2, d1 *int32, hq, vq *byte, tab *scoring.PairTable, n int, wlast, gap, limit int32, codes *byte) (best int32)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"github.com/sram-align/xdropipu/internal/alignment"
@@ -54,10 +55,11 @@ const (
 // recordings; peak footprint is reported per extension as
 // Trace.TraceBytes.
 type tracer struct {
-	cls  []int32 // window start per antidiagonal
-	offs []int32 // prefix cell counts per antidiagonal (len = diags+1)
-	dirs []byte  // packed direction codes
-	ops  []byte  // walker scratch: one op byte per alignment column
+	cls  []int32           // window start per antidiagonal
+	offs []int32           // prefix cell counts per antidiagonal (len = diags+1)
+	dirs []byte            // packed direction codes
+	ops  []byte            // walker scratch: one op byte per alignment column
+	cig  alignment.Builder // encodeOps scratch, kept warm like ops
 
 	// codes is the recording sweeps' unpacked scratch row: one byte per
 	// window cell, packed into dirs once per antidiagonal (packRow), so
@@ -67,7 +69,12 @@ type tracer struct {
 	bits uint // bits per cell this recording uses (2 linear, 4 affine)
 }
 
-func (tb *tracer) reset(bits uint) {
+// reset opens a recording of at most diags antidiagonals. The window
+// index is sized for all of them here, so beginDiag never grows it.
+func (tb *tracer) reset(bits uint, diags int) {
+	if cap(tb.offs) <= diags {
+		tb.cls, tb.offs = make([]int32, 0, diags), make([]int32, 0, diags+1)
+	}
 	tb.cls = tb.cls[:0]
 	tb.offs = append(tb.offs[:0], 0)
 	tb.dirs = tb.dirs[:0]
@@ -102,14 +109,14 @@ func SetTraceCellCapForTest(n int64) (restore func()) {
 // antidiagonal and returns the cell offset its codes start at, or -1
 // when the recording would overflow the 31-bit cell space.
 func (tb *tracer) beginDiag(cl, width int) int32 {
-	base := tb.offs[len(tb.offs)-1]
+	d := len(tb.cls)
+	base := tb.offs[d]
 	if int64(base)+int64(width) > maxTraceCells {
 		return -1
 	}
-	tb.cls = append(tb.cls, int32(cl))
-	tb.offs = append(tb.offs, base+int32(width))
-	need := ((int(base)+width)*int(tb.bits) + 7) / 8
-	if need > len(tb.dirs) {
+	tb.cls, tb.offs = tb.cls[:d+1], tb.offs[:d+2]
+	tb.cls[d], tb.offs[d+1] = int32(cl), base+int32(width)
+	if need := int((uint(base)+uint(width))*tb.bits+7) >> 3; need > len(tb.dirs) {
 		if need <= cap(tb.dirs) {
 			// Stale bits from a previous recording are fine: setCode masks
 			// every cell it writes and code() bounds-checks every read.
@@ -176,14 +183,11 @@ func (tb *tracer) trim() {
 	if cap(tb.dirs) > tracerRetainBytes {
 		tb.dirs = nil
 	}
-	if cap(tb.cls)*4 > tracerRetainBytes {
-		tb.cls = nil
-	}
 	if cap(tb.offs)*4 > tracerRetainBytes {
-		tb.offs = nil
+		tb.cls, tb.offs = nil, nil // reset sizes the two together
 	}
 	if cap(tb.ops) > tracerRetainBytes {
-		tb.ops = nil
+		tb.ops, tb.cig = nil, alignment.Builder{}
 	}
 	if cap(tb.codes) > tracerRetainBytes {
 		tb.codes = nil
@@ -201,8 +205,8 @@ func (tb *tracer) growCodes(n int) []byte {
 // packRow packs one window's unpacked codes into dirs starting at cell
 // offset base (as returned by beginDiag). Head and tail cells that share
 // a byte with a neighboring window are read-modify-written; the aligned
-// body is stored whole-byte, so packing costs ~width/4 byte stores
-// instead of width RMWs.
+// body is stored whole — eight 2-bit codes per 16-bit store, then four per
+// byte — instead of width RMWs.
 func (tb *tracer) packRow(base int32, codes []byte) {
 	idx := uint(base)
 	k := 0
@@ -212,6 +216,14 @@ func (tb *tracer) packRow(base int32, codes []byte) {
 			b := &tb.dirs[idx>>2]
 			*b = *b&^(3<<shift) | codes[k]<<shift
 			idx++
+		}
+		for ; k+8 <= len(codes); k += 8 {
+			// Fold neighbouring codes pairwise, then the pairs, then the quads.
+			x := binary.LittleEndian.Uint64(codes[k:])
+			x = (x | x>>6) & 0x000f000f000f000f
+			x = (x | x>>12) & 0x000000ff000000ff
+			binary.LittleEndian.PutUint16(tb.dirs[idx>>2:], uint16(x|x>>24))
+			idx += 8
 		}
 		for ; k+4 <= len(codes); k += 4 {
 			tb.dirs[idx>>2] = codes[k] | codes[k+1]<<2 | codes[k+2]<<4 | codes[k+3]<<6
@@ -347,11 +359,12 @@ func (tb *tracer) walkAffine(h, v View, bestI, bestD int) error {
 	return nil
 }
 
-// encodeOps turns op bytes into a canonical Cigar. When rev is set the
-// ops are consumed back-to-front (turning walk order into view-forward
-// order).
-func encodeOps(ops []byte, rev bool) alignment.Cigar {
-	var b alignment.Builder
+// encodeOps turns the walked op bytes into a canonical Cigar. When rev is
+// set the ops are consumed back-to-front (turning walk order into
+// view-forward order). The tracer's builder keeps its buffer, so a warm
+// recording allocates the Cigar string and nothing else.
+func (tb *tracer) encodeOps(rev bool) alignment.Cigar {
+	ops, b := tb.ops, &tb.cig
 	if rev {
 		for i := len(ops) - 1; i >= 0; i-- {
 			b.Append(alignment.Op(ops[i]), 1)

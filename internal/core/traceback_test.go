@@ -209,6 +209,46 @@ func TestTracebackSecondPassAllocs(t *testing.T) {
 		if second > fused {
 			t.Errorf("%s: warm TracebackRight allocates %.0f objects, warm FusedExtendRight %.0f", name, second, fused)
 		}
+		// One allocation per CIGAR: the tracer's builder keeps its buffer,
+		// so only the returned string is new.
+		if fused > 1 {
+			t.Errorf("%s: warm FusedExtendRight allocates %.0f objects, want the CIGAR string only", name, fused)
+		}
+	}
+}
+
+// TestPackRowMatchesSetCode pins packRow — eight 2-bit codes per step,
+// then four, then single cells; two 4-bit codes per step — to setCode
+// cell by cell, for every alignment of the window's first cell within its
+// byte and every width through five 8-code steps. dirs starts as 0xFF, so
+// a head or tail byte stored whole instead of masked shows in a
+// neighbouring cell.
+func TestPackRowMatchesSetCode(t *testing.T) {
+	rng := rand.New(rand.NewSource(95))
+	for _, bits := range []uint{2, 4} {
+		for base := int32(8); base < 12; base++ {
+			for width := 0; width <= 40; width++ {
+				codes := make([]byte, width)
+				for i := range codes {
+					codes[i] = byte(rng.Intn(1 << bits))
+				}
+				fresh := func() tracer {
+					tb := tracer{bits: bits, dirs: make([]byte, 32)}
+					for i := range tb.dirs {
+						tb.dirs[i] = 0xff
+					}
+					return tb
+				}
+				packed, want := fresh(), fresh()
+				packed.packRow(base, codes)
+				for k, c := range codes {
+					want.setCode(base, k, c)
+				}
+				if string(packed.dirs) != string(want.dirs) {
+					t.Fatalf("bits %d base %d width %d:\n packRow %x\n setCode %x", bits, base, width, packed.dirs, want.dirs)
+				}
+			}
+		}
 	}
 }
 

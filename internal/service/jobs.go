@@ -5,6 +5,9 @@
 // contract — a reconnecting client replays delivered batches from its
 // cursor without the engine re-executing anything — and its bound is the
 // memory contract: a job retains at most WindowChunks encoded batches.
+// The engine job (every result with its CIGAR, the report) belongs to the
+// pump alone and is never stored here, so a settled job that stays
+// addressable for JobTTL holds its window and final line, nothing more.
 
 package service
 
@@ -23,7 +26,6 @@ type jobState struct {
 	id          string
 	tenant      string
 	shard       int
-	job         *engine.Job
 	cancelJob   context.CancelFunc
 	linger      time.Duration
 	comparisons int
@@ -44,10 +46,10 @@ type jobState struct {
 	notify   chan struct{} // closed and replaced on every append/finish
 }
 
-func newJobState(id, tenant string, shard int, job *engine.Job, cancel context.CancelFunc,
+func newJobState(id, tenant string, shard int, cancel context.CancelFunc,
 	linger time.Duration, comparisons, windowMax int) *jobState {
 	return &jobState{
-		id: id, tenant: tenant, shard: shard, job: job, cancelJob: cancel,
+		id: id, tenant: tenant, shard: shard, cancelJob: cancel,
 		linger: linger, comparisons: comparisons, windowMax: windowMax,
 		created: time.Now(), notify: make(chan struct{}),
 	}

@@ -249,14 +249,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.nextID++
 	id := fmt.Sprintf("j%06d", s.nextID)
-	js := newJobState(id, tenant, shard, job, cancel, linger, len(d.Comparisons), s.cfg.WindowChunks)
+	js := newJobState(id, tenant, shard, cancel, linger, len(d.Comparisons), s.cfg.WindowChunks)
 	s.jobs[id] = js
 	ts := s.tenantLocked(tenant)
 	ts.Submitted++
 	ts.Live++
 	s.wg.Add(1)
 	s.mu.Unlock()
-	go s.pump(js)
+	go s.pump(js, job)
 
 	if r.URL.Query().Get("stream") == "0" {
 		// Detached submission: the job is addressable; results come via
@@ -358,13 +358,15 @@ func (s *Server) lookup(id string) *jobState {
 // pump is each job's single Results consumer: it encodes every update
 // once into the bounded replay window (streams are readers over that
 // window), then settles the job with its final record and schedules
-// removal after the retention TTL.
-func (s *Server) pump(js *jobState) {
+// removal after the retention TTL. The engine job is the pump's alone:
+// jobState never holds it, so it is garbage once the pump returns instead
+// of staying reachable through s.jobs for JobTTL.
+func (s *Server) pump(js *jobState, job *engine.Job) {
 	defer s.wg.Done()
-	for u := range js.job.Results() {
+	for u := range job.Results() {
 		js.appendUpdate(u)
 	}
-	rep, err := js.job.Wait(context.Background())
+	rep, err := job.Wait(context.Background())
 	js.finish(rep, err)
 	s.mu.Lock()
 	ts := s.tenantLocked(js.tenant)
