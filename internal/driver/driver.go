@@ -383,9 +383,11 @@ type BatchPlan struct {
 	// execUID maps a kernel GlobalID (row in the executed sub-plan) to
 	// its unique-extension ordinal.
 	execUID []int32
-	// cachedOuts holds cache-hit results per unique-extension ordinal;
-	// those extensions were never planned for execution.
-	cachedOuts map[int32]ipukernel.AlignOut
+	// cachedOuts[uid] holds the cache-hit result of unique extension uid
+	// where cached[uid] is set; those extensions were never planned for
+	// execution. Both are nil without a cache.
+	cachedOuts []ipukernel.AlignOut
+	cached     []bool
 	// keys / hasKey remember the cache keys of extensions that missed, so
 	// AssemblePlan can fill the cache after execution.
 	keys   []CacheKey
@@ -465,16 +467,22 @@ func (bp *BatchPlan) ResultExpander() func([]ipukernel.AlignOut) []ipukernel.Ali
 // extensions never execute, so they appear in no batch; streaming
 // consumers receive them as an up-front update.
 func (bp *BatchPlan) CachedResults() []ipukernel.AlignOut {
-	if len(bp.cachedOuts) == 0 {
+	if bp.cacheHits == 0 {
 		return nil
 	}
 	offsets, rows := bp.fanIndex()
-	var res []ipukernel.AlignOut
-	for uid := 0; uid < bp.dedup.Unique(); uid++ {
-		o, ok := bp.cachedOuts[int32(uid)]
+	n := 0
+	for uid, ok := range bp.cached {
+		if ok {
+			n += int(offsets[uid+1] - offsets[uid])
+		}
+	}
+	res := make([]ipukernel.AlignOut, 0, n)
+	for uid, ok := range bp.cached {
 		if !ok {
 			continue
 		}
+		o := bp.cachedOuts[uid]
 		for _, row := range rows[offsets[uid]:offsets[uid+1]] {
 			o.GlobalID = int(row)
 			res = append(res, o)
@@ -523,7 +531,8 @@ func BuildBatches(ctx context.Context, d *workload.Dataset, cfg Config) (*BatchP
 		}
 		var kernelFP uint64
 		if cfg.Cache != nil {
-			bp.cachedOuts = make(map[int32]ipukernel.AlignOut)
+			bp.cachedOuts = make([]ipukernel.AlignOut, dm.Unique())
+			bp.cached = make([]bool, dm.Unique())
 			bp.keys = make([]CacheKey, dm.Unique())
 			bp.hasKey = make([]bool, dm.Unique())
 			kernelFP = KernelFingerprint(cfg.Kernel, cfg.Model)
@@ -536,7 +545,7 @@ func BuildBatches(ctx context.Context, d *workload.Dataset, cfg Config) (*BatchP
 					key := CacheKey{Kernel: kernelFP, Ext: arena.ExtensionKeyOf(c)}
 					if out, ok := cfg.Cache.Get(key); ok {
 						out.GlobalID = -1
-						bp.cachedOuts[int32(uid)] = out
+						bp.cachedOuts[uid], bp.cached[uid] = out, true
 						bp.cacheHits++
 						bp.cacheSkipCells += int64(dm.Fanout[uid]) *
 							int64(arena.Ref(c.H).Len) * int64(arena.Ref(c.V).Len)
@@ -788,10 +797,8 @@ func AssemblePlan(bp *BatchPlan, outs []*ipukernel.BatchResult) (*Plan, error) {
 		p.sum.DedupedComparisons = bp.dedup.Duplicates()
 		uniqueOut = make([]ipukernel.AlignOut, bp.dedup.Unique())
 		have = make([]bool, bp.dedup.Unique())
-		for uid, out := range bp.cachedOuts {
-			uniqueOut[uid] = out
-			have[uid] = true
-		}
+		copy(uniqueOut, bp.cachedOuts)
+		copy(have, bp.cached)
 	}
 	for bi, res := range outs {
 		if res == nil {

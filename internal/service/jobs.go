@@ -7,11 +7,13 @@
 // memory contract: a job retains at most WindowChunks encoded batches.
 // The engine job (every result with its CIGAR, the report) belongs to the
 // pump alone and is never stored here, so a settled job that stays
-// addressable for JobTTL holds its window and final line, nothing more.
+// addressable holds its window and final line, nothing more — and
+// windowBytes says how much that is, which Server.retainLocked budgets.
 
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"sync"
@@ -32,18 +34,23 @@ type jobState struct {
 	windowMax   int
 	created     time.Time
 
-	mu       sync.Mutex
-	batches  int      // schedule size, learned from the first update
-	window   [][]byte // encoded chunk lines, window[i] has seq firstSeq+i
-	firstSeq int
-	nextSeq  int
-	chunks   int // total chunks ever delivered (== nextSeq)
-	done     bool
-	err      error
-	final    []byte // encoded final line
-	attached int
-	lingerT  *time.Timer
-	notify   chan struct{} // closed and replaced on every append/finish
+	// scratch is the pump's encode buffer, reused across the job's chunks
+	// and dropped when the job settles.
+	scratch []byte
+
+	mu          sync.Mutex
+	batches     int      // schedule size, learned from the first update
+	window      [][]byte // encoded chunk lines, window[i] has seq firstSeq+i
+	windowBytes int      // total length of window's lines plus final
+	firstSeq    int
+	nextSeq     int
+	chunks      int // total chunks ever delivered (== nextSeq)
+	done        bool
+	err         error
+	final       []byte // encoded final line
+	attached    int
+	lingerT     *time.Timer
+	notify      chan struct{} // closed and replaced on every append/finish
 }
 
 func newJobState(id, tenant string, shard int, cancel context.CancelFunc,
@@ -61,28 +68,25 @@ func (js *jobState) cancel() { js.cancelJob() }
 
 // appendUpdate encodes one engine update as the next chunk line and
 // appends it to the window, trimming the front past the bound. The pump
-// is the only appender, so encoding happens outside the lock.
+// is the only appender, so encoding happens outside the lock — into the
+// scratch buffer, of which the window keeps an exact-length copy: a line
+// lives as long as the job is addressable, append's growth slack would
+// live as long.
 func (js *jobState) appendUpdate(u engine.Update) {
-	results := make([]wire.Result, len(u.Results))
-	for i, o := range u.Results {
-		results[i] = wire.FromAlignOut(o)
-	}
-	line, err := json.Marshal(wire.Envelope{Chunk: &wire.Chunk{
-		Seq: js.nextSeq, Batch: u.Batch, Batches: u.Batches,
-		Seconds: u.Seconds, Results: results,
-	}})
-	if err != nil {
-		return // unreachable: the chunk types marshal by construction
-	}
-	line = append(line, '\n')
+	js.scratch = wire.AppendChunkLine(js.scratch[:0], js.nextSeq, u.Batch, u.Batches, u.Seconds, u.Results)
+	line := bytes.Clone(js.scratch)
 	js.mu.Lock()
 	if js.batches == 0 {
 		js.batches = u.Batches
 	}
 	js.window = append(js.window, line)
+	js.windowBytes += len(line)
 	js.nextSeq++
 	js.chunks = js.nextSeq
 	if drop := len(js.window) - js.windowMax; drop > 0 {
+		for _, old := range js.window[:drop] {
+			js.windowBytes -= len(old)
+		}
 		js.window = append([][]byte(nil), js.window[drop:]...)
 		js.firstSeq += drop
 	}
@@ -92,7 +96,8 @@ func (js *jobState) appendUpdate(u engine.Update) {
 }
 
 // finish records the job's terminal outcome and encodes the final line.
-func (js *jobState) finish(rep *driver.Report, err error) {
+// It returns the bytes the settled job retains.
+func (js *jobState) finish(rep *driver.Report, err error) int {
 	fin := wire.Final{}
 	if err != nil {
 		fin.Error = err.Error()
@@ -101,17 +106,20 @@ func (js *jobState) finish(rep *driver.Report, err error) {
 	}
 	line, _ := json.Marshal(wire.Envelope{Final: &fin})
 	line = append(line, '\n')
+	js.scratch = nil
 	js.mu.Lock()
+	defer js.mu.Unlock()
 	js.done = true
 	js.err = err
 	js.final = line
+	js.windowBytes += len(line)
 	if js.lingerT != nil {
 		js.lingerT.Stop()
 		js.lingerT = nil
 	}
 	close(js.notify)
 	js.notify = make(chan struct{})
-	js.mu.Unlock()
+	return js.windowBytes
 }
 
 // attach registers a stream reader and disarms any pending linger

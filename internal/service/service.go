@@ -24,10 +24,10 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -61,7 +61,8 @@ type Config struct {
 	// MaxLinger caps client-requested linger (default 60s).
 	MaxLinger time.Duration
 	// JobTTL is how long a settled job stays addressable for late reads
-	// (default 2m).
+	// (default 2m) — unless newer settled jobs push the server's retained
+	// replay bytes over its fixed budget first (see retainLocked).
 	JobTTL time.Duration
 	// TenantRatePerSec refills each tenant's admission bucket (0 = no
 	// per-tenant rate limit).
@@ -110,6 +111,12 @@ type Server struct {
 	tenants map[string]*tenantState
 	nextID  int64
 	closed  bool
+	// retained queues the settled jobs still in jobs, oldest settled
+	// first; expiry is the one timer, armed for the head's deadline.
+	retained      []retainedJob
+	retainedBytes int64
+	evictedJobs   int64 // settled jobs dropped over maxRetainedBytes
+	expiry        *time.Timer
 
 	closedCh chan struct{}
 	wg       sync.WaitGroup // pump goroutines
@@ -163,6 +170,9 @@ func (s *Server) Close() error {
 	jobs := make([]*jobState, 0, len(s.jobs))
 	for _, js := range s.jobs {
 		jobs = append(jobs, js)
+	}
+	if s.expiry != nil {
+		s.expiry.Stop()
 	}
 	s.mu.Unlock()
 	for _, js := range jobs {
@@ -274,6 +284,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // Requests, per RFC 6585, with Retry-After).
 const StatusServiceSaturated = http.StatusTooManyRequests
 
+// maxBodyPresize caps how much decodeBody allocates on a request's word
+// (its Content-Length) before any byte of the body has arrived.
+const maxBodyPresize = 64 << 20
+
 func (s *Server) decodeBody(r *http.Request) (*workload.Dataset, error) {
 	body := http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes)
 	ct := r.Header.Get("Content-Type")
@@ -282,11 +296,19 @@ func (s *Server) decodeBody(r *http.Request) (*workload.Dataset, error) {
 	}
 	switch ct {
 	case wire.ContentTypeDataset, "application/octet-stream", "":
-		p, err := io.ReadAll(body)
-		if err != nil {
+		// Presized from the declared length plus the slack ReadFrom wants
+		// before the read that finds EOF, so the body lands in one
+		// allocation (io.ReadAll grows from 512 B and allocates ~4.5× the
+		// body). The declaration is a hint, not a promise: it is clamped,
+		// and MaxBytesReader still bounds what is actually read.
+		var buf bytes.Buffer
+		if n := r.ContentLength; n > 0 {
+			buf.Grow(int(min(n, s.cfg.MaxBodyBytes, maxBodyPresize)) + bytes.MinRead)
+		}
+		if _, err := buf.ReadFrom(body); err != nil {
 			return nil, err
 		}
-		return wire.DecodeDataset(p)
+		return wire.DecodeDataset(buf.Bytes())
 	case wire.ContentTypeFasta, "text/plain":
 		q := r.URL.Query()
 		protein := q.Get("protein") == "1" || q.Get("protein") == "true"
@@ -357,17 +379,17 @@ func (s *Server) lookup(id string) *jobState {
 
 // pump is each job's single Results consumer: it encodes every update
 // once into the bounded replay window (streams are readers over that
-// window), then settles the job with its final record and schedules
-// removal after the retention TTL. The engine job is the pump's alone:
-// jobState never holds it, so it is garbage once the pump returns instead
-// of staying reachable through s.jobs for JobTTL.
+// window), then settles the job with its final record and hands it to the
+// retention queue. The engine job is the pump's alone: jobState never
+// holds it, so it is garbage once the pump returns instead of staying
+// reachable through s.jobs for as long as the job is retained.
 func (s *Server) pump(js *jobState, job *engine.Job) {
 	defer s.wg.Done()
 	for u := range job.Results() {
 		js.appendUpdate(u)
 	}
 	rep, err := job.Wait(context.Background())
-	js.finish(rep, err)
+	size := js.finish(rep, err)
 	s.mu.Lock()
 	ts := s.tenantLocked(js.tenant)
 	ts.Live--
@@ -376,12 +398,69 @@ func (s *Server) pump(js *jobState, job *engine.Job) {
 	} else {
 		ts.Completed++
 	}
+	s.retainLocked(js, size)
 	s.mu.Unlock()
-	time.AfterFunc(s.cfg.JobTTL, func() {
-		s.mu.Lock()
-		delete(s.jobs, js.id)
-		s.mu.Unlock()
-	})
+}
+
+// maxRetainedBytes budgets the encoded replay windows settled jobs keep
+// resident. JobTTL alone bounds retention in time, so what it pins grows
+// with throughput (jobs/s × TTL × window bytes per job); this bounds it in
+// bytes as well.
+const maxRetainedBytes = 32 << 20
+
+// retainedJob is one settled job awaiting removal from Server.jobs.
+type retainedJob struct {
+	js      *jobState
+	bytes   int64
+	expires time.Time
+}
+
+// retainLocked queues a just-settled job for removal under two bounds:
+// age (JobTTL) and the total of retained window bytes (maxRetainedBytes,
+// oldest settled evicted first). The newest settled job is always kept, so
+// a job larger than the whole budget still replays until its TTL. An
+// evicted id answers 404 exactly like an expired one.
+func (s *Server) retainLocked(js *jobState, size int) {
+	r := retainedJob{js, int64(size), time.Now().Add(s.cfg.JobTTL)}
+	s.retained = append(s.retained, r)
+	s.retainedBytes += r.bytes
+	for len(s.retained) > 1 && s.retainedBytes > maxRetainedBytes {
+		s.dropOldestLocked()
+		s.evictedJobs++
+	}
+	s.armExpiryLocked()
+}
+
+// dropOldestLocked forgets the head of the retention queue. The slot is
+// zeroed before the reslice: the backing array outlives the head, and a
+// pointer left in it would keep the dropped job's window reachable.
+func (s *Server) dropOldestLocked() {
+	head := s.retained[0]
+	s.retained[0] = retainedJob{}
+	s.retained = s.retained[1:]
+	s.retainedBytes -= head.bytes
+	delete(s.jobs, head.js.id)
+}
+
+// armExpiryLocked points the expiry timer at the queue head's deadline.
+func (s *Server) armExpiryLocked() {
+	switch {
+	case s.closed || len(s.retained) == 0:
+	case s.expiry == nil:
+		s.expiry = time.AfterFunc(time.Until(s.retained[0].expires), s.expire)
+	default:
+		s.expiry.Reset(time.Until(s.retained[0].expires))
+	}
+}
+
+// expire drops every retained job whose TTL has passed.
+func (s *Server) expire() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for now := time.Now(); len(s.retained) > 0 && !s.retained[0].expires.After(now); {
+		s.dropOldestLocked()
+	}
+	s.armExpiryLocked()
 }
 
 // streamJob writes the NDJSON stream: header, window replay from the

@@ -39,12 +39,29 @@ type StatsReply struct {
 	// Totals aggregates the shard snapshots (sum of counters, max of
 	// occupancy) — the single-glance autoscaling view.
 	Totals ShardSnapshot `json:"totals"`
-	// TrackedJobs counts jobs currently addressable (live + retained).
-	TrackedJobs int `json:"trackedJobs"`
+	JobsSnapshot
 	// KernelISA names the row body this host runs the linear int32 sweep
 	// with (core.RowISA: "avx2" or "generic"). Results do not depend on
 	// it; throughput does.
 	KernelISA string `json:"kernelISA"`
+}
+
+// JobsSnapshot is the server-wide job-tracking state.
+type JobsSnapshot struct {
+	// TrackedJobs counts jobs currently addressable (live + retained).
+	TrackedJobs int `json:"trackedJobs"`
+	// RetainedBytes is the encoded replay windows settled jobs hold
+	// resident for late readers; it stays under the retention budget
+	// unless a single job exceeds it.
+	RetainedBytes int64 `json:"retainedBytes"`
+	// EvictedJobs counts settled jobs dropped before their TTL because
+	// newer ones took RetainedBytes over the budget — each a job id that
+	// answers 404 earlier than JobTTL promised.
+	EvictedJobs int64 `json:"evictedJobs"`
+}
+
+func (s *Server) jobsSnapshotLocked() JobsSnapshot {
+	return JobsSnapshot{TrackedJobs: len(s.jobs), RetainedBytes: s.retainedBytes, EvictedJobs: s.evictedJobs}
 }
 
 func (s *Server) snapshotShards() []ShardSnapshot {
@@ -76,12 +93,12 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	for name, ts := range s.tenants {
 		tenants[name] = *ts
 	}
-	tracked := len(s.jobs)
+	jobs := s.jobsSnapshotLocked()
 	s.mu.Unlock()
 
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(StatsReply{
-		Tenants: tenants, Shards: shards, Totals: tot, TrackedJobs: tracked,
+		Tenants: tenants, Shards: shards, Totals: tot, JobsSnapshot: jobs,
 		KernelISA: core.RowISA(),
 	})
 }
@@ -175,9 +192,22 @@ var tenantFamilies = []struct {
 		func(t *tenantState) float64 { return float64(t.Live) }},
 }
 
+// jobFamilies is the server-wide section, likewise in output order.
+var jobFamilies = []struct {
+	name, help, typ string
+	get             func(*JobsSnapshot) float64
+}{
+	{"xdropipu_service_jobs_tracked", "Jobs currently addressable (live plus retained).", metrics.PromGauge,
+		func(j *JobsSnapshot) float64 { return float64(j.TrackedJobs) }},
+	{"xdropipu_service_retained_replay_bytes", "Encoded replay windows held for settled jobs.", metrics.PromGauge,
+		func(j *JobsSnapshot) float64 { return float64(j.RetainedBytes) }},
+	{"xdropipu_service_jobs_evicted_total", "Settled jobs dropped before their TTL over the retained-bytes budget.", metrics.PromCounter,
+		func(j *JobsSnapshot) float64 { return float64(j.EvictedJobs) }},
+}
+
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	shards := s.snapshotShards()
-	fams := make([]metrics.PromFamily, 0, len(shardFamilies)+len(tenantFamilies)+1)
+	fams := make([]metrics.PromFamily, 0, len(shardFamilies)+len(tenantFamilies)+len(jobFamilies))
 	for _, row := range shardFamilies {
 		f := metrics.PromFamily{Name: row.name, Help: row.help, Type: row.typ}
 		for i := range shards {
@@ -199,13 +229,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 		fams = append(fams, f)
 	}
-	tracked := len(s.jobs)
+	jobs := s.jobsSnapshotLocked()
 	s.mu.Unlock()
-
-	trackedG := metrics.PromFamily{Name: "xdropipu_service_jobs_tracked",
-		Help: "Jobs currently addressable (live plus retained).", Type: metrics.PromGauge}
-	trackedG.Add(float64(tracked))
+	for _, row := range jobFamilies {
+		f := metrics.PromFamily{Name: row.name, Help: row.help, Type: row.typ}
+		f.Add(row.get(&jobs))
+		fams = append(fams, f)
+	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	metrics.WriteProm(w, append(fams, trackedG))
+	metrics.WriteProm(w, fams)
 }

@@ -70,8 +70,24 @@ func TestServiceStatsAndMetricsExposition(t *testing.T) {
 		t.Fatalf("tenant alpha counters: %+v", a)
 	}
 
-	// The shard object's key set is a scraped contract (the Go-cased keys
-	// are engine.Stats' untagged fields, embedded).
+	// Both settled jobs are retained for late readers, well under the byte
+	// budget: their windows are what RetainedBytes reports.
+	if stats.TrackedJobs != 2 || stats.RetainedBytes <= 0 || stats.EvictedJobs != 0 {
+		t.Fatalf("job tracking: %+v", stats.JobsSnapshot)
+	}
+
+	// The reply's and the shard object's key sets are scraped contracts
+	// (the Go-cased keys are engine.Stats' untagged fields, embedded).
+	var top map[string]any
+	getJSON(t, ts, "/v1/stats", &top)
+	var topKeys []string
+	for k := range top {
+		topKeys = append(topKeys, k)
+	}
+	slices.Sort(topKeys)
+	if want := []string{"evictedJobs", "kernelISA", "retainedBytes", "shards", "tenants", "totals", "trackedJobs"}; !slices.Equal(topKeys, want) {
+		t.Fatalf("/v1/stats keys changed:\n got %q\nwant %q", topKeys, want)
+	}
 	var raw struct {
 		Shards []map[string]any `json:"shards"`
 	}
@@ -142,6 +158,8 @@ func TestServiceStatsAndMetricsExposition(t *testing.T) {
 		"xdropipu_service_jobs_ratelimited_total counter",
 		"xdropipu_service_jobs_live gauge",
 		"xdropipu_service_jobs_tracked gauge",
+		"xdropipu_service_retained_replay_bytes gauge",
+		"xdropipu_service_jobs_evicted_total counter",
 	}; !slices.Equal(families, want) {
 		t.Fatalf("/v1/metrics families changed:\n got %q\nwant %q", families, want)
 	}
@@ -152,6 +170,8 @@ func TestServiceStatsAndMetricsExposition(t *testing.T) {
 		"# TYPE xdropipu_engine_queue_occupancy gauge",
 		`xdropipu_service_jobs_submitted_total{tenant="alpha"} 2`,
 		`xdropipu_service_jobs_completed_total{tenant="alpha"} 2`,
+		"xdropipu_service_jobs_tracked 2",
+		"xdropipu_service_jobs_evicted_total 0",
 		"xdropipu_engine_cache_hits_total",
 	} {
 		if !strings.Contains(text, want) {

@@ -241,7 +241,7 @@ func (j *RemoteJob) run(ctx context.Context, body io.ReadCloser, br *bufio.Reade
 	results := make([]ipukernel.AlignOut, j.Comparisons)
 	cursor := from
 	for {
-		fin, ferr := j.consume(br, results, &cursor)
+		fin, err := j.consume(br, results, &cursor)
 		body.Close()
 		if fin != nil {
 			j.settle(fin, results)
@@ -251,61 +251,84 @@ func (j *RemoteJob) run(ctx context.Context, body io.ReadCloser, br *bufio.Reade
 			j.err = ctx.Err()
 			return
 		}
-		// The stream broke before its final record: resume from the
-		// cursor. The server replays from its window — completed batches
-		// are never re-executed.
-		body, br, ferr = j.resume(ctx, cursor)
-		if ferr != nil {
-			j.err = ferr
+		// Only a broken transport is worth a resume. A protocol error is
+		// what the server's window holds: a resume would replay the same
+		// bytes into the same error, for as long as the job stays
+		// addressable.
+		var broken *streamBroken
+		if !errors.As(err, &broken) {
+			j.err = err
+			return
+		}
+		// The server replays from its window — completed batches are
+		// never re-executed.
+		body, br, err = j.resume(ctx, cursor)
+		if err != nil {
+			j.err = err
 			return
 		}
 	}
 }
 
-// consume drains stream lines into results until the final record or a
-// transport error. It returns the final record when the stream completed.
+// streamBroken is a read error before the final record — the one consume
+// failure a resume can cure.
+type streamBroken struct{ error }
+
+func (e *streamBroken) Unwrap() error { return e.error }
+
+// consume drains stream lines into results until the final record. Its
+// error is a *streamBroken when the transport failed, anything else when
+// the stream's content is wrong.
 func (j *RemoteJob) consume(br *bufio.Reader, results []ipukernel.AlignOut, cursor *int) (*wire.Final, error) {
 	for {
 		line, err := br.ReadBytes('\n')
 		if err != nil {
-			return nil, err
+			return nil, &streamBroken{err}
 		}
-		var env wire.Envelope
-		if err := json.Unmarshal(line, &env); err != nil {
-			return nil, err
+		// Chunk lines — all but two lines of a stream, and all of its
+		// bulk — take the schema-specialised parser; whatever it declines
+		// (headers, finals, another producer's formatting, corruption)
+		// is encoding/json's.
+		ch, outs, ok := wire.ParseChunkLine(line)
+		if !ok {
+			var env wire.Envelope
+			if err := json.Unmarshal(line, &env); err != nil {
+				return nil, fmt.Errorf("serviceclient: bad stream record: %w", err)
+			}
+			switch {
+			case env.Chunk != nil:
+				ch = *env.Chunk
+				outs = make([]ipukernel.AlignOut, len(ch.Results))
+				for i, r := range ch.Results {
+					if outs[i], err = r.AlignOut(); err != nil {
+						return nil, fmt.Errorf("serviceclient: corrupt result %d: %w", r.GlobalID, err)
+					}
+				}
+			case env.Final != nil:
+				return env.Final, nil
+			case env.Header != nil:
+				continue // resumed streams re-open with a header
+			default:
+				return nil, errors.New("serviceclient: empty stream record")
+			}
 		}
-		switch {
-		case env.Chunk != nil:
-			ch := env.Chunk
-			if ch.Seq != *cursor {
-				return nil, fmt.Errorf("serviceclient: stream gap: got seq %d, want %d", ch.Seq, *cursor)
+		if ch.Seq != *cursor {
+			return nil, fmt.Errorf("serviceclient: stream gap: got seq %d, want %d", ch.Seq, *cursor)
+		}
+		*cursor = ch.Seq + 1
+		if ch.Batches > j.Batches {
+			j.Batches = ch.Batches
+		}
+		for i := range outs {
+			id := outs[i].GlobalID
+			if id < 0 || id >= len(results) {
+				return nil, fmt.Errorf("serviceclient: result id %d out of range", id)
 			}
-			*cursor = ch.Seq + 1
-			if ch.Batches > j.Batches {
-				j.Batches = ch.Batches
-			}
-			outs := make([]ipukernel.AlignOut, len(ch.Results))
-			for i, r := range ch.Results {
-				o, err := r.AlignOut()
-				if err != nil {
-					return nil, fmt.Errorf("serviceclient: corrupt result %d: %w", r.GlobalID, err)
-				}
-				if o.GlobalID < 0 || o.GlobalID >= len(results) {
-					return nil, fmt.Errorf("serviceclient: result id %d out of range", o.GlobalID)
-				}
-				results[o.GlobalID] = o
-				outs[i] = o
-			}
-			j.updates <- engine.Update{
-				Batch: ch.Batch, Batches: ch.Batches,
-				Seconds: ch.Seconds, Results: outs,
-			}
-		case env.Final != nil:
-			return env.Final, nil
-		case env.Header != nil:
-			// Resumed streams re-open with a header; nothing to assemble.
-		default:
-			return nil, errors.New("serviceclient: empty stream record")
+			results[id] = outs[i]
+		}
+		j.updates <- engine.Update{
+			Batch: ch.Batch, Batches: ch.Batches,
+			Seconds: ch.Seconds, Results: outs,
 		}
 	}
 }
