@@ -111,7 +111,8 @@ func BenchmarkAffine(b *testing.B) { benchAlign(b, core.AlgoAffine, 0) }
 
 // benchTraceback measures the traceback replay (the opt-in second pass)
 // on the same workload as benchAlign, so score-only vs traceback-on
-// Mcells/s compare directly — the cost ratio BENCH_engine.json tracks.
+// Mcells/s compare directly (core.trace_replay.mcells_per_s in
+// BENCHMARK.json is the same ratio on the benchmark's own pairs).
 func benchTraceback(b *testing.B, algo core.Algo, deltaB int) {
 	b.Helper()
 	h, v := benchPair(2000, 0.15)

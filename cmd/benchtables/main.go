@@ -4,22 +4,16 @@
 //
 // Usage:
 //
-//	benchtables [-exp name] [-scale n] [-size f] [-seed n] [-list] [-json file] [-checkjson file]
+//	benchtables [-exp name] [-scale n] [-size f] [-seed n] [-list]
 //
 // With no -exp it runs the full suite. -scale divides every platform's
-// parallel resources (default 8); -size scales dataset sizes. -json runs
-// the engine throughput benchmark and writes its machine-readable result
-// (Mcells/s per kernel variant, engine throughput at 1/4/16 concurrent
-// submitters, the dedup/result-cache measurement, and the traceback-on
-// vs score-only throughput with peak traceback bytes) to the given file
-// — the BENCH_engine.json artifact that tracks the performance
-// trajectory across PRs. -checkjson verifies an existing artifact
-// against the current schema, the CI gate that catches drift between the
-// committed file and the code that regenerates it.
+// parallel resources (default 8); -size scales dataset sizes. Every
+// figure printed is modeled, so the output is a pure function of
+// (-scale, -size, -seed); host wall-clock performance is what
+// benchmark/run.sh measures.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -33,8 +27,6 @@ func main() {
 	size := flag.Float64("size", 1.0, "dataset size factor")
 	seed := flag.Int64("seed", 0, "generation seed (0 = default)")
 	list := flag.Bool("list", false, "list experiments and exit")
-	jsonPath := flag.String("json", "", "write BENCH_engine.json-style engine throughput to this file and exit")
-	checkPath := flag.String("checkjson", "", "verify an existing BENCH_engine.json against the current schema and exit (CI drift gate)")
 	flag.Parse()
 
 	if *list {
@@ -44,39 +36,7 @@ func main() {
 		return
 	}
 
-	if *checkPath != "" {
-		data, err := os.ReadFile(*checkPath)
-		if err == nil {
-			err = bench.VerifyEngineJSON(data)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "%s matches schema %s\n", *checkPath, bench.EngineBenchSchema)
-		return
-	}
-
 	opt := bench.Options{W: os.Stdout, Scale: *scale, SizeFactor: *size, Seed: *seed}
-	if *jsonPath != "" {
-		if *exp != "" {
-			fmt.Fprintln(os.Stderr, "benchtables: -json runs the engine benchmark and cannot be combined with -exp")
-			os.Exit(2)
-		}
-		// Buffer the whole benchmark before touching the file, so a
-		// failed run cannot truncate the previous tracked artifact.
-		var buf bytes.Buffer
-		err := bench.WriteEngineJSON(opt, &buf)
-		if err == nil {
-			err = os.WriteFile(*jsonPath, buf.Bytes(), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
-		return
-	}
 	var err error
 	if *exp == "" {
 		err = bench.RunAll(opt)

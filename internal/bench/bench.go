@@ -11,7 +11,9 @@
 //   - Options.SizeFactor scales dataset sizes; defaults saturate the
 //     scaled devices the way the paper's datasets saturate real ones.
 //
-// EXPERIMENTS.md records paper-vs-measured values per experiment.
+// Every number is modeled: a runner's output is a pure function of
+// (Scale, SizeFactor, Seed). Host wall-clock performance is measured by
+// the benchmark/ module, never here.
 package bench
 
 import (
@@ -125,7 +127,6 @@ func Experiments() []Runner {
 		{"partition", "§6.2 — batch reduction from partitioning", Partition},
 		{"elba", "§6.3.1 — ELBA alignment phase", ELBA},
 		{"pastis", "§6.3.2 — PASTIS alignment phase", PASTIS},
-		{"engine", "engine service throughput (host-measured)", EngineExp},
 	}
 }
 

@@ -11,54 +11,45 @@ func smokeOptions(buf *bytes.Buffer) Options {
 	return Options{W: buf, Scale: 32, SizeFactor: 0.08, Seed: 7}
 }
 
+// smokeOutputs holds what each runner rendered under TestExperimentsSmoke,
+// so TestExperimentsDeterministic needs only one more run per runner.
+var smokeOutputs = map[string][]byte{}
+
+func runSmoke(t *testing.T, r Runner) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.Run(smokeOptions(&buf)); err != nil {
+		t.Fatalf("%s: %v", r.Name, err)
+	}
+	return buf.Bytes()
+}
+
 // TestExperimentsSmoke runs every registered experiment at miniature size
 // and checks it renders a non-empty table without error.
 func TestExperimentsSmoke(t *testing.T) {
 	for _, r := range Experiments() {
-		r := r
 		t.Run(r.Name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := r.Run(smokeOptions(&buf)); err != nil {
-				t.Fatalf("%s: %v", r.Name, err)
-			}
-			if buf.Len() == 0 {
+			out := runSmoke(t, r)
+			if len(out) == 0 {
 				t.Fatalf("%s produced no output", r.Name)
 			}
+			smokeOutputs[r.Name] = out
 		})
 	}
 }
 
-// TestEngineJSONRoundTrip pins the BENCH_engine.json contract: a
-// freshly generated payload must pass VerifyEngineJSON, and schema drift
-// or truncated sections must fail it — the checks CI's -checkjson gate
-// relies on.
-func TestEngineJSONRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteEngineJSON(smokeOptions(&bytes.Buffer{}), &buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyEngineJSON(buf.Bytes()); err != nil {
-		t.Fatalf("fresh payload rejected: %v", err)
-	}
-	if err := VerifyEngineJSON([]byte(`{"schema":"xdropipu-bench-engine/v1"}`)); err == nil {
-		t.Error("stale schema version accepted")
-	}
-	// Inject the unknown field into the otherwise-valid payload, so the
-	// only possible rejection reason is strict decoding.
-	withUnknown := strings.Replace(buf.String(), "{", `{"unknown_field": 1,`, 1)
-	if err := VerifyEngineJSON([]byte(withUnknown)); err == nil {
-		t.Error("unknown field accepted (layout drift)")
-	}
-	if err := VerifyEngineJSON(append(buf.Bytes(), buf.Bytes()...)); err == nil {
-		t.Error("trailing data after the payload accepted")
-	}
-	withoutDedup := strings.Replace(buf.String(), `"dedup"`, `"dedup_gone"`, 1)
-	if err := VerifyEngineJSON([]byte(withoutDedup)); err == nil {
-		t.Error("payload missing the dedup section accepted")
-	}
-	withoutTraceback := strings.Replace(buf.String(), `"traceback"`, `"traceback_gone"`, 1)
-	if err := VerifyEngineJSON([]byte(withoutTraceback)); err == nil {
-		t.Error("payload missing the traceback section accepted")
+// TestExperimentsDeterministic pins that every runner is a pure function
+// of (Scale, SizeFactor, Seed): a second run at smokeOptions renders the
+// same bytes as the first. A runner that reads the host clock fails here.
+func TestExperimentsDeterministic(t *testing.T) {
+	for _, r := range Experiments() {
+		first, ok := smokeOutputs[r.Name]
+		if !ok { // TestExperimentsSmoke filtered out by -run
+			first = runSmoke(t, r)
+		}
+		if second := runSmoke(t, r); !bytes.Equal(first, second) {
+			t.Errorf("%s: two runs at the same options differ:\n--- first\n%s\n--- second\n%s", r.Name, first, second)
+		}
 	}
 }
 

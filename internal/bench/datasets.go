@@ -11,7 +11,7 @@ import (
 // paper's so a full harness run stays within a test budget. Length
 // *distributions* (fixed-length synthetic vs log-normal reads),
 // seed-position spread and error profiles match the paper's descriptions
-// (§5.2); EXPERIMENTS.md records the mapping.
+// (§5.2); the table2 runner prints the resulting statistics.
 
 // Simulated85 mirrors simulated85: equal-length pairs, 15 % uniform
 // error, centred seeds, no sequence reuse.

@@ -10,7 +10,9 @@ import (
 
 // Kernel-level micro-benchmarks: single-core Mcells/s of each variant at
 // each score width, on the same 2000bp/15%-error workload as the facade
-// benchmarks. These feed the kernel_tiers section of BENCH_engine.json.
+// benchmarks. The per-layer metrics core.restricted2.mcells_per_s and
+// core.restricted2_narrow.mcells_per_s in BENCHMARK.json time the same
+// two tiers on the benchmark's own pairs.
 
 func benchKernelPair(n int, errRate float64) ([]byte, []byte) {
 	rng := rand.New(rand.NewSource(42))

@@ -152,11 +152,12 @@ func (js *jobState) collect(cursor int) (lines [][]byte, final []byte, notify ch
 	return lines, final, js.notify, false
 }
 
-// firstRetained returns the oldest cursor the window can still replay.
-func (js *jobState) firstRetained() int {
+// cursorBounds returns the oldest cursor the window can still replay and
+// the newest a client can hold: the seq of the next chunk to be produced.
+func (js *jobState) cursorBounds() (first, next int) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	return js.firstSeq
+	return js.firstSeq, js.nextSeq
 }
 
 // headerSnapshot builds the stream-opening header for a reader starting

@@ -348,9 +348,17 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		}
 		from = v
 	}
-	if first := js.firstRetained(); from < first {
+	first, next := js.cursorBounds()
+	if from < first {
 		writeError(w, http.StatusGone,
 			fmt.Sprintf("cursor %d fell out of the replay window (first retained %d)", from, first))
+		return
+	}
+	// A cursor is a seq the client has seen plus one. Past next, a settled
+	// job would stream a header and then wait on a channel nobody closes.
+	if from > next {
+		writeError(w, http.StatusBadRequest,
+			fmt.Sprintf("cursor %d ahead of the stream (next chunk %d)", from, next))
 		return
 	}
 	s.streamJob(w, r, js, from)

@@ -11,8 +11,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -166,6 +168,16 @@ func TestServiceResumeFromCursor(t *testing.T) {
 	}
 	record(first)
 
+	// A cursor the running job has not reached is refused, not parked.
+	aresp, err := ts.Client().Get(fmt.Sprintf("%s/v1/jobs/%s/results?from=%d", ts.URL, id, 1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	aresp.Body.Close()
+	if aresp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("cursor ahead of a running job: got %s, want 400", aresp.Status)
+	}
+
 	cursor := len(first)
 	rresp, err := ts.Client().Get(fmt.Sprintf("%s/v1/jobs/%s/results?from=%d", ts.URL, id, cursor))
 	if err != nil {
@@ -204,7 +216,8 @@ func TestServiceResumeFromCursor(t *testing.T) {
 }
 
 // TestServiceResumeWindowGone: a cursor older than the bounded replay
-// window answers 410 Gone.
+// window answers 410 Gone, one the stream has not reached 400; only a
+// cursor inside [firstRetained, chunks] opens a stream.
 func TestServiceResumeWindowGone(t *testing.T) {
 	svc := service.New(service.Config{
 		Shards: 1, WindowChunks: 1,
@@ -261,13 +274,56 @@ func TestServiceResumeWindowGone(t *testing.T) {
 	if st.FirstRetained == 0 {
 		t.Skipf("schedule delivered %d chunk(s); window never trimmed", st.Chunks)
 	}
-	gresp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + hdr.Job + "/results?from=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gresp.Body.Close()
-	if gresp.StatusCode != http.StatusGone {
-		t.Fatalf("stale cursor: got %s, want 410 Gone", gresp.Status)
+	// One table over the cursor of the settled job: a malformed or
+	// out-of-range cursor is refused up front and the body ends at once —
+	// a cursor past the stream must not be answered with a header and
+	// then held open on a job that will never produce another chunk.
+	for _, tc := range []struct {
+		from string
+		want int
+	}{
+		{"-1", http.StatusBadRequest},
+		{"abc", http.StatusBadRequest},
+		{"1e3", http.StatusBadRequest},
+		{"99999999999999999999", http.StatusBadRequest},
+		{"0", http.StatusGone},
+		{strconv.Itoa(st.FirstRetained - 1), http.StatusGone},
+		{strconv.Itoa(st.Chunks), http.StatusOK},
+		{strconv.Itoa(st.Chunks + 1), http.StatusBadRequest},
+		{strconv.FormatInt(1<<40, 10), http.StatusBadRequest},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
+			ts.URL+"/v1/jobs/"+hdr.Job+"/results?from="+tc.from, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatalf("from=%s: %v", tc.from, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		cancel()
+		if err != nil {
+			t.Fatalf("from=%s: body not closed promptly: %v (read %q)", tc.from, err, body)
+		}
+		if resp.StatusCode != tc.want {
+			t.Fatalf("from=%s: got %s, want %d", tc.from, resp.Status, tc.want)
+		}
+		if tc.want != http.StatusOK {
+			continue
+		}
+		// The cursor at the end of a settled stream: header, then final.
+		br := bufio.NewReader(bytes.NewReader(body))
+		hline, _ := br.ReadBytes('\n')
+		var henv wire.Envelope
+		if json.Unmarshal(hline, &henv) != nil || henv.Header == nil || henv.Header.From != st.Chunks {
+			t.Fatalf("from=%s: resume header wrong: %s", tc.from, hline)
+		}
+		if chunks, final := streamChunks(t, br, 0); len(chunks) != 0 || final.Error != "" || br.Buffered() != 0 {
+			t.Fatalf("from=%s: want header + final, got %q", tc.from, body)
+		}
 	}
 }
 
