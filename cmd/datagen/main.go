@@ -36,36 +36,33 @@ func main() {
 		os.Exit(2)
 	}
 
-	var seqs [][]byte
+	var d *synth.Dataset
 	var kindOf seqio.Kind
 	switch *kind {
 	case "reads":
-		d := synth.Reads(synth.ReadsSpec{
+		d = synth.Reads(synth.ReadsSpec{
 			Name: "reads", GenomeLen: *genome, Coverage: *coverage,
 			MeanReadLen: *meanLen, MinReadLen: *meanLen / 4,
 			Errors: synth.HiFiDNA(), SeedLen: 17, MinOverlap: *meanLen / 4, Seed: *seed,
 		})
-		seqs = d.Sequences
 	case "pairs":
-		d := synth.UniformPairs(synth.UniformPairsSpec{
+		d = synth.UniformPairs(synth.UniformPairsSpec{
 			Count: *count, Length: *length, ErrorRate: *errRate, SeedLen: 17, Seed: *seed,
 		})
-		seqs = d.Sequences
 	case "protein":
-		d, _ := synth.ProteinFamilies(synth.ProteinFamiliesSpec{
+		d, _ = synth.ProteinFamilies(synth.ProteinFamiliesSpec{
 			Families: *families, MembersPerFamily: *members,
 			MeanLen: 320, MutRate: 0.18, Seed: *seed,
 		})
-		seqs = d.Sequences
 		kindOf = seqio.Protein
 	default:
 		fmt.Fprintf(os.Stderr, "datagen: unknown kind %q\n", *kind)
 		os.Exit(2)
 	}
 
-	recs := make([]*seqio.Sequence, len(seqs))
-	for i, s := range seqs {
-		recs[i] = &seqio.Sequence{ID: fmt.Sprintf("seq%06d", i), Data: s, Kind: kindOf}
+	recs := make([]*seqio.Sequence, d.NumSeqs())
+	for i := range recs {
+		recs[i] = &seqio.Sequence{ID: fmt.Sprintf("seq%06d", i), Data: d.Seq(i), Kind: kindOf}
 	}
 	if err := seqio.WriteFastaFile(*out, recs, 80); err != nil {
 		fmt.Fprintln(os.Stderr, "datagen:", err)

@@ -131,18 +131,14 @@ func runAlign(args []string) {
 	if len(cmps) == 0 {
 		fail(fmt.Errorf("no comparisons to run"))
 	}
-	var d *workload.Dataset
+	d := arena.NewDataset(*in, workload.PlanOf(cmps), *protein)
 	if *spillDir != "" {
-		// Spine-only dataset: no materialised sequence views, so sealed
-		// slabs page out to -spill and batches fault their sets back in.
-		d = arena.NewStreamingDataset(*in, workload.PlanOf(cmps), *protein)
+		// Sealed slabs page out to -spill; batches fault their sets back in.
 		arena.Seal()
 		if _, err := arena.Spill(); err != nil {
 			fail(err)
 		}
 		defer arena.Close()
-	} else {
-		d = arena.NewDataset(*in, workload.PlanOf(cmps), *protein)
 	}
 
 	// Submit through the persistent engine: results stream back batch by

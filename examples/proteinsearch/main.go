@@ -20,7 +20,7 @@ func main() {
 		MutRate:          0.18,
 		Seed:             3,
 	})
-	fmt.Printf("%d proteins in %d hidden families\n", len(data.Sequences), 8)
+	fmt.Printf("%d proteins in %d hidden families\n", data.NumSeqs(), 8)
 
 	ipu := &xdropipu.IPUBackend{Cfg: xdropipu.IPUConfig{
 		IPUs:        1,
@@ -37,7 +37,8 @@ func main() {
 		},
 	}}
 
-	res, err := xdropipu.SearchPASTIS(data.Sequences, xdropipu.PASTISConfig{Backend: ipu})
+	pool, _ := data.Spine()
+	res, err := xdropipu.SearchPASTIS(pool.SeqViews(), xdropipu.PASTISConfig{Backend: ipu})
 	if err != nil {
 		panic(err)
 	}

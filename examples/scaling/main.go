@@ -21,7 +21,7 @@ func main() {
 		MeanReadLen: 900, MinReadLen: 300, MaxReadLen: 2200,
 		Errors: synth.UniformDNA(0.06), SeedLen: 17, MinOverlap: 250, Seed: 9,
 	})
-	fmt.Printf("workload: %d reads, %d comparisons\n", len(d.Sequences), len(d.Comparisons))
+	fmt.Printf("workload: %d reads, %d comparisons\n", d.NumSeqs(), len(d.Comparisons))
 
 	for _, part := range []bool{true, false} {
 		cfg := driver.Config{

@@ -139,10 +139,8 @@ func TestIPUBackendSharedEngine(t *testing.T) {
 // TestIPUBackendPropagatesErrors: an invalid dataset surfaces the
 // driver's validation error through the engine path.
 func TestIPUBackendPropagatesErrors(t *testing.T) {
-	bad := &workload.Dataset{
-		Sequences:   [][]byte{make([]byte, 40)},
-		Comparisons: []workload.Comparison{{H: 0, V: 2, SeedLen: 9}},
-	}
+	bad := workload.MustPack("", [][]byte{make([]byte, 40)}, nil, false).
+		WithComparisons([]workload.Comparison{{H: 0, V: 2, SeedLen: 9}})
 	if _, err := ipuBackend(10).Align(bad); err == nil {
 		t.Fatal("invalid dataset accepted")
 	}

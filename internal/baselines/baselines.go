@@ -77,7 +77,7 @@ func runAll(d *workload.Dataset, params core.Params) ([]int, []workload.Alignmen
 			tr := &traces[w]
 			for ci := w; ci < len(d.Comparisons); ci += workers {
 				c := d.Comparisons[ci]
-				h, v := d.Sequences[c.H], d.Sequences[c.V]
+				h, v := d.Seq(c.H), d.Seq(c.V)
 				seed := core.Seed{H: c.SeedH, V: c.SeedV, Len: c.SeedLen}
 				res, err := ws.ExtendSeed(h, v, seed, params)
 				if err != nil {

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/sram-align/xdropipu/internal/core"
@@ -26,7 +27,7 @@ func TestSeqAnScoresMatchCore(t *testing.T) {
 	res := SeqAn(d, 15, platform.EPYC7763)
 	p := SeqAnParams(15)
 	for i, c := range d.Comparisons {
-		want, err := core.ExtendSeed(d.Sequences[c.H], d.Sequences[c.V],
+		want, err := core.ExtendSeed(d.Seq(c.H), d.Seq(c.V),
 			core.Seed{H: c.SeedH, V: c.SeedV, Len: c.SeedLen}, p)
 		if err != nil {
 			t.Fatal(err)
@@ -106,16 +107,20 @@ func TestProteinBaseline(t *testing.T) {
 	gen, _ := synth.ProteinFamilies(synth.ProteinFamiliesSpec{
 		Families: 4, MembersPerFamily: 3, MeanLen: 250, MutRate: 0.15, Seed: 2,
 	})
-	// The generator's dataset is arena-backed and immutable (identical
-	// members share interned spans); seed planting below mutates in
-	// place, so work on a private deep copy of the pool.
-	d := gen.Clone()
+	// Datasets are immutable (identical members share interned spans) and
+	// seed planting below mutates in place, so copy the pool out, edit the
+	// copy and re-pack.
+	seqs := make([][]byte, gen.NumSeqs())
+	for i := range seqs {
+		seqs[i] = bytes.Clone(gen.Seq(i))
+	}
+	var cmps []workload.Comparison
 	// Give every in-family pair a comparison with a centred seed.
 	for f := 0; f < 4; f++ {
 		base := f * 3
 		for a := 0; a < 3; a++ {
 			for b := a + 1; b < 3; b++ {
-				h, v := d.Sequences[base+a], d.Sequences[base+b]
+				h, v := seqs[base+a], seqs[base+b]
 				k := 6
 				sh := len(h) / 2
 				sv := len(v) / 2
@@ -123,13 +128,14 @@ func TestProteinBaseline(t *testing.T) {
 					continue
 				}
 				synth.PlantSeed(h, v, sh, sv, k)
-				d.Comparisons = append(d.Comparisons, workload.Comparison{
+				cmps = append(cmps, workload.Comparison{
 					H: base + a, V: base + b, SeedH: sh, SeedV: sv, SeedLen: k,
 				})
 			}
 		}
 	}
-	if err := d.Validate(); err != nil {
+	d, err := workload.Pack(gen.Name, seqs, cmps, true)
+	if err != nil {
 		t.Fatal(err)
 	}
 	res := SeqAn(d, 49, platform.EPYC7763)
@@ -146,7 +152,7 @@ func TestProteinBaseline(t *testing.T) {
 }
 
 func TestEmptyDatasetBaselines(t *testing.T) {
-	d := &workload.Dataset{Name: "empty"}
+	d := workload.MustPack("empty", nil, nil, false)
 	for _, r := range []*Result{
 		SeqAn(d, 10, platform.EPYC7763),
 		Ksw2(d, 10, platform.EPYC7763),

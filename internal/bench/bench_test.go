@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -25,16 +27,40 @@ func runSmoke(t *testing.T, r Runner) []byte {
 }
 
 // TestExperimentsSmoke runs every registered experiment at miniature size
-// and checks it renders a non-empty table without error.
+// and compares the suite's output, byte for byte, with
+// testdata/smoke.golden — what `benchtables -scale 32 -size 0.08 -seed 7`
+// printed on the tree at ec68973. A refactor that moves a table (a
+// dataset edit silently ignored, say) fails here; a change meant to move
+// one regenerates the file with that command and says so.
 func TestExperimentsSmoke(t *testing.T) {
+	var suite bytes.Buffer
+	ran := 0
 	for _, r := range Experiments() {
 		t.Run(r.Name, func(t *testing.T) {
+			ran++
 			out := runSmoke(t, r)
 			if len(out) == 0 {
 				t.Fatalf("%s produced no output", r.Name)
 			}
 			smokeOutputs[r.Name] = out
+			fmt.Fprintf(&suite, "=== %s: %s ===\n\n%s", r.Name, r.Artifact, out)
 		})
+	}
+	if ran != len(Experiments()) {
+		return // -run selected a subset of the runners
+	}
+	want, err := os.ReadFile("testdata/smoke.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := suite.Bytes(); !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Fatalf("output differs from testdata/smoke.golden at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("output is %d lines, testdata/smoke.golden %d", len(gl), len(wl))
 	}
 }
 

@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 
 	"github.com/sram-align/xdropipu/internal/baselines"
 	"github.com/sram-align/xdropipu/internal/core"
@@ -16,26 +18,28 @@ import (
 // footprint headline for 25 kb sequences.
 func Memory(opt Options) error {
 	opt = opt.withDefaults()
-	// The generator's dataset is arena-backed (sequences are spans of one
-	// immutable, content-interned slab), and this experiment plants false
-	// seeds in place — so work on a private deep copy of the pool.
-	d := opt.Ecoli().Clone()
-	if len(d.Comparisons) > opt.n(400) {
-		d.Comparisons = d.Comparisons[:opt.n(400)]
+	// Datasets are immutable and this experiment plants false seeds in
+	// place — so copy the generator's pool out, edit the copy, re-pack.
+	base := opt.Ecoli()
+	arena, _ := base.Spine()
+	seqs := arena.SeqViews()
+	for i, s := range seqs {
+		seqs[i] = bytes.Clone(s)
 	}
+	cmps := slices.Clone(base.Comparisons[:min(len(base.Comparisons), opt.n(400))])
 	// Real overlap-detection output contains false candidates (repeat-
 	// induced pairs that share seeds but are otherwise dissimilar); they
 	// dominate δw because highly mismatched sequences spread the live
 	// window the most (Fig. 6). Mix some in, as ELBA data would have.
 	rng := rand.New(rand.NewSource(opt.Seed + 41))
-	falseN := len(d.Comparisons) / 6
+	falseN := len(cmps) / 6
 	for i := 0; i < falseN; i++ {
-		h := rng.Intn(len(d.Sequences))
-		v := rng.Intn(len(d.Sequences))
+		h := rng.Intn(len(seqs))
+		v := rng.Intn(len(seqs))
 		if h == v {
 			continue
 		}
-		hs, vs := d.Sequences[h], d.Sequences[v]
+		hs, vs := seqs[h], seqs[v]
 		k := 17
 		if len(hs) < 4*k || len(vs) < 4*k {
 			continue
@@ -43,9 +47,13 @@ func Memory(opt Options) error {
 		sh := k + rng.Intn(len(hs)-2*k)
 		sv := k + rng.Intn(len(vs)-2*k)
 		synth.PlantSeed(hs, vs, sh, sv, k)
-		d.Comparisons = append(d.Comparisons, workload.Comparison{
+		cmps = append(cmps, workload.Comparison{
 			H: h, V: v, SeedH: sh, SeedV: sv, SeedLen: k,
 		})
+	}
+	d, err := workload.Pack(base.Name, seqs, cmps, false)
+	if err != nil {
+		return err
 	}
 
 	// δ is governed by the longest extension in the dataset.
@@ -92,7 +100,7 @@ func maxBandOver(d *workload.Dataset, x int) int {
 	var ws core.Workspace
 	p := baselines.SeqAnParams(x)
 	for _, c := range d.Comparisons {
-		r, err := ws.ExtendSeed(d.Sequences[c.H], d.Sequences[c.V],
+		r, err := ws.ExtendSeed(d.Seq(c.H), d.Seq(c.V),
 			core.Seed{H: c.SeedH, V: c.SeedV, Len: c.SeedLen}, p)
 		if err != nil {
 			continue
@@ -115,11 +123,11 @@ func verifyRestricted(d *workload.Dataset, x, deltaB, sample int) bool {
 			break
 		}
 		seed := core.Seed{H: c.SeedH, V: c.SeedV, Len: c.SeedLen}
-		a, err := ws.ExtendSeed(d.Sequences[c.H], d.Sequences[c.V], seed, std)
+		a, err := ws.ExtendSeed(d.Seq(c.H), d.Seq(c.V), seed, std)
 		if err != nil {
 			return false
 		}
-		b, err := ws.ExtendSeed(d.Sequences[c.H], d.Sequences[c.V], seed, rst)
+		b, err := ws.ExtendSeed(d.Seq(c.H), d.Seq(c.V), seed, rst)
 		if err != nil {
 			return false
 		}

@@ -123,6 +123,8 @@ func PASTIS(opt Options) error {
 		MutRate:          0.18,
 		Seed:             opt.Seed + 32,
 	})
+	arena, _ := d.Spine()
+	seqs := arena.SeqViews()
 
 	x := 49
 	cpuBk := &backend.CPU{Model: opt.cpuModel(), X: x}
@@ -135,7 +137,7 @@ func PASTIS(opt Options) error {
 		"backend", "align time", "speedup", "candidate pairs", "homolog pairs", "families>1")
 	var cpuTime float64
 	for i, bk := range []backend.Backend{cpuBk, ipuBk} {
-		res, err := pastis.Search(d.Sequences, pastis.Config{Backend: bk})
+		res, err := pastis.Search(seqs, pastis.Config{Backend: bk})
 		if err != nil {
 			return err
 		}

@@ -92,11 +92,7 @@ func ratio(a, b float64) string {
 func (o Options) Table1Synthetic() *workload.Dataset {
 	d := o.withDefaults()
 	s := d.Simulated85()
-	if len(s.Comparisons) > d.n(1800) {
-		s.Comparisons = s.Comparisons[:d.n(1800)]
-	}
-	s.Name = "simulated85"
-	return s
+	return s.WithComparisons(s.Comparisons[:min(len(s.Comparisons), d.n(1800))])
 }
 
 // Table1Ecoli is the ablation's real-data analogue. It is sized to about
@@ -106,10 +102,7 @@ func (o Options) Table1Synthetic() *workload.Dataset {
 func (o Options) Table1Ecoli() *workload.Dataset {
 	d := o.withDefaults()
 	e := d.Ecoli()
-	limit := d.n(5 * d.ipuModel().Tiles)
-	if len(e.Comparisons) > limit {
-		e.Comparisons = e.Comparisons[:limit]
-	}
+	e = e.WithComparisons(e.Comparisons[:min(len(e.Comparisons), d.n(5*d.ipuModel().Tiles))])
 	e.Name = "elba-ecoli"
 	return e
 }
@@ -122,15 +115,12 @@ func Races(opt Options) error {
 	opt = opt.withDefaults()
 	d := opt.Simulated85()
 	// Duplicate one comparison so every unit costs exactly the same —
-	// maximal tie pressure for the deterministic counters. The dataset is
-	// arena-backed, so replace Comparisons with a fresh slice (a [:0]
-	// refill would scribble over the plan's shared cached rows).
-	base := d.Comparisons[0]
+	// maximal tie pressure for the deterministic counters.
 	cmps := make([]workload.Comparison, opt.n(600))
 	for i := range cmps {
-		cmps[i] = base
+		cmps[i] = d.Comparisons[0]
 	}
-	d.Comparisons = cmps
+	d = d.WithComparisons(cmps)
 	tab := metrics.NewTable("§4.1.3 — work-stealing races",
 		"strategy", "races", "steals", "duplicated work", "alignments")
 	for _, busy := range []bool{false, true} {

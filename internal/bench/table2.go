@@ -19,8 +19,8 @@ func Table2(opt Options) error {
 			return err
 		}
 		var seqLens []int
-		for _, s := range d.Sequences {
-			seqLens = append(seqLens, len(s))
+		for i := range d.NumSeqs() {
+			seqLens = append(seqLens, d.SeqLen(i))
 		}
 		var lExt, rExt []int
 		var complexity float64

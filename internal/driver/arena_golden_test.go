@@ -76,8 +76,7 @@ func goldenDatasets(t testing.TB) map[string]*workload.Dataset {
 			}
 		}
 	}
-	prot.Comparisons = pc
-	return map[string]*workload.Dataset{"uniform": uni, "reads": reads, "protein": prot}
+	return map[string]*workload.Dataset{"uniform": uni, "reads": reads, "protein": prot.WithComparisons(pc)}
 }
 
 func goldenConfigs() map[string]struct {
@@ -122,40 +121,6 @@ func TestGoldenReportsPreArena(t *testing.T) {
 	}
 }
 
-// TestArenaViewMatchesSliceDataset: a dataset assembled from plain slices
-// (legacy producers) and the arena-backed view over the same pool must
-// produce bit-identical reports — the compatibility contract of the spine.
-func TestArenaViewMatchesSliceDataset(t *testing.T) {
-	for name, tc := range goldenConfigs() {
-		ds := goldenDatasets(t)
-		d := ds[tc.dataset]
-
-		// Legacy assembly: deep-copied [][]byte pool, comparisons by
-		// value, no spine until the stack builds one.
-		legacy := d.Clone()
-
-		// Arena assembly from the same bytes.
-		arena := workload.NewArena(0, len(d.Sequences))
-		for _, s := range d.Sequences {
-			arena.Append(s)
-		}
-		plan := workload.PlanOf(d.Comparisons)
-		packed := arena.NewDataset(d.Name, plan, d.Protein)
-
-		repLegacy, err := Run(legacy, tc.cfg)
-		if err != nil {
-			t.Fatalf("%s legacy: %v", name, err)
-		}
-		repArena, err := Run(packed, tc.cfg)
-		if err != nil {
-			t.Fatalf("%s arena: %v", name, err)
-		}
-		if a, b := reportFingerprint(repLegacy), reportFingerprint(repArena); a != b {
-			t.Errorf("%s: arena-backed report %s differs from slice-backed %s", name, b, a)
-		}
-	}
-}
-
 // TestArenaPathMatchesReferenceOracle: alignments executed through the
 // full arena spine (arena → plan → partition → tiles → kernel) must equal
 // the full-matrix AlgoReference oracle run directly on the raw sequences.
@@ -168,7 +133,7 @@ func TestArenaPathMatchesReferenceOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ci, c := range d.Comparisons {
-		want, err := core.ExtendSeed(d.Sequences[c.H], d.Sequences[c.V],
+		want, err := core.ExtendSeed(d.Seq(c.H), d.Seq(c.V),
 			core.Seed{H: c.SeedH, V: c.SeedV, Len: c.SeedLen}, p)
 		if err != nil {
 			t.Fatal(err)

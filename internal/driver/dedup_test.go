@@ -18,9 +18,7 @@ func duplicated(d *workload.Dataset, factor int) *workload.Dataset {
 	for f := 0; f < factor; f++ {
 		cmps = append(cmps, d.Comparisons...)
 	}
-	return &workload.Dataset{
-		Name: d.Name, Sequences: d.Sequences, Comparisons: cmps, Protein: d.Protein,
-	}
+	return d.WithComparisons(cmps)
 }
 
 // sameResults asserts two reports carry bit-identical per-comparison
@@ -145,22 +143,24 @@ func TestDedupFuzzEquivalence(t *testing.T) {
 		}
 		// Pool with duplicated content under fresh indices.
 		nSeqs := nDistinct + rng.Intn(6)
-		d := &workload.Dataset{}
-		for i := 0; i < nSeqs; i++ {
-			d.Sequences = append(d.Sequences, distinct[rng.Intn(nDistinct)])
+		seqs := make([][]byte, nSeqs)
+		for i := range seqs {
+			seqs[i] = distinct[rng.Intn(nDistinct)]
 		}
+		var cmps []workload.Comparison
 		nCmps := 1 + rng.Intn(40)
 		for i := 0; i < nCmps; i++ {
 			h, v := rng.Intn(nSeqs), rng.Intn(nSeqs) // self-comparisons allowed
 			k := 4 + rng.Intn(8)
-			maxH, maxV := len(d.Sequences[h])-k, len(d.Sequences[v])-k
-			d.Comparisons = append(d.Comparisons, workload.Comparison{
+			maxH, maxV := len(seqs[h])-k, len(seqs[v])-k
+			cmps = append(cmps, workload.Comparison{
 				H: h, V: v, SeedH: rng.Intn(maxH + 1), SeedV: rng.Intn(maxV + 1), SeedLen: k,
 			})
 			if rng.Intn(3) == 0 { // literal duplicate row
-				d.Comparisons = append(d.Comparisons, d.Comparisons[len(d.Comparisons)-1])
+				cmps = append(cmps, cmps[len(cmps)-1])
 			}
 		}
+		d := workload.MustPack("", seqs, cmps, false)
 		cfg := Config{IPUs: 1, Partition: rng.Intn(2) == 0, TilesPerIPU: 1 + rng.Intn(8),
 			Kernel: ipukernel.Config{Params: p}}
 		off, err := Run(d, cfg)

@@ -52,7 +52,7 @@ func TestRunProducesCorrectScores(t *testing.T) {
 	}
 	p := core.Params{Scorer: scoring.DNADefault, Gap: -1, X: 15, DeltaB: 256}
 	for i, c := range d.Comparisons {
-		want, err := core.ExtendSeed(d.Sequences[c.H], d.Sequences[c.V],
+		want, err := core.ExtendSeed(d.Seq(c.H), d.Seq(c.V),
 			core.Seed{H: c.SeedH, V: c.SeedV, Len: c.SeedLen}, p)
 		if err != nil {
 			t.Fatal(err)
@@ -160,7 +160,7 @@ func TestGCUPSAndMeanBand(t *testing.T) {
 }
 
 func TestEmptyDataset(t *testing.T) {
-	d := &workload.Dataset{Name: "empty"}
+	d := workload.MustPack("empty", nil, nil, false)
 	rep, err := Run(d, testCfg(1, true))
 	if err != nil {
 		t.Fatal(err)
@@ -184,11 +184,12 @@ func TestDefaultsApplied(t *testing.T) {
 }
 
 func TestInvalidDatasetRejected(t *testing.T) {
-	d := &workload.Dataset{
-		Sequences:   [][]byte{[]byte("ACGT")},
-		Comparisons: []workload.Comparison{{H: 0, V: 5, SeedLen: 2}},
-	}
+	d := workload.MustPack("", [][]byte{[]byte("ACGT")}, nil, false).
+		WithComparisons([]workload.Comparison{{H: 0, V: 5, SeedLen: 2}})
 	if _, err := Run(d, testCfg(1, true)); err == nil {
 		t.Error("invalid dataset accepted")
+	}
+	if _, err := Run(&workload.Dataset{}, testCfg(1, true)); err == nil {
+		t.Error("a dataset without a spine accepted")
 	}
 }

@@ -6,6 +6,7 @@
 package driver
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -15,16 +16,15 @@ import (
 
 // repackSpine rebuilds d's pool into a fresh spine capped at maxSlab
 // bytes per slab — same sequences, same indices, same plan — so runs on
-// the repacked dataset are byte-comparable to runs on d. The dataset is
-// spine-only (no materialised Sequences view), so slabs stay spillable.
+// the repacked dataset are byte-comparable to runs on d.
 func repackSpine(t testing.TB, d *workload.Dataset, maxSlab int) (*workload.Dataset, *workload.Arena) {
 	t.Helper()
 	a := workload.NewArena(0, d.NumSeqs())
 	a.SetMaxSlabBytes(maxSlab)
-	for _, s := range d.Sequences {
-		a.Append(s)
+	for i := range d.NumSeqs() {
+		a.Append(d.Seq(i))
 	}
-	rd := a.NewStreamingDataset(d.Name, workload.PlanOf(d.Comparisons), d.Protein)
+	rd := a.NewDataset(d.Name, workload.PlanOf(d.Comparisons), d.Protein)
 	if err := rd.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +46,8 @@ func TestArenaSpineMultiSlabBitIdentical(t *testing.T) {
 		// sequence (maximum fragmentation), and a ~3-slab cut of the pool.
 		// Both are sized from the data so every fixture genuinely rolls.
 		longest := 0
-		for _, s := range ds[tc.dataset].Sequences {
-			longest = max(longest, len(s))
+		for i := range ds[tc.dataset].NumSeqs() {
+			longest = max(longest, ds[tc.dataset].SeqLen(i))
 		}
 		caps := []int{longest, max(longest, int(ds[tc.dataset].TotalSeqBytes()/3)+1)}
 		for _, maxSlab := range caps {
@@ -160,6 +160,52 @@ func TestArenaSpineSpillExecution(t *testing.T) {
 	}
 }
 
+// TestArenaSpineSpilledDedupPlanning: planning is residency-free. With
+// dedup on and one interned duplicate (so the unique-extension sub-plan
+// is actually built), BuildBatches over a fully spilled multi-slab spine
+// must read spans only — no slab faults in, none changes state.
+func TestArenaSpineSpilledDedupPlanning(t *testing.T) {
+	a := workload.NewArena(0, 5)
+	a.SetMaxSlabBytes(32)
+	for _, s := range []string{
+		"ACGTACGTACGTACGTACGTACGTACGTACGT",
+		"ACGAACGTACGTTCGTACGTACGAACGTACGT",
+		"TTGCATGCATGCATGCATGCAAGCATGCATGC",
+		"TTGCATGCATGCATTCATGCAAGCATGCATGC",
+		"ACGTACGTACGTACGTACGTACGTACGTACGT", // interns onto sequence 0
+	} {
+		a.Append([]byte(s))
+	}
+	d := a.NewDataset("cold-plan", workload.PlanOf([]workload.Comparison{
+		{H: 0, V: 1, SeedH: 8, SeedV: 8, SeedLen: 8},
+		{H: 2, V: 3, SeedH: 8, SeedV: 8, SeedLen: 8},
+		{H: 4, V: 1, SeedH: 8, SeedV: 8, SeedLen: 8}, // duplicate extension of row 0
+	}), false)
+	a.EnableSpill(t.TempDir())
+	defer a.Close()
+	a.Seal()
+	if _, err := a.Spill(); err != nil {
+		t.Fatal(err)
+	}
+	before := a.Residency()
+	if before.Slabs != 4 || before.Spilled != 4 {
+		t.Fatalf("fixture: %+v, want 4 slabs, all spilled", before)
+	}
+
+	cfg := goldenConfigs()["reads-partition"].cfg
+	cfg.DedupExtensions = true
+	bp, err := BuildBatches(context.Background(), d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bp.dedup == nil || bp.dedup.Duplicates() != 1 {
+		t.Fatalf("dedup sub-plan path did not run: %+v", bp.dedup)
+	}
+	if got := a.Residency(); got.Faults != 0 || got.Spilled != before.Spilled {
+		t.Errorf("planning touched slab bytes: %+v → %+v", before, got)
+	}
+}
+
 // TestArenaSpineSmoke is the fast multi-slab end-to-end check CI's short
 // mode runs: stream FASTA into a tiny-capped spine, partition, execute
 // with dedup and traceback, and compare against the identical content in
@@ -182,7 +228,7 @@ func TestArenaSpineSmoke(t *testing.T) {
 			{H: 2, V: 3, SeedH: 8, SeedV: 8, SeedLen: 8},
 			{H: 4, V: 1, SeedH: 8, SeedV: 8, SeedLen: 8}, // a2 interns onto a
 		})
-		d := a.NewStreamingDataset("smoke", plan, false)
+		d := a.NewDataset("smoke", plan, false)
 		if err := d.Validate(); err != nil {
 			t.Fatal(err)
 		}

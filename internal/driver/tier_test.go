@@ -107,16 +107,8 @@ func TestKernelTierPromotionDriverPath(t *testing.T) {
 	for i := range seq {
 		seq[i] = "ACGT"[i%4]
 	}
-	d := &workload.Dataset{
-		Name:      "sat",
-		Sequences: [][]byte{seq, append([]byte(nil), seq...)},
-		Comparisons: []workload.Comparison{
-			{H: 0, V: 1, SeedH: 4480, SeedV: 4480, SeedLen: 17},
-		},
-	}
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	d := workload.MustPack("sat", [][]byte{seq, seq},
+		[]workload.Comparison{{H: 0, V: 1, SeedH: 4480, SeedV: 4480, SeedLen: 17}}, false)
 	cfg := Config{
 		IPUs: 1, Model: platform.GC200, TilesPerIPU: 4,
 		Kernel: ipukernel.Config{

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/sram-align/xdropipu/internal/alignment"
-	"github.com/sram-align/xdropipu/internal/workload"
 )
 
 // TestTracebackReportOracle runs every golden workload/config pair with
@@ -70,7 +69,7 @@ func TestTracebackReportOracle(t *testing.T) {
 				t.Fatalf("%s: comparison %d alignment invalid: %v (cigar %q)", name, i, err, r.Cigar)
 			}
 			c := d.Comparisons[i]
-			h, v := d.Sequences[c.H], d.Sequences[c.V]
+			h, v := d.Seq(c.H), d.Seq(c.V)
 			recon, err := alignment.ScoreOf(h[r.BegH:r.EndH], v[r.BegV:r.EndV], r.Cigar,
 				p.Scorer, p.Gap, p.GapOpen)
 			if err != nil {
@@ -99,12 +98,7 @@ func TestTracebackComposesWithDedup(t *testing.T) {
 	ds := goldenDatasets(t)
 	d := ds["reads"]
 	// Duplicate the comparison list to create real dedup pressure.
-	dup := &workload.Dataset{
-		Name:        d.Name + "-dup",
-		Sequences:   d.Sequences,
-		Comparisons: append(append([]workload.Comparison(nil), d.Comparisons...), d.Comparisons...),
-		Protein:     d.Protein,
-	}
+	dup := duplicated(d, 2)
 	base := goldenConfigs()["reads-partition"].cfg
 	base.Traceback = true
 

@@ -251,26 +251,27 @@ func traceCapDataset(big int) (*workload.Dataset, int) {
 		}
 		return v
 	}
-	d := &workload.Dataset{Name: "trace-cap"}
+	var seqs [][]byte
+	var cmps []workload.Comparison
 	addPair := func(n int) {
 		h := gen(n)
 		v := mut(h, 0.03)
 		k := 17
 		s := n/2 - k/2
 		copy(v[s:s+k], h[s:s+k])
-		i := len(d.Sequences)
-		d.Sequences = append(d.Sequences, h, v)
-		d.Comparisons = append(d.Comparisons, workload.Comparison{
+		i := len(seqs)
+		seqs = append(seqs, h, v)
+		cmps = append(cmps, workload.Comparison{
 			H: i, V: i + 1, SeedH: s, SeedV: s, SeedLen: k,
 		})
 	}
 	for i := 0; i < 4; i++ {
 		addPair(80)
 	}
-	bigIdx := len(d.Comparisons)
+	bigIdx := len(cmps)
 	addPair(big)
 	addPair(80)
-	return d, bigIdx
+	return workload.MustPack("trace-cap", seqs, cmps, false), bigIdx
 }
 
 // TestTraceTooLargeDegradesSingleComparison is the propagation-bugfix

@@ -110,17 +110,10 @@ func Assemble(reads [][]byte, cfg Config) (*Result, error) {
 	// (identical reads share a span, not an index), every alignment
 	// backend sees the same packed pool, and concurrent Assemble calls
 	// submitting to a shared engine duplicate no sequence memory.
-	arena := workload.NewArena(0, len(reads))
-	for ri, r := range reads {
-		if _, err := arena.TryAppend(r); err != nil {
-			return nil, fmt.Errorf("elba: read %d: %w", ri, err)
-		}
+	d, err := workload.Pack("elba", reads, cmps, false)
+	if err != nil {
+		return nil, fmt.Errorf("elba: %w", err)
 	}
-	plan := workload.PlanOf(cmps)
-	if err := arena.ValidatePlan(plan); err != nil {
-		return nil, err
-	}
-	d := arena.NewDataset("elba", plan, false)
 
 	out, err := cfg.Backend.Align(d)
 	if err != nil {

@@ -13,35 +13,20 @@ import (
 )
 
 // benchmarkSubmit measures the warm host-side cost of one submitted job
-// at a given submitter concurrency, in two dataset regimes:
-//
-//   - slices: every job materialises its own pool — a fresh [][]byte
-//     Dataset per submission, the way pre-arena clients fed the engine
-//     (each request owning a copy of Ω, re-counted at every layer);
-//   - arena: every job shares one immutable arena-backed dataset, so a
-//     submission carries spans and the pool bytes are resident once.
-//
-// allocs/op and B/op are per job; poolB/job reports the Ω bytes each job
-// materialises (the "host-side bytes per job" the arena eliminates).
-func benchmarkSubmit(b *testing.B, submitters int, arenaBacked bool) {
-	base := synth.UniformPairs(synth.UniformPairsSpec{
+// at a given submitter concurrency: every job shares one immutable
+// dataset, so a submission carries spans and the pool bytes are resident
+// once. allocs/op and B/op are per job.
+func benchmarkSubmit(b *testing.B, submitters int) {
+	d := synth.UniformPairs(synth.UniformPairsSpec{
 		Count: 12, Length: 500, ErrorRate: 0.15, SeedLen: 17, Seed: 77})
-	poolBytes := base.TotalSeqBytes()
 
 	cfg := driver.Config{IPUs: 1, Partition: true, Kernel: ipukernel.Config{
 		Params: core.Params{Scorer: scoring.DNADefault, Gap: -1, X: 10, DeltaB: 128}}}
 	eng := New(WithDriverConfig(cfg), WithQueueDepth(max(submitters, DefaultQueueDepth)))
 	defer eng.Close()
 
-	mkJob := func() *workload.Dataset {
-		if arenaBacked {
-			return base // one resident arena, shared by every submission
-		}
-		return base.Clone() // every job materialises its own pool
-	}
-
 	// Warm the engine (device pools, executors) outside the measurement.
-	if j, err := eng.Submit(context.Background(), mkJob()); err != nil {
+	if j, err := eng.Submit(context.Background(), d); err != nil {
 		b.Fatal(err)
 	} else if _, err := j.Wait(context.Background()); err != nil {
 		b.Fatal(err)
@@ -65,7 +50,7 @@ func benchmarkSubmit(b *testing.B, submitters int, arenaBacked bool) {
 	b.ResetTimer()
 	go func() {
 		for i := 0; i < b.N; i++ {
-			jobs <- mkJob()
+			jobs <- d
 		}
 		close(jobs)
 	}()
@@ -74,17 +59,8 @@ func benchmarkSubmit(b *testing.B, submitters int, arenaBacked bool) {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	if arenaBacked {
-		b.ReportMetric(0, "poolB/job")
-	} else {
-		b.ReportMetric(float64(poolBytes), "poolB/job")
-	}
 }
 
-func BenchmarkSubmitSlices1(b *testing.B)  { benchmarkSubmit(b, 1, false) }
-func BenchmarkSubmitArena1(b *testing.B)   { benchmarkSubmit(b, 1, true) }
-func BenchmarkSubmitSlices4(b *testing.B)  { benchmarkSubmit(b, 4, false) }
-func BenchmarkSubmitArena4(b *testing.B)   { benchmarkSubmit(b, 4, true) }
-func BenchmarkSubmitSlices16(b *testing.B) { benchmarkSubmit(b, 16, false) }
-func BenchmarkSubmitArena16(b *testing.B)  { benchmarkSubmit(b, 16, true) }
+func BenchmarkSubmitArena1(b *testing.B)  { benchmarkSubmit(b, 1) }
+func BenchmarkSubmitArena4(b *testing.B)  { benchmarkSubmit(b, 4) }
+func BenchmarkSubmitArena16(b *testing.B) { benchmarkSubmit(b, 16) }

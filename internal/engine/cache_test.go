@@ -29,7 +29,7 @@ func cacheTestDataset(seed int64) *workload.Dataset {
 // bit-identical to an uncached engine.
 func TestEngineResultCacheCrossJob(t *testing.T) {
 	d1 := cacheTestDataset(11)
-	d2 := d1.Clone() // same bytes, fresh slices, fresh spine
+	d2 := d1.Clone() // same bytes, fresh arena
 
 	want, err := driver.Run(d1.Clone(), cacheTestConfig())
 	if err != nil {
@@ -86,10 +86,7 @@ func TestEngineResultCacheCrossJob(t *testing.T) {
 // submissions.
 func TestEngineDedupMatchesPlainEngine(t *testing.T) {
 	base := cacheTestDataset(23)
-	dup := &workload.Dataset{Name: base.Name, Sequences: base.Sequences, Protein: base.Protein}
-	for i := 0; i < 5; i++ {
-		dup.Comparisons = append(dup.Comparisons, base.Comparisons...)
-	}
+	dup := dupDataset(base, 5)
 
 	want, err := driver.Run(dup, cacheTestConfig())
 	if err != nil {
@@ -252,10 +249,7 @@ func TestKernelFingerprint(t *testing.T) {
 // entirely from the cache (a single Batch == -1 update).
 func TestStreamingPerComparisonUnderDedup(t *testing.T) {
 	base := cacheTestDataset(47)
-	dup := &workload.Dataset{Name: base.Name, Sequences: base.Sequences, Protein: base.Protein}
-	for i := 0; i < 4; i++ {
-		dup.Comparisons = append(dup.Comparisons, base.Comparisons...)
-	}
+	dup := dupDataset(base, 4)
 
 	eng := New(WithDriverConfig(cacheTestConfig()), WithResultCache(1<<12))
 	defer eng.Close()
@@ -314,10 +308,7 @@ func TestStreamingPerComparisonUnderDedup(t *testing.T) {
 func benchmarkSubmitDedup(b *testing.B, submitters int, opts ...Option) {
 	base := synth.UniformPairs(synth.UniformPairsSpec{
 		Count: 12, Length: 500, ErrorRate: 0.15, SeedLen: 17, Seed: 77})
-	dup := &workload.Dataset{Name: "dup4", Sequences: base.Sequences, Protein: base.Protein}
-	for i := 0; i < 4; i++ {
-		dup.Comparisons = append(dup.Comparisons, base.Comparisons...)
-	}
+	dup := dupDataset(base, 4)
 
 	cfg := driver.Config{IPUs: 1, Partition: true, Kernel: ipukernel.Config{
 		Params: core.Params{Scorer: scoring.DNADefault, Gap: -1, X: 10, DeltaB: 128}}}
@@ -374,10 +365,7 @@ func BenchmarkSubmitDedupCache4(b *testing.B) { benchmarkSubmitDedup(b, 4, WithR
 // host-throughput win the benchmarks measure.
 func TestSubmitDedupThroughputGain(t *testing.T) {
 	base := cacheTestDataset(31)
-	dup := &workload.Dataset{Name: base.Name, Sequences: base.Sequences, Protein: base.Protein}
-	for i := 0; i < 4; i++ {
-		dup.Comparisons = append(dup.Comparisons, base.Comparisons...)
-	}
+	dup := dupDataset(base, 4)
 
 	run := func(opts ...Option) *driver.Report {
 		eng := New(append([]Option{WithDriverConfig(cacheTestConfig())}, opts...)...)

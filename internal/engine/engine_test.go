@@ -352,7 +352,7 @@ func TestEngineSubmissionOrderIrrelevant(t *testing.T) {
 func TestEngineEmptyDataset(t *testing.T) {
 	e := New(WithDriverConfig(testCfg(1)))
 	defer e.Close()
-	job, err := e.Submit(context.Background(), &workload.Dataset{Name: "empty"})
+	job, err := e.Submit(context.Background(), workload.MustPack("empty", nil, nil, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,10 +372,8 @@ func TestEngineEmptyDataset(t *testing.T) {
 func TestEngineBuildError(t *testing.T) {
 	e := New(WithDriverConfig(testCfg(1)))
 	defer e.Close()
-	bad := &workload.Dataset{
-		Sequences:   [][]byte{make([]byte, 50)},
-		Comparisons: []workload.Comparison{{H: 0, V: 3, SeedLen: 10}},
-	}
+	bad := workload.MustPack("", [][]byte{make([]byte, 50)}, nil, false).
+		WithComparisons([]workload.Comparison{{H: 0, V: 3, SeedLen: 10}})
 	job, err := e.Submit(context.Background(), bad)
 	if err != nil {
 		t.Fatal(err)

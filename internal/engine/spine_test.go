@@ -14,18 +14,18 @@ import (
 )
 
 // repackedSpine packs d's pool into a spine capped at maxSlab bytes per
-// slab and returns the spine-only dataset plus its arena.
+// slab and returns the repacked dataset plus its arena.
 func repackedSpine(t testing.TB, d *workload.Dataset, maxSlab int) (*workload.Dataset, *workload.Arena) {
 	t.Helper()
-	a := workload.NewArena(0, len(d.Sequences))
+	a := workload.NewArena(0, d.NumSeqs())
 	a.SetMaxSlabBytes(maxSlab)
-	for _, s := range d.Sequences {
-		a.Append(s)
+	for i := range d.NumSeqs() {
+		a.Append(d.Seq(i))
 	}
 	if a.NumSlabs() < 2 {
 		t.Fatalf("%d-byte cap produced %d slabs — fixture not multi-slab", maxSlab, a.NumSlabs())
 	}
-	rd := a.NewStreamingDataset(d.Name, workload.PlanOf(d.Comparisons), d.Protein)
+	rd := a.NewDataset(d.Name, workload.PlanOf(d.Comparisons), d.Protein)
 	if err := rd.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,7 @@ func dupDataset(d *workload.Dataset, factor int) *workload.Dataset {
 	for f := 0; f < factor; f++ {
 		cmps = append(cmps, d.Comparisons...)
 	}
-	return &workload.Dataset{Name: d.Name + "-dup", Sequences: d.Sequences,
-		Comparisons: cmps, Protein: d.Protein}
+	return d.WithComparisons(cmps)
 }
 
 // collectStream drains a job's update stream into per-comparison space,
@@ -208,7 +207,7 @@ func TestTracebackStreamCigarsValidate(t *testing.T) {
 			t.Fatalf("streamed comparison %d invalid: %v (cigar %q)", i, err, r.Cigar)
 		}
 		c := d.Comparisons[i]
-		h, v := d.Sequences[c.H], d.Sequences[c.V]
+		h, v := d.Seq(c.H), d.Seq(c.V)
 		recon, err := alignment.ScoreOf(h[r.BegH:r.EndH], v[r.BegV:r.EndV], r.Cigar, p.Scorer, p.Gap, p.GapOpen)
 		if err != nil || recon != r.Score {
 			t.Fatalf("streamed comparison %d: reconstructed %d (err %v) != score %d", i, recon, err, r.Score)

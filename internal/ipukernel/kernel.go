@@ -421,7 +421,8 @@ func (c Config) ExtensionTraceBytes(lh, lv int) int {
 // direction-arena charges. Replay-path extensions share one serialized
 // arena sized for the tile's worst such extension; fused-path extensions
 // record concurrently on every thread, so their worst arena is charged
-// once per thread. Kept in lockstep with partition.DeriveSeqBudget.
+// once per thread. The partitioner admits items against the same
+// TileFootprint sum.
 func (c Config) TileMemoryBytes(t *TileWork, model platform.IPUModel) int {
 	cc := c.withDefaults(model)
 	maxMin, maxReplay, maxFused := 0, 0, 0
@@ -439,13 +440,21 @@ func (c Config) TileMemoryBytes(t *TileWork, model platform.IPUModel) int {
 			maxReplay = max(maxReplay, lr, rr)
 		}
 	}
-	return t.SeqBytes() +
-		len(t.Seqs)*seqDescrBytes +
-		len(t.Jobs)*JobTupleBytes +
-		cc.Threads*cc.WorkBufBytesPerThread(maxMin) +
-		cc.Threads*maxFused +
-		maxReplay +
-		len(t.Jobs)*ResultBytes +
+	return cc.TileFootprint(t.SeqBytes(), len(t.Seqs), len(t.Jobs), maxMin, maxFused, maxReplay, cc.Threads)
+}
+
+// TileFootprint is the tile SRAM formula itself, over the quantities a
+// tile's work reduces to: sequence bytes, sequence and job counts, the
+// largest min-side extension (sizes the per-thread DP buffers), and the
+// worst fused (per-thread) and replay (one shared arena) trace charges.
+// TileMemoryBytes evaluates it on finished work, partition's admission
+// on work it is still assembling.
+func (c Config) TileFootprint(seqBytes, nSeqs, nJobs, maxMin, fused, replay, threads int) int {
+	return seqBytes +
+		nSeqs*seqDescrBytes +
+		nJobs*(JobTupleBytes+ResultBytes) +
+		threads*(c.WorkBufBytesPerThread(maxMin)+fused) +
+		replay +
 		batchHdrBytes
 }
 

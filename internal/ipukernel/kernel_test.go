@@ -91,7 +91,7 @@ func TestKernelMatchesDirectExtension(t *testing.T) {
 		}
 		for i, o := range res.Out {
 			c := d.Comparisons[i]
-			want, err := core.ExtendSeed(d.Sequences[c.H], d.Sequences[c.V],
+			want, err := core.ExtendSeed(d.Seq(c.H), d.Seq(c.V),
 				core.Seed{H: c.SeedH, V: c.SeedV, Len: c.SeedLen}, cfg.Params)
 			if err != nil {
 				t.Fatal(err)
@@ -210,7 +210,7 @@ func TestUniqueSeqBytesInRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hn, vn := len(d.Sequences[c.H]), len(d.Sequences[c.V])
+	hn, vn := d.SeqLen(c.H), d.SeqLen(c.V)
 	if want := int64(2*hn + vn); res.HostBytesIn-int64(3*seqDescrBytes+2*JobTupleBytes+batchHdrBytes) != want {
 		t.Errorf("per-descriptor sequence payload = %d, want %d",
 			res.HostBytesIn-int64(3*seqDescrBytes+2*JobTupleBytes+batchHdrBytes), want)

@@ -387,10 +387,7 @@ func (tb *tileBuilder) memoryWith(refs []workload.SeqRef, it *Item, adm admissio
 	}
 	nJobs := len(tb.work.Jobs) + len(it.Cmps)
 	adm = adm.with(tb.adm)
-	return seqBytes + nSeqs*8 + nJobs*ipukernel.JobTupleBytes +
-		threads*cfg.WorkBufBytesPerThread(adm.maxMin) +
-		threads*adm.fused + adm.replay +
-		nJobs*ipukernel.ResultBytes + 64
+	return cfg.TileFootprint(seqBytes, nSeqs, nJobs, adm.maxMin, adm.fused, adm.replay, threads)
 }
 
 // cmpMaxMin computes the larger of the two min-side extension lengths of
@@ -461,26 +458,16 @@ func (c *candidates) Pop() any {
 	return tb
 }
 
-// MakeBatches distributes items across tiles into BSP batches: items are
-// placed largest-cost-first onto the least-loaded tile of the open batch
-// that still has the SRAM for them (longest-processing-time k-partitioning
-// under the §4.2 quadratic estimate); when no tile fits, the batch closes.
-func MakeBatches(d *workload.Dataset, items []Item, tiles int, cfg ipukernel.Config, model platform.IPUModel) ([]*ipukernel.Batch, error) {
-	return MakeBatchesLimit(d, items, tiles, cfg, model, 0)
-}
-
-// MakeBatchesLimit is MakeBatches with a cap on jobs per batch (0 = no
-// cap). Finer batches keep the multi-IPU work queue deep enough for the
-// driver to scale and prefetch (§4.4).
-func MakeBatchesLimit(d *workload.Dataset, items []Item, tiles int, cfg ipukernel.Config, model platform.IPUModel, maxJobs int) ([]*ipukernel.Batch, error) {
-	return MakeBatchesFanout(d, items, tiles, cfg, model, maxJobs, nil)
-}
-
-// MakeBatchesFanout is MakeBatchesLimit with per-comparison fan-out
-// counts: fanout[ci] is the number of planned comparisons that comparison
-// ci represents after duplicate-extension elimination (nil = every
-// comparison stands for itself). The counts ride along on the tile jobs
-// so the kernel can account the work dedup skipped.
+// MakeBatchesFanout distributes items across tiles into BSP batches:
+// items are placed largest-cost-first onto the least-loaded tile of the
+// open batch that still has the SRAM for them (longest-processing-time
+// k-partitioning under the §4.2 quadratic estimate); when no tile fits,
+// the batch closes. maxJobs caps the jobs per batch (0 = no cap): finer
+// batches keep the multi-IPU work queue deep enough for the driver to
+// scale and prefetch (§4.4). fanout[ci] is the number of planned
+// comparisons that comparison ci represents after duplicate-extension
+// elimination (nil = every comparison stands for itself); the counts ride
+// along on the tile jobs so the kernel can account the work dedup skipped.
 //
 // "Least-loaded tile that fits, lowest index on ties" is evaluated without
 // visiting every tile. All empty tiles of a batch are interchangeable

@@ -109,12 +109,8 @@ func TestBuildItemsRespectsTinyBudget(t *testing.T) {
 }
 
 func TestCostEstimate(t *testing.T) {
-	d := &workload.Dataset{
-		Sequences: [][]byte{make([]byte, 100), make([]byte, 80)},
-		Comparisons: []workload.Comparison{
-			{H: 0, V: 1, SeedH: 40, SeedV: 30, SeedLen: 10},
-		},
-	}
+	d := workload.MustPack("", [][]byte{make([]byte, 100), make([]byte, 80)},
+		[]workload.Comparison{{H: 0, V: 1, SeedH: 40, SeedV: 30, SeedLen: 10}}, false)
 	// left: 40×30, right: 50×40.
 	want := float64(40*30 + 50*40)
 	if got := CostEstimate(d, d.Comparisons[0]); got != want {
@@ -126,7 +122,7 @@ func TestMakeBatchesCoverageAndMemory(t *testing.T) {
 	d := readsData(t, 4)
 	cfg := testKernelCfg()
 	items := BuildItems(d, Options{SeqBudget: 150_000, Reuse: true})
-	batches, err := MakeBatches(d, items, 16, cfg, platform.GC200)
+	batches, err := MakeBatchesFanout(d, items, 16, cfg, platform.GC200, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +162,11 @@ func TestMakeBatchesFewerWithReuse(t *testing.T) {
 	})
 	cfg := testKernelCfg()
 	tiles := 2
-	single, err := MakeBatches(d, BuildItems(d, Options{SeqBudget: 150_000, Reuse: false}), tiles, cfg, platform.GC200)
+	single, err := MakeBatchesFanout(d, BuildItems(d, Options{SeqBudget: 150_000, Reuse: false}), tiles, cfg, platform.GC200, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := MakeBatches(d, BuildItems(d, Options{SeqBudget: 150_000, Reuse: true}), tiles, cfg, platform.GC200)
+	multi, err := MakeBatchesFanout(d, BuildItems(d, Options{SeqBudget: 150_000, Reuse: true}), tiles, cfg, platform.GC200, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +182,7 @@ func TestMakeBatchesLoadBalance(t *testing.T) {
 	d := readsData(t, 6)
 	cfg := testKernelCfg()
 	items := BuildItems(d, Options{SeqBudget: 150_000, Reuse: true})
-	batches, err := MakeBatches(d, items, 4, cfg, platform.GC200)
+	batches, err := MakeBatchesFanout(d, items, 4, cfg, platform.GC200, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,18 +216,14 @@ func TestMakeBatchesLoadBalance(t *testing.T) {
 func TestMakeBatchesErrors(t *testing.T) {
 	d := readsData(t, 7)
 	items := BuildItems(d, Options{SeqBudget: 150_000, Reuse: true})
-	if _, err := MakeBatches(d, items, 0, testKernelCfg(), platform.GC200); err == nil {
+	if _, err := MakeBatchesFanout(d, items, 0, testKernelCfg(), platform.GC200, 0, nil); err == nil {
 		t.Error("tiles=0 accepted")
 	}
 	// An item that cannot fit even an empty tile must be rejected.
-	big := &workload.Dataset{
-		Sequences: [][]byte{make([]byte, 400*1024), make([]byte, 400*1024)},
-		Comparisons: []workload.Comparison{
-			{H: 0, V: 1, SeedH: 1000, SeedV: 1000, SeedLen: 17},
-		},
-	}
+	big := workload.MustPack("", [][]byte{make([]byte, 400*1024), make([]byte, 400*1024)},
+		[]workload.Comparison{{H: 0, V: 1, SeedH: 1000, SeedV: 1000, SeedLen: 17}}, false)
 	bigItems := BuildItems(big, Options{SeqBudget: 1 << 30, Reuse: false})
-	if _, err := MakeBatches(big, bigItems, 4, testKernelCfg(), platform.GC200); err == nil {
+	if _, err := MakeBatchesFanout(big, bigItems, 4, testKernelCfg(), platform.GC200, 0, nil); err == nil {
 		t.Error("oversized item accepted")
 	}
 }
@@ -254,7 +246,7 @@ func TestStandardAlgoNeedsMoreBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := MakeBatches(d, BuildItems(d, Options{SeqBudget: rBudget, Reuse: true}), tiles, restricted, platform.GC200)
+	rb, err := MakeBatchesFanout(d, BuildItems(d, Options{SeqBudget: rBudget, Reuse: true}), tiles, restricted, platform.GC200, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +259,7 @@ func TestStandardAlgoNeedsMoreBatches(t *testing.T) {
 	if sBudget >= rBudget {
 		t.Fatalf("standard budget %d should be below restricted %d", sBudget, rBudget)
 	}
-	sb, err := MakeBatches(d, BuildItems(d, Options{SeqBudget: sBudget, Reuse: true}), tiles, standard, platform.GC200)
+	sb, err := MakeBatchesFanout(d, BuildItems(d, Options{SeqBudget: sBudget, Reuse: true}), tiles, standard, platform.GC200, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,20 +276,22 @@ func TestBuildItemsCoverageFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 200; trial++ {
 		nSeqs := 2 + rng.Intn(40)
-		d := &workload.Dataset{}
-		for i := 0; i < nSeqs; i++ {
-			d.Sequences = append(d.Sequences, make([]byte, 50+rng.Intn(500)))
+		seqs := make([][]byte, nSeqs)
+		for i := range seqs {
+			seqs[i] = make([]byte, 50+rng.Intn(500))
 		}
+		var cmps []workload.Comparison
 		nCmps := rng.Intn(120)
 		for i := 0; i < nCmps; i++ {
 			h, v := rng.Intn(nSeqs), rng.Intn(nSeqs)
 			if h == v {
 				continue
 			}
-			d.Comparisons = append(d.Comparisons, workload.Comparison{
+			cmps = append(cmps, workload.Comparison{
 				H: h, V: v, SeedH: 10, SeedV: 10, SeedLen: 17,
 			})
 		}
+		d := workload.MustPack("", seqs, cmps, false)
 		budget := 100 + rng.Intn(3000)
 		maxCmps := []int{0, 1, 3, 10}[trial%4]
 		items := BuildItems(d, Options{SeqBudget: budget, Reuse: true, MaxCmps: maxCmps})
@@ -325,20 +319,22 @@ func TestBuildItemsCoverageFuzz(t *testing.T) {
 func TestBuildItemsFrontierPreservedAcrossFlush(t *testing.T) {
 	rng := rand.New(rand.NewSource(796))
 	n := 12 + rng.Intn(30)
-	d := &workload.Dataset{}
-	for i := 0; i < n; i++ {
-		d.Sequences = append(d.Sequences, make([]byte, 200+rng.Intn(600)))
+	seqs := make([][]byte, n)
+	for i := range seqs {
+		seqs[i] = make([]byte, 200+rng.Intn(600))
 	}
+	var cmps []workload.Comparison
 	m := 30 + rng.Intn(120)
 	for i := 0; i < m; i++ {
 		h, v := rng.Intn(n), rng.Intn(n)
 		if h == v {
 			continue
 		}
-		d.Comparisons = append(d.Comparisons, workload.Comparison{
+		cmps = append(cmps, workload.Comparison{
 			H: h, V: v, SeedH: 10, SeedV: 10, SeedLen: 17,
 		})
 	}
+	d := workload.MustPack("", seqs, cmps, false)
 	budget := 1000 + rng.Intn(2500)
 	items := BuildItems(d, Options{SeqBudget: budget, Reuse: true})
 	coverage(t, d, items)
@@ -355,12 +351,8 @@ func TestBuildItemsFrontierPreservedAcrossFlush(t *testing.T) {
 func TestDeriveSeqBudget(t *testing.T) {
 	// 25 kb reads: the unrestricted variants cannot fit tile SRAM at all
 	// (the paper's headline constraint), the restricted one can.
-	d := &workload.Dataset{
-		Sequences: [][]byte{make([]byte, 25000), make([]byte, 25000)},
-		Comparisons: []workload.Comparison{
-			{H: 0, V: 1, SeedH: 12500, SeedV: 12500, SeedLen: 17},
-		},
-	}
+	d := workload.MustPack("", [][]byte{make([]byte, 25000), make([]byte, 25000)},
+		[]workload.Comparison{{H: 0, V: 1, SeedH: 12500, SeedV: 12500, SeedLen: 17}}, false)
 	cfg := testKernelCfg() // δb = 256
 	budget, err := DeriveSeqBudget(d, cfg, platform.GC200)
 	if err != nil || budget < 50000 {
@@ -397,7 +389,7 @@ func TestTracebackBudgetAdmitsWithinSRAM(t *testing.T) {
 		// MaxCmps mirrors the driver's spread cap: it also keeps the
 		// per-item tuple/result overhead inside the budget allowance.
 		items := BuildItems(d, Options{SeqBudget: budget, Reuse: true, MaxCmps: 64})
-		batches, err := MakeBatches(d, items, 8, cfg, platform.GC200)
+		batches, err := MakeBatchesFanout(d, items, 8, cfg, platform.GC200, 0, nil)
 		if err != nil {
 			t.Fatalf("tier %v: %v", tier, err)
 		}

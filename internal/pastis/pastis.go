@@ -99,18 +99,11 @@ func Search(seqs [][]byte, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	// Pack the protein pool into an arena (indices preserved; duplicate
-	// homologs share storage) and validate the plan against it once.
-	arena := workload.NewArena(0, len(seqs))
-	for si, s := range seqs {
-		if _, err := arena.TryAppend(s); err != nil {
-			return nil, fmt.Errorf("pastis: sequence %d: %w", si, err)
-		}
+	// homologs share storage); the plan is validated against it once.
+	d, err := workload.Pack("pastis", seqs, cmps, true)
+	if err != nil {
+		return nil, fmt.Errorf("pastis: %w", err)
 	}
-	plan := workload.PlanOf(cmps)
-	if err := arena.ValidatePlan(plan); err != nil {
-		return nil, err
-	}
-	d := arena.NewDataset("pastis", plan, true)
 
 	out, err := cfg.Backend.Align(d)
 	if err != nil {

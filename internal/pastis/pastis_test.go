@@ -31,10 +31,15 @@ func familyData(t *testing.T) (*synthDataset, []int) {
 	d, labels := synth.ProteinFamilies(synth.ProteinFamiliesSpec{
 		Families: 6, MembersPerFamily: 4, MeanLen: 280, MutRate: 0.15, Seed: 1,
 	})
-	return &synthDataset{d.Sequences}, labels
+	return &synthDataset{seqsOf(d)}, labels
 }
 
 type synthDataset struct{ seqs [][]byte }
+
+func seqsOf(d *synth.Dataset) [][]byte {
+	arena, _ := d.Spine()
+	return arena.SeqViews()
+}
 
 func TestSearchRecoversFamilies(t *testing.T) {
 	data, labels := familyData(t)
@@ -116,11 +121,11 @@ func TestSearchQuasiExactImprovesRecall(t *testing.T) {
 	d, _ := synth.ProteinFamilies(synth.ProteinFamiliesSpec{
 		Families: 4, MembersPerFamily: 3, MeanLen: 250, MutRate: 0.25, Seed: 2,
 	})
-	exact, err := Search(d.Sequences, Config{Backend: ipuBackend(), SubstituteMinScore: -1})
+	exact, err := Search(seqsOf(d), Config{Backend: ipuBackend(), SubstituteMinScore: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	quasi, err := Search(d.Sequences, Config{Backend: ipuBackend(), SubstituteMinScore: 3})
+	quasi, err := Search(seqsOf(d), Config{Backend: ipuBackend(), SubstituteMinScore: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

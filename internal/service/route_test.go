@@ -23,7 +23,7 @@ func TestRouteKeySlabLayoutInvariant(t *testing.T) {
 		for _, s := range seqs {
 			a.Append([]byte(s))
 		}
-		d := a.NewStreamingDataset("route", workload.PlanOf(cmps), false)
+		d := a.NewDataset("route", workload.PlanOf(cmps), false)
 		if err := d.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func TestRouteKeySlabLayoutInvariant(t *testing.T) {
 	// a hash, so this guards against a degenerate constant, not collisions.
 	a2 := workload.NewArena(0, 1)
 	a2.Append([]byte("GGGGGGGGGGGGGGGG"))
-	d2 := a2.NewStreamingDataset("route", workload.PlanOf([]workload.Comparison{}), false)
+	d2 := a2.NewDataset("route", workload.PlanOf([]workload.Comparison{}), false)
 	if routeKey(single) == routeKey(d2) {
 		t.Error("different content produced the same routing key")
 	}

@@ -68,6 +68,9 @@ const flagProtein = 1
 // pre-spine XDW1 format.
 func EncodeDataset(d *workload.Dataset) ([]byte, error) {
 	arena, plan := d.Spine()
+	if arena == nil || plan == nil {
+		return nil, fmt.Errorf("wire: dataset has no spine; build it with Pack or Arena.NewDataset")
+	}
 	refs := arena.Refs()
 	var buf bytes.Buffer
 	var flags byte

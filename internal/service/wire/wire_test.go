@@ -106,6 +106,11 @@ func TestServiceWireRejectsCorruption(t *testing.T) {
 			t.Fatalf("%s: error %q lost the wire prefix", name, err)
 		}
 	}
+	// The encode side of the same contract: a Dataset no constructor built
+	// has no spine to serialize, and says so instead of panicking.
+	if _, err := EncodeDataset(&workload.Dataset{Name: "zero"}); err == nil {
+		t.Fatal("a spine-less dataset encoded")
+	}
 }
 
 // TestServiceWireHostileCounts: a payload claiming absurd element counts

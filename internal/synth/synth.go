@@ -134,23 +134,6 @@ type Comparison = workload.Comparison
 // Dataset aliases the workload interchange type; generators produce it.
 type Dataset = workload.Dataset
 
-// packDataset packs fully generated sequences into an arena-backed
-// dataset: one slab for Ω, a columnar comparison plan, and the
-// compatibility view over both. Generators mutate sequences (seed
-// planting, error application) before packing, so the arena's content
-// hashes stay valid.
-func packDataset(name string, protein bool, seqs [][]byte, cmps []Comparison) *Dataset {
-	total := 0
-	for _, s := range seqs {
-		total += len(s)
-	}
-	a := workload.NewArena(total, len(seqs))
-	for _, s := range seqs {
-		a.Append(s)
-	}
-	return a.NewDataset(name, workload.PlanOf(cmps), protein)
-}
-
 // PlantSeed copies the k-mer at h[seedH:] over v[seedV:] so the seed is an
 // exact match, as the k-mer seeding stages guarantee.
 func PlantSeed(h, v []byte, seedH, seedV, k int) {
@@ -205,7 +188,7 @@ func UniformPairs(spec UniformPairsSpec) *Dataset {
 			SeedH: seedH, SeedV: seedV, SeedLen: spec.SeedLen,
 		})
 	}
-	return packDataset("simulated", false, seqs, cmps)
+	return workload.MustPack("simulated", seqs, cmps, false)
 }
 
 // ReadsSpec configures a long-read overlap dataset shaped like the ELBA
@@ -314,7 +297,7 @@ func Reads(spec ReadsSpec) *Dataset {
 	if spec.MaxComparisons > 0 && len(cmps) > spec.MaxComparisons {
 		cmps = cmps[:spec.MaxComparisons]
 	}
-	return packDataset(spec.Name, false, seqs, cmps)
+	return workload.MustPack(spec.Name, seqs, cmps, false)
 }
 
 func sortByStart(order []int, metas []readMeta) {
@@ -355,7 +338,7 @@ func ProteinFamilies(spec ProteinFamiliesSpec) (*Dataset, []int) {
 			labels = append(labels, f)
 		}
 	}
-	return packDataset("protein-families", true, seqs, nil), labels
+	return workload.MustPack("protein-families", seqs, nil, true), labels
 }
 
 func clampInt(v, lo, hi int) int {

@@ -6,6 +6,7 @@ import (
 
 	"github.com/sram-align/xdropipu/internal/core"
 	"github.com/sram-align/xdropipu/internal/scoring"
+	"github.com/sram-align/xdropipu/internal/workload"
 )
 
 func TestMutationProfileRates(t *testing.T) {
@@ -65,11 +66,11 @@ func TestUniformPairs(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Comparisons) != 25 || len(d.Sequences) != 50 {
-		t.Fatalf("got %d comparisons over %d sequences", len(d.Comparisons), len(d.Sequences))
+	if len(d.Comparisons) != 25 || d.NumSeqs() != 50 {
+		t.Fatalf("got %d comparisons over %d sequences", len(d.Comparisons), d.NumSeqs())
 	}
 	for _, c := range d.Comparisons {
-		h, v := d.Sequences[c.H], d.Sequences[c.V]
+		h, v := d.Seq(c.H), d.Seq(c.V)
 		if len(h) != 500 || len(v) != 500 {
 			t.Fatal("uniform pairs must have fixed length")
 		}
@@ -86,7 +87,7 @@ func TestUniformPairsAlignable(t *testing.T) {
 	d := UniformPairs(UniformPairsSpec{Count: 5, Length: 400, ErrorRate: 0.15, SeedLen: 17, Seed: 5})
 	p := core.Params{Scorer: scoring.DNADefault, Gap: -1, X: 15}
 	for _, c := range d.Comparisons {
-		r, err := core.ExtendSeed(d.Sequences[c.H], d.Sequences[c.V],
+		r, err := core.ExtendSeed(d.Seq(c.H), d.Seq(c.V),
 			core.Seed{H: c.SeedH, V: c.SeedV, Len: c.SeedLen}, p)
 		if err != nil {
 			t.Fatal(err)
@@ -108,11 +109,11 @@ func TestReadsDataset(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Sequences) < 50 {
-		t.Fatalf("too few reads: %d", len(d.Sequences))
+	if d.NumSeqs() < 50 {
+		t.Fatalf("too few reads: %d", d.NumSeqs())
 	}
-	if len(d.Comparisons) < len(d.Sequences) {
-		t.Fatalf("too few comparisons: %d for %d reads", len(d.Comparisons), len(d.Sequences))
+	if len(d.Comparisons) < d.NumSeqs() {
+		t.Fatalf("too few comparisons: %d for %d reads", len(d.Comparisons), d.NumSeqs())
 	}
 	// Reads datasets must exhibit sequence reuse (the partitioning
 	// motivation): comparisons > sequences implies some sequence is in
@@ -133,13 +134,9 @@ func TestReadsDataset(t *testing.T) {
 	}
 	// Length variance should be substantial (log-normal model).
 	minL, maxL := 1<<30, 0
-	for _, s := range d.Sequences {
-		if len(s) < minL {
-			minL = len(s)
-		}
-		if len(s) > maxL {
-			maxL = len(s)
-		}
+	for i := range d.NumSeqs() {
+		minL = min(minL, d.SeqLen(i))
+		maxL = max(maxL, d.SeqLen(i))
 	}
 	if maxL < 2*minL {
 		t.Errorf("read lengths too uniform: [%d,%d]", minL, maxL)
@@ -156,7 +153,7 @@ func TestReadsOverlappingPairsAlign(t *testing.T) {
 	p := core.Params{Scorer: scoring.DNADefault, Gap: -1, X: 15}
 	good := 0
 	for _, c := range d.Comparisons {
-		r, err := core.ExtendSeed(d.Sequences[c.H], d.Sequences[c.V],
+		r, err := core.ExtendSeed(d.Seq(c.H), d.Seq(c.V),
 			core.Seed{H: c.SeedH, V: c.SeedV, Len: c.SeedLen}, p)
 		if err != nil {
 			t.Fatal(err)
@@ -189,37 +186,33 @@ func TestProteinFamilies(t *testing.T) {
 	d, labels := ProteinFamilies(ProteinFamiliesSpec{
 		Families: 5, MembersPerFamily: 4, MeanLen: 300, MutRate: 0.2, Seed: 9,
 	})
-	if len(d.Sequences) != 20 || len(labels) != 20 {
-		t.Fatalf("got %d sequences, %d labels", len(d.Sequences), len(labels))
+	if d.NumSeqs() != 20 || len(labels) != 20 {
+		t.Fatalf("got %d sequences, %d labels", d.NumSeqs(), len(labels))
 	}
 	if !d.Protein {
 		t.Error("dataset not marked protein")
 	}
 	// Family members must align much better than non-members.
 	p := core.Params{Scorer: scoring.Blosum62, Gap: -2, X: 49}
-	sameScore := core.Align(core.NewView(d.Sequences[0]), core.NewView(d.Sequences[1]), p).Score
-	diffScore := core.Align(core.NewView(d.Sequences[0]), core.NewView(d.Sequences[len(d.Sequences)-1]), p).Score
+	sameScore := core.Align(core.NewView(d.Seq(0)), core.NewView(d.Seq(1)), p).Score
+	diffScore := core.Align(core.NewView(d.Seq(0)), core.NewView(d.Seq(d.NumSeqs()-1)), p).Score
 	if sameScore <= diffScore*2 {
 		t.Errorf("family member score %d not clearly above cross-family %d", sameScore, diffScore)
 	}
 }
 
 func TestDatasetValidateCatchesBadSeeds(t *testing.T) {
-	d := &Dataset{
-		Sequences:   [][]byte{[]byte("ACGTACGT")},
-		Comparisons: []Comparison{{H: 0, V: 0, SeedH: 6, SeedV: 0, SeedLen: 5}},
-	}
-	if err := d.Validate(); err == nil {
+	d := workload.MustPack("", [][]byte{[]byte("ACGTACGT")}, nil, false)
+	if err := d.WithComparisons([]Comparison{{H: 0, V: 0, SeedH: 6, SeedV: 0, SeedLen: 5}}).Validate(); err == nil {
 		t.Error("out-of-range seed accepted")
 	}
-	d.Comparisons[0] = Comparison{H: 0, V: 1, SeedH: 0, SeedV: 0, SeedLen: 4}
-	if err := d.Validate(); err == nil {
+	if err := d.WithComparisons([]Comparison{{H: 0, V: 1, SeedH: 0, SeedV: 0, SeedLen: 4}}).Validate(); err == nil {
 		t.Error("missing sequence index accepted")
 	}
 }
 
 func TestTotalSeqBytes(t *testing.T) {
-	d := &Dataset{Sequences: [][]byte{make([]byte, 10), make([]byte, 32)}}
+	d := workload.MustPack("", [][]byte{make([]byte, 10), make([]byte, 32)}, nil, false)
 	if d.TotalSeqBytes() != 42 {
 		t.Errorf("TotalSeqBytes = %d, want 42", d.TotalSeqBytes())
 	}

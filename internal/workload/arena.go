@@ -510,22 +510,17 @@ func (a *Arena) AppendFasta(r io.Reader, alpha *seqio.Alphabet) ([]string, error
 }
 
 // ValidatePlan checks every comparison of p against the arena: sequence
-// indices in the pool, seeds in range. This is the single validation
-// implementation; Dataset.Validate delegates here through its spine.
+// indices in the pool, seeds in range. This is the single bounds-checking
+// implementation (Dataset.Validate delegates here), and it reads only the
+// span table, so it never faults a spilled slab in.
 func (a *Arena) ValidatePlan(p *Plan) error {
-	return validateComparisons(a.Len(), func(i int) int { return int(a.refs[i].Len) }, p.Len(), p.At)
-}
-
-// validateComparisons is the one bounds-checking implementation shared by
-// Arena.ValidatePlan and Dataset.Validate (satellite: no ad-hoc copies in
-// driver or partition).
-func validateComparisons(nseqs int, seqLen func(int) int, n int, at func(int) Comparison) error {
-	for i := 0; i < n; i++ {
-		c := at(i)
+	nseqs := a.Len()
+	for i := range p.Len() {
+		c := p.At(i)
 		if c.H < 0 || c.H >= nseqs || c.V < 0 || c.V >= nseqs {
 			return fmt.Errorf("workload: comparison %d references missing sequence", i)
 		}
-		lh, lv := seqLen(c.H), seqLen(c.V)
+		lh, lv := int(a.refs[c.H].Len), int(a.refs[c.V].Len)
 		if c.SeedLen <= 0 || c.SeedH < 0 || c.SeedV < 0 ||
 			c.SeedH+c.SeedLen > lh || c.SeedV+c.SeedLen > lv {
 			return fmt.Errorf("workload: comparison %d seed out of range", i)
@@ -534,42 +529,10 @@ func validateComparisons(nseqs int, seqLen func(int) int, n int, at func(int) Co
 	return nil
 }
 
-// NewDataset builds the compatibility view over the arena and a comparison
-// plan: Sequences are zero-copy spans of the spine, Comparisons the
-// materialised plan rows. The view is what legacy layers consume; the
-// spine (arena + plan) is what the execution stack runs on. Materialising
-// Sequences holds every slab resident — for spill-managed pools use
-// NewStreamingDataset instead.
+// NewDataset wraps the arena and a comparison plan over it as a Dataset.
+// It touches no sequence bytes — spilled slabs stay spilled until a batch
+// pins them — and validates nothing: the BuildBatches gate does. The
+// arena must not be appended to afterwards.
 func (a *Arena) NewDataset(name string, p *Plan, protein bool) *Dataset {
-	d := &Dataset{
-		Name:        name,
-		Sequences:   a.SeqViews(),
-		Comparisons: p.Comparisons(),
-		Protein:     protein,
-	}
-	d.arena, d.plan = a, p
-	d.spineSeqs, d.spineCmps = d.Sequences, d.Comparisons
-	d.seqFP = seqFingerprintOf(d.Sequences)
-	d.cmpFP = cmpFingerprintOf(d.Comparisons)
-	return d
-}
-
-// NewStreamingDataset builds a spine-only dataset: no Sequences view is
-// materialised, so slabs the execution stack is not actively pinning can
-// stay spilled. Everything on the execution path (validation, cost
-// estimation, partitioning, kernels, wire encoding) consults the spine;
-// only legacy consumers that read d.Sequences directly need the
-// materialised view of NewDataset.
-func (a *Arena) NewStreamingDataset(name string, p *Plan, protein bool) *Dataset {
-	d := &Dataset{
-		Name:        name,
-		Comparisons: p.Comparisons(),
-		Protein:     protein,
-	}
-	d.arena, d.plan = a, p
-	d.spineRefs = a.refs
-	d.spineSeqs, d.spineCmps = nil, d.Comparisons
-	d.seqFP = seqFingerprintOf(nil)
-	d.cmpFP = cmpFingerprintOf(d.Comparisons)
-	return d
+	return &Dataset{Name: name, Comparisons: p.Comparisons(), Protein: protein, arena: a, plan: p}
 }

@@ -139,41 +139,8 @@ func TestPlanColumnsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDatasetSpineLazyAndStale: hand-assembled datasets grow a spine on
-// demand, and appending comparisons afterwards refreshes the plan.
-func TestDatasetSpineLazyAndStale(t *testing.T) {
-	d := &Dataset{
-		Name:      "lazy",
-		Sequences: [][]byte{[]byte("ACGTACGT"), []byte("ACGTACGT"), []byte("TTTTCCCC")},
-	}
-	a, p := d.Spine()
-	if a.Len() != 3 || p.Len() != 0 {
-		t.Fatalf("spine: %d seqs, %d cmps", a.Len(), p.Len())
-	}
-	if a.SlabBytes() != 16 {
-		t.Errorf("lazy spine did not intern duplicates: slab %d bytes, want 16", a.SlabBytes())
-	}
-	d.Comparisons = append(d.Comparisons, Comparison{H: 0, V: 2, SeedH: 0, SeedV: 0, SeedLen: 4})
-	_, p2 := d.Spine()
-	if p2.Len() != 1 {
-		t.Fatalf("stale plan not refreshed: %d cmps", p2.Len())
-	}
-	a2, _ := d.Spine()
-	if a2 != a {
-		t.Error("arena rebuilt although the pool did not change")
-	}
-	// Whole-slice replacement with the same count must also be caught
-	// (slice identity, not just length).
-	repl := []Comparison{{H: 1, V: 2, SeedH: 1, SeedV: 1, SeedLen: 4}}
-	d.Comparisons = repl
-	_, p3 := d.Spine()
-	if p3.Len() != 1 || p3.At(0) != repl[0] {
-		t.Errorf("equal-count slice replacement served stale plan: %+v", p3.At(0))
-	}
-}
-
-// TestArenaDatasetView: the compatibility view's Sequences alias the slab
-// (zero copy), and its Comparisons match the plan.
+// TestArenaDatasetView: the dataset's sequences alias the slab (zero
+// copy), and it carries the arena and plan it was built from.
 func TestArenaDatasetView(t *testing.T) {
 	a := NewArena(0, 0)
 	a.Append([]byte("ACGTACGTACGT"))
@@ -183,8 +150,8 @@ func TestArenaDatasetView(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if &d.Sequences[0][0] != &a.Slab()[a.Ref(0).Off] {
-		t.Error("view sequence is a copy, not a slab span")
+	if &d.Seq(0)[0] != &a.Slab()[a.Ref(0).Off] {
+		t.Error("dataset sequence is a copy, not a slab span")
 	}
 	if d.TotalSeqBytes() != a.SeqBytes() {
 		t.Errorf("view bytes %d != arena bytes %d", d.TotalSeqBytes(), a.SeqBytes())

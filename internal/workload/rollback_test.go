@@ -165,81 +165,3 @@ func TestAppendFastaRollbackSealedTail(t *testing.T) {
 		t.Errorf("append after rollback landed at %+v, want a fresh slab", a.Ref(i))
 	}
 }
-
-func TestValidateCatchesInPlaceComparisonMutation(t *testing.T) {
-	d := &Dataset{
-		Sequences: [][]byte{[]byte("ACGTACGTACGTACGTACGT"), []byte("TTTTCCCCGGGGAAAATTTT")},
-		Comparisons: []Comparison{
-			{H: 0, V: 1, SeedH: 2, SeedV: 2, SeedLen: 4},
-		},
-	}
-	_, plan := d.Spine()
-	if got := plan.At(0).SeedH; got != 2 {
-		t.Fatalf("spine SeedH = %d", got)
-	}
-
-	// In-place mutation: slice identity unchanged, previously served
-	// stale results silently.
-	d.Comparisons[0].SeedH = 5
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, plan = d.Spine(); plan.At(0).SeedH != 5 {
-		t.Errorf("Validate did not refresh the stale plan: SeedH = %d, want 5", plan.At(0).SeedH)
-	}
-}
-
-func TestValidateCatchesInPlaceSequenceMutation(t *testing.T) {
-	d := &Dataset{
-		Sequences: [][]byte{[]byte("ACGTACGTACGTACGTACGT"), []byte("TTTTCCCCGGGGAAAATTTT")},
-		Comparisons: []Comparison{
-			{H: 0, V: 1, SeedH: 2, SeedV: 2, SeedLen: 4},
-		},
-	}
-	arena, _ := d.Spine()
-	if arena.Seq(0)[0] != 'A' {
-		t.Fatal("unexpected spine content")
-	}
-
-	d.Sequences[0][0] = 'G' // first-element probe catches boundary edits
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	arena, _ = d.Spine()
-	if arena.Seq(0)[0] != 'G' {
-		t.Errorf("Validate did not refresh the stale arena: %q", arena.Seq(0))
-	}
-}
-
-func TestInvalidateForcesRebuild(t *testing.T) {
-	d := &Dataset{
-		Sequences: [][]byte{[]byte("ACGTACGTACGTACGTACGT"), []byte("TTTTCCCCGGGGAAAATTTT")},
-		Comparisons: []Comparison{
-			{H: 0, V: 1, SeedH: 2, SeedV: 2, SeedLen: 4},
-			{H: 0, V: 1, SeedH: 3, SeedV: 3, SeedLen: 4},
-			{H: 0, V: 1, SeedH: 4, SeedV: 4, SeedLen: 4},
-		},
-	}
-	arenaBefore, planBefore := d.Spine()
-
-	// An interior edit is invisible to the O(1) fingerprint (only
-	// boundary rows are probed) — the documented limit of the recheck —
-	// so the spine legitimately stays cached...
-	d.Comparisons[1].SeedH = 9
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, plan := d.Spine(); plan != planBefore {
-		t.Skip("interior edit unexpectedly caught; fingerprint got stronger")
-	}
-
-	// ...until the producer declares the mutation explicitly.
-	d.Invalidate()
-	arena, plan := d.Spine()
-	if plan == planBefore || arena == arenaBefore {
-		t.Fatal("Invalidate did not drop the cached spine")
-	}
-	if got := plan.At(1).SeedH; got != 9 {
-		t.Errorf("rebuilt plan SeedH = %d, want 9", got)
-	}
-}

@@ -305,15 +305,12 @@ func TestRestoreArenaSlabsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStreamingDatasetSpine: a spine-only dataset validates, measures and
-// clones without a materialised Sequences view.
+// TestStreamingDatasetSpine: a dataset over a multi-slab spine validates,
+// measures and clones from the span table.
 func TestStreamingDatasetSpine(t *testing.T) {
 	a := rolledArena(t)
 	p := PlanOf([]Comparison{{H: 0, V: 2, SeedH: 0, SeedV: 0, SeedLen: 4}})
-	d := a.NewStreamingDataset("stream", p, false)
-	if d.Sequences != nil {
-		t.Fatal("streaming dataset materialised Sequences")
-	}
+	d := a.NewDataset("stream", p, false)
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -331,8 +328,8 @@ func TestStreamingDatasetSpine(t *testing.T) {
 		t.Error("streaming dataset rebuilt its spine")
 	}
 	c := d.Clone()
-	if len(c.Sequences) != 4 || string(c.Sequences[2]) != "GGGG" {
-		t.Errorf("clone did not materialise the pool: %q", c.Sequences)
+	if c.NumSeqs() != 4 || string(c.Seq(2)) != "GGGG" {
+		t.Errorf("clone did not re-pack the pool: %d seqs, seq 2 %q", c.NumSeqs(), c.Seq(2))
 	}
 }
 

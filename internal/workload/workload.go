@@ -2,18 +2,17 @@
 // producers (synthetic generators, the ELBA and PASTIS pipelines) and the
 // alignment execution stack (partitioner, batcher, driver, kernels).
 //
-// The canonical representation is the arena spine: the sequence pool Ω as
-// one contiguous, content-interned byte slab addressed by SeqRef spans
-// (Arena), plus the planned seed extensions as a columnar Plan table
-// (§4.3). Dataset remains as the compatibility view over the spine —
-// Sequences are zero-copy slab spans, Comparisons materialised plan rows —
-// so producers that still assemble [][]byte pools keep working: their
-// spine is built lazily on first use by the execution stack.
+// There is one representation, the arena spine of §4.3: the sequence pool
+// Ω as contiguous, content-interned byte slabs addressed by SeqRef spans
+// (Arena), plus the planned seed extensions as a columnar Plan table. A
+// Dataset is that pair under a name, packed once by its constructor (Pack
+// from plain slices, Arena.NewDataset from a filled arena) and immutable
+// afterwards.
 package workload
 
 import (
+	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/sram-align/xdropipu/internal/alignment"
 )
@@ -21,7 +20,7 @@ import (
 // Comparison is one planned pairwise alignment: two sequence indices plus
 // the seed match that anchors the extension — the e_c tuple of §4.3.
 type Comparison struct {
-	// H and V index into the dataset's Sequences.
+	// H and V index into the dataset's sequence pool.
 	H, V int
 	// SeedH and SeedV are the seed start offsets on each sequence.
 	SeedH, SeedV int
@@ -29,253 +28,115 @@ type Comparison struct {
 	SeedLen int
 }
 
-// Dataset is a set of sequences plus the comparisons to run on them.
-// Arena-backed datasets (Arena.NewDataset) carry their spine from birth;
-// hand-assembled ones grow it on demand via Spine.
-//
-// A Dataset contains a mutex guarding the cached spine and must not be
-// copied by value after first use — share the pointer (go vet's
-// copylocks check flags violations).
+// Dataset is a sequence pool Ω plus the comparisons to run on it: an
+// arena and a plan over it, fully built at construction and shared
+// read-only by every layer and every concurrent job from then on. A
+// different comparison set over the same pool is a new Dataset
+// (WithComparisons); different sequence bytes are a new Pack.
 type Dataset struct {
 	// Name labels the dataset in reports.
 	Name string
-	// Sequences is the sequence pool Ω (§4.3). In an arena-backed dataset
-	// these are zero-copy spans of the slab.
-	Sequences [][]byte
-	// Comparisons lists the planned seed extensions.
+	// Comparisons lists the planned seed extensions: the plan's cached
+	// rows, read-only. Reassigning it does not re-plan — Validate rejects
+	// the mismatch; use WithComparisons.
 	Comparisons []Comparison
 	// Protein marks amino-acid data.
 	Protein bool
 
-	mu    sync.Mutex
 	arena *Arena
 	plan  *Plan
-	// spineRefs is set for spine-only datasets (NewStreamingDataset):
-	// the arena's span table, so lengths and counts resolve without a
-	// materialised Sequences view and without faulting spilled slabs in.
-	// Written once at construction, never mutated — safe to read without
-	// the mutex.
-	spineRefs []SeqRef
-	// spineSeqs/spineCmps remember the exact slices the cached spine was
-	// built from, so replacing a field wholesale (even with an equal
-	// count) is detected and the stale half rebuilt.
-	spineSeqs [][]byte
-	spineCmps []Comparison
-	// seqFP/cmpFP are cheap content fingerprints of the slices the spine
-	// was built from (lengths plus first/last elements). In-place edits
-	// keep slice identity, so sameSlice alone cannot see them; Validate
-	// rechecks these and rebuilds the touched half instead of silently
-	// serving a stale spine.
-	seqFP seqFingerprint
-	cmpFP cmpFingerprint
 }
 
-// seqFingerprint is the O(1) staleness probe over a sequence pool: the
-// slice length plus the length and boundary bytes of the first and last
-// sequences. It cannot see every in-place edit (that would cost a full
-// hash per Validate), but it catches the common corruption patterns —
-// overwriting the pool front-to-back, or truncate-and-refill within the
-// same backing array — that used to yield silently wrong results.
-type seqFingerprint struct {
-	n                    int
-	firstLen, lastLen    int
-	firstHead, firstTail byte
-	lastHead, lastTail   byte
-}
-
-func seqFingerprintOf(seqs [][]byte) seqFingerprint {
-	fp := seqFingerprint{n: len(seqs)}
-	if fp.n == 0 {
-		return fp
+// Pack builds a dataset from plain slices: Ω packed into a fresh arena in
+// index order (identical sequences share storage, never an index), cmps
+// transposed into a columnar plan and bounds-checked against the pool.
+// The slices are copied, so the caller may keep mutating them.
+func Pack(name string, seqs [][]byte, cmps []Comparison, protein bool) (*Dataset, error) {
+	total := 0
+	for _, s := range seqs {
+		total += len(s)
 	}
-	probe := func(s []byte) (n int, head, tail byte) {
-		if len(s) == 0 {
-			return 0, 0, 0
+	return packInto(NewArena(total, len(seqs)), name, seqs, cmps, protein)
+}
+
+// packInto is Pack over a caller-prepared arena (slab cap, spill).
+func packInto(a *Arena, name string, seqs [][]byte, cmps []Comparison, protein bool) (*Dataset, error) {
+	for i, s := range seqs {
+		if _, err := a.TryAppend(s); err != nil {
+			return nil, fmt.Errorf("sequence %d: %w", i, err)
 		}
-		return len(s), s[0], s[len(s)-1]
 	}
-	fp.firstLen, fp.firstHead, fp.firstTail = probe(seqs[0])
-	fp.lastLen, fp.lastHead, fp.lastTail = probe(seqs[fp.n-1])
-	return fp
-}
-
-// cmpFingerprint is the comparison-side staleness probe: length plus the
-// first and last rows by value.
-type cmpFingerprint struct {
-	n           int
-	first, last Comparison
-}
-
-func cmpFingerprintOf(cmps []Comparison) cmpFingerprint {
-	fp := cmpFingerprint{n: len(cmps)}
-	if fp.n > 0 {
-		fp.first, fp.last = cmps[0], cmps[fp.n-1]
+	p := PlanOf(cmps)
+	if err := a.ValidatePlan(p); err != nil {
+		return nil, err
 	}
-	return fp
+	return a.NewDataset(name, p, protein), nil
 }
 
-// sameSlice reports whether two slices share length and backing array —
-// the cheap identity test behind spine staleness detection.
-func sameSlice[T any](a, b []T) bool {
-	if len(a) != len(b) {
-		return false
+// MustPack is Pack for generators and fixtures whose input is correct by
+// construction; it panics where Pack returns an error.
+func MustPack(name string, seqs [][]byte, cmps []Comparison, protein bool) *Dataset {
+	d, err := Pack(name, seqs, cmps, protein)
+	if err != nil {
+		panic(err.Error())
 	}
-	return len(a) == 0 || &a[0] == &b[0]
+	return d
 }
 
-// Spine returns the dataset's arena and columnar plan, building and
-// caching them on first call for datasets assembled from plain slices.
-// The build packs Ω into one slab (interning duplicate sequences) and
-// transposes Comparisons into columns; every later consumer — partitioner,
-// tiles, concurrent engine jobs — shares that single immutable copy.
-//
-// Producers that extend or replace a dataset's slices after its spine
-// exists (e.g. attaching comparisons to a generated pool) are caught by
-// a slice-identity check — length or backing array changed — and get
-// that half of the spine rebuilt. Edits that keep both (overwriting
-// entries in place, or truncate-and-refill to the same length within the
-// same backing array) are not detectable, so a dataset handed to the
-// execution stack must stop mutating; reuse a fresh slice per batch of
-// comparisons instead.
-func (d *Dataset) Spine() (*Arena, *Plan) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.spineLocked()
+// Spine returns the dataset's arena and columnar plan — what the
+// partitioner, the tiles and the wire format run on.
+func (d *Dataset) Spine() (*Arena, *Plan) { return d.arena, d.plan }
+
+// WithComparisons returns a dataset over the same arena (shared, not
+// copied) under a fresh plan of cmps — how a caller truncates, extends or
+// replaces the comparison set. d is untouched; cmps is validated with
+// everything else at the BuildBatches gate.
+func (d *Dataset) WithComparisons(cmps []Comparison) *Dataset {
+	return d.arena.NewDataset(d.Name, PlanOf(cmps), d.Protein)
 }
 
-func (d *Dataset) spineLocked() (*Arena, *Plan) {
-	if d.arena == nil || !sameSlice(d.spineSeqs, d.Sequences) {
-		a := NewArena(int(d.TotalSeqBytes()), len(d.Sequences))
-		for _, s := range d.Sequences {
-			a.Append(s)
-		}
-		d.arena = a
-		d.spineSeqs = d.Sequences
-		d.seqFP = seqFingerprintOf(d.Sequences)
-	}
-	if d.plan == nil || !sameSlice(d.spineCmps, d.Comparisons) {
-		d.plan = PlanOf(d.Comparisons)
-		d.spineCmps = d.Comparisons
-		d.cmpFP = cmpFingerprintOf(d.Comparisons)
-	}
-	return d.arena, d.plan
-}
-
-// Invalidate drops the cached spine, forcing the next Spine (or Validate)
-// to rebuild it from the current Sequences and Comparisons. It is the
-// explicit escape hatch for producers that must mutate a dataset in place
-// after the execution stack has already seen it — in-place edits keep
-// slice identity, so without this call (or a fingerprint hit in Validate)
-// the stale spine would keep serving the old bytes.
-func (d *Dataset) Invalidate() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.arena, d.plan = nil, nil
-	d.spineSeqs, d.spineCmps = nil, nil
-	d.seqFP, d.cmpFP = seqFingerprint{}, cmpFingerprint{}
-}
-
-// Clone returns a deep copy of the dataset: every sequence in a private
-// buffer, comparisons by value, no spine. It is the escape hatch for
-// callers that must mutate a dataset in place (seed planting in
-// experiments, per-job pools in benchmarks) — arena-backed datasets are
-// immutable and may alias interned spans, so mutate a Clone instead.
+// Clone re-packs the dataset into a fresh, fully resident arena (faulting
+// in any spilled slabs) under its own copy of the plan: same indices,
+// same content digests, no shared storage.
 func (d *Dataset) Clone() *Dataset {
-	c := &Dataset{
-		Name:        d.Name,
-		Comparisons: append([]Comparison(nil), d.Comparisons...),
-		Protein:     d.Protein,
+	a := NewArena(d.arena.SlabBytes(), d.NumSeqs())
+	for i := range d.NumSeqs() {
+		a.Append(d.arena.Seq(i)) // fits: it already fit a slab of d's arena
 	}
-	if d.Sequences == nil && d.spineRefs != nil {
-		// Spine-only dataset: materialise the copy from the arena
-		// (faulting in any spilled slabs — a clone is fully resident).
-		d.mu.Lock()
-		a := d.arena
-		d.mu.Unlock()
-		c.Sequences = make([][]byte, a.Len())
-		for i := range c.Sequences {
-			c.Sequences[i] = append([]byte(nil), a.Seq(i)...)
-		}
-		return c
-	}
-	c.Sequences = make([][]byte, len(d.Sequences))
-	for i, s := range d.Sequences {
-		c.Sequences[i] = append([]byte(nil), s...)
-	}
-	return c
+	return a.NewDataset(d.Name, PlanOf(d.plan.Comparisons()), d.Protein)
 }
 
-// NumSeqs returns the pool size. For spine-only datasets it comes from
-// the arena's span table; otherwise from the Sequences view.
-func (d *Dataset) NumSeqs() int {
-	if d.Sequences == nil && d.spineRefs != nil {
-		return len(d.spineRefs)
-	}
-	return len(d.Sequences)
-}
+// NumSeqs returns the pool size.
+func (d *Dataset) NumSeqs() int { return d.arena.Len() }
 
-// SeqLen returns sequence i's length without touching its bytes — for
-// spine-only datasets this never faults a spilled slab in, which is what
-// keeps cost estimation and validation residency-free.
-func (d *Dataset) SeqLen(i int) int {
-	if d.Sequences == nil && d.spineRefs != nil {
-		return int(d.spineRefs[i].Len)
-	}
-	return len(d.Sequences[i])
-}
+// SeqLen returns sequence i's length from the span table, so it never
+// faults a spilled slab in — which keeps cost estimation and validation
+// residency-free.
+func (d *Dataset) SeqLen(i int) int { return int(d.arena.refs[i].Len) }
+
+// Seq returns sequence i as a zero-copy, read-only view into its slab,
+// faulting the slab in if it is spilled.
+func (d *Dataset) Seq(i int) []byte { return d.arena.Seq(i) }
 
 // TotalSeqBytes sums sequence lengths (the logical |Ω|; interning may
 // store less — see Arena.SlabBytes).
-func (d *Dataset) TotalSeqBytes() int64 {
-	var n int64
-	for i, nseqs := 0, d.NumSeqs(); i < nseqs; i++ {
-		n += int64(d.SeqLen(i))
-	}
-	return n
-}
+func (d *Dataset) TotalSeqBytes() int64 { return d.arena.SeqBytes() }
 
 // Validate checks that every comparison references a pooled sequence and
-// anchors its seed in range, and that every single sequence fits one
-// arena slab (the pool as a whole is unbounded — the spine rolls slabs).
-// This delegates to the single implementation shared with
-// Arena.ValidatePlan; the driver calls it once per submission on every
-// entry path, so layers below (partition, kernel) index and build the
-// spine without re-checking.
-//
-// Validate also rechecks the spine's staleness fingerprints: a producer
-// that mutated Sequences or Comparisons in place (undetectable by slice
-// identity) is caught here and the touched half of the spine dropped, so
-// the next Spine call rebuilds from the current data instead of silently
-// serving the old bytes. Edits the O(1) fingerprint cannot see remain the
-// caller's responsibility — call Invalidate after any in-place mutation.
+// anchors its seed in range (Arena.ValidatePlan), and that Comparisons is
+// still the plan's row count. The driver calls it once per submission on
+// every entry path, so layers below (partition, kernel) index the spine
+// without re-checking. Sequence sizes need no check here: TryAppend
+// enforced the slab cap when the pool was packed.
 func (d *Dataset) Validate() error {
-	d.mu.Lock()
-	if d.arena != nil && sameSlice(d.spineSeqs, d.Sequences) &&
-		d.seqFP != seqFingerprintOf(d.Sequences) {
-		d.arena = nil
-		d.spineSeqs = nil
+	if d.arena == nil || d.plan == nil {
+		return errors.New("workload: dataset has no spine; build it with Pack or Arena.NewDataset")
 	}
-	if d.plan != nil && sameSlice(d.spineCmps, d.Comparisons) &&
-		d.cmpFP != cmpFingerprintOf(d.Comparisons) {
-		d.plan = nil
-		d.spineCmps = nil
+	if len(d.Comparisons) != d.plan.Len() {
+		return fmt.Errorf("workload: Comparisons has %d rows but the plan %d; datasets are immutable, use WithComparisons",
+			len(d.Comparisons), d.plan.Len())
 	}
-	// Only a spine built from the current pool proves its sequences fit
-	// (at append time). A replaced Sequences slice will be re-packed by
-	// Spine, so it must pass the per-sequence cap here first — the pool
-	// total is unbounded now that the spine rolls slabs.
-	poolPacked := d.arena != nil && sameSlice(d.spineSeqs, d.Sequences)
-	d.mu.Unlock()
-	if !poolPacked {
-		for i, n := 0, d.NumSeqs(); i < n; i++ {
-			if d.SeqLen(i) > MaxSlabBytes {
-				return fmt.Errorf("workload: sequence %d exceeds the %d-byte arena slab limit", i, int64(MaxSlabBytes))
-			}
-		}
-	}
-	return validateComparisons(d.NumSeqs(), d.SeqLen,
-		len(d.Comparisons),
-		func(i int) Comparison { return d.Comparisons[i] })
+	return d.arena.ValidatePlan(d.plan)
 }
 
 // ExtensionLens returns the four extension lengths of comparison c: the

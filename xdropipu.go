@@ -170,8 +170,11 @@ var (
 
 // Workload types shared by the execution stack and the pipelines.
 type (
-	// Dataset is a sequence pool plus planned comparisons — the
-	// compatibility view over the arena spine.
+	// Dataset is a sequence pool plus planned comparisons: an Arena and a
+	// CmpPlan over it under a name, built once (Arena.NewDataset, or the
+	// generators and pipelines) and immutable afterwards. Read sequences
+	// with NumSeqs/SeqLen/Seq; derive a different comparison set over the
+	// same pool with WithComparisons rather than assigning Comparisons.
 	Dataset = workload.Dataset
 	// Comparison is one planned seed extension.
 	Comparison = workload.Comparison
@@ -206,8 +209,9 @@ type (
 // bytes, sequence slots). Fill it with Append/Intern/AppendFasta, build a
 // CmpPlan with PlanOf, then Arena.NewDataset yields the dataset every
 // engine submission can share without duplicating sequence memory.
-// Arena.NewStreamingDataset yields a spine-only view that keeps slabs
-// spillable for pools that outgrow host RAM.
+// NewDataset touches no sequence bytes, so slabs stay spillable
+// (EnableSpill/Seal/Spill) for pools that outgrow host RAM; stop
+// appending once the dataset exists.
 func NewArena(sizeHint, seqHint int) *Arena {
 	return workload.NewArena(sizeHint, seqHint)
 }
