@@ -21,6 +21,17 @@ func randDNA(rng *rand.Rand, n int) []byte {
 	return s
 }
 
+// sprinkleWild overwrites about one symbol in twelve with the wildcard 'N'
+// or a lowercase base: symbols a Simple scorer matches with nothing
+// uppercase, and 'N' not even with itself.
+func sprinkleWild(rng *rand.Rand, s []byte) {
+	for i := range s {
+		if rng.Intn(12) == 0 {
+			s[i] = "NNacgt"[rng.Intn(6)]
+		}
+	}
+}
+
 // mutate applies substitutions/insertions/deletions at the given rate.
 func mutate(rng *rand.Rand, s []byte, rate float64) []byte {
 	const sym = "ACGT"

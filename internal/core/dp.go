@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/binary"
 	"math"
+
+	"github.com/sram-align/xdropipu/internal/scoring"
 )
 
 // The DP sweeps are written once, generic over the score width: int32
@@ -55,16 +57,43 @@ func setGuards[S score](buf []S, width int, negInf S) {
 	buf[width+bufPad], buf[width+bufPad+1] = negInf, negInf
 }
 
-// rowLanes is the vector row body's width in int32 cells; shorter rows
-// stay on the inlined Go loop.
+// rowLanes is the vector row body's width in int32 cells.
 const rowLanes = 8
 
 // rowSlack is the spare capacity (not length — the modeled footprint
 // counts len) growBuf keeps behind every score buffer. The vector row
-// body (row_amd64.s) preloads the next vector's diagonal operand before
-// it stores the current one, which reads up to rowSlack elements past the
-// row's last cell.
+// body (row_amd64.s) loads a vector's diagonal operand whole, before it
+// stores the vector in front of it, which reads up to rowSlack elements
+// past the row's last cell.
 const rowSlack = rowLanes - 1
+
+// rowSim tells the vector row bodies how to obtain Sim(h, v) for eight
+// cells at once. Scorers that are a match/mismatch scheme (scoring.Simple:
+// every DNA workload of the paper) get it from one byte compare,
+//
+//	h == v && h != wildcard ? match : mismatch
+//
+// which is what their table holds, entry for entry
+// (scoring.TestSimpleTableIsMatchMismatch); any other scorer (BLOSUM62)
+// keeps tab and is gathered, tab[h][v], eight scalar loads. The assembly
+// reads the fields through go_asm.h and takes tab == nil for the compare
+// form.
+type rowSim struct {
+	tab             *scoring.PairTable
+	match, mismatch int32
+	wildcard        byte
+}
+
+// rowSimOf resolves a scorer's similarity form, once per extension. The
+// choice is the scorer's own type — there is nothing to configure — and it
+// selects machine code, never results.
+func rowSimOf(s scoring.Scorer) rowSim {
+	if mm, ok := s.(*scoring.Simple); ok {
+		match, mismatch, wild := mm.MatchMismatch()
+		return rowSim{match: int32(match), mismatch: int32(mismatch), wildcard: wild}
+	}
+	return rowSim{tab: s.Table()}
+}
 
 // RowISA names the row body this process runs for the linear int32
 // sweep: "avx2" or "generic". Results are bit-identical either way.

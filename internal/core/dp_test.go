@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"github.com/sram-align/xdropipu/internal/alignment"
 	"github.com/sram-align/xdropipu/internal/scoring"
 )
 
@@ -135,6 +136,68 @@ func TestAffineZeroOpenMatchesReference(t *testing.T) {
 		if got.Stats.Cells != ref.Stats.Cells || got.Stats.MaxLiveBand != ref.Stats.MaxLiveBand {
 			t.Fatalf("trial %d: affine(open=0) trace (%d,%d) != reference (%d,%d)",
 				trial, got.Stats.Cells, got.Stats.MaxLiveBand, ref.Stats.Cells, ref.Stats.MaxLiveBand)
+		}
+	}
+}
+
+// TestSimpleScorersMatchReference is the sweep-level check behind the
+// vector row's compare form (row_amd64.s computes a Simple scorer's
+// similarity instead of loading it): both score layouts and the recording
+// sweep, under DNADefault and a non-default simple(+2/−3), over reads that
+// contain the wildcard 'N' and lowercase, through forward, reversed and
+// mixed views. Each Result equals Reference's in every field but the
+// layout-defined WorkBytes; each recording's Trace equals the naive
+// replay's (oracle_test.go) and its CIGAR re-prices to the score. Under
+// -tags purego the same test pins the Go loop.
+func TestSimpleScorersMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(80))
+	var ws Workspace
+	var or replayOracle
+	for trial := 0; trial < 240; trial++ {
+		hs := randDNA(rng, 1+rng.Intn(300))
+		vs := mutate(rng, hs, []float64{0.02, 0.1, 0.25}[trial%3])
+		sprinkleWild(rng, hs)
+		sprinkleWild(rng, vs)
+		p := Params{Scorer: scoring.DNADefault, Gap: -1, X: []int{3, 10, 25, 60}[trial%4], Tier: TierWide}
+		if trial%2 == 1 {
+			p.Scorer, p.Gap = scoring.NewSimple(2, -3), -2
+		}
+		hv, vv := View{hs, trial%8 >= 4}, View{vs, trial%8 >= 4}
+		if trial%8 == 7 {
+			hv.rev = false // mixed directions: both operands staged
+		}
+		ref := Reference(hv, vv, p)
+		for _, algo := range []Algo{AlgoRestricted2, AlgoStandard3} {
+			label := fmt.Sprintf("trial %d %v %v rev=%v/%v", trial, p.Scorer, algo, hv.rev, vv.rev)
+			pp := p
+			pp.Algo = algo
+			got := ws.align(hv, vv, pp)
+			rec, tr, err := ws.record(hv, vv, pp, !hv.rev)
+			if err != nil {
+				t.Fatalf("%s: record: %v", label, err)
+			}
+			got.Stats.WorkBytes, rec.Stats.WorkBytes = ref.Stats.WorkBytes, ref.Stats.WorkBytes
+			if got != ref {
+				t.Fatalf("%s: score sweep %+v != reference %+v (h=%s v=%s)", label, got, ref, hs, vs)
+			}
+			if rec != ref {
+				t.Fatalf("%s: recording sweep %+v != reference %+v (h=%s v=%s)", label, rec, ref, hs, vs)
+			}
+			want, err := or.extension(hv, vv, pp, !hv.rev)
+			if err != nil {
+				t.Fatalf("%s: oracle replay: %v", label, err)
+			}
+			checkTraceMatchesOracle(t, label, tr, want)
+			if hv.rev != vv.rev {
+				continue // a CIGAR is only meaningful when both views run the same way
+			}
+			fh, fv := hs[:tr.EndH], vs[:tr.EndV]
+			if hv.rev {
+				fh, fv = hs[len(hs)-tr.EndH:], vs[len(vs)-tr.EndV:]
+			}
+			if recon, err := alignment.ScoreOf(fh, fv, tr.Cigar, p.Scorer, p.Gap, 0); err != nil || recon != ref.Score {
+				t.Fatalf("%s: cigar %q re-prices to %d (%v), want %d", label, tr.Cigar, recon, err, ref.Score)
+			}
 		}
 	}
 }

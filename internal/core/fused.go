@@ -108,7 +108,7 @@ func (w *Workspace) FusedExtendLeft(h, v []byte, hOff, vOff int, p Params) (Resu
 // / Reference window semantics, selected by p.Algo through
 // linearCapacity, so a recorded Reference keeps its unbounded window).
 // Rows are linearSweep's padded-window walk with a per-cell direction code
-// folded in: rowCodesVec for rows of at least rowLanes cells, the Go loop
+// folded in: rowCodesVec where there is a vector body (rowVec), the Go loop
 // — the complete recurrence — otherwise. The rotation uses three distinct
 // buffers (like Standard3), so no row needs an in-place aliasing carry.
 func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
@@ -129,6 +129,7 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 	}
 
 	tab := p.Scorer.Table()
+	sim := rowSimOf(p.Scorer)
 	gap := int32(p.Gap)
 	hq, vq := w.operands(h, v)
 
@@ -208,19 +209,15 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 			codeRow := codes[kbase-cl:][:cnt]
 			d2v := d2b[kbase-1+o2:][:cnt]
 			d1r := d1b[kbase+o1:][:cnt]
-			dlv := d1b[kbase-1+o1]
 			hRow := hq[kbase-1:][:cnt]
 			vRow := vq[n-d+kbase:][:cnt]
-			if rowVec && cnt >= rowLanes {
-				// The vector body takes the whole row, ending it with one
-				// overlapped vector that recomputes stored cells. Legal only
-				// because out, d1b and d2b are three distinct buffers here —
-				// linearSweep's in-place row must never do this.
+			if rowVec {
 				rowBest = max(rowBest, rowCodesVec(&outRow[0], &d2b[kbase+o2], &d1r[0],
-					&hRow[0], &vRow[0], tab, cnt, d2v[0], gap, limit, &codeRow[0]))
+					&hRow[0], &vRow[0], &sim, cnt, d2v[0], gap, limit, &codeRow[0]))
 			} else {
 				// The vector body's only oracle: with rowVec off this loop
 				// computes every cell of every row.
+				dlv := d1b[kbase-1+o1]
 				for k := range outRow {
 					s := d2v[k] + int32(tab[hRow[k]][vRow[k]])
 					c := codeDiag

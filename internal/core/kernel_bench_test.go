@@ -55,62 +55,67 @@ func BenchmarkKernelStandard3Narrow(b *testing.B)   { benchKernel(b, AlgoStandar
 func BenchmarkKernelAffineWide(b *testing.B)        { benchKernel(b, AlgoAffine, 0, TierWide) }
 func BenchmarkKernelAffineNarrow(b *testing.B)      { benchKernel(b, AlgoAffine, 0, TierNarrow) }
 
-// benchKernelLongread measures the regime the benchmark's longread_cold
-// workload runs in: many mid-length extensions of noisy read pairs (mean
-// computed band ≈ 24 cells, so per-antidiagonal fixed cost counts), half
-// through forward and half through reversed views like the two sides of a
-// seed extension. The 2000 bp / 15 % pair above never takes reversed
-// views and runs a narrower band.
-func benchKernelLongread(b *testing.B, run func(ws *Workspace, h, v View) Result) {
-	b.Helper()
-	rng := rand.New(rand.NewSource(43))
-	noisy := synth.MutationProfile{Sub: 0.02, Ins: 0.02, Del: 0.02, Burst: 0.003, BurstLen: 24}
-	type pair struct{ h, v View }
-	pairs := make([]pair, 64)
+// benchPairs draws count read pairs for the workload-profile benchmarks:
+// two reads of one locus of minLen..maxLen bases under one error profile,
+// every other pair through reversed views like the left side of a seed
+// extension. The 2000 bp / 15 % pair above never takes reversed views.
+func benchPairs(seed int64, count, minLen, maxLen int, errs synth.MutationProfile) [][2]View {
+	rng := rand.New(rand.NewSource(seed))
+	pairs := make([][2]View, count)
 	for i := range pairs {
-		// Two reads of one locus under longread_cold's error profile.
-		g := randDNA(rng, 600+rng.Intn(601))
-		h, v := noisy.Apply(rng, g), noisy.Apply(rng, g)
+		g := randDNA(rng, minLen+rng.Intn(maxLen-minLen+1))
+		h, v := errs.Apply(rng, g), errs.Apply(rng, g)
 		if i%2 == 0 {
-			pairs[i] = pair{NewView(h), NewView(v)}
+			pairs[i] = [2]View{NewView(h), NewView(v)}
 		} else {
-			pairs[i] = pair{NewReversedView(reversed(h)), NewReversedView(reversed(v))}
+			pairs[i] = [2]View{NewReversedView(reversed(h)), NewReversedView(reversed(v))}
 		}
 	}
+	return pairs
+}
+
+// benchKernelPairs times run over pairs with a warm workspace and reports
+// Mcells/s, the mean computed band (cells per antidiagonal) and ns per
+// antidiagonal row — the figure that matters once the band is so narrow
+// that per-row fixed cost outweighs the cells.
+func benchKernelPairs(b *testing.B, pairs [][2]View, run func(ws *Workspace, h, v View) Result) {
+	b.Helper()
 	var ws Workspace
 	for _, pr := range pairs {
-		run(&ws, pr.h, pr.v)
+		run(&ws, pr[0], pr[1])
 	}
 	var cells, antid int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, pr := range pairs {
-			r := run(&ws, pr.h, pr.v)
+			r := run(&ws, pr[0], pr[1])
 			cells += r.Stats.Cells
 			antid += int64(r.Stats.Antidiagonals)
 		}
 	}
 	b.ReportMetric(float64(cells)/b.Elapsed().Seconds()/1e6, "Mcells/s")
 	b.ReportMetric(float64(cells)/float64(antid), "band")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(antid), "ns/row")
 }
 
-func BenchmarkKernelLongread(b *testing.B) {
-	p := Params{Scorer: scoring.DNADefault, Gap: -1, X: 15, DeltaB: 256}
+// benchKernelWorkload runs the linear variants over one workload profile's
+// pairs: the two int32 score layouts, the int16 tier, and the recording
+// sweep alone (what a traced extension costs beyond its score pass:
+// direction codes, packing, walk and CIGAR included).
+func benchKernelWorkload(b *testing.B, pairs [][2]View, p Params) {
 	score := func(algo Algo, tier Tier) func(*testing.B) {
 		p := p
 		p.Algo, p.Tier = algo, tier
 		return func(b *testing.B) {
-			benchKernelLongread(b, func(ws *Workspace, h, v View) Result { return ws.align(h, v, p) })
+			benchKernelPairs(b, pairs, func(ws *Workspace, h, v View) Result { return ws.align(h, v, p) })
 		}
 	}
 	b.Run("Restricted2Wide", score(AlgoRestricted2, TierWide))
 	b.Run("Standard3Wide", score(AlgoStandard3, TierWide))
 	b.Run("Restricted2Narrow", score(AlgoRestricted2, TierNarrow))
-	// The recording sweep alone (what a traced extension costs beyond its
-	// score pass): direction codes, packing, walk and CIGAR included.
 	b.Run("RecordRestricted2Wide", func(b *testing.B) {
-		benchKernelLongread(b, func(ws *Workspace, h, v View) Result {
+		benchKernelPairs(b, pairs, func(ws *Workspace, h, v View) Result {
 			r, _, err := ws.record(h, v, p, !h.rev)
 			if err != nil {
 				b.Fatal(err)
@@ -118,6 +123,25 @@ func BenchmarkKernelLongread(b *testing.B) {
 			return r
 		})
 	})
+}
+
+// BenchmarkKernelLongread is the regime the benchmark's longread_cold
+// workload runs in: many mid-length extensions of noisy read pairs at
+// X = 15, δb = 256. It reports a mean computed band of 19 cells, so a row
+// is two vectors and a tail and per-antidiagonal fixed cost counts.
+func BenchmarkKernelLongread(b *testing.B) {
+	noisy := synth.MutationProfile{Sub: 0.02, Ins: 0.02, Del: 0.02, Burst: 0.003, BurstLen: 24}
+	benchKernelWorkload(b, benchPairs(43, 64, 600, 1200, noisy),
+		Params{Scorer: scoring.DNADefault, Gap: -1, X: 15, DeltaB: 256})
+}
+
+// BenchmarkKernelShortread is shortread_plan's regime: HiFi reads of
+// 100–250 bp at X = 5, δb = 32. The band is five or six cells — three or
+// four interior cells behind the two peeled boundary cells — so nearly
+// every row is a lone masked tail and ns/row is almost all bookkeeping.
+func BenchmarkKernelShortread(b *testing.B) {
+	benchKernelWorkload(b, benchPairs(44, 256, 100, 250, synth.HiFiDNA()),
+		Params{Scorer: scoring.DNADefault, Gap: -1, X: 5, DeltaB: 32})
 }
 
 // TestKernelLoopsAllocationFree pins the alloc regression: with a warm

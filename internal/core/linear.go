@@ -85,12 +85,12 @@ func linearCapacity(m, n int, p Params) int {
 //
 // Row bodies. The inlined Go loop below is the recurrence for both score
 // widths. On amd64 with AVX2 (rowVec; see row_amd64.go) the int32
-// instantiation hands the whole vectors of any row of at least rowLanes
-// interior cells to rowLinearVec, eight cells per instruction, and the Go
-// loop finishes the remainder from the carried diagonal predecessor; the
-// int16 tier, other GOARCHes, the purego build tag and shorter rows run
-// the Go loop alone. Both bodies store identical rows, so nothing
-// downstream — results, Stats, KernelFingerprint, caches — knows which ran.
+// instantiation hands every row's interior, whatever its length, to
+// rowLinearVec — eight cells per instruction, the last vector masked — with
+// the similarity in the form the scorer allows (rowSim); the int16 tier,
+// other GOARCHes and the purego build tag run the Go loop. Both bodies
+// store identical rows, so nothing downstream — results, Stats,
+// KernelFingerprint, caches — knows which ran.
 //
 // ok is false when an antidiagonal's best value exceeded guard (int16
 // saturation, see tier.go): the partial attempt is void and the caller
@@ -119,6 +119,7 @@ func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p Params, negInf, guar
 	}}
 
 	tab := p.Scorer.Table()
+	sim := rowSimOf(p.Scorer)
 	gap := S(p.Gap)
 
 	seedDiag(d1b, 0, negInf)
@@ -199,66 +200,61 @@ func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p Params, negInf, guar
 			outRow := out[base+oo:][:cnt]
 			d2v := d2b[base+o2:][:cnt]
 			d1r := d1b[base+o1:][:cnt]
-			dlv := d1b[base-1+o1]
 			hRow := hq[base-1:][:cnt]
 			vRow := vq[n-d+base:][:cnt]
-			k := 0
-			if rowVec && unsafe.Sizeof(negInf) == 4 && cnt >= rowLanes {
-				// Whole vectors of the int32 row go through the vector
-				// body; the loop below finishes the remainder from the
-				// carried diagonal predecessor.
-				k = cnt &^ (rowLanes - 1)
-				vbest, carry := rowLinearVec(
+			if rowVec && unsafe.Sizeof(negInf) == 4 {
+				rowBest = max(rowBest, S(rowLinearVec(
 					(*int32)(unsafe.Pointer(&outRow[0])), (*int32)(unsafe.Pointer(&d2v[0])),
-					(*int32)(unsafe.Pointer(&d1r[0])), &hRow[0], &vRow[0], tab, k,
-					int32(wlast), int32(gap), int32(limit))
-				rowBest = max(rowBest, S(vbest))
-				wlast, dlv = S(carry), d1r[k-1]
-			}
-			// Two cells per iteration: both d−2 reads issue before the
-			// pair of in-place stores, so the may-alias load/store pairs
-			// serialize half as often.
-			for ; k+1 < cnt; k += 2 {
-				w0, w1 := d2v[k], d2v[k+1]
-				s0 := wlast + S(tab[hRow[k]][vRow[k]])
-				drv0 := d1r[k]
-				if g := max(dlv, drv0) + gap; g > s0 {
-					s0 = g
+					(*int32)(unsafe.Pointer(&d1r[0])), &hRow[0], &vRow[0], &sim, cnt,
+					int32(wlast), int32(gap), int32(limit))))
+			} else {
+				// Two cells per iteration: both d−2 reads issue before the
+				// pair of in-place stores, so the may-alias load/store pairs
+				// serialize half as often.
+				dlv := d1b[base-1+o1]
+				k := 0
+				for ; k+1 < cnt; k += 2 {
+					w0, w1 := d2v[k], d2v[k+1]
+					s0 := wlast + S(tab[hRow[k]][vRow[k]])
+					drv0 := d1r[k]
+					if g := max(dlv, drv0) + gap; g > s0 {
+						s0 = g
+					}
+					if s0 < limit {
+						s0 = negInf
+					}
+					if s0 > rowBest {
+						rowBest = s0
+					}
+					outRow[k] = s0
+					s1 := w0 + S(tab[hRow[k+1]][vRow[k+1]])
+					drv1 := d1r[k+1]
+					if g := max(drv0, drv1) + gap; g > s1 {
+						s1 = g
+					}
+					if s1 < limit {
+						s1 = negInf
+					}
+					if s1 > rowBest {
+						rowBest = s1
+					}
+					outRow[k+1] = s1
+					dlv = drv1
+					wlast = w1
 				}
-				if s0 < limit {
-					s0 = negInf
+				if k < cnt {
+					s := wlast + S(tab[hRow[k]][vRow[k]])
+					if g := max(dlv, d1r[k]) + gap; g > s {
+						s = g
+					}
+					if s < limit {
+						s = negInf
+					}
+					if s > rowBest {
+						rowBest = s
+					}
+					outRow[k] = s
 				}
-				if s0 > rowBest {
-					rowBest = s0
-				}
-				outRow[k] = s0
-				s1 := w0 + S(tab[hRow[k+1]][vRow[k+1]])
-				drv1 := d1r[k+1]
-				if g := max(drv0, drv1) + gap; g > s1 {
-					s1 = g
-				}
-				if s1 < limit {
-					s1 = negInf
-				}
-				if s1 > rowBest {
-					rowBest = s1
-				}
-				outRow[k+1] = s1
-				dlv = drv1
-				wlast = w1
-			}
-			if k < cnt {
-				s := wlast + S(tab[hRow[k]][vRow[k]])
-				if g := max(dlv, d1r[k]) + gap; g > s {
-					s = g
-				}
-				if s < limit {
-					s = negInf
-				}
-				if s > rowBest {
-					rowBest = s
-				}
-				outRow[k] = s
 			}
 			i = iB + 1
 		}

@@ -2,11 +2,10 @@
 
 package core
 
-import "github.com/sram-align/xdropipu/internal/scoring"
-
-// rowVec reports whether linearSweep may hand whole vectors of an int32
-// row to rowLinearVec: the CPU has AVX2 and the OS saves the YMM state.
-// Decided once at init; it selects machine code, never results.
+// rowVec reports whether the linear sweeps may hand the rows of an int32
+// extension to rowLinearVec / rowCodesVec: the CPU has AVX2 and the OS
+// saves the YMM state. Decided once at init; it selects machine code,
+// never results.
 var rowVec = hasAVX2()
 
 func hasAVX2() bool {
@@ -29,25 +28,27 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// rowLinearVec is the linear-gap row body of linearSweep over n int32
-// interior cells, n a positive multiple of rowLanes, eight cells per
-// instruction. The pointers address cell 0 of the row: out[k] is written;
-// d2[k−1] (wlast for k = 0) is the diagonal predecessor, d1[k−1] and d1[k]
-// the gap predecessors, tab[hq[k]][vq[k]] the similarity. out may alias
-// d2 shifted left by zero or more cells (the in-place layout). It returns
-// the row maximum and the carry d2[n−1] as it was before the row was
-// stored — wlast for cell n. It reads d2 up to rowSlack elements past
-// cell n−1 and never reads hq or vq past byte n−1.
+// rowLinearVec is the linear-gap row body of linearSweep over n ≥ 1 int32
+// interior cells, eight cells per instruction: ⌊n/8⌋ whole vectors, then one
+// masked tail vector over the n&7 cells left. The pointers address cell 0
+// of the row: out[k] is written; d2[k−1] (wlast for k = 0) is the diagonal
+// predecessor, d1[k−1] and d1[k] the gap predecessors, and sim says how
+// Sim(hq[k], vq[k]) is obtained (rowSim). out may alias d2 shifted left by
+// zero or more cells (the in-place layout). It returns the row maximum.
+//
+// Memory contract (TestRowKernelMatchesGeneric places every operand flush
+// against an unmapped page): it writes out[0:n] and nothing else; it reads
+// d1[−1:n], hq[0:n] and vq[0:n] and nothing else; and it reads d2 from
+// d2[−1] up to rowSlack elements past d2[n−1], because a vector's diagonal
+// operand is loaded whole.
 //
 //go:noescape
-func rowLinearVec(out, d2, d1 *int32, hq, vq *byte, tab *scoring.PairTable, n int, wlast, gap, limit int32) (best, carry int32)
+func rowLinearVec(out, d2, d1 *int32, hq, vq *byte, sim *rowSim, n int, wlast, gap, limit int32) (best int32)
 
 // rowCodesVec is the recording sweep's row body: rowLinearVec's arithmetic
-// over any n ≥ rowLanes cells, also storing cell k's direction code
-// (codeNone/Diag/Up/Left by fusedLinear's rule) in codes[k]. out must
-// alias neither d2 nor d1: a row that is not whole vectors ends with one
-// vector recomputed over cells [n−rowLanes, n). Reads are bounded like
-// rowLinearVec's; it returns the row maximum.
+// and memory contract, also storing cell k's direction code
+// (codeNone/Diag/Up/Left by fusedLinear's rule) in codes[k] — codes[0:n]
+// and nothing else. It returns the row maximum.
 //
 //go:noescape
-func rowCodesVec(out, d2, d1 *int32, hq, vq *byte, tab *scoring.PairTable, n int, wlast, gap, limit int32, codes *byte) (best int32)
+func rowCodesVec(out, d2, d1 *int32, hq, vq *byte, sim *rowSim, n int, wlast, gap, limit int32, codes *byte) (best int32)

@@ -1,94 +1,196 @@
 //go:build amd64 && !purego
 
 #include "textflag.h"
+#include "go_asm.h"
 
-// The pruned-cell sentinel negInf32 (dp.go): math.MinInt32 / 4.
-#define NEGINF32 $0xE0000000
+// The two row bodies — rowLinearVec for the score sweep, rowCodesVec for
+// the recording sweep — are one recurrence, ROW_STEP, expanded with three
+// choices as macro parameters: where the similarity comes from (SIM_TABLE /
+// SIM_EQ), whether the direction compares are kept (ROW_NOMASKS /
+// ROW_DIRMASKS), and whether the step is a whole vector or the row's masked
+// tail (ROW_D1_WHOLE + ROW_STORE_WHOLE / ROW_D1_TAIL + ROW_STORE_TAIL).
+//
+// Registers, both bodies: DI out, SI d2, DX d1, R8 hq, R9 vq, R10 the
+// similarity table (nil: compare form), CX cells left; AX BX R11 scratch.
+// Y0 the diagonal operand, then the cells; Y1 the next diagonal operand
+// (tail: the lane mask); Y7 the running row maximum; Y8 gap, Y9 limit,
+// Y10 negInf; Y14 match, Y15 mismatch, X6 the wildcard byte ×16; Y2–Y5
+// temporaries. rowCodesVec adds R12 codes, Y11 Y12 the direction masks,
+// Y13 = 1.
 
-// LANE looks up tab[h][v] for the 16-bit index h<<8|v in the low word of
-// idx and inserts the byte into lane n of X6; idx is shifted on to the
-// next index.
-#define LANE(idx, n) \
-	MOVWLZX idx, R11             \
-	SHRQ    $16, idx             \
-	VPINSRB $n, (R10)(R11*1), X6, X6
+// rowLaneMask is eight all-ones dwords then eight zero dwords: the 32 bytes
+// at offset 4·(8−r) are the lane mask of a tail of r cells, lanes 0..r−1
+// set.
+DATA rowLaneMask<>+0(SB)/8, $0xffffffffffffffff
+DATA rowLaneMask<>+8(SB)/8, $0xffffffffffffffff
+DATA rowLaneMask<>+16(SB)/8, $0xffffffffffffffff
+DATA rowLaneMask<>+24(SB)/8, $0xffffffffffffffff
+DATA rowLaneMask<>+32(SB)/8, $0
+DATA rowLaneMask<>+40(SB)/8, $0
+DATA rowLaneMask<>+48(SB)/8, $0
+DATA rowLaneMask<>+56(SB)/8, $0
+GLOBL rowLaneMask<>(SB), RODATA|NOPTR, $64
 
-// The two row bodies share prologue, per-vector arithmetic and epilogue
-// as macros, so the recurrence is written once. ROW_ENTER loads the
-// arguments both take at the same offsets — DI out, SI d2, DX d1, R8 hq,
-// R9 vq, R10 tab, CX cells left, Y8 gap, Y9 limit, Y10 negInf, Y7 the
-// running row maximum — and the first diagonal operand d2[−1..6] into Y0.
-// Its lane 0 is the wlast argument: in place, with cl = 0, the peeled
-// top-boundary store has already overwritten d2[−1].
+// rowNegInf is the pruned-cell sentinel negInf32 (dp.go).
+DATA rowNegInf<>+0(SB)/4, $const_negInf32
+GLOBL rowNegInf<>(SB), RODATA|NOPTR, $4
+
+// ROW_ENTER loads the arguments both bodies take at the same offsets and
+// the first diagonal operand d2[−1..6] into Y0. Its lane 0 is the wlast
+// argument: in place, with cl = 0, the peeled top-boundary store has
+// already overwritten d2[−1].
 #define ROW_ENTER \
 	MOVQ         out+0(FP), DI   \
 	MOVQ         d2+8(FP), SI    \
 	MOVQ         d1+16(FP), DX   \
 	MOVQ         hq+24(FP), R8   \
 	MOVQ         vq+32(FP), R9   \
-	MOVQ         tab+40(FP), R10 \
+	MOVQ         sim+40(FP), R10 \
+	VPBROADCASTD rowSim_match(R10), Y14    \
+	VPBROADCASTD rowSim_mismatch(R10), Y15 \
+	VPBROADCASTB rowSim_wildcard(R10), X6  \
+	MOVQ         rowSim_tab(R10), R10      \
 	MOVQ         n+48(FP), CX    \
-	MOVL         gap+60(FP), AX  \
-	VMOVD        AX, X8          \
-	VPBROADCASTD X8, Y8          \
-	MOVL         limit+64(FP), AX \
-	VMOVD        AX, X9          \
-	VPBROADCASTD X9, Y9          \
-	MOVL         NEGINF32, AX    \
-	VMOVD        AX, X10         \
-	VPBROADCASTD X10, Y10        \
+	VPBROADCASTD gap+60(FP), Y8   \
+	VPBROADCASTD limit+64(FP), Y9 \
+	VPBROADCASTD rowNegInf<>(SB), Y10 \
 	VMOVDQA      Y10, Y7         \
 	VMOVDQU      -4(SI), Y0      \
 	MOVL         wlast+56(FP), AX \
 	VMOVD        AX, X1          \
 	VPBLENDD     $1, Y1, Y0, Y0
 
-// ROW_STEP computes and stores the vector of eight cells k..k+7 and
-// steps every pointer to the next vector:
+// ROW_FETCH loads what a whole step takes from beyond its own cells: the
+// next vector's diagonal operand d2[k+7..k+14] — before this step's store,
+// see ROW_STORE_WHOLE — and the eight h and v bytes.
+#define ROW_FETCH \
+	VMOVDQU 28(SI), Y1 \
+	VMOVQ   (R8), X4   \
+	VMOVQ   (R9), X5
+
+// ROW_TAIL_FETCH is ROW_FETCH for the r = CX < 8 cells behind the last
+// whole vector: Y1 becomes their lane mask (there is no next operand), and
+// X4 and X5 get exactly r bytes each, zero-extended. A row of at least
+// eight cells owns the eight bytes that end at its last one, so they are
+// loaded whole and shifted down; a shorter row is gathered byte by byte.
+// Neither reads hq or vq outside [0, n).
+#define ROW_TAIL_FETCH \
+	MOVQ    $8, BX                \
+	SUBQ    CX, BX                \
+	LEAQ    rowLaneMask<>(SB), AX \
+	VMOVDQU (AX)(BX*4), Y1        \
+	CMPQ    n+48(FP), $8          \
+	JB      gather                \
+	SHLQ    $3, BX                \
+	VMOVQ   BX, X2                \
+	VMOVQ   -8(R8)(CX*1), X4      \
+	VMOVQ   -8(R9)(CX*1), X5      \
+	VPSRLQ  X2, X4, X4            \
+	VPSRLQ  X2, X5, X5            \
+	JMP     fetched               \
+gather:                           \
+	XORL    AX, AX                \
+	XORL    BX, BX                \
+	MOVQ    CX, R11               \
+gatherloop:                       \
+	SHLQ    $8, AX                \
+	SHLQ    $8, BX                \
+	MOVB    -1(R8)(R11*1), AL     \
+	MOVB    -1(R9)(R11*1), BL     \
+	DECQ    R11                   \
+	JNZ     gatherloop            \
+	VMOVQ   AX, X4                \
+	VMOVQ   BX, X5                \
+fetched:
+
+// LANE looks up tab[h][v] for the 16-bit index h<<8|v in the low word of
+// idx and inserts the byte into lane n of X5; idx is shifted on to the
+// next index.
+#define LANE(idx, n) \
+	MOVWLZX idx, R11             \
+	SHRQ    $16, idx             \
+	VPINSRB $n, (R10)(R11*1), X5, X5
+
+// SIM_TABLE is the similarity of any scorer: Y4 = sext(tab[h][v]) for the
+// eight h bytes in X4 and v bytes in X5, eight scalar loads (a tail's
+// spare lanes look up tab[0][0]).
+#define SIM_TABLE \
+	VPUNPCKLBW X4, X5, X4 \
+	VMOVQ      X4, AX     \
+	VPEXTRQ    $1, X4, BX \
+	LANE(AX, 0)           \
+	LANE(BX, 4)           \
+	LANE(AX, 1)           \
+	LANE(BX, 5)           \
+	LANE(AX, 2)           \
+	LANE(BX, 6)           \
+	LANE(AX, 3)           \
+	LANE(BX, 7)           \
+	VPMOVSXBD  X5, Y4
+
+// SIM_EQ is the similarity of a match/mismatch scorer (rowSim, dp.go):
+// Y4 = h == v && h != wildcard ? match : mismatch.
+#define SIM_EQ \
+	VPCMPEQB  X4, X5, X5 \
+	VPCMPEQB  X6, X4, X4 \
+	VPANDN    X5, X4, X4 \
+	VPMOVSXBD X4, Y4     \
+	VPBLENDVB Y4, Y14, Y15, Y4
+
+// ROW_STEP computes the vector of cells k..k+7 from the diagonal operand
+// in Y0 and the sequence bytes in X4 and X5:
 //
-//	s    = d2[k−1..k+6] + sext(tab[hq[k..]][vq[k..]])
-//	g    = max(d1[k−1..k+6], d1[k..k+7]) + gap
-//	MASKS — s in Y0 and g in Y2 are both still whole here
-//	s    = max(s, g)
-//	s    = s < limit ? negInf : s          (Y3 = the pruned lanes)
-//	best = max(best, s); out[k..k+7] = s
+//	s = d2[k−1..k+6] + SIM
+//	g = max(d1[k−1..k+6], d1[k..k+7]) + gap       (D1 loads the two)
+//	MASKS — s in Y0 and g in Y4 are both still whole here
+//	s = max(s, g)
+//	s = s < limit ? negInf : s                     (Y3 = the pruned lanes)
+//	STORE — best = max(best, s); out[k..] = s
 //
-// In place, out trails d2 by cl−d2cl ≥ 0 cells, so the store of
-// out[k..k+7] overwrites d2[k+7] — lane 0 of the next vector's diagonal
-// operand — exactly when that distance is zero: the next operand is
-// loaded into Y1 before the store. Y3 outlives the step.
-#define ROW_STEP(MASKS) \
-	VMOVDQU    28(SI), Y1      \
-	VMOVQ      (R8), X4        \
-	VMOVQ      (R9), X5        \
-	VPUNPCKLBW X4, X5, X4      \
-	VMOVQ      X4, AX          \
-	VPEXTRQ    $1, X4, BX      \
-	LANE(AX, 0)                \
-	LANE(BX, 4)                \
-	LANE(AX, 1)                \
-	LANE(BX, 5)                \
-	LANE(AX, 2)                \
-	LANE(BX, 6)                \
-	LANE(AX, 3)                \
-	LANE(BX, 7)                \
-	VPMOVSXBD  X6, Y4          \
+// Y3 outlives the step.
+#define ROW_STEP(SIM, D1, MASKS, STORE) \
+	SIM                        \
 	VPADDD     Y4, Y0, Y0      \
-	VMOVDQU    -4(DX), Y2      \
-	VPMAXSD    (DX), Y2, Y2    \
-	VPADDD     Y8, Y2, Y2      \
+	D1                         \
+	VPMAXSD    Y5, Y2, Y4      \
+	VPADDD     Y8, Y4, Y4      \
 	MASKS                      \
-	VPMAXSD    Y2, Y0, Y0      \
+	VPMAXSD    Y4, Y0, Y0      \
 	VPCMPGTD   Y0, Y9, Y3      \
 	VPBLENDVB  Y3, Y10, Y0, Y0 \
+	STORE
+
+// A whole step loads d1[k−1..k+7] and stores all eight cells, then steps
+// every pointer to the next vector. In place, out trails d2 by cl−d2cl ≥ 0
+// cells, so the store of out[k..k+7] overwrites d2[k+7] — lane 0 of the
+// next vector's diagonal operand — exactly when that distance is zero:
+// ROW_FETCH has loaded that operand into Y1 before the store.
+#define ROW_D1_WHOLE \
+	VMOVDQU -4(DX), Y2 \
+	VMOVDQU (DX), Y5
+
+#define ROW_STORE_WHOLE \
+	VPMAXSD Y0, Y7, Y7 \
+	VMOVDQU Y0, (DI)   \
+	VMOVDQA Y1, Y0     \
+	ADDQ    $32, DI    \
+	ADDQ    $32, SI    \
+	ADDQ    $32, DX    \
+	ADDQ    $8, R8     \
+	ADDQ    $8, R9
+
+// The tail step touches memory only in the lanes of ROW_TAIL_FETCH's mask:
+// d1 is read through it (a masked-off lane cannot fault and reads zero),
+// the lanes past the row become −∞ before they can reach the row maximum,
+// and only the row's own cells are stored.
+#define ROW_D1_TAIL \
+	VPMASKMOVD -4(DX), Y1, Y2 \
+	VPMASKMOVD (DX), Y1, Y5
+
+#define ROW_STORE_TAIL \
+	VPBLENDVB  Y1, Y0, Y10, Y0 \
 	VPMAXSD    Y0, Y7, Y7      \
-	VMOVDQU    Y0, (DI)        \
-	VMOVDQA    Y1, Y0          \
-	ADDQ       $32, DI         \
-	ADDQ       $32, SI         \
-	ADDQ       $32, DX         \
-	ADDQ       $8, R8          \
-	ADDQ       $8, R9
+	VPMASKMOVD Y0, Y1, (DI)
 
 // The score row keeps no masks.
 #define ROW_NOMASKS
@@ -97,9 +199,23 @@
 // gapTaken (g > s, strictly — the diagonal wins ties) and Y11 = leftWins
 // (d1[k] > d1[k−1], strictly — up wins ties).
 #define ROW_DIRMASKS \
-	VPCMPGTD Y0, Y2, Y12 \
-	VMOVDQU  (DX), Y5    \
-	VPCMPGTD -4(DX), Y5, Y11
+	VPCMPGTD Y0, Y4, Y12 \
+	VPCMPGTD Y2, Y5, Y11
+
+// ROW_CODES turns the masks a ROW_STEP(…, ROW_DIRMASKS, …) left behind into
+// eight direction-code bytes in the low half of X11:
+//
+//	code = 1 + gapTaken + (gapTaken ∧ leftWins), 0 where pruned
+//
+// i.e. codeDiag / codeUp / codeLeft / codeNone.
+#define ROW_CODES \
+	VPAND        Y12, Y11, Y11 \
+	VPADDD       Y12, Y11, Y11 \
+	VPSUBD       Y11, Y13, Y11 \
+	VPANDN       Y11, Y3, Y11  \
+	VEXTRACTI128 $1, Y11, X5   \
+	VPACKSSDW    X5, X11, X11  \
+	VPACKUSWB    X11, X11, X11
 
 // ROW_LEAVE reduces the row maximum into AX.
 #define ROW_LEAVE \
@@ -111,70 +227,117 @@
 	VPMAXSD      X2, X7, X7  \
 	VMOVD        X7, AX
 
-// func rowLinearVec(out, d2, d1 *int32, hq, vq *byte, tab *scoring.PairTable, n int, wlast, gap, limit int32) (best, carry int32)
-TEXT ·rowLinearVec(SB), NOSPLIT, $0-80
+// func rowLinearVec(out, d2, d1 *int32, hq, vq *byte, sim *rowSim, n int, wlast, gap, limit int32) (best int32)
+TEXT ·rowLinearVec(SB), NOSPLIT, $0-76
 	ROW_ENTER
+	CMPQ  CX, $8
+	JB    tail
+	TESTQ R10, R10
+	JZ    eqloop
 
-loop:
-	ROW_STEP(ROW_NOMASKS)
+tabloop:
+	ROW_FETCH
+	ROW_STEP(SIM_TABLE, ROW_D1_WHOLE, ROW_NOMASKS, ROW_STORE_WHOLE)
 	SUBQ $8, CX
-	JNZ  loop
+	CMPQ CX, $8
+	JAE  tabloop
+	JMP  tail
 
+eqloop:
+	ROW_FETCH
+	ROW_STEP(SIM_EQ, ROW_D1_WHOLE, ROW_NOMASKS, ROW_STORE_WHOLE)
+	SUBQ $8, CX
+	CMPQ CX, $8
+	JAE  eqloop
+
+tail:
+	TESTQ CX, CX
+	JZ    done
+	ROW_TAIL_FETCH
+	TESTQ R10, R10
+	JZ    eqtail
+	ROW_STEP(SIM_TABLE, ROW_D1_TAIL, ROW_NOMASKS, ROW_STORE_TAIL)
+	JMP   done
+
+eqtail:
+	ROW_STEP(SIM_EQ, ROW_D1_TAIL, ROW_NOMASKS, ROW_STORE_TAIL)
+
+done:
 	ROW_LEAVE
-	MOVL  AX, best+72(FP)
-	VMOVD X0, AX
-	MOVL  AX, carry+76(FP)
+	MOVL AX, best+72(FP)
 	VZEROUPPER
 	RET
 
-// func rowCodesVec(out, d2, d1 *int32, hq, vq *byte, tab *scoring.PairTable, n int, wlast, gap, limit int32, codes *byte) (best int32)
+// func rowCodesVec(out, d2, d1 *int32, hq, vq *byte, sim *rowSim, n int, wlast, gap, limit int32, codes *byte) (best int32)
 //
-// rowLinearVec's arithmetic plus one direction-code byte per cell, from
-// the masks that arithmetic leaves behind:
-//
-//	code = 1 + gapTaken + (gapTaken ∧ leftWins), 0 where pruned
-//
-// i.e. codeDiag / codeUp / codeLeft / codeNone. Any n ≥ 8: cells past the
-// last whole vector are covered by one more vector over [n−8, n). That
-// recomputes up to seven cells from unchanged operands, which is legal
-// only because out aliases neither d2 nor d1 here.
+// rowLinearVec plus one direction-code byte per cell, from the masks the
+// row arithmetic leaves behind (ROW_CODES). The tail's r codes are stored
+// as a dword, a word and a byte as r's bits say, so codes is written in
+// [0, n) only.
 TEXT ·rowCodesVec(SB), NOSPLIT, $0-84
 	ROW_ENTER
 	MOVQ         codes+72(FP), R12
 	MOVL         $1, AX
 	VMOVD        AX, X13
-	VPBROADCASTD X13, Y13          // Y13 = 1
-	MOVQ         CX, R13
-	ANDQ         $7, R13           // cells past the last whole vector
-	SUBQ         R13, CX
+	VPBROADCASTD X13, Y13
+	CMPQ         CX, $8
+	JB           tail
+	TESTQ        R10, R10
+	JZ           eqloop
 
-loop:
-	ROW_STEP(ROW_DIRMASKS)
-	VPAND        Y12, Y11, Y11     // gapTaken ∧ leftWins
-	VPADDD       Y12, Y11, Y11     // −(gapTaken + gapTaken∧leftWins)
-	VPSUBD       Y11, Y13, Y11     // 1 + gapTaken + gapTaken∧leftWins
-	VPANDN       Y11, Y3, Y11      // pruned lanes = codeNone
-	VEXTRACTI128 $1, Y11, X5
-	VPACKSSDW    X5, X11, X11
-	VPACKUSWB    X11, X11, X11
-	VMOVQ        X11, (R12)
-	ADDQ         $8, R12
-	SUBQ         $8, CX
-	JNZ          loop
+tabloop:
+	ROW_FETCH
+	ROW_STEP(SIM_TABLE, ROW_D1_WHOLE, ROW_DIRMASKS, ROW_STORE_WHOLE)
+	ROW_CODES
+	VMOVQ X11, (R12)
+	ADDQ  $8, R12
+	SUBQ  $8, CX
+	CMPQ  CX, $8
+	JAE   tabloop
+	JMP   tail
 
-	TESTQ R13, R13
+eqloop:
+	ROW_FETCH
+	ROW_STEP(SIM_EQ, ROW_D1_WHOLE, ROW_DIRMASKS, ROW_STORE_WHOLE)
+	ROW_CODES
+	VMOVQ X11, (R12)
+	ADDQ  $8, R12
+	SUBQ  $8, CX
+	CMPQ  CX, $8
+	JAE   eqloop
+
+tail:
+	TESTQ CX, CX
 	JZ    done
-	SUBQ  $8, R13                  // step back to cell n−8
-	LEAQ  (DI)(R13*4), DI
-	LEAQ  (SI)(R13*4), SI
-	LEAQ  (DX)(R13*4), DX
-	ADDQ  R13, R8
-	ADDQ  R13, R9
-	ADDQ  R13, R12
-	VMOVDQU -4(SI), Y0
-	XORQ  R13, R13
-	MOVQ  $8, CX
-	JMP   loop
+	ROW_TAIL_FETCH
+	TESTQ R10, R10
+	JZ    eqtail
+	ROW_STEP(SIM_TABLE, ROW_D1_TAIL, ROW_DIRMASKS, ROW_STORE_TAIL)
+	JMP   tailcodes
+
+eqtail:
+	ROW_STEP(SIM_EQ, ROW_D1_TAIL, ROW_DIRMASKS, ROW_STORE_TAIL)
+
+tailcodes:
+	ROW_CODES
+	VMOVQ X11, AX
+	TESTQ $4, CX
+	JZ    codes2
+	MOVL  AX, (R12)
+	SHRQ  $32, AX
+	ADDQ  $4, R12
+
+codes2:
+	TESTQ $2, CX
+	JZ    codes1
+	MOVW  AX, (R12)
+	SHRQ  $16, AX
+	ADDQ  $2, R12
+
+codes1:
+	TESTQ $1, CX
+	JZ    done
+	MOVB  AX, (R12)
 
 done:
 	ROW_LEAVE

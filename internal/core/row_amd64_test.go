@@ -14,38 +14,71 @@ import (
 	"github.com/sram-align/xdropipu/internal/scoring"
 )
 
-// guardedBytes returns n writable bytes that end exactly at an unmapped
-// page, so a read or write one byte past the slice faults instead of
-// silently touching a neighbour.
-func guardedBytes(t testing.TB, n int) []byte {
-	t.Helper()
+// guarded hands out test operands that touch an unmapped page, so that a
+// read or write one element outside them faults instead of silently
+// touching a neighbour. release unmaps them all: a test makes thousands,
+// and every one is two kernel mappings.
+type guarded struct {
+	t    testing.TB
+	maps [][]byte
+}
+
+func (g *guarded) release() {
+	for _, mem := range g.maps {
+		_ = syscall.Munmap(mem) // test memory; nothing to do about a failed unmap
+	}
+}
+
+// mapping returns n writable bytes that end exactly at an unmapped page —
+// or, with front set, that start right behind one.
+func (g *guarded) mapping(n int, front bool) []byte {
+	g.t.Helper()
 	page := syscall.Getpagesize()
 	data := (n + page - 1) / page * page
 	mem, err := syscall.Mmap(-1, 0, data+page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
-		t.Fatalf("mmap: %v", err)
+		g.t.Fatalf("mmap: %v", err)
 	}
-	t.Cleanup(func() { _ = syscall.Munmap(mem) }) // test memory; nothing to do about a failed unmap
-	if err := syscall.Mprotect(mem[data:], syscall.PROT_NONE); err != nil {
-		t.Fatalf("mprotect: %v", err)
+	g.maps = append(g.maps, mem)
+	guard, b := mem[data:], mem[data-n:data:data]
+	if front {
+		guard, b = mem[:page], mem[page:page+n:page+n]
 	}
-	return mem[data-n : data : data]
+	if err := syscall.Mprotect(guard, syscall.PROT_NONE); err != nil {
+		g.t.Fatalf("mprotect: %v", err)
+	}
+	return b
 }
 
-// guardedScores is guardedBytes for n int32 cells.
-func guardedScores(t testing.TB, n int) []int32 {
-	if n == 0 {
-		return nil
-	}
-	b := guardedBytes(t, 4*n)
+// bytes returns n bytes ending at an unmapped page.
+func (g *guarded) bytes(n int) []byte { return g.mapping(n, false) }
+
+// scores returns n int32 cells ending at an unmapped page.
+func (g *guarded) scores(n int) []int32 {
+	b := g.bytes(4 * n)
 	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n)
+}
+
+// pair draws cnt symbol pairs from alpha, equal about half the time, each
+// slice ending at the last byte before an unmapped page — or, with front
+// set, starting at the first byte behind one.
+func (g *guarded) pair(rng *rand.Rand, cnt int, alpha []byte, front bool) (hq, vq []byte) {
+	hq, vq = g.mapping(cnt, front), g.mapping(cnt, front)
+	for i := range hq {
+		hq[i] = alpha[rng.Intn(len(alpha))]
+		vq[i] = hq[i]
+		if rng.Intn(2) == 0 {
+			vq[i] = alpha[rng.Intn(len(alpha))]
+		}
+	}
+	return hq, vq
 }
 
 // rowLinearRef is the linear row recurrence at its plainest — the oracle
 // for the vector body. d1[k] and d1[k+1] are cell k's gap predecessors;
 // out may alias d2 shifted left, so d2[k] is read before out[k] is stored.
-// It returns the row maximum and the carry for cell n.
-func rowLinearRef(out, d2, d1 []int32, hq, vq []byte, tab *scoring.PairTable, n int, wlast, gap, limit int32) (best, carry int32) {
+// It returns the row maximum.
+func rowLinearRef(out, d2, d1 []int32, hq, vq []byte, tab *scoring.PairTable, n int, wlast, gap, limit int32) (best int32) {
 	best = negInf32
 	for k := 0; k < n; k++ {
 		wnew := d2[k]
@@ -60,36 +93,78 @@ func rowLinearRef(out, d2, d1 []int32, hq, vq []byte, tab *scoring.PairTable, n 
 		out[k] = s
 		wlast = wnew
 	}
-	return best, wlast
+	return best
 }
 
-// rowCase is one row's operand layout, as linearSweep would hand it over.
-type rowCase struct {
-	cnt     int  // interior cells
-	shift   int  // cl − d2cl: how far out trails d2 when in place
-	inPlace bool // out aliases d2 (Restricted2) or is a third buffer
-	protein bool // BLOSUM62 over proteinHigh instead of DNADefault over ACGT
-	limit   int32
-}
+// dnaWild is the alphabet of the Simple-scorer cases: the four bases, the
+// wildcard 'N' (twice, so runs of it and 'N' against 'N' turn up), lowercase,
+// 0x00 and bytes ≥ 0x80 — which a signed byte compare or a sign-extended
+// table index would get wrong.
+var dnaWild = []byte("ACGTNNacgn\x00\x80\xce\xff")
 
 // proteinHigh is the alphabet of the Matrix-scorer cases: amino acids plus
 // bytes ≥ 0x80, which BLOSUM62 scores like 'X' — and which a sign-extended
 // byte load or a signed table index would look up outside the table.
 var proteinHigh = []byte("ARNDCQEGHILKMFPSTWYV\x80\x9c\xc3\xff")
 
-// checkRow runs the vector body (whole vectors, the oracle finishing the
-// remainder from the carry — the split linearSweep makes) and the oracle
-// alone over identical buffers and compares everything they may touch.
-// Every buffer ends flush against an unmapped page: the d2 buffer rowSlack
-// cells behind the row's last cell, the sequences at their last byte.
+// rowForm is one way a row body can be handed its similarity: a scorer
+// in the form rowSimOf resolves for it, or — gather — forced through the
+// table, so that the two forms meet on identical Simple operands.
+type rowForm struct {
+	name   string
+	scorer scoring.Scorer
+	gather bool
+	alpha  []byte
+}
+
+func (f rowForm) sim() rowSim {
+	if f.gather {
+		return rowSim{tab: f.scorer.Table()}
+	}
+	return rowSimOf(f.scorer)
+}
+
+var rowForms = []rowForm{
+	{"dna/compare", scoring.DNADefault, false, dnaWild},
+	{"simple(+2/-3)/compare", scoring.NewSimple(2, -3), false, dnaWild},
+	{"dna/table", scoring.DNADefault, true, dnaWild},
+	{"blosum62/table", scoring.Blosum62, false, proteinHigh},
+}
+
+// TestRowFormFollowsScorer: the scorer's own type picks the form — Simple
+// schemes compare, a Matrix is gathered.
+func TestRowFormFollowsScorer(t *testing.T) {
+	if sim := rowSimOf(scoring.NewSimple(5, -4)); sim != (rowSim{match: 5, mismatch: -4, wildcard: 'N'}) {
+		t.Errorf("rowSimOf(simple(+5/-4)) = %+v, want the compare form", sim)
+	}
+	if sim := rowSimOf(scoring.Blosum62); sim != (rowSim{tab: scoring.Blosum62.Table()}) {
+		t.Errorf("rowSimOf(BLOSUM62) = %+v, want the table gather", sim)
+	}
+}
+
+// rowCase is one row's operand layout, as linearSweep would hand it over.
+type rowCase struct {
+	cnt     int  // interior cells, ≥ 1
+	shift   int  // cl − d2cl: how far out trails d2 when in place
+	inPlace bool // out aliases d2 (Restricted2) or is a third buffer
+	form    int  // index into rowForms
+	seqHead bool // the sequences start behind an unmapped page instead of ending at one
+	limit   int32
+}
+
+// checkRow runs the vector body and the oracle over identical buffers and
+// compares everything they may touch. Every operand ends flush against an
+// unmapped page: d1 and the sequences at their last element (or, seqHead,
+// the sequences begin right behind one), the d2 buffer (which in place is
+// also out) rowSlack cells behind the row's last cell, a third-buffer out
+// at its last cell.
 func checkRow(t testing.TB, rng *rand.Rand, c rowCase) {
 	t.Helper()
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	g := guarded{t: t}
+	defer g.release()
 
-	tab, alpha := scoring.DNADefault.Table(), []byte("ACGT")
-	if c.protein {
-		tab, alpha = scoring.Blosum62.Table(), proteinHigh
-	}
+	form := rowForms[c.form]
 	// Cell values: a mix of live scores around the limit and pruned cells.
 	val := func() int32 {
 		if rng.Intn(4) == 0 {
@@ -104,46 +179,41 @@ func checkRow(t testing.TB, rng *rand.Rand, c rowCase) {
 		return b
 	}
 	const lead = 12 // cells before the row: room for the largest shift and d2[−1]
-	d1 := fill(guardedScores(t, 1+c.cnt))
-	hq, vq := guardedBytes(t, c.cnt), guardedBytes(t, c.cnt)
-	for i := range hq {
-		hq[i], vq[i] = alpha[rng.Intn(len(alpha))], alpha[rng.Intn(len(alpha))]
-	}
-	wantBuf := fill(guardedScores(t, lead+c.cnt+rowSlack))
+	d1 := fill(g.scores(1 + c.cnt))
+	hq, vq := g.pair(rng, c.cnt, form.alpha, c.seqHead)
+	wantBuf := fill(g.scores(lead + c.cnt + rowSlack))
 	// d2[−1] in memory is never the diagonal predecessor of cell 0: with
 	// cl = 0 the top-boundary store has replaced it.
 	wantBuf[lead-1] = 0x5a5a5a5a
-	gotBuf := guardedScores(t, len(wantBuf))
+	gotBuf := g.scores(len(wantBuf))
 	copy(gotBuf, wantBuf)
-	wantOut, gotOut := wantBuf[lead-c.shift:], gotBuf[lead-c.shift:]
-	if !c.inPlace {
-		wantOut = fill(guardedScores(t, c.cnt))
-		gotOut = guardedScores(t, c.cnt)
-		copy(gotOut, wantOut)
-	}
 	wantD2, gotD2 := wantBuf[lead:], gotBuf[lead:]
+	// In place the row lies in the d2 buffer, shift cells to the left; the
+	// third buffer is an allocation of its own, compared whole as well.
+	wantRow, gotRow := wantBuf[lead-c.shift:], gotBuf[lead-c.shift:]
+	var wantThird, gotThird []int32
+	if !c.inPlace {
+		wantThird = fill(g.scores(lead + c.cnt))
+		gotThird = g.scores(len(wantThird))
+		copy(gotThird, wantThird)
+		wantRow, gotRow = wantThird[lead:], gotThird[lead:]
+	}
 	wlast, gap := val(), int32(-1-rng.Intn(3))
+	sim := form.sim()
 
-	wantBest, wantCarry := rowLinearRef(wantOut, wantD2, d1, hq, vq, tab, c.cnt, wlast, gap, c.limit)
+	wantBest := rowLinearRef(wantRow, wantD2, d1, hq, vq, form.scorer.Table(), c.cnt, wlast, gap, c.limit)
+	gotBest := rowLinearVec(&gotRow[0], &gotD2[0], &d1[1], &hq[0], &vq[0], &sim, c.cnt, wlast, gap, c.limit)
 
-	gotBest, gotCarry := negInf32, wlast
-	nv := c.cnt &^ (rowLanes - 1)
-	if nv > 0 {
-		gotBest, gotCarry = rowLinearVec(&gotOut[0], &gotD2[0], &d1[1], &hq[0], &vq[0], tab, nv, wlast, gap, c.limit)
+	if gotBest != wantBest {
+		t.Errorf("%s %+v: rowBest = %d, want %d", form.name, c, gotBest, wantBest)
 	}
-	tailBest, gotCarry := rowLinearRef(gotOut[nv:], gotD2[nv:], d1[nv:], hq[nv:], vq[nv:], tab, c.cnt-nv, gotCarry, gap, c.limit)
-	gotBest = max(gotBest, tailBest)
-
-	if gotBest != wantBest || gotCarry != wantCarry {
-		t.Errorf("%+v: rowBest/carry = %d/%d, want %d/%d", c, gotBest, gotCarry, wantBest, wantCarry)
-	}
-	// The whole d2 allocation — lead cells, row, slack — and, apart, the
+	// The whole d2 allocation — lead cells, row, slack — and the whole
 	// third buffer: the stored row matches and nothing around it moved.
 	if !slices.Equal(gotBuf, wantBuf) {
-		t.Errorf("%+v: d2 buffer differs:\n got  %v\n want %v", c, gotBuf, wantBuf)
+		t.Errorf("%s %+v: d2 buffer differs:\n got  %v\n want %v", form.name, c, gotBuf, wantBuf)
 	}
-	if !c.inPlace && !slices.Equal(gotOut, wantOut) {
-		t.Errorf("%+v: stored row differs:\n got  %v\n want %v", c, gotOut, wantOut)
+	if !slices.Equal(gotThird, wantThird) {
+		t.Errorf("%s %+v: third buffer differs:\n got  %v\n want %v", form.name, c, gotThird, wantThird)
 	}
 }
 
@@ -152,24 +222,34 @@ func checkRow(t testing.TB, rng *rand.Rand, c rowCase) {
 // row) and the negInf/2 clamp of pruneLimit.
 var rowLimits = []int32{-8, -1000, 1000, negInf32 / 2}
 
+// maxRowCnt covers a lone tail of every length, then every tail length
+// behind one, two and three whole vectors.
+const maxRowCnt = 3*rowLanes + 7
+
 // TestRowKernelMatchesGeneric drives the vector row body and the scalar
-// recurrence over the same randomized buffers: every row length through
-// five vectors, every in-place alias distance (0 is the one where the
-// store overwrites the next vector's diagonal operand) and the
-// three-buffer layout, a d2[−1] that memory no longer holds, rows ending
-// at the last byte of h and v, every prune regime, and a scorer indexed by
-// bytes ≥ 0x80.
+// recurrence over the same randomized buffers: every row length from a
+// single cell through three vectors and a seven-cell tail, every in-place
+// alias distance up to a whole vector (0 is the one where the store
+// overwrites the next vector's diagonal operand) and the three-buffer
+// layout, a d2[−1] that memory no longer holds, every operand ending at an
+// unmapped page and the sequences also starting behind one, every prune
+// regime, and both similarity forms over wildcards and bytes ≥ 0x80.
 func TestRowKernelMatchesGeneric(t *testing.T) {
 	if !rowVec {
 		t.Skip("no AVX2 on this host")
 	}
 	rng := rand.New(rand.NewSource(91))
-	for cnt := 0; cnt <= 40; cnt++ {
-		for _, shift := range []int{0, 1, 2, 9} {
-			for _, inPlace := range []bool{true, false} {
-				for _, limit := range rowLimits {
-					for _, protein := range []bool{false, true} {
-						checkRow(t, rng, rowCase{cnt: cnt, shift: shift, inPlace: inPlace, protein: protein, limit: limit})
+	layouts := []rowCase{{inPlace: false}}
+	for shift := 0; shift <= rowLanes; shift++ {
+		layouts = append(layouts, rowCase{inPlace: true, shift: shift})
+	}
+	for cnt := 1; cnt <= maxRowCnt; cnt++ {
+		for _, c := range layouts {
+			for _, limit := range rowLimits {
+				for form := range rowForms {
+					for _, seqHead := range []bool{false, true} {
+						c.cnt, c.limit, c.form, c.seqHead = cnt, limit, form, seqHead
+						checkRow(t, rng, c)
 					}
 				}
 			}
@@ -184,28 +264,33 @@ func FuzzRowKernel(f *testing.F) {
 	f.Add(int64(2), uint8(40), uint8(9), uint8(0))
 	f.Add(int64(3), uint8(8), uint8(1), uint8(7))
 	f.Add(int64(4), uint8(200), uint8(0), uint8(15))
+	f.Add(int64(5), uint8(3), uint8(0), uint8(1))
+	f.Add(int64(6), uint8(7), uint8(2), uint8(60))
 	f.Fuzz(func(t *testing.T, seed int64, cnt, shift, flags uint8) {
 		if !rowVec {
 			t.Skip("no AVX2 on this host")
 		}
 		checkRow(t, rand.New(rand.NewSource(seed)), rowCase{
-			cnt:     int(cnt),
+			cnt:     max(int(cnt), 1),
 			shift:   int(shift % 10),
 			inPlace: flags&1 != 0,
-			protein: flags&2 != 0,
-			limit:   rowLimits[flags>>2&3],
+			form:    int(flags >> 1 & 3),
+			limit:   rowLimits[flags>>3&3],
+			seqHead: flags&32 != 0,
 		})
 	})
 }
 
 // vectorTrial draws one extension for the vector-on/vector-off tests: a
-// noisy DNA pair, or every third trial a BLOSUM62 pair over bytes ≥ 0x80,
-// under either linear layout and a clamping, a roomy or no δb.
+// noisy DNA pair under DNADefault or simple(+2/−3) with wildcards and
+// lowercase sprinkled in, or every third trial a BLOSUM62 pair over bytes
+// ≥ 0x80, under either linear layout and a clamping, a roomy or no δb.
 func vectorTrial(rng *rand.Rand, trial int) (h, v []byte, p Params) {
 	h = randDNA(rng, 1+rng.Intn(400))
 	v = mutate(rng, h, 0.15)
 	p = Params{Scorer: scoring.DNADefault, Gap: -1, X: 5 + rng.Intn(40)}
-	if trial%3 == 0 {
+	switch trial % 3 {
+	case 0:
 		for i := range h {
 			h[i] = proteinHigh[rng.Intn(len(proteinHigh))]
 		}
@@ -216,6 +301,12 @@ func vectorTrial(rng *rand.Rand, trial int) (h, v []byte, p Params) {
 			}
 		}
 		p.Scorer, p.Gap = scoring.Blosum62, -4
+	case 1:
+		p.Scorer, p.Gap = scoring.NewSimple(2, -3), -2
+		fallthrough
+	default:
+		sprinkleWild(rng, h)
+		sprinkleWild(rng, v)
 	}
 	p.Algo = []Algo{AlgoRestricted2, AlgoStandard3}[trial%2]
 	p.DeltaB = []int{0, 12, 256}[rng.Intn(3)]
@@ -288,16 +379,16 @@ func rowCodesRef(out []int32, codes []byte, d2, d1 []int32, hq, vq []byte, tab *
 // whole out allocation (cells before the row included), every code byte
 // and the row maximum. Every operand ends flush against an unmapped page
 // — d2 rowSlack cells behind the row, out, codes, d1 and the sequences at
-// their last element — and the wlast argument is a value the d2[−1] slot
-// in memory does not hold. It returns rowCodesRef's tie counts.
-func checkCodesRow(t testing.TB, rng *rand.Rand, cnt int, protein bool, limit int32) [2]int {
+// their last element (seqHead: the sequences begin right behind one
+// instead) — and the wlast argument is a value the d2[−1] slot in memory
+// does not hold. It returns rowCodesRef's tie counts.
+func checkCodesRow(t testing.TB, rng *rand.Rand, cnt, formIdx int, seqHead bool, limit int32) [2]int {
 	t.Helper()
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	g := guarded{t: t}
+	defer g.release()
 
-	tab, alpha := scoring.DNADefault.Table(), []byte("ACGT")
-	if protein {
-		tab, alpha = scoring.Blosum62.Table(), proteinHigh
-	}
+	form := rowForms[formIdx]
 	// A narrow value range, so that gap and diagonal moves tie and
 	// neighbouring d1 cells are equal in most rows.
 	val := func() int32 {
@@ -313,42 +404,42 @@ func checkCodesRow(t testing.TB, rng *rand.Rand, cnt int, protein bool, limit in
 		return b
 	}
 	const lead = 3
-	d1 := fill(guardedScores(t, 1+cnt))
-	d2 := fill(guardedScores(t, lead+cnt+rowSlack))
+	d1 := fill(g.scores(1 + cnt))
+	d2 := fill(g.scores(lead + cnt + rowSlack))
 	wlast := d2[lead-1]
 	d2[lead-1] = 0x5a5a5a5a
-	hq, vq := guardedBytes(t, cnt), guardedBytes(t, cnt)
-	for i := range hq {
-		hq[i], vq[i] = alpha[rng.Intn(len(alpha))], alpha[rng.Intn(len(alpha))]
-	}
-	wantOut := fill(guardedScores(t, lead+cnt))
-	gotOut := guardedScores(t, lead+cnt)
+	hq, vq := g.pair(rng, cnt, form.alpha, seqHead)
+	wantOut := fill(g.scores(lead + cnt))
+	gotOut := g.scores(lead + cnt)
 	copy(gotOut, wantOut)
-	wantCodes, gotCodes := guardedBytes(t, cnt), guardedBytes(t, cnt)
+	wantCodes, gotCodes := g.bytes(lead+cnt), g.bytes(lead+cnt)
 	for i := range wantCodes {
 		wantCodes[i], gotCodes[i] = 0xee, 0xee
 	}
 	gap := int32(-1 - rng.Intn(2))
 
-	wantBest, ties := rowCodesRef(wantOut[lead:], wantCodes, d2[lead:], d1, hq, vq, tab, cnt, wlast, gap, limit)
-	gotBest := rowCodesVec(&gotOut[lead], &d2[lead], &d1[1], &hq[0], &vq[0], tab, cnt, wlast, gap, limit, &gotCodes[0])
+	sim := form.sim()
+
+	wantBest, ties := rowCodesRef(wantOut[lead:], wantCodes[lead:], d2[lead:], d1, hq, vq, form.scorer.Table(), cnt, wlast, gap, limit)
+	gotBest := rowCodesVec(&gotOut[lead], &d2[lead], &d1[1], &hq[0], &vq[0], &sim, cnt, wlast, gap, limit, &gotCodes[lead])
 
 	if gotBest != wantBest {
-		t.Errorf("cnt %d limit %d: rowBest = %d, want %d", cnt, limit, gotBest, wantBest)
+		t.Errorf("%s cnt %d limit %d: rowBest = %d, want %d", form.name, cnt, limit, gotBest, wantBest)
 	}
 	if !slices.Equal(gotOut, wantOut) {
-		t.Errorf("cnt %d limit %d: stored row differs:\n got  %v\n want %v", cnt, limit, gotOut, wantOut)
+		t.Errorf("%s cnt %d limit %d: stored row differs:\n got  %v\n want %v", form.name, cnt, limit, gotOut, wantOut)
 	}
 	if !slices.Equal(gotCodes, wantCodes) {
-		t.Errorf("cnt %d limit %d: direction codes differ:\n got  %v\n want %v", cnt, limit, gotCodes, wantCodes)
+		t.Errorf("%s cnt %d limit %d: direction codes differ:\n got  %v\n want %v", form.name, cnt, limit, gotCodes, wantCodes)
 	}
 	return ties
 }
 
 // TestRowCodesKernelMatchesGeneric drives the recording row body and the
-// scalar rule over the same randomized operands: every row length from
-// one vector through six (so every overlapped-tail offset), every prune
-// regime, both scorers, and — checked, not hoped for — cells where the gap
+// scalar rule over the same randomized operands: every row length from a
+// single cell through three vectors and a seven-cell tail (so every tail
+// length, alone and behind whole vectors), every prune regime, both
+// similarity forms, and — checked, not hoped for — cells where the gap
 // move ties with the diagonal and cells whose two gap sources are equal.
 func TestRowCodesKernelMatchesGeneric(t *testing.T) {
 	if !rowVec {
@@ -356,11 +447,13 @@ func TestRowCodesKernelMatchesGeneric(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(93))
 	var ties [2]int
-	for cnt := rowLanes; cnt <= 48; cnt++ {
+	for cnt := 1; cnt <= maxRowCnt; cnt++ {
 		for _, limit := range rowLimits {
-			for _, protein := range []bool{false, true} {
-				got := checkCodesRow(t, rng, cnt, protein, limit)
-				ties[0], ties[1] = ties[0]+got[0], ties[1]+got[1]
+			for form := range rowForms {
+				for _, seqHead := range []bool{false, true} {
+					got := checkCodesRow(t, rng, cnt, form, seqHead, limit)
+					ties[0], ties[1] = ties[0]+got[0], ties[1]+got[1]
+				}
 			}
 		}
 	}
@@ -370,17 +463,19 @@ func TestRowCodesKernelMatchesGeneric(t *testing.T) {
 }
 
 // FuzzRowCodesKernel is TestRowCodesKernelMatchesGeneric under the
-// fuzzer's choice of row length, prune regime, scorer and operand content.
+// fuzzer's choice of row length, prune regime, form and operand content.
 func FuzzRowCodesKernel(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(0))
 	f.Add(int64(2), uint8(15), uint8(3))
 	f.Add(int64(3), uint8(41), uint8(4))
 	f.Add(int64(4), uint8(200), uint8(7))
+	f.Add(int64(5), uint8(5), uint8(9))
+	f.Add(int64(6), uint8(1), uint8(30))
 	f.Fuzz(func(t *testing.T, seed int64, cnt, flags uint8) {
 		if !rowVec {
 			t.Skip("no AVX2 on this host")
 		}
-		checkCodesRow(t, rand.New(rand.NewSource(seed)), max(int(cnt), rowLanes), flags&4 != 0, rowLimits[flags&3])
+		checkCodesRow(t, rand.New(rand.NewSource(seed)), max(int(cnt), 1), int(flags>>2&3), flags&16 != 0, rowLimits[flags&3])
 	})
 }
 
@@ -456,8 +551,8 @@ func TestVectorRecordMatchesGenericRecord(t *testing.T) {
 	}
 }
 
-// TestGrowBufKeepsRowSlack pins the capacity the vector body's diagonal
-// preload relies on, for fresh and reused buffers.
+// TestGrowBufKeepsRowSlack pins the capacity the vector body's whole-vector
+// diagonal loads rely on, for fresh and reused buffers.
 func TestGrowBufKeepsRowSlack(t *testing.T) {
 	var b []int32
 	for _, n := range []int{1, 17, 5, 256, 255} {

@@ -7,7 +7,10 @@
 // call.
 package scoring
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // PairTable is a dense similarity lookup over raw sequence bytes.
 type PairTable [256][256]int8
@@ -33,17 +36,22 @@ type Simple struct {
 	tab             PairTable
 }
 
+// wildcard is the symbol a Simple scorer mismatches with everything,
+// itself included.
+const wildcard = 'N'
+
 // NewSimple builds a match/mismatch scorer. match must be positive and
-// mismatch negative; the symbol 'N' mismatches everything including itself.
+// mismatch negative, both within the table's int8 entries; the symbol 'N'
+// mismatches everything including itself.
 func NewSimple(match, mismatch int) *Simple {
-	if match <= 0 || mismatch >= 0 {
+	if match <= 0 || mismatch >= 0 || match > math.MaxInt8 || mismatch < math.MinInt8 {
 		panic(fmt.Sprintf("scoring: invalid simple scheme match=%d mismatch=%d", match, mismatch))
 	}
 	s := &Simple{match: match, mismatch: mismatch}
 	for a := 0; a < 256; a++ {
 		for b := 0; b < 256; b++ {
 			v := mismatch
-			if a == b && a != 'N' {
+			if a == b && a != wildcard {
 				v = match
 			}
 			s.tab[a][b] = int8(v)
@@ -60,6 +68,16 @@ func (s *Simple) Table() *PairTable { return &s.tab }
 
 // MaxScore returns the match reward.
 func (s *Simple) MaxScore() int { return s.match }
+
+// MatchMismatch returns the three numbers the whole table is made of:
+// Table()[a][b] is match when a == b and a != wildcard, and mismatch
+// otherwise, for all 65 536 byte pairs (TestSimpleTableIsMatchMismatch). A
+// kernel may therefore compute a Simple scorer's similarity from one byte
+// compare instead of loading it; Matrix has no such method and is always
+// looked up.
+func (s *Simple) MatchMismatch() (match, mismatch int, wild byte) {
+	return s.match, s.mismatch, wildcard
+}
 
 // String names the scheme.
 func (s *Simple) String() string {

@@ -28,7 +28,8 @@ func TestSimpleScores(t *testing.T) {
 }
 
 func TestSimplePanicsOnBadScheme(t *testing.T) {
-	for _, mm := range [][2]int{{0, -1}, {1, 0}, {-1, -1}, {1, 1}} {
+	// The last two do not fit the table's int8 entries.
+	for _, mm := range [][2]int{{0, -1}, {1, 0}, {-1, -1}, {1, 1}, {128, -1}, {1, -129}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -48,6 +49,39 @@ func TestSimpleTableAgrees(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSimpleTableIsMatchMismatch pins the compare form of the vector row
+// (internal/core/row_amd64.s) to the table it replaces: for every one of
+// the 65 536 byte pairs — 'N'/'N', lowercase, 0x00 and bytes ≥ 0x80
+// included — the entry is what MatchMismatch's triple says, and a Matrix
+// advertises no triple, so the kernel can never take it for one.
+func TestSimpleTableIsMatchMismatch(t *testing.T) {
+	for _, s := range []*Simple{DNADefault, NewSimple(2, -3), NewSimple(5, -4), NewSimple(127, -128)} {
+		match, mismatch, wild := s.MatchMismatch()
+		if wild != 'N' {
+			t.Errorf("%v: wildcard = %q, want 'N'", s, wild)
+		}
+		tab := s.Table()
+		for a := 0; a < 256; a++ {
+			for b := 0; b < 256; b++ {
+				want := mismatch
+				if a == b && byte(a) != wild {
+					want = match
+				}
+				if got := int(tab[a][b]); got != want {
+					t.Fatalf("%v: Table()[%#02x][%#02x] = %d, want %d", s, a, b, got, want)
+				}
+			}
+		}
+	}
+	type matchMismatcher interface{ MatchMismatch() (int, int, byte) }
+	if _, ok := Scorer(DNADefault).(matchMismatcher); !ok {
+		t.Error("Simple does not advertise its triple")
+	}
+	if _, ok := Scorer(Blosum62).(matchMismatcher); ok {
+		t.Error("Matrix advertises a match/mismatch triple; it must always be looked up")
 	}
 }
 
