@@ -28,9 +28,11 @@
 // single fused pass or as the second pass after a score sweep. Each has
 // one inner loop: Workspace.operands lays h and v out in sweep order once
 // per extension, so no sweep knows a view's direction. The linear int32
-// row additionally has an AVX2 body on amd64 (row_amd64.s, eight cells
-// per instruction) that is bit-identical to the Go loop it is tested
-// against; RowISA reports which one this process runs.
+// sweeps additionally have AVX2 bodies on amd64 (row_amd64.s, eight cells
+// per instruction): the score sweep runs its whole antidiagonal loop in
+// one resident assembly body per extension (sweepLinearVec), the
+// recording sweep its rows (rowCodesVec). Both are bit-identical to the Go
+// loops they are tested against; RowISA reports which this process runs.
 package core
 
 import (

@@ -57,18 +57,20 @@ func setGuards[S score](buf []S, width int, negInf S) {
 	buf[width+bufPad], buf[width+bufPad+1] = negInf, negInf
 }
 
-// rowLanes is the vector row body's width in int32 cells.
+// rowLanes is the width of the assembly's vectors (row_amd64.s) in int32
+// cells.
 const rowLanes = 8
 
 // rowSlack is the spare capacity (not length — the modeled footprint
-// counts len) growBuf keeps behind every score buffer. The vector row
-// body (row_amd64.s) loads a vector's diagonal operand whole, before it
-// stores the vector in front of it, which reads up to rowSlack elements
-// past the row's last cell.
+// counts len) growBuf keeps behind every score buffer. The assembly
+// (row_amd64.s) loads its operands a whole vector at a time — a diagonal
+// operand before it stores the vector in front of it, the last vector of a
+// row whatever the row's length — which reads up to rowSlack elements past
+// a stored row's upper guards.
 const rowSlack = rowLanes - 1
 
-// rowSim tells the vector row bodies how to obtain Sim(h, v) for eight
-// cells at once. Scorers that are a match/mismatch scheme (scoring.Simple:
+// rowSim tells the assembly how to obtain Sim(h, v) for eight cells at
+// once. Scorers that are a match/mismatch scheme (scoring.Simple:
 // every DNA workload of the paper) get it from one byte compare,
 //
 //	h == v && h != wildcard ? match : mismatch
@@ -95,8 +97,9 @@ func rowSimOf(s scoring.Scorer) rowSim {
 	return rowSim{tab: s.Table()}
 }
 
-// RowISA names the row body this process runs for the linear int32
-// sweep: "avx2" or "generic". Results are bit-identical either way.
+// RowISA names the body this process runs for the linear int32 sweeps:
+// "avx2" (row_amd64.s) or "generic" (the Go loops). Results are
+// bit-identical either way.
 func RowISA() string {
 	if rowVec {
 		return "avx2"
@@ -141,44 +144,51 @@ func pruneLimit[S score](t S, x int, negInf S) S {
 	return S(l)
 }
 
+// seqPad is the number of pad bytes staged on each side of a sweep-order
+// operand: the boundary cells of a row read hq[−1] and vq[n] through the
+// general recurrence (see linearSweep), and a row's last vector loads
+// rowLanes bytes whatever the row's length.
+const seqPad = rowLanes
+
 // operands resolves the view directions once per extension into the two
 // byte streams every sweep reads unit-stride upward along an antidiagonal:
 // hq[i−1] is column i's h symbol and vq[n−d+i] is the v symbol of cell
-// (i, d−i) — h in view order, v in reversed view order. A view that
-// already lies that way is used in place; the other is copied reversed
-// into the workspace (forward/forward views reverse v, reversed/reversed
-// reverse h). The copy is host-side staging like the bufPad guards: it is
-// not part of Stats.WorkBytes or the SRAM model, where op(·) stays the
-// index transformation of §4.1.1.
+// (i, d−i) — h in view order, v in reversed view order. Both are staged in
+// the workspace between seqPad zero bytes (forward/forward views reverse
+// v, reversed/reversed reverse h; the other is copied), so the returned
+// slices may be read seqPad bytes beyond either end. The copy is host-side
+// staging like the bufPad guards: it is not part of Stats.WorkBytes or the
+// SRAM model, where op(·) stays the index transformation of §4.1.1.
 func (w *Workspace) operands(h, v View) (hq, vq []byte) {
-	hq, vq = h.data, v.data
-	if h.rev {
-		w.hq = reverseInto(w.hq, hq)
-		hq = w.hq
-	}
-	if !v.rev {
-		w.vq = reverseInto(w.vq, vq)
-		vq = w.vq
-	}
+	w.hq, hq = stage(w.hq, h.data, h.rev)
+	w.vq, vq = stage(w.vq, v.data, !v.rev)
 	return hq, vq
 }
 
-// reverseInto returns src reversed, reusing dst's storage when it is large
-// enough; eight bytes per step.
-func reverseInto(dst, src []byte) []byte {
+// stage copies src — reversed or not, eight bytes per step — into buf
+// between two runs of seqPad zero bytes, reusing buf's storage when it is
+// large enough. It returns the buffer and the copy inside it.
+func stage(buf, src []byte, reverse bool) (_, seq []byte) {
 	n := len(src)
-	if cap(dst) < n {
-		dst = make([]byte, n)
+	if cap(buf) < n+2*seqPad {
+		buf = make([]byte, n+2*seqPad)
 	}
-	dst = dst[:n]
+	buf = buf[:n+2*seqPad]
+	clear(buf[:seqPad])
+	clear(buf[seqPad+n:])
+	seq = buf[seqPad : seqPad+n]
+	if !reverse {
+		copy(seq, src)
+		return buf, seq
+	}
 	i := 0
 	for ; i+8 <= n; i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:], binary.BigEndian.Uint64(src[n-8-i:]))
+		binary.LittleEndian.PutUint64(seq[i:], binary.BigEndian.Uint64(src[n-8-i:]))
 	}
 	for ; i < n; i++ {
-		dst[i] = src[n-1-i]
+		seq[i] = src[n-1-i]
 	}
-	return dst
+	return buf, seq
 }
 
 // scoreBufs is one score width's rotating antidiagonal buffers: the three
@@ -197,7 +207,7 @@ type Workspace struct {
 	// Narrow-tier (int16) buffers; allocated only when a narrow sweep
 	// actually runs, so wide-only workloads pay nothing.
 	narrow scoreBufs[int16]
-	// hq and vq stage the reversed operand copies of operands.
+	// hq and vq stage the padded sweep-order operands (operands).
 	hq, vq []byte
 	// tb is the recording sweeps' direction state (window index, packed
 	// direction codes); see traceback.go. Untouched by the score pass.

@@ -6,11 +6,12 @@ package core
 // one sweep delivers the Result and the Trace, no second pass) and
 // two-pass (Traceback*: the score sweep ran first, this is the second
 // pass and only its Trace is kept). The loops are structured like the
-// score sweeps (NegInf-padded rotating buffers, sweep-order operands,
-// peeled boundaries, fringe-scan liveness recovery, statAcc counters) and
-// the linear one shares their vector row body (rowCodesVec: the direction
-// codes fall out of the compare masks the row arithmetic computes anyway),
-// so recording costs roughly one sweep — and the returned Result is
+// score sweeps' Go loops (NegInf-padded rotating buffers, sweep-order
+// operands, peeled boundaries, fringe-scan liveness recovery, statAcc
+// counters) and the linear one computes its rows with the score sweep's
+// vector arithmetic (rowCodesVec: the direction codes fall out of the
+// compare masks the row computes anyway), so recording costs roughly one
+// sweep — and the returned Result is
 // bit-identical to the score sweeps' in every field, including the trace
 // counters.
 //
@@ -109,8 +110,11 @@ func (w *Workspace) FusedExtendLeft(h, v []byte, hOff, vOff int, p Params) (Resu
 // linearCapacity, so a recorded Reference keeps its unbounded window).
 // Rows are linearSweep's padded-window walk with a per-cell direction code
 // folded in: rowCodesVec where there is a vector body (rowVec), the Go loop
-// — the complete recurrence — otherwise. The rotation uses three distinct
-// buffers (like Standard3), so no row needs an in-place aliasing carry.
+// — the complete recurrence — otherwise. Unlike the score sweep it leaves
+// the assembly after every row: what happens between rows here — the
+// tracer's window index, code packing, ErrTraceTooLarge — is Go. The
+// rotation uses three distinct buffers (like Standard3), so no row needs an
+// in-place aliasing carry.
 func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 	m, n := h.Len(), v.Len()
 	delta := min(m, n) + 1

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/sram-align/xdropipu/internal/scoring"
 	"github.com/sram-align/xdropipu/internal/synth"
@@ -75,9 +77,13 @@ func benchPairs(seed int64, count, minLen, maxLen int, errs synth.MutationProfil
 }
 
 // benchKernelPairs times run over pairs with a warm workspace and reports
-// Mcells/s, the mean computed band (cells per antidiagonal) and ns per
+// Mcells/s, the mean computed band (cells per antidiagonal), ns per
 // antidiagonal row — the figure that matters once the band is so narrow
-// that per-row fixed cost outweighs the cells.
+// that per-row fixed cost outweighs the cells; it is all-in, set-up
+// included — and ns/ext: what one extension costs before its first row,
+// timed behind the main loop over empty views of the same directions
+// (buffer set-up, seeding, the Result by value; not the per-byte operand
+// staging, which scales with the rows).
 func benchKernelPairs(b *testing.B, pairs [][2]View, run func(ws *Workspace, h, v View) Result) {
 	b.Helper()
 	var ws Workspace
@@ -97,6 +103,16 @@ func benchKernelPairs(b *testing.B, pairs [][2]View, run func(ws *Workspace, h, 
 	b.ReportMetric(float64(cells)/b.Elapsed().Seconds()/1e6, "Mcells/s")
 	b.ReportMetric(float64(cells)/float64(antid), "band")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(antid), "ns/row")
+
+	b.StopTimer()
+	const emptyRounds = 64
+	start := time.Now()
+	for i := 0; i < emptyRounds; i++ {
+		for _, pr := range pairs {
+			run(&ws, View{rev: pr[0].rev}, View{rev: pr[1].rev})
+		}
+	}
+	b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(emptyRounds*len(pairs)), "ns/ext")
 }
 
 // benchKernelWorkload runs the linear variants over one workload profile's
@@ -130,18 +146,40 @@ func benchKernelWorkload(b *testing.B, pairs [][2]View, p Params) {
 // X = 15, δb = 256. It reports a mean computed band of 19 cells, so a row
 // is two vectors and a tail and per-antidiagonal fixed cost counts.
 func BenchmarkKernelLongread(b *testing.B) {
+	benchKernelWorkload(b, longreadPairs(), Params{Scorer: scoring.DNADefault, Gap: -1, X: 15, DeltaB: 256})
+}
+
+// longreadPairs are the 64 noisy pairs of 600–1200 bases the long-read
+// benchmarks share.
+func longreadPairs() [][2]View {
 	noisy := synth.MutationProfile{Sub: 0.02, Ins: 0.02, Del: 0.02, Burst: 0.003, BurstLen: 24}
-	benchKernelWorkload(b, benchPairs(43, 64, 600, 1200, noisy),
-		Params{Scorer: scoring.DNADefault, Gap: -1, X: 15, DeltaB: 256})
+	return benchPairs(43, 64, 600, 1200, noisy)
 }
 
 // BenchmarkKernelShortread is shortread_plan's regime: HiFi reads of
-// 100–250 bp at X = 5, δb = 32. The band is five or six cells — three or
-// four interior cells behind the two peeled boundary cells — so nearly
-// every row is a lone masked tail and ns/row is almost all bookkeeping.
+// 100–250 bp at X = 5, δb = 32. The band is five or six cells, so every
+// row is one masked vector, and what ns/row measures is the chain from one
+// row's prune mask to the next row's window and loads — the antidiagonal
+// loop itself, which on the int32 tier never leaves sweepLinearVec — plus
+// the extension's set-up (ns/ext) spread over its few hundred rows.
 func BenchmarkKernelShortread(b *testing.B) {
 	benchKernelWorkload(b, benchPairs(44, 256, 100, 250, synth.HiFiDNA()),
 		Params{Scorer: scoring.DNADefault, Gap: -1, X: 5, DeltaB: 32})
+}
+
+// BenchmarkKernelBandSweep separates a row's fixed cost from its per-cell
+// cost: the long-read pairs under Restricted2 with no δb, at X from 3 to
+// 120, which moves the mean band from about 4 cells to about 100. ns/row
+// against band is close to a line; its intercept is the fixed cost of a
+// row, its slope the cost of a cell.
+func BenchmarkKernelBandSweep(b *testing.B) {
+	pairs := longreadPairs()
+	for _, x := range []int{3, 5, 15, 60, 120} {
+		p := Params{Scorer: scoring.DNADefault, Gap: -1, X: x, Algo: AlgoRestricted2}
+		b.Run(fmt.Sprintf("X=%d", x), func(b *testing.B) {
+			benchKernelPairs(b, pairs, func(ws *Workspace, h, v View) Result { return ws.align(h, v, p) })
+		})
+	}
 }
 
 // TestKernelLoopsAllocationFree pins the alloc regression: with a warm

@@ -83,14 +83,30 @@ func linearCapacity(m, n int, p Params) int {
 // a new best (or the δb clamp needs the previous one), and trace counters
 // accumulate in locals (statAcc), flushed once at the end.
 //
-// Row bodies. The inlined Go loop below is the recurrence for both score
-// widths. On amd64 with AVX2 (rowVec; see row_amd64.go) the int32
-// instantiation hands every row's interior, whatever its length, to
-// rowLinearVec — eight cells per instruction, the last vector masked — with
-// the similarity in the form the scorer allows (rowSim); the int16 tier,
-// other GOARCHes and the purego build tag run the Go loop. Both bodies
-// store identical rows, so nothing downstream — results, Stats,
-// KernelFingerprint, caches — knows which ran.
+// Two bodies. The Go loop below is the sweep for both score widths, every
+// GOARCH and the purego build tag. On amd64 with AVX2 (rowVec; see
+// row_amd64.go) the int32 instantiation instead runs the whole loop, first
+// row to last, inside sweepLinearVec (row_amd64.s) — the paper's codelet
+// shape: one resident kernel per extension, not one call per row — eight
+// cells per instruction, the last vector of a row masked, the similarity
+// in the form the scorer allows (rowSim). The assembly is this loop
+// statement for statement; the differences are of form only:
+//
+//   - It peels no boundary cell. With −∞ guards on both sides of every
+//     stored row and the operands staged between pad bytes, the general
+//     recurrence already yields them: at i = 0 the diagonal d−2[−1] and
+//     the gap source d−1[−1] are guards, so the cell is d−1[0]+gap (the
+//     similarity of the pad byte hq[−1] is added to −∞ and loses); at
+//     j = 0 the diagonal d−2[d−1] and the gap source d−1[d] are guards,
+//     so the cell is d−1[d−1]+gap (vq[n] is the pad byte).
+//   - The live bounds come from the prune compare's lane mask, not from a
+//     scan of the stored row, and T and the prune limit stay broadcast in
+//     vector registers.
+//
+// Both bodies store identical rows in identical buffers and return
+// identical Results, so nothing downstream — Stats, KernelFingerprint,
+// caches — knows which ran (TestSweepKernelMatchesGeneric,
+// TestVectorSweepMatchesGenericSweep).
 //
 // ok is false when an antidiagonal's best value exceeded guard (int16
 // saturation, see tier.go): the partial attempt is void and the caller
@@ -119,7 +135,6 @@ func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p Params, negInf, guar
 	}}
 
 	tab := p.Scorer.Table()
-	sim := rowSimOf(p.Scorer)
 	gap := S(p.Gap)
 
 	seedDiag(d1b, 0, negInf)
@@ -129,6 +144,14 @@ func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p Params, negInf, guar
 
 	var acc statAcc
 	acc.observe(1, 1)
+
+	if wide, ok := any(b).(*scoreBufs[int32]); ok && rowVec {
+		// The resident vector sweep runs the loop below, row for row, and
+		// leaves the same cells in the same buffers. No int32 exceeds the
+		// wide tier's guard, so it always completes.
+		sweepResident(wide, hq, vq, p, capacity, acc, &res)
+		return res, true
+	}
 
 	best, t := S(0), S(0)
 	bestI, bestD := 0, 0
@@ -202,59 +225,52 @@ func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p Params, negInf, guar
 			d1r := d1b[base+o1:][:cnt]
 			hRow := hq[base-1:][:cnt]
 			vRow := vq[n-d+base:][:cnt]
-			if rowVec && unsafe.Sizeof(negInf) == 4 {
-				rowBest = max(rowBest, S(rowLinearVec(
-					(*int32)(unsafe.Pointer(&outRow[0])), (*int32)(unsafe.Pointer(&d2v[0])),
-					(*int32)(unsafe.Pointer(&d1r[0])), &hRow[0], &vRow[0], &sim, cnt,
-					int32(wlast), int32(gap), int32(limit))))
-			} else {
-				// Two cells per iteration: both d−2 reads issue before the
-				// pair of in-place stores, so the may-alias load/store pairs
-				// serialize half as often.
-				dlv := d1b[base-1+o1]
-				k := 0
-				for ; k+1 < cnt; k += 2 {
-					w0, w1 := d2v[k], d2v[k+1]
-					s0 := wlast + S(tab[hRow[k]][vRow[k]])
-					drv0 := d1r[k]
-					if g := max(dlv, drv0) + gap; g > s0 {
-						s0 = g
-					}
-					if s0 < limit {
-						s0 = negInf
-					}
-					if s0 > rowBest {
-						rowBest = s0
-					}
-					outRow[k] = s0
-					s1 := w0 + S(tab[hRow[k+1]][vRow[k+1]])
-					drv1 := d1r[k+1]
-					if g := max(drv0, drv1) + gap; g > s1 {
-						s1 = g
-					}
-					if s1 < limit {
-						s1 = negInf
-					}
-					if s1 > rowBest {
-						rowBest = s1
-					}
-					outRow[k+1] = s1
-					dlv = drv1
-					wlast = w1
+			// Two cells per iteration: both d−2 reads issue before the
+			// pair of in-place stores, so the may-alias load/store pairs
+			// serialize half as often.
+			dlv := d1b[base-1+o1]
+			k := 0
+			for ; k+1 < cnt; k += 2 {
+				w0, w1 := d2v[k], d2v[k+1]
+				s0 := wlast + S(tab[hRow[k]][vRow[k]])
+				drv0 := d1r[k]
+				if g := max(dlv, drv0) + gap; g > s0 {
+					s0 = g
 				}
-				if k < cnt {
-					s := wlast + S(tab[hRow[k]][vRow[k]])
-					if g := max(dlv, d1r[k]) + gap; g > s {
-						s = g
-					}
-					if s < limit {
-						s = negInf
-					}
-					if s > rowBest {
-						rowBest = s
-					}
-					outRow[k] = s
+				if s0 < limit {
+					s0 = negInf
 				}
+				if s0 > rowBest {
+					rowBest = s0
+				}
+				outRow[k] = s0
+				s1 := w0 + S(tab[hRow[k+1]][vRow[k+1]])
+				drv1 := d1r[k+1]
+				if g := max(drv0, drv1) + gap; g > s1 {
+					s1 = g
+				}
+				if s1 < limit {
+					s1 = negInf
+				}
+				if s1 > rowBest {
+					rowBest = s1
+				}
+				outRow[k+1] = s1
+				dlv = drv1
+				wlast = w1
+			}
+			if k < cnt {
+				s := wlast + S(tab[hRow[k]][vRow[k]])
+				if g := max(dlv, d1r[k]) + gap; g > s {
+					s = g
+				}
+				if s < limit {
+					s = negInf
+				}
+				if s > rowBest {
+					rowBest = s
+				}
+				outRow[k] = s
 			}
 			i = iB + 1
 		}
@@ -325,4 +341,59 @@ func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p Params, negInf, guar
 	res.EndH = bestI
 	res.EndV = bestD - bestI
 	return res, true
+}
+
+// sweepRows bounds the antidiagonals one call of sweepLinearVec computes.
+// Assembly has no preemption points, so a megabase extension run in a
+// single call would hold off a GC stop-the-world for its whole duration;
+// at this bound a call is some tens of microseconds.
+const sweepRows = 4096
+
+// sweepState is linearSweep's loop state in the layout sweepLinearVec
+// (row_amd64.s, through go_asm.h) reads and updates in place: the
+// per-extension constants, then what a row hands to the next. The names are
+// linearSweep's.
+type sweepState struct {
+	hq, vq      *byte // cell 0 of the staged operands (Workspace.operands)
+	sim         rowSim
+	m, n        int
+	capacity    int
+	gap         int32
+	x           int32 // min(X, 1<<30): T − x cannot wrap, and clamps alike
+	d1, d2, out *int32
+
+	d, cl                  int // the next antidiagonal; the current row's window start
+	d1cl, d1lo, d1hi, d2cl int
+	limit, d1best, best    int32
+	bestI, bestD           int
+	acc                    statAcc // without antid, which is d
+	rows                   int     // antidiagonals left in this call
+	clamped, done          bool
+}
+
+// sweepResident runs the antidiagonal loop of linearSweep's int32
+// instantiation in sweepLinearVec, from the state linearSweep has set up:
+// b1 and b2 grown and seeded with antidiagonals 0 and −1, b0 grown when
+// the layout is Standard3's, acc holding antidiagonal 0.
+func sweepResident(b *scoreBufs[int32], hq, vq []byte, p Params, capacity int, acc statAcc, res *Result) {
+	st := sweepState{
+		hq: unsafe.SliceData(hq), vq: unsafe.SliceData(vq), sim: rowSimOf(p.Scorer),
+		m: len(hq), n: len(vq), capacity: capacity,
+		gap: int32(p.Gap), x: int32(min(p.X, 1<<30)),
+		d1: &b.b1[0], d2: &b.b2[0], out: &b.b2[0],
+		d: 1, limit: pruneLimit(0, p.X, negInf32), acc: acc,
+	}
+	if p.Algo == AlgoStandard3 {
+		st.out = &b.b0[0]
+	}
+	for !st.done {
+		st.rows = sweepRows
+		sweepLinearVec(&st)
+	}
+	st.acc.antid = st.d // antidiagonal 0 and the d − 1 rows computed
+	st.acc.flush(&res.Stats)
+	res.Stats.Clamped = st.clamped
+	res.Score = int(st.best)
+	res.EndH = st.bestI
+	res.EndV = st.bestD - st.bestI
 }

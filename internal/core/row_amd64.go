@@ -2,10 +2,12 @@
 
 package core
 
-// rowVec reports whether the linear sweeps may hand the rows of an int32
-// extension to rowLinearVec / rowCodesVec: the CPU has AVX2 and the OS
-// saves the YMM state. Decided once at init; it selects machine code,
-// never results.
+// rowVec reports whether the linear sweeps may run an int32 extension in
+// the assembly of row_amd64.s — the score sweep whole (sweepLinearVec), the
+// recording sweep row by row (rowCodesVec): the CPU has AVX2 and the OS
+// saves the YMM state. The assembly uses nothing beyond AVX2 (its bit scans
+// are BSF/BSR on masks it has tested non-zero, not BMI's TZCNT/LZCNT).
+// Decided once at init; it selects machine code, never results.
 var rowVec = hasAVX2()
 
 func hasAVX2() bool {
@@ -28,27 +30,47 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// rowLinearVec is the linear-gap row body of linearSweep over n ≥ 1 int32
-// interior cells, eight cells per instruction: ⌊n/8⌋ whole vectors, then one
-// masked tail vector over the n&7 cells left. The pointers address cell 0
-// of the row: out[k] is written; d2[k−1] (wlast for k = 0) is the diagonal
-// predecessor, d1[k−1] and d1[k] the gap predecessors, and sim says how
-// Sim(hq[k], vq[k]) is obtained (rowSim). out may alias d2 shifted left by
-// zero or more cells (the in-place layout). It returns the row maximum.
+// sweepLinearVec runs antidiagonals of linearSweep's int32 loop from st,
+// in either layout, until the extension ends (st.done) or st.rows of them
+// are computed; the caller re-enters it until done. A row is ⌈width/8⌉
+// vectors: whole ones while more than eight cells are left, then one
+// masked tail of one to eight cells.
 //
-// Memory contract (TestRowKernelMatchesGeneric places every operand flush
-// against an unmapped page): it writes out[0:n] and nothing else; it reads
-// d1[−1:n], hq[0:n] and vq[0:n] and nothing else; and it reads d2 from
-// d2[−1] up to rowSlack elements past d2[n−1], because a vector's diagonal
-// operand is loaded whole.
+// Memory contract (TestSweepKernelMatchesGeneric runs it with every buffer
+// flush against an unmapped page, at its end and at its start):
+//
+//   - Score buffers (st.d1, st.d2, st.out; out aliases d2 in place) are
+//     growBuf's: capacity cells between bufPad guards, rowSlack spare cells
+//     behind. It writes what linearSweep's Go loop writes — a row's cells
+//     from index bufPad and the two guard pairs around them — and nothing
+//     else: the tail is stored through its lane mask. It reads from index
+//     bufPad−1 (d−2's diagonal of the row's first cell) up to the end of
+//     the spare cells, because every load is a whole vector; lanes past a
+//     row become −∞ before they can reach a cell, the row maximum or the
+//     live bounds.
+//   - Operands (st.hq, st.vq) are Workspace.operands': it reads hq[−1:m+7]
+//     and vq[0:n+8], inside the seqPad bytes staged around both, and
+//     writes neither.
+//   - Of *st it reads the constants and rewrites the rest.
 //
 //go:noescape
-func rowLinearVec(out, d2, d1 *int32, hq, vq *byte, sim *rowSim, n int, wlast, gap, limit int32) (best int32)
+func sweepLinearVec(st *sweepState)
 
-// rowCodesVec is the recording sweep's row body: rowLinearVec's arithmetic
-// and memory contract, also storing cell k's direction code
-// (codeNone/Diag/Up/Left by fusedLinear's rule) in codes[k] — codes[0:n]
-// and nothing else. It returns the row maximum.
+// rowCodesVec is the recording sweep's row body, one call per antidiagonal
+// — the tracer's bookkeeping between rows (window index, code packing) is
+// Go — over the n ≥ 1 interior cells fusedLinear's peeled boundaries leave:
+// ⌊n/8⌋ whole vectors, then one masked tail over the n&7 cells left. The
+// pointers address cell 0 of the row: out[k] is written, with cell k's
+// direction code (codeNone/Diag/Up/Left by fusedLinear's rule) in
+// codes[k]; d2[k−1] (wlast for k = 0) is the diagonal predecessor, d1[k−1]
+// and d1[k] the gap predecessors, and sim says how Sim(hq[k], vq[k]) is
+// obtained (rowSim). It returns the row maximum.
+//
+// Memory contract (TestRowCodesKernelMatchesGeneric places every operand
+// flush against an unmapped page): it writes out[0:n] and codes[0:n] and
+// nothing else; it reads d1[−1:n], hq[0:n] and vq[0:n] and nothing else;
+// and it reads d2 from d2[−1] up to rowSlack elements past d2[n−1], because
+// a vector's diagonal operand is loaded whole.
 //
 //go:noescape
 func rowCodesVec(out, d2, d1 *int32, hq, vq *byte, sim *rowSim, n int, wlast, gap, limit int32, codes *byte) (best int32)

@@ -3,20 +3,23 @@
 #include "textflag.h"
 #include "go_asm.h"
 
-// The two row bodies — rowLinearVec for the score sweep, rowCodesVec for
-// the recording sweep — are one recurrence, ROW_STEP, expanded with three
-// choices as macro parameters: where the similarity comes from (SIM_TABLE /
-// SIM_EQ), whether the direction compares are kept (ROW_NOMASKS /
-// ROW_DIRMASKS), and whether the step is a whole vector or the row's masked
-// tail (ROW_D1_WHOLE + ROW_STORE_WHOLE / ROW_D1_TAIL + ROW_STORE_TAIL).
+// The score sweep (sweepLinearVec: the whole antidiagonal loop) and the
+// recording sweep's row (rowCodesVec: one call per antidiagonal) compute
+// their cells with one recurrence, ROW_STEP, expanded with three choices as
+// macro parameters: where the similarity comes from (SIM_TABLE / SIM_EQ),
+// whether the direction compares are kept (ROW_NOMASKS / ROW_DIRMASKS), and
+// how the step loads d−1 and stores (ROW_D1_WHOLE + ROW_STORE_WHOLE for a
+// whole vector; for a row's masked tail ROW_D1_TAIL + ROW_STORE_TAIL in
+// rowCodesVec, ROW_D1_WHOLE + SWEEP_STORE_TAIL in the sweep, whose buffers
+// have spare cells behind every row).
 //
-// Registers, both bodies: DI out, SI d2, DX d1, R8 hq, R9 vq, R10 the
-// similarity table (nil: compare form), CX cells left; AX BX R11 scratch.
-// Y0 the diagonal operand, then the cells; Y1 the next diagonal operand
-// (tail: the lane mask); Y7 the running row maximum; Y8 gap, Y9 limit,
-// Y10 negInf; Y14 match, Y15 mismatch, X6 the wildcard byte ×16; Y2–Y5
-// temporaries. rowCodesVec adds R12 codes, Y11 Y12 the direction masks,
-// Y13 = 1.
+// Registers of a row, both symbols: DI out, SI d2, DX d1, R8 hq, R9 vq, R10
+// the similarity table (nil: compare form), CX cells left; AX BX R11
+// scratch. Y0 the diagonal operand, then the cells; Y1 the next diagonal
+// operand (tail: the lane mask); Y7 the running row maximum; Y8 gap, Y9
+// limit, Y10 negInf; Y14 match, Y15 mismatch, X6 the wildcard byte ×16;
+// Y2–Y5 temporaries. rowCodesVec adds R12 codes, Y11 Y12 the direction
+// masks, Y13 = 1; sweepLinearVec's are listed with it.
 
 // rowLaneMask is eight all-ones dwords then eight zero dwords: the 32 bytes
 // at offset 4·(8−r) are the lane mask of a tail of r cells, lanes 0..r−1
@@ -35,10 +38,8 @@ GLOBL rowLaneMask<>(SB), RODATA|NOPTR, $64
 DATA rowNegInf<>+0(SB)/4, $const_negInf32
 GLOBL rowNegInf<>(SB), RODATA|NOPTR, $4
 
-// ROW_ENTER loads the arguments both bodies take at the same offsets and
-// the first diagonal operand d2[−1..6] into Y0. Its lane 0 is the wlast
-// argument: in place, with cl = 0, the peeled top-boundary store has
-// already overwritten d2[−1].
+// ROW_ENTER loads rowCodesVec's arguments and the first diagonal operand
+// d2[−1..6] into Y0, lane 0 from the wlast argument.
 #define ROW_ENTER \
 	MOVQ         out+0(FP), DI   \
 	MOVQ         d2+8(FP), SI    \
@@ -68,8 +69,8 @@ GLOBL rowNegInf<>(SB), RODATA|NOPTR, $4
 	VMOVQ   (R8), X4   \
 	VMOVQ   (R9), X5
 
-// ROW_TAIL_FETCH is ROW_FETCH for the r = CX < 8 cells behind the last
-// whole vector: Y1 becomes their lane mask (there is no next operand), and
+// ROW_TAIL_FETCH is rowCodesVec's ROW_FETCH for the r = CX < 8 cells
+// behind the last whole vector: Y1 becomes their lane mask (there is no next operand), and
 // X4 and X5 get exactly r bytes each, zero-extended. A row of at least
 // eight cells owns the eight bytes that end at its last one, so they are
 // loaded whole and shifted down; a shorter row is gathered byte by byte.
@@ -144,8 +145,8 @@ fetched:
 //	g = max(d1[k−1..k+6], d1[k..k+7]) + gap       (D1 loads the two)
 //	MASKS — s in Y0 and g in Y4 are both still whole here
 //	s = max(s, g)
-//	s = s < limit ? negInf : s                     (Y3 = the pruned lanes)
-//	STORE — best = max(best, s); out[k..] = s
+//	Y3 = s < limit                                 (the pruned lanes)
+//	STORE — s = Y3 ? negInf : s; best = max(best, s); out[k..] = s
 //
 // Y3 outlives the step.
 #define ROW_STEP(SIM, D1, MASKS, STORE) \
@@ -157,7 +158,6 @@ fetched:
 	MASKS                      \
 	VPMAXSD    Y4, Y0, Y0      \
 	VPCMPGTD   Y0, Y9, Y3      \
-	VPBLENDVB  Y3, Y10, Y0, Y0 \
 	STORE
 
 // A whole step loads d1[k−1..k+7] and stores all eight cells, then steps
@@ -170,6 +170,7 @@ fetched:
 	VMOVDQU (DX), Y5
 
 #define ROW_STORE_WHOLE \
+	VPBLENDVB Y3, Y10, Y0, Y0 \
 	VPMAXSD Y0, Y7, Y7 \
 	VMOVDQU Y0, (DI)   \
 	VMOVDQA Y1, Y0     \
@@ -188,7 +189,17 @@ fetched:
 	VPMASKMOVD (DX), Y1, Y5
 
 #define ROW_STORE_TAIL \
+	VPBLENDVB  Y3, Y10, Y0, Y0 \
 	VPBLENDVB  Y1, Y0, Y10, Y0 \
+	VPMAXSD    Y0, Y7, Y7      \
+	VPMASKMOVD Y0, Y1, (DI)
+
+// SWEEP_STORE_TAIL is the resident sweep's tail store. The row's live
+// bounds want the live lanes inside the row anyway (Y2, kept), so pruned
+// and out-of-row lanes become −∞ in one blend.
+#define SWEEP_STORE_TAIL \
+	VPANDN     Y1, Y3, Y2      \
+	VPBLENDVB  Y2, Y0, Y10, Y0 \
 	VPMAXSD    Y0, Y7, Y7      \
 	VPMASKMOVD Y0, Y1, (DI)
 
@@ -227,51 +238,292 @@ fetched:
 	VPMAXSD      X2, X7, X7  \
 	VMOVD        X7, AX
 
-// func rowLinearVec(out, d2, d1 *int32, hq, vq *byte, sim *rowSim, n int, wlast, gap, limit int32) (best int32)
-TEXT ·rowLinearVec(SB), NOSPLIT, $0-76
-	ROW_ENTER
-	CMPQ  CX, $8
-	JB    tail
-	TESTQ R10, R10
-	JZ    eqloop
+// ROW0 is the byte offset of a stored row's first cell behind its buffer's
+// lower guards.
+#define ROW0 (4*const_bufPad)
 
-tabloop:
-	ROW_FETCH
-	ROW_STEP(SIM_TABLE, ROW_D1_WHOLE, ROW_NOMASKS, ROW_STORE_WHOLE)
-	SUBQ $8, CX
+// SWEEP_TAIL_FETCH is the resident sweep's fetch for the r = CX cells, one
+// to eight, of a row's last vector: Y1 becomes their lane mask, and X4 and
+// X5 load eight bytes each — the operands are staged with seqPad bytes
+// behind them, and the lanes past the row are masked off.
+#define SWEEP_TAIL_FETCH \
+	MOVQ    $8, BX                \
+	SUBQ    CX, BX                \
+	LEAQ    rowLaneMask<>(SB), AX \
+	VMOVDQU (AX)(BX*4), Y1        \
+	VMOVQ   (R8), X4              \
+	VMOVQ   (R9), X5
+
+// SWEEP_BOUNDS folds a vector's live lanes, the non-zero bits of AX, into
+// the row's live bounds. Lane 0 is cell R12 − CX. hi (R15) is the highest
+// live cell so far, a bit scan; lo (R14), the lowest, is counted up to
+// through branches when this is the row's first live vector (R14 is still
+// cu + 1): the next row's addresses all hang on it, and a predicted branch
+// lets them issue where a bit scan makes them wait for this row's cells.
+#define SWEEP_BOUNDS(lobit, done) \
+	MOVQ R12, BX           \
+	SUBQ CX, BX            \
+	BSRL AX, R11           \
+	LEAQ (BX)(R11*1), R15  \
+	CMPQ R14, R12          \
+	JNE  done              \
+	MOVQ BX, R14           \
+lobit:                     \
+	SHRL $1, AX            \
+	JCS  done              \
+	INCQ R14               \
+	JMP  lobit             \
+done:
+
+// SWEEP_WHOLE is a whole step of the resident sweep and its loop control:
+// a vector is whole while more than eight cells are left, so that every
+// row ends in a tail step.
+#define SWEEP_WHOLE(SIM, loop, lobit, dead) \
+loop:                         \
+	ROW_FETCH                 \
+	ROW_STEP(SIM, ROW_D1_WHOLE, ROW_NOMASKS, ROW_STORE_WHOLE) \
+	VMOVMSKPS Y3, AX          \
+	XORL      $0xff, AX       \
+	JZ        dead            \
+	SWEEP_BOUNDS(lobit, dead) \
+	SUBQ      $8, CX          \
+	CMPQ      CX, $8          \
+	JG        loop
+
+// func sweepLinearVec(st *sweepState)
+//
+// linearSweep's antidiagonal loop (linear.go), statement for statement,
+// with the row computed by ROW_STEP: no boundary cell is peeled, because
+// the −∞ guards around every stored row and the pad bytes around both
+// operands make the general recurrence yield them (see linearSweep).
+//
+// Registers, beyond the row bodies' (top of file): R13 st; between rows R14
+// and R15 are d1lo and d1hi, inside a row the bounds it has found so far
+// (SWEEP_BOUNDS) and R12 is cu + 1. Y9 is the prune limit of the next row
+// to compute, Y12 is X; the row maximum is reduced across Y7's lanes and
+// folded into Y9 without leaving the vector registers. Everything else of
+// sweepState is read and written in place.
+TEXT ·sweepLinearVec(SB), NOSPLIT, $0-8
+	MOVQ         st+0(FP), R13
+	VPBROADCASTD (sweepState_sim+rowSim_match)(R13), Y14
+	VPBROADCASTD (sweepState_sim+rowSim_mismatch)(R13), Y15
+	VPBROADCASTB (sweepState_sim+rowSim_wildcard)(R13), X6
+	MOVQ         (sweepState_sim+rowSim_tab)(R13), R10
+	VPBROADCASTD sweepState_gap(R13), Y8
+	VPBROADCASTD sweepState_x(R13), Y12
+	VPBROADCASTD sweepState_limit(R13), Y9
+	VPBROADCASTD rowNegInf<>(SB), Y10
+	MOVQ         sweepState_d1lo(R13), R14
+	MOVQ         sweepState_d1hi(R13), R15
+
+row:
+	// cl = max(d1lo, d−n) in AX, cu = min(d1hi+1, m) in BX — d1hi is a cell
+	// of d−1, so d1hi+1 ≤ d already — and the width in CX. d−n > m once
+	// d > m+n, so cl > cu is the loop's bound as well.
+	MOVQ    sweepState_d(R13), R12
+	MOVQ    R12, AX
+	SUBQ    sweepState_n(R13), AX
+	CMPQ    AX, R14
+	CMOVQLT R14, AX
+	LEAQ    1(R15), BX
+	MOVQ    sweepState_m(R13), CX
+	CMPQ    BX, CX
+	CMOVQGT CX, BX
+	MOVQ    BX, CX
+	SUBQ    AX, CX
+	INCQ    CX
+	JLE     finished
+	CMPQ    CX, sweepState_capacity(R13)
+	JGT     clamp
+
+window:
+	// Cell cl of out (behind its lower guards, written here), d−2, d−1, and
+	// its h and v bytes: hq[cl−1], vq[n−d+cl].
+	MOVQ    AX, sweepState_cl(R13)
+	MOVQ    sweepState_d1(R13), DX
+	MOVQ    AX, R11
+	SUBQ    sweepState_d1cl(R13), R11
+	LEAQ    ROW0(DX)(R11*4), DX
+	MOVQ    sweepState_d2(R13), SI
+	MOVQ    AX, R11
+	SUBQ    sweepState_d2cl(R13), R11
+	LEAQ    ROW0(SI)(R11*4), SI
+	MOVQ    sweepState_out(R13), DI
+	VMOVQ   X10, (DI)
+	ADDQ    $ROW0, DI
+	MOVQ    sweepState_hq(R13), R8
+	LEAQ    -1(R8)(AX*1), R8
+	MOVQ    sweepState_vq(R13), R9
+	ADDQ    AX, R9
+	SUBQ    R12, R9
+	ADDQ    sweepState_n(R13), R9
+	LEAQ    1(BX), R12
+	MOVQ    R12, R14
+	MOVQ    $-1, R15
+	VMOVDQA Y10, Y7
+	VMOVDQU -4(SI), Y0
+	TESTQ   R10, R10
+	JZ      eqrow
+	CMPQ    CX, $8
+	JLE     tabtail
+	SWEEP_WHOLE(SIM_TABLE, tabloop, tablo, tabdead)
+
+tabtail:
+	SWEEP_TAIL_FETCH
+	ROW_STEP(SIM_TABLE, ROW_D1_WHOLE, ROW_NOMASKS, SWEEP_STORE_TAIL)
+	JMP  stored
+
+eqrow:
 	CMPQ CX, $8
-	JAE  tabloop
-	JMP  tail
-
-eqloop:
-	ROW_FETCH
-	ROW_STEP(SIM_EQ, ROW_D1_WHOLE, ROW_NOMASKS, ROW_STORE_WHOLE)
-	SUBQ $8, CX
-	CMPQ CX, $8
-	JAE  eqloop
-
-tail:
-	TESTQ CX, CX
-	JZ    done
-	ROW_TAIL_FETCH
-	TESTQ R10, R10
-	JZ    eqtail
-	ROW_STEP(SIM_TABLE, ROW_D1_TAIL, ROW_NOMASKS, ROW_STORE_TAIL)
-	JMP   done
+	JLE  eqtail
+	SWEEP_WHOLE(SIM_EQ, eqloop, eqlo, eqdead)
 
 eqtail:
-	ROW_STEP(SIM_EQ, ROW_D1_TAIL, ROW_NOMASKS, ROW_STORE_TAIL)
+	SWEEP_TAIL_FETCH
+	ROW_STEP(SIM_EQ, ROW_D1_WHOLE, ROW_NOMASKS, SWEEP_STORE_TAIL)
 
-done:
-	ROW_LEAVE
-	MOVL AX, best+72(FP)
+stored:
+	// The tail's live lanes, and the row's upper guards behind its CX cells.
+	VMOVMSKPS Y2, AX
+	TESTL     AX, AX
+	JZ        taildead
+	SWEEP_BOUNDS(taillo, taildead)
+	VMOVQ X10, (DI)(CX*4)
+
+	// rowBest into every lane of Y7; limit = max(limit, rowBest − X), which
+	// is pruneLimit(max(t, rowBest)).
+	VPERM2I128 $1, Y7, Y7, Y2
+	VPMAXSD    Y2, Y7, Y7
+	VPSHUFD    $0x4E, Y7, Y2
+	VPMAXSD    Y2, Y7, Y7
+	VPSHUFD    $0xB1, Y7, Y2
+	VPMAXSD    Y2, Y7, Y7
+	VPSUBD     Y12, Y7, Y2
+	VPMAXSD    Y2, Y9, Y9
+
+	// statAcc.observe: R12 becomes the width.
+	MOVQ sweepState_cl(R13), BX
+	SUBQ BX, R12
+	ADDQ R12, (sweepState_acc+statAcc_cells)(R13)
+	LEAQ 31(R12), AX
+	SHRQ $5, AX
+	ADDQ AX, (sweepState_acc+statAcc_chunks32)(R13)
+	LEAQ 127(R12), AX
+	SHRQ $7, AX
+	ADDQ AX, (sweepState_acc+statAcc_chunks128)(R13)
+	MOVQ sweepState_d(R13), R12
+	LEAQ 1(R12), AX
+	MOVQ AX, sweepState_d(R13)
+	TESTQ R15, R15
+	JS   finished
+	MOVQ R15, AX
+	SUBQ R14, AX
+	INCQ AX
+	MOVQ (sweepState_acc+statAcc_maxLive)(R13), CX
+	CMPQ AX, CX
+	CMOVQGT AX, CX
+	MOVQ CX, (sweepState_acc+statAcc_maxLive)(R13)
+
+	// A new best takes the first cell from lo on that holds it.
+	VMOVD X7, AX
+	MOVL  AX, sweepState_d1best(R13)
+	CMPL  AX, sweepState_best(R13)
+	JLE   rotate
+	MOVL  AX, sweepState_best(R13)
+	MOVQ  R12, sweepState_bestD(R13)
+	MOVQ  sweepState_out(R13), SI
+	ADDQ  $ROW0, SI
+	MOVQ  BX, R11
+
+bestscan:
+	CMPQ      SI, DI
+	JEQ       besttail
+	VPCMPEQD  (SI), Y7, Y2
+	VMOVMSKPS Y2, AX
+	TESTL     AX, AX
+	JNZ       bestfound
+	ADDQ      $32, SI
+	ADDQ      $8, R11
+	JMP       bestscan
+
+besttail:
+	VPCMPEQD  Y0, Y7, Y2
+	VMOVMSKPS Y2, AX
+
+bestfound:
+	BSFL AX, AX
+	ADDQ R11, AX
+	MOVQ AX, sweepState_bestI(R13)
+
+rotate:
+	// The row becomes d−1, d−1 becomes d−2, and the next row goes to the
+	// old d−2's buffer — which in place (out was d−2's) is the new d−2's.
+	MOVQ    sweepState_d1(R13), AX
+	MOVQ    sweepState_d2(R13), CX
+	MOVQ    sweepState_out(R13), DX
+	MOVQ    DX, sweepState_d1(R13)
+	MOVQ    AX, sweepState_d2(R13)
+	CMPQ    CX, DX
+	CMOVQEQ AX, CX
+	MOVQ    CX, sweepState_out(R13)
+	MOVQ    sweepState_d1cl(R13), AX
+	MOVQ    AX, sweepState_d2cl(R13)
+	MOVQ    BX, sweepState_d1cl(R13)
+	DECQ    sweepState_rows(R13)
+	JNZ     row
+	JMP     leave
+
+clamp:
+	// The window would outgrow δb: re-centre it on the first cell of d−1,
+	// from d1lo on, that holds d1best — there is one, and the scan reads up
+	// to seven cells behind it — within [cl, cu−δb+1].
+	MOVB         $1, sweepState_clamped(R13)
+	MOVQ         sweepState_d1(R13), SI
+	MOVQ         R14, R11
+	SUBQ         sweepState_d1cl(R13), R11
+	LEAQ         ROW0(SI)(R11*4), SI
+	VPBROADCASTD sweepState_d1best(R13), Y3
+	MOVQ         R14, R11
+
+clampscan:
+	VPCMPEQD  (SI), Y3, Y2
+	VMOVMSKPS Y2, DX
+	ADDQ      $32, SI
+	ADDQ      $8, R11
+	TESTL     DX, DX
+	JZ        clampscan
+	BSFL      DX, DX
+	LEAQ      -8(R11)(DX*1), R11
+	MOVQ    sweepState_capacity(R13), CX
+	MOVQ    CX, DX
+	SHRQ    $1, DX
+	SUBQ    DX, R11
+	CMPQ    R11, AX
+	CMOVQLT AX, R11
+	MOVQ    BX, DX
+	SUBQ    CX, DX
+	INCQ    DX
+	CMPQ    R11, DX
+	CMOVQGT DX, R11
+	MOVQ    R11, AX
+	LEAQ    -1(AX)(CX*1), BX
+	JMP     window
+
+finished:
+	MOVB $1, sweepState_done(R13)
+
+leave:
+	MOVQ  R14, sweepState_d1lo(R13)
+	MOVQ  R15, sweepState_d1hi(R13)
+	VMOVD X9, sweepState_limit(R13)
 	VZEROUPPER
 	RET
 
 // func rowCodesVec(out, d2, d1 *int32, hq, vq *byte, sim *rowSim, n int, wlast, gap, limit int32, codes *byte) (best int32)
 //
-// rowLinearVec plus one direction-code byte per cell, from the masks the
-// row arithmetic leaves behind (ROW_CODES). The tail's r codes are stored
+// One row of the recording sweep: ⌊n/8⌋ whole steps and a masked tail, with
+// one direction-code byte per cell from the masks the row arithmetic
+// leaves behind (ROW_CODES). The tail's r codes are stored
 // as a dword, a word and a byte as r's bits say, so codes is written in
 // [0, n) only.
 TEXT ·rowCodesVec(SB), NOSPLIT, $0-84

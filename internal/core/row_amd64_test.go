@@ -54,8 +54,12 @@ func (g *guarded) mapping(n int, front bool) []byte {
 func (g *guarded) bytes(n int) []byte { return g.mapping(n, false) }
 
 // scores returns n int32 cells ending at an unmapped page.
-func (g *guarded) scores(n int) []int32 {
-	b := g.bytes(4 * n)
+func (g *guarded) scores(n int) []int32 { return g.scoresAt(n, false) }
+
+// scoresAt returns n int32 cells ending at an unmapped page or, with front
+// set, starting right behind one.
+func (g *guarded) scoresAt(n int, front bool) []int32 {
+	b := g.mapping(4*n, front)
 	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n)
 }
 
@@ -72,28 +76,6 @@ func (g *guarded) pair(rng *rand.Rand, cnt int, alpha []byte, front bool) (hq, v
 		}
 	}
 	return hq, vq
-}
-
-// rowLinearRef is the linear row recurrence at its plainest — the oracle
-// for the vector body. d1[k] and d1[k+1] are cell k's gap predecessors;
-// out may alias d2 shifted left, so d2[k] is read before out[k] is stored.
-// It returns the row maximum.
-func rowLinearRef(out, d2, d1 []int32, hq, vq []byte, tab *scoring.PairTable, n int, wlast, gap, limit int32) (best int32) {
-	best = negInf32
-	for k := 0; k < n; k++ {
-		wnew := d2[k]
-		s := wlast + int32(tab[hq[k]][vq[k]])
-		if g := max(d1[k], d1[k+1]) + gap; g > s {
-			s = g
-		}
-		if s < limit {
-			s = negInf32
-		}
-		best = max(best, s)
-		out[k] = s
-		wlast = wnew
-	}
-	return best
 }
 
 // dnaWild is the alphabet of the Simple-scorer cases: the four bases, the
@@ -142,81 +124,6 @@ func TestRowFormFollowsScorer(t *testing.T) {
 	}
 }
 
-// rowCase is one row's operand layout, as linearSweep would hand it over.
-type rowCase struct {
-	cnt     int  // interior cells, ≥ 1
-	shift   int  // cl − d2cl: how far out trails d2 when in place
-	inPlace bool // out aliases d2 (Restricted2) or is a third buffer
-	form    int  // index into rowForms
-	seqHead bool // the sequences start behind an unmapped page instead of ending at one
-	limit   int32
-}
-
-// checkRow runs the vector body and the oracle over identical buffers and
-// compares everything they may touch. Every operand ends flush against an
-// unmapped page: d1 and the sequences at their last element (or, seqHead,
-// the sequences begin right behind one), the d2 buffer (which in place is
-// also out) rowSlack cells behind the row's last cell, a third-buffer out
-// at its last cell.
-func checkRow(t testing.TB, rng *rand.Rand, c rowCase) {
-	t.Helper()
-	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	g := guarded{t: t}
-	defer g.release()
-
-	form := rowForms[c.form]
-	// Cell values: a mix of live scores around the limit and pruned cells.
-	val := func() int32 {
-		if rng.Intn(4) == 0 {
-			return negInf32
-		}
-		return int32(rng.Intn(61) - 30)
-	}
-	fill := func(b []int32) []int32 {
-		for i := range b {
-			b[i] = val()
-		}
-		return b
-	}
-	const lead = 12 // cells before the row: room for the largest shift and d2[−1]
-	d1 := fill(g.scores(1 + c.cnt))
-	hq, vq := g.pair(rng, c.cnt, form.alpha, c.seqHead)
-	wantBuf := fill(g.scores(lead + c.cnt + rowSlack))
-	// d2[−1] in memory is never the diagonal predecessor of cell 0: with
-	// cl = 0 the top-boundary store has replaced it.
-	wantBuf[lead-1] = 0x5a5a5a5a
-	gotBuf := g.scores(len(wantBuf))
-	copy(gotBuf, wantBuf)
-	wantD2, gotD2 := wantBuf[lead:], gotBuf[lead:]
-	// In place the row lies in the d2 buffer, shift cells to the left; the
-	// third buffer is an allocation of its own, compared whole as well.
-	wantRow, gotRow := wantBuf[lead-c.shift:], gotBuf[lead-c.shift:]
-	var wantThird, gotThird []int32
-	if !c.inPlace {
-		wantThird = fill(g.scores(lead + c.cnt))
-		gotThird = g.scores(len(wantThird))
-		copy(gotThird, wantThird)
-		wantRow, gotRow = wantThird[lead:], gotThird[lead:]
-	}
-	wlast, gap := val(), int32(-1-rng.Intn(3))
-	sim := form.sim()
-
-	wantBest := rowLinearRef(wantRow, wantD2, d1, hq, vq, form.scorer.Table(), c.cnt, wlast, gap, c.limit)
-	gotBest := rowLinearVec(&gotRow[0], &gotD2[0], &d1[1], &hq[0], &vq[0], &sim, c.cnt, wlast, gap, c.limit)
-
-	if gotBest != wantBest {
-		t.Errorf("%s %+v: rowBest = %d, want %d", form.name, c, gotBest, wantBest)
-	}
-	// The whole d2 allocation — lead cells, row, slack — and the whole
-	// third buffer: the stored row matches and nothing around it moved.
-	if !slices.Equal(gotBuf, wantBuf) {
-		t.Errorf("%s %+v: d2 buffer differs:\n got  %v\n want %v", form.name, c, gotBuf, wantBuf)
-	}
-	if !slices.Equal(gotThird, wantThird) {
-		t.Errorf("%s %+v: third buffer differs:\n got  %v\n want %v", form.name, c, gotThird, wantThird)
-	}
-}
-
 // rowLimits are the prune limits worth pinning: mid-range (some cells
 // pruned), below every value (none), above every value (the all-pruned
 // row) and the negInf/2 clamp of pruneLimit.
@@ -226,58 +133,184 @@ var rowLimits = []int32{-8, -1000, 1000, negInf32 / 2}
 // behind one, two and three whole vectors.
 const maxRowCnt = 3*rowLanes + 7
 
-// TestRowKernelMatchesGeneric drives the vector row body and the scalar
-// recurrence over the same randomized buffers: every row length from a
-// single cell through three vectors and a seven-cell tail, every in-place
-// alias distance up to a whole vector (0 is the one where the store
-// overwrites the next vector's diagonal operand) and the three-buffer
-// layout, a d2[−1] that memory no longer holds, every operand ending at an
-// unmapped page and the sequences also starting behind one, every prune
-// regime, and both similarity forms over wildcards and bytes ≥ 0x80.
-func TestRowKernelMatchesGeneric(t *testing.T) {
+// sweepFill is what checkSweep leaves in every cell and byte before the
+// sweeps run, so that a store outside the documented ranges shows.
+const sweepFill = 0x5a
+
+// seatWorkspace hands w the buffers one m×n extension under p takes, at
+// exactly the capacity growBuf and stage ask for and filled with sweepFill.
+// With g set every one of them touches an unmapped page: its last element
+// ends at one or, front, its first starts right behind one.
+func seatWorkspace(w *Workspace, g *guarded, front bool, m, n int, p Params) {
+	cells := linearCapacity(m, n, p) + 2*bufPad + rowSlack
+	scores := func() []int32 {
+		b := make([]int32, cells)
+		if g != nil {
+			b = g.scoresAt(cells, front)
+		}
+		for i := range b {
+			b[i] = sweepFill
+		}
+		return b[:0]
+	}
+	staged := func(n int) []byte {
+		b := make([]byte, n+2*seqPad)
+		if g != nil {
+			b = g.mapping(len(b), front)
+		}
+		for i := range b {
+			b[i] = sweepFill
+		}
+		return b[:0]
+	}
+	w.wide.b0, w.wide.b1, w.wide.b2 = scores(), scores(), scores()
+	w.hq, w.vq = staged(m), staged(n)
+}
+
+// checkSweep runs one whole extension through sweepLinearVec, every score
+// buffer and both staged operands against an unmapped page, and through
+// linearSweep's Go loop, and compares everything either leaves behind: the
+// Result with every Stats field, and each buffer to the end of its
+// capacity.
+func checkSweep(t testing.TB, hv, vv View, p Params, front bool) Result {
+	t.Helper()
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	g := guarded{t: t}
+	defer g.release()
+	defer func() { rowVec = true }()
+
+	var vec, gen Workspace
+	seatWorkspace(&vec, &g, front, hv.Len(), vv.Len(), p)
+	seatWorkspace(&gen, nil, front, hv.Len(), vv.Len(), p)
+	rowVec = true
+	got := vec.sweepWide(hv, vv, p)
+	rowVec = false
+	want := gen.sweepWide(hv, vv, p)
+
+	if got != want {
+		t.Errorf("%v front=%v h.rev=%v v.rev=%v:\n sweepLinearVec %+v\n Go loop        %+v", p, front, hv.rev, vv.rev, got, want)
+	}
+	whole := func(b []int32) []int32 { return b[:cap(b)] }
+	for i, bufs := range [][2][]int32{{vec.wide.b0, gen.wide.b0}, {vec.wide.b1, gen.wide.b1}, {vec.wide.b2, gen.wide.b2}} {
+		if !slices.Equal(whole(bufs[0]), whole(bufs[1])) {
+			t.Errorf("%v front=%v: score buffer b%d differs:\n got  %v\n want %v", p, front, i, whole(bufs[0]), whole(bufs[1]))
+		}
+	}
+	if !slices.Equal(vec.hq[:cap(vec.hq)], gen.hq[:cap(gen.hq)]) || !slices.Equal(vec.vq[:cap(vec.vq)], gen.vq[:cap(gen.vq)]) {
+		t.Errorf("%v front=%v: a staged operand differs after the sweep", p, front)
+	}
+	return want
+}
+
+// sweepEdges are the extensions a random draw does not reach: an empty
+// side, single cells, rows that are one cell longer than a vector, and a
+// window δb cuts on every row.
+var sweepEdges = []struct {
+	h, v  string
+	x, db int
+}{
+	{"", "", 5, 0},
+	{"", "ACGTA", 5, 0},
+	{"ACGTA", "", 5, 0},
+	{"A", "A", 5, 0},
+	{"A", "C", 1, 0},
+	{"ACGTACGT", "ACGTACGT", 100, 0},   // rows of 1 to 9 cells
+	{"ACGTACGTA", "ACGTACGTT", 100, 0}, // and to 10
+	{"ACGTACGTACGTACGTACGTACGTACGTACGT", "ACGTACGTACGAACGTACGTACGTTACGTACGT", 100, 3},
+	{"ACGTNACGTnacgtACGT\x80ACGT", "ACGTNACGTNACGTACGT\x80ACGA", 12, 5},
+}
+
+// TestSweepKernelMatchesGeneric drives the resident vector sweep and
+// linearSweep's Go loop over the same extensions — both layouts, the four
+// view-direction pairs, the edge shapes above, random pairs under every
+// scorer form with wildcards, lowercase and bytes ≥ 0x80, clamping δb, and
+// one extension longer than sweepRows so that the kernel is re-entered —
+// with every buffer the kernel touches against an unmapped page, first at
+// its end, then at its start.
+func TestSweepKernelMatchesGeneric(t *testing.T) {
 	if !rowVec {
 		t.Skip("no AVX2 on this host")
 	}
-	rng := rand.New(rand.NewSource(91))
-	layouts := []rowCase{{inPlace: false}}
-	for shift := 0; shift <= rowLanes; shift++ {
-		layouts = append(layouts, rowCase{inPlace: true, shift: shift})
-	}
-	for cnt := 1; cnt <= maxRowCnt; cnt++ {
-		for _, c := range layouts {
-			for _, limit := range rowLimits {
-				for form := range rowForms {
-					for _, seqHead := range []bool{false, true} {
-						c.cnt, c.limit, c.form, c.seqHead = cnt, limit, form, seqHead
-						checkRow(t, rng, c)
-					}
+	layouts := []Algo{AlgoRestricted2, AlgoStandard3}
+	var clamped, rows9 int
+	run := func(h, v []byte, p Params) {
+		for dir := 0; dir < 4; dir++ {
+			for _, front := range []bool{false, true} {
+				r := checkSweep(t, View{h, dir&1 != 0}, View{v, dir&2 != 0}, p, front)
+				if r.Stats.Clamped {
+					clamped++
 				}
+				if r.Stats.MaxLiveBand > rowLanes {
+					rows9++
+				}
+			}
+		}
+	}
+	for _, e := range sweepEdges {
+		for _, algo := range layouts {
+			for _, sc := range []scoring.Scorer{scoring.DNADefault, scoring.NewSimple(2, -3), scoring.Blosum62} {
+				run([]byte(e.h), []byte(e.v), Params{Scorer: sc, Gap: -1, X: e.x, DeltaB: e.db, Algo: algo})
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(95))
+	for trial := 0; trial < 60; trial++ {
+		h, v, p := vectorTrial(rng, trial)
+		run(h, v, p)
+	}
+	if clamped == 0 || rows9 == 0 {
+		t.Fatalf("extensions that clamped: %d, with rows past one vector: %d; want both > 0", clamped, rows9)
+	}
+
+	// Longer than one call computes, so the loop state crosses sweepState
+	// and back — at a small X, where nearly every row prunes a fringe cell
+	// and a limit, bound or window start lost on the way shows at once.
+	for trial := 0; trial < 4; trial++ {
+		h := randDNA(rng, 2*sweepRows/3+trial)
+		v := mutate(rng, h, 0.01)
+		for _, algo := range layouts {
+			p := Params{Scorer: scoring.DNADefault, Gap: -1, X: 5, DeltaB: 64, Algo: algo}
+			if r := checkSweep(t, NewView(h), NewView(v), p, false); r.Stats.Antidiagonals <= sweepRows {
+				t.Fatalf("%v: %d antidiagonals, want more than sweepRows = %d", algo, r.Stats.Antidiagonals, sweepRows)
 			}
 		}
 	}
 }
 
-// FuzzRowKernel is TestRowKernelMatchesGeneric under the fuzzer's choice
-// of layout and buffer content.
-func FuzzRowKernel(f *testing.F) {
-	f.Add(int64(1), uint8(16), uint8(0), uint8(1))
-	f.Add(int64(2), uint8(40), uint8(9), uint8(0))
-	f.Add(int64(3), uint8(8), uint8(1), uint8(7))
-	f.Add(int64(4), uint8(200), uint8(0), uint8(15))
-	f.Add(int64(5), uint8(3), uint8(0), uint8(1))
-	f.Add(int64(6), uint8(7), uint8(2), uint8(60))
-	f.Fuzz(func(t *testing.T, seed int64, cnt, shift, flags uint8) {
+// FuzzSweepKernel is TestSweepKernelMatchesGeneric under the fuzzer's
+// choice of lengths, divergence, scorer, X, δb, layout, view directions
+// and which side of every buffer touches the unmapped page.
+func FuzzSweepKernel(f *testing.F) {
+	f.Add(int64(1), uint16(16), uint16(16), uint8(15), uint8(0), uint8(0))
+	f.Add(int64(2), uint16(40), uint16(33), uint8(40), uint8(9), uint8(1))
+	f.Add(int64(3), uint16(0), uint16(7), uint8(5), uint8(0), uint8(6))
+	f.Add(int64(4), uint16(300), uint16(280), uint8(60), uint8(12), uint8(0x1b))
+	f.Add(int64(5), uint16(3), uint16(0), uint8(1), uint8(0), uint8(0x20))
+	f.Add(int64(6), uint16(150), uint16(150), uint8(5), uint8(32), uint8(0x3c))
+	f.Fuzz(func(t *testing.T, seed int64, hLen, vLen uint16, x, deltaB, flags uint8) {
 		if !rowVec {
 			t.Skip("no AVX2 on this host")
 		}
-		checkRow(t, rand.New(rand.NewSource(seed)), rowCase{
-			cnt:     max(int(cnt), 1),
-			shift:   int(shift % 10),
-			inPlace: flags&1 != 0,
-			form:    int(flags >> 1 & 3),
-			limit:   rowLimits[flags>>3&3],
-			seqHead: flags&32 != 0,
-		})
+		rng := rand.New(rand.NewSource(seed))
+		form := rowForms[int(flags>>4&3)]
+		draw := func(n int) []byte {
+			b := make([]byte, n)
+			for i := range b {
+				b[i] = form.alpha[rng.Intn(len(form.alpha))]
+			}
+			return b
+		}
+		h := draw(int(hLen % 2048))
+		v := draw(int(vLen % 2048))
+		// Mostly a noisy copy, so that the extension runs on.
+		for i := range v {
+			if i < len(h) && rng.Intn(8) != 0 {
+				v[i] = h[i]
+			}
+		}
+		p := Params{Scorer: form.scorer, Gap: -1 - int(flags>>6), X: int(x), DeltaB: int(deltaB),
+			Algo: []Algo{AlgoRestricted2, AlgoStandard3}[flags&1]}
+		checkSweep(t, View{h, flags&2 != 0}, View{v, flags&4 != 0}, p, flags&8 != 0)
 	})
 }
 

@@ -5,7 +5,7 @@
 // real. The paper itself derives IPU time from deterministic cycle counts
 // (t = cycles/f, §5.1), so a cycle model is faithful to its methodology.
 //
-// Calibration (documented in DESIGN.md §4.2): with the defaults below the
+// Calibration: with the defaults below the
 // models reproduce the paper's headline comparisons — ≈100k GCUPS for one
 // IPU on C. elegans at X=5, ≈2× over the SeqAn CPU model, ≈10× over the
 // LOGAN GPU model, with both ratios shrinking at X=20 as the paper reports.

@@ -148,9 +148,11 @@ func TestServiceLoadShedding(t *testing.T) {
 }
 
 // TestServiceRefusalsRefundTenantToken: a submission refused for a reason
-// other than the tenant's own rate — a malformed body, a saturated shard
-// — gives its admission token back, so a burst of such refusals larger
-// than the bucket leaves the tenant able to submit.
+// other than the tenant's own rate — a malformed body, one over
+// MaxBodyBytes, a saturated shard, an engine that will not take it, a
+// server that is closing — gives its admission token back: after more such
+// refusals than the bucket holds, the bucket is as full as before them, and
+// where the server can still run a job the tenant can still submit one.
 func TestServiceRefusalsRefundTenantToken(t *testing.T) {
 	const burst, refusals = 2, 5
 	payload, err := wire.EncodeDataset(readsData(t, 7, 12))
@@ -158,21 +160,37 @@ func TestServiceRefusalsRefundTenantToken(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name     string
-		saturate bool   // hold the shard at MaxLiveJobs with another tenant's job
-		body     []byte // what tenant "t" posts while being refused
-		status   int
-		shed     int64
+		name    string
+		maxBody int64
+		arrange func(t *testing.T, svc *service.Server, ts *httptest.Server) // before the refusals
+		body    []byte                                                       // what tenant "t" posts while being refused
+		status  int
+		shed    int64
+		restore func(svc *service.Server) // after them; nil where the server cannot accept the payload again
 	}{
-		{"bad body", false, []byte("not a dataset"), http.StatusBadRequest, 0},
-		{"shard saturated", true, payload, service.StatusServiceSaturated, refusals},
+		{name: "bad body", body: []byte("not a dataset"), status: http.StatusBadRequest,
+			restore: func(*service.Server) {}},
+		{name: "body too large", maxBody: 64, body: payload, status: http.StatusRequestEntityTooLarge},
+		{name: "shard saturated", body: payload, status: service.StatusServiceSaturated, shed: refusals,
+			// Another tenant's job holds the shard at MaxLiveJobs.
+			arrange: func(t *testing.T, _ *service.Server, ts *httptest.Server) {
+				if resp := postDetached(t, ts, "holder", payload); resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("holder submit: %s", resp.Status)
+				}
+			},
+			restore: func(*service.Server) {}},
+		{name: "engine refuses", body: payload, status: http.StatusServiceUnavailable,
+			arrange: func(_ *testing.T, svc *service.Server, _ *httptest.Server) { svc.Shards()[0].Close() }},
+		{name: "server closing", body: payload, status: http.StatusServiceUnavailable,
+			arrange: func(_ *testing.T, svc *service.Server, _ *httptest.Server) { svc.SetClosing(true) },
+			restore: func(svc *service.Server) { svc.SetClosing(false) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plan := driver.NewFaultPlan(1, driver.FaultSpec{
 				StragglerRate: 1, StragglerDelay: 300 * time.Millisecond,
 			})
 			svc := service.New(service.Config{
-				Shards: 1, MaxLiveJobs: 1,
+				Shards: 1, MaxLiveJobs: 1, MaxBodyBytes: tc.maxBody,
 				EngineOptions: []engine.Option{
 					engine.WithDriverConfig(testCfg(1)), engine.WithQueueDepth(8),
 					engine.WithExecutors(1), engine.WithFaultPlan(plan),
@@ -184,21 +202,26 @@ func TestServiceRefusalsRefundTenantToken(t *testing.T) {
 			ts := httptest.NewServer(svc.Handler())
 			defer ts.Close()
 
-			if tc.saturate {
-				if resp := postDetached(t, ts, "holder", payload); resp.StatusCode != http.StatusAccepted {
-					t.Fatalf("holder submit: %s", resp.Status)
-				}
+			if tc.arrange != nil {
+				tc.arrange(t, svc, ts)
 			}
 			for i := 0; i < refusals; i++ {
 				if resp := postDetached(t, ts, "t", tc.body); resp.StatusCode != tc.status {
 					t.Fatalf("refusal %d: got %s, want %d", i, resp.Status, tc.status)
 				}
 			}
+			if got := svc.TenantTokens("t"); got < burst-0.01 {
+				t.Fatalf("bucket holds %.3f tokens after %d refusals, want %d", got, refusals, burst)
+			}
 			var stats service.StatsReply
 			getJSON(t, ts, "/v1/stats", &stats)
 			if got := stats.Tenants["t"]; got.RateLimited != 0 || got.Shed != tc.shed {
 				t.Fatalf("tenant counters after %d refusals: %+v", refusals, got)
 			}
+			if tc.restore == nil {
+				return
+			}
+			tc.restore(svc)
 			waitForLive(t, svc, 0, 10*time.Second)
 			if resp := postDetached(t, ts, "t", payload); resp.StatusCode != http.StatusAccepted {
 				t.Fatalf("submit after %d refunded refusals (burst %d): %s", refusals, burst, resp.Status)

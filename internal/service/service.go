@@ -27,8 +27,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -75,6 +78,11 @@ type Config struct {
 	MaxLiveJobs int
 	// MaxBodyBytes bounds a submission body (default 1 GiB).
 	MaxBodyBytes int64
+	// BodyStallTimeout is how long a submission body may make no progress
+	// before the upload is refused with 408 and its connection closed
+	// (default 30s). It is a rolling deadline: every read that returns
+	// pushes it out again, so it bounds a stall, not the upload.
+	BodyStallTimeout time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -95,6 +103,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 30
+	}
+	if c.BodyStallTimeout <= 0 {
+		c.BodyStallTimeout = 30 * time.Second
 	}
 	return c
 }
@@ -212,10 +223,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	d, err := s.decodeBody(r)
+	d, err := s.decodeBody(w, r)
 	if err != nil {
 		s.refundTenant(tenant)
-		writeError(w, http.StatusBadRequest, err.Error())
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		switch {
+		case errors.As(err, &tooLarge):
+			status = http.StatusRequestEntityTooLarge
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			// The body stalled past BodyStallTimeout. What is left of it
+			// will not be read, so the connection cannot be reused.
+			status = http.StatusRequestTimeout
+			w.Header().Set("Connection", "close")
+		}
+		writeError(w, status, err.Error())
 		return
 	}
 
@@ -246,6 +268,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	job, err := eng.Submit(ctx, d)
 	if err != nil {
 		cancel()
+		s.refundTenant(tenant)
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
@@ -254,6 +277,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.closed {
 		s.mu.Unlock()
 		cancel()
+		s.refundTenant(tenant)
 		writeError(w, http.StatusServiceUnavailable, "service closing")
 		return
 	}
@@ -288,8 +312,38 @@ const StatusServiceSaturated = http.StatusTooManyRequests
 // (its Content-Length) before any byte of the body has arrived.
 const maxBodyPresize = 64 << 20
 
-func (s *Server) decodeBody(r *http.Request) (*workload.Dataset, error) {
-	body := http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes)
+// stallReader pushes the connection's read deadline out by d before every
+// read, so the deadline only ever expires on a read that made no progress
+// for that long.
+type stallReader struct {
+	r  io.Reader
+	rc *http.ResponseController
+	d  time.Duration
+}
+
+func (sr stallReader) Read(p []byte) (int, error) {
+	// A ResponseWriter without deadlines (httptest.ResponseRecorder) leaves
+	// the body under whatever timeouts its server has.
+	_ = sr.rc.SetReadDeadline(time.Now().Add(sr.d))
+	return sr.r.Read(p)
+}
+
+// decodeBody reads and decodes a submission under MaxBodyBytes and the
+// rolling BodyStallTimeout. A decoded submission leaves the connection
+// without a read deadline, so that nothing the upload armed can expire
+// under the result stream that follows (net/http's HTTP/1.1 server also
+// resets it when a body read to its end starts the background read that
+// watches for the client going away; this does not lean on that). A failed
+// one keeps it, so the server's draining of the unread body cannot stall
+// either.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request) (d *workload.Dataset, err error) {
+	rc := http.NewResponseController(w)
+	defer func() {
+		if err == nil {
+			_ = rc.SetReadDeadline(time.Time{}) // as in stallReader.Read
+		}
+	}()
+	body := http.MaxBytesReader(nil, io.NopCloser(stallReader{r.Body, rc, s.cfg.BodyStallTimeout}), s.cfg.MaxBodyBytes)
 	ct := r.Header.Get("Content-Type")
 	if i := strings.IndexByte(ct, ';'); i >= 0 {
 		ct = strings.TrimSpace(ct[:i])

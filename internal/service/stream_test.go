@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -378,4 +379,94 @@ func TestServiceCancelEndpoint(t *testing.T) {
 		t.Fatalf("cancelled job's stream settled without an error: %+v", final)
 	}
 	waitForLive(t, svc, 0, 10*time.Second)
+}
+
+// TestServiceStalledBodyIsDisconnected: an uploader that sends its headers
+// and half its body, then nothing, is answered 408 and disconnected within
+// the stall timeout — while a well-behaved job submitted to the same server
+// before it streams its results for longer than that timeout and finishes:
+// the deadline guards the upload only, never the result stream behind it.
+func TestServiceStalledBodyIsDisconnected(t *testing.T) {
+	const stall = 300 * time.Millisecond
+	opts := slowOpts(150*time.Millisecond, 3)
+	svc := service.New(service.Config{Shards: 1, EngineOptions: opts, BodyStallTimeout: stall})
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	payload, err := wire.EncodeDataset(readsData(t, 11, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type streamed struct {
+		final *wire.Final
+		took  time.Duration
+		err   error
+	}
+	good := make(chan streamed, 1)
+	go func() {
+		start := time.Now()
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(payload))
+		if err != nil {
+			good <- streamed{err: err}
+			return
+		}
+		req.Header.Set("Content-Type", wire.ContentTypeDataset)
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			good <- streamed{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		// Not streamChunks: it fails the test, which only the test's own
+		// goroutine may do.
+		dec := json.NewDecoder(resp.Body)
+		for {
+			var env wire.Envelope
+			if err := dec.Decode(&env); err != nil {
+				good <- streamed{err: err}
+				return
+			}
+			if env.Final != nil {
+				good <- streamed{final: env.Final, took: time.Since(start)}
+				return
+			}
+		}
+	}()
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	fmt.Fprintf(conn, "POST /v1/jobs HTTP/1.1\r\nHost: stall\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n",
+		wire.ContentTypeDataset, len(payload))
+	if _, err := conn.Write(payload[:len(payload)/2]); err != nil {
+		t.Fatal(err)
+	}
+	// The server must hang up on its own; this deadline only bounds the test.
+	conn.SetReadDeadline(start.Add(20 * stall))
+	reply, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("stalled upload still connected %v after its last byte: %v", time.Since(start), err)
+	}
+	if took := time.Since(start); took < stall {
+		t.Fatalf("disconnected after %v, before the %v stall timeout", took, stall)
+	}
+	if !bytes.HasPrefix(reply, []byte("HTTP/1.1 408 ")) || !bytes.Contains(reply, []byte("Connection: close")) {
+		t.Fatalf("stalled upload answered %q, want a 408 that closes the connection", reply)
+	}
+
+	select {
+	case g := <-good:
+		if g.err != nil || g.final.Error != "" || g.final.Report == nil {
+			t.Fatalf("well-behaved job beside the stalled upload: final %+v, err %v", g.final, g.err)
+		}
+		if g.took <= stall {
+			t.Fatalf("well-behaved job took %v: it must stream for longer than the %v stall timeout to show the deadline is cleared", g.took, stall)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("well-behaved job never finished")
+	}
 }
