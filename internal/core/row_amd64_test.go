@@ -375,10 +375,11 @@ func TestVectorSweepMatchesGenericSweep(t *testing.T) {
 	}
 }
 
-// rowCodesRef is rowLinearRef for the recording row, which never runs in
-// place: the plain recurrence plus fusedLinear's direction rule — the gap
-// move only when it strictly beats the diagonal, up on a tie between the
-// gap sources, codeNone where pruned. ties counts the cells whose gap move
+// rowCodesRef is one recording row in scalar Go: the linear row recurrence
+// (diagonal from d2, wlast for the first cell; gap from the better of two
+// d1 neighbours; pruned below limit) plus fusedLinear's direction
+// rule — the gap move only when it strictly beats the diagonal, up on a tie
+// between the gap sources, codeNone where pruned. It never runs in place. ties counts the cells whose gap move
 // equalled the diagonal and those whose gap sources were equal.
 func rowCodesRef(out []int32, codes []byte, d2, d1 []int32, hq, vq []byte, tab *scoring.PairTable, n int, wlast, gap, limit int32) (best int32, ties [2]int) {
 	best = negInf32

@@ -1,5 +1,7 @@
 package service
 
+import "time"
+
 // TenantTokens reports what is left in a tenant's admission bucket.
 func (s *Server) TenantTokens(name string) float64 {
 	s.mu.Lock()
@@ -15,3 +17,7 @@ func (s *Server) SetClosing(closing bool) {
 	s.closed = closing
 	s.mu.Unlock()
 }
+
+// SetBodyStall shortens bodyStallTimeout for this server. Call it before
+// the server takes requests.
+func (s *Server) SetBodyStall(d time.Duration) { s.bodyStall = d }

@@ -78,11 +78,6 @@ type Config struct {
 	MaxLiveJobs int
 	// MaxBodyBytes bounds a submission body (default 1 GiB).
 	MaxBodyBytes int64
-	// BodyStallTimeout is how long a submission body may make no progress
-	// before the upload is refused with 408 and its connection closed
-	// (default 30s). It is a rolling deadline: every read that returns
-	// pushes it out again, so it bounds a stall, not the upload.
-	BodyStallTimeout time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -104,9 +99,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 30
 	}
-	if c.BodyStallTimeout <= 0 {
-		c.BodyStallTimeout = 30 * time.Second
-	}
 	return c
 }
 
@@ -116,6 +108,9 @@ type Server struct {
 	cfg    Config
 	shards []*engine.Engine
 	mux    *http.ServeMux
+	// bodyStall is bodyStallTimeout; a field so that a test can see a
+	// stall refused without waiting 30 s for it.
+	bodyStall time.Duration
 
 	mu      sync.Mutex
 	jobs    map[string]*jobState
@@ -137,10 +132,11 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:      cfg,
-		jobs:     make(map[string]*jobState),
-		tenants:  make(map[string]*tenantState),
-		closedCh: make(chan struct{}),
+		cfg:       cfg,
+		bodyStall: bodyStallTimeout,
+		jobs:      make(map[string]*jobState),
+		tenants:   make(map[string]*tenantState),
+		closedCh:  make(chan struct{}),
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		s.shards = append(s.shards, engine.New(cfg.EngineOptions...))
@@ -232,7 +228,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		case errors.As(err, &tooLarge):
 			status = http.StatusRequestEntityTooLarge
 		case errors.Is(err, os.ErrDeadlineExceeded):
-			// The body stalled past BodyStallTimeout. What is left of it
+			// The body stalled past bodyStallTimeout. What is left of it
 			// will not be read, so the connection cannot be reused.
 			status = http.StatusRequestTimeout
 			w.Header().Set("Connection", "close")
@@ -312,6 +308,12 @@ const StatusServiceSaturated = http.StatusTooManyRequests
 // (its Content-Length) before any byte of the body has arrived.
 const maxBodyPresize = 64 << 20
 
+// bodyStallTimeout is how long a submission body may make no progress
+// before the upload is refused with 408 and its connection closed. It is a
+// rolling deadline: every read that returns pushes it out again, so it
+// bounds a stall, not the upload.
+const bodyStallTimeout = 30 * time.Second
+
 // stallReader pushes the connection's read deadline out by d before every
 // read, so the deadline only ever expires on a read that made no progress
 // for that long.
@@ -329,7 +331,7 @@ func (sr stallReader) Read(p []byte) (int, error) {
 }
 
 // decodeBody reads and decodes a submission under MaxBodyBytes and the
-// rolling BodyStallTimeout. A decoded submission leaves the connection
+// rolling bodyStallTimeout. A decoded submission leaves the connection
 // without a read deadline, so that nothing the upload armed can expire
 // under the result stream that follows (net/http's HTTP/1.1 server also
 // resets it when a body read to its end starts the background read that
@@ -343,7 +345,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request) (d *workload
 			_ = rc.SetReadDeadline(time.Time{}) // as in stallReader.Read
 		}
 	}()
-	body := http.MaxBytesReader(nil, io.NopCloser(stallReader{r.Body, rc, s.cfg.BodyStallTimeout}), s.cfg.MaxBodyBytes)
+	body := http.MaxBytesReader(nil, io.NopCloser(stallReader{r.Body, rc, s.bodyStall}), s.cfg.MaxBodyBytes)
 	ct := r.Header.Get("Content-Type")
 	if i := strings.IndexByte(ct, ';'); i >= 0 {
 		ct = strings.TrimSpace(ct[:i])

@@ -389,7 +389,8 @@ func TestServiceCancelEndpoint(t *testing.T) {
 func TestServiceStalledBodyIsDisconnected(t *testing.T) {
 	const stall = 300 * time.Millisecond
 	opts := slowOpts(150*time.Millisecond, 3)
-	svc := service.New(service.Config{Shards: 1, EngineOptions: opts, BodyStallTimeout: stall})
+	svc := service.New(service.Config{Shards: 1, EngineOptions: opts})
+	svc.SetBodyStall(stall)
 	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
