@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -103,7 +104,7 @@ type Engine struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	active []*Job // built, unfinished jobs with work left to issue or hedge
+	active []*Job // built, unsettled jobs: registered by runJob, removed by finishLocked
 	live   int    // admitted jobs not yet finished
 	busy   int    // executors currently running a batch
 	closed bool
@@ -561,34 +562,25 @@ func (e *Engine) runJob(j *Job) {
 	j.outs = make([]*ipukernel.BatchResult, nb)
 	j.expand = expand
 	j.cachedResults = cachedResults
-	j.attempts = make([]int32, nb)
-	j.inflight = make([]int32, nb)
-	j.hedged = make([]bool, nb)
-	j.fallback = make([]bool, nb)
-	j.queued = make([]bool, nb)
-	j.startNS = make([]int64, nb)
-	j.timers = make(map[*time.Timer]struct{})
+	j.batches = make([]batchState, nb) // every batch phasePending
 	close(j.built)
 	if nb == 0 {
 		e.mu.Unlock()
 		e.complete(j, bp)
 		return
 	}
-	e.addActiveLocked(j)
+	e.active = append(e.active, j)
 	if !j.deadline.IsZero() {
 		// Two alarms per deadlined job: one wakes idle executors when the
 		// hedge window opens, one settles (or degrades) the job at the
-		// deadline itself. Both are registered in j.timers so settlement
-		// stops them; a callback that already fired re-checks under the
-		// lock and becomes a no-op.
-		wake := time.AfterFunc(time.Until(j.deadline)-e.hedgeWindow, func() {
+		// deadline itself. Settlement stops both; a callback that already
+		// fired re-checks under the lock and becomes a no-op.
+		j.alarms[0] = time.AfterFunc(time.Until(j.deadline)-e.hedgeWindow, func() {
 			e.mu.Lock()
 			e.cond.Broadcast()
 			e.mu.Unlock()
 		})
-		expire := time.AfterFunc(time.Until(j.deadline), func() { e.deadlineExpired(j) })
-		j.timers[wake] = struct{}{}
-		j.timers[expire] = struct{}{}
+		j.alarms[1] = time.AfterFunc(time.Until(j.deadline), func() { e.deadlineExpired(j) })
 	}
 	e.cond.Broadcast()
 	e.mu.Unlock()
@@ -604,22 +596,6 @@ func (e *Engine) runJob(j *Job) {
 	}
 }
 
-// issuableLocked reports whether the job has work an executor can take:
-// a retry ready to re-issue or a batch never issued.
-func (j *Job) issuableLocked() bool {
-	return !j.finished && (len(j.retryq) > 0 || j.nextIssue < len(j.outs))
-}
-
-// addActiveLocked (re-)registers a job with the scheduler. Jobs leave
-// the active list when drained (pruneLocked) and re-enter when a retry
-// timer fires or degradation re-queues a batch.
-func (e *Engine) addActiveLocked(j *Job) {
-	if !j.inActive && !j.finished {
-		j.inActive = true
-		e.active = append(e.active, j)
-	}
-}
-
 // pickLocked chooses the next execution to issue: among built jobs with
 // work left, the one with the fewest issued executions (ties broken by
 // submission order) — a per-job fair share that keeps a flood of batches
@@ -628,14 +604,14 @@ func (e *Engine) addActiveLocked(j *Job) {
 // it falls back to hedging: inside a job's hedge window the slowest
 // outstanding batch is duplicated once (first result wins), so a single
 // straggling device cannot push an otherwise-finished job past its
-// deadline. The chosen batch's issue bookkeeping (attempts, inflight,
-// start time) is updated here, under the lock, so concurrent executors
-// never double-pick.
-func (e *Engine) pickLocked() (*Job, int, bool) {
+// deadline. The chosen batch is stepped here, under the lock, so
+// concurrent executors never double-pick; a hedge then runs exactly like
+// any other attempt.
+func (e *Engine) pickLocked() (*Job, int) {
 	var best *Job
 	for _, j := range e.active {
-		if !j.issuableLocked() {
-			continue
+		if len(j.ready) == 0 && j.nextIssue == len(j.batches) {
+			continue // nothing queued, nothing fresh
 		}
 		if best == nil || j.issued < best.issued ||
 			(j.issued == best.issued && j.seq < best.seq) {
@@ -643,56 +619,39 @@ func (e *Engine) pickLocked() (*Job, int, bool) {
 		}
 	}
 	if best != nil {
-		var bi int
-		if n := len(best.retryq); n > 0 {
-			bi = best.retryq[n-1]
-			best.retryq = best.retryq[:n-1]
-			best.queued[bi] = false
-		} else {
-			bi = best.nextIssue
-			best.nextIssue++
+		bi := best.nextIssue
+		if n := len(best.ready); n > 0 {
+			bi = best.ready[n-1]
 		}
-		e.issueLocked(best, bi)
-		return best, bi, false
+		best.step(bi, evIssue, nil, nil)
+		return best, bi
 	}
 	if e.deadline <= 0 {
-		return nil, -1, false
+		return nil, -1
 	}
 	now := time.Now()
 	var hj *Job
 	hbi := -1
 	var earliest int64
 	for _, j := range e.active {
-		if j.finished || j.deadline.IsZero() ||
-			now.Before(j.deadline.Add(-e.hedgeWindow)) {
+		if j.deadline.IsZero() || now.Before(j.deadline.Add(-e.hedgeWindow)) {
 			continue
 		}
-		for bi := range j.outs {
-			if j.outs[bi] != nil || j.inflight[bi] == 0 || j.hedged[bi] || j.queued[bi] {
+		for bi := range j.batches {
+			b := &j.batches[bi]
+			if b.phase != phaseRunning || b.inflight == 0 || b.hedged {
 				continue
 			}
-			if hbi == -1 || j.startNS[bi] < earliest {
-				hj, hbi, earliest = j, bi, j.startNS[bi]
+			if hbi == -1 || b.startNS < earliest {
+				hj, hbi, earliest = j, bi, b.startNS
 			}
 		}
 	}
 	if hj == nil {
-		return nil, -1, false
+		return nil, -1
 	}
-	hj.hedged[hbi] = true
-	e.stats.Hedges++
-	e.issueLocked(hj, hbi)
-	return hj, hbi, true
-}
-
-// issueLocked records one execution issue of batch bi.
-func (e *Engine) issueLocked(j *Job, bi int) {
-	j.issued++
-	j.attempts[bi]++
-	j.inflight[bi]++
-	if e.deadline > 0 && j.startNS[bi] == 0 {
-		j.startNS[bi] = time.Now().UnixNano()
-	}
+	hj.step(hbi, evHedge, nil, nil)
+	return hj, hbi
 }
 
 // executor is one device-executor goroutine: it owns a modeled device
@@ -708,9 +667,8 @@ func (e *Engine) executor() {
 		e.mu.Lock()
 		var j *Job
 		var bi int
-		var hedge bool
 		for {
-			j, bi, hedge = e.pickLocked()
+			j, bi = e.pickLocked()
 			if j != nil {
 				break
 			}
@@ -720,10 +678,8 @@ func (e *Engine) executor() {
 			}
 			e.cond.Wait()
 		}
-		_ = hedge                          // a hedge runs exactly like any other attempt
-		attempt := int(j.attempts[bi]) - 1 // issueLocked counted this issue
-		fallback := j.fallback[bi]
-		e.pruneLocked()
+		attempt := int(j.batches[bi].attempts) - 1 // step counted this issue
+		fallback := j.batches[bi].fallback
 		e.busy++
 		// Split the CPU budget between each batch's tile pool and the
 		// executors that will plausibly run alongside this one: the busy
@@ -745,16 +701,15 @@ func (e *Engine) executor() {
 		if dev == nil {
 			dev = bp.NewDevice()
 		}
-		var out *ipukernel.BatchResult
-		var err error
 		if fallback {
 			// Quarantined work runs on the reference host path, outside
 			// the fleet and its fault plan.
-			out, err = bp.ExecBatchHost(bi, kcfg)
+			out, err := bp.ExecBatchHost(bi, kcfg)
+			e.deliver(j, bi, evReturnHost, out, err)
 		} else {
-			out, err = bp.ExecBatchAttempt(dev, bi, attempt, kcfg)
+			out, err := bp.ExecBatchAttempt(dev, bi, attempt, kcfg)
+			e.deliver(j, bi, evReturn, out, err)
 		}
-		e.deliver(j, bi, out, err, fallback)
 	}
 }
 
@@ -762,66 +717,24 @@ func (e *Engine) executor() {
 func (e *Engine) runnableLocked() int {
 	n := 0
 	for _, j := range e.active {
-		if !j.finished {
-			n += len(j.outs) - j.nextIssue + len(j.retryq)
-		}
+		n += len(j.batches) - j.nextIssue + len(j.ready)
 	}
 	return n
 }
 
-// pruneLocked drops jobs with nothing left to issue from the active
-// list. Jobs with a deadline stay while any batch is outstanding — they
-// are hedge candidates — and a drained job whose retry timer later fires
-// re-enters through addActiveLocked.
-func (e *Engine) pruneLocked() {
-	kept := e.active[:0]
-	for _, j := range e.active {
-		if j.issuableLocked() ||
-			(!j.finished && !j.deadline.IsZero() && j.done < len(j.outs)) {
-			kept = append(kept, j)
-		} else {
-			j.inActive = false
-		}
-	}
-	for i := len(kept); i < len(e.active); i++ {
-		e.active[i] = nil
-	}
-	e.active = kept
-}
-
-// deliver records one executed batch: streams it to the job's consumer
-// and, on the last batch, assembles the plan and schedules the report.
-// Failure classification lives here too — transient faults retry within
-// the engine's policy, everything else degrades — and hedged batches
-// settle first-result-wins: the losing copy is dropped before it can
-// touch stats, the stream or the report. wasFallback says whether the
-// execution ran on the reference host path.
-func (e *Engine) deliver(j *Job, bi int, out *ipukernel.BatchResult, err error, wasFallback bool) {
+// deliver hands one returned execution (returned is evReturn or
+// evReturnHost) to the batch's state machine, streams what it accepts to
+// the job's consumer and, on the last batch, assembles the plan and
+// schedules the report. Job.step classifies failures — transient faults
+// retry within the engine's policy, everything else degrades — and
+// settles hedged batches first-result-wins: the losing copy is dropped
+// before it can touch stats, the stream or the report.
+func (e *Engine) deliver(j *Job, bi int, returned batchEvent, out *ipukernel.BatchResult, err error) {
 	e.mu.Lock()
 	e.busy--
-	if !j.finished {
-		j.inflight[bi]--
-	}
-	if j.finished { // cancelled or failed while this batch ran
+	if out = j.step(bi, returned, out, err); out == nil {
 		e.mu.Unlock()
 		return
-	}
-	if j.outs[bi] != nil { // a hedged twin already delivered this batch
-		e.mu.Unlock()
-		return
-	}
-	if err != nil {
-		if j.inflight[bi] > 0 {
-			// A twin of this batch is still running (hedge or stale
-			// fleet copy behind a quarantine); let it decide the batch.
-			e.mu.Unlock()
-			return
-		}
-		out = e.failedLocked(j, bi, err, wasFallback)
-		if out == nil { // retried, re-queued, or job failed: nothing to record
-			e.mu.Unlock()
-			return
-		}
 	}
 	// Copy the streamed view outside the lock when a consumer is
 	// already attached — the O(batch-results) copy must not serialize
@@ -835,23 +748,10 @@ func (e *Engine) deliver(j *Job, bi int, out *ipukernel.BatchResult, err error, 
 		upd = streamUpdate(j, bi, out)
 	}
 	e.mu.Lock()
-	if j.finished { // cancelled while copying
+	if j.step(bi, evDeliver, out, nil) == nil { // cancelled, or a hedged twin delivered, during the copy
 		e.mu.Unlock()
 		return
 	}
-	if j.outs[bi] != nil { // a hedged twin delivered during the copy
-		e.mu.Unlock()
-		return
-	}
-	j.outs[bi] = out
-	j.done++
-	e.stats.BatchesDone++
-	e.stats.CellsDone += out.Cells
-	e.stats.NarrowExtensions += int64(out.NarrowExtensions)
-	e.stats.WideExtensions += int64(out.WideExtensions)
-	e.stats.PromotedExtensions += int64(out.PromotedExtensions)
-	e.stats.TracedExtensions += int64(out.TracedExtensions)
-	e.stats.TraceSkippedExtensions += int64(out.TraceSkippedExtensions)
 	if j.streaming {
 		if !streaming {
 			upd = streamUpdate(j, bi, out)
@@ -864,78 +764,6 @@ func (e *Engine) deliver(j *Job, bi int, out *ipukernel.BatchResult, err error, 
 	if last {
 		e.complete(j, bp)
 	}
-}
-
-// failedLocked classifies one failed execution of batch bi. It returns
-// a synthesized result to record (DegradePartial placeholders), or nil
-// after scheduling a retry, re-queueing the batch through the host
-// path, or failing the job.
-func (e *Engine) failedLocked(j *Job, bi int, err error, wasFallback bool) *ipukernel.BatchResult {
-	var fe *driver.FaultError
-	transient := errors.As(err, &fe) && fe.Transient()
-	if transient && !wasFallback && e.retryMax > 0 &&
-		int(j.attempts[bi])-1 < e.retryMax &&
-		(e.retryBudget <= 0 || j.retriesUsed < e.retryBudget) {
-		j.retriesUsed++
-		e.stats.Retries++
-		e.scheduleRetryLocked(j, bi)
-		return nil
-	}
-	// Fault tolerance exhausted: degrade per policy.
-	switch e.degraded {
-	case DegradeFallback:
-		if !wasFallback {
-			// Quarantine the batch off the fleet; its next execution
-			// runs the reference host path and is bit-identical.
-			if !j.fallback[bi] {
-				j.fallback[bi] = true
-				e.stats.Quarantined++
-			}
-			e.requeueLocked(j, bi)
-			return nil
-		}
-		// The reference path itself failed — deterministic, so no
-		// re-run fixes it. Complete the batch with placeholders.
-		return j.bp.FailedBatchResult(bi)
-	case DegradePartial:
-		e.stats.Quarantined++
-		return j.bp.FailedBatchResult(bi)
-	}
-	e.finishLocked(j, nil, err)
-	return nil
-}
-
-// scheduleRetryLocked arms the backoff timer for batch bi's next
-// attempt. The timer is created while the engine lock is held, so its
-// callback (which takes the lock) cannot run before it is registered in
-// j.timers; a callback whose job settled, whose batch delivered (hedge
-// win), or whose batch is already queued becomes a no-op.
-func (e *Engine) scheduleRetryLocked(j *Job, bi int) {
-	var t *time.Timer
-	t = time.AfterFunc(e.backoffFor(j, bi, int(j.attempts[bi])), func() {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		delete(j.timers, t) // nil-map delete after settlement is a no-op
-		if j.finished || j.outs[bi] != nil || j.queued[bi] {
-			return
-		}
-		j.queued[bi] = true
-		j.retryq = append(j.retryq, bi)
-		e.addActiveLocked(j)
-		e.cond.Broadcast()
-	})
-	j.timers[t] = struct{}{}
-}
-
-// requeueLocked puts batch bi back on the job's ready queue (no
-// backoff) and wakes executors.
-func (e *Engine) requeueLocked(j *Job, bi int) {
-	if !j.queued[bi] && j.outs[bi] == nil {
-		j.queued[bi] = true
-		j.retryq = append(j.retryq, bi)
-	}
-	e.addActiveLocked(j)
-	e.cond.Broadcast()
 }
 
 // backoffFor shapes the delay before batch bi's next attempt:
@@ -962,8 +790,9 @@ func (e *Engine) backoffFor(j *Job, bi, attempt int) time.Duration {
 // incomplete when it fires counts in Stats.DeadlineExceeded and settles
 // per the engine's DegradedMode — fail with ErrDeadline, quarantine all
 // remaining work to the reference host path, or complete immediately
-// with Failed placeholders. Timers arm only after the plan is built, so
-// j.outs is always populated here.
+// with Failed placeholders (late in-flight deliveries then find their
+// batch delivered and drop). Timers arm only after the plan is built, so
+// j.batches is always populated here.
 func (e *Engine) deadlineExpired(j *Job) {
 	e.mu.Lock()
 	if j.finished || j.done == len(j.outs) {
@@ -973,44 +802,14 @@ func (e *Engine) deadlineExpired(j *Job) {
 	e.stats.DeadlineExceeded++
 	switch e.degraded {
 	case DegradeFallback:
-		// Stop issuing fresh fleet executions and quarantine everything
-		// undelivered to the host path. In-flight fleet copies keep
-		// running — whichever execution delivers first wins.
-		j.nextIssue = len(j.outs)
-		n := 0
-		for bi := range j.outs {
-			if j.outs[bi] != nil || j.fallback[bi] {
-				continue
-			}
-			j.fallback[bi] = true
-			n++
-			if !j.queued[bi] {
-				j.queued[bi] = true
-				j.retryq = append(j.retryq, bi)
-			}
-		}
-		e.stats.Quarantined += int64(n)
-		if n > 0 {
-			e.addActiveLocked(j)
-			e.cond.Broadcast()
+		for bi := range j.batches {
+			j.step(bi, evQuarantine, nil, nil)
 		}
 		e.mu.Unlock()
 	case DegradePartial:
-		// Complete every undelivered batch with placeholders right now;
-		// late in-flight deliveries find outs[bi] set and drop.
 		bp := j.bp
-		j.nextIssue = len(j.outs)
-		j.retryq = nil
-		for bi := range j.outs {
-			if j.outs[bi] != nil {
-				continue
-			}
-			out := bp.FailedBatchResult(bi)
-			j.outs[bi] = out
-			j.done++
-			e.stats.BatchesDone++
-			e.stats.Quarantined++
-			if j.streaming {
+		for bi := range j.batches {
+			if out := j.step(bi, evDeadlinePartial, nil, nil); out != nil && j.streaming {
 				j.updates <- streamUpdate(j, bi, out)
 			}
 		}
@@ -1099,17 +898,22 @@ func (j *Job) openStreamLocked() {
 // the stream, drops the job from the scheduler, releases the admission
 // slot and wakes everyone.
 func (e *Engine) finishLocked(j *Job, rep *driver.Report, err error) {
+	// Stop pending backoff and deadline timers and drop the lifecycle
+	// records; a timer callback that already fired finds the job settled
+	// under the lock and no-ops.
+	for bi := range j.batches {
+		j.step(bi, evSettle, nil, nil)
+	}
+	for _, t := range j.alarms {
+		if t != nil {
+			t.Stop()
+		}
+	}
 	j.finished = true
 	j.report = rep
 	j.err = err
-	// Stop pending backoff/deadline timers and drop queued retries; a
-	// timer callback that already fired re-checks finished under the
-	// lock and no-ops.
-	for t := range j.timers {
-		t.Stop()
-	}
-	j.timers = nil
-	j.retryq = nil
+	j.batches = nil
+	j.ready = nil
 	if j.cancel != nil {
 		j.cancel() // release the job's derived context
 	}
@@ -1124,9 +928,10 @@ func (e *Engine) finishLocked(j *Job, rep *driver.Report, err error) {
 	// capture bp into locals under the lock before using it.
 	j.bp = nil
 	j.dataset = nil
-	// Drop the job now rather than at the next pick: an idle engine must
-	// not keep a cancelled job's dataset and partial results alive.
-	e.pruneLocked()
+	// An idle engine must not keep a settled job's partial results alive.
+	if i := slices.Index(e.active, j); i >= 0 {
+		e.active = slices.Delete(e.active, i, i+1)
+	}
 	e.live--
 	<-e.slots
 	e.cond.Broadcast()

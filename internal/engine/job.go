@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"slices"
 	"time"
 
 	"github.com/sram-align/xdropipu/internal/driver"
@@ -39,32 +41,218 @@ type Job struct {
 	bp        *driver.BatchPlan
 	updates   chan Update
 	streaming bool // updates is open
-	nextIssue int  // batches handed to executors for the first time
 	issued    int  // executions issued (first issues + retries + hedges): the fair-share key
 	done      int  // batches delivered (first accepted result per batch)
-	outs      []*ipukernel.BatchResult
 	finished  bool
 	report    *driver.Report
 	err       error
-	inActive  bool // job is in eng.active
 
-	// Fault-tolerance state, per batch unless noted. attempts counts
-	// executions issued (so the next execution's attempt number is
-	// attempts[bi]); inflight counts executions currently running; hedged
-	// marks batches already duplicated near the deadline; fallback routes
-	// a batch's next execution through the reference host path; queued
-	// marks batches sitting in retryq. retriesUsed draws down the per-job
-	// retry budget; timers holds pending backoff timers so settlement can
-	// stop them.
-	attempts    []int32
-	inflight    []int32
-	hedged      []bool
-	fallback    []bool
-	queued      []bool
-	startNS     []int64 // earliest in-flight start, for slowest-batch hedging
-	retryq      []int   // batch indices ready to re-issue
+	// Batch lifecycle, written by step alone (runJob allocates, settlement
+	// releases). batches is one record per batch; outs the delivered
+	// results driver.AssemblePlan consumes, nil until a batch is delivered.
+	// nextIssue is the lowest pending batch — batches leave phasePending in
+	// index order — and ready the LIFO of batches waiting for an executor,
+	// so retries re-issue before fresh batches. retriesUsed draws down the
+	// per-job retry budget; alarms are the hedge-window and expiry timers.
+	batches     []batchState
+	outs        []*ipukernel.BatchResult
+	nextIssue   int
+	ready       []int
 	retriesUsed int
-	timers      map[*time.Timer]struct{}
+	alarms      [2]*time.Timer
+}
+
+// batchPhase is where a batch stands. Executions in flight are counted
+// beside it, not in it: a quarantined batch can sit in phaseReady for the
+// host path while a stale fleet copy still runs.
+type batchPhase uint8
+
+const (
+	phasePending   batchPhase = iota // never issued
+	phaseReady                       // on Job.ready, waiting for an executor
+	phaseRunning                     // issued; whichever execution returns first decides it
+	phaseBackoff                     // failed transiently; its timer makes it ready
+	phaseDelivered                   // Job.outs holds its accepted result
+)
+
+// batchState is one batch's lifecycle record.
+type batchState struct {
+	phase    batchPhase
+	hedged   bool        // already duplicated near the deadline
+	fallback bool        // quarantined: executions issued from now on run the reference host path
+	attempts int32       // executions issued, so the next one's attempt number
+	inflight int32       // executions running now
+	startNS  int64       // when inflight last left zero, for slowest-batch hedging
+	timer    *time.Timer // the pending backoff timer (phaseBackoff only)
+}
+
+// batchEvent is something that happens to a batch; Job.step is the one
+// place that decides what it means.
+type batchEvent uint8
+
+const (
+	evIssue           batchEvent = iota // an executor takes the job's next batch
+	evHedge                             // an idle executor duplicates a running batch
+	evReturn                            // a fleet execution returned (out or err)
+	evReturnHost                        // a reference-host-path execution returned
+	evDeliver                           // the returned result is recorded
+	evTimer                             // the backoff timer fired
+	evQuarantine                        // DegradeFallback: its fault tolerance, or the deadline, ran out
+	evDeadlinePartial                   // the deadline expired under DegradePartial
+	evSettle                            // the job is settling
+)
+
+// settledLocked reports whether nothing more can happen to batch bi: the
+// job settled or the batch is delivered. It is step's first question, so
+// a late delivery, the losing copy of a hedged pair and a backoff timer
+// firing into a settled job all drop on the same test.
+func (j *Job) settledLocked(bi int) bool {
+	return j.finished || j.batches[bi].phase == phaseDelivered
+}
+
+// step is the batch state machine: every write to a batchState, to the
+// ready queue and to the job's issue, delivery and retry counters happens
+// here, under eng.mu. ev says what happened to batch bi; out and err carry
+// an execution's outcome (return events) or the result to record
+// (evDeliver). A return event hands back what the caller must record with
+// evDeliver once its stream copy is made — the execution's result, or
+// Failed placeholders when degradation completes the batch — and nil when
+// a twin will decide the batch or the failure was retried, re-queued or
+// failed the job. evDeliver and evDeadlinePartial hand back what they
+// recorded. An event with no meaning where the batch stands (anything
+// after delivery or settlement, a return with nothing in flight, a timer
+// without a backoff) changes nothing and returns nil.
+func (j *Job) step(bi int, ev batchEvent, out *ipukernel.BatchResult, err error) (recorded *ipukernel.BatchResult) {
+	if j.settledLocked(bi) {
+		return nil
+	}
+	e, b := j.eng, &j.batches[bi]
+	next := b.phase
+	switch ev {
+	case evIssue, evHedge:
+		if ev == evHedge {
+			// Duplicate a running batch once; first result wins.
+			if b.phase != phaseRunning || b.inflight == 0 || b.hedged {
+				return nil
+			}
+			b.hedged = true
+			e.stats.Hedges++
+		} else if b.phase != phasePending && b.phase != phaseReady {
+			return nil
+		}
+		next = phaseRunning
+		if b.inflight == 0 && !j.deadline.IsZero() {
+			b.startNS = time.Now().UnixNano()
+		}
+		j.issued++
+		b.attempts++
+		b.inflight++
+	case evReturn, evReturnHost:
+		if b.inflight == 0 {
+			return nil
+		}
+		b.inflight--
+		var fe *driver.FaultError
+		switch {
+		case err == nil:
+			return out
+		case b.inflight > 0:
+			// A twin of this batch is still running (hedge or stale
+			// fleet copy behind a quarantine); let it decide the batch.
+			return nil
+		case ev == evReturnHost:
+			// The reference path itself failed — deterministic, so no
+			// re-run fixes it. Complete the batch with placeholders.
+			return j.bp.FailedBatchResult(bi)
+		case b.fallback:
+			// A stale fleet copy of a quarantined batch: the host path
+			// decides the batch, so no retry is charged, and the batch is
+			// queued again only if its host execution already returned
+			// (it failed and deferred to this copy).
+			next = phaseReady
+		case errors.As(err, &fe) && fe.Transient() && e.retryMax > 0 &&
+			int(b.attempts)-1 < e.retryMax &&
+			(e.retryBudget <= 0 || j.retriesUsed < e.retryBudget):
+			j.retriesUsed++
+			e.stats.Retries++
+			next = phaseBackoff
+		// Fault tolerance exhausted: degrade per policy.
+		case e.degraded == DegradeFallback:
+			return j.step(bi, evQuarantine, nil, nil)
+		case e.degraded == DegradePartial:
+			e.stats.Quarantined++
+			return j.bp.FailedBatchResult(bi)
+		default:
+			e.finishLocked(j, nil, err)
+			return nil
+		}
+	case evTimer:
+		if b.phase == phaseBackoff {
+			next = phaseReady
+		}
+	case evQuarantine:
+		// Off the fleet: executions issued from here on run the reference
+		// host path, bit-identical by construction. Copies already in
+		// flight keep running — whichever execution delivers first wins.
+		if !b.fallback {
+			b.fallback = true
+			e.stats.Quarantined++
+			next = phaseReady
+		}
+	case evDeadlinePartial:
+		e.stats.Quarantined++
+		return j.step(bi, evDeliver, j.bp.FailedBatchResult(bi), nil)
+	case evDeliver:
+		next = phaseDelivered
+		recorded = out
+		j.outs[bi] = out
+		j.done++
+		e.stats.BatchesDone++
+		e.stats.CellsDone += out.Cells
+		e.stats.NarrowExtensions += int64(out.NarrowExtensions)
+		e.stats.WideExtensions += int64(out.WideExtensions)
+		e.stats.PromotedExtensions += int64(out.PromotedExtensions)
+		e.stats.TracedExtensions += int64(out.TracedExtensions)
+		e.stats.TraceSkippedExtensions += int64(out.TraceSkippedExtensions)
+	case evSettle:
+		if b.timer != nil {
+			b.timer.Stop()
+			b.timer = nil
+		}
+	}
+	if next == b.phase {
+		return recorded
+	}
+	switch b.phase { // leave
+	case phasePending:
+		j.nextIssue++
+	case phaseReady:
+		// The top of the queue when an executor takes it; anywhere when a
+		// stale fleet copy delivers a batch queued for the host path.
+		i := len(j.ready) - 1
+		for j.ready[i] != bi {
+			i--
+		}
+		j.ready = slices.Delete(j.ready, i, i+1)
+	case phaseBackoff:
+		b.timer.Stop() // a no-op when this is the timer that fired
+		b.timer = nil
+	}
+	b.phase = next
+	switch next { // enter
+	case phaseReady:
+		j.ready = append(j.ready, bi)
+		e.cond.Broadcast()
+	case phaseBackoff:
+		// Created under the engine lock, so the callback (which takes it)
+		// cannot run before the timer is stored.
+		b.timer = time.AfterFunc(e.backoffFor(j, bi, int(b.attempts)), func() {
+			e.mu.Lock()
+			j.step(bi, evTimer, nil, nil)
+			e.mu.Unlock()
+		})
+	}
+	return recorded
 }
 
 // Update is one executed batch of a job, streamed in completion order.
