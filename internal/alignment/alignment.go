@@ -17,6 +17,7 @@ package alignment
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"github.com/sram-align/xdropipu/internal/scoring"
@@ -75,8 +76,17 @@ func (c Cigar) scan(fn func(Run) error) error {
 	prev := Op(0)
 	for i := 0; i < len(c); {
 		start := i
-		for i < len(c) && c[i] >= '0' && c[i] <= '9' {
-			i++
+		// The length accumulates as its digits are walked. It is capped
+		// once past what an int holds, so a long digit string cannot wrap
+		// back into range; the cap is reported below as strconv.Atoi did.
+		n, overflow := 0, false
+		for ; i < len(c) && c[i] >= '0' && c[i] <= '9'; i++ {
+			d := int(c[i] - '0')
+			if n > (math.MaxInt-d)/10 {
+				overflow = true
+				continue
+			}
+			n = n*10 + d
 		}
 		if i == start {
 			return fmt.Errorf("alignment: cigar %q: missing length at offset %d", c, start)
@@ -89,9 +99,8 @@ func (c Cigar) scan(fn func(Run) error) error {
 		if i >= len(c) {
 			return fmt.Errorf("alignment: cigar %q: truncated run at offset %d", c, start)
 		}
-		n, err := strconv.Atoi(string(c[start:i]))
-		if err != nil {
-			return fmt.Errorf("alignment: cigar %q: bad length at offset %d: %v", c, start, err)
+		if overflow {
+			return fmt.Errorf("alignment: cigar %q: bad length at offset %d: value out of range", c, start)
 		}
 		op := Op(c[i])
 		i++
@@ -181,14 +190,18 @@ func (c Cigar) Identity() float64 {
 	return float64(st.Matches) / float64(st.Columns)
 }
 
+// wireBytesPerRun is the transfer size of one run: a BAM-style packed
+// length+op word.
+const wireBytesPerRun = 4
+
 // WireBytes returns the encoded transfer size of the Cigar: 4 bytes per
-// run (a BAM-style packed length+op word), 0 when empty.
+// run, 0 when empty.
 func (c Cigar) WireBytes() int {
 	st, err := c.Stats()
 	if err != nil {
 		return 0
 	}
-	return 4 * st.Runs
+	return wireBytesPerRun * st.Runs
 }
 
 // Reverse returns the Cigar read back-to-front (runs reversed; each run
@@ -210,6 +223,7 @@ func (c Cigar) Reverse() (Cigar, error) {
 // runs of the same operation. The zero value is ready to use.
 type Builder struct {
 	buf     []byte
+	runs    int // runs already encoded into buf
 	lastOp  Op
 	lastLen int
 }
@@ -240,8 +254,19 @@ func (b *Builder) flush() {
 	if b.lastLen > 0 {
 		b.buf = strconv.AppendInt(b.buf, int64(b.lastLen), 10)
 		b.buf = append(b.buf, byte(b.lastOp))
+		b.runs++
 		b.lastLen = 0
 	}
+}
+
+// WireBytes returns Cigar.WireBytes of the Cigar the builder would
+// return now, from the runs it has counted while encoding — no scan.
+func (b *Builder) WireBytes() int {
+	runs := b.runs
+	if b.lastLen > 0 {
+		runs++
+	}
+	return wireBytesPerRun * runs
 }
 
 // Cigar returns the accumulated encoding and resets the builder, which
@@ -250,7 +275,7 @@ func (b *Builder) Cigar() Cigar {
 	b.flush()
 	c := Cigar(b.buf)
 	b.buf = b.buf[:0]
-	b.lastOp, b.lastLen = 0, 0
+	b.runs, b.lastOp, b.lastLen = 0, 0, 0
 	return c
 }
 

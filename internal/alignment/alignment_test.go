@@ -1,7 +1,9 @@
 package alignment
 
 import (
+	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -204,6 +206,26 @@ func TestCigarRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestCigarLengthOverflowBoundary pins the run-length accumulator to what
+// strconv.Atoi accepted: the largest int parses to itself, one more is an
+// error, and a digit string long enough to wrap a 64-bit accumulator back
+// into range is still an error.
+func TestCigarLengthOverflowBoundary(t *testing.T) {
+	maxInt := strconv.Itoa(math.MaxInt)
+	runs, err := Cigar(maxInt + "=").Runs()
+	if err != nil || len(runs) != 1 || runs[0] != (Run{Op: OpMatch, Len: math.MaxInt}) {
+		t.Fatalf("Runs(%s=) = %v, %v; want one run of MaxInt", maxInt, runs, err)
+	}
+	// MaxInt ends in 7 on 32- and 64-bit ints alike.
+	over := maxInt[:len(maxInt)-1] + "8"
+	for _, s := range []string{over + "=", "3X" + over + "D", maxInt + "0=", "18446744073709551617="} {
+		_, err := Parse(s)
+		if err == nil || !strings.Contains(err.Error(), "bad length") {
+			t.Errorf("Parse(%q) = %v; want a bad-length error", s, err)
+		}
+	}
+}
+
 // TestEmptyCigar pins the zero-value semantics traceback-off paths rely
 // on: valid, empty stats, identity 0.
 func TestEmptyCigar(t *testing.T) {
@@ -258,6 +280,35 @@ func TestBuilderMergesRuns(t *testing.T) {
 	merged, err := FromRuns([]Run{{OpMatch, 1}, {OpMatch, 4}, {OpDel, 0}, {OpMismatch, 2}})
 	if err != nil || merged != "5=2X" {
 		t.Fatalf("FromRuns merged to %q, err %v", merged, err)
+	}
+}
+
+// TestBuilderWireBytesMatchesCigar: the size a Builder derives from the
+// runs it counts while encoding is the one Cigar.WireBytes reads back from
+// the string — with a run still pending, across junction merges, and from
+// zero again after Cigar().
+func TestBuilderWireBytesMatchesCigar(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var b Builder
+	for trial := 0; trial < 300; trial++ {
+		if b.WireBytes() != 0 {
+			t.Fatalf("trial %d: reset builder reports %d wire bytes", trial, b.WireBytes())
+		}
+		for part := 0; part < 3; part++ {
+			runs, _, _, _, _ := randCigarRuns(rng)
+			c, err := FromRuns(runs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.AppendCigar(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := b.WireBytes()
+		c := b.Cigar()
+		if got != c.WireBytes() {
+			t.Fatalf("cigar %q: builder says %d wire bytes, the string %d", c, got, c.WireBytes())
+		}
 	}
 }
 

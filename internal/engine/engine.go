@@ -729,6 +729,16 @@ func (e *Engine) runnableLocked() int {
 // retry within the engine's policy, everything else degrades — and
 // settles hedged batches first-result-wins: the losing copy is dropped
 // before it can touch stats, the stream or the report.
+//
+// A streamed delivery ends by yielding the processor. The send cannot
+// block (the channel holds the whole schedule), so it only marks the
+// consumer runnable; an executor is CPU-bound and never parks while work
+// is queued, and with as many executors as processors the consumer would
+// otherwise first run when sysmon preempts one of them — 10 ms later, a
+// dozen batches into the job. Handing over here is what makes the stream
+// a stream: the consumer takes the update now, parks again on the empty
+// channel, and the executor resumes. On a job's last batch the yield
+// follows complete, so the same hand-off carries the close and the report.
 func (e *Engine) deliver(j *Job, bi int, returned batchEvent, out *ipukernel.BatchResult, err error) {
 	e.mu.Lock()
 	e.busy--
@@ -752,7 +762,8 @@ func (e *Engine) deliver(j *Job, bi int, returned batchEvent, out *ipukernel.Bat
 		e.mu.Unlock()
 		return
 	}
-	if j.streaming {
+	sent := j.streaming
+	if sent {
 		if !streaming {
 			upd = streamUpdate(j, bi, out)
 		}
@@ -763,6 +774,9 @@ func (e *Engine) deliver(j *Job, bi int, returned batchEvent, out *ipukernel.Bat
 	e.mu.Unlock()
 	if last {
 		e.complete(j, bp)
+	}
+	if sent {
+		runtime.Gosched()
 	}
 }
 

@@ -662,6 +662,15 @@ func Run(dev *ipu.Device, b *Batch, cfg Config) (*BatchResult, error) {
 	// regardless of worker count: each tile writes a disjoint slice of
 	// res.Out and its own result slot, and per-tile execution is itself
 	// deterministic.
+	//
+	// A worker yields the processor between tiles (≈ 0.1–0.5 ms of work
+	// each). Workers are the process's CPU-bound goroutines and, under a
+	// saturated engine, there is one per processor: whatever a delivered
+	// batch woke downstream — the stream's consumer, the service's pump,
+	// the HTTP handler's write and flush, the client's reader once netpoll
+	// has readied it — otherwise waits out the batch, or Go's 10 ms
+	// preemption quantum, at every hop. With nothing else runnable the
+	// yield returns at once.
 	workers := cfg.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -691,6 +700,7 @@ func Run(dev *ipu.Device, b *Batch, cfg Config) (*BatchResult, error) {
 				}
 				tiles[ti] = runTile(tile, cfg, ex, res.Out[outOff[ti]:outOff[ti]+len(tile.Jobs)])
 				tiles[ti].MaxSRAM = sram
+				runtime.Gosched()
 			}
 		}()
 	}

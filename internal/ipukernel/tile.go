@@ -59,6 +59,9 @@ type executor struct {
 	leftR, rightR   []core.Result
 	leftTh, rightTh []int
 	failed          []bool
+	// cigar joins each job's left, seed and right Cigars; its buffer is
+	// kept, so a join allocates only the string it returns.
+	cigar alignment.Builder
 }
 
 var execPool = sync.Pool{New: func() any { return &executor{} }}
@@ -307,7 +310,14 @@ func runTile(t *TileWork, cfg Config, ex *executor, out []AlignOut) tileResult {
 		}
 		// Bridge the seed's own columns between the two extension
 		// CIGARs (both already in sequence-forward order).
-		full, err := alignment.Concat(ex.leftC[j], core.SeedCigar(h, v, seed), ex.rightC[j])
+		var err error
+		for _, part := range [...]alignment.Cigar{ex.leftC[j], core.SeedCigar(h, v, seed), ex.rightC[j]} {
+			if err = ex.cigar.AppendCigar(part); err != nil {
+				break
+			}
+		}
+		cigarBytes := ex.cigar.WireBytes() // full.WireBytes(), without scanning full
+		full := ex.cigar.Cigar()           // resets the builder on the error path too
 		if err != nil {
 			tr.err = fmt.Errorf("ipukernel: comparison %d cigar: %w", job.GlobalID, err)
 			continue
@@ -315,7 +325,7 @@ func runTile(t *TileWork, cfg Config, ex *executor, out []AlignOut) tileResult {
 		o.Cigar = full
 		o.TraceBytes = ex.leftTB[j] + ex.rightTB[j]
 		tr.TracebackBytes += int64(o.TraceBytes)
-		tr.cigarBytes += int64(full.WireBytes())
+		tr.cigarBytes += int64(cigarBytes)
 		tr.TracedExtensions += 2
 	}
 	return tr

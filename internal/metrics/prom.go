@@ -8,14 +8,18 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"math"
+	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Prometheus metric types.
 const (
-	PromCounter = "counter"
-	PromGauge   = "gauge"
+	PromCounter       = "counter"
+	PromGauge         = "gauge"
+	PromHistogramType = "histogram"
 )
 
 // PromLabel is one name="value" pair on a sample.
@@ -27,6 +31,9 @@ type PromLabel struct {
 type PromSample struct {
 	Labels []PromLabel
 	Value  float64
+	// suffix follows the family name on the sample line: a histogram's
+	// points are named _bucket, _sum and _count under one family header.
+	suffix string
 }
 
 // PromFamily is one metric family: HELP and TYPE header plus samples.
@@ -36,7 +43,8 @@ type PromFamily struct {
 	Name string
 	// Help is the one-line description (newlines are escaped).
 	Help string
-	// Type is PromCounter or PromGauge.
+	// Type is PromCounter, PromGauge or, from PromHistogram.Family,
+	// PromHistogramType.
 	Type string
 	// Samples hold the family's labeled points.
 	Samples []PromSample
@@ -66,7 +74,7 @@ func WriteProm(w io.Writer, fams []PromFamily) error {
 			return err
 		}
 		for _, s := range f.Samples {
-			if _, err := io.WriteString(w, f.Name); err != nil {
+			if _, err := io.WriteString(w, f.Name+s.suffix); err != nil {
 				return err
 			}
 			if len(s.Labels) > 0 {
@@ -84,6 +92,59 @@ func WriteProm(w io.Writer, fams []PromFamily) error {
 		}
 	}
 	return nil
+}
+
+// PromHistogram is a fixed-bucket histogram of observations (seconds,
+// bytes), safe for concurrent use. Bounds holds the buckets' inclusive
+// upper bounds in ascending order and is set before the first Observe;
+// the +Inf bucket is implicit.
+type PromHistogram struct {
+	Bounds []float64
+
+	mu     sync.Mutex
+	counts []uint64 // counts[i]: observations in (Bounds[i-1], Bounds[i]]; the last slot: above every bound
+	sum    float64
+}
+
+// Observe records one observation.
+func (h *PromHistogram) Observe(v float64) {
+	i := sort.SearchFloat64s(h.Bounds, v) // first bound >= v
+	h.mu.Lock()
+	if h.counts == nil {
+		h.counts = make([]uint64, len(h.Bounds)+1)
+	}
+	h.counts[i]++
+	h.sum += v
+	h.mu.Unlock()
+}
+
+// Family renders the histogram as one family: a cumulative _bucket
+// sample per bound in ascending order, the le="+Inf" bucket, then _sum
+// and _count — one consistent snapshot. A histogram nothing was observed
+// into still renders, all zeros, so the series exists from the first
+// scrape.
+func (h *PromHistogram) Family(name, help string) PromFamily {
+	f := PromFamily{Name: name, Help: help, Type: PromHistogramType}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var cum uint64
+	for i := 0; i <= len(h.Bounds); i++ {
+		le := math.Inf(1)
+		if i < len(h.Bounds) {
+			le = h.Bounds[i]
+		}
+		if h.counts != nil {
+			cum += h.counts[i]
+		}
+		f.Samples = append(f.Samples, PromSample{
+			Labels: []PromLabel{{Name: "le", Value: formatPromValue(le)}},
+			Value:  float64(cum), suffix: "_bucket",
+		})
+	}
+	f.Samples = append(f.Samples,
+		PromSample{Value: h.sum, suffix: "_sum"},
+		PromSample{Value: float64(cum), suffix: "_count"})
+	return f
 }
 
 func formatPromValue(v float64) string {

@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"github.com/sram-align/xdropipu/internal/engine"
+	"github.com/sram-align/xdropipu/internal/metrics"
 	"github.com/sram-align/xdropipu/internal/service/wire"
 	"github.com/sram-align/xdropipu/internal/workload"
 )
@@ -126,7 +127,16 @@ type Server struct {
 
 	closedCh chan struct{}
 	wg       sync.WaitGroup // pump goroutines
+
+	// firstChunk observes, per job that produced a chunk, the seconds from
+	// the job's creation to its first chunk entering the replay window —
+	// what a streaming client waits before it has anything to work on.
+	firstChunk metrics.PromHistogram
 }
+
+// latencyBuckets are the upper bounds, in seconds, of the service's
+// latency histograms: 1 ms to 10 s, three per decade.
+var latencyBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
 // New starts a server and its engine shards.
 func New(cfg Config) *Server {
@@ -137,6 +147,8 @@ func New(cfg Config) *Server {
 		jobs:      make(map[string]*jobState),
 		tenants:   make(map[string]*tenantState),
 		closedCh:  make(chan struct{}),
+
+		firstChunk: metrics.PromHistogram{Bounds: latencyBuckets},
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		s.shards = append(s.shards, engine.New(cfg.EngineOptions...))
@@ -451,6 +463,9 @@ func (s *Server) pump(js *jobState, job *engine.Job) {
 	defer s.wg.Done()
 	for u := range job.Results() {
 		js.appendUpdate(u)
+		if js.nextSeq == 1 { // the pump is nextSeq's only writer
+			s.firstChunk.Observe(time.Since(js.created).Seconds())
+		}
 	}
 	rep, err := job.Wait(context.Background())
 	size := js.finish(rep, err)

@@ -205,9 +205,18 @@ var jobFamilies = []struct {
 		func(j *JobsSnapshot) float64 { return float64(j.EvictedJobs) }},
 }
 
+// histogramFamilies is the latency section, likewise in output order.
+var histogramFamilies = []struct {
+	name, help string
+	get        func(*Server) *metrics.PromHistogram
+}{
+	{"xdropipu_service_first_chunk_seconds", "Seconds from a job's creation to its first result chunk entering the replay window.",
+		func(s *Server) *metrics.PromHistogram { return &s.firstChunk }},
+}
+
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	shards := s.snapshotShards()
-	fams := make([]metrics.PromFamily, 0, len(shardFamilies)+len(tenantFamilies)+len(jobFamilies))
+	fams := make([]metrics.PromFamily, 0, len(shardFamilies)+len(tenantFamilies)+len(jobFamilies)+len(histogramFamilies))
 	for _, row := range shardFamilies {
 		f := metrics.PromFamily{Name: row.name, Help: row.help, Type: row.typ}
 		for i := range shards {
@@ -235,6 +244,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		f := metrics.PromFamily{Name: row.name, Help: row.help, Type: row.typ}
 		f.Add(row.get(&jobs))
 		fams = append(fams, f)
+	}
+	for _, row := range histogramFamilies {
+		fams = append(fams, row.get(s).Family(row.name, row.help))
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -160,6 +160,7 @@ func TestServiceStatsAndMetricsExposition(t *testing.T) {
 		"xdropipu_service_jobs_tracked gauge",
 		"xdropipu_service_retained_replay_bytes gauge",
 		"xdropipu_service_jobs_evicted_total counter",
+		"xdropipu_service_first_chunk_seconds histogram",
 	}; !slices.Equal(families, want) {
 		t.Fatalf("/v1/metrics families changed:\n got %q\nwant %q", families, want)
 	}
@@ -173,6 +174,11 @@ func TestServiceStatsAndMetricsExposition(t *testing.T) {
 		"xdropipu_service_jobs_tracked 2",
 		"xdropipu_service_jobs_evicted_total 0",
 		"xdropipu_engine_cache_hits_total",
+		// Both completed jobs produced a chunk — the second its cache-served
+		// Batch == -1 one — so each was observed once, in some finite bucket.
+		`xdropipu_service_first_chunk_seconds_bucket{le="0.001"}`,
+		`xdropipu_service_first_chunk_seconds_bucket{le="+Inf"} 2`,
+		"xdropipu_service_first_chunk_seconds_count 2",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics exposition missing %q:\n%s", want, text)

@@ -32,6 +32,7 @@ import (
 	"math/rand"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"github.com/sram-align/xdropipu/internal/driver"
@@ -280,8 +281,17 @@ func (e *streamBroken) Unwrap() error { return e.error }
 // error is a *streamBroken when the transport failed, anything else when
 // the stream's content is wrong.
 func (j *RemoteJob) consume(br *bufio.Reader, results []ipukernel.AlignOut, cursor *int) (*wire.Final, error) {
+	// One line buffer serves the whole stream, and the next stream after
+	// it: a chunk line runs to hundreds of KB — a cache-served job's only
+	// line carries every result — and ReadBytes would allocate it twice
+	// over (4 KiB fragments, then the joined copy) for every line. Nothing
+	// parsed from a line may alias it — ParseChunkLine and encoding/json
+	// both copy the strings they keep.
+	buf := lineBufs.Get().(*[]byte)
+	defer lineBufs.Put(buf)
 	for {
-		line, err := br.ReadBytes('\n')
+		line, err := readLine(br, (*buf)[:0])
+		*buf = line // keep what the line grew it to
 		if err != nil {
 			return nil, &streamBroken{err}
 		}
@@ -329,6 +339,20 @@ func (j *RemoteJob) consume(br *bufio.Reader, results []ipukernel.AlignOut, curs
 		j.updates <- engine.Update{
 			Batch: ch.Batch, Batches: ch.Batches,
 			Seconds: ch.Seconds, Results: outs,
+		}
+	}
+}
+
+// lineBufs recycles consume's line buffers across streams.
+var lineBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// readLine appends the stream's next line, through its '\n', to buf.
+func readLine(br *bufio.Reader, buf []byte) ([]byte, error) {
+	for {
+		frag, err := br.ReadSlice('\n')
+		buf = append(buf, frag...)
+		if err != bufio.ErrBufferFull {
+			return buf, err
 		}
 	}
 }
