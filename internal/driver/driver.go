@@ -64,11 +64,11 @@ type Config struct {
 	// non-dedup stack when disabled, and per-comparison alignments are
 	// identical either way.
 	DedupExtensions bool
-	// Cache, when non-nil, is consulted per unique extension during plan
-	// building and filled when plans are assembled, so byte-identical
+	// Cache, when non-nil, is consulted once per plan for every unique
+	// extension and filled when plans are assembled, so byte-identical
 	// extensions across jobs are aligned once (engine.WithResultCache
-	// provides a bounded sharded LRU). A non-nil Cache implies
-	// DedupExtensions.
+	// provides a bounded, recency-approximating sharded cache). A non-nil
+	// Cache implies DedupExtensions.
 	Cache ResultCache
 	// Traceback enables the two-pass traceback subsystem: every result
 	// carries its CIGAR (ipukernel.AlignOut.Cigar) and the report exposes
@@ -137,10 +137,34 @@ type CacheKey struct {
 // cached alignment for a key (GlobalID in the returned value is
 // meaningless; the assembler rewrites it per comparison); Put records an
 // executed extension. Implementations must be safe for concurrent use —
-// the engine's executors and builders share one cache.
+// the engine's executors and builders share one cache. A cache that also
+// has GetBatch (batchGetter, below) is asked once per plan instead of once
+// per extension.
 type ResultCache interface {
 	Get(key CacheKey) (ipukernel.AlignOut, bool)
 	Put(key CacheKey, out ipukernel.AlignOut)
+}
+
+// batchGetter is the lookup BuildBatches wants: every unique extension of
+// a plan in one call, so the cache can take each of its locks once and
+// let independent lookups overlap. outs[i] and hit[i] answer keys[i]; the
+// return value counts the hits.
+type batchGetter interface {
+	GetBatch(keys []CacheKey, outs []ipukernel.AlignOut, hit []bool) (hits int)
+}
+
+// getAll is BuildBatches' one lookup: GetBatch where the cache has it,
+// otherwise the same contract from a loop over Get.
+func getAll(c ResultCache, keys []CacheKey, outs []ipukernel.AlignOut, hit []bool) (hits int) {
+	if b, ok := c.(batchGetter); ok {
+		return b.GetBatch(keys, outs, hit)
+	}
+	for i, k := range keys {
+		if outs[i], hit[i] = c.Get(k); hit[i] {
+			hits++
+		}
+	}
+	return hits
 }
 
 // KernelFingerprint hashes every kernel-configuration input that can
@@ -388,10 +412,10 @@ type BatchPlan struct {
 	// execution. Both are nil without a cache.
 	cachedOuts []ipukernel.AlignOut
 	cached     []bool
-	// keys / hasKey remember the cache keys of extensions that missed, so
+	// keys[uid] is the cache key of unique extension uid, kept only when
+	// some extension missed (the uids with cached[uid] clear), so
 	// AssemblePlan can fill the cache after execution.
-	keys   []CacheKey
-	hasKey []bool
+	keys []CacheKey
 	// cacheHits/cacheMisses count lookups at build time; cacheSkipCells
 	// is the per-comparison theoretical volume cache hits kept off the
 	// device (fan-out included).
@@ -529,40 +553,42 @@ func BuildBatches(ctx context.Context, d *workload.Dataset, cfg Config) (*BatchP
 		if dedupUseful {
 			bp.dedup = dm
 		}
-		var kernelFP uint64
 		if cfg.Cache != nil {
-			bp.cachedOuts = make([]ipukernel.AlignOut, dm.Unique())
-			bp.cached = make([]bool, dm.Unique())
-			bp.keys = make([]CacheKey, dm.Unique())
-			bp.hasKey = make([]bool, dm.Unique())
-			kernelFP = KernelFingerprint(cfg.Kernel, cfg.Model)
+			kernelFP := KernelFingerprint(cfg.Kernel, cfg.Model)
+			keys := make([]CacheKey, dm.Unique())
+			for uid, row := range dm.UniqueRows {
+				keys[uid] = CacheKey{Kernel: kernelFP, Ext: arena.ExtensionKeyOf(plan.At(int(row)))}
+			}
+			bp.cachedOuts = make([]ipukernel.AlignOut, len(keys))
+			bp.cached = make([]bool, len(keys))
+			bp.cacheHits = getAll(cfg.Cache, keys, bp.cachedOuts, bp.cached)
+			bp.cacheMisses = len(keys) - bp.cacheHits
+			if bp.cacheMisses > 0 {
+				bp.keys = keys
+			}
+			for uid, ok := range bp.cached {
+				if ok {
+					bp.cachedOuts[uid].GlobalID = -1
+					bp.cacheSkipCells += int64(dm.Fanout[uid]) *
+						int64(keys[uid].Ext.HLen) * int64(keys[uid].Ext.VLen)
+				}
+			}
 		}
 		if dedupUseful {
-			execRows := make([]int32, 0, dm.Unique())
-			for uid, row := range dm.UniqueRows {
-				c := plan.At(int(row))
-				if cfg.Cache != nil {
-					key := CacheKey{Kernel: kernelFP, Ext: arena.ExtensionKeyOf(c)}
-					if out, ok := cfg.Cache.Get(key); ok {
-						out.GlobalID = -1
-						bp.cachedOuts[uid], bp.cached[uid] = out, true
-						bp.cacheHits++
-						bp.cacheSkipCells += int64(dm.Fanout[uid]) *
-							int64(arena.Ref(c.H).Len) * int64(arena.Ref(c.V).Len)
-						continue
-					}
-					bp.cacheMisses++
-					bp.keys[uid], bp.hasKey[uid] = key, true
-				}
-				bp.execUID = append(bp.execUID, int32(uid))
-				execRows = append(execRows, row)
-				fanout = append(fanout, dm.Fanout[uid])
-			}
-			if len(execRows) == 0 {
+			if bp.cacheHits == dm.Unique() {
 				// Every extension came from the cache: nothing to execute.
 				bp.tiles = cfg.EffectiveTiles()
 				bp.reuseFactor = 1
 				return bp, nil
+			}
+			execRows := make([]int32, 0, dm.Unique()-bp.cacheHits)
+			for uid, row := range dm.UniqueRows {
+				if bp.cached != nil && bp.cached[uid] {
+					continue
+				}
+				bp.execUID = append(bp.execUID, int32(uid))
+				execRows = append(execRows, row)
+				fanout = append(fanout, dm.Fanout[uid])
 			}
 			if len(execRows) == plan.Len() {
 				// Identity mapping — nothing collapsed, nothing cached
@@ -795,10 +821,16 @@ func AssemblePlan(bp *BatchPlan, outs []*ipukernel.BatchResult) (*Plan, error) {
 	if bp.dedup != nil {
 		p.sum.UniqueExtensions = bp.dedup.Unique()
 		p.sum.DedupedComparisons = bp.dedup.Duplicates()
-		uniqueOut = make([]ipukernel.AlignOut, bp.dedup.Unique())
-		have = make([]bool, bp.dedup.Unique())
-		copy(uniqueOut, bp.cachedOuts)
-		copy(have, bp.cached)
+		if len(outs) == 0 && bp.cached != nil {
+			// Nothing executed, so nothing is merged in: the lookup's own
+			// arrays are the per-extension view, read-only from here.
+			uniqueOut, have = bp.cachedOuts, bp.cached
+		} else {
+			uniqueOut = make([]ipukernel.AlignOut, bp.dedup.Unique())
+			have = make([]bool, bp.dedup.Unique())
+			copy(uniqueOut, bp.cachedOuts)
+			copy(have, bp.cached)
+		}
 	}
 	for bi, res := range outs {
 		if res == nil {
@@ -847,16 +879,14 @@ func AssemblePlan(bp *BatchPlan, outs []*ipukernel.BatchResult) (*Plan, error) {
 			}
 			p.results[i] = o
 		}
-		if bp.cfg.Cache != nil {
-			for uid, ok := range bp.hasKey {
-				// Failed placeholders are degraded bookkeeping, not
-				// alignments: caching one would serve a fault's shadow to
-				// a later (possibly fault-free) job.
-				if ok && have[uid] && !uniqueOut[uid].Failed {
-					o := uniqueOut[uid]
-					o.GlobalID = -1
-					bp.cfg.Cache.Put(bp.keys[uid], o)
-				}
+		for uid, key := range bp.keys {
+			// Failed placeholders are degraded bookkeeping, not
+			// alignments: caching one would serve a fault's shadow to
+			// a later (possibly fault-free) job.
+			if !bp.cached[uid] && have[uid] && !uniqueOut[uid].Failed {
+				o := uniqueOut[uid]
+				o.GlobalID = -1
+				bp.cfg.Cache.Put(key, o)
 			}
 		}
 	}

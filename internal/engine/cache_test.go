@@ -148,10 +148,14 @@ func TestResultCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestResultCacheCollisionSafety: entries whose keys collide in the
-// shard hash (shardOf ignores HLen/VLen, so these land in one shard) must
-// still resolve independently — the shard map compares the full key
-// struct, so no hash collision can alias two extensions.
+// TestResultCacheCollisionSafety: keys that differ in one field only —
+// a length, one digest half, the kernel fingerprint — must resolve
+// independently, and so must two different keys forced onto the same
+// 64-bit pre-hash: the pre-hash only selects a chain, the match is the
+// full key, so no hash collision can alias two extensions. The forced
+// case drives a shard by hand with a pre-hash of the test's choosing; it
+// fails if find trusts the pre-hash (returns the chain head without
+// comparing keys): ka would then be served kb's value.
 func TestResultCacheCollisionSafety(t *testing.T) {
 	c := newResultCache(1 << 10)
 	k1 := testKey(1)
@@ -180,6 +184,46 @@ func TestResultCacheCollisionSafety(t *testing.T) {
 		if !ok || out.Score != i {
 			t.Errorf("key for score %d: ok=%v out=%+v", i, ok, out)
 		}
+	}
+
+	// Two different keys under one pre-hash, in a shard of two slots.
+	const h, limit = 0xfeedface, 2
+	s := &cacheShard{index: map[uint64]int32{}}
+	ka, kb, kc := testKey(2), testKey(3), testKey(4)
+	score := func(k driver.CacheKey) int {
+		t.Helper()
+		var out ipukernel.AlignOut
+		if !s.lookup(h, &k, &out) {
+			return -1
+		}
+		return out.Score
+	}
+	s.put(h, &ka, ipukernel.AlignOut{Score: 1}, limit)
+	if got := score(kb); got != -1 {
+		t.Fatalf("same pre-hash, different key: served score %d", got)
+	}
+	s.put(h, &kb, ipukernel.AlignOut{Score: 2}, limit)
+	if len(s.entries) != 2 || len(s.index) != 1 {
+		t.Fatalf("colliding keys: %d entries under %d index slots, want 2 under 1", len(s.entries), len(s.index))
+	}
+	if a, b := score(ka), score(kb); a != 1 || b != 2 {
+		t.Fatalf("colliding keys served %d and %d, want 1 and 2", a, b)
+	}
+	// Put over a resident key refreshes in place: no new slot, no eviction.
+	if _, evicted := s.put(h, &ka, ipukernel.AlignOut{Score: 11}, limit); evicted || len(s.entries) != 2 {
+		t.Fatalf("refresh evicted=%v, %d entries", evicted, len(s.entries))
+	}
+	if a, b := score(ka), score(kb); a != 11 || b != 2 {
+		t.Fatalf("after refresh: %d and %d, want 11 and 2", a, b)
+	}
+	// A third key under the same pre-hash evicts one of the two (both are
+	// marked hit, so the clock clears both and takes the first); the other
+	// must stay reachable through the shortened chain.
+	if _, evicted := s.put(h, &kc, ipukernel.AlignOut{Score: 3}, limit); !evicted {
+		t.Fatal("third key in a full shard evicted nothing")
+	}
+	if a, b, c := score(ka), score(kb), score(kc); a != -1 || b != 2 || c != 3 {
+		t.Fatalf("after eviction: %d, %d, %d, want -1, 2, 3", a, b, c)
 	}
 }
 

@@ -162,8 +162,9 @@ func WithBatchOverhead(sec float64) Option {
 // way.
 func WithDedupExtensions(on bool) Option { return func(e *Engine) { e.cfg.DedupExtensions = on } }
 
-// WithResultCache attaches a bounded, sharded LRU result cache shared by
-// every job the engine serves, keyed by (extension key, kernel-config
+// WithResultCache attaches a bounded, sharded result cache (second-chance
+// eviction: recency-approximating, not exact LRU) shared by every job the
+// engine serves, keyed by (extension key, kernel-config
 // fingerprint): byte-identical extensions submitted by any client — same
 // job or a later one, regardless of pool numbering — are aligned once.
 // entries bounds the cache (0 → DefaultResultCacheEntries). Enabling the
@@ -372,11 +373,14 @@ type Stats struct {
 	// CacheHits, CacheMisses and CacheEvictions count result-cache
 	// activity across all jobs (all zero without WithResultCache).
 	CacheHits, CacheMisses, CacheEvictions int64
-	// CacheBytes approximates the result cache's resident footprint
-	// (per-entry overhead plus stored CIGAR lengths). The cache bound is
-	// per entry; with traceback enabled entries carry alignment-length
+	// CacheBytes is the result cache's resident footprint (each entry's
+	// slot and index share plus its stored CIGAR length). The cache bound
+	// is per entry; with traceback enabled entries carry alignment-length
 	// CIGARs, and this is where that growth shows up.
 	CacheBytes int64
+	// CacheEntries counts the extensions the result cache holds, at most
+	// the WithResultCache bound.
+	CacheEntries int64
 	// Retries counts batch re-executions scheduled after transient
 	// failures (WithRetry).
 	Retries int64
@@ -423,6 +427,7 @@ func (s *Stats) Add(o Stats) {
 	s.CacheMisses += o.CacheMisses
 	s.CacheEvictions += o.CacheEvictions
 	s.CacheBytes += o.CacheBytes
+	s.CacheEntries += o.CacheEntries
 	s.Retries += o.Retries
 	s.Hedges += o.Hedges
 	s.Quarantined += o.Quarantined
@@ -450,6 +455,7 @@ func (e *Engine) Stats() Stats {
 		st.CacheMisses = e.cache.misses.Load()
 		st.CacheEvictions = e.cache.evictions.Load()
 		st.CacheBytes = e.cache.payloadBytes.Load()
+		st.CacheEntries = e.cache.resident()
 	}
 	return st
 }
@@ -879,22 +885,30 @@ func streamUpdate(j *Job, bi int, out *ipukernel.BatchResult) Update {
 	}
 }
 
+// cachedChunkResults bounds one cache-served update. A consumer that
+// encodes, sends or parses an update works on the first of these while
+// the next are still queued, so a cache-served job's first result costs
+// one chunk, not the whole job (≈ 55 KB as an NDJSON line).
+const cachedChunkResults = 512
+
 // openStreamLocked creates the job's update channel on first demand and
 // replays already-delivered batches into it, so Results works the same
 // no matter when it is called. Results the build served from the result
-// cache lead the stream as a Batch == -1 update — they belong to no
-// executed batch but the stream must still carry every comparison.
+// cache lead the stream as Batch == -1 updates of at most
+// cachedChunkResults each — they belong to no executed batch but the
+// stream must still carry every comparison. The updates are windows of
+// the one cachedResults array, capacity capped so an append by one
+// consumer cannot reach into the next window.
 func (j *Job) openStreamLocked() {
 	if j.updates != nil {
 		return
 	}
-	depth := len(j.outs)
-	if j.cachedResults != nil {
-		depth++
-	}
-	j.updates = make(chan Update, depth)
-	if j.cachedResults != nil {
-		j.updates <- Update{Batch: -1, Batches: len(j.outs), Results: j.cachedResults}
+	cached := j.cachedResults
+	lead := (len(cached) + cachedChunkResults - 1) / cachedChunkResults
+	j.updates = make(chan Update, lead+len(j.outs))
+	for lo := 0; lo < len(cached); lo += cachedChunkResults {
+		hi := min(lo+cachedChunkResults, len(cached))
+		j.updates <- Update{Batch: -1, Batches: len(j.outs), Results: cached[lo:hi:hi]}
 	}
 	for bi, out := range j.outs {
 		if out != nil {

@@ -259,8 +259,9 @@ func (j *Job) step(bi int, ev batchEvent, out *ipukernel.BatchResult, err error)
 type Update struct {
 	// Batch is the batch's index in the job's schedule; Batches is the
 	// schedule's total, so consumers can track progress. Batch is -1 for
-	// the up-front update carrying results the engine's result cache
-	// served without executing anything (WithResultCache).
+	// the leading updates carrying results the engine's result cache
+	// served without executing anything (WithResultCache): one update per
+	// cachedChunkResults results, so a large cache-served job has several.
 	Batch, Batches int
 	// Results holds the batch's comparison results; GlobalID indexes the
 	// submitted dataset's comparison list. With dedup enabled a batch
@@ -270,7 +271,7 @@ type Update struct {
 	// WithDegradedMode(DegradePartial) a quarantined batch streams Failed
 	// placeholders instead of alignments (check AlignOut.Failed).
 	Results []ipukernel.AlignOut
-	// Seconds is the batch's modeled on-device compute time (0 for the
+	// Seconds is the batch's modeled on-device compute time (0 for a
 	// cache-served update).
 	Seconds float64
 }
@@ -313,8 +314,8 @@ func (j *Job) Wait(ctx context.Context) (*driver.Report, error) {
 // before the first Results call are replayed into the stream, so it is
 // complete whenever it is opened: across all updates every submitted
 // comparison appears exactly once (dedup'd duplicates stream alongside
-// their representative; cache-served results lead as a Batch == -1
-// update). The channel is buffered for the whole
+// their representative; cache-served results lead as Batch == -1
+// updates of bounded size). The channel is buffered for the whole
 // schedule — executors never block on a slow consumer — and is closed
 // when the job settles, so ranging over it terminates; check Err
 // afterwards to distinguish completion from cancellation. Results blocks

@@ -132,6 +132,10 @@ type Server struct {
 	// the job's creation to its first chunk entering the replay window —
 	// what a streaming client waits before it has anything to work on.
 	firstChunk metrics.PromHistogram
+	// jobSeconds observes every settled job's creation-to-settlement time:
+	// a cache-served job and a cold one differ by an order of magnitude
+	// and nothing else on the server tells them apart.
+	jobSeconds metrics.PromHistogram
 }
 
 // latencyBuckets are the upper bounds, in seconds, of the service's
@@ -149,6 +153,7 @@ func New(cfg Config) *Server {
 		closedCh:  make(chan struct{}),
 
 		firstChunk: metrics.PromHistogram{Bounds: latencyBuckets},
+		jobSeconds: metrics.PromHistogram{Bounds: latencyBuckets},
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		s.shards = append(s.shards, engine.New(cfg.EngineOptions...))
@@ -469,6 +474,7 @@ func (s *Server) pump(js *jobState, job *engine.Job) {
 	}
 	rep, err := job.Wait(context.Background())
 	size := js.finish(rep, err)
+	s.jobSeconds.Observe(time.Since(js.created).Seconds())
 	s.mu.Lock()
 	ts := s.tenantLocked(js.tenant)
 	ts.Live--

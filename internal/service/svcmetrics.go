@@ -145,8 +145,10 @@ var shardFamilies = []struct {
 		func(s *ShardSnapshot) float64 { return float64(s.CacheMisses) }},
 	{"xdropipu_engine_cache_evictions_total", "Result-cache evictions per shard.", metrics.PromCounter,
 		func(s *ShardSnapshot) float64 { return float64(s.CacheEvictions) }},
-	{"xdropipu_engine_cache_bytes", "Approximate resident result-cache footprint per shard.", metrics.PromGauge,
+	{"xdropipu_engine_cache_bytes", "Resident result-cache footprint per shard.", metrics.PromGauge,
 		func(s *ShardSnapshot) float64 { return float64(s.CacheBytes) }},
+	{"xdropipu_engine_cache_entries", "Extensions resident in the result cache per shard.", metrics.PromGauge,
+		func(s *ShardSnapshot) float64 { return float64(s.CacheEntries) }},
 	{"xdropipu_engine_cache_hit_rate", "Lifetime cache hit rate per shard.", metrics.PromGauge,
 		func(s *ShardSnapshot) float64 { return s.CacheHitRate }},
 	{"xdropipu_engine_narrow_extensions_total", "Extensions completed on the int16 kernel tier per shard.", metrics.PromCounter,
@@ -212,6 +214,8 @@ var histogramFamilies = []struct {
 }{
 	{"xdropipu_service_first_chunk_seconds", "Seconds from a job's creation to its first result chunk entering the replay window.",
 		func(s *Server) *metrics.PromHistogram { return &s.firstChunk }},
+	{"xdropipu_service_job_seconds", "Seconds from a job's creation to its settlement.",
+		func(s *Server) *metrics.PromHistogram { return &s.jobSeconds }},
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

@@ -98,7 +98,7 @@ func TestServiceStatsAndMetricsExposition(t *testing.T) {
 	}
 	slices.Sort(shardKeys)
 	if want := []string{
-		"BatchesDone", "CacheBytes", "CacheEvictions", "CacheHits", "CacheMisses",
+		"BatchesDone", "CacheBytes", "CacheEntries", "CacheEvictions", "CacheHits", "CacheMisses",
 		"CellsDone", "DeadlineExceeded", "FaultsInjected", "Hedges", "InflightBatches",
 		"JobsDone", "JobsLive", "NarrowExtensions", "PromotedExtensions", "Quarantined",
 		"Retries", "TraceSkippedExtensions", "TracedExtensions", "WideExtensions",
@@ -139,6 +139,7 @@ func TestServiceStatsAndMetricsExposition(t *testing.T) {
 		"xdropipu_engine_cache_misses_total counter",
 		"xdropipu_engine_cache_evictions_total counter",
 		"xdropipu_engine_cache_bytes gauge",
+		"xdropipu_engine_cache_entries gauge",
 		"xdropipu_engine_cache_hit_rate gauge",
 		"xdropipu_engine_narrow_extensions_total counter",
 		"xdropipu_engine_wide_extensions_total counter",
@@ -161,6 +162,7 @@ func TestServiceStatsAndMetricsExposition(t *testing.T) {
 		"xdropipu_service_retained_replay_bytes gauge",
 		"xdropipu_service_jobs_evicted_total counter",
 		"xdropipu_service_first_chunk_seconds histogram",
+		"xdropipu_service_job_seconds histogram",
 	}; !slices.Equal(families, want) {
 		t.Fatalf("/v1/metrics families changed:\n got %q\nwant %q", families, want)
 	}
@@ -179,6 +181,9 @@ func TestServiceStatsAndMetricsExposition(t *testing.T) {
 		`xdropipu_service_first_chunk_seconds_bucket{le="0.001"}`,
 		`xdropipu_service_first_chunk_seconds_bucket{le="+Inf"} 2`,
 		"xdropipu_service_first_chunk_seconds_count 2",
+		// Both settled, so both were timed from creation to finish.
+		`xdropipu_service_job_seconds_bucket{le="+Inf"} 2`,
+		"xdropipu_service_job_seconds_count 2",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics exposition missing %q:\n%s", want, text)

@@ -208,10 +208,12 @@ func (c *Client) openStream(ctx context.Context, resp *http.Response) (*RemoteJo
 	j := &RemoteJob{
 		ID: hdr.Job, Comparisons: hdr.Comparisons, Batches: hdr.Batches,
 		c: c, done: make(chan struct{}),
-		// A schedule never has more batches than comparisons, so
-		// Comparisons+2 covers every chunk plus the cache-served
-		// pre-batch — the reader can always buffer without blocking,
-		// matching the in-process Job's never-block guarantee.
+		// Every chunk carries at least one comparison — an executed batch
+		// has at least one job, a cache-served chunk is a non-empty window
+		// of the cached results — and each comparison arrives once, so
+		// Comparisons bounds the chunks however the server cuts them; the
+		// +2 is slack, not a count. The reader can always buffer without
+		// blocking, matching the in-process Job's never-block guarantee.
 		updates: make(chan engine.Update, hdr.Comparisons+2),
 	}
 	go j.run(ctx, resp.Body, br, hdr.From)
@@ -282,8 +284,9 @@ func (e *streamBroken) Unwrap() error { return e.error }
 // the stream's content is wrong.
 func (j *RemoteJob) consume(br *bufio.Reader, results []ipukernel.AlignOut, cursor *int) (*wire.Final, error) {
 	// One line buffer serves the whole stream, and the next stream after
-	// it: a chunk line runs to hundreds of KB — a cache-served job's only
-	// line carries every result — and ReadBytes would allocate it twice
+	// it: a chunk line runs from tens of KB (a cache-served chunk, capped
+	// at the engine's cachedChunkResults) to hundreds (an executed batch,
+	// as large as its tiles hold), and ReadBytes would allocate it twice
 	// over (4 KiB fragments, then the joined copy) for every line. Nothing
 	// parsed from a line may alias it — ParseChunkLine and encoding/json
 	// both copy the strings they keep.

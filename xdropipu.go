@@ -201,7 +201,9 @@ type (
 	ResultCacheKey = driver.CacheKey
 	// ResultCache memoises finished extensions across jobs; implement it
 	// to plug a custom cache into IPUConfig.Cache (WithResultCache
-	// provides the engine's bounded sharded LRU).
+	// provides the engine's bounded, recency-approximating sharded cache).
+	// A cache that also has GetBatch(keys, outs, hit) (hits int) is asked
+	// once per plan instead of once per extension.
 	ResultCache = driver.ResultCache
 )
 
@@ -349,9 +351,9 @@ var (
 	// WithDedupExtensions aligns each unique (pair, seed) extension once
 	// per job and fans the result out to duplicates.
 	WithDedupExtensions = engine.WithDedupExtensions
-	// WithResultCache shares a bounded LRU of finished extensions across
-	// every job the engine serves (implies dedup); hit/miss/evict
-	// counters surface in EngineStats.
+	// WithResultCache shares a bounded, recency-approximating cache of
+	// finished extensions across every job the engine serves (implies
+	// dedup); hit/miss/evict counters surface in EngineStats.
 	WithResultCache = engine.WithResultCache
 	// WithTraceback enables CIGAR emission for every job: results carry
 	// their edit scripts and reports expose peak traceback memory.
