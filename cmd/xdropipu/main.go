@@ -44,18 +44,28 @@ func main() {
 	runAlign(os.Args[1:])
 }
 
-func kernelConfig(protein bool, x, deltaB int) xdropipu.KernelConfig {
+// runConfig is the run configuration both modes hand the engine: a GC200
+// fleet with partitioning on and every Table 1 kernel optimisation.
+func runConfig(ipus, x, deltaB int, protein, traceback bool, traceMin int, traceMode string) xdropipu.IPUConfig {
 	params := xdropipu.Params{Scorer: xdropipu.DNAScorer, Gap: -1, X: x, DeltaB: deltaB}
 	if protein {
 		params.Scorer = xdropipu.Blosum62
 		params.Gap = -2
 	}
-	return xdropipu.KernelConfig{
-		Params:           params,
-		LRSplit:          true,
-		WorkStealing:     true,
-		BusyWaitVariance: true,
-		DualIssue:        true,
+	return xdropipu.IPUConfig{
+		IPUs:      ipus,
+		Model:     xdropipu.GC200,
+		Partition: true,
+		Traceback: traceback,
+		Kernel: xdropipu.KernelConfig{
+			Params:           params,
+			LRSplit:          true,
+			WorkStealing:     true,
+			BusyWaitVariance: true,
+			DualIssue:        true,
+			TraceMinScore:    traceMin,
+			TraceMode:        parseTraceMode(traceMode),
+		},
 	}
 }
 
@@ -146,15 +156,8 @@ func runAlign(args []string) {
 	// the batches already delivered.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	eng := xdropipu.NewEngine(
-		xdropipu.WithIPUs(*ipus),
-		xdropipu.WithModel(xdropipu.GC200),
-		xdropipu.WithPartition(true),
-		xdropipu.WithKernel(kernelConfig(*protein, *x, *deltaB)),
-		xdropipu.WithTraceback(*traceback),
-		xdropipu.WithTraceMinScore(*traceMin),
-		xdropipu.WithTraceMode(parseTraceMode(*traceMode)),
-	)
+	eng := xdropipu.NewEngine(xdropipu.WithIPUConfig(
+		runConfig(*ipus, *x, *deltaB, *protein, *traceback, *traceMin, *traceMode)))
 	defer eng.Close()
 	job, err := eng.Submit(ctx, d)
 	if err != nil {
@@ -237,19 +240,10 @@ func runServe(args []string) {
 	maxLive := fs.Int("max-live", 0, "live jobs per shard before shedding (0 = queue depth)")
 	fs.Parse(args)
 
-	opts := []xdropipu.EngineOption{
-		xdropipu.WithIPUs(*ipus),
-		xdropipu.WithModel(xdropipu.GC200),
-		xdropipu.WithPartition(true),
-		xdropipu.WithKernel(kernelConfig(*protein, *x, *deltaB)),
-		xdropipu.WithDedupExtensions(*dedup),
-		xdropipu.WithTraceback(*traceback),
-		xdropipu.WithTraceMinScore(*traceMin),
-		xdropipu.WithTraceMode(parseTraceMode(*traceMode)),
-	}
-	if *tiles > 0 {
-		opts = append(opts, xdropipu.WithTilesPerIPU(*tiles))
-	}
+	cfg := runConfig(*ipus, *x, *deltaB, *protein, *traceback, *traceMin, *traceMode)
+	cfg.TilesPerIPU = *tiles
+	cfg.DedupExtensions = *dedup
+	opts := []xdropipu.EngineOption{xdropipu.WithIPUConfig(cfg)}
 	if *cache > 0 {
 		opts = append(opts, xdropipu.WithResultCache(*cache))
 	}

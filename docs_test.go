@@ -1,10 +1,14 @@
 package xdropipu_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -66,4 +70,72 @@ func TestDocsCiteExistingTests(t *testing.T) {
 	if names == 0 {
 		t.Fatal("no test names found in the documents; the pattern matches nothing")
 	}
+}
+
+// TestDocsCiteExportedNames: every xdropipu.Name and engine.Name that
+// README.md or DESIGN.md cites is a top-level declaration of the facade
+// (xdropipu.go) or of internal/engine. A deleted option must take its
+// citations — prose and snippets alike — with it.
+func TestDocsCiteExportedNames(t *testing.T) {
+	engineFiles, err := filepath.Glob("internal/engine/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	engineFiles = slices.DeleteFunc(engineFiles, func(f string) bool { return strings.HasSuffix(f, "_test.go") })
+	declared := map[string]map[string]bool{
+		"xdropipu": topLevelNames(t, "xdropipu.go"),
+		"engine":   topLevelNames(t, engineFiles...),
+	}
+
+	cited := regexp.MustCompile(`\b(xdropipu|engine)\.([A-Z]\w*)`)
+	names := 0
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range cited.FindAllStringSubmatch(string(text), -1) {
+			names++
+			if !declared[m[1]][m[2]] {
+				t.Errorf("%s cites %s.%s: no such declaration", doc, m[1], m[2])
+			}
+		}
+	}
+	if names == 0 {
+		t.Fatal("no xdropipu or engine names found in the documents; the pattern matches nothing")
+	}
+}
+
+// topLevelNames returns the package-level funcs, types, vars and consts
+// the files declare (methods excluded).
+func topLevelNames(t *testing.T, files ...string) map[string]bool {
+	t.Helper()
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					names[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						names[spec.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
 }

@@ -46,20 +46,22 @@ func main() {
 	svc := xdropipu.NewService(xdropipu.ServiceConfig{
 		Shards: 2,
 		EngineOptions: []xdropipu.EngineOption{
-			xdropipu.WithIPUs(4),
-			xdropipu.WithModel(xdropipu.GC200),
-			xdropipu.WithTilesPerIPU(8), // scaled-down demo device
-			xdropipu.WithPartition(true),
-			xdropipu.WithKernel(xdropipu.KernelConfig{
-				Params: xdropipu.Params{
-					Scorer: xdropipu.DNAScorer, Gap: -1, X: 15, DeltaB: 256,
+			xdropipu.WithIPUConfig(xdropipu.IPUConfig{
+				IPUs:        4,
+				Model:       xdropipu.GC200,
+				TilesPerIPU: 8, // scaled-down demo device
+				Partition:   true,
+				Kernel: xdropipu.KernelConfig{
+					Params: xdropipu.Params{
+						Scorer: xdropipu.DNAScorer, Gap: -1, X: 15, DeltaB: 256,
+					},
+					LRSplit: true, WorkStealing: true, BusyWaitVariance: true, DualIssue: true,
 				},
-				LRSplit: true, WorkStealing: true, BusyWaitVariance: true, DualIssue: true,
+				// Finer batches deepen the stream: consumers see steady
+				// chunk-by-chunk progress over the wire.
+				MaxBatchJobs: 600,
 			}),
 			xdropipu.WithQueueDepth(8),
-			// Finer batches deepen the stream: consumers see steady
-			// chunk-by-chunk progress over the wire.
-			xdropipu.WithMaxBatchJobs(600),
 			xdropipu.WithResultCache(1 << 16),
 		},
 	})

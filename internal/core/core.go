@@ -154,6 +154,9 @@ func (p *Params) Validate() error {
 	if p.GapOpen > 0 {
 		return fmt.Errorf("core: GapOpen must be non-positive, got %d", p.GapOpen)
 	}
+	if p.Tier > TierAuto {
+		return fmt.Errorf("core: unknown kernel tier %d", p.Tier)
+	}
 	return nil
 }
 

@@ -20,7 +20,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/sram-align/xdropipu/internal/core"
 	"github.com/sram-align/xdropipu/internal/ipu"
 	"github.com/sram-align/xdropipu/internal/ipukernel"
 	"github.com/sram-align/xdropipu/internal/metrics"
@@ -70,44 +69,15 @@ type Config struct {
 	// provides a bounded, recency-approximating sharded cache). A non-nil
 	// Cache implies DedupExtensions.
 	Cache ResultCache
-	// Traceback enables the two-pass traceback subsystem: every result
-	// carries its CIGAR (ipukernel.AlignOut.Cigar) and the report exposes
-	// peak traceback memory. Normalized folds it into Kernel.Traceback,
-	// and it is part of the kernel fingerprint, so a shared result cache
-	// never serves CIGAR-less entries to a traceback-enabled run (or vice
-	// versa). Off, reports are bit-identical to the score-only stack.
+	// Traceback enables the traceback subsystem: every result carries its
+	// CIGAR (ipukernel.AlignOut.Cigar) and the report exposes peak
+	// traceback memory. Normalized folds it into Kernel.Traceback, and it
+	// is part of the kernel fingerprint, so a shared result cache never
+	// serves CIGAR-less entries to a traceback-enabled run (or vice
+	// versa). Off, reports are bit-identical to the score-only stack. The
+	// trace gate and schedule live on Kernel (TraceMinScore, TraceMode),
+	// the kernel tier on Kernel.Params.Tier.
 	Traceback bool
-	// TraceMinScore gates the traceback cost behind a score cutoff:
-	// comparisons whose total score (left + seed + right) falls below it
-	// deliver score-only results, and only the keepers pay the recording
-	// replay — mirroring seed-and-extend pipelines that report only
-	// above-threshold alignments. Zero or negative traces everything.
-	// Ignored without Traceback. Normalized folds it into
-	// Kernel.TraceMinScore, and it is part of KernelFingerprint while
-	// tracing, so a cache hit from a differently-gated run can never fan
-	// out a stale (or missing) CIGAR.
-	TraceMinScore int
-	// TraceMode selects the schedule a traced comparison's directions are
-	// recorded on: core.TraceModeAuto fuses recording into the scoring
-	// pass when the extension's direction arena fits the per-thread
-	// budget (running a second pass otherwise), core.TraceModeReplay
-	// always runs the second pass (the two-pass scheme),
-	// core.TraceModeFused forces fusing wherever the kernel is eligible.
-	// Both schedules run the same recording sweep, so their recordings
-	// are bit-identical; the modes differ in SRAM charging and modeled
-	// time,
-	// and fold into KernelFingerprint while tracing. Normalized mirrors
-	// it with Kernel.TraceMode (non-auto wins).
-	TraceMode core.TraceMode
-	// KernelTier selects the kernel score width (core.TierWide, the
-	// int32 default; core.TierNarrow, int16 with transparent saturation
-	// promotion; core.TierAuto, int16 only under the headroom proof).
-	// Normalized folds it with Kernel.KernelTier — whichever knob is
-	// non-wide wins — and the choice is part of KernelFingerprint, so a
-	// shared result cache never mixes tiers even though completed narrow
-	// results are bit-identical to wide ones: the tiers differ in trace
-	// accounting (Stats.WorkBytes), not alignments.
-	KernelTier core.Tier
 	// Faults, when non-nil, installs deterministic fault injection at the
 	// ExecBatch boundary: transient and permanent execution failures plus
 	// straggler latency, decided per (batch, attempt) from the plan's
@@ -212,12 +182,10 @@ func KernelFingerprint(cfg ipukernel.Config, model platform.IPUModel) uint64 {
 		flags |= 8
 	}
 	put(flags)
-	// The resolved kernel tier: completed narrow alignments are
-	// bit-identical to wide ones, but the tiers' trace accounting
-	// (Stats.WorkBytes, promotion counters) differs, so cached entries
-	// must not cross tiers. Resolved (not raw) so the two equivalent
-	// knobs — Config.KernelTier and Params.Tier — never alias apart.
-	put(int64(cfg.Tier()))
+	// The kernel tier: completed narrow alignments are bit-identical to
+	// wide ones, but the tiers' trace accounting (Stats.WorkBytes,
+	// promotion counters) differs, so cached entries must not cross tiers.
+	put(int64(p.Tier))
 	if cfg.Traceback {
 		// The gate cutoff decides which results carry CIGARs and the
 		// mode decides what the trace accounting describes — entries
@@ -350,23 +318,6 @@ func (c Config) Normalized() Config {
 	// one flag no matter which level enabled it. Idempotent.
 	c.Kernel.Traceback = c.Kernel.Traceback || c.Traceback
 	c.Traceback = c.Kernel.Traceback
-	// The trace gate and mode fold the same way (non-zero / non-auto
-	// wins), so the fingerprint, the SRAM model and the tile kernel see
-	// one choice regardless of which level set it. Idempotent.
-	if c.Kernel.TraceMinScore == 0 {
-		c.Kernel.TraceMinScore = c.TraceMinScore
-	}
-	c.TraceMinScore = c.Kernel.TraceMinScore
-	if c.Kernel.TraceMode == core.TraceModeAuto {
-		c.Kernel.TraceMode = c.TraceMode
-	}
-	c.TraceMode = c.Kernel.TraceMode
-	// Same for the kernel tier: non-wide wins, mirrored on both knobs.
-	if c.KernelTier == core.TierWide {
-		c.KernelTier = c.Kernel.Tier()
-	}
-	c.Kernel.KernelTier = c.KernelTier
-	c.Kernel.Params.Tier = c.KernelTier
 	return c
 }
 

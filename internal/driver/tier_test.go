@@ -26,7 +26,7 @@ func TestKernelTierComposition(t *testing.T) {
 	run := func(tier core.Tier) *Report {
 		cfg := base
 		cfg.Cache = cache // implies dedup
-		cfg.KernelTier = tier
+		cfg.Kernel.Params.Tier = tier
 		rep, err := Run(d, cfg)
 		if err != nil {
 			t.Fatalf("tier %v: %v", tier, err)
@@ -69,30 +69,20 @@ func TestKernelTierComposition(t *testing.T) {
 	}
 }
 
-// TestKernelFingerprintSeparatesTiers: the resolved tier is part of the
-// kernel fingerprint — distinct tiers never alias — while the two ways
-// of spelling a tier (driver knob vs core params) resolve to the same
-// fingerprint.
+// TestKernelFingerprintSeparatesTiers: the tier is part of the kernel
+// fingerprint — distinct tiers never alias.
 func TestKernelFingerprintSeparatesTiers(t *testing.T) {
 	base := goldenConfigs()["uniform-nopart"].cfg.Normalized()
 	seen := map[uint64]core.Tier{}
 	for _, tier := range []core.Tier{core.TierWide, core.TierNarrow, core.TierAuto} {
 		cfg := base
-		cfg.KernelTier = tier
+		cfg.Kernel.Params.Tier = tier
 		cfg = cfg.Normalized()
 		fp := KernelFingerprint(cfg.Kernel, cfg.Model)
 		if prev, dup := seen[fp]; dup {
 			t.Fatalf("tiers %v and %v share fingerprint %x", prev, tier, fp)
 		}
 		seen[fp] = tier
-
-		via := base
-		via.Kernel.Params.Tier = tier
-		via = via.Normalized()
-		if got := KernelFingerprint(via.Kernel, via.Model); got != fp {
-			t.Errorf("tier %v: Params.Tier fingerprint %x != KernelTier fingerprint %x",
-				tier, got, fp)
-		}
 	}
 }
 
@@ -120,7 +110,7 @@ func TestKernelTierPromotionDriverPath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg.KernelTier = core.TierNarrow
+	cfg.Kernel.Params.Tier = core.TierNarrow
 	prom, err := Run(d, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +121,7 @@ func TestKernelTierPromotionDriverPath(t *testing.T) {
 			prom.PromotedExtensions, prom.NarrowExtensions)
 	}
 
-	cfg.KernelTier = core.TierAuto
+	cfg.Kernel.Params.Tier = core.TierAuto
 	auto, err := Run(d, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -140,5 +130,22 @@ func TestKernelTierPromotionDriverPath(t *testing.T) {
 	if auto.PromotedExtensions != 0 || auto.NarrowExtensions != 0 || auto.WideExtensions != 2 {
 		t.Errorf("auto tier on saturating scores: narrow %d wide %d promoted %d, want wide-only",
 			auto.NarrowExtensions, auto.WideExtensions, auto.PromotedExtensions)
+	}
+}
+
+// TestRunRejectsUnknownKnobValues: a tier or trace mode outside its
+// three values would otherwise run as wide / auto under a fingerprint of
+// its own, splitting the cache between identical results.
+func TestRunRejectsUnknownKnobValues(t *testing.T) {
+	d := readsData(t, 24, 8)
+	tier := testCfg(1, true)
+	tier.Kernel.Params.Tier = core.TierAuto + 1
+	mode := testCfg(1, true)
+	mode.Traceback = true
+	mode.Kernel.TraceMode = core.TraceModeFused + 1
+	for name, cfg := range map[string]Config{"tier": tier, "trace mode": mode} {
+		if _, err := Run(d, cfg); err == nil {
+			t.Errorf("%s out of range: Run succeeded, want an error", name)
+		}
 	}
 }

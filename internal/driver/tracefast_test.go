@@ -54,12 +54,12 @@ func TestTraceModeThreeWayOracle(t *testing.T) {
 	for _, tier := range []core.Tier{core.TierWide, core.TierAuto} {
 		base := testCfg(2, true)
 		base.Traceback = true
-		base.KernelTier = tier
+		base.Kernel.Params.Tier = tier
 
 		reps := make(map[core.TraceMode]*Report, 3)
 		for _, mode := range []core.TraceMode{core.TraceModeReplay, core.TraceModeFused, core.TraceModeAuto} {
 			cfg := base
-			cfg.TraceMode = mode
+			cfg.Kernel.TraceMode = mode
 			rep, err := Run(d, cfg)
 			if err != nil {
 				t.Fatalf("tier %v mode %v: %v", tier, mode, err)
@@ -116,8 +116,8 @@ func TestTraceMinScoreGate(t *testing.T) {
 
 	for _, mode := range []core.TraceMode{core.TraceModeReplay, core.TraceModeFused} {
 		gated := on
-		gated.TraceMinScore = cut
-		gated.TraceMode = mode
+		gated.Kernel.TraceMinScore = cut
+		gated.Kernel.TraceMode = mode
 		gr, err := Run(d, gated)
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
@@ -184,7 +184,7 @@ func TestTraceGateCacheComposition(t *testing.T) {
 	}
 
 	gated := base
-	gated.TraceMinScore = cut
+	gated.Kernel.TraceMinScore = cut
 	g1, err := Run(d, gated)
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestTraceGateCacheComposition(t *testing.T) {
 	}
 
 	fused := base
-	fused.TraceMode = core.TraceModeFused
+	fused.Kernel.TraceMode = core.TraceModeFused
 	f1, err := Run(d, fused)
 	if err != nil {
 		t.Fatal(err)
@@ -220,8 +220,8 @@ func TestTraceGateCacheComposition(t *testing.T) {
 	// score-only workloads keep sharing entries.
 	plain := testCfg(1, true)
 	gatedOff := plain
-	gatedOff.TraceMinScore = cut
-	gatedOff.TraceMode = core.TraceModeFused
+	gatedOff.Kernel.TraceMinScore = cut
+	gatedOff.Kernel.TraceMode = core.TraceModeFused
 	a := KernelFingerprint(plain.Normalized().Kernel, plain.Model)
 	b := KernelFingerprint(gatedOff.Normalized().Kernel, gatedOff.Model)
 	if a != b {
@@ -289,7 +289,7 @@ func TestTraceTooLargeDegradesSingleComparison(t *testing.T) {
 			// propagation path is what this test pins.
 			cfg := testCfg(1, false)
 			cfg.Traceback = true
-			cfg.TraceMode = mode
+			cfg.Kernel.TraceMode = mode
 			cfg.Cache = cache
 			// δb=64 keeps the forced-fused per-thread arena bound for the
 			// 2 kb pair within the SRAM-derived sequence budget.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"github.com/sram-align/xdropipu/internal/core"
@@ -81,7 +82,7 @@ func TestEngineResultCacheCrossJob(t *testing.T) {
 	}
 }
 
-// TestEngineDedupMatchesPlainEngine: WithDedupExtensions alone (no
+// TestEngineDedupMatchesPlainEngine: DedupExtensions alone (no
 // cache) must reproduce plain per-comparison results on duplicate-heavy
 // submissions.
 func TestEngineDedupMatchesPlainEngine(t *testing.T) {
@@ -92,7 +93,9 @@ func TestEngineDedupMatchesPlainEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(WithDriverConfig(cacheTestConfig()), WithDedupExtensions(true))
+	cfg := cacheTestConfig()
+	cfg.DedupExtensions = true
+	eng := New(WithDriverConfig(cfg))
 	defer eng.Close()
 	j, err := eng.Submit(context.Background(), dup)
 	if err != nil {
@@ -349,12 +352,12 @@ func TestStreamingPerComparisonUnderDedup(t *testing.T) {
 // benchmarkSubmitDedup measures job throughput on a duplicate-heavy
 // workload (each comparison planned 4×) under three engine modes; the
 // dedup and cache rows should run ≥ 2× the jobs/s of the off row.
-func benchmarkSubmitDedup(b *testing.B, submitters int, opts ...Option) {
+func benchmarkSubmitDedup(b *testing.B, submitters int, dedup bool, opts ...Option) {
 	base := synth.UniformPairs(synth.UniformPairsSpec{
 		Count: 12, Length: 500, ErrorRate: 0.15, SeedLen: 17, Seed: 77})
 	dup := dupDataset(base, 4)
 
-	cfg := driver.Config{IPUs: 1, Partition: true, Kernel: ipukernel.Config{
+	cfg := driver.Config{IPUs: 1, Partition: true, DedupExtensions: dedup, Kernel: ipukernel.Config{
 		Params: core.Params{Scorer: scoring.DNADefault, Gap: -1, X: 10, DeltaB: 128}}}
 	eng := New(append([]Option{WithDriverConfig(cfg),
 		WithQueueDepth(max(submitters, DefaultQueueDepth))}, opts...)...)
@@ -395,12 +398,16 @@ func benchmarkSubmitDedup(b *testing.B, submitters int, opts ...Option) {
 	}
 }
 
-func BenchmarkSubmitDedupOff1(b *testing.B)   { benchmarkSubmitDedup(b, 1) }
-func BenchmarkSubmitDedupOn1(b *testing.B)    { benchmarkSubmitDedup(b, 1, WithDedupExtensions(true)) }
-func BenchmarkSubmitDedupCache1(b *testing.B) { benchmarkSubmitDedup(b, 1, WithResultCache(1<<14)) }
-func BenchmarkSubmitDedupOff4(b *testing.B)   { benchmarkSubmitDedup(b, 4) }
-func BenchmarkSubmitDedupOn4(b *testing.B)    { benchmarkSubmitDedup(b, 4, WithDedupExtensions(true)) }
-func BenchmarkSubmitDedupCache4(b *testing.B) { benchmarkSubmitDedup(b, 4, WithResultCache(1<<14)) }
+func BenchmarkSubmitDedupOff1(b *testing.B) { benchmarkSubmitDedup(b, 1, false) }
+func BenchmarkSubmitDedupOn1(b *testing.B)  { benchmarkSubmitDedup(b, 1, true) }
+func BenchmarkSubmitDedupCache1(b *testing.B) {
+	benchmarkSubmitDedup(b, 1, false, WithResultCache(1<<14))
+}
+func BenchmarkSubmitDedupOff4(b *testing.B) { benchmarkSubmitDedup(b, 4, false) }
+func BenchmarkSubmitDedupOn4(b *testing.B)  { benchmarkSubmitDedup(b, 4, true) }
+func BenchmarkSubmitDedupCache4(b *testing.B) {
+	benchmarkSubmitDedup(b, 4, false, WithResultCache(1<<14))
+}
 
 // TestSubmitDedupThroughputGain is the non-flaky acceptance proxy for the
 // BenchmarkSubmitDedup* rows: on the same 4×-duplicated workload, dedup
@@ -411,8 +418,10 @@ func TestSubmitDedupThroughputGain(t *testing.T) {
 	base := cacheTestDataset(31)
 	dup := dupDataset(base, 4)
 
-	run := func(opts ...Option) *driver.Report {
-		eng := New(append([]Option{WithDriverConfig(cacheTestConfig())}, opts...)...)
+	run := func(dedup bool, opts ...Option) *driver.Report {
+		cfg := cacheTestConfig()
+		cfg.DedupExtensions = dedup
+		eng := New(append([]Option{WithDriverConfig(cfg)}, opts...)...)
 		defer eng.Close()
 		var rep *driver.Report
 		for i := 0; i < 2; i++ { // second submission warms the cache mode
@@ -427,9 +436,9 @@ func TestSubmitDedupThroughputGain(t *testing.T) {
 		return rep
 	}
 
-	off := run()
-	on := run(WithDedupExtensions(true))
-	cached := run(WithResultCache(1 << 14))
+	off := run(false)
+	on := run(true)
+	cached := run(false, WithResultCache(1<<14))
 
 	// Host throughput scales with executed DP cells (each duplicate is a
 	// real re-extension on the host); modeled superstep time does not
@@ -447,5 +456,48 @@ func TestSubmitDedupThroughputGain(t *testing.T) {
 		if on.Results[i] != off.Results[i] || cached.Results[i] != off.Results[i] {
 			t.Fatalf("result %d differs across modes", i)
 		}
+	}
+}
+
+// TestEngineOptionOrderIrrelevant: the run configuration lives in
+// WithDriverConfig alone, so the result cache and the driver config give
+// the same engine in either order — same Config, same warm hits.
+func TestEngineOptionOrderIrrelevant(t *testing.T) {
+	d := cacheTestDataset(37)
+	orders := [][]Option{
+		{WithResultCache(1 << 12), WithDriverConfig(cacheTestConfig())},
+		{WithDriverConfig(cacheTestConfig()), WithResultCache(1 << 12)},
+	}
+	var cfgs []driver.Config
+	var warm []*driver.Report
+	for _, opts := range orders {
+		eng := New(opts...)
+		cfg := eng.Config()
+		if cfg.Cache == nil {
+			t.Fatal("engine config carries no cache")
+		}
+		cfg.Cache = nil // each engine owns its own cache
+		cfgs = append(cfgs, cfg)
+		var rep *driver.Report
+		for i := 0; i < 2; i++ {
+			j, err := eng.Submit(context.Background(), d.Clone())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep, err = j.Wait(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.Close()
+		if rep.CacheHits != rep.UniqueExtensions || rep.Batches != 0 {
+			t.Errorf("resubmission: %d hits of %d unique, %d batches", rep.CacheHits, rep.UniqueExtensions, rep.Batches)
+		}
+		warm = append(warm, rep)
+	}
+	if !reflect.DeepEqual(cfgs[0], cfgs[1]) {
+		t.Errorf("option order changed the engine config:\n%+v\n%+v", cfgs[0], cfgs[1])
+	}
+	if !reflect.DeepEqual(warm[0], warm[1]) {
+		t.Error("option order changed the warm report")
 	}
 }

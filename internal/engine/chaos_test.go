@@ -99,10 +99,9 @@ func TestChaosMatrix(t *testing.T) {
 				StragglerDelay: time.Millisecond,
 			})
 			opts := []Option{
-				WithDriverConfig(cfg), WithExecutors(4),
+				WithDriverConfig(withFaults(cfg, plan)), WithExecutors(4),
 				WithRetry(12, 0),
 				WithRetryBackoff(200*time.Microsecond, 2*time.Millisecond),
-				WithFaultPlan(plan),
 			}
 			if tc.cache {
 				opts = append(opts, WithResultCache(1<<14))
@@ -191,9 +190,9 @@ func TestChaosPermanentFallback(t *testing.T) {
 	if wantPm == 0 || wantPm == nb {
 		t.Fatalf("seed draws %d/%d permanent batches; need a mix", wantPm, nb)
 	}
-	e := New(WithDriverConfig(cfg), WithExecutors(4),
+	e := New(WithDriverConfig(withFaults(cfg, plan)), WithExecutors(4),
 		WithRetry(12, 0), WithRetryBackoff(200*time.Microsecond, 2*time.Millisecond),
-		WithDegradedMode(DegradeFallback), WithFaultPlan(plan))
+		WithDegradedMode(DegradeFallback))
 	defer e.Close()
 	job, err := e.Submit(context.Background(), d)
 	if err != nil {
@@ -244,9 +243,9 @@ func TestChaosPermanentPartial(t *testing.T) {
 	if wantFailed == 0 {
 		t.Fatal("seed draws no permanent batches")
 	}
-	e := New(WithDriverConfig(cfg), WithExecutors(4),
+	e := New(WithDriverConfig(withFaults(cfg, plan)), WithExecutors(4),
 		WithRetry(12, 0), WithRetryBackoff(200*time.Microsecond, 2*time.Millisecond),
-		WithDegradedMode(DegradePartial), WithFaultPlan(plan))
+		WithDegradedMode(DegradePartial))
 	defer e.Close()
 	job, err := e.Submit(context.Background(), d)
 	if err != nil {
@@ -298,9 +297,8 @@ func TestChaosPermanentPartial(t *testing.T) {
 func TestRetryBudgetExhaustedFailsJob(t *testing.T) {
 	d := readsData(t, 33, 20)
 	plan := driver.NewFaultPlan(9, driver.FaultSpec{TransientRate: 1})
-	e := New(WithDriverConfig(testCfg(1)), WithExecutors(2),
-		WithRetry(10, 2), WithRetryBackoff(100*time.Microsecond, time.Millisecond),
-		WithFaultPlan(plan))
+	e := New(WithDriverConfig(withFaults(testCfg(1), plan)), WithExecutors(2),
+		WithRetry(10, 2), WithRetryBackoff(100*time.Microsecond, time.Millisecond))
 	defer e.Close()
 	job, err := e.Submit(context.Background(), d)
 	if err != nil {
@@ -334,7 +332,7 @@ func TestCancelDropsQueuedWorkAndLateResults(t *testing.T) {
 	plan := driver.NewFaultPlan(3, driver.FaultSpec{
 		StragglerRate: 1, StragglerDelay: 400 * time.Millisecond,
 	})
-	e := New(WithDriverConfig(cfg), WithExecutors(execs), WithFaultPlan(plan))
+	e := New(WithDriverConfig(withFaults(cfg, plan)), WithExecutors(execs))
 	ctx, cancel := context.WithCancel(context.Background())
 	job, err := e.Submit(ctx, d)
 	if err != nil {
@@ -378,9 +376,8 @@ func TestEngineCloseWithPendingRetriesNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	d := readsData(t, 35, 16)
 	plan := driver.NewFaultPlan(9, driver.FaultSpec{TransientRate: 1})
-	e := New(WithDriverConfig(testCfg(1)), WithExecutors(2),
-		WithRetry(1<<20, 0), WithRetryBackoff(20*time.Millisecond, 40*time.Millisecond),
-		WithFaultPlan(plan))
+	e := New(WithDriverConfig(withFaults(testCfg(1), plan)), WithExecutors(2),
+		WithRetry(1<<20, 0), WithRetryBackoff(20*time.Millisecond, 40*time.Millisecond))
 	ctx, cancel := context.WithCancel(context.Background())
 	job, err := e.Submit(ctx, d)
 	if err != nil {
@@ -417,10 +414,9 @@ func TestDeadlineHedgeAndFallback(t *testing.T) {
 	plan := driver.NewFaultPlan(4, driver.FaultSpec{
 		StragglerRate: 1, StragglerDelay: 1500 * time.Millisecond,
 	})
-	e := New(WithDriverConfig(cfg), WithExecutors(3),
+	e := New(WithDriverConfig(withFaults(cfg, plan)), WithExecutors(3),
 		WithJobDeadline(500*time.Millisecond),
-		WithDegradedMode(DegradeFallback),
-		WithFaultPlan(plan))
+		WithDegradedMode(DegradeFallback))
 	job, err := e.Submit(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
@@ -457,10 +453,9 @@ func TestDeadlinePartialCompletes(t *testing.T) {
 	plan := driver.NewFaultPlan(8, driver.FaultSpec{
 		StragglerRate: 1, StragglerDelay: 2 * time.Second,
 	})
-	e := New(WithDriverConfig(cfg), WithExecutors(2),
+	e := New(WithDriverConfig(withFaults(cfg, plan)), WithExecutors(2),
 		WithJobDeadline(300*time.Millisecond),
-		WithDegradedMode(DegradePartial),
-		WithFaultPlan(plan))
+		WithDegradedMode(DegradePartial))
 	job, err := e.Submit(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
@@ -525,4 +520,10 @@ func TestFaultInjectionOffIsByteIdentical(t *testing.T) {
 		st.FaultsInjected != 0 || st.DeadlineExceeded != 0 {
 		t.Fatalf("fault counters nonzero without a plan: %+v", st)
 	}
+}
+
+// withFaults returns cfg with fault plan p installed.
+func withFaults(cfg driver.Config, p *driver.FaultPlan) driver.Config {
+	cfg.Faults = p
+	return cfg
 }

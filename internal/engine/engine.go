@@ -28,11 +28,9 @@ import (
 	"sync"
 	"time"
 
-	"github.com/sram-align/xdropipu/internal/core"
 	"github.com/sram-align/xdropipu/internal/driver"
 	"github.com/sram-align/xdropipu/internal/ipu"
 	"github.com/sram-align/xdropipu/internal/ipukernel"
-	"github.com/sram-align/xdropipu/internal/platform"
 	"github.com/sram-align/xdropipu/internal/workload"
 )
 
@@ -124,112 +122,31 @@ type Engine struct {
 // Option configures an Engine at construction.
 type Option func(*Engine)
 
-// WithDriverConfig replaces the whole driver configuration (fleet,
-// kernel, partitioning). Later options still apply on top.
+// WithDriverConfig sets the run configuration — fleet, plan, kernel,
+// traceback, fault injection — in one driver.Config. It is the engine's
+// only carrier of those settings: every other option sets engine policy
+// alone, so options may come in any order.
 func WithDriverConfig(cfg driver.Config) Option { return func(e *Engine) { e.cfg = cfg } }
-
-// WithModel selects the IPU generation.
-func WithModel(m platform.IPUModel) Option { return func(e *Engine) { e.cfg.Model = m } }
-
-// WithIPUs sets the modeled device count (NUMBER_IPUS).
-func WithIPUs(n int) Option { return func(e *Engine) { e.cfg.IPUs = n } }
-
-// WithTilesPerIPU restricts tiles per device (0 = all).
-func WithTilesPerIPU(n int) Option { return func(e *Engine) { e.cfg.TilesPerIPU = n } }
-
-// WithKernel configures the on-tile X-Drop codelet.
-func WithKernel(k ipukernel.Config) Option { return func(e *Engine) { e.cfg.Kernel = k } }
-
-// WithPartition toggles graph-based sequence reuse (§4.3).
-func WithPartition(on bool) Option { return func(e *Engine) { e.cfg.Partition = on } }
-
-// WithSeqBudget caps a partition's sequence payload in bytes.
-func WithSeqBudget(b int) Option { return func(e *Engine) { e.cfg.SeqBudget = b } }
-
-// WithMaxBatchJobs caps comparisons per batch; finer batches interleave
-// concurrent jobs more smoothly.
-func WithMaxBatchJobs(n int) Option { return func(e *Engine) { e.cfg.MaxBatchJobs = n } }
-
-// WithBatchOverhead sets the modeled host-side cost per batch.
-func WithBatchOverhead(sec float64) Option {
-	return func(e *Engine) { e.cfg.BatchOverheadSeconds = sec }
-}
-
-// WithDedupExtensions toggles duplicate-extension elimination: every
-// submission's byte-identical (pair, seed) extensions are aligned once
-// and fanned back out, so reports stay per-comparison while modeled work
-// drops. Off by default; per-comparison alignments are identical either
-// way.
-func WithDedupExtensions(on bool) Option { return func(e *Engine) { e.cfg.DedupExtensions = on } }
 
 // WithResultCache attaches a bounded, sharded result cache (second-chance
 // eviction: recency-approximating, not exact LRU) shared by every job the
 // engine serves, keyed by (extension key, kernel-config
 // fingerprint): byte-identical extensions submitted by any client — same
 // job or a later one, regardless of pool numbering — are aligned once.
-// entries bounds the cache (0 → DefaultResultCacheEntries). Enabling the
-// cache also enables duplicate-extension elimination, which the cache
-// keys ride on. Hit/miss/evict counters surface in Stats. The bound is
-// per entry: under WithTraceback each entry also holds its alignment's
-// CIGAR (length-proportional), so size entries accordingly and watch
-// Stats.CacheBytes for the resident footprint.
+// entries bounds the cache (0 → DefaultResultCacheEntries). The driver
+// eliminates duplicate extensions whenever a cache is attached, since the
+// cache keys ride on them. Hit/miss/evict counters surface in Stats. The
+// bound is per entry: with driver.Config.Traceback each entry also holds
+// its alignment's CIGAR (length-proportional), so size entries
+// accordingly and watch Stats.CacheBytes for the resident footprint.
 func WithResultCache(entries int) Option {
 	return func(e *Engine) {
 		if entries <= 0 {
 			entries = DefaultResultCacheEntries
 		}
 		e.cacheEntries = entries
-		e.cfg.DedupExtensions = true
 	}
 }
-
-// WithTraceback enables the two-pass traceback subsystem for every job
-// the engine serves: each streamed and reported result carries its CIGAR
-// (AlignOut.Cigar) and reports expose peak traceback memory. Composes
-// with dedup and the result cache — a cached hit fans the stored CIGAR
-// back out to every duplicate comparison, and the cache keys include the
-// traceback flag so score-only and traceback runs never share entries.
-func WithTraceback(on bool) Option { return func(e *Engine) { e.cfg.Traceback = on } }
-
-// WithTraceMinScore gates the traceback cost behind a score cutoff for
-// every job the engine serves: comparisons whose total score falls below
-// min deliver score-only results (no CIGAR) and skip the recording
-// replay entirely, so hit-sparse workloads pay traceback only for the
-// alignments they keep. Zero or negative traces everything; ignored
-// without WithTraceback. The cutoff is part of the kernel fingerprint,
-// so gated and ungated runs never share result-cache entries — a warm
-// hit below the cutoff can never fan out a stale CIGAR. The
-// TracedExtensions/TraceSkippedExtensions counters in Stats (and every
-// Report) split the executed extensions across the gate.
-func WithTraceMinScore(min int) Option {
-	return func(e *Engine) { e.cfg.TraceMinScore = min }
-}
-
-// WithTraceMode selects the schedule traced comparisons record their
-// directions on: core.TraceModeAuto (default) fuses recording into the
-// scoring pass whenever the extension's direction arena fits the
-// per-thread budget and runs a second pass otherwise;
-// core.TraceModeReplay always uses the two-pass schedule;
-// core.TraceModeFused forces single-pass recording wherever the kernel
-// is eligible. Both schedules run the same recording sweep, so their
-// recordings are bit-identical — the modes differ only in SRAM charging
-// and modeled time — but the mode
-// is still part of the kernel fingerprint, so caches never mix entries
-// whose trace accounting describes different execution shapes.
-func WithTraceMode(m core.TraceMode) Option {
-	return func(e *Engine) { e.cfg.TraceMode = m }
-}
-
-// WithKernelTier selects the kernel score width for every job the engine
-// serves: core.TierWide (the int32 default), core.TierNarrow (int16
-// kernels with transparent promotion to int32 on saturation) or
-// core.TierAuto (int16 only when the headroom precheck proves saturation
-// impossible, halving the DP working set the SRAM budget must hold).
-// Per-comparison results are bit-identical across tiers; only the
-// Narrow/Wide/PromotedExtensions counters and the modeled SRAM differ.
-// The tier is part of the kernel fingerprint, so a shared result cache
-// never mixes tiers.
-func WithKernelTier(t core.Tier) Option { return func(e *Engine) { e.cfg.KernelTier = t } }
 
 // WithRetry enables per-batch retry of transient execution failures:
 // a batch whose attempt fails with a transient fault (a fault plan's
@@ -274,15 +191,6 @@ func WithJobDeadline(d time.Duration) Option {
 // Report.PartialFailures (DegradePartial).
 func WithDegradedMode(m DegradedMode) Option {
 	return func(e *Engine) { e.degraded = m }
-}
-
-// WithFaultPlan installs seeded, deterministic fault injection at the
-// batch-execution boundary for every job the engine serves — the chaos
-// substrate behind the retry/hedge/degradation machinery. Injected
-// faults fail or delay executions but never change delivered results;
-// Stats.FaultsInjected counts them.
-func WithFaultPlan(p *driver.FaultPlan) Option {
-	return func(e *Engine) { e.cfg.Faults = p }
 }
 
 // WithQueueDepth bounds in-flight submissions; Submit blocks (or fails
@@ -395,7 +303,7 @@ type Stats struct {
 	Quarantined int64
 	// FaultsInjected counts everything the installed FaultPlan injected
 	// across its lifetime: transient and permanent failures plus
-	// straggler delays. Zero without WithFaultPlan.
+	// straggler delays. Zero without driver.Config.Faults.
 	FaultsInjected int64
 	// DeadlineExceeded counts jobs whose WithJobDeadline expired with
 	// work outstanding.
@@ -404,14 +312,14 @@ type Stats struct {
 	// cache-served and deduped comparisons execute nothing and count
 	// nowhere): NarrowExtensions completed on the int16 tier,
 	// PromotedExtensions saturated int16 and re-ran wide,
-	// WideExtensions ran int32 outright. All zero until a job opts into
-	// WithKernelTier (or a narrow driver/kernel config).
+	// WideExtensions ran int32 outright. Narrow and promoted stay zero
+	// unless core.Params.Tier selects TierNarrow or TierAuto.
 	NarrowExtensions, WideExtensions, PromotedExtensions int64
 	// Traceback fast-path counters over every executed extension:
 	// TracedExtensions delivered a recorded trace (CIGAR),
-	// TraceSkippedExtensions fell below WithTraceMinScore's cutoff and
-	// delivered score-only results. Disjoint; both zero without
-	// WithTraceback.
+	// TraceSkippedExtensions fell below ipukernel.Config.TraceMinScore's
+	// cutoff and delivered score-only results. Disjoint; both zero
+	// without driver.Config.Traceback.
 	TracedExtensions, TraceSkippedExtensions int64
 }
 

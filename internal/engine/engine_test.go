@@ -399,7 +399,7 @@ func TestWaitContextBoundsOnlyTheWait(t *testing.T) {
 	// Wait below: with both channels ready, Wait's select may pick either,
 	// and on a loaded host this 5 ms job used to finish first.
 	slow := driver.NewFaultPlan(1, driver.FaultSpec{StragglerRate: 1, StragglerDelay: 200 * time.Millisecond})
-	e := New(WithDriverConfig(testCfg(1)), WithFaultPlan(slow))
+	e := New(WithDriverConfig(withFaults(testCfg(1), slow)))
 	defer e.Close()
 	job, err := e.Submit(context.Background(), readsData(t, 4, 12))
 	if err != nil {

@@ -77,8 +77,9 @@ func TestTracebackSoakStreamingDedupCancel(t *testing.T) {
 		}
 	}
 
-	eng := New(WithDriverConfig(plainCfg), WithResultCache(0), WithTraceback(true),
-		WithMaxBatchJobs(16), WithQueueDepth(8))
+	cacheCfg := plainCfg
+	cacheCfg.MaxBatchJobs = 16
+	eng := New(WithDriverConfig(cacheCfg), WithResultCache(0), WithQueueDepth(8))
 	defer eng.Close()
 
 	const rounds = 3
@@ -179,10 +180,12 @@ func TestWithTracebackOptionFingerprint(t *testing.T) {
 	if driver.KernelFingerprint(cfg.Kernel, cfg.Model) == driver.KernelFingerprint(on.Kernel, on.Model) {
 		t.Fatal("traceback flag does not change the kernel fingerprint")
 	}
-	e := New(WithDriverConfig(testCfg(1)), WithTraceback(true))
+	traced := testCfg(1)
+	traced.Traceback = true
+	e := New(WithDriverConfig(traced))
 	defer e.Close()
 	if !e.Config().Kernel.Traceback {
-		t.Fatal("WithTraceback did not reach the kernel config")
+		t.Fatal("Traceback did not reach the engine's kernel config")
 	}
 }
 
@@ -192,7 +195,8 @@ func TestTracebackStreamCigarsValidate(t *testing.T) {
 	d := readsData(t, 13, 18)
 	cfg := testCfg(1)
 	cfg.Traceback = true
-	e := New(WithDriverConfig(cfg), WithMaxBatchJobs(8))
+	cfg.MaxBatchJobs = 8
+	e := New(WithDriverConfig(cfg))
 	defer e.Close()
 	job, err := e.Submit(context.Background(), d)
 	if err != nil {

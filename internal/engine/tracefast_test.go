@@ -17,7 +17,7 @@ func TestWithTraceMinScoreOptionFingerprint(t *testing.T) {
 	on.Traceback = true
 	onN := on.Normalized()
 	gated := on
-	gated.TraceMinScore = 80
+	gated.Kernel.TraceMinScore = 80
 	gatedN := gated.Normalized()
 	if driver.KernelFingerprint(onN.Kernel, onN.Model) == driver.KernelFingerprint(gatedN.Kernel, gatedN.Model) {
 		t.Fatal("trace score gate does not change the traceback kernel fingerprint")
@@ -25,16 +25,16 @@ func TestWithTraceMinScoreOptionFingerprint(t *testing.T) {
 
 	off := testCfg(1).Normalized()
 	gatedOff := testCfg(1)
-	gatedOff.TraceMinScore = 80
+	gatedOff.Kernel.TraceMinScore = 80
 	gatedOffN := gatedOff.Normalized()
 	if driver.KernelFingerprint(off.Kernel, off.Model) != driver.KernelFingerprint(gatedOffN.Kernel, gatedOffN.Model) {
 		t.Fatal("trace score gate split the score-only fingerprint; score-only runs should share entries")
 	}
 
-	e := New(WithDriverConfig(testCfg(1)), WithTraceback(true), WithTraceMinScore(80))
+	e := New(WithDriverConfig(gated))
 	defer e.Close()
 	if e.Config().Kernel.TraceMinScore != 80 {
-		t.Fatal("WithTraceMinScore did not reach the kernel config")
+		t.Fatal("Kernel.TraceMinScore did not reach the engine's config")
 	}
 }
 
@@ -45,10 +45,10 @@ func TestWithTraceModeOptionFingerprint(t *testing.T) {
 	on := testCfg(1)
 	on.Traceback = true
 	replay := on
-	replay.TraceMode = core.TraceModeReplay
+	replay.Kernel.TraceMode = core.TraceModeReplay
 	replayN := replay.Normalized()
 	fused := on
-	fused.TraceMode = core.TraceModeFused
+	fused.Kernel.TraceMode = core.TraceModeFused
 	fusedN := fused.Normalized()
 	if driver.KernelFingerprint(replayN.Kernel, replayN.Model) == driver.KernelFingerprint(fusedN.Kernel, fusedN.Model) {
 		t.Fatal("trace mode does not change the traceback kernel fingerprint")
@@ -56,16 +56,16 @@ func TestWithTraceModeOptionFingerprint(t *testing.T) {
 
 	off := testCfg(1).Normalized()
 	fusedOff := testCfg(1)
-	fusedOff.TraceMode = core.TraceModeFused
+	fusedOff.Kernel.TraceMode = core.TraceModeFused
 	fusedOffN := fusedOff.Normalized()
 	if driver.KernelFingerprint(off.Kernel, off.Model) != driver.KernelFingerprint(fusedOffN.Kernel, fusedOffN.Model) {
 		t.Fatal("trace mode split the score-only fingerprint; score-only runs should share entries")
 	}
 
-	e := New(WithDriverConfig(testCfg(1)), WithTraceback(true), WithTraceMode(core.TraceModeFused))
+	e := New(WithDriverConfig(fused))
 	defer e.Close()
 	if e.Config().Kernel.TraceMode != core.TraceModeFused {
-		t.Fatal("WithTraceMode did not reach the kernel config")
+		t.Fatal("Kernel.TraceMode did not reach the engine's config")
 	}
 }
 
@@ -74,8 +74,10 @@ func TestWithTraceModeOptionFingerprint(t *testing.T) {
 // traceback engine, every extension skipped under an unreachable gate.
 func TestEngineTraceCounters(t *testing.T) {
 	d := readsData(t, 31, 16)
+	cfg := testCfg(1)
+	cfg.Traceback = true
 
-	e := New(WithDriverConfig(testCfg(1)), WithTraceback(true))
+	e := New(WithDriverConfig(cfg))
 	job, err := e.Submit(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +90,8 @@ func TestEngineTraceCounters(t *testing.T) {
 			st.TracedExtensions, st.TraceSkippedExtensions, 2*len(d.Comparisons))
 	}
 
-	g := New(WithDriverConfig(testCfg(1)), WithTraceback(true), WithTraceMinScore(1<<30))
+	cfg.Kernel.TraceMinScore = 1 << 30
+	g := New(WithDriverConfig(cfg))
 	job, err = g.Submit(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)

@@ -241,14 +241,6 @@ type Config struct {
 	// be deferred — its buffers are clobbered by the thread's next
 	// extension). Part of the kernel fingerprint when tracing.
 	TraceMode core.TraceMode
-	// KernelTier selects the kernel score width: core.TierWide (the
-	// default int32 kernels), core.TierNarrow (attempt int16 with runtime
-	// saturation promotion) or core.TierAuto (int16 only when the
-	// headroom precheck proves saturation impossible). Folded with
-	// Params.Tier — whichever knob is non-wide wins — so driver-level and
-	// kernel-level configuration agree everywhere the config flows
-	// (fingerprints, SRAM model, execution).
-	KernelTier core.Tier
 	// Cost is the instruction cost model (zero value → calibrated
 	// defaults).
 	Cost platform.KernelCost
@@ -275,11 +267,6 @@ func (c Config) withDefaults(m platform.IPUModel) Config {
 	if c.Cost == (platform.KernelCost{}) {
 		c.Cost = platform.DefaultKernelCost
 	}
-	// Fold the two tier knobs into one (non-wide wins) and mirror the
-	// result on both, so the core dispatch and every SRAM consumer see
-	// the same choice. Idempotent.
-	c.KernelTier = c.Tier()
-	c.Params.Tier = c.KernelTier
 	return c
 }
 
@@ -296,15 +283,12 @@ func (c Config) traceGated() bool { return c.Traceback && c.TraceMinScore > 0 }
 // fusedExtension decides whether an extension with side lengths lh×lv
 // records directions during the scoring pass (fused single-pass) rather
 // than replaying. The decision is part of the SRAM model — partition's
-// budget math calls it too — so it resolves the tier itself instead of
-// relying on the defaults pass.
+// budget math calls it too.
 func (c Config) fusedExtension(lh, lv int) bool {
 	if !c.Traceback || c.traceGated() || c.TraceMode == core.TraceModeReplay {
 		return false
 	}
-	p := c.Params
-	p.Tier = c.Tier()
-	if !core.FusedEligible(lh, lv, p) {
+	if !core.FusedEligible(lh, lv, c.Params) {
 		return false
 	}
 	if c.TraceMode == core.TraceModeFused {
@@ -313,16 +297,8 @@ func (c Config) fusedExtension(lh, lv int) bool {
 	return c.ExtensionTraceBytes(lh, lv) <= fusedTraceBudget
 }
 
-// Tier resolves the effective kernel tier from the two equivalent knobs
-// (KernelTier and Params.Tier; non-wide wins) without requiring the
-// defaults pass first — partition and the driver consult the SRAM model
-// and fingerprints on raw configs.
-func (c Config) Tier() core.Tier {
-	if c.KernelTier != core.TierWide {
-		return c.KernelTier
-	}
-	return c.Params.Tier
-}
+// Tier returns the kernel tier, Params.Tier.
+func (c Config) Tier() core.Tier { return c.Params.Tier }
 
 // bufCellsPerThread returns the per-thread DP window size in score cells
 // for the configured algorithm given the largest min(m,n) among a tile's
@@ -366,7 +342,7 @@ func (c Config) WorkBufBytesPerThread(maxMinLen int) int {
 	if c.Params.Algo == core.AlgoReference || !c.Params.NarrowEligible() {
 		return wide
 	}
-	switch c.Tier() {
+	switch c.Params.Tier {
 	case core.TierNarrow:
 		return wide + c.bufCellsPerThread(maxMinLen)*core.NarrowScoreBytes
 	case core.TierAuto:
@@ -626,6 +602,9 @@ func Run(dev *ipu.Device, b *Batch, cfg Config) (*BatchResult, error) {
 	cfg = cfg.withDefaults(dev.Model())
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.TraceMode < core.TraceModeAuto || cfg.TraceMode > core.TraceModeFused {
+		return nil, fmt.Errorf("ipukernel: unknown trace mode %d", cfg.TraceMode)
 	}
 	if len(b.Tiles) > dev.Tiles() {
 		return nil, fmt.Errorf("ipukernel: batch has %d tiles, device has %d", len(b.Tiles), dev.Tiles())

@@ -381,7 +381,7 @@ func TestTracebackBudgetAdmitsWithinSRAM(t *testing.T) {
 		d := readsData(t, 11)
 		cfg := testKernelCfg()
 		cfg.Traceback = true
-		cfg.KernelTier = tier
+		cfg.Params.Tier = tier
 		budget, err := DeriveSeqBudget(d, cfg, platform.GC200)
 		if err != nil {
 			t.Fatalf("tier %v: %v", tier, err)

@@ -113,12 +113,12 @@ func TestServiceTenantFairShare(t *testing.T) {
 func TestServiceLoadShedding(t *testing.T) {
 	// Every batch straggles 200ms, so the first job reliably spans the
 	// second submission attempt.
-	plan := driver.NewFaultPlan(1, driver.FaultSpec{
+	cfg := testCfg(1)
+	cfg.Faults = driver.NewFaultPlan(1, driver.FaultSpec{
 		StragglerRate: 1, StragglerDelay: 200 * time.Millisecond,
 	})
 	opts := []engine.Option{
-		engine.WithDriverConfig(testCfg(1)), engine.WithQueueDepth(8),
-		engine.WithExecutors(1), engine.WithFaultPlan(plan),
+		engine.WithDriverConfig(cfg), engine.WithQueueDepth(8), engine.WithExecutors(1),
 	}
 	svc := service.New(service.Config{Shards: 1, EngineOptions: opts, MaxLiveJobs: 1})
 	defer svc.Close()
@@ -186,14 +186,14 @@ func TestServiceRefusalsRefundTenantToken(t *testing.T) {
 			restore: func(svc *service.Server) { svc.SetClosing(false) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			plan := driver.NewFaultPlan(1, driver.FaultSpec{
+			cfg := testCfg(1)
+			cfg.Faults = driver.NewFaultPlan(1, driver.FaultSpec{
 				StragglerRate: 1, StragglerDelay: 300 * time.Millisecond,
 			})
 			svc := service.New(service.Config{
 				Shards: 1, MaxLiveJobs: 1, MaxBodyBytes: tc.maxBody,
 				EngineOptions: []engine.Option{
-					engine.WithDriverConfig(testCfg(1)), engine.WithQueueDepth(8),
-					engine.WithExecutors(1), engine.WithFaultPlan(plan),
+					engine.WithDriverConfig(cfg), engine.WithQueueDepth(8), engine.WithExecutors(1),
 				},
 				// No refill inside the test: only a refund restores a token.
 				TenantRatePerSec: 0.001, TenantBurst: burst,

@@ -70,25 +70,25 @@ func (w *abortingWriter) Flush() {
 
 func TestServiceChaosComposedRecovery(t *testing.T) {
 	cfg := testCfg(2)
+	cfg.MaxBatchJobs = 4
 	d := readsData(t, 23, 28)
 
 	// Fault-free golden: what a calm in-process engine reports.
-	calm := []engine.Option{
-		engine.WithDriverConfig(cfg), engine.WithExecutors(2), engine.WithMaxBatchJobs(4),
-	}
+	calm := []engine.Option{engine.WithDriverConfig(cfg), engine.WithExecutors(2)}
 	want := inProcessGoldens(t, calm, []*workload.Dataset{d})[0]
 
 	// Chaotic shard: transient faults and stragglers on every layer the
 	// retry/hedge machinery covers, fallback for anything permanent-ish.
-	plan := driver.NewFaultPlan(31, driver.FaultSpec{
+	faulty := cfg
+	faulty.Faults = driver.NewFaultPlan(31, driver.FaultSpec{
 		TransientRate: 0.3, StragglerRate: 0.2, StragglerDelay: 2 * time.Millisecond,
 	})
-	chaotic := append(append([]engine.Option{}, calm...),
+	chaotic := []engine.Option{
+		engine.WithDriverConfig(faulty), engine.WithExecutors(2),
 		engine.WithRetry(12, 0),
 		engine.WithRetryBackoff(200*time.Microsecond, 2*time.Millisecond),
 		engine.WithDegradedMode(engine.DegradeFallback),
-		engine.WithFaultPlan(plan),
-	)
+	}
 	svc := service.New(service.Config{Shards: 1, EngineOptions: chaotic})
 	defer svc.Close()
 

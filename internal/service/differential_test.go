@@ -42,8 +42,13 @@ func inProcessGoldens(t *testing.T, opts []engine.Option, datasets []*workload.D
 
 func TestServiceLoopbackDifferential(t *testing.T) {
 	cfg := testCfg(2)
-	base := []engine.Option{
-		engine.WithDriverConfig(cfg), engine.WithQueueDepth(4), engine.WithExecutors(2),
+	dedup, traced := cfg, cfg
+	dedup.DedupExtensions = true
+	traced.Traceback = true
+	with := func(c driver.Config, extra ...engine.Option) []engine.Option {
+		return append([]engine.Option{
+			engine.WithDriverConfig(c), engine.WithQueueDepth(4), engine.WithExecutors(2),
+		}, extra...)
 	}
 	d := readsData(t, 3, 30)
 	for _, tc := range []struct {
@@ -51,11 +56,10 @@ func TestServiceLoopbackDifferential(t *testing.T) {
 		opts    []engine.Option
 		repeats int // total submissions of the same dataset
 	}{
-		{"plain", base, 1},
-		{"dedup", append(append([]engine.Option{}, base...), engine.WithDedupExtensions(true)), 1},
-		{"cache", append(append([]engine.Option{}, base...),
-			engine.WithDedupExtensions(true), engine.WithResultCache(4096)), 2},
-		{"traceback", append(append([]engine.Option{}, base...), engine.WithTraceback(true)), 1},
+		{"plain", with(cfg), 1},
+		{"dedup", with(dedup), 1},
+		{"cache", with(dedup, engine.WithResultCache(4096)), 2},
+		{"traceback", with(traced), 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			datasets := make([]*workload.Dataset, tc.repeats)

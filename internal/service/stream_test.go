@@ -29,13 +29,13 @@ import (
 // slowOpts makes every batch straggle so a test can reliably interrupt a
 // job mid-stream.
 func slowOpts(delay time.Duration, seed int64) []engine.Option {
-	plan := driver.NewFaultPlan(seed, driver.FaultSpec{StragglerRate: 1, StragglerDelay: delay})
+	cfg := testCfg(1)
+	cfg.Faults = driver.NewFaultPlan(seed, driver.FaultSpec{StragglerRate: 1, StragglerDelay: delay})
+	// Several batches per job, so streams can be interrupted between
+	// chunks.
+	cfg.MaxBatchJobs = 4
 	return []engine.Option{
-		engine.WithDriverConfig(testCfg(1)), engine.WithQueueDepth(8),
-		engine.WithExecutors(1), engine.WithFaultPlan(plan),
-		// Several batches per job, so streams can be interrupted between
-		// chunks.
-		engine.WithMaxBatchJobs(4),
+		engine.WithDriverConfig(cfg), engine.WithQueueDepth(8), engine.WithExecutors(1),
 	}
 }
 
@@ -220,12 +220,11 @@ func TestServiceResumeFromCursor(t *testing.T) {
 // window answers 410 Gone, one the stream has not reached 400; only a
 // cursor inside [firstRetained, chunks] opens a stream.
 func TestServiceResumeWindowGone(t *testing.T) {
+	cfg := testCfg(1)
+	cfg.MaxBatchJobs = 4 // multi-chunk delivery trims the 1-chunk window
 	svc := service.New(service.Config{
 		Shards: 1, WindowChunks: 1,
-		EngineOptions: []engine.Option{
-			engine.WithDriverConfig(testCfg(1)), engine.WithExecutors(1),
-			engine.WithMaxBatchJobs(4), // multi-chunk delivery trims the 1-chunk window
-		},
+		EngineOptions: []engine.Option{engine.WithDriverConfig(cfg), engine.WithExecutors(1)},
 	})
 	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())

@@ -19,9 +19,11 @@ import (
 )
 
 func TestServiceStatsAndMetricsExposition(t *testing.T) {
+	cfg := testCfg(1)
+	cfg.DedupExtensions = true
 	opts := []engine.Option{
-		engine.WithDriverConfig(testCfg(1)), engine.WithExecutors(1),
-		engine.WithDedupExtensions(true), engine.WithResultCache(1024),
+		engine.WithDriverConfig(cfg), engine.WithExecutors(1),
+		engine.WithResultCache(1024),
 	}
 	svc := service.New(service.Config{Shards: 2, EngineOptions: opts})
 	defer svc.Close()

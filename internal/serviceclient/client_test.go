@@ -175,14 +175,12 @@ func (w *lineLimitWriter) Flush() {
 func TestServiceClientResumesDroppedStream(t *testing.T) {
 	// Slow the batches slightly so the stream reliably has undelivered
 	// chunks when the abort fires.
-	plan := driver.NewFaultPlan(2, driver.FaultSpec{StragglerRate: 1, StragglerDelay: 20 * time.Millisecond})
-	opts := []engine.Option{
-		engine.WithDriverConfig(testCfg()), engine.WithExecutors(1),
-		engine.WithMaxBatchJobs(4), engine.WithFaultPlan(plan),
-	}
-	calm := []engine.Option{
-		engine.WithDriverConfig(testCfg()), engine.WithExecutors(1), engine.WithMaxBatchJobs(4),
-	}
+	calmCfg := testCfg()
+	calmCfg.MaxBatchJobs = 4
+	slowCfg := calmCfg
+	slowCfg.Faults = driver.NewFaultPlan(2, driver.FaultSpec{StragglerRate: 1, StragglerDelay: 20 * time.Millisecond})
+	opts := []engine.Option{engine.WithDriverConfig(slowCfg), engine.WithExecutors(1)}
+	calm := []engine.Option{engine.WithDriverConfig(calmCfg), engine.WithExecutors(1)}
 	d := testData(t, 47, 24)
 	want := golden(t, calm, d)
 
@@ -233,11 +231,10 @@ func TestServiceClientResumesDroppedStream(t *testing.T) {
 // TestServiceClientCancel: Cancel settles Wait with the job's
 // cancellation error.
 func TestServiceClientCancel(t *testing.T) {
-	plan := driver.NewFaultPlan(8, driver.FaultSpec{StragglerRate: 1, StragglerDelay: 100 * time.Millisecond})
-	opts := []engine.Option{
-		engine.WithDriverConfig(testCfg()), engine.WithExecutors(1),
-		engine.WithMaxBatchJobs(4), engine.WithFaultPlan(plan),
-	}
+	cfg := testCfg()
+	cfg.MaxBatchJobs = 4
+	cfg.Faults = driver.NewFaultPlan(8, driver.FaultSpec{StragglerRate: 1, StragglerDelay: 100 * time.Millisecond})
+	opts := []engine.Option{engine.WithDriverConfig(cfg), engine.WithExecutors(1)}
 	svc := service.New(service.Config{Shards: 1, EngineOptions: opts})
 	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())

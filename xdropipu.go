@@ -52,9 +52,6 @@ type (
 	Workspace = core.Workspace
 	// Algo selects an X-Drop variant.
 	Algo = core.Algo
-	// KernelTier selects the DP arithmetic width (wide int32, narrow
-	// int16 with saturation-checked promotion, or automatic).
-	KernelTier = core.Tier
 )
 
 // X-Drop variants.
@@ -69,8 +66,9 @@ const (
 	AlgoAffine = core.AlgoAffine
 )
 
-// Kernel tiers. Every tier returns bit-identical Results; they differ
-// only in DP working-set footprint and throughput.
+// Kernel tiers, the values of Params.Tier: the DP arithmetic width.
+// Every tier returns bit-identical Results; they differ only in DP
+// working-set footprint and throughput.
 const (
 	// TierWide runs every extension on int32 lanes (the default).
 	TierWide = core.TierWide
@@ -153,8 +151,7 @@ func CigarScore(h, v []byte, c Cigar, p Params) (int, error) {
 // scores and coordinates bit-match ExtendSeed (its Stats are zero except
 // Clamped — execution traces belong to the score pass), plus the full
 // alignment with its CIGAR. Fleet-scale callers enable
-// IPUConfig.Traceback or WithTraceback instead and read AlignOut.Cigar
-// per comparison.
+// IPUConfig.Traceback instead and read AlignOut.Cigar per comparison.
 func TracebackSeed(h, v []byte, s Seed, p Params) (SeedResult, TracedAlignment, error) {
 	var w core.Workspace
 	return w.TracebackSeed(h, v, s, p)
@@ -277,7 +274,7 @@ type (
 	// FaultPlan injects deterministic, seeded faults at the batch
 	// execution boundary — the chaos substrate behind the engine's
 	// retry/hedge/degradation machinery. Build one with NewFaultPlan and
-	// install it with WithFaultPlan (or IPUConfig.Faults).
+	// install it as IPUConfig.Faults.
 	FaultPlan = driver.FaultPlan
 	// FaultSpec sets a fault plan's injection rates (transient,
 	// permanent, straggler) and straggler delay.
@@ -330,53 +327,17 @@ var ErrJobDeadline = engine.ErrDeadline
 // ErrEngineClosed is returned by Engine.Submit after Close.
 var ErrEngineClosed = engine.ErrClosed
 
-// Engine construction options.
+// Engine construction options. The run configuration (fleet, plan,
+// kernel, traceback, fault injection) travels whole in WithIPUConfig; the
+// rest set engine policy only.
 var (
-	// WithModel selects the IPU generation (GC200, BOW).
-	WithModel = engine.WithModel
-	// WithIPUs sets the modeled device count.
-	WithIPUs = engine.WithIPUs
-	// WithTilesPerIPU restricts tiles per device.
-	WithTilesPerIPU = engine.WithTilesPerIPU
-	// WithKernel configures the on-tile codelet.
-	WithKernel = engine.WithKernel
-	// WithPartition toggles graph-based sequence reuse.
-	WithPartition = engine.WithPartition
-	// WithSeqBudget caps a partition's sequence payload.
-	WithSeqBudget = engine.WithSeqBudget
-	// WithMaxBatchJobs caps comparisons per batch.
-	WithMaxBatchJobs = engine.WithMaxBatchJobs
-	// WithBatchOverhead sets the modeled per-batch host cost.
-	WithBatchOverhead = engine.WithBatchOverhead
-	// WithDedupExtensions aligns each unique (pair, seed) extension once
-	// per job and fans the result out to duplicates.
-	WithDedupExtensions = engine.WithDedupExtensions
+	// WithIPUConfig sets the run configuration: an IPUConfig with the
+	// device count, partitioning, kernel, traceback and fault plan.
+	WithIPUConfig = engine.WithDriverConfig
 	// WithResultCache shares a bounded, recency-approximating cache of
 	// finished extensions across every job the engine serves (implies
 	// dedup); hit/miss/evict counters surface in EngineStats.
 	WithResultCache = engine.WithResultCache
-	// WithTraceback enables CIGAR emission for every job: results carry
-	// their edit scripts and reports expose peak traceback memory.
-	WithTraceback = engine.WithTraceback
-	// WithTraceMinScore gates traceback behind a score cutoff:
-	// comparisons scoring below it deliver score-only results and skip
-	// the recording cost entirely — hit-sparse pipelines pay traceback
-	// only for the alignments they keep. Traced/skipped counters
-	// surface in EngineStats and every report.
-	WithTraceMinScore = engine.WithTraceMinScore
-	// WithTraceMode selects the recording strategy for traced
-	// comparisons (TraceModeAuto, TraceModeReplay, TraceModeFused).
-	// Fused single-pass recording and the two-pass replay produce
-	// bit-identical alignments; they differ in SRAM charging and
-	// modeled time.
-	WithTraceMode = engine.WithTraceMode
-	// WithKernelTier selects the DP arithmetic width (TierWide,
-	// TierNarrow, TierAuto). Results are bit-identical across tiers;
-	// TierAuto halves the per-thread DP working set whenever the
-	// scoring regime provably cannot saturate int16, letting the
-	// partitioner admit larger sequences per tile. Tier counters
-	// surface in EngineStats.
-	WithKernelTier = engine.WithKernelTier
 	// WithRetry re-issues batches whose execution failed transiently,
 	// with capped exponential backoff: max retries per batch, budget
 	// retries per job (0 = uncapped).
@@ -391,21 +352,18 @@ var (
 	// WithDegradedMode selects how exhausted batches complete:
 	// DegradeFail, DegradeFallback or DegradePartial.
 	WithDegradedMode = engine.WithDegradedMode
-	// WithFaultPlan installs seeded fault injection at the batch
-	// execution boundary (chaos testing; see NewFaultPlan).
-	WithFaultPlan = engine.WithFaultPlan
 	// WithQueueDepth bounds in-flight submissions (backpressure).
 	WithQueueDepth = engine.WithQueueDepth
 	// WithExecutors sets the host-side executor pool width.
 	WithExecutors = engine.WithExecutors
-	// WithIPUConfig replaces the whole driver configuration at once.
-	WithIPUConfig = engine.WithDriverConfig
 )
 
 // NewEngine starts a persistent asynchronous alignment engine. Close it
 // when done:
 //
-//	eng := xdropipu.NewEngine(xdropipu.WithIPUs(4))
+//	eng := xdropipu.NewEngine(xdropipu.WithIPUConfig(xdropipu.IPUConfig{
+//		IPUs: 4, Kernel: xdropipu.KernelConfig{Params: p},
+//	}))
 //	defer eng.Close()
 //	job, err := eng.Submit(ctx, dataset)
 //	for u := range job.Results() { ... } // streamed batch results
