@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -112,6 +113,52 @@ func TestEngineDedupMatchesPlainEngine(t *testing.T) {
 	}
 	if rep.UniqueExtensions != len(base.Comparisons) {
 		t.Errorf("UniqueExtensions = %d, want %d", rep.UniqueExtensions, len(base.Comparisons))
+	}
+}
+
+// TestResultCacheKeepsCollidingSequencesApart: x is the 4 096-symbol
+// Thue–Morse word over {A, C} and y its complement, a pair that collides
+// unkeyed FNV-1a and odd-base polynomial hashes at this length. A
+// cached engine that has run x against x must not serve that alignment
+// for y against x: the cache key names sequences by digest, so the digest
+// is all that tells the two jobs apart.
+func TestResultCacheKeepsCollidingSequencesApart(t *testing.T) {
+	const n = 4096
+	x, y := make([]byte, n), make([]byte, n)
+	for i := range x {
+		x[i], y[i] = 'A', 'C'
+		if bits.OnesCount(uint(i))%2 == 1 {
+			x[i], y[i] = 'C', 'A'
+		}
+	}
+	cmps := []workload.Comparison{{H: 0, V: 1, SeedH: 2000, SeedV: 2000, SeedLen: 17}}
+	xx := workload.MustPack("xx", [][]byte{x, x}, cmps, false)
+	yx := workload.MustPack("yx", [][]byte{y, x}, cmps, false)
+
+	want, err := driver.Run(yx.Clone(), cacheTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New(WithDriverConfig(cacheTestConfig()), WithResultCache(1<<12))
+	defer eng.Close()
+	var reps []*driver.Report
+	for _, d := range []*workload.Dataset{xx, yx} {
+		j, err := eng.Submit(context.Background(), d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := j.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps = append(reps, rep)
+	}
+	if reps[0].Results[0].Score == want.Results[0].Score {
+		t.Fatalf("x·x and y·x both score %d: the pair no longer tells the cache anything", want.Results[0].Score)
+	}
+	if got := reps[1]; got.CacheHits != 0 || got.Results[0] != want.Results[0] {
+		t.Fatalf("y·x after x·x: %d cache hits, result %+v; want 0 hits and %+v",
+			got.CacheHits, got.Results[0], want.Results[0])
 	}
 }
 

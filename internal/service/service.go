@@ -213,6 +213,9 @@ func (s *Server) Close() error {
 // affinity routing key: identical sequence content — regardless of which
 // arena packed it — routes to the same shard, keeping that shard's
 // ExtensionKey result cache warm for repeat and duplicate-heavy traffic.
+// Digests are keyed per process, so the shard a given content lands on
+// is stable within one server and differs from one server start to the
+// next.
 func routeKey(d *workload.Dataset) uint64 {
 	arena, _ := d.Spine()
 	const prime64 = 1099511628211

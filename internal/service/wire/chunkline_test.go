@@ -215,3 +215,26 @@ func FuzzParseChunkLine(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkParseChunkLine parses one full cache-served chunk: 512
+// untraced results of long-read magnitudes, the line a warm replay
+// streams.
+func BenchmarkParseChunkLine(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	outs := make([]ipukernel.AlignOut, 512)
+	for i := range outs {
+		outs[i] = ipukernel.AlignOut{
+			GlobalID: 3000 + i, Score: 900 + rng.Intn(600), LeftScore: rng.Intn(800), RightScore: rng.Intn(800),
+			BegH: rng.Intn(40), BegV: rng.Intn(40), EndH: 1400 + rng.Intn(200), EndV: 1400 + rng.Intn(200),
+			Cells: int64(20000 + rng.Intn(20000)), Antidiagonals: 2800 + rng.Intn(400), MaxLiveBand: 10 + rng.Intn(30),
+		}
+	}
+	line := AppendChunkLine(nil, 7, -1, 8, 0, outs)
+	b.SetBytes(int64(len(line)))
+	b.ReportAllocs()
+	for range b.N {
+		if _, got, ok := ParseChunkLine(line); !ok || len(got) != len(outs) {
+			b.Fatal("chunk line declined")
+		}
+	}
+}

@@ -3,9 +3,12 @@
 // columnar plan) across the network boundary, a FASTA ingestion path for
 // thin clients, and the NDJSON record types the result stream is framed
 // in. The codec preserves the spine exactly: a decoded dataset has the
-// same sequence indices, spans and content digests as the sender's, so
-// routing keys, ExtensionKeys and result-cache identity survive the trip
-// and the service's reports stay byte-identical to an in-process run.
+// same sequence indices, spans and bytes as the sender's, so the
+// service's reports stay byte-identical to an in-process run. No digest
+// crosses the wire — the receiver recomputes them from the bytes under
+// its own process keys, so routing keys and ExtensionKeys agree with
+// every other dataset of the same content in that process, and a sender
+// cannot choose them.
 package wire
 
 import (

@@ -16,6 +16,7 @@ package workload
 
 import (
 	"fmt"
+	"hash/maphash"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -177,34 +178,29 @@ func (a *Arena) SetMaxSlabBytes(n int) {
 // MaxSlab returns the arena's per-slab byte cap.
 func (a *Arena) MaxSlab() int { return a.maxSlab }
 
-// SeqDigest is a 128-bit content fingerprint of a sequence's bytes: two
-// independent 64-bit hashes computed in one pass. Lo doubles as the
-// arena's intern-index key; the pair (plus the explicit length carried by
-// ExtensionKey) identifies sequence content across arenas, which is what
-// lets a result cache recognise byte-identical work from different jobs
-// with different pool numbering. Digests are computed from bytes alone,
-// so a sequence's digest is independent of which slab it landed in.
+// SeqDigest is a 128-bit keyed content fingerprint of a sequence's bytes:
+// two independent 64-bit hashes under two process-random keys. Lo doubles
+// as the arena's intern-index key; the pair (plus the explicit length
+// carried by ExtensionKey) identifies sequence content across the arenas
+// of one process, which is what lets a result cache recognise
+// byte-identical work from different jobs with different pool numbering.
+// Digests depend on the bytes and the process's keys alone — not on which
+// slab a sequence landed in — and mean nothing to another process: no
+// spill file, wire format, golden or fingerprint carries one.
 type SeqDigest struct {
 	Lo, Hi uint64
 }
 
-// digestBytes computes both fingerprint halves in a single pass: Lo is
-// FNV-1a 64 (the historical intern hash), Hi a multiply-accumulate with
-// an avalanche finaliser. Inlined accumulators, no hash.Hash allocation.
+// digestSeeds key the two digest halves. They are drawn once per process,
+// so a client cannot construct a colliding pair offline the way it can
+// against any fixed hash (the Thue–Morse word and its complement collide
+// FNV-1a and odd-base polynomial hashes at a few KiB).
+var digestSeeds = [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()}
+
+// digestBytes computes both fingerprint halves: two hash/maphash calls
+// (AES-based on amd64), no hash.Hash allocation.
 func digestBytes(s []byte) SeqDigest {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	lo := uint64(offset64)
-	hi := uint64(0x9e3779b97f4a7c15)
-	for _, c := range s {
-		lo ^= uint64(c)
-		lo *= prime64
-		hi = (hi + uint64(c) + 1) * 0x9e3779b97f4a7c15
-	}
-	// splitmix-style finaliser so short sequences still diffuse into Hi.
-	hi ^= hi >> 30
-	hi *= 0xbf58476d1ce4e5b9
-	hi ^= hi >> 27
-	return SeqDigest{Lo: lo, Hi: hi}
+	return SeqDigest{Lo: maphash.Bytes(digestSeeds[0], s), Hi: maphash.Bytes(digestSeeds[1], s)}
 }
 
 // Len returns the number of sequences (pool indices) in the arena. Interned
@@ -228,8 +224,10 @@ func (a *Arena) Ref(i int) SeqRef { return a.refs[i] }
 
 // Digest returns sequence i's 128-bit content fingerprint. Interned
 // duplicates share their canonical sequence's digest, so equal digests
-// (at equal length) mean equal bytes across any two arenas up to hash
-// collision — within one arena, equal spans are the exact test.
+// (at equal length) mean equal bytes across any two arenas of this
+// process up to a keyed-hash collision — within one arena, equal spans
+// are the exact test. Digests from different processes are not
+// comparable.
 func (a *Arena) Digest(i int) SeqDigest { return a.digests[i] }
 
 // Refs returns the span table (shared; callers must not mutate).

@@ -9,12 +9,13 @@ package workload
 
 // ExtensionKey is the canonical content-addressed identity of one seed
 // extension: the 128-bit content digests and lengths of H and V plus the
-// seed geometry. Two comparisons from different jobs — different arenas,
-// different pool numbering — produce equal keys exactly when the bytes
-// and the seed anchor are identical (up to digest collision, ~2⁻¹²⁸ with
-// the explicit lengths folded in). It is the cross-job result-cache key;
-// within one arena, DedupPlan uses exact span identity instead, so
-// in-plan dedup never depends on a hash at all.
+// seed geometry. Two comparisons from different jobs in one process —
+// different arenas, different pool numbering — produce equal keys exactly
+// when the bytes and the seed anchor are identical, up to a collision of
+// two independently keyed 64-bit hashes whose keys the submitter never
+// sees. It is the cross-job result-cache key and lives only as long as
+// the process; within one arena, DedupPlan uses exact span identity
+// instead, so in-plan dedup never depends on a hash at all.
 type ExtensionKey struct {
 	// H and V are the sequences' content digests.
 	H, V SeqDigest

@@ -2,9 +2,11 @@
 // parts. The service tier ships datasets as (slabs, refs, plan columns);
 // RestoreArenaSlabs turns the first two back into a full Arena — digests
 // and intern index included — without re-appending byte by byte, so the
-// restored spine is semantically identical to the sender's: same
-// indices, same spans, same content digests, and therefore the same
-// ExtensionKeys and result-cache identity.
+// restored spine has the sender's indices and spans. The wire carries no
+// digests: they are computed here from the bytes under this process's
+// keys, so the restored arena's ExtensionKeys equal those of any arena
+// in this process holding the same content, which is the result-cache
+// identity.
 
 package workload
 

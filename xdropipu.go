@@ -190,7 +190,8 @@ type (
 	CmpPlan = workload.Plan
 	// ExtensionKey is the content-addressed identity of one seed
 	// extension (sequence digests, lengths, seed geometry), equal across
-	// jobs whenever the bytes and seed match.
+	// the jobs of one process whenever the bytes and seed match; digests
+	// are keyed per process, so keys from two processes never compare.
 	ExtensionKey = workload.ExtensionKey
 	// ResultCacheKey is the full result-cache key: an ExtensionKey plus
 	// the kernel-configuration fingerprint, so one cache shared across
@@ -439,7 +440,9 @@ var (
 func EncodeDataset(d *Dataset) ([]byte, error) { return wire.EncodeDataset(d) }
 
 // DecodeDataset reverses EncodeDataset; the restored dataset preserves
-// spans and content digests, so routing and cache identity survive.
+// spans and bytes, and its digests are computed from those bytes in this
+// process, so routing and cache identity are those of the same content
+// submitted in process.
 func DecodeDataset(p []byte) (*Dataset, error) { return wire.DecodeDataset(p) }
 
 // Wire content types.
