@@ -138,18 +138,15 @@ func getAll(c ResultCache, keys []CacheKey, outs []ipukernel.AlignOut, hit []boo
 }
 
 // KernelFingerprint hashes every kernel-configuration input that can
-// change anything in an AlignOut: the algorithm, X, δb, gap penalties
-// and the full scoring table, plus the scheduling knobs that alter the
-// per-result execution trace — the effective thread count (resolved
-// against the model, so Threads=0 on two different IPU generations
-// never aliases and an explicit default never spuriously misses), LR
-// splitting and the work-stealing mode, because a racy steal re-executes
-// a unit and inflates that result's Cells/Antidiagonals. Knobs that only
-// change modeled time (dual issue, the cost model, host-side
-// parallelism) are deliberately excluded, so runs differing only in
-// those share cache entries. Trace statistics of a cache-served result
-// always describe the run that computed it.
-func KernelFingerprint(cfg ipukernel.Config, model platform.IPUModel) uint64 {
+// change anything in an AlignOut: the algorithm, X, δb, gap penalties,
+// the full scoring table, the kernel tier and the traceback settings.
+// Each unit's kernel runs exactly once whatever the schedule, so a result
+// is a function of the comparison and these inputs alone. Knobs that only
+// shape the modeled schedule or its time — thread count, the IPU model,
+// LR splitting, work stealing and its busy-wait variance, dual issue, the
+// cost model, host-side parallelism — are deliberately excluded, so runs
+// differing only in those share cache entries.
+func KernelFingerprint(cfg ipukernel.Config) uint64 {
 	h := fnv.New64a()
 	put := func(v int64) {
 		var b [8]byte
@@ -162,36 +159,19 @@ func KernelFingerprint(cfg ipukernel.Config, model platform.IPUModel) uint64 {
 	put(int64(p.DeltaB))
 	put(int64(p.Gap))
 	put(int64(p.GapOpen))
-	put(int64(cfg.EffectiveThreads(model)))
-	flags := int64(0)
-	if cfg.LRSplit {
-		flags |= 1
-	}
-	if cfg.WorkStealing {
-		flags |= 2
-		// BusyWaitVariance only shapes the schedule under work stealing
-		// (ipukernel documents it as ignored otherwise); hashing it
-		// unconditionally would split behaviorally identical configs.
-		if cfg.BusyWaitVariance {
-			flags |= 4
-		}
-	}
-	if cfg.Traceback {
-		// Traceback-on results carry CIGARs and trace-byte accounting;
-		// they must never be served to (or taken from) a score-only run.
-		flags |= 8
-	}
-	put(flags)
 	// The kernel tier: completed narrow alignments are bit-identical to
 	// wide ones, but the tiers' trace accounting (Stats.WorkBytes,
 	// promotion counters) differs, so cached entries must not cross tiers.
 	put(int64(p.Tier))
 	if cfg.Traceback {
-		// The gate cutoff decides which results carry CIGARs and the
-		// mode decides what the trace accounting describes — entries
-		// from gated/ungated or fused/replay runs must never mix, or a
-		// warm hit below the cutoff would fan out a stale CIGAR. Hashed
-		// only while tracing so score-only runs keep sharing entries.
+		// Traceback-on results carry CIGARs and trace-byte accounting;
+		// they must never be served to (or taken from) a score-only run.
+		// The gate cutoff decides which results carry CIGARs and the mode
+		// decides what the trace accounting describes — entries from
+		// gated/ungated or fused/replay runs must never mix, or a warm hit
+		// below the cutoff would fan out a stale CIGAR. Hashed only while
+		// tracing so score-only runs keep sharing entries.
+		put(1)
 		put(int64(cfg.TraceMinScore))
 		put(int64(cfg.TraceMode))
 	}
@@ -505,7 +485,7 @@ func BuildBatches(ctx context.Context, d *workload.Dataset, cfg Config) (*BatchP
 			bp.dedup = dm
 		}
 		if cfg.Cache != nil {
-			kernelFP := KernelFingerprint(cfg.Kernel, cfg.Model)
+			kernelFP := KernelFingerprint(cfg.Kernel)
 			keys := make([]CacheKey, dm.Unique())
 			for uid, row := range dm.UniqueRows {
 				keys[uid] = CacheKey{Kernel: kernelFP, Ext: arena.ExtensionKeyOf(plan.At(int(row)))}

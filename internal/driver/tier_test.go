@@ -78,7 +78,7 @@ func TestKernelFingerprintSeparatesTiers(t *testing.T) {
 		cfg := base
 		cfg.Kernel.Params.Tier = tier
 		cfg = cfg.Normalized()
-		fp := KernelFingerprint(cfg.Kernel, cfg.Model)
+		fp := KernelFingerprint(cfg.Kernel)
 		if prev, dup := seen[fp]; dup {
 			t.Fatalf("tiers %v and %v share fingerprint %x", prev, tier, fp)
 		}

@@ -222,8 +222,8 @@ func TestTraceGateCacheComposition(t *testing.T) {
 	gatedOff := plain
 	gatedOff.Kernel.TraceMinScore = cut
 	gatedOff.Kernel.TraceMode = core.TraceModeFused
-	a := KernelFingerprint(plain.Normalized().Kernel, plain.Model)
-	b := KernelFingerprint(gatedOff.Normalized().Kernel, gatedOff.Model)
+	a := KernelFingerprint(plain.Normalized().Kernel)
+	b := KernelFingerprint(gatedOff.Normalized().Kernel)
 	if a != b {
 		t.Fatal("trace knobs changed the score-only kernel fingerprint")
 	}

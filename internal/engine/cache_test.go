@@ -278,61 +278,88 @@ func TestResultCacheCollisionSafety(t *testing.T) {
 }
 
 // TestKernelFingerprint: every parameter that can change anything in an
-// AlignOut must change the fingerprint — including scheduling knobs like
-// work stealing, whose racy re-executions inflate a result's trace
-// statistics — while knobs that only affect modeled time (dual issue,
-// host parallelism, the cost model) must not.
+// AlignOut must change the fingerprint, while knobs that only shape the
+// modeled schedule or its time must not — each unit runs exactly once
+// whatever the schedule, so thread count, IPU model, LR splitting, work
+// stealing, busy-wait variance, dual issue and host parallelism all share
+// cache entries.
 func TestKernelFingerprint(t *testing.T) {
 	base := ipukernel.Config{Params: core.Params{Scorer: scoring.DNADefault, Gap: -1, X: 10, DeltaB: 128}}
-	fp := driver.KernelFingerprint(base, platform.GC200)
+	fp := driver.KernelFingerprint(base)
+	for _, tc := range []struct {
+		name string
+		mut  func(c *ipukernel.Config)
+		same bool
+	}{
+		{"X", func(c *ipukernel.Config) { c.Params.X = 20 }, false},
+		{"scorer", func(c *ipukernel.Config) { c.Params.Scorer = scoring.Blosum62 }, false},
+		{"δb", func(c *ipukernel.Config) { c.Params.DeltaB = 64 }, false},
+		{"traceback", func(c *ipukernel.Config) { c.Traceback = true }, false},
+		{"work stealing", func(c *ipukernel.Config) { c.WorkStealing = true }, true},
+		{"eventual work stealing", func(c *ipukernel.Config) { c.WorkStealing, c.BusyWaitVariance = true, true }, true},
+		{"LR split", func(c *ipukernel.Config) { c.LRSplit = true }, true},
+		// What Threads=0 resolves to on a two-thread IPU model.
+		{"thread count, small model", func(c *ipukernel.Config) { c.Threads = 2 }, true},
+		{"explicit default thread count", func(c *ipukernel.Config) { c.Threads = platform.GC200.ThreadsPerTile }, true},
+		{"time-only knobs", func(c *ipukernel.Config) { c.DualIssue, c.Parallelism = true, 4 }, true},
+	} {
+		mut := base
+		tc.mut(&mut)
+		if same := driver.KernelFingerprint(mut) == fp; same != tc.same {
+			t.Errorf("%s: fingerprint equal = %v, want %v", tc.name, same, tc.same)
+		}
+	}
+}
 
-	mut := base
-	mut.Params.X = 20
-	if driver.KernelFingerprint(mut, platform.GC200) == fp {
-		t.Error("X change kept the fingerprint")
+// TestCacheServesAcrossSchedules: a result is a function of the comparison
+// and the kernel parameters alone, so a cache warmed by a six-thread racy
+// stealing run serves a one-thread static run in full, bit-identically.
+func TestCacheServesAcrossSchedules(t *testing.T) {
+	// Error-free pairs of one length cost the same per unit, so the
+	// deterministic counters tie and steals race.
+	d := synth.UniformPairs(synth.UniformPairsSpec{Count: 24, Length: 300, SeedLen: 17, Seed: 23})
+	racy := cacheTestConfig()
+	racy.Kernel.LRSplit, racy.Kernel.WorkStealing = true, true
+	racy.TilesPerIPU = 1 // one long work list: counters tie and steals race
+	static := cacheTestConfig()
+	static.Kernel.Threads = 1
+
+	want, err := driver.Run(d.Clone(), static)
+	if err != nil {
+		t.Fatal(err)
 	}
-	mut = base
-	mut.Params.Scorer = scoring.Blosum62
-	if driver.KernelFingerprint(mut, platform.GC200) == fp {
-		t.Error("scorer change kept the fingerprint")
+	// Both engines take the one cache through their run configuration.
+	cache := newResultCache(1 << 12)
+	racy.Cache, static.Cache = cache, cache
+	warm := New(WithDriverConfig(racy))
+	defer warm.Close()
+	j, err := warm.Submit(context.Background(), d.Clone())
+	if err != nil {
+		t.Fatal(err)
 	}
-	mut = base
-	mut.Params.DeltaB = 64
-	if driver.KernelFingerprint(mut, platform.GC200) == fp {
-		t.Error("δb change kept the fingerprint")
+	cold, err := j.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	mut = base
-	mut.WorkStealing = true
-	if driver.KernelFingerprint(mut, platform.GC200) == fp {
-		t.Error("work-stealing change kept the fingerprint (racy steals alter trace stats)")
+	if cold.Races == 0 {
+		t.Fatal("warming run raced no steals")
 	}
-	mut = base
-	mut.LRSplit = true
-	if driver.KernelFingerprint(mut, platform.GC200) == fp {
-		t.Error("LR-split change kept the fingerprint")
+
+	served := New(WithDriverConfig(static))
+	defer served.Close()
+	j, err = served.Submit(context.Background(), d.Clone())
+	if err != nil {
+		t.Fatal(err)
 	}
-	mut = base
-	mut.Threads = 2
-	if driver.KernelFingerprint(mut, platform.GC200) == fp {
-		t.Error("thread-count change kept the fingerprint")
+	got, err := j.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Threads=0 means "the model's hardware threads": it must equal an
-	// explicit default on the same model, and differ across models with
-	// different thread counts.
-	mut = base
-	mut.Threads = platform.GC200.ThreadsPerTile
-	if driver.KernelFingerprint(mut, platform.GC200) != fp {
-		t.Error("explicit default thread count spuriously missed")
+	if got.CacheHits != len(d.Comparisons) {
+		t.Fatalf("cache hits %d, want all %d comparisons", got.CacheHits, len(d.Comparisons))
 	}
-	small := platform.GC200
-	small.ThreadsPerTile = 2
-	if driver.KernelFingerprint(base, small) == fp {
-		t.Error("Threads=0 aliased across models with different hardware threads")
-	}
-	mut = base
-	mut.DualIssue, mut.Parallelism = true, 4
-	if driver.KernelFingerprint(mut, platform.GC200) != fp {
-		t.Error("time-only knobs altered the fingerprint")
+	if !reflect.DeepEqual(got.Results, want.Results) {
+		t.Fatal("cache-served results differ from a one-thread static run's")
 	}
 }
 

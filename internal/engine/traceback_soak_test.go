@@ -177,7 +177,7 @@ func TestWithTracebackOptionFingerprint(t *testing.T) {
 	on := cfg
 	on.Traceback = true
 	on = on.Normalized()
-	if driver.KernelFingerprint(cfg.Kernel, cfg.Model) == driver.KernelFingerprint(on.Kernel, on.Model) {
+	if driver.KernelFingerprint(cfg.Kernel) == driver.KernelFingerprint(on.Kernel) {
 		t.Fatal("traceback flag does not change the kernel fingerprint")
 	}
 	traced := testCfg(1)

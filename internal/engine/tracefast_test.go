@@ -19,7 +19,7 @@ func TestWithTraceMinScoreOptionFingerprint(t *testing.T) {
 	gated := on
 	gated.Kernel.TraceMinScore = 80
 	gatedN := gated.Normalized()
-	if driver.KernelFingerprint(onN.Kernel, onN.Model) == driver.KernelFingerprint(gatedN.Kernel, gatedN.Model) {
+	if driver.KernelFingerprint(onN.Kernel) == driver.KernelFingerprint(gatedN.Kernel) {
 		t.Fatal("trace score gate does not change the traceback kernel fingerprint")
 	}
 
@@ -27,7 +27,7 @@ func TestWithTraceMinScoreOptionFingerprint(t *testing.T) {
 	gatedOff := testCfg(1)
 	gatedOff.Kernel.TraceMinScore = 80
 	gatedOffN := gatedOff.Normalized()
-	if driver.KernelFingerprint(off.Kernel, off.Model) != driver.KernelFingerprint(gatedOffN.Kernel, gatedOffN.Model) {
+	if driver.KernelFingerprint(off.Kernel) != driver.KernelFingerprint(gatedOffN.Kernel) {
 		t.Fatal("trace score gate split the score-only fingerprint; score-only runs should share entries")
 	}
 
@@ -50,7 +50,7 @@ func TestWithTraceModeOptionFingerprint(t *testing.T) {
 	fused := on
 	fused.Kernel.TraceMode = core.TraceModeFused
 	fusedN := fused.Normalized()
-	if driver.KernelFingerprint(replayN.Kernel, replayN.Model) == driver.KernelFingerprint(fusedN.Kernel, fusedN.Model) {
+	if driver.KernelFingerprint(replayN.Kernel) == driver.KernelFingerprint(fusedN.Kernel) {
 		t.Fatal("trace mode does not change the traceback kernel fingerprint")
 	}
 
@@ -58,7 +58,7 @@ func TestWithTraceModeOptionFingerprint(t *testing.T) {
 	fusedOff := testCfg(1)
 	fusedOff.Kernel.TraceMode = core.TraceModeFused
 	fusedOffN := fusedOff.Normalized()
-	if driver.KernelFingerprint(off.Kernel, off.Model) != driver.KernelFingerprint(fusedOffN.Kernel, fusedOffN.Model) {
+	if driver.KernelFingerprint(off.Kernel) != driver.KernelFingerprint(fusedOffN.Kernel) {
 		t.Fatal("trace mode split the score-only fingerprint; score-only runs should share entries")
 	}
 

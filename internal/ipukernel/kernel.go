@@ -250,20 +250,13 @@ type Config struct {
 	Parallelism int
 }
 
-// EffectiveThreads resolves the configured thread count against a model:
-// zero or out-of-range selects the model's hardware thread count. This is
-// the single clamp the kernel executes with — cache-key fingerprints must
-// use it too, so configurations that resolve to the same schedule share
-// entries and ones that differ never alias.
-func (c Config) EffectiveThreads(m platform.IPUModel) int {
-	if c.Threads <= 0 || c.Threads > m.ThreadsPerTile {
-		return m.ThreadsPerTile
-	}
-	return c.Threads
-}
-
+// withDefaults resolves the thread count against the model (zero or
+// out-of-range selects the model's hardware threads) and fills in the
+// calibrated cost model.
 func (c Config) withDefaults(m platform.IPUModel) Config {
-	c.Threads = c.EffectiveThreads(m)
+	if c.Threads <= 0 || c.Threads > m.ThreadsPerTile {
+		c.Threads = m.ThreadsPerTile
+	}
 	if c.Cost == (platform.KernelCost{}) {
 		c.Cost = platform.DefaultKernelCost
 	}
@@ -467,7 +460,8 @@ type AlignOut struct {
 	LeftScore, RightScore int
 	// BegH/BegV/EndH/EndV delimit the aligned region.
 	BegH, BegV, EndH, EndV int
-	// Cells and Antidiagonals aggregate both extensions' traces.
+	// Cells and Antidiagonals aggregate both extensions' traces, one
+	// execution each whatever the modeled schedule.
 	Cells         int64
 	Antidiagonals int
 	// MaxLiveBand is the larger δw of the two extensions.
@@ -508,10 +502,14 @@ type Counters struct {
 	// duplication an offset-addressed exchange would eliminate.
 	UniqueSeqBytesIn int64 `json:"uniqueSeqBytesIn"`
 	// TheoreticalCells is the |H|·|V| volume of the executed comparisons
-	// (the GCUPS numerator, §5.1); Cells is what the X-Drop band computed.
+	// (the GCUPS numerator, §5.1), counted once per comparison. Cells is
+	// what the X-Drop band computed on the device: it counts device work,
+	// so a race's duplicate execution is counted once per tied thread
+	// (the per-result AlignOut.Cells counts one execution).
 	TheoreticalCells int64 `json:"theoreticalCells"`
 	Cells            int64 `json:"cells"`
-	// SumBand and Antidiags support mean-live-band reporting.
+	// SumBand and Antidiags support mean-live-band reporting; like Cells
+	// they count device work, a race's duplicate included.
 	SumBand   int64 `json:"sumBand"`
 	Antidiags int64 `json:"antidiags"`
 	// Races counts duplicated steals (two threads grabbing one unit);
@@ -537,9 +535,10 @@ type Counters struct {
 	// over every executed extension.
 	PeakTracebackBytes int   `json:"peakTracebackBytes"`
 	TracebackBytes     int64 `json:"tracebackBytes"`
-	// Kernel-tier accounting, one count per executed extension (an
-	// LRSplit comparison contributes two; cache-served and deduped
-	// comparisons contribute nothing — no kernel ran for them).
+	// Kernel-tier accounting, one count per device execution of an
+	// extension (a comparison contributes two, and a raced unit its
+	// extensions again for every further tied thread; cache-served and
+	// deduped comparisons contribute nothing — no kernel ran for them).
 	// NarrowExtensions completed on the int16 tier; PromotedExtensions
 	// saturated the int16 kernel and transparently re-ran wide;
 	// WideExtensions ran int32 outright (TierWide, narrow-ineligible

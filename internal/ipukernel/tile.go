@@ -3,6 +3,7 @@ package ipukernel
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/sram-align/xdropipu/internal/alignment"
@@ -39,25 +40,26 @@ type tileResult struct {
 }
 
 // executor is a pool worker's reusable tile-execution state: one DP
-// workspace per simulated hardware thread plus the scheduling scratch.
-// Executors persist across tiles and (through execPool) across Run
-// calls, so a warm tile execution performs no allocation.
+// workspace (every unit runs once, in unit order), the per-unit memo the
+// schedule replays, and the schedule's own state. Executors persist
+// across tiles and (through execPool) across Run calls, so a warm tile
+// execution performs no allocation.
 type executor struct {
-	ws    []core.Workspace
-	instr []int64
-	units []unit
-	tied  []int
+	ws core.Workspace
+	// cost and work memoise each unit's one execution: the instruction
+	// bundles it charges its thread, and the device counters it adds.
+	cost  []int64
+	work  []Counters
+	sched tileSchedule
 	// Per-job traceback scratch (sized only when Config.Traceback is on):
 	// each side's sequence-forward Cigar and trace footprint, combined
 	// with the seed columns once the tile's units have all run; failed
 	// marks jobs whose trace recording overflowed (degraded to a Failed
-	// placeholder). Under the score gate the score-pass Result and the
-	// scoring thread of each side are kept so the deferred replay can
-	// cross-check and charge the right thread.
+	// placeholder). Under the score gate the score-pass Result of each
+	// side is kept so the deferred replay can cross-check it.
 	leftC, rightC   []alignment.Cigar
 	leftTB, rightTB []int
 	leftR, rightR   []core.Result
-	leftTh, rightTh []int
 	failed          []bool
 	// cigar joins each job's left, seed and right Cigars; its buffer is
 	// kept, so a join allocates only the string it returns.
@@ -66,182 +68,87 @@ type executor struct {
 
 var execPool = sync.Pool{New: func() any { return &executor{} }}
 
-// prepare sizes the per-thread state, keeping warm workspaces.
-func (ex *executor) prepare(threads int) {
-	for len(ex.ws) < threads {
-		ex.ws = append(ex.ws, core.Workspace{})
+// resized returns s with length n and every element zero, reusing its
+// array when it is large enough. It clears through the full capacity,
+// not just the new length: executors live in execPool for the process
+// lifetime, and a stale CIGAR in the tail would pin an earlier tile's
+// alignment-length string.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	if cap(ex.instr) < threads {
-		ex.instr = make([]int64, threads)
-	}
-	ex.instr = ex.instr[:threads]
-	for th := range ex.instr {
-		ex.instr[th] = 0
-	}
-	ex.units = ex.units[:0]
-	ex.tied = ex.tied[:0]
+	s = s[:cap(s)]
+	clear(s)
+	return s[:n]
 }
 
-// prepareTraces sizes and clears the per-job traceback scratch. The
-// CIGAR slices are cleared through their full capacity, not just the
-// new length: executors live in execPool for the process lifetime, and
-// a stale tail would pin an earlier tile's alignment-length strings.
+// prepareTraces sizes and clears the per-job traceback scratch.
 func (ex *executor) prepareTraces(jobs int) {
-	grow := func(c []alignment.Cigar) []alignment.Cigar {
-		if cap(c) < jobs {
-			return make([]alignment.Cigar, jobs)
-		}
-		c = c[:cap(c)]
-		clear(c)
-		return c[:jobs]
-	}
-	growN := func(n []int) []int {
-		if cap(n) < jobs {
-			return make([]int, jobs)
-		}
-		n = n[:jobs]
-		clear(n)
-		return n
-	}
-	growR := func(r []core.Result) []core.Result {
-		if cap(r) < jobs {
-			return make([]core.Result, jobs)
-		}
-		r = r[:jobs]
-		clear(r)
-		return r
-	}
-	growB := func(b []bool) []bool {
-		if cap(b) < jobs {
-			return make([]bool, jobs)
-		}
-		b = b[:jobs]
-		clear(b)
-		return b
-	}
-	ex.leftC, ex.rightC = grow(ex.leftC), grow(ex.rightC)
-	ex.leftTB, ex.rightTB = growN(ex.leftTB), growN(ex.rightTB)
-	ex.leftR, ex.rightR = growR(ex.leftR), growR(ex.rightR)
-	ex.leftTh, ex.rightTh = growN(ex.leftTh), growN(ex.rightTh)
-	ex.failed = growB(ex.failed)
+	ex.leftC, ex.rightC = resized(ex.leftC, jobs), resized(ex.rightC, jobs)
+	ex.leftTB, ex.rightTB = resized(ex.leftTB, jobs), resized(ex.rightTB, jobs)
+	ex.leftR, ex.rightR = resized(ex.leftR, jobs), resized(ex.rightR, jobs)
+	ex.failed = resized(ex.failed, jobs)
 }
 
-// runTile executes all of a tile's jobs on the configured number of
-// simulated hardware threads and fills out (one slot per job, in order).
+// runTile executes all of a tile's jobs and fills out (one slot per job,
+// in order), then models the tile's run on the configured number of
+// hardware threads. It works in two phases:
 //
-// Scheduling is simulated in deterministic instruction time, mirroring the
-// IPU's deterministic latencies (§4.1.3): whichever thread has the lowest
-// instruction counter acts next. Without work stealing, units are
-// statically assigned round-robin. With work stealing, each thread starts
-// on its statically assigned first unit and then steals from the shared
-// list; steals by threads whose counters collide grab the same unit — a
-// race that duplicates work. Eventual work stealing adds a thread-unique
-// busy-wait on collision so subsequent steals diverge.
+//   - Execute: every unit's kernel runs exactly once, in unit order, on
+//     the executor's one workspace; its charged instruction cost and its
+//     device counters are memoised. The results are therefore a function
+//     of the comparison and Params alone, whatever the schedule.
+//   - Schedule: schedule replays the IPU's deterministic thread schedule
+//     (§4.1.3) over the memoised costs — static assignment, stealing,
+//     races, busy-wait variance — without touching the tile. A race's
+//     duplicate is charged as the device would pay it: its cost on every
+//     tied thread and its counters once per execution.
 //
-// With traceback gated (Config.TraceMinScore), the scheduling loop runs
-// score-only and the replays of above-cutoff comparisons are deferred to
-// a second phase, charged to the threads that scored the sides — the
-// skipped comparisons pay nothing beyond the score pass.
+// With traceback gated (Config.TraceMinScore), the execute phase scores
+// only, and the replays of above-cutoff comparisons are deferred until
+// after the schedule, each charged to the thread that owns the side's
+// unit — the skipped comparisons pay nothing beyond the score pass.
 func runTile(t *TileWork, cfg Config, ex *executor, out []AlignOut) tileResult {
-	threads := cfg.Threads
 	var tr tileResult
 
 	for j := range t.Jobs {
 		out[j].GlobalID = t.Jobs[j].GlobalID
 	}
 
-	ex.prepare(threads)
 	if cfg.Traceback {
 		ex.prepareTraces(len(t.Jobs))
 	}
-	units := ex.units
+	// Unit ui is job ui, or with LR splitting side ui%2 of job ui/2.
+	units := len(t.Jobs)
 	if cfg.LRSplit {
-		for j := range t.Jobs {
-			units = append(units, unit{job: j, side: sideLeft}, unit{job: j, side: sideRight})
-		}
-	} else {
-		for j := range t.Jobs {
-			units = append(units, unit{job: j, side: sideBoth})
-		}
+		units *= 2
 	}
-	ex.units = units
-
-	instr := ex.instr
-
-	exec := func(th int, u unit) {
-		cost := runUnit(t, cfg, ex, th, u, out, &tr)
-		instr[th] += cost
+	ex.cost = resized(ex.cost, units)
+	ex.work = resized(ex.work, units)
+	for ui := range units {
+		u := unit{job: ui, side: sideBoth}
+		if cfg.LRSplit {
+			u = unit{job: ui / 2, side: sideLeft + int8(ui%2)}
+		}
+		ex.cost[ui] = runUnit(t, cfg, ex, u, out, &ex.work[ui], &tr)
 	}
 
-	if !cfg.WorkStealing {
-		for ui, u := range units {
-			exec(ui%threads, u)
-		}
-	} else {
-		next := 0
-		// Eventual work stealing staggers threads with a thread-unique
-		// busy wait so their deterministic counters rarely collide
-		// (§4.1.3); plain racy stealing starts everyone in lockstep.
-		if cfg.BusyWaitVariance {
-			for th := 0; th < threads; th++ {
-				instr[th] += stealJitter(th, -1-th)
-			}
-		}
-		// Static initial assignment: thread th begins with unit th.
-		for th := 0; th < threads && next < len(units); th++ {
-			exec(th, units[next])
-			next++
-		}
-		stealCost := int64(cfg.Cost.StealInstr + 0.5)
-		for next < len(units) {
-			// The thread(s) with the lowest deterministic counter
-			// reach the steal swap first; exact ties race and take
-			// the same unit (§4.1.3).
-			low := instr[0]
-			for th := 1; th < threads; th++ {
-				if instr[th] < low {
-					low = instr[th]
-				}
-			}
-			tied := ex.tied[:0]
-			for th := 0; th < threads; th++ {
-				if instr[th] == low {
-					tied = append(tied, th)
-				}
-			}
-			ex.tied = tied
-			u := units[next]
-			next++
-			for k, th := range tied {
-				instr[th] += stealCost
-				if cfg.BusyWaitVariance {
-					// The thread-unique busy wait makes every
-					// steal take a slightly different, iteration-
-					// dependent time, so counters that once
-					// collided diverge instead of staying in
-					// perpetual lockstep (§4.1.3). A small
-					// deterministic hash stands in for the loop's
-					// timing variance.
-					instr[th] += stealJitter(th, tr.StealOps)
-				}
-				exec(th, u)
-				tr.StealOps++
-				if k > 0 {
-					tr.Races++
-				}
-			}
-		}
-		// Every thread's final steal attempt finds the list empty.
-		for th := 0; th < threads; th++ {
-			instr[th] += stealCost
+	s := &ex.sched
+	schedule(ex.cost, cfg, s)
+	tr.StealOps, tr.Races = s.stealOps, s.races
+	for ui, runs := range s.runs {
+		for range runs {
+			tr.Add(ex.work[ui])
 		}
 	}
 
-	// Deferred gated replays: with the score gate active the scheduling
-	// loop recorded nothing, so replay the above-cutoff comparisons now,
-	// each side on the thread that scored it. The replays append to those
-	// threads' deterministic counters before the superstep maximum is
-	// taken — the modeled schedule runs them after the score pass drains.
+	// Deferred gated replays: with the score gate active the execute phase
+	// recorded nothing, so replay the above-cutoff comparisons now, each
+	// side charged to the thread that owns its unit. The replays append to
+	// those threads' deterministic counters before the superstep maximum
+	// is taken — the modeled schedule runs them after the score pass
+	// drains.
+	instr := s.instr
 	if cfg.traceGated() && tr.err == nil {
 		for j := range t.Jobs {
 			if ex.failed[j] {
@@ -254,25 +161,22 @@ func runTile(t *TileWork, cfg Config, ex *executor, out []AlignOut) tileResult {
 			if o.LeftScore+core.SeedScore(h, v, seed, cfg.Params)+o.RightScore < cfg.TraceMinScore {
 				continue
 			}
-			lth := ex.leftTh[j]
-			trc, err := ex.ws[lth].TracebackLeft(h, v, job.SeedH, job.SeedV, cfg.Params)
+			lth, rth := s.owner[j], s.owner[j]
+			if cfg.LRSplit {
+				lth, rth = s.owner[2*j], s.owner[2*j+1]
+			}
+			trc, err := ex.ws.TracebackLeft(h, v, job.SeedH, job.SeedV, cfg.Params)
 			instr[lth] += recordTrace(trc, err, &ex.leftR[j], "left", job.GlobalID,
 				&ex.leftC[j], &ex.leftTB[j], &ex.failed[j], &tr, cfg)
 			if ex.failed[j] || tr.err != nil {
 				continue
 			}
-			rth := ex.rightTh[j]
-			trc, err = ex.ws[rth].TracebackRight(h, v, job.SeedH+job.SeedLen, job.SeedV+job.SeedLen, cfg.Params)
+			trc, err = ex.ws.TracebackRight(h, v, job.SeedH+job.SeedLen, job.SeedV+job.SeedLen, cfg.Params)
 			instr[rth] += recordTrace(trc, err, &ex.rightR[j], "right", job.GlobalID,
 				&ex.rightC[j], &ex.rightTB[j], &ex.failed[j], &tr, cfg)
 		}
 	}
-
-	for th := 0; th < threads; th++ {
-		if instr[th] > tr.maxInstr {
-			tr.maxInstr = instr[th]
-		}
-	}
+	tr.maxInstr = slices.Max(instr)
 
 	// Combine extension results (seed score bridged between them) and
 	// account theoretical cells once per comparison — duplicated racy
@@ -331,6 +235,96 @@ func runTile(t *TileWork, cfg Config, ex *executor, out []AlignOut) tileResult {
 	return tr
 }
 
+// tileSchedule is one tile's modeled thread schedule, as schedule
+// computes it from the units' memoised costs.
+type tileSchedule struct {
+	// instr is each thread's deterministic instruction counter.
+	instr []int64
+	// owner is, per unit, the thread whose execution the tile keeps: on a
+	// race the last tied thread, whose result the device writes last.
+	owner []int
+	// runs is, per unit, how many threads executed it: 1, or every tied
+	// thread of a race.
+	runs []int
+	// stealOps counts work-steal attempts, races the duplicated steals.
+	stealOps, races int
+}
+
+// schedule models one tile's run on cfg.Threads hardware threads in
+// deterministic instruction time, mirroring the IPU's deterministic
+// latencies (§4.1.3): whichever thread has the lowest instruction counter
+// acts next. cost[u] is unit u's charged instruction bundles; schedule
+// reads nothing else of the tile and overwrites all of s.
+//
+// Without work stealing, units are statically assigned round-robin. With
+// work stealing, each thread starts on its statically assigned first unit
+// and then steals from the shared list; steals by threads whose counters
+// collide grab the same unit — a race in which every tied thread executes
+// and pays for it. Eventual work stealing (BusyWaitVariance) adds a
+// thread-unique busy-wait so subsequent steals diverge.
+func schedule(cost []int64, cfg Config, s *tileSchedule) {
+	threads := cfg.Threads
+	s.instr = resized(s.instr, threads)
+	s.owner = resized(s.owner, len(cost))
+	s.runs = resized(s.runs, len(cost))
+	s.stealOps, s.races = 0, 0
+	instr := s.instr
+	run := func(th, u int) {
+		instr[th] += cost[u]
+		s.owner[u] = th
+		s.runs[u]++
+	}
+
+	if !cfg.WorkStealing {
+		for u := range cost {
+			run(u%threads, u)
+		}
+		return
+	}
+	// Eventual work stealing staggers threads with a thread-unique busy
+	// wait so their deterministic counters rarely collide (§4.1.3); plain
+	// racy stealing starts everyone in lockstep.
+	if cfg.BusyWaitVariance {
+		for th := range instr {
+			instr[th] += stealJitter(th, -1-th)
+		}
+	}
+	// Static initial assignment: thread th begins with unit th.
+	next := 0
+	for ; next < threads && next < len(cost); next++ {
+		run(next, next)
+	}
+	stealCost := int64(cfg.Cost.StealInstr + 0.5)
+	for ; next < len(cost); next++ {
+		// The thread(s) with the lowest deterministic counter reach the
+		// steal swap first; exact ties race and take the same unit. A
+		// thread's counter changes only on its own turn, so comparing in
+		// place still sees every tie.
+		low := slices.Min(instr)
+		for th := range instr {
+			if instr[th] != low {
+				continue
+			}
+			instr[th] += stealCost
+			if cfg.BusyWaitVariance {
+				// The thread-unique busy wait makes every steal take a
+				// slightly different, iteration-dependent time, so
+				// counters that once collided diverge instead of staying
+				// in perpetual lockstep (§4.1.3). A small deterministic
+				// hash stands in for the loop's timing variance.
+				instr[th] += stealJitter(th, s.stealOps)
+			}
+			run(th, next)
+			s.stealOps++
+		}
+		s.races += s.runs[next] - 1
+	}
+	// Every thread's final steal attempt finds the list empty.
+	for th := range instr {
+		instr[th] += stealCost
+	}
+}
+
 // stealJitter is the deterministic per-steal busy-wait duration: a small
 // hash of the thread id and steal ordinal standing in for the busy-wait
 // loop's timing variance (1–1024 instruction bundles, ≈ at most 4.6 µs of
@@ -345,17 +339,18 @@ func stealJitter(th, n int) int64 {
 }
 
 // runUnit executes one unit's extension(s), records results and traces,
-// and returns the charged instruction cost. With Config.Traceback each
-// side either fuses direction recording into the scoring pass (one sweep)
-// or runs the recording replay after it (the two-pass scheme, charged
-// like another DP sweep); with the score gate active it only remembers
-// which thread scored the side, for the deferred replay phase. A
-// recording must bit-match the score pass or the tile fails loudly.
-func runUnit(t *TileWork, cfg Config, ex *executor, th int, u unit, out []AlignOut, tr *tileResult) int64 {
+// adds one execution's device counters to c, and returns the charged
+// instruction cost. With Config.Traceback each side either fuses
+// direction recording into the scoring pass (one sweep) or runs the
+// recording replay after it (the two-pass scheme, charged like another DP
+// sweep); with the score gate active it only keeps the score-pass Result
+// for the deferred replay phase. A recording must bit-match the score
+// pass or the tile fails loudly.
+func runUnit(t *TileWork, cfg Config, ex *executor, u unit, out []AlignOut, c *Counters, tr *tileResult) int64 {
 	job := &t.Jobs[u.job]
 	h, v := t.Seq(job.HLocal), t.Seq(job.VLocal)
 	o := &out[u.job]
-	ws := &ex.ws[th]
+	ws := &ex.ws
 
 	var cost int64
 	doLeft := u.side == sideBoth || u.side == sideLeft
@@ -372,7 +367,7 @@ func runUnit(t *TileWork, cfg Config, ex *executor, th int, u unit, out []AlignO
 				o.BegH = job.SeedH - r.EndH
 				o.BegV = job.SeedV - r.EndV
 				cost += instrCost(cfg, r.Stats)
-				accumulate(o, tr, r.Stats)
+				accumulate(o, c, r.Stats)
 				storeTrace(trc, &ex.leftC[u.job], &ex.leftTB[u.job], tr)
 			}
 		} else {
@@ -381,10 +376,10 @@ func runUnit(t *TileWork, cfg Config, ex *executor, th int, u unit, out []AlignO
 			o.BegH = job.SeedH - r.EndH
 			o.BegV = job.SeedV - r.EndV
 			cost += instrCost(cfg, r.Stats)
-			accumulate(o, tr, r.Stats)
+			accumulate(o, c, r.Stats)
 			if cfg.Traceback {
 				if gated {
-					ex.leftR[u.job], ex.leftTh[u.job] = r, th
+					ex.leftR[u.job] = r
 				} else {
 					trc, err := ws.TracebackLeft(h, v, job.SeedH, job.SeedV, cfg.Params)
 					cost += recordTrace(trc, err, &r, "left", job.GlobalID,
@@ -405,7 +400,7 @@ func runUnit(t *TileWork, cfg Config, ex *executor, th int, u unit, out []AlignO
 				o.EndH = job.SeedH + job.SeedLen + r.EndH
 				o.EndV = job.SeedV + job.SeedLen + r.EndV
 				cost += instrCost(cfg, r.Stats)
-				accumulate(o, tr, r.Stats)
+				accumulate(o, c, r.Stats)
 				storeTrace(trc, &ex.rightC[u.job], &ex.rightTB[u.job], tr)
 			}
 		} else {
@@ -414,10 +409,10 @@ func runUnit(t *TileWork, cfg Config, ex *executor, th int, u unit, out []AlignO
 			o.EndH = job.SeedH + job.SeedLen + r.EndH
 			o.EndV = job.SeedV + job.SeedLen + r.EndV
 			cost += instrCost(cfg, r.Stats)
-			accumulate(o, tr, r.Stats)
+			accumulate(o, c, r.Stats)
 			if cfg.Traceback {
 				if gated {
-					ex.rightR[u.job], ex.rightTh[u.job] = r, th
+					ex.rightR[u.job] = r
 				} else {
 					trc, err := ws.TracebackRight(h, v, job.SeedH+job.SeedLen, job.SeedV+job.SeedLen, cfg.Params)
 					cost += recordTrace(trc, err, &r, "right", job.GlobalID,
@@ -474,23 +469,25 @@ func storeTrace(trc core.Trace, cigar *alignment.Cigar, traceBytes *int, tr *til
 	tr.PeakTracebackBytes = max(tr.PeakTracebackBytes, trc.TraceBytes)
 }
 
-func accumulate(o *AlignOut, tr *tileResult, s core.Stats) {
+// accumulate folds one extension's trace into its result and into the
+// device counters c of one execution.
+func accumulate(o *AlignOut, c *Counters, s core.Stats) {
 	o.Cells += s.Cells
 	o.Antidiagonals += s.Antidiagonals
 	if s.MaxLiveBand > o.MaxLiveBand {
 		o.MaxLiveBand = s.MaxLiveBand
 	}
 	o.Clamped = o.Clamped || s.Clamped
-	tr.Cells += s.Cells
-	tr.SumBand += s.SumComputedBand
-	tr.Antidiags += int64(s.Antidiagonals)
+	c.Cells += s.Cells
+	c.SumBand += s.SumComputedBand
+	c.Antidiags += int64(s.Antidiagonals)
 	switch {
 	case s.Narrow:
-		tr.NarrowExtensions++
+		c.NarrowExtensions++
 	case s.Promoted:
-		tr.PromotedExtensions++
+		c.PromotedExtensions++
 	default:
-		tr.WideExtensions++
+		c.WideExtensions++
 	}
 }
 
