@@ -117,9 +117,6 @@ func benchTraceback(b *testing.B, algo core.Algo, deltaB int) {
 	b.Helper()
 	h, v := benchPair(2000, 0.15)
 	p := xdropipu.Params{Scorer: xdropipu.DNAScorer, Gap: -1, X: 15, Algo: algo, DeltaB: deltaB}
-	if algo == core.AlgoAffine {
-		p.GapOpen = -2
-	}
 	var ws xdropipu.Workspace
 	var cells int64
 	var traceBytes int
@@ -143,10 +140,6 @@ func benchTraceback(b *testing.B, algo core.Algo, deltaB int) {
 // BenchmarkRestricted2Traceback measures the memory-restricted aligner
 // with CIGAR emission (two passes).
 func BenchmarkRestricted2Traceback(b *testing.B) { benchTraceback(b, core.AlgoRestricted2, 256) }
-
-// BenchmarkAffineTraceback measures the affine aligner with CIGAR
-// emission (two passes, 4-bit trace cells).
-func BenchmarkAffineTraceback(b *testing.B) { benchTraceback(b, core.AlgoAffine, 0) }
 
 // BenchmarkExtendSeed measures a full two-sided seed extension.
 func BenchmarkExtendSeed(b *testing.B) {

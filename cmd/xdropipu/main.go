@@ -46,7 +46,7 @@ func main() {
 
 // runConfig is the run configuration both modes hand the engine: a GC200
 // fleet with partitioning on and every Table 1 kernel optimisation.
-func runConfig(ipus, x, deltaB int, protein, traceback bool, traceMin int, traceMode string) xdropipu.IPUConfig {
+func runConfig(ipus, x, deltaB int, protein, traceback bool, traceMin int) xdropipu.IPUConfig {
 	params := xdropipu.Params{Scorer: xdropipu.DNAScorer, Gap: -1, X: x, DeltaB: deltaB}
 	if protein {
 		params.Scorer = xdropipu.Blosum62
@@ -64,7 +64,6 @@ func runConfig(ipus, x, deltaB int, protein, traceback bool, traceMin int, trace
 			BusyWaitVariance: true,
 			DualIssue:        true,
 			TraceMinScore:    traceMin,
-			TraceMode:        parseTraceMode(traceMode),
 		},
 	}
 }
@@ -82,7 +81,6 @@ func runAlign(args []string) {
 	spillDir := fs.String("spill", "", "directory for slab spill files; sealed slabs page to disk between batches")
 	traceback := fs.Bool("traceback", false, "emit CIGARs")
 	traceMin := fs.Int("trace-min-score", 0, "emit CIGARs only for comparisons scoring at least this (0 = all; needs -traceback)")
-	traceMode := fs.String("trace-mode", "auto", "traceback recording strategy: auto, replay or fused")
 	fs.Parse(args)
 	if *in == "" {
 		fs.Usage()
@@ -157,7 +155,7 @@ func runAlign(args []string) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	eng := xdropipu.NewEngine(xdropipu.WithIPUConfig(
-		runConfig(*ipus, *x, *deltaB, *protein, *traceback, *traceMin, *traceMode)))
+		runConfig(*ipus, *x, *deltaB, *protein, *traceback, *traceMin)))
 	defer eng.Close()
 	job, err := eng.Submit(ctx, d)
 	if err != nil {
@@ -232,7 +230,6 @@ func runServe(args []string) {
 	dedup := fs.Bool("dedup", false, "deduplicate identical extensions within a job")
 	traceback := fs.Bool("traceback", false, "emit CIGARs")
 	traceMin := fs.Int("trace-min-score", 0, "emit CIGARs only for comparisons scoring at least this (0 = all; needs -traceback)")
-	traceMode := fs.String("trace-mode", "auto", "traceback recording strategy: auto, replay or fused")
 	window := fs.Int("window", 256, "replay window (chunks) per job for stream resume")
 	linger := fs.Duration("linger", 0, "default grace before a disconnected job is cancelled")
 	rate := fs.Float64("tenant-rate", 0, "per-tenant admitted jobs per second (0 = unlimited)")
@@ -240,7 +237,7 @@ func runServe(args []string) {
 	maxLive := fs.Int("max-live", 0, "live jobs per shard before shedding (0 = queue depth)")
 	fs.Parse(args)
 
-	cfg := runConfig(*ipus, *x, *deltaB, *protein, *traceback, *traceMin, *traceMode)
+	cfg := runConfig(*ipus, *x, *deltaB, *protein, *traceback, *traceMin)
 	cfg.TilesPerIPU = *tiles
 	cfg.DedupExtensions = *dedup
 	opts := []xdropipu.EngineOption{xdropipu.WithIPUConfig(cfg)}
@@ -295,19 +292,6 @@ func runServe(args []string) {
 			"shard %d: %d jobs, %d batches, %d cells, cache %d/%d hit/miss, %d retries\n",
 			i, st.JobsDone, st.BatchesDone, st.CellsDone, st.CacheHits, st.CacheMisses, st.Retries)
 	}
-}
-
-func parseTraceMode(s string) xdropipu.TraceMode {
-	switch s {
-	case "auto":
-		return xdropipu.TraceModeAuto
-	case "replay":
-		return xdropipu.TraceModeReplay
-	case "fused":
-		return xdropipu.TraceModeFused
-	}
-	fail(fmt.Errorf("unknown -trace-mode %q (want auto, replay or fused)", s))
-	panic("unreachable")
 }
 
 func serveProtocols() *http.Protocols {

@@ -18,14 +18,14 @@
 // whose score falls below T−X, where T is the best score seen on previous
 // antidiagonals, is removed from the search space (set to −∞).
 //
-// Apart from the oracle, the variants are served by four antidiagonal
-// sweeps, one per (recurrence × records-directions): linearSweep
-// (linear.go — Restricted2's in-place two-buffer walk, and Standard3 as
-// the same body writing to a third buffer) and affineSweep (affine.go)
-// score only and are generic over the score width (int32, or int16 for
-// the narrow tier of tier.go); fusedLinear and fusedAffine (fused.go)
-// score and record per-cell directions for traceback, whether as the
-// single fused pass or as the second pass after a score sweep. Each has
+// Apart from the oracle, the variants are served by three antidiagonal
+// sweeps: linearSweep (linear.go — Restricted2's in-place two-buffer
+// walk, and Standard3 as the same body writing to a third buffer) and
+// affineSweep (affine.go) score only and are generic over the score width
+// (int32, or int16 for the narrow tier of tier.go); fusedLinear
+// (fused.go) scores the linear variants and records per-cell directions
+// for traceback, whether as the single fused pass or as the second pass
+// after a score sweep. Affine is score-only. Each sweep has
 // one inner loop: Workspace.operands lays h and v out in sweep order once
 // per extension, so no sweep knows a view's direction. The linear int32
 // sweeps additionally have AVX2 bodies on amd64 (row_amd64.s, eight cells

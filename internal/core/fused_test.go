@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -138,6 +139,38 @@ func TestFusedEligibility(t *testing.T) {
 	wideAgain.Tier = TierAuto
 	if !FusedEligible(satGuard16+1, satGuard16+1, wideAgain) {
 		t.Fatal("auto tier past the narrow headroom should be fused-eligible")
+	}
+}
+
+// TestRecordingRejectsAffine: AlgoAffine scores but does not record, so
+// every recording entry point refuses it before sweeping, while its score
+// sweep still runs.
+func TestRecordingRejectsAffine(t *testing.T) {
+	p := Params{Scorer: tbVariants()["restricted2"].Scorer, Gap: -1, GapOpen: -2, X: 21, Algo: AlgoAffine}
+	rng := rand.New(rand.NewSource(5))
+	h := randDNA(rng, 120)
+	v := mutate(rng, h, 0.1)
+	s := Seed{H: 50, V: 50, Len: 9}
+	copy(v[s.V:s.V+s.Len], h[s.H:s.H+s.Len])
+	var ws Workspace
+	calls := map[string]func() error{
+		"FusedExtendLeft":    func() error { _, _, err := ws.FusedExtendLeft(h, v, s.H, s.V, p); return err },
+		"FusedExtendRight":   func() error { _, _, err := ws.FusedExtendRight(h, v, s.H, s.V, p); return err },
+		"TracebackExtension": func() error { _, err := ws.TracebackExtension(NewView(h), NewView(v), p); return err },
+		"TracebackLeft":      func() error { _, err := ws.TracebackLeft(h, v, s.H, s.V, p); return err },
+		"TracebackRight":     func() error { _, err := ws.TracebackRight(h, v, s.H, s.V, p); return err },
+		"TracebackSeed":      func() error { _, _, err := ws.TracebackSeed(h, v, s, p); return err },
+	}
+	for name, call := range calls {
+		if err := call(); !errors.Is(err, ErrAffineTraceback) {
+			t.Errorf("%s: err %v, want ErrAffineTraceback", name, err)
+		}
+	}
+	if len(ws.tb.cls) != 0 || len(ws.tb.dirs) != 0 {
+		t.Errorf("a refused recording left %d windows and %d direction bytes", len(ws.tb.cls), len(ws.tb.dirs))
+	}
+	if _, err := ws.ExtendSeed(h, v, s, p); err != nil {
+		t.Fatalf("affine score sweep: %v", err)
 	}
 }
 

@@ -10,12 +10,11 @@ import "testing"
 // liveness tracked per cell) that shares with production only the window
 // rule, pruneLimit and the tracer's direction store and walkers.
 
-// replayOracle is the naive replay's state: its own tracer and the seven
+// replayOracle is the naive replay's state: its own tracer and the three
 // private rows it rotates.
 type replayOracle struct {
 	tb               tracer
-	rowA, rowB, rowC []int32 // rotating H rows (d, d-1, d-2)
-	e1, e0, f1, f0   []int32 // affine E/F rows (d-1 and d)
+	rowA, rowB, rowC []int32 // rotating rows (d, d-1, d-2)
 }
 
 // extension replays h against v and encodes the walked ops like
@@ -24,13 +23,7 @@ func (w *replayOracle) extension(h, v View, p Params, rev bool) (Trace, error) {
 	if err := p.Validate(); err != nil {
 		return Trace{}, err
 	}
-	var tr Trace
-	var err error
-	if p.Algo == AlgoAffine {
-		tr, err = w.traceAffine(h, v, p)
-	} else {
-		tr, err = w.traceLinear(h, v, p)
-	}
+	tr, err := w.traceLinear(h, v, p)
 	if err != nil {
 		return Trace{}, err
 	}
@@ -116,7 +109,7 @@ func (w *replayOracle) traceLinear(h, v View, p Params) (Trace, error) {
 	m, n := h.Len(), v.Len()
 	capacity := linearCapacity(m, n, p)
 	tb := &w.tb
-	tb.reset(2, m+n+1)
+	tb.reset(m + n + 1)
 
 	tab := p.Scorer.Table()
 	gap := int32(p.Gap)
@@ -232,163 +225,6 @@ func (w *replayOracle) traceLinear(h, v View, p Params) (Trace, error) {
 	res.EndV = bestD - bestI
 	res.TraceBytes = tb.traceBytes()
 	if err := tb.walkLinear(h, v, bestI, bestD); err != nil {
-		return Trace{}, err
-	}
-	return res, nil
-}
-
-// traceAffine replays the Gotoh affine-gap extension with direction
-// recording (4 bits per cell) and leaves the walk-order ops in tb.ops.
-func (w *replayOracle) traceAffine(h, v View, p Params) (Trace, error) {
-	m, n := h.Len(), v.Len()
-	tb := &w.tb
-	tb.reset(4, m+n+1)
-
-	tab := p.Scorer.Table()
-	gape := int32(p.Gap)
-	gapo := int32(p.GapOpen)
-
-	d1h := grow32(w.rowB, 1)
-	d1e := grow32(w.e1, 1)
-	d1f := grow32(w.f1, 1)
-	d1h[0], d1e[0], d1f[0] = 0, negInf32, negInf32
-	d1cl, d1cu := 0, 0
-	d1lo, d1hi := 0, 0
-	d2h := w.rowC[:0]
-	d2cl, d2cu := 0, -1
-	spareH, spareE, spareF := w.rowA, w.e0, w.f0
-
-	var res Trace
-	base := tb.beginDiag(0, 1)
-	tb.setCode(base, 0, codeNone)
-
-	best, t := int32(0), int32(0)
-	bestI, bestD := 0, 0
-
-	for d := 1; d <= m+n; d++ {
-		cl := max(d1lo, max(0, d-n))
-		cu := min(d1hi+1, min(d, m))
-		if cl > cu {
-			break
-		}
-		limit := pruneLimit(t, p.X, negInf32)
-		width := cu - cl + 1
-		outH := grow32(spareH, width)
-		outE := grow32(spareE, width)
-		outF := grow32(spareF, width)
-		rowBest, rowBestI := negInf32, -1
-		lo, hi := -1, -1
-		base := tb.beginDiag(cl, width)
-		if base < 0 {
-			return Trace{}, ErrTraceTooLarge
-		}
-		for i := cl; i <= cu; i++ {
-			j := d - i
-			var hs, es, fs int32
-			var code byte
-			switch {
-			case i == 0:
-				// Top boundary: the cell is its own E channel.
-				pe := get32(d1e, d1cl, d1cu, 0)
-				ph := get32(d1h, d1cl, d1cu, 0)
-				es = max(pe, ph+gapo) + gape
-				if pe >= ph+gapo {
-					code |= afEExt
-				}
-				if es < limit {
-					es = negInf32
-				}
-				hs, fs = es, negInf32
-				if es != negInf32 {
-					code |= afSrcE
-				}
-			case j == 0:
-				// Bottom boundary: the cell is its own F channel.
-				pf := get32(d1f, d1cl, d1cu, i-1)
-				ph := get32(d1h, d1cl, d1cu, i-1)
-				fs = max(pf, ph+gapo) + gape
-				if pf >= ph+gapo {
-					code |= afFExt
-				}
-				if fs < limit {
-					fs = negInf32
-				}
-				hs, es = fs, negInf32
-				if fs != negInf32 {
-					code |= afSrcF
-				}
-			default:
-				pe := get32(d1e, d1cl, d1cu, i)
-				phr := get32(d1h, d1cl, d1cu, i)
-				es = max(pe, phr+gapo) + gape
-				if pe >= phr+gapo {
-					code |= afEExt
-				}
-				pf := get32(d1f, d1cl, d1cu, i-1)
-				phl := get32(d1h, d1cl, d1cu, i-1)
-				fs = max(pf, phl+gapo) + gape
-				if pf >= phl+gapo {
-					code |= afFExt
-				}
-				hs = get32(d2h, d2cl, d2cu, i-1) + int32(tab[h.At(i-1)][v.At(j-1)])
-				src := afSrcDiag
-				if es > hs {
-					hs = es
-					src = afSrcE
-				}
-				if fs > hs {
-					hs = fs
-					src = afSrcF
-				}
-				if hs < limit {
-					hs = negInf32
-					src = 0
-				}
-				if es < limit {
-					es = negInf32
-				}
-				if fs < limit {
-					fs = negInf32
-				}
-				code |= src
-			}
-			if hs != negInf32 || es != negInf32 || fs != negInf32 {
-				if lo < 0 {
-					lo = i
-				}
-				hi = i
-			}
-			if hs > rowBest {
-				rowBest, rowBestI = hs, i
-			}
-			outH[i-cl], outE[i-cl], outF[i-cl] = hs, es, fs
-			tb.setCode(base, i-cl, code)
-		}
-		if lo < 0 {
-			break
-		}
-		if rowBest > best {
-			best, bestI, bestD = rowBest, rowBestI, d
-		}
-		if rowBest > t {
-			t = rowBest
-		}
-		spareH = d2h
-		d2h, d2cl, d2cu = d1h, d1cl, d1cu
-		spareE, spareF = d1e, d1f
-		d1h, d1e, d1f = outH, outE, outF
-		d1cl, d1cu = cl, cu
-		d1lo, d1hi = lo, hi
-		_ = rowBestI // affine never clamps, the previous best index is unused
-	}
-	w.rowA, w.rowB, w.rowC = spareH[:0], d1h[:0], d2h[:0]
-	w.e0, w.e1, w.f0, w.f1 = spareE[:0], d1e[:0], spareF[:0], d1f[:0]
-
-	res.Score = int(best)
-	res.EndH = bestI
-	res.EndV = bestD - bestI
-	res.TraceBytes = tb.traceBytes()
-	if err := tb.walkAffine(h, v, bestI, bestD); err != nil {
 		return Trace{}, err
 	}
 	return res, nil

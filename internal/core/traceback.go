@@ -24,29 +24,17 @@ import (
 //
 // Memory stays in the paper's SRAM discipline: instead of materialising
 // the O(m·n) score matrix, a recording holds only direction codes over
-// the banded antidiagonal windows — 2 bits per computed cell for the
-// linear variants, 4 bits for affine (H-source plus the E/F gap-extension
-// bits) — plus one window descriptor per antidiagonal. Peak traceback
-// memory is therefore bounded by (antidiagonals × band)/4 bytes, with the
-// band clamped to δb for Restricted2, never by the full matrix.
+// the banded antidiagonal windows — 2 bits per computed cell — plus one
+// window descriptor per antidiagonal. Peak traceback memory is therefore
+// bounded by (antidiagonals × band)/4 bytes, with the band clamped to δb
+// for Restricted2, never by the full matrix.
 
-// Trace direction codes (2 bits per cell, linear variants). For affine
-// the low 2 bits hold the H-channel source (codeDiag/codeUpE/codeLeftF
-// reinterpreted as diag/E/F) and bits 2 and 3 hold the E- and F-channel
-// gap-extension flags.
+// Trace direction codes, 2 bits per cell.
 const (
 	codeNone byte = 0 // pruned cell / origin
 	codeDiag byte = 1 // from (i-1, j-1): consumes one symbol of each
 	codeUp   byte = 2 // from (i-1, j): consumes H only ('I')
 	codeLeft byte = 3 // from (i, j-1): consumes V only ('D')
-
-	// Affine H-channel sources (low 2 bits).
-	afSrcDiag byte = 1
-	afSrcE    byte = 2 // H equals the E channel (gap in H ending here)
-	afSrcF    byte = 3 // H equals the F channel (gap in V ending here)
-	// Affine channel-extension flags.
-	afEExt byte = 4 // E came from E(i,j-1), not H(i,j-1)+open
-	afFExt byte = 8 // F came from F(i-1,j), not H(i-1,j)+open
 )
 
 // tracer is the workspace state of a direction recording: the
@@ -65,20 +53,17 @@ type tracer struct {
 	// window cell, packed into dirs once per antidiagonal (packRow), so
 	// the scoring loop never does per-cell read-modify-write on dirs.
 	codes []byte
-
-	bits uint // bits per cell this recording uses (2 linear, 4 affine)
 }
 
 // reset opens a recording of at most diags antidiagonals. The window
 // index is sized for all of them here, so beginDiag never grows it.
-func (tb *tracer) reset(bits uint, diags int) {
+func (tb *tracer) reset(diags int) {
 	if cap(tb.offs) <= diags {
 		tb.cls, tb.offs = make([]int32, 0, diags), make([]int32, 0, diags+1)
 	}
 	tb.cls = tb.cls[:0]
 	tb.offs = append(tb.offs[:0], 0)
 	tb.dirs = tb.dirs[:0]
-	tb.bits = bits
 }
 
 // maxTraceCells caps the recorded cells of one recording so the int32
@@ -116,7 +101,7 @@ func (tb *tracer) beginDiag(cl, width int) int32 {
 	}
 	tb.cls, tb.offs = tb.cls[:d+1], tb.offs[:d+2]
 	tb.cls[d], tb.offs[d+1] = int32(cl), base+int32(width)
-	if need := int((uint(base)+uint(width))*tb.bits+7) >> 3; need > len(tb.dirs) {
+	if need := int(uint(base)+uint(width)+3) >> 2; need > len(tb.dirs) {
 		if need <= cap(tb.dirs) {
 			// Stale bits from a previous recording are fine: setCode masks
 			// every cell it writes and code() bounds-checks every read.
@@ -132,15 +117,9 @@ func (tb *tracer) beginDiag(cl, width int) int32 {
 // opened at base.
 func (tb *tracer) setCode(base int32, k int, code byte) {
 	idx := uint(base) + uint(k)
-	if tb.bits == 2 {
-		shift := (idx & 3) * 2
-		b := &tb.dirs[idx>>2]
-		*b = *b&^(3<<shift) | code<<shift
-		return
-	}
-	shift := (idx & 1) * 4
-	b := &tb.dirs[idx>>1]
-	*b = *b&^(15<<shift) | code<<shift
+	shift := (idx & 3) * 2
+	b := &tb.dirs[idx>>2]
+	*b = *b&^(3<<shift) | code<<shift
 }
 
 // code reads the direction code of cell i on antidiagonal d, or an error
@@ -155,10 +134,7 @@ func (tb *tracer) code(d, i int) (byte, error) {
 		return 0, fmt.Errorf("core: traceback cell (d=%d, i=%d) outside recorded window [%d,%d)", d, i, cl, cl+width)
 	}
 	idx := uint(tb.offs[d]) + uint(i-cl)
-	if tb.bits == 2 {
-		return tb.dirs[idx>>2] >> ((idx & 3) * 2) & 3, nil
-	}
-	return tb.dirs[idx>>1] >> ((idx & 1) * 4) & 15, nil
+	return tb.dirs[idx>>2] >> ((idx & 3) * 2) & 3, nil
 }
 
 // traceBytes is the recording's exact byte footprint: packed codes plus
@@ -210,45 +186,24 @@ func (tb *tracer) growCodes(n int) []byte {
 func (tb *tracer) packRow(base int32, codes []byte) {
 	idx := uint(base)
 	k := 0
-	if tb.bits == 2 {
-		for ; k < len(codes) && idx&3 != 0; k++ {
-			shift := (idx & 3) * 2
-			b := &tb.dirs[idx>>2]
-			*b = *b&^(3<<shift) | codes[k]<<shift
-			idx++
-		}
-		for ; k+8 <= len(codes); k += 8 {
-			// Fold neighbouring codes pairwise, then the pairs, then the quads.
-			x := binary.LittleEndian.Uint64(codes[k:])
-			x = (x | x>>6) & 0x000f000f000f000f
-			x = (x | x>>12) & 0x000000ff000000ff
-			binary.LittleEndian.PutUint16(tb.dirs[idx>>2:], uint16(x|x>>24))
-			idx += 8
-		}
-		for ; k+4 <= len(codes); k += 4 {
-			tb.dirs[idx>>2] = codes[k] | codes[k+1]<<2 | codes[k+2]<<4 | codes[k+3]<<6
-			idx += 4
-		}
-		for ; k < len(codes); k++ {
-			shift := (idx & 3) * 2
-			b := &tb.dirs[idx>>2]
-			*b = *b&^(3<<shift) | codes[k]<<shift
-			idx++
-		}
-		return
-	}
-	for ; k < len(codes) && idx&1 != 0; k++ {
-		b := &tb.dirs[idx>>1]
-		*b = *b&^(15<<4) | codes[k]<<4
+	for ; k < len(codes) && idx&3 != 0; k++ {
+		tb.setCode(int32(idx), 0, codes[k])
 		idx++
 	}
-	for ; k+2 <= len(codes); k += 2 {
-		tb.dirs[idx>>1] = codes[k] | codes[k+1]<<4
-		idx += 2
+	for ; k+8 <= len(codes); k += 8 {
+		// Fold neighbouring codes pairwise, then the pairs, then the quads.
+		x := binary.LittleEndian.Uint64(codes[k:])
+		x = (x | x>>6) & 0x000f000f000f000f
+		x = (x | x>>12) & 0x000000ff000000ff
+		binary.LittleEndian.PutUint16(tb.dirs[idx>>2:], uint16(x|x>>24))
+		idx += 8
+	}
+	for ; k+4 <= len(codes); k += 4 {
+		tb.dirs[idx>>2] = codes[k] | codes[k+1]<<2 | codes[k+2]<<4 | codes[k+3]<<6
+		idx += 4
 	}
 	for ; k < len(codes); k++ {
-		b := &tb.dirs[idx>>1]
-		*b = *b&^15 | codes[k]
+		tb.setCode(int32(idx), 0, codes[k])
 		idx++
 	}
 }
@@ -302,58 +257,6 @@ func (tb *tracer) walkLinear(h, v View, bestI, bestD int) error {
 		default:
 			return fmt.Errorf("core: traceback hit a pruned cell at (i=%d, j=%d)", i, j)
 		}
-	}
-	tb.ops = ops
-	return nil
-}
-
-// walkAffine follows the affine trace channel-aware: the H channel reads
-// its source nibble; the E and F channels emit one gap column each and
-// their extension bit says whether the gap run continues.
-func (tb *tracer) walkAffine(h, v View, bestI, bestD int) error {
-	const chH, chE, chF = 0, 1, 2
-	i, j := bestI, bestD-bestI
-	ch := chH
-	ops := tb.ops[:0]
-	for i != 0 || j != 0 {
-		nib, err := tb.code(i+j, i)
-		if err != nil {
-			return err
-		}
-		switch ch {
-		case chH:
-			switch nib & 3 {
-			case afSrcDiag:
-				op := byte(alignment.OpMismatch)
-				if h.At(i-1) == v.At(j-1) {
-					op = byte(alignment.OpMatch)
-				}
-				ops = append(ops, op)
-				i--
-				j--
-			case afSrcE:
-				ch = chE
-			case afSrcF:
-				ch = chF
-			default:
-				return fmt.Errorf("core: affine traceback hit a pruned H cell at (i=%d, j=%d)", i, j)
-			}
-		case chE:
-			ops = append(ops, byte(alignment.OpDel))
-			if nib&afEExt == 0 {
-				ch = chH
-			}
-			j--
-		case chF:
-			ops = append(ops, byte(alignment.OpIns))
-			if nib&afFExt == 0 {
-				ch = chH
-			}
-			i--
-		}
-	}
-	if ch != chH {
-		return fmt.Errorf("core: affine traceback reached the origin inside a gap channel")
 	}
 	tb.ops = ops
 	return nil

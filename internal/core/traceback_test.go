@@ -19,8 +19,7 @@ func tbVariants() map[string]Params {
 		"restricted2-clamped": {Scorer: dna, Gap: -1, X: 25, DeltaB: 8, Algo: AlgoRestricted2},
 		"standard3":           {Scorer: dna, Gap: -1, X: 15, Algo: AlgoStandard3},
 		"reference":           {Scorer: dna, Gap: -1, X: 15, Algo: AlgoReference},
-		"affine":              {Scorer: dna, Gap: -1, GapOpen: -2, X: 21, Algo: AlgoAffine},
-		"affine-blosum":       {Scorer: scoring.Blosum62, Gap: -2, GapOpen: -3, X: 49, Algo: AlgoAffine},
+		"restricted2-blosum":  {Scorer: scoring.Blosum62, Gap: -2, X: 49, Algo: AlgoRestricted2},
 	}
 }
 
@@ -64,8 +63,8 @@ func checkSeedTraceback(t *testing.T, h, v []byte, s Seed, p Params, label strin
 	if recon != want.Score {
 		t.Fatalf("%s: reconstructed score %d != kernel score %d (cigar %q)", label, recon, want.Score, aln.Cigar)
 	}
-	// Unclamped linear variants must also agree with core/reference.go.
-	if p.Algo != AlgoAffine && !got.Stats.Clamped {
+	// Unclamped variants must also agree with core/reference.go.
+	if !got.Stats.Clamped {
 		rp := p
 		rp.Algo = AlgoReference
 		rp.DeltaB = 0
@@ -217,36 +216,33 @@ func TestTracebackSecondPassAllocs(t *testing.T) {
 	}
 }
 
-// TestPackRowMatchesSetCode pins packRow — eight 2-bit codes per step,
-// then four, then single cells; two 4-bit codes per step — to setCode
-// cell by cell, for every alignment of the window's first cell within its
-// byte and every width through five 8-code steps. dirs starts as 0xFF, so
-// a head or tail byte stored whole instead of masked shows in a
-// neighbouring cell.
+// TestPackRowMatchesSetCode pins packRow — eight codes per step, then
+// four, then single cells — to setCode cell by cell, for every alignment
+// of the window's first cell within its byte and every width through five
+// 8-code steps. dirs starts as 0xFF, so a head or tail byte stored whole
+// instead of masked shows in a neighbouring cell.
 func TestPackRowMatchesSetCode(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
-	for _, bits := range []uint{2, 4} {
-		for base := int32(8); base < 12; base++ {
-			for width := 0; width <= 40; width++ {
-				codes := make([]byte, width)
-				for i := range codes {
-					codes[i] = byte(rng.Intn(1 << bits))
+	for base := int32(8); base < 12; base++ {
+		for width := 0; width <= 40; width++ {
+			codes := make([]byte, width)
+			for i := range codes {
+				codes[i] = byte(rng.Intn(4))
+			}
+			fresh := func() tracer {
+				tb := tracer{dirs: make([]byte, 32)}
+				for i := range tb.dirs {
+					tb.dirs[i] = 0xff
 				}
-				fresh := func() tracer {
-					tb := tracer{bits: bits, dirs: make([]byte, 32)}
-					for i := range tb.dirs {
-						tb.dirs[i] = 0xff
-					}
-					return tb
-				}
-				packed, want := fresh(), fresh()
-				packed.packRow(base, codes)
-				for k, c := range codes {
-					want.setCode(base, k, c)
-				}
-				if string(packed.dirs) != string(want.dirs) {
-					t.Fatalf("bits %d base %d width %d:\n packRow %x\n setCode %x", bits, base, width, packed.dirs, want.dirs)
-				}
+				return tb
+			}
+			packed, want := fresh(), fresh()
+			packed.packRow(base, codes)
+			for k, c := range codes {
+				want.setCode(base, k, c)
+			}
+			if string(packed.dirs) != string(want.dirs) {
+				t.Fatalf("base %d width %d:\n packRow %x\n setCode %x", base, width, packed.dirs, want.dirs)
 			}
 		}
 	}
@@ -264,7 +260,7 @@ func FuzzTracebackOracle(f *testing.F) {
 			return
 		}
 		p := Params{Scorer: scoring.DNADefault, Gap: -1, X: int(xb)}
-		switch mode % 5 {
+		switch mode % 4 {
 		case 0:
 			p.Algo = AlgoRestricted2
 		case 1:
@@ -273,9 +269,6 @@ func FuzzTracebackOracle(f *testing.F) {
 		case 2:
 			p.Algo = AlgoStandard3
 		case 3:
-			p.Algo = AlgoAffine
-			p.GapOpen = -1 - int(geom)%4
-		case 4:
 			p.Algo = AlgoReference
 		}
 		k := 1 + int(geom)%5
@@ -311,7 +304,7 @@ func FuzzTracebackOracle(f *testing.F) {
 		if recon != want.Score {
 			t.Fatalf("reconstructed score %d != kernel %d (cigar %q)", recon, want.Score, aln.Cigar)
 		}
-		if p.Algo != AlgoAffine && !want.Stats.Clamped {
+		if !want.Stats.Clamped {
 			rp := p
 			rp.Algo = AlgoReference
 			rp.DeltaB = 0

@@ -75,8 +75,8 @@ type Config struct {
 	// is part of the kernel fingerprint, so a shared result cache never
 	// serves CIGAR-less entries to a traceback-enabled run (or vice
 	// versa). Off, reports are bit-identical to the score-only stack. The
-	// trace gate and schedule live on Kernel (TraceMinScore, TraceMode),
-	// the kernel tier on Kernel.Params.Tier.
+	// trace gate lives on Kernel (TraceMinScore), the kernel tier on
+	// Kernel.Params.Tier.
 	Traceback bool
 	// Faults, when non-nil, installs deterministic fault injection at the
 	// ExecBatch boundary: transient and permanent execution failures plus
@@ -166,14 +166,12 @@ func KernelFingerprint(cfg ipukernel.Config) uint64 {
 	if cfg.Traceback {
 		// Traceback-on results carry CIGARs and trace-byte accounting;
 		// they must never be served to (or taken from) a score-only run.
-		// The gate cutoff decides which results carry CIGARs and the mode
-		// decides what the trace accounting describes — entries from
-		// gated/ungated or fused/replay runs must never mix, or a warm hit
-		// below the cutoff would fan out a stale CIGAR. Hashed only while
+		// The gate cutoff decides which results carry CIGARs — entries
+		// from gated and ungated runs must never mix, or a warm hit below
+		// the cutoff would fan out a stale CIGAR. Hashed only while
 		// tracing so score-only runs keep sharing entries.
 		put(1)
 		put(int64(cfg.TraceMinScore))
-		put(int64(cfg.TraceMode))
 	}
 	if p.Scorer != nil {
 		tab := p.Scorer.Table()

@@ -16,7 +16,8 @@ import (
 // consistently everywhere. The values were re-pinned on purpose when the
 // schedule knobs (thread count, LR split, work stealing, busy-wait
 // variance) left the fingerprint: base sets all three flags, and none of
-// them reaches the key.
+// them reaches the key. The traced values were re-pinned again when the
+// trace mode knob was deleted and stopped being hashed.
 func TestKernelFingerprintValuesPinned(t *testing.T) {
 	base := Config{
 		IPUs: 1, Model: platform.GC200,
@@ -35,10 +36,8 @@ func TestKernelFingerprintValuesPinned(t *testing.T) {
 		{"score-only wide", func(c *Config) {}, 0x3d7e4d172a85a0f7},
 		{"score-only narrow", func(c *Config) { c.Kernel.Params.Tier = core.TierNarrow }, 0x5872a57ea23db85e},
 		{"score-only auto", func(c *Config) { c.Kernel.Params.Tier = core.TierAuto }, 0xf180852c855a02b5},
-		{"traced auto", func(c *Config) { c.Traceback = true }, 0xc3b283f55ff897be},
-		{"traced min-score 150", func(c *Config) { c.Traceback, c.Kernel.TraceMinScore = true, 150 }, 0x09ccbdb5d8e8d6d0},
-		{"traced replay", func(c *Config) { c.Traceback, c.Kernel.TraceMode = true, core.TraceModeReplay }, 0x79cad72725fb8057},
-		{"traced fused", func(c *Config) { c.Traceback, c.Kernel.TraceMode = true, core.TraceModeFused }, 0x49bdec4c786c097c},
+		{"traced", func(c *Config) { c.Traceback = true }, 0xd41faf7a0109873e},
+		{"traced min-score 150", func(c *Config) { c.Traceback, c.Kernel.TraceMinScore = true, 150 }, 0x899cc05e38cd6010},
 		{"blosum62 affine", func(c *Config) {
 			c.Kernel.Params = core.Params{Scorer: scoring.Blosum62, Gap: -2, GapOpen: -10, X: 49, Algo: core.AlgoAffine}
 		}, 0xb96c81bc1dba133b},

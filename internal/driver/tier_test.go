@@ -133,19 +133,20 @@ func TestKernelTierPromotionDriverPath(t *testing.T) {
 	}
 }
 
-// TestRunRejectsUnknownKnobValues: a tier or trace mode outside its
-// three values would otherwise run as wide / auto under a fingerprint of
-// its own, splitting the cache between identical results.
+// TestRunRejectsUnknownKnobValues: a tier outside its three values would
+// otherwise run as wide under a fingerprint of its own, splitting the
+// cache between identical results; traceback under AlgoAffine, which is
+// score-only, fails before any batch runs.
 func TestRunRejectsUnknownKnobValues(t *testing.T) {
 	d := readsData(t, 24, 8)
 	tier := testCfg(1, true)
 	tier.Kernel.Params.Tier = core.TierAuto + 1
-	mode := testCfg(1, true)
-	mode.Traceback = true
-	mode.Kernel.TraceMode = core.TraceModeFused + 1
-	for name, cfg := range map[string]Config{"tier": tier, "trace mode": mode} {
+	affine := testCfg(1, true)
+	affine.Traceback = true
+	affine.Kernel.Params.Algo, affine.Kernel.Params.GapOpen = core.AlgoAffine, -2
+	for name, cfg := range map[string]Config{"tier": tier, "affine traceback": affine} {
 		if _, err := Run(d, cfg); err == nil {
-			t.Errorf("%s out of range: Run succeeded, want an error", name)
+			t.Errorf("%s: Run succeeded, want an error", name)
 		}
 	}
 }

@@ -11,10 +11,8 @@ import (
 	"github.com/sram-align/xdropipu/internal/workload"
 )
 
-// shortReadsData generates a short-read overlap set whose extensions
-// are small enough that forcing TraceModeFused keeps the per-thread
-// direction arenas within tile SRAM (the partitioner rejects forced
-// fusion on long-read extensions — by design).
+// shortReadsData generates a short-read overlap set whose extensions are
+// small enough that most of them fuse.
 func shortReadsData(t *testing.T, seed int64, maxCmp int) *workload.Dataset {
 	t.Helper()
 	d := synth.Reads(synth.ReadsSpec{
@@ -44,51 +42,76 @@ func traceScores(t *testing.T, d *workload.Dataset, cfg Config) []int {
 	return scores
 }
 
-// TestTraceModeThreeWayOracle is the mode half of the differential
-// oracle: replay, fused and auto traceback runs must be bit-identical in
-// every result field — scores, coordinates, trace statistics, clamp
-// flags and CIGARs — across kernel tiers, and all must account every
-// extension as traced with nothing skipped.
-func TestTraceModeThreeWayOracle(t *testing.T) {
-	d := shortReadsData(t, 21, 40)
+// TestTraceFuseRuleOracle: one traced run over long reads, whose
+// extensions fall on both sides of the fused-arena budget, so the one
+// fuse-or-replay rule sends some through the fused recording and the rest
+// through the score pass and a replay. Every result must equal the
+// score-only run's in every score field and carry a CIGAR that re-scores
+// to it, on both kernel tiers, with every extension counted as traced.
+// That the two paths record bit-identical traces is pinned per extension
+// by core's TestFusedDifferentialOracle.
+func TestTraceFuseRuleOracle(t *testing.T) {
+	d := readsData(t, 21, 40)
 	for _, tier := range []core.Tier{core.TierWide, core.TierAuto} {
-		base := testCfg(2, true)
-		base.Traceback = true
-		base.Kernel.Params.Tier = tier
+		off := testCfg(2, true)
+		off.Kernel.Params.Tier = tier
+		on := off
+		on.Traceback = true
 
-		reps := make(map[core.TraceMode]*Report, 3)
-		for _, mode := range []core.TraceMode{core.TraceModeReplay, core.TraceModeFused, core.TraceModeAuto} {
-			cfg := base
-			cfg.Kernel.TraceMode = mode
-			rep, err := Run(d, cfg)
-			if err != nil {
-				t.Fatalf("tier %v mode %v: %v", tier, mode, err)
-			}
-			if rep.TracedExtensions != 2*len(d.Comparisons) || rep.TraceSkippedExtensions != 0 {
-				t.Fatalf("tier %v mode %v: counters traced=%d skipped=%d, want %d/0",
-					tier, mode, rep.TracedExtensions, rep.TraceSkippedExtensions, 2*len(d.Comparisons))
-			}
-			reps[mode] = rep
-		}
-		replay := reps[core.TraceModeReplay]
-		for _, mode := range []core.TraceMode{core.TraceModeFused, core.TraceModeAuto} {
-			got := reps[mode]
-			for i := range replay.Results {
-				if got.Results[i] != replay.Results[i] {
-					t.Fatalf("tier %v: comparison %d differs between replay and %v:\nreplay: %+v\n  %v: %+v",
-						tier, i, mode, replay.Results[i], mode, got.Results[i])
+		k := on.Normalized().Kernel
+		fused, replayed := 0, 0
+		for _, c := range d.Comparisons {
+			hn, vn := d.SeqLen(c.H), d.SeqLen(c.V)
+			for _, side := range [][2]int{{c.SeedH, c.SeedV}, {hn - c.SeedH - c.SeedLen, vn - c.SeedV - c.SeedLen}} {
+				if f, _ := k.TraceCharges(side[0], side[1]); f > 0 {
+					fused++
+				} else {
+					replayed++
 				}
+			}
+		}
+		// On the auto tier these extensions all score narrow, which
+		// never fuses.
+		if replayed == 0 || (fused == 0 && tier == core.TierWide) {
+			t.Fatalf("tier %v: %d fused and %d replayed extensions, want both paths", tier, fused, replayed)
+		}
+
+		want, err := Run(d, off)
+		if err != nil {
+			t.Fatalf("tier %v: score-only run: %v", tier, err)
+		}
+		got, err := Run(d, on)
+		if err != nil {
+			t.Fatalf("tier %v: traced run: %v", tier, err)
+		}
+		if got.TracedExtensions != 2*len(d.Comparisons) || got.TraceSkippedExtensions != 0 {
+			t.Fatalf("tier %v: counters traced=%d skipped=%d, want %d/0",
+				tier, got.TracedExtensions, got.TraceSkippedExtensions, 2*len(d.Comparisons))
+		}
+		p := on.Kernel.Params
+		for i, r := range got.Results {
+			c := d.Comparisons[i]
+			h, v := d.Seq(c.H), d.Seq(c.V)
+			recon, err := alignment.ScoreOf(h[r.BegH:r.EndH], v[r.BegV:r.EndV], r.Cigar, p.Scorer, p.Gap, p.GapOpen)
+			if err != nil || recon != r.Score || r.TraceBytes <= 0 {
+				t.Fatalf("tier %v: comparison %d: cigar %q re-scores to %d (err %v), kernel %d, trace bytes %d",
+					tier, i, r.Cigar, recon, err, r.Score, r.TraceBytes)
+			}
+			r.Cigar, r.TraceBytes = "", 0
+			if r != want.Results[i] {
+				t.Fatalf("tier %v: comparison %d differs from the score-only run:\ntraced:     %+v\nscore-only: %+v",
+					tier, i, r, want.Results[i])
 			}
 		}
 	}
 }
 
 // TestTraceMinScoreGate pins the score-gate contract: comparisons at or
-// above the cutoff are bit-identical to an ungated traceback run,
+// above the cutoff are bit-identical to an ungated traceback run (whose
+// short extensions fuse, while a gated run replays every traced side),
 // comparisons below it are bit-identical to a score-only run (no CIGAR,
-// no trace bytes), the traced/skipped counters are disjoint and sum to
-// every extension, and the gate behaves identically under fused mode
-// (the gate takes precedence over fusion).
+// no trace bytes), and the traced/skipped counters are disjoint and sum
+// to every extension.
 func TestTraceMinScoreGate(t *testing.T) {
 	d := readsData(t, 22, 40)
 	scoreOnly := testCfg(2, true)
@@ -114,50 +137,47 @@ func TestTraceMinScoreGate(t *testing.T) {
 		t.Fatalf("p50 score %d not positive; dataset unusable for gate test", cut)
 	}
 
-	for _, mode := range []core.TraceMode{core.TraceModeReplay, core.TraceModeFused} {
-		gated := on
-		gated.Kernel.TraceMinScore = cut
-		gated.Kernel.TraceMode = mode
-		gr, err := Run(d, gated)
-		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
-		}
-		traced, skipped := 0, 0
-		for i, r := range gr.Results {
-			if full.Results[i].Score >= cut {
-				traced++
-				if r != full.Results[i] {
-					t.Fatalf("mode %v: comparison %d above cutoff differs from ungated run:\ngated:   %+v\nungated: %+v",
-						mode, i, r, full.Results[i])
-				}
-			} else {
-				skipped++
-				if r != off.Results[i] {
-					t.Fatalf("mode %v: comparison %d below cutoff differs from score-only run:\ngated:      %+v\nscore-only: %+v",
-						mode, i, r, off.Results[i])
-				}
-				if r.Cigar != "" || r.TraceBytes != 0 {
-					t.Fatalf("mode %v: skipped comparison %d carries trace payload: %+v", mode, i, r)
-				}
+	gated := on
+	gated.Kernel.TraceMinScore = cut
+	gr, err := Run(d, gated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced, skipped := 0, 0
+	for i, r := range gr.Results {
+		if full.Results[i].Score >= cut {
+			traced++
+			if r != full.Results[i] {
+				t.Fatalf("comparison %d above cutoff differs from ungated run:\ngated:   %+v\nungated: %+v",
+					i, r, full.Results[i])
+			}
+		} else {
+			skipped++
+			if r != off.Results[i] {
+				t.Fatalf("comparison %d below cutoff differs from score-only run:\ngated:      %+v\nscore-only: %+v",
+					i, r, off.Results[i])
+			}
+			if r.Cigar != "" || r.TraceBytes != 0 {
+				t.Fatalf("skipped comparison %d carries trace payload: %+v", i, r)
 			}
 		}
-		if skipped == 0 || traced == 0 {
-			t.Fatalf("p50 cutoff did not split the dataset: %d traced, %d skipped comparisons", traced, skipped)
-		}
-		if gr.TracedExtensions != 2*traced || gr.TraceSkippedExtensions != 2*skipped {
-			t.Fatalf("mode %v: counters traced=%d skipped=%d, want %d/%d",
-				mode, gr.TracedExtensions, gr.TraceSkippedExtensions, 2*traced, 2*skipped)
-		}
-		if gr.TracedExtensions+gr.TraceSkippedExtensions != 2*len(d.Comparisons) {
-			t.Fatalf("mode %v: counters not a partition of all extensions", mode)
-		}
+	}
+	if skipped == 0 || traced == 0 {
+		t.Fatalf("p50 cutoff did not split the dataset: %d traced, %d skipped comparisons", traced, skipped)
+	}
+	if gr.TracedExtensions != 2*traced || gr.TraceSkippedExtensions != 2*skipped {
+		t.Fatalf("counters traced=%d skipped=%d, want %d/%d",
+			gr.TracedExtensions, gr.TraceSkippedExtensions, 2*traced, 2*skipped)
+	}
+	if gr.TracedExtensions+gr.TraceSkippedExtensions != 2*len(d.Comparisons) {
+		t.Fatal("counters not a partition of all extensions")
 	}
 }
 
 // TestTraceGateCacheComposition: gated and ungated runs must never share
-// cache entries (their kernel fingerprints differ), replay and fused
-// fingerprints likewise, and a rerun under the same configuration must
-// hit its own warm entries and reproduce its results exactly.
+// cache entries (their kernel fingerprints differ), and a rerun under the
+// same configuration must hit its own warm entries and reproduce its
+// results exactly.
 func TestTraceGateCacheComposition(t *testing.T) {
 	d := shortReadsData(t, 23, 30)
 	scores := traceScores(t, d, testCfg(1, true))
@@ -205,27 +225,16 @@ func TestTraceGateCacheComposition(t *testing.T) {
 		}
 	}
 
-	fused := base
-	fused.Kernel.TraceMode = core.TraceModeFused
-	f1, err := Run(d, fused)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f1.CacheHits != 0 {
-		t.Fatalf("fused run shared %d entries with the replay fill", f1.CacheHits)
-	}
-
-	// Score-only runs ignore both knobs: a gated fingerprint with
-	// traceback off must equal the plain score-only fingerprint, so
-	// score-only workloads keep sharing entries.
+	// Score-only runs ignore the gate: a gated fingerprint with traceback
+	// off must equal the plain score-only fingerprint, so score-only
+	// workloads keep sharing entries.
 	plain := testCfg(1, true)
 	gatedOff := plain
 	gatedOff.Kernel.TraceMinScore = cut
-	gatedOff.Kernel.TraceMode = core.TraceModeFused
 	a := KernelFingerprint(plain.Normalized().Kernel)
 	b := KernelFingerprint(gatedOff.Normalized().Kernel)
 	if a != b {
-		t.Fatal("trace knobs changed the score-only kernel fingerprint")
+		t.Fatal("the trace gate changed the score-only kernel fingerprint")
 	}
 }
 
@@ -278,24 +287,35 @@ func traceCapDataset(big int) (*workload.Dataset, int) {
 // regression: a traceback recording that overflows the cell cap must
 // surface as that one comparison failing (AlignOut.Failed), not poison
 // sibling comparisons on the tile or fail the batch — and the degraded
-// placeholder must never enter the result cache.
+// placeholder must never enter the result cache. The oversized pair's
+// length picks the path: its extensions replay at 2 kb and fuse at 400 b,
+// and the cap is set under what each records.
 func TestTraceTooLargeDegradesSingleComparison(t *testing.T) {
-	d, bigIdx := traceCapDataset(2000)
-	for _, mode := range []core.TraceMode{core.TraceModeReplay, core.TraceModeFused} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		big   int
+		cap   int64
+		fused bool
+	}{
+		{"replay", 2000, 6_000, false},
+		{"fused", 400, 2_000, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, bigIdx := traceCapDataset(tc.big)
 			cache := newMapCache()
-			// Partitioning off: the SRAM certifier would (correctly)
-			// refuse to force-fuse the oversized extension; the cap
-			// propagation path is what this test pins.
 			cfg := testCfg(1, false)
 			cfg.Traceback = true
-			cfg.Kernel.TraceMode = mode
 			cfg.Cache = cache
-			// δb=64 keeps the forced-fused per-thread arena bound for the
-			// 2 kb pair within the SRAM-derived sequence budget.
-			cfg.Kernel.Params.DeltaB = 64
 
-			restore := core.SetTraceCellCapForTest(6_000)
+			c := d.Comparisons[bigIdx]
+			hn, vn := d.SeqLen(c.H), d.SeqLen(c.V)
+			for _, side := range [][2]int{{c.SeedH, c.SeedV}, {hn - c.SeedH - c.SeedLen, vn - c.SeedV - c.SeedLen}} {
+				if f, _ := cfg.Normalized().Kernel.TraceCharges(side[0], side[1]); (f > 0) != tc.fused {
+					t.Fatalf("oversized %d×%d extension fused=%v, want %v", side[0], side[1], f > 0, tc.fused)
+				}
+			}
+
+			restore := core.SetTraceCellCapForTest(tc.cap)
 			rep, err := Run(d, cfg)
 			if err != nil {
 				restore()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"github.com/sram-align/xdropipu/internal/core"
 	"github.com/sram-align/xdropipu/internal/driver"
 )
 
@@ -35,37 +34,6 @@ func TestWithTraceMinScoreOptionFingerprint(t *testing.T) {
 	defer e.Close()
 	if e.Config().Kernel.TraceMinScore != 80 {
 		t.Fatal("Kernel.TraceMinScore did not reach the engine's config")
-	}
-}
-
-// TestWithTraceModeOptionFingerprint: replay and fused recordings are
-// bit-identical, but the mode still keys the fingerprint under traceback
-// (execution traces and SRAM charges differ); score-only runs ignore it.
-func TestWithTraceModeOptionFingerprint(t *testing.T) {
-	on := testCfg(1)
-	on.Traceback = true
-	replay := on
-	replay.Kernel.TraceMode = core.TraceModeReplay
-	replayN := replay.Normalized()
-	fused := on
-	fused.Kernel.TraceMode = core.TraceModeFused
-	fusedN := fused.Normalized()
-	if driver.KernelFingerprint(replayN.Kernel) == driver.KernelFingerprint(fusedN.Kernel) {
-		t.Fatal("trace mode does not change the traceback kernel fingerprint")
-	}
-
-	off := testCfg(1).Normalized()
-	fusedOff := testCfg(1)
-	fusedOff.Kernel.TraceMode = core.TraceModeFused
-	fusedOffN := fusedOff.Normalized()
-	if driver.KernelFingerprint(off.Kernel) != driver.KernelFingerprint(fusedOffN.Kernel) {
-		t.Fatal("trace mode split the score-only fingerprint; score-only runs should share entries")
-	}
-
-	e := New(WithDriverConfig(fused))
-	defer e.Close()
-	if e.Config().Kernel.TraceMode != core.TraceModeFused {
-		t.Fatal("Kernel.TraceMode did not reach the engine's config")
 	}
 }
 

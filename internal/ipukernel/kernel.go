@@ -200,47 +200,36 @@ type Config struct {
 	BusyWaitVariance bool
 	// DualIssue co-issues the integer and float pipelines (§4.1.4).
 	DualIssue bool
-	// Traceback enables traceback. In the two-pass schedule each
-	// extension is swept a second time after the score pass by core's
-	// recording sweep (charged like a second DP sweep), and AlignOut
-	// carries the alignment's CIGAR plus exact trace-memory accounting. Off, results are bit-identical to
-	// the score-only kernel. Trace memory stays bounded by the live
-	// window band (2 bits per banded cell for the linear variants, 4 for
-	// affine), never by the full matrix; the peak single-extension
-	// footprint surfaces as Counters.PeakTracebackBytes. Second passes are
-	// modeled as serialized through one per-tile trace arena (a second
-	// pass holds the arena only while its CIGAR is emitted, and the
-	// scoring pass of other units proceeds meanwhile), so TileMemoryBytes
-	// folds a
-	// single arena allowance — ExtensionTraceBytes of the tile's worst
-	// extension — into the SRAM gate alongside the DP buffers, making
-	// traceback runs SRAM-certified end-to-end.
+	// Traceback enables traceback: AlignOut carries the alignment's CIGAR
+	// plus exact trace-memory accounting. Off, results are bit-identical
+	// to the score-only kernel. Every trace comes from core's one
+	// recording sweep, 2 bits per banded cell, so trace memory stays
+	// bounded by the live window band, never by the full matrix; the peak
+	// single-extension footprint surfaces as
+	// Counters.PeakTracebackBytes. One rule places each extension's
+	// recording. An ungated, fused-eligible extension whose
+	// ExtensionTraceBytes bound fits fusedTraceBudget records inside its
+	// scoring pass (one sweep); the arena lives on its thread for the
+	// whole pass, so TileMemoryBytes charges it once per thread. Every
+	// other extension is scored first and then swept again as a second
+	// pass (charged like another DP sweep); second passes are serialized
+	// through one per-tile arena, so TileMemoryBytes charges the tile's
+	// worst such extension once. Either way the tile stays SRAM-certified.
+	// Traceback requires a linear-gap Params.Algo: Run rejects
+	// core.AlgoAffine, which is score-only.
 	Traceback bool
 	// TraceMinScore gates the traceback pass on the comparison's total
 	// score (left + seed + right): with a positive cutoff only
 	// comparisons that reach it are traced — the rest return score-only
 	// results (no CIGAR, no trace bytes), exactly as a score-only run
 	// would report them. Gated second passes are deferred until both
-	// extension scores are known and are charged to the threads that scored the
-	// sides. Zero or negative traces every comparison. Ignored unless
+	// extension scores are known and are charged to the threads that
+	// scored the sides, so a gated run never fuses (a fused recording
+	// cannot be deferred — its buffers are clobbered by the thread's next
+	// extension). Zero or negative traces every comparison. Ignored unless
 	// Traceback is set; part of the kernel fingerprint (when tracing), so
 	// gated and ungated runs never share cache entries.
 	TraceMinScore int
-	// TraceMode selects the traceback schedule and its SRAM charge when
-	// tracing — not a code path: every trace comes from core's recording
-	// sweep. core.TraceModeAuto runs that sweep as the scoring pass itself
-	// (one sweep, no second pass) for eligible extensions whose arena
-	// bound fits the per-thread fused budget, core.TraceModeReplay always
-	// runs it as a serialized second pass after the score sweep, and
-	// core.TraceModeFused fuses every eligible extension. Fused
-	// recordings live on their thread for the whole scoring pass, so
-	// TileMemoryBytes charges one arena per thread for them; the
-	// two-pass schedule keeps the single serialized arena allowance. The
-	// score gate takes precedence: with TraceMinScore active every traced
-	// extension uses the deferred second pass (a fused recording cannot
-	// be deferred — its buffers are clobbered by the thread's next
-	// extension). Part of the kernel fingerprint when tracing.
-	TraceMode core.TraceMode
 	// Cost is the instruction cost model (zero value → calibrated
 	// defaults).
 	Cost platform.KernelCost
@@ -263,8 +252,8 @@ func (c Config) withDefaults(m platform.IPUModel) Config {
 	return c
 }
 
-// fusedTraceBudget is the per-thread direction-arena allowance of the
-// auto trace mode: an extension fuses only when its ExtensionTraceBytes
+// fusedTraceBudget is the per-thread direction-arena allowance of a
+// fused recording: an extension fuses only when its ExtensionTraceBytes
 // bound fits, so the concurrent recordings of a six-thread tile cost at
 // most 6×16 KiB — under a sixth of the 624 KiB tile — while small-band
 // extensions (the common X-Drop case) still skip the replay.
@@ -275,19 +264,13 @@ func (c Config) traceGated() bool { return c.Traceback && c.TraceMinScore > 0 }
 
 // fusedExtension decides whether an extension with side lengths lh×lv
 // records directions during the scoring pass (fused single-pass) rather
-// than replaying. The decision is part of the SRAM model — partition's
-// budget math calls it too.
+// than replaying: the run traces ungated, the extension is
+// core.FusedEligible, and its arena bound fits fusedTraceBudget. The
+// decision is part of the SRAM model — partition's budget math reaches it
+// through TraceCharges.
 func (c Config) fusedExtension(lh, lv int) bool {
-	if !c.Traceback || c.traceGated() || c.TraceMode == core.TraceModeReplay {
-		return false
-	}
-	if !core.FusedEligible(lh, lv, c.Params) {
-		return false
-	}
-	if c.TraceMode == core.TraceModeFused {
-		return true
-	}
-	return c.ExtensionTraceBytes(lh, lv) <= fusedTraceBudget
+	return c.Traceback && !c.traceGated() && core.FusedEligible(lh, lv, c.Params) &&
+		c.ExtensionTraceBytes(lh, lv) <= fusedTraceBudget
 }
 
 // Tier returns the kernel tier, Params.Tier.
@@ -353,8 +336,8 @@ func (c Config) WorkBufBytesPerThread(maxMinLen int) int {
 }
 
 // ExtensionTraceBytes bounds the direction-trace footprint of one
-// traceback replay over an extension with side lengths lh×lv: packed
-// per-cell codes (2 bits per banded cell, 4 for affine) over at most
+// recording over an extension with side lengths lh×lv: packed per-cell
+// codes (2 bits per banded cell) over at most
 // lh+lv+1 antidiagonal windows, each at most the band wide (δb-capped
 // for Restricted2) and collectively at most the full matrix, plus the
 // 8-byte-per-antidiagonal window index. The bound dominates the exact
@@ -377,11 +360,7 @@ func (c Config) ExtensionTraceBytes(lh, lv int) int {
 	if full := int64(lh+1) * int64(lv+1); full < cells {
 		cells = full
 	}
-	bits := int64(2)
-	if c.Params.Algo == core.AlgoAffine {
-		bits = 4
-	}
-	return int((cells*bits+7)/8) + 8*(antid+1)
+	return int((cells+3)/4) + 8*(antid+1)
 }
 
 // TileMemoryBytes returns the SRAM footprint of a tile's work under the
@@ -403,8 +382,8 @@ func (c Config) TileMemoryBytes(t *TileWork, model platform.IPUModel) int {
 		r := min(rh, rv)
 		maxMin = max(maxMin, l, r)
 		if cc.Traceback {
-			lf, lr := cc.extensionTraceCharge(j.SeedH, j.SeedV)
-			rf, rr := cc.extensionTraceCharge(rh, rv)
+			lf, lr := cc.TraceCharges(j.SeedH, j.SeedV)
+			rf, rr := cc.TraceCharges(rh, rv)
 			maxFused = max(maxFused, lf, rf)
 			maxReplay = max(maxReplay, lr, rr)
 		}
@@ -427,10 +406,12 @@ func (c Config) TileFootprint(seqBytes, nSeqs, nJobs, maxMin, fused, replay, thr
 		batchHdrBytes
 }
 
-// extensionTraceCharge splits one extension's direction-arena bound into
-// the fused (per-thread) or replay (shared serialized arena) pool,
-// according to where the kernel would actually record it.
-func (c Config) extensionTraceCharge(lh, lv int) (fused, replay int) {
+// TraceCharges reports one extension's direction-arena bound in the pool
+// the kernel records it in: fused (per-thread) or replay (the shared
+// serialized arena); at most one of the two is nonzero. TileMemoryBytes
+// and partition's budget math both apply this split, so admitted tiles
+// keep their SRAM certification.
+func (c Config) TraceCharges(lh, lv int) (fused, replay int) {
 	b := c.ExtensionTraceBytes(lh, lv)
 	if b == 0 {
 		return 0, 0
@@ -439,15 +420,6 @@ func (c Config) extensionTraceCharge(lh, lv int) (fused, replay int) {
 		return b, 0
 	}
 	return 0, b
-}
-
-// TraceCharges reports one extension's direction-arena charge split into
-// the fused (per-thread) and replay (shared serialized) pools — the same
-// split TileMemoryBytes applies; at most one of the two is nonzero.
-// Exported for partition's budget math, which must mirror the gate
-// exactly or admitted tiles could lose their SRAM certification.
-func (c Config) TraceCharges(lh, lv int) (fused, replay int) {
-	return c.extensionTraceCharge(lh, lv)
 }
 
 // AlignOut is one comparison's result.
@@ -483,7 +455,7 @@ type AlignOut struct {
 	// shared through dedup fan-out and the cross-job result cache.
 	Cigar alignment.Cigar
 	// TraceBytes is the exact direction-trace storage both extensions'
-	// replays recorded (0 with traceback off).
+	// recordings held (0 with traceback off).
 	TraceBytes int
 }
 
@@ -530,7 +502,7 @@ type Counters struct {
 	// PeakTracebackBytes is the largest single-extension direction-trace
 	// footprint any tile thread held — the extra SRAM a traceback-enabled
 	// tile needs at once, bounded by the live-window band (2 bits per
-	// banded cell, 4 for affine), never by the O(m·n) matrix. Zero with
+	// banded cell), never by the O(m·n) matrix. Zero with
 	// Config.Traceback off. TracebackBytes sums the recorded trace storage
 	// over every executed extension.
 	PeakTracebackBytes int   `json:"peakTracebackBytes"`
@@ -602,8 +574,8 @@ func Run(dev *ipu.Device, b *Batch, cfg Config) (*BatchResult, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.TraceMode < core.TraceModeAuto || cfg.TraceMode > core.TraceModeFused {
-		return nil, fmt.Errorf("ipukernel: unknown trace mode %d", cfg.TraceMode)
+	if cfg.Traceback && cfg.Params.Algo == core.AlgoAffine {
+		return nil, core.ErrAffineTraceback
 	}
 	if len(b.Tiles) > dev.Tiles() {
 		return nil, fmt.Errorf("ipukernel: batch has %d tiles, device has %d", len(b.Tiles), dev.Tiles())

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"github.com/sram-align/xdropipu/internal/core"
 	"github.com/sram-align/xdropipu/internal/ipu"
 	"github.com/sram-align/xdropipu/internal/platform"
 	"github.com/sram-align/xdropipu/internal/synth"
@@ -15,11 +14,14 @@ import (
 // scheduleBatch is a two-tile batch that exercises the modeled schedule:
 // tile 0 holds 24 copies of one comparison (identical unit costs, so
 // deterministic counters tie and racy steals fire), tile 1 twelve
-// distinct comparisons of varying cost.
-func scheduleBatch(t *testing.T) *Batch {
+// distinct comparisons of varying cost. Every pair is length long with
+// the seed in the middle, so each traced extension fuses at 400
+// (≈ 190×190, 12 KiB arena bound) and replays at 600 (≈ 290×290, 25 KiB,
+// over fusedTraceBudget).
+func scheduleBatch(t *testing.T, length int) *Batch {
 	t.Helper()
 	d := synth.UniformPairs(synth.UniformPairsSpec{
-		Count: 13, Length: 400, ErrorRate: 0.15, SeedLen: 17, Seed: 7,
+		Count: 13, Length: length, ErrorRate: 0.15, SeedLen: 17, Seed: 7,
 	})
 	arena, _ := d.Spine()
 	same := TileWork{Slabs: arena.SlabViews()}
@@ -47,42 +49,49 @@ const pinGateScore = 300
 
 // TestModeledSchedulePinned holds the modeled schedule to counters
 // recorded before execution and scheduling were split: every counter of
-// a racy, an eventual-stealing, a gated-traceback racy and a
-// replay-traceback racy run, each tile's thread maximum and the modeled
-// seconds, bit for bit. A race's duplicate is device work, so Cells,
-// SumBand, Antidiags and the tier counts still include it.
+// a racy, an eventual-stealing, a gated-traceback racy, a fused-traceback
+// racy and a replay-traceback racy run, each tile's thread maximum and
+// the modeled seconds, bit for bit. A race's duplicate is device work, so
+// Cells, SumBand, Antidiags and the tier counts still include it. The
+// last two differ only in pair length, which puts every extension on one
+// side of fusedTraceBudget; they were recorded with the fused and replay
+// schedules forced, which the length now selects.
 func TestModeledSchedulePinned(t *testing.T) {
 	for _, run := range []struct {
 		name      string
+		length    int
 		mut       func(*Config)
 		c         Counters
 		tileInstr []int64
 		seconds   uint64
 	}{
-		{"racy", func(c *Config) { c.LRSplit, c.WorkStealing = true, true },
+		{"racy", 400, func(c *Config) { c.LRSplit, c.WorkStealing = true, true },
 			Counters{HostBytesIn: 11456, HostBytesOut: 1152, UniqueSeqBytesIn: 10400, TheoreticalCells: 5760000,
 				Cells: 1385307, SumBand: 1385307, Antidiags: 105984, Races: 204, StealOps: 264, MaxSRAM: 19744,
 				WideExtensions: 276}, []int64{1121883, 109424}, 0x3f74bc8c7171001b},
-		{"eventual", func(c *Config) { c.LRSplit, c.WorkStealing, c.BusyWaitVariance = true, true, true },
+		{"eventual", 400, func(c *Config) { c.LRSplit, c.WorkStealing, c.BusyWaitVariance = true, true, true },
 			Counters{HostBytesIn: 11456, HostBytesOut: 1152, UniqueSeqBytesIn: 10400, TheoreticalCells: 5760000,
 				Cells: 362451, SumBand: 362451, Antidiags: 27648, StealOps: 60, MaxSRAM: 19744,
 				WideExtensions: 72}, []int64{218924, 112085}, 0x3f5034b342811e19},
-		{"gated-traceback-racy", func(c *Config) { c.WorkStealing, c.Traceback, c.TraceMinScore = true, true, pinGateScore },
+		{"gated-traceback-racy", 400, func(c *Config) { c.WorkStealing, c.Traceback, c.TraceMinScore = true, true, pinGateScore },
 			Counters{HostBytesIn: 11456, HostBytesOut: 13400, UniqueSeqBytesIn: 10400, TheoreticalCells: 5760000,
 				Cells: 1264971, SumBand: 1264971, Antidiags: 96768, Races: 90, StealOps: 114, MaxSRAM: 32145,
 				PeakTracebackBytes: 4368, TracebackBytes: 251037, WideExtensions: 252,
 				TracedExtensions: 58, TraceSkippedExtensions: 14}, []int64{2027338, 211510}, 0x3f82bbdd8eb23687},
-		{"replay-traceback-racy", func(c *Config) {
-			c.LRSplit, c.WorkStealing, c.Traceback, c.TraceMode = true, true, true, core.TraceModeReplay
-		},
+		{"fused-traceback-racy", 400, func(c *Config) { c.LRSplit, c.WorkStealing, c.Traceback = true, true, true },
 			Counters{HostBytesIn: 11456, HostBytesOut: 16500, UniqueSeqBytesIn: 10400, TheoreticalCells: 5760000,
-				Cells: 1385307, SumBand: 1385307, Antidiags: 105984, Races: 204, StealOps: 264, MaxSRAM: 32145,
+				Cells: 1385307, SumBand: 1385307, Antidiags: 105984, Races: 204, StealOps: 264, MaxSRAM: 94150,
 				PeakTracebackBytes: 4414, TracebackBytes: 312114, WideExtensions: 276,
-				TracedExtensions: 72}, []int64{2241750, 218656}, 0x3f84b6feaf59be76},
+				TracedExtensions: 72}, []int64{1121883, 109424}, 0x3f74bc8cf8246195},
+		{"replay-traceback-racy", 600, func(c *Config) { c.LRSplit, c.WorkStealing, c.Traceback = true, true, true },
+			Counters{HostBytesIn: 16656, HostBytesOut: 25000, UniqueSeqBytesIn: 15600, TheoreticalCells: 12960000,
+				Cells: 2155302, SumBand: 2155302, Antidiags: 161184, Races: 204, StealOps: 264, MaxSRAM: 53719,
+				PeakTracebackBytes: 6800, TracebackBytes: 477220, WideExtensions: 276,
+				TracedExtensions: 72}, []int64{3466596, 337656}, 0x3f900401912b760d},
 	} {
 		cfg := dnaCfg(15)
 		run.mut(&cfg)
-		res, err := Run(ipu.New(ipu.Config{Model: platform.GC200}), scheduleBatch(t), cfg)
+		res, err := Run(ipu.New(ipu.Config{Model: platform.GC200}), scheduleBatch(t, run.length), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,13 +113,14 @@ func TestModeledSchedulePinned(t *testing.T) {
 // thread count, LR split and stealing mode, racy steals included.
 func TestResultsIndependentOfSchedule(t *testing.T) {
 	traces := []struct {
-		name string
-		mut  func(*Config)
+		name   string
+		length int
+		mut    func(*Config)
 	}{
-		{"traceback off", func(c *Config) {}},
-		{"ungated", func(c *Config) { c.Traceback = true }},
-		{"ungated replay", func(c *Config) { c.Traceback, c.TraceMode = true, core.TraceModeReplay }},
-		{"gated", func(c *Config) { c.Traceback, c.TraceMinScore = true, pinGateScore }},
+		{"traceback off", 400, func(c *Config) {}},
+		{"ungated fused", 400, func(c *Config) { c.Traceback = true }},
+		{"ungated replay", 600, func(c *Config) { c.Traceback = true }},
+		{"gated", 400, func(c *Config) { c.Traceback, c.TraceMinScore = true, pinGateScore }},
 	}
 	stealing := []struct {
 		name                    string
@@ -127,7 +137,7 @@ func TestResultsIndependentOfSchedule(t *testing.T) {
 					cfg.Threads, cfg.LRSplit = threads, lr
 					cfg.WorkStealing, cfg.BusyWaitVariance = st.workStealing, st.busyWaits
 					name := fmt.Sprintf("%s threads=%d lr=%v %s", tc.name, threads, lr, st.name)
-					res, err := Run(ipu.New(ipu.Config{Model: platform.GC200}), scheduleBatch(t), cfg)
+					res, err := Run(ipu.New(ipu.Config{Model: platform.GC200}), scheduleBatch(t, tc.length), cfg)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}

@@ -10,18 +10,47 @@ import (
 	"github.com/sram-align/xdropipu/internal/core"
 )
 
-// unit is one schedulable piece of tile work: a whole comparison, or one
-// extension side of it when LR splitting is enabled.
-type unit struct {
-	job  int
-	side int8 // 0 = both sides, 1 = left only, 2 = right only
-}
+// unit is one schedulable piece of tile work: the extension sides
+// [from, to) of one comparison — both, or with LR splitting one.
+type unit struct{ job, from, to int }
 
+// The two extension sides of a comparison. They index sides and the
+// executor's per-side scratch.
 const (
-	sideBoth  int8 = 0
-	sideLeft  int8 = 1
-	sideRight int8 = 2
+	left = iota
+	right
 )
+
+// sides holds everything that differs between the two extension sides:
+// core's entry points, where the side starts and how long it is, and the
+// AlignOut fields its result fills.
+var sides = [2]struct {
+	name  string
+	score func(*core.Workspace, []byte, []byte, int, int, core.Params) core.Result
+	fused func(*core.Workspace, []byte, []byte, int, int, core.Params) (core.Result, core.Trace, error)
+	trace func(*core.Workspace, []byte, []byte, int, int, core.Params) (core.Trace, error)
+	// at returns the offsets core's entry points extend from and the
+	// side lengths lh×lv.
+	at func(job *SeedJob, h, v []byte) (hOff, vOff, lh, lv int)
+	// place writes the side's extension result into o.
+	place func(o *AlignOut, hOff, vOff int, r core.Result)
+}{
+	left: {"left", (*core.Workspace).ExtendLeft, (*core.Workspace).FusedExtendLeft, (*core.Workspace).TracebackLeft,
+		func(job *SeedJob, _, _ []byte) (int, int, int, int) {
+			return job.SeedH, job.SeedV, job.SeedH, job.SeedV
+		},
+		func(o *AlignOut, hOff, vOff int, r core.Result) {
+			o.LeftScore, o.BegH, o.BegV = r.Score, hOff-r.EndH, vOff-r.EndV
+		}},
+	right: {"right", (*core.Workspace).ExtendRight, (*core.Workspace).FusedExtendRight, (*core.Workspace).TracebackRight,
+		func(job *SeedJob, h, v []byte) (int, int, int, int) {
+			hOff, vOff := job.SeedH+job.SeedLen, job.SeedV+job.SeedLen
+			return hOff, vOff, len(h) - hOff, len(v) - vOff
+		},
+		func(o *AlignOut, hOff, vOff int, r core.Result) {
+			o.RightScore, o.EndH, o.EndV = r.Score, hOff+r.EndH, vOff+r.EndV
+		}},
+}
 
 // tileResult is one tile's execution outcome: its counters (incremented
 // in place by the helpers below) plus what only Run needs.
@@ -51,16 +80,16 @@ type executor struct {
 	cost  []int64
 	work  []Counters
 	sched tileSchedule
-	// Per-job traceback scratch (sized only when Config.Traceback is on):
-	// each side's sequence-forward Cigar and trace footprint, combined
-	// with the seed columns once the tile's units have all run; failed
-	// marks jobs whose trace recording overflowed (degraded to a Failed
-	// placeholder). Under the score gate the score-pass Result of each
-	// side is kept so the deferred replay can cross-check it.
-	leftC, rightC   []alignment.Cigar
-	leftTB, rightTB []int
-	leftR, rightR   []core.Result
-	failed          []bool
+	// Traceback scratch (sized only when Config.Traceback is on), indexed
+	// by side, then job: each side's sequence-forward Cigar and trace
+	// footprint, combined with the seed columns once the tile's units have
+	// all run, and its score-pass Result, which a second-pass recording
+	// is cross-checked against. failed marks jobs whose trace recording
+	// overflowed (degraded to a Failed placeholder).
+	cigars     [2][]alignment.Cigar
+	traceBytes [2][]int
+	scored     [2][]core.Result
+	failed     []bool
 	// cigar joins each job's left, seed and right Cigars; its buffer is
 	// kept, so a join allocates only the string it returns.
 	cigar alignment.Builder
@@ -84,9 +113,11 @@ func resized[T any](s []T, n int) []T {
 
 // prepareTraces sizes and clears the per-job traceback scratch.
 func (ex *executor) prepareTraces(jobs int) {
-	ex.leftC, ex.rightC = resized(ex.leftC, jobs), resized(ex.rightC, jobs)
-	ex.leftTB, ex.rightTB = resized(ex.leftTB, jobs), resized(ex.rightTB, jobs)
-	ex.leftR, ex.rightR = resized(ex.leftR, jobs), resized(ex.rightR, jobs)
+	for s := range sides {
+		ex.cigars[s] = resized(ex.cigars[s], jobs)
+		ex.traceBytes[s] = resized(ex.traceBytes[s], jobs)
+		ex.scored[s] = resized(ex.scored[s], jobs)
+	}
 	ex.failed = resized(ex.failed, jobs)
 }
 
@@ -126,11 +157,11 @@ func runTile(t *TileWork, cfg Config, ex *executor, out []AlignOut) tileResult {
 	ex.cost = resized(ex.cost, units)
 	ex.work = resized(ex.work, units)
 	for ui := range units {
-		u := unit{job: ui, side: sideBoth}
+		u := unit{job: ui, from: left, to: right + 1}
 		if cfg.LRSplit {
-			u = unit{job: ui / 2, side: sideLeft + int8(ui%2)}
+			u = unit{job: ui / 2, from: ui % 2, to: ui%2 + 1}
 		}
-		ex.cost[ui] = runUnit(t, cfg, ex, u, out, &ex.work[ui], &tr)
+		ex.cost[ui] = ex.runUnit(t, cfg, u, &out[u.job], &ex.work[ui], &tr)
 	}
 
 	s := &ex.sched
@@ -149,11 +180,8 @@ func runTile(t *TileWork, cfg Config, ex *executor, out []AlignOut) tileResult {
 	// is taken — the modeled schedule runs them after the score pass
 	// drains.
 	instr := s.instr
-	if cfg.traceGated() && tr.err == nil {
+	if cfg.traceGated() {
 		for j := range t.Jobs {
-			if ex.failed[j] {
-				continue
-			}
 			job := &t.Jobs[j]
 			h, v := t.Seq(job.HLocal), t.Seq(job.VLocal)
 			seed := core.Seed{H: job.SeedH, V: job.SeedV, Len: job.SeedLen}
@@ -161,19 +189,16 @@ func runTile(t *TileWork, cfg Config, ex *executor, out []AlignOut) tileResult {
 			if o.LeftScore+core.SeedScore(h, v, seed, cfg.Params)+o.RightScore < cfg.TraceMinScore {
 				continue
 			}
-			lth, rth := s.owner[j], s.owner[j]
-			if cfg.LRSplit {
-				lth, rth = s.owner[2*j], s.owner[2*j+1]
+			for side := range sides {
+				if ex.failed[j] || tr.err != nil {
+					break
+				}
+				ui := j
+				if cfg.LRSplit {
+					ui = 2*j + side
+				}
+				instr[s.owner[ui]] += ex.replaySide(t, cfg, j, side, &tr)
 			}
-			trc, err := ex.ws.TracebackLeft(h, v, job.SeedH, job.SeedV, cfg.Params)
-			instr[lth] += recordTrace(trc, err, &ex.leftR[j], "left", job.GlobalID,
-				&ex.leftC[j], &ex.leftTB[j], &ex.failed[j], &tr, cfg)
-			if ex.failed[j] || tr.err != nil {
-				continue
-			}
-			trc, err = ex.ws.TracebackRight(h, v, job.SeedH+job.SeedLen, job.SeedV+job.SeedLen, cfg.Params)
-			instr[rth] += recordTrace(trc, err, &ex.rightR[j], "right", job.GlobalID,
-				&ex.rightC[j], &ex.rightTB[j], &ex.failed[j], &tr, cfg)
 		}
 	}
 	tr.maxInstr = slices.Max(instr)
@@ -215,7 +240,7 @@ func runTile(t *TileWork, cfg Config, ex *executor, out []AlignOut) tileResult {
 		// Bridge the seed's own columns between the two extension
 		// CIGARs (both already in sequence-forward order).
 		var err error
-		for _, part := range [...]alignment.Cigar{ex.leftC[j], core.SeedCigar(h, v, seed), ex.rightC[j]} {
+		for _, part := range [...]alignment.Cigar{ex.cigars[left][j], core.SeedCigar(h, v, seed), ex.cigars[right][j]} {
 			if err = ex.cigar.AppendCigar(part); err != nil {
 				break
 			}
@@ -227,7 +252,7 @@ func runTile(t *TileWork, cfg Config, ex *executor, out []AlignOut) tileResult {
 			continue
 		}
 		o.Cigar = full
-		o.TraceBytes = ex.leftTB[j] + ex.rightTB[j]
+		o.TraceBytes = ex.traceBytes[left][j] + ex.traceBytes[right][j]
 		tr.TracebackBytes += int64(o.TraceBytes)
 		tr.cigarBytes += int64(cigarBytes)
 		tr.TracedExtensions += 2
@@ -338,90 +363,85 @@ func stealJitter(th, n int) int64 {
 	return int64(x>>54) + 1
 }
 
-// runUnit executes one unit's extension(s), records results and traces,
-// adds one execution's device counters to c, and returns the charged
-// instruction cost. With Config.Traceback each side either fuses
-// direction recording into the scoring pass (one sweep) or runs the
-// recording replay after it (the two-pass scheme, charged like another DP
-// sweep); with the score gate active it only keeps the score-pass Result
-// for the deferred replay phase. A recording must bit-match the score
-// pass or the tile fails loudly.
-func runUnit(t *TileWork, cfg Config, ex *executor, u unit, out []AlignOut, c *Counters, tr *tileResult) int64 {
-	job := &t.Jobs[u.job]
-	h, v := t.Seq(job.HLocal), t.Seq(job.VLocal)
-	o := &out[u.job]
-	ws := &ex.ws
-
+// runUnit executes one unit's extension sides, records their results in
+// o, adds one execution's device counters to c, and returns the charged
+// instruction cost.
+func (ex *executor) runUnit(t *TileWork, cfg Config, u unit, o *AlignOut, c *Counters, tr *tileResult) int64 {
 	var cost int64
-	doLeft := u.side == sideBoth || u.side == sideLeft
-	doRight := u.side == sideBoth || u.side == sideRight
-	gated := cfg.traceGated()
-
-	if doLeft {
-		if cfg.Traceback && !gated && cfg.fusedExtension(job.SeedH, job.SeedV) {
-			r, trc, err := ws.FusedExtendLeft(h, v, job.SeedH, job.SeedV, cfg.Params)
-			if err != nil {
-				failTrace(err, &ex.failed[u.job], tr)
-			} else {
-				o.LeftScore = r.Score
-				o.BegH = job.SeedH - r.EndH
-				o.BegV = job.SeedV - r.EndV
-				cost += instrCost(cfg, r.Stats)
-				accumulate(o, c, r.Stats)
-				storeTrace(trc, &ex.leftC[u.job], &ex.leftTB[u.job], tr)
-			}
-		} else {
-			r := ws.ExtendLeft(h, v, job.SeedH, job.SeedV, cfg.Params)
-			o.LeftScore = r.Score
-			o.BegH = job.SeedH - r.EndH
-			o.BegV = job.SeedV - r.EndV
-			cost += instrCost(cfg, r.Stats)
-			accumulate(o, c, r.Stats)
-			if cfg.Traceback {
-				if gated {
-					ex.leftR[u.job] = r
-				} else {
-					trc, err := ws.TracebackLeft(h, v, job.SeedH, job.SeedV, cfg.Params)
-					cost += recordTrace(trc, err, &r, "left", job.GlobalID,
-						&ex.leftC[u.job], &ex.leftTB[u.job], &ex.failed[u.job], tr, cfg)
-				}
-			}
-		}
+	for side := u.from; side < u.to; side++ {
+		cost += ex.runSide(t, cfg, u.job, side, o, c, tr)
 	}
-	if doRight {
-		rh := len(h) - job.SeedH - job.SeedLen
-		rv := len(v) - job.SeedV - job.SeedLen
-		if cfg.Traceback && !gated && cfg.fusedExtension(rh, rv) {
-			r, trc, err := ws.FusedExtendRight(h, v, job.SeedH+job.SeedLen, job.SeedV+job.SeedLen, cfg.Params)
-			if err != nil {
-				failTrace(err, &ex.failed[u.job], tr)
-			} else {
-				o.RightScore = r.Score
-				o.EndH = job.SeedH + job.SeedLen + r.EndH
-				o.EndV = job.SeedV + job.SeedLen + r.EndV
-				cost += instrCost(cfg, r.Stats)
-				accumulate(o, c, r.Stats)
-				storeTrace(trc, &ex.rightC[u.job], &ex.rightTB[u.job], tr)
-			}
-		} else {
-			r := ws.ExtendRight(h, v, job.SeedH+job.SeedLen, job.SeedV+job.SeedLen, cfg.Params)
-			o.RightScore = r.Score
-			o.EndH = job.SeedH + job.SeedLen + r.EndH
-			o.EndV = job.SeedV + job.SeedLen + r.EndV
-			cost += instrCost(cfg, r.Stats)
-			accumulate(o, c, r.Stats)
-			if cfg.Traceback {
-				if gated {
-					ex.rightR[u.job] = r
-				} else {
-					trc, err := ws.TracebackRight(h, v, job.SeedH+job.SeedLen, job.SeedV+job.SeedLen, cfg.Params)
-					cost += recordTrace(trc, err, &r, "right", job.GlobalID,
-						&ex.rightC[u.job], &ex.rightTB[u.job], &ex.failed[u.job], tr, cfg)
-				}
-			}
+	return cost
+}
+
+// runSide executes one extension side of job j, records its result in o,
+// adds its device counters to c, and returns its charged instruction cost.
+// With Config.Traceback the side either fuses direction recording into
+// the scoring pass (one sweep, Config.fusedExtension) or keeps its
+// score-pass Result for a recording replay after it — at once (the
+// two-pass scheme, charged like another DP sweep), or with the score gate
+// active deferred until the schedule has run.
+func (ex *executor) runSide(t *TileWork, cfg Config, j, side int, o *AlignOut, c *Counters, tr *tileResult) int64 {
+	job := &t.Jobs[j]
+	h, v := t.Seq(job.HLocal), t.Seq(job.VLocal)
+	sd := &sides[side]
+	hOff, vOff, lh, lv := sd.at(job, h, v)
+	fused := cfg.fusedExtension(lh, lv)
+	var r core.Result
+	if fused {
+		var trc core.Trace
+		var err error
+		if r, trc, err = sd.fused(&ex.ws, h, v, hOff, vOff, cfg.Params); err != nil {
+			failTrace(err, &ex.failed[j], tr)
+			return 0
+		}
+		ex.keepTrace(j, side, trc, tr)
+	} else {
+		r = sd.score(&ex.ws, h, v, hOff, vOff, cfg.Params)
+	}
+	sd.place(o, hOff, vOff, r)
+	accumulate(o, c, r.Stats)
+	cost := instrCost(cfg, r.Stats)
+	if cfg.Traceback && !fused {
+		ex.scored[side][j] = r
+		if !cfg.traceGated() {
+			cost += ex.replaySide(t, cfg, j, side, tr)
 		}
 	}
 	return cost
+}
+
+// replaySide runs one side's recording as a second pass, cross-checks it
+// against the side's score-pass Result and keeps its trace. It returns the
+// extra instruction cost charged for the replay (one more DP sweep), or 0
+// on failure — a trace overflow degrades the one comparison via failed,
+// while a divergence or corrupt trace lands in tr.err and fails the batch
+// loudly rather than shipping a wrong alignment.
+func (ex *executor) replaySide(t *TileWork, cfg Config, j, side int, tr *tileResult) int64 {
+	job := &t.Jobs[j]
+	h, v := t.Seq(job.HLocal), t.Seq(job.VLocal)
+	sd := &sides[side]
+	hOff, vOff, _, _ := sd.at(job, h, v)
+	trc, err := sd.trace(&ex.ws, h, v, hOff, vOff, cfg.Params)
+	r := &ex.scored[side][j]
+	if err == nil && (trc.Score != r.Score || trc.EndH != r.EndH || trc.EndV != r.EndV) {
+		err = fmt.Errorf("ipukernel: %s traceback of comparison %d diverged: replay (%d,%d,%d) vs kernel (%d,%d,%d)",
+			sd.name, job.GlobalID, trc.Score, trc.EndH, trc.EndV, r.Score, r.EndH, r.EndV)
+	}
+	if err != nil {
+		failTrace(err, &ex.failed[j], tr)
+		return 0
+	}
+	ex.keepTrace(j, side, trc, tr)
+	return instrCost(cfg, r.Stats)
+}
+
+// keepTrace stores one side's recorded CIGAR and trace footprint and
+// raises the tile's peak.
+func (ex *executor) keepTrace(j, side int, trc core.Trace, tr *tileResult) {
+	ex.cigars[side][j] = trc.Cigar
+	ex.traceBytes[side][j] = trc.TraceBytes
+	tr.PeakTracebackBytes = max(tr.PeakTracebackBytes, trc.TraceBytes)
 }
 
 // failTrace routes a recording error: a trace overflow degrades its one
@@ -435,38 +455,6 @@ func failTrace(err error, failed *bool, tr *tileResult) {
 	if tr.err == nil {
 		tr.err = err
 	}
-}
-
-// recordTrace cross-checks one side's traceback replay against the
-// score-pass result and stores the side's CIGAR and trace footprint in
-// the executor scratch. It returns the extra instruction cost charged
-// for the replay (one more DP sweep), or 0 on failure — a trace overflow
-// degrades the one comparison via failed, while a divergence or corrupt
-// trace lands in tr.err and fails the batch loudly rather than shipping
-// a wrong alignment.
-func recordTrace(trc core.Trace, err error, r *core.Result, side string, id int,
-	cigar *alignment.Cigar, traceBytes *int, failed *bool, tr *tileResult, cfg Config) int64 {
-	if err == nil && (trc.Score != r.Score || trc.EndH != r.EndH || trc.EndV != r.EndV) {
-		err = fmt.Errorf("ipukernel: %s traceback of comparison %d diverged: replay (%d,%d,%d) vs kernel (%d,%d,%d)",
-			side, id, trc.Score, trc.EndH, trc.EndV, r.Score, r.EndH, r.EndV)
-	}
-	if err != nil {
-		failTrace(err, failed, tr)
-		return 0
-	}
-	*cigar = trc.Cigar
-	*traceBytes = trc.TraceBytes
-	tr.PeakTracebackBytes = max(tr.PeakTracebackBytes, trc.TraceBytes)
-	return instrCost(cfg, r.Stats)
-}
-
-// storeTrace records a fused recording's CIGAR and trace footprint (the
-// fused kernel already cross-checked itself: its Result and Trace come
-// from the same sweep).
-func storeTrace(trc core.Trace, cigar *alignment.Cigar, traceBytes *int, tr *tileResult) {
-	*cigar = trc.Cigar
-	*traceBytes = trc.TraceBytes
-	tr.PeakTracebackBytes = max(tr.PeakTracebackBytes, trc.TraceBytes)
 }
 
 // accumulate folds one extension's trace into its result and into the

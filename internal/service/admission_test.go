@@ -184,6 +184,17 @@ func TestServiceRefusalsRefundTenantToken(t *testing.T) {
 		{name: "server closing", body: payload, status: http.StatusServiceUnavailable,
 			arrange: func(_ *testing.T, svc *service.Server, _ *httptest.Server) { svc.SetClosing(true) },
 			restore: func(svc *service.Server) { svc.SetClosing(false) }},
+		// A closing server refuses before it decodes the body or consults a
+		// shard: a malformed body and a shard held at MaxLiveJobs would
+		// otherwise answer 400 and 429.
+		{name: "server closing refuses first", body: []byte("not a dataset"), status: http.StatusServiceUnavailable,
+			arrange: func(t *testing.T, svc *service.Server, ts *httptest.Server) {
+				if resp := postDetached(t, ts, "holder", payload); resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("holder submit: %s", resp.Status)
+				}
+				svc.SetClosing(true)
+			},
+			restore: func(svc *service.Server) { svc.SetClosing(false) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testCfg(1)

@@ -238,6 +238,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("tenant %q over fair-share rate; retry after %s", tenant, retry))
 		return
 	}
+	// A closing server refuses before it reads the body or hands anything
+	// to a shard: a job submitted now would only be cancelled, and while
+	// it settles it counts as live and turns later requests into 429s.
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		s.refundTenant(tenant)
+		writeError(w, http.StatusServiceUnavailable, "service closing")
+		return
+	}
 
 	d, err := s.decodeBody(w, r)
 	if err != nil {
@@ -290,7 +301,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.mu.Lock()
-	if s.closed {
+	if s.closed { // Close won the race since the check above
 		s.mu.Unlock()
 		cancel()
 		s.refundTenant(tenant)

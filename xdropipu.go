@@ -6,6 +6,10 @@
 //
 //   - the memory-restricted X-Drop aligner and its variants (Align,
 //     ExtendSeed, Params);
+//   - traceback (TracebackSeed, IPUConfig.Traceback): one linear-gap
+//     recording sweep emits each extension's CIGAR, fused into the
+//     scoring pass when its direction arena is small and replayed after
+//     it otherwise; AlgoAffine is score-only;
 //   - the persistent asynchronous Engine (NewEngine, Submit, Job) —
 //     the service interface for concurrent clients;
 //   - the one-shot simulated IPU run (RunOnIPU with IPUConfig), a thin
@@ -62,7 +66,8 @@ const (
 	AlgoStandard3 = core.AlgoStandard3
 	// AlgoReference is the full-matrix oracle.
 	AlgoReference = core.AlgoReference
-	// AlgoAffine is the affine-gap (ksw2-style) variant.
+	// AlgoAffine is the affine-gap (ksw2-style) variant. It is
+	// score-only: traceback refuses it.
 	AlgoAffine = core.AlgoAffine
 )
 
@@ -80,23 +85,6 @@ const (
 	// SRAM planner can budget narrow-only working sets and admit
 	// larger sequences per tile.
 	TierAuto = core.TierAuto
-)
-
-// TraceMode selects how traced comparisons record their direction codes.
-type TraceMode = core.TraceMode
-
-// Trace modes. Fused and replayed recordings are bit-identical; the
-// modes differ in SRAM charging and modeled time.
-const (
-	// TraceModeAuto fuses recording into the scoring pass whenever the
-	// extension's direction arena fits the per-thread budget, and
-	// replays otherwise (the default).
-	TraceModeAuto = core.TraceModeAuto
-	// TraceModeReplay always records through the two-pass replay.
-	TraceModeReplay = core.TraceModeReplay
-	// TraceModeFused forces single-pass recording wherever the kernel
-	// is eligible.
-	TraceModeFused = core.TraceModeFused
 )
 
 // Align runs one semi-global X-Drop extension of h against v.
