@@ -19,11 +19,15 @@ import "errors"
 // Eligibility for the fused schedule (FusedEligible): extensions that
 // score on the int32 tier only. Narrow (int16) extensions keep the
 // two-pass schedule — fusing them would change the batch tier counters —
-// and AlgoReference keeps its full-matrix oracle as the score pass. The
-// memory trade is explicit: a fused recording lives on its thread for the
-// whole scoring pass, so the SRAM model charges one direction arena per
-// thread (ipukernel.TileMemoryBytes) instead of the single serialized
-// second-pass arena.
+// and AlgoReference keeps its full-matrix oracle as the score pass.
+// Because the Result is the score sweep's, an eligible extension never
+// needs a separate score pass on the host: the tile kernel sweeps every
+// ungated eligible extension once, here. Whether the modeled device fuses
+// or pays a score pass plus a second pass is ipukernel's decision
+// (Config.fusedExtension), made on SRAM grounds: a fused recording lives
+// on its thread for the whole scoring pass, so the SRAM model charges one
+// direction arena per thread (ipukernel.TileMemoryBytes) instead of the
+// single serialized second-pass arena.
 //
 // AlgoAffine is score-only: the paper's kernel is linear-gap, and affine
 // gaps serve only as the ksw2 baseline's score. Every recording entry
@@ -44,10 +48,11 @@ func FusedEligible(m, n int, p Params) bool {
 	return !useNarrow(m, n, p)
 }
 
-// record runs the recording sweep over views h and v and encodes the
-// walked ops into the Trace's Cigar; rev consumes the walk-order ops (best
-// cell → origin) back to front, which for forward views is view-forward
-// order.
+// record runs the recording sweep over views h and v, walks the recorded
+// directions back from the best cell — failing unless the walked path
+// re-prices to the sweep's Score — and encodes the walked ops into the
+// Trace's Cigar; rev consumes the walk-order ops (best cell → origin) back
+// to front, which for forward views is view-forward order.
 func (w *Workspace) record(h, v View, p Params, rev bool) (Result, Trace, error) {
 	defer w.tb.trim()
 	if err := p.Validate(); err != nil {
@@ -58,6 +63,9 @@ func (w *Workspace) record(h, v View, p Params, rev bool) (Result, Trace, error)
 	}
 	r, tr, err := w.fusedLinear(h, v, p)
 	if err != nil {
+		return Result{}, Trace{}, err
+	}
+	if err := w.tb.walkLinear(h, v, p, r.Score, r.EndH, r.EndH+r.EndV); err != nil {
 		return Result{}, Trace{}, err
 	}
 	tr.Cigar = w.tb.encodeOps(rev)
@@ -288,8 +296,5 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 	trc.Score, trc.EndH, trc.EndV = res.Score, res.EndH, res.EndV
 	trc.Clamped = res.Stats.Clamped
 	trc.TraceBytes = tb.traceBytes()
-	if err := tb.walkLinear(h, v, bestI, bestD); err != nil {
-		return Result{}, Trace{}, err
-	}
 	return res, trc, nil
 }

@@ -224,7 +224,7 @@ func (w *replayOracle) traceLinear(h, v View, p Params) (Trace, error) {
 	res.EndH = bestI
 	res.EndV = bestD - bestI
 	res.TraceBytes = tb.traceBytes()
-	if err := tb.walkLinear(h, v, bestI, bestD); err != nil {
+	if err := tb.walkLinear(h, v, p, res.Score, bestI, bestD); err != nil {
 		return Trace{}, err
 	}
 	return res, nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"github.com/sram-align/xdropipu/internal/alignment"
@@ -18,9 +19,10 @@ import (
 // bit (same antidiagonal windows, the same δb clamp re-centred on the
 // previous row's best cell, the same X-Drop pruning in int32 arithmetic,
 // the same first-wins tie-breaking), so its Score/EndH/EndV must equal
-// the score pass's — the kernel asserts exactly that, and the
-// differential oracle tests pin it per variant against a naive replay
-// kept in the test build.
+// the score pass's — the differential oracle tests pin that per variant
+// against a naive replay kept in the test build. At run time every
+// recording checks itself: the walk re-prices the path it follows and
+// fails unless the price is the sweep's score.
 //
 // Memory stays in the paper's SRAM discipline: instead of materialising
 // the O(m·n) score matrix, a recording holds only direction codes over
@@ -228,12 +230,22 @@ type Trace struct {
 	Clamped bool
 }
 
+// errTraceMispriced reports a walked path whose price under the scoring
+// table and gap penalty differs from the sweep's score: a corrupt direction
+// code, a kernel bug. It is deliberately not ErrTraceTooLarge, so the tile
+// fails its batch loudly instead of degrading one comparison.
+var errTraceMispriced = errors.New("core: traceback path does not price to the sweep's score")
+
 // walkLinear follows the recorded directions from the best cell back to
 // the origin, leaving one op byte per column in tb.ops (walk order:
-// best → origin).
-func (tb *tracer) walkLinear(h, v View, bestI, bestD int) error {
+// best → origin). It re-prices the path as it goes — the scoring table on
+// diagonal moves, p.Gap on up and left moves — and returns
+// errTraceMispriced unless the sum is score.
+func (tb *tracer) walkLinear(h, v View, p Params, score, bestI, bestD int) error {
+	tab := p.Scorer.Table()
 	i, j := bestI, bestD-bestI
 	ops := tb.ops[:0]
+	price := 0
 	for i != 0 || j != 0 {
 		code, err := tb.code(i+j, i)
 		if err != nil {
@@ -241,24 +253,32 @@ func (tb *tracer) walkLinear(h, v View, bestI, bestD int) error {
 		}
 		switch code {
 		case codeDiag:
+			a, b := h.At(i-1), v.At(j-1)
 			op := byte(alignment.OpMismatch)
-			if h.At(i-1) == v.At(j-1) {
+			if a == b {
 				op = byte(alignment.OpMatch)
 			}
 			ops = append(ops, op)
+			price += int(tab[a][b])
 			i--
 			j--
 		case codeUp:
 			ops = append(ops, byte(alignment.OpIns))
+			price += p.Gap
 			i--
 		case codeLeft:
 			ops = append(ops, byte(alignment.OpDel))
+			price += p.Gap
 			j--
 		default:
 			return fmt.Errorf("core: traceback hit a pruned cell at (i=%d, j=%d)", i, j)
 		}
 	}
 	tb.ops = ops
+	if price != score {
+		return fmt.Errorf("%w: the path from (%d,%d) prices to %d, the sweep scored %d",
+			errTraceMispriced, bestI, bestD-bestI, price, score)
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -245,6 +246,41 @@ func TestPackRowMatchesSetCode(t *testing.T) {
 				t.Fatalf("base %d width %d:\n packRow %x\n setCode %x", base, width, packed.dirs, want.dirs)
 			}
 		}
+	}
+}
+
+// TestTraceWalkRepricesPath: the walk is the recording's run-time check.
+// One on-path direction code flipped from diagonal to up leaves a path
+// that still walks to the origin through recorded cells but prices to
+// less than the sweep's score, and the walk must say so with the
+// re-price error — not ErrTraceTooLarge, which would only degrade one
+// comparison instead of failing its batch.
+func TestTraceWalkRepricesPath(t *testing.T) {
+	h := randDNA(rand.New(rand.NewSource(29)), 60)
+	hv, vv := NewView(h), NewView(h)
+	p := tbVariants()["restricted2"]
+	var ws Workspace
+	r, _, err := ws.record(hv, vv, p, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.EndH != len(h) || r.EndV != len(h) {
+		t.Fatalf("identical views ended at (%d,%d), want the full diagonal", r.EndH, r.EndV)
+	}
+	tb := &ws.tb
+	walk := func() error { return tb.walkLinear(hv, vv, p, r.Score, r.EndH, r.EndH+r.EndV) }
+	if err := walk(); err != nil {
+		t.Fatalf("unmodified walk: %v", err)
+	}
+	const i = 30 // cell (30, 30) on antidiagonal 60
+	d, k := 2*i, i-int(tb.cls[2*i])
+	if c, err := tb.code(d, i); err != nil || c != codeDiag {
+		t.Fatalf("cell (%d,%d) code %d (err %v), want diagonal", i, i, c, err)
+	}
+	tb.setCode(tb.offs[d], k, codeUp)
+	err = walk()
+	if !errors.Is(err, errTraceMispriced) || errors.Is(err, ErrTraceTooLarge) {
+		t.Fatalf("walk over a flipped code returned %v, want the re-price error", err)
 	}
 }
 

@@ -1,12 +1,14 @@
 package driver
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"github.com/sram-align/xdropipu/internal/alignment"
 	"github.com/sram-align/xdropipu/internal/core"
+	"github.com/sram-align/xdropipu/internal/ipukernel"
 	"github.com/sram-align/xdropipu/internal/synth"
 	"github.com/sram-align/xdropipu/internal/workload"
 )
@@ -289,16 +291,28 @@ func traceCapDataset(big int) (*workload.Dataset, int) {
 // sibling comparisons on the tile or fail the batch — and the degraded
 // placeholder must never enter the result cache. The oversized pair's
 // length picks the path: its extensions replay at 2 kb and fuse at 400 b,
-// and the cap is set under what each records.
+// and the cap is set under what each records. The capped run's device
+// counters and modeled wall time are pinned to the values of a kernel that
+// scored every replayed side before recording it: the host records such a
+// side in one sweep, and when that sweep overflows it scores the side
+// after all, so the model charges exactly the score pass the device ran.
 func TestTraceTooLargeDegradesSingleComparison(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		big   int
-		cap   int64
-		fused bool
+		name     string
+		big      int
+		cap      int64
+		fused    bool
+		counters ipukernel.Counters
+		wall     uint64
 	}{
-		{"replay", 2000, 6_000, false},
-		{"fused", 400, 2_000, true},
+		{"replay", 2000, 6_000, false, ipukernel.Counters{HostBytesIn: 5400, HostBytesOut: 252,
+			UniqueSeqBytesIn: 4720, TheoreticalCells: 4032000, Cells: 52693, SumBand: 52693, Antidiags: 4608,
+			MaxSRAM: 159348, PeakTracebackBytes: 690, TracebackBytes: 6716, WideExtensions: 12,
+			TracedExtensions: 10}, 0x3f4ebba2482f2539},
+		{"fused", 400, 2_000, true, ipukernel.Counters{HostBytesIn: 2200, HostBytesOut: 252,
+			UniqueSeqBytesIn: 1520, TheoreticalCells: 192000, Cells: 6237, SumBand: 6237, Antidiags: 640,
+			MaxSRAM: 84602, PeakTracebackBytes: 690, TracebackBytes: 6721, WideExtensions: 10,
+			TracedExtensions: 10}, 0x3f40fb7e52dbb6e2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d, bigIdx := traceCapDataset(tc.big)
@@ -324,6 +338,12 @@ func TestTraceTooLargeDegradesSingleComparison(t *testing.T) {
 			if rep.PartialFailures != 1 {
 				restore()
 				t.Fatalf("want exactly 1 degraded comparison, got %d", rep.PartialFailures)
+			}
+			if rep.Counters != tc.counters {
+				t.Errorf("capped run counters\n got %+v\nwant %+v", rep.Counters, tc.counters)
+			}
+			if got := math.Float64bits(rep.WallSeconds); got != tc.wall {
+				t.Errorf("capped run modeled wall %v (%#x), want %v", rep.WallSeconds, got, math.Float64frombits(tc.wall))
 			}
 			for i, r := range rep.Results {
 				if i == bigIdx {

@@ -207,16 +207,19 @@ type Config struct {
 	// bounded by the live window band, never by the full matrix; the peak
 	// single-extension footprint surfaces as
 	// Counters.PeakTracebackBytes. One rule places each extension's
-	// recording. An ungated, fused-eligible extension whose
-	// ExtensionTraceBytes bound fits fusedTraceBudget records inside its
-	// scoring pass (one sweep); the arena lives on its thread for the
-	// whole pass, so TileMemoryBytes charges it once per thread. Every
-	// other extension is scored first and then swept again as a second
-	// pass (charged like another DP sweep); second passes are serialized
-	// through one per-tile arena, so TileMemoryBytes charges the tile's
-	// worst such extension once. Either way the tile stays SRAM-certified.
-	// Traceback requires a linear-gap Params.Algo: Run rejects
-	// core.AlgoAffine, which is score-only.
+	// recording on the modeled device. An ungated, fused-eligible
+	// extension whose ExtensionTraceBytes bound fits fusedTraceBudget
+	// records inside its scoring pass (one sweep); the arena lives on its
+	// thread for the whole pass, so TileMemoryBytes charges it once per
+	// thread. Every other extension is scored first and then swept again
+	// as a second pass (charged like another DP sweep); second passes are
+	// serialized through one per-tile arena, so TileMemoryBytes charges the
+	// tile's worst such extension once. Either way the tile stays
+	// SRAM-certified. The rule is the device's: on the host every ungated,
+	// fused-eligible extension is swept once, whatever it is charged.
+	// Every recording's walked path is re-priced against its score, and a
+	// mismatch fails the batch. Traceback requires a linear-gap
+	// Params.Algo: Run rejects core.AlgoAffine, which is score-only.
 	Traceback bool
 	// TraceMinScore gates the traceback pass on the comparison's total
 	// score (left + seed + right): with a positive cutoff only
@@ -252,22 +255,25 @@ func (c Config) withDefaults(m platform.IPUModel) Config {
 	return c
 }
 
-// fusedTraceBudget is the per-thread direction-arena allowance of a
-// fused recording: an extension fuses only when its ExtensionTraceBytes
-// bound fits, so the concurrent recordings of a six-thread tile cost at
-// most 6×16 KiB — under a sixth of the 624 KiB tile — while small-band
-// extensions (the common X-Drop case) still skip the replay.
+// fusedTraceBudget is the modeled device's per-thread direction-arena
+// allowance of a fused recording: an extension fuses only when its
+// ExtensionTraceBytes bound fits, so the concurrent recordings of a
+// six-thread tile cost at most 6×16 KiB — under a sixth of the 624 KiB
+// tile — while small-band extensions (the common X-Drop case) still skip
+// the replay. The host has no such limit and does not apply it.
 const fusedTraceBudget = 16 << 10
 
 // traceGated reports whether the score-threshold gate is active.
 func (c Config) traceGated() bool { return c.Traceback && c.TraceMinScore > 0 }
 
-// fusedExtension decides whether an extension with side lengths lh×lv
-// records directions during the scoring pass (fused single-pass) rather
-// than replaying: the run traces ungated, the extension is
-// core.FusedEligible, and its arena bound fits fusedTraceBudget. The
-// decision is part of the SRAM model — partition's budget math reaches it
-// through TraceCharges.
+// fusedExtension decides whether the modeled device records an extension
+// with side lengths lh×lv during its scoring pass (fused single-pass)
+// rather than scoring it and replaying: the run traces ungated, the
+// extension is core.FusedEligible, and its arena bound fits
+// fusedTraceBudget. The decision belongs to the model alone — the
+// instruction charge (one sweep or two) and the SRAM charge, which
+// partition's budget math reaches through TraceCharges. The host sweeps
+// every ungated, fused-eligible extension once either way (runSide).
 func (c Config) fusedExtension(lh, lv int) bool {
 	return c.Traceback && !c.traceGated() && core.FusedEligible(lh, lv, c.Params) &&
 		c.ExtensionTraceBytes(lh, lv) <= fusedTraceBudget

@@ -60,11 +60,12 @@ type tileResult struct {
 	// cigarBytes is the encoded CIGAR payload added to the result transfer
 	// (zero with Config.Traceback off).
 	cigarBytes int64
-	// err records a traceback divergence (recording not bit-matching the
-	// score pass) — a kernel bug surfaced loudly instead of shipping a
-	// wrong alignment. A trace-overflow (core.ErrTraceTooLarge) is not a
-	// kernel bug: it degrades its one comparison to a Failed placeholder
-	// instead of landing here.
+	// err records a traceback kernel bug — a walked path that does not
+	// re-price to its score, or a replay not bit-matching its score pass —
+	// surfaced loudly instead of shipping a wrong alignment. A
+	// trace-overflow (core.ErrTraceTooLarge) is not a kernel bug: it
+	// degrades its one comparison to a Failed placeholder instead of
+	// landing here.
 	err error
 }
 
@@ -83,8 +84,8 @@ type executor struct {
 	// Traceback scratch (sized only when Config.Traceback is on), indexed
 	// by side, then job: each side's sequence-forward Cigar and trace
 	// footprint, combined with the seed columns once the tile's units have
-	// all run, and its score-pass Result, which a second-pass recording
-	// is cross-checked against. failed marks jobs whose trace recording
+	// all run, and its score-pass Result, which a replayed recording is
+	// cross-checked against. failed marks jobs whose trace recording
 	// overflowed (degraded to a Failed placeholder).
 	cigars     [2][]alignment.Cigar
 	traceBytes [2][]int
@@ -128,7 +129,10 @@ func (ex *executor) prepareTraces(jobs int) {
 //   - Execute: every unit's kernel runs exactly once, in unit order, on
 //     the executor's one workspace; its charged instruction cost and its
 //     device counters are memoised. The results are therefore a function
-//     of the comparison and Params alone, whatever the schedule.
+//     of the comparison and Params alone, whatever the schedule. A traced
+//     extension the device would score and then replay is still swept
+//     once here when it can be (runSide); the memoised cost charges it
+//     both passes.
 //   - Schedule: schedule replays the IPU's deterministic thread schedule
 //     (§4.1.3) over the memoised costs — static assignment, stealing,
 //     races, busy-wait variance — without touching the tile. A race's
@@ -376,47 +380,63 @@ func (ex *executor) runUnit(t *TileWork, cfg Config, u unit, o *AlignOut, c *Cou
 
 // runSide executes one extension side of job j, records its result in o,
 // adds its device counters to c, and returns its charged instruction cost.
-// With Config.Traceback the side either fuses direction recording into
-// the scoring pass (one sweep, Config.fusedExtension) or keeps its
-// score-pass Result for a recording replay after it — at once (the
-// two-pass scheme, charged like another DP sweep), or with the score gate
-// active deferred until the schedule has run.
+//
+// With Config.Traceback, an ungated, core.FusedEligible side runs one host
+// sweep — the recording sweep, whose Result is the score sweep's — however
+// the modeled device schedules it: Config.fusedExtension decides only the
+// charge, one DP sweep when the device fuses and two (score pass, then
+// second pass) when the arena is over budget. If that recording fails on
+// a side the device would have scored first, the side is scored after
+// all, so its counters and charge are the score pass's, as on the device,
+// whose second pass is what failed. Every other traced side keeps its
+// score-pass Result for a recording replay after it: at once, or with the
+// score gate active deferred until the schedule has run.
 func (ex *executor) runSide(t *TileWork, cfg Config, j, side int, o *AlignOut, c *Counters, tr *tileResult) int64 {
 	job := &t.Jobs[j]
 	h, v := t.Seq(job.HLocal), t.Seq(job.VLocal)
 	sd := &sides[side]
 	hOff, vOff, lh, lv := sd.at(job, h, v)
-	fused := cfg.fusedExtension(lh, lv)
 	var r core.Result
-	if fused {
+	var replay int64 // the modeled second pass's charge
+	if cfg.Traceback && !cfg.traceGated() && core.FusedEligible(lh, lv, cfg.Params) {
+		fused := cfg.fusedExtension(lh, lv)
 		var trc core.Trace
 		var err error
-		if r, trc, err = sd.fused(&ex.ws, h, v, hOff, vOff, cfg.Params); err != nil {
+		if r, trc, err = sd.fused(&ex.ws, h, v, hOff, vOff, cfg.Params); err == nil {
+			ex.keepTrace(j, side, trc, tr)
+			if !fused {
+				replay = instrCost(cfg, r.Stats)
+			}
+		} else {
 			failTrace(err, &ex.failed[j], tr)
-			return 0
+			if fused {
+				return 0
+			}
+			r = sd.score(&ex.ws, h, v, hOff, vOff, cfg.Params)
 		}
-		ex.keepTrace(j, side, trc, tr)
 	} else {
 		r = sd.score(&ex.ws, h, v, hOff, vOff, cfg.Params)
+		if cfg.Traceback {
+			ex.scored[side][j] = r
+			if !cfg.traceGated() {
+				replay = ex.replaySide(t, cfg, j, side, tr)
+			}
+		}
 	}
 	sd.place(o, hOff, vOff, r)
 	accumulate(o, c, r.Stats)
-	cost := instrCost(cfg, r.Stats)
-	if cfg.Traceback && !fused {
-		ex.scored[side][j] = r
-		if !cfg.traceGated() {
-			cost += ex.replaySide(t, cfg, j, side, tr)
-		}
-	}
-	return cost
+	return instrCost(cfg, r.Stats) + replay
 }
 
-// replaySide runs one side's recording as a second pass, cross-checks it
-// against the side's score-pass Result and keeps its trace. It returns the
-// extra instruction cost charged for the replay (one more DP sweep), or 0
-// on failure — a trace overflow degrades the one comparison via failed,
-// while a divergence or corrupt trace lands in tr.err and fails the batch
-// loudly rather than shipping a wrong alignment.
+// replaySide runs one side's recording as a second pass after a separate
+// score pass — the path of gated runs and of narrow-tier or Reference
+// extensions — cross-checks its Score/EndH/EndV against the side's
+// score-pass Result and keeps its trace. It returns the extra instruction
+// cost charged for the replay (one more DP sweep), or 0 on failure — a
+// trace overflow degrades the one comparison via failed, while a
+// divergence, a corrupt trace or a path that does not re-price to its
+// score lands in tr.err and fails the batch loudly rather than shipping a
+// wrong alignment.
 func (ex *executor) replaySide(t *TileWork, cfg Config, j, side int, tr *tileResult) int64 {
 	job := &t.Jobs[j]
 	h, v := t.Seq(job.HLocal), t.Seq(job.VLocal)
