@@ -106,6 +106,52 @@ func TestDocsCiteExportedNames(t *testing.T) {
 	}
 }
 
+// TestDocsCiteDesignHeadings: every section pointer into DESIGN.md — its
+// name quoted after "DESIGN.md" or "DESIGN.md's" — in the Go sources,
+// README.md and ROADMAP.md names a heading of DESIGN.md. A bold paragraph
+// label is not a heading: a reader searching the outline would not find
+// it.
+func TestDocsCiteDesignHeadings(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	headings := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^#+ (.+)$`).FindAllStringSubmatch(string(design), -1) {
+		headings[m[1]] = true
+	}
+	docs := []string{"README.md", "ROADMAP.md"}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if d != nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+			docs = append(docs, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pointer := regexp.MustCompile(`DESIGN\.md(?:'s)? "([^"]+)"`)
+	pointers := 0
+	for _, doc := range docs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range pointer.FindAllStringSubmatch(string(text), -1) {
+			pointers++
+			if name := strings.Join(strings.Fields(m[1]), " "); !headings[name] {
+				t.Errorf("%s points at DESIGN.md %q, which is not a heading there", doc, name)
+			}
+		}
+	}
+	if pointers == 0 {
+		t.Fatal("no DESIGN.md section pointers found; the pattern matches nothing")
+	}
+}
+
 // topLevelNames returns the package-level funcs, types, vars and consts
 // the files declare (methods excluded).
 func topLevelNames(t *testing.T, files ...string) map[string]bool {

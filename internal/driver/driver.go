@@ -324,10 +324,9 @@ type BatchPlan struct {
 
 	// arena is the spine the batches' spans address; batchSlabs[i] is the
 	// sorted set of slab indices batch i references. Execution pins
-	// exactly that set around each attempt (ExecBatchAttempt binds the
-	// pinned views into a per-attempt batch copy), so slabs outside the
-	// working set can stay spilled and hedged attempts never share
-	// mutable tile state.
+	// exactly that set around each attempt (exec binds the pinned views
+	// into a per-attempt batch copy), so slabs outside the working set can
+	// stay spilled and hedged attempts never share mutable tile state.
 	arena      *workload.Arena
 	batchSlabs [][]int32
 
@@ -611,22 +610,6 @@ func batchSlabSets(batches []*ipukernel.Batch, numSlabs int) [][]int32 {
 	return sets
 }
 
-// boundBatch pins batch i's slab set in the arena and returns the batch
-// bound to the pinned views, plus the release hook. Pinning an already
-// resident slab is a counter bump, so the plain in-memory path pays one
-// mutex round-trip per batch execution.
-func (bp *BatchPlan) boundBatch(i int) (*ipukernel.Batch, func(), error) {
-	b := bp.batches[i]
-	if bp.arena == nil {
-		return b, func() {}, nil
-	}
-	pin, err := bp.arena.Pin(bp.batchSlabs[i])
-	if err != nil {
-		return nil, nil, fmt.Errorf("driver: batch %d slab pin: %w", i, err)
-	}
-	return b.Bound(pin.Slabs()), pin.Release, nil
-}
-
 // Batches returns the number of supersteps in the build.
 func (bp *BatchPlan) Batches() int { return len(bp.batches) }
 
@@ -670,17 +653,7 @@ func (bp *BatchPlan) ExecBatch(dev *ipu.Device, i int, kcfg ipukernel.Config) (*
 // Whenever an attempt returns a result, it is bit-identical to every
 // other attempt's: injection can only fail or delay, never corrupt.
 func (bp *BatchPlan) ExecBatchAttempt(dev *ipu.Device, i, attempt int, kcfg ipukernel.Config) (*ipukernel.BatchResult, error) {
-	if f := bp.cfg.Faults; f != nil {
-		if err := f.inject(i, attempt); err != nil {
-			return nil, err
-		}
-	}
-	b, release, err := bp.boundBatch(i)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return ipukernel.Run(dev, b, kcfg)
+	return bp.exec(dev, i, attempt, kcfg, bp.cfg.Faults)
 }
 
 // ExecBatchHost runs batch i through the reference host path: the same
@@ -693,12 +666,28 @@ func (bp *BatchPlan) ExecBatchAttempt(dev *ipu.Device, i, attempt int, kcfg ipuk
 // report assembled from any mix of fleet and host executions is
 // bit-identical to the fault-free run.
 func (bp *BatchPlan) ExecBatchHost(i int, kcfg ipukernel.Config) (*ipukernel.BatchResult, error) {
-	b, release, err := bp.boundBatch(i)
-	if err != nil {
+	return bp.exec(bp.NewDevice(), i, 0, kcfg, nil)
+}
+
+// exec is the one execution sequence behind the fleet and host paths:
+// draw the attempt's fault (a nil plan injects nothing), pin batch i's
+// slab set in the arena, bind the batch to the pinned views, run it on
+// dev and release the pin. Pinning an already resident slab is a counter
+// bump, so the in-memory path pays one mutex round-trip per execution.
+func (bp *BatchPlan) exec(dev *ipu.Device, i, attempt int, kcfg ipukernel.Config, faults *FaultPlan) (*ipukernel.BatchResult, error) {
+	if err := faults.inject(i, attempt); err != nil {
 		return nil, err
 	}
-	defer release()
-	return ipukernel.Run(bp.NewDevice(), b, kcfg)
+	b := bp.batches[i]
+	if bp.arena != nil {
+		pin, err := bp.arena.Pin(bp.batchSlabs[i])
+		if err != nil {
+			return nil, fmt.Errorf("driver: batch %d slab pin: %w", i, err)
+		}
+		defer pin.Release()
+		b = b.Bound(pin.Slabs())
+	}
+	return ipukernel.Run(dev, b, kcfg)
 }
 
 // FailedBatchResult synthesizes batch i's degraded outcome: one Failed

@@ -41,35 +41,6 @@ func readsData(t *testing.T, seed int64, maxCmp int) *workload.Dataset {
 	return d
 }
 
-func TestRunProducesCorrectScores(t *testing.T) {
-	d := readsData(t, 1, 40)
-	rep, err := Run(d, testCfg(2, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != len(d.Comparisons) {
-		t.Fatalf("got %d results for %d comparisons", len(rep.Results), len(d.Comparisons))
-	}
-	p := core.Params{Scorer: scoring.DNADefault, Gap: -1, X: 15, DeltaB: 256}
-	for i, c := range d.Comparisons {
-		want, err := core.ExtendSeed(d.Seq(c.H), d.Seq(c.V),
-			core.Seed{H: c.SeedH, V: c.SeedV, Len: c.SeedLen}, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := rep.Results[i]
-		if got.Score != want.Score {
-			t.Fatalf("cmp %d: driver score %d != direct %d", i, got.Score, want.Score)
-		}
-	}
-	if rep.WallSeconds <= 0 || rep.DeviceComputeSeconds <= 0 || rep.Batches == 0 {
-		t.Errorf("bad accounting: %+v", rep)
-	}
-	if rep.TheoreticalCells != d.TheoreticalCells() {
-		t.Errorf("theoretical cells %d != dataset %d", rep.TheoreticalCells, d.TheoreticalCells())
-	}
-}
-
 func TestMoreIPUsNeverSlower(t *testing.T) {
 	d := readsData(t, 2, 120)
 	var prev float64
@@ -127,21 +98,6 @@ func TestDeviceComputeIndependentOfIPUCount(t *testing.T) {
 	if r1.DeviceComputeSeconds != r4.DeviceComputeSeconds {
 		t.Errorf("device compute changed with IPU count: %g vs %g",
 			r1.DeviceComputeSeconds, r4.DeviceComputeSeconds)
-	}
-}
-
-func TestDeterminism(t *testing.T) {
-	d := readsData(t, 5, 50)
-	a, err := Run(d, testCfg(3, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(d, testCfg(3, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.WallSeconds != b.WallSeconds || a.Batches != b.Batches || a.Cells != b.Cells {
-		t.Error("driver run not deterministic")
 	}
 }
 

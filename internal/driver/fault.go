@@ -109,7 +109,7 @@ func (p *FaultPlan) Kind(batch, attempt int) FaultKind {
 
 // inject applies the plan's decision to one execution: it returns the
 // injected error for a failure, sleeps out a straggler delay, and counts
-// whatever it did.
+// whatever it did. A nil plan injects nothing.
 func (p *FaultPlan) inject(batch, attempt int) error {
 	switch p.Kind(batch, attempt) {
 	case FaultTransient:

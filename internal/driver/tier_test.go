@@ -10,65 +10,6 @@ import (
 	"github.com/sram-align/xdropipu/internal/workload"
 )
 
-// TestKernelTierComposition is the tier half of the PR contract: with
-// dedup, a shared result cache and traceback all live, every kernel tier
-// must return bit-identical per-comparison alignments (scores,
-// coordinates, traces and CIGARs — AlignOut is ==-comparable), the tier
-// counters must partition the executed extensions, and the shared cache
-// must never serve one tier's entries to another because the tier is
-// folded into KernelFingerprint.
-func TestKernelTierComposition(t *testing.T) {
-	d := duplicated(goldenDatasets(t)["uniform"], 2)
-	cache := newMapCache() // one cache shared across every tier
-	base := goldenConfigs()["uniform-nopart"].cfg
-	base.Traceback = true
-
-	run := func(tier core.Tier) *Report {
-		cfg := base
-		cfg.Cache = cache // implies dedup
-		cfg.Kernel.Params.Tier = tier
-		rep, err := Run(d, cfg)
-		if err != nil {
-			t.Fatalf("tier %v: %v", tier, err)
-		}
-		return rep
-	}
-
-	wide := run(core.TierWide)
-	for _, tier := range []core.Tier{core.TierNarrow, core.TierAuto} {
-		rep := run(tier)
-		sameResults(t, tier.String(), rep.Results, wide.Results)
-		if rep.CacheHits != 0 {
-			t.Errorf("tier %v: %d cache hits from a differently-tiered warm cache",
-				tier, rep.CacheHits)
-		}
-		if rep.NarrowExtensions == 0 {
-			t.Errorf("tier %v: DNA unit scores are narrow-eligible, yet no narrow extensions ran", tier)
-		}
-		if rep.PromotedExtensions != 0 {
-			t.Errorf("tier %v: %d promotions on a workload that cannot saturate int16",
-				tier, rep.PromotedExtensions)
-		}
-		// Two extensions (left, right) per executed unique comparison;
-		// cache-served and deduped rows contribute nothing.
-		sum := rep.NarrowExtensions + rep.WideExtensions + rep.PromotedExtensions
-		if want := 2 * rep.UniqueExtensions; sum != want {
-			t.Errorf("tier %v: counters sum to %d, want 2·unique = %d", tier, sum, want)
-		}
-	}
-	// A same-tier rerun over the warm cache must be all hits — the tier
-	// byte separates entries without breaking same-configuration reuse.
-	rewarm := run(core.TierAuto)
-	sameResults(t, "auto-warm", rewarm.Results, wide.Results)
-	if rewarm.CacheMisses != 0 || rewarm.CacheHits != rewarm.UniqueExtensions {
-		t.Errorf("warm auto rerun: hits %d misses %d (unique %d)",
-			rewarm.CacheHits, rewarm.CacheMisses, rewarm.UniqueExtensions)
-	}
-	if wide.WideExtensions == 0 || wide.NarrowExtensions != 0 {
-		t.Errorf("wide tier ran narrow kernels: %+v", wide)
-	}
-}
-
 // TestKernelFingerprintSeparatesTiers: the tier is part of the kernel
 // fingerprint — distinct tiers never alias.
 func TestKernelFingerprintSeparatesTiers(t *testing.T) {

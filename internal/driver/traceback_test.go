@@ -90,35 +90,3 @@ func TestTracebackReportOracle(t *testing.T) {
 		}
 	}
 }
-
-// TestTracebackComposesWithDedup: with duplicate-extension elimination
-// (and representatives fanned back out) every comparison must receive
-// the same CIGAR as a dedup-off traceback run.
-func TestTracebackComposesWithDedup(t *testing.T) {
-	ds := goldenDatasets(t)
-	d := ds["reads"]
-	// Duplicate the comparison list to create real dedup pressure.
-	dup := duplicated(d, 2)
-	base := goldenConfigs()["reads-partition"].cfg
-	base.Traceback = true
-
-	off, err := Run(dup, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	onCfg := base
-	onCfg.DedupExtensions = true
-	on, err := Run(dup, onCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on.DedupedComparisons == 0 {
-		t.Fatal("duplicated dataset produced no dedup")
-	}
-	for i := range off.Results {
-		if on.Results[i] != off.Results[i] {
-			t.Fatalf("comparison %d differs under dedup:\n  on: %+v\n off: %+v",
-				i, on.Results[i], off.Results[i])
-		}
-	}
-}

@@ -83,39 +83,6 @@ func TestEngineResultCacheCrossJob(t *testing.T) {
 	}
 }
 
-// TestEngineDedupMatchesPlainEngine: DedupExtensions alone (no
-// cache) must reproduce plain per-comparison results on duplicate-heavy
-// submissions.
-func TestEngineDedupMatchesPlainEngine(t *testing.T) {
-	base := cacheTestDataset(23)
-	dup := dupDataset(base, 5)
-
-	want, err := driver.Run(dup, cacheTestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := cacheTestConfig()
-	cfg.DedupExtensions = true
-	eng := New(WithDriverConfig(cfg))
-	defer eng.Close()
-	j, err := eng.Submit(context.Background(), dup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := j.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Results {
-		if rep.Results[i] != want.Results[i] {
-			t.Fatalf("dedup result %d: %+v, want %+v", i, rep.Results[i], want.Results[i])
-		}
-	}
-	if rep.UniqueExtensions != len(base.Comparisons) {
-		t.Errorf("UniqueExtensions = %d, want %d", rep.UniqueExtensions, len(base.Comparisons))
-	}
-}
-
 // TestResultCacheKeepsCollidingSequencesApart: x is the 4 096-symbol
 // Thue–Morse word over {A, C} and y its complement, a pair that collides
 // unkeyed FNV-1a and odd-base polynomial hashes at this length. A

@@ -53,35 +53,6 @@ func reportsEqual(t *testing.T, label string, got, want *driver.Report) {
 	}
 }
 
-// TestEngineMatchesDriverRun: for the same dataset and configuration the
-// engine's report must be bit-identical to the synchronous driver path,
-// at several queue depths and executor widths.
-func TestEngineMatchesDriverRun(t *testing.T) {
-	d := readsData(t, 3, 36)
-	cfg := testCfg(2)
-	want, err := driver.Run(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct{ depth, execs int }{
-		{1, 1}, {4, 2}, {16, 8},
-	} {
-		e := New(WithDriverConfig(cfg), WithQueueDepth(tc.depth), WithExecutors(tc.execs))
-		job, err := e.Submit(context.Background(), d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := job.Wait(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		reportsEqual(t, "single submit", got, want)
-		if err := e.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestEngineConcurrentClients: many clients submitting distinct datasets
 // concurrently each get exactly the report driver.Run would give them,
 // whatever interleaving the fair-share scheduler picks.
