@@ -35,6 +35,30 @@ func sameResults(t *testing.T, name string, got, want []ipukernel.AlignOut) {
 	}
 }
 
+// TestDedupWithoutDuplicatesBitIdentical: on a plan with no duplicate
+// extensions, the dedup path must reproduce the dedup-off report
+// bit-for-bit — same results, same modeled times, same transfer bytes —
+// because the executed sub-plan is the whole plan.
+func TestDedupWithoutDuplicatesBitIdentical(t *testing.T) {
+	ds := goldenDatasets(t)
+	for name, tc := range goldenConfigs() {
+		d := ds[tc.dataset]
+		off, err := Run(d, tc.cfg)
+		if err != nil {
+			t.Fatalf("%s off: %v", name, err)
+		}
+		cfgOn := tc.cfg
+		cfgOn.DedupExtensions = true
+		on, err := Run(d, cfgOn)
+		if err != nil {
+			t.Fatalf("%s on: %v", name, err)
+		}
+		if a, b := reportFingerprint(off), reportFingerprint(on); a != b {
+			t.Errorf("%s: dedup-on report %s differs from dedup-off %s on a duplicate-free plan", name, b, a)
+		}
+	}
+}
+
 // TestDedupModeledWorkDrops: on a 4×-duplicated workload, dedup must
 // execute only the unique quarter — and the skipped accounting must tie
 // out exactly against the dedup-off totals.

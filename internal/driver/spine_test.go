@@ -1,6 +1,9 @@
-// Multi-slab spine planning and the short-mode smoke. That the slab
-// layout (one slab, many, spilled) leaves every report bit-identical is
-// the layout axis of the root package's TestInvariantLattice.
+// Multi-slab spine acceptance: the slab layout of the arena is a host
+// memory-management detail — repacking the same pool into many small
+// slabs (and even spilling them to disk between batches) must leave
+// every report bit-identical to the single-slab run. The root package's
+// TestInvariantLattice crosses the same layout axis with every other
+// execution axis.
 
 package driver
 
@@ -12,6 +15,103 @@ import (
 	"github.com/sram-align/xdropipu/internal/seqio"
 	"github.com/sram-align/xdropipu/internal/workload"
 )
+
+// repackSpine rebuilds d's pool into a fresh spine capped at maxSlab
+// bytes per slab — same sequences, same indices, same plan — so runs on
+// the repacked dataset are byte-comparable to runs on d.
+func repackSpine(t testing.TB, d *workload.Dataset, maxSlab int) (*workload.Dataset, *workload.Arena) {
+	t.Helper()
+	a := workload.NewArena(0, d.NumSeqs())
+	a.SetMaxSlabBytes(maxSlab)
+	for i := range d.NumSeqs() {
+		a.Append(d.Seq(i))
+	}
+	rd := a.NewDataset(d.Name, workload.PlanOf(d.Comparisons), d.Protein)
+	if err := rd.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return rd, a
+}
+
+// TestArenaSpineMultiSlabBitIdentical: every golden workload/config pair,
+// repacked across several slab caps, must reproduce the single-slab
+// report fingerprint exactly — results, transfer bytes, modeled seconds.
+func TestArenaSpineMultiSlabBitIdentical(t *testing.T) {
+	ds := goldenDatasets(t)
+	for name, tc := range goldenConfigs() {
+		want, err := Run(ds[tc.dataset], tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		wantFP := reportFingerprint(want)
+		// Two layouts per dataset: slabs barely big enough for the longest
+		// sequence (maximum fragmentation), and a ~3-slab cut of the pool.
+		// Both are sized from the data so every fixture genuinely rolls.
+		longest := 0
+		for i := range ds[tc.dataset].NumSeqs() {
+			longest = max(longest, ds[tc.dataset].SeqLen(i))
+		}
+		caps := []int{longest, max(longest, int(ds[tc.dataset].TotalSeqBytes()/3)+1)}
+		for _, maxSlab := range caps {
+			rd, arena := repackSpine(t, ds[tc.dataset], maxSlab)
+			if arena.NumSlabs() < 2 {
+				t.Fatalf("%s: %d-byte cap produced %d slabs — fixture not multi-slab", name, maxSlab, arena.NumSlabs())
+			}
+			rep, err := Run(rd, tc.cfg)
+			if err != nil {
+				t.Fatalf("%s cap %d: %v", name, maxSlab, err)
+			}
+			if got := reportFingerprint(rep); got != wantFP {
+				t.Errorf("%s: %d-slab report %s differs from single-slab %s",
+					name, arena.NumSlabs(), got, wantFP)
+			}
+		}
+	}
+}
+
+// TestArenaSpineSpillExecution: with every slab spilled to disk before
+// execution, the driver pins each batch's slab set in, runs it, and
+// releases — and the report stays bit-identical to the resident run.
+func TestArenaSpineSpillExecution(t *testing.T) {
+	ds := goldenDatasets(t)
+	tc := goldenConfigs()["reads-partition"]
+	want, err := Run(ds[tc.dataset], tc.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rd, arena := repackSpine(t, ds[tc.dataset], 1<<13)
+	arena.EnableSpill(t.TempDir())
+	arena.Seal()
+	if _, err := arena.Spill(); err != nil {
+		t.Fatal(err)
+	}
+	if st := arena.Residency(); st.Resident != 0 {
+		t.Fatalf("fixture not fully spilled: %+v", st)
+	}
+
+	rep, err := Run(rd, tc.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reportFingerprint(rep); got != reportFingerprint(want) {
+		t.Errorf("spilled-spine report %s differs from resident %s", got, reportFingerprint(want))
+	}
+	st := arena.Residency()
+	if st.Faults == 0 {
+		t.Error("execution over a spilled spine recorded no faults")
+	}
+	// Every pin was released: the whole spine spills again.
+	if _, err := arena.Spill(); err != nil {
+		t.Fatal(err)
+	}
+	if st := arena.Residency(); st.Resident != 0 {
+		t.Errorf("slabs still pinned after the run: %+v", st)
+	}
+	if err := arena.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // TestArenaSpineSpilledDedupPlanning: planning is residency-free. With
 // dedup on and one interned duplicate (so the unique-extension sub-plan

@@ -3,11 +3,58 @@ package driver
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/sram-align/xdropipu/internal/ipukernel"
 )
+
+// TestStagedExecutionMatchesNewPlan: running the stages by hand —
+// BuildBatches, ExecBatch per batch in an arbitrary order, AssemblePlan —
+// must reproduce NewPlan exactly. This is the contract the engine's
+// interleaved scheduling rests on.
+func TestStagedExecutionMatchesNewPlan(t *testing.T) {
+	d := readsData(t, 11, 30)
+	cfg := testCfg(2, true)
+	cfg.MaxBatchJobs = 4 // force several batches
+
+	want, err := NewPlan(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	bp, err := BuildBatches(context.Background(), d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bp.Batches() < 2 {
+		t.Fatalf("want several batches, got %d", bp.Batches())
+	}
+	if bp.Comparisons() != len(d.Comparisons) {
+		t.Fatalf("Comparisons() = %d, want %d", bp.Comparisons(), len(d.Comparisons))
+	}
+	// Execute in reverse order on a single device to prove order and
+	// executor layout are irrelevant.
+	dev := bp.NewDevice()
+	kcfg := bp.KernelConfig(1)
+	outs := make([]*ipukernel.BatchResult, bp.Batches())
+	for i := bp.Batches() - 1; i >= 0; i-- {
+		outs[i], err = bp.ExecBatch(dev, i, kcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := AssemblePlan(bp, outs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ipus := range []int{1, 3, 8} {
+		if !reflect.DeepEqual(got.Schedule(ipus), want.Schedule(ipus)) {
+			t.Fatalf("staged plan diverges from NewPlan at %d IPUs", ipus)
+		}
+	}
+}
 
 // TestAssemblePlanUnknownComparison: a batch result referencing a
 // comparison outside the dataset must be rejected, not written out of

@@ -3,13 +3,174 @@ package driver
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"github.com/sram-align/xdropipu/internal/alignment"
 	"github.com/sram-align/xdropipu/internal/core"
 	"github.com/sram-align/xdropipu/internal/ipukernel"
+	"github.com/sram-align/xdropipu/internal/synth"
 	"github.com/sram-align/xdropipu/internal/workload"
 )
+
+// shortReadsData generates a short-read overlap set whose extensions are
+// small enough that most of them fuse.
+func shortReadsData(t *testing.T, seed int64, maxCmp int) *workload.Dataset {
+	t.Helper()
+	d := synth.Reads(synth.ReadsSpec{
+		Name: "drv-short", GenomeLen: 20000, Coverage: 8, MeanReadLen: 350,
+		MinReadLen: 150, MaxReadLen: 450,
+		Errors: synth.HiFiDNA(), SeedLen: 17, MinOverlap: 120, Seed: seed, MaxComparisons: maxCmp,
+	})
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// traceScores runs the score-only configuration and returns the sorted
+// comparison scores, for deriving percentile gate cutoffs.
+func traceScores(t *testing.T, d *workload.Dataset, cfg Config) []int {
+	t.Helper()
+	rep, err := Run(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scores := make([]int, len(rep.Results))
+	for i, r := range rep.Results {
+		scores[i] = r.Score
+	}
+	sort.Ints(scores)
+	return scores
+}
+
+// TestTraceFuseRuleOracle: one traced run over long reads, whose
+// extensions fall on both sides of the fused-arena budget, so the one
+// fuse-or-replay rule sends some through the fused recording and the rest
+// through the score pass and a replay. Every result must equal the
+// score-only run's in every score field and carry a CIGAR that re-scores
+// to it, on both kernel tiers, with every extension counted as traced.
+// That the two paths record bit-identical traces is pinned per extension
+// by core's TestFusedDifferentialOracle.
+func TestTraceFuseRuleOracle(t *testing.T) {
+	d := readsData(t, 21, 40)
+	for _, tier := range []core.Tier{core.TierWide, core.TierAuto} {
+		off := testCfg(2, true)
+		off.Kernel.Params.Tier = tier
+		on := off
+		on.Traceback = true
+
+		k := on.Normalized().Kernel
+		fused, replayed := 0, 0
+		for _, c := range d.Comparisons {
+			hn, vn := d.SeqLen(c.H), d.SeqLen(c.V)
+			for _, side := range [][2]int{{c.SeedH, c.SeedV}, {hn - c.SeedH - c.SeedLen, vn - c.SeedV - c.SeedLen}} {
+				if f, _ := k.TraceCharges(side[0], side[1]); f > 0 {
+					fused++
+				} else {
+					replayed++
+				}
+			}
+		}
+		// On the auto tier these extensions all score narrow, which
+		// never fuses.
+		if replayed == 0 || (fused == 0 && tier == core.TierWide) {
+			t.Fatalf("tier %v: %d fused and %d replayed extensions, want both paths", tier, fused, replayed)
+		}
+
+		want, err := Run(d, off)
+		if err != nil {
+			t.Fatalf("tier %v: score-only run: %v", tier, err)
+		}
+		got, err := Run(d, on)
+		if err != nil {
+			t.Fatalf("tier %v: traced run: %v", tier, err)
+		}
+		if got.TracedExtensions != 2*len(d.Comparisons) || got.TraceSkippedExtensions != 0 {
+			t.Fatalf("tier %v: counters traced=%d skipped=%d, want %d/0",
+				tier, got.TracedExtensions, got.TraceSkippedExtensions, 2*len(d.Comparisons))
+		}
+		p := on.Kernel.Params
+		for i, r := range got.Results {
+			c := d.Comparisons[i]
+			h, v := d.Seq(c.H), d.Seq(c.V)
+			recon, err := alignment.ScoreOf(h[r.BegH:r.EndH], v[r.BegV:r.EndV], r.Cigar, p.Scorer, p.Gap, p.GapOpen)
+			if err != nil || recon != r.Score || r.TraceBytes <= 0 {
+				t.Fatalf("tier %v: comparison %d: cigar %q re-scores to %d (err %v), kernel %d, trace bytes %d",
+					tier, i, r.Cigar, recon, err, r.Score, r.TraceBytes)
+			}
+			r.Cigar, r.TraceBytes = "", 0
+			if r != want.Results[i] {
+				t.Fatalf("tier %v: comparison %d differs from the score-only run:\ntraced:     %+v\nscore-only: %+v",
+					tier, i, r, want.Results[i])
+			}
+		}
+	}
+}
+
+// TestTraceGateCacheComposition: gated and ungated runs must never share
+// cache entries (their kernel fingerprints differ), and a rerun under the
+// same configuration must hit its own warm entries and reproduce its
+// results exactly.
+func TestTraceGateCacheComposition(t *testing.T) {
+	d := shortReadsData(t, 23, 30)
+	scores := traceScores(t, d, testCfg(1, true))
+	cut := scores[len(scores)/2]
+
+	cache := newMapCache()
+	base := testCfg(1, true)
+	base.Traceback = true
+	base.Cache = cache
+
+	u1, err := Run(d, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u1.CacheHits != 0 {
+		t.Fatalf("cold ungated run hit the cache %d times", u1.CacheHits)
+	}
+	u2, err := Run(d, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u2.CacheHits == 0 {
+		t.Fatal("warm ungated rerun had no cache hits")
+	}
+
+	gated := base
+	gated.Kernel.TraceMinScore = cut
+	g1, err := Run(d, gated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g1.CacheHits != 0 {
+		t.Fatalf("gated run shared %d entries with the ungated fill", g1.CacheHits)
+	}
+	g2, err := Run(d, gated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g2.CacheHits == 0 {
+		t.Fatal("warm gated rerun had no cache hits")
+	}
+	for i := range g1.Results {
+		if g2.Results[i] != g1.Results[i] {
+			t.Fatalf("comparison %d differs between cold and warm gated runs", i)
+		}
+	}
+
+	// Score-only runs ignore the gate: a gated fingerprint with traceback
+	// off must equal the plain score-only fingerprint, so score-only
+	// workloads keep sharing entries.
+	plain := testCfg(1, true)
+	gatedOff := plain
+	gatedOff.Kernel.TraceMinScore = cut
+	a := KernelFingerprint(plain.Normalized().Kernel)
+	b := KernelFingerprint(gatedOff.Normalized().Kernel)
+	if a != b {
+		t.Fatal("the trace gate changed the score-only kernel fingerprint")
+	}
+}
 
 // traceCapDataset hand-builds a dataset of small comparisons plus one
 // oversized one whose traceback recording blows a tiny injected cell

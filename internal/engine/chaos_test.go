@@ -494,6 +494,34 @@ func TestDeadlinePartialCompletes(t *testing.T) {
 	}
 }
 
+// TestFaultInjectionOffIsByteIdentical: an engine with no fault plan
+// and retries off behaves exactly as before the fault-tolerance layer —
+// same report, all fault counters zero.
+func TestFaultInjectionOffIsByteIdentical(t *testing.T) {
+	d := readsData(t, 38, 20)
+	cfg := testCfg(2)
+	want, err := driver.Run(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(WithDriverConfig(cfg), WithExecutors(4))
+	defer e.Close()
+	job, err := e.Submit(context.Background(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := job.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reportsEqual(t, "no faults", got, want)
+	st := e.Stats()
+	if st.Retries != 0 || st.Hedges != 0 || st.Quarantined != 0 ||
+		st.FaultsInjected != 0 || st.DeadlineExceeded != 0 {
+		t.Fatalf("fault counters nonzero without a plan: %+v", st)
+	}
+}
+
 // withFaults returns cfg with fault plan p installed.
 func withFaults(cfg driver.Config, p *driver.FaultPlan) driver.Config {
 	cfg.Faults = p

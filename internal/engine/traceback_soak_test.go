@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/sram-align/xdropipu/internal/alignment"
 	"github.com/sram-align/xdropipu/internal/driver"
 	"github.com/sram-align/xdropipu/internal/ipukernel"
 	"github.com/sram-align/xdropipu/internal/workload"
@@ -185,5 +186,35 @@ func TestWithTracebackOptionFingerprint(t *testing.T) {
 	defer e.Close()
 	if !e.Config().Kernel.Traceback {
 		t.Fatal("Traceback did not reach the engine's kernel config")
+	}
+}
+
+// TestTracebackStreamCigarsValidate: streamed updates must carry
+// validated CIGARs whose spans match each result's coordinates.
+func TestTracebackStreamCigarsValidate(t *testing.T) {
+	d := readsData(t, 13, 18)
+	cfg := testCfg(1)
+	cfg.Traceback = true
+	cfg.MaxBatchJobs = 8
+	e := New(WithDriverConfig(cfg))
+	defer e.Close()
+	job, err := e.Submit(context.Background(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := collectStream(t, job, len(d.Comparisons))
+	p := cfg.Kernel.Params
+	for i, r := range got {
+		aln := alignment.Alignment{Score: r.Score, BegH: r.BegH, BegV: r.BegV,
+			EndH: r.EndH, EndV: r.EndV, Cigar: r.Cigar}
+		if err := aln.Validate(); err != nil {
+			t.Fatalf("streamed comparison %d invalid: %v (cigar %q)", i, err, r.Cigar)
+		}
+		c := d.Comparisons[i]
+		h, v := d.Seq(c.H), d.Seq(c.V)
+		recon, err := alignment.ScoreOf(h[r.BegH:r.EndH], v[r.BegV:r.EndV], r.Cigar, p.Scorer, p.Gap, p.GapOpen)
+		if err != nil || recon != r.Score {
+			t.Fatalf("streamed comparison %d: reconstructed %d (err %v) != score %d", i, recon, err, r.Score)
+		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"github.com/sram-align/xdropipu/internal/engine"
 	"github.com/sram-align/xdropipu/internal/service"
 	"github.com/sram-align/xdropipu/internal/serviceclient"
+	"github.com/sram-align/xdropipu/internal/workload"
 )
 
 // abortingHandler wraps the service handler and kills result-stream
@@ -72,11 +73,9 @@ func TestServiceChaosComposedRecovery(t *testing.T) {
 	cfg.MaxBatchJobs = 4
 	d := readsData(t, 23, 28)
 
-	// Fault-free golden: driver.Run, which a calm engine matches.
-	want, err := driver.Run(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Fault-free golden: what a calm in-process engine reports.
+	calm := []engine.Option{engine.WithDriverConfig(cfg), engine.WithExecutors(2)}
+	want := inProcessGoldens(t, calm, []*workload.Dataset{d})[0]
 
 	// Chaotic shard: transient faults and stragglers on every layer the
 	// retry/hedge machinery covers, fallback for anything permanent-ish.
