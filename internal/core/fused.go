@@ -12,7 +12,8 @@ import "errors"
 // sweep-order operands, peeled boundaries, fringe-scan liveness recovery,
 // statAcc counters) and computes its rows with the score sweep's vector
 // arithmetic (rowCodesVec: the direction codes fall out of the compare
-// masks the row computes anyway), so recording costs roughly one sweep —
+// masks the row computes anyway, and the row stores them packed, 2 bits a
+// cell, straight into the tracer), so recording costs roughly one sweep —
 // and the returned Result is bit-identical to the score sweep's in every
 // field, including the trace counters.
 //
@@ -91,12 +92,15 @@ func (w *Workspace) FusedExtendLeft(h, v []byte, hOff, vOff int, p Params) (Resu
 // / Reference window semantics, selected by p.Algo through
 // linearCapacity, so a recorded Reference keeps its unbounded window).
 // Rows are linearSweep's padded-window walk with a per-cell direction code
-// folded in: rowCodesVec where there is a vector body (rowVec), the Go loop
-// — the complete recurrence — otherwise. Unlike the score sweep it leaves
-// the assembly after every row: what happens between rows here — the
-// tracer's window index, code packing, ErrTraceTooLarge — is Go. The
-// rotation uses three distinct buffers (like Standard3), so no row needs an
-// in-place aliasing carry.
+// folded in: rowCodesVec where there is a vector body (rowVec), which
+// writes the interior's codes into tb.dirs already packed; otherwise the Go
+// loop — the complete recurrence, and the vector body's oracle — fills the
+// unpacked codes row and packRow packs it. The peeled boundary cells are
+// stored with setCode, the top one before the interior, the bottom one
+// after. Unlike the score sweep it leaves the assembly after every row:
+// what happens between rows here — the tracer's window index,
+// ErrTraceTooLarge — is Go. The rotation uses three distinct buffers (like
+// Standard3), so no row needs an in-place aliasing carry.
 func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 	m, n := h.Len(), v.Len()
 	delta := min(m, n) + 1
@@ -163,7 +167,6 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 		if dbase < 0 {
 			return Result{}, Trace{}, ErrTraceTooLarge
 		}
-		codes := tb.growCodes(width)
 		rowBest := negInf32
 		o1 := bufPad - d1cl
 		o2 := bufPad - d2cl
@@ -181,7 +184,7 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 				rowBest = s
 			}
 			out[oo] = s
-			codes[0] = c
+			tb.setCode(dbase, 0, c)
 			i = 1
 		}
 		iB := cu
@@ -191,18 +194,20 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 		}
 		if cnt := iB - i + 1; cnt > 0 {
 			kbase := i
+			cell := dbase + int32(kbase-cl)
 			outRow := out[kbase+oo:][:cnt]
-			codeRow := codes[kbase-cl:][:cnt]
 			d2v := d2b[kbase-1+o2:][:cnt]
 			d1r := d1b[kbase+o1:][:cnt]
 			hRow := hq[kbase-1:][:cnt]
 			vRow := vq[n-d+kbase:][:cnt]
 			if rowVec {
 				rowBest = max(rowBest, rowCodesVec(&outRow[0], &d2b[kbase+o2], &d1r[0],
-					&hRow[0], &vRow[0], &sim, cnt, d2v[0], gap, limit, &codeRow[0]))
+					&hRow[0], &vRow[0], &sim, cnt, d2v[0], gap, limit, &tb.dirs[0], int(cell)))
 			} else {
 				// The vector body's only oracle: with rowVec off this loop
-				// computes every cell of every row.
+				// computes every cell of every row, into the unpacked
+				// scratch row that packRow then packs.
+				codeRow := tb.growCodes(cnt)
 				dlv := d1b[kbase-1+o1]
 				for k := range outRow {
 					s := d2v[k] + int32(tab[hRow[k]][vRow[k]])
@@ -229,6 +234,7 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 					outRow[k] = s
 					codeRow[k] = c
 				}
+				tb.packRow(cell, codeRow)
 			}
 			i = iB + 1
 		}
@@ -243,10 +249,9 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 				rowBest = s
 			}
 			out[i+oo] = s
-			codes[i-cl] = c
+			tb.setCode(dbase, i-cl, c)
 		}
 		setGuards(out, width, negInf32)
-		tb.packRow(dbase, codes)
 
 		// Recover the live sub-window from the stored row and, when the
 		// row sets a new best, its first argmax — exactly like the score

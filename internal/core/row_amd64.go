@@ -5,8 +5,10 @@ package core
 // rowVec reports whether the linear sweeps may run an int32 extension in
 // the assembly of row_amd64.s — the score sweep whole (sweepLinearVec), the
 // recording sweep row by row (rowCodesVec): the CPU has AVX2 and the OS
-// saves the YMM state. The assembly uses nothing beyond AVX2 (its bit scans
-// are BSF/BSR on masks it has tested non-zero, not BMI's TZCNT/LZCNT).
+// saves the YMM state. The assembly uses nothing beyond AVX2: its bit scans
+// are BSF/BSR on values it knows are non-zero, not BMI's TZCNT/LZCNT, and
+// the recording row packs its direction codes with VPMOVMSKB and shifts
+// them into place with IMUL and SHL by CL, not BMI2's PEXT or SHLX.
 // Decided once at init; it selects machine code, never results.
 var rowVec = hasAVX2()
 
@@ -57,20 +59,25 @@ func xgetbv() (eax, edx uint32)
 func sweepLinearVec(st *sweepState)
 
 // rowCodesVec is the recording sweep's row body, one call per antidiagonal
-// — the tracer's bookkeeping between rows (window index, code packing) is
-// Go — over the n ≥ 1 interior cells fusedLinear's peeled boundaries leave:
-// ⌊n/8⌋ whole vectors, then one masked tail over the n&7 cells left. The
-// pointers address cell 0 of the row: out[k] is written, with cell k's
-// direction code (codeNone/Diag/Up/Left by fusedLinear's rule) in
-// codes[k]; d2[k−1] (wlast for k = 0) is the diagonal predecessor, d1[k−1]
-// and d1[k] the gap predecessors, and sim says how Sim(hq[k], vq[k]) is
-// obtained (rowSim). It returns the row maximum.
+// — the tracer's window index between rows is Go — over the n ≥ 1 interior
+// cells fusedLinear's peeled boundaries leave: ⌊n/8⌋ whole vectors, then
+// one masked tail over the n&7 cells left. The score pointers address cell
+// 0 of the row: out[k] is written, d2[k−1] (wlast for k = 0) is the
+// diagonal predecessor, d1[k−1] and d1[k] the gap predecessors, and sim
+// says how Sim(hq[k], vq[k]) is obtained (rowSim). Cell k's direction code
+// (codeNone/Diag/Up/Left by fusedLinear's rule) is stored packed, as
+// tracer.setCode would store it at dirs cell cell+k: dirs is the tracer's
+// dirs[0] and cell the row's first cell offset in it. It returns the row
+// maximum.
 //
 // Memory contract (TestRowCodesKernelMatchesGeneric places every operand
-// flush against an unmapped page): it writes out[0:n] and codes[0:n] and
-// nothing else; it reads d1[−1:n], hq[0:n] and vq[0:n] and nothing else;
-// and it reads d2 from d2[−1] up to rowSlack elements past d2[n−1], because
-// a vector's diagonal operand is loaded whole.
+// flush against an unmapped page, and dirs at both ends): it writes
+// out[0:n] and the dirs bytes [cell>>2, (cell+n−1)>>2] and nothing else —
+// of those bytes only the bits of cells cell … cell+n−1 change, the first
+// and last byte being read back for the others; it reads d1[−1:n],
+// hq[0:n] and vq[0:n] and nothing else; and it reads d2 from d2[−1] up to
+// rowSlack elements past d2[n−1], because a vector's diagonal operand is
+// loaded whole.
 //
 //go:noescape
-func rowCodesVec(out, d2, d1 *int32, hq, vq *byte, sim *rowSim, n int, wlast, gap, limit int32, codes *byte) (best int32)
+func rowCodesVec(out, d2, d1 *int32, hq, vq *byte, sim *rowSim, n int, wlast, gap, limit int32, dirs *byte, cell int) (best int32)

@@ -18,8 +18,9 @@
 // scratch. Y0 the diagonal operand, then the cells; Y1 the next diagonal
 // operand (tail: the lane mask); Y7 the running row maximum; Y8 gap, Y9
 // limit, Y10 negInf; Y14 match, Y15 mismatch, X6 the wildcard byte ×16;
-// Y2–Y5 temporaries. rowCodesVec adds R12 codes, Y11 Y12 the direction
-// masks, Y13 = 1; sweepLinearVec's are listed with it.
+// Y2–Y5 temporaries. rowCodesVec adds Y11 Y12 the direction masks and R12
+// R13 R14 its packed-code stream (see there); sweepLinearVec's are listed
+// with it.
 
 // rowLaneMask is eight all-ones dwords then eight zero dwords: the 32 bytes
 // at offset 4·(8−r) are the lane mask of a tail of r cells, lanes 0..r−1
@@ -213,20 +214,42 @@ fetched:
 	VPCMPGTD Y0, Y4, Y12 \
 	VPCMPGTD Y2, Y5, Y11
 
-// ROW_CODES turns the masks a ROW_STEP(…, ROW_DIRMASKS, …) left behind into
-// eight direction-code bytes in the low half of X11:
+// ROW_PACK turns the masks a ROW_STEP(…, ROW_DIRMASKS, …) left behind into
+// the eight cells' packed direction codes, cell k in bits 2k and 2k+1 of AX
+// (bits 16 and up zero):
 //
-//	code = 1 + gapTaken + (gapTaken ∧ leftWins), 0 where pruned
+//	bit 1 = ¬pruned ∧ gapTaken
+//	bit 0 = ¬pruned ∧ (¬gapTaken ∨ leftWins)
 //
-// i.e. codeDiag / codeUp / codeLeft / codeNone.
-#define ROW_CODES \
-	VPAND        Y12, Y11, Y11 \
-	VPADDD       Y12, Y11, Y11 \
-	VPSUBD       Y11, Y13, Y11 \
-	VPANDN       Y11, Y3, Y11  \
-	VEXTRACTI128 $1, Y11, X5   \
-	VPACKSSDW    X5, X11, X11  \
-	VPACKUSWB    X11, X11, X11
+// i.e. codeNone / codeDiag / codeUp / codeLeft. Bit 0 is built inverted,
+// as (gapTaken ∧ ¬leftWins) ∨ pruned, and flipped by the closing XOR.
+// Interleaving the two masks dword by dword (VPUNPCKLDQ / VPUNPCKHDQ), then
+// narrowing across the halves (VPACKSSDW) and the 128-bit lanes
+// (VPACKSSWB) leaves sixteen bytes in bit order, whose signs VPMOVMSKB
+// collects.
+#define ROW_PACK \
+	VPANDN       Y12, Y11, Y11 \
+	VPOR         Y3, Y11, Y11  \
+	VPANDN       Y12, Y3, Y12  \
+	VPUNPCKLDQ   Y12, Y11, Y4  \
+	VPUNPCKHDQ   Y12, Y11, Y5  \
+	VPACKSSDW    Y5, Y4, Y4    \
+	VEXTRACTI128 $1, Y4, X5    \
+	VPACKSSWB    X5, X4, X4    \
+	VPMOVMSKB    X4, AX        \
+	XORL         $0x5555, AX
+
+// ROW_PUT appends a whole step's sixteen code bits (AX) to the packed
+// stream: shifted up to the row's first bit (× R14), under the carry R13
+// — the bits of the byte at R12 that are already decided — one 16-bit
+// store, and the bits shifted past it become the next carry.
+#define ROW_PUT \
+	IMULL R14, AX  \
+	ORL   R13, AX  \
+	MOVW  AX, (R12) \
+	SHRL  $16, AX  \
+	MOVL  AX, R13  \
+	ADDQ  $2, R12
 
 // ROW_LEAVE reduces the row maximum into AX.
 #define ROW_LEAVE \
@@ -519,30 +542,44 @@ leave:
 	VZEROUPPER
 	RET
 
-// func rowCodesVec(out, d2, d1 *int32, hq, vq *byte, sim *rowSim, n int, wlast, gap, limit int32, codes *byte) (best int32)
+// func rowCodesVec(out, d2, d1 *int32, hq, vq *byte, sim *rowSim, n int, wlast, gap, limit int32, dirs *byte, cell int) (best int32)
 //
-// One row of the recording sweep: ⌊n/8⌋ whole steps and a masked tail, with
-// one direction-code byte per cell from the masks the row arithmetic
-// leaves behind (ROW_CODES). The tail's r codes are stored
-// as a dword, a word and a byte as r's bits say, so codes is written in
-// [0, n) only.
-TEXT ·rowCodesVec(SB), NOSPLIT, $0-84
+// One row of the recording sweep: ⌊n/8⌋ whole steps and a masked tail, the
+// direction codes of each step packed from the masks the row arithmetic
+// leaves behind (ROW_PACK) and written as a bit stream into dirs from cell
+// on, 2 bits per cell (tracer.setCode's layout). R12 is the byte the
+// stream is at, R14 = 1 << 2·(cell&3) the row's first bit within its first
+// byte, as a multiplier, and R13 the carry: the bits below the stream's
+// position in the byte at R12 — at entry the earlier cells' bits of the
+// head byte, read back; after a whole step the step's codes shifted past
+// its 16-bit store. The tail ends the stream: every byte the row's last
+// cells touch is written, the last one merged with what it holds above
+// them, so dirs is written in [cell>>2, (cell+n−1)>>2] only and no bit of
+// another cell changes.
+TEXT ·rowCodesVec(SB), NOSPLIT, $0-92
 	ROW_ENTER
-	MOVQ         codes+72(FP), R12
-	MOVL         $1, AX
-	VMOVD        AX, X13
-	VPBROADCASTD X13, Y13
-	CMPQ         CX, $8
-	JB           tail
-	TESTQ        R10, R10
-	JZ           eqloop
+	MOVQ    cell+80(FP), CX
+	MOVQ    CX, R12
+	SHRQ    $2, R12
+	ADDQ    dirs+72(FP), R12
+	ANDL    $3, CX
+	ADDL    CX, CX
+	MOVL    $1, R14
+	SHLL    CX, R14
+	MOVBLZX (R12), R13
+	LEAL    -1(R14), AX
+	ANDL    AX, R13
+	MOVQ    n+48(FP), CX
+	CMPQ    CX, $8
+	JB      tail
+	TESTQ   R10, R10
+	JZ      eqloop
 
 tabloop:
 	ROW_FETCH
 	ROW_STEP(SIM_TABLE, ROW_D1_WHOLE, ROW_DIRMASKS, ROW_STORE_WHOLE)
-	ROW_CODES
-	VMOVQ X11, (R12)
-	ADDQ  $8, R12
+	ROW_PACK
+	ROW_PUT
 	SUBQ  $8, CX
 	CMPQ  CX, $8
 	JAE   tabloop
@@ -551,16 +588,17 @@ tabloop:
 eqloop:
 	ROW_FETCH
 	ROW_STEP(SIM_EQ, ROW_D1_WHOLE, ROW_DIRMASKS, ROW_STORE_WHOLE)
-	ROW_CODES
-	VMOVQ X11, (R12)
-	ADDQ  $8, R12
+	ROW_PACK
+	ROW_PUT
 	SUBQ  $8, CX
 	CMPQ  CX, $8
 	JAE   eqloop
 
 tail:
+	// With no cell left only the carry is: CX = 0 bits of codes behind it.
+	MOVL  R13, AX
 	TESTQ CX, CX
-	JZ    done
+	JZ    flush
 	ROW_TAIL_FETCH
 	TESTQ R10, R10
 	JZ    eqtail
@@ -571,29 +609,46 @@ eqtail:
 	ROW_STEP(SIM_EQ, ROW_D1_TAIL, ROW_DIRMASKS, ROW_STORE_TAIL)
 
 tailcodes:
-	ROW_CODES
-	VMOVQ X11, AX
-	TESTQ $4, CX
-	JZ    codes2
-	MOVL  AX, (R12)
-	SHRQ  $32, AX
-	ADDQ  $4, R12
+	// The r = CX cells' 2r code bits (the lanes past the row are dropped),
+	// behind the carry.
+	ROW_PACK
+	ADDL  CX, CX
+	MOVL  $1, BX
+	SHLL  CX, BX
+	DECL  BX
+	ANDL  BX, AX
+	IMULL R14, AX
+	ORL   R13, AX
 
-codes2:
-	TESTQ $2, CX
-	JZ    codes1
-	MOVW  AX, (R12)
-	SHRQ  $16, AX
-	ADDQ  $2, R12
+flush:
+	// CX becomes the stream's bit count from R12 on: the codes' plus the
+	// carry's, 2·(cell&3) (the bit R14 stands at). Whole bytes are stored,
+	// then the last part-byte under the bits above it.
+	BSFL R14, BX
+	ADDL BX, CX
 
-codes1:
-	TESTQ $1, CX
-	JZ    done
-	MOVB  AX, (R12)
+flushbyte:
+	CMPL CX, $8
+	JB   flushlast
+	MOVB AX, (R12)
+	SHRL $8, AX
+	INCQ R12
+	SUBL $8, CX
+	JMP  flushbyte
+
+flushlast:
+	TESTL   CX, CX
+	JZ      done
+	MOVL    $0xff, BX
+	SHLL    CX, BX
+	MOVBLZX (R12), R11
+	ANDL    BX, R11
+	ORL     R11, AX
+	MOVB    AX, (R12)
 
 done:
 	ROW_LEAVE
-	MOVL AX, best+80(FP)
+	MOVL AX, best+88(FP)
 	VZEROUPPER
 	RET
 

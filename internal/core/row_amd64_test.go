@@ -50,9 +50,6 @@ func (g *guarded) mapping(n int, front bool) []byte {
 	return b
 }
 
-// bytes returns n bytes ending at an unmapped page.
-func (g *guarded) bytes(n int) []byte { return g.mapping(n, false) }
-
 // scores returns n int32 cells ending at an unmapped page.
 func (g *guarded) scores(n int) []int32 { return g.scoresAt(n, false) }
 
@@ -408,15 +405,19 @@ func rowCodesRef(out []int32, codes []byte, d2, d1 []int32, hq, vq []byte, tab *
 	return best, ties
 }
 
-// checkCodesRow runs the recording row body and rowCodesRef over
-// identical operands and compares everything the body may write: the
-// whole out allocation (cells before the row included), every code byte
-// and the row maximum. Every operand ends flush against an unmapped page
-// — d2 rowSlack cells behind the row, out, codes, d1 and the sequences at
-// their last element (seqHead: the sequences begin right behind one
-// instead) — and the wlast argument is a value the d2[−1] slot in memory
-// does not hold. It returns rowCodesRef's tie counts.
-func checkCodesRow(t testing.TB, rng *rand.Rand, cnt, formIdx int, seqHead bool, limit int32) [2]int {
+// checkCodesRow runs the recording row body, and rowCodesRef followed by
+// packRow, over identical operands and compares everything the body may
+// write: the whole out allocation (cells before the row included), the
+// whole dirs allocation and the row maximum. The row's first code lands at
+// bit 2·head of its first byte, and dirs starts out random, so the earlier
+// cells' bits of that byte and the later cells' bits of the last one must
+// come through unchanged. Every operand ends flush against an unmapped page
+// — d2 rowSlack cells behind the row, out, d1, dirs (at the last cell's
+// byte) and the sequences at their last element — or, with seqHead, the
+// sequences and dirs begin right behind one (dirs at the first cell's
+// byte); and the wlast argument is a value the d2[−1] slot in memory does
+// not hold. It returns rowCodesRef's tie counts.
+func checkCodesRow(t testing.TB, rng *rand.Rand, cnt, formIdx, head int, seqHead bool, limit int32) [2]int {
 	t.Helper()
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	g := guarded{t: t}
@@ -446,35 +447,49 @@ func checkCodesRow(t testing.TB, rng *rand.Rand, cnt, formIdx int, seqHead bool,
 	wantOut := fill(g.scores(lead + cnt))
 	gotOut := g.scores(lead + cnt)
 	copy(gotOut, wantOut)
-	wantCodes, gotCodes := g.bytes(lead+cnt), g.bytes(lead+cnt)
-	for i := range wantCodes {
-		wantCodes[i], gotCodes[i] = 0xee, 0xee
+
+	// dirs: lead bytes of earlier windows unless it starts at a page, then
+	// the bytes of cells head … head+cnt−1.
+	dirsLead := lead
+	if seqHead {
+		dirsLead = 0
 	}
+	cell := 4*dirsLead + head
+	wantDirs := g.mapping(dirsLead+(head+cnt+3)/4, seqHead)
+	gotDirs := g.mapping(len(wantDirs), seqHead)
+	rng.Read(wantDirs)
+	copy(gotDirs, wantDirs)
 	gap := int32(-1 - rng.Intn(2))
 
 	sim := form.sim()
 
-	wantBest, ties := rowCodesRef(wantOut[lead:], wantCodes[lead:], d2[lead:], d1, hq, vq, form.scorer.Table(), cnt, wlast, gap, limit)
-	gotBest := rowCodesVec(&gotOut[lead], &d2[lead], &d1[1], &hq[0], &vq[0], &sim, cnt, wlast, gap, limit, &gotCodes[lead])
+	codes := make([]byte, cnt)
+	wantBest, ties := rowCodesRef(wantOut[lead:], codes, d2[lead:], d1, hq, vq, form.scorer.Table(), cnt, wlast, gap, limit)
+	ref := tracer{dirs: wantDirs}
+	ref.packRow(int32(cell), codes)
+	gotBest := rowCodesVec(&gotOut[lead], &d2[lead], &d1[1], &hq[0], &vq[0], &sim, cnt, wlast, gap, limit, &gotDirs[0], cell)
 
 	if gotBest != wantBest {
-		t.Errorf("%s cnt %d limit %d: rowBest = %d, want %d", form.name, cnt, limit, gotBest, wantBest)
+		t.Errorf("%s cnt %d head %d limit %d: rowBest = %d, want %d", form.name, cnt, head, limit, gotBest, wantBest)
 	}
 	if !slices.Equal(gotOut, wantOut) {
-		t.Errorf("%s cnt %d limit %d: stored row differs:\n got  %v\n want %v", form.name, cnt, limit, gotOut, wantOut)
+		t.Errorf("%s cnt %d head %d limit %d: stored row differs:\n got  %v\n want %v", form.name, cnt, head, limit, gotOut, wantOut)
 	}
-	if !slices.Equal(gotCodes, wantCodes) {
-		t.Errorf("%s cnt %d limit %d: direction codes differ:\n got  %v\n want %v", form.name, cnt, limit, gotCodes, wantCodes)
+	if !slices.Equal(gotDirs, wantDirs) {
+		t.Errorf("%s cnt %d head %d limit %d (cell %d, codes %v): packed directions differ:\n got  %08b\n want %08b",
+			form.name, cnt, head, limit, cell, codes, gotDirs, wantDirs)
 	}
 	return ties
 }
 
 // TestRowCodesKernelMatchesGeneric drives the recording row body and the
-// scalar rule over the same randomized operands: every row length from a
-// single cell through three vectors and a seven-cell tail (so every tail
-// length, alone and behind whole vectors), every prune regime, both
-// similarity forms, and — checked, not hoped for — cells where the gap
-// move ties with the diagonal and cells whose two gap sources are equal.
+// scalar rule plus packRow over the same randomized operands: every row
+// length from a single cell through three vectors and a seven-cell tail
+// (so every tail length, alone and behind whole vectors), at each of the
+// four bit positions a row can start at within a dirs byte, every prune
+// regime, both similarity forms, and — checked, not hoped for — cells
+// where the gap move ties with the diagonal and cells whose two gap
+// sources are equal.
 func TestRowCodesKernelMatchesGeneric(t *testing.T) {
 	if !rowVec {
 		t.Skip("no AVX2 on this host")
@@ -484,9 +499,11 @@ func TestRowCodesKernelMatchesGeneric(t *testing.T) {
 	for cnt := 1; cnt <= maxRowCnt; cnt++ {
 		for _, limit := range rowLimits {
 			for form := range rowForms {
-				for _, seqHead := range []bool{false, true} {
-					got := checkCodesRow(t, rng, cnt, form, seqHead, limit)
-					ties[0], ties[1] = ties[0]+got[0], ties[1]+got[1]
+				for head := 0; head < 4; head++ {
+					for _, seqHead := range []bool{false, true} {
+						got := checkCodesRow(t, rng, cnt, form, head, seqHead, limit)
+						ties[0], ties[1] = ties[0]+got[0], ties[1]+got[1]
+					}
 				}
 			}
 		}
@@ -497,7 +514,8 @@ func TestRowCodesKernelMatchesGeneric(t *testing.T) {
 }
 
 // FuzzRowCodesKernel is TestRowCodesKernelMatchesGeneric under the
-// fuzzer's choice of row length, prune regime, form and operand content.
+// fuzzer's choice of row length, prune regime, form, first bit position,
+// page side and operand content.
 func FuzzRowCodesKernel(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(0))
 	f.Add(int64(2), uint8(15), uint8(3))
@@ -505,11 +523,14 @@ func FuzzRowCodesKernel(f *testing.F) {
 	f.Add(int64(4), uint8(200), uint8(7))
 	f.Add(int64(5), uint8(5), uint8(9))
 	f.Add(int64(6), uint8(1), uint8(30))
+	f.Add(int64(7), uint8(9), uint8(0x20))
+	f.Add(int64(8), uint8(23), uint8(0x56))
+	f.Add(int64(9), uint8(3), uint8(0x7d))
 	f.Fuzz(func(t *testing.T, seed int64, cnt, flags uint8) {
 		if !rowVec {
 			t.Skip("no AVX2 on this host")
 		}
-		checkCodesRow(t, rand.New(rand.NewSource(seed)), max(int(cnt), 1), int(flags>>2&3), flags&16 != 0, rowLimits[flags&3])
+		checkCodesRow(t, rand.New(rand.NewSource(seed)), max(int(cnt), 1), int(flags>>2&3), int(flags>>5&3), flags&16 != 0, rowLimits[flags&3])
 	})
 }
 
@@ -581,6 +602,50 @@ func TestVectorRecordMatchesGenericRecord(t *testing.T) {
 		})
 		if sv != sg || sv.err != nil {
 			t.Fatalf("trial %d %v: TracebackSeed: vector %+v != generic %+v", trial, p.Algo, sv, sg)
+		}
+	}
+}
+
+// TestRecordingIgnoresStaleDirectionBits pins the contract beginDiag
+// states: dirs is not cleared between recordings, because every cell a
+// row stores is masked in whatever its byte held. A workspace whose dirs a
+// longer earlier recording left behind, set to 0xff end to end, must
+// record the same Result and Trace as a fresh one — on the vector body and
+// on the Go loop.
+func TestRecordingIgnoresStaleDirectionBits(t *testing.T) {
+	vec := rowVec
+	defer func() { rowVec = vec }()
+	rng := rand.New(rand.NewSource(96))
+	longH := randDNA(rng, 1200)
+	longV := mutate(rng, longH, 0.05)
+	longP := Params{Scorer: scoring.DNADefault, Gap: -1, X: 60, DeltaB: 256}
+	for _, body := range []bool{true, false} {
+		if body && !vec {
+			continue
+		}
+		rowVec = body
+		for trial := 0; trial < 120; trial++ {
+			h, v, p := vectorTrial(rng, trial)
+			hv, vv := View{h, trial%4 >= 2}, View{v, trial%8 >= 4}
+			rev := trial%16 >= 8
+			var stale, fresh Workspace
+			if _, _, err := stale.record(NewView(longH), NewView(longV), longP, true); err != nil {
+				t.Fatal(err)
+			}
+			dirs := stale.tb.dirs[:cap(stale.tb.dirs)]
+			for i := range dirs {
+				dirs[i] = 0xff
+			}
+			r, tr, err := stale.record(hv, vv, p, rev)
+			got := recorded{r, tr, err}
+			r, tr, err = fresh.record(hv, vv, p, rev)
+			want := recorded{r, tr, err}
+			if got != want || want.err != nil {
+				t.Fatalf("vector body %v, trial %d %v: on stale dirs %+v, on a fresh workspace %+v", body, trial, p.Algo, got, want)
+			}
+			if len(fresh.tb.dirs) > len(dirs) {
+				t.Fatalf("trial %d: the stale recording (%d bytes) is shorter than this one (%d)", trial, len(dirs), len(fresh.tb.dirs))
+			}
 		}
 	}
 }

@@ -10,6 +10,6 @@ func sweepLinearVec(st *sweepState) {
 	panic("core: no assembly in this build")
 }
 
-func rowCodesVec(out, d2, d1 *int32, hq, vq *byte, sim *rowSim, n int, wlast, gap, limit int32, codes *byte) (best int32) {
+func rowCodesVec(out, d2, d1 *int32, hq, vq *byte, sim *rowSim, n int, wlast, gap, limit int32, dirs *byte, cell int) (best int32) {
 	panic("core: no assembly in this build")
 }

@@ -29,7 +29,10 @@ import (
 // the banded antidiagonal windows — 2 bits per computed cell — plus one
 // window descriptor per antidiagonal. Peak traceback memory is therefore
 // bounded by (antidiagonals × band)/4 bytes, with the band clamped to δb
-// for Restricted2, never by the full matrix.
+// for Restricted2, never by the full matrix. The codes are packed where
+// they are computed: the vector row writes its cells' bits into dirs
+// itself, the Go loop through packRow, the boundary cells through
+// setCode — one layout, setCode's.
 
 // Trace direction codes, 2 bits per cell.
 const (
@@ -51,9 +54,10 @@ type tracer struct {
 	ops  []byte            // walker scratch: one op byte per alignment column
 	cig  alignment.Builder // encodeOps scratch, kept warm like ops
 
-	// codes is the recording sweeps' unpacked scratch row: one byte per
-	// window cell, packed into dirs once per antidiagonal (packRow), so
-	// the scoring loop never does per-cell read-modify-write on dirs.
+	// codes is the Go loop's unpacked scratch row: one byte per interior
+	// cell, packed into dirs once per antidiagonal (packRow), so the
+	// scoring loop never does per-cell read-modify-write on dirs. The
+	// vector row packs its own codes and never touches it.
 	codes []byte
 }
 
@@ -105,8 +109,10 @@ func (tb *tracer) beginDiag(cl, width int) int32 {
 	tb.cls[d], tb.offs[d+1] = int32(cl), base+int32(width)
 	if need := int(uint(base)+uint(width)+3) >> 2; need > len(tb.dirs) {
 		if need <= cap(tb.dirs) {
-			// Stale bits from a previous recording are fine: setCode masks
-			// every cell it writes and code() bounds-checks every read.
+			// Stale bits from a previous recording are fine: setCode,
+			// packRow and the vector row mask in every cell they write, and
+			// code() bounds-checks every read
+			// (TestRecordingIgnoresStaleDirectionBits).
 			tb.dirs = tb.dirs[:need]
 		} else {
 			tb.dirs = append(tb.dirs, make([]byte, need-len(tb.dirs))...)
@@ -180,11 +186,12 @@ func (tb *tracer) growCodes(n int) []byte {
 	return tb.codes[:n]
 }
 
-// packRow packs one window's unpacked codes into dirs starting at cell
-// offset base (as returned by beginDiag). Head and tail cells that share
-// a byte with a neighboring window are read-modify-written; the aligned
-// body is stored whole — eight 2-bit codes per 16-bit store, then four per
-// byte — instead of width RMWs.
+// packRow packs a run of unpacked codes into dirs starting at cell offset
+// base. Head and tail cells that share a byte with cells outside the run
+// are read-modify-written; the aligned body is stored whole — eight 2-bit
+// codes per 16-bit store, then four per byte — instead of one RMW a cell.
+// It is the Go loop's packing, and what the vector row's own packed store
+// is tested against.
 func (tb *tracer) packRow(base int32, codes []byte) {
 	idx := uint(base)
 	k := 0

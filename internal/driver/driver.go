@@ -25,6 +25,7 @@ import (
 	"github.com/sram-align/xdropipu/internal/metrics"
 	"github.com/sram-align/xdropipu/internal/partition"
 	"github.com/sram-align/xdropipu/internal/platform"
+	"github.com/sram-align/xdropipu/internal/scoring"
 	"github.com/sram-align/xdropipu/internal/workload"
 )
 
@@ -146,24 +147,59 @@ func getAll(c ResultCache, keys []CacheKey, outs []ipukernel.AlignOut, hit []boo
 // LR splitting, work stealing and its busy-wait variance, dual issue, the
 // cost model, host-side parallelism — are deliberately excluded, so runs
 // differing only in those share cache entries.
+//
+// The last fingerprint is memoised: an engine asks for its configuration's
+// on every job it plans against the cache, and re-hashing the 64 KiB
+// scoring table each time is work a cache-served job need not do.
 func KernelFingerprint(cfg ipukernel.Config) uint64 {
+	p := cfg.Params
+	k := kernelKey{params: [6]int64{int64(p.Algo), int64(p.X), int64(p.DeltaB), int64(p.Gap), int64(p.GapOpen), int64(p.Tier)}}
+	if cfg.Traceback {
+		k.traced, k.traceMinScore = true, int64(cfg.TraceMinScore)
+	}
+	if p.Scorer != nil {
+		k.tab = p.Scorer.Table()
+	}
+	if last := lastKernelFP.Load(); last != nil && last.key == k {
+		return last.fp
+	}
+	fp := k.hash()
+	lastKernelFP.Store(&kernelFP{k, fp})
+	return fp
+}
+
+// kernelKey is every input KernelFingerprint hashes. A scorer never
+// changes its table, so the table's address stands for its contents.
+type kernelKey struct {
+	params        [6]int64 // Algo, X, DeltaB, Gap, GapOpen, Tier
+	traced        bool
+	traceMinScore int64
+	tab           *scoring.PairTable
+}
+
+type kernelFP struct {
+	key kernelKey
+	fp  uint64
+}
+
+// lastKernelFP is KernelFingerprint's one-entry memo.
+var lastKernelFP atomic.Pointer[kernelFP]
+
+func (k kernelKey) hash() uint64 {
 	h := fnv.New64a()
 	put := func(v int64) {
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], uint64(v))
 		h.Write(b[:])
 	}
-	p := cfg.Params
-	put(int64(p.Algo))
-	put(int64(p.X))
-	put(int64(p.DeltaB))
-	put(int64(p.Gap))
-	put(int64(p.GapOpen))
-	// The kernel tier: completed narrow alignments are bit-identical to
-	// wide ones, but the tiers' trace accounting (Stats.WorkBytes,
-	// promotion counters) differs, so cached entries must not cross tiers.
-	put(int64(p.Tier))
-	if cfg.Traceback {
+	// The kernel tier, the last of params: completed narrow alignments are
+	// bit-identical to wide ones, but the tiers' trace accounting
+	// (Stats.WorkBytes, promotion counters) differs, so cached entries must
+	// not cross tiers.
+	for _, v := range k.params {
+		put(v)
+	}
+	if k.traced {
 		// Traceback-on results carry CIGARs and trace-byte accounting;
 		// they must never be served to (or taken from) a score-only run.
 		// The gate cutoff decides which results carry CIGARs — entries
@@ -171,12 +207,11 @@ func KernelFingerprint(cfg ipukernel.Config) uint64 {
 		// the cutoff would fan out a stale CIGAR. Hashed only while
 		// tracing so score-only runs keep sharing entries.
 		put(1)
-		put(int64(cfg.TraceMinScore))
+		put(k.traceMinScore)
 	}
-	if p.Scorer != nil {
-		tab := p.Scorer.Table()
-		row := make([]byte, len(tab[0]))
-		for _, r := range tab {
+	if k.tab != nil {
+		row := make([]byte, len(k.tab[0]))
+		for _, r := range k.tab {
 			for i, v := range r {
 				row[i] = byte(v)
 			}

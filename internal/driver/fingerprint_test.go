@@ -51,3 +51,32 @@ func TestKernelFingerprintValuesPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelFingerprintMemoised: asked again for the configuration it just
+// hashed, KernelFingerprint returns the same value from its memo — it does
+// not hash the scoring table again (the memo entry stays the one the first
+// call stored) and allocates nothing. Another configuration still gets its
+// own value.
+func TestKernelFingerprintMemoised(t *testing.T) {
+	cfg := ipukernel.Config{Params: core.Params{Scorer: scoring.DNADefault, Gap: -1, X: 15, DeltaB: 256}, Traceback: true}
+	first := KernelFingerprint(cfg)
+	memo := lastKernelFP.Load()
+	if got := KernelFingerprint(cfg); got != first {
+		t.Fatalf("second call: %#x, first %#x", got, first)
+	}
+	if lastKernelFP.Load() != memo {
+		t.Fatal("second call re-hashed: the memo entry was replaced")
+	}
+	if n := testing.AllocsPerRun(100, func() { KernelFingerprint(cfg) }); n != 0 {
+		t.Fatalf("memoised call allocates %.0f times, want 0", n)
+	}
+	other := cfg
+	other.Params.Scorer = scoring.NewSimple(1, -1) // equal contents, another table: hashed, same value
+	if got := KernelFingerprint(other); got != first {
+		t.Fatalf("equal table at another address: %#x, want %#x", got, first)
+	}
+	other.Params.X = 16
+	if KernelFingerprint(other) == first || KernelFingerprint(cfg) != first {
+		t.Fatal("the memo answered for a configuration it was not computed for")
+	}
+}
