@@ -29,10 +29,11 @@
 // one inner loop: Workspace.operands lays h and v out in sweep order once
 // per extension, so no sweep knows a view's direction. The linear int32
 // sweeps additionally have AVX2 bodies on amd64 (row_amd64.s, eight cells
-// per instruction): the score sweep runs its whole antidiagonal loop in
-// one resident assembly body per extension (sweepLinearVec), the
-// recording sweep its rows (rowCodesVec). Both are bit-identical to the Go
-// loops they are tested against; RowISA reports which this process runs.
+// per instruction): one resident assembly body (sweepLinearVec) runs the
+// whole antidiagonal loop of an extension, with two row kinds — the score
+// sweep's rows and the recording sweep's, which also pack their direction
+// codes into the tracer. Both are bit-identical to the Go loops they are
+// tested against; RowISA reports which this process runs.
 package core
 
 import (

@@ -1,6 +1,9 @@
 package core
 
-import "errors"
+import (
+	"errors"
+	"unsafe"
+)
 
 // The recording sweep: the linear-gap scoring sweep that also records a
 // 2-bit direction code per cell as it goes. It is the only code that
@@ -10,12 +13,13 @@ import "errors"
 // is the second pass and only its Trace is kept). The loop is structured
 // like the score sweeps' Go loops (NegInf-padded rotating buffers,
 // sweep-order operands, peeled boundaries, fringe-scan liveness recovery,
-// statAcc counters) and computes its rows with the score sweep's vector
-// arithmetic (rowCodesVec: the direction codes fall out of the compare
-// masks the row computes anyway, and the row stores them packed, 2 bits a
-// cell, straight into the tracer), so recording costs roughly one sweep —
-// and the returned Result is bit-identical to the score sweep's in every
-// field, including the trace counters.
+// statAcc counters), and on AVX2 it runs in the score sweep's resident
+// assembly (sweepLinearVec) as that body's second row kind: the direction
+// codes fall out of the compare masks the row computes anyway, and the row
+// appends them packed, 2 bits a cell, to one code stream in the tracer. So
+// recording costs roughly one sweep — and the returned Result is
+// bit-identical to the score sweep's in every field, including the trace
+// counters.
 //
 // Eligibility for the fused schedule (FusedEligible): extensions that
 // score on the int32 tier only. Narrow (int16) extensions keep the
@@ -92,14 +96,12 @@ func (w *Workspace) FusedExtendLeft(h, v []byte, hOff, vOff int, p Params) (Resu
 // / Reference window semantics, selected by p.Algo through
 // linearCapacity, so a recorded Reference keeps its unbounded window).
 // Rows are linearSweep's padded-window walk with a per-cell direction code
-// folded in: rowCodesVec where there is a vector body (rowVec), which
-// writes the interior's codes into tb.dirs already packed; otherwise the Go
-// loop — the complete recurrence, and the vector body's oracle — fills the
-// unpacked codes row and packRow packs it. The peeled boundary cells are
-// stored with setCode, the top one before the interior, the bottom one
-// after. Unlike the score sweep it leaves the assembly after every row:
-// what happens between rows here — the tracer's window index,
-// ErrTraceTooLarge — is Go. The rotation uses three distinct buffers (like
+// folded in. Two bodies, as for the score sweep: where there is a vector
+// body (rowVec) the whole loop runs in sweepLinearVec's recording kind
+// (tracer.recordResident), one call per extension; otherwise the Go loop
+// below — the complete recurrence, and the vector body's oracle — fills the
+// unpacked codes row, packRow packs it, and the peeled boundary cells are
+// stored with setCode. The rotation uses three distinct buffers (like
 // Standard3), so no row needs an in-place aliasing carry.
 func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 	m, n := h.Len(), v.Len()
@@ -119,7 +121,6 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 	}
 
 	tab := p.Scorer.Table()
-	sim := rowSimOf(p.Scorer)
 	gap := int32(p.Gap)
 	hq, vq := w.operands(h, v)
 
@@ -132,9 +133,17 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 	var acc statAcc
 	acc.observe(1, 1)
 
-	var trc Trace
 	base := tb.beginDiag(0, 1)
 	tb.setCode(base, 0, codeNone)
+
+	if rowVec {
+		// The resident recording kind runs the loop below, row for row, and
+		// leaves the same cells in the same buffers and the same recording.
+		if err := tb.recordResident(&w.wide, hq, vq, p, capacity, acc, &res); err != nil {
+			return Result{}, Trace{}, err
+		}
+		return res, tb.trace(res), nil
+	}
 
 	best, t := int32(0), int32(0)
 	bestI, bestD := 0, 0
@@ -200,42 +209,34 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 			d1r := d1b[kbase+o1:][:cnt]
 			hRow := hq[kbase-1:][:cnt]
 			vRow := vq[n-d+kbase:][:cnt]
-			if rowVec {
-				rowBest = max(rowBest, rowCodesVec(&outRow[0], &d2b[kbase+o2], &d1r[0],
-					&hRow[0], &vRow[0], &sim, cnt, d2v[0], gap, limit, &tb.dirs[0], int(cell)))
-			} else {
-				// The vector body's only oracle: with rowVec off this loop
-				// computes every cell of every row, into the unpacked
-				// scratch row that packRow then packs.
-				codeRow := tb.growCodes(cnt)
-				dlv := d1b[kbase-1+o1]
-				for k := range outRow {
-					s := d2v[k] + int32(tab[hRow[k]][vRow[k]])
-					c := codeDiag
-					drv := d1r[k]
-					// The score sweeps take the gap branch only when it
-					// strictly beats the diagonal; between the two gap
-					// sources up wins ties.
-					if g := max(dlv, drv) + gap; g > s {
-						s = g
-						if dlv >= drv {
-							c = codeUp
-						} else {
-							c = codeLeft
-						}
+			codeRow := tb.growCodes(cnt)
+			dlv := d1b[kbase-1+o1]
+			for k := range outRow {
+				s := d2v[k] + int32(tab[hRow[k]][vRow[k]])
+				c := codeDiag
+				drv := d1r[k]
+				// The score sweeps take the gap branch only when it
+				// strictly beats the diagonal; between the two gap
+				// sources up wins ties.
+				if g := max(dlv, drv) + gap; g > s {
+					s = g
+					if dlv >= drv {
+						c = codeUp
+					} else {
+						c = codeLeft
 					}
-					dlv = drv
-					if s < limit {
-						s, c = negInf32, codeNone
-					}
-					if s > rowBest {
-						rowBest = s
-					}
-					outRow[k] = s
-					codeRow[k] = c
 				}
-				tb.packRow(cell, codeRow)
+				dlv = drv
+				if s < limit {
+					s, c = negInf32, codeNone
+				}
+				if s > rowBest {
+					rowBest = s
+				}
+				outRow[k] = s
+				codeRow[k] = c
 			}
+			tb.packRow(cell, codeRow)
 			i = iB + 1
 		}
 		if peelDiag {
@@ -292,14 +293,87 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 		d2cl = d1cl
 		d1cl, d1lo, d1hi = cl, lo, hi
 	}
-	w.wide.b0, w.wide.b1, w.wide.b2 = out, d1b, d2b
 
 	acc.flush(&res.Stats)
 	res.Score = int(best)
 	res.EndH = bestI
 	res.EndV = bestD - bestI
-	trc.Score, trc.EndH, trc.EndV = res.Score, res.EndH, res.EndV
-	trc.Clamped = res.Stats.Clamped
-	trc.TraceBytes = tb.traceBytes()
-	return res, trc, nil
+	return res, tb.trace(res), nil
+}
+
+// trace is the Trace of the finished recording whose Result is r.
+func (tb *tracer) trace(r Result) Trace {
+	return Trace{Score: r.Score, EndH: r.EndH, EndV: r.EndV, Clamped: r.Stats.Clamped, TraceBytes: tb.traceBytes()}
+}
+
+// recordResident runs fusedLinear's antidiagonal loop in sweepLinearVec's
+// recording kind, from the state fusedLinear has set up: b0, b1 and b2
+// grown, b1 and b2 seeded, acc and the recording holding antidiagonal 0.
+//
+// Between calls Go does what the Go loop's beginDiag does on every row:
+// before a call, dirs gets room for the next row — grown the way beginDiag
+// grows it, so the allocations are the Go loop's — or, when that row would
+// pass maxTraceCells, the recording fails with ErrTraceTooLarge on the
+// antidiagonal the Go loop fails on. The call then records rows until the
+// extension ends, its row budget (sweepRows) is spent, or the next row does
+// not fit in dirs. The code stream's part byte is read back when a call
+// opens the stream and written back when it returns.
+func (tb *tracer) recordResident(b *scoreBufs[int32], hq, vq []byte, p Params, capacity int, acc statAcc, res *Result) error {
+	st := sweepState{
+		hq: unsafe.SliceData(hq), vq: unsafe.SliceData(vq), sim: rowSimOf(p.Scorer),
+		m: len(hq), n: len(vq), capacity: capacity,
+		gap: int32(p.Gap), x: int32(min(p.X, 1<<30)),
+		d1: &b.b1[0], d2: &b.b2[0], out: &b.b0[0],
+		d: 1, limit: pruneLimit(0, p.X, negInf32), acc: acc,
+		record: true, cls: unsafe.SliceData(tb.cls), offs: unsafe.SliceData(tb.offs),
+	}
+	offs := tb.offs[:cap(tb.offs)]
+	dirs := tb.dirs[:cap(tb.dirs)]
+	for !st.done {
+		at, width := int(offs[st.d]), st.rowWidth()
+		if width <= 0 {
+			break
+		}
+		if int64(at)+int64(width) > maxTraceCells {
+			tb.dirs = dirs[:(at+3)>>2]
+			return ErrTraceTooLarge
+		}
+		if need, used := (at+width+3)>>2, (at+3)>>2; need > len(dirs) {
+			dirs = append(dirs[:used], make([]byte, need-used)...)
+			dirs = dirs[:cap(dirs)]
+		}
+		st.openStream(dirs, at)
+		st.rows = sweepRows
+		sweepLinearVec(&st)
+		st.closeStream(dirs)
+		if st.rows == sweepRows && !st.done {
+			panic("core: the recording kernel refused a row that fits")
+		}
+	}
+	tb.cls, tb.offs = tb.cls[:st.d], tb.offs[:st.d+1]
+	tb.dirs = dirs[:(offs[st.d]+3)>>2]
+	st.finish(res)
+	return nil
+}
+
+// openStream points the recording kind's code stream at cell at of dirs:
+// its byte, and that byte's bits below the cell as the carry.
+func (st *sweepState) openStream(dirs []byte, at int) {
+	st.dirs, st.dirb = unsafe.SliceData(dirs), at>>2
+	st.bits = uint32(at&3) * 2
+	st.mul = 1 << st.bits
+	st.carry = 0
+	if st.bits != 0 {
+		st.carry = uint32(dirs[st.dirb]) & (st.mul - 1)
+	}
+	st.cellEnd = int(min(int64(4*len(dirs)), maxTraceCells))
+}
+
+// closeStream stores the stream's carry in its part byte, under the bits
+// above it.
+func (st *sweepState) closeStream(dirs []byte) {
+	if st.bits != 0 {
+		c := &dirs[st.dirb]
+		*c = *c&^byte(st.mul-1) | byte(st.carry)
+	}
 }

@@ -349,10 +349,10 @@ func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p Params, negInf, guar
 // at this bound a call is some tens of microseconds.
 const sweepRows = 4096
 
-// sweepState is linearSweep's loop state in the layout sweepLinearVec
-// (row_amd64.s, through go_asm.h) reads and updates in place: the
-// per-extension constants, then what a row hands to the next. The names are
-// linearSweep's.
+// sweepState is the loop state of both linear int32 sweeps in the layout
+// sweepLinearVec (row_amd64.s, through go_asm.h) reads and updates in
+// place: the per-extension constants, then what a row hands to the next.
+// The names are linearSweep's and fusedLinear's.
 type sweepState struct {
 	hq, vq      *byte // cell 0 of the staged operands (Workspace.operands)
 	sim         rowSim
@@ -369,6 +369,34 @@ type sweepState struct {
 	acc                    statAcc // without antid, which is d
 	rows                   int     // antidiagonals left in this call
 	clamped, done          bool
+
+	// The recording kind (record set; tracer.recordResident): every row
+	// also writes the tracer's cls[d] and offs[d+1], and appends its cells'
+	// 2-bit codes to the packed stream in dirs — byte dirb, whose bits
+	// below bit position bits (mul = 1 << bits) are the carry. A row that
+	// would end past cell cellEnd is not started: the call returns first.
+	record           bool
+	cls, offs        *int32
+	dirs             *byte
+	dirb, cellEnd    int
+	carry, bits, mul uint32
+}
+
+// finish writes the Result of a completed sweep.
+func (st *sweepState) finish(res *Result) {
+	st.acc.antid = st.d // antidiagonal 0 and the d − 1 rows computed
+	st.acc.flush(&res.Stats)
+	res.Stats.Clamped = st.clamped
+	res.Score = int(st.best)
+	res.EndH = st.bestI
+	res.EndV = st.bestD - st.bestI
+}
+
+// rowWidth is the width of antidiagonal d's window as sweepLinearVec's row
+// head computes it — the live bounds of d−1 widened by one, cut to the
+// matrix and to capacity — or ≤ 0 when the extension has ended.
+func (st *sweepState) rowWidth() int {
+	return min(min(st.d1hi+1, st.m)-max(st.d1lo, st.d-st.n)+1, st.capacity)
 }
 
 // sweepResident runs the antidiagonal loop of linearSweep's int32
@@ -390,10 +418,5 @@ func sweepResident(b *scoreBufs[int32], hq, vq []byte, p Params, capacity int, a
 		st.rows = sweepRows
 		sweepLinearVec(&st)
 	}
-	st.acc.antid = st.d // antidiagonal 0 and the d − 1 rows computed
-	st.acc.flush(&res.Stats)
-	res.Stats.Clamped = st.clamped
-	res.Score = int(st.best)
-	res.EndH = st.bestI
-	res.EndV = st.bestD - st.bestI
+	st.finish(res)
 }

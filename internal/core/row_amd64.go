@@ -3,12 +3,12 @@
 package core
 
 // rowVec reports whether the linear sweeps may run an int32 extension in
-// the assembly of row_amd64.s — the score sweep whole (sweepLinearVec), the
-// recording sweep row by row (rowCodesVec): the CPU has AVX2 and the OS
-// saves the YMM state. The assembly uses nothing beyond AVX2: its bit scans
-// are BSF/BSR on values it knows are non-zero, not BMI's TZCNT/LZCNT, and
-// the recording row packs its direction codes with VPMOVMSKB and shifts
-// them into place with IMUL and SHL by CL, not BMI2's PEXT or SHLX.
+// the assembly of row_amd64.s — the score sweep and the recording sweep
+// alike, whole, in sweepLinearVec: the CPU has AVX2 and the OS saves the
+// YMM state. The assembly uses nothing beyond AVX2: its bit scans are
+// BSF/BSR on values it knows are non-zero, not BMI's TZCNT/LZCNT, and the
+// recording rows pack their direction codes with VPMOVMSKB and shift them
+// into place with IMUL and SHL by CL, not BMI2's PEXT or SHLX.
 // Decided once at init; it selects machine code, never results.
 var rowVec = hasAVX2()
 
@@ -36,7 +36,10 @@ func xgetbv() (eax, edx uint32)
 // in either layout, until the extension ends (st.done) or st.rows of them
 // are computed; the caller re-enters it until done. A row is ⌈width/8⌉
 // vectors: whole ones while more than eight cells are left, then one
-// masked tail of one to eight cells.
+// masked tail of one to eight cells. With st.record set the rows are
+// fusedLinear's, three buffers rotating, and each also records (see
+// sweepState): it returns early, before a row, when that row would end
+// past st.cellEnd.
 //
 // Memory contract (TestSweepKernelMatchesGeneric runs it with every buffer
 // flush against an unmapped page, at its end and at its start):
@@ -53,31 +56,13 @@ func xgetbv() (eax, edx uint32)
 //   - Operands (st.hq, st.vq) are Workspace.operands': it reads hq[−1:m+7]
 //     and vq[0:n+8], inside the seqPad bytes staged around both, and
 //     writes neither.
+//   - Recording (TestRowCodesKernelMatchesGeneric, and the recording
+//     checks of TestSweepKernelMatchesGeneric, place dirs flush against an
+//     unmapped page at either end): it writes cls[d] and offs[d+1] of every
+//     row it computes and the code stream's whole bytes from dirs[dirb]
+//     on, never a byte past the one holding cell cellEnd−1 — the last part
+//     byte stays in carry — and it reads offs[d].
 //   - Of *st it reads the constants and rewrites the rest.
 //
 //go:noescape
 func sweepLinearVec(st *sweepState)
-
-// rowCodesVec is the recording sweep's row body, one call per antidiagonal
-// — the tracer's window index between rows is Go — over the n ≥ 1 interior
-// cells fusedLinear's peeled boundaries leave: ⌊n/8⌋ whole vectors, then
-// one masked tail over the n&7 cells left. The score pointers address cell
-// 0 of the row: out[k] is written, d2[k−1] (wlast for k = 0) is the
-// diagonal predecessor, d1[k−1] and d1[k] the gap predecessors, and sim
-// says how Sim(hq[k], vq[k]) is obtained (rowSim). Cell k's direction code
-// (codeNone/Diag/Up/Left by fusedLinear's rule) is stored packed, as
-// tracer.setCode would store it at dirs cell cell+k: dirs is the tracer's
-// dirs[0] and cell the row's first cell offset in it. It returns the row
-// maximum.
-//
-// Memory contract (TestRowCodesKernelMatchesGeneric places every operand
-// flush against an unmapped page, and dirs at both ends): it writes
-// out[0:n] and the dirs bytes [cell>>2, (cell+n−1)>>2] and nothing else —
-// of those bytes only the bits of cells cell … cell+n−1 change, the first
-// and last byte being read back for the others; it reads d1[−1:n],
-// hq[0:n] and vq[0:n] and nothing else; and it reads d2 from d2[−1] up to
-// rowSlack elements past d2[n−1], because a vector's diagonal operand is
-// loaded whole.
-//
-//go:noescape
-func rowCodesVec(out, d2, d1 *int32, hq, vq *byte, sim *rowSim, n int, wlast, gap, limit int32, dirs *byte, cell int) (best int32)

@@ -3,24 +3,24 @@
 #include "textflag.h"
 #include "go_asm.h"
 
-// The score sweep (sweepLinearVec: the whole antidiagonal loop) and the
-// recording sweep's row (rowCodesVec: one call per antidiagonal) compute
-// their cells with one recurrence, ROW_STEP, expanded with three choices as
-// macro parameters: where the similarity comes from (SIM_TABLE / SIM_EQ),
-// whether the direction compares are kept (ROW_NOMASKS / ROW_DIRMASKS), and
-// how the step loads d−1 and stores (ROW_D1_WHOLE + ROW_STORE_WHOLE for a
-// whole vector; for a row's masked tail ROW_D1_TAIL + ROW_STORE_TAIL in
-// rowCodesVec, ROW_D1_WHOLE + SWEEP_STORE_TAIL in the sweep, whose buffers
-// have spare cells behind every row).
+// sweepLinearVec runs the whole antidiagonal loop of both linear int32
+// sweeps: the score sweep's (linearSweep) and the recording sweep's
+// (fusedLinear). Their rows compute the cells with one recurrence,
+// ROW_STEP, expanded with the choices of a row as macro parameters: where
+// the similarity comes from (SIM_TABLE / SIM_EQ), whether the direction
+// compares are kept (ROW_NOMASKS / ROW_DIRMASKS), and how the step stores
+// (ROW_STORE_WHOLE for a whole vector, SWEEP_STORE_TAIL for a row's masked
+// tail). A score row and a recording row are different SWEEP_WHOLE
+// instantiations, chosen once per row; the recording one also packs each
+// step's direction codes (ROW_PUT) into the tracer's code stream.
 //
-// Registers of a row, both symbols: DI out, SI d2, DX d1, R8 hq, R9 vq, R10
-// the similarity table (nil: compare form), CX cells left; AX BX R11
-// scratch. Y0 the diagonal operand, then the cells; Y1 the next diagonal
-// operand (tail: the lane mask); Y7 the running row maximum; Y8 gap, Y9
-// limit, Y10 negInf; Y14 match, Y15 mismatch, X6 the wildcard byte ×16;
-// Y2–Y5 temporaries. rowCodesVec adds Y11 Y12 the direction masks and R12
-// R13 R14 its packed-code stream (see there); sweepLinearVec's are listed
-// with it.
+// Registers of a row: DI out, SI d2, DX d1, R8 hq, R9 vq, R10 the
+// similarity table (nil: compare form), CX cells left; AX BX R11 scratch.
+// Y0 the diagonal operand, then the cells; Y1 the next diagonal operand
+// (tail: the lane mask); Y7 the running row maximum; Y8 gap, Y9 limit, Y10
+// negInf; Y14 match, Y15 mismatch, X6 the wildcard byte ×16; Y2–Y5
+// temporaries; a recording row's direction masks are Y11 and Y5. The
+// sweep's own registers are listed with it.
 
 // rowLaneMask is eight all-ones dwords then eight zero dwords: the 32 bytes
 // at offset 4·(8−r) are the lane mask of a tail of r cells, lanes 0..r−1
@@ -39,29 +39,6 @@ GLOBL rowLaneMask<>(SB), RODATA|NOPTR, $64
 DATA rowNegInf<>+0(SB)/4, $const_negInf32
 GLOBL rowNegInf<>(SB), RODATA|NOPTR, $4
 
-// ROW_ENTER loads rowCodesVec's arguments and the first diagonal operand
-// d2[−1..6] into Y0, lane 0 from the wlast argument.
-#define ROW_ENTER \
-	MOVQ         out+0(FP), DI   \
-	MOVQ         d2+8(FP), SI    \
-	MOVQ         d1+16(FP), DX   \
-	MOVQ         hq+24(FP), R8   \
-	MOVQ         vq+32(FP), R9   \
-	MOVQ         sim+40(FP), R10 \
-	VPBROADCASTD rowSim_match(R10), Y14    \
-	VPBROADCASTD rowSim_mismatch(R10), Y15 \
-	VPBROADCASTB rowSim_wildcard(R10), X6  \
-	MOVQ         rowSim_tab(R10), R10      \
-	MOVQ         n+48(FP), CX    \
-	VPBROADCASTD gap+60(FP), Y8   \
-	VPBROADCASTD limit+64(FP), Y9 \
-	VPBROADCASTD rowNegInf<>(SB), Y10 \
-	VMOVDQA      Y10, Y7         \
-	VMOVDQU      -4(SI), Y0      \
-	MOVL         wlast+56(FP), AX \
-	VMOVD        AX, X1          \
-	VPBLENDD     $1, Y1, Y0, Y0
-
 // ROW_FETCH loads what a whole step takes from beyond its own cells: the
 // next vector's diagonal operand d2[k+7..k+14] — before this step's store,
 // see ROW_STORE_WHOLE — and the eight h and v bytes.
@@ -69,41 +46,6 @@ GLOBL rowNegInf<>(SB), RODATA|NOPTR, $4
 	VMOVDQU 28(SI), Y1 \
 	VMOVQ   (R8), X4   \
 	VMOVQ   (R9), X5
-
-// ROW_TAIL_FETCH is rowCodesVec's ROW_FETCH for the r = CX < 8 cells
-// behind the last whole vector: Y1 becomes their lane mask (there is no next operand), and
-// X4 and X5 get exactly r bytes each, zero-extended. A row of at least
-// eight cells owns the eight bytes that end at its last one, so they are
-// loaded whole and shifted down; a shorter row is gathered byte by byte.
-// Neither reads hq or vq outside [0, n).
-#define ROW_TAIL_FETCH \
-	MOVQ    $8, BX                \
-	SUBQ    CX, BX                \
-	LEAQ    rowLaneMask<>(SB), AX \
-	VMOVDQU (AX)(BX*4), Y1        \
-	CMPQ    n+48(FP), $8          \
-	JB      gather                \
-	SHLQ    $3, BX                \
-	VMOVQ   BX, X2                \
-	VMOVQ   -8(R8)(CX*1), X4      \
-	VMOVQ   -8(R9)(CX*1), X5      \
-	VPSRLQ  X2, X4, X4            \
-	VPSRLQ  X2, X5, X5            \
-	JMP     fetched               \
-gather:                           \
-	XORL    AX, AX                \
-	XORL    BX, BX                \
-	MOVQ    CX, R11               \
-gatherloop:                       \
-	SHLQ    $8, AX                \
-	SHLQ    $8, BX                \
-	MOVB    -1(R8)(R11*1), AL     \
-	MOVB    -1(R9)(R11*1), BL     \
-	DECQ    R11                   \
-	JNZ     gatherloop            \
-	VMOVQ   AX, X4                \
-	VMOVQ   BX, X5                \
-fetched:
 
 // LANE looks up tab[h][v] for the 16-bit index h<<8|v in the low word of
 // idx and inserts the byte into lane n of X5; idx is shifted on to the
@@ -115,7 +57,7 @@ fetched:
 
 // SIM_TABLE is the similarity of any scorer: Y4 = sext(tab[h][v]) for the
 // eight h bytes in X4 and v bytes in X5, eight scalar loads (a tail's
-// spare lanes look up tab[0][0]).
+// spare lanes look up whatever the pad bytes index).
 #define SIM_TABLE \
 	VPUNPCKLBW X4, X5, X4 \
 	VMOVQ      X4, AX     \
@@ -143,17 +85,20 @@ fetched:
 // in Y0 and the sequence bytes in X4 and X5:
 //
 //	s = d2[k−1..k+6] + SIM
-//	g = max(d1[k−1..k+6], d1[k..k+7]) + gap       (D1 loads the two)
-//	MASKS — s in Y0 and g in Y4 are both still whole here
+//	g = max(d1[k−1..k+6], d1[k..k+7]) + gap       (Y2 and Y5)
+//	MASKS — s in Y0, g in Y4 and the two d1 vectors are all still whole here
 //	s = max(s, g)
 //	Y3 = s < limit                                 (the pruned lanes)
 //	STORE — s = Y3 ? negInf : s; best = max(best, s); out[k..] = s
 //
-// Y3 outlives the step.
-#define ROW_STEP(SIM, D1, MASKS, STORE) \
+// d1 is loaded whole in every step: the buffers have spare cells behind
+// every row, and a lane past the row never reaches a stored cell. Y3
+// outlives the step.
+#define ROW_STEP(SIM, MASKS, STORE) \
 	SIM                        \
 	VPADDD     Y4, Y0, Y0      \
-	D1                         \
+	VMOVDQU    -4(DX), Y2      \
+	VMOVDQU    (DX), Y5        \
 	VPMAXSD    Y5, Y2, Y4      \
 	VPADDD     Y8, Y4, Y4      \
 	MASKS                      \
@@ -161,15 +106,11 @@ fetched:
 	VPCMPGTD   Y0, Y9, Y3      \
 	STORE
 
-// A whole step loads d1[k−1..k+7] and stores all eight cells, then steps
-// every pointer to the next vector. In place, out trails d2 by cl−d2cl ≥ 0
-// cells, so the store of out[k..k+7] overwrites d2[k+7] — lane 0 of the
-// next vector's diagonal operand — exactly when that distance is zero:
-// ROW_FETCH has loaded that operand into Y1 before the store.
-#define ROW_D1_WHOLE \
-	VMOVDQU -4(DX), Y2 \
-	VMOVDQU (DX), Y5
-
+// A whole step stores all eight cells, then steps every pointer to the
+// next vector. In place, out trails d2 by cl−d2cl ≥ 0 cells, so the store
+// of out[k..k+7] overwrites d2[k+7] — lane 0 of the next vector's diagonal
+// operand — exactly when that distance is zero: ROW_FETCH has loaded that
+// operand into Y1 before the store.
 #define ROW_STORE_WHOLE \
 	VPBLENDVB Y3, Y10, Y0, Y0 \
 	VPMAXSD Y0, Y7, Y7 \
@@ -181,42 +122,30 @@ fetched:
 	ADDQ    $8, R8     \
 	ADDQ    $8, R9
 
-// The tail step touches memory only in the lanes of ROW_TAIL_FETCH's mask:
-// d1 is read through it (a masked-off lane cannot fault and reads zero),
-// the lanes past the row become −∞ before they can reach the row maximum,
-// and only the row's own cells are stored.
-#define ROW_D1_TAIL \
-	VPMASKMOVD -4(DX), Y1, Y2 \
-	VPMASKMOVD (DX), Y1, Y5
-
-#define ROW_STORE_TAIL \
-	VPBLENDVB  Y3, Y10, Y0, Y0 \
-	VPBLENDVB  Y1, Y0, Y10, Y0 \
-	VPMAXSD    Y0, Y7, Y7      \
-	VPMASKMOVD Y0, Y1, (DI)
-
-// SWEEP_STORE_TAIL is the resident sweep's tail store. The row's live
-// bounds want the live lanes inside the row anyway (Y2, kept), so pruned
-// and out-of-row lanes become −∞ in one blend.
+// SWEEP_STORE_TAIL is the tail store: it touches memory only in the lanes
+// of SWEEP_TAIL_FETCH's mask (Y1). The row's live bounds want the live
+// lanes inside the row anyway (Y2, kept), so pruned and out-of-row lanes
+// become −∞ in one blend, before they can reach the row maximum.
 #define SWEEP_STORE_TAIL \
 	VPANDN     Y1, Y3, Y2      \
 	VPBLENDVB  Y2, Y0, Y10, Y0 \
 	VPMAXSD    Y0, Y7, Y7      \
 	VPMASKMOVD Y0, Y1, (DI)
 
-// The score row keeps no masks.
+// The score row keeps no masks and puts no codes.
 #define ROW_NOMASKS
+#define ROW_NOPUT
 
-// ROW_DIRMASKS keeps the two compares a direction code needs: Y12 =
-// gapTaken (g > s, strictly — the diagonal wins ties) and Y11 = leftWins
+// ROW_DIRMASKS keeps the two compares a direction code needs: Y11 =
+// gapTaken (g > s, strictly — the diagonal wins ties) and Y5 = leftWins
 // (d1[k] > d1[k−1], strictly — up wins ties).
 #define ROW_DIRMASKS \
-	VPCMPGTD Y0, Y4, Y12 \
-	VPCMPGTD Y2, Y5, Y11
+	VPCMPGTD Y0, Y4, Y11 \
+	VPCMPGTD Y2, Y5, Y5
 
-// ROW_PACK turns the masks a ROW_STEP(…, ROW_DIRMASKS, …) left behind into
-// the eight cells' packed direction codes, cell k in bits 2k and 2k+1 of AX
-// (bits 16 and up zero):
+// ROW_PACK turns the masks a ROW_STEP(…, ROW_DIRMASKS, …) left behind, and
+// the pruned lanes in Y3, into the eight cells' packed direction codes,
+// cell k in bits 2k and 2k+1 of AX (bits 16 and up zero):
 //
 //	bit 1 = ¬pruned ∧ gapTaken
 //	bit 0 = ¬pruned ∧ (¬gapTaken ∨ leftWins)
@@ -228,47 +157,41 @@ fetched:
 // (VPACKSSWB) leaves sixteen bytes in bit order, whose signs VPMOVMSKB
 // collects.
 #define ROW_PACK \
-	VPANDN       Y12, Y11, Y11 \
-	VPOR         Y3, Y11, Y11  \
-	VPANDN       Y12, Y3, Y12  \
-	VPUNPCKLDQ   Y12, Y11, Y4  \
-	VPUNPCKHDQ   Y12, Y11, Y5  \
+	VPANDN       Y11, Y5, Y5   \
+	VPOR         Y3, Y5, Y5    \
+	VPANDN       Y11, Y3, Y11  \
+	VPUNPCKLDQ   Y11, Y5, Y4   \
+	VPUNPCKHDQ   Y11, Y5, Y5   \
 	VPACKSSDW    Y5, Y4, Y4    \
 	VEXTRACTI128 $1, Y4, X5    \
 	VPACKSSWB    X5, X4, X4    \
 	VPMOVMSKB    X4, AX        \
 	XORL         $0x5555, AX
 
-// ROW_PUT appends a whole step's sixteen code bits (AX) to the packed
-// stream: shifted up to the row's first bit (× R14), under the carry R13
-// — the bits of the byte at R12 that are already decided — one 16-bit
-// store, and the bits shifted past it become the next carry.
+// ROW_PUT appends a whole step's sixteen code bits to the packed stream
+// (sweepState's dirs, dirb, carry, bits, mul): shifted up to the stream's
+// bit position (× mul), under the carry — the bits of byte dirb that are
+// already decided — one 16-bit store, and the bits shifted past it become
+// the next carry. The position within a byte does not move.
 #define ROW_PUT \
-	IMULL R14, AX  \
-	ORL   R13, AX  \
-	MOVW  AX, (R12) \
-	SHRL  $16, AX  \
-	MOVL  AX, R13  \
-	ADDQ  $2, R12
-
-// ROW_LEAVE reduces the row maximum into AX.
-#define ROW_LEAVE \
-	VEXTRACTI128 $1, Y7, X2  \
-	VPMAXSD      X2, X7, X7  \
-	VPSHUFD      $0x4E, X7, X2 \
-	VPMAXSD      X2, X7, X7  \
-	VPSHUFD      $0xB1, X7, X2 \
-	VPMAXSD      X2, X7, X7  \
-	VMOVD        X7, AX
+	ROW_PACK                        \
+	IMULL sweepState_mul(R13), AX   \
+	ORL   sweepState_carry(R13), AX \
+	MOVQ  sweepState_dirs(R13), BX  \
+	ADDQ  sweepState_dirb(R13), BX  \
+	MOVW  AX, (BX)                  \
+	SHRL  $16, AX                   \
+	MOVL  AX, sweepState_carry(R13) \
+	ADDQ  $2, sweepState_dirb(R13)
 
 // ROW0 is the byte offset of a stored row's first cell behind its buffer's
 // lower guards.
 #define ROW0 (4*const_bufPad)
 
-// SWEEP_TAIL_FETCH is the resident sweep's fetch for the r = CX cells, one
-// to eight, of a row's last vector: Y1 becomes their lane mask, and X4 and
-// X5 load eight bytes each — the operands are staged with seqPad bytes
-// behind them, and the lanes past the row are masked off.
+// SWEEP_TAIL_FETCH is the fetch for the r = CX cells, one to eight, of a
+// row's last vector: Y1 becomes their lane mask, and X4 and X5 load eight
+// bytes each — the operands are staged with seqPad bytes behind them, and
+// the lanes past the row are masked off.
 #define SWEEP_TAIL_FETCH \
 	MOVQ    $8, BX                \
 	SUBQ    CX, BX                \
@@ -298,13 +221,14 @@ lobit:                     \
 	JMP  lobit             \
 done:
 
-// SWEEP_WHOLE is a whole step of the resident sweep and its loop control:
-// a vector is whole while more than eight cells are left, so that every
-// row ends in a tail step.
-#define SWEEP_WHOLE(SIM, loop, lobit, dead) \
+// SWEEP_WHOLE is a whole step of a row and its loop control: a vector is
+// whole while more than eight cells are left, so that every row ends in a
+// tail step.
+#define SWEEP_WHOLE(SIM, MASKS, PUT, loop, lobit, dead) \
 loop:                         \
 	ROW_FETCH                 \
-	ROW_STEP(SIM, ROW_D1_WHOLE, ROW_NOMASKS, ROW_STORE_WHOLE) \
+	ROW_STEP(SIM, MASKS, ROW_STORE_WHOLE) \
+	PUT                       \
 	VMOVMSKPS Y3, AX          \
 	XORL      $0xff, AX       \
 	JZ        dead            \
@@ -318,10 +242,12 @@ loop:                         \
 // linearSweep's antidiagonal loop (linear.go), statement for statement,
 // with the row computed by ROW_STEP: no boundary cell is peeled, because
 // the −∞ guards around every stored row and the pad bytes around both
-// operands make the general recurrence yield them (see linearSweep).
+// operands make the general recurrence yield them (see linearSweep). With
+// st.record set it is fusedLinear's loop: the same rows, each of which
+// also writes the tracer's window index and its cells' direction codes.
 //
-// Registers, beyond the row bodies' (top of file): R13 st; between rows R14
-// and R15 are d1lo and d1hi, inside a row the bounds it has found so far
+// Registers, beyond the rows' (top of file): R13 st; between rows R14 and
+// R15 are d1lo and d1hi, inside a row the bounds it has found so far
 // (SWEEP_BOUNDS) and R12 is cu + 1. Y9 is the prune limit of the next row
 // to compute, Y12 is X; the row maximum is reduced across Y7's lanes and
 // folded into Y9 without leaving the vector registers. Everything else of
@@ -380,30 +306,32 @@ window:
 	ADDQ    AX, R9
 	SUBQ    R12, R9
 	ADDQ    sweepState_n(R13), R9
+	VMOVDQA Y10, Y7
+	VMOVDQU -4(SI), Y0
+	CMPB    sweepState_record(R13), $0
+	JNE     recrow
 	LEAQ    1(BX), R12
 	MOVQ    R12, R14
 	MOVQ    $-1, R15
-	VMOVDQA Y10, Y7
-	VMOVDQU -4(SI), Y0
 	TESTQ   R10, R10
 	JZ      eqrow
 	CMPQ    CX, $8
 	JLE     tabtail
-	SWEEP_WHOLE(SIM_TABLE, tabloop, tablo, tabdead)
+	SWEEP_WHOLE(SIM_TABLE, ROW_NOMASKS, ROW_NOPUT, tabloop, tablo, tabdead)
 
 tabtail:
 	SWEEP_TAIL_FETCH
-	ROW_STEP(SIM_TABLE, ROW_D1_WHOLE, ROW_NOMASKS, SWEEP_STORE_TAIL)
+	ROW_STEP(SIM_TABLE, ROW_NOMASKS, SWEEP_STORE_TAIL)
 	JMP  stored
 
 eqrow:
 	CMPQ CX, $8
 	JLE  eqtail
-	SWEEP_WHOLE(SIM_EQ, eqloop, eqlo, eqdead)
+	SWEEP_WHOLE(SIM_EQ, ROW_NOMASKS, ROW_NOPUT, eqloop, eqlo, eqdead)
 
 eqtail:
 	SWEEP_TAIL_FETCH
-	ROW_STEP(SIM_EQ, ROW_D1_WHOLE, ROW_NOMASKS, SWEEP_STORE_TAIL)
+	ROW_STEP(SIM_EQ, ROW_NOMASKS, SWEEP_STORE_TAIL)
 
 stored:
 	// The tail's live lanes, and the row's upper guards behind its CX cells.
@@ -496,6 +424,85 @@ rotate:
 	JNZ     row
 	JMP     leave
 
+recrow:
+	// A recording row first takes its window in the tracer: offs[d+1] =
+	// offs[d] + width — unless that passes cellEnd, when the call returns
+	// before the row, its state untouched — and cls[d] = cl.
+	MOVQ    sweepState_d(R13), R12
+	MOVQ    sweepState_offs(R13), R11
+	MOVLQZX (R11)(R12*4), AX
+	ADDQ    CX, AX
+	CMPQ    AX, sweepState_cellEnd(R13)
+	JGT     leave
+	MOVL    AX, 4(R11)(R12*4)
+	MOVQ    sweepState_cls(R13), R11
+	MOVQ    sweepState_cl(R13), AX
+	MOVL    AX, (R11)(R12*4)
+	LEAQ    1(BX), R12
+	MOVQ    R12, R14
+	MOVQ    $-1, R15
+	TESTQ   R10, R10
+	JZ      receqrow
+	CMPQ    CX, $8
+	JLE     rectabtail
+	SWEEP_WHOLE(SIM_TABLE, ROW_DIRMASKS, ROW_PUT, rectabloop, rectablo, rectabdead)
+
+rectabtail:
+	SWEEP_TAIL_FETCH
+	ROW_STEP(SIM_TABLE, ROW_DIRMASKS, SWEEP_STORE_TAIL)
+	JMP  rectail
+
+receqrow:
+	CMPQ CX, $8
+	JLE  receqtail
+	SWEEP_WHOLE(SIM_EQ, ROW_DIRMASKS, ROW_PUT, receqloop, receqlo, receqdead)
+
+receqtail:
+	SWEEP_TAIL_FETCH
+	ROW_STEP(SIM_EQ, ROW_DIRMASKS, SWEEP_STORE_TAIL)
+
+rectail:
+	// The tail's codes, with the lanes past the row counted as pruned (Y3 =
+	// ¬Y2) so that their bits are zero, join the stream behind the carry:
+	// its 2r code bits and the carry's bits make T bits, of which the whole
+	// bytes are stored and the rest — T mod 8 of them — is the new carry.
+	// CX (r) is kept in R11 for the row's bounds.
+	VPCMPEQD Y4, Y4, Y4
+	VPANDN   Y4, Y2, Y3
+	ROW_PACK
+	MOVQ     CX, R11
+	IMULL    sweepState_mul(R13), AX
+	ORL      sweepState_carry(R13), AX
+	MOVL     sweepState_bits(R13), CX
+	LEAL     (CX)(R11*2), CX
+	MOVQ     sweepState_dirs(R13), BX
+	ADDQ     sweepState_dirb(R13), BX
+	CMPL     CX, $16
+	JB       recbyte
+	MOVW     AX, (BX)
+	SHRL     $16, AX
+	ADDQ     $2, BX
+	SUBL     $16, CX
+
+recbyte:
+	CMPL CX, $8
+	JB   reccarry
+	MOVB AX, (BX)
+	SHRL $8, AX
+	INCQ BX
+	SUBL $8, CX
+
+reccarry:
+	SUBQ sweepState_dirs(R13), BX
+	MOVQ BX, sweepState_dirb(R13)
+	MOVL AX, sweepState_carry(R13)
+	MOVL CX, sweepState_bits(R13)
+	MOVL $1, AX
+	SHLL CX, AX
+	MOVL AX, sweepState_mul(R13)
+	MOVQ R11, CX
+	JMP  stored
+
 clamp:
 	// The window would outgrow δb: re-centre it on the first cell of d−1,
 	// from d1lo on, that holds d1best — there is one, and the scan reads up
@@ -539,116 +546,6 @@ leave:
 	MOVQ  R14, sweepState_d1lo(R13)
 	MOVQ  R15, sweepState_d1hi(R13)
 	VMOVD X9, sweepState_limit(R13)
-	VZEROUPPER
-	RET
-
-// func rowCodesVec(out, d2, d1 *int32, hq, vq *byte, sim *rowSim, n int, wlast, gap, limit int32, dirs *byte, cell int) (best int32)
-//
-// One row of the recording sweep: ⌊n/8⌋ whole steps and a masked tail, the
-// direction codes of each step packed from the masks the row arithmetic
-// leaves behind (ROW_PACK) and written as a bit stream into dirs from cell
-// on, 2 bits per cell (tracer.setCode's layout). R12 is the byte the
-// stream is at, R14 = 1 << 2·(cell&3) the row's first bit within its first
-// byte, as a multiplier, and R13 the carry: the bits below the stream's
-// position in the byte at R12 — at entry the earlier cells' bits of the
-// head byte, read back; after a whole step the step's codes shifted past
-// its 16-bit store. The tail ends the stream: every byte the row's last
-// cells touch is written, the last one merged with what it holds above
-// them, so dirs is written in [cell>>2, (cell+n−1)>>2] only and no bit of
-// another cell changes.
-TEXT ·rowCodesVec(SB), NOSPLIT, $0-92
-	ROW_ENTER
-	MOVQ    cell+80(FP), CX
-	MOVQ    CX, R12
-	SHRQ    $2, R12
-	ADDQ    dirs+72(FP), R12
-	ANDL    $3, CX
-	ADDL    CX, CX
-	MOVL    $1, R14
-	SHLL    CX, R14
-	MOVBLZX (R12), R13
-	LEAL    -1(R14), AX
-	ANDL    AX, R13
-	MOVQ    n+48(FP), CX
-	CMPQ    CX, $8
-	JB      tail
-	TESTQ   R10, R10
-	JZ      eqloop
-
-tabloop:
-	ROW_FETCH
-	ROW_STEP(SIM_TABLE, ROW_D1_WHOLE, ROW_DIRMASKS, ROW_STORE_WHOLE)
-	ROW_PACK
-	ROW_PUT
-	SUBQ  $8, CX
-	CMPQ  CX, $8
-	JAE   tabloop
-	JMP   tail
-
-eqloop:
-	ROW_FETCH
-	ROW_STEP(SIM_EQ, ROW_D1_WHOLE, ROW_DIRMASKS, ROW_STORE_WHOLE)
-	ROW_PACK
-	ROW_PUT
-	SUBQ  $8, CX
-	CMPQ  CX, $8
-	JAE   eqloop
-
-tail:
-	// With no cell left only the carry is: CX = 0 bits of codes behind it.
-	MOVL  R13, AX
-	TESTQ CX, CX
-	JZ    flush
-	ROW_TAIL_FETCH
-	TESTQ R10, R10
-	JZ    eqtail
-	ROW_STEP(SIM_TABLE, ROW_D1_TAIL, ROW_DIRMASKS, ROW_STORE_TAIL)
-	JMP   tailcodes
-
-eqtail:
-	ROW_STEP(SIM_EQ, ROW_D1_TAIL, ROW_DIRMASKS, ROW_STORE_TAIL)
-
-tailcodes:
-	// The r = CX cells' 2r code bits (the lanes past the row are dropped),
-	// behind the carry.
-	ROW_PACK
-	ADDL  CX, CX
-	MOVL  $1, BX
-	SHLL  CX, BX
-	DECL  BX
-	ANDL  BX, AX
-	IMULL R14, AX
-	ORL   R13, AX
-
-flush:
-	// CX becomes the stream's bit count from R12 on: the codes' plus the
-	// carry's, 2·(cell&3) (the bit R14 stands at). Whole bytes are stored,
-	// then the last part-byte under the bits above it.
-	BSFL R14, BX
-	ADDL BX, CX
-
-flushbyte:
-	CMPL CX, $8
-	JB   flushlast
-	MOVB AX, (R12)
-	SHRL $8, AX
-	INCQ R12
-	SUBL $8, CX
-	JMP  flushbyte
-
-flushlast:
-	TESTL   CX, CX
-	JZ      done
-	MOVL    $0xff, BX
-	SHLL    CX, BX
-	MOVBLZX (R12), R11
-	ANDL    BX, R11
-	ORL     R11, AX
-	MOVB    AX, (R12)
-
-done:
-	ROW_LEAVE
-	MOVL AX, best+88(FP)
 	VZEROUPPER
 	RET
 

@@ -3,6 +3,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"runtime/debug"
 	"slices"
@@ -50,29 +52,11 @@ func (g *guarded) mapping(n int, front bool) []byte {
 	return b
 }
 
-// scores returns n int32 cells ending at an unmapped page.
-func (g *guarded) scores(n int) []int32 { return g.scoresAt(n, false) }
-
 // scoresAt returns n int32 cells ending at an unmapped page or, with front
 // set, starting right behind one.
 func (g *guarded) scoresAt(n int, front bool) []int32 {
 	b := g.mapping(4*n, front)
 	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n)
-}
-
-// pair draws cnt symbol pairs from alpha, equal about half the time, each
-// slice ending at the last byte before an unmapped page — or, with front
-// set, starting at the first byte behind one.
-func (g *guarded) pair(rng *rand.Rand, cnt int, alpha []byte, front bool) (hq, vq []byte) {
-	hq, vq = g.mapping(cnt, front), g.mapping(cnt, front)
-	for i := range hq {
-		hq[i] = alpha[rng.Intn(len(alpha))]
-		vq[i] = hq[i]
-		if rng.Intn(2) == 0 {
-			vq[i] = alpha[rng.Intn(len(alpha))]
-		}
-	}
-	return hq, vq
 }
 
 // dnaWild is the alphabet of the Simple-scorer cases: the four bases, the
@@ -168,7 +152,7 @@ func seatWorkspace(w *Workspace, g *guarded, front bool, m, n int, p Params) {
 // buffer and both staged operands against an unmapped page, and through
 // linearSweep's Go loop, and compares everything either leaves behind: the
 // Result with every Stats field, and each buffer to the end of its
-// capacity.
+// capacity. Then it does the same for the recording kind (checkRecording).
 func checkSweep(t testing.TB, hv, vv View, p Params, front bool) Result {
 	t.Helper()
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
@@ -196,6 +180,7 @@ func checkSweep(t testing.TB, hv, vv View, p Params, front bool) Result {
 	if !slices.Equal(vec.hq[:cap(vec.hq)], gen.hq[:cap(gen.hq)]) || !slices.Equal(vec.vq[:cap(vec.vq)], gen.vq[:cap(gen.vq)]) {
 		t.Errorf("%v front=%v: a staged operand differs after the sweep", p, front)
 	}
+	checkRecording(t, hv, vv, p, front, -1)
 	return want
 }
 
@@ -223,7 +208,10 @@ var sweepEdges = []struct {
 // scorer form with wildcards, lowercase and bytes ≥ 0x80, clamping δb, and
 // one extension longer than sweepRows so that the kernel is re-entered —
 // with every buffer the kernel touches against an unmapped page, first at
-// its end, then at its start.
+// its end, then at its start; each as a score sweep and as a recording
+// (checkSweep). Recordings also start from a dirs too small to hold them,
+// so that the recording kind returns to Go for room mid-extension and
+// resumes its code stream at every bit position of a byte.
 func TestSweepKernelMatchesGeneric(t *testing.T) {
 	if !rowVec {
 		t.Skip("no AVX2 on this host")
@@ -270,7 +258,29 @@ func TestSweepKernelMatchesGeneric(t *testing.T) {
 			if r := checkSweep(t, NewView(h), NewView(v), p, false); r.Stats.Antidiagonals <= sweepRows {
 				t.Fatalf("%v: %d antidiagonals, want more than sweepRows = %d", algo, r.Stats.Antidiagonals, sweepRows)
 			}
+			checkRecording(t, NewView(h), NewView(v), p, false, trial)
 		}
+	}
+
+	// A recording whose dirs starts with k bytes returns to Go for room
+	// first on the row that would end past cell 4k, and resumes there — at
+	// whatever bit position of a byte that row starts — with the stream's
+	// carry read back from memory. Every position must turn up.
+	var resumedAt [4]int
+	h := randDNA(rng, 300)
+	v := mutate(rng, h, 0.1)
+	for k := 0; k < 48; k++ {
+		p := Params{Scorer: scoring.DNADefault, Gap: -1, X: 20, DeltaB: []int{0, 16}[k%2], Algo: layouts[k/2%2]}
+		offs := checkRecording(t, NewView(h), View{v, k%3 == 0}, p, k%4 == 0, k)
+		for d := 1; d+1 < len(offs); d++ {
+			if int(offs[d+1]) > 4*k {
+				resumedAt[offs[d]&3]++
+				break
+			}
+		}
+	}
+	if slices.Contains(resumedAt[:], 0) {
+		t.Fatalf("first resumptions by bit position in a byte: %v; want every position", resumedAt)
 	}
 }
 
@@ -374,10 +384,11 @@ func TestVectorSweepMatchesGenericSweep(t *testing.T) {
 
 // rowCodesRef is one recording row in scalar Go: the linear row recurrence
 // (diagonal from d2, wlast for the first cell; gap from the better of two
-// d1 neighbours; pruned below limit) plus fusedLinear's direction
-// rule — the gap move only when it strictly beats the diagonal, up on a tie
-// between the gap sources, codeNone where pruned. It never runs in place. ties counts the cells whose gap move
-// equalled the diagonal and those whose gap sources were equal.
+// d1 neighbours; pruned below limit) plus fusedLinear's direction rule —
+// the gap move only when it strictly beats the diagonal, up on a tie
+// between the gap sources, codeNone where pruned. It never runs in place.
+// ties counts the cells whose gap move equalled the diagonal and those
+// whose gap sources were equal.
 func rowCodesRef(out []int32, codes []byte, d2, d1 []int32, hq, vq []byte, tab *scoring.PairTable, n int, wlast, gap, limit int32) (best int32, ties [2]int) {
 	best = negInf32
 	for k := 0; k < n; k++ {
@@ -405,19 +416,20 @@ func rowCodesRef(out []int32, codes []byte, d2, d1 []int32, hq, vq []byte, tab *
 	return best, ties
 }
 
-// checkCodesRow runs the recording row body, and rowCodesRef followed by
-// packRow, over identical operands and compares everything the body may
-// write: the whole out allocation (cells before the row included), the
-// whole dirs allocation and the row maximum. The row's first code lands at
-// bit 2·head of its first byte, and dirs starts out random, so the earlier
-// cells' bits of that byte and the later cells' bits of the last one must
-// come through unchanged. Every operand ends flush against an unmapped page
-// — d2 rowSlack cells behind the row, out, d1, dirs (at the last cell's
-// byte) and the sequences at their last element — or, with seqHead, the
-// sequences and dirs begin right behind one (dirs at the first cell's
-// byte); and the wlast argument is a value the d2[−1] slot in memory does
-// not hold. It returns rowCodesRef's tie counts.
-func checkCodesRow(t testing.TB, rng *rand.Rand, cnt, formIdx, head int, seqHead bool, limit int32) [2]int {
+// checkCodesRow runs one row of sweepLinearVec's recording kind from a
+// hand-set sweepState, and rowCodesRef followed by packRow over the same
+// operands, and compares everything the row may write: the whole out
+// allocation (guards and spare cells included), the whole dirs allocation,
+// the window index and where the code stream stops. The row is
+// antidiagonal cnt+1 of a (cnt+1)×(cnt+1) extension, cells 1 … cnt, over
+// d1 and d2 rows of random, tie-rich values in which the −∞ guards are
+// ordinary values too. Its first code lands at bit 2·head of a byte, and
+// dirs starts out random, so the earlier cells' bits of that byte and the
+// later cells' bits of the last one must come through unchanged. Every
+// buffer, both staged operands and dirs (at the last cell's byte) end flush
+// against an unmapped page — or, with front, begin right behind one (dirs
+// at the first cell's byte). It returns rowCodesRef's tie counts.
+func checkCodesRow(t testing.TB, rng *rand.Rand, cnt, formIdx, head int, front bool, limit int32) [2]int {
 	t.Helper()
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	g := guarded{t: t}
@@ -432,63 +444,97 @@ func checkCodesRow(t testing.TB, rng *rand.Rand, cnt, formIdx, head int, seqHead
 		}
 		return int32(rng.Intn(7) - 3)
 	}
-	fill := func(b []int32) []int32 {
+	cells := cnt + 2*bufPad + rowSlack // growBuf(cnt)'s capacity
+	row := func() []int32 {
+		b := g.scoresAt(cells, front)
 		for i := range b {
 			b[i] = val()
 		}
 		return b
 	}
-	const lead = 3
-	d1 := fill(g.scores(1 + cnt))
-	d2 := fill(g.scores(lead + cnt + rowSlack))
-	wlast := d2[lead-1]
-	d2[lead-1] = 0x5a5a5a5a
-	hq, vq := g.pair(rng, cnt, form.alpha, seqHead)
-	wantOut := fill(g.scores(lead + cnt))
-	gotOut := g.scores(lead + cnt)
-	copy(gotOut, wantOut)
-
-	// dirs: lead bytes of earlier windows unless it starts at a page, then
-	// the bytes of cells head … head+cnt−1.
-	dirsLead := lead
-	if seqHead {
-		dirsLead = 0
+	d1, d2 := row(), row()
+	staged := func() []byte {
+		b := g.mapping(cnt+1+2*seqPad, front)
+		for i := range b {
+			b[i] = form.alpha[rng.Intn(len(form.alpha))]
+		}
+		return b[seqPad:]
 	}
-	cell := 4*dirsLead + head
-	wantDirs := g.mapping(dirsLead+(head+cnt+3)/4, seqHead)
-	gotDirs := g.mapping(len(wantDirs), seqHead)
-	rng.Read(wantDirs)
-	copy(gotDirs, wantDirs)
-	gap := int32(-1 - rng.Intn(2))
+	hq, vq := staged(), staged()
+	if rng.Intn(2) == 0 {
+		copy(vq[1:cnt+1], hq[:cnt])
+	}
+	gotOut := g.scoresAt(cells, front)
+	wantOut := make([]int32, cells)
+	for i := range gotOut {
+		gotOut[i], wantOut[i] = sweepFill, sweepFill
+	}
 
-	sim := form.sim()
+	// dirs: three bytes of earlier windows unless it starts at a page, then
+	// the bytes of cells head … head+cnt−1.
+	lead := 3
+	if front {
+		lead = 0
+	}
+	cell := 4*lead + head
+	gotDirs := g.mapping(lead+(head+cnt+3)/4, front)
+	rng.Read(gotDirs)
+	wantDirs := slices.Clone(gotDirs)
+
+	d := cnt + 1
+	cls, offs := make([]int32, d+2), make([]int32, d+2)
+	for i := range cls {
+		cls[i], offs[i] = -7, -7
+	}
+	offs[d] = int32(cell)
+	wantCls, wantOffs := slices.Clone(cls), slices.Clone(offs)
+	wantCls[d], wantOffs[d+1] = 1, int32(cell+cnt)
+	gap := int32(-1 - rng.Intn(2))
+	st := sweepState{
+		hq: &hq[0], vq: &vq[0], sim: form.sim(),
+		m: d, n: d, capacity: cnt, gap: gap, x: int32(1 + rng.Intn(20)),
+		d1: &d1[0], d2: &d2[0], out: &gotOut[0],
+		d: d, d1cl: 1, d2cl: 1, d1lo: 1, d1hi: cnt - 1,
+		limit: limit, best: int32(rng.Intn(9) - 4), rows: 1,
+		record: true, cls: &cls[0], offs: &offs[0],
+	}
+	st.openStream(gotDirs, cell)
+	sweepLinearVec(&st)
+	st.closeStream(gotDirs)
 
 	codes := make([]byte, cnt)
-	wantBest, ties := rowCodesRef(wantOut[lead:], codes, d2[lead:], d1, hq, vq, form.scorer.Table(), cnt, wlast, gap, limit)
+	wantOut[0], wantOut[1], wantOut[cnt+2], wantOut[cnt+3] = negInf32, negInf32, negInf32, negInf32
+	_, ties := rowCodesRef(wantOut[bufPad:], codes, d2[bufPad:], d1[bufPad-1:], hq, vq[1:], form.scorer.Table(), cnt, d2[bufPad-1], gap, limit)
 	ref := tracer{dirs: wantDirs}
 	ref.packRow(int32(cell), codes)
-	gotBest := rowCodesVec(&gotOut[lead], &d2[lead], &d1[1], &hq[0], &vq[0], &sim, cnt, wlast, gap, limit, &gotDirs[0], cell)
 
-	if gotBest != wantBest {
-		t.Errorf("%s cnt %d head %d limit %d: rowBest = %d, want %d", form.name, cnt, head, limit, gotBest, wantBest)
+	name := func() string {
+		return fmt.Sprintf("%s cnt %d head %d limit %d front %v", form.name, cnt, head, limit, front)
 	}
 	if !slices.Equal(gotOut, wantOut) {
-		t.Errorf("%s cnt %d head %d limit %d: stored row differs:\n got  %v\n want %v", form.name, cnt, head, limit, gotOut, wantOut)
+		t.Errorf("%s: stored row differs:\n got  %v\n want %v", name(), gotOut, wantOut)
 	}
 	if !slices.Equal(gotDirs, wantDirs) {
-		t.Errorf("%s cnt %d head %d limit %d (cell %d, codes %v): packed directions differ:\n got  %08b\n want %08b",
-			form.name, cnt, head, limit, cell, codes, gotDirs, wantDirs)
+		t.Errorf("%s (cell %d, codes %v): packed directions differ:\n got  %08b\n want %08b", name(), cell, codes, gotDirs, wantDirs)
+	}
+	end := cell + cnt
+	if !slices.Equal(cls, wantCls) || !slices.Equal(offs, wantOffs) {
+		t.Errorf("%s: window index cls %v offs %v, want %v %v", name(), cls, offs, wantCls, wantOffs)
+	}
+	if st.dirb != end>>2 || st.bits != uint32(end&3)*2 || st.mul != 1<<st.bits {
+		t.Errorf("%s: stream stops at byte %d bit %d (mul %d), want byte %d bit %d", name(), st.dirb, st.bits, st.mul, end>>2, end&3*2)
 	}
 	return ties
 }
 
-// TestRowCodesKernelMatchesGeneric drives the recording row body and the
-// scalar rule plus packRow over the same randomized operands: every row
-// length from a single cell through three vectors and a seven-cell tail
-// (so every tail length, alone and behind whole vectors), at each of the
-// four bit positions a row can start at within a dirs byte, every prune
-// regime, both similarity forms, and — checked, not hoped for — cells
-// where the gap move ties with the diagonal and cells whose two gap
+// TestRowCodesKernelMatchesGeneric drives single rows of the recording
+// kind of sweepLinearVec and the scalar rule plus packRow over the same
+// randomized operands: every row length from a single cell through three
+// vectors and a seven-cell tail (so every tail length, alone and behind
+// whole vectors), at each of the four bit positions a row can start at
+// within a dirs byte, every prune regime (the all-pruned row included),
+// every similarity form, both page sides, and — checked, not hoped for —
+// cells where the gap move ties with the diagonal and cells whose two gap
 // sources are equal.
 func TestRowCodesKernelMatchesGeneric(t *testing.T) {
 	if !rowVec {
@@ -500,8 +546,8 @@ func TestRowCodesKernelMatchesGeneric(t *testing.T) {
 		for _, limit := range rowLimits {
 			for form := range rowForms {
 				for head := 0; head < 4; head++ {
-					for _, seqHead := range []bool{false, true} {
-						got := checkCodesRow(t, rng, cnt, form, head, seqHead, limit)
+					for _, front := range []bool{false, true} {
+						got := checkCodesRow(t, rng, cnt, form, head, front, limit)
 						ties[0], ties[1] = ties[0]+got[0], ties[1]+got[1]
 					}
 				}
@@ -532,6 +578,71 @@ func FuzzRowCodesKernel(f *testing.F) {
 		}
 		checkCodesRow(t, rand.New(rand.NewSource(seed)), max(int(cnt), 1), int(flags>>2&3), int(flags>>5&3), flags&16 != 0, rowLimits[flags&3])
 	})
+}
+
+// checkRecording runs one whole recording through the recording kind of
+// sweepLinearVec and through fusedLinear's Go loop, both from stale dirs
+// (0xff throughout), and compares everything either leaves behind: Result
+// and Trace, each score buffer to the end of its capacity, the window index
+// and the whole dirs allocation. With dirsCap < 0 nothing grows: every
+// score buffer, both staged operands, cls, offs and dirs have exactly the
+// capacity the recording takes and touch an unmapped page, at their end or,
+// front, at their start. Otherwise dirs starts with dirsCap bytes on both
+// sides and grows, so the recording kind returns to Go for room mid-way.
+// It returns the recording's offs.
+func checkRecording(t testing.TB, hv, vv View, p Params, front bool, dirsCap int) []int32 {
+	t.Helper()
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	g := guarded{t: t}
+	defer g.release()
+	defer func() { rowVec = true }()
+
+	m, n := hv.Len(), vv.Len()
+	stale := func(b []byte) []byte {
+		for i := range b {
+			b[i] = 0xff
+		}
+		return b[:0]
+	}
+	var vec, gen Workspace
+	seatWorkspace(&vec, &g, front, m, n, p)
+	seatWorkspace(&gen, nil, front, m, n, p)
+	if dirsCap < 0 {
+		var probe Workspace
+		rowVec = false
+		if _, _, err := probe.fusedLinear(hv, vv, p); err != nil {
+			t.Fatal(err)
+		}
+		dirsCap = len(probe.tb.dirs)
+		diags := m + n + 1
+		vec.tb.cls, vec.tb.offs = g.scoresAt(diags, front)[:0], g.scoresAt(diags+1, front)[:0]
+		vec.tb.dirs = stale(g.mapping(dirsCap, front))
+	} else {
+		vec.tb.dirs = stale(make([]byte, dirsCap))
+	}
+	gen.tb.dirs = stale(make([]byte, dirsCap))
+
+	rowVec = true
+	gr, gtr, gerr := vec.fusedLinear(hv, vv, p)
+	rowVec = false
+	wr, wtr, werr := gen.fusedLinear(hv, vv, p)
+	if gr != wr || gtr != wtr || gerr != nil || werr != nil {
+		t.Fatalf("%v front=%v dirs %d: recording kind %+v %+v (%v), Go loop %+v %+v (%v)", p, front, dirsCap, gr, gtr, gerr, wr, wtr, werr)
+	}
+	whole := func(b []int32) []int32 { return b[:cap(b)] }
+	for i, bufs := range [][2][]int32{{vec.wide.b0, gen.wide.b0}, {vec.wide.b1, gen.wide.b1}, {vec.wide.b2, gen.wide.b2}} {
+		if !slices.Equal(whole(bufs[0]), whole(bufs[1])) {
+			t.Errorf("%v front=%v: score buffer b%d differs:\n got  %v\n want %v", p, front, i, whole(bufs[0]), whole(bufs[1]))
+		}
+	}
+	if !slices.Equal(vec.tb.cls, gen.tb.cls) || !slices.Equal(vec.tb.offs, gen.tb.offs) {
+		t.Errorf("%v front=%v: window index differs:\n cls  %v\n want %v\n offs %v\n want %v", p, front, vec.tb.cls, gen.tb.cls, vec.tb.offs, gen.tb.offs)
+	}
+	if cap(vec.tb.dirs) != cap(gen.tb.dirs) || !slices.Equal(vec.tb.dirs[:cap(vec.tb.dirs)], gen.tb.dirs[:cap(gen.tb.dirs)]) {
+		t.Errorf("%v front=%v dirs %d: dirs allocation differs (len %d/%d, cap %d/%d):\n got  %08b\n want %08b", p, front, dirsCap,
+			len(vec.tb.dirs), len(gen.tb.dirs), cap(vec.tb.dirs), cap(gen.tb.dirs), vec.tb.dirs[:cap(vec.tb.dirs)], gen.tb.dirs[:cap(gen.tb.dirs)])
+	}
+	return gen.tb.offs
 }
 
 // recorded is one recording's whole outcome, comparable with ==.
@@ -602,6 +713,39 @@ func TestVectorRecordMatchesGenericRecord(t *testing.T) {
 		})
 		if sv != sg || sv.err != nil {
 			t.Fatalf("trial %d %v: TracebackSeed: vector %+v != generic %+v", trial, p.Algo, sv, sg)
+		}
+	}
+}
+
+// TestRecordTraceCapMatchesGeneric runs recordings under a trace cell cap
+// exactly at their cell count, one cell below it and at a row boundary
+// half-way, with the vector body on and off: both must return the same
+// Trace, or ErrTraceTooLarge (the recording kind leaves the assembly for
+// the row that would pass the cap, and Go refuses it there).
+func TestRecordTraceCapMatchesGeneric(t *testing.T) {
+	if !rowVec {
+		t.Skip("no AVX2 on this host")
+	}
+	rng := rand.New(rand.NewSource(97))
+	for trial := 0; trial < 60; trial++ {
+		h, v, p := vectorTrial(rng, trial)
+		hv, vv := View{h, trial%4 >= 2}, View{v, trial%8 >= 4}
+		var probe Workspace
+		if _, _, err := probe.record(hv, vv, p, true); err != nil {
+			t.Fatal(err)
+		}
+		offs := probe.tb.offs
+		cells := int64(offs[len(offs)-1])
+		for _, limit := range []int64{cells, cells - 1, int64(offs[len(offs)/2])} {
+			restore := SetTraceCellCapForTest(limit)
+			vec, gen, _, _ := vectorAndGeneric(func(ws *Workspace) recorded {
+				r, tr, err := ws.record(hv, vv, p, true)
+				return recorded{r, tr, err}
+			})
+			restore()
+			if vec != gen || (vec.err == nil) != (limit >= cells) || vec.err != nil && !errors.Is(vec.err, ErrTraceTooLarge) {
+				t.Fatalf("trial %d %v, cap %d of %d cells: vector %+v, generic %+v", trial, p.Algo, limit, cells, vec, gen)
+			}
 		}
 	}
 }

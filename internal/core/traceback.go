@@ -289,20 +289,24 @@ func (tb *tracer) walkLinear(h, v View, p Params, score, bestI, bestD int) error
 	return nil
 }
 
-// encodeOps turns the walked op bytes into a canonical Cigar. When rev is
-// set the ops are consumed back-to-front (turning walk order into
-// view-forward order). The tracer's builder keeps its buffer, so a warm
-// recording allocates the Cigar string and nothing else.
+// encodeOps turns the walked op bytes into a canonical Cigar, one
+// Builder.Append per run of equal ops. When rev is set the ops are consumed
+// back-to-front (turning walk order into view-forward order). The tracer's
+// builder keeps its buffer, so a warm recording allocates the Cigar string
+// and nothing else.
 func (tb *tracer) encodeOps(rev bool) alignment.Cigar {
 	ops, b := tb.ops, &tb.cig
+	i, end, step := 0, len(ops), 1
 	if rev {
-		for i := len(ops) - 1; i >= 0; i-- {
-			b.Append(alignment.Op(ops[i]), 1)
+		i, end, step = len(ops)-1, -1, -1
+	}
+	for i != end {
+		j := i + step
+		for j != end && ops[j] == ops[i] {
+			j += step
 		}
-	} else {
-		for _, op := range ops {
-			b.Append(alignment.Op(op), 1)
-		}
+		b.Append(alignment.Op(ops[i]), (j-i)*step)
+		i = j
 	}
 	return b.Cigar()
 }
@@ -331,20 +335,26 @@ func (w *Workspace) TracebackLeft(h, v []byte, hOff, vOff int, p Params) (Trace,
 	return tr, err
 }
 
-// SeedCigar emits the '='/'X' columns of the seed region itself. Exact
-// k-mer seeds yield a single '=' run; quasi-exact protein seeds (PASTIS)
-// may contain 'X' columns, which the score reconstruction prices through
-// the substitution table like any other column.
-func SeedCigar(h, v []byte, s Seed) alignment.Cigar {
-	var b alignment.Builder
-	for k := 0; k < s.Len; k++ {
+// SeedCigar appends the '='/'X' columns of the seed region itself to b,
+// one Append per run. Exact k-mer seeds yield a single '=' run; quasi-exact
+// protein seeds (PASTIS) may contain 'X' columns, which the score
+// reconstruction prices through the substitution table like any other
+// column.
+func SeedCigar(b *alignment.Builder, h, v []byte, s Seed) {
+	hs, vs := h[s.H:s.H+s.Len], v[s.V:s.V+s.Len]
+	for i := 0; i < len(hs); {
+		eq := hs[i] == vs[i]
+		j := i + 1
+		for j < len(hs) && (hs[j] == vs[j]) == eq {
+			j++
+		}
 		op := alignment.OpMismatch
-		if h[s.H+k] == v[s.V+k] {
+		if eq {
 			op = alignment.OpMatch
 		}
-		b.Append(op, 1)
+		b.Append(op, j-i)
+		i = j
 	}
-	return b.Cigar()
 }
 
 // TracebackSeed runs the traceback pass of a full two-sided seed
@@ -367,7 +377,13 @@ func (w *Workspace) TracebackSeed(h, v []byte, s Seed, p Params) (SeedResult, al
 	if err != nil {
 		return SeedResult{}, alignment.Alignment{}, err
 	}
-	full, err := alignment.Concat(leftCigar, SeedCigar(h, v, s), right.Cigar)
+	var b alignment.Builder
+	err = b.AppendCigar(leftCigar)
+	if err == nil {
+		SeedCigar(&b, h, v, s)
+		err = b.AppendCigar(right.Cigar)
+	}
+	full := b.Cigar()
 	if err != nil {
 		return SeedResult{}, alignment.Alignment{}, err
 	}

@@ -243,11 +243,10 @@ func runTile(t *TileWork, cfg Config, ex *executor, out []AlignOut) tileResult {
 		}
 		// Bridge the seed's own columns between the two extension
 		// CIGARs (both already in sequence-forward order).
-		var err error
-		for _, part := range [...]alignment.Cigar{ex.cigars[left][j], core.SeedCigar(h, v, seed), ex.cigars[right][j]} {
-			if err = ex.cigar.AppendCigar(part); err != nil {
-				break
-			}
+		err := ex.cigar.AppendCigar(ex.cigars[left][j])
+		if err == nil {
+			core.SeedCigar(&ex.cigar, h, v, seed)
+			err = ex.cigar.AppendCigar(ex.cigars[right][j])
 		}
 		cigarBytes := ex.cigar.WireBytes() // full.WireBytes(), without scanning full
 		full := ex.cigar.Cigar()           // resets the builder on the error path too
