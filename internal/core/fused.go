@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"unsafe"
+
+	"github.com/sram-align/xdropipu/internal/alignment"
 )
 
 // The recording sweep: the linear-gap scoring sweep that also records a
@@ -53,28 +55,43 @@ func FusedEligible(m, n int, p Params) bool {
 	return !useNarrow(m, n, p)
 }
 
-// record runs the recording sweep over views h and v, walks the recorded
-// directions back from the best cell — failing unless the walked path
-// re-prices to the sweep's Score — and encodes the walked ops into the
-// Trace's Cigar; rev consumes the walk-order ops (best cell → origin) back
-// to front, which for forward views is view-forward order.
-func (w *Workspace) record(h, v View, p Params, rev bool) (Result, Trace, error) {
+// recordRuns runs the recording sweep over views h and v and walks the
+// recorded directions back from the best cell — failing unless the walked
+// path re-prices to the sweep's Score — appending the path to runs in walk
+// order (best cell → origin). The Trace has no Cigar; on an error runs
+// comes back as passed in.
+func (w *Workspace) recordRuns(h, v View, p Params, runs []alignment.Run) (Result, Trace, []alignment.Run, error) {
 	defer w.tb.trim()
 	if err := p.Validate(); err != nil {
-		return Result{}, Trace{}, err
+		return Result{}, Trace{}, runs, err
 	}
 	if p.Algo == AlgoAffine {
-		return Result{}, Trace{}, ErrAffineTraceback
+		return Result{}, Trace{}, runs, ErrAffineTraceback
 	}
 	r, tr, err := w.fusedLinear(h, v, p)
 	if err != nil {
-		return Result{}, Trace{}, err
+		return Result{}, Trace{}, runs, err
 	}
-	if err := w.tb.walkLinear(h, v, p, r.Score, r.EndH, r.EndH+r.EndV); err != nil {
-		return Result{}, Trace{}, err
+	if runs, err = w.tb.walkLinear(h, v, p, r.Score, r.EndH, r.EndH+r.EndV, runs); err != nil {
+		return Result{}, Trace{}, runs, err
 	}
-	tr.Cigar = w.tb.encodeOps(rev)
-	return r, tr, nil
+	return r, tr, runs, nil
+}
+
+// record is recordRuns for the entry points that return a Cigar: the runs
+// go to the tracer's scratch and come back encoded as the Trace's Cigar;
+// rev encodes them back to front, which for forward views is view-forward
+// order.
+func (w *Workspace) record(h, v View, p Params, rev bool) (Result, Trace, error) {
+	tb := &w.tb
+	r, tr, runs, err := w.recordRuns(h, v, p, tb.runs[:0])
+	if err == nil {
+		appendRuns(&tb.cig, runs, rev)
+		tr.Cigar = tb.cig.Cigar()
+	}
+	tb.runs = runs
+	tb.trim()
+	return r, tr, err
 }
 
 // FusedExtendRight runs the right seed extension (ExtendRight geometry)

@@ -17,7 +17,7 @@ type replayOracle struct {
 	rowA, rowB, rowC []int32 // rotating rows (d, d-1, d-2)
 }
 
-// extension replays h against v and encodes the walked ops like
+// extension replays h against v and encodes the walked runs like
 // (*Workspace).record does.
 func (w *replayOracle) extension(h, v View, p Params, rev bool) (Trace, error) {
 	if err := p.Validate(); err != nil {
@@ -27,7 +27,8 @@ func (w *replayOracle) extension(h, v View, p Params, rev bool) (Trace, error) {
 	if err != nil {
 		return Trace{}, err
 	}
-	tr.Cigar = w.tb.encodeOps(rev)
+	appendRuns(&w.tb.cig, w.tb.runs, rev)
+	tr.Cigar = w.tb.cig.Cigar()
 	return tr, nil
 }
 
@@ -103,8 +104,8 @@ func get32(vals []int32, cl, cu, i int) int32 {
 }
 
 // traceLinear replays a linear-gap extension (Restricted2 / Standard3 /
-// Reference semantics) with direction recording and returns the walk-order
-// ops (best cell back to the origin) in tb.ops.
+// Reference semantics) with direction recording and leaves the walk-order
+// runs (best cell back to the origin) in tb.runs.
 func (w *replayOracle) traceLinear(h, v View, p Params) (Trace, error) {
 	m, n := h.Len(), v.Len()
 	capacity := linearCapacity(m, n, p)
@@ -224,7 +225,8 @@ func (w *replayOracle) traceLinear(h, v View, p Params) (Trace, error) {
 	res.EndH = bestI
 	res.EndV = bestD - bestI
 	res.TraceBytes = tb.traceBytes()
-	if err := tb.walkLinear(h, v, p, res.Score, bestI, bestD); err != nil {
+	var err error
+	if tb.runs, err = tb.walkLinear(h, v, p, res.Score, bestI, bestD, tb.runs[:0]); err != nil {
 		return Trace{}, err
 	}
 	return res, nil

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"github.com/sram-align/xdropipu/internal/alignment"
 )
@@ -51,8 +52,8 @@ type tracer struct {
 	cls  []int32           // window start per antidiagonal
 	offs []int32           // prefix cell counts per antidiagonal (len = diags+1)
 	dirs []byte            // packed direction codes
-	ops  []byte            // walker scratch: one op byte per alignment column
-	cig  alignment.Builder // encodeOps scratch, kept warm like ops
+	runs []alignment.Run   // walker scratch of the entry points that return a Cigar
+	cig  alignment.Builder // their encoder, kept warm like runs
 
 	// codes is the Go loop's unpacked scratch row: one byte per interior
 	// cell, packed into dirs once per antidiagonal (packRow), so the
@@ -160,9 +161,13 @@ func (tb *tracer) traceBytes() int {
 // host-API outliers be returned to the allocator.
 const tracerRetainBytes = 1 << 20
 
+// runBytes is the size of one walked run.
+const runBytes = int(unsafe.Sizeof(alignment.Run{}))
+
 // trim releases recording buffers that grew past tracerRetainBytes.
-// Called after the recording's ops have been consumed (encodeOps) —
-// every buffer here is rebuilt from scratch by the next recording.
+// Called once a recording has been walked — every buffer here is rebuilt
+// from scratch by the next recording — and again once an entry point that
+// returns a Cigar has handed its runs back as tb.runs.
 func (tb *tracer) trim() {
 	if cap(tb.dirs) > tracerRetainBytes {
 		tb.dirs = nil
@@ -170,8 +175,8 @@ func (tb *tracer) trim() {
 	if cap(tb.offs)*4 > tracerRetainBytes {
 		tb.cls, tb.offs = nil, nil // reset sizes the two together
 	}
-	if cap(tb.ops) > tracerRetainBytes {
-		tb.ops, tb.cig = nil, alignment.Builder{}
+	if cap(tb.runs)*runBytes > tracerRetainBytes {
+		tb.runs, tb.cig = nil, alignment.Builder{}
 	}
 	if cap(tb.codes) > tracerRetainBytes {
 		tb.codes = nil
@@ -244,71 +249,101 @@ type Trace struct {
 var errTraceMispriced = errors.New("core: traceback path does not price to the sweep's score")
 
 // walkLinear follows the recorded directions from the best cell back to
-// the origin, leaving one op byte per column in tb.ops (walk order:
-// best → origin). It re-prices the path as it goes — the scoring table on
+// the origin and appends the path to runs as maximal runs in walk order
+// (best → origin). It re-prices the path as it goes — the scoring table on
 // diagonal moves, p.Gap on up and left moves — and returns
-// errTraceMispriced unless the sum is score.
-func (tb *tracer) walkLinear(h, v View, p Params, score, bestI, bestD int) error {
+// errTraceMispriced unless the sum is score. On an error runs comes back
+// as it was passed in.
+func (tb *tracer) walkLinear(h, v View, p Params, score, bestI, bestD int, runs []alignment.Run) ([]alignment.Run, error) {
 	tab := p.Scorer.Table()
+	cls, offs, dirs := tb.cls, tb.offs, tb.dirs
+	in := len(runs)
 	i, j := bestI, bestD-bestI
-	ops := tb.ops[:0]
+	// Cursors into the views' bytes: hx holds h.At(i-1) and steps by hs as
+	// i steps down, vx holds v.At(j-1) and steps by vs.
+	hx, hs := i-1, -1
+	if h.rev {
+		hx, hs = len(h.data)-i, 1
+	}
+	vx, vs := j-1, -1
+	if v.rev {
+		vx, vs = len(v.data)-j, 1
+	}
+	op, n := alignment.Op(0), 0 // the open run
 	price := 0
 	for i != 0 || j != 0 {
-		code, err := tb.code(i+j, i)
-		if err != nil {
-			return err
+		// tb.code, inlined: the window test first, the error only on failure.
+		d := i + j
+		if uint(d) >= uint(len(cls)) || uint(i-int(cls[d])) >= uint(offs[d+1]-offs[d]) {
+			_, err := tb.code(d, i)
+			return runs[:in], err
 		}
-		switch code {
+		at := uint(offs[d]) + uint(i-int(cls[d]))
+		var o alignment.Op
+		switch dirs[at>>2] >> ((at & 3) * 2) & 3 {
 		case codeDiag:
-			a, b := h.At(i-1), v.At(j-1)
-			op := byte(alignment.OpMismatch)
+			a, b := h.data[hx], v.data[vx]
+			o = alignment.OpMismatch
 			if a == b {
-				op = byte(alignment.OpMatch)
+				o = alignment.OpMatch
 			}
-			ops = append(ops, op)
 			price += int(tab[a][b])
-			i--
-			j--
+			i, hx = i-1, hx+hs
+			j, vx = j-1, vx+vs
 		case codeUp:
-			ops = append(ops, byte(alignment.OpIns))
+			o = alignment.OpIns
 			price += p.Gap
-			i--
+			i, hx = i-1, hx+hs
 		case codeLeft:
-			ops = append(ops, byte(alignment.OpDel))
+			o = alignment.OpDel
 			price += p.Gap
-			j--
+			j, vx = j-1, vx+vs
 		default:
-			return fmt.Errorf("core: traceback hit a pruned cell at (i=%d, j=%d)", i, j)
+			return runs[:in], fmt.Errorf("core: traceback hit a pruned cell at (i=%d, j=%d)", i, j)
 		}
+		if o != op {
+			if n > 0 {
+				runs = append(runs, alignment.Run{Op: op, Len: n})
+			}
+			op, n = o, 0
+		}
+		n++
 	}
-	tb.ops = ops
+	if n > 0 {
+		runs = append(runs, alignment.Run{Op: op, Len: n})
+	}
 	if price != score {
-		return fmt.Errorf("%w: the path from (%d,%d) prices to %d, the sweep scored %d",
+		return runs[:in], fmt.Errorf("%w: the path from (%d,%d) prices to %d, the sweep scored %d",
 			errTraceMispriced, bestI, bestD-bestI, price, score)
 	}
-	return nil
+	return runs, nil
 }
 
-// encodeOps turns the walked op bytes into a canonical Cigar, one
-// Builder.Append per run of equal ops. When rev is set the ops are consumed
-// back-to-front (turning walk order into view-forward order). The tracer's
-// builder keeps its buffer, so a warm recording allocates the Cigar string
-// and nothing else.
-func (tb *tracer) encodeOps(rev bool) alignment.Cigar {
-	ops, b := tb.ops, &tb.cig
-	i, end, step := 0, len(ops), 1
+// appendRuns appends walked runs to b, in walk order or, when rev is set,
+// back to front. It is core's one encoder of a walk: for a reversed view
+// walk order is sequence-forward, for a forward view back to front is.
+func appendRuns(b *alignment.Builder, runs []alignment.Run, rev bool) {
 	if rev {
-		i, end, step = len(ops)-1, -1, -1
-	}
-	for i != end {
-		j := i + step
-		for j != end && ops[j] == ops[i] {
-			j += step
+		for k := len(runs) - 1; k >= 0; k-- {
+			b.Append(runs[k].Op, runs[k].Len)
 		}
-		b.Append(alignment.Op(ops[i]), (j-i)*step)
-		i = j
+		return
 	}
-	return b.Cigar()
+	for _, r := range runs {
+		b.Append(r.Op, r.Len)
+	}
+}
+
+// JoinCigar appends one comparison's columns to b in sequence-forward
+// order: the left extension's walked runs as they are (RecordLeft walks
+// reversed views), the seed's own columns (SeedCigar), then the right
+// extension's walked runs back to front (RecordRight walks forward views).
+// The builder merges runs at both junctions, so b.Cigar() is the canonical
+// CIGAR of the whole comparison.
+func JoinCigar(b *alignment.Builder, h, v []byte, s Seed, left, right []alignment.Run) {
+	appendRuns(b, left, false)
+	SeedCigar(b, h, v, s)
+	appendRuns(b, right, true)
 }
 
 // TracebackExtension runs the second pass for one extension of h against
@@ -333,6 +368,22 @@ func (w *Workspace) TracebackRight(h, v []byte, hOff, vOff int, p Params) (Trace
 func (w *Workspace) TracebackLeft(h, v []byte, hOff, vOff int, p Params) (Trace, error) {
 	_, tr, err := w.record(NewReversedView(h[:hOff]), NewReversedView(v[:vOff]), p, false)
 	return tr, err
+}
+
+// RecordRight runs the recording sweep of the right seed extension and
+// appends its walked path to runs, as maximal runs in walk order (the best
+// cell back to the seed: sequence-backward). The Result is
+// FusedExtendRight's and the Trace is too, without its Cigar; JoinCigar
+// turns the runs into text. On an error runs comes back as passed in.
+func (w *Workspace) RecordRight(h, v []byte, hOff, vOff int, p Params, runs []alignment.Run) (Result, Trace, []alignment.Run, error) {
+	return w.recordRuns(NewView(h[hOff:]), NewView(v[vOff:]), p, runs)
+}
+
+// RecordLeft is RecordRight for the left seed extension (reversed views,
+// so walk order is sequence-forward); its Result and Trace are
+// FusedExtendLeft's.
+func (w *Workspace) RecordLeft(h, v []byte, hOff, vOff int, p Params, runs []alignment.Run) (Result, Trace, []alignment.Run, error) {
+	return w.recordRuns(NewReversedView(h[:hOff]), NewReversedView(v[:vOff]), p, runs)
 }
 
 // SeedCigar appends the '='/'X' columns of the seed region itself to b,
@@ -368,25 +419,20 @@ func (w *Workspace) TracebackSeed(h, v []byte, s Seed, p Params) (SeedResult, al
 	if s.Len <= 0 || s.H < 0 || s.V < 0 || s.H+s.Len > len(h) || s.V+s.Len > len(v) {
 		return SeedResult{}, alignment.Alignment{}, fmt.Errorf("core: seed %+v out of range for |h|=%d |v|=%d", s, len(h), len(v))
 	}
-	left, err := w.TracebackLeft(h, v, s.H, s.V, p)
+	tb := &w.tb
+	_, left, runs, err := w.RecordLeft(h, v, s.H, s.V, p, tb.runs[:0])
 	if err != nil {
 		return SeedResult{}, alignment.Alignment{}, err
 	}
-	leftCigar := left.Cigar
-	right, err := w.TracebackRight(h, v, s.H+s.Len, s.V+s.Len, p)
+	nl := len(runs)
+	_, right, runs, err := w.RecordRight(h, v, s.H+s.Len, s.V+s.Len, p, runs)
 	if err != nil {
 		return SeedResult{}, alignment.Alignment{}, err
 	}
-	var b alignment.Builder
-	err = b.AppendCigar(leftCigar)
-	if err == nil {
-		SeedCigar(&b, h, v, s)
-		err = b.AppendCigar(right.Cigar)
-	}
-	full := b.Cigar()
-	if err != nil {
-		return SeedResult{}, alignment.Alignment{}, err
-	}
+	JoinCigar(&tb.cig, h, v, s, runs[:nl], runs[nl:])
+	full := tb.cig.Cigar()
+	tb.runs = runs
+	tb.trim()
 	res := SeedResult{
 		Score:      left.Score + SeedScore(h, v, s, p) + right.Score,
 		LeftScore:  left.Score,

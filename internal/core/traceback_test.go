@@ -214,6 +214,16 @@ func TestTracebackSecondPassAllocs(t *testing.T) {
 		if fused > 1 {
 			t.Errorf("%s: warm FusedExtendRight allocates %.0f objects, want the CIGAR string only", name, fused)
 		}
+		// A whole comparison joins both sides' runs into one string too.
+		s := Seed{H: 600, V: 600, Len: 1}
+		seed := testing.AllocsPerRun(10, func() {
+			if _, _, err := ws.TracebackSeed(h, v, s, p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if seed > 1 {
+			t.Errorf("%s: warm TracebackSeed allocates %.0f objects, want the CIGAR string only", name, seed)
+		}
 	}
 }
 
@@ -268,7 +278,10 @@ func TestTraceWalkRepricesPath(t *testing.T) {
 		t.Fatalf("identical views ended at (%d,%d), want the full diagonal", r.EndH, r.EndV)
 	}
 	tb := &ws.tb
-	walk := func() error { return tb.walkLinear(hv, vv, p, r.Score, r.EndH, r.EndH+r.EndV) }
+	walk := func() error {
+		_, err := tb.walkLinear(hv, vv, p, r.Score, r.EndH, r.EndH+r.EndV, nil)
+		return err
+	}
 	if err := walk(); err != nil {
 		t.Fatalf("unmodified walk: %v", err)
 	}
@@ -353,4 +366,72 @@ func FuzzTracebackOracle(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRecordRunsContract pins what RecordLeft/Right hand the tile: the
+// walked path appended after whatever the buffer held, as maximal runs
+// (positive lengths, no two neighbours with one op), which encode to the
+// Cigar TracebackLeft/Right return — in walk order for the left side,
+// back to front for the right. A recording that fails hands the buffer
+// back as it came.
+func TestRecordRunsContract(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	prefix := []alignment.Run{{Op: alignment.OpMatch, Len: 7}}
+	for name, p := range tbVariants() {
+		for trial := 0; trial < 6; trial++ {
+			h := randDNA(rng, 150+rng.Intn(150))
+			v := mutate(rng, h, 0.12)
+			hOff, vOff := rng.Intn(len(h)+1), rng.Intn(len(v)+1)
+			var ws Workspace
+			for _, side := range []struct {
+				record func(*Workspace, []byte, []byte, int, int, Params, []alignment.Run) (Result, Trace, []alignment.Run, error)
+				trace  func(*Workspace, []byte, []byte, int, int, Params) (Trace, error)
+				rev    bool
+			}{
+				{(*Workspace).RecordLeft, (*Workspace).TracebackLeft, false},
+				{(*Workspace).RecordRight, (*Workspace).TracebackRight, true},
+			} {
+				want, err := side.trace(&ws, h, v, hOff, vOff, p)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				buf := append(make([]alignment.Run, 0, 4), prefix...)
+				_, tr, runs, err := side.record(&ws, h, v, hOff, vOff, p, buf)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if runs[0] != prefix[0] {
+					t.Fatalf("%s: the buffer's own runs were overwritten: %v", name, runs[0])
+				}
+				walked := runs[len(prefix):]
+				for k, r := range walked {
+					if r.Len <= 0 || k > 0 && walked[k-1].Op == r.Op {
+						t.Fatalf("%s: runs %v are not maximal at %d", name, walked, k)
+					}
+				}
+				var b alignment.Builder
+				appendRuns(&b, walked, side.rev)
+				if got := b.Cigar(); got != want.Cigar {
+					t.Fatalf("%s: runs encode to %q, the public entry point returns %q", name, got, want.Cigar)
+				}
+				if tr.Cigar != "" || tr.Score != want.Score || tr.EndH != want.EndH || tr.EndV != want.EndV {
+					t.Fatalf("%s: recorded trace %+v, public %+v", name, tr, want)
+				}
+
+				restore := SetTraceCellCapForTest(1)
+				_, _, failed, err := side.record(&ws, h, v, hOff, vOff, p, buf)
+				restore()
+				empty := hOff == 0 && vOff == 0 // the side holds antidiagonal 0 alone
+				if side.rev {
+					empty = hOff == len(h) && vOff == len(v)
+				}
+				if !empty && !errors.Is(err, ErrTraceTooLarge) {
+					t.Fatalf("%s: a 1-cell cap returned %v, want ErrTraceTooLarge", name, err)
+				}
+				if err != nil && (len(failed) != len(buf) || &failed[0] != &buf[0]) {
+					t.Fatalf("%s: a failed recording returned %d runs, want the buffer's %d", name, len(failed), len(buf))
+				}
+			}
+		}
+	}
 }

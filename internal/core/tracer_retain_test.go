@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/sram-align/xdropipu/internal/alignment"
 	"github.com/sram-align/xdropipu/internal/scoring"
 )
 
@@ -34,8 +35,8 @@ func TestTracerTrimReleasesOversizedBuffers(t *testing.T) {
 	if c := cap(ws.tb.dirs); c != 0 {
 		t.Fatalf("direction buffer retained after oversized replay: cap %d", c)
 	}
-	if c := cap(ws.tb.ops); c > tracerRetainBytes {
-		t.Fatalf("ops buffer retained past threshold: cap %d", c)
+	if c := cap(ws.tb.runs) * runBytes; c > tracerRetainBytes {
+		t.Fatalf("runs scratch retained past threshold: %d bytes", c)
 	}
 	if c := cap(ws.tb.codes); c > tracerRetainBytes {
 		t.Fatalf("codes scratch retained past threshold: cap %d", c)
@@ -57,5 +58,17 @@ func TestTracerTrimReleasesOversizedBuffers(t *testing.T) {
 	}
 	if c := cap(ws.tb.dirs); c == 0 || c > tracerRetainBytes {
 		t.Fatalf("small replay should leave a warm sub-threshold dirs buffer, got cap %d", c)
+	}
+	if c := cap(ws.tb.runs); c == 0 {
+		t.Fatal("small replay should leave a warm runs scratch")
+	}
+
+	// The walk's run scratch is held to the same bound: a path of more
+	// than tracerRetainBytes of runs (an outlier this geometry cannot
+	// reach cheaply) is released by the next trim.
+	ws.tb.runs = make([]alignment.Run, 0, tracerRetainBytes/runBytes+1)
+	ws.tb.trim()
+	if ws.tb.runs != nil {
+		t.Fatalf("runs scratch of %d bytes retained past threshold", (tracerRetainBytes/runBytes+1)*runBytes)
 	}
 }

@@ -6,14 +6,15 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/sram-align/xdropipu/internal/alignment"
 	"github.com/sram-align/xdropipu/internal/core"
 	"github.com/sram-align/xdropipu/internal/ipu"
 	"github.com/sram-align/xdropipu/internal/platform"
 )
 
-// sideCalls counts, per extension side, the host calls of core's three
+// sideCalls counts, per extension side, the host calls of core's two
 // entry points.
-type sideCalls struct{ score, trace, fused [2]atomic.Int64 }
+type sideCalls struct{ score, record [2]atomic.Int64 }
 
 // countSideCalls wraps every entry point in sides with a counting shim
 // until the test ends.
@@ -24,18 +25,14 @@ func countSideCalls(t *testing.T) *sideCalls {
 	t.Cleanup(func() { sides = saved })
 	for s := range sides {
 		sd := &sides[s]
-		score, trace, fused := sd.score, sd.trace, sd.fused
+		score, record := sd.score, sd.record
 		sd.score = func(ws *core.Workspace, h, v []byte, hOff, vOff int, p core.Params) core.Result {
 			n.score[s].Add(1)
 			return score(ws, h, v, hOff, vOff, p)
 		}
-		sd.trace = func(ws *core.Workspace, h, v []byte, hOff, vOff int, p core.Params) (core.Trace, error) {
-			n.trace[s].Add(1)
-			return trace(ws, h, v, hOff, vOff, p)
-		}
-		sd.fused = func(ws *core.Workspace, h, v []byte, hOff, vOff int, p core.Params) (core.Result, core.Trace, error) {
-			n.fused[s].Add(1)
-			return fused(ws, h, v, hOff, vOff, p)
+		sd.record = func(ws *core.Workspace, h, v []byte, hOff, vOff int, p core.Params, runs []alignment.Run) (core.Result, core.Trace, []alignment.Run, error) {
+			n.record[s].Add(1)
+			return record(ws, h, v, hOff, vOff, p, runs)
 		}
 	}
 	return n
@@ -49,10 +46,10 @@ func TestTraceRecordingBugFailsBatch(t *testing.T) {
 	saved := sides
 	t.Cleanup(func() { sides = saved })
 	bug := errors.New("corrupt direction code")
-	fused := sides[right].fused
-	sides[right].fused = func(ws *core.Workspace, h, v []byte, hOff, vOff int, p core.Params) (core.Result, core.Trace, error) {
-		r, trc, _ := fused(ws, h, v, hOff, vOff, p)
-		return r, trc, bug
+	record := sides[right].record
+	sides[right].record = func(ws *core.Workspace, h, v []byte, hOff, vOff int, p core.Params, runs []alignment.Run) (core.Result, core.Trace, []alignment.Run, error) {
+		r, trc, runs, _ := record(ws, h, v, hOff, vOff, p, runs)
+		return r, trc, runs, bug
 	}
 	cfg := dnaCfg(15)
 	cfg.Traceback = true
@@ -96,14 +93,14 @@ func TestTraceHostSweepsOnce(t *testing.T) {
 				}
 				// Every side of every job, and each traced side once.
 				jobs, traced := int64(b.Jobs()), int64(res.TracedExtensions/2)
-				want := [3]int64{0, 0, jobs}
+				want := [2]int64{0, jobs}
 				if run.twoPass {
-					want = [3]int64{jobs, traced, 0}
+					want = [2]int64{jobs, traced}
 				}
 				for s := range sides {
-					got := [3]int64{n.score[s].Load(), n.trace[s].Load(), n.fused[s].Load()}
+					got := [2]int64{n.score[s].Load(), n.record[s].Load()}
 					if got != want {
-						t.Errorf("%s side: score/trace/fused calls %v, want %v", sides[s].name, got, want)
+						t.Errorf("%s side: score/record calls %v, want %v", sides[s].name, got, want)
 					}
 				}
 			})

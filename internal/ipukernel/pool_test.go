@@ -2,8 +2,10 @@ package ipukernel
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
+	"github.com/sram-align/xdropipu/internal/alignment"
 	"github.com/sram-align/xdropipu/internal/ipu"
 	"github.com/sram-align/xdropipu/internal/platform"
 	"github.com/sram-align/xdropipu/internal/synth"
@@ -29,25 +31,61 @@ func warmTile(t *testing.T, jobs int) *TileWork {
 
 // TestWarmTileWorkerAllocs: once an executor's workspaces and scratch are
 // warm, executing a tile must not allocate — the pooled tile workers run
-// arbitrarily many supersteps at zero steady-state allocation.
+// arbitrarily many supersteps at zero steady-state allocation — except,
+// with traceback on, the one CIGAR string each traced comparison returns:
+// the sides' walked runs are joined into it without a string of their own.
 func TestWarmTileWorkerAllocs(t *testing.T) {
 	tile := warmTile(t, 8)
 	out := make([]AlignOut, len(tile.Jobs))
-	for _, mut := range []func(*Config){
-		func(c *Config) {},
-		func(c *Config) { c.LRSplit = true },
-		func(c *Config) { c.LRSplit = true; c.WorkStealing = true; c.BusyWaitVariance = true },
+	traced := float64(len(tile.Jobs))
+	for _, run := range []struct {
+		mut  func(*Config)
+		want float64
+	}{
+		{func(c *Config) {}, 0},
+		{func(c *Config) { c.LRSplit = true }, 0},
+		{func(c *Config) { c.LRSplit = true; c.WorkStealing = true; c.BusyWaitVariance = true }, 0},
+		{func(c *Config) { c.Traceback = true }, traced},
+		{func(c *Config) { c.Traceback = true; c.LRSplit = true; c.WorkStealing = true }, traced},
 	} {
 		cfg := dnaCfg(15).withDefaults(platform.GC200)
-		mut(&cfg)
+		run.mut(&cfg)
 		ex := &executor{}
 		runTile(tile, cfg, ex, out) // warm workspaces and scratch
 		allocs := testing.AllocsPerRun(20, func() {
 			runTile(tile, cfg, ex, out)
 		})
-		if allocs != 0 {
-			t.Errorf("warm tile worker allocates %.1f objects/op, want 0 (cfg %+v)", allocs, cfg)
+		if allocs != run.want {
+			t.Errorf("warm tile worker allocates %.1f objects/op, want %.0f (cfg %+v)", allocs, run.want, cfg)
 		}
+		if cfg.Traceback && (out[0].Cigar == "" || out[0].Failed) {
+			t.Errorf("traced run returned no CIGAR: %+v", out[0])
+		}
+	}
+}
+
+// TestExecutorReleasesOversizedRunBuffers: an executor's run buffers past
+// retainRuns — an outlier tile's — are released once the tile's CIGARs
+// are out, and ordinary ones stay warm; neither changes a result.
+func TestExecutorReleasesOversizedRunBuffers(t *testing.T) {
+	tile := warmTile(t, 4)
+	cfg := dnaCfg(15).withDefaults(platform.GC200)
+	cfg.Traceback = true
+	want := make([]AlignOut, len(tile.Jobs))
+	runTile(tile, cfg, &executor{}, want)
+
+	ex := &executor{}
+	ex.runs[left] = make([]alignment.Run, 0, retainRuns+1)
+	got := make([]AlignOut, len(tile.Jobs))
+	runTile(tile, cfg, ex, got)
+	if !slices.Equal(got, want) {
+		t.Fatal("an executor holding an oversized run buffer changed the results")
+	}
+	if ex.runs[left] != nil {
+		t.Errorf("left run buffer of %d runs retained past %d", retainRuns+1, retainRuns)
+	}
+	if cap(ex.runs[right]) == 0 || cap(ex.runs[right]) > retainRuns {
+		t.Errorf("right run buffer cap %d, want a warm buffer within %d", cap(ex.runs[right]), retainRuns)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"github.com/sram-align/xdropipu/internal/alignment"
 	"github.com/sram-align/xdropipu/internal/core"
@@ -27,22 +28,22 @@ const (
 var sides = [2]struct {
 	name  string
 	score func(*core.Workspace, []byte, []byte, int, int, core.Params) core.Result
-	fused func(*core.Workspace, []byte, []byte, int, int, core.Params) (core.Result, core.Trace, error)
-	trace func(*core.Workspace, []byte, []byte, int, int, core.Params) (core.Trace, error)
+	// record runs the recording sweep and appends the walked path's runs.
+	record func(*core.Workspace, []byte, []byte, int, int, core.Params, []alignment.Run) (core.Result, core.Trace, []alignment.Run, error)
 	// at returns the offsets core's entry points extend from and the
 	// side lengths lh×lv.
 	at func(job *SeedJob, h, v []byte) (hOff, vOff, lh, lv int)
 	// place writes the side's extension result into o.
 	place func(o *AlignOut, hOff, vOff int, r core.Result)
 }{
-	left: {"left", (*core.Workspace).ExtendLeft, (*core.Workspace).FusedExtendLeft, (*core.Workspace).TracebackLeft,
+	left: {"left", (*core.Workspace).ExtendLeft, (*core.Workspace).RecordLeft,
 		func(job *SeedJob, _, _ []byte) (int, int, int, int) {
 			return job.SeedH, job.SeedV, job.SeedH, job.SeedV
 		},
 		func(o *AlignOut, hOff, vOff int, r core.Result) {
 			o.LeftScore, o.BegH, o.BegV = r.Score, hOff-r.EndH, vOff-r.EndV
 		}},
-	right: {"right", (*core.Workspace).ExtendRight, (*core.Workspace).FusedExtendRight, (*core.Workspace).TracebackRight,
+	right: {"right", (*core.Workspace).ExtendRight, (*core.Workspace).RecordRight,
 		func(job *SeedJob, h, v []byte) (int, int, int, int) {
 			hOff, vOff := job.SeedH+job.SeedLen, job.SeedV+job.SeedLen
 			return hOff, vOff, len(h) - hOff, len(v) - vOff
@@ -82,19 +83,32 @@ type executor struct {
 	work  []Counters
 	sched tileSchedule
 	// Traceback scratch (sized only when Config.Traceback is on), indexed
-	// by side, then job: each side's sequence-forward Cigar and trace
-	// footprint, combined with the seed columns once the tile's units have
-	// all run, and its score-pass Result, which a replayed recording is
-	// cross-checked against. failed marks jobs whose trace recording
-	// overflowed (degraded to a Failed placeholder).
-	cigars     [2][]alignment.Cigar
+	// by side. runs holds every walked path of the side back to back, in
+	// core's walk order; the rest is indexed by job: where in runs the
+	// job's path lies, its trace footprint, and its score-pass Result,
+	// which a replayed recording is cross-checked against. The paths are
+	// joined with the seed columns once the tile's units have all run.
+	// failed marks jobs whose trace recording overflowed (degraded to a
+	// Failed placeholder).
+	runs       [2][]alignment.Run
+	spans      [2][]span
 	traceBytes [2][]int
 	scored     [2][]core.Result
 	failed     []bool
-	// cigar joins each job's left, seed and right Cigars; its buffer is
-	// kept, so a join allocates only the string it returns.
+	// cigar joins each job's runs and seed columns; its buffer is kept, so
+	// a join allocates only the string it returns.
 	cigar alignment.Builder
 }
+
+// span is the half-open range [from, to) of one job's runs in a side's
+// run buffer.
+type span struct{ from, to int }
+
+// retainRuns bounds what an executor keeps of each run buffer between
+// tiles — 1 MiB of runs, as core bounds a workspace's recording buffers:
+// executors are pooled for the process lifetime, so an outlier tile's
+// buffers must not stay pinned on one.
+const retainRuns = 1 << 20 / int(unsafe.Sizeof(alignment.Run{}))
 
 var execPool = sync.Pool{New: func() any { return &executor{} }}
 
@@ -115,7 +129,8 @@ func resized[T any](s []T, n int) []T {
 // prepareTraces sizes and clears the per-job traceback scratch.
 func (ex *executor) prepareTraces(jobs int) {
 	for s := range sides {
-		ex.cigars[s] = resized(ex.cigars[s], jobs)
+		ex.runs[s] = ex.runs[s][:0]
+		ex.spans[s] = resized(ex.spans[s], jobs)
 		ex.traceBytes[s] = resized(ex.traceBytes[s], jobs)
 		ex.scored[s] = resized(ex.scored[s], jobs)
 	}
@@ -241,26 +256,34 @@ func runTile(t *TileWork, cfg Config, ex *executor, out []AlignOut) tileResult {
 			tr.TraceSkippedExtensions += 2
 			continue
 		}
-		// Bridge the seed's own columns between the two extension
-		// CIGARs (both already in sequence-forward order).
-		err := ex.cigar.AppendCigar(ex.cigars[left][j])
-		if err == nil {
-			core.SeedCigar(&ex.cigar, h, v, seed)
-			err = ex.cigar.AppendCigar(ex.cigars[right][j])
-		}
-		cigarBytes := ex.cigar.WireBytes() // full.WireBytes(), without scanning full
-		full := ex.cigar.Cigar()           // resets the builder on the error path too
-		if err != nil {
-			tr.err = fmt.Errorf("ipukernel: comparison %d cigar: %w", job.GlobalID, err)
-			continue
-		}
-		o.Cigar = full
+		// Bridge the seed's own columns between the two walked paths.
+		core.JoinCigar(&ex.cigar, h, v, seed, ex.sideRuns(left, j), ex.sideRuns(right, j))
+		tr.cigarBytes += int64(ex.cigar.WireBytes()) // o.Cigar.WireBytes(), without scanning it
+		o.Cigar = ex.cigar.Cigar()
 		o.TraceBytes = ex.traceBytes[left][j] + ex.traceBytes[right][j]
 		tr.TracebackBytes += int64(o.TraceBytes)
-		tr.cigarBytes += int64(cigarBytes)
 		tr.TracedExtensions += 2
 	}
+	if cfg.Traceback {
+		ex.trimRuns()
+	}
 	return tr
+}
+
+// sideRuns returns the walked runs of job j's side.
+func (ex *executor) sideRuns(side, j int) []alignment.Run {
+	sp := ex.spans[side][j]
+	return ex.runs[side][sp.from:sp.to]
+}
+
+// trimRuns releases run buffers past retainRuns, and the join's builder
+// with them, once the tile's CIGARs are out.
+func (ex *executor) trimRuns() {
+	for s := range ex.runs {
+		if cap(ex.runs[s]) > retainRuns {
+			ex.runs[s], ex.cigar = nil, alignment.Builder{}
+		}
+	}
 }
 
 // tileSchedule is one tile's modeled thread schedule, as schedule
@@ -401,7 +424,7 @@ func (ex *executor) runSide(t *TileWork, cfg Config, j, side int, o *AlignOut, c
 		fused := cfg.fusedExtension(lh, lv)
 		var trc core.Trace
 		var err error
-		if r, trc, err = sd.fused(&ex.ws, h, v, hOff, vOff, cfg.Params); err == nil {
+		if r, trc, err = ex.recordSide(j, side, h, v, hOff, vOff, cfg.Params); err == nil {
 			ex.keepTrace(j, side, trc, tr)
 			if !fused {
 				replay = instrCost(cfg, r.Stats)
@@ -441,7 +464,7 @@ func (ex *executor) replaySide(t *TileWork, cfg Config, j, side int, tr *tileRes
 	h, v := t.Seq(job.HLocal), t.Seq(job.VLocal)
 	sd := &sides[side]
 	hOff, vOff, _, _ := sd.at(job, h, v)
-	trc, err := sd.trace(&ex.ws, h, v, hOff, vOff, cfg.Params)
+	_, trc, err := ex.recordSide(j, side, h, v, hOff, vOff, cfg.Params)
 	r := &ex.scored[side][j]
 	if err == nil && (trc.Score != r.Score || trc.EndH != r.EndH || trc.EndV != r.EndV) {
 		err = fmt.Errorf("ipukernel: %s traceback of comparison %d diverged: replay (%d,%d,%d) vs kernel (%d,%d,%d)",
@@ -455,10 +478,17 @@ func (ex *executor) replaySide(t *TileWork, cfg Config, j, side int, tr *tileRes
 	return instrCost(cfg, r.Stats)
 }
 
-// keepTrace stores one side's recorded CIGAR and trace footprint and
-// raises the tile's peak.
+// recordSide runs the recording sweep of job j's side, appends its walked
+// runs to the side's run buffer and notes where they lie.
+func (ex *executor) recordSide(j, side int, h, v []byte, hOff, vOff int, p core.Params) (core.Result, core.Trace, error) {
+	from := len(ex.runs[side])
+	r, trc, runs, err := sides[side].record(&ex.ws, h, v, hOff, vOff, p, ex.runs[side])
+	ex.runs[side], ex.spans[side][j] = runs, span{from, len(runs)}
+	return r, trc, err
+}
+
+// keepTrace stores one side's trace footprint and raises the tile's peak.
 func (ex *executor) keepTrace(j, side int, trc core.Trace, tr *tileResult) {
-	ex.cigars[side][j] = trc.Cigar
 	ex.traceBytes[side][j] = trc.TraceBytes
 	tr.PeakTracebackBytes = max(tr.PeakTracebackBytes, trc.TraceBytes)
 }
