@@ -3,53 +3,14 @@
 package main
 
 import (
-	"fmt"
-	"math/rand"
+	"log"
+	"os"
 
-	"github.com/sram-align/xdropipu/internal/core"
-	"github.com/sram-align/xdropipu/internal/scoring"
-	"github.com/sram-align/xdropipu/internal/synth"
+	"github.com/sram-align/xdropipu/internal/bench"
 )
 
 func main() {
-	rng := rand.New(rand.NewSource(5))
-	h := synth.RandDNA(rng, 360)
-	v := synth.UniformDNA(0.15).Apply(rng, h)
-
-	for _, x := range []int{10, 20, 1 << 20} {
-		label := fmt.Sprintf("X=%d", x)
-		if x >= 1<<20 {
-			label = "X=∞"
-		}
-		mx, res := core.ReferenceMatrix(core.NewView(h), core.NewView(v), core.Params{
-			Scorer: scoring.DNADefault, Gap: -1, X: x,
-		})
-		frac := 100 * float64(mx.ComputedCells()) / float64((mx.M+1)*(mx.N+1))
-		fmt.Printf("%s: score %d, %d cells computed (%.1f%% of the matrix), δw=%d\n",
-			label, res.Score, res.Stats.Cells, frac, res.Stats.MaxLiveBand)
-		render(mx)
-		fmt.Println()
-	}
-}
-
-func render(mx *core.Matrix) {
-	const grid = 60
-	stepI := (mx.M + grid) / grid
-	stepJ := (mx.N + grid) / grid
-	for i := 0; i <= mx.M; i += stepI {
-		row := make([]byte, 0, grid)
-		for j := 0; j <= mx.N; j += stepJ {
-			c := byte('.')
-			for di := 0; di < stepI && i+di <= mx.M && c == '.'; di++ {
-				for dj := 0; dj < stepJ && j+dj <= mx.N; dj++ {
-					if mx.Computed(i+di, j+dj) {
-						c = '#'
-						break
-					}
-				}
-			}
-			row = append(row, c)
-		}
-		fmt.Printf("  %s\n", row)
+	if err := bench.Fig2(bench.Options{W: os.Stdout}); err != nil {
+		log.Fatal(err)
 	}
 }

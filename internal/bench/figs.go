@@ -6,6 +6,7 @@ import (
 
 	"github.com/sram-align/xdropipu/internal/core"
 	"github.com/sram-align/xdropipu/internal/metrics"
+	"github.com/sram-align/xdropipu/internal/oracle"
 	"github.com/sram-align/xdropipu/internal/scoring"
 	"github.com/sram-align/xdropipu/internal/synth"
 )
@@ -21,7 +22,7 @@ func Fig1(opt Options) error {
 	// narrow static band.
 	v := append(append(append([]byte{}, h[:500]...), synth.RandDNA(rng, 150)...), h[500:]...)
 
-	full := core.SemiGlobalFull(core.NewView(h), core.NewView(v), scoring.DNADefault, -1)
+	full := oracle.Extend(h, v, scoring.DNADefault.Table(), -1, oracle.Unpruned)
 	tab := metrics.NewTable("Fig. 1 — static band vs X-Drop on a long indel",
 		"method", "score", "optimal", "cells")
 	for _, hw := range []int{20, 60} {
@@ -32,7 +33,7 @@ func Fig1(opt Options) error {
 		Scorer: scoring.DNADefault, Gap: -1, X: 160,
 	})
 	tab.AddRow("x-drop X=160", xd.Score, xd.Score == full.Score, xd.Stats.Cells)
-	tab.AddRow("full DP", full.Score, true, full.Stats.Cells)
+	tab.AddRow("full DP", full.Score, true, cells(full.Computed[1:])) // every cell but the origin
 	tab.Render(opt.W)
 	return nil
 }
@@ -50,37 +51,43 @@ func Fig2(opt Options) error {
 		if x >= 1<<20 {
 			label = "X=∞"
 		}
-		mx, res := core.ReferenceMatrix(core.NewView(h), core.NewView(v), core.Params{
-			Scorer: scoring.DNADefault, Gap: -1, X: x,
-		})
-		frac := float64(mx.ComputedCells()) / float64((mx.M+1)*(mx.N+1))
+		e := oracle.Extend(h, v, scoring.DNADefault.Table(), -1, x)
+		dw := 0
+		for _, s := range e.Live {
+			dw = max(dw, s.Width())
+		}
+		n := cells(e.Computed)
+		frac := float64(n) / float64((len(h)+1)*(len(v)+1))
 		fmt.Fprintf(opt.W, "Fig. 2 (%s): score=%d cells=%d (%.1f%% of matrix), δw=%d\n",
-			label, res.Score, res.Stats.Cells, 100*frac, res.Stats.MaxLiveBand)
-		renderMask(opt, mx)
+			label, e.Score, n, 100*frac, dw)
+		renderMask(opt, len(h), len(v), e.Computed)
 	}
 	fmt.Fprintln(opt.W)
 	return nil
 }
 
-// renderMask draws the computed-cell mask downsampled to a character
-// grid (the gray area of Fig. 2).
-func renderMask(opt Options, mx *core.Matrix) {
+// cells sums the widths of spans.
+func cells(spans []oracle.Span) int64 {
+	var n int64
+	for _, s := range spans {
+		n += int64(s.Width())
+	}
+	return n
+}
+
+// renderMask draws the computed cells of an m×n extension, one span per
+// antidiagonal, downsampled to a character grid (the gray area of Fig. 2).
+func renderMask(opt Options, m, n int, computed []oracle.Span) {
 	const grid = 48
-	stepI := (mx.M + grid) / grid
-	stepJ := (mx.N + grid) / grid
-	if stepI < 1 {
-		stepI = 1
-	}
-	if stepJ < 1 {
-		stepJ = 1
-	}
-	for i := 0; i <= mx.M; i += stepI {
+	stepI := max(1, (m+grid)/grid)
+	stepJ := max(1, (n+grid)/grid)
+	for i := 0; i <= m; i += stepI {
 		line := make([]byte, 0, grid+2)
-		for j := 0; j <= mx.N; j += stepJ {
+		for j := 0; j <= n; j += stepJ {
 			hit := false
-			for di := 0; di < stepI && i+di <= mx.M && !hit; di++ {
-				for dj := 0; dj < stepJ && j+dj <= mx.N; dj++ {
-					if mx.Computed(i+di, j+dj) {
+			for di := 0; di < stepI && i+di <= m && !hit; di++ {
+				for dj := 0; dj < stepJ && j+dj <= n; dj++ {
+					if d := i + di + j + dj; d < len(computed) && computed[d].Lo <= i+di && i+di <= computed[d].Hi {
 						hit = true
 						break
 					}

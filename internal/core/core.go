@@ -2,10 +2,8 @@
 // semi-global alignment algorithm family, including the memory-restricted
 // two-antidiagonal variant (Algorithm 1) designed for SRAM-based processors.
 //
-// Four score-compatible variants are provided:
+// Three score-compatible variants are provided:
 //
-//   - Reference: full-matrix oracle with the same live-window semantics,
-//     used for testing and for rendering search-space figures.
 //   - Standard3: Zhang's three-antidiagonal formulation (3δ memory), the
 //     search space used by SeqAn and LOGAN.
 //   - Restricted2: the paper's contribution — two antidiagonals of bounded
@@ -18,22 +16,23 @@
 // whose score falls below T−X, where T is the best score seen on previous
 // antidiagonals, is removed from the search space (set to −∞).
 //
-// Apart from the oracle, the variants are served by three antidiagonal
-// sweeps: linearSweep (linear.go — Restricted2's in-place two-buffer
-// walk, and Standard3 as the same body writing to a third buffer) and
-// affineSweep (affine.go) score only and are generic over the score width
-// (int32, or int16 for the narrow tier of tier.go); fusedLinear
-// (fused.go) scores the linear variants and records per-cell directions
-// for traceback, whether as the single fused pass or as the second pass
-// after a score sweep. Affine is score-only. Each sweep has
-// one inner loop: Workspace.operands lays h and v out in sweep order once
-// per extension, so no sweep knows a view's direction. The linear int32
-// sweeps additionally have AVX2 bodies on amd64 (row_amd64.s, eight cells
-// per instruction): one resident assembly body (sweepLinearVec) runs the
-// whole antidiagonal loop of an extension, with two row kinds — the score
-// sweep's rows and the recording sweep's, which also pack their direction
-// codes into the tracer. Both are bit-identical to the Go loops they are
-// tested against; RowISA reports which this process runs.
+// The variants are served by three antidiagonal sweeps: linearSweep
+// (linear.go — Restricted2's in-place two-buffer walk, and Standard3 as
+// the same body writing to a third buffer) and affineSweep (affine.go)
+// score only and are generic over the score width (int32, or int16 for
+// the narrow tier of tier.go); fusedLinear (fused.go) scores the linear
+// variants and records per-cell directions for traceback, whether as the
+// single fused pass or as the second pass after a score sweep. Affine is
+// score-only. Each sweep has one inner loop: Workspace.operands lays h
+// and v out in sweep order once per extension, so no sweep knows a view's
+// direction. The linear int32 sweeps additionally have AVX2 bodies on
+// amd64 (row_amd64.s, eight cells per instruction): one resident assembly
+// body (sweepLinearVec) runs the whole antidiagonal loop of an extension,
+// with two row kinds — the score sweep's rows and the recording sweep's,
+// which also pack their direction codes into the tracer. Both are
+// bit-identical to the Go loops they are tested against; RowISA reports
+// which this process runs. The X-Drop they are all held to is
+// internal/oracle, which shares no code with this package.
 package core
 
 import (
@@ -94,10 +93,9 @@ const (
 	AlgoRestricted2 Algo = iota
 	// AlgoStandard3 is Zhang's three-antidiagonal algorithm.
 	AlgoStandard3
-	// AlgoReference is the full-matrix oracle.
-	AlgoReference
-	// AlgoAffine is the Gotoh affine-gap variant (ksw2 baseline).
-	AlgoAffine
+	// AlgoAffine is the Gotoh affine-gap variant (ksw2 baseline). It
+	// keeps the value 3: kernel fingerprints hash Algo.
+	AlgoAffine Algo = 3
 )
 
 // String names the algorithm for reports.
@@ -107,8 +105,6 @@ func (a Algo) String() string {
 		return "restricted2"
 	case AlgoStandard3:
 		return "standard3"
-	case AlgoReference:
-		return "reference"
 	case AlgoAffine:
 		return "affine"
 	default:
@@ -154,6 +150,9 @@ func (p *Params) Validate() error {
 	}
 	if p.GapOpen > 0 {
 		return fmt.Errorf("core: GapOpen must be non-positive, got %d", p.GapOpen)
+	}
+	if p.Algo != AlgoRestricted2 && p.Algo != AlgoStandard3 && p.Algo != AlgoAffine {
+		return fmt.Errorf("core: unknown algorithm %v", p.Algo)
 	}
 	if p.Tier > TierAuto {
 		return fmt.Errorf("core: unknown kernel tier %d", p.Tier)

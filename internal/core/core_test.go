@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/sram-align/xdropipu/internal/oracle"
 	"github.com/sram-align/xdropipu/internal/scoring"
 )
 
@@ -84,6 +85,8 @@ func TestParamsValidate(t *testing.T) {
 		{Scorer: scoring.DNADefault, Gap: -1, X: -1},
 		{Scorer: scoring.DNADefault, Gap: -1, X: 5, DeltaB: -2},
 		{Scorer: scoring.DNADefault, Gap: -1, X: 5, GapOpen: 1},
+		{Scorer: scoring.DNADefault, Gap: -1, X: 5, Algo: Algo(2)},
+		{Scorer: scoring.DNADefault, Gap: -1, X: 5, Algo: Algo(4)},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -97,7 +100,7 @@ func TestIdenticalSequences(t *testing.T) {
 	for _, n := range []int{1, 2, 10, 100, 777} {
 		rng := rand.New(rand.NewSource(int64(n)))
 		s := randDNA(rng, n)
-		for _, algo := range []Algo{AlgoReference, AlgoStandard3, AlgoRestricted2} {
+		for _, algo := range []Algo{AlgoStandard3, AlgoRestricted2} {
 			p := dnaParams(5)
 			p.Algo = algo
 			r := Align(NewView(s), NewView(s), p)
@@ -113,7 +116,7 @@ func TestIdenticalSequences(t *testing.T) {
 
 func TestEmptySequences(t *testing.T) {
 	p := dnaParams(5)
-	for _, algo := range []Algo{AlgoReference, AlgoStandard3, AlgoRestricted2, AlgoAffine} {
+	for _, algo := range []Algo{AlgoStandard3, AlgoRestricted2, AlgoAffine} {
 		p.Algo = algo
 		r := Align(NewView(nil), NewView(nil), p)
 		if r.Score != 0 || r.EndH != 0 || r.EndV != 0 {
@@ -135,7 +138,7 @@ func TestCompletelyMismatched(t *testing.T) {
 	// 0 at the origin and the search dies after roughly X antidiagonals.
 	h := bytes.Repeat([]byte("A"), 200)
 	v := bytes.Repeat([]byte("C"), 200)
-	for _, algo := range []Algo{AlgoReference, AlgoStandard3, AlgoRestricted2} {
+	for _, algo := range []Algo{AlgoStandard3, AlgoRestricted2} {
 		p := dnaParams(10)
 		p.Algo = algo
 		r := Align(NewView(h), NewView(v), p)
@@ -150,7 +153,10 @@ func TestCompletelyMismatched(t *testing.T) {
 
 // TestVariantsAgreeWithOracle is the central correctness property: on
 // random mutated pairs, Standard3 and Restricted2 (unbounded δb) must
-// reproduce the full-matrix oracle exactly — score, end point, cells.
+// reproduce the oracle exactly — score, end point, cells, live band, no
+// clamp — and so must their seed extensions through ExtendSeed at a
+// random seed: the three scores and the aligned region, against
+// oracle.Seed on the raw sequences.
 func TestVariantsAgreeWithOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 300; trial++ {
@@ -162,29 +168,25 @@ func TestVariantsAgreeWithOracle(t *testing.T) {
 		}
 		x := []int{0, 1, 5, 10, 25, 100}[trial%6]
 		p := dnaParams(x)
-
-		ref := Reference(NewView(h), NewView(v), p)
-		std := Standard3(NewView(h), NewView(v), p)
-		rst := Restricted2(NewView(h), NewView(v), p)
-
-		if std.Score != ref.Score || std.EndH != ref.EndH || std.EndV != ref.EndV {
-			t.Fatalf("trial %d: standard3 %+v != reference %+v (x=%d h=%s v=%s)",
-				trial, std, ref, x, h, v)
-		}
-		if rst.Score != ref.Score || rst.EndH != ref.EndH || rst.EndV != ref.EndV {
-			t.Fatalf("trial %d: restricted2 %+v != reference %+v (x=%d h=%s v=%s)",
-				trial, rst, ref, x, h, v)
-		}
-		if std.Stats.Cells != ref.Stats.Cells || rst.Stats.Cells != ref.Stats.Cells {
-			t.Fatalf("trial %d: cell counts diverge ref=%d std=%d rst=%d",
-				trial, ref.Stats.Cells, std.Stats.Cells, rst.Stats.Cells)
-		}
-		if std.Stats.MaxLiveBand != ref.Stats.MaxLiveBand || rst.Stats.MaxLiveBand != ref.Stats.MaxLiveBand {
-			t.Fatalf("trial %d: band diverges ref=%d std=%d rst=%d",
-				trial, ref.Stats.MaxLiveBand, std.Stats.MaxLiveBand, rst.Stats.MaxLiveBand)
-		}
-		if rst.Stats.Clamped {
-			t.Fatalf("trial %d: unbounded restricted2 reported clamping", trial)
+		ref := oracleResult(NewView(h), NewView(v), p)
+		k := 1 + rng.Intn(min(len(h), len(v)))
+		s := Seed{H: rng.Intn(len(h) - k + 1), V: rng.Intn(len(v) - k + 1), Len: k}
+		want := oracle.Seed(h, v, s.H, s.V, k, p.Scorer.Table(), p.Gap, x)
+		for algo, extend := range map[Algo]func(h, v View, p Params) Result{AlgoStandard3: Standard3, AlgoRestricted2: Restricted2} {
+			got := extend(NewView(h), NewView(v), p)
+			if got.Score != ref.Score || got.EndH != ref.EndH || got.EndV != ref.EndV || got.Stats.Clamped ||
+				got.Stats.Cells != ref.Stats.Cells || got.Stats.MaxLiveBand != ref.Stats.MaxLiveBand {
+				t.Fatalf("trial %d: %v %+v != oracle %+v (x=%d h=%s v=%s)", trial, algo, got, ref, x, h, v)
+			}
+			p.Algo = algo
+			sr, err := ExtendSeed(h, v, s, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sr.Score != want.Score || sr.LeftScore != want.Left || sr.RightScore != want.Right ||
+				sr.BegH != want.BegH || sr.BegV != want.BegV || sr.EndH != want.EndH || sr.EndV != want.EndV {
+				t.Fatalf("trial %d: %v seed %+v: %+v != oracle %+v (x=%d h=%s v=%s)", trial, algo, s, sr, want, x, h, v)
+			}
 		}
 	}
 }
@@ -283,7 +285,7 @@ func TestScoreMonotoneInX(t *testing.T) {
 			prevCells = r.Stats.Cells
 		}
 		// X=∞ must reach the unpruned semi-global optimum.
-		full := SemiGlobalFull(NewView(h), NewView(v), scoring.DNADefault, -1)
+		full := oracle.Extend(h, v, scoring.DNADefault.Table(), -1, oracle.Unpruned)
 		if prev != full.Score {
 			t.Fatalf("trial %d: X=∞ score %d != full DP %d", trial, prev, full.Score)
 		}
@@ -413,7 +415,7 @@ func TestBandedVsXDrop(t *testing.T) {
 	// Insert a long gap so the optimal path leaves a narrow static band
 	// (the Fig. 1 scenario).
 	v := append(append(append([]byte{}, h[:100]...), randDNA(rng, 60)...), h[100:]...)
-	full := SemiGlobalFull(NewView(h), NewView(v), scoring.DNADefault, -1)
+	full := oracle.Extend(h, v, scoring.DNADefault.Table(), -1, oracle.Unpruned)
 	narrow := Banded(NewView(h), NewView(v), 10, scoring.DNADefault, -1)
 	wide := Banded(NewView(h), NewView(v), len(v), scoring.DNADefault, -1)
 	xd := Standard3(NewView(h), NewView(v), dnaParams(100))
@@ -432,21 +434,23 @@ func TestReferenceMatrixComputedArea(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	h := randDNA(rng, 60)
 	v := mutate(rng, h, 0.1)
-	p10 := dnaParams(5)
-	p20 := dnaParams(20)
-	pInf := dnaParams(1 << 20)
-	m10, _ := ReferenceMatrix(NewView(h), NewView(v), p10)
-	m20, _ := ReferenceMatrix(NewView(h), NewView(v), p20)
-	mInf, rInf := ReferenceMatrix(NewView(h), NewView(v), pInf)
-	if !(m10.ComputedCells() <= m20.ComputedCells() && m20.ComputedCells() <= mInf.ComputedCells()) {
-		t.Errorf("computed area not monotone in X: %d, %d, %d",
-			m10.ComputedCells(), m20.ComputedCells(), mInf.ComputedCells())
+	var area []int64
+	for _, x := range []int{5, 20, 1 << 20} {
+		e := oracle.Extend(h, v, scoring.DNADefault.Table(), -1, x)
+		if e.Computed[0] != (oracle.Span{}) || e.Live[0] != (oracle.Span{}) {
+			t.Errorf("X=%d: origin antidiagonal computed %v, live %v", x, e.Computed[0], e.Live[0])
+		}
+		var cells int64
+		for _, s := range e.Computed {
+			cells += int64(s.Width())
+		}
+		if r := Standard3(NewView(h), NewView(v), dnaParams(x)); cells != r.Stats.Cells {
+			t.Errorf("X=%d: oracle computes %d cells, standard3 %d", x, cells, r.Stats.Cells)
+		}
+		area = append(area, cells)
 	}
-	if !mInf.Computed(0, 0) || mInf.Score(0, 0) != 0 {
-		t.Error("origin cell wrong")
-	}
-	if int64(mInf.ComputedCells()) != rInf.Stats.Cells {
-		t.Errorf("mask count %d != stats cells %d", mInf.ComputedCells(), rInf.Stats.Cells)
+	if !(area[0] <= area[1] && area[1] <= area[2]) {
+		t.Errorf("computed area not monotone in X: %v", area)
 	}
 }
 
@@ -496,8 +500,8 @@ func TestAlgoString(t *testing.T) {
 	names := map[Algo]string{
 		AlgoRestricted2: "restricted2",
 		AlgoStandard3:   "standard3",
-		AlgoReference:   "reference",
 		AlgoAffine:      "affine",
+		Algo(2):         "Algo(2)",
 	}
 	for a, want := range names {
 		if a.String() != want {

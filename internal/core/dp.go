@@ -244,8 +244,7 @@ func sweep[S score](b *scoreBufs[S], hq, vq []byte, p Params, negInf, guard S) (
 
 // statAcc accumulates the per-antidiagonal trace counters in plain locals
 // so the kernel inner loops touch registers, not Stats memory; every sweep
-// (the Reference oracle included) flushes it into the Result once per
-// extension.
+// flushes it into the Result once per extension.
 type statAcc struct {
 	antid               int
 	cells               int64

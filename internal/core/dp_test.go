@@ -47,13 +47,11 @@ func reversed(b []byte) []byte {
 }
 
 // TestOptimizedVariantsMatchReference is the fuzz-style equivalence
-// property for the int32 kernels: on random DNA and
-// protein pairs, under forward AND reversed views, every optimized
-// variant must reproduce the full-matrix Reference oracle exactly —
-// Score, EndH/EndV and Stats.Cells. (Reference itself consumes the views
-// generically, so a reversed view compares against the oracle running on
-// the same reversed inputs; a separate check below pins reversed views to
-// materialised reversed sequences.)
+// property for the int32 kernels: on random DNA and protein pairs, under
+// forward AND reversed views, every optimized variant must reproduce the
+// oracle exactly — Score, EndH/EndV, Stats.Cells and MaxLiveBand. (The
+// oracle runs on the views' symbols in view order; a separate check below
+// pins reversed views to materialised reversed sequences.)
 func TestOptimizedVariantsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 400; trial++ {
@@ -84,20 +82,20 @@ func TestOptimizedVariantsMatchReference(t *testing.T) {
 			hv, vv = NewReversedView(hs), NewView(vs)
 		}
 
-		ref := Reference(hv, vv, p)
+		ref := oracleResult(hv, vv, p)
 		for _, algo := range []Algo{AlgoStandard3, AlgoRestricted2} {
 			pp := p
 			pp.Algo = algo
 			got := Align(hv, vv, pp)
 			if got.Score != ref.Score || got.EndH != ref.EndH || got.EndV != ref.EndV {
-				t.Fatalf("trial %d: %v %+v != reference %+v (h=%s v=%s x=%d)",
+				t.Fatalf("trial %d: %v %+v != oracle %+v (h=%s v=%s x=%d)",
 					trial, algo, got, ref, hs, vs, p.X)
 			}
 			if got.Stats.Cells != ref.Stats.Cells {
-				t.Fatalf("trial %d: %v cells %d != reference %d", trial, algo, got.Stats.Cells, ref.Stats.Cells)
+				t.Fatalf("trial %d: %v cells %d != oracle %d", trial, algo, got.Stats.Cells, ref.Stats.Cells)
 			}
 			if got.Stats.MaxLiveBand != ref.Stats.MaxLiveBand {
-				t.Fatalf("trial %d: %v band %d != reference %d", trial, algo, got.Stats.MaxLiveBand, ref.Stats.MaxLiveBand)
+				t.Fatalf("trial %d: %v band %d != oracle %d", trial, algo, got.Stats.MaxLiveBand, ref.Stats.MaxLiveBand)
 			}
 		}
 	}
@@ -107,7 +105,7 @@ func TestOptimizedVariantsMatchReference(t *testing.T) {
 // linear-gap oracle in the regime where the two recurrences coincide:
 // with GapOpen = 0, E and F reduce to plain gap extensions of H, and a
 // channel survives pruning exactly when the cell's H does — so scores,
-// end points, cell counts and live bands must all match Reference.
+// end points, cell counts and live bands must all match the oracle.
 func TestAffineZeroOpenMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	for trial := 0; trial < 200; trial++ {
@@ -125,16 +123,16 @@ func TestAffineZeroOpenMatchesReference(t *testing.T) {
 		default:
 			hv, vv = NewReversedView(hs), NewView(vs)
 		}
-		ref := Reference(hv, vv, p)
+		ref := oracleResult(hv, vv, p)
 		pp := p
 		pp.Algo = AlgoAffine // GapOpen stays 0
 		got := Align(hv, vv, pp)
 		if got.Score != ref.Score || got.EndH != ref.EndH || got.EndV != ref.EndV {
-			t.Fatalf("trial %d: affine(open=0) %+v != reference %+v (h=%s v=%s x=%d)",
+			t.Fatalf("trial %d: affine(open=0) %+v != oracle %+v (h=%s v=%s x=%d)",
 				trial, got, ref, hs, vs, p.X)
 		}
 		if got.Stats.Cells != ref.Stats.Cells || got.Stats.MaxLiveBand != ref.Stats.MaxLiveBand {
-			t.Fatalf("trial %d: affine(open=0) trace (%d,%d) != reference (%d,%d)",
+			t.Fatalf("trial %d: affine(open=0) trace (%d,%d) != oracle (%d,%d)",
 				trial, got.Stats.Cells, got.Stats.MaxLiveBand, ref.Stats.Cells, ref.Stats.MaxLiveBand)
 		}
 	}
@@ -145,7 +143,7 @@ func TestAffineZeroOpenMatchesReference(t *testing.T) {
 // similarity instead of loading it): both score layouts and the recording
 // sweep, under DNADefault and a non-default simple(+2/−3), over reads that
 // contain the wildcard 'N' and lowercase, through forward, reversed and
-// mixed views. Each Result equals Reference's in every field but the
+// mixed views. Each Result equals the oracle's in every field but the
 // layout-defined WorkBytes; each recording's Trace equals the naive
 // replay's (oracle_test.go) and its CIGAR re-prices to the score. Under
 // -tags purego the same test pins the Go loop.
@@ -166,7 +164,7 @@ func TestSimpleScorersMatchReference(t *testing.T) {
 		if trial%8 == 7 {
 			hv.rev = false // mixed directions: both operands staged
 		}
-		ref := Reference(hv, vv, p)
+		ref := oracleResult(hv, vv, p)
 		for _, algo := range []Algo{AlgoRestricted2, AlgoStandard3} {
 			label := fmt.Sprintf("trial %d %v %v rev=%v/%v", trial, p.Scorer, algo, hv.rev, vv.rev)
 			pp := p
@@ -178,10 +176,10 @@ func TestSimpleScorersMatchReference(t *testing.T) {
 			}
 			got.Stats.WorkBytes, rec.Stats.WorkBytes = ref.Stats.WorkBytes, ref.Stats.WorkBytes
 			if got != ref {
-				t.Fatalf("%s: score sweep %+v != reference %+v (h=%s v=%s)", label, got, ref, hs, vs)
+				t.Fatalf("%s: score sweep %+v != oracle %+v (h=%s v=%s)", label, got, ref, hs, vs)
 			}
 			if rec != ref {
-				t.Fatalf("%s: recording sweep %+v != reference %+v (h=%s v=%s)", label, rec, ref, hs, vs)
+				t.Fatalf("%s: recording sweep %+v != oracle %+v (h=%s v=%s)", label, rec, ref, hs, vs)
 			}
 			want, err := or.extension(hv, vv, pp, !hv.rev)
 			if err != nil {
@@ -210,7 +208,7 @@ func TestReversedViewsMatchMaterialised(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		hs := randDNA(rng, 1+rng.Intn(200))
 		vs := mutate(rng, hs, 0.2)
-		for _, algo := range []Algo{AlgoRestricted2, AlgoStandard3, AlgoAffine, AlgoReference} {
+		for _, algo := range []Algo{AlgoRestricted2, AlgoStandard3, AlgoAffine} {
 			p := Params{Scorer: scoring.DNADefault, Gap: -1, X: 10, Algo: algo}
 			if algo == AlgoAffine {
 				p.Scorer = scoring.NewSimple(2, -4)

@@ -57,9 +57,6 @@ func (w *Workspace) ExtendLeft(h, v []byte, hOff, vOff int, p Params) Result {
 // align resolves the tier for one extension and runs p.Algo's score
 // sweep at that width.
 func (w *Workspace) align(hv, vv View, p Params) Result {
-	if p.Algo == AlgoReference {
-		return Reference(hv, vv, p)
-	}
 	if !useNarrow(hv.Len(), vv.Len(), p) {
 		return w.sweepWide(hv, vv, p)
 	}

@@ -25,8 +25,7 @@ import (
 //
 // Eligibility for the fused schedule (FusedEligible): extensions that
 // score on the int32 tier only. Narrow (int16) extensions keep the
-// two-pass schedule — fusing them would change the batch tier counters —
-// and AlgoReference keeps its full-matrix oracle as the score pass.
+// two-pass schedule — fusing them would change the batch tier counters.
 // Because the Result is the score sweep's, an eligible extension never
 // needs a separate score pass on the host: the tile kernel sweeps every
 // ungated eligible extension once, here. Whether the modeled device fuses
@@ -46,12 +45,8 @@ var ErrAffineTraceback = errors.New("core: traceback records linear-gap extensio
 
 // FusedEligible reports whether an m×n extension under p can use the
 // fused single-pass schedule: linear-gap extensions scored by the wide
-// (int32) sweep only. Narrow-tier extensions and the Reference oracle keep
-// the two-pass schedule.
+// (int32) sweep only. Narrow-tier extensions keep the two-pass schedule.
 func FusedEligible(m, n int, p Params) bool {
-	if p.Algo == AlgoReference {
-		return false
-	}
 	return !useNarrow(m, n, p)
 }
 
@@ -110,8 +105,7 @@ func (w *Workspace) FusedExtendLeft(h, v []byte, hOff, vOff int, p Params) (Resu
 }
 
 // fusedLinear is the linear-gap recording sweep (Restricted2 / Standard3
-// / Reference window semantics, selected by p.Algo through
-// linearCapacity, so a recorded Reference keeps its unbounded window).
+// window semantics, selected by p.Algo through linearCapacity).
 // Rows are linearSweep's padded-window walk with a per-cell direction code
 // folded in. Two bodies, as for the score sweep: where there is a vector
 // body (rowVec) the whole loop runs in sweepLinearVec's recording kind

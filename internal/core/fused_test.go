@@ -8,14 +8,6 @@ import (
 	"github.com/sram-align/xdropipu/internal/alignment"
 )
 
-// fusedVariants is tbVariants minus the full-matrix reference, which is
-// never fused-eligible.
-func fusedVariants() map[string]Params {
-	m := tbVariants()
-	delete(m, "reference")
-	return m
-}
-
 // checkFusedExtension runs one extension side four ways — score-only,
 // the production second pass, fused single-pass, and the naive replay
 // oracle (oracle_test.go) — and pins the contract: the fused Result
@@ -82,7 +74,7 @@ func checkFusedExtension(t *testing.T, h, v []byte, hOff, vOff int, right bool, 
 // variant, tier, size class and mutation rate, on both extension sides.
 func TestFusedDifferentialOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(4321))
-	for name, base := range fusedVariants() {
+	for name, base := range tbVariants() {
 		for _, tier := range []Tier{TierWide, TierNarrow, TierAuto} {
 			p := base
 			p.Tier = tier
@@ -116,17 +108,13 @@ func TestFusedDifferentialOracle(t *testing.T) {
 	}
 }
 
-// TestFusedEligibility pins the gate: the reference oracle never fuses,
-// narrow-tier extensions never fuse (fusing them would change the batch
-// tier counters), and wide extensions of every production variant do.
+// TestFusedEligibility pins the gate: narrow-tier extensions never fuse
+// (fusing them would change the batch tier counters), and wide extensions
+// of every linear-gap variant do.
 func TestFusedEligibility(t *testing.T) {
 	dna := tbVariants()["restricted2-db256"]
 	if FusedEligible(300, 300, dna) != true {
 		t.Fatal("wide restricted2 extension not fused-eligible")
-	}
-	ref := tbVariants()["reference"]
-	if FusedEligible(300, 300, ref) {
-		t.Fatal("reference oracle fused-eligible")
 	}
 	narrow := dna
 	narrow.Tier = TierNarrow
@@ -178,7 +166,7 @@ func TestRecordingRejectsAffine(t *testing.T) {
 // peeled loops are most likely to get wrong.
 func TestFusedEmptyAndEdgeExtensions(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	for name, p := range fusedVariants() {
+	for name, p := range tbVariants() {
 		for _, mn := range [][2]int{{0, 0}, {0, 17}, {17, 0}, {1, 1}, {2, 1}, {33, 29}} {
 			h := randDNA(rng, mn[0])
 			v := mutate(rng, h, 0.2)

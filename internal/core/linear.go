@@ -36,9 +36,7 @@ func (w *Workspace) Standard3(h, v View, p Params) Result {
 }
 
 // linearCapacity resolves the working-window bound of a linear-gap sweep:
-// Restricted2 honours DeltaB, every other linear variant (Standard3, and
-// Reference when it is recorded for traceback) is unbounded, i.e.
-// δ = min(m,n)+1.
+// Restricted2 honours DeltaB, Standard3 is unbounded, i.e. δ = min(m,n)+1.
 func linearCapacity(m, n int, p Params) int {
 	delta := min(m, n) + 1
 	if p.Algo == AlgoRestricted2 && p.DeltaB > 0 && p.DeltaB < delta {

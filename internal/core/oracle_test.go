@@ -1,6 +1,28 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/sram-align/xdropipu/internal/oracle"
+)
+
+// oracleResult runs the X-Drop oracle (internal/oracle, which shares no
+// code with this package) on the views' symbols and states its answer as
+// the wide tier's Result: the trace counters are plain sums over the
+// oracle's spans, and WorkBytes, which only a buffer layout defines, is 0.
+func oracleResult(h, v View, p Params) Result {
+	e := oracle.Extend(h.Bytes(), v.Bytes(), p.Scorer.Table(), p.Gap, p.X)
+	st := Stats{Antidiagonals: len(e.Computed), TheoreticalCells: int64(h.Len()) * int64(v.Len())}
+	for d, s := range e.Computed {
+		w := int64(s.Width())
+		st.Cells += w
+		st.Chunks32 += (w + 31) / 32
+		st.Chunks128 += (w + 127) / 128
+		st.MaxLiveBand = max(st.MaxLiveBand, e.Live[d].Width())
+	}
+	st.SumComputedBand = st.Cells
+	return Result{Score: e.Score, EndH: e.EndH, EndV: e.EndV, Stats: st}
+}
 
 // The recording oracle: the naive two-pass replay that served every
 // Traceback* call before the recording sweeps (fused.go) took over the
@@ -103,8 +125,8 @@ func get32(vals []int32, cl, cu, i int) int32 {
 	return vals[i-cl]
 }
 
-// traceLinear replays a linear-gap extension (Restricted2 / Standard3 /
-// Reference semantics) with direction recording and leaves the walk-order
+// traceLinear replays a linear-gap extension (Restricted2 / Standard3
+// semantics) with direction recording and leaves the walk-order
 // runs (best cell back to the origin) in tb.runs.
 func (w *replayOracle) traceLinear(h, v View, p Params) (Trace, error) {
 	m, n := h.Len(), v.Len()

@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"github.com/sram-align/xdropipu/internal/alignment"
+	"github.com/sram-align/xdropipu/internal/oracle"
 	"github.com/sram-align/xdropipu/internal/scoring"
 )
 
 // tbVariants enumerates the kernel configurations the differential
-// oracle covers: all three production variants (including a δb small
-// enough to clamp) plus the full-matrix reference.
+// oracle covers: the linear-gap variants, including a δb small enough to
+// clamp.
 func tbVariants() map[string]Params {
 	dna := scoring.DNADefault
 	return map[string]Params{
@@ -19,7 +20,6 @@ func tbVariants() map[string]Params {
 		"restricted2-db256":   {Scorer: dna, Gap: -1, X: 15, DeltaB: 256, Algo: AlgoRestricted2},
 		"restricted2-clamped": {Scorer: dna, Gap: -1, X: 25, DeltaB: 8, Algo: AlgoRestricted2},
 		"standard3":           {Scorer: dna, Gap: -1, X: 15, Algo: AlgoStandard3},
-		"reference":           {Scorer: dna, Gap: -1, X: 15, Algo: AlgoReference},
 		"restricted2-blosum":  {Scorer: scoring.Blosum62, Gap: -2, X: 49, Algo: AlgoRestricted2},
 	}
 }
@@ -32,7 +32,7 @@ func tbVariants() map[string]Params {
 // consume exactly the aligned spans, and re-scoring the CIGAR over the
 // aligned fragments (alignment.ScoreOf — an independent recomputation)
 // must reproduce the kernel score exactly. For unclamped linear variants
-// the score is additionally pinned to the full-matrix reference oracle.
+// the score is additionally pinned to the X-Drop oracle (internal/oracle).
 func checkSeedTraceback(t *testing.T, h, v []byte, s Seed, p Params, label string) {
 	t.Helper()
 	checkSidesMatchOracle(t, h, v, s, p, label)
@@ -64,20 +64,14 @@ func checkSeedTraceback(t *testing.T, h, v []byte, s Seed, p Params, label strin
 	if recon != want.Score {
 		t.Fatalf("%s: reconstructed score %d != kernel score %d (cigar %q)", label, recon, want.Score, aln.Cigar)
 	}
-	// Unclamped variants must also agree with core/reference.go.
+	// Unclamped variants must also agree with the oracle.
 	if !got.Stats.Clamped {
-		rp := p
-		rp.Algo = AlgoReference
-		rp.DeltaB = 0
-		ref, err := ExtendSeed(h, v, s, rp)
-		if err != nil {
-			t.Fatalf("%s: reference oracle: %v", label, err)
-		}
+		ref := oracle.Seed(h, v, s.H, s.V, s.Len, p.Scorer.Table(), p.Gap, p.X)
 		if want.Score != ref.Score {
-			t.Fatalf("%s: kernel score %d != reference oracle %d", label, want.Score, ref.Score)
+			t.Fatalf("%s: kernel score %d != oracle %d", label, want.Score, ref.Score)
 		}
 		if recon != ref.Score {
-			t.Fatalf("%s: reconstructed score %d != reference oracle %d", label, recon, ref.Score)
+			t.Fatalf("%s: reconstructed score %d != oracle %d", label, recon, ref.Score)
 		}
 	}
 }
@@ -189,9 +183,6 @@ func TestTracebackMemoryBoundedByBand(t *testing.T) {
 func TestTracebackSecondPassAllocs(t *testing.T) {
 	h, v := benchKernelPair(1200, 0.06)
 	for name, p := range tbVariants() {
-		if p.Algo == AlgoReference {
-			continue // not fused-eligible: nothing to compare against
-		}
 		var ws Workspace
 		if _, _, err := ws.FusedExtendRight(h, v, 0, 0, p); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -309,7 +300,7 @@ func FuzzTracebackOracle(f *testing.F) {
 			return
 		}
 		p := Params{Scorer: scoring.DNADefault, Gap: -1, X: int(xb)}
-		switch mode % 4 {
+		switch mode % 3 {
 		case 0:
 			p.Algo = AlgoRestricted2
 		case 1:
@@ -317,8 +308,6 @@ func FuzzTracebackOracle(f *testing.F) {
 			p.DeltaB = 4 + int(geom)%32
 		case 2:
 			p.Algo = AlgoStandard3
-		case 3:
-			p.Algo = AlgoReference
 		}
 		k := 1 + int(geom)%5
 		if k > len(hb) || k > len(vb) {
@@ -354,15 +343,8 @@ func FuzzTracebackOracle(f *testing.F) {
 			t.Fatalf("reconstructed score %d != kernel %d (cigar %q)", recon, want.Score, aln.Cigar)
 		}
 		if !want.Stats.Clamped {
-			rp := p
-			rp.Algo = AlgoReference
-			rp.DeltaB = 0
-			ref, err := ExtendSeed(hb, vb, s, rp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want.Score != ref.Score {
-				t.Fatalf("kernel score %d != reference oracle %d", want.Score, ref.Score)
+			if ref := oracle.Seed(hb, vb, sH, sV, k, p.Scorer.Table(), p.Gap, p.X); want.Score != ref.Score {
+				t.Fatalf("kernel score %d != oracle %d", want.Score, ref.Score)
 			}
 		}
 	})

@@ -9,6 +9,7 @@ import (
 
 	"github.com/sram-align/xdropipu/internal/core"
 	"github.com/sram-align/xdropipu/internal/ipukernel"
+	"github.com/sram-align/xdropipu/internal/oracle"
 	"github.com/sram-align/xdropipu/internal/scoring"
 	"github.com/sram-align/xdropipu/internal/synth"
 	"github.com/sram-align/xdropipu/internal/workload"
@@ -121,27 +122,24 @@ func TestGoldenReportsPreArena(t *testing.T) {
 	}
 }
 
-// TestArenaPathMatchesReferenceOracle: alignments executed through the
-// full arena spine (arena → plan → partition → tiles → kernel) must equal
-// the full-matrix AlgoReference oracle run directly on the raw sequences.
+// TestArenaPathMatchesReferenceOracle: alignments executed with the
+// default algorithm through the full arena spine (arena → plan → partition
+// → tiles → kernel) must equal the X-Drop oracle (internal/oracle) run
+// directly on the raw sequences.
 func TestArenaPathMatchesReferenceOracle(t *testing.T) {
 	d := synth.UniformPairs(synth.UniformPairsSpec{
 		Count: 8, Length: 220, ErrorRate: 0.12, SeedLen: 13, Seed: 404})
-	p := core.Params{Scorer: scoring.DNADefault, Gap: -1, X: 12, Algo: core.AlgoReference}
+	p := core.Params{Scorer: scoring.DNADefault, Gap: -1, X: 12}
 	rep, err := Run(d, Config{IPUs: 1, Partition: true, Kernel: ipukernel.Config{Params: p}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for ci, c := range d.Comparisons {
-		want, err := core.ExtendSeed(d.Seq(c.H), d.Seq(c.V),
-			core.Seed{H: c.SeedH, V: c.SeedV, Len: c.SeedLen}, p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := oracle.Seed(d.Seq(c.H), d.Seq(c.V), c.SeedH, c.SeedV, c.SeedLen, p.Scorer.Table(), p.Gap, p.X)
 		got := rep.Results[ci]
-		if got.Score != want.Score || got.BegH != want.BegH || got.EndH != want.EndH ||
-			got.BegV != want.BegV || got.EndV != want.EndV {
-			t.Errorf("cmp %d: arena path %+v != reference oracle %+v", ci, got, want)
+		if got.Score != want.Score || got.LeftScore != want.Left || got.RightScore != want.Right ||
+			got.BegH != want.BegH || got.EndH != want.EndH || got.BegV != want.BegV || got.EndV != want.EndV {
+			t.Errorf("cmp %d: arena path %+v != oracle %+v", ci, got, want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/sram-align/xdropipu/internal/core"
@@ -136,6 +137,20 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 	if len(rep.Results) != len(d.Comparisons) {
 		t.Error("defaults run failed")
+	}
+}
+
+// TestUnknownAlgoRejected: an Algo that names no variant — the retired 2,
+// or one past the last — fails the run at the kernel's parameter
+// validation instead of running as an unbounded Restricted2.
+func TestUnknownAlgoRejected(t *testing.T) {
+	d := readsData(t, 7, 10)
+	for _, a := range []core.Algo{2, 4} {
+		cfg := testCfg(1, true)
+		cfg.Kernel.Params.Algo = a
+		if _, err := Run(d, cfg); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
+			t.Errorf("%v: Run returned %v, want the unknown-algorithm error", a, err)
+		}
 	}
 }
 

@@ -292,10 +292,6 @@ func (c Config) bufCellsPerThread(maxMinLen int) int {
 		return 3 * delta
 	case core.AlgoAffine:
 		return 7 * delta
-	case core.AlgoReference:
-		// Full matrix; present for completeness, never tile-feasible
-		// beyond toy sizes.
-		return delta * delta
 	default:
 		db := c.Params.DeltaB
 		if db <= 0 || db > delta {
@@ -321,7 +317,7 @@ func (c Config) bufCellsPerThread(maxMinLen int) int {
 //     plus int16 buffers sized to the largest headroom-certified job.
 func (c Config) WorkBufBytesPerThread(maxMinLen int) int {
 	wide := c.bufCellsPerThread(maxMinLen) * core.WideScoreBytes
-	if c.Params.Algo == core.AlgoReference || !c.Params.NarrowEligible() {
+	if !c.Params.NarrowEligible() {
 		return wide
 	}
 	switch c.Params.Tier {
@@ -356,7 +352,7 @@ func (c Config) ExtensionTraceBytes(lh, lv int) int {
 	antid := lh + lv + 1
 	bandw := min(lh, lv) + 1
 	switch c.Params.Algo {
-	case core.AlgoStandard3, core.AlgoAffine, core.AlgoReference:
+	case core.AlgoStandard3, core.AlgoAffine:
 	default:
 		if db := c.Params.DeltaB; db > 0 && db < bandw {
 			bandw = db

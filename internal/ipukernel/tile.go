@@ -451,11 +451,10 @@ func (ex *executor) runSide(t *TileWork, cfg Config, j, side int, o *AlignOut, c
 }
 
 // replaySide runs one side's recording as a second pass after a separate
-// score pass — the path of gated runs and of narrow-tier or Reference
-// extensions — cross-checks its Score/EndH/EndV against the side's
-// score-pass Result and keeps its trace. It returns the extra instruction
-// cost charged for the replay (one more DP sweep), or 0 on failure — a
-// trace overflow degrades the one comparison via failed, while a
+// score pass — the path of gated runs and of narrow-tier extensions —
+// cross-checks its Score/EndH/EndV against the side's score-pass Result
+// and keeps its trace. It returns the extra instruction cost charged for
+// the replay (one more DP sweep), or 0 on failure — a trace overflow degrades the one comparison via failed, while a
 // divergence, a corrupt trace or a path that does not re-price to its
 // score lands in tr.err and fails the batch loudly rather than shipping a
 // wrong alignment.

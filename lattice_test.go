@@ -18,6 +18,7 @@ import (
 	"github.com/sram-align/xdropipu/internal/driver"
 	"github.com/sram-align/xdropipu/internal/engine"
 	"github.com/sram-align/xdropipu/internal/ipukernel"
+	"github.com/sram-align/xdropipu/internal/oracle"
 	"github.com/sram-align/xdropipu/internal/scoring"
 	"github.com/sram-align/xdropipu/internal/service"
 	"github.com/sram-align/xdropipu/internal/serviceclient"
@@ -194,7 +195,7 @@ type latticeCorpus struct {
 	// overflows the narrow tier's int16.
 	unique    int
 	saturates bool
-	want      []oracleAlignment
+	want      []oracle.Alignment
 	cut       int // the median oracle score
 	// results is the results fingerprint (trace fields cleared), set by
 	// the first row; traces holds each comparison's first CIGAR seen.
@@ -248,9 +249,9 @@ func newLatticeCorpus(t *testing.T, protein bool) *latticeCorpus {
 	var scores []int
 	fused, replayed := 0, 0
 	for _, cmp := range c.d.Comparisons {
-		w := oracleSeed(c.d.Seq(cmp.H), c.d.Seq(cmp.V), cmp.SeedH, cmp.SeedV, cmp.SeedLen, p.Scorer.Table(), p.Gap, p.X)
+		w := oracle.Seed(c.d.Seq(cmp.H), c.d.Seq(cmp.V), cmp.SeedH, cmp.SeedV, cmp.SeedLen, p.Scorer.Table(), p.Gap, p.X)
 		c.want = append(c.want, w)
-		scores = append(scores, w.score)
+		scores = append(scores, w.Score)
 		lh, lv, rh, rv := c.d.ExtensionLens(cmp)
 		for _, side := range [][2]int{{lh, lv}, {rh, rv}} {
 			if f, _ := kcfg.TraceCharges(side[0], side[1]); f > 0 {
@@ -451,8 +452,8 @@ func (c *latticeCorpus) check(t *testing.T, rep *driver.Report, cfg driver.Confi
 	p, gate := cfg.Kernel.Params, cfg.Kernel.TraceMinScore
 	for i, o := range rep.Results {
 		w := c.want[i]
-		if o.GlobalID != i || o.Failed || o.Score != w.score || o.LeftScore != w.left || o.RightScore != w.right ||
-			o.BegH != w.begH || o.BegV != w.begV || o.EndH != w.endH || o.EndV != w.endV {
+		if o.GlobalID != i || o.Failed || o.Score != w.Score || o.LeftScore != w.Left || o.RightScore != w.Right ||
+			o.BegH != w.BegH || o.BegV != w.BegV || o.EndH != w.EndH || o.EndV != w.EndV {
 			t.Fatalf("comparison %d: %+v, oracle %+v", i, o, w)
 		}
 		traced := cfg.Kernel.Traceback && o.Score >= gate
@@ -531,7 +532,7 @@ func latticePredicates(t *testing.T, r latticeRow, c *latticeCorpus, cfg driver.
 	// The executed extensions are the first executed comparisons'.
 	traced := 0
 	for _, w := range c.want[:executed] {
-		if w.score >= cfg.Kernel.TraceMinScore {
+		if w.Score >= cfg.Kernel.TraceMinScore {
 			traced += 2
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/sram-align/xdropipu/internal/alignment"
 	"github.com/sram-align/xdropipu/internal/core"
+	"github.com/sram-align/xdropipu/internal/oracle"
 	"github.com/sram-align/xdropipu/internal/scoring"
 	"github.com/sram-align/xdropipu/internal/synth"
 )
@@ -73,7 +74,7 @@ func xdropCase(seed int64, n uint16, rate, x, deltaB, gap, tier uint8, protein b
 func checkXDrop(t *testing.T, h, v []byte, s core.Seed, p core.Params) {
 	t.Helper()
 	tab := p.Scorer.Table()
-	want := oracleSeed(h, v, s.H, s.V, s.Len, tab, p.Gap, p.X)
+	want := oracle.Seed(h, v, s.H, s.V, s.Len, tab, p.Gap, p.X)
 	for _, algo := range []core.Algo{core.AlgoStandard3, core.AlgoRestricted2} {
 		q := p
 		q.Algo = algo
@@ -84,20 +85,22 @@ func checkXDrop(t *testing.T, h, v []byte, s core.Seed, p core.Params) {
 		if got.Stats.Clamped && algo == core.AlgoRestricted2 {
 			continue
 		}
-		if g := (oracleAlignment{got.Score, got.LeftScore, got.RightScore, got.BegH, got.BegV, got.EndH, got.EndV, want.tied}); g != want {
+		g := oracle.Alignment{Score: got.Score, Left: got.LeftScore, Right: got.RightScore,
+			BegH: got.BegH, BegV: got.BegV, EndH: got.EndH, EndV: got.EndV, Tied: want.Tied}
+		if g != want {
 			t.Fatalf("%v %+v: core %+v, oracle %+v", algo, q, g, want)
 		}
 	}
 
-	inf := oracleSeed(h, v, s.H, s.V, s.Len, tab, p.Gap, unpruned)
+	inf := oracle.Seed(h, v, s.H, s.V, s.Len, tab, p.Gap, oracle.Unpruned)
 	full := p
 	full.Algo, full.X = core.AlgoStandard3, 1<<24
 	got, err := core.ExtendSeed(h, v, s, full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.score > inf.score || got.Score != inf.score {
-		t.Fatalf("X = %d scores %d, X = 2^24 %d, unpruned oracle %d", p.X, want.score, got.Score, inf.score)
+	if want.Score > inf.Score || got.Score != inf.Score {
+		t.Fatalf("X = %d scores %d, X = 2^24 %d, unpruned oracle %d", p.X, want.Score, got.Score, inf.Score)
 	}
 
 	var ws core.Workspace
@@ -115,7 +118,7 @@ func checkXDrop(t *testing.T, h, v []byte, s core.Seed, p core.Params) {
 	}
 	ai, ad := indels(t, a.Cigar)
 	bi, bd := indels(t, b.Cigar)
-	if !want.tied && (a.BegH != b.BegV || a.BegV != b.BegH || a.EndH != b.EndV || a.EndV != b.EndH || ai != bd || ad != bi) {
+	if !want.Tied && (a.BegH != b.BegV || a.BegV != b.BegH || a.EndH != b.EndV || a.EndV != b.EndH || ai != bd || ad != bi) {
 		t.Fatalf("swap of a unique best: %+v (I %d, D %d) → %+v (I %d, D %d)", a, ai, ad, b, bi, bd)
 	}
 }

@@ -64,8 +64,6 @@ const (
 	AlgoRestricted2 = core.AlgoRestricted2
 	// AlgoStandard3 is Zhang's three-antidiagonal algorithm.
 	AlgoStandard3 = core.AlgoStandard3
-	// AlgoReference is the full-matrix oracle.
-	AlgoReference = core.AlgoReference
 	// AlgoAffine is the affine-gap (ksw2-style) variant. It is
 	// score-only: traceback refuses it.
 	AlgoAffine = core.AlgoAffine
