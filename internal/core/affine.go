@@ -13,7 +13,9 @@ func Affine(h, v View, p Params) Result {
 // the workspace buffers.
 func (w *Workspace) Affine(h, v View, p Params) Result {
 	p.Algo = AlgoAffine
-	return w.sweepWide(h, v, p)
+	var r Result
+	w.sweepWide(h, v, &p, &r)
+	return r
 }
 
 // affineSweep is the affine-gap (Gotoh) X-Drop score sweep backing the

@@ -234,5 +234,7 @@ type Result struct {
 // and v.
 func Align(h, v View, p Params) Result {
 	var w Workspace
-	return w.align(h, v, p)
+	var r Result
+	w.align(h, v, &p, &r)
+	return r
 }

@@ -13,6 +13,18 @@ func dnaParams(x int) Params {
 	return Params{Scorer: scoring.DNADefault, Gap: -1, X: x}
 }
 
+// aligned is align with its Result returned.
+func (w *Workspace) aligned(h, v View, p Params) (r Result) {
+	w.align(h, v, &p, &r)
+	return r
+}
+
+// sweptWide is sweepWide with its Result returned.
+func (w *Workspace) sweptWide(h, v View, p Params) (r Result) {
+	w.sweepWide(h, v, &p, &r)
+	return r
+}
+
 func randDNA(rng *rand.Rand, n int) []byte {
 	const sym = "ACGT"
 	s := make([]byte, n)

@@ -214,32 +214,34 @@ type Workspace struct {
 	tb tracer
 }
 
-// sweepWide runs the score sweep of p.Algo's recurrence on int32 buffers.
-// The saturation guard is a value no int32 can exceed, so the sweep
-// always completes.
-func (w *Workspace) sweepWide(h, v View, p Params) Result {
+// sweepWide runs the score sweep of p.Algo's recurrence on int32 buffers
+// into *res. The saturation guard is a value no int32 can exceed, so the
+// sweep always completes.
+func (w *Workspace) sweepWide(h, v View, p *Params, res *Result) {
 	hq, vq := w.operands(h, v)
-	r, _ := sweep(&w.wide, hq, vq, p, negInf32, math.MaxInt32)
-	return r
+	sweep(&w.wide, hq, vq, p, negInf32, math.MaxInt32, res)
 }
 
-// sweepNarrow runs the same sweep on int16 buffers; ok is false when the
-// saturation guard fired and the caller must promote to the wide tier.
-func (w *Workspace) sweepNarrow(h, v View, p Params) (Result, bool) {
+// sweepNarrow runs the same sweep on int16 buffers; it reports false when
+// the saturation guard fired and the caller must promote to the wide tier.
+func (w *Workspace) sweepNarrow(h, v View, p *Params, res *Result) bool {
 	hq, vq := w.operands(h, v)
-	r, ok := sweep(&w.narrow, hq, vq, p, negInf16, satGuard16)
-	r.Stats.Narrow = ok
-	return r, ok
+	ok := sweep(&w.narrow, hq, vq, p, negInf16, satGuard16, res)
+	res.Stats.Narrow = ok
+	return ok
 }
 
 // sweep dispatches on the recurrence: one affine sweep, one linear sweep
 // that serves both the Restricted2 and the Standard3 buffer layout. hq
-// and vq are the sweep-order operands (see operands).
-func sweep[S score](b *scoreBufs[S], hq, vq []byte, p Params, negInf, guard S) (Result, bool) {
+// and vq are the sweep-order operands (see operands). The Result of the
+// extension is written to *res, the whole of it.
+func sweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, guard S, res *Result) bool {
 	if p.Algo == AlgoAffine {
-		return affineSweep(b, hq, vq, p, negInf, guard)
+		r, ok := affineSweep(b, hq, vq, *p, negInf, guard)
+		*res = r
+		return ok
 	}
-	return linearSweep(b, hq, vq, p, negInf, guard)
+	return linearSweep(b, hq, vq, p, negInf, guard, res)
 }
 
 // statAcc accumulates the per-antidiagonal trace counters in plain locals

@@ -169,7 +169,7 @@ func TestSimpleScorersMatchReference(t *testing.T) {
 			label := fmt.Sprintf("trial %d %v %v rev=%v/%v", trial, p.Scorer, algo, hv.rev, vv.rev)
 			pp := p
 			pp.Algo = algo
-			got := ws.align(hv, vv, pp)
+			got := ws.aligned(hv, vv, pp)
 			rec, tr, err := ws.record(hv, vv, pp, !hv.rev)
 			if err != nil {
 				t.Fatalf("%s: record: %v", label, err)
@@ -273,7 +273,7 @@ func TestWorkBytesMatchesBufferFootprint(t *testing.T) {
 			p := Params{Scorer: scoring.DNADefault, Gap: -1, GapOpen: -2, X: 10, DeltaB: tc.deltaB, Algo: tc.algo, Tier: tier}
 			label := fmt.Sprintf("%v/δb=%d/%v", tc.algo, tc.deltaB, tier)
 			var w Workspace
-			r := w.align(NewView(h), NewView(v), p)
+			r := w.aligned(NewView(h), NewView(v), p)
 			wb, wbytes := heldFootprint(t, label+"/wide", &w.wide, tc.cells)
 			nb, nbytes := heldFootprint(t, label+"/narrow", &w.narrow, tc.cells)
 			// A clean run touches only its own width's buffers.

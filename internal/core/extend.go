@@ -37,7 +37,9 @@ func ExtendRight(h, v []byte, hOff, vOff int, p Params) Result {
 
 // ExtendRight is the workspace-reusing form of the package function.
 func (w *Workspace) ExtendRight(h, v []byte, hOff, vOff int, p Params) Result {
-	return w.align(NewView(h[hOff:]), NewView(v[vOff:]), p)
+	var r Result
+	w.align(NewView(h[hOff:]), NewView(v[vOff:]), &p, &r)
+	return r
 }
 
 // ExtendLeft extends an alignment leftwards from (hOff, vOff): it aligns
@@ -51,24 +53,27 @@ func ExtendLeft(h, v []byte, hOff, vOff int, p Params) Result {
 
 // ExtendLeft is the workspace-reusing form of the package function.
 func (w *Workspace) ExtendLeft(h, v []byte, hOff, vOff int, p Params) Result {
-	return w.align(NewReversedView(h[:hOff]), NewReversedView(v[:vOff]), p)
+	var r Result
+	w.align(NewReversedView(h[:hOff]), NewReversedView(v[:vOff]), &p, &r)
+	return r
 }
 
 // align resolves the tier for one extension and runs p.Algo's score
-// sweep at that width.
-func (w *Workspace) align(hv, vv View, p Params) Result {
+// sweep at that width into *res. The chain below it takes p and res by
+// pointer, so an extension copies neither on its way to the kernel.
+func (w *Workspace) align(hv, vv View, p *Params, res *Result) {
 	if !useNarrow(hv.Len(), vv.Len(), p) {
-		return w.sweepWide(hv, vv, p)
+		w.sweepWide(hv, vv, p, res)
+		return
 	}
-	if r, ok := w.sweepNarrow(hv, vv, p); ok {
-		return r
+	if w.sweepNarrow(hv, vv, p, res) {
+		return
 	}
 	// The narrow attempt saturated int16: discard it wholesale and
 	// transparently re-run on the wide tier (the promotion contract of
 	// tier.go). The result and stats are the wide run's.
-	r := w.sweepWide(hv, vv, p)
-	r.Stats.Promoted = true
-	return r
+	w.sweepWide(hv, vv, p, res)
+	res.Stats.Promoted = true
 }
 
 // SeedScore sums the similarity over the seed region. For an exact k-mer

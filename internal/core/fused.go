@@ -47,7 +47,7 @@ var ErrAffineTraceback = errors.New("core: traceback records linear-gap extensio
 // fused single-pass schedule: linear-gap extensions scored by the wide
 // (int32) sweep only. Narrow-tier extensions keep the two-pass schedule.
 func FusedEligible(m, n int, p Params) bool {
-	return !useNarrow(m, n, p)
+	return !useNarrow(m, n, &p)
 }
 
 // recordRuns runs the recording sweep over views h and v and walks the
@@ -117,7 +117,7 @@ func (w *Workspace) FusedExtendLeft(h, v []byte, hOff, vOff int, p Params) (Resu
 func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 	m, n := h.Len(), v.Len()
 	delta := min(m, n) + 1
-	capacity := linearCapacity(m, n, p)
+	capacity := linearCapacity(m, n, &p)
 	w.wide.b0 = growBuf(w.wide.b0, capacity)
 	w.wide.b1 = growBuf(w.wide.b1, capacity)
 	w.wide.b2 = growBuf(w.wide.b2, capacity)
@@ -330,14 +330,9 @@ func (tb *tracer) trace(r Result) Trace {
 // not fit in dirs. The code stream's part byte is read back when a call
 // opens the stream and written back when it returns.
 func (tb *tracer) recordResident(b *scoreBufs[int32], hq, vq []byte, p Params, capacity int, acc statAcc, res *Result) error {
-	st := sweepState{
-		hq: unsafe.SliceData(hq), vq: unsafe.SliceData(vq), sim: rowSimOf(p.Scorer),
-		m: len(hq), n: len(vq), capacity: capacity,
-		gap: int32(p.Gap), x: int32(min(p.X, 1<<30)),
-		d1: &b.b1[0], d2: &b.b2[0], out: &b.b0[0],
-		d: 1, limit: pruneLimit(0, p.X, negInf32), acc: acc,
-		record: true, cls: unsafe.SliceData(tb.cls), offs: unsafe.SliceData(tb.offs),
-	}
+	var st sweepState
+	st.begin(hq, vq, &p, capacity, b.b1, b.b2, b.b0, acc)
+	st.record, st.cls, st.offs = true, unsafe.SliceData(tb.cls), unsafe.SliceData(tb.offs)
 	offs := tb.offs[:cap(tb.offs)]
 	dirs := tb.dirs[:cap(tb.dirs)]
 	for !st.done {
@@ -354,8 +349,7 @@ func (tb *tracer) recordResident(b *scoreBufs[int32], hq, vq []byte, p Params, c
 			dirs = dirs[:cap(dirs)]
 		}
 		st.openStream(dirs, at)
-		st.rows = sweepRows
-		sweepLinearVec(&st)
+		st.call()
 		st.closeStream(dirs)
 		if st.rows == sweepRows && !st.done {
 			panic("core: the recording kernel refused a row that fits")

@@ -32,13 +32,13 @@ func benchKernel(b *testing.B, algo Algo, deltaB int, tier Tier) {
 	}
 	hv, vv := NewView(h), NewView(v)
 	var ws Workspace
-	ws.align(hv, vv, p) // warm buffers; the loop must be allocation-free
+	ws.aligned(hv, vv, p) // warm buffers; the loop must be allocation-free
 	var cells int64
 	var promotions int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := ws.align(hv, vv, p)
+		r := ws.aligned(hv, vv, p)
 		cells += r.Stats.Cells
 		if r.Stats.Promoted {
 			promotions++
@@ -124,7 +124,7 @@ func benchKernelWorkload(b *testing.B, pairs [][2]View, p Params) {
 		p := p
 		p.Algo, p.Tier = algo, tier
 		return func(b *testing.B) {
-			benchKernelPairs(b, pairs, func(ws *Workspace, h, v View) Result { return ws.align(h, v, p) })
+			benchKernelPairs(b, pairs, func(ws *Workspace, h, v View) Result { return ws.aligned(h, v, p) })
 		}
 	}
 	b.Run("Restricted2Wide", score(AlgoRestricted2, TierWide))
@@ -177,7 +177,62 @@ func BenchmarkKernelBandSweep(b *testing.B) {
 	for _, x := range []int{3, 5, 15, 60, 120} {
 		p := Params{Scorer: scoring.DNADefault, Gap: -1, X: x, Algo: AlgoRestricted2}
 		b.Run(fmt.Sprintf("X=%d", x), func(b *testing.B) {
-			benchKernelPairs(b, pairs, func(ws *Workspace, h, v View) Result { return ws.align(h, v, p) })
+			benchKernelPairs(b, pairs, func(ws *Workspace, h, v View) Result { return ws.aligned(h, v, p) })
+		})
+	}
+}
+
+// BenchmarkKernelRowCost fits BenchmarkKernelBandSweep's line in one
+// process: every round times one pass over the long-read pairs at each X
+// from 3 to 120 (band ≈ 4 … 100 cells), under each row kind — the score
+// sweep and the recording sweep alone, without walk or CIGAR — and a
+// least-squares fit of ns/row against band over all passes reports a
+// row's fixed cost (fixed-ns/row, the intercept) and a cell's (ns/cell,
+// the slope).
+func BenchmarkKernelRowCost(b *testing.B) {
+	pairs := longreadPairs()
+	kinds := []struct {
+		name string
+		run  func(ws *Workspace, h, v View, p Params) Result
+	}{
+		{"Score", func(ws *Workspace, h, v View, p Params) Result { return ws.aligned(h, v, p) }},
+		{"Record", func(ws *Workspace, h, v View, p Params) Result {
+			r, _, err := ws.fusedLinear(h, v, p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return r
+		}},
+	}
+	for _, kind := range kinds {
+		b.Run(kind.name, func(b *testing.B) {
+			var ws Workspace
+			pass := func(x int) (ns, band float64) {
+				p := Params{Scorer: scoring.DNADefault, Gap: -1, X: x, Algo: AlgoRestricted2}
+				var cells, antid int64
+				start := time.Now()
+				for _, pr := range pairs {
+					r := kind.run(&ws, pr[0], pr[1], p)
+					cells += r.Stats.Cells
+					antid += int64(r.Stats.Antidiagonals)
+				}
+				return float64(time.Since(start).Nanoseconds()) / float64(antid), float64(cells) / float64(antid)
+			}
+			xs := []int{3, 5, 15, 60, 120}
+			for _, x := range xs {
+				pass(x) // warm the workspace
+			}
+			var n, sx, sy, sxx, sxy float64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, x := range xs {
+					y, band := pass(x)
+					n, sx, sy, sxx, sxy = n+1, sx+band, sy+y, sxx+band*band, sxy+band*y
+				}
+			}
+			slope := (n*sxy - sx*sy) / (n*sxx - sx*sx)
+			b.ReportMetric((sy-slope*sx)/n, "fixed-ns/row")
+			b.ReportMetric(slope, "ns/cell")
 		})
 	}
 }
@@ -194,8 +249,8 @@ func TestKernelLoopsAllocationFree(t *testing.T) {
 			for _, tier := range []Tier{TierWide, TierNarrow, TierAuto} {
 				p := Params{Scorer: scoring.DNADefault, Gap: -1, GapOpen: -2, X: 15, DeltaB: 256, Algo: algo, Tier: tier}
 				var ws Workspace
-				ws.align(hv, vv, p)
-				if n := testing.AllocsPerRun(10, func() { ws.align(hv, vv, p) }); n != 0 {
+				ws.aligned(hv, vv, p)
+				if n := testing.AllocsPerRun(10, func() { ws.aligned(hv, vv, p) }); n != 0 {
 					t.Errorf("%v/%v h.rev=%v v.rev=%v: %.0f allocs per warm extension, want 0", algo, tier, dir.hRev, dir.vRev, n)
 				}
 			}

@@ -16,7 +16,9 @@ func Restricted2(h, v View, p Params) Result {
 // int32 tier.
 func (w *Workspace) Restricted2(h, v View, p Params) Result {
 	p.Algo = AlgoRestricted2
-	return w.sweepWide(h, v, p)
+	var r Result
+	w.sweepWide(h, v, &p, &r)
+	return r
 }
 
 // Standard3 runs Zhang's three-antidiagonal X-Drop extension. It allocates
@@ -32,12 +34,14 @@ func Standard3(h, v View, p Params) Result {
 // tier.
 func (w *Workspace) Standard3(h, v View, p Params) Result {
 	p.Algo = AlgoStandard3
-	return w.sweepWide(h, v, p)
+	var r Result
+	w.sweepWide(h, v, &p, &r)
+	return r
 }
 
 // linearCapacity resolves the working-window bound of a linear-gap sweep:
 // Restricted2 honours DeltaB, Standard3 is unbounded, i.e. δ = min(m,n)+1.
-func linearCapacity(m, n int, p Params) int {
+func linearCapacity(m, n int, p *Params) int {
 	delta := min(m, n) + 1
 	if p.Algo == AlgoRestricted2 && p.DeltaB > 0 && p.DeltaB < delta {
 		return p.DeltaB
@@ -106,10 +110,11 @@ func linearCapacity(m, n int, p Params) int {
 // caches — knows which ran (TestSweepKernelMatchesGeneric,
 // TestVectorSweepMatchesGenericSweep).
 //
-// ok is false when an antidiagonal's best value exceeded guard (int16
-// saturation, see tier.go): the partial attempt is void and the caller
-// must re-run on the wide tier.
-func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p Params, negInf, guard S) (Result, bool) {
+// It writes the extension's Result to *res and reports false when an
+// antidiagonal's best value exceeded guard (int16 saturation, see
+// tier.go): the partial attempt is void and the caller must re-run on the
+// wide tier.
+func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, guard S, res *Result) bool {
 	m, n := len(hq), len(vq)
 	capacity := linearCapacity(m, n, p)
 	inPlace := p.Algo != AlgoStandard3
@@ -127,7 +132,7 @@ func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p Params, negInf, guar
 		out, nbuf = b.b0, 3
 	}
 
-	res := Result{Stats: Stats{
+	*res = Result{Stats: Stats{
 		TheoreticalCells: int64(m) * int64(n),
 		WorkBytes:        nbuf * capacity * int(unsafe.Sizeof(negInf)),
 	}}
@@ -147,8 +152,8 @@ func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p Params, negInf, guar
 		// The resident vector sweep runs the loop below, row for row, and
 		// leaves the same cells in the same buffers. No int32 exceeds the
 		// wide tier's guard, so it always completes.
-		sweepResident(wide, hq, vq, p, capacity, acc, &res)
-		return res, true
+		sweepResident(wide, hq, vq, p, capacity, acc, res)
+		return true
 	}
 
 	best, t := S(0), S(0)
@@ -284,7 +289,8 @@ func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p Params, negInf, guar
 			out[i+oo] = s
 		}
 		if rowBest > guard {
-			return Result{}, false
+			*res = Result{}
+			return false
 		}
 		width := cu - cl + 1
 		setGuards(out, width, negInf)
@@ -338,35 +344,48 @@ func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p Params, negInf, guar
 	res.Score = int(best)
 	res.EndH = bestI
 	res.EndV = bestD - bestI
-	return res, true
+	return true
 }
 
 // sweepRows bounds the antidiagonals one call of sweepLinearVec computes.
 // Assembly has no preemption points, so a megabase extension run in a
 // single call would hold off a GC stop-the-world for its whole duration;
-// at this bound a call is some tens of microseconds.
-const sweepRows = 4096
+// at this bound a call is some tens of microseconds. It is a variable only
+// so that tests can re-enter the kernel every few rows.
+var sweepRows = 4096
 
 // sweepState is the loop state of both linear int32 sweeps in the layout
-// sweepLinearVec (row_amd64.s, through go_asm.h) reads and updates in
-// place: the per-extension constants, then what a row hands to the next.
-// The names are linearSweep's and fusedLinear's.
+// sweepLinearVec (row_amd64.s, through go_asm.h) reads at entry and writes
+// back when it returns: the per-extension constants, then what a row hands
+// to the next. Inside a call that state lives in registers. The names are
+// linearSweep's and fusedLinear's.
 type sweepState struct {
-	hq, vq      *byte // cell 0 of the staged operands (Workspace.operands)
-	sim         rowSim
-	m, n        int
-	capacity    int
-	gap         int32
-	x           int32 // min(X, 1<<30): T − x cannot wrap, and clamps alike
-	d1, d2, out *int32
+	hq, vq   *byte // cell 0 of the staged operands (Workspace.operands)
+	sim      rowSim
+	m, n     int
+	capacity int
+	gap      int32
+	x        int32 // min(X, 1<<30): T − x cannot wrap, and clamps alike
 
-	d, cl                  int // the next antidiagonal; the current row's window start
-	d1cl, d1lo, d1hi, d2cl int
-	limit, d1best, best    int32
-	bestI, bestD           int
-	acc                    statAcc // without antid, which is d
-	rows                   int     // antidiagonals left in this call
-	clamped, done          bool
+	// The rotation. out is the buffer the next row is stored in, d1 the
+	// buffer of d−1; after a row, d1 becomes that row's buffer and out the
+	// next one, out ^ flip ^ (d1 & s3): the other of two buffers in place
+	// (flip = b1 ^ b2, s3 = 0), the one neither row holds of three (flip =
+	// b0 ^ b1 ^ b2, s3 = all ones). d1b and d2b are the bases of d−1 and
+	// d−2: cell i of each at base + 4i, the buffer's address plus
+	// 4·(bufPad − its window start), which may lie before the buffer —
+	// hence uintptr; the buffers themselves are held by the caller.
+	d1, out       *int32
+	flip, s3      uintptr
+	d1b, d2b      uintptr
+	d, d1lo, d1hi int // the next antidiagonal; the live bounds of d−1
+	limit         int32
+	d1best, best  int32
+	bestI, bestD  int
+	acc           statAcc // without antid, which is d, and without one cell and chunk a row (finish)
+	rows          int     // the antidiagonals a call may compute; at return, those it left
+	stop          uintptr // a call's scratch: vq + n − d where its rows run out
+	clamped, done bool
 
 	// The recording kind (record set; tracer.recordResident): every row
 	// also writes the tracer's cls[d] and offs[d+1], and appends its cells'
@@ -380,9 +399,49 @@ type sweepState struct {
 	carry, bits, mul uint32
 }
 
-// finish writes the Result of a completed sweep.
+// begin sets st up for an extension whose buffers linearSweep or
+// fusedLinear have grown and seeded — d−1 in d1, d−2 in d2, the first row
+// going to out, acc holding antidiagonal 0 — and whose rotation has three
+// buffers, or two when out is d2.
+func (st *sweepState) begin(hq, vq []byte, p *Params, capacity int, d1, d2, out []int32, acc statAcc) {
+	st.hq, st.vq, st.sim = unsafe.SliceData(hq), unsafe.SliceData(vq), rowSimOf(p.Scorer)
+	st.m, st.n, st.capacity = len(hq), len(vq), capacity
+	st.gap, st.x = int32(p.Gap), int32(min(p.X, 1<<30))
+	addr := func(b []int32) uintptr { return uintptr(unsafe.Pointer(&b[0])) }
+	st.d1, st.out = &d1[0], &out[0]
+	st.flip = addr(d1) ^ addr(d2)
+	if &out[0] != &d2[0] {
+		st.flip ^= addr(out)
+		st.s3 = ^uintptr(0)
+	}
+	st.d1b, st.d2b = addr(d1)+4*bufPad, addr(d2)+4*bufPad
+	st.d = 1
+	st.limit = pruneLimit(0, p.X, negInf32)
+	st.acc = acc
+}
+
+// call runs sweepLinearVec once, with a budget of sweepRows antidiagonals,
+// and checks what it wrote back: it computed no more rows than the budget,
+// d moved by the rows it computed, and a score call that has not finished
+// spent the whole budget (a recording may return early, for room).
+func (st *sweepState) call() {
+	d := st.d
+	st.rows = sweepRows
+	sweepLinearVec(st)
+	if st.rows < 0 || st.d-d != sweepRows-st.rows || !st.done && !st.record && st.rows != 0 {
+		panic("core: the row kernel broke its budget")
+	}
+}
+
+// finish writes the Result of a completed sweep. Every computed row — d−1
+// of them beside antidiagonal 0 — has one cell and one chunk of each size
+// that the kernel does not count.
 func (st *sweepState) finish(res *Result) {
-	st.acc.antid = st.d // antidiagonal 0 and the d − 1 rows computed
+	rows := int64(st.d - 1)
+	st.acc.antid = st.d
+	st.acc.cells += rows
+	st.acc.chunks32 += rows
+	st.acc.chunks128 += rows
 	st.acc.flush(&res.Stats)
 	res.Stats.Clamped = st.clamped
 	res.Score = int(st.best)
@@ -401,20 +460,15 @@ func (st *sweepState) rowWidth() int {
 // instantiation in sweepLinearVec, from the state linearSweep has set up:
 // b1 and b2 grown and seeded with antidiagonals 0 and −1, b0 grown when
 // the layout is Standard3's, acc holding antidiagonal 0.
-func sweepResident(b *scoreBufs[int32], hq, vq []byte, p Params, capacity int, acc statAcc, res *Result) {
-	st := sweepState{
-		hq: unsafe.SliceData(hq), vq: unsafe.SliceData(vq), sim: rowSimOf(p.Scorer),
-		m: len(hq), n: len(vq), capacity: capacity,
-		gap: int32(p.Gap), x: int32(min(p.X, 1<<30)),
-		d1: &b.b1[0], d2: &b.b2[0], out: &b.b2[0],
-		d: 1, limit: pruneLimit(0, p.X, negInf32), acc: acc,
-	}
+func sweepResident(b *scoreBufs[int32], hq, vq []byte, p *Params, capacity int, acc statAcc, res *Result) {
+	out := b.b2
 	if p.Algo == AlgoStandard3 {
-		st.out = &b.b0[0]
+		out = b.b0
 	}
+	var st sweepState
+	st.begin(hq, vq, p, capacity, b.b1, b.b2, out, acc)
 	for !st.done {
-		st.rows = sweepRows
-		sweepLinearVec(&st)
+		st.call()
 	}
 	st.finish(res)
 }

@@ -130,7 +130,7 @@ func get32(vals []int32, cl, cu, i int) int32 {
 // runs (best cell back to the origin) in tb.runs.
 func (w *replayOracle) traceLinear(h, v View, p Params) (Trace, error) {
 	m, n := h.Len(), v.Len()
-	capacity := linearCapacity(m, n, p)
+	capacity := linearCapacity(m, n, &p)
 	tb := &w.tb
 	tb.reset(m + n + 1)
 

@@ -10,17 +10,21 @@
 // the similarity comes from (SIM_TABLE / SIM_EQ), whether the direction
 // compares are kept (ROW_NOMASKS / ROW_DIRMASKS), and how the step stores
 // (ROW_STORE_WHOLE for a whole vector, SWEEP_STORE_TAIL for a row's masked
-// tail). A score row and a recording row are different SWEEP_WHOLE
-// instantiations, chosen once per row; the recording one also packs each
-// step's direction codes (ROW_PUT) into the tracer's code stream.
+// tail). The loop around the rows is one macro too, SWEEP_LOOP, expanded
+// once per row kind and similarity form; a call picks its expansion at
+// entry, and no row tests the kind or the form again. The recording kind
+// also packs each step's direction codes (ROW_PUT) into the tracer's code
+// stream.
 //
-// Registers of a row: DI out, SI d2, DX d1, R8 hq, R9 vq, R10 the
-// similarity table (nil: compare form), CX cells left; AX BX R11 scratch.
-// Y0 the diagonal operand, then the cells; Y1 the next diagonal operand
-// (tail: the lane mask); Y7 the running row maximum; Y8 gap, Y9 limit, Y10
-// negInf; Y14 match, Y15 mismatch, X6 the wildcard byte ×16; Y2–Y5
-// temporaries; a recording row's direction masks are Y11 and Y5. The
-// sweep's own registers are listed with it.
+// Registers of a row: DI, SI and DX the bases of out, d−2 and d−1 — cell i
+// of each at base + 4i — R8 and R9 the bases of hq and vq — cell i's bytes
+// at base + i — R12 the first cell of the current vector, the one index of
+// every load and store; R10 the similarity table (table form), CX the row's
+// last cell − 7; AX BX R11 scratch. Y0 the diagonal operand, then the
+// cells; Y1 the next diagonal operand (tail: the lane mask); Y7 the running
+// row maximum; Y8 gap, Y9 limit, Y10 negInf; Y14 match, Y15 mismatch, X6
+// the wildcard byte ×16; Y2–Y5 temporaries; a recording row's direction
+// masks are Y11 and Y5. The sweep's own registers are listed with it.
 
 // rowLaneMask is eight all-ones dwords then eight zero dwords: the 32 bytes
 // at offset 4·(8−r) are the lane mask of a tail of r cells, lanes 0..r−1
@@ -43,9 +47,9 @@ GLOBL rowNegInf<>(SB), RODATA|NOPTR, $4
 // next vector's diagonal operand d2[k+7..k+14] — before this step's store,
 // see ROW_STORE_WHOLE — and the eight h and v bytes.
 #define ROW_FETCH \
-	VMOVDQU 28(SI), Y1 \
-	VMOVQ   (R8), X4   \
-	VMOVQ   (R9), X5
+	VMOVDQU 28(SI)(R12*4), Y1 \
+	VMOVQ   (R8)(R12*1), X4   \
+	VMOVQ   (R9)(R12*1), X5
 
 // LANE looks up tab[h][v] for the 16-bit index h<<8|v in the low word of
 // idx and inserts the byte into lane n of X5; idx is shifted on to the
@@ -81,8 +85,8 @@ GLOBL rowNegInf<>(SB), RODATA|NOPTR, $4
 	VPMOVSXBD X4, Y4     \
 	VPBLENDVB Y4, Y14, Y15, Y4
 
-// ROW_STEP computes the vector of cells k..k+7 from the diagonal operand
-// in Y0 and the sequence bytes in X4 and X5:
+// ROW_STEP computes the vector of cells k..k+7 (k = R12) from the diagonal
+// operand in Y0 and the sequence bytes in X4 and X5:
 //
 //	s = d2[k−1..k+6] + SIM
 //	g = max(d1[k−1..k+6], d1[k..k+7]) + gap       (Y2 and Y5)
@@ -95,46 +99,42 @@ GLOBL rowNegInf<>(SB), RODATA|NOPTR, $4
 // every row, and a lane past the row never reaches a stored cell. Y3
 // outlives the step.
 #define ROW_STEP(SIM, MASKS, STORE) \
-	SIM                        \
-	VPADDD     Y4, Y0, Y0      \
-	VMOVDQU    -4(DX), Y2      \
-	VMOVDQU    (DX), Y5        \
-	VPMAXSD    Y5, Y2, Y4      \
-	VPADDD     Y8, Y4, Y4      \
-	MASKS                      \
-	VPMAXSD    Y4, Y0, Y0      \
-	VPCMPGTD   Y0, Y9, Y3      \
+	SIM                              \
+	VPADDD     Y4, Y0, Y0            \
+	VMOVDQU    -4(DX)(R12*4), Y2     \
+	VMOVDQU    (DX)(R12*4), Y5       \
+	VPMAXSD    Y5, Y2, Y4            \
+	VPADDD     Y8, Y4, Y4            \
+	MASKS                            \
+	VPMAXSD    Y4, Y0, Y0            \
+	VPCMPGTD   Y0, Y9, Y3            \
 	STORE
 
-// A whole step stores all eight cells, then steps every pointer to the
-// next vector. In place, out trails d2 by cl−d2cl ≥ 0 cells, so the store
-// of out[k..k+7] overwrites d2[k+7] — lane 0 of the next vector's diagonal
-// operand — exactly when that distance is zero: ROW_FETCH has loaded that
-// operand into Y1 before the store.
+// A whole step stores all eight cells. In place, out trails d2 by
+// cl−d2cl ≥ 0 cells, so the store of out[k..k+7] overwrites d2[k+7] — lane
+// 0 of the next vector's diagonal operand — exactly when that distance is
+// zero: ROW_FETCH has loaded that operand into Y1 before the store.
 #define ROW_STORE_WHOLE \
 	VPBLENDVB Y3, Y10, Y0, Y0 \
-	VPMAXSD Y0, Y7, Y7 \
-	VMOVDQU Y0, (DI)   \
-	VMOVDQA Y1, Y0     \
-	ADDQ    $32, DI    \
-	ADDQ    $32, SI    \
-	ADDQ    $32, DX    \
-	ADDQ    $8, R8     \
-	ADDQ    $8, R9
+	VPMAXSD   Y0, Y7, Y7      \
+	VMOVDQU   Y0, (DI)(R12*4) \
+	VMOVDQA   Y1, Y0
 
 // SWEEP_STORE_TAIL is the tail store: it touches memory only in the lanes
-// of SWEEP_TAIL_FETCH's mask (Y1). The row's live bounds want the live
-// lanes inside the row anyway (Y2, kept), so pruned and out-of-row lanes
-// become −∞ in one blend, before they can reach the row maximum.
+// of the tail's mask (Y1). The row's live bounds want the live lanes
+// inside the row anyway (Y2, kept), so pruned and out-of-row lanes become
+// −∞ in one blend, before they can reach the row maximum.
 #define SWEEP_STORE_TAIL \
 	VPANDN     Y1, Y3, Y2      \
 	VPBLENDVB  Y2, Y0, Y10, Y0 \
 	VPMAXSD    Y0, Y7, Y7      \
-	VPMASKMOVD Y0, Y1, (DI)
+	VPMASKMOVD Y0, Y1, (DI)(R12*4)
 
-// The score row keeps no masks and puts no codes.
+// The score row keeps no masks, puts no codes and has no recording head or
+// tail.
 #define ROW_NOMASKS
 #define ROW_NOPUT
+#define SWEEP_NOREC
 
 // ROW_DIRMASKS keeps the two compares a direction code needs: Y11 =
 // gapTaken (g > s, strictly — the diagonal wins ties) and Y5 = leftWins
@@ -188,42 +188,29 @@ GLOBL rowNegInf<>(SB), RODATA|NOPTR, $4
 // lower guards.
 #define ROW0 (4*const_bufPad)
 
-// SWEEP_TAIL_FETCH is the fetch for the r = CX cells, one to eight, of a
-// row's last vector: Y1 becomes their lane mask, and X4 and X5 load eight
-// bytes each — the operands are staged with seqPad bytes behind them, and
-// the lanes past the row are masked off.
-#define SWEEP_TAIL_FETCH \
-	MOVQ    $8, BX                \
-	SUBQ    CX, BX                \
-	LEAQ    rowLaneMask<>(SB), AX \
-	VMOVDQU (AX)(BX*4), Y1        \
-	VMOVQ   (R8), X4              \
-	VMOVQ   (R9), X5
-
 // SWEEP_BOUNDS folds a vector's live lanes, the non-zero bits of AX, into
-// the row's live bounds. Lane 0 is cell R12 − CX. hi (R15) is the highest
-// live cell so far, a bit scan; lo (R14), the lowest, is counted up to
-// through branches when this is the row's first live vector (R14 is still
-// cu + 1): the next row's addresses all hang on it, and a predicted branch
-// lets them issue where a bit scan makes them wait for this row's cells.
+// the row's live bounds. Lane 0 is cell R12. hi (R15) is the highest live
+// cell so far, a bit scan, and −1 before the row's first live vector; lo
+// (R14), the lowest, is counted up to through branches when this is that
+// first vector: the next row's addresses all hang on it, and a predicted
+// branch lets them issue where a bit scan makes them wait for this row's
+// cells.
 #define SWEEP_BOUNDS(lobit, done) \
-	MOVQ R12, BX           \
-	SUBQ CX, BX            \
-	BSRL AX, R11           \
-	LEAQ (BX)(R11*1), R15  \
-	CMPQ R14, R12          \
-	JNE  done              \
-	MOVQ BX, R14           \
-lobit:                     \
-	SHRL $1, AX            \
-	JCS  done              \
-	INCQ R14               \
-	JMP  lobit             \
+	BSRL  AX, R11           \
+	TESTQ R15, R15          \
+	LEAQ  (R12)(R11*1), R15 \
+	JNS   done              \
+	MOVQ  R12, R14          \
+lobit:                      \
+	SHRL  $1, AX            \
+	JCS   done              \
+	INCQ  R14               \
+	JMP   lobit             \
 done:
 
 // SWEEP_WHOLE is a whole step of a row and its loop control: a vector is
 // whole while more than eight cells are left, so that every row ends in a
-// tail step.
+// tail step. One index register, R12, steps every stream.
 #define SWEEP_WHOLE(SIM, MASKS, PUT, loop, lobit, dead) \
 loop:                         \
 	ROW_FETCH                 \
@@ -233,26 +220,239 @@ loop:                         \
 	XORL      $0xff, AX       \
 	JZ        dead            \
 	SWEEP_BOUNDS(lobit, dead) \
-	SUBQ      $8, CX          \
-	CMPQ      CX, $8          \
-	JG        loop
+	ADDQ      $8, R12         \
+	CMPQ      R12, CX         \
+	JLT       loop
+
+// SWEEP_RECHEAD is a recording row's head: before the row takes its window
+// in the tracer — offs[d+1] = offs[d] + width, cls[d] = cl — the call
+// returns if the row would end past cellEnd, its state untouched. AX is
+// cl, BX width − 1.
+#define SWEEP_RECHEAD \
+	MOVQ    sweepState_vq(R13), R11   \
+	ADDQ    sweepState_n(R13), R11    \
+	SUBQ    R9, R11                   \
+	MOVQ    sweepState_offs(R13), DI  \
+	MOVLQZX (DI)(R11*4), R12          \
+	LEAQ    1(R12)(BX*1), R12         \
+	CMPQ    R12, sweepState_cellEnd(R13) \
+	JGT     leave                     \
+	MOVL    R12, 4(DI)(R11*4)         \
+	MOVQ    sweepState_cls(R13), DI   \
+	MOVL    AX, (DI)(R11*4)
+
+// SWEEP_RECTAIL packs a recording row's tail: its codes, with the lanes
+// past the row counted as pruned (Y3 = ¬Y2) so that their bits are zero,
+// join the stream behind the carry: its 2r code bits and the carry's bits
+// make T bits, of which the whole bytes are stored and the rest — T mod 8
+// of them — is the new carry. CX is kept in R11 meanwhile.
+#define SWEEP_RECTAIL(recbyte, reccarry) \
+	VPCMPEQD Y4, Y4, Y4              \
+	VPANDN   Y4, Y2, Y3              \
+	ROW_PACK                         \
+	MOVQ     CX, R11                 \
+	LEAQ     8(CX), BX               \
+	SUBQ     R12, BX                 \
+	IMULL    sweepState_mul(R13), AX \
+	ORL      sweepState_carry(R13), AX \
+	MOVL     sweepState_bits(R13), CX \
+	LEAL     (CX)(BX*2), CX          \
+	MOVQ     sweepState_dirs(R13), BX \
+	ADDQ     sweepState_dirb(R13), BX \
+	CMPL     CX, $16                 \
+	JB       recbyte                 \
+	MOVW     AX, (BX)                \
+	SHRL     $16, AX                 \
+	ADDQ     $2, BX                  \
+	SUBL     $16, CX                 \
+recbyte:                             \
+	CMPL     CX, $8                  \
+	JB       reccarry                \
+	MOVB     AX, (BX)                \
+	SHRL     $8, AX                  \
+	INCQ     BX                      \
+	SUBL     $8, CX                  \
+reccarry:                            \
+	SUBQ     sweepState_dirs(R13), BX \
+	MOVQ     BX, sweepState_dirb(R13) \
+	MOVL     AX, sweepState_carry(R13) \
+	MOVL     CX, sweepState_bits(R13) \
+	MOVL     $1, AX                  \
+	SHLL     CX, AX                  \
+	MOVL     AX, sweepState_mul(R13) \
+	MOVQ     R11, CX
+
+// SWEEP_LOOP is linearSweep's antidiagonal loop for one row kind and one
+// similarity form, statement for statement: the row head (window cl..cu,
+// or the end of the extension), the δb clamp, the row, its guards and live
+// bounds, the counters, the first-wins argmax of a new best, the limit and
+// the rotation. HEAD and TAIL are what a recording row adds; the rest of
+// the parameters are the expansion's labels.
+//
+// Row-to-row state in registers: R9 is vq + n − d, so d − n is vq − R9; DX
+// and SI are the bases of d−1 and d−2; BP is the raw buffer of the next
+// row; R14 and R15 are d1lo and d1hi; Y7 holds d1best in every lane, Y13
+// best, Y9 limit. sweepState holds the constants, the counters (added to
+// in place), the raw buffer of d−1 (for the rotation) and the recording
+// cursor.
+#define SWEEP_LOOP(SIM, MASKS, PUT, HEAD, TAIL, row, window, wide, wided, loop, lobit, dead, tail, taillo, taildead, raise, raised, rotate, clamp, clampscan, newbest, bestscan, besttail, bestfound) \
+row:                                       \
+	MOVQ    sweepState_vq(R13), AX         \
+	SUBQ    R9, AX                         \
+	CMPQ    AX, R14                        \
+	CMOVQLT R14, AX                        \
+	LEAQ    1(R15), CX                     \
+	CMPQ    CX, sweepState_m(R13)          \
+	CMOVQGT sweepState_m(R13), CX          \
+	MOVQ    CX, BX                         \
+	SUBQ    AX, BX                         \
+	JLT     finished                       \
+	CMPQ    BX, sweepState_capacity(R13)   \
+	JGE     clamp                          \
+window:                                    \
+	HEAD                                   \
+	ADDQ    BX, (sweepState_acc+statAcc_cells)(R13) \
+	CMPQ    BX, $32                        \
+	JGE     wide                           \
+wided:                                     \
+	VMOVQ   X10, (BP)                      \
+	MOVQ    AX, DI                         \
+	NEGQ    DI                             \
+	LEAQ    ROW0(BP)(DI*4), DI             \
+	MOVQ    AX, R12                        \
+	MOVQ    $-1, R15                       \
+	VMOVDQU -4(SI)(R12*4), Y0              \
+	VMOVDQA Y10, Y7                        \
+	SUBQ    $7, CX                         \
+	CMPQ    BX, $8                         \
+	JLT     tail                           \
+	SWEEP_WHOLE(SIM, MASKS, PUT, loop, lobit, dead) \
+tail:                                      \
+	MOVQ    R12, BX                        \
+	SUBQ    CX, BX                         \
+	LEAQ    rowLaneMask<>(SB), AX          \
+	VMOVDQU (AX)(BX*4), Y1                 \
+	VMOVQ   (R8)(R12*1), X4                \
+	VMOVQ   (R9)(R12*1), X5                \
+	ROW_STEP(SIM, MASKS, SWEEP_STORE_TAIL) \
+	TAIL                                   \
+	VMOVMSKPS Y2, AX                       \
+	TESTL   AX, AX                         \
+	JZ      taildead                       \
+	SWEEP_BOUNDS(taillo, taildead)         \
+	VMOVQ   X10, 32(DI)(CX*4)              \
+	VPERM2I128 $1, Y7, Y7, Y2              \
+	VPMAXSD Y2, Y7, Y7                     \
+	VPSHUFD $0x4E, Y7, Y2                  \
+	VPMAXSD Y2, Y7, Y7                     \
+	VPSHUFD $0xB1, Y7, Y2                  \
+	VPMAXSD Y2, Y7, Y7                     \
+	VPSUBD  Y12, Y7, Y2                    \
+	VPMAXSD Y2, Y9, Y9                     \
+	DECQ    R9                             \
+	TESTQ   R15, R15                       \
+	JS      finished                       \
+	MOVQ    R15, AX                        \
+	SUBQ    R14, AX                        \
+	CMPQ    AX, (sweepState_acc+statAcc_maxLive)(R13) \
+	JGE     raise                          \
+raised:                                    \
+	VPCMPGTD X13, X7, X2                   \
+	VPTEST  X2, X2                         \
+	JNZ     newbest                        \
+rotate:                                    \
+	MOVQ    DX, SI                         \
+	MOVQ    DI, DX                         \
+	MOVQ    sweepState_d1(R13), AX         \
+	ANDQ    sweepState_s3(R13), AX         \
+	XORQ    sweepState_flip(R13), AX       \
+	MOVQ    BP, sweepState_d1(R13)         \
+	XORQ    AX, BP                         \
+	CMPQ    R9, sweepState_stop(R13)       \
+	JNE     row                            \
+	JMP     leave                          \
+wide:                                      \
+	MOVQ    BX, R11                        \
+	SHRQ    $5, R11                        \
+	ADDQ    R11, (sweepState_acc+statAcc_chunks32)(R13) \
+	SHRQ    $2, R11                        \
+	ADDQ    R11, (sweepState_acc+statAcc_chunks128)(R13) \
+	JMP     wided                          \
+raise:                                     \
+	INCQ    AX                             \
+	MOVQ    AX, (sweepState_acc+statAcc_maxLive)(R13) \
+	JMP     raised                         \
+clamp:                                     \
+	MOVB    $1, sweepState_clamped(R13)    \
+	LEAQ    (DX)(R14*4), R11               \
+	MOVQ    R14, R12                       \
+clampscan:                                 \
+	VPCMPEQD  (R11), Y7, Y2                \
+	VMOVMSKPS Y2, DI                       \
+	ADDQ      $32, R11                     \
+	ADDQ      $8, R12                      \
+	TESTL     DI, DI                       \
+	JZ        clampscan                    \
+	BSFL    DI, DI                         \
+	LEAQ    -8(R12)(DI*1), R12             \
+	MOVQ    sweepState_capacity(R13), DI   \
+	MOVQ    DI, R11                        \
+	SHRQ    $1, R11                        \
+	SUBQ    R11, R12                       \
+	CMPQ    R12, AX                        \
+	CMOVQLT AX, R12                        \
+	MOVQ    CX, R11                        \
+	SUBQ    DI, R11                        \
+	INCQ    R11                            \
+	CMPQ    R12, R11                       \
+	CMOVQGT R11, R12                       \
+	MOVQ    R12, AX                        \
+	LEAQ    -1(AX)(DI*1), CX               \
+	LEAQ    -1(DI), BX                     \
+	JMP     window                         \
+newbest:                                   \
+	VMOVDQA X7, X13                        \
+	MOVQ    sweepState_vq(R13), AX         \
+	ADDQ    sweepState_n(R13), AX          \
+	SUBQ    R9, AX                         \
+	DECQ    AX                             \
+	MOVQ    AX, sweepState_bestD(R13)      \
+	MOVQ    R14, R11                       \
+	SUBQ    R12, R11                       \
+	ANDQ    $7, R11                        \
+	NEGQ    R11                            \
+	ADDQ    R14, R11                       \
+bestscan:                                  \
+	CMPQ      R11, R12                     \
+	JEQ       besttail                     \
+	VPCMPEQD  (DI)(R11*4), Y7, Y2          \
+	VMOVMSKPS Y2, AX                       \
+	TESTL     AX, AX                       \
+	JNZ       bestfound                    \
+	ADDQ      $8, R11                      \
+	JMP       bestscan                     \
+besttail:                                  \
+	VPCMPEQD  Y0, Y7, Y2                   \
+	VMOVMSKPS Y2, AX                       \
+bestfound:                                 \
+	BSFL    AX, AX                         \
+	ADDQ    R11, AX                        \
+	MOVQ    AX, sweepState_bestI(R13)      \
+	JMP     rotate
 
 // func sweepLinearVec(st *sweepState)
 //
-// linearSweep's antidiagonal loop (linear.go), statement for statement,
-// with the row computed by ROW_STEP: no boundary cell is peeled, because
-// the −∞ guards around every stored row and the pad bytes around both
-// operands make the general recurrence yield them (see linearSweep). With
-// st.record set it is fusedLinear's loop: the same rows, each of which
-// also writes the tracer's window index and its cells' direction codes.
+// linearSweep's antidiagonal loop (linear.go) with the row computed by
+// ROW_STEP: no boundary cell is peeled, because the −∞ guards around every
+// stored row and the pad bytes around both operands make the general
+// recurrence yield them (see linearSweep). With st.record set it is
+// fusedLinear's loop: the same rows, each of which also writes the
+// tracer's window index and its cells' direction codes.
 //
-// Registers, beyond the rows' (top of file): R13 st; between rows R14 and
-// R15 are d1lo and d1hi, inside a row the bounds it has found so far
-// (SWEEP_BOUNDS) and R12 is cu + 1. Y9 is the prune limit of the next row
-// to compute, Y12 is X; the row maximum is reduced across Y7's lanes and
-// folded into Y9 without leaving the vector registers. Everything else of
-// sweepState is read and written in place.
-TEXT ·sweepLinearVec(SB), NOSPLIT, $0-8
+// Registers, beyond the rows' and SWEEP_LOOP's: R13 st. Y12 is X; the row
+// maximum is reduced across Y7's lanes and folded into Y9 without leaving
+// the vector registers. The frame is only there to save BP.
+TEXT ·sweepLinearVec(SB), NOSPLIT, $8-8
 	MOVQ         st+0(FP), R13
 	VPBROADCASTD (sweepState_sim+rowSim_match)(R13), Y14
 	VPBROADCASTD (sweepState_sim+rowSim_mismatch)(R13), Y15
@@ -262,290 +462,60 @@ TEXT ·sweepLinearVec(SB), NOSPLIT, $0-8
 	VPBROADCASTD sweepState_x(R13), Y12
 	VPBROADCASTD sweepState_limit(R13), Y9
 	VPBROADCASTD rowNegInf<>(SB), Y10
+	VPBROADCASTD sweepState_d1best(R13), Y7
+	VPBROADCASTD sweepState_best(R13), Y13
 	MOVQ         sweepState_d1lo(R13), R14
 	MOVQ         sweepState_d1hi(R13), R15
+	MOVQ         sweepState_hq(R13), R8
+	DECQ         R8
+	MOVQ         sweepState_vq(R13), R9
+	ADDQ         sweepState_n(R13), R9
+	SUBQ         sweepState_d(R13), R9
+	MOVQ         R9, AX
+	SUBQ         sweepState_rows(R13), AX
+	MOVQ         AX, sweepState_stop(R13)
+	MOVQ         sweepState_d1b(R13), DX
+	MOVQ         sweepState_d2b(R13), SI
+	MOVQ         sweepState_out(R13), BP
+	CMPB         sweepState_record(R13), $0
+	JNE          record
+	TESTQ        R10, R10
+	JZ           score_eq
+	SWEEP_LOOP(SIM_TABLE, ROW_NOMASKS, ROW_NOPUT, SWEEP_NOREC, SWEEP_NOREC, st_row, st_window, st_wide, st_wided, st_loop, st_lobit, st_dead, st_tail, st_taillo, st_taildead, st_raise, st_raised, st_rotate, st_clamp, st_clampscan, st_newbest, st_bestscan, st_besttail, st_bestfound)
 
-row:
-	// cl = max(d1lo, d−n) in AX, cu = min(d1hi+1, m) in BX — d1hi is a cell
-	// of d−1, so d1hi+1 ≤ d already — and the width in CX. d−n > m once
-	// d > m+n, so cl > cu is the loop's bound as well.
-	MOVQ    sweepState_d(R13), R12
-	MOVQ    R12, AX
-	SUBQ    sweepState_n(R13), AX
-	CMPQ    AX, R14
-	CMOVQLT R14, AX
-	LEAQ    1(R15), BX
-	MOVQ    sweepState_m(R13), CX
-	CMPQ    BX, CX
-	CMOVQGT CX, BX
-	MOVQ    BX, CX
-	SUBQ    AX, CX
-	INCQ    CX
-	JLE     finished
-	CMPQ    CX, sweepState_capacity(R13)
-	JGT     clamp
+score_eq:
+	SWEEP_LOOP(SIM_EQ, ROW_NOMASKS, ROW_NOPUT, SWEEP_NOREC, SWEEP_NOREC, se_row, se_window, se_wide, se_wided, se_loop, se_lobit, se_dead, se_tail, se_taillo, se_taildead, se_raise, se_raised, se_rotate, se_clamp, se_clampscan, se_newbest, se_bestscan, se_besttail, se_bestfound)
 
-window:
-	// Cell cl of out (behind its lower guards, written here), d−2, d−1, and
-	// its h and v bytes: hq[cl−1], vq[n−d+cl].
-	MOVQ    AX, sweepState_cl(R13)
-	MOVQ    sweepState_d1(R13), DX
-	MOVQ    AX, R11
-	SUBQ    sweepState_d1cl(R13), R11
-	LEAQ    ROW0(DX)(R11*4), DX
-	MOVQ    sweepState_d2(R13), SI
-	MOVQ    AX, R11
-	SUBQ    sweepState_d2cl(R13), R11
-	LEAQ    ROW0(SI)(R11*4), SI
-	MOVQ    sweepState_out(R13), DI
-	VMOVQ   X10, (DI)
-	ADDQ    $ROW0, DI
-	MOVQ    sweepState_hq(R13), R8
-	LEAQ    -1(R8)(AX*1), R8
-	MOVQ    sweepState_vq(R13), R9
-	ADDQ    AX, R9
-	SUBQ    R12, R9
-	ADDQ    sweepState_n(R13), R9
-	VMOVDQA Y10, Y7
-	VMOVDQU -4(SI), Y0
-	CMPB    sweepState_record(R13), $0
-	JNE     recrow
-	LEAQ    1(BX), R12
-	MOVQ    R12, R14
-	MOVQ    $-1, R15
-	TESTQ   R10, R10
-	JZ      eqrow
-	CMPQ    CX, $8
-	JLE     tabtail
-	SWEEP_WHOLE(SIM_TABLE, ROW_NOMASKS, ROW_NOPUT, tabloop, tablo, tabdead)
+record:
+	TESTQ R10, R10
+	JZ    record_eq
+	SWEEP_LOOP(SIM_TABLE, ROW_DIRMASKS, ROW_PUT, SWEEP_RECHEAD, SWEEP_RECTAIL(rt_byte, rt_carry), rt_row, rt_window, rt_wide, rt_wided, rt_loop, rt_lobit, rt_dead, rt_tail, rt_taillo, rt_taildead, rt_raise, rt_raised, rt_rotate, rt_clamp, rt_clampscan, rt_newbest, rt_bestscan, rt_besttail, rt_bestfound)
 
-tabtail:
-	SWEEP_TAIL_FETCH
-	ROW_STEP(SIM_TABLE, ROW_NOMASKS, SWEEP_STORE_TAIL)
-	JMP  stored
-
-eqrow:
-	CMPQ CX, $8
-	JLE  eqtail
-	SWEEP_WHOLE(SIM_EQ, ROW_NOMASKS, ROW_NOPUT, eqloop, eqlo, eqdead)
-
-eqtail:
-	SWEEP_TAIL_FETCH
-	ROW_STEP(SIM_EQ, ROW_NOMASKS, SWEEP_STORE_TAIL)
-
-stored:
-	// The tail's live lanes, and the row's upper guards behind its CX cells.
-	VMOVMSKPS Y2, AX
-	TESTL     AX, AX
-	JZ        taildead
-	SWEEP_BOUNDS(taillo, taildead)
-	VMOVQ X10, (DI)(CX*4)
-
-	// rowBest into every lane of Y7; limit = max(limit, rowBest − X), which
-	// is pruneLimit(max(t, rowBest)).
-	VPERM2I128 $1, Y7, Y7, Y2
-	VPMAXSD    Y2, Y7, Y7
-	VPSHUFD    $0x4E, Y7, Y2
-	VPMAXSD    Y2, Y7, Y7
-	VPSHUFD    $0xB1, Y7, Y2
-	VPMAXSD    Y2, Y7, Y7
-	VPSUBD     Y12, Y7, Y2
-	VPMAXSD    Y2, Y9, Y9
-
-	// statAcc.observe: R12 becomes the width.
-	MOVQ sweepState_cl(R13), BX
-	SUBQ BX, R12
-	ADDQ R12, (sweepState_acc+statAcc_cells)(R13)
-	LEAQ 31(R12), AX
-	SHRQ $5, AX
-	ADDQ AX, (sweepState_acc+statAcc_chunks32)(R13)
-	LEAQ 127(R12), AX
-	SHRQ $7, AX
-	ADDQ AX, (sweepState_acc+statAcc_chunks128)(R13)
-	MOVQ sweepState_d(R13), R12
-	LEAQ 1(R12), AX
-	MOVQ AX, sweepState_d(R13)
-	TESTQ R15, R15
-	JS   finished
-	MOVQ R15, AX
-	SUBQ R14, AX
-	INCQ AX
-	MOVQ (sweepState_acc+statAcc_maxLive)(R13), CX
-	CMPQ AX, CX
-	CMOVQGT AX, CX
-	MOVQ CX, (sweepState_acc+statAcc_maxLive)(R13)
-
-	// A new best takes the first cell from lo on that holds it.
-	VMOVD X7, AX
-	MOVL  AX, sweepState_d1best(R13)
-	CMPL  AX, sweepState_best(R13)
-	JLE   rotate
-	MOVL  AX, sweepState_best(R13)
-	MOVQ  R12, sweepState_bestD(R13)
-	MOVQ  sweepState_out(R13), SI
-	ADDQ  $ROW0, SI
-	MOVQ  BX, R11
-
-bestscan:
-	CMPQ      SI, DI
-	JEQ       besttail
-	VPCMPEQD  (SI), Y7, Y2
-	VMOVMSKPS Y2, AX
-	TESTL     AX, AX
-	JNZ       bestfound
-	ADDQ      $32, SI
-	ADDQ      $8, R11
-	JMP       bestscan
-
-besttail:
-	VPCMPEQD  Y0, Y7, Y2
-	VMOVMSKPS Y2, AX
-
-bestfound:
-	BSFL AX, AX
-	ADDQ R11, AX
-	MOVQ AX, sweepState_bestI(R13)
-
-rotate:
-	// The row becomes d−1, d−1 becomes d−2, and the next row goes to the
-	// old d−2's buffer — which in place (out was d−2's) is the new d−2's.
-	MOVQ    sweepState_d1(R13), AX
-	MOVQ    sweepState_d2(R13), CX
-	MOVQ    sweepState_out(R13), DX
-	MOVQ    DX, sweepState_d1(R13)
-	MOVQ    AX, sweepState_d2(R13)
-	CMPQ    CX, DX
-	CMOVQEQ AX, CX
-	MOVQ    CX, sweepState_out(R13)
-	MOVQ    sweepState_d1cl(R13), AX
-	MOVQ    AX, sweepState_d2cl(R13)
-	MOVQ    BX, sweepState_d1cl(R13)
-	DECQ    sweepState_rows(R13)
-	JNZ     row
-	JMP     leave
-
-recrow:
-	// A recording row first takes its window in the tracer: offs[d+1] =
-	// offs[d] + width — unless that passes cellEnd, when the call returns
-	// before the row, its state untouched — and cls[d] = cl.
-	MOVQ    sweepState_d(R13), R12
-	MOVQ    sweepState_offs(R13), R11
-	MOVLQZX (R11)(R12*4), AX
-	ADDQ    CX, AX
-	CMPQ    AX, sweepState_cellEnd(R13)
-	JGT     leave
-	MOVL    AX, 4(R11)(R12*4)
-	MOVQ    sweepState_cls(R13), R11
-	MOVQ    sweepState_cl(R13), AX
-	MOVL    AX, (R11)(R12*4)
-	LEAQ    1(BX), R12
-	MOVQ    R12, R14
-	MOVQ    $-1, R15
-	TESTQ   R10, R10
-	JZ      receqrow
-	CMPQ    CX, $8
-	JLE     rectabtail
-	SWEEP_WHOLE(SIM_TABLE, ROW_DIRMASKS, ROW_PUT, rectabloop, rectablo, rectabdead)
-
-rectabtail:
-	SWEEP_TAIL_FETCH
-	ROW_STEP(SIM_TABLE, ROW_DIRMASKS, SWEEP_STORE_TAIL)
-	JMP  rectail
-
-receqrow:
-	CMPQ CX, $8
-	JLE  receqtail
-	SWEEP_WHOLE(SIM_EQ, ROW_DIRMASKS, ROW_PUT, receqloop, receqlo, receqdead)
-
-receqtail:
-	SWEEP_TAIL_FETCH
-	ROW_STEP(SIM_EQ, ROW_DIRMASKS, SWEEP_STORE_TAIL)
-
-rectail:
-	// The tail's codes, with the lanes past the row counted as pruned (Y3 =
-	// ¬Y2) so that their bits are zero, join the stream behind the carry:
-	// its 2r code bits and the carry's bits make T bits, of which the whole
-	// bytes are stored and the rest — T mod 8 of them — is the new carry.
-	// CX (r) is kept in R11 for the row's bounds.
-	VPCMPEQD Y4, Y4, Y4
-	VPANDN   Y4, Y2, Y3
-	ROW_PACK
-	MOVQ     CX, R11
-	IMULL    sweepState_mul(R13), AX
-	ORL      sweepState_carry(R13), AX
-	MOVL     sweepState_bits(R13), CX
-	LEAL     (CX)(R11*2), CX
-	MOVQ     sweepState_dirs(R13), BX
-	ADDQ     sweepState_dirb(R13), BX
-	CMPL     CX, $16
-	JB       recbyte
-	MOVW     AX, (BX)
-	SHRL     $16, AX
-	ADDQ     $2, BX
-	SUBL     $16, CX
-
-recbyte:
-	CMPL CX, $8
-	JB   reccarry
-	MOVB AX, (BX)
-	SHRL $8, AX
-	INCQ BX
-	SUBL $8, CX
-
-reccarry:
-	SUBQ sweepState_dirs(R13), BX
-	MOVQ BX, sweepState_dirb(R13)
-	MOVL AX, sweepState_carry(R13)
-	MOVL CX, sweepState_bits(R13)
-	MOVL $1, AX
-	SHLL CX, AX
-	MOVL AX, sweepState_mul(R13)
-	MOVQ R11, CX
-	JMP  stored
-
-clamp:
-	// The window would outgrow δb: re-centre it on the first cell of d−1,
-	// from d1lo on, that holds d1best — there is one, and the scan reads up
-	// to seven cells behind it — within [cl, cu−δb+1].
-	MOVB         $1, sweepState_clamped(R13)
-	MOVQ         sweepState_d1(R13), SI
-	MOVQ         R14, R11
-	SUBQ         sweepState_d1cl(R13), R11
-	LEAQ         ROW0(SI)(R11*4), SI
-	VPBROADCASTD sweepState_d1best(R13), Y3
-	MOVQ         R14, R11
-
-clampscan:
-	VPCMPEQD  (SI), Y3, Y2
-	VMOVMSKPS Y2, DX
-	ADDQ      $32, SI
-	ADDQ      $8, R11
-	TESTL     DX, DX
-	JZ        clampscan
-	BSFL      DX, DX
-	LEAQ      -8(R11)(DX*1), R11
-	MOVQ    sweepState_capacity(R13), CX
-	MOVQ    CX, DX
-	SHRQ    $1, DX
-	SUBQ    DX, R11
-	CMPQ    R11, AX
-	CMOVQLT AX, R11
-	MOVQ    BX, DX
-	SUBQ    CX, DX
-	INCQ    DX
-	CMPQ    R11, DX
-	CMOVQGT DX, R11
-	MOVQ    R11, AX
-	LEAQ    -1(AX)(CX*1), BX
-	JMP     window
+record_eq:
+	SWEEP_LOOP(SIM_EQ, ROW_DIRMASKS, ROW_PUT, SWEEP_RECHEAD, SWEEP_RECTAIL(re_byte, re_carry), re_row, re_window, re_wide, re_wided, re_loop, re_lobit, re_dead, re_tail, re_taillo, re_taildead, re_raise, re_raised, re_rotate, re_clamp, re_clampscan, re_newbest, re_bestscan, re_besttail, re_bestfound)
 
 finished:
 	MOVB $1, sweepState_done(R13)
 
 leave:
+	// Write the row-to-row registers back: d from R9, the rows left of the
+	// budget, the bounds, limit, d1best and best, the bases and the next
+	// row's buffer.
+	MOVQ  sweepState_vq(R13), AX
+	ADDQ  sweepState_n(R13), AX
+	SUBQ  R9, AX
+	MOVQ  AX, sweepState_d(R13)
+	MOVQ  R9, AX
+	SUBQ  sweepState_stop(R13), AX
+	MOVQ  AX, sweepState_rows(R13)
 	MOVQ  R14, sweepState_d1lo(R13)
 	MOVQ  R15, sweepState_d1hi(R13)
 	VMOVD X9, sweepState_limit(R13)
+	VMOVD X7, sweepState_d1best(R13)
+	VMOVD X13, sweepState_best(R13)
+	MOVQ  DX, sweepState_d1b(R13)
+	MOVQ  SI, sweepState_d2b(R13)
+	MOVQ  BP, sweepState_out(R13)
 	VZEROUPPER
 	RET
 

@@ -123,7 +123,7 @@ const sweepFill = 0x5a
 // With g set every one of them touches an unmapped page: its last element
 // ends at one or, front, its first starts right behind one.
 func seatWorkspace(w *Workspace, g *guarded, front bool, m, n int, p Params) {
-	cells := linearCapacity(m, n, p) + 2*bufPad + rowSlack
+	cells := linearCapacity(m, n, &p) + 2*bufPad + rowSlack
 	scores := func() []int32 {
 		b := make([]int32, cells)
 		if g != nil {
@@ -164,9 +164,9 @@ func checkSweep(t testing.TB, hv, vv View, p Params, front bool) Result {
 	seatWorkspace(&vec, &g, front, hv.Len(), vv.Len(), p)
 	seatWorkspace(&gen, nil, front, hv.Len(), vv.Len(), p)
 	rowVec = true
-	got := vec.sweepWide(hv, vv, p)
+	got := vec.sweptWide(hv, vv, p)
 	rowVec = false
-	want := gen.sweepWide(hv, vv, p)
+	want := gen.sweptWide(hv, vv, p)
 
 	if got != want {
 		t.Errorf("%v front=%v h.rev=%v v.rev=%v:\n sweepLinearVec %+v\n Go loop        %+v", p, front, hv.rev, vv.rev, got, want)
@@ -284,6 +284,78 @@ func TestSweepKernelMatchesGeneric(t *testing.T) {
 	}
 }
 
+// TestSweepResumesEveryRow re-enters sweepLinearVec every 1, 2, 3 and 7
+// rows — so that every row of an extension starts a call and every piece of
+// row-to-row state crosses sweepState and back — and compares what each
+// schedule leaves behind with one call per extension: Result and Stats,
+// every score buffer to the end of its capacity and, for the recording
+// kind, the Trace, the window index and the whole dirs allocation. Both row
+// kinds, both layouts, both similarity forms, and δb below the band so that
+// the clamp fires. sweepState.call checks each call's budget; a kernel that
+// ignores it or loses d on the way out fails there.
+func TestSweepResumesEveryRow(t *testing.T) {
+	if !rowVec {
+		t.Skip("no AVX2 on this host")
+	}
+	defer func(rows int) { sweepRows = rows }(sweepRows)
+	type swept struct {
+		score, rec    Result
+		tr            Trace
+		err           error
+		bufs, recBufs [3][]int32
+		cls, offs     []int32
+		dirs          []byte
+	}
+	whole := func(b []int32) []int32 { return b[:cap(b)] }
+	sweepAll := func(rows int, hv, vv View, p Params) (s swept) {
+		sweepRows = rows
+		var w, rw Workspace
+		s.score = w.sweptWide(hv, vv, p)
+		s.rec, s.tr, s.err = rw.fusedLinear(hv, vv, p)
+		s.bufs = [3][]int32{whole(w.wide.b0), whole(w.wide.b1), whole(w.wide.b2)}
+		s.recBufs = [3][]int32{whole(rw.wide.b0), whole(rw.wide.b1), whole(rw.wide.b2)}
+		s.cls, s.offs, s.dirs = rw.tb.cls, rw.tb.offs, rw.tb.dirs[:cap(rw.tb.dirs)]
+		return s
+	}
+	rng := rand.New(rand.NewSource(98))
+	var clamped int
+	for trial := 0; trial < 32; trial++ {
+		h := randDNA(rng, 40+rng.Intn(160))
+		v := mutate(rng, h, 0.1)
+		p := Params{Scorer: scoring.DNADefault, Gap: -1, X: 8 + rng.Intn(30), DeltaB: []int{6, 0}[trial/4%2],
+			Algo: []Algo{AlgoRestricted2, AlgoStandard3}[trial%2]}
+		if trial/2%2 == 1 {
+			p.Scorer, p.Gap = scoring.Blosum62, -4
+		}
+		hv, vv := View{h, trial%8 >= 4}, View{v, trial%16 >= 8}
+		want := sweepAll(1<<30, hv, vv, p)
+		if want.err != nil {
+			t.Fatal(want.err)
+		}
+		if want.score.Stats.Clamped {
+			clamped++
+		}
+		for _, rows := range []int{1, 2, 3, 7} {
+			got := sweepAll(rows, hv, vv, p)
+			name := fmt.Sprintf("trial %d %v %v, %d rows a call", trial, p.Algo, p.Scorer, rows)
+			if got.score != want.score || got.rec != want.rec || got.tr != want.tr || got.err != nil {
+				t.Fatalf("%s: score %+v record %+v %+v (%v), one call: %+v %+v %+v", name, got.score, got.rec, got.tr, got.err, want.score, want.rec, want.tr)
+			}
+			for i := range got.bufs {
+				if !slices.Equal(got.bufs[i], want.bufs[i]) || !slices.Equal(got.recBufs[i], want.recBufs[i]) {
+					t.Fatalf("%s: score buffer b%d differs", name, i)
+				}
+			}
+			if !slices.Equal(got.cls, want.cls) || !slices.Equal(got.offs, want.offs) || !slices.Equal(got.dirs, want.dirs) {
+				t.Fatalf("%s: the recording differs", name)
+			}
+		}
+	}
+	if clamped == 0 {
+		t.Fatal("no extension clamped")
+	}
+}
+
 // FuzzSweepKernel is TestSweepKernelMatchesGeneric under the fuzzer's
 // choice of lengths, divergence, scorer, X, δb, layout, view directions
 // and which side of every buffer touches the unmapped page.
@@ -368,9 +440,9 @@ func TestVectorSweepMatchesGenericSweep(t *testing.T) {
 		hv, vv := View{h, trial%4 >= 2}, View{v, trial%8 >= 4}
 		var vec, gen Workspace
 		rowVec = true
-		a := vec.align(hv, vv, p)
+		a := vec.aligned(hv, vv, p)
 		rowVec = false
-		b := gen.align(hv, vv, p)
+		b := gen.aligned(hv, vv, p)
 		if a != b {
 			t.Fatalf("trial %d %v: vector %+v != generic %+v", trial, p.Algo, a, b)
 		}
@@ -493,8 +565,9 @@ func checkCodesRow(t testing.TB, rng *rand.Rand, cnt, formIdx, head int, front b
 	st := sweepState{
 		hq: &hq[0], vq: &vq[0], sim: form.sim(),
 		m: d, n: d, capacity: cnt, gap: gap, x: int32(1 + rng.Intn(20)),
-		d1: &d1[0], d2: &d2[0], out: &gotOut[0],
-		d: d, d1cl: 1, d2cl: 1, d1lo: 1, d1hi: cnt - 1,
+		d1: &d1[0], out: &gotOut[0],
+		d1b: uintptr(unsafe.Pointer(&d1[bufPad-1])), d2b: uintptr(unsafe.Pointer(&d2[bufPad-1])), // both windows start at cell 1
+		d: d, d1lo: 1, d1hi: cnt - 1,
 		limit: limit, best: int32(rng.Intn(9) - 4), rows: 1,
 		record: true, cls: &cls[0], offs: &offs[0],
 	}

@@ -134,12 +134,12 @@ func NarrowHeadroom(m, n, maxScore int) bool {
 }
 
 // useNarrow resolves the tier choice for one extension.
-func useNarrow(m, n int, p Params) bool {
+func useNarrow(m, n int, p *Params) bool {
 	switch p.Tier {
 	case TierNarrow:
-		return narrowEligible(p)
+		return narrowEligible(*p)
 	case TierAuto:
-		return narrowEligible(p) && NarrowHeadroom(m, n, p.Scorer.MaxScore())
+		return narrowEligible(*p) && NarrowHeadroom(m, n, p.Scorer.MaxScore())
 	default:
 		return false
 	}

@@ -58,8 +58,8 @@ func TestNarrowMatchesWide(t *testing.T) {
 			pw, pn := p, p
 			pw.Algo, pn.Algo = algo, algo
 			pw.Tier, pn.Tier = TierWide, TierNarrow
-			wide := ww.align(hv, vv, pw)
-			narrow := nw.align(hv, vv, pn)
+			wide := ww.aligned(hv, vv, pw)
+			narrow := nw.aligned(hv, vv, pn)
 			if !narrow.Stats.Narrow || narrow.Stats.Promoted {
 				t.Fatalf("trial %d %v: expected a clean narrow run, got narrow=%v promoted=%v",
 					trial, algo, narrow.Stats.Narrow, narrow.Stats.Promoted)

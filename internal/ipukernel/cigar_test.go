@@ -115,7 +115,7 @@ func runCigarTile(t *testing.T, tile *TileWork, cfg Config) []AlignOut {
 	var out [2][]AlignOut
 	for k := range out {
 		out[k] = make([]AlignOut, len(tile.Jobs))
-		if tr := runTile(tile, cfg, ex, out[k]); tr.err != nil {
+		if tr := runTile(tile, &cfg, ex, out[k]); tr.err != nil {
 			t.Fatalf("runTile: %v", tr.err)
 		}
 	}

@@ -264,7 +264,7 @@ func (c Config) withDefaults(m platform.IPUModel) Config {
 const fusedTraceBudget = 16 << 10
 
 // traceGated reports whether the score-threshold gate is active.
-func (c Config) traceGated() bool { return c.Traceback && c.TraceMinScore > 0 }
+func (c *Config) traceGated() bool { return c.Traceback && c.TraceMinScore > 0 }
 
 // fusedExtension decides whether the modeled device records an extension
 // with side lengths lh×lv during its scoring pass (fused single-pass)
@@ -274,7 +274,7 @@ func (c Config) traceGated() bool { return c.Traceback && c.TraceMinScore > 0 }
 // instruction charge (one sweep or two) and the SRAM charge, which
 // partition's budget math reaches through TraceCharges. The host sweeps
 // every ungated, fused-eligible extension once either way (runSide).
-func (c Config) fusedExtension(lh, lv int) bool {
+func (c *Config) fusedExtension(lh, lv int) bool {
 	return c.Traceback && !c.traceGated() && core.FusedEligible(lh, lv, c.Params) &&
 		c.ExtensionTraceBytes(lh, lv) <= fusedTraceBudget
 }
@@ -650,7 +650,7 @@ func Run(dev *ipu.Device, b *Batch, cfg Config) (*BatchResult, error) {
 						ti, sram, dev.DataSRAM())
 					continue
 				}
-				tiles[ti] = runTile(tile, cfg, ex, res.Out[outOff[ti]:outOff[ti]+len(tile.Jobs)])
+				tiles[ti] = runTile(tile, &cfg, ex, res.Out[outOff[ti]:outOff[ti]+len(tile.Jobs)])
 				tiles[ti].MaxSRAM = sram
 				runtime.Gosched()
 			}

@@ -51,9 +51,9 @@ func TestWarmTileWorkerAllocs(t *testing.T) {
 		cfg := dnaCfg(15).withDefaults(platform.GC200)
 		run.mut(&cfg)
 		ex := &executor{}
-		runTile(tile, cfg, ex, out) // warm workspaces and scratch
+		runTile(tile, &cfg, ex, out) // warm workspaces and scratch
 		allocs := testing.AllocsPerRun(20, func() {
-			runTile(tile, cfg, ex, out)
+			runTile(tile, &cfg, ex, out)
 		})
 		if allocs != run.want {
 			t.Errorf("warm tile worker allocates %.1f objects/op, want %.0f (cfg %+v)", allocs, run.want, cfg)
@@ -72,12 +72,12 @@ func TestExecutorReleasesOversizedRunBuffers(t *testing.T) {
 	cfg := dnaCfg(15).withDefaults(platform.GC200)
 	cfg.Traceback = true
 	want := make([]AlignOut, len(tile.Jobs))
-	runTile(tile, cfg, &executor{}, want)
+	runTile(tile, &cfg, &executor{}, want)
 
 	ex := &executor{}
 	ex.runs[left] = make([]alignment.Run, 0, retainRuns+1)
 	got := make([]AlignOut, len(tile.Jobs))
-	runTile(tile, cfg, ex, got)
+	runTile(tile, &cfg, ex, got)
 	if !slices.Equal(got, want) {
 		t.Fatal("an executor holding an oversized run buffer changed the results")
 	}
@@ -101,12 +101,12 @@ func TestExecutorReuseAcrossTiles(t *testing.T) {
 	cfg.BusyWaitVariance = true
 
 	fresh := make([]AlignOut, len(small.Jobs))
-	runTile(small, cfg, &executor{}, fresh)
+	runTile(small, &cfg, &executor{}, fresh)
 
 	reused := make([]AlignOut, len(small.Jobs))
 	ex := &executor{}
-	runTile(big, cfg, ex, make([]AlignOut, len(big.Jobs)))
-	runTile(small, cfg, ex, reused)
+	runTile(big, &cfg, ex, make([]AlignOut, len(big.Jobs)))
+	runTile(small, &cfg, ex, reused)
 
 	for i := range fresh {
 		if fresh[i] != reused[i] {

@@ -164,7 +164,7 @@ func TestScheduleThreeWayTie(t *testing.T) {
 	cfg := Config{Threads: 3, Cost: platform.KernelCost{StealInstr: 10}}
 	var s tileSchedule
 
-	schedule(cost, cfg, &s)
+	schedule(cost, &cfg, &s)
 	if want := []int64{140, 130, 110}; !slices.Equal(s.instr, want) {
 		t.Errorf("static: instr %v, want %v", s.instr, want)
 	}
@@ -179,7 +179,7 @@ func TestScheduleThreeWayTie(t *testing.T) {
 	// (→ 140). Unit 4: threads 0 and 1 tie at 100 (→ 140 each). Unit 5:
 	// all three tie at 140 (→ 170). The final empty steal adds 10 each.
 	cfg.WorkStealing = true
-	schedule(cost, cfg, &s)
+	schedule(cost, &cfg, &s)
 	if want := []int64{180, 180, 180}; !slices.Equal(s.instr, want) {
 		t.Errorf("stealing: instr %v, want %v", s.instr, want)
 	}
@@ -195,7 +195,7 @@ func TestScheduleThreeWayTie(t *testing.T) {
 
 	// Fewer units than threads: nothing to steal, but every thread still
 	// pays the empty-list attempt.
-	schedule(cost[:2], cfg, &s)
+	schedule(cost[:2], &cfg, &s)
 	if want := []int64{110, 110, 10}; !slices.Equal(s.instr, want) {
 		t.Errorf("short list: instr %v, want %v", s.instr, want)
 	}

@@ -158,7 +158,7 @@ func (ex *executor) prepareTraces(jobs int) {
 // only, and the replays of above-cutoff comparisons are deferred until
 // after the schedule, each charged to the thread that owns the side's
 // unit — the skipped comparisons pay nothing beyond the score pass.
-func runTile(t *TileWork, cfg Config, ex *executor, out []AlignOut) tileResult {
+func runTile(t *TileWork, cfg *Config, ex *executor, out []AlignOut) tileResult {
 	var tr tileResult
 
 	for j := range t.Jobs {
@@ -313,7 +313,7 @@ type tileSchedule struct {
 // collide grab the same unit — a race in which every tied thread executes
 // and pays for it. Eventual work stealing (BusyWaitVariance) adds a
 // thread-unique busy-wait so subsequent steals diverge.
-func schedule(cost []int64, cfg Config, s *tileSchedule) {
+func schedule(cost []int64, cfg *Config, s *tileSchedule) {
 	threads := cfg.Threads
 	s.instr = resized(s.instr, threads)
 	s.owner = resized(s.owner, len(cost))
@@ -392,7 +392,7 @@ func stealJitter(th, n int) int64 {
 // runUnit executes one unit's extension sides, records their results in
 // o, adds one execution's device counters to c, and returns the charged
 // instruction cost.
-func (ex *executor) runUnit(t *TileWork, cfg Config, u unit, o *AlignOut, c *Counters, tr *tileResult) int64 {
+func (ex *executor) runUnit(t *TileWork, cfg *Config, u unit, o *AlignOut, c *Counters, tr *tileResult) int64 {
 	var cost int64
 	for side := u.from; side < u.to; side++ {
 		cost += ex.runSide(t, cfg, u.job, side, o, c, tr)
@@ -413,7 +413,7 @@ func (ex *executor) runUnit(t *TileWork, cfg Config, u unit, o *AlignOut, c *Cou
 // whose second pass is what failed. Every other traced side keeps its
 // score-pass Result for a recording replay after it: at once, or with the
 // score gate active deferred until the schedule has run.
-func (ex *executor) runSide(t *TileWork, cfg Config, j, side int, o *AlignOut, c *Counters, tr *tileResult) int64 {
+func (ex *executor) runSide(t *TileWork, cfg *Config, j, side int, o *AlignOut, c *Counters, tr *tileResult) int64 {
 	job := &t.Jobs[j]
 	h, v := t.Seq(job.HLocal), t.Seq(job.VLocal)
 	sd := &sides[side]
@@ -458,7 +458,7 @@ func (ex *executor) runSide(t *TileWork, cfg Config, j, side int, o *AlignOut, c
 // divergence, a corrupt trace or a path that does not re-price to its
 // score lands in tr.err and fails the batch loudly rather than shipping a
 // wrong alignment.
-func (ex *executor) replaySide(t *TileWork, cfg Config, j, side int, tr *tileResult) int64 {
+func (ex *executor) replaySide(t *TileWork, cfg *Config, j, side int, tr *tileResult) int64 {
 	job := &t.Jobs[j]
 	h, v := t.Seq(job.HLocal), t.Seq(job.VLocal)
 	sd := &sides[side]
@@ -529,7 +529,7 @@ func accumulate(o *AlignOut, c *Counters, s core.Stats) {
 
 // instrCost converts an extension trace into thread-instruction bundles
 // under the calibrated cost model, applying the dual-issue speedup last.
-func instrCost(cfg Config, s core.Stats) int64 {
+func instrCost(cfg *Config, s core.Stats) int64 {
 	c := cfg.Cost
 	raw := c.InstrPerAlignment +
 		float64(s.Antidiagonals)*c.InstrPerIteration +
