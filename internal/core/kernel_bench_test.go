@@ -158,10 +158,14 @@ func longreadPairs() [][2]View {
 
 // BenchmarkKernelShortread is shortread_plan's regime: HiFi reads of
 // 100–250 bp at X = 5, δb = 32. The band is five or six cells, so every
-// row is one masked vector, and what ns/row measures is the chain from one
-// row's prune mask to the next row's window and loads — the antidiagonal
-// loop itself, which on the int32 tier never leaves sweepLinearVec — plus
-// the extension's set-up (ns/ext) spread over its few hundred rows.
+// row is one masked vector, and what ns/row measures is a row's frame
+// around that vector — window, bounds, counters, limit, best, rotation, and
+// the branches that go with the data (the count up to lo, a new best) —
+// plus the extension's set-up (ns/ext) spread over its few hundred rows. It
+// is not the chain from one row's prune mask to the next row's window: that
+// is ≈ 20 cycles by instruction latency, and a row reads ≈ 15 ns, some 30
+// cycles at the host's nominal 2.1 GHz; cutting a third of the frame's
+// instructions cut it by a fifth.
 func BenchmarkKernelShortread(b *testing.B) {
 	benchKernelWorkload(b, benchPairs(44, 256, 100, 250, synth.HiFiDNA()),
 		Params{Scorer: scoring.DNADefault, Gap: -1, X: 5, DeltaB: 32})
@@ -186,9 +190,10 @@ func BenchmarkKernelBandSweep(b *testing.B) {
 // process: every round times one pass over the long-read pairs at each X
 // from 3 to 120 (band ≈ 4 … 100 cells), under each row kind — the score
 // sweep and the recording sweep alone, without walk or CIGAR — and a
-// least-squares fit of ns/row against band over all passes reports a
-// row's fixed cost (fixed-ns/row, the intercept) and a cell's (ns/cell,
-// the slope).
+// least-squares line through each X's fastest pass, ns/row against band,
+// reports a row's fixed cost (fixed-ns/row, the intercept) and a cell's
+// (ns/cell, the slope). The fastest pass, because a neighbour on a shared
+// host slows single passes by half and more, and would tilt the line.
 func BenchmarkKernelRowCost(b *testing.B) {
 	pairs := longreadPairs()
 	kinds := []struct {
@@ -222,13 +227,21 @@ func BenchmarkKernelRowCost(b *testing.B) {
 			for _, x := range xs {
 				pass(x) // warm the workspace
 			}
-			var n, sx, sy, sxx, sxy float64
+			fastest, bands := make([]float64, len(xs)), make([]float64, len(xs))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, x := range xs {
-					y, band := pass(x)
-					n, sx, sy, sxx, sxy = n+1, sx+band, sy+y, sxx+band*band, sxy+band*y
+				for k, x := range xs {
+					ns, band := pass(x)
+					if i == 0 || ns < fastest[k] {
+						fastest[k] = ns
+					}
+					bands[k] = band
 				}
+			}
+			var n, sx, sy, sxx, sxy float64
+			for k := range xs {
+				x, y := bands[k], fastest[k]
+				n, sx, sy, sxx, sxy = n+1, sx+x, sy+y, sxx+x*x, sxy+x*y
 			}
 			slope := (n*sxy - sx*sy) / (n*sxx - sx*sx)
 			b.ReportMetric((sy-slope*sx)/n, "fixed-ns/row")

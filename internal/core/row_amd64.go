@@ -8,7 +8,8 @@ package core
 // YMM state. The assembly uses nothing beyond AVX2: its bit scans are
 // BSF/BSR on values it knows are non-zero, not BMI's TZCNT/LZCNT, and the
 // recording rows pack their direction codes with VPMOVMSKB and shift them
-// into place with IMUL and SHL by CL, not BMI2's PEXT or SHLX.
+// into place with IMUL and SHL by CL, not BMI2's PEXT or SHLX
+// (TestRowAssemblyStaysInAVX2 holds the file to an AVX2 allowlist).
 // Decided once at init; it selects machine code, never results.
 var rowVec = hasAVX2()
 
@@ -34,7 +35,9 @@ func xgetbv() (eax, edx uint32)
 
 // sweepLinearVec runs antidiagonals of linearSweep's int32 loop from st,
 // in either layout, until the extension ends (st.done) or st.rows of them
-// are computed; the caller re-enters it until done. A row is ⌈width/8⌉
+// are computed; the caller re-enters it until done (sweepState.call). It
+// reads the loop state from st at entry, keeps it in registers, and writes
+// it back — st.rows becoming the rows it left — when it returns. A row is ⌈width/8⌉
 // vectors: whole ones while more than eight cells are left, then one
 // masked tail of one to eight cells. With st.record set the rows are
 // fusedLinear's, three buffers rotating, and each also records (see
@@ -62,7 +65,8 @@ func xgetbv() (eax, edx uint32)
 //     row it computes and the code stream's whole bytes from dirs[dirb]
 //     on, never a byte past the one holding cell cellEnd−1 — the last part
 //     byte stays in carry — and it reads offs[d].
-//   - Of *st it reads the constants and rewrites the rest.
+//   - Of *st it reads the constants and rewrites the rest; the counters in
+//     st.acc it adds to.
 //
 //go:noescape
 func sweepLinearVec(st *sweepState)
