@@ -295,6 +295,11 @@ reccarry:                            \
 // best, Y9 limit. sweepState holds the constants, the counters (added to
 // in place), the raw buffer of d−1 (for the rotation) and the recording
 // cursor.
+//
+// At window AX is cl, CX cu and BX cu − cl; a clamped window comes back
+// there. A row adds its width − 1 to cells and, only when it is wider than
+// 32 cells, its chunks past the first of each size: finish adds the rest
+// from d. maxLive is stored only when it grows.
 #define SWEEP_LOOP(SIM, MASKS, PUT, HEAD, TAIL, row, window, wide, wided, loop, lobit, dead, tail, taillo, taildead, raise, raised, rotate, clamp, clampscan, newbest, bestscan, besttail, bestfound) \
 row:                                       \
 	MOVQ    sweepState_vq(R13), AX         \
