@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"math"
+	"unsafe"
 
 	"github.com/sram-align/xdropipu/internal/scoring"
 )
@@ -165,9 +166,9 @@ func (w *Workspace) operands(h, v View) (hq, vq []byte) {
 	return hq, vq
 }
 
-// stage copies src — reversed or not, eight bytes per step — into buf
-// between two runs of seqPad zero bytes, reusing buf's storage when it is
-// large enough. It returns the buffer and the copy inside it.
+// stage copies src (place) into buf between two runs of seqPad zero
+// bytes, reusing buf's storage when it is large enough. It returns the
+// buffer and the copy inside it.
 func stage(buf, src []byte, reverse bool) (_, seq []byte) {
 	n := len(src)
 	if cap(buf) < n+2*seqPad {
@@ -177,10 +178,18 @@ func stage(buf, src []byte, reverse bool) (_, seq []byte) {
 	clear(buf[:seqPad])
 	clear(buf[seqPad+n:])
 	seq = buf[seqPad : seqPad+n]
+	place(seq, src, reverse)
+	return buf, seq
+}
+
+// place copies src into seq, of the same length — reversed or not, eight
+// bytes per step.
+func place(seq, src []byte, reverse bool) {
 	if !reverse {
 		copy(seq, src)
-		return buf, seq
+		return
 	}
+	n := len(src)
 	i := 0
 	for ; i+8 <= n; i += 8 {
 		binary.LittleEndian.PutUint64(seq[i:], binary.BigEndian.Uint64(src[n-8-i:]))
@@ -188,7 +197,6 @@ func stage(buf, src []byte, reverse bool) (_, seq []byte) {
 	for ; i < n; i++ {
 		seq[i] = src[n-1-i]
 	}
-	return buf, seq
 }
 
 // scoreBufs is one score width's rotating antidiagonal buffers: the three
@@ -209,9 +217,46 @@ type Workspace struct {
 	narrow scoreBufs[int16]
 	// hq and vq stage the padded sweep-order operands (operands).
 	hq, vq []byte
+	// The queue of ExtendBatch (sweepBatch): alt is the second lane's score
+	// buffers (the first lane's are wide's), arena the staged operands of
+	// every queued side, states their sweep states, queued their indices.
+	alt    scoreBufs[int32]
+	arena  []byte
+	states []sweepState
+	queued []int
 	// tb is the recording sweeps' direction state (window index, packed
 	// direction codes); see traceback.go. Untouched by the score pass.
 	tb tracer
+}
+
+// Trim releases every buffer of the workspace that grew past retainBytes:
+// the score buffers of both widths and both lanes, the staged operands,
+// ExtendBatch's arena and states, and the recording buffers. A pooled
+// workspace calls it between units of work, so that one outlier extension
+// — a Standard3 buffer grows with min(m, n), the arena with a whole tile's
+// operands — does not stay pinned on it.
+func (w *Workspace) Trim() {
+	for _, b := range [...]*scoreBufs[int32]{&w.wide, &w.alt} {
+		trimBufs(b)
+	}
+	trimBufs(&w.narrow)
+	w.hq, w.vq, w.arena = retained(w.hq), retained(w.vq), retained(w.arena)
+	w.states, w.queued = retained(w.states), retained(w.queued)
+	w.tb.trim()
+}
+
+func trimBufs[S score](b *scoreBufs[S]) {
+	for _, s := range [...]*[]S{&b.b0, &b.b1, &b.b2, &b.e0, &b.e1, &b.f0, &b.f1} {
+		*s = retained(*s)
+	}
+}
+
+// retained is s, or nil when its array is larger than retainBytes.
+func retained[T any](s []T) []T {
+	if cap(s)*int(unsafe.Sizeof(*new(T))) > retainBytes {
+		return nil
+	}
+	return s
 }
 
 // sweepWide runs the score sweep of p.Algo's recurrence on int32 buffers

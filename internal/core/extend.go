@@ -58,6 +58,48 @@ func (w *Workspace) ExtendLeft(h, v []byte, hOff, vOff int, p Params) Result {
 	return r
 }
 
+// Side is one seed extension of a batch (ExtendBatch): rightwards from
+// (HOff, VOff), h[HOff:] against v[VOff:] as ExtendRight aligns them, or
+// with Left set leftwards, the reversed prefixes h[:HOff] and v[:VOff] as
+// ExtendLeft aligns them.
+type Side struct {
+	H, V       []byte
+	HOff, VOff int
+	Left       bool
+}
+
+// views returns the side's operands in the views ExtendLeft or ExtendRight
+// takes them in.
+func (s *Side) views() (h, v View) {
+	if s.Left {
+		return NewReversedView(s.H[:s.HOff]), NewReversedView(s.V[:s.VOff])
+	}
+	return NewView(s.H[s.HOff:]), NewView(s.V[s.VOff:])
+}
+
+// ExtendBatch runs the score extension of every side under p and writes
+// its Result to out[i], the one ExtendLeft or ExtendRight returns for that
+// side alone. The sides of the resident int32 sweep (rowVec: Restricted2
+// and Standard3 on the wide tier) run as one queue on two interleaved
+// lanes (sweepBatch); every other side — the narrow tier, affine, a build
+// without the assembly — runs through align on its own.
+func (w *Workspace) ExtendBatch(p *Params, sides []Side, out []Result) {
+	out = out[:len(sides)]
+	queued := w.queued[:0]
+	for i := range sides {
+		h, v := sides[i].views()
+		if rowVec && p.Algo != AlgoAffine && !useNarrow(h.Len(), v.Len(), p) {
+			queued = append(queued, i)
+			continue
+		}
+		w.align(h, v, p, &out[i])
+	}
+	w.queued = queued
+	if len(queued) > 0 {
+		w.sweepBatch(p, sides, queued, out)
+	}
+}
+
 // align resolves the tier for one extension and runs p.Algo's score
 // sweep at that width into *res. The chain below it takes p and res by
 // pointer, so an extension copies neither on its way to the kernel.

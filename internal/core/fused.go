@@ -331,12 +331,13 @@ func (tb *tracer) trace(r Result) Trace {
 // opens the stream and written back when it returns.
 func (tb *tracer) recordResident(b *scoreBufs[int32], hq, vq []byte, p Params, capacity int, acc statAcc, res *Result) error {
 	var st sweepState
-	st.begin(hq, vq, &p, capacity, b.b1, b.b2, b.b0, acc)
+	st.begin(hq, vq, &p, capacity, acc)
+	st.bind(b.b1, b.b2, b.b0)
 	st.record, st.cls, st.offs = true, unsafe.SliceData(tb.cls), unsafe.SliceData(tb.offs)
 	offs := tb.offs[:cap(tb.offs)]
 	dirs := tb.dirs[:cap(tb.dirs)]
 	for !st.done {
-		at, width := int(offs[st.d]), st.rowWidth()
+		at, width := int(offs[st.diag()]), st.rowWidth()
 		if width <= 0 {
 			break
 		}
@@ -349,14 +350,16 @@ func (tb *tracer) recordResident(b *scoreBufs[int32], hq, vq []byte, p Params, c
 			dirs = dirs[:cap(dirs)]
 		}
 		st.openStream(dirs, at)
+		d := st.diag()
 		st.call()
 		st.closeStream(dirs)
-		if st.rows == sweepRows && !st.done {
+		if st.diag() == d && !st.done {
 			panic("core: the recording kernel refused a row that fits")
 		}
 	}
-	tb.cls, tb.offs = tb.cls[:st.d], tb.offs[:st.d+1]
-	tb.dirs = dirs[:(offs[st.d]+3)>>2]
+	d := st.diag()
+	tb.cls, tb.offs = tb.cls[:d], tb.offs[:d+1]
+	tb.dirs = dirs[:(offs[d]+3)>>2]
 	st.finish(res)
 	return nil
 }

@@ -115,8 +115,61 @@ func benchKernelPairs(b *testing.B, pairs [][2]View, run func(ws *Workspace, h, 
 	b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(emptyRounds*len(pairs)), "ns/ext")
 }
 
+// benchSides turns pairs into the sides of one queue: a pair of reversed
+// views is a left extension over the whole of both reads, a pair of
+// forward views a right one.
+func benchSides(pairs [][2]View) []Side {
+	sides := make([]Side, len(pairs))
+	for i, pr := range pairs {
+		h, v := pr[0].data, pr[1].data
+		sides[i] = Side{H: h, V: v, Left: pr[0].rev}
+		if pr[0].rev {
+			sides[i].HOff, sides[i].VOff = len(h), len(v)
+		}
+	}
+	return sides
+}
+
+// benchKernelBatch is benchKernelPairs for ExtendBatch: every pass runs the
+// pairs as one queue, two extensions in flight, and ns/ext times a queue
+// of as many empty sides.
+func benchKernelBatch(b *testing.B, pairs [][2]View, p Params) {
+	b.Helper()
+	sides := benchSides(pairs)
+	empty := make([]Side, len(sides))
+	for i := range empty {
+		empty[i].Left = sides[i].Left
+	}
+	out := make([]Result, len(sides))
+	var ws Workspace
+	ws.ExtendBatch(&p, sides, out)
+	var cells, antid int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ws.ExtendBatch(&p, sides, out)
+		for _, r := range out {
+			cells += r.Stats.Cells
+			antid += int64(r.Stats.Antidiagonals)
+		}
+	}
+	b.ReportMetric(float64(cells)/b.Elapsed().Seconds()/1e6, "Mcells/s")
+	b.ReportMetric(float64(cells)/float64(antid), "band")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(antid), "ns/row")
+
+	b.StopTimer()
+	const emptyRounds = 64
+	start := time.Now()
+	for i := 0; i < emptyRounds; i++ {
+		ws.ExtendBatch(&p, empty, out)
+	}
+	b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(emptyRounds*len(empty)), "ns/ext")
+}
+
 // benchKernelWorkload runs the linear variants over one workload profile's
-// pairs: the two int32 score layouts, the int16 tier, and the recording
+// pairs: the two int32 score layouts — Restricted2's also as one queue of
+// all the pairs (Restricted2WideBatch), so that one process reads one lane
+// against two — the int16 tier, and the recording
 // sweep alone (what a traced extension costs beyond its score pass:
 // direction codes, packing, walk and CIGAR included).
 func benchKernelWorkload(b *testing.B, pairs [][2]View, p Params) {
@@ -128,6 +181,11 @@ func benchKernelWorkload(b *testing.B, pairs [][2]View, p Params) {
 		}
 	}
 	b.Run("Restricted2Wide", score(AlgoRestricted2, TierWide))
+	b.Run("Restricted2WideBatch", func(b *testing.B) {
+		p := p
+		p.Algo = AlgoRestricted2
+		benchKernelBatch(b, pairs, p)
+	})
 	b.Run("Standard3Wide", score(AlgoStandard3, TierWide))
 	b.Run("Restricted2Narrow", score(AlgoRestricted2, TierNarrow))
 	b.Run("RecordRestricted2Wide", func(b *testing.B) {

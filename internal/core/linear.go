@@ -347,18 +347,20 @@ func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, gua
 	return true
 }
 
-// sweepRows bounds the antidiagonals one call of sweepLinearVec computes.
-// Assembly has no preemption points, so a megabase extension run in a
-// single call would hold off a GC stop-the-world for its whole duration;
-// at this bound a call is some tens of microseconds. It is a variable only
-// so that tests can re-enter the kernel every few rows.
+// sweepRows bounds the antidiagonals one call of sweepLinearVec computes,
+// over all the extensions it runs. Assembly has no preemption points, so a
+// megabase extension run in a single call would hold off a GC
+// stop-the-world for its whole duration; at this bound a call is some tens
+// of microseconds. It is a variable only so that tests can re-enter the
+// kernel every few rows.
 var sweepRows = 4096
 
-// sweepState is the loop state of both linear int32 sweeps in the layout
-// sweepLinearVec (row_amd64.s, through go_asm.h) reads at entry and writes
-// back when it returns: the per-extension constants, then what a row hands
-// to the next. Inside a call that state lives in registers. The names are
-// linearSweep's and fusedLinear's.
+// sweepState is the loop state of one extension of the linear int32
+// sweeps in the layout sweepLinearVec (row_amd64.s, through go_asm.h) reads
+// when it takes the extension into its registers and writes back when it
+// puts it down: the per-extension constants, the buffers of the lane it
+// runs on, then what a row hands to the next. The names are linearSweep's
+// and fusedLinear's.
 type sweepState struct {
 	hq, vq   *byte // cell 0 of the staged operands (Workspace.operands)
 	sim      rowSim
@@ -367,25 +369,32 @@ type sweepState struct {
 	gap      int32
 	x        int32 // min(X, 1<<30): T − x cannot wrap, and clamps alike
 
+	// The lane: buf1 and buf2 are the buffers seeded with antidiagonals 0
+	// and −1, buf0 the one the first row is stored in (buf2 in place); the
+	// kernel binds a queued extension to a lane by copying these, flip and
+	// s3 from the extension that ended there, and seeding buf1 and buf2.
+	buf1, buf2, buf0 uintptr
 	// The rotation. out is the buffer the next row is stored in, d1 the
 	// buffer of d−1; after a row, d1 becomes that row's buffer and out the
 	// next one, out ^ flip ^ (d1 & s3): the other of two buffers in place
 	// (flip = b1 ^ b2, s3 = 0), the one neither row holds of three (flip =
 	// b0 ^ b1 ^ b2, s3 = all ones). d1b and d2b are the bases of d−1 and
 	// d−2: cell i of each at base + 4i, the buffer's address plus
-	// 4·(bufPad − its window start), which may lie before the buffer —
-	// hence uintptr; the buffers themselves are held by the caller.
-	d1, out       *int32
-	flip, s3      uintptr
-	d1b, d2b      uintptr
-	d, d1lo, d1hi int // the next antidiagonal; the live bounds of d−1
-	limit         int32
-	d1best, best  int32
-	bestI, bestD  int
-	acc           statAcc // without antid, which is d, and without one cell and chunk a row (finish)
-	rows          int     // the antidiagonals a call may compute; at return, those it left
-	stop          uintptr // a call's scratch: vq + n − d where its rows run out
-	clamped, done bool
+	// 4·(bufPad − its window start), which may lie before the buffer. All
+	// are addresses in buffers the caller holds.
+	d1, out    uintptr
+	flip, s3   uintptr
+	d1b, d2b   uintptr
+	vd         uintptr // vq + n − d: the next antidiagonal d, as the kernel keeps it (diag)
+	d1lo, d1hi int     // the live bounds of d−1
+	limit      int32
+	d1best     int32
+	best       int32
+	bestI      int
+	bestD      int
+	acc        statAcc // without antid, which is d, and without one cell and chunk a row (finish)
+	clamped    bool
+	done       bool
 
 	// The recording kind (record set; tracer.recordResident): every row
 	// also writes the tracer's cls[d] and offs[d+1], and appends its cells'
@@ -399,36 +408,104 @@ type sweepState struct {
 	carry, bits, mul uint32
 }
 
-// begin sets st up for an extension whose buffers linearSweep or
-// fusedLinear have grown and seeded — d−1 in d1, d−2 in d2, the first row
-// going to out, acc holding antidiagonal 0 — and whose rotation has three
-// buffers, or two when out is d2.
-func (st *sweepState) begin(hq, vq []byte, p *Params, capacity int, d1, d2, out []int32, acc statAcc) {
+// sweepQueue is what one call of sweepLinearVec runs: the extensions in
+// its two lanes, the ones queued behind them, and the row budget the lanes
+// share. The score kind runs the two lanes' rows alternately and, when an
+// extension ends, binds the next queued one to its lane; the recording
+// kind runs lanes[0] alone. A call returns when both lanes are empty
+// (lanes[0] nil), when a recording ends or needs room, or when rows is
+// spent.
+type sweepQueue struct {
+	lanes [2]*sweepState // lanes[1] is nil when only one extension is in flight
+	// next and end are the addresses of the next queued state and of the
+	// end of the queue, a run of sweepStates the caller holds.
+	next, end uintptr
+	rows      int // the antidiagonals the call may compute; at return, those it left
+}
+
+// begin sets st up for an extension over the staged operands hq and vq
+// whose first row is antidiagonal 1, with acc holding antidiagonal 0. It
+// runs on the lane bind gives it, or on the one the kernel binds it to.
+func (st *sweepState) begin(hq, vq []byte, p *Params, capacity int, acc statAcc) {
 	st.hq, st.vq, st.sim = unsafe.SliceData(hq), unsafe.SliceData(vq), rowSimOf(p.Scorer)
 	st.m, st.n, st.capacity = len(hq), len(vq), capacity
 	st.gap, st.x = int32(p.Gap), int32(min(p.X, 1<<30))
-	addr := func(b []int32) uintptr { return uintptr(unsafe.Pointer(&b[0])) }
-	st.d1, st.out = &d1[0], &out[0]
-	st.flip = addr(d1) ^ addr(d2)
-	if &out[0] != &d2[0] {
-		st.flip ^= addr(out)
-		st.s3 = ^uintptr(0)
-	}
-	st.d1b, st.d2b = addr(d1)+4*bufPad, addr(d2)+4*bufPad
-	st.d = 1
+	st.vd = uintptr(unsafe.Pointer(st.vq)) + uintptr(st.n) - 1
 	st.limit = pruneLimit(0, p.X, negInf32)
 	st.acc = acc
 }
 
-// call runs sweepLinearVec once, with a budget of sweepRows antidiagonals,
-// and checks what it wrote back: it computed no more rows than the budget,
-// d moved by the rows it computed, and a score call that has not finished
-// spent the whole budget (a recording may return early, for room).
+// bind puts st on the lane of buffers d1 and d2, seeded with antidiagonals
+// 0 and −1, whose first row goes to out and whose rotation has three
+// buffers, or two when out is d2.
+func (st *sweepState) bind(d1, d2, out []int32) {
+	addr := func(b []int32) uintptr { return uintptr(unsafe.Pointer(&b[0])) }
+	st.buf1, st.buf2, st.buf0 = addr(d1), addr(d2), addr(out)
+	st.d1, st.out = st.buf1, st.buf0
+	st.flip = st.buf1 ^ st.buf2
+	if st.buf0 != st.buf2 {
+		st.flip ^= st.buf0
+		st.s3 = ^uintptr(0)
+	}
+	st.d1b, st.d2b = st.buf1+4*bufPad, st.buf2+4*bufPad
+}
+
+// diag is the next antidiagonal of the extension: one past the last the
+// kernel computed.
+func (st *sweepState) diag() int {
+	return int(uintptr(unsafe.Pointer(st.vq)) + uintptr(st.n) - st.vd)
+}
+
+// call runs sweepLinearVec once on st alone, with a budget of sweepRows
+// antidiagonals, and checks what it wrote back: it computed no more rows
+// than the budget, d moved by the rows it computed, and a score call that
+// has not finished spent the whole budget (a recording may return early,
+// for room).
 func (st *sweepState) call() {
-	d := st.d
-	st.rows = sweepRows
-	sweepLinearVec(st)
-	if st.rows < 0 || st.d-d != sweepRows-st.rows || !st.done && !st.record && st.rows != 0 {
+	d := st.diag()
+	q := sweepQueue{lanes: [2]*sweepState{st}, rows: sweepRows}
+	sweepLinearVec(&q)
+	if q.rows < 0 || st.diag()-d != sweepRows-q.rows || !st.done && !st.record && q.rows != 0 {
+		panic("core: the row kernel broke its budget")
+	}
+}
+
+// runQueue runs every extension of states in sweepLinearVec's score kind,
+// two in flight at a time, the first two already bound to the two lanes
+// (states[0] alone when there is one). It re-enters the kernel every
+// sweepRows antidiagonals until the queue drains — or the calls have spent
+// more rows than the extensions have antidiagonals, m + n each, which a
+// kernel that loses a lane's progress would — then checks the calls
+// against the states: every extension ended, the queue was taken to its
+// end, and the antidiagonals computed are the rows the calls spent.
+func runQueue(states []sweepState) {
+	most := 0
+	for i := range states {
+		most += states[i].m + states[i].n
+	}
+	q := sweepQueue{lanes: [2]*sweepState{&states[0]}}
+	if len(states) > 1 {
+		q.lanes[1] = &states[1]
+	}
+	q.next = uintptr(unsafe.Pointer(&states[0])) + unsafe.Sizeof(states[0])*uintptr(len(q.lanes))
+	q.end = uintptr(unsafe.Pointer(&states[0])) + unsafe.Sizeof(states[0])*uintptr(len(states))
+	q.next = min(q.next, q.end)
+	spent := 0
+	for q.lanes[0] != nil {
+		q.rows = sweepRows
+		sweepLinearVec(&q)
+		spent += sweepRows - q.rows
+		if q.rows < 0 || q.rows > sweepRows || q.lanes[0] != nil && q.rows != 0 || spent > most {
+			panic("core: the row kernel broke its budget")
+		}
+	}
+	for i := range states {
+		if !states[i].done {
+			panic("core: the row kernel left a queued extension unfinished")
+		}
+		spent -= states[i].diag() - 1
+	}
+	if q.next != q.end || spent != 0 {
 		panic("core: the row kernel broke its budget")
 	}
 }
@@ -437,8 +514,9 @@ func (st *sweepState) call() {
 // of them beside antidiagonal 0 — has one cell and one chunk of each size
 // that the kernel does not count.
 func (st *sweepState) finish(res *Result) {
-	rows := int64(st.d - 1)
-	st.acc.antid = st.d
+	d := st.diag()
+	rows := int64(d - 1)
+	st.acc.antid = d
 	st.acc.cells += rows
 	st.acc.chunks32 += rows
 	st.acc.chunks128 += rows
@@ -453,22 +531,93 @@ func (st *sweepState) finish(res *Result) {
 // head computes it — the live bounds of d−1 widened by one, cut to the
 // matrix and to capacity — or ≤ 0 when the extension has ended.
 func (st *sweepState) rowWidth() int {
-	return min(min(st.d1hi+1, st.m)-max(st.d1lo, st.d-st.n)+1, st.capacity)
+	d := st.diag()
+	return min(min(st.d1hi+1, st.m)-max(st.d1lo, d-st.n)+1, st.capacity)
 }
 
 // sweepResident runs the antidiagonal loop of linearSweep's int32
 // instantiation in sweepLinearVec, from the state linearSweep has set up:
 // b1 and b2 grown and seeded with antidiagonals 0 and −1, b0 grown when
-// the layout is Standard3's, acc holding antidiagonal 0.
+// the layout is Standard3's, acc holding antidiagonal 0. It is a queue of
+// one: the second lane stays empty.
 func sweepResident(b *scoreBufs[int32], hq, vq []byte, p *Params, capacity int, acc statAcc, res *Result) {
 	out := b.b2
 	if p.Algo == AlgoStandard3 {
 		out = b.b0
 	}
-	var st sweepState
-	st.begin(hq, vq, p, capacity, b.b1, b.b2, out, acc)
-	for !st.done {
-		st.call()
+	var st [1]sweepState
+	st[0].begin(hq, vq, p, capacity, acc)
+	st[0].bind(b.b1, b.b2, out)
+	runQueue(st[:])
+	st[0].finish(res)
+}
+
+// sweepBatch runs the extensions of sides[queued] (wide-tier, linear,
+// rowVec) as one queue of sweepLinearVec's score kind and writes each
+// Result to out. Their operands are staged once, back to back, in the
+// workspace's arena — each between seqPad pad bytes, which neighbours
+// share — and the two lanes are the workspace's wide buffers and alt's,
+// each grown to the largest capacity in the queue; Stats.WorkBytes is
+// still each extension's own, as linearSweep computes it.
+func (w *Workspace) sweepBatch(p *Params, sides []Side, queued []int, out []Result) {
+	size, capacity := seqPad, 0
+	for _, i := range queued {
+		h, v := sides[i].views()
+		size += h.Len() + v.Len() + 2*seqPad
+		capacity = max(capacity, linearCapacity(h.Len(), v.Len(), p))
 	}
-	st.finish(res)
+	if cap(w.arena) < size {
+		w.arena = make([]byte, size)
+	}
+	arena := w.arena[:size]
+	if cap(w.states) < len(queued) {
+		w.states = make([]sweepState, len(queued))
+	}
+	states := w.states[:len(queued)]
+
+	nbuf := 2
+	if p.Algo == AlgoStandard3 {
+		nbuf = 3
+	}
+	var acc statAcc
+	acc.observe(1, 1)
+	clear(arena[:seqPad])
+	off := seqPad
+	staged := func(src []byte, reverse bool) []byte {
+		seq := arena[off : off+len(src)]
+		place(seq, src, reverse)
+		off += len(src)
+		clear(arena[off : off+seqPad])
+		off += seqPad
+		return seq
+	}
+	for k, i := range queued {
+		h, v := sides[i].views()
+		hq, vq := staged(h.data, h.rev), staged(v.data, !v.rev)
+		c := linearCapacity(len(hq), len(vq), p)
+		states[k] = sweepState{}
+		states[k].begin(hq, vq, p, c, acc)
+		out[i] = Result{Stats: Stats{
+			TheoreticalCells: int64(len(hq)) * int64(len(vq)),
+			WorkBytes:        nbuf * c * scoreBytes,
+		}}
+	}
+	lanes := [2]*scoreBufs[int32]{&w.wide, &w.alt}
+	for l := range min(len(lanes), len(states)) {
+		b := lanes[l]
+		b.b1 = growBuf(b.b1, capacity)
+		b.b2 = growBuf(b.b2, capacity)
+		first := b.b2
+		if nbuf == 3 {
+			b.b0 = growBuf(b.b0, capacity)
+			first = b.b0
+		}
+		seedDiag(b.b1, 0, negInf32)
+		seedDiag(b.b2, negInf32, negInf32)
+		states[l].bind(b.b1, b.b2, first)
+	}
+	runQueue(states)
+	for k, i := range queued {
+		states[k].finish(&out[i])
+	}
 }

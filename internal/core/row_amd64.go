@@ -33,40 +33,49 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// sweepLinearVec runs antidiagonals of linearSweep's int32 loop from st,
-// in either layout, until the extension ends (st.done) or st.rows of them
-// are computed; the caller re-enters it until done (sweepState.call). It
-// reads the loop state from st at entry, keeps it in registers, and writes
-// it back — st.rows becoming the rows it left — when it returns. A row is ⌈width/8⌉
-// vectors: whole ones while more than eight cells are left, then one
-// masked tail of one to eight cells. With st.record set the rows are
-// fusedLinear's, three buffers rotating, and each also records (see
-// sweepState): it returns early, before a row, when that row would end
-// past st.cellEnd.
+// sweepLinearVec runs antidiagonals of linearSweep's int32 loop, in
+// either layout, for the extensions of q until its lanes drain or q.rows
+// of them are computed; the caller re-enters it until they drain
+// (runQueue, sweepState.call). It takes an extension's loop state from its
+// sweepState into registers and puts it back when it switches lanes or
+// returns, q.rows becoming the rows left. The score kind runs the rows of
+// q.lanes[0] and q.lanes[1] alternately — one row of one extension, then
+// one of the other, the first one's state written back and the second's
+// read in between — and when an extension ends it marks it done and binds
+// the next queued state to that lane: the lane's buffers and rotation,
+// copied from the state that ended, buf1 and buf2 seeded. A lane with no
+// state left is never switched to again. A row is ⌈width/8⌉ vectors: whole
+// ones while more than eight cells are left, then one masked tail of one
+// to eight cells. With lanes[0].record set the rows are fusedLinear's,
+// three buffers rotating, and each also records (see sweepState), on that
+// one lane: it returns when the extension ends, and early, before a row,
+// when that row would end past st.cellEnd.
 //
-// Memory contract (TestSweepKernelMatchesGeneric runs it with every buffer
-// flush against an unmapped page, at its end and at its start):
+// Memory contract (TestSweepKernelMatchesGeneric and, for the queue,
+// TestSweepBatchMatchesSingle run it with every buffer flush against an
+// unmapped page, at its end and at its start):
 //
-//   - Score buffers (st.d1, st.d2, st.out; out aliases d2 in place) are
-//     growBuf's: capacity cells between bufPad guards, rowSlack spare cells
-//     behind. It writes what linearSweep's Go loop writes — a row's cells
-//     from index bufPad and the two guard pairs around them — and nothing
-//     else: the tail is stored through its lane mask. It reads from index
-//     bufPad−1 (d−2's diagonal of the row's first cell) up to the end of
-//     the spare cells, because every load is a whole vector; lanes past a
-//     row become −∞ before they can reach a cell, the row maximum or the
-//     live bounds.
-//   - Operands (st.hq, st.vq) are Workspace.operands': it reads hq[−1:m+7]
-//     and vq[0:n+8], inside the seqPad bytes staged around both, and
-//     writes neither.
+//   - Score buffers (a lane's buf1, buf2 and buf0; buf0 is buf2 in place)
+//     are growBuf's: at least capacity cells between bufPad guards,
+//     rowSlack spare cells behind. It writes what linearSweep's Go loop
+//     writes — a row's cells from index bufPad and the two guard pairs
+//     around them, and seedDiag's five cells of buf1 and buf2 when it
+//     binds a queued extension — and nothing else: the tail is stored
+//     through its lane mask. It reads from index bufPad−1 (d−2's diagonal
+//     of the row's first cell) up to the end of the extension's spare
+//     cells, because every load is a whole vector; lanes past a row become
+//     −∞ before they can reach a cell, the row maximum or the live bounds.
+//   - Operands (st.hq, st.vq) are Workspace.operands' or the batch
+//     arena's: it reads hq[−1:m+7] and vq[0:n+8], inside the seqPad bytes
+//     staged around both, and writes neither.
 //   - Recording (TestRowCodesKernelMatchesGeneric, and the recording
 //     checks of TestSweepKernelMatchesGeneric, place dirs flush against an
 //     unmapped page at either end): it writes cls[d] and offs[d+1] of every
 //     row it computes and the code stream's whole bytes from dirs[dirb]
 //     on, never a byte past the one holding cell cellEnd−1 — the last part
 //     byte stays in carry — and it reads offs[d].
-//   - Of *st it reads the constants and rewrites the rest; the counters in
-//     st.acc it adds to.
+//   - Of each sweepState it reads the constants and rewrites the rest; the
+//     counters in acc it adds to. Of q it rewrites lanes, next and rows.
 //
 //go:noescape
-func sweepLinearVec(st *sweepState)
+func sweepLinearVec(q *sweepQueue)

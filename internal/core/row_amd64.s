@@ -14,13 +14,15 @@
 // once per row kind and similarity form; a call picks its expansion at
 // entry, and no row tests the kind or the form again. The recording kind
 // also packs each step's direction codes (ROW_PUT) into the tracer's code
-// stream.
+// stream. The score kind runs a queue of extensions on two lanes, a row of
+// each in turn (SWEEP_SWAP), and refills a lane in place when its
+// extension ends (SWEEP_REFILL).
 //
 // Registers of a row: DI, SI and DX the bases of out, d−2 and d−1 — cell i
 // of each at base + 4i — R8 and R9 the bases of hq and vq — cell i's bytes
-// at base + i — R12 the first cell of the current vector, the one index of
-// every load and store; R10 the similarity table (table form), CX the row's
-// last cell − 7; AX BX R11 scratch. Y0 the diagonal operand, then the
+// at R8 + i − 1 and R9 + i — R12 the first cell of the current vector, the
+// one index of every load and store; R10 the similarity table (table
+// form), CX the row's last cell − 7; AX BX R11 scratch. Y0 the diagonal operand, then the
 // cells; Y1 the next diagonal operand (tail: the lane mask); Y7 the running
 // row maximum; Y8 gap, Y9 limit, Y10 negInf; Y14 match, Y15 mismatch, X6
 // the wildcard byte ×16; Y2–Y5 temporaries; a recording row's direction
@@ -48,7 +50,7 @@ GLOBL rowNegInf<>(SB), RODATA|NOPTR, $4
 // see ROW_STORE_WHOLE — and the eight h and v bytes.
 #define ROW_FETCH \
 	VMOVDQU 28(SI)(R12*4), Y1 \
-	VMOVQ   (R8)(R12*1), X4   \
+	VMOVQ   -1(R8)(R12*1), X4 \
 	VMOVQ   (R9)(R12*1), X5
 
 // LANE looks up tab[h][v] for the 16-bit index h<<8|v in the low word of
@@ -190,28 +192,24 @@ GLOBL rowNegInf<>(SB), RODATA|NOPTR, $4
 
 // SWEEP_BOUNDS folds a vector's live lanes, the non-zero bits of AX, into
 // the row's live bounds. Lane 0 is cell R12. hi (R15) is the highest live
-// cell so far, a bit scan, and −1 before the row's first live vector; lo
-// (R14), the lowest, is counted up to through branches when this is that
-// first vector: the next row's addresses all hang on it, and a predicted
-// branch lets them issue where a bit scan makes them wait for this row's
-// cells.
-#define SWEEP_BOUNDS(lobit, done) \
+// cell so far and −1 before the row's first live vector; lo (R14), the
+// lowest, is set by the first one. Both are bit scans: every address of
+// the next row hangs on lo, but that row is the other lane's, which runs
+// while this one's bounds resolve, so lo takes no data-dependent branch
+// (DESIGN.md "The resident sweep" has the pairs that decided it).
+#define SWEEP_BOUNDS(done) \
 	BSRL  AX, R11           \
 	TESTQ R15, R15          \
 	LEAQ  (R12)(R11*1), R15 \
 	JNS   done              \
-	MOVQ  R12, R14          \
-lobit:                      \
-	SHRL  $1, AX            \
-	JCS   done              \
-	INCQ  R14               \
-	JMP   lobit             \
+	BSFL  AX, R14           \
+	ADDQ  R12, R14          \
 done:
 
 // SWEEP_WHOLE is a whole step of a row and its loop control: a vector is
 // whole while more than eight cells are left, so that every row ends in a
 // tail step. One index register, R12, steps every stream.
-#define SWEEP_WHOLE(SIM, MASKS, PUT, loop, lobit, dead) \
+#define SWEEP_WHOLE(SIM, MASKS, PUT, loop, dead) \
 loop:                         \
 	ROW_FETCH                 \
 	ROW_STEP(SIM, MASKS, ROW_STORE_WHOLE) \
@@ -219,7 +217,7 @@ loop:                         \
 	VMOVMSKPS Y3, AX          \
 	XORL      $0xff, AX       \
 	JZ        dead            \
-	SWEEP_BOUNDS(lobit, dead) \
+	SWEEP_BOUNDS(dead)        \
 	ADDQ      $8, R12         \
 	CMPQ      R12, CX         \
 	JLT       loop
@@ -286,21 +284,27 @@ reccarry:                            \
 // similarity form, statement for statement: the row head (window cl..cu,
 // or the end of the extension), the δb clamp, the row, its guards and live
 // bounds, the counters, the first-wins argmax of a new best, the limit and
-// the rotation. HEAD and TAIL are what a recording row adds; the rest of
-// the parameters are the expansion's labels.
+// the rotation. HEAD and TAIL are what a recording row adds; NEXT is what
+// follows a row that leaves budget (the score kind's lane switch), spent
+// where a row that spends it goes, END what follows the end of an
+// extension (the score kind's refill); the rest of the parameters are the
+// expansion's labels.
 //
-// Row-to-row state in registers: R9 is vq + n − d, so d − n is vq − R9; DX
-// and SI are the bases of d−1 and d−2; BP is the raw buffer of the next
+// Row-to-row state in registers (SWEEP_LOAD, SWEEP_SAVE): R13 is the
+// lane's sweepState; R8 is hq and R9 vq + n − d, so d − n is vq − R9;
+// DX and SI are the bases of d−1 and d−2; BP is the raw buffer of the next
 // row; R14 and R15 are d1lo and d1hi; Y7 holds d1best in every lane, Y13
 // best, Y9 limit. sweepState holds the constants, the counters (added to
 // in place), the raw buffer of d−1 (for the rotation) and the recording
-// cursor.
+// cursor. The frame holds the row budget the lanes share at 0(SP), the
+// other lane's sweepState (or nil) at 8(SP) and q at 16(SP).
 //
 // At window AX is cl, CX cu and BX cu − cl; a clamped window comes back
 // there. A row adds its width − 1 to cells and, only when it is wider than
 // 32 cells, its chunks past the first of each size: finish adds the rest
-// from d. maxLive is stored only when it grows.
-#define SWEEP_LOOP(SIM, MASKS, PUT, HEAD, TAIL, row, window, wide, wided, loop, lobit, dead, tail, taillo, taildead, raise, raised, rotate, clamp, clampscan, newbest, bestscan, besttail, bestfound) \
+// from d. maxLive is stored only when it grows. A row with no live cell
+// (rowdead) is counted against the budget and ends the extension.
+#define SWEEP_LOOP(SIM, MASKS, PUT, HEAD, TAIL, NEXT, END, spent, row, window, wide, wided, loop, dead, tail, taildead, raise, raised, rotate, clamp, clampscan, newbest, bestscan, besttail, bestfound, rowdead, ended) \
 row:                                       \
 	MOVQ    sweepState_vq(R13), AX         \
 	SUBQ    R9, AX                         \
@@ -311,7 +315,7 @@ row:                                       \
 	CMOVQGT sweepState_m(R13), CX          \
 	MOVQ    CX, BX                         \
 	SUBQ    AX, BX                         \
-	JLT     finished                       \
+	JLT     ended                          \
 	CMPQ    BX, sweepState_capacity(R13)   \
 	JGE     clamp                          \
 window:                                    \
@@ -331,20 +335,20 @@ wided:                                     \
 	SUBQ    $7, CX                         \
 	CMPQ    BX, $8                         \
 	JLT     tail                           \
-	SWEEP_WHOLE(SIM, MASKS, PUT, loop, lobit, dead) \
+	SWEEP_WHOLE(SIM, MASKS, PUT, loop, dead) \
 tail:                                      \
 	MOVQ    R12, BX                        \
 	SUBQ    CX, BX                         \
 	LEAQ    rowLaneMask<>(SB), AX          \
 	VMOVDQU (AX)(BX*4), Y1                 \
-	VMOVQ   (R8)(R12*1), X4                \
+	VMOVQ   -1(R8)(R12*1), X4              \
 	VMOVQ   (R9)(R12*1), X5                \
 	ROW_STEP(SIM, MASKS, SWEEP_STORE_TAIL) \
 	TAIL                                   \
 	VMOVMSKPS Y2, AX                       \
 	TESTL   AX, AX                         \
 	JZ      taildead                       \
-	SWEEP_BOUNDS(taillo, taildead)         \
+	SWEEP_BOUNDS(taildead)                 \
 	VMOVQ   X10, 32(DI)(CX*4)              \
 	VPERM2I128 $1, Y7, Y7, Y2              \
 	VPMAXSD Y2, Y7, Y7                     \
@@ -356,7 +360,7 @@ tail:                                      \
 	VPMAXSD Y2, Y9, Y9                     \
 	DECQ    R9                             \
 	TESTQ   R15, R15                       \
-	JS      finished                       \
+	JS      rowdead                        \
 	MOVQ    R15, AX                        \
 	SUBQ    R14, AX                        \
 	CMPQ    AX, (sweepState_acc+statAcc_maxLive)(R13) \
@@ -373,9 +377,9 @@ rotate:                                    \
 	XORQ    sweepState_flip(R13), AX       \
 	MOVQ    BP, sweepState_d1(R13)         \
 	XORQ    AX, BP                         \
-	CMPQ    R9, sweepState_stop(R13)       \
-	JNE     row                            \
-	JMP     leave                          \
+	DECQ    0(SP)                          \
+	JZ      spent                          \
+	NEXT                                   \
 wide:                                      \
 	MOVQ    BX, R11                        \
 	SHRQ    $5, R11                        \
@@ -443,84 +447,188 @@ bestfound:                                 \
 	BSFL    AX, AX                         \
 	ADDQ    R11, AX                        \
 	MOVQ    AX, sweepState_bestI(R13)      \
-	JMP     rotate
+	JMP     rotate                         \
+rowdead:                                   \
+	DECQ    0(SP)                          \
+ended:                                     \
+	END
 
-// func sweepLinearVec(st *sweepState)
+// SWEEP_LOAD takes the extension of R13 into the row-to-row registers;
+// SWEEP_SAVE puts it back.
+#define SWEEP_LOAD \
+	MOVQ         sweepState_hq(R13), R8      \
+	MOVQ         sweepState_vd(R13), R9      \
+	MOVQ         sweepState_d1lo(R13), R14   \
+	MOVQ         sweepState_d1hi(R13), R15   \
+	VPBROADCASTD sweepState_limit(R13), Y9   \
+	VPBROADCASTD sweepState_d1best(R13), Y7  \
+	VPBROADCASTD sweepState_best(R13), Y13   \
+	MOVQ         sweepState_d1b(R13), DX     \
+	MOVQ         sweepState_d2b(R13), SI     \
+	MOVQ         sweepState_out(R13), BP
+
+#define SWEEP_SAVE \
+	MOVQ  R9, sweepState_vd(R13)      \
+	MOVQ  R14, sweepState_d1lo(R13)   \
+	MOVQ  R15, sweepState_d1hi(R13)   \
+	VMOVD X9, sweepState_limit(R13)   \
+	VMOVD X7, sweepState_d1best(R13)  \
+	VMOVD X13, sweepState_best(R13)   \
+	MOVQ  DX, sweepState_d1b(R13)     \
+	MOVQ  SI, sweepState_d2b(R13)     \
+	MOVQ  BP, sweepState_out(R13)
+
+// SWEEP_SWAP is the score kind's NEXT: when the other lane holds an
+// extension, this lane's is put back and the other's taken up, so that
+// its row runs while the chain from this row's prune mask to this lane's
+// next window resolves.
+#define SWEEP_SWAP(row) \
+	MOVQ  8(SP), AX  \
+	TESTQ AX, AX     \
+	JZ    row        \
+	SWEEP_SAVE       \
+	MOVQ  R13, 8(SP) \
+	MOVQ  AX, R13    \
+	SWEEP_LOAD       \
+	JMP   row
+
+// SWEEP_REFILL is the score kind's END: the extension of R13 is done and
+// put back, and the lane takes the next queued state — bound to the
+// lane's buffers and rotation, copied from the one that ended, with buf1
+// and buf2 seeded as seedDiag seeds them — or, when the queue is empty,
+// the lane closes: the other lane's extension, if there is one, runs on
+// alone, and if there is none the call returns with both lanes empty.
+#define SWEEP_REFILL(row, drained) \
+	MOVB    $1, sweepState_done(R13)         \
+	SWEEP_SAVE                               \
+	MOVQ    16(SP), BX                       \
+	MOVQ    sweepQueue_next(BX), AX          \
+	CMPQ    AX, sweepQueue_end(BX)           \
+	JEQ     drained                          \
+	ADDQ    $sweepState__size, sweepQueue_next(BX) \
+	MOVQ    sweepState_flip(R13), CX         \
+	MOVQ    CX, sweepState_flip(AX)          \
+	MOVQ    sweepState_s3(R13), CX           \
+	MOVQ    CX, sweepState_s3(AX)            \
+	MOVQ    sweepState_buf0(R13), CX         \
+	MOVQ    CX, sweepState_buf0(AX)          \
+	MOVQ    CX, sweepState_out(AX)           \
+	MOVQ    sweepState_buf1(R13), CX         \
+	MOVQ    CX, sweepState_buf1(AX)          \
+	MOVQ    CX, sweepState_d1(AX)            \
+	VMOVDQU X10, (CX)                        \
+	MOVL    $0, 8(CX)                        \
+	VMOVD   X10, 16(CX)                      \
+	ADDQ    $ROW0, CX                        \
+	MOVQ    CX, sweepState_d1b(AX)           \
+	MOVQ    sweepState_buf2(R13), CX         \
+	MOVQ    CX, sweepState_buf2(AX)          \
+	VMOVDQU X10, (CX)                        \
+	VMOVD   X10, 16(CX)                      \
+	ADDQ    $ROW0, CX                        \
+	MOVQ    CX, sweepState_d2b(AX)           \
+	MOVQ    AX, R13                          \
+	SWEEP_LOAD                               \
+	CMPQ    0(SP), $0                        \
+	JNE     row                              \
+	JMP     leave                            \
+drained:                                     \
+	MOVQ    8(SP), AX                        \
+	TESTQ   AX, AX                           \
+	JZ      empty                            \
+	MOVQ    $0, 8(SP)                        \
+	MOVQ    AX, R13                          \
+	SWEEP_LOAD                               \
+	CMPQ    0(SP), $0                        \
+	JNE     row                              \
+	JMP     leave
+
+// SWEEP_DONE is the recording kind's END: the call returns.
+#define SWEEP_DONE \
+	MOVB $1, sweepState_done(R13) \
+	JMP  leave
+
+// func sweepLinearVec(q *sweepQueue)
 //
 // linearSweep's antidiagonal loop (linear.go) with the row computed by
 // ROW_STEP: no boundary cell is peeled, because the −∞ guards around every
 // stored row and the pad bytes around both operands make the general
-// recurrence yield them (see linearSweep). With st.record set it is
-// fusedLinear's loop: the same rows, each of which also writes the
+// recurrence yield them (see linearSweep). The score kind runs it for the
+// two lanes of q, a row of each in turn, and refills a lane from the queue
+// when its extension ends. With q.lanes[0].record set it is fusedLinear's
+// loop on that one lane: the same rows, each of which also writes the
 // tracer's window index and its cells' direction codes.
 //
-// Registers, beyond the rows' and SWEEP_LOOP's: R13 st. Y12 is X; the row
-// maximum is reduced across Y7's lanes and folded into Y9 without leaving
-// the vector registers. The frame is only there to save BP.
-TEXT ·sweepLinearVec(SB), NOSPLIT, $8-8
-	MOVQ         st+0(FP), R13
+// Registers, beyond the rows' and SWEEP_LOOP's: Y12 is X; the row maximum
+// is reduced across Y7's lanes and folded into Y9 without leaving the
+// vector registers. Every extension of a call shares the scorer, gap and X,
+// so they are broadcast once. The frame holds the budget, the other lane
+// and q (see SWEEP_LOOP); the assembler saves BP above it.
+TEXT ·sweepLinearVec(SB), NOSPLIT, $24-8
+	MOVQ         q+0(FP), BX
+	MOVQ         BX, 16(SP)
+	MOVQ         sweepQueue_rows(BX), AX
+	MOVQ         AX, 0(SP)
+	MOVQ         (sweepQueue_lanes+8)(BX), AX
+	MOVQ         AX, 8(SP)
+	MOVQ         sweepQueue_lanes(BX), R13
 	VPBROADCASTD (sweepState_sim+rowSim_match)(R13), Y14
 	VPBROADCASTD (sweepState_sim+rowSim_mismatch)(R13), Y15
 	VPBROADCASTB (sweepState_sim+rowSim_wildcard)(R13), X6
 	MOVQ         (sweepState_sim+rowSim_tab)(R13), R10
 	VPBROADCASTD sweepState_gap(R13), Y8
 	VPBROADCASTD sweepState_x(R13), Y12
-	VPBROADCASTD sweepState_limit(R13), Y9
 	VPBROADCASTD rowNegInf<>(SB), Y10
-	VPBROADCASTD sweepState_d1best(R13), Y7
-	VPBROADCASTD sweepState_best(R13), Y13
-	MOVQ         sweepState_d1lo(R13), R14
-	MOVQ         sweepState_d1hi(R13), R15
-	MOVQ         sweepState_hq(R13), R8
-	DECQ         R8
-	MOVQ         sweepState_vq(R13), R9
-	ADDQ         sweepState_n(R13), R9
-	SUBQ         sweepState_d(R13), R9
-	MOVQ         R9, AX
-	SUBQ         sweepState_rows(R13), AX
-	MOVQ         AX, sweepState_stop(R13)
-	MOVQ         sweepState_d1b(R13), DX
-	MOVQ         sweepState_d2b(R13), SI
-	MOVQ         sweepState_out(R13), BP
+	SWEEP_LOAD
 	CMPB         sweepState_record(R13), $0
 	JNE          record
 	TESTQ        R10, R10
 	JZ           score_eq
-	SWEEP_LOOP(SIM_TABLE, ROW_NOMASKS, ROW_NOPUT, SWEEP_NOREC, SWEEP_NOREC, st_row, st_window, st_wide, st_wided, st_loop, st_lobit, st_dead, st_tail, st_taillo, st_taildead, st_raise, st_raised, st_rotate, st_clamp, st_clampscan, st_newbest, st_bestscan, st_besttail, st_bestfound)
+	SWEEP_LOOP(SIM_TABLE, ROW_NOMASKS, ROW_NOPUT, SWEEP_NOREC, SWEEP_NOREC, SWEEP_SWAP(st_row), SWEEP_REFILL(st_row, st_drained), spent, st_row, st_window, st_wide, st_wided, st_loop, st_dead, st_tail, st_taildead, st_raise, st_raised, st_rotate, st_clamp, st_clampscan, st_newbest, st_bestscan, st_besttail, st_bestfound, st_rowdead, st_ended)
 
 score_eq:
-	SWEEP_LOOP(SIM_EQ, ROW_NOMASKS, ROW_NOPUT, SWEEP_NOREC, SWEEP_NOREC, se_row, se_window, se_wide, se_wided, se_loop, se_lobit, se_dead, se_tail, se_taillo, se_taildead, se_raise, se_raised, se_rotate, se_clamp, se_clampscan, se_newbest, se_bestscan, se_besttail, se_bestfound)
+	SWEEP_LOOP(SIM_EQ, ROW_NOMASKS, ROW_NOPUT, SWEEP_NOREC, SWEEP_NOREC, SWEEP_SWAP(se_row), SWEEP_REFILL(se_row, se_drained), spent, se_row, se_window, se_wide, se_wided, se_loop, se_dead, se_tail, se_taildead, se_raise, se_raised, se_rotate, se_clamp, se_clampscan, se_newbest, se_bestscan, se_besttail, se_bestfound, se_rowdead, se_ended)
 
 record:
 	TESTQ R10, R10
 	JZ    record_eq
-	SWEEP_LOOP(SIM_TABLE, ROW_DIRMASKS, ROW_PUT, SWEEP_RECHEAD, SWEEP_RECTAIL(rt_byte, rt_carry), rt_row, rt_window, rt_wide, rt_wided, rt_loop, rt_lobit, rt_dead, rt_tail, rt_taillo, rt_taildead, rt_raise, rt_raised, rt_rotate, rt_clamp, rt_clampscan, rt_newbest, rt_bestscan, rt_besttail, rt_bestfound)
+	SWEEP_LOOP(SIM_TABLE, ROW_DIRMASKS, ROW_PUT, SWEEP_RECHEAD, SWEEP_RECTAIL(rt_byte, rt_carry), JMP rt_row, SWEEP_DONE, leave, rt_row, rt_window, rt_wide, rt_wided, rt_loop, rt_dead, rt_tail, rt_taildead, rt_raise, rt_raised, rt_rotate, rt_clamp, rt_clampscan, rt_newbest, rt_bestscan, rt_besttail, rt_bestfound, rt_rowdead, rt_ended)
 
 record_eq:
-	SWEEP_LOOP(SIM_EQ, ROW_DIRMASKS, ROW_PUT, SWEEP_RECHEAD, SWEEP_RECTAIL(re_byte, re_carry), re_row, re_window, re_wide, re_wided, re_loop, re_lobit, re_dead, re_tail, re_taillo, re_taildead, re_raise, re_raised, re_rotate, re_clamp, re_clampscan, re_newbest, re_bestscan, re_besttail, re_bestfound)
-
-finished:
-	MOVB $1, sweepState_done(R13)
+	SWEEP_LOOP(SIM_EQ, ROW_DIRMASKS, ROW_PUT, SWEEP_RECHEAD, SWEEP_RECTAIL(re_byte, re_carry), JMP re_row, SWEEP_DONE, leave, re_row, re_window, re_wide, re_wided, re_loop, re_dead, re_tail, re_taildead, re_raise, re_raised, re_rotate, re_clamp, re_clampscan, re_newbest, re_bestscan, re_besttail, re_bestfound, re_rowdead, re_ended)
 
 leave:
-	// Write the row-to-row registers back: d from R9, the rows left of the
-	// budget, the bounds, limit, d1best and best, the bases and the next
-	// row's buffer.
-	MOVQ  sweepState_vq(R13), AX
-	ADDQ  sweepState_n(R13), AX
-	SUBQ  R9, AX
-	MOVQ  AX, sweepState_d(R13)
-	MOVQ  R9, AX
-	SUBQ  sweepState_stop(R13), AX
-	MOVQ  AX, sweepState_rows(R13)
-	MOVQ  R14, sweepState_d1lo(R13)
-	MOVQ  R15, sweepState_d1hi(R13)
-	VMOVD X9, sweepState_limit(R13)
-	VMOVD X7, sweepState_d1best(R13)
-	VMOVD X13, sweepState_best(R13)
-	MOVQ  DX, sweepState_d1b(R13)
-	MOVQ  SI, sweepState_d2b(R13)
-	MOVQ  BP, sweepState_out(R13)
+	// Put the lane's extension back, and the lanes and the budget left.
+	SWEEP_SAVE
+	MOVQ 16(SP), BX
+	MOVQ R13, sweepQueue_lanes(BX)
+	MOVQ 8(SP), AX
+	MOVQ AX, (sweepQueue_lanes+8)(BX)
+	JMP  ret
+
+spent:
+	// The score kind's budget ran out behind a row of R13's lane. The other
+	// lane's row comes next, as it would have without the return, so the
+	// lanes go back in that order: where the rows of a queue run does not
+	// depend on the budget.
+	MOVQ  8(SP), AX
+	TESTQ AX, AX
+	JZ    leave
+	SWEEP_SAVE
+	MOVQ  16(SP), BX
+	MOVQ  AX, sweepQueue_lanes(BX)
+	MOVQ  R13, (sweepQueue_lanes+8)(BX)
+	JMP   ret
+
+empty:
+	// Both lanes have closed: every extension of the queue is done.
+	MOVQ 16(SP), BX
+	MOVQ $0, sweepQueue_lanes(BX)
+	MOVQ $0, (sweepQueue_lanes+8)(BX)
+
+ret:
+	MOVQ 0(SP), AX
+	MOVQ AX, sweepQueue_rows(BX)
 	VZEROUPPER
 	RET
 

@@ -291,7 +291,10 @@ func TestSweepKernelMatchesGeneric(t *testing.T) {
 // every score buffer to the end of its capacity and, for the recording
 // kind, the Trace, the window index and the whole dirs allocation. Both row
 // kinds, both layouts, both similarity forms, and δb below the band so that
-// the clamp fires. sweepState.call checks each call's budget; a kernel that
+// the clamp fires. Then queues of the score kind, against one call for the
+// whole queue (batchResumes): every Result and both lanes' buffers. The
+// budget of 1 runs out, among others, on rows that end a lane's extension.
+// sweepState.call and runQueue check each call's budget; a kernel that
 // ignores it or loses d on the way out fails there.
 func TestSweepResumesEveryRow(t *testing.T) {
 	if !rowVec {
@@ -353,6 +356,20 @@ func TestSweepResumesEveryRow(t *testing.T) {
 	}
 	if clamped == 0 {
 		t.Fatal("no extension clamped")
+	}
+
+	// The score kind's queue: two lanes sharing each call's budget, a lane
+	// refilled when its extension ends (batchResumes).
+	var endedOnBudget int
+	for trial := 0; trial < 16; trial++ {
+		form := batchForms[trial%2]
+		p := Params{Scorer: form.scorer, Gap: -1, X: 8 + rng.Intn(30), DeltaB: []int{6, 0}[trial/2%2],
+			Algo: []Algo{AlgoRestricted2, AlgoStandard3}[trial/4%2]}
+		sides := batchSides(rng, 1+trial, 120, form)
+		endedOnBudget += batchResumes(t, fmt.Sprintf("queue %d %v %v", trial, p.Algo, p.Scorer), sides, p)
+	}
+	if endedOnBudget == 0 {
+		t.Fatal("no budget ran out on the row that ended an extension")
 	}
 }
 
@@ -565,14 +582,15 @@ func checkCodesRow(t testing.TB, rng *rand.Rand, cnt, formIdx, head int, front b
 	st := sweepState{
 		hq: &hq[0], vq: &vq[0], sim: form.sim(),
 		m: d, n: d, capacity: cnt, gap: gap, x: int32(1 + rng.Intn(20)),
-		d1: &d1[0], out: &gotOut[0],
+		d1: uintptr(unsafe.Pointer(&d1[0])), out: uintptr(unsafe.Pointer(&gotOut[0])),
 		d1b: uintptr(unsafe.Pointer(&d1[bufPad-1])), d2b: uintptr(unsafe.Pointer(&d2[bufPad-1])), // both windows start at cell 1
-		d: d, d1lo: 1, d1hi: cnt - 1,
-		limit: limit, best: int32(rng.Intn(9) - 4), rows: 1,
+		vd: uintptr(unsafe.Pointer(&vq[0])), d1lo: 1, d1hi: cnt - 1, // vd = vq + n − d, n = d
+		limit: limit, best: int32(rng.Intn(9) - 4),
 		record: true, cls: &cls[0], offs: &offs[0],
 	}
 	st.openStream(gotDirs, cell)
-	sweepLinearVec(&st)
+	q := sweepQueue{lanes: [2]*sweepState{&st}, rows: 1}
+	sweepLinearVec(&q)
 	st.closeStream(gotDirs)
 
 	codes := make([]byte, cnt)

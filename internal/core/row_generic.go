@@ -6,6 +6,6 @@ package core
 // sweeps' Go loops compute every row.
 const rowVec = false
 
-func sweepLinearVec(st *sweepState) {
+func sweepLinearVec(q *sweepQueue) {
 	panic("core: no assembly in this build")
 }

@@ -152,33 +152,34 @@ func (tb *tracer) traceBytes() int {
 	return len(tb.dirs) + 4*len(tb.cls) + 4*len(tb.offs)
 }
 
-// tracerRetainBytes is the high-water threshold above which trim
-// releases a recording buffer instead of keeping it warm. Workspaces
-// are pooled for the engine's lifetime, so without the cap one outlier
-// extension would pin its worst-case arena on every pooled workspace
-// forever; 1 MiB comfortably covers every SRAM-certified tile extension
+// retainBytes is the high-water threshold above which a workspace
+// releases a buffer instead of keeping it warm (tracer.trim for the
+// recording buffers, Workspace.Trim for the rest). Workspaces are pooled
+// for the engine's lifetime, so without the cap one outlier extension
+// would pin its worst-case arena on every pooled workspace forever; 1 MiB
+// comfortably covers every SRAM-certified tile extension
 // (ExtensionTraceBytes tops out well below tile SRAM) while letting
 // host-API outliers be returned to the allocator.
-const tracerRetainBytes = 1 << 20
+const retainBytes = 1 << 20
 
 // runBytes is the size of one walked run.
 const runBytes = int(unsafe.Sizeof(alignment.Run{}))
 
-// trim releases recording buffers that grew past tracerRetainBytes.
+// trim releases recording buffers that grew past retainBytes.
 // Called once a recording has been walked — every buffer here is rebuilt
 // from scratch by the next recording — and again once an entry point that
 // returns a Cigar has handed its runs back as tb.runs.
 func (tb *tracer) trim() {
-	if cap(tb.dirs) > tracerRetainBytes {
+	if cap(tb.dirs) > retainBytes {
 		tb.dirs = nil
 	}
-	if cap(tb.offs)*4 > tracerRetainBytes {
+	if cap(tb.offs)*4 > retainBytes {
 		tb.cls, tb.offs = nil, nil // reset sizes the two together
 	}
-	if cap(tb.runs)*runBytes > tracerRetainBytes {
+	if cap(tb.runs)*runBytes > retainBytes {
 		tb.runs, tb.cig = nil, alignment.Builder{}
 	}
-	if cap(tb.codes) > tracerRetainBytes {
+	if cap(tb.codes) > retainBytes {
 		tb.codes = nil
 	}
 }

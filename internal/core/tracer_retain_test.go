@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"github.com/sram-align/xdropipu/internal/alignment"
 	"github.com/sram-align/xdropipu/internal/scoring"
@@ -12,7 +13,7 @@ import (
 // test for the pooled-workspace retention bug: one outlier traceback
 // used to pin its worst-case recording arena on the workspace forever.
 // After an oversized replay every recording buffer past
-// tracerRetainBytes must be released, and a subsequent ordinary
+// retainBytes must be released, and a subsequent ordinary
 // traceback must leave only modest warm buffers behind.
 func TestTracerTrimReleasesOversizedBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -29,22 +30,22 @@ func TestTracerTrimReleasesOversizedBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("oversized traceback: %v", err)
 	}
-	if tr.TraceBytes <= tracerRetainBytes {
-		t.Fatalf("test geometry too small: TraceBytes %d <= retention threshold %d", tr.TraceBytes, tracerRetainBytes)
+	if tr.TraceBytes <= retainBytes {
+		t.Fatalf("test geometry too small: TraceBytes %d <= retention threshold %d", tr.TraceBytes, retainBytes)
 	}
 	if c := cap(ws.tb.dirs); c != 0 {
 		t.Fatalf("direction buffer retained after oversized replay: cap %d", c)
 	}
-	if c := cap(ws.tb.runs) * runBytes; c > tracerRetainBytes {
+	if c := cap(ws.tb.runs) * runBytes; c > retainBytes {
 		t.Fatalf("runs scratch retained past threshold: %d bytes", c)
 	}
-	if c := cap(ws.tb.codes); c > tracerRetainBytes {
+	if c := cap(ws.tb.codes); c > retainBytes {
 		t.Fatalf("codes scratch retained past threshold: cap %d", c)
 	}
-	if c := cap(ws.tb.cls) * 4; c > tracerRetainBytes {
+	if c := cap(ws.tb.cls) * 4; c > retainBytes {
 		t.Fatalf("cls buffer retained past threshold: %d bytes", c)
 	}
-	if c := cap(ws.tb.offs) * 4; c > tracerRetainBytes {
+	if c := cap(ws.tb.offs) * 4; c > retainBytes {
 		t.Fatalf("offs buffer retained past threshold: %d bytes", c)
 	}
 
@@ -56,7 +57,7 @@ func TestTracerTrimReleasesOversizedBuffers(t *testing.T) {
 	if _, err := ws.TracebackRight(sh, sv, 0, 0, sp); err != nil {
 		t.Fatalf("small traceback after trim: %v", err)
 	}
-	if c := cap(ws.tb.dirs); c == 0 || c > tracerRetainBytes {
+	if c := cap(ws.tb.dirs); c == 0 || c > retainBytes {
 		t.Fatalf("small replay should leave a warm sub-threshold dirs buffer, got cap %d", c)
 	}
 	if c := cap(ws.tb.runs); c == 0 {
@@ -64,11 +65,37 @@ func TestTracerTrimReleasesOversizedBuffers(t *testing.T) {
 	}
 
 	// The walk's run scratch is held to the same bound: a path of more
-	// than tracerRetainBytes of runs (an outlier this geometry cannot
+	// than retainBytes of runs (an outlier this geometry cannot
 	// reach cheaply) is released by the next trim.
-	ws.tb.runs = make([]alignment.Run, 0, tracerRetainBytes/runBytes+1)
+	ws.tb.runs = make([]alignment.Run, 0, retainBytes/runBytes+1)
 	ws.tb.trim()
 	if ws.tb.runs != nil {
-		t.Fatalf("runs scratch of %d bytes retained past threshold", (tracerRetainBytes/runBytes+1)*runBytes)
+		t.Fatalf("runs scratch of %d bytes retained past threshold", (retainBytes/runBytes+1)*runBytes)
+	}
+}
+
+// TestWorkspaceTrimReleasesOversizedBuffers: Trim drops every score
+// buffer, staged operand and batch buffer whose array is past retainBytes
+// and keeps the ones within it, and a trimmed workspace still extends.
+func TestWorkspaceTrimReleasesOversizedBuffers(t *testing.T) {
+	const big, small = retainBytes/4 + 1, retainBytes / 4 // int32 cells
+	var ws Workspace
+	ws.wide.b0, ws.wide.b1, ws.alt.b2 = make([]int32, big), make([]int32, small), make([]int32, big)
+	ws.narrow.e0 = make([]int16, 2*big)
+	ws.hq, ws.vq, ws.arena = make([]byte, 4*big), make([]byte, 4*small), make([]byte, 4*big)
+	ws.states = make([]sweepState, retainBytes/int(unsafe.Sizeof(sweepState{}))+1)
+	ws.Trim()
+	if ws.wide.b0 != nil || ws.alt.b2 != nil || ws.narrow.e0 != nil || ws.hq != nil || ws.arena != nil || ws.states != nil {
+		t.Fatal("a buffer past retainBytes survived Trim")
+	}
+	if ws.wide.b1 == nil || ws.vq == nil {
+		t.Fatal("Trim dropped a buffer within retainBytes")
+	}
+	rng := rand.New(rand.NewSource(10))
+	h := randDNA(rng, 500)
+	v := mutate(rng, h, 0.05)
+	p := Params{Scorer: scoring.DNADefault, Gap: -1, X: 20, DeltaB: 64}
+	if got, want := ws.ExtendRight(h, v, 0, 0, p), ExtendRight(h, v, 0, 0, p); got != want {
+		t.Fatalf("after Trim: %+v, want %+v", got, want)
 	}
 }

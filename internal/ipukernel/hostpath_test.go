@@ -12,24 +12,30 @@ import (
 	"github.com/sram-align/xdropipu/internal/platform"
 )
 
-// sideCalls counts, per extension side, the host calls of core's two
-// entry points.
+// sideCalls counts, per extension side, the sides core scores and the
+// recordings it runs.
 type sideCalls struct{ score, record [2]atomic.Int64 }
 
-// countSideCalls wraps every entry point in sides with a counting shim
-// until the test ends.
+// countSideCalls wraps the score entry and every recording entry point in
+// sides with a counting shim until the test ends.
 func countSideCalls(t *testing.T) *sideCalls {
 	t.Helper()
 	n := &sideCalls{}
-	saved := sides
-	t.Cleanup(func() { sides = saved })
+	saved, savedBatch := sides, extendBatch
+	t.Cleanup(func() { sides, extendBatch = saved, savedBatch })
+	extendBatch = func(ws *core.Workspace, p *core.Params, batch []core.Side, out []core.Result) {
+		for _, s := range batch {
+			if s.Left {
+				n.score[left].Add(1)
+			} else {
+				n.score[right].Add(1)
+			}
+		}
+		savedBatch(ws, p, batch, out)
+	}
 	for s := range sides {
 		sd := &sides[s]
-		score, record := sd.score, sd.record
-		sd.score = func(ws *core.Workspace, h, v []byte, hOff, vOff int, p core.Params) core.Result {
-			n.score[s].Add(1)
-			return score(ws, h, v, hOff, vOff, p)
-		}
+		record := sd.record
 		sd.record = func(ws *core.Workspace, h, v []byte, hOff, vOff int, p core.Params, runs []alignment.Run) (core.Result, core.Trace, []alignment.Run, error) {
 			n.record[s].Add(1)
 			return record(ws, h, v, hOff, vOff, p, runs)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/sram-align/xdropipu/internal/alignment"
+	"github.com/sram-align/xdropipu/internal/core"
 	"github.com/sram-align/xdropipu/internal/ipu"
 	"github.com/sram-align/xdropipu/internal/platform"
 	"github.com/sram-align/xdropipu/internal/synth"
@@ -87,6 +88,51 @@ func TestExecutorReleasesOversizedRunBuffers(t *testing.T) {
 	if cap(ex.runs[right]) == 0 || cap(ex.runs[right]) > retainRuns {
 		t.Errorf("right run buffer cap %d, want a warm buffer within %d", cap(ex.runs[right]), retainRuns)
 	}
+}
+
+// TestExecutorReleasesOversizedWorkspaceBuffers: an executor's workspace
+// buffers past 1 MiB — here an outlier Standard3 extension's, whose three
+// score buffers grow with min(m, n) and whose operands are staged whole —
+// are released at the end of the next tile, untraced as it is, and the
+// tile's ordinary buffers stay warm; neither changes a result.
+func TestExecutorReleasesOversizedWorkspaceBuffers(t *testing.T) {
+	tile := warmTile(t, 4)
+	cfg := dnaCfg(15).withDefaults(platform.GC200)
+	want := make([]AlignOut, len(tile.Jobs))
+	runTile(tile, &cfg, &executor{}, want)
+
+	heap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	ex := &executor{}
+	runTile(tile, &cfg, ex, make([]AlignOut, len(tile.Jobs)))
+	warm := heap()
+	outlier := func() {
+		const n = 4 << 20 // 48 MiB of score buffers, 8 MiB of staged operands
+		h, v := make([]byte, n), slices.Repeat([]byte{1}, n)
+		p := cfg.Params
+		p.Algo = core.AlgoStandard3
+		ex.ws.ExtendRight(h, v, 0, 0, p)
+	}
+	outlier()
+	if grown := heap() - warm; grown < 48<<20 {
+		t.Fatalf("the outlier grew the heap by %d bytes, want ≥ 48 MiB", grown)
+	}
+	got := make([]AlignOut, len(tile.Jobs))
+	runTile(tile, &cfg, ex, got)
+	if !slices.Equal(got, want) {
+		t.Fatal("an executor holding oversized workspace buffers changed the results")
+	}
+	if kept := heap() - warm; kept > 1<<20 {
+		t.Errorf("the executor keeps %d bytes more than a warm one after the tile, want ≤ 1 MiB", kept)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { runTile(tile, &cfg, ex, got) }); allocs != 0 {
+		t.Errorf("after the release a tile allocates %.1f objects, want 0: ordinary buffers must stay warm", allocs)
+	}
+	runtime.KeepAlive(ex)
 }
 
 // TestExecutorReuseAcrossTiles: an executor that just ran one tile must

@@ -22,12 +22,15 @@ const (
 	right
 )
 
+// extendBatch is the tile's one score entry: every side the tile scores
+// runs through it (a variable so that tests can count the sides).
+var extendBatch = (*core.Workspace).ExtendBatch
+
 // sides holds everything that differs between the two extension sides:
-// core's entry points, where the side starts and how long it is, and the
-// AlignOut fields its result fills.
+// core's recording entry point, where the side starts and how long it is,
+// and the AlignOut fields its result fills.
 var sides = [2]struct {
-	name  string
-	score func(*core.Workspace, []byte, []byte, int, int, core.Params) core.Result
+	name string
 	// record runs the recording sweep and appends the walked path's runs.
 	record func(*core.Workspace, []byte, []byte, int, int, core.Params, []alignment.Run) (core.Result, core.Trace, []alignment.Run, error)
 	// at returns the offsets core's entry points extend from and the
@@ -36,14 +39,14 @@ var sides = [2]struct {
 	// place writes the side's extension result into o.
 	place func(o *AlignOut, hOff, vOff int, r core.Result)
 }{
-	left: {"left", (*core.Workspace).ExtendLeft, (*core.Workspace).RecordLeft,
+	left: {"left", (*core.Workspace).RecordLeft,
 		func(job *SeedJob, _, _ []byte) (int, int, int, int) {
 			return job.SeedH, job.SeedV, job.SeedH, job.SeedV
 		},
 		func(o *AlignOut, hOff, vOff int, r core.Result) {
 			o.LeftScore, o.BegH, o.BegV = r.Score, hOff-r.EndH, vOff-r.EndV
 		}},
-	right: {"right", (*core.Workspace).ExtendRight, (*core.Workspace).RecordRight,
+	right: {"right", (*core.Workspace).RecordRight,
 		func(job *SeedJob, h, v []byte) (int, int, int, int) {
 			hOff, vOff := job.SeedH+job.SeedLen, job.SeedV+job.SeedLen
 			return hOff, vOff, len(h) - hOff, len(v) - vOff
@@ -71,7 +74,7 @@ type tileResult struct {
 }
 
 // executor is a pool worker's reusable tile-execution state: one DP
-// workspace (every unit runs once, in unit order), the per-unit memo the
+// workspace (every side runs once), the per-unit memo the
 // schedule replays, and the schedule's own state. Executors persist
 // across tiles and (through execPool) across Run calls, so a warm tile
 // execution performs no allocation.
@@ -98,6 +101,12 @@ type executor struct {
 	// cigar joins each job's runs and seed columns; its buffer is kept, so
 	// a join allocates only the string it returns.
 	cigar alignment.Builder
+	// batch is the tile's score-pass sides in unit order, scores their
+	// Results from one core.Workspace.ExtendBatch call, and taken how many
+	// of them the units have taken.
+	batch  []core.Side
+	scores []core.Result
+	taken  int
 }
 
 // span is the half-open range [from, to) of one job's runs in a side's
@@ -141,9 +150,14 @@ func (ex *executor) prepareTraces(jobs int) {
 // in order), then models the tile's run on the configured number of
 // hardware threads. It works in two phases:
 //
-//   - Execute: every unit's kernel runs exactly once, in unit order, on
-//     the executor's one workspace; its charged instruction cost and its
-//     device counters are memoised. The results are therefore a function
+//   - Execute: every side's kernel runs exactly once, on the executor's
+//     one workspace. The score passes run first: every side the tile
+//     scores (all of them untraced, the score pass when the trace gate is
+//     on, the sides a traced run cannot fuse) goes in unit order into one
+//     core.Workspace.ExtendBatch call, which runs them as a queue, two
+//     extensions in flight. Then each unit, in unit order, takes its sides'
+//     Results, runs its recordings, and memoises its charged instruction
+//     cost and its device counters. The results are therefore a function
 //     of the comparison and Params alone, whatever the schedule. A traced
 //     extension the device would score and then replay is still swept
 //     once here when it can be (runSide); the memoised cost charges it
@@ -175,11 +189,29 @@ func runTile(t *TileWork, cfg *Config, ex *executor, out []AlignOut) tileResult 
 	}
 	ex.cost = resized(ex.cost, units)
 	ex.work = resized(ex.work, units)
-	for ui := range units {
-		u := unit{job: ui, from: left, to: right + 1}
+	unitAt := func(ui int) unit {
 		if cfg.LRSplit {
-			u = unit{job: ui / 2, from: ui % 2, to: ui%2 + 1}
+			return unit{job: ui / 2, from: ui % 2, to: ui%2 + 1}
 		}
+		return unit{job: ui, from: left, to: right + 1}
+	}
+	ex.batch = ex.batch[:0]
+	for ui := range units {
+		u := unitAt(ui)
+		job := &t.Jobs[u.job]
+		h, v := t.Seq(job.HLocal), t.Seq(job.VLocal)
+		for side := u.from; side < u.to; side++ {
+			if hOff, vOff, lh, lv := sides[side].at(job, h, v); !cfg.recorded(lh, lv) {
+				ex.batch = append(ex.batch, core.Side{H: h, V: v, HOff: hOff, VOff: vOff, Left: side == left})
+			}
+		}
+	}
+	ex.scores = slices.Grow(ex.scores[:0], len(ex.batch))[:len(ex.batch)]
+	extendBatch(&ex.ws, &cfg.Params, ex.batch, ex.scores)
+	clear(ex.batch) // the sides hold the tile's sequences; a pooled executor must not
+	ex.taken = 0
+	for ui := range units {
+		u := unitAt(ui)
 		ex.cost[ui] = ex.runUnit(t, cfg, u, &out[u.job], &ex.work[ui], &tr)
 	}
 
@@ -267,6 +299,7 @@ func runTile(t *TileWork, cfg *Config, ex *executor, out []AlignOut) tileResult 
 	if cfg.Traceback {
 		ex.trimRuns()
 	}
+	ex.ws.Trim()
 	return tr
 }
 
@@ -402,6 +435,8 @@ func (ex *executor) runUnit(t *TileWork, cfg *Config, u unit, o *AlignOut, c *Co
 
 // runSide executes one extension side of job j, records its result in o,
 // adds its device counters to c, and returns its charged instruction cost.
+// A side that is scored takes the next Result of the tile's score pass
+// (ex.scores), which runTile has run for every such side in this order.
 //
 // With Config.Traceback, an ungated, core.FusedEligible side runs one host
 // sweep — the recording sweep, whose Result is the score sweep's — however
@@ -420,7 +455,7 @@ func (ex *executor) runSide(t *TileWork, cfg *Config, j, side int, o *AlignOut, 
 	hOff, vOff, lh, lv := sd.at(job, h, v)
 	var r core.Result
 	var replay int64 // the modeled second pass's charge
-	if cfg.Traceback && !cfg.traceGated() && core.FusedEligible(lh, lv, cfg.Params) {
+	if cfg.recorded(lh, lv) {
 		fused := cfg.fusedExtension(lh, lv)
 		var trc core.Trace
 		var err error
@@ -434,10 +469,13 @@ func (ex *executor) runSide(t *TileWork, cfg *Config, j, side int, o *AlignOut, 
 			if fused {
 				return 0
 			}
-			r = sd.score(&ex.ws, h, v, hOff, vOff, cfg.Params)
+			one, scored := [1]core.Side{{H: h, V: v, HOff: hOff, VOff: vOff, Left: side == left}}, [1]core.Result{}
+			extendBatch(&ex.ws, &cfg.Params, one[:], scored[:])
+			r = scored[0]
 		}
 	} else {
-		r = sd.score(&ex.ws, h, v, hOff, vOff, cfg.Params)
+		r = ex.scores[ex.taken]
+		ex.taken++
 		if cfg.Traceback {
 			ex.scored[side][j] = r
 			if !cfg.traceGated() {
@@ -448,6 +486,13 @@ func (ex *executor) runSide(t *TileWork, cfg *Config, j, side int, o *AlignOut, 
 	sd.place(o, hOff, vOff, r)
 	accumulate(o, c, r.Stats)
 	return instrCost(cfg, r.Stats) + replay
+}
+
+// recorded reports whether the execute phase records an lh×lv side
+// instead of scoring it: with Config.Traceback, ungated, a side the fused
+// recording sweep serves (core.FusedEligible).
+func (cfg *Config) recorded(lh, lv int) bool {
+	return cfg.Traceback && !cfg.traceGated() && core.FusedEligible(lh, lv, cfg.Params)
 }
 
 // replaySide runs one side's recording as a second pass after a separate
