@@ -240,7 +240,10 @@ func (w *Workspace) Trim() {
 		trimBufs(b)
 	}
 	trimBufs(&w.narrow)
-	w.hq, w.vq, w.arena = retained(w.hq), retained(w.vq), retained(w.arena)
+	w.hq, w.vq = retained(w.hq), retained(w.vq)
+	if w.arena = retained(w.arena); w.arena == nil {
+		clear(w.states[:cap(w.states)]) // the states point into the arena
+	}
 	w.states, w.queued = retained(w.states), retained(w.queued)
 	w.tb.trim()
 }

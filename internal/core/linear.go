@@ -382,19 +382,16 @@ type sweepState struct {
 	// d−2: cell i of each at base + 4i, the buffer's address plus
 	// 4·(bufPad − its window start), which may lie before the buffer. All
 	// are addresses in buffers the caller holds.
-	d1, out    uintptr
-	flip, s3   uintptr
-	d1b, d2b   uintptr
-	vd         uintptr // vq + n − d: the next antidiagonal d, as the kernel keeps it (diag)
-	d1lo, d1hi int     // the live bounds of d−1
-	limit      int32
-	d1best     int32
-	best       int32
-	bestI      int
-	bestD      int
-	acc        statAcc // without antid, which is d, and without one cell and chunk a row (finish)
-	clamped    bool
-	done       bool
+	d1, out       uintptr
+	flip, s3      uintptr
+	d1b, d2b      uintptr
+	vd            uintptr // vq + n − d: the next antidiagonal d, as the kernel keeps it (diag)
+	d1lo, d1hi    int     // the live bounds of d−1
+	limit         int32
+	d1best, best  int32
+	bestI, bestD  int
+	acc           statAcc // without antid, which is d, and without one cell and chunk a row (finish)
+	clamped, done bool
 
 	// The recording kind (record set; tracer.recordResident): every row
 	// also writes the tracer's cls[d] and offs[d+1], and appends its cells'
@@ -456,16 +453,15 @@ func (st *sweepState) diag() int {
 	return int(uintptr(unsafe.Pointer(st.vq)) + uintptr(st.n) - st.vd)
 }
 
-// call runs sweepLinearVec once on st alone, with a budget of sweepRows
-// antidiagonals, and checks what it wrote back: it computed no more rows
-// than the budget, d moved by the rows it computed, and a score call that
-// has not finished spent the whole budget (a recording may return early,
-// for room).
+// call runs sweepLinearVec's recording kind once on st, with a budget of
+// sweepRows antidiagonals, and checks what it wrote back: it computed no
+// more rows than the budget and d moved by the rows it computed (it may
+// return early, for room).
 func (st *sweepState) call() {
 	d := st.diag()
 	q := sweepQueue{lanes: [2]*sweepState{st}, rows: sweepRows}
 	sweepLinearVec(&q)
-	if q.rows < 0 || st.diag()-d != sweepRows-q.rows || !st.done && !st.record && q.rows != 0 {
+	if q.rows < 0 || st.diag()-d != sweepRows-q.rows {
 		panic("core: the row kernel broke its budget")
 	}
 }

@@ -194,9 +194,10 @@ GLOBL rowNegInf<>(SB), RODATA|NOPTR, $4
 // the row's live bounds. Lane 0 is cell R12. hi (R15) is the highest live
 // cell so far and −1 before the row's first live vector; lo (R14), the
 // lowest, is set by the first one. Both are bit scans: every address of
-// the next row hangs on lo, but that row is the other lane's, which runs
-// while this one's bounds resolve, so lo takes no data-dependent branch
-// (DESIGN.md "The resident sweep" has the pairs that decided it).
+// the next row hangs on lo, but after a one-vector row the next row is the
+// other lane's, and a longer row has work of its own to overlap, so lo
+// takes no data-dependent branch (DESIGN.md "The resident sweep" has the
+// pairs that decided it).
 #define SWEEP_BOUNDS(done) \
 	BSRL  AX, R11           \
 	TESTQ R15, R15          \
@@ -297,7 +298,8 @@ reccarry:                            \
 // best, Y9 limit. sweepState holds the constants, the counters (added to
 // in place), the raw buffer of d−1 (for the rotation) and the recording
 // cursor. The frame holds the row budget the lanes share at 0(SP), the
-// other lane's sweepState (or nil) at 8(SP) and q at 16(SP).
+// other lane's sweepState (or nil) at 8(SP), q at 16(SP) and the row's cl
+// at 24(SP).
 //
 // At window AX is cl, CX cu and BX cu − cl; a clamped window comes back
 // there. A row adds its width − 1 to cells and, only when it is wider than
@@ -325,6 +327,7 @@ window:                                    \
 	JGE     wide                           \
 wided:                                     \
 	VMOVQ   X10, (BP)                      \
+	MOVQ    AX, 24(SP)                     \
 	MOVQ    AX, DI                         \
 	NEGQ    DI                             \
 	LEAQ    ROW0(BP)(DI*4), DI             \
@@ -478,18 +481,21 @@ ended:                                     \
 	MOVQ  SI, sweepState_d2b(R13)     \
 	MOVQ  BP, sweepState_out(R13)
 
-// SWEEP_SWAP is the score kind's NEXT: when the other lane holds an
-// extension, this lane's is put back and the other's taken up, so that
-// its row runs while the chain from this row's prune mask to this lane's
-// next window resolves.
+// SWEEP_SWAP is the score kind's NEXT: after a row of one step (its tail
+// began at cl) when the other lane holds an extension, this lane's is put
+// back and the other's taken up, so that its row runs while the chain from
+// this row's prune mask to this lane's next window resolves. A row of
+// whole vectors and a tail has that much work of its own; the lane runs on.
 #define SWEEP_SWAP(row) \
-	MOVQ  8(SP), AX  \
-	TESTQ AX, AX     \
-	JZ    row        \
-	SWEEP_SAVE       \
-	MOVQ  R13, 8(SP) \
-	MOVQ  AX, R13    \
-	SWEEP_LOAD       \
+	CMPQ  R12, 24(SP) \
+	JNE   row         \
+	MOVQ  8(SP), AX   \
+	TESTQ AX, AX      \
+	JZ    row         \
+	SWEEP_SAVE        \
+	MOVQ  R13, 8(SP)  \
+	MOVQ  AX, R13     \
+	SWEEP_LOAD        \
 	JMP   row
 
 // SWEEP_REFILL is the score kind's END: the extension of R13 is done and
@@ -562,9 +568,9 @@ drained:                                     \
 // Registers, beyond the rows' and SWEEP_LOOP's: Y12 is X; the row maximum
 // is reduced across Y7's lanes and folded into Y9 without leaving the
 // vector registers. Every extension of a call shares the scorer, gap and X,
-// so they are broadcast once. The frame holds the budget, the other lane
-// and q (see SWEEP_LOOP); the assembler saves BP above it.
-TEXT ·sweepLinearVec(SB), NOSPLIT, $24-8
+// so they are broadcast once. The frame holds the budget, the other lane,
+// q and the row's cl (see SWEEP_LOOP); the assembler saves BP above it.
+TEXT ·sweepLinearVec(SB), NOSPLIT, $32-8
 	MOVQ         q+0(FP), BX
 	MOVQ         BX, 16(SP)
 	MOVQ         sweepQueue_rows(BX), AX
@@ -607,10 +613,12 @@ leave:
 	JMP  ret
 
 spent:
-	// The score kind's budget ran out behind a row of R13's lane. The other
-	// lane's row comes next, as it would have without the return, so the
-	// lanes go back in that order: where the rows of a queue run does not
-	// depend on the budget.
+	// The score kind's budget ran out behind a row of R13's lane. When
+	// SWEEP_SWAP would have switched lanes, the other lane's row comes next,
+	// so the lanes go back in that order: where the rows of a queue run does
+	// not depend on the budget.
+	CMPQ  R12, 24(SP)
+	JNE   leave
 	MOVQ  8(SP), AX
 	TESTQ AX, AX
 	JZ    leave

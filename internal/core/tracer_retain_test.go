@@ -98,4 +98,25 @@ func TestWorkspaceTrimReleasesOversizedBuffers(t *testing.T) {
 	if got, want := ws.ExtendRight(h, v, 0, 0, p), ExtendRight(h, v, 0, 0, p); got != want {
 		t.Fatalf("after Trim: %+v, want %+v", got, want)
 	}
+
+	// A batch whose arena is past retainBytes: Trim drops it, and the
+	// states, which point into it, let go of it too.
+	if !rowVec {
+		return // without the assembly a batch runs side by side, in no arena
+	}
+	bh, bv := randDNA(rng, retainBytes/2), randDNA(rng, retainBytes/2)
+	sides := []Side{{H: h, V: v}, {H: bh, V: bv, HOff: len(bh), VOff: len(bv), Left: true}}
+	ws.ExtendBatch(&p, sides, make([]Result, len(sides)))
+	if cap(ws.arena) <= retainBytes {
+		t.Fatalf("test geometry: an arena of %d bytes", cap(ws.arena))
+	}
+	ws.Trim()
+	if ws.arena != nil {
+		t.Fatal("an arena past retainBytes survived Trim")
+	}
+	for i, st := range ws.states[:cap(ws.states)] {
+		if st.hq != nil || st.vq != nil {
+			t.Fatalf("state %d still points into the released arena", i)
+		}
+	}
 }

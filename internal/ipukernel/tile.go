@@ -202,13 +202,13 @@ func runTile(t *TileWork, cfg *Config, ex *executor, out []AlignOut) tileResult 
 		h, v := t.Seq(job.HLocal), t.Seq(job.VLocal)
 		for side := u.from; side < u.to; side++ {
 			if hOff, vOff, lh, lv := sides[side].at(job, h, v); !cfg.recorded(lh, lv) {
-				ex.batch = append(ex.batch, core.Side{H: h, V: v, HOff: hOff, VOff: vOff, Left: side == left})
+				ex.batch = append(ex.batch, scoreSide(side, h, v, hOff, vOff))
 			}
 		}
 	}
 	ex.scores = slices.Grow(ex.scores[:0], len(ex.batch))[:len(ex.batch)]
 	extendBatch(&ex.ws, &cfg.Params, ex.batch, ex.scores)
-	clear(ex.batch) // the sides hold the tile's sequences; a pooled executor must not
+	clear(ex.batch) // the sides hold the tile's sequences, which a pooled executor must not pin
 	ex.taken = 0
 	for ui := range units {
 		u := unitAt(ui)
@@ -469,7 +469,7 @@ func (ex *executor) runSide(t *TileWork, cfg *Config, j, side int, o *AlignOut, 
 			if fused {
 				return 0
 			}
-			one, scored := [1]core.Side{{H: h, V: v, HOff: hOff, VOff: vOff, Left: side == left}}, [1]core.Result{}
+			one, scored := [1]core.Side{scoreSide(side, h, v, hOff, vOff)}, [1]core.Result{}
 			extendBatch(&ex.ws, &cfg.Params, one[:], scored[:])
 			r = scored[0]
 		}
@@ -486,6 +486,12 @@ func (ex *executor) runSide(t *TileWork, cfg *Config, j, side int, o *AlignOut, 
 	sd.place(o, hOff, vOff, r)
 	accumulate(o, c, r.Stats)
 	return instrCost(cfg, r.Stats) + replay
+}
+
+// scoreSide is side s of a comparison of h and v, extended from (hOff,
+// vOff), as the score entry takes it.
+func scoreSide(s int, h, v []byte, hOff, vOff int) core.Side {
+	return core.Side{H: h, V: v, HOff: hOff, VOff: vOff, Left: s == left}
 }
 
 // recorded reports whether the execute phase records an lh×lv side
