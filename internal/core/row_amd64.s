@@ -194,10 +194,10 @@ GLOBL rowNegInf<>(SB), RODATA|NOPTR, $4
 // the row's live bounds. Lane 0 is cell R12. hi (R15) is the highest live
 // cell so far and −1 before the row's first live vector; lo (R14), the
 // lowest, is set by the first one. Both are bit scans: every address of
-// the next row hangs on lo, but after a one-vector row the next row is the
-// other lane's, and a longer row has work of its own to overlap, so lo
-// takes no data-dependent branch (DESIGN.md "The resident sweep" has the
-// pairs that decided it).
+// the next row hangs on lo, but after a row of one or two vectors the next
+// row is the other lane's, and a longer row has work of its own to
+// overlap, so lo takes no data-dependent branch (DESIGN.md "The resident
+// sweep" has the pairs that decided it).
 #define SWEEP_BOUNDS(done) \
 	BSRL  AX, R11           \
 	TESTQ R15, R15          \
@@ -298,8 +298,8 @@ reccarry:                            \
 // best, Y9 limit. sweepState holds the constants, the counters (added to
 // in place), the raw buffer of d−1 (for the rotation) and the recording
 // cursor. The frame holds the row budget the lanes share at 0(SP), the
-// other lane's sweepState (or nil) at 8(SP), q at 16(SP) and the row's cl
-// at 24(SP).
+// other lane's sweepState (or nil) at 8(SP), q at 16(SP) and the row's
+// cl + 8 at 24(SP).
 //
 // At window AX is cl, CX cu and BX cu − cl; a clamped window comes back
 // there. A row adds its width − 1 to cells and, only when it is wider than
@@ -327,7 +327,8 @@ window:                                    \
 	JGE     wide                           \
 wided:                                     \
 	VMOVQ   X10, (BP)                      \
-	MOVQ    AX, 24(SP)                     \
+	LEAQ    8(AX), DI                      \
+	MOVQ    DI, 24(SP)                     \
 	MOVQ    AX, DI                         \
 	NEGQ    DI                             \
 	LEAQ    ROW0(BP)(DI*4), DI             \
@@ -481,14 +482,15 @@ ended:                                     \
 	MOVQ  SI, sweepState_d2b(R13)     \
 	MOVQ  BP, sweepState_out(R13)
 
-// SWEEP_SWAP is the score kind's NEXT: after a row of one step (its tail
-// began at cl) when the other lane holds an extension, this lane's is put
-// back and the other's taken up, so that its row runs while the chain from
-// this row's prune mask to this lane's next window resolves. A row of
-// whole vectors and a tail has that much work of its own; the lane runs on.
+// SWEEP_SWAP is the score kind's NEXT: after a row of one or two steps (its
+// tail began at most one vector past cl) when the other lane holds an
+// extension, this lane's is put back and the other's taken up, so that its
+// row runs while the chain from this row's prune mask to this lane's next
+// window resolves. A longer row has that much work of its own; the lane
+// runs on.
 #define SWEEP_SWAP(row) \
 	CMPQ  R12, 24(SP) \
-	JNE   row         \
+	JGT   row         \
 	MOVQ  8(SP), AX   \
 	TESTQ AX, AX      \
 	JZ    row         \
@@ -569,7 +571,7 @@ drained:                                     \
 // is reduced across Y7's lanes and folded into Y9 without leaving the
 // vector registers. Every extension of a call shares the scorer, gap and X,
 // so they are broadcast once. The frame holds the budget, the other lane,
-// q and the row's cl (see SWEEP_LOOP); the assembler saves BP above it.
+// q and the row's cl + 8 (see SWEEP_LOOP); the assembler saves BP above it.
 TEXT ·sweepLinearVec(SB), NOSPLIT, $32-8
 	MOVQ         q+0(FP), BX
 	MOVQ         BX, 16(SP)
@@ -618,7 +620,7 @@ spent:
 	// so the lanes go back in that order: where the rows of a queue run does
 	// not depend on the budget.
 	CMPQ  R12, 24(SP)
-	JNE   leave
+	JGT   leave
 	MOVQ  8(SP), AX
 	TESTQ AX, AX
 	JZ    leave
