@@ -218,12 +218,12 @@ func longreadPairs() [][2]View {
 // 100–250 bp at X = 5, δb = 32. The band is five or six cells, so every
 // row is one masked vector, and what ns/row measures is a row's frame
 // around that vector — window, bounds, counters, limit, best, rotation, and
-// the branches that go with the data (the count up to lo, a new best) —
-// plus the extension's set-up (ns/ext) spread over its few hundred rows. It
-// is not the chain from one row's prune mask to the next row's window: that
-// is ≈ 20 cycles by instruction latency, and a row reads ≈ 15 ns, some 30
-// cycles at the host's nominal 2.1 GHz; cutting a third of the frame's
-// instructions cut it by a fifth.
+// the branches that go with the data — plus the extension's set-up
+// (ns/ext) spread over its few hundred rows. One lane's row is also the
+// chain from its prune mask to the next row's window, ≈ 20 cycles by
+// instruction latency: Restricted2WideBatch, whose other lane's row runs
+// while that chain resolves, reads ≈ 11 ns/row against ≈ 16 for one lane
+// (≈ 30 cycles at the host's nominal 2.1 GHz).
 func BenchmarkKernelShortread(b *testing.B) {
 	benchKernelWorkload(b, benchPairs(44, 256, 100, 250, synth.HiFiDNA()),
 		Params{Scorer: scoring.DNADefault, Gap: -1, X: 5, DeltaB: 32})
