@@ -186,11 +186,11 @@ func FuzzSweepBatch(f *testing.F) {
 // call and compares what each leaves behind with one call for the whole
 // queue — every Result, and both lanes' buffers to the end of their
 // capacity: the rows of a queue run in one order whatever the budget — and
-// that call's Results with each side run alone. It
-// returns how many extensions ended on a row with no live cell at a budget
-// of one row: each of those calls spent its budget on the row that ended a
-// lane's extension, and bound the next queued state to the lane with no
-// budget left.
+// that call's Results with each side run alone. It returns how many
+// extensions ended on a row with no live cell at a budget of one row: each
+// of those calls spent its budget on the row that ended a lane's
+// extension, and bound the next queued state to the lane with no budget
+// left. The caller restores sweepRows.
 func batchResumes(t *testing.T, name string, sides []Side, p Params) (endedOnBudget int) {
 	type swept struct {
 		res  []Result

@@ -39,17 +39,18 @@ func xgetbv() (eax, edx uint32)
 // (runQueue, sweepState.call). It takes an extension's loop state from its
 // sweepState into registers and puts it back when it switches lanes or
 // returns, q.rows becoming the rows left. The score kind runs the rows of
-// q.lanes[0] and q.lanes[1] alternately — one row of one extension, then
-// one of the other, the first one's state written back and the second's
-// read in between — and when an extension ends it marks it done and binds
-// the next queued state to that lane: the lane's buffers and rotation,
-// copied from the state that ended, buf1 and buf2 seeded. A lane with no
-// state left is never switched to again. A row is ⌈width/8⌉ vectors: whole
-// ones while more than eight cells are left, then one masked tail of one
-// to eight cells. With lanes[0].record set the rows are fusedLinear's,
-// three buffers rotating, and each also records (see sweepState), on that
-// one lane: it returns when the extension ends, and early, before a row,
-// when that row would end past st.cellEnd.
+// q.lanes[0] and q.lanes[1] alternately — after a row of one or two
+// vectors of one extension, one of the other, the first one's state
+// written back and the second's read in between; a longer row is followed
+// by its own extension's next — and when an extension ends it marks it
+// done and binds the next queued state to that lane: the lane's buffers
+// and rotation, copied from the state that ended, buf1 and buf2 seeded. A
+// lane with no state left is never switched to again. A row is ⌈width/8⌉
+// vectors: whole ones while more than eight cells are left, then one
+// masked tail of one to eight cells. With lanes[0].record set the rows are
+// fusedLinear's, three buffers rotating, and each also records (see
+// sweepState), on that one lane: it returns when the extension ends, and
+// early, before a row, when that row would end past st.cellEnd.
 //
 // Memory contract (TestSweepKernelMatchesGeneric and, for the queue,
 // TestSweepBatchMatchesSingle run it with every buffer flush against an
