@@ -22,11 +22,12 @@
 // of each at base + 4i — R8 and R9 the bases of hq and vq — cell i's bytes
 // at R8 + i − 1 and R9 + i — R12 the first cell of the current vector, the
 // one index of every load and store; R10 the similarity table (table
-// form), CX the row's last cell − 7; AX BX R11 scratch. Y0 the diagonal operand, then the
-// cells; Y1 the next diagonal operand (tail: the lane mask); Y7 the running
-// row maximum; Y8 gap, Y9 limit, Y10 negInf; Y14 match, Y15 mismatch, X6
-// the wildcard byte ×16; Y2–Y5 temporaries; a recording row's direction
-// masks are Y11 and Y5. The sweep's own registers are listed with it.
+// form), CX the row's last cell − 7; AX BX R11 scratch. Y0 the diagonal
+// operand, then the cells; Y1 the next diagonal operand (tail: the lane
+// mask); Y7 the running row maximum; Y8 gap, Y9 limit, Y10 negInf; Y14
+// match, Y15 mismatch, X6 the wildcard byte ×16; Y2–Y5 temporaries; a
+// recording row's direction masks are Y11 and Y5. The sweep's own
+// registers are listed with it.
 
 // rowLaneMask is eight all-ones dwords then eight zero dwords: the 32 bytes
 // at offset 4·(8−r) are the lane mask of a tail of r cells, lanes 0..r−1
