@@ -70,8 +70,9 @@ type Cigar string
 // String returns the encoding itself.
 func (c Cigar) String() string { return string(c) }
 
-// scan walks the runs, calling fn for each; it reports malformed input
-// (bad syntax, zero lengths, unknown ops, non-canonical adjacency).
+// scan walks the runs, calling fn for each unless fn is nil; it reports
+// malformed input (bad syntax, zero lengths, unknown ops, non-canonical
+// adjacency).
 func (c Cigar) scan(fn func(Run) error) error {
 	prev := Op(0)
 	for i := 0; i < len(c); {
@@ -114,6 +115,9 @@ func (c Cigar) scan(fn func(Run) error) error {
 			return fmt.Errorf("alignment: cigar %q: adjacent %q runs (not canonical)", c, op)
 		}
 		prev = op
+		if fn == nil {
+			continue
+		}
 		if err := fn(Run{Op: op, Len: n}); err != nil {
 			return err
 		}
@@ -123,7 +127,7 @@ func (c Cigar) scan(fn func(Run) error) error {
 
 // Validate reports whether the Cigar is well-formed and canonical.
 func (c Cigar) Validate() error {
-	return c.scan(func(Run) error { return nil })
+	return c.scan(nil)
 }
 
 // Runs decodes the Cigar into its run list.
@@ -245,6 +249,38 @@ func (b *Builder) Append(op Op, n int) {
 	b.lastOp, b.lastLen = op, n
 }
 
+// AppendRuns is Append of every run of runs, in order or, with reverse set,
+// back to front: the same merges, the same skip of empty runs and the same
+// panic on an invalid op, in one loop that keeps the builder's state in
+// locals.
+func (b *Builder) AppendRuns(runs []Run, reverse bool) {
+	i, step := 0, 1
+	if reverse {
+		i, step = len(runs)-1, -1
+	}
+	buf, count, op, n := b.buf, b.runs, b.lastOp, b.lastLen
+	for ; uint(i) < uint(len(runs)); i += step {
+		r := runs[i]
+		if r.Len <= 0 {
+			continue
+		}
+		if r.Op == op && n > 0 {
+			n += r.Len
+			continue
+		}
+		if !r.Op.Valid() {
+			b.buf, b.runs, b.lastOp, b.lastLen = buf, count, op, n
+			panic(fmt.Sprintf("alignment: Builder.AppendRuns of invalid op %q", byte(r.Op)))
+		}
+		if n > 0 {
+			buf = append(appendLen(buf, n), byte(op))
+			count++
+		}
+		op, n = r.Op, r.Len
+	}
+	b.buf, b.runs, b.lastOp, b.lastLen = buf, count, op, n
+}
+
 // AppendCigar appends every run of c, merging at the boundary.
 func (b *Builder) AppendCigar(c Cigar) error {
 	return c.scan(func(r Run) error { b.Append(r.Op, r.Len); return nil })
@@ -252,11 +288,22 @@ func (b *Builder) AppendCigar(c Cigar) error {
 
 func (b *Builder) flush() {
 	if b.lastLen > 0 {
-		b.buf = strconv.AppendInt(b.buf, int64(b.lastLen), 10)
-		b.buf = append(b.buf, byte(b.lastOp))
+		b.buf = append(appendLen(b.buf, b.lastLen), byte(b.lastOp))
 		b.runs++
 		b.lastLen = 0
 	}
+}
+
+// appendLen appends the decimal form of the run length n > 0; the one- and
+// two-digit lengths most runs have skip strconv.
+func appendLen(buf []byte, n int) []byte {
+	switch {
+	case n < 10:
+		return append(buf, byte('0'+n))
+	case n < 100:
+		return append(buf, byte('0'+n/10), byte('0'+n%10))
+	}
+	return strconv.AppendInt(buf, int64(n), 10)
 }
 
 // WireBytes returns Cigar.WireBytes of the Cigar the builder would

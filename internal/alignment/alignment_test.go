@@ -281,6 +281,58 @@ func TestBuilderMergesRuns(t *testing.T) {
 	if err != nil || merged != "5=2X" {
 		t.Fatalf("FromRuns merged to %q, err %v", merged, err)
 	}
+
+	// AppendRuns is Append over each run, in order or back to front: it
+	// merges into the run Append left pending and equal adjacent runs of its
+	// own, and skips zero and negative lengths.
+	in := []Run{{OpMatch, 3}, {OpMatch, 4}, {OpIns, 0}, {OpDel, -1}, {OpDel, 1}, {OpMismatch, 12}, {OpMatch, 140}}
+	for _, tc := range []struct {
+		pending Run
+		reverse bool
+		want    Cigar
+	}{
+		{Run{OpMatch, 2}, false, "9=1D12X140="},
+		{Run{OpMismatch, 1}, true, "1X140=12X1D7="},
+		{Run{OpMatch, 5}, true, "145=12X1D7="},
+		{Run{OpDel, 0}, false, "7=1D12X140="},
+	} {
+		var got, want Builder
+		got.Append(tc.pending.Op, tc.pending.Len)
+		got.AppendRuns(in, tc.reverse)
+		want.Append(tc.pending.Op, tc.pending.Len)
+		for k := range in {
+			r := in[k]
+			if tc.reverse {
+				r = in[len(in)-1-k]
+			}
+			want.Append(r.Op, r.Len)
+		}
+		if got.WireBytes() != want.WireBytes() {
+			t.Fatalf("pending %v reverse %v: AppendRuns counts %d wire bytes, Append %d", tc.pending, tc.reverse, got.WireBytes(), want.WireBytes())
+		}
+		g, w := got.Cigar(), want.Cigar()
+		if g != tc.want || w != tc.want {
+			t.Fatalf("pending %v reverse %v: AppendRuns built %q, Append %q, want %q", tc.pending, tc.reverse, g, w, tc.want)
+		}
+	}
+	var skip Builder
+	skip.AppendRuns([]Run{{Op('M'), 0}, {Op(0), -3}}, false)
+	if got := skip.Cigar(); got != "" {
+		t.Fatalf("AppendRuns of empty runs built %q", got)
+	}
+	for _, runs := range [][]Run{{{OpMatch, 1}, {Op('M'), 2}}, {{Op(0), 3}}} {
+		for _, reverse := range []bool{false, true} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("AppendRuns(%v, %v) did not panic on an invalid op", runs, reverse)
+					}
+				}()
+				var b Builder
+				b.AppendRuns(runs, reverse)
+			}()
+		}
+	}
 }
 
 // TestBuilderWireBytesMatchesCigar: the size a Builder derives from the
@@ -294,6 +346,7 @@ func TestBuilderWireBytesMatchesCigar(t *testing.T) {
 		if b.WireBytes() != 0 {
 			t.Fatalf("trial %d: reset builder reports %d wire bytes", trial, b.WireBytes())
 		}
+		var direct Builder // the same parts through AppendRuns
 		for part := 0; part < 3; part++ {
 			runs, _, _, _, _ := randCigarRuns(rng)
 			c, err := FromRuns(runs)
@@ -303,11 +356,15 @@ func TestBuilderWireBytesMatchesCigar(t *testing.T) {
 			if err := b.AppendCigar(c); err != nil {
 				t.Fatal(err)
 			}
+			direct.AppendRuns(runs, false)
 		}
-		got := b.WireBytes()
-		c := b.Cigar()
+		got, gotDirect := b.WireBytes(), direct.WireBytes()
+		c, cDirect := b.Cigar(), direct.Cigar()
 		if got != c.WireBytes() {
 			t.Fatalf("cigar %q: builder says %d wire bytes, the string %d", c, got, c.WireBytes())
+		}
+		if cDirect != c || gotDirect != c.WireBytes() {
+			t.Fatalf("cigar %q: AppendRuns built %q and says %d wire bytes", c, cDirect, gotDirect)
 		}
 	}
 }
@@ -397,6 +454,14 @@ func FuzzParse(f *testing.F) {
 		back, err := FromRuns(runs)
 		if err != nil || back != c {
 			t.Fatalf("accepted cigar %q re-encodes to %q (err %v)", c, back, err)
+		}
+		var b Builder
+		if b.AppendRuns(runs, false); b.Cigar() != c {
+			t.Fatalf("accepted cigar %q: AppendRuns of its runs does not re-encode it", c)
+		}
+		rev, err := c.Reverse()
+		if b.AppendRuns(runs, true); err != nil || b.Cigar() != rev {
+			t.Fatalf("accepted cigar %q: AppendRuns back to front differs from Reverse %q (err %v)", c, rev, err)
 		}
 		st, err := c.Stats()
 		if err != nil {

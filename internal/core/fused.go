@@ -81,7 +81,7 @@ func (w *Workspace) record(h, v View, p Params, rev bool) (Result, Trace, error)
 	tb := &w.tb
 	r, tr, runs, err := w.recordRuns(h, v, p, tb.runs[:0])
 	if err == nil {
-		appendRuns(&tb.cig, runs, rev)
+		tb.cig.AppendRuns(runs, rev)
 		tr.Cigar = tb.cig.Cigar()
 	}
 	tb.runs = runs

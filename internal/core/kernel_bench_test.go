@@ -169,9 +169,11 @@ func benchKernelBatch(b *testing.B, pairs [][2]View, p Params) {
 // benchKernelWorkload runs the linear variants over one workload profile's
 // pairs: the two int32 score layouts — Restricted2's also as one queue of
 // all the pairs (Restricted2WideBatch), so that one process reads one lane
-// against two — the int16 tier, and the recording
-// sweep alone (what a traced extension costs beyond its score pass:
-// direction codes, packing, walk and CIGAR included).
+// against two — the int16 tier, the recording sweep alone
+// (RecordSweepRestricted2Wide: rows, direction codes and packing, with no
+// walk and no CIGAR, so that one process reads a recording row against a
+// score row), and a whole traced extension (RecordRestricted2Wide: what it
+// costs beyond its score pass, walk and CIGAR included).
 func benchKernelWorkload(b *testing.B, pairs [][2]View, p Params) {
 	score := func(algo Algo, tier Tier) func(*testing.B) {
 		p := p
@@ -188,6 +190,17 @@ func benchKernelWorkload(b *testing.B, pairs [][2]View, p Params) {
 	})
 	b.Run("Standard3Wide", score(AlgoStandard3, TierWide))
 	b.Run("Restricted2Narrow", score(AlgoRestricted2, TierNarrow))
+	b.Run("RecordSweepRestricted2Wide", func(b *testing.B) {
+		p := p
+		p.Algo = AlgoRestricted2
+		benchKernelPairs(b, pairs, func(ws *Workspace, h, v View) Result {
+			r, _, err := ws.fusedLinear(h, v, p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return r
+		})
+	})
 	b.Run("RecordRestricted2Wide", func(b *testing.B) {
 		benchKernelPairs(b, pairs, func(ws *Workspace, h, v View) Result {
 			r, _, err := ws.record(h, v, p, !h.rev)

@@ -398,11 +398,14 @@ type sweepState struct {
 	// 2-bit codes to the packed stream in dirs — byte dirb, whose bits
 	// below bit position bits (mul = 1 << bits) are the carry. A row that
 	// would end past cell cellEnd is not started: the call returns first.
+	// A row's tail stores the byte and the word it has not completed in
+	// sink instead of dirs (SWEEP_RECTAIL); nothing reads it.
 	record           bool
 	cls, offs        *int32
 	dirs             *byte
 	dirb, cellEnd    int
 	carry, bits, mul uint32
+	sink             [2]byte
 }
 
 // sweepQueue is what one call of sweepLinearVec runs: the extensions in

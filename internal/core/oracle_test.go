@@ -49,7 +49,7 @@ func (w *replayOracle) extension(h, v View, p Params, rev bool) (Trace, error) {
 	if err != nil {
 		return Trace{}, err
 	}
-	appendRuns(&w.tb.cig, w.tb.runs, rev)
+	w.tb.cig.AppendRuns(w.tb.runs, rev)
 	tr.Cigar = w.tb.cig.Cigar()
 	return tr, nil
 }

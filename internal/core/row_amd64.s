@@ -244,13 +244,18 @@ loop:                         \
 // SWEEP_RECTAIL packs a recording row's tail: its codes, with the lanes
 // past the row counted as pruned (Y3 = ¬Y2) so that their bits are zero,
 // join the stream behind the carry: its 2r code bits and the carry's bits
-// make T bits, of which the whole bytes are stored and the rest — T mod 8
-// of them — is the new carry. CX is kept in R11 meanwhile.
-#define SWEEP_RECTAIL(recbyte, reccarry) \
+// make T ≤ 23 bits, of which the whole bytes are stored and the rest — T mod
+// 8 of them — is the new carry. T moves with the row's width, so no branch
+// tests it: the byte is stored for T ≥ 8 and the word for T ≥ 16, each at
+// byte dirb of the stream or, below its threshold, at sweepState's sink,
+// whichever address a CMOV picks (the word's low byte is the byte); dirb,
+// the carry, bits and mul follow from T by arithmetic. CX is kept at 24(SP)
+// meanwhile, which the recording kind does not read after wided.
+#define SWEEP_RECTAIL \
 	VPCMPEQD Y4, Y4, Y4              \
 	VPANDN   Y4, Y2, Y3              \
 	ROW_PACK                         \
-	MOVQ     CX, R11                 \
+	MOVQ     CX, 24(SP)              \
 	LEAQ     8(CX), BX               \
 	SUBQ     R12, BX                 \
 	IMULL    sweepState_mul(R13), AX \
@@ -259,28 +264,27 @@ loop:                         \
 	LEAL     (CX)(BX*2), CX          \
 	MOVQ     sweepState_dirs(R13), BX \
 	ADDQ     sweepState_dirb(R13), BX \
-	CMPL     CX, $16                 \
-	JB       recbyte                 \
-	MOVW     AX, (BX)                \
-	SHRL     $16, AX                 \
-	ADDQ     $2, BX                  \
-	SUBL     $16, CX                 \
-recbyte:                             \
+	LEAQ     sweepState_sink(R13), R11 \
 	CMPL     CX, $8                  \
-	JB       reccarry                \
-	MOVB     AX, (BX)                \
-	SHRL     $8, AX                  \
-	INCQ     BX                      \
-	SUBL     $8, CX                  \
-reccarry:                            \
-	SUBQ     sweepState_dirs(R13), BX \
-	MOVQ     BX, sweepState_dirb(R13) \
+	CMOVQCC  BX, R11                 \
+	MOVB     AX, (R11)               \
+	LEAQ     sweepState_sink(R13), R11 \
+	CMPL     CX, $16                 \
+	CMOVQCC  BX, R11                 \
+	MOVW     AX, (R11)               \
+	MOVL     CX, BX                  \
+	ANDL     $7, BX                  \
+	MOVL     BX, sweepState_bits(R13) \
+	SUBL     BX, CX                  \
+	SHRL     CX, AX                  \
 	MOVL     AX, sweepState_carry(R13) \
-	MOVL     CX, sweepState_bits(R13) \
+	SHRL     $3, CX                  \
+	ADDQ     CX, sweepState_dirb(R13) \
+	MOVL     BX, CX                  \
 	MOVL     $1, AX                  \
 	SHLL     CX, AX                  \
 	MOVL     AX, sweepState_mul(R13) \
-	MOVQ     R11, CX
+	MOVQ     24(SP), CX
 
 // SWEEP_LOOP is linearSweep's antidiagonal loop for one row kind and one
 // similarity form, statement for statement: the row head (window cl..cu,
@@ -300,7 +304,7 @@ reccarry:                            \
 // in place), the raw buffer of d−1 (for the rotation) and the recording
 // cursor. The frame holds the row budget the lanes share at 0(SP), the
 // other lane's sweepState (or nil) at 8(SP), q at 16(SP) and the row's
-// cl + 8 at 24(SP).
+// cl + 8 at 24(SP), which only the score kind reads (SWEEP_SWAP, spent).
 //
 // At window AX is cl, CX cu and BX cu − cl; a clamped window comes back
 // there. A row adds its width − 1 to cells and, only when it is wider than
@@ -601,10 +605,10 @@ score_eq:
 record:
 	TESTQ R10, R10
 	JZ    record_eq
-	SWEEP_LOOP(SIM_TABLE, ROW_DIRMASKS, ROW_PUT, SWEEP_RECHEAD, SWEEP_RECTAIL(rt_byte, rt_carry), JMP rt_row, SWEEP_DONE, leave, rt_row, rt_window, rt_wide, rt_wided, rt_loop, rt_dead, rt_tail, rt_taildead, rt_raise, rt_raised, rt_rotate, rt_clamp, rt_clampscan, rt_newbest, rt_bestscan, rt_besttail, rt_bestfound, rt_rowdead, rt_ended)
+	SWEEP_LOOP(SIM_TABLE, ROW_DIRMASKS, ROW_PUT, SWEEP_RECHEAD, SWEEP_RECTAIL, JMP rt_row, SWEEP_DONE, leave, rt_row, rt_window, rt_wide, rt_wided, rt_loop, rt_dead, rt_tail, rt_taildead, rt_raise, rt_raised, rt_rotate, rt_clamp, rt_clampscan, rt_newbest, rt_bestscan, rt_besttail, rt_bestfound, rt_rowdead, rt_ended)
 
 record_eq:
-	SWEEP_LOOP(SIM_EQ, ROW_DIRMASKS, ROW_PUT, SWEEP_RECHEAD, SWEEP_RECTAIL(re_byte, re_carry), JMP re_row, SWEEP_DONE, leave, re_row, re_window, re_wide, re_wided, re_loop, re_dead, re_tail, re_taildead, re_raise, re_raised, re_rotate, re_clamp, re_clampscan, re_newbest, re_bestscan, re_besttail, re_bestfound, re_rowdead, re_ended)
+	SWEEP_LOOP(SIM_EQ, ROW_DIRMASKS, ROW_PUT, SWEEP_RECHEAD, SWEEP_RECTAIL, JMP re_row, SWEEP_DONE, leave, re_row, re_window, re_wide, re_wided, re_loop, re_dead, re_tail, re_taildead, re_raise, re_raised, re_rotate, re_clamp, re_clampscan, re_newbest, re_bestscan, re_besttail, re_bestfound, re_rowdead, re_ended)
 
 leave:
 	// Put the lane's extension back, and the lanes and the budget left.

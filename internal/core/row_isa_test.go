@@ -18,8 +18,8 @@ var rowMnemonics = map[string]bool{}
 func init() {
 	for _, m := range strings.Fields(`
 		MOVB MOVW MOVL MOVQ MOVLQZX MOVWLZX LEAL LEAQ
-		ADDQ SUBL SUBQ INCQ DECQ NEGQ IMULL ANDQ ORL XORL XORQ SHLL SHRL SHRQ
-		CMPB CMPL CMPQ TESTL TESTQ CMOVQEQ CMOVQGT CMOVQLT BSFL BSRL
+		ADDQ SUBL SUBQ INCQ DECQ NEGQ IMULL ANDL ANDQ ORL XORL XORQ SHLL SHRL SHRQ
+		CMPB CMPL CMPQ TESTL TESTQ CMOVQCC CMOVQEQ CMOVQGT CMOVQLT BSFL BSRL
 		JMP JZ JNZ JEQ JNE JLT JLE JGT JGE JS JNS JB JCS RET CPUID XGETBV
 		VMOVD VMOVQ VMOVDQA VMOVDQU VMOVMSKPS VPMOVMSKB VPMASKMOVD
 		VPBROADCASTB VPBROADCASTD VPINSRB VPEXTRQ VEXTRACTI128 VPERM2I128 VPSHUFD

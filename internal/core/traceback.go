@@ -320,21 +320,6 @@ func (tb *tracer) walkLinear(h, v View, p Params, score, bestI, bestD int, runs 
 	return runs, nil
 }
 
-// appendRuns appends walked runs to b, in walk order or, when rev is set,
-// back to front. It is core's one encoder of a walk: for a reversed view
-// walk order is sequence-forward, for a forward view back to front is.
-func appendRuns(b *alignment.Builder, runs []alignment.Run, rev bool) {
-	if rev {
-		for k := len(runs) - 1; k >= 0; k-- {
-			b.Append(runs[k].Op, runs[k].Len)
-		}
-		return
-	}
-	for _, r := range runs {
-		b.Append(r.Op, r.Len)
-	}
-}
-
 // JoinCigar appends one comparison's columns to b in sequence-forward
 // order: the left extension's walked runs as they are (RecordLeft walks
 // reversed views), the seed's own columns (SeedCigar), then the right
@@ -342,9 +327,9 @@ func appendRuns(b *alignment.Builder, runs []alignment.Run, rev bool) {
 // The builder merges runs at both junctions, so b.Cigar() is the canonical
 // CIGAR of the whole comparison.
 func JoinCigar(b *alignment.Builder, h, v []byte, s Seed, left, right []alignment.Run) {
-	appendRuns(b, left, false)
+	b.AppendRuns(left, false)
 	SeedCigar(b, h, v, s)
-	appendRuns(b, right, true)
+	b.AppendRuns(right, true)
 }
 
 // TracebackExtension runs the second pass for one extension of h against

@@ -392,7 +392,7 @@ func TestRecordRunsContract(t *testing.T) {
 					}
 				}
 				var b alignment.Builder
-				appendRuns(&b, walked, side.rev)
+				b.AppendRuns(walked, side.rev)
 				if got := b.Cigar(); got != want.Cigar {
 					t.Fatalf("%s: runs encode to %q, the public entry point returns %q", name, got, want.Cigar)
 				}
