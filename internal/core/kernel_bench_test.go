@@ -191,15 +191,7 @@ func benchKernelWorkload(b *testing.B, pairs [][2]View, p Params) {
 	b.Run("Standard3Wide", score(AlgoStandard3, TierWide))
 	b.Run("Restricted2Narrow", score(AlgoRestricted2, TierNarrow))
 	b.Run("RecordSweepRestricted2Wide", func(b *testing.B) {
-		p := p
-		p.Algo = AlgoRestricted2
-		benchKernelPairs(b, pairs, func(ws *Workspace, h, v View) Result {
-			r, _, err := ws.fusedLinear(h, v, p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return r
-		})
+		benchKernelPairs(b, pairs, func(ws *Workspace, h, v View) Result { return recordSweep(b, ws, h, v, p) })
 	})
 	b.Run("RecordRestricted2Wide", func(b *testing.B) {
 		benchKernelPairs(b, pairs, func(ws *Workspace, h, v View) Result {
@@ -210,6 +202,15 @@ func benchKernelWorkload(b *testing.B, pairs [][2]View, p Params) {
 			return r
 		})
 	})
+}
+
+// recordSweep runs the recording sweep alone: no walk, no CIGAR.
+func recordSweep(b *testing.B, ws *Workspace, h, v View, p Params) Result {
+	r, _, err := ws.fusedLinear(h, v, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r
 }
 
 // BenchmarkKernelLongread is the regime the benchmark's longread_cold
@@ -272,13 +273,7 @@ func BenchmarkKernelRowCost(b *testing.B) {
 		run  func(ws *Workspace, h, v View, p Params) Result
 	}{
 		{"Score", func(ws *Workspace, h, v View, p Params) Result { return ws.aligned(h, v, p) }},
-		{"Record", func(ws *Workspace, h, v View, p Params) Result {
-			r, _, err := ws.fusedLinear(h, v, p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return r
-		}},
+		{"Record", func(ws *Workspace, h, v View, p Params) Result { return recordSweep(b, ws, h, v, p) }},
 	}
 	for _, kind := range kinds {
 		b.Run(kind.name, func(b *testing.B) {
