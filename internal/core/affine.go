@@ -40,10 +40,11 @@ func (w *Workspace) Affine(h, v View, p Params) Result {
 // direction — with boundary cells peeled, liveness recovered by scanning
 // the stored channels, and trace counters accumulated in locals.
 //
-// ok is false when an antidiagonal's best H exceeded guard (int16
+// It writes the extension's Result to *res and, like linearSweep, reports
+// false, *res zeroed, when an antidiagonal's best H exceeded guard (int16
 // saturation, see tier.go; H dominates E and F wherever it is live): the
 // partial attempt is void and the caller must re-run on the wide tier.
-func affineSweep[S score](b *scoreBufs[S], hq, vq []byte, p Params, negInf, guard S) (Result, bool) {
+func affineSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, guard S, res *Result) bool {
 	m, n := len(hq), len(vq)
 	delta := min(m, n) + 1
 	b.b0 = growBuf(b.b0, delta)
@@ -54,7 +55,7 @@ func affineSweep[S score](b *scoreBufs[S], hq, vq []byte, p Params, negInf, guar
 	b.f0 = growBuf(b.f0, delta)
 	b.f1 = growBuf(b.f1, delta)
 
-	res := Result{Stats: Stats{
+	*res = Result{Stats: Stats{
 		TheoreticalCells: int64(m) * int64(n),
 		WorkBytes:        7 * delta * int(unsafe.Sizeof(negInf)),
 	}}
@@ -199,7 +200,8 @@ func affineSweep[S score](b *scoreBufs[S], hq, vq []byte, p Params, negInf, guar
 		}
 
 		if rowBest > guard {
-			return Result{}, false
+			*res = Result{}
+			return false
 		}
 
 		liveW := 0
@@ -229,5 +231,5 @@ func affineSweep[S score](b *scoreBufs[S], hq, vq []byte, p Params, negInf, guar
 	res.Score = int(best)
 	res.EndH = bestI
 	res.EndV = bestD - bestI
-	return res, true
+	return true
 }

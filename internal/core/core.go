@@ -16,22 +16,22 @@
 // whose score falls below T−X, where T is the best score seen on previous
 // antidiagonals, is removed from the search space (set to −∞).
 //
-// The variants are served by three antidiagonal sweeps: linearSweep
-// (linear.go — Restricted2's in-place two-buffer walk, and Standard3 as
-// the same body writing to a third buffer) and affineSweep (affine.go)
-// score only and are generic over the score width (int32, or int16 for
-// the narrow tier of tier.go); fusedLinear (fused.go) scores the linear
-// variants and records per-cell directions for traceback, whether as the
-// single fused pass or as the second pass after a score sweep. Affine is
-// score-only. Each sweep has one inner loop: Workspace.operands lays h
-// and v out in sweep order once per extension, so no sweep knows a view's
-// direction. The linear int32 sweeps additionally have AVX2 bodies on
-// amd64 (row_amd64.s, eight cells per instruction): one resident assembly
-// body (sweepLinearVec) runs the whole antidiagonal loop of an extension,
-// with two row kinds — the score sweep's rows and the recording sweep's,
-// which also pack their direction codes into the tracer. Both are
-// bit-identical to the Go loops they are tested against; RowISA reports
-// which this process runs. The X-Drop they are all held to is
+// The variants are served by two antidiagonal sweeps, generic over the
+// score width (int32, or int16 for the narrow tier of tier.go):
+// linearSweep (linear.go — Restricted2's in-place two-buffer walk, and
+// Standard3 as the same body writing to a third buffer) and affineSweep
+// (affine.go). Given a tracer, linearSweep's int32 rows also record
+// per-cell directions for traceback (fusedLinear, fused.go), whether as
+// the single fused pass or as the second pass after a score sweep. Affine
+// is score-only. Each sweep has one inner loop a row kind:
+// Workspace.operands lays h and v out in sweep order once per extension,
+// so no sweep knows a view's direction. linearSweep's int32 instantiation
+// additionally has an AVX2 body on amd64 (row_amd64.s, eight cells per
+// instruction): one resident assembly body (sweepLinearVec) runs the whole
+// antidiagonal loop of an extension, with the same two row kinds — score
+// rows and recording rows, which also pack their direction codes into the
+// tracer. Both are bit-identical to the Go loop they are tested against;
+// RowISA reports which this process runs. The X-Drop they are all held to is
 // internal/oracle, which shares no code with this package.
 package core
 

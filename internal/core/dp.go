@@ -99,7 +99,7 @@ func rowSimOf(s scoring.Scorer) rowSim {
 }
 
 // RowISA names the body this process runs for the linear int32 sweeps:
-// "avx2" (row_amd64.s) or "generic" (the Go loops). Results are
+// "avx2" (row_amd64.s) or "generic" (linearSweep's Go loop). Results are
 // bit-identical either way.
 func RowISA() string {
 	if rowVec {
@@ -282,14 +282,13 @@ func (w *Workspace) sweepNarrow(h, v View, p *Params, res *Result) bool {
 // sweep dispatches on the recurrence: one affine sweep, one linear sweep
 // that serves both the Restricted2 and the Standard3 buffer layout. hq
 // and vq are the sweep-order operands (see operands). The Result of the
-// extension is written to *res, the whole of it.
+// extension is written to *res, the whole of it; both sweeps report false
+// on int16 saturation, *res zeroed.
 func sweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, guard S, res *Result) bool {
 	if p.Algo == AlgoAffine {
-		r, ok := affineSweep(b, hq, vq, *p, negInf, guard)
-		*res = r
-		return ok
+		return affineSweep(b, hq, vq, p, negInf, guard, res)
 	}
-	return linearSweep(b, hq, vq, p, negInf, guard, res)
+	return linearSweep(b, hq, vq, p, negInf, guard, nil, res)
 }
 
 // statAcc accumulates the per-antidiagonal trace counters in plain locals

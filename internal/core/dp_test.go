@@ -252,7 +252,9 @@ func heldFootprint[S score](t *testing.T, label string, b *scoreBufs[S], cells i
 // antidiagonal d really overwrites d−2 in place), a Standard3 run three
 // of δ, an Affine run seven of δ, at either width; and the modeled
 // footprint equals the bytes of window cells those buffers actually hold
-// (4-byte scores on the wide tier, §3; 2-byte on the narrow).
+// (4-byte scores on the wide tier, §3; 2-byte on the narrow). A recording
+// holds three wide buffers in either layout and reports the score sweep's
+// WorkBytes.
 func TestWorkBytesMatchesBufferFootprint(t *testing.T) {
 	h := []byte("ACGTACGTACGTACGT")
 	v := []byte("ACGTACGTACGTACGT")
@@ -294,6 +296,39 @@ func TestWorkBytesMatchesBufferFootprint(t *testing.T) {
 			if held != r.Stats.WorkBytes {
 				t.Errorf("%s: buffers hold %d B of window cells, WorkBytes says %d", label, held, r.Stats.WorkBytes)
 			}
+		}
+	}
+
+	// A recording (fusedLinear) holds three wide buffers of the capacity
+	// in either layout — the rotation sweepLinearVec's recording kind is
+	// bound to, on every GOARCH, so that a Go loop recording in place
+	// fails here and not only as a crash of the assembly — and reports
+	// the score sweep's WorkBytes.
+	for _, tc := range []struct {
+		algo   Algo
+		deltaB int
+		cells  int
+	}{
+		{AlgoRestricted2, 0, delta},
+		{AlgoRestricted2, 4, 4},
+		{AlgoStandard3, 0, delta},
+	} {
+		p := Params{Scorer: scoring.DNADefault, Gap: -1, X: 10, DeltaB: tc.deltaB, Algo: tc.algo, Tier: TierWide}
+		label := fmt.Sprintf("record/%v/δb=%d", tc.algo, tc.deltaB)
+		var w Workspace
+		r, _, err := w.fusedLinear(NewView(h), NewView(v), p)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if bufs, _ := heldFootprint(t, label+"/wide", &w.wide, tc.cells); bufs != 3 {
+			t.Errorf("%s: %d wide buffers allocated, want 3", label, bufs)
+		}
+		if nb, _ := heldFootprint(t, label+"/narrow", &w.narrow, tc.cells); nb != 0 {
+			t.Errorf("%s: %d buffers allocated at the narrow width", label, nb)
+		}
+		var score Workspace
+		if want := score.aligned(NewView(h), NewView(v), p).Stats.WorkBytes; r.Stats.WorkBytes != want {
+			t.Errorf("%s: WorkBytes = %d, the score sweep's is %d", label, r.Stats.WorkBytes, want)
 		}
 	}
 }

@@ -142,12 +142,12 @@ func TestRecordingRejectsAffine(t *testing.T) {
 	copy(v[s.V:s.V+s.Len], h[s.H:s.H+s.Len])
 	var ws Workspace
 	calls := map[string]func() error{
-		"FusedExtendLeft":    func() error { _, _, err := ws.FusedExtendLeft(h, v, s.H, s.V, p); return err },
-		"FusedExtendRight":   func() error { _, _, err := ws.FusedExtendRight(h, v, s.H, s.V, p); return err },
-		"TracebackExtension": func() error { _, err := ws.TracebackExtension(NewView(h), NewView(v), p); return err },
-		"TracebackLeft":      func() error { _, err := ws.TracebackLeft(h, v, s.H, s.V, p); return err },
-		"TracebackRight":     func() error { _, err := ws.TracebackRight(h, v, s.H, s.V, p); return err },
-		"TracebackSeed":      func() error { _, _, err := ws.TracebackSeed(h, v, s, p); return err },
+		"FusedExtendLeft":     func() error { _, _, err := ws.FusedExtendLeft(h, v, s.H, s.V, p); return err },
+		"FusedExtendRight":    func() error { _, _, err := ws.FusedExtendRight(h, v, s.H, s.V, p); return err },
+		"TracebackRight(0,0)": func() error { _, err := ws.TracebackRight(h, v, 0, 0, p); return err },
+		"TracebackLeft":       func() error { _, err := ws.TracebackLeft(h, v, s.H, s.V, p); return err },
+		"TracebackRight":      func() error { _, err := ws.TracebackRight(h, v, s.H, s.V, p); return err },
+		"TracebackSeed":       func() error { _, _, err := ws.TracebackSeed(h, v, s, p); return err },
 	}
 	for name, call := range calls {
 		if err := call(); !errors.Is(err, ErrAffineTraceback) {

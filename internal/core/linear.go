@@ -49,8 +49,8 @@ func linearCapacity(m, n int, p *Params) int {
 	return delta
 }
 
-// linearSweep is the linear-gap X-Drop score sweep, written once for both
-// score widths and both buffer layouts.
+// linearSweep is the linear-gap X-Drop sweep, written once for both score
+// widths, both buffer layouts and both row kinds.
 //
 // The recurrence is walked the way the paper's Algorithm 1 states it:
 //
@@ -74,16 +74,27 @@ func linearCapacity(m, n int, p *Params) int {
 // buffers touched. The carry is then redundant but harmless, and with
 // δb ≥ δw the two layouts compute identical cells (§6.1).
 //
+// Recording is the other per-extension choice (tb non-nil, int32 only;
+// fusedLinear). Every row is then also a recording row: it opens its
+// window in tb (beginDiag), stores the peeled boundary cells' direction
+// codes with setCode, and runs its interior through the scalar direction
+// rule into the unpacked codes row, which packRow packs. A recording
+// rotates three buffers in either layout — the rotation sweepLinearVec's
+// recording kind is bound to (tracer.recordResident) — and WorkBytes stays
+// the score layout's: the recording's own footprint is Trace.TraceBytes.
+// Everything else in a row is the same code for both kinds, so the
+// recording's Result is the score sweep's in every field.
+//
 // The sweep runs on NegInf-padded buffers (see dp.go) and on operands
 // laid out in sweep order (Workspace.operands): hq and vq both run
 // unit-stride upward along an antidiagonal whatever the view directions
-// were, so there is one inner loop. The i=0 and j=0 boundary cells are
-// peeled out of it, and interior cells read their neighbors through
-// exact-length row slices with no window checks. The live sub-window is
-// recovered by scanning the stored row's pruned fringes instead of
-// branching on liveness per cell, the row's argmax only when the row sets
-// a new best (or the δb clamp needs the previous one), and trace counters
-// accumulate in locals (statAcc), flushed once at the end.
+// were, so there is one inner loop a row kind. The i=0 and j=0 boundary
+// cells are peeled out of it, and interior cells read their neighbors
+// through exact-length row slices with no window checks. The live
+// sub-window is recovered by scanning the stored row's pruned fringes
+// instead of branching on liveness per cell, the row's argmax only when
+// the row sets a new best (or the δb clamp needs the previous one), and
+// trace counters accumulate in locals (statAcc), flushed once at the end.
 //
 // Two bodies. The Go loop below is the sweep for both score widths, every
 // GOARCH and the purego build tag. On amd64 with AVX2 (rowVec; see
@@ -91,8 +102,10 @@ func linearCapacity(m, n int, p *Params) int {
 // row to last, inside sweepLinearVec (row_amd64.s) — the paper's codelet
 // shape: one resident kernel per extension, not one call per row — eight
 // cells per instruction, the last vector of a row masked, the similarity
-// in the form the scorer allows (rowSim). The assembly is this loop
-// statement for statement; the differences are of form only:
+// in the form the scorer allows (rowSim), the direction codes of a
+// recording row taken from the compare masks the row computes anyway. The
+// assembly is this loop statement for statement; the differences are of
+// form only:
 //
 //   - It peels no boundary cell. With −∞ guards on both sides of every
 //     stored row and the operands staged between pad bytes, the general
@@ -105,19 +118,26 @@ func linearCapacity(m, n int, p *Params) int {
 //     scan of the stored row, and T and the prune limit stay broadcast in
 //     vector registers.
 //
-// Both bodies store identical rows in identical buffers and return
-// identical Results, so nothing downstream — Stats, KernelFingerprint,
-// caches — knows which ran (TestSweepKernelMatchesGeneric,
-// TestVectorSweepMatchesGenericSweep).
+// Both bodies store identical rows in identical buffers, record identical
+// codes and return identical Results, so nothing downstream — Stats,
+// KernelFingerprint, caches, traces — knows which ran
+// (TestSweepKernelMatchesGeneric, TestVectorSweepMatchesGenericSweep,
+// TestVectorRecordMatchesGenericRecord).
 //
-// It writes the extension's Result to *res and reports false when an
-// antidiagonal's best value exceeded guard (int16 saturation, see
-// tier.go): the partial attempt is void and the caller must re-run on the
-// wide tier.
-func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, guard S, res *Result) bool {
+// It writes the extension's Result to *res and reports false when the
+// attempt is void, *res zeroed: an antidiagonal's best value exceeded
+// guard (int16 saturation, see tier.go), and the caller must re-run on
+// the wide tier; or a recording row would pass maxTraceCells, on the
+// antidiagonal beginDiag refuses, and the recording fails with
+// ErrTraceTooLarge.
+func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, guard S, tb *tracer, res *Result) bool {
 	m, n := len(hq), len(vq)
 	capacity := linearCapacity(m, n, p)
-	inPlace := p.Algo != AlgoStandard3
+	nbuf := 2
+	if p.Algo == AlgoStandard3 {
+		nbuf = 3
+	}
+	inPlace := nbuf == 2 && tb == nil
 	b.b1 = growBuf(b.b1, capacity)
 	b.b2 = growBuf(b.b2, capacity)
 
@@ -126,10 +146,10 @@ func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, gua
 	// buffer. Window starts and the live bounds of d−1 rotate as plain
 	// scalars.
 	d1b, d2b := b.b1, b.b2
-	out, nbuf := d2b, 2
+	out := d2b
 	if !inPlace {
 		b.b0 = growBuf(b.b0, capacity)
-		out, nbuf = b.b0, 3
+		out = b.b0
 	}
 
 	*res = Result{Stats: Stats{
@@ -150,8 +170,12 @@ func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, gua
 
 	if wide, ok := any(b).(*scoreBufs[int32]); ok && rowVec {
 		// The resident vector sweep runs the loop below, row for row, and
-		// leaves the same cells in the same buffers. No int32 exceeds the
-		// wide tier's guard, so it always completes.
+		// leaves the same cells in the same buffers (and the same
+		// recording). No int32 exceeds the wide tier's guard, so a score
+		// sweep always completes.
+		if tb != nil {
+			return tb.recordResident(wide, hq, vq, p, capacity, acc, res)
+		}
 		sweepResident(wide, hq, vq, p, capacity, acc, res)
 		return true
 	}
@@ -182,6 +206,14 @@ func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, gua
 			cl = ncl
 			cu = cl + capacity - 1
 		}
+		width := cu - cl + 1
+		var dbase int32 // the recording's first cell of this row
+		if tb != nil {
+			if dbase = tb.beginDiag(cl, width); dbase < 0 {
+				*res = Result{}
+				return false
+			}
+		}
 
 		limit := pruneLimit(t, p.X, negInf)
 		// rowBest tracks only the value in the hot loops (a single
@@ -198,16 +230,20 @@ func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, gua
 
 		i := cl
 		if i == 0 {
-			// Top boundary (j = d): only the vertical gap move exists.
+			// Top boundary (j = d): only the vertical gap move exists —
+			// the left move (gap in H) of the direction codes.
 			wnew := d2b[o2]
-			s := d1b[o1] + gap
+			s, c := d1b[o1]+gap, codeLeft
 			if s < limit {
-				s = negInf
+				s, c = negInf, codeNone
 			}
 			if s > rowBest {
 				rowBest = s
 			}
 			out[oo] = s
+			if tb != nil {
+				tb.setCode(dbase, 0, c)
+			}
 			wlast = wnew
 			i = 1
 		}
@@ -228,71 +264,105 @@ func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, gua
 			d1r := d1b[base+o1:][:cnt]
 			hRow := hq[base-1:][:cnt]
 			vRow := vq[n-d+base:][:cnt]
-			// Two cells per iteration: both d−2 reads issue before the
-			// pair of in-place stores, so the may-alias load/store pairs
-			// serialize half as often.
 			dlv := d1b[base-1+o1]
-			k := 0
-			for ; k+1 < cnt; k += 2 {
-				w0, w1 := d2v[k], d2v[k+1]
-				s0 := wlast + S(tab[hRow[k]][vRow[k]])
-				drv0 := d1r[k]
-				if g := max(dlv, drv0) + gap; g > s0 {
-					s0 = g
+			if tb != nil {
+				codeRow := tb.growCodes(cnt)
+				for k := range outRow {
+					s := wlast + S(tab[hRow[k]][vRow[k]])
+					wlast = d2v[k]
+					c := codeDiag
+					drv := d1r[k]
+					// Both row kinds take the gap branch only when it
+					// strictly beats the diagonal; between the two gap
+					// sources up wins ties.
+					if g := max(dlv, drv) + gap; g > s {
+						s = g
+						if dlv >= drv {
+							c = codeUp
+						} else {
+							c = codeLeft
+						}
+					}
+					dlv = drv
+					if s < limit {
+						s, c = negInf, codeNone
+					}
+					if s > rowBest {
+						rowBest = s
+					}
+					outRow[k] = s
+					codeRow[k] = c
 				}
-				if s0 < limit {
-					s0 = negInf
+				tb.packRow(dbase+int32(base-cl), codeRow)
+			} else {
+				// Two cells per iteration: both d−2 reads issue before
+				// the pair of in-place stores, so the may-alias
+				// load/store pairs serialize half as often.
+				k := 0
+				for ; k+1 < cnt; k += 2 {
+					w0, w1 := d2v[k], d2v[k+1]
+					s0 := wlast + S(tab[hRow[k]][vRow[k]])
+					drv0 := d1r[k]
+					if g := max(dlv, drv0) + gap; g > s0 {
+						s0 = g
+					}
+					if s0 < limit {
+						s0 = negInf
+					}
+					if s0 > rowBest {
+						rowBest = s0
+					}
+					outRow[k] = s0
+					s1 := w0 + S(tab[hRow[k+1]][vRow[k+1]])
+					drv1 := d1r[k+1]
+					if g := max(drv0, drv1) + gap; g > s1 {
+						s1 = g
+					}
+					if s1 < limit {
+						s1 = negInf
+					}
+					if s1 > rowBest {
+						rowBest = s1
+					}
+					outRow[k+1] = s1
+					dlv = drv1
+					wlast = w1
 				}
-				if s0 > rowBest {
-					rowBest = s0
+				if k < cnt {
+					s := wlast + S(tab[hRow[k]][vRow[k]])
+					if g := max(dlv, d1r[k]) + gap; g > s {
+						s = g
+					}
+					if s < limit {
+						s = negInf
+					}
+					if s > rowBest {
+						rowBest = s
+					}
+					outRow[k] = s
 				}
-				outRow[k] = s0
-				s1 := w0 + S(tab[hRow[k+1]][vRow[k+1]])
-				drv1 := d1r[k+1]
-				if g := max(drv0, drv1) + gap; g > s1 {
-					s1 = g
-				}
-				if s1 < limit {
-					s1 = negInf
-				}
-				if s1 > rowBest {
-					rowBest = s1
-				}
-				outRow[k+1] = s1
-				dlv = drv1
-				wlast = w1
-			}
-			if k < cnt {
-				s := wlast + S(tab[hRow[k]][vRow[k]])
-				if g := max(dlv, d1r[k]) + gap; g > s {
-					s = g
-				}
-				if s < limit {
-					s = negInf
-				}
-				if s > rowBest {
-					rowBest = s
-				}
-				outRow[k] = s
 			}
 			i = iB + 1
 		}
 		if peelDiag {
-			// Bottom boundary (j = 0): only the horizontal gap move.
-			s := d1b[i-1+o1] + gap
+			// Bottom boundary (j = 0): only the horizontal gap move —
+			// the up move (gap in V) of the direction codes.
+			s, c := d1b[i-1+o1]+gap, codeUp
 			if s < limit {
-				s = negInf
+				s, c = negInf, codeNone
 			}
 			if s > rowBest {
 				rowBest = s
 			}
 			out[i+oo] = s
+			if tb != nil {
+				tb.setCode(dbase, i-cl, c)
+			}
 		}
 		if rowBest > guard {
 			*res = Result{}
 			return false
 		}
-		width := cu - cl + 1
 		setGuards(out, width, negInf)
 
 		// Recover the live sub-window and the row maximum from the
@@ -359,8 +429,7 @@ var sweepRows = 4096
 // sweeps in the layout sweepLinearVec (row_amd64.s, through go_asm.h) reads
 // when it takes the extension into its registers and writes back when it
 // puts it down: the per-extension constants, the buffers of the lane it
-// runs on, then what a row hands to the next. The names are linearSweep's
-// and fusedLinear's.
+// runs on, then what a row hands to the next. The names are linearSweep's.
 type sweepState struct {
 	hq, vq   *byte // cell 0 of the staged operands (Workspace.operands)
 	sim      rowSim
@@ -534,7 +603,7 @@ func (st *sweepState) rowWidth() int {
 	return min(min(st.d1hi+1, st.m)-max(st.d1lo, d-st.n)+1, st.capacity)
 }
 
-// sweepResident runs the antidiagonal loop of linearSweep's int32
+// sweepResident runs the antidiagonal loop of a score linearSweep's int32
 // instantiation in sweepLinearVec, from the state linearSweep has set up:
 // b1 and b2 grown and seeded with antidiagonals 0 and −1, b0 grown when
 // the layout is Standard3's, acc holding antidiagonal 0. It is a queue of

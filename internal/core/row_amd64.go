@@ -34,7 +34,7 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // sweepLinearVec runs antidiagonals of linearSweep's int32 loop, in
-// either layout, for the extensions of q until its lanes drain or q.rows
+// either layout and either row kind, for the extensions of q until its lanes drain or q.rows
 // of them are computed; the caller re-enters it until they drain
 // (runQueue, sweepState.call). It takes an extension's loop state from its
 // sweepState into registers and puts it back when it switches lanes or
@@ -48,8 +48,8 @@ func xgetbv() (eax, edx uint32)
 // lane with no state left is never switched to again. A row is ⌈width/8⌉
 // vectors: whole ones while more than eight cells are left, then one
 // masked tail of one to eight cells. With lanes[0].record set the rows are
-// fusedLinear's, three buffers rotating, and each also records (see
-// sweepState), on that one lane: it returns when the extension ends, and
+// linearSweep's recording rows (tb non-nil), three buffers rotating, and
+// each also records (see sweepState), on that one lane: it returns when the extension ends, and
 // early, before a row, when that row would end past st.cellEnd.
 //
 // Memory contract (TestSweepKernelMatchesGeneric and, for the queue,

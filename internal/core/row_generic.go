@@ -2,8 +2,8 @@
 
 package core
 
-// Without the assembly (another GOARCH, or the purego build tag) the linear
-// sweeps' Go loops compute every row.
+// Without the assembly (another GOARCH, or the purego build tag) linearSweep's
+// Go loop computes every row of both kinds.
 const rowVec = false
 
 func sweepLinearVec(q *sweepQueue) {

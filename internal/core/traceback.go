@@ -229,10 +229,10 @@ type Trace struct {
 	// the same views and parameters.
 	Score      int
 	EndH, EndV int
-	// Cigar covers view positions [0,EndH)×[0,EndV). TracebackExtension
-	// and TracebackRight return it in view-forward order;
-	// TracebackLeft returns it in sequence-forward order (the
-	// composition order of a left seed extension).
+	// Cigar covers view positions [0,EndH)×[0,EndV). TracebackRight
+	// returns it in view-forward order; TracebackLeft returns it in
+	// sequence-forward order (the composition order of a left seed
+	// extension).
 	Cigar alignment.Cigar
 	// TraceBytes is the exact peak byte footprint of the recorded
 	// direction data for this recording: packed per-cell codes over the
@@ -332,19 +332,14 @@ func JoinCigar(b *alignment.Builder, h, v []byte, s Seed, left, right []alignmen
 	b.AppendRuns(right, true)
 }
 
-// TracebackExtension runs the second pass for one extension of h against
-// v — the recording sweep, keeping only its Trace — and returns the Cigar
-// in view-forward order. Score, EndH and EndV bit-match Align(h, v, p) on
-// the same inputs.
-func (w *Workspace) TracebackExtension(h, v View, p Params) (Trace, error) {
-	_, tr, err := w.record(h, v, p, true)
-	return tr, err
-}
-
 // TracebackRight runs the second pass of the right seed extension
-// (ExtendRight) and returns its Cigar in sequence-forward order.
+// (ExtendRight) — the recording sweep, keeping only its Trace — and
+// returns its Cigar in sequence-forward order, which for forward views is
+// view-forward order. Score, EndH and EndV bit-match
+// Align(NewView(h[hOff:]), NewView(v[vOff:]), p).
 func (w *Workspace) TracebackRight(h, v []byte, hOff, vOff int, p Params) (Trace, error) {
-	return w.TracebackExtension(NewView(h[hOff:]), NewView(v[vOff:]), p)
+	_, tr, err := w.record(NewView(h[hOff:]), NewView(v[vOff:]), p, true)
+	return tr, err
 }
 
 // TracebackLeft runs the second pass of the left seed extension

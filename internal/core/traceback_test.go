@@ -103,8 +103,9 @@ func TestTracebackDifferentialOracle(t *testing.T) {
 	}
 }
 
-// TestTracebackExtensionMatchesAlign checks the single-extension entry
-// point on forward views, including zero-length and empty-sequence edges.
+// TestTracebackExtensionMatchesAlign checks a single extension on forward
+// views — TracebackRight from offset 0 — against Align, including
+// zero-length and empty-sequence edges.
 func TestTracebackExtensionMatchesAlign(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for name, p := range tbVariants() {
@@ -117,7 +118,7 @@ func TestTracebackExtensionMatchesAlign(t *testing.T) {
 			v = v[:mn[1]]
 			var ws Workspace
 			want := Align(NewView(h), NewView(v), p)
-			tr, err := ws.TracebackExtension(NewView(h), NewView(v), p)
+			tr, err := ws.TracebackRight(h, v, 0, 0, p)
 			if err != nil {
 				t.Fatalf("%s %v: %v", name, mn, err)
 			}
