@@ -36,15 +36,15 @@ type Backend interface {
 	Name() string
 }
 
-// IPU runs alignments on the simulated multi-IPU system through the
-// engine service layer.
+// IPU runs alignments on the simulated multi-IPU system: through a shared
+// engine when Eng is set, through one driver.Run call otherwise.
 type IPU struct {
 	// Cfg is the driver configuration (devices, kernel, partitioning).
 	// Ignored when Eng is set — a shared engine's fleet wins.
 	Cfg driver.Config
 	// Eng optionally routes the phase through a long-lived shared Engine,
 	// so pipelines running concurrently share one device fleet instead of
-	// each modeling their own. Nil means a throwaway engine per Align.
+	// each modeling their own. Nil means one driver.Run per Align.
 	Eng *engine.Engine
 }
 
@@ -74,7 +74,7 @@ func (b *IPU) Align(d *workload.Dataset) (*Outcome, error) {
 		}
 		rep, err = job.Wait(context.Background())
 	} else {
-		rep, err = engine.RunOnce(context.Background(), b.Cfg, d)
+		rep, err = driver.Run(d, b.Cfg)
 	}
 	if err != nil {
 		return nil, err

@@ -112,7 +112,8 @@ func TestCPUUnknownImplErrorText(t *testing.T) {
 }
 
 // TestIPUBackendSharedEngine: routing two pipelines through one shared
-// engine yields the same alignments as throwaway engines.
+// engine yields the same alignments and modeled seconds as the one-shot
+// driver path of a backend without an engine.
 func TestIPUBackendSharedEngine(t *testing.T) {
 	d := testData(t)
 	solo, err := ipuBackend(10).Align(d)
@@ -133,11 +134,14 @@ func TestIPUBackendSharedEngine(t *testing.T) {
 		if !reflect.DeepEqual(out.Alignments, solo.Alignments) {
 			t.Fatal("shared engine changed alignments")
 		}
+		if out.Seconds != solo.Seconds {
+			t.Fatalf("shared engine modeled %v s, the one-shot path %v s", out.Seconds, solo.Seconds)
+		}
 	}
 }
 
 // TestIPUBackendPropagatesErrors: an invalid dataset surfaces the
-// driver's validation error through the engine path.
+// driver's validation error.
 func TestIPUBackendPropagatesErrors(t *testing.T) {
 	bad := workload.MustPack("", [][]byte{make([]byte, 40)}, nil, false).
 		WithComparisons([]workload.Comparison{{H: 0, V: 2, SeedLen: 9}})

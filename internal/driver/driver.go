@@ -652,8 +652,8 @@ func (bp *BatchPlan) Batches() int { return len(bp.batches) }
 func (bp *BatchPlan) Comparisons() int { return bp.comparisons }
 
 // NewDevice creates a modeled device matching the plan's configuration.
-// Executors create one per goroutine and reuse it across batches (and,
-// in the engine, across plans with the same configuration).
+// A device holds nothing else, so one serves any number of batches and
+// goroutines (and, in the engine, plans with the same configuration).
 func (bp *BatchPlan) NewDevice() *ipu.Device {
 	return ipu.New(ipu.Config{Model: bp.cfg.Model, TilesEnabled: bp.tiles})
 }
@@ -867,7 +867,8 @@ func NewPlanContext(ctx context.Context, d *workload.Dataset, cfg Config) (*Plan
 	}
 
 	// A GOMAXPROCS-bounded worker pool pulls batch indexes from an atomic
-	// cursor, each worker driving its own modeled device.
+	// cursor and runs them on one modeled device.
+	dev := bp.NewDevice()
 	outs := make([]*ipukernel.BatchResult, len(bp.batches))
 	errs := make([]error, len(bp.batches))
 	workers := runtime.GOMAXPROCS(0)
@@ -881,7 +882,6 @@ func NewPlanContext(ctx context.Context, d *workload.Dataset, cfg Config) (*Plan
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			dev := bp.NewDevice()
 			for {
 				bi := int(cursor.Add(1)) - 1
 				if bi >= len(bp.batches) || ctx.Err() != nil {

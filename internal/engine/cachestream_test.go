@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"github.com/sram-align/xdropipu/internal/driver"
 	"github.com/sram-align/xdropipu/internal/ipukernel"
 	"github.com/sram-align/xdropipu/internal/synth"
 )
@@ -151,7 +152,7 @@ func TestMixedJobLeadsWithCachedChunks(t *testing.T) {
 	if rep.CacheHits != warmed || rep.CacheMisses != len(d.Comparisons)-warmed || rep.Batches == 0 {
 		t.Errorf("mixed job: %d hits, %d misses, %d batches", rep.CacheHits, rep.CacheMisses, rep.Batches)
 	}
-	plain, err := RunOnce(context.Background(), cacheTestConfig(), d)
+	plain, err := driver.Run(d, cacheTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

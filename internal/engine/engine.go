@@ -872,16 +872,3 @@ func (e *Engine) finishLocked(j *Job, rep *driver.Report, err error) {
 	<-e.slots
 	e.cond.Broadcast()
 }
-
-// RunOnce serves a single synchronous submission on a throwaway engine —
-// the compatibility path behind RunOnIPU and the nil-engine backends.
-// Results and report are bit-identical to driver.Run.
-func RunOnce(ctx context.Context, cfg driver.Config, d *workload.Dataset) (*driver.Report, error) {
-	e := New(WithDriverConfig(cfg))
-	defer e.Close()
-	job, err := e.Submit(ctx, d)
-	if err != nil {
-		return nil, err
-	}
-	return job.Wait(ctx)
-}

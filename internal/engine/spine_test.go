@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/sram-align/xdropipu/internal/driver"
 	"github.com/sram-align/xdropipu/internal/workload"
 )
 
@@ -36,7 +37,7 @@ func repackedSpine(t testing.TB, d *workload.Dataset, maxSlab int) (*workload.Da
 // concurrently, and every job must still report bit-identically.
 func TestEngineSpineConcurrentJobsOneArena(t *testing.T) {
 	base := cacheTestDataset(67)
-	want, err := RunOnce(context.Background(), cacheTestConfig(), base)
+	want, err := driver.Run(base, cacheTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

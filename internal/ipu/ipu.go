@@ -8,6 +8,11 @@
 // deterministic cycle counts divided by the clock (§5.1). SRAM limits are
 // enforced, which is what makes the memory-restricted X-Drop algorithm
 // necessary rather than cosmetic.
+//
+// A Device holds only its configuration: RunSuperstep checks a superstep
+// against the enabled tiles and the SRAM budget and returns its modeled
+// time, and remembers nothing. What ran is recorded once, in the
+// driver's Summary, so any number of goroutines may share one Device.
 package ipu
 
 import (
@@ -23,49 +28,20 @@ type Config struct {
 	// TilesEnabled restricts the tile count (ablation rows of Table 1);
 	// zero enables all of them.
 	TilesEnabled int
-	// SyncSeconds is the fixed BSP synchronisation cost per superstep.
-	SyncSeconds float64
 }
 
-// DefaultSyncSeconds is the modeled per-superstep barrier cost.
-const DefaultSyncSeconds = 1.5e-6
+// syncSeconds is the modeled fixed BSP synchronisation cost per superstep.
+const syncSeconds = 1.5e-6
 
-// Device is one simulated IPU accumulating BSP supersteps.
+// Device is one simulated IPU.
 type Device struct {
-	cfg   Config
-	stats Stats
-}
-
-// Stats aggregates a device's modeled activity.
-type Stats struct {
-	// Supersteps counts compute supersteps run.
-	Supersteps int
-	// ComputeSeconds is Σ max-tile compute time (the on-device time the
-	// paper reports for its GCUPS numbers).
-	ComputeSeconds float64
-	// ExchangeSeconds is Σ modeled on-chip exchange time.
-	ExchangeSeconds float64
-	// SyncSeconds is Σ barrier cost.
-	SyncSeconds float64
-	// BusyTileSeconds is Σ over tiles of per-tile compute time; divided
-	// by Supersteps·Tiles·max it yields BSP utilisation.
-	BusyTileSeconds float64
-	// MaxSRAMUsed is the high-water SRAM mark across all tiles.
-	MaxSRAMUsed int
-}
-
-// TotalSeconds is the device-side wall time excluding host transfers.
-func (s Stats) TotalSeconds() float64 {
-	return s.ComputeSeconds + s.ExchangeSeconds + s.SyncSeconds
+	cfg Config
 }
 
 // New creates a device. A zero TilesEnabled uses every tile.
 func New(cfg Config) *Device {
 	if cfg.TilesEnabled <= 0 || cfg.TilesEnabled > cfg.Model.Tiles {
 		cfg.TilesEnabled = cfg.Model.Tiles
-	}
-	if cfg.SyncSeconds == 0 {
-		cfg.SyncSeconds = DefaultSyncSeconds
 	}
 	return &Device{cfg: cfg}
 }
@@ -79,12 +55,6 @@ func (d *Device) Tiles() int { return d.cfg.TilesEnabled }
 // DataSRAM returns the per-tile byte budget available to codelet data.
 func (d *Device) DataSRAM() int { return d.cfg.Model.DataSRAM() }
 
-// Stats returns the accumulated device statistics.
-func (d *Device) Stats() Stats { return d.stats }
-
-// Reset clears accumulated statistics.
-func (d *Device) Reset() { d.stats = Stats{} }
-
 // Superstep describes one executed BSP compute phase.
 type Superstep struct {
 	// TileInstr is the per-tile maximum thread instruction count.
@@ -96,10 +66,10 @@ type Superstep struct {
 	SRAMUsed int
 }
 
-// RunSuperstep accounts one BSP superstep and returns its modeled
-// duration. Per the BSP model the compute phase lasts as long as the
-// slowest tile (§2.1.1: "If a single tile takes more time, all other
-// tiles must wait").
+// RunSuperstep checks one BSP superstep against the device and returns
+// its modeled duration. Per the BSP model the compute phase lasts as long
+// as the slowest tile (§2.1.1: "If a single tile takes more time, all
+// other tiles must wait").
 func (d *Device) RunSuperstep(s Superstep) (float64, error) {
 	if len(s.TileInstr) > d.cfg.TilesEnabled {
 		return 0, fmt.Errorf("ipu: superstep uses %d tiles, device has %d enabled",
@@ -111,25 +81,9 @@ func (d *Device) RunSuperstep(s Superstep) (float64, error) {
 	}
 	var maxInstr int64
 	for _, ti := range s.TileInstr {
-		if ti > maxInstr {
-			maxInstr = ti
-		}
-		d.stats.BusyTileSeconds += d.cfg.Model.ThreadSeconds(ti)
+		maxInstr = max(maxInstr, ti)
 	}
 	compute := d.cfg.Model.ThreadSeconds(maxInstr)
 	exchange := float64(s.ExchangeBytes) / d.cfg.Model.ExchangeBytesPerSec
-	d.stats.Supersteps++
-	d.stats.ComputeSeconds += compute
-	d.stats.ExchangeSeconds += exchange
-	d.stats.SyncSeconds += d.cfg.SyncSeconds
-	if s.SRAMUsed > d.stats.MaxSRAMUsed {
-		d.stats.MaxSRAMUsed = s.SRAMUsed
-	}
-	return compute + exchange + d.cfg.SyncSeconds, nil
-}
-
-// HostTransferSeconds models moving n bytes over the host link if this
-// device had the link to itself; the multi-IPU driver arbitrates sharing.
-func (d *Device) HostTransferSeconds(n int64) float64 {
-	return float64(n) / d.cfg.Model.HostLinkBytesPerSec
+	return compute + exchange + syncSeconds, nil
 }

@@ -272,7 +272,7 @@ func (c *Config) traceGated() bool { return c.Traceback && c.TraceMinScore > 0 }
 // extension is core.FusedEligible, and its arena bound fits
 // fusedTraceBudget. The decision belongs to the model alone — the
 // instruction charge (one sweep or two) and the SRAM charge, which
-// partition's budget math reaches through TraceCharges. The host sweeps
+// partition folds through ExtensionCharge. The host sweeps
 // every ungated, fused-eligible extension once either way (runSide).
 func (c *Config) fusedExtension(lh, lv int) bool {
 	return c.Traceback && !c.traceGated() && core.FusedEligible(lh, lv, c.Params) &&
@@ -366,53 +366,64 @@ func (c Config) ExtensionTraceBytes(lh, lv int) int {
 }
 
 // TileMemoryBytes returns the SRAM footprint of a tile's work under the
-// kernel configuration: sequences, descriptors, job tuples, per-thread DP
-// buffers (tier-aware), result slots, and — with traceback on — the
-// direction-arena charges. Replay-path extensions share one serialized
-// arena sized for the tile's worst such extension; fused-path extensions
-// record concurrently on every thread, so their worst arena is charged
-// once per thread. The partitioner admits items against the same
-// TileFootprint sum.
+// kernel configuration: the TileFootprint of its sequences and jobs under
+// the fold of its comparisons' Charges.
 func (c Config) TileMemoryBytes(t *TileWork, model platform.IPUModel) int {
-	cc := c.withDefaults(model)
-	maxMin, maxReplay, maxFused := 0, 0, 0
+	var ch Charge
 	for _, j := range t.Jobs {
 		hn, vn := int(t.Seqs[j.HLocal].Len), int(t.Seqs[j.VLocal].Len)
-		// The larger extension side bounds δ for this job.
-		rh, rv := hn-j.SeedH-j.SeedLen, vn-j.SeedV-j.SeedLen
-		l := min(j.SeedH, j.SeedV)
-		r := min(rh, rv)
-		maxMin = max(maxMin, l, r)
-		if cc.Traceback {
-			lf, lr := cc.TraceCharges(j.SeedH, j.SeedV)
-			rf, rr := cc.TraceCharges(rh, rv)
-			maxFused = max(maxFused, lf, rf)
-			maxReplay = max(maxReplay, lr, rr)
-		}
+		ch = ch.With(c.ExtensionCharge(j.SeedH, j.SeedV, hn-j.SeedH-j.SeedLen, vn-j.SeedV-j.SeedLen))
 	}
-	return cc.TileFootprint(t.SeqBytes(), len(t.Seqs), len(t.Jobs), maxMin, maxFused, maxReplay, cc.Threads)
+	return c.TileFootprint(t.SeqBytes(), len(t.Seqs), len(t.Jobs), ch, model)
 }
 
 // TileFootprint is the tile SRAM formula itself, over the quantities a
-// tile's work reduces to: sequence bytes, sequence and job counts, the
-// largest min-side extension (sizes the per-thread DP buffers), and the
-// worst fused (per-thread) and replay (one shared arena) trace charges.
-// TileMemoryBytes evaluates it on finished work, partition's admission
-// on work it is still assembling.
-func (c Config) TileFootprint(seqBytes, nSeqs, nJobs, maxMin, fused, replay, threads int) int {
+// tile's work reduces to: sequence bytes, sequence and job counts, and
+// the Charge of its comparisons. TileMemoryBytes evaluates it on finished
+// work, partition's batcher on work it is still assembling.
+func (c Config) TileFootprint(seqBytes, nSeqs, nJobs int, ch Charge, model platform.IPUModel) int {
 	return seqBytes +
 		nSeqs*seqDescrBytes +
 		nJobs*(JobTupleBytes+ResultBytes) +
-		threads*(c.WorkBufBytesPerThread(maxMin)+fused) +
-		replay +
+		c.BufferBytes(ch, model) +
 		batchHdrBytes
+}
+
+// Charge is the part of a tile's SRAM need that its comparisons' extension
+// geometry decides: the largest min-side extension (it sizes the
+// per-thread DP buffers) and the worst fused (per-thread) and replay (one
+// shared arena) trace charges. The zero Charge claims nothing; With folds
+// Charges, so a tile's Charge is the fold of its comparisons'.
+type Charge struct {
+	maxMin, fused, replay int
+}
+
+// With folds two Charges: a tile holding both needs the larger of each.
+func (a Charge) With(b Charge) Charge {
+	return Charge{max(a.maxMin, b.maxMin), max(a.fused, b.fused), max(a.replay, b.replay)}
+}
+
+// ExtensionCharge is the Charge of one comparison whose left extension
+// spans lh×lv and right extension rh×rv.
+func (c Config) ExtensionCharge(lh, lv, rh, rv int) Charge {
+	lf, lr := c.TraceCharges(lh, lv)
+	rf, rr := c.TraceCharges(rh, rv)
+	return Charge{max(min(lh, lv), min(rh, rv)), max(lf, rf), max(lr, rr)}
+}
+
+// BufferBytes is the tile SRAM a Charge claims on the model: every
+// thread's DP buffers (tier-aware) and fused trace arena, plus the one
+// shared replay arena.
+func (c Config) BufferBytes(ch Charge, model platform.IPUModel) int {
+	threads := c.withDefaults(model).Threads
+	return threads*(c.WorkBufBytesPerThread(ch.maxMin)+ch.fused) + ch.replay
 }
 
 // TraceCharges reports one extension's direction-arena bound in the pool
 // the kernel records it in: fused (per-thread) or replay (the shared
-// serialized arena); at most one of the two is nonzero. TileMemoryBytes
-// and partition's budget math both apply this split, so admitted tiles
-// keep their SRAM certification.
+// serialized arena); at most one of the two is nonzero. ExtensionCharge
+// applies this split, so every tile partition admits keeps its SRAM
+// certification.
 func (c Config) TraceCharges(lh, lv int) (fused, replay int) {
 	b := c.ExtensionTraceBytes(lh, lv)
 	if b == 0 {

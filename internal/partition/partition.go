@@ -265,57 +265,22 @@ func ReuseFactor(d *workload.Dataset, items []Item) float64 {
 	return float64(naive) / float64(actual)
 }
 
-// MaxMinExtension returns the largest min-side extension length over the
-// dataset's comparisons — the δ that sizes unbounded DP buffers.
-func MaxMinExtension(d *workload.Dataset) int {
-	arena, plan := d.Spine()
-	refs := arena.Refs()
-	mm := 0
-	for ci := 0; ci < plan.Len(); ci++ {
-		if v := cmpMaxMin(refs, plan.At(ci)); v > mm {
-			mm = v
-		}
-	}
-	return mm
-}
-
-// traceAllowances returns the per-tile trace-arena allowances the kernel
-// SRAM model charges for the dataset's worst single extension in each
-// recording pool — fused (charged once per thread) and replay (one
-// shared serialized arena) — both zero with traceback off. Kept in
-// lockstep with TileMemoryBytes so a budget derived here always admits
-// tiles the gate accepts.
-func traceAllowances(d *workload.Dataset, cfg ipukernel.Config) (fused, replay int) {
-	if !cfg.Traceback {
-		return 0, 0
-	}
-	arena, plan := d.Spine()
-	refs := arena.Refs()
-	for ci := 0; ci < plan.Len(); ci++ {
-		f, r := cmpTraceCharges(refs, plan.At(ci), cfg)
-		fused = max(fused, f)
-		replay = max(replay, r)
-	}
-	return fused, replay
-}
-
 // DeriveSeqBudget computes the per-partition sequence budget for a dataset
-// under a kernel configuration: tile SRAM minus the thread work buffers
-// the configured algorithm and kernel tier need for the dataset's largest
-// extension, minus (with traceback on) the shared trace-arena allowance
-// for the worst extension, minus a small allowance for tuples and
-// results. It fails when the per-tile buffers alone exceed tile SRAM —
-// which is precisely what happens to the unrestricted algorithms on long
-// reads (§3) and what δb fixes.
+// under a kernel configuration: tile SRAM minus the buffers the fold of
+// every comparison's Charge claims (thread work buffers for the largest
+// extension under the configured algorithm and kernel tier, plus, with
+// traceback on, the trace arenas of the worst extensions), minus a small
+// allowance for tuples and results. It fails when those buffers alone
+// exceed tile SRAM — which is precisely what happens to the unrestricted
+// algorithms on long reads (§3) and what δb fixes.
 func DeriveSeqBudget(d *workload.Dataset, cfg ipukernel.Config, model platform.IPUModel) (int, error) {
-	threads := cfg.Threads
-	if threads <= 0 || threads > model.ThreadsPerTile {
-		threads = model.ThreadsPerTile
-	}
 	const allowance = 8 * 1024
-	fusedA, replayA := traceAllowances(d, cfg)
-	bufs := threads*cfg.WorkBufBytesPerThread(MaxMinExtension(d)) +
-		threads*fusedA + replayA
+	_, plan := d.Spine()
+	var ch ipukernel.Charge
+	for ci := 0; ci < plan.Len(); ci++ {
+		ch = ch.With(cfg.ExtensionCharge(d.ExtensionLens(plan.At(ci))))
+	}
+	bufs := cfg.BufferBytes(ch, model)
 	budget := model.DataSRAM() - bufs - allowance
 	if budget <= 0 {
 		return 0, fmt.Errorf(
@@ -323,30 +288,6 @@ func DeriveSeqBudget(d *workload.Dataset, cfg ipukernel.Config, model platform.I
 			cfg.Params.Algo, bufs, model.DataSRAM())
 	}
 	return budget, nil
-}
-
-// admission is the tile-independent part of an item's SRAM check: the
-// largest min-side extension and the largest fused/replay trace charges
-// over its comparisons. Computed once per item; a tile's running maxima
-// have the same shape.
-type admission struct {
-	maxMin, fused, replay int
-}
-
-func (a admission) with(b admission) admission {
-	return admission{max(a.maxMin, b.maxMin), max(a.fused, b.fused), max(a.replay, b.replay)}
-}
-
-// admissionOf reads the item's comparisons from the same source add()
-// does: admission and placement must agree on seed geometry.
-func admissionOf(refs []workload.SeqRef, plan *workload.Plan, it *Item, cfg ipukernel.Config) admission {
-	var a admission
-	for _, ci := range it.Cmps {
-		c := plan.At(ci)
-		f, r := cmpTraceCharges(refs, c, cfg)
-		a = a.with(admission{cmpMaxMin(refs, c), f, r})
-	}
-	return a
 }
 
 // tileBuilder incrementally assembles one tile's work while tracking the
@@ -361,7 +302,7 @@ type tileBuilder struct {
 	index    int // tile position within the batch
 	load     float64
 	seqBytes int
-	adm      admission // running maxima over the placed items
+	charge   ipukernel.Charge // fold over the placed items
 }
 
 // reset returns the builder to the empty state for the next batch,
@@ -372,10 +313,11 @@ func (tb *tileBuilder) reset() {
 	*tb = tileBuilder{localIdx: tb.localIdx, index: tb.index}
 }
 
-// memoryWith is the tile's SRAM need with it added. Item.Bytes is the sum
-// over Item.Seqs, so only sequences the tile already holds need a lookup
-// — none on an empty tile or for an item carrying private copies.
-func (tb *tileBuilder) memoryWith(refs []workload.SeqRef, it *Item, adm admission, cfg ipukernel.Config, threads int) int {
+// memoryWith is the tile's SRAM need with it, whose Charge is ch, added.
+// Item.Bytes is the sum over Item.Seqs, so only sequences the tile
+// already holds need a lookup — none on an empty tile or for an item
+// carrying private copies.
+func (tb *tileBuilder) memoryWith(refs []workload.SeqRef, it *Item, ch ipukernel.Charge, cfg ipukernel.Config, model platform.IPUModel) int {
 	seqBytes, nSeqs := tb.seqBytes+it.Bytes, len(tb.work.Seqs)+len(it.Seqs)
 	if !it.Copies && len(tb.localIdx) > 0 {
 		for _, s := range it.Seqs {
@@ -386,33 +328,10 @@ func (tb *tileBuilder) memoryWith(refs []workload.SeqRef, it *Item, adm admissio
 		}
 	}
 	nJobs := len(tb.work.Jobs) + len(it.Cmps)
-	adm = adm.with(tb.adm)
-	return cfg.TileFootprint(seqBytes, nSeqs, nJobs, adm.maxMin, adm.fused, adm.replay, threads)
+	return cfg.TileFootprint(seqBytes, nSeqs, nJobs, ch.With(tb.charge), model)
 }
 
-// cmpMaxMin computes the larger of the two min-side extension lengths of
-// c from the arena spans — the same source the byte budgets use, so SRAM
-// admission and placement can never disagree with the slab the kernel
-// actually executes.
-func cmpMaxMin(refs []workload.SeqRef, c workload.Comparison) int {
-	rh := int(refs[c.H].Len) - c.SeedH - c.SeedLen
-	rv := int(refs[c.V].Len) - c.SeedV - c.SeedLen
-	return max(min(c.SeedH, c.SeedV), min(rh, rv))
-}
-
-// cmpTraceCharges is the traceback analogue of cmpMaxMin: the larger of
-// the two extensions' direction-trace allowances under the kernel's
-// bound, split into the fused (per-thread) and replay (shared) pools the
-// way the kernel would record each side (both zero with traceback off).
-func cmpTraceCharges(refs []workload.SeqRef, c workload.Comparison, cfg ipukernel.Config) (fused, replay int) {
-	rh := int(refs[c.H].Len) - c.SeedH - c.SeedLen
-	rv := int(refs[c.V].Len) - c.SeedV - c.SeedLen
-	lf, lr := cfg.TraceCharges(c.SeedH, c.SeedV)
-	rf, rr := cfg.TraceCharges(rh, rv)
-	return max(lf, rf), max(lr, rr)
-}
-
-func (tb *tileBuilder) add(refs []workload.SeqRef, plan *workload.Plan, it *Item, adm admission, fanout []int32) {
+func (tb *tileBuilder) add(refs []workload.SeqRef, plan *workload.Plan, it *Item, ch ipukernel.Charge, fanout []int32) {
 	if tb.work.Jobs == nil {
 		tb.work.Seqs = make([]workload.SeqRef, 0, len(it.Seqs))
 		tb.work.Jobs = make([]ipukernel.SeedJob, 0, len(it.Cmps))
@@ -437,7 +356,7 @@ func (tb *tileBuilder) add(refs []workload.SeqRef, plan *workload.Plan, it *Item
 		}
 		tb.work.Jobs = append(tb.work.Jobs, job)
 	}
-	tb.adm = tb.adm.with(adm)
+	tb.charge = tb.charge.With(ch)
 	tb.load += it.Cost
 }
 
@@ -484,10 +403,6 @@ func MakeBatchesFanout(d *workload.Dataset, items []Item, tiles int, cfg ipukern
 	if maxJobs <= 0 {
 		maxJobs = 1 << 30
 	}
-	threads := cfg.Threads
-	if threads <= 0 || threads > model.ThreadsPerTile {
-		threads = model.ThreadsPerTile
-	}
 	budget := model.DataSRAM()
 	arena, plan := d.Spine()
 	refs := arena.Refs()
@@ -529,14 +444,20 @@ func MakeBatchesFanout(d *workload.Dataset, items []Item, tiles int, cfg ipukern
 
 	for _, idx := range order {
 		it := &items[idx]
-		adm := admissionOf(refs, plan, it, cfg)
+		// The item's Charge reads its comparisons from the same source
+		// add() does: the SRAM check and placement must agree on seed
+		// geometry.
+		var ch ipukernel.Charge
+		for _, ci := range it.Cmps {
+			ch = ch.With(cfg.ExtensionCharge(d.ExtensionLens(plan.At(ci))))
+		}
 		placed := false
 		for attempt := 0; attempt < 2 && !placed; attempt++ {
 			if batchJobs+len(it.Cmps) > maxJobs && batchJobs > 0 {
 				closeBatch()
 			}
 			full = full[:0]
-			for len(cand) > 0 && cand[0].memoryWith(refs, it, adm, cfg, threads) > budget {
+			for len(cand) > 0 && cand[0].memoryWith(refs, it, ch, cfg, model) > budget {
 				full = append(full, heap.Pop(&cand).(*tileBuilder))
 			}
 			if len(cand) == 0 {
@@ -545,7 +466,7 @@ func MakeBatchesFanout(d *workload.Dataset, items []Item, tiles int, cfg ipukern
 				continue
 			}
 			tb := cand[0]
-			tb.add(refs, plan, it, adm, fanout)
+			tb.add(refs, plan, it, ch, fanout)
 			heap.Fix(&cand, 0)
 			if tb.index == used {
 				if used++; used < tiles {

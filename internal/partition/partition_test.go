@@ -443,6 +443,26 @@ type scanTileBuilder struct {
 	maxReplay int
 }
 
+// cmpMaxMin and cmpTraceCharges are the oracle's own reading of a
+// comparison's SRAM geometry from the arena spans, kept apart from
+// ipukernel.Charge so the scan does not share the code it checks.
+// cmpMaxMin is the larger of the two min-side extension lengths of c.
+func cmpMaxMin(refs []workload.SeqRef, c workload.Comparison) int {
+	rh := int(refs[c.H].Len) - c.SeedH - c.SeedLen
+	rv := int(refs[c.V].Len) - c.SeedV - c.SeedLen
+	return max(min(c.SeedH, c.SeedV), min(rh, rv))
+}
+
+// cmpTraceCharges is the larger of the two extensions' direction-trace
+// allowances in each of the fused (per-thread) and replay (shared) pools.
+func cmpTraceCharges(refs []workload.SeqRef, c workload.Comparison, cfg ipukernel.Config) (fused, replay int) {
+	rh := int(refs[c.H].Len) - c.SeedH - c.SeedLen
+	rv := int(refs[c.V].Len) - c.SeedV - c.SeedLen
+	lf, lr := cfg.TraceCharges(c.SeedH, c.SeedV)
+	rf, rr := cfg.TraceCharges(rh, rv)
+	return max(lf, rf), max(lr, rr)
+}
+
 func newScanTileBuilder() *scanTileBuilder {
 	return &scanTileBuilder{localIdx: make(map[int]int)}
 }

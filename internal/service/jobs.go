@@ -44,8 +44,8 @@ type jobState struct {
 	windowBytes int      // total length of window's lines plus final
 	firstSeq    int
 	nextSeq     int
-	chunks      int // total chunks ever delivered (== nextSeq)
 	done        bool
+	cancelled   bool // a client has cancelled the job
 	err         error
 	final       []byte // encoded final line
 	attached    int
@@ -66,6 +66,18 @@ func newJobState(id, tenant string, shard int, cancel context.CancelFunc,
 // batches and the pump settles it with context.Canceled.
 func (js *jobState) cancel() { js.cancelJob() }
 
+// clientCancel is a client's cancel of the job: it tears the job down and
+// reports whether this is the first such cancel to reach the job before
+// it settled — the one event the tenant's Cancelled counter records.
+func (js *jobState) clientCancel() (first bool) {
+	js.mu.Lock()
+	first = !js.done && !js.cancelled
+	js.cancelled = true
+	js.mu.Unlock()
+	js.cancel()
+	return first
+}
+
 // appendUpdate encodes one engine update as the next chunk line and
 // appends it to the window, trimming the front past the bound. The pump
 // is the only appender, so encoding happens outside the lock — into the
@@ -82,7 +94,6 @@ func (js *jobState) appendUpdate(u engine.Update) {
 	js.window = append(js.window, line)
 	js.windowBytes += len(line)
 	js.nextSeq++
-	js.chunks = js.nextSeq
 	if drop := len(js.window) - js.windowMax; drop > 0 {
 		for _, old := range js.window[:drop] {
 			js.windowBytes -= len(old)
@@ -194,7 +205,7 @@ func (js *jobState) status() JobStatus {
 	st := JobStatus{
 		Job: js.id, Tenant: js.tenant, Shard: js.shard,
 		Comparisons: js.comparisons, Batches: js.batches,
-		Chunks: js.chunks, FirstRetained: js.firstSeq,
+		Chunks: js.nextSeq, FirstRetained: js.firstSeq,
 		Done: js.done, Attached: js.attached,
 	}
 	if js.err != nil {

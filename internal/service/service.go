@@ -457,10 +457,11 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job")
 		return
 	}
-	js.cancel()
-	s.mu.Lock()
-	s.tenantLocked(js.tenant).Cancelled++
-	s.mu.Unlock()
+	if js.clientCancel() {
+		s.mu.Lock()
+		s.tenantLocked(js.tenant).Cancelled++
+		s.mu.Unlock()
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
 	json.NewEncoder(w).Encode(map[string]string{"job": js.id, "state": "cancelling"})

@@ -380,6 +380,89 @@ func TestServiceCancelEndpoint(t *testing.T) {
 	waitForLive(t, svc, 0, 10*time.Second)
 }
 
+// TestServiceCancelCountsJobOnce: the tenant's cancelled counter counts
+// jobs, not DELETE requests — a second DELETE of the same job and a
+// DELETE of a job that already settled add nothing.
+func TestServiceCancelCountsJobOnce(t *testing.T) {
+	svc := service.New(service.Config{Shards: 1, EngineOptions: slowOpts(100*time.Millisecond, 6)})
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	payload, err := wire.EncodeDataset(readsData(t, 23, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(tenant string) string {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs?stream=0", bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", wire.ContentTypeDataset)
+		req.Header.Set("X-Tenant", tenant)
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var hdr wire.Header
+		if resp.StatusCode != http.StatusAccepted || json.NewDecoder(resp.Body).Decode(&hdr) != nil {
+			t.Fatalf("detached submit: %s", resp.Status)
+		}
+		return hdr.Job
+	}
+	cancel := func(id string) {
+		req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("cancel %s: %s", id, resp.Status)
+		}
+	}
+	cancelled := func(tenant string) int64 {
+		var st struct {
+			Tenants map[string]struct {
+				Cancelled int64 `json:"cancelled"`
+			} `json:"tenants"`
+		}
+		getJSON(t, ts, "/v1/stats", &st)
+		return st.Tenants[tenant].Cancelled
+	}
+
+	running := submit("running")
+	cancel(running)
+	cancel(running)
+	if got := cancelled("running"); got != 1 {
+		t.Errorf("two DELETEs of one running job counted %d cancelled, want 1", got)
+	}
+
+	settled := submit("settled")
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var st service.JobStatus
+		getJSON(t, ts, "/v1/jobs/"+settled, &st)
+		if st.Done {
+			if st.Error != "" {
+				t.Fatalf("job failed: %s", st.Error)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job never settled: %+v", st)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	cancel(settled)
+	if got := cancelled("settled"); got != 0 {
+		t.Errorf("a DELETE after completion counted %d cancelled, want 0", got)
+	}
+}
+
 // TestServiceStalledBodyIsDisconnected: an uploader that sends its headers
 // and half its body, then nothing, is answered 408 and disconnected within
 // the stall timeout — while a well-behaved job submitted to the same server

@@ -12,8 +12,8 @@
 //     it otherwise; AlgoAffine is score-only;
 //   - the persistent asynchronous Engine (NewEngine, Submit, Job) —
 //     the service interface for concurrent clients;
-//   - the one-shot simulated IPU run (RunOnIPU with IPUConfig), a thin
-//     synchronous wrapper over a throwaway Engine;
+//   - the one-shot simulated IPU run (RunOnIPU with IPUConfig), one
+//     synchronous call into the driver;
 //   - the ELBA and PASTIS pipelines (AssembleELBA, SearchPASTIS);
 //   - the CPU/GPU baselines of the paper's evaluation.
 //
@@ -22,8 +22,6 @@
 package xdropipu
 
 import (
-	"context"
-
 	"github.com/sram-align/xdropipu/internal/alignment"
 	"github.com/sram-align/xdropipu/internal/backend"
 	"github.com/sram-align/xdropipu/internal/baselines"
@@ -361,11 +359,11 @@ func NewEngine(opts ...EngineOption) *Engine {
 
 // RunOnIPU aligns every comparison of a dataset on the simulated IPU
 // system and returns the report (results, modeled times, traffic). It is
-// the simple synchronous path: a throwaway Engine serving exactly one
-// submission. Long-lived callers with concurrent work should hold a
-// NewEngine instead.
+// the simple synchronous path: the driver plans, executes and schedules
+// the one dataset, with no engine in between. Long-lived callers with
+// concurrent work should hold a NewEngine instead.
 func RunOnIPU(d *Dataset, cfg IPUConfig) (*IPUReport, error) {
-	return engine.RunOnce(context.Background(), cfg, d)
+	return driver.Run(d, cfg)
 }
 
 // Networked service: the HTTP front-end over a pool of engine shards,
