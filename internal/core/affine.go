@@ -1,7 +1,5 @@
 package core
 
-import "unsafe"
-
 // Affine runs a Gotoh affine-gap X-Drop extension. It allocates its own
 // workspace; use (*Workspace).Affine in hot loops.
 func Affine(h, v View, p Params) Result {
@@ -9,21 +7,20 @@ func Affine(h, v View, p Params) Result {
 	return w.Affine(h, v, p)
 }
 
-// Affine runs the affine-gap X-Drop extension on the int32 tier using
+// Affine runs the affine-gap X-Drop extension, at the wide tier, using
 // the workspace buffers.
 func (w *Workspace) Affine(h, v View, p Params) Result {
 	p.Algo = AlgoAffine
 	var r Result
-	w.sweepWide(h, v, &p, &r)
+	w.sweep(h, v, &p, &r)
 	return r
 }
 
 // affineSweep is the affine-gap (Gotoh) X-Drop score sweep backing the
-// ksw2-like baseline (§6.2), written once for both score widths. A gap of
-// length k costs GapOpen + k·Gap, so with ksw2-style penalties long gaps
-// are penalised less per column than under the linear scheme, which
-// genuinely enlarges the live search space — the behaviour the paper
-// names as the reason ksw2 trails SeqAn.
+// ksw2-like baseline (§6.2). A gap of length k costs GapOpen + k·Gap, so
+// with ksw2-style penalties long gaps are penalised less per column than
+// under the linear scheme, which genuinely enlarges the live search space
+// — the behaviour the paper names as the reason ksw2 trails SeqAn.
 //
 // The recurrence keeps three channels per cell:
 //
@@ -40,11 +37,8 @@ func (w *Workspace) Affine(h, v View, p Params) Result {
 // direction — with boundary cells peeled, liveness recovered by scanning
 // the stored channels, and trace counters accumulated in locals.
 //
-// It writes the extension's Result to *res and, like linearSweep, reports
-// false, *res zeroed, when an antidiagonal's best H exceeded guard (int16
-// saturation, see tier.go; H dominates E and F wherever it is live): the
-// partial attempt is void and the caller must re-run on the wide tier.
-func affineSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, guard S, res *Result) bool {
+// It writes the extension's Result to *res.
+func affineSweep(b *scoreBufs, hq, vq []byte, p *Params, res *Result) {
 	m, n := len(hq), len(vq)
 	delta := min(m, n) + 1
 	b.b0 = growBuf(b.b0, delta)
@@ -57,17 +51,16 @@ func affineSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, gua
 
 	*res = Result{Stats: Stats{
 		TheoreticalCells: int64(m) * int64(n),
-		WorkBytes:        7 * delta * int(unsafe.Sizeof(negInf)),
+		WorkBytes:        7 * delta * scoreBytes,
 	}}
 
 	tab := p.Scorer.Table()
-	gape := S(p.Gap)
+	gape := int32(p.Gap)
 	// Hoist the gap-open+extend sum: max(a,b)+c ≡ max(a+c, b+c) (exact —
-	// working values are far inside the range at either width: int32 by
-	// orders of magnitude, int16 by narrowEligible's penalty bounds), so
+	// working values are orders of magnitude inside the int32 range), so
 	// each E/F update is two independent adds feeding one max instead of
 	// the serial add→max→add chain the textbook recurrence spells.
-	goe := S(p.GapOpen) + gape
+	goe := int32(p.GapOpen) + gape
 
 	// d1 buffers hold antidiagonal d−1 (all three channels), d2h holds
 	// d−2 (only H is read from it); out* are written for d. Window
@@ -75,17 +68,17 @@ func affineSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, gua
 	d1h, d1e, d1f := b.b1, b.e1, b.f1
 	d2h := b.b2
 	outH, outE, outF := b.b0, b.e0, b.f0
-	seedDiag(d1h, 0, negInf)
-	seedDiag(d1e, negInf, negInf)
-	seedDiag(d1f, negInf, negInf)
-	seedDiag(d2h, negInf, negInf)
+	seedDiag(d1h, 0)
+	seedDiag(d1e, negInf32)
+	seedDiag(d1f, negInf32)
+	seedDiag(d2h, negInf32)
 	d1cl, d1lo, d1hi := 0, 0, 0
 	d2cl := 0
 
 	var acc statAcc
 	acc.observe(1, 1)
 
-	best, t := S(0), S(0)
+	best, t := int32(0), int32(0)
 	bestI, bestD := 0, 0
 
 	for d := 1; d <= m+n; d++ {
@@ -94,7 +87,7 @@ func affineSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, gua
 		if cl > cu {
 			break
 		}
-		limit := pruneLimit(t, p.X, negInf)
+		limit := pruneLimit(t, p.X)
 		lo, hi := -1, -1
 		o1 := bufPad - d1cl
 		o2 := bufPad - d2cl
@@ -106,9 +99,9 @@ func affineSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, gua
 			// is also the cell's H value (H = max(−∞, E, −∞)).
 			e := max(d1e[o1]+gape, d1h[o1]+goe)
 			if e < limit {
-				e = negInf
+				e = negInf32
 			}
-			outH[oo], outE[oo], outF[oo] = e, e, negInf
+			outH[oo], outE[oo], outF[oo] = e, e, negInf32
 			i = 1
 		}
 		iB := cu
@@ -136,7 +129,7 @@ func affineSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, gua
 				e := max(d1er[k]+gape, hrv+goe)
 				f := max(flv+gape, hlv+goe)
 				flv = d1fr[k]
-				s := d2v[k] + S(tab[hRow[k]][vRow[k]])
+				s := d2v[k] + int32(tab[hRow[k]][vRow[k]])
 				hlv = hrv
 				if e > s {
 					s = e
@@ -145,13 +138,13 @@ func affineSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, gua
 					s = f
 				}
 				if s < limit {
-					s = negInf
+					s = negInf32
 				}
 				if e < limit {
-					e = negInf
+					e = negInf32
 				}
 				if f < limit {
-					f = negInf
+					f = negInf32
 				}
 				ohRow[k], oeRow[k], ofRow[k] = s, e, f
 			}
@@ -162,15 +155,15 @@ func affineSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, gua
 			// it is also the cell's H value (H = max(−∞, −∞, F)).
 			f := max(d1f[i-1+o1]+gape, d1h[i-1+o1]+goe)
 			if f < limit {
-				f = negInf
+				f = negInf32
 			}
 			k := i + oo
-			outH[k], outE[k], outF[k] = f, negInf, f
+			outH[k], outE[k], outF[k] = f, negInf32, f
 		}
 		width := cu - cl + 1
-		setGuards(outH, width, negInf)
-		setGuards(outE, width, negInf)
-		setGuards(outF, width, negInf)
+		setGuards(outH, width)
+		setGuards(outE, width)
+		setGuards(outF, width)
 
 		// Recover the live sub-window (any surviving channel) and the
 		// row's best H from the stored channels: cheaper than branching
@@ -179,15 +172,15 @@ func affineSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, gua
 		rowE := outE[bufPad:][:width]
 		rowF := outF[bufPad:][:width]
 		for k := 0; k < width; k++ {
-			if rowH[k] != negInf || rowE[k] != negInf || rowF[k] != negInf {
+			if rowH[k] != negInf32 || rowE[k] != negInf32 || rowF[k] != negInf32 {
 				lo = cl + k
 				break
 			}
 		}
-		rowBest, rowBestI := negInf, -1
+		rowBest, rowBestI := negInf32, -1
 		if lo >= 0 {
 			for k := width - 1; ; k-- {
-				if rowH[k] != negInf || rowE[k] != negInf || rowF[k] != negInf {
+				if rowH[k] != negInf32 || rowE[k] != negInf32 || rowF[k] != negInf32 {
 					hi = cl + k
 					break
 				}
@@ -197,11 +190,6 @@ func affineSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, gua
 					rowBest, rowBestI = s, cl+k
 				}
 			}
-		}
-
-		if rowBest > guard {
-			*res = Result{}
-			return false
 		}
 
 		liveW := 0
@@ -231,5 +219,4 @@ func affineSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, gua
 	res.Score = int(best)
 	res.EndH = bestI
 	res.EndV = bestD - bestI
-	return true
 }

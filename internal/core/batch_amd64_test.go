@@ -81,7 +81,7 @@ func seatBatch(w *Workspace, g *guarded, front bool, sides []Side, p Params) {
 	}
 	w.arena = arena[:0]
 	cells := capacity + 2*bufPad + rowSlack
-	for _, b := range []*scoreBufs[int32]{&w.wide, &w.alt} {
+	for _, b := range []*scoreBufs{&w.wide, &w.alt} {
 		for _, s := range []*[]int32{&b.b0, &b.b1, &b.b2} {
 			*s = g.scoresAt(cells, front)
 			for i := range *s {
@@ -124,9 +124,9 @@ func checkBatch(t testing.TB, sides []Side, p Params, front bool) []Result {
 }
 
 // TestSweepBatchMatchesSingle runs queues of 0 to 40 sides — empty and
-// one-cell sides among them, left and right mixed, under both layouts and
-// both similarity forms, X down to 6 and δb down to 6 so that the clamp
-// fires inside a lane — and one queue whose sides run longer than
+// one-cell sides among them, left and right mixed, under both layouts,
+// both similarity forms and every tier, X down to 6 and δb down to 6 so
+// that the clamp fires inside a lane — and one queue whose sides run longer than
 // sweepRows, so that the lanes cross calls, through ExtendBatch with the
 // arena and both lanes' buffers against an unmapped page at either end;
 // every Result must be the one the side gets alone (checkBatch).
@@ -139,7 +139,8 @@ func TestSweepBatchMatchesSingle(t *testing.T) {
 	for trial := 0; trial < 48; trial++ {
 		form := batchForms[trial%2]
 		p := Params{Scorer: form.scorer, Gap: -1 - trial/4%2, X: 6 + rng.Intn(30),
-			DeltaB: []int{0, 6, 9, 32}[trial/2%4], Algo: []Algo{AlgoRestricted2, AlgoStandard3}[trial/8%2]}
+			DeltaB: []int{0, 6, 9, 32}[trial/2%4], Algo: []Algo{AlgoRestricted2, AlgoStandard3}[trial/8%2],
+			Tier: []Tier{TierWide, TierNarrow, TierAuto}[trial/16]}
 		for _, r := range checkBatch(t, batchSides(rng, trial%41, 300, form), p, trial%3 == 0) {
 			if r.Stats.Clamped {
 				clamped++
@@ -225,7 +226,7 @@ func batchResumes(t *testing.T, name string, sides []Side, p Params) (endedOnBud
 			}
 		}
 		if rows == 1 {
-			for _, st := range w.states[:len(w.queued)] {
+			for _, st := range w.states[:len(sides)] {
 				if st.d1hi < 0 {
 					endedOnBudget++
 				}

@@ -16,23 +16,23 @@
 // whose score falls below T−X, where T is the best score seen on previous
 // antidiagonals, is removed from the search space (set to −∞).
 //
-// The variants are served by two antidiagonal sweeps, generic over the
-// score width (int32, or int16 for the narrow tier of tier.go):
-// linearSweep (linear.go — Restricted2's in-place two-buffer walk, and
-// Standard3 as the same body writing to a third buffer) and affineSweep
-// (affine.go). Given a tracer, linearSweep's int32 rows also record
-// per-cell directions for traceback (fusedLinear, fused.go), whether as
-// the single fused pass or as the second pass after a score sweep. Affine
-// is score-only. Each sweep has one inner loop a row kind:
-// Workspace.operands lays h and v out in sweep order once per extension,
-// so no sweep knows a view's direction. linearSweep's int32 instantiation
-// additionally has an AVX2 body on amd64 (row_amd64.s, eight cells per
-// instruction): one resident assembly body (sweepLinearVec) runs the whole
-// antidiagonal loop of an extension, with the same two row kinds — score
-// rows and recording rows, which also pack their direction codes into the
-// tracer. Both are bit-identical to the Go loop they are tested against;
-// RowISA reports which this process runs. The X-Drop they are all held to is
-// internal/oracle, which shares no code with this package.
+// The variants are served by two int32 antidiagonal sweeps: linearSweep
+// (linear.go — Restricted2's in-place two-buffer walk, and Standard3 as
+// the same body writing to a third buffer) and affineSweep (affine.go).
+// The narrow kernel tier (tier.go) is the modeled device's score width,
+// derived from the int32 Result, not a sweep of its own. Given a tracer,
+// linearSweep's rows also record per-cell directions for traceback
+// (fusedLinear, fused.go), whether as the single fused pass or as the
+// second pass after a score sweep. Affine is score-only. Each sweep has
+// one inner loop a row kind: Workspace.operands lays h and v out in sweep
+// order once per extension, so no sweep knows a view's direction.
+// linearSweep additionally has an AVX2 body on amd64 (row_amd64.s, eight
+// cells per instruction): one resident assembly body (sweepLinearVec) runs
+// the whole antidiagonal loop of an extension, with the same two row kinds
+// — score rows and recording rows, which also pack their direction codes
+// into the tracer. Both are bit-identical to the Go loop they are tested
+// against; RowISA reports which this process runs. The X-Drop they are all
+// held to is internal/oracle, which shares no code with this package.
 package core
 
 import (
@@ -128,9 +128,9 @@ type Params struct {
 	GapOpen int
 	// Algo selects the implementation used by Align.
 	Algo Algo
-	// Tier selects the kernel score width (see tier.go). The zero value
-	// is TierWide; TierNarrow/TierAuto opt in to the int16 kernels with
-	// transparent overflow promotion back to int32.
+	// Tier selects the modeled kernel score width (see tier.go). The
+	// zero value is TierWide; TierNarrow/TierAuto opt in to int16 scores
+	// with overflow promotion back to int32, reported in Stats.
 	Tier Tier
 }
 
@@ -188,13 +188,13 @@ type Stats struct {
 	// wide tier (3δ·4 for Standard3, 2δb·4 for Restricted2; §3, Fig. 3),
 	// 2-byte scores on the narrow tier.
 	WorkBytes int
-	// Narrow reports that the extension completed on the int16 kernel
-	// tier. Promoted reports that a narrow attempt saturated and the
-	// extension transparently re-ran on the int32 tier (its Stats are
-	// those of the wide re-run). Both false means a plain wide run.
+	// Narrow reports that the modeled int16 attempt completes: the
+	// extension's Score stays within the saturation guard. Both false
+	// means a plain wide run. See tier.go.
 	Narrow bool
-	// Promoted is set with Narrow == false: the wide re-run produced the
-	// result. See tier.go for the saturation guard.
+	// Promoted is set with Narrow == false: the int16 attempt would
+	// saturate, and the device re-runs the extension on int32, whose
+	// Stats these are.
 	Promoted bool
 }
 

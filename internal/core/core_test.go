@@ -19,9 +19,9 @@ func (w *Workspace) aligned(h, v View, p Params) (r Result) {
 	return r
 }
 
-// sweptWide is sweepWide with its Result returned.
-func (w *Workspace) sweptWide(h, v View, p Params) (r Result) {
-	w.sweepWide(h, v, &p, &r)
+// swept is sweep with its Result returned.
+func (w *Workspace) swept(h, v View, p Params) (r Result) {
+	w.sweep(h, v, &p, &r)
 	return r
 }
 

@@ -8,32 +8,25 @@ import (
 	"github.com/sram-align/xdropipu/internal/scoring"
 )
 
-// The DP sweeps are written once, generic over the score width: int32
-// (the wide tier) or int16 (the narrow tier, see tier.go). The two widths
-// have distinct GC shapes, so each instantiation is fully specialised
-// machine code — there is no per-cell dictionary cost.
-//
-// The paper models 4-byte scores (Stats.WorkBytes, §3) and the IPU stores
-// them that way, so the wide tier's working set matches the device — it
-// also halves cache pressure versus 8-byte ints, which is most of the
-// kernels' memory traffic.
+// The DP sweeps keep 4-byte scores, as the paper's kernel does (§3:
+// Stats.WorkBytes) and the IPU stores them — also half the cache pressure
+// of 8-byte ints, which is most of the kernels' memory traffic. The narrow
+// tier (tier.go) is a modeled score width, not a second sweep: its outcome
+// is derived from the int32 Result.
 //
 // int32 bounds the representable alignment score to ±2^29-ish (scores are
 // kept above negInf32/2, see pruneLimit); with per-symbol scores ≤ 127
 // that covers sequences of a few million symbols per extension, far
 // beyond anything a 624 KB tile can hold.
 
-// score is the set of working-buffer element types.
-type score interface{ int16 | int32 }
-
-// negInf32 is the pruned-cell sentinel of the wide working buffers. It is
-// far enough from the int32 minimum that adding similarity scores or gap
+// negInf32 is the pruned-cell sentinel of the working buffers. It is far
+// enough from the int32 minimum that adding similarity scores or gap
 // penalties cannot wrap.
 const negInf32 int32 = math.MinInt32 / 4
 
-// scoreBytes is the wide working-buffer element size; the sweeps compute
-// Stats.WorkBytes from the element size of the buffers they actually
-// hold, so the modeled footprint matches the real buffers.
+// scoreBytes is the working-buffer element size; Stats.WorkBytes counts
+// the buffers the sweeps actually hold in it, so the modeled footprint
+// matches the real buffers.
 const scoreBytes = 4
 
 // bufPad is the number of −∞ guard cells kept on each side of a stored
@@ -44,18 +37,18 @@ const scoreBytes = 4
 const bufPad = 2
 
 // seedDiag initialises a buffer to the one-cell window {0: v} with its
-// guards — the state of antidiagonal 0 (or, with v = negInf, the
+// guards — the state of antidiagonal 0 (or, with v = negInf32, the
 // placeholder for the not-yet-existing antidiagonal −1).
-func seedDiag[S score](b []S, v, negInf S) {
-	b[0], b[1], b[2], b[3], b[4] = negInf, negInf, v, negInf, negInf
+func seedDiag(b []int32, v int32) {
+	b[0], b[1], b[2], b[3], b[4] = negInf32, negInf32, v, negInf32, negInf32
 }
 
 // setGuards writes the −∞ guard cells around a freshly computed window of
 // the given width. O(1) per antidiagonal; it is what lets the inner loops
 // read neighbors without window checks.
-func setGuards[S score](buf []S, width int, negInf S) {
-	buf[0], buf[1] = negInf, negInf
-	buf[width+bufPad], buf[width+bufPad+1] = negInf, negInf
+func setGuards(buf []int32, width int) {
+	buf[0], buf[1] = negInf32, negInf32
+	buf[width+bufPad], buf[width+bufPad+1] = negInf32, negInf32
 }
 
 // rowLanes is the width of the assembly's vectors (row_amd64.s) in int32
@@ -110,12 +103,12 @@ func RowISA() string {
 
 // growBuf returns a buffer holding n window cells plus the guards (and
 // rowSlack spare capacity), reusing b's storage when it is large enough.
-func growBuf[S score](b []S, n int) []S {
+func growBuf(b []int32, n int) []int32 {
 	n += 2 * bufPad
 	if cap(b) >= n+rowSlack {
 		return b[:n]
 	}
-	return make([]S, n, n+rowSlack)
+	return make([]int32, n, n+rowSlack)
 }
 
 // firstEq returns the index of the first cell of row holding v, which the
@@ -123,7 +116,7 @@ func growBuf[S score](b []S, n int) []S {
 // only when its position is needed — the row sets a new best, or the δb
 // clamp re-centres on it — with the first-wins tie-breaking of a scalar
 // best chain.
-func firstEq[S score](row []S, v S) int {
+func firstEq(row []int32, v int32) int {
 	k := 0
 	for row[k] != v {
 		k++
@@ -132,17 +125,15 @@ func firstEq[S score](row []S, v S) int {
 }
 
 // pruneLimit returns the X-Drop cutoff T−X for the current antidiagonal,
-// clamped so that a pruned cell (negInf) plus any per-symbol score still
+// clamped so that a pruned cell (negInf32) plus any per-symbol score still
 // compares below it — i.e. pruned cells can never resurrect, even for
-// enormous X. On the narrow tier the clamp never engages: narrowEligible
-// keeps T−X ≥ −maxNarrowX > negInf16/2, so the limit is the same integer
-// at both widths (see the bit-identity contract in tier.go).
-func pruneLimit[S score](t S, x int, negInf S) S {
+// enormous X.
+func pruneLimit(t int32, x int) int32 {
 	l := int(t) - x
-	if l < int(negInf)/2 {
-		return negInf / 2
+	if l < int(negInf32)/2 {
+		return negInf32 / 2
 	}
-	return S(l)
+	return int32(l)
 }
 
 // seqPad is the number of pad bytes staged on each side of a sweep-order
@@ -199,96 +190,71 @@ func place(seq, src []byte, reverse bool) {
 	}
 }
 
-// scoreBufs is one score width's rotating antidiagonal buffers: the three
-// H rows (the linear sweep's in-place layout touches only b1 and b2) and
-// the affine E/F channel pairs.
-type scoreBufs[S score] struct {
-	b0, b1, b2     []S
-	e0, e1, f0, f1 []S
+// scoreBufs is one lane's rotating antidiagonal buffers: the three H rows
+// (the linear sweep's in-place layout touches only b1 and b2) and the
+// affine E/F channel pairs.
+type scoreBufs struct {
+	b0, b1, b2     []int32
+	e0, e1, f0, f1 []int32
 }
 
 // Workspace holds reusable DP buffers so a long-lived aligner (one per
 // simulated IPU thread) performs no per-alignment allocation. The zero
 // value is ready to use; buffers grow on demand.
 type Workspace struct {
-	wide scoreBufs[int32]
-	// Narrow-tier (int16) buffers; allocated only when a narrow sweep
-	// actually runs, so wide-only workloads pay nothing.
-	narrow scoreBufs[int16]
+	// wide is the score sweeps' buffers, and the recording's.
+	wide scoreBufs
 	// hq and vq stage the padded sweep-order operands (operands).
 	hq, vq []byte
 	// The queue of ExtendBatch (sweepBatch): alt is the second lane's score
 	// buffers (the first lane's are wide's), arena the staged operands of
-	// every queued side, states their sweep states, queued their indices.
-	alt    scoreBufs[int32]
+	// every queued side, states their sweep states.
+	alt    scoreBufs
 	arena  []byte
 	states []sweepState
-	queued []int
 	// tb is the recording sweeps' direction state (window index, packed
 	// direction codes); see traceback.go. Untouched by the score pass.
 	tb tracer
 }
 
 // Trim releases every buffer of the workspace that grew past retainBytes:
-// the score buffers of both widths and both lanes, the staged operands,
-// ExtendBatch's arena and states, and the recording buffers. A pooled
+// the score buffers of both lanes, the staged operands, ExtendBatch's
+// arena and states, and the recording buffers. A pooled
 // workspace calls it between units of work, so that one outlier extension
 // — a Standard3 buffer grows with min(m, n), the arena with a whole tile's
 // operands — does not stay pinned on it.
 func (w *Workspace) Trim() {
-	for _, b := range [...]*scoreBufs[int32]{&w.wide, &w.alt} {
-		trimBufs(b)
+	for _, b := range [...]*scoreBufs{&w.wide, &w.alt} {
+		for _, s := range [...]*[]int32{&b.b0, &b.b1, &b.b2, &b.e0, &b.e1, &b.f0, &b.f1} {
+			if cap(*s)*scoreBytes > retainBytes {
+				*s = nil
+			}
+		}
 	}
-	trimBufs(&w.narrow)
-	w.hq, w.vq = retained(w.hq), retained(w.vq)
-	if w.arena = retained(w.arena); w.arena == nil {
+	for _, s := range [...]*[]byte{&w.hq, &w.vq, &w.arena} {
+		if cap(*s) > retainBytes {
+			*s = nil
+		}
+	}
+	if w.arena == nil {
 		clear(w.states[:cap(w.states)]) // the states point into the arena
 	}
-	w.states, w.queued = retained(w.states), retained(w.queued)
+	if cap(w.states)*int(unsafe.Sizeof(sweepState{})) > retainBytes {
+		w.states = nil
+	}
 	w.tb.trim()
 }
 
-func trimBufs[S score](b *scoreBufs[S]) {
-	for _, s := range [...]*[]S{&b.b0, &b.b1, &b.b2, &b.e0, &b.e1, &b.f0, &b.f1} {
-		*s = retained(*s)
-	}
-}
-
-// retained is s, or nil when its array is larger than retainBytes.
-func retained[T any](s []T) []T {
-	if cap(s)*int(unsafe.Sizeof(*new(T))) > retainBytes {
-		return nil
-	}
-	return s
-}
-
-// sweepWide runs the score sweep of p.Algo's recurrence on int32 buffers
-// into *res. The saturation guard is a value no int32 can exceed, so the
-// sweep always completes.
-func (w *Workspace) sweepWide(h, v View, p *Params, res *Result) {
+// sweep runs the score sweep of p.Algo's recurrence into *res, the whole
+// of it: one affine sweep, or one linear sweep that serves both the
+// Restricted2 and the Standard3 buffer layout.
+func (w *Workspace) sweep(h, v View, p *Params, res *Result) {
 	hq, vq := w.operands(h, v)
-	sweep(&w.wide, hq, vq, p, negInf32, math.MaxInt32, res)
-}
-
-// sweepNarrow runs the same sweep on int16 buffers; it reports false when
-// the saturation guard fired and the caller must promote to the wide tier.
-func (w *Workspace) sweepNarrow(h, v View, p *Params, res *Result) bool {
-	hq, vq := w.operands(h, v)
-	ok := sweep(&w.narrow, hq, vq, p, negInf16, satGuard16, res)
-	res.Stats.Narrow = ok
-	return ok
-}
-
-// sweep dispatches on the recurrence: one affine sweep, one linear sweep
-// that serves both the Restricted2 and the Standard3 buffer layout. hq
-// and vq are the sweep-order operands (see operands). The Result of the
-// extension is written to *res, the whole of it; both sweeps report false
-// on int16 saturation, *res zeroed.
-func sweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, guard S, res *Result) bool {
 	if p.Algo == AlgoAffine {
-		return affineSweep(b, hq, vq, p, negInf, guard, res)
+		affineSweep(&w.wide, hq, vq, p, res)
+		return
 	}
-	return linearSweep(b, hq, vq, p, negInf, guard, nil, res)
+	linearSweep(&w.wide, hq, vq, p, nil, res)
 }
 
 // statAcc accumulates the per-antidiagonal trace counters in plain locals

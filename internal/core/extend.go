@@ -79,43 +79,30 @@ func (s *Side) views() (h, v View) {
 
 // ExtendBatch runs the score extension of every side under p and writes
 // its Result to out[i], the one ExtendLeft or ExtendRight returns for that
-// side alone. The sides of the resident int32 sweep (rowVec: Restricted2
-// and Standard3 on the wide tier) run as one queue on two interleaved
-// lanes (sweepBatch); every other side — the narrow tier, affine, a build
-// without the assembly — runs through align on its own.
+// side alone. On the resident sweep (rowVec: Restricted2 and Standard3)
+// the sides run as one queue on two interleaved lanes (sweepBatch);
+// otherwise — affine, a build without the assembly — each runs through
+// align on its own.
 func (w *Workspace) ExtendBatch(p *Params, sides []Side, out []Result) {
 	out = out[:len(sides)]
-	queued := w.queued[:0]
+	if rowVec && p.Algo != AlgoAffine {
+		if len(sides) > 0 {
+			w.sweepBatch(p, sides, out)
+		}
+		return
+	}
 	for i := range sides {
 		h, v := sides[i].views()
-		if rowVec && p.Algo != AlgoAffine && !useNarrow(h.Len(), v.Len(), p) {
-			queued = append(queued, i)
-			continue
-		}
 		w.align(h, v, p, &out[i])
-	}
-	w.queued = queued
-	if len(queued) > 0 {
-		w.sweepBatch(p, sides, queued, out)
 	}
 }
 
-// align resolves the tier for one extension and runs p.Algo's score
-// sweep at that width into *res. The chain below it takes p and res by
+// align runs p.Algo's score sweep for one extension into *res and derives
+// its tier outcome (narrowOutcome). The chain below it takes p and res by
 // pointer, so an extension copies neither on its way to the kernel.
 func (w *Workspace) align(hv, vv View, p *Params, res *Result) {
-	if !useNarrow(hv.Len(), vv.Len(), p) {
-		w.sweepWide(hv, vv, p, res)
-		return
-	}
-	if w.sweepNarrow(hv, vv, p, res) {
-		return
-	}
-	// The narrow attempt saturated int16: discard it wholesale and
-	// transparently re-run on the wide tier (the promotion contract of
-	// tier.go). The result and stats are the wide run's.
-	w.sweepWide(hv, vv, p, res)
-	res.Stats.Promoted = true
+	w.sweep(hv, vv, p, res)
+	narrowOutcome(hv.Len(), vv.Len(), p, res)
 }
 
 // SeedScore sums the similarity over the seed region. For an exact k-mer

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"math"
 	"unsafe"
 
 	"github.com/sram-align/xdropipu/internal/alignment"
@@ -22,17 +21,16 @@ import (
 // the returned Result is bit-identical to the score sweep's in every
 // field, including the trace counters.
 //
-// Eligibility for the fused schedule (FusedEligible): extensions that
-// score on the int32 tier only. Narrow (int16) extensions keep the
-// two-pass schedule — fusing them would change the batch tier counters.
-// Because the Result is the score sweep's, an eligible extension never
-// needs a separate score pass on the host: the tile kernel sweeps every
-// ungated eligible extension once, here. Whether the modeled device fuses
-// or pays a score pass plus a second pass is ipukernel's decision
-// (Config.fusedExtension), made on SRAM grounds: a fused recording lives
-// on its thread for the whole scoring pass, so the SRAM model charges one
-// direction arena per thread (ipukernel.TileMemoryBytes) instead of the
-// single serialized second-pass arena.
+// Because the Result is the score sweep's — the narrow tier's outcome
+// included (narrowOutcome) — a traced extension never needs a separate
+// score pass on the host: the tile kernel sweeps every ungated traced
+// extension once, here. Whether the modeled device fuses or pays a score
+// pass plus a second pass is ipukernel's decision (Config.fusedExtension):
+// it fuses only FusedEligible extensions, and then on SRAM grounds — a
+// fused recording lives on its thread for the whole scoring pass, so the
+// SRAM model charges one direction arena per thread
+// (ipukernel.TileMemoryBytes) instead of the single serialized
+// second-pass arena.
 //
 // AlgoAffine is score-only: the paper's kernel is linear-gap, and affine
 // gaps serve only as the ksw2 baseline's score. Every recording entry
@@ -42,9 +40,11 @@ import (
 // scores but does not record.
 var ErrAffineTraceback = errors.New("core: traceback records linear-gap extensions only; AlgoAffine is score-only")
 
-// FusedEligible reports whether an m×n extension under p can use the
-// fused single-pass schedule: linear-gap extensions scored by the wide
-// (int32) sweep only. Narrow-tier extensions keep the two-pass schedule.
+// FusedEligible reports whether the modeled device may record an m×n
+// extension under p in its scoring pass (the fused single-pass schedule):
+// linear-gap extensions scored at int32 only. The device keeps the
+// two-pass schedule for narrow-tier extensions, whose int16 score pass
+// cannot record; the host records either kind in one sweep.
 func FusedEligible(m, n int, p Params) bool {
 	return !useNarrow(m, n, &p)
 }
@@ -106,16 +106,18 @@ func (w *Workspace) FusedExtendLeft(h, v []byte, hOff, vOff int, p Params) (Resu
 // fusedLinear is the linear-gap recording sweep (Restricted2 / Standard3
 // window semantics, selected by p.Algo through linearCapacity): it opens
 // the recording with antidiagonal 0's one cell and runs linearSweep with
-// the tracer, whose every row then also records (see linearSweep).
+// the tracer, whose every row then also records (see linearSweep). Its
+// Result is the score sweep's in every field, the tier outcome included.
 func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 	tb := &w.tb
 	tb.reset(h.Len() + v.Len() + 1)
 	tb.setCode(tb.beginDiag(0, 1), 0, codeNone)
 	hq, vq := w.operands(h, v)
 	var res Result
-	if !linearSweep(&w.wide, hq, vq, &p, negInf32, math.MaxInt32, tb, &res) {
+	if !linearSweep(&w.wide, hq, vq, &p, tb, &res) {
 		return Result{}, Trace{}, ErrTraceTooLarge
 	}
+	narrowOutcome(h.Len(), v.Len(), &p, &res)
 	return res, tb.trace(res), nil
 }
 
@@ -138,7 +140,7 @@ func (tb *tracer) trace(r Result) Trace {
 // extension ends, its row budget (sweepRows) is spent, or the next row does
 // not fit in dirs. The code stream's part byte is read back when a call
 // opens the stream and written back when it returns.
-func (tb *tracer) recordResident(b *scoreBufs[int32], hq, vq []byte, p *Params, capacity int, acc statAcc, res *Result) bool {
+func (tb *tracer) recordResident(b *scoreBufs, hq, vq []byte, p *Params, capacity int, acc statAcc, res *Result) bool {
 	var st sweepState
 	st.begin(hq, vq, p, capacity, acc)
 	st.bind(b.b1, b.b2, b.b0)

@@ -11,10 +11,11 @@ import (
 )
 
 // Kernel-level micro-benchmarks: single-core Mcells/s of each variant at
-// each score width, on the same 2000bp/15%-error workload as the facade
+// each kernel tier, on the same 2000bp/15%-error workload as the facade
 // benchmarks. The per-layer metrics core.restricted2.mcells_per_s and
 // core.restricted2_narrow.mcells_per_s in BENCHMARK.json time the same
-// two tiers on the benchmark's own pairs.
+// two tiers on the benchmark's own pairs. Both tiers run the one int32
+// sweep; the narrow one adds only its outcome (narrowOutcome).
 
 func benchKernelPair(n int, errRate float64) ([]byte, []byte) {
 	rng := rand.New(rand.NewSource(42))
@@ -169,7 +170,8 @@ func benchKernelBatch(b *testing.B, pairs [][2]View, p Params) {
 // benchKernelWorkload runs the linear variants over one workload profile's
 // pairs: the two int32 score layouts — Restricted2's also as one queue of
 // all the pairs (Restricted2WideBatch), so that one process reads one lane
-// against two — the int16 tier, the recording sweep alone
+// against two — the narrow tier (the same sweep plus its modeled
+// outcome), the recording sweep alone
 // (RecordSweepRestricted2Wide: rows, direction codes and packing, with no
 // walk and no CIGAR, so that one process reads a recording row against a
 // score row), and a whole traced extension (RecordRestricted2Wide: what it

@@ -12,12 +12,12 @@ func Restricted2(h, v View, p Params) Result {
 
 // Restricted2 is the paper's contribution (§3): an X-Drop extension that
 // stores only two antidiagonals of bounded length δb (2δb scores total
-// instead of Standard3's 3δ). It is linearSweep's in-place layout on the
-// int32 tier.
+// instead of Standard3's 3δ). It is linearSweep's in-place layout, at the
+// wide tier.
 func (w *Workspace) Restricted2(h, v View, p Params) Result {
 	p.Algo = AlgoRestricted2
 	var r Result
-	w.sweepWide(h, v, &p, &r)
+	w.sweep(h, v, &p, &r)
 	return r
 }
 
@@ -30,12 +30,12 @@ func Standard3(h, v View, p Params) Result {
 
 // Standard3 runs Zhang's three-antidiagonal X-Drop extension using the
 // workspace buffers. Memory footprint is 3δ scores, δ = min(m,n)+1
-// (Fig. 3, left). It is linearSweep's three-buffer layout on the int32
+// (Fig. 3, left). It is linearSweep's three-buffer layout, at the wide
 // tier.
 func (w *Workspace) Standard3(h, v View, p Params) Result {
 	p.Algo = AlgoStandard3
 	var r Result
-	w.sweepWide(h, v, &p, &r)
+	w.sweep(h, v, &p, &r)
 	return r
 }
 
@@ -49,8 +49,8 @@ func linearCapacity(m, n int, p *Params) int {
 	return delta
 }
 
-// linearSweep is the linear-gap X-Drop sweep, written once for both score
-// widths, both buffer layouts and both row kinds.
+// linearSweep is the linear-gap X-Drop sweep, written once for both buffer
+// layouts and both row kinds.
 //
 // The recurrence is walked the way the paper's Algorithm 1 states it:
 //
@@ -74,11 +74,11 @@ func linearCapacity(m, n int, p *Params) int {
 // buffers touched. The carry is then redundant but harmless, and with
 // δb ≥ δw the two layouts compute identical cells (§6.1).
 //
-// Recording is the other per-extension choice (tb non-nil, int32 only;
-// fusedLinear). Every row is then also a recording row: it opens its
-// window in tb (beginDiag), stores the peeled boundary cells' direction
-// codes with setCode, and runs its interior through the scalar direction
-// rule into the unpacked codes row, which packRow packs. A recording
+// Recording is the other per-extension choice (tb non-nil; fusedLinear).
+// Every row is then also a recording row: it opens its window in tb
+// (beginDiag), stores the peeled boundary cells' direction codes with
+// setCode, and runs its interior through the scalar direction rule into
+// the unpacked codes row, which packRow packs. A recording
 // rotates three buffers in either layout — the rotation sweepLinearVec's
 // recording kind is bound to (tracer.recordResident) — and WorkBytes stays
 // the score layout's: the recording's own footprint is Trace.TraceBytes.
@@ -96,16 +96,15 @@ func linearCapacity(m, n int, p *Params) int {
 // the row sets a new best (or the δb clamp needs the previous one), and
 // trace counters accumulate in locals (statAcc), flushed once at the end.
 //
-// Two bodies. The Go loop below is the sweep for both score widths, every
-// GOARCH and the purego build tag. On amd64 with AVX2 (rowVec; see
-// row_amd64.go) the int32 instantiation instead runs the whole loop, first
-// row to last, inside sweepLinearVec (row_amd64.s) — the paper's codelet
-// shape: one resident kernel per extension, not one call per row — eight
-// cells per instruction, the last vector of a row masked, the similarity
-// in the form the scorer allows (rowSim), the direction codes of a
-// recording row taken from the compare masks the row computes anyway. The
-// assembly is this loop statement for statement; the differences are of
-// form only:
+// Two bodies. The Go loop below is the sweep for every GOARCH and the
+// purego build tag. On amd64 with AVX2 (rowVec; see row_amd64.go) the
+// whole loop instead runs, first row to last, inside sweepLinearVec
+// (row_amd64.s) — the paper's codelet shape: one resident kernel per
+// extension, not one call per row — eight cells per instruction, the last
+// vector of a row masked, the similarity in the form the scorer allows
+// (rowSim), the direction codes of a recording row taken from the compare
+// masks the row computes anyway. The assembly is this loop statement for
+// statement; the differences are of form only:
 //
 //   - It peels no boundary cell. With −∞ guards on both sides of every
 //     stored row and the operands staged between pad bytes, the general
@@ -124,13 +123,11 @@ func linearCapacity(m, n int, p *Params) int {
 // (TestSweepKernelMatchesGeneric, TestVectorSweepMatchesGenericSweep,
 // TestVectorRecordMatchesGenericRecord).
 //
-// It writes the extension's Result to *res and reports false when the
-// attempt is void, *res zeroed: an antidiagonal's best value exceeded
-// guard (int16 saturation, see tier.go), and the caller must re-run on
-// the wide tier; or a recording row would pass maxTraceCells, on the
-// antidiagonal beginDiag refuses, and the recording fails with
-// ErrTraceTooLarge.
-func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, guard S, tb *tracer, res *Result) bool {
+// It writes the extension's Result to *res and reports false, *res zeroed,
+// only when a recording row would pass maxTraceCells: on the antidiagonal
+// beginDiag refuses the recording fails with ErrTraceTooLarge. A score
+// sweep always completes.
+func linearSweep(b *scoreBufs, hq, vq []byte, p *Params, tb *tracer, res *Result) bool {
 	m, n := len(hq), len(vq)
 	capacity := linearCapacity(m, n, p)
 	nbuf := 2
@@ -154,35 +151,34 @@ func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, gua
 
 	*res = Result{Stats: Stats{
 		TheoreticalCells: int64(m) * int64(n),
-		WorkBytes:        nbuf * capacity * int(unsafe.Sizeof(negInf)),
+		WorkBytes:        nbuf * capacity * scoreBytes,
 	}}
 
 	tab := p.Scorer.Table()
-	gap := S(p.Gap)
+	gap := int32(p.Gap)
 
-	seedDiag(d1b, 0, negInf)
-	seedDiag(d2b, negInf, negInf)
+	seedDiag(d1b, 0)
+	seedDiag(d2b, negInf32)
 	d1cl, d1lo, d1hi := 0, 0, 0
 	d2cl := 0
 
 	var acc statAcc
 	acc.observe(1, 1)
 
-	if wide, ok := any(b).(*scoreBufs[int32]); ok && rowVec {
+	if rowVec {
 		// The resident vector sweep runs the loop below, row for row, and
 		// leaves the same cells in the same buffers (and the same
-		// recording). No int32 exceeds the wide tier's guard, so a score
-		// sweep always completes.
+		// recording).
 		if tb != nil {
-			return tb.recordResident(wide, hq, vq, p, capacity, acc, res)
+			return tb.recordResident(b, hq, vq, p, capacity, acc, res)
 		}
-		sweepResident(wide, hq, vq, p, capacity, acc, res)
+		sweepResident(b, hq, vq, p, capacity, acc, res)
 		return true
 	}
 
-	best, t := S(0), S(0)
+	best, t := int32(0), int32(0)
 	bestI, bestD := 0, 0
-	d1best := S(0) // the maximum of antidiagonal d−1
+	d1best := int32(0) // the maximum of antidiagonal d−1
 
 	for d := 1; d <= m+n; d++ {
 		cl := max(d1lo, max(0, d-n))
@@ -215,11 +211,11 @@ func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, gua
 			}
 		}
 
-		limit := pruneLimit(t, p.X, negInf)
+		limit := pruneLimit(t, p.X)
 		// rowBest tracks only the value in the hot loops (a single
 		// compare-and-move); its index is recovered by firstEq, and only
 		// when needed.
-		rowBest := negInf
+		rowBest := negInf32
 		lo, hi := -1, -1
 		o1 := bufPad - d1cl
 		o2 := bufPad - d2cl
@@ -235,7 +231,7 @@ func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, gua
 			wnew := d2b[o2]
 			s, c := d1b[o1]+gap, codeLeft
 			if s < limit {
-				s, c = negInf, codeNone
+				s, c = negInf32, codeNone
 			}
 			if s > rowBest {
 				rowBest = s
@@ -268,7 +264,7 @@ func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, gua
 			if tb != nil {
 				codeRow := tb.growCodes(cnt)
 				for k := range outRow {
-					s := wlast + S(tab[hRow[k]][vRow[k]])
+					s := wlast + int32(tab[hRow[k]][vRow[k]])
 					wlast = d2v[k]
 					c := codeDiag
 					drv := d1r[k]
@@ -285,7 +281,7 @@ func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, gua
 					}
 					dlv = drv
 					if s < limit {
-						s, c = negInf, codeNone
+						s, c = negInf32, codeNone
 					}
 					if s > rowBest {
 						rowBest = s
@@ -301,25 +297,25 @@ func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, gua
 				k := 0
 				for ; k+1 < cnt; k += 2 {
 					w0, w1 := d2v[k], d2v[k+1]
-					s0 := wlast + S(tab[hRow[k]][vRow[k]])
+					s0 := wlast + int32(tab[hRow[k]][vRow[k]])
 					drv0 := d1r[k]
 					if g := max(dlv, drv0) + gap; g > s0 {
 						s0 = g
 					}
 					if s0 < limit {
-						s0 = negInf
+						s0 = negInf32
 					}
 					if s0 > rowBest {
 						rowBest = s0
 					}
 					outRow[k] = s0
-					s1 := w0 + S(tab[hRow[k+1]][vRow[k+1]])
+					s1 := w0 + int32(tab[hRow[k+1]][vRow[k+1]])
 					drv1 := d1r[k+1]
 					if g := max(drv0, drv1) + gap; g > s1 {
 						s1 = g
 					}
 					if s1 < limit {
-						s1 = negInf
+						s1 = negInf32
 					}
 					if s1 > rowBest {
 						rowBest = s1
@@ -329,12 +325,12 @@ func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, gua
 					wlast = w1
 				}
 				if k < cnt {
-					s := wlast + S(tab[hRow[k]][vRow[k]])
+					s := wlast + int32(tab[hRow[k]][vRow[k]])
 					if g := max(dlv, d1r[k]) + gap; g > s {
 						s = g
 					}
 					if s < limit {
-						s = negInf
+						s = negInf32
 					}
 					if s > rowBest {
 						rowBest = s
@@ -349,7 +345,7 @@ func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, gua
 			// the up move (gap in V) of the direction codes.
 			s, c := d1b[i-1+o1]+gap, codeUp
 			if s < limit {
-				s, c = negInf, codeNone
+				s, c = negInf32, codeNone
 			}
 			if s > rowBest {
 				rowBest = s
@@ -359,25 +355,21 @@ func linearSweep[S score](b *scoreBufs[S], hq, vq []byte, p *Params, negInf, gua
 				tb.setCode(dbase, i-cl, c)
 			}
 		}
-		if rowBest > guard {
-			*res = Result{}
-			return false
-		}
-		setGuards(out, width, negInf)
+		setGuards(out, width)
 
 		// Recover the live sub-window and the row maximum from the
 		// stored row: cheaper than branching on liveness and best-so-far
 		// per cell inside the DP loop.
 		row := out[bufPad:][:width]
 		for k := 0; k < width; k++ {
-			if row[k] != negInf {
+			if row[k] != negInf32 {
 				lo = cl + k
 				break
 			}
 		}
 		if lo >= 0 {
 			for k := width - 1; ; k-- {
-				if row[k] != negInf {
+				if row[k] != negInf32 {
 					hi = cl + k
 					break
 				}
@@ -500,7 +492,7 @@ func (st *sweepState) begin(hq, vq []byte, p *Params, capacity int, acc statAcc)
 	st.m, st.n, st.capacity = len(hq), len(vq), capacity
 	st.gap, st.x = int32(p.Gap), int32(min(p.X, 1<<30))
 	st.vd = uintptr(unsafe.Pointer(st.vq)) + uintptr(st.n) - 1
-	st.limit = pruneLimit(0, p.X, negInf32)
+	st.limit = pruneLimit(0, p.X)
 	st.acc = acc
 }
 
@@ -603,12 +595,12 @@ func (st *sweepState) rowWidth() int {
 	return min(min(st.d1hi+1, st.m)-max(st.d1lo, d-st.n)+1, st.capacity)
 }
 
-// sweepResident runs the antidiagonal loop of a score linearSweep's int32
-// instantiation in sweepLinearVec, from the state linearSweep has set up:
+// sweepResident runs the antidiagonal loop of a score linearSweep in
+// sweepLinearVec, from the state linearSweep has set up:
 // b1 and b2 grown and seeded with antidiagonals 0 and −1, b0 grown when
 // the layout is Standard3's, acc holding antidiagonal 0. It is a queue of
 // one: the second lane stays empty.
-func sweepResident(b *scoreBufs[int32], hq, vq []byte, p *Params, capacity int, acc statAcc, res *Result) {
+func sweepResident(b *scoreBufs, hq, vq []byte, p *Params, capacity int, acc statAcc, res *Result) {
 	out := b.b2
 	if p.Algo == AlgoStandard3 {
 		out = b.b0
@@ -620,16 +612,15 @@ func sweepResident(b *scoreBufs[int32], hq, vq []byte, p *Params, capacity int, 
 	st[0].finish(res)
 }
 
-// sweepBatch runs the extensions of sides[queued] (wide-tier, linear,
-// rowVec) as one queue of sweepLinearVec's score kind and writes each
-// Result to out. Their operands are staged once, back to back, in the
-// workspace's arena — each between seqPad pad bytes, which neighbours
+// sweepBatch runs the extensions of sides (linear, rowVec) as one queue of sweepLinearVec's score kind and writes each Result, with its
+// tier outcome, to out. Their operands are staged once, back to back, in
+// the workspace's arena — each between seqPad pad bytes, which neighbours
 // share — and the two lanes are the workspace's wide buffers and alt's,
 // each grown to the largest capacity in the queue; Stats.WorkBytes is
 // still each extension's own, as linearSweep computes it.
-func (w *Workspace) sweepBatch(p *Params, sides []Side, queued []int, out []Result) {
+func (w *Workspace) sweepBatch(p *Params, sides []Side, out []Result) {
 	size, capacity := seqPad, 0
-	for _, i := range queued {
+	for i := range sides {
 		h, v := sides[i].views()
 		size += h.Len() + v.Len() + 2*seqPad
 		capacity = max(capacity, linearCapacity(h.Len(), v.Len(), p))
@@ -638,10 +629,10 @@ func (w *Workspace) sweepBatch(p *Params, sides []Side, queued []int, out []Resu
 		w.arena = make([]byte, size)
 	}
 	arena := w.arena[:size]
-	if cap(w.states) < len(queued) {
-		w.states = make([]sweepState, len(queued))
+	if cap(w.states) < len(sides) {
+		w.states = make([]sweepState, len(sides))
 	}
-	states := w.states[:len(queued)]
+	states := w.states[:len(sides)]
 
 	nbuf := 2
 	if p.Algo == AlgoStandard3 {
@@ -659,18 +650,18 @@ func (w *Workspace) sweepBatch(p *Params, sides []Side, queued []int, out []Resu
 		off += seqPad
 		return seq
 	}
-	for k, i := range queued {
+	for i := range sides {
 		h, v := sides[i].views()
 		hq, vq := staged(h.data, h.rev), staged(v.data, !v.rev)
 		c := linearCapacity(len(hq), len(vq), p)
-		states[k] = sweepState{}
-		states[k].begin(hq, vq, p, c, acc)
+		states[i] = sweepState{}
+		states[i].begin(hq, vq, p, c, acc)
 		out[i] = Result{Stats: Stats{
 			TheoreticalCells: int64(len(hq)) * int64(len(vq)),
 			WorkBytes:        nbuf * c * scoreBytes,
 		}}
 	}
-	lanes := [2]*scoreBufs[int32]{&w.wide, &w.alt}
+	lanes := [2]*scoreBufs{&w.wide, &w.alt}
 	for l := range min(len(lanes), len(states)) {
 		b := lanes[l]
 		b.b1 = growBuf(b.b1, capacity)
@@ -680,12 +671,13 @@ func (w *Workspace) sweepBatch(p *Params, sides []Side, queued []int, out []Resu
 			b.b0 = growBuf(b.b0, capacity)
 			first = b.b0
 		}
-		seedDiag(b.b1, 0, negInf32)
-		seedDiag(b.b2, negInf32, negInf32)
+		seedDiag(b.b1, 0)
+		seedDiag(b.b2, negInf32)
 		states[l].bind(b.b1, b.b2, first)
 	}
 	runQueue(states)
-	for k, i := range queued {
-		states[k].finish(&out[i])
+	for i := range states {
+		states[i].finish(&out[i])
+		narrowOutcome(states[i].m, states[i].n, p, &out[i])
 	}
 }

@@ -173,7 +173,7 @@ func (w *replayOracle) traceLinear(h, v View, p Params) (Trace, error) {
 			cl = ncl
 			cu = cl + capacity - 1
 		}
-		limit := pruneLimit(t, p.X, negInf32)
+		limit := pruneLimit(t, p.X)
 		width := cu - cl + 1
 		out := grow32(spare, width)
 		rowBest, rowBestI := negInf32, -1

@@ -164,9 +164,9 @@ func checkSweep(t testing.TB, hv, vv View, p Params, front bool) Result {
 	seatWorkspace(&vec, &g, front, hv.Len(), vv.Len(), p)
 	seatWorkspace(&gen, nil, front, hv.Len(), vv.Len(), p)
 	rowVec = true
-	got := vec.sweptWide(hv, vv, p)
+	got := vec.swept(hv, vv, p)
 	rowVec = false
-	want := gen.sweptWide(hv, vv, p)
+	want := gen.swept(hv, vv, p)
 
 	if got != want {
 		t.Errorf("%v front=%v h.rev=%v v.rev=%v:\n sweepLinearVec %+v\n Go loop        %+v", p, front, hv.rev, vv.rev, got, want)
@@ -313,7 +313,7 @@ func TestSweepResumesEveryRow(t *testing.T) {
 	sweepAll := func(rows int, hv, vv View, p Params) (s swept) {
 		sweepRows = rows
 		var w, rw Workspace
-		s.score = w.sweptWide(hv, vv, p)
+		s.score = w.swept(hv, vv, p)
 		s.rec, s.tr, s.err = rw.fusedLinear(hv, vv, p)
 		s.bufs = [3][]int32{whole(w.wide.b0), whole(w.wide.b1), whole(w.wide.b2)}
 		s.recBufs = [3][]int32{whole(rw.wide.b0), whole(rw.wide.b1), whole(rw.wide.b2)}

@@ -2,53 +2,49 @@ package core
 
 import "math"
 
-// The narrow kernel tier is the int16 instantiation of the generic score
-// sweeps (dp.go, linear.go, affine.go): the same bodies as the int32 tier
-// on half the working-buffer traffic (mirroring ksw2/SSW's 16-bit
-// lanes). Overflow is handled the standard ksw2 way — a cheap headroom
-// precheck plus a runtime saturation guard, tested once per antidiagonal,
-// that makes the sweep bail out so the caller transparently re-runs the
-// extension on the int32 instantiation.
+// The narrow kernel tier is a score width of the modeled device, not a
+// second host sweep. On the device a narrow-tier extension runs on int16
+// buffers — half the working-buffer bytes, like ksw2/SSW's 16-bit lanes —
+// under a runtime guard that abandons the attempt once an antidiagonal's
+// best exceeds satGuard16 and re-runs the extension on int32. The host runs
+// every extension on the one int32 sweep and derives that outcome from its
+// Result (narrowOutcome).
 //
-// Bit-identity contract. A narrow run that completes (does not saturate)
-// returns exactly the int32 tier's Result. The argument:
+// The derivation is exact. An int16 sweep computes the int32 sweep's rows,
+// cell for cell, until an antidiagonal's best exceeds satGuard16:
 //
-//   - Eligibility bounds X ≤ maxNarrowX (4095) and |Gap|,|GapOpen| ≤
-//     maxNarrowGap (1024). With T ≥ 0 always, the prune limit T−X stays
-//     in [−4095, satGuard16] on both tiers, so neither tier's pruneLimit
-//     clamp ever engages and the limits are equal integers.
-//   - Live cell values are identical exact integers in both widths: the
-//     saturation guard bails before any value can exceed
-//     satGuard16 + maxSim < MaxInt16, and live values are ≥ T−X ≥ −4095,
-//     far from MinInt16 even after a gap penalty.
-//   - Pruned cells store the width's own sentinel (negInf16 vs negInf32).
-//     Sentinel-derived candidates lose every comparison against a
-//     live-derived candidate in both widths (a live predecessor is
-//     ≥ −4095, so live−|gap|−maxSim ≥ −5247 > negInf16+maxSim = −8065),
-//     and a cell whose candidates are all sentinel-derived re-prunes in
-//     both widths (−8065 < −4095 ≤ limit). So prune decisions, the live
-//     window [lo,hi], rowBest and its first-wins index — and therefore
-//     every Stats counter and the final Score/EndH/EndV — coincide.
+//   - Eligibility (narrowEligible) bounds X ≤ maxNarrowX and |Gap|, |GapOpen|
+//     ≤ maxNarrowGap, so the prune limit T−X ≥ −4095 never reaches either
+//     width's pruneLimit clamp, and live values, gap penalties and the
+//     int16 sentinel (MinInt16/4) stay exact: the guard's 512-point margin
+//     covers one antidiagonal's growth.
+//   - A sentinel-derived candidate loses to every live-derived one, and a
+//     cell with only sentinel-derived candidates re-prunes, at either
+//     width; so prune decisions, the live window, each antidiagonal's best
+//     and its first-wins index — every Stats counter, Score, EndH and EndV
+//     — coincide.
 //
-// When the guard does fire the partial narrow attempt is discarded
-// wholesale (values, stats, everything) and the extension re-runs wide;
-// Result.Stats.Promoted records the event.
+// The Score is the largest of those antidiagonal bests, so the int16
+// attempt completes exactly when Score ≤ satGuard16. Its Result is then
+// the int32 Result with WorkBytes at 2-byte scores (Stats.Narrow);
+// otherwise the device promotes, and the Result is the int32 one
+// (Stats.Promoted).
 
-// Tier selects the kernel score width. The zero value is TierWide — the
-// int32 instantiation — so existing configurations and goldens are
+// Tier selects the modeled device's kernel score width. The zero value is
+// TierWide — int32 scores — so existing configurations and goldens are
 // unchanged unless a caller opts in.
 type Tier uint8
 
 const (
-	// TierWide runs the int32 sweeps unconditionally.
+	// TierWide models int32 scores unconditionally.
 	TierWide Tier = iota
-	// TierNarrow attempts the int16 sweeps whenever the parameters are
+	// TierNarrow attempts int16 scores whenever the parameters are
 	// narrow-eligible, relying on the runtime saturation guard (and the
-	// transparent int32 promotion) for overflow safety.
+	// int32 promotion) for overflow safety.
 	TierNarrow
-	// TierAuto attempts the int16 sweeps only when the per-extension
-	// headroom precheck proves saturation impossible, so an Auto run
-	// never promotes and its SRAM footprint is certifiably narrow.
+	// TierAuto attempts int16 scores only when the per-extension headroom
+	// precheck proves saturation impossible, so an Auto run never
+	// promotes and its SRAM footprint is certifiably narrow.
 	TierAuto
 )
 
@@ -64,14 +60,9 @@ func (t Tier) String() string {
 	}
 }
 
-// negInf16 is the narrow tier's pruned-cell sentinel: far enough from the
-// int16 minimum that adding similarity scores or gap penalties (bounded
-// by narrowEligible) cannot wrap.
-const negInf16 int16 = math.MinInt16 / 4
-
-// narrowScoreBytes is the narrow tier's working-buffer element size (the
-// sweeps take Stats.WorkBytes from the buffers' own element size, which
-// is this); the ipukernel SRAM model derives tile footprints from it.
+// narrowScoreBytes is the narrow tier's working-buffer element size, in
+// which narrowOutcome counts Stats.WorkBytes; the ipukernel SRAM model
+// derives tile footprints from it.
 const narrowScoreBytes = 2
 
 // NarrowScoreBytes and WideScoreBytes export the per-cell working-buffer
@@ -82,7 +73,7 @@ const (
 )
 
 // satGuard16 is the saturation threshold: when an antidiagonal's best
-// value exceeds it the narrow kernel bails out. The 512-point margin
+// value exceeds it the narrow attempt is abandoned. The 512-point margin
 // covers the largest per-antidiagonal growth (one per-symbol score,
 // ≤ 127 for an int8 table), so every int16 operation up to and including
 // the guarded antidiagonal is exact.
@@ -90,22 +81,23 @@ const satGuard16 = math.MaxInt16 - 512
 
 const (
 	// maxNarrowX bounds X so the prune limit T−X ≥ −4095 never reaches
-	// either tier's pruneLimit clamp (see the bit-identity contract).
+	// either width's pruneLimit clamp.
 	maxNarrowX = 4095
-	// maxNarrowGap bounds |Gap| and |GapOpen| so sentinel arithmetic
-	// (negInf16 − |GapOpen| − |Gap|) stays far above MinInt16.
+	// maxNarrowGap bounds |Gap| and |GapOpen| so int16 sentinel
+	// arithmetic (MinInt16/4 − |GapOpen| − |Gap|) stays far above
+	// MinInt16.
 	maxNarrowGap = 1024
 )
 
 // narrowEligible reports whether the parameters satisfy the narrow
-// tier's bit-identity preconditions. Ineligible extensions silently run
+// tier's exactness preconditions. Ineligible extensions silently run
 // wide regardless of the requested tier.
 func narrowEligible(p Params) bool {
 	return p.X <= maxNarrowX && -p.Gap <= maxNarrowGap && -p.GapOpen <= maxNarrowGap
 }
 
 // NarrowEligible exports narrowEligible: whether these parameters can run
-// the int16 tier at all. The ipukernel SRAM model uses it to decide when
+// the narrow tier at all. The ipukernel SRAM model uses it to decide when
 // a TierNarrow/TierAuto configuration must still provision wide buffers.
 func (p Params) NarrowEligible() bool { return narrowEligible(p) }
 
@@ -123,7 +115,7 @@ func NarrowCapLen(maxScore int) int {
 // NarrowHeadroom reports whether an extension of the given side lengths
 // can be proven never to saturate int16: the best score is at most
 // min(m,n) diagonal matches at maxScore each, so if that bound stays
-// under satGuard16 the runtime guard cannot fire. TierAuto admits narrow
+// within satGuard16 the runtime guard cannot fire. TierAuto admits narrow
 // runs only under this proof; the ipukernel SRAM model uses the same
 // predicate to certify narrow-only tile buffers.
 func NarrowHeadroom(m, n, maxScore int) bool {
@@ -142,5 +134,21 @@ func useNarrow(m, n int, p *Params) bool {
 		return narrowEligible(*p) && NarrowHeadroom(m, n, p.Scorer.MaxScore())
 	default:
 		return false
+	}
+}
+
+// narrowOutcome turns res, the int32 Result of an m×n extension under p,
+// into the narrow tier's outcome when the tier applies: the int16 attempt
+// completes (Narrow, WorkBytes at narrowScoreBytes a cell) exactly when
+// the Score stays within satGuard16, and is promoted otherwise.
+func narrowOutcome(m, n int, p *Params, res *Result) {
+	if !useNarrow(m, n, p) {
+		return
+	}
+	if res.Score <= satGuard16 {
+		res.Stats.Narrow = true
+		res.Stats.WorkBytes = res.Stats.WorkBytes / scoreBytes * narrowScoreBytes
+	} else {
+		res.Stats.Promoted = true
 	}
 }

@@ -144,26 +144,48 @@ func TestNarrowSaturationPromotes(t *testing.T) {
 
 // TestNarrowSaturationBoundary walks lengths across the exact saturation
 // threshold: below it narrow completes, above it the guard fires — and in
-// every case the Result equals the wide tier's.
+// every case the Result equals the wide tier's. Two identical pairs pin the
+// threshold itself: one scoring exactly satGuard16 completes narrow, one
+// scoring satGuard16+1 promotes.
 func TestNarrowSaturationBoundary(t *testing.T) {
-	scorer := scoring.NewSimple(127, -127) // steepest int8 slope
-	// satGuard16/127 ≈ 253.97: lengths straddle the guard.
+	type boundaryCase struct{ match, n int }
+	// satGuard16/127 ≈ 253.97: lengths straddle the guard at the steepest
+	// int8 slope.
+	var cases []boundaryCase
 	for _, n := range []int{250, 253, 254, 255, 258, 400} {
-		h := make([]byte, n)
-		for i := range h {
-			h[i] = "ACGT"[i%4]
+		cases = append(cases, boundaryCase{127, n})
+	}
+	cases = append(cases,
+		boundaryCase{5, satGuard16 / 5},       // 6 451 bases, score 32 255
+		boundaryCase{2, (satGuard16 + 1) / 2}, // 16 128 bases, score 32 256
+	)
+	rng := rand.New(rand.NewSource(1607))
+	for _, tc := range cases {
+		scorer := scoring.NewSimple(tc.match, -tc.match)
+		var h []byte
+		if tc.match == 127 {
+			h = make([]byte, tc.n)
+			for i := range h {
+				h[i] = "ACGT"[i%4]
+			}
+		} else {
+			h = randDNA(rng, tc.n) // aperiodic, so the band stays narrow
 		}
 		for _, algo := range []Algo{AlgoRestricted2, AlgoStandard3, AlgoAffine} {
 			p := Params{Scorer: scorer, Gap: -1, GapOpen: -1, X: 100, Algo: algo}
 			wide := Align(NewView(h), NewView(h), p)
+			if want := tc.n * tc.match; wide.Score != want {
+				t.Fatalf("n=%d ±%d %v: wide score %d, want %d", tc.n, tc.match, algo, wide.Score, want)
+			}
 			p.Tier = TierNarrow
 			got := Align(NewView(h), NewView(h), p)
 			if stripTierTrace(got) != stripTierTrace(wide) {
-				t.Fatalf("n=%d %v: narrow-tier %+v != wide %+v", n, algo, got, wide)
+				t.Fatalf("n=%d ±%d %v: narrow-tier %+v != wide %+v", tc.n, tc.match, algo, got, wide)
 			}
-			wantPromoted := n*127 > satGuard16
-			if got.Stats.Promoted != wantPromoted {
-				t.Errorf("n=%d %v: promoted=%v, want %v", n, algo, got.Stats.Promoted, wantPromoted)
+			wantPromoted := wide.Score > satGuard16
+			if got.Stats.Promoted != wantPromoted || got.Stats.Narrow == wantPromoted {
+				t.Errorf("n=%d ±%d %v (score %d): narrow=%v promoted=%v, want promoted=%v",
+					tc.n, tc.match, algo, wide.Score, got.Stats.Narrow, got.Stats.Promoted, wantPromoted)
 			}
 		}
 	}

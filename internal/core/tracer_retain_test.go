@@ -81,11 +81,11 @@ func TestWorkspaceTrimReleasesOversizedBuffers(t *testing.T) {
 	const big, small = retainBytes/4 + 1, retainBytes / 4 // int32 cells
 	var ws Workspace
 	ws.wide.b0, ws.wide.b1, ws.alt.b2 = make([]int32, big), make([]int32, small), make([]int32, big)
-	ws.narrow.e0 = make([]int16, 2*big)
+	ws.wide.e0 = make([]int32, big)
 	ws.hq, ws.vq, ws.arena = make([]byte, 4*big), make([]byte, 4*small), make([]byte, 4*big)
 	ws.states = make([]sweepState, retainBytes/int(unsafe.Sizeof(sweepState{}))+1)
 	ws.Trim()
-	if ws.wide.b0 != nil || ws.alt.b2 != nil || ws.narrow.e0 != nil || ws.hq != nil || ws.arena != nil || ws.states != nil {
+	if ws.wide.b0 != nil || ws.alt.b2 != nil || ws.wide.e0 != nil || ws.hq != nil || ws.arena != nil || ws.states != nil {
 		t.Fatal("a buffer past retainBytes survived Trim")
 	}
 	if ws.wide.b1 == nil || ws.vq == nil {

@@ -81,9 +81,6 @@ func NewFaultPlan(seed int64, spec FaultSpec) *FaultPlan {
 	return &FaultPlan{seed: seed, spec: spec}
 }
 
-// Spec returns the plan's injection rates.
-func (p *FaultPlan) Spec() FaultSpec { return p.spec }
-
 // Kind returns the plan's deterministic decision for one execution —
 // pure, uncounted, side-effect free — so tests can replay the schedule a
 // run will see and assert injected-fault counters exactly.

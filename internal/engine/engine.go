@@ -260,9 +260,6 @@ func (e *Engine) Config() driver.Config { return e.cfg }
 // queue occupancy a service front-end sheds load on.
 func (e *Engine) QueueDepth() int { return e.queueDepth }
 
-// Executors returns the host-side executor pool width.
-func (e *Engine) Executors() int { return e.executors }
-
 // Stats is a snapshot of engine-lifetime aggregates.
 type Stats struct {
 	// JobsDone counts completed (not cancelled/failed) submissions.

@@ -66,11 +66,11 @@ func TestTraceRecordingBugFailsBatch(t *testing.T) {
 }
 
 // TestTraceHostSweepsOnce pins which host sweeps a traced extension costs.
-// An ungated wide extension is swept once by the recording sweep whether
-// the modeled device fuses it (400 bp) or scores and replays it (600 bp,
-// over fusedTraceBudget); a gated run scores every side and replays the
-// above-cutoff ones; a narrow-tier run scores and replays every side. The
-// racy schedule duplicates units on the device, never on the host.
+// An ungated extension is swept once by the recording sweep whether the
+// modeled device fuses it (400 bp) or scores and replays it (600 bp, over
+// fusedTraceBudget, and every narrow-tier side); a gated run scores every
+// side and replays the above-cutoff ones. The racy schedule duplicates
+// units on the device, never on the host.
 func TestTraceHostSweepsOnce(t *testing.T) {
 	for _, length := range []int{400, 600} {
 		for _, run := range []struct {
@@ -82,7 +82,7 @@ func TestTraceHostSweepsOnce(t *testing.T) {
 		}{
 			{"ungated-wide", func(c *Config) {}, false},
 			{"gated", func(c *Config) { c.TraceMinScore = pinGateScore }, true},
-			{"narrow", func(c *Config) { c.Params.Tier = core.TierNarrow }, true},
+			{"narrow", func(c *Config) { c.Params.Tier = core.TierNarrow }, false},
 		} {
 			t.Run(fmt.Sprintf("%s/%d", run.name, length), func(t *testing.T) {
 				cfg := dnaCfg(15)

@@ -273,7 +273,7 @@ func (c *Config) traceGated() bool { return c.Traceback && c.TraceMinScore > 0 }
 // fusedTraceBudget. The decision belongs to the model alone — the
 // instruction charge (one sweep or two) and the SRAM charge, which
 // partition folds through ExtensionCharge. The host sweeps
-// every ungated, fused-eligible extension once either way (runSide).
+// every ungated traced extension once either way (runSide).
 func (c *Config) fusedExtension(lh, lv int) bool {
 	return c.Traceback && !c.traceGated() && core.FusedEligible(lh, lv, c.Params) &&
 		c.ExtensionTraceBytes(lh, lv) <= fusedTraceBudget
@@ -304,8 +304,8 @@ func (c Config) bufCellsPerThread(maxMinLen int) int {
 // WorkBufBytesPerThread returns the per-thread DP buffer footprint for
 // the configured algorithm and kernel tier given the largest min(m,n)
 // among a tile's extensions. This is the quantity the 55× claim
-// compares. The tier shapes it as the executing workspaces actually
-// allocate:
+// compares. The tier shapes it as the modeled device's workspaces
+// allocate (the host's hold int32 buffers at every tier):
 //
 //   - TierWide (or narrow-ineligible parameters): int32 buffers only.
 //   - TierNarrow: int16 buffers plus the full int32 set — a saturating
@@ -524,8 +524,8 @@ type Counters struct {
 	// extension (a comparison contributes two, and a raced unit its
 	// extensions again for every further tied thread; cache-served and
 	// deduped comparisons contribute nothing — no kernel ran for them).
-	// NarrowExtensions completed on the int16 tier; PromotedExtensions
-	// saturated the int16 kernel and transparently re-ran wide;
+	// NarrowExtensions completed on the modeled int16 tier;
+	// PromotedExtensions saturated it and re-ran wide (core.Stats);
 	// WideExtensions ran int32 outright (TierWide, narrow-ineligible
 	// parameters, or an Auto headroom refusal). The three are disjoint and
 	// sum to the executed extensions.

@@ -151,17 +151,15 @@ func (ex *executor) prepareTraces(jobs int) {
 // hardware threads. It works in two phases:
 //
 //   - Execute: every side's kernel runs exactly once, on the executor's
-//     one workspace. The score passes run first: every side the tile
-//     scores (all of them untraced, the score pass when the trace gate is
-//     on, the sides a traced run cannot fuse) goes in unit order into one
+//     one workspace. A tile that scores (untraced, or traced with the
+//     gate on) runs every side first, in unit order, in one
 //     core.Workspace.ExtendBatch call, which runs them as a queue, two
 //     extensions in flight. Then each unit, in unit order, takes its sides'
 //     Results, runs its recordings, and memoises its charged instruction
 //     cost and its device counters. The results are therefore a function
 //     of the comparison and Params alone, whatever the schedule. A traced
 //     extension the device would score and then replay is still swept
-//     once here when it can be (runSide); the memoised cost charges it
-//     both passes.
+//     once here (runSide); the memoised cost charges it both passes.
 //   - Schedule: schedule replays the IPU's deterministic thread schedule
 //     (§4.1.3) over the memoised costs — static assignment, stealing,
 //     races, busy-wait variance — without touching the tile. A race's
@@ -196,14 +194,13 @@ func runTile(t *TileWork, cfg *Config, ex *executor, out []AlignOut) tileResult 
 		return unit{job: ui, from: left, to: right + 1}
 	}
 	ex.batch = ex.batch[:0]
-	for ui := range units {
+	for ui := 0; ui < units && !cfg.recorded(); ui++ {
 		u := unitAt(ui)
 		job := &t.Jobs[u.job]
 		h, v := t.Seq(job.HLocal), t.Seq(job.VLocal)
 		for side := u.from; side < u.to; side++ {
-			if hOff, vOff, lh, lv := sides[side].at(job, h, v); !cfg.recorded(lh, lv) {
-				ex.batch = append(ex.batch, scoreSide(side, h, v, hOff, vOff))
-			}
+			hOff, vOff, _, _ := sides[side].at(job, h, v)
+			ex.batch = append(ex.batch, scoreSide(side, h, v, hOff, vOff))
 		}
 	}
 	ex.scores = slices.Grow(ex.scores[:0], len(ex.batch))[:len(ex.batch)]
@@ -438,16 +435,16 @@ func (ex *executor) runUnit(t *TileWork, cfg *Config, u unit, o *AlignOut, c *Co
 // A side that is scored takes the next Result of the tile's score pass
 // (ex.scores), which runTile has run for every such side in this order.
 //
-// With Config.Traceback, an ungated, core.FusedEligible side runs one host
-// sweep — the recording sweep, whose Result is the score sweep's — however
-// the modeled device schedules it: Config.fusedExtension decides only the
-// charge, one DP sweep when the device fuses and two (score pass, then
-// second pass) when the arena is over budget. If that recording fails on
-// a side the device would have scored first, the side is scored after
-// all, so its counters and charge are the score pass's, as on the device,
-// whose second pass is what failed. Every other traced side keeps its
-// score-pass Result for a recording replay after it: at once, or with the
-// score gate active deferred until the schedule has run.
+// With Config.Traceback ungated, every side runs one host sweep — the
+// recording sweep, whose Result is the score sweep's, tier outcome
+// included — however the modeled device schedules it:
+// Config.fusedExtension decides only the charge, one DP sweep when the
+// device fuses and two (score pass, then second pass) when it does not.
+// If that recording fails on a side the device would have scored first,
+// the side is scored after all, so its counters and charge are the score
+// pass's, as on the device, whose second pass is what failed. With the
+// score gate active a side keeps its score-pass Result for the recording
+// replay runTile defers until the schedule has run.
 func (ex *executor) runSide(t *TileWork, cfg *Config, j, side int, o *AlignOut, c *Counters, tr *tileResult) int64 {
 	job := &t.Jobs[j]
 	h, v := t.Seq(job.HLocal), t.Seq(job.VLocal)
@@ -455,7 +452,7 @@ func (ex *executor) runSide(t *TileWork, cfg *Config, j, side int, o *AlignOut, 
 	hOff, vOff, lh, lv := sd.at(job, h, v)
 	var r core.Result
 	var replay int64 // the modeled second pass's charge
-	if cfg.recorded(lh, lv) {
+	if cfg.recorded() {
 		fused := cfg.fusedExtension(lh, lv)
 		var trc core.Trace
 		var err error
@@ -476,11 +473,8 @@ func (ex *executor) runSide(t *TileWork, cfg *Config, j, side int, o *AlignOut, 
 	} else {
 		r = ex.scores[ex.taken]
 		ex.taken++
-		if cfg.Traceback {
+		if cfg.traceGated() {
 			ex.scored[side][j] = r
-			if !cfg.traceGated() {
-				replay = ex.replaySide(t, cfg, j, side, tr)
-			}
 		}
 	}
 	sd.place(o, hOff, vOff, r)
@@ -494,15 +488,14 @@ func scoreSide(s int, h, v []byte, hOff, vOff int) core.Side {
 	return core.Side{H: h, V: v, HOff: hOff, VOff: vOff, Left: s == left}
 }
 
-// recorded reports whether the execute phase records an lh×lv side
-// instead of scoring it: with Config.Traceback, ungated, a side the fused
-// recording sweep serves (core.FusedEligible).
-func (cfg *Config) recorded(lh, lv int) bool {
-	return cfg.Traceback && !cfg.traceGated() && core.FusedEligible(lh, lv, cfg.Params)
+// recorded reports whether the execute phase records every side instead
+// of scoring it: with Config.Traceback, ungated.
+func (cfg *Config) recorded() bool {
+	return cfg.Traceback && !cfg.traceGated()
 }
 
 // replaySide runs one side's recording as a second pass after a separate
-// score pass — the path of gated runs and of narrow-tier extensions —
+// score pass — the path of gated runs (Config.TraceMinScore > 0) —
 // cross-checks its Score/EndH/EndV against the side's score-pass Result
 // and keeps its trace. It returns the extra instruction cost charged for
 // the replay (one more DP sweep), or 0 on failure — a trace overflow degrades the one comparison via failed, while a

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"github.com/sram-align/xdropipu/internal/engine"
 )
@@ -93,5 +94,37 @@ func TestTenantCapSharesOverflowBucket(t *testing.T) {
 	// A name that owns a bucket keeps it after the cap is reached.
 	if ok, _ := s.admitTenant("t00000"); !ok {
 		t.Fatal("an established tenant lost its own bucket once the cap filled")
+	}
+}
+
+// TestServiceTenantNameValidUTF8: X-Tenant is cut to 64 bytes on a rune
+// boundary and comes back valid UTF-8, so /v1/metrics (which writes the
+// label raw) and /v1/stats (whose JSON would turn a split rune into
+// U+FFFD) name the tenant alike. A name that is already valid and short
+// enough is kept as sent.
+func TestServiceTenantNameValidUTF8(t *testing.T) {
+	for _, tc := range []struct{ header, want string }{
+		{"", "default"},
+		{"acme", "acme"},
+		{strings.Repeat("a", 64), strings.Repeat("a", 64)},
+		{strings.Repeat("é", 32), strings.Repeat("é", 32)},
+		{strings.Repeat("a", 63) + "é", strings.Repeat("a", 63)},
+		{strings.Repeat("a", 62) + "€", strings.Repeat("a", 62)},
+		{strings.Repeat("a", 61) + "€x", strings.Repeat("a", 61) + "€"},
+		{strings.Repeat("日本", 20), strings.Repeat("日本", 10) + "日"},
+		{"bad\xffname", "bad\uFFFDname"},
+		{strings.Repeat("a", 62) + "\xff\xfe", strings.Repeat("a", 62)},
+	} {
+		r := httptest.NewRequest("POST", "/v1/jobs", nil)
+		if tc.header != "" {
+			r.Header.Set("X-Tenant", tc.header)
+		}
+		got := tenantName(r)
+		if !utf8.ValidString(got) || len(got) > 64 {
+			t.Errorf("X-Tenant %q: tenant %q is %d bytes, valid UTF-8 %v", tc.header, got, len(got), utf8.ValidString(got))
+		}
+		if got != tc.want {
+			t.Errorf("X-Tenant %q: tenant %q, want %q", tc.header, got, tc.want)
+		}
 	}
 }

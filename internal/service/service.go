@@ -36,6 +36,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"github.com/sram-align/xdropipu/internal/engine"
 	"github.com/sram-align/xdropipu/internal/metrics"
@@ -644,13 +645,21 @@ func (s *Server) detach(js *jobState) {
 	js.mu.Unlock()
 }
 
+// maxTenantName is the most bytes of X-Tenant a tenant name keeps.
+const maxTenantName = 64
+
+// tenantName is the request's X-Tenant, or "default": valid UTF-8 of at
+// most maxTenantName bytes, cut on a rune boundary, so that /v1/metrics
+// labels and /v1/stats keys name a tenant alike.
 func tenantName(r *http.Request) string {
 	t := r.Header.Get("X-Tenant")
 	if t == "" {
 		return "default"
 	}
-	if len(t) > 64 {
-		t = t[:64]
+	t = strings.ToValidUTF8(t[:min(len(t), maxTenantName)], "\uFFFD")
+	for len(t) > maxTenantName {
+		_, size := utf8.DecodeLastRuneInString(t)
+		t = t[:len(t)-size]
 	}
 	return t
 }

@@ -175,9 +175,6 @@ func (a *Arena) SetMaxSlabBytes(n int) {
 	a.maxSlab = n
 }
 
-// MaxSlab returns the arena's per-slab byte cap.
-func (a *Arena) MaxSlab() int { return a.maxSlab }
-
 // SeqDigest is a 128-bit keyed content fingerprint of a sequence's bytes:
 // two independent 64-bit hashes under two process-random keys. Lo doubles
 // as the arena's intern-index key; the pair (plus the explicit length
@@ -235,9 +232,6 @@ func (a *Arena) Refs() []SeqRef { return a.refs }
 
 // NumSlabs returns the number of slabs in the spine.
 func (a *Arena) NumSlabs() int { return len(a.slabs) }
-
-// SlabLen returns the byte length of slab si (valid even while spilled).
-func (a *Arena) SlabLen(si int) int { return a.slabs[si].size }
 
 // SlabStateOf returns slab si's lifecycle state.
 func (a *Arena) SlabStateOf(si int) SlabState {

@@ -61,10 +61,3 @@ func RestoreArenaSlabs(slabs [][]byte, refs []SeqRef) (*Arena, error) {
 	}
 	return a, nil
 }
-
-// RestoreArena is the single-slab form of RestoreArenaSlabs, kept for
-// producers (and the XDW1 wire compat path) whose pools fit one slab.
-// Every span must carry Slab == 0.
-func RestoreArena(slab []byte, refs []SeqRef) (*Arena, error) {
-	return RestoreArenaSlabs([][]byte{slab}, refs)
-}
