@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -162,5 +163,27 @@ func TestInvalidDatasetRejected(t *testing.T) {
 	}
 	if _, err := Run(&workload.Dataset{}, testCfg(1, true)); err == nil {
 		t.Error("a dataset without a spine accepted")
+	}
+}
+
+// BenchmarkBuildBatches plans the benchmark's shortread_plan shape — 150 bp
+// reads, 32 000 comparisons — under its configuration: X 5, δb 32, a
+// 1/8-scale GC200, batches capped at 64 jobs, every Table 1 flag on.
+// Planning is the only step before such a job's first batch runs.
+func BenchmarkBuildBatches(b *testing.B) {
+	d := synth.Reads(synth.ReadsSpec{
+		Name: "short", GenomeLen: 8_400, Coverage: 30, MeanReadLen: 150, MinReadLen: 100, MaxReadLen: 250,
+		Errors: synth.HiFiDNA(), SeedLen: 17, MinOverlap: 40, Seed: 7, MaxComparisons: 32_000,
+	})
+	cfg := testCfg(1, true)
+	cfg.TilesPerIPU = 0
+	cfg.Model = platform.GC200.Scaled(8)
+	cfg.Kernel.Params.X, cfg.Kernel.Params.DeltaB = 5, 32
+	cfg.MaxBatchJobs = 64
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := BuildBatches(context.Background(), d, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -255,8 +255,9 @@ func TestTraceTooLargeDegradesSingleComparison(t *testing.T) {
 
 			c := d.Comparisons[bigIdx]
 			hn, vn := d.SeqLen(c.H), d.SeqLen(c.V)
+			kernel := cfg.Normalized().Kernel
 			for _, side := range [][2]int{{c.SeedH, c.SeedV}, {hn - c.SeedH - c.SeedLen, vn - c.SeedV - c.SeedLen}} {
-				if f, _ := cfg.Normalized().Kernel.TraceCharges(side[0], side[1]); (f > 0) != tc.fused {
+				if f, _ := kernel.TraceCharges(side[0], side[1]); (f > 0) != tc.fused {
 					t.Fatalf("oversized %d×%d extension fused=%v, want %v", side[0], side[1], f > 0, tc.fused)
 				}
 			}

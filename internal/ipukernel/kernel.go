@@ -242,17 +242,23 @@ type Config struct {
 	Parallelism int
 }
 
-// withDefaults resolves the thread count against the model (zero or
-// out-of-range selects the model's hardware threads) and fills in the
-// calibrated cost model.
+// withDefaults resolves the thread count against the model and fills in
+// the calibrated cost model.
 func (c Config) withDefaults(m platform.IPUModel) Config {
-	if c.Threads <= 0 || c.Threads > m.ThreadsPerTile {
-		c.Threads = m.ThreadsPerTile
-	}
+	c.Threads = c.threads(m)
 	if c.Cost == (platform.KernelCost{}) {
 		c.Cost = platform.DefaultKernelCost
 	}
 	return c
+}
+
+// threads is the thread count a tile runs on the model: Threads, or the
+// model's hardware threads when Threads is zero or out of range.
+func (c *Config) threads(m platform.IPUModel) int {
+	if c.Threads <= 0 || c.Threads > m.ThreadsPerTile {
+		return m.ThreadsPerTile
+	}
+	return c.Threads
 }
 
 // fusedTraceBudget is the modeled device's per-thread direction-arena
@@ -285,7 +291,7 @@ func (c Config) Tier() core.Tier { return c.Params.Tier }
 // bufCellsPerThread returns the per-thread DP window size in score cells
 // for the configured algorithm given the largest min(m,n) among a tile's
 // extensions: Standard3 needs 3δ scores, Restricted2 needs 2δb (§3).
-func (c Config) bufCellsPerThread(maxMinLen int) int {
+func (c *Config) bufCellsPerThread(maxMinLen int) int {
 	delta := maxMinLen + 1
 	switch c.Params.Algo {
 	case core.AlgoStandard3:
@@ -315,7 +321,7 @@ func (c Config) bufCellsPerThread(maxMinLen int) int {
 //     Auto never promotes, so this is certifiable and is the tier's SRAM
 //     win. A mixed tile provisions wide buffers for the over-cap jobs
 //     plus int16 buffers sized to the largest headroom-certified job.
-func (c Config) WorkBufBytesPerThread(maxMinLen int) int {
+func (c *Config) WorkBufBytesPerThread(maxMinLen int) int {
 	wide := c.bufCellsPerThread(maxMinLen) * core.WideScoreBytes
 	if !c.Params.NarrowEligible() {
 		return wide
@@ -345,7 +351,7 @@ func (c Config) WorkBufBytesPerThread(maxMinLen int) int {
 // 8-byte-per-antidiagonal window index. The bound dominates the exact
 // tracer footprint (core.Trace.TraceBytes) for every input; zero with
 // Config.Traceback off.
-func (c Config) ExtensionTraceBytes(lh, lv int) int {
+func (c *Config) ExtensionTraceBytes(lh, lv int) int {
 	if !c.Traceback || lh < 0 || lv < 0 {
 		return 0
 	}
@@ -368,7 +374,7 @@ func (c Config) ExtensionTraceBytes(lh, lv int) int {
 // TileMemoryBytes returns the SRAM footprint of a tile's work under the
 // kernel configuration: the TileFootprint of its sequences and jobs under
 // the fold of its comparisons' Charges.
-func (c Config) TileMemoryBytes(t *TileWork, model platform.IPUModel) int {
+func (c *Config) TileMemoryBytes(t *TileWork, model platform.IPUModel) int {
 	var ch Charge
 	for _, j := range t.Jobs {
 		hn, vn := int(t.Seqs[j.HLocal].Len), int(t.Seqs[j.VLocal].Len)
@@ -381,7 +387,7 @@ func (c Config) TileMemoryBytes(t *TileWork, model platform.IPUModel) int {
 // tile's work reduces to: sequence bytes, sequence and job counts, and
 // the Charge of its comparisons. TileMemoryBytes evaluates it on finished
 // work, partition's batcher on work it is still assembling.
-func (c Config) TileFootprint(seqBytes, nSeqs, nJobs int, ch Charge, model platform.IPUModel) int {
+func (c *Config) TileFootprint(seqBytes, nSeqs, nJobs int, ch Charge, model platform.IPUModel) int {
 	return seqBytes +
 		nSeqs*seqDescrBytes +
 		nJobs*(JobTupleBytes+ResultBytes) +
@@ -405,7 +411,7 @@ func (a Charge) With(b Charge) Charge {
 
 // ExtensionCharge is the Charge of one comparison whose left extension
 // spans lh×lv and right extension rh×rv.
-func (c Config) ExtensionCharge(lh, lv, rh, rv int) Charge {
+func (c *Config) ExtensionCharge(lh, lv, rh, rv int) Charge {
 	lf, lr := c.TraceCharges(lh, lv)
 	rf, rr := c.TraceCharges(rh, rv)
 	return Charge{max(min(lh, lv), min(rh, rv)), max(lf, rf), max(lr, rr)}
@@ -414,9 +420,8 @@ func (c Config) ExtensionCharge(lh, lv, rh, rv int) Charge {
 // BufferBytes is the tile SRAM a Charge claims on the model: every
 // thread's DP buffers (tier-aware) and fused trace arena, plus the one
 // shared replay arena.
-func (c Config) BufferBytes(ch Charge, model platform.IPUModel) int {
-	threads := c.withDefaults(model).Threads
-	return threads*(c.WorkBufBytesPerThread(ch.maxMin)+ch.fused) + ch.replay
+func (c *Config) BufferBytes(ch Charge, model platform.IPUModel) int {
+	return c.threads(model)*(c.WorkBufBytesPerThread(ch.maxMin)+ch.fused) + ch.replay
 }
 
 // TraceCharges reports one extension's direction-arena bound in the pool
@@ -424,7 +429,7 @@ func (c Config) BufferBytes(ch Charge, model platform.IPUModel) int {
 // serialized arena); at most one of the two is nonzero. ExtensionCharge
 // applies this split, so every tile partition admits keeps its SRAM
 // certification.
-func (c Config) TraceCharges(lh, lv int) (fused, replay int) {
+func (c *Config) TraceCharges(lh, lv int) (fused, replay int) {
 	b := c.ExtensionTraceBytes(lh, lv)
 	if b == 0 {
 		return 0, 0

@@ -125,24 +125,50 @@ func BuildItems(d *workload.Dataset, opt Options) []Item {
 
 	var items []Item
 	assigned := make([]bool, plan.Len())
+	// next[v] is v's first edge slot not yet known to be assigned. assigned
+	// never clears, so a scan starting past the assigned prefix of v's
+	// edges skips only visits that were no-op continues: the items are
+	// those of a scan from off[v]. An edge left unassigned at a flush holds
+	// the cursor until a later partition takes it. On the shortread_plan
+	// shape the walk makes two visits per edge slot, against eighteen when
+	// every scan starts at off[v].
+	next := make([]int32, len(refs))
+	copy(next, off)
+	advance := func(v int) []int32 {
+		i, end := next[v], off[v+1]
+		for i < end && assigned[edges[i]] {
+			i++
+		}
+		next[v] = i
+		return edges[i:end]
+	}
 	inPart := make([]int, len(refs)) // vertex → open-partition stamp
 	for i := range inPart {
 		inPart[i] = -1
 	}
-	var cur Item
+	// The items' Cmps and Seqs are windows of two shared buffers, cut at
+	// each flush. Every comparison lands in exactly one item, so the open
+	// item's Cmps appends in place into what the closed ones left free.
+	freeCmps := make([]int, plan.Len())
+	seqs := make([]int, 0, plan.Len())
+	cur, seqStart := Item{Cmps: freeCmps[:0]}, 0
 	stamp := 0
 
 	flush := func() {
-		if len(cur.Cmps) > 0 {
+		if n := len(cur.Cmps); n > 0 {
+			cur.Cmps = cur.Cmps[:n:n]
+			freeCmps = freeCmps[n:]
+			cur.Seqs = seqs[seqStart:len(seqs):len(seqs)]
+			seqStart = len(seqs)
 			items = append(items, cur)
 		}
-		cur = Item{}
+		cur = Item{Cmps: freeCmps[:0]}
 		stamp++
 	}
 	addSeq := func(s int) {
 		if inPart[s] != stamp {
 			inPart[s] = stamp
-			cur.Seqs = append(cur.Seqs, s)
+			seqs = append(seqs, s)
 			cur.Bytes += int(refs[s].Len)
 		}
 	}
@@ -155,13 +181,13 @@ func BuildItems(d *workload.Dataset, opt Options) []Item {
 
 	var queue []int
 	for seed := range refs {
-		if off[seed] == off[seed+1] {
+		if len(advance(seed)) == 0 {
 			continue
 		}
 		queue = append(queue[:0], seed)
 		for qi := 0; qi < len(queue); qi++ {
 			u := queue[qi]
-			for _, e := range edges[off[u]:off[u+1]] {
+			for _, e := range advance(u) {
 				ci := int(e)
 				if assigned[ci] {
 					continue
@@ -248,7 +274,8 @@ func BuildItems(d *workload.Dataset, opt Options) []Item {
 // ReuseFactor reports the transfer saving of a set of items: the ratio of
 // naive per-comparison sequence bytes to the bytes the items actually
 // carry. 1.0 means no reuse; 2.0 means each transferred sequence serves
-// two comparisons on average.
+// two comparisons on average. A comparison's naive bytes are what its
+// single-comparison item ships: a self-comparison's sequence once.
 func ReuseFactor(d *workload.Dataset, items []Item) float64 {
 	arena, plan := d.Spine()
 	refs := arena.Refs()
@@ -256,7 +283,11 @@ func ReuseFactor(d *workload.Dataset, items []Item) float64 {
 	for _, it := range items {
 		actual += int64(it.Bytes)
 		for _, ci := range it.Cmps {
-			naive += int64(refs[plan.H[ci]].Len) + int64(refs[plan.V[ci]].Len)
+			h, v := plan.H[ci], plan.V[ci]
+			naive += int64(refs[h].Len)
+			if v != h {
+				naive += int64(refs[v].Len)
+			}
 		}
 	}
 	if actual == 0 {
@@ -290,6 +321,65 @@ func DeriveSeqBudget(d *workload.Dataset, cfg ipukernel.Config, model platform.I
 	return budget, nil
 }
 
+// seqIndex maps the global ids of the sequences a tile holds to their
+// positions in the tile: open addressing with linear probing over a
+// power-of-two table kept at most half full. Its size follows the most
+// sequences the tile has held, not the dataset's sequence count, and
+// clear keeps the table for the next batch.
+type seqIndex struct {
+	slots []seqSlot
+	n     int
+}
+
+// seqSlot holds a global id plus one (zero marks a free slot) and the
+// sequence's tile-local position.
+type seqSlot struct{ key, local int32 }
+
+// slot returns the index of s's slot, or of the free slot where s would go.
+func (x *seqIndex) slot(s int) int {
+	mask := len(x.slots) - 1
+	key := int32(s) + 1
+	// Fibonacci hashing, its high bits scaled onto the table.
+	h := uint64(uint32(key) * 0x9E3779B9)
+	for i := int(h * uint64(len(x.slots)) >> 32); ; i = (i + 1) & mask {
+		if k := x.slots[i].key; k == key || k == 0 {
+			return i
+		}
+	}
+}
+
+// get returns s's tile-local position.
+func (x *seqIndex) get(s int) (int, bool) {
+	if x.n == 0 {
+		return 0, false
+	}
+	sl := x.slots[x.slot(s)]
+	return int(sl.local), sl.key != 0
+}
+
+// set records s at tile-local position local, replacing any earlier one.
+func (x *seqIndex) set(s, local int) {
+	if 2*(x.n+1) > len(x.slots) {
+		old := x.slots
+		x.slots, x.n = make([]seqSlot, max(16, 2*len(old))), 0
+		for _, sl := range old {
+			if sl.key != 0 {
+				x.set(int(sl.key-1), int(sl.local))
+			}
+		}
+	}
+	i := x.slot(s)
+	if x.slots[i].key == 0 {
+		x.n++
+	}
+	x.slots[i] = seqSlot{int32(s) + 1, int32(local)}
+}
+
+func (x *seqIndex) clear() {
+	clear(x.slots)
+	x.n = 0
+}
+
 // tileBuilder incrementally assembles one tile's work while tracking the
 // SRAM formula of the kernel configuration. Tiles reference the dataset's
 // shared arena spine: adding a sequence appends its span, never its
@@ -298,7 +388,7 @@ func DeriveSeqBudget(d *workload.Dataset, cfg ipukernel.Config, model platform.I
 // building batches never forces spilled slabs resident.
 type tileBuilder struct {
 	work     ipukernel.TileWork
-	localIdx map[int]int
+	localIdx seqIndex
 	index    int // tile position within the batch
 	load     float64
 	seqBytes int
@@ -306,10 +396,10 @@ type tileBuilder struct {
 }
 
 // reset returns the builder to the empty state for the next batch,
-// keeping only its local-index map's storage; the work it built now
-// belongs to the closed batch.
+// keeping only its local index's storage; the work it built now belongs
+// to the closed batch.
 func (tb *tileBuilder) reset() {
-	clear(tb.localIdx)
+	tb.localIdx.clear()
 	*tb = tileBuilder{localIdx: tb.localIdx, index: tb.index}
 }
 
@@ -317,11 +407,11 @@ func (tb *tileBuilder) reset() {
 // Item.Bytes is the sum over Item.Seqs, so only sequences the tile
 // already holds need a lookup — none on an empty tile or for an item
 // carrying private copies.
-func (tb *tileBuilder) memoryWith(refs []workload.SeqRef, it *Item, ch ipukernel.Charge, cfg ipukernel.Config, model platform.IPUModel) int {
+func (tb *tileBuilder) memoryWith(refs []workload.SeqRef, it *Item, ch ipukernel.Charge, cfg *ipukernel.Config, model platform.IPUModel) int {
 	seqBytes, nSeqs := tb.seqBytes+it.Bytes, len(tb.work.Seqs)+len(it.Seqs)
-	if !it.Copies && len(tb.localIdx) > 0 {
+	if !it.Copies && tb.localIdx.n > 0 {
 		for _, s := range it.Seqs {
-			if _, ok := tb.localIdx[s]; ok {
+			if _, ok := tb.localIdx.get(s); ok {
 				seqBytes -= int(refs[s].Len)
 				nSeqs--
 			}
@@ -337,17 +427,19 @@ func (tb *tileBuilder) add(refs []workload.SeqRef, plan *workload.Plan, it *Item
 		tb.work.Jobs = make([]ipukernel.SeedJob, 0, len(it.Cmps))
 	}
 	for _, s := range it.Seqs {
-		if _, ok := tb.localIdx[s]; !ok || it.Copies {
-			tb.localIdx[s] = len(tb.work.Seqs)
+		if _, ok := tb.localIdx.get(s); !ok || it.Copies {
+			tb.localIdx.set(s, len(tb.work.Seqs))
 			tb.work.Seqs = append(tb.work.Seqs, refs[s])
 			tb.seqBytes += int(refs[s].Len)
 		}
 	}
 	for _, ci := range it.Cmps {
 		c := plan.At(ci)
+		hLocal, _ := tb.localIdx.get(c.H)
+		vLocal, _ := tb.localIdx.get(c.V)
 		job := ipukernel.SeedJob{
-			HLocal: tb.localIdx[c.H],
-			VLocal: tb.localIdx[c.V],
+			HLocal: hLocal,
+			VLocal: vLocal,
 			SeedH:  c.SeedH, SeedV: c.SeedV, SeedLen: c.SeedLen,
 			GlobalID: ci,
 		}
@@ -419,7 +511,7 @@ func MakeBatchesFanout(d *workload.Dataset, items []Item, tiles int, cfg ipukern
 	var pool []*tileBuilder
 	builder := func(i int) *tileBuilder {
 		if i == len(pool) {
-			pool = append(pool, &tileBuilder{localIdx: make(map[int]int), index: i})
+			pool = append(pool, &tileBuilder{index: i})
 		}
 		return pool[i]
 	}
@@ -457,7 +549,7 @@ func MakeBatchesFanout(d *workload.Dataset, items []Item, tiles int, cfg ipukern
 				closeBatch()
 			}
 			full = full[:0]
-			for len(cand) > 0 && cand[0].memoryWith(refs, it, ch, cfg, model) > budget {
+			for len(cand) > 0 && cand[0].memoryWith(refs, it, ch, &cfg, model) > budget {
 				full = append(full, heap.Pop(&cand).(*tileBuilder))
 			}
 			if len(cand) == 0 {

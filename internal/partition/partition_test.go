@@ -77,6 +77,22 @@ func TestBuildItemsNoReuse(t *testing.T) {
 	}
 }
 
+// TestReuseFactorSelfComparison: a self-comparison ships its sequence
+// once, so a dataset of nothing else, planned without reuse, has no
+// reuse to report.
+func TestReuseFactorSelfComparison(t *testing.T) {
+	d := workload.MustPack("", [][]byte{make([]byte, 100), make([]byte, 80)},
+		[]workload.Comparison{
+			{H: 0, V: 0, SeedH: 40, SeedV: 10, SeedLen: 10},
+			{H: 1, V: 1, SeedH: 5, SeedV: 30, SeedLen: 10},
+		}, false)
+	items := BuildItems(d, Options{SeqBudget: 1 << 20, Reuse: false})
+	coverage(t, d, items)
+	if rf := ReuseFactor(d, items); rf != 1 {
+		t.Errorf("ReuseFactor = %.3f over self-comparisons without reuse, want 1", rf)
+	}
+}
+
 func TestBuildItemsWithReuse(t *testing.T) {
 	d := readsData(t, 2)
 	items := BuildItems(d, Options{SeqBudget: 200_000, Reuse: true})
@@ -275,23 +291,7 @@ func TestStandardAlgoNeedsMoreBatches(t *testing.T) {
 func TestBuildItemsCoverageFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 200; trial++ {
-		nSeqs := 2 + rng.Intn(40)
-		seqs := make([][]byte, nSeqs)
-		for i := range seqs {
-			seqs[i] = make([]byte, 50+rng.Intn(500))
-		}
-		var cmps []workload.Comparison
-		nCmps := rng.Intn(120)
-		for i := 0; i < nCmps; i++ {
-			h, v := rng.Intn(nSeqs), rng.Intn(nSeqs)
-			if h == v {
-				continue
-			}
-			cmps = append(cmps, workload.Comparison{
-				H: h, V: v, SeedH: 10, SeedV: 10, SeedLen: 17,
-			})
-		}
-		d := workload.MustPack("", seqs, cmps, false)
+		d := randomGraph(rng)
 		budget := 100 + rng.Intn(3000)
 		maxCmps := []int{0, 1, 3, 10}[trial%4]
 		items := BuildItems(d, Options{SeqBudget: budget, Reuse: true, MaxCmps: maxCmps})
@@ -304,6 +304,28 @@ func TestBuildItemsCoverageFuzz(t *testing.T) {
 			}
 		}
 	}
+}
+
+// randomGraph is a dataset of 2–41 sequences of 50–549 bases and up to
+// 120 comparisons between random distinct pairs.
+func randomGraph(rng *rand.Rand) *workload.Dataset {
+	nSeqs := 2 + rng.Intn(40)
+	seqs := make([][]byte, nSeqs)
+	for i := range seqs {
+		seqs[i] = make([]byte, 50+rng.Intn(500))
+	}
+	var cmps []workload.Comparison
+	nCmps := rng.Intn(120)
+	for i := 0; i < nCmps; i++ {
+		h, v := rng.Intn(nSeqs), rng.Intn(nSeqs)
+		if h == v {
+			continue
+		}
+		cmps = append(cmps, workload.Comparison{
+			H: h, V: v, SeedH: 10, SeedV: 10, SeedLen: 17,
+		})
+	}
+	return workload.MustPack("", seqs, cmps, false)
 }
 
 // TestBuildItemsFrontierPreservedAcrossFlush pins the boundary-restart
@@ -346,6 +368,274 @@ func TestBuildItemsFrontierPreservedAcrossFlush(t *testing.T) {
 			t.Errorf("multi-comparison item exceeds budget: %d B", it.Bytes)
 		}
 	}
+}
+
+// buildItemsRescan is BuildItems before the walk kept a cursor per
+// vertex: every scan of a vertex starts at its first edge and steps over
+// the assigned ones. It is the oracle BuildItems must match item for item.
+func buildItemsRescan(d *workload.Dataset, opt Options) []Item {
+	arena, plan := d.Spine()
+	refs := arena.Refs()
+	seqBudget := opt.SeqBudget
+	maxCmps := opt.MaxCmps
+	if maxCmps <= 0 {
+		maxCmps = plan.Len() + 1
+	}
+	if !opt.Reuse {
+		items := make([]Item, 0, plan.Len())
+		for ci := 0; ci < plan.Len(); ci++ {
+			c := plan.At(ci)
+			it := Item{
+				Seqs:   []int{c.H},
+				Cmps:   []int{ci},
+				Cost:   CostEstimate(d, c),
+				Copies: true,
+			}
+			it.Bytes = int(refs[c.H].Len)
+			if c.V != c.H {
+				it.Seqs = append(it.Seqs, c.V)
+				it.Bytes += int(refs[c.V].Len)
+			}
+			items = append(items, it)
+		}
+		return items
+	}
+
+	// Greedy graph growing (§4.3): start from a vertex, walk through its
+	// edge list adding the adjacent vertices to the partition, and keep
+	// following the newly added vertices' edges until the next vertex
+	// would exceed the memory budget; then start a new partition. The
+	// frontier walk keeps partitions topologically local regardless of
+	// the sequence numbering, which is what makes reuse high on overlap
+	// graphs. The walk scans only the plan's H/V columns — the seed
+	// columns stay cold.
+	//
+	// vertex → incident edges in plan order, as one CSR: count degrees
+	// two slots ahead, prefix-sum so off[v+1] is v's first slot, then fill
+	// while advancing off[v+1] to v's end — which is v+1's start, leaving
+	// v's edges at edges[off[v]:off[v+1]].
+	off := make([]int32, len(refs)+2)
+	for ci, h := range plan.H {
+		off[h+2]++
+		if v := plan.V[ci]; v != h {
+			off[v+2]++
+		}
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	edges := make([]int32, off[len(off)-1])
+	for ci, h := range plan.H {
+		edges[off[h+1]] = int32(ci)
+		off[h+1]++
+		if v := plan.V[ci]; v != h {
+			edges[off[v+1]] = int32(ci)
+			off[v+1]++
+		}
+	}
+
+	var items []Item
+	assigned := make([]bool, plan.Len())
+	inPart := make([]int, len(refs)) // vertex → open-partition stamp
+	for i := range inPart {
+		inPart[i] = -1
+	}
+	var cur Item
+	stamp := 0
+
+	flush := func() {
+		if len(cur.Cmps) > 0 {
+			items = append(items, cur)
+		}
+		cur = Item{}
+		stamp++
+	}
+	addSeq := func(s int) {
+		if inPart[s] != stamp {
+			inPart[s] = stamp
+			cur.Seqs = append(cur.Seqs, s)
+			cur.Bytes += int(refs[s].Len)
+		}
+	}
+	need := func(s int) int {
+		if inPart[s] == stamp {
+			return 0
+		}
+		return int(refs[s].Len)
+	}
+
+	var queue []int
+	for seed := range refs {
+		if off[seed] == off[seed+1] {
+			continue
+		}
+		queue = append(queue[:0], seed)
+		for qi := 0; qi < len(queue); qi++ {
+			u := queue[qi]
+			for _, e := range edges[off[u]:off[u+1]] {
+				ci := int(e)
+				if assigned[ci] {
+					continue
+				}
+				c := plan.At(ci)
+				grow := need(c.H) + need(c.V)
+				if cur.Bytes+grow > seqBudget || len(cur.Cmps) >= maxCmps {
+					if len(cur.Cmps) == 0 {
+						// A single comparison larger than the
+						// budget gets its own item; the batcher
+						// decides feasibility.
+						addSeq(c.H)
+						addSeq(c.V)
+						cur.Cmps = append(cur.Cmps, ci)
+						cur.Cost += CostEstimate(d, c)
+						assigned[ci] = true
+						flush()
+					}
+					// Leave the edge for a later partition rooted
+					// nearby; close the full partition and restart
+					// the walk from this vertex, preserving the
+					// pending frontier: vertices discovered earlier
+					// in the walk keep their queue slots, so their
+					// unassigned edges extend the next partition
+					// instead of falling through to the reuse-blind
+					// mop-up sweep once their seed turns have passed.
+					if len(cur.Cmps) > 0 {
+						flush()
+						pending := queue[qi+1:]
+						copy(queue[1:1+len(pending)], pending)
+						queue[0] = u
+						queue = queue[:1+len(pending)]
+						qi = 0
+					}
+					continue
+				}
+				wasH := inPart[c.H] == stamp
+				wasV := inPart[c.V] == stamp
+				addSeq(c.H)
+				addSeq(c.V)
+				// A vertex preserved across a flush may be re-appended
+				// when a new-partition edge rediscovers it (its stamp
+				// reset with the flush); the extra adjacency scan is
+				// redundant-but-correct (assigned[] filters it) and
+				// bounded by one slot per discovery, which keeps the
+				// walk's grouping — and the pinned golden schedules —
+				// unchanged.
+				if !wasH && c.H != u {
+					queue = append(queue, c.H)
+				}
+				if !wasV && c.V != u {
+					queue = append(queue, c.V)
+				}
+				cur.Cmps = append(cur.Cmps, ci)
+				cur.Cost += CostEstimate(d, c)
+				assigned[ci] = true
+			}
+		}
+	}
+	flush()
+	// Mop-up: edges skipped at a partition boundary whose endpoints were
+	// both consumed by earlier walks never reappear on the frontier;
+	// sweep them into fresh partitions so every comparison is scheduled
+	// exactly once.
+	for ci := range assigned {
+		if assigned[ci] {
+			continue
+		}
+		c := plan.At(ci)
+		grow := need(c.H) + need(c.V)
+		if (cur.Bytes+grow > seqBudget || len(cur.Cmps) >= maxCmps) && len(cur.Cmps) > 0 {
+			flush()
+		}
+		addSeq(c.H)
+		addSeq(c.V)
+		cur.Cmps = append(cur.Cmps, ci)
+		cur.Cost += CostEstimate(d, c)
+		assigned[ci] = true
+	}
+	flush()
+	return items
+}
+
+// sameItems fails the test unless BuildItems matches the rescanning walk
+// on d under opt, field for field.
+func sameItems(tb testing.TB, d *workload.Dataset, opt Options) {
+	tb.Helper()
+	got, want := BuildItems(d, opt), buildItemsRescan(d, opt)
+	if !reflect.DeepEqual(got, want) {
+		for i := range min(len(got), len(want)) {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				tb.Fatalf("%+v: item %d is %+v, the rescanning walk's %+v", opt, i, got[i], want[i])
+			}
+		}
+		tb.Fatalf("%+v: %d items, the rescanning walk made %d", opt, len(got), len(want))
+	}
+}
+
+// TestBuildItemsMatchesRescan holds the cursor walk to the rescanning one
+// on the random graphs of TestBuildItemsCoverageFuzz under every spread
+// cap, with and without reuse, and on the shortread_plan shape at a
+// tight, a middle and the derived budget.
+func TestBuildItemsMatchesRescan(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	for trial := 0; trial < 200; trial++ {
+		d := randomGraph(rng)
+		budget := 100 + rng.Intn(3001)
+		for _, maxCmps := range []int{0, 1, 3, 10, 58} {
+			for _, reuse := range []bool{true, false} {
+				sameItems(t, d, Options{SeqBudget: budget, Reuse: reuse, MaxCmps: maxCmps})
+			}
+		}
+	}
+	d, _, cfg := shortReadItems(t, 8_000)
+	derived, err := DeriveSeqBudget(d, cfg, platform.GC200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxCmps := (len(d.Comparisons) + 184*3 - 1) / (184 * 3)
+	for _, budget := range []int{2_000, 20_000, derived} {
+		sameItems(t, d, Options{SeqBudget: budget, Reuse: true, MaxCmps: maxCmps})
+	}
+}
+
+// FuzzBuildItems decodes a graph, a budget, a spread cap and the reuse
+// flag from the fuzz bytes and holds BuildItems to the rescanning walk.
+// Byte 0 picks n = 1–32 sequences and the next n bytes their lengths,
+// 27–282 bases. Four bytes then set the budget (0–4 335 B), the cap
+// (0–63) and the flag; the rest, two bytes at a time, are comparisons,
+// self-comparisons included.
+func FuzzBuildItems(f *testing.F) {
+	f.Add([]byte{3, 100, 120, 140, 0x10, 0x01, 3, 1, 0, 1, 1, 2, 2, 0, 0, 0})
+	f.Add([]byte{7, 30, 60, 90, 120, 150, 180, 210, 0x04, 0x00, 2, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 0, 0, 2, 4, 6})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) < 5 {
+			return
+		}
+		n := 1 + int(b[0])%32
+		b = b[1:]
+		if len(b) < n+4 {
+			return
+		}
+		seqs := make([][]byte, n)
+		for i := range seqs {
+			seqs[i] = make([]byte, 27+int(b[i]))
+		}
+		b = b[n:]
+		opt := Options{
+			SeqBudget: int(b[0])<<4 + int(b[1]),
+			MaxCmps:   int(b[2] % 64),
+			Reuse:     b[3]&1 == 0,
+		}
+		b = b[4:]
+		var cmps []workload.Comparison
+		for ; len(b) >= 2 && len(cmps) < 512; b = b[2:] {
+			cmps = append(cmps, workload.Comparison{
+				H: int(b[0]) % n, V: int(b[1]) % n, SeedH: 5, SeedV: 5, SeedLen: 17,
+			})
+		}
+		d := workload.MustPack("", seqs, cmps, false)
+		sameItems(t, d, opt)
+		coverage(t, d, BuildItems(d, opt))
+	})
 }
 
 func TestDeriveSeqBudget(t *testing.T) {
@@ -729,5 +1019,18 @@ func BenchmarkMakeBatches(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+func BenchmarkBuildItems(b *testing.B) {
+	d, _, cfg := shortReadItems(b, 32_000)
+	budget, err := DeriveSeqBudget(d, cfg, platform.GC200)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := Options{SeqBudget: budget, Reuse: true, MaxCmps: (len(d.Comparisons) + 184*3 - 1) / (184 * 3)}
+	b.ReportAllocs()
+	for b.Loop() {
+		BuildItems(d, opt)
 	}
 }
