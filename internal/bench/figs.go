@@ -29,8 +29,8 @@ func Fig1(opt Options) error {
 		r := core.Banded(core.NewView(h), core.NewView(v), hw, scoring.DNADefault, -1)
 		tab.AddRow(fmt.Sprintf("banded ±%d", hw), r.Score, r.Score == full.Score, r.Stats.Cells)
 	}
-	xd := core.Standard3(core.NewView(h), core.NewView(v), core.Params{
-		Scorer: scoring.DNADefault, Gap: -1, X: 160,
+	xd := core.Align(core.NewView(h), core.NewView(v), core.Params{
+		Scorer: scoring.DNADefault, Gap: -1, X: 160, Algo: core.AlgoStandard3,
 	})
 	tab.AddRow("x-drop X=160", xd.Score, xd.Score == full.Score, xd.Stats.Cells)
 	tab.AddRow("full DP", full.Score, true, cells(full.Computed[1:])) // every cell but the origin
@@ -114,8 +114,8 @@ func Fig3(opt Options) error {
 	for _, n := range []int{1000, 5000, 10000, 25000} {
 		h := synth.RandDNA(rng, n)
 		v := synth.UniformDNA(0.1).Apply(rng, h)
-		r := core.Standard3(core.NewView(h), core.NewView(v), core.Params{
-			Scorer: scoring.DNADefault, Gap: -1, X: 15,
+		r := core.Align(core.NewView(h), core.NewView(v), core.Params{
+			Scorer: scoring.DNADefault, Gap: -1, X: 15, Algo: core.AlgoStandard3,
 		})
 		dw := r.Stats.MaxLiveBand
 		deltaB := roundUp(dw+dw/4, 32) // δb chosen ≥ δw with headroom
@@ -158,8 +158,8 @@ func Fig6(opt Options) error {
 			for rep := 0; rep < 2; rep++ {
 				h := synth.RandDNA(rng, length)
 				v := synth.SubOnlyDNA(float64(e)/100).Apply(rng, h)
-				r := core.Standard3(core.NewView(h), core.NewView(v), core.Params{
-					Scorer: scoring.DNADefault, Gap: -1, X: x,
+				r := core.Align(core.NewView(h), core.NewView(v), core.Params{
+					Scorer: scoring.DNADefault, Gap: -1, X: x, Algo: core.AlgoStandard3,
 				})
 				if r.Stats.MaxLiveBand > dw {
 					dw = r.Stats.MaxLiveBand

@@ -1,21 +1,5 @@
 package core
 
-// Affine runs a Gotoh affine-gap X-Drop extension. It allocates its own
-// workspace; use (*Workspace).Affine in hot loops.
-func Affine(h, v View, p Params) Result {
-	var w Workspace
-	return w.Affine(h, v, p)
-}
-
-// Affine runs the affine-gap X-Drop extension, at the wide tier, using
-// the workspace buffers.
-func (w *Workspace) Affine(h, v View, p Params) Result {
-	p.Algo = AlgoAffine
-	var r Result
-	w.sweep(h, v, &p, &r)
-	return r
-}
-
 // affineSweep is the affine-gap (Gotoh) X-Drop score sweep backing the
 // ksw2-like baseline (§6.2). A gap of length k costs GapOpen + k·Gap, so
 // with ksw2-style penalties long gaps are penalised less per column than

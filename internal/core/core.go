@@ -2,19 +2,25 @@
 // semi-global alignment algorithm family, including the memory-restricted
 // two-antidiagonal variant (Algorithm 1) designed for SRAM-based processors.
 //
-// Three score-compatible variants are provided:
+// Params.Algo selects one of three score-compatible variants: AlgoStandard3,
+// Zhang's three-antidiagonal formulation (3δ memory), the search space used
+// by SeqAn and LOGAN; AlgoRestricted2, the paper's contribution — two
+// antidiagonals of bounded length δb (2δb memory), with the working window
+// re-aligned to the active best-scoring region each iteration (§3,
+// Algorithm 1); and AlgoAffine, Gotoh affine-gap X-Drop with ksw2-style
+// penalties, backing the ksw2 baseline (§6.2). All share identical
+// recurrence and pruning semantics: a cell whose score falls below T−X,
+// where T is the best score seen on previous antidiagonals, is removed
+// from the search space (set to −∞).
 //
-//   - Standard3: Zhang's three-antidiagonal formulation (3δ memory), the
-//     search space used by SeqAn and LOGAN.
-//   - Restricted2: the paper's contribution — two antidiagonals of bounded
-//     length δb (2δb memory), with the working window re-aligned to the
-//     active best-scoring region each iteration (§3, Algorithm 1).
-//   - Affine: Gotoh affine-gap X-Drop with ksw2-style penalties, backing the
-//     ksw2 baseline (§6.2).
-//
-// All variants share identical recurrence and pruning semantics: a cell
-// whose score falls below T−X, where T is the best score seen on previous
-// antidiagonals, is removed from the search space (set to −∞).
+// The exported doors, by caller. Production — ipukernel's tiles — scores
+// every side of a tile through one Workspace.ExtendBatch queue and records
+// through RecordLeft/Right, with SeedScore, JoinCigar, FusedEligible and
+// NarrowCapLen. The facade and the pipelines (baselines, bench, elba,
+// pastis) call Align, ExtendSeed and TracebackSeed, and bench's Fig. 1
+// Banded. The repo benchmark's layer trace still calls the one-extension
+// Workspace methods ExtendLeft/Right, TracebackLeft/Right and
+// FusedExtendLeft/Right.
 //
 // The variants are served by two int32 antidiagonal sweeps: linearSweep
 // (linear.go — Restricted2's in-place two-buffer walk, and Standard3 as
@@ -25,14 +31,15 @@
 // (fusedLinear, fused.go), whether as the single fused pass or as the
 // second pass after a score sweep. Affine is score-only. Each sweep has
 // one inner loop a row kind: Workspace.operands lays h and v out in sweep
-// order once per extension, so no sweep knows a view's direction.
-// linearSweep additionally has an AVX2 body on amd64 (row_amd64.s, eight
-// cells per instruction): one resident assembly body (sweepLinearVec) runs
-// the whole antidiagonal loop of an extension, with the same two row kinds
-// — score rows and recording rows, which also pack their direction codes
-// into the tracer. Both are bit-identical to the Go loop they are tested
-// against; RowISA reports which this process runs. The X-Drop they are all
-// held to is internal/oracle, which shares no code with this package.
+// order once per extension, so no sweep knows a view's direction. linearSweep
+// additionally has an AVX2 body on amd64 (row_amd64.s, eight cells per
+// instruction): one resident assembly body (sweepLinearVec) runs the whole
+// antidiagonal loop, with the same two row kinds — score rows, two
+// extensions of an ExtendBatch queue in turn, and recording rows, which
+// also pack their direction codes into the tracer. Both are bit-identical
+// to the Go loop they are tested against; RowISA reports which this
+// process runs. The X-Drop they are all held to is internal/oracle, which
+// shares no code with this package.
 package core
 
 import (
@@ -71,18 +78,6 @@ func (v View) At(i int) byte {
 		return v.data[len(v.data)-1-i]
 	}
 	return v.data[i]
-}
-
-// Reversed reports whether the view reads backwards.
-func (v View) Reversed() bool { return v.rev }
-
-// Bytes materialises the view (test helper).
-func (v View) Bytes() []byte {
-	out := make([]byte, len(v.data))
-	for i := range out {
-		out[i] = v.At(i)
-	}
-	return out
 }
 
 // Algo selects an X-Drop implementation.

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/sram-align/xdropipu/internal/oracle"
@@ -23,6 +24,35 @@ func (w *Workspace) aligned(h, v View, p Params) (r Result) {
 func (w *Workspace) swept(h, v View, p Params) (r Result) {
 	w.sweep(h, v, &p, &r)
 	return r
+}
+
+// seqPair is one extension of a test queue: h against v, both forwards.
+type seqPair struct{ h, v []byte }
+
+// queue runs pairs as one ExtendBatch queue under p — the door ipukernel
+// scores a tile's sides through, on amd64 sweepBatch's two lanes — and
+// returns their Results in order. Every odd pair runs as a Left side over
+// reversed copies of its operands, so each queue mixes both directions.
+func (w *Workspace) queue(p Params, pairs []seqPair) []Result {
+	sides := make([]Side, len(pairs))
+	for i, pr := range pairs {
+		sides[i] = Side{H: pr.h, V: pr.v}
+		if i%2 == 1 {
+			sides[i] = Side{H: reversed(pr.h), V: reversed(pr.v), HOff: len(pr.h), VOff: len(pr.v), Left: true}
+		}
+	}
+	out := make([]Result, len(sides))
+	w.ExtendBatch(&p, sides, out)
+	return out
+}
+
+// extendAll is queue on a fresh workspace.
+func extendAll(p Params, pairs ...seqPair) []Result { return new(Workspace).queue(p, pairs) }
+
+// withAlgo is p running algo.
+func withAlgo(p Params, algo Algo) Params {
+	p.Algo = algo
+	return p
 }
 
 func randDNA(rng *rand.Rand, n int) []byte {
@@ -77,12 +107,6 @@ func TestViewAccess(t *testing.T) {
 	}
 	if r.At(0) != 'T' || r.At(3) != 'A' {
 		t.Error("reversed view broken")
-	}
-	if !bytes.Equal(r.Bytes(), []byte("TGCA")) {
-		t.Error("Bytes() of reversed view broken")
-	}
-	if f.Reversed() || !r.Reversed() {
-		t.Error("Reversed() flags wrong")
 	}
 }
 
@@ -166,38 +190,42 @@ func TestCompletelyMismatched(t *testing.T) {
 // TestVariantsAgreeWithOracle is the central correctness property: on
 // random mutated pairs, Standard3 and Restricted2 (unbounded δb) must
 // reproduce the oracle exactly — score, end point, cells, live band, no
-// clamp — and so must their seed extensions through ExtendSeed at a
-// random seed: the three scores and the aligned region, against
-// oracle.Seed on the raw sequences.
+// clamp — run as ExtendBatch queues of 50 sides, one queue per X, and so
+// must their seed extensions through ExtendSeed at a random seed: the
+// three scores and the aligned region, against oracle.Seed on the raw
+// sequences.
 func TestVariantsAgreeWithOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	xs := []int{0, 1, 5, 10, 25, 100}
+	pairs := make([][]seqPair, len(xs)) // trial i is pairs[i%6][i/6]
 	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(120)
-		h := randDNA(rng, n)
+		h := randDNA(rng, 1+rng.Intn(120))
 		v := mutate(rng, h, []float64{0, 0.05, 0.15, 0.4, 0.9}[trial%5])
 		if trial%7 == 0 {
 			v = randDNA(rng, 1+rng.Intn(120)) // unrelated pair
 		}
-		x := []int{0, 1, 5, 10, 25, 100}[trial%6]
-		p := dnaParams(x)
-		ref := oracleResult(NewView(h), NewView(v), p)
+		pairs[trial%6] = append(pairs[trial%6], seqPair{h, v})
+		p := dnaParams(xs[trial%6])
 		k := 1 + rng.Intn(min(len(h), len(v)))
 		s := Seed{H: rng.Intn(len(h) - k + 1), V: rng.Intn(len(v) - k + 1), Len: k}
-		want := oracle.Seed(h, v, s.H, s.V, k, p.Scorer.Table(), p.Gap, x)
-		for algo, extend := range map[Algo]func(h, v View, p Params) Result{AlgoStandard3: Standard3, AlgoRestricted2: Restricted2} {
-			got := extend(NewView(h), NewView(v), p)
-			if got.Score != ref.Score || got.EndH != ref.EndH || got.EndV != ref.EndV || got.Stats.Clamped ||
-				got.Stats.Cells != ref.Stats.Cells || got.Stats.MaxLiveBand != ref.Stats.MaxLiveBand {
-				t.Fatalf("trial %d: %v %+v != oracle %+v (x=%d h=%s v=%s)", trial, algo, got, ref, x, h, v)
-			}
-			p.Algo = algo
-			sr, err := ExtendSeed(h, v, s, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sr.Score != want.Score || sr.LeftScore != want.Left || sr.RightScore != want.Right ||
+		want := oracle.Seed(h, v, s.H, s.V, k, p.Scorer.Table(), p.Gap, p.X)
+		for _, algo := range []Algo{AlgoStandard3, AlgoRestricted2} {
+			sr, err := ExtendSeed(h, v, s, withAlgo(p, algo))
+			if err != nil || sr.Score != want.Score || sr.LeftScore != want.Left || sr.RightScore != want.Right ||
 				sr.BegH != want.BegH || sr.BegV != want.BegV || sr.EndH != want.EndH || sr.EndV != want.EndV {
-				t.Fatalf("trial %d: %v seed %+v: %+v != oracle %+v (x=%d h=%s v=%s)", trial, algo, s, sr, want, x, h, v)
+				t.Fatalf("trial %d: %v seed %+v: %+v (%v) != oracle %+v (x=%d h=%s v=%s)", trial, algo, s, sr, err, want, p.X, h, v)
+			}
+		}
+	}
+	for xi, x := range xs {
+		p := dnaParams(x)
+		for _, algo := range []Algo{AlgoStandard3, AlgoRestricted2} {
+			for i, got := range extendAll(withAlgo(p, algo), pairs[xi]...) {
+				pr := pairs[xi][i]
+				got.Stats.WorkBytes = 0 // only a buffer layout defines it
+				if ref := oracleResult(NewView(pr.h), NewView(pr.v), p); got != ref {
+					t.Fatalf("trial %d: %v %+v != oracle %+v (x=%d h=%s v=%s)", xi+6*i, algo, got, ref, x, pr.h, pr.v)
+				}
 			}
 		}
 	}
@@ -252,16 +280,18 @@ func TestRestrictedWithSufficientBand(t *testing.T) {
 // score that never exceeds the unrestricted one and flags the clamp.
 func TestRestrictedClampIsLowerBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	clamps := 0
-	for trial := 0; trial < 150; trial++ {
+	pairs := make([]seqPair, 150)
+	for i := range pairs {
 		h := randDNA(rng, 150)
-		v := mutate(rng, h, 0.35)
-		p := dnaParams(30)
-		full := Standard3(NewView(h), NewView(v), p)
-		p.DeltaB = 4
-		rst := Restricted2(NewView(h), NewView(v), p)
-		if rst.Score > full.Score {
-			t.Fatalf("trial %d: clamped score %d exceeds unrestricted %d", trial, rst.Score, full.Score)
+		pairs[i] = seqPair{h, mutate(rng, h, 0.35)}
+	}
+	p := dnaParams(30)
+	full := extendAll(withAlgo(p, AlgoStandard3), pairs...)
+	p.DeltaB = 4
+	clamps := 0
+	for trial, rst := range extendAll(p, pairs...) {
+		if rst.Score > full[trial].Score {
+			t.Fatalf("trial %d: clamped score %d exceeds unrestricted %d", trial, rst.Score, full[trial].Score)
 		}
 		if rst.Stats.MaxLiveBand > 4 {
 			t.Fatalf("trial %d: band %d exceeds δb=4", trial, rst.Stats.MaxLiveBand)
@@ -279,56 +309,54 @@ func TestRestrictedClampIsLowerBound(t *testing.T) {
 // therefore never lowers the score; X huge reaches the full-DP optimum.
 func TestScoreMonotoneInX(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 100; trial++ {
+	pairs := make([]seqPair, 100)
+	for i := range pairs {
 		h := randDNA(rng, 60+rng.Intn(60))
-		v := mutate(rng, h, 0.25)
-		prev := -1 << 30
-		var prevCells int64
-		for _, x := range []int{0, 2, 5, 10, 20, 50, 1 << 20} {
-			p := dnaParams(x)
-			r := Standard3(NewView(h), NewView(v), p)
-			if r.Score < prev {
-				t.Fatalf("trial %d: score decreased (%d → %d) at X=%d", trial, prev, r.Score, x)
+		pairs[i] = seqPair{h, mutate(rng, h, 0.25)}
+	}
+	prev := make([]Result, len(pairs)) // an extension scores at least 0
+	for _, x := range []int{0, 2, 5, 10, 20, 50, 1 << 20} {
+		for trial, r := range extendAll(withAlgo(dnaParams(x), AlgoStandard3), pairs...) {
+			if r.Score < prev[trial].Score || r.Stats.Cells < prev[trial].Stats.Cells {
+				t.Fatalf("trial %d: X=%d lowered the score or the cells: %+v after %+v", trial, x, r, prev[trial])
 			}
-			if r.Stats.Cells < prevCells {
-				t.Fatalf("trial %d: cells decreased at X=%d", trial, x)
-			}
-			prev = r.Score
-			prevCells = r.Stats.Cells
+			prev[trial] = r
 		}
-		// X=∞ must reach the unpruned semi-global optimum.
-		full := oracle.Extend(h, v, scoring.DNADefault.Table(), -1, oracle.Unpruned)
-		if prev != full.Score {
-			t.Fatalf("trial %d: X=∞ score %d != full DP %d", trial, prev, full.Score)
+	}
+	// X=∞ must reach the unpruned semi-global optimum.
+	for trial, pr := range pairs {
+		if full := oracle.Extend(pr.h, pr.v, scoring.DNADefault.Table(), -1, oracle.Unpruned); prev[trial].Score != full.Score {
+			t.Fatalf("trial %d: X=∞ score %d != full DP %d", trial, prev[trial].Score, full.Score)
 		}
 	}
 }
 
 // TestLeftExtensionEqualsReversedRight: the op(·) view transformation must
-// be equivalent to materialising reversed sequences.
+// be equivalent to materialising reversed sequences, in every Result field.
+// Each queue holds every trial's Left side at its offsets, then the Right
+// sides over the materialised reversed prefixes, for each variant and for
+// Restricted2's clamped path.
 func TestLeftExtensionEqualsReversedRight(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	for trial := 0; trial < 100; trial++ {
+	const trials = 100
+	sides := make([]Side, 2*trials)
+	for trial := range trials {
 		h := randDNA(rng, 40+rng.Intn(100))
 		v := mutate(rng, h, 0.2)
 		hOff := rng.Intn(len(h) + 1)
 		vOff := rng.Intn(len(v) + 1)
-		p := dnaParams(8)
-
-		left := ExtendLeft(h, v, hOff, vOff, p)
-
-		hr := make([]byte, hOff)
-		vr := make([]byte, vOff)
-		for i := 0; i < hOff; i++ {
-			hr[i] = h[hOff-1-i]
-		}
-		for i := 0; i < vOff; i++ {
-			vr[i] = v[vOff-1-i]
-		}
-		right := Align(NewView(hr), NewView(vr), p)
-
-		if left.Score != right.Score || left.EndH != right.EndH || left.EndV != right.EndV {
-			t.Fatalf("trial %d: left ext %+v != reversed right %+v", trial, left, right)
+		sides[trial] = Side{H: h, V: v, HOff: hOff, VOff: vOff, Left: true}
+		sides[trials+trial] = Side{H: reversed(h[:hOff]), V: reversed(v[:vOff])}
+	}
+	for _, p := range []Params{dnaParams(8), {Scorer: scoring.DNADefault, Gap: -1, X: 10, DeltaB: 8},
+		withAlgo(dnaParams(10), AlgoStandard3), {Scorer: scoring.NewSimple(2, -4), Gap: -2, GapOpen: -4, X: 20, Algo: AlgoAffine}} {
+		out := make([]Result, len(sides))
+		var w Workspace
+		w.ExtendBatch(&p, sides, out)
+		for trial, left := range out[:trials] {
+			if right := out[trials+trial]; left != right {
+				t.Fatalf("trial %d %v δb=%d: left ext %+v != reversed right %+v", trial, p.Algo, p.DeltaB, left, right)
+			}
 		}
 	}
 }
@@ -383,20 +411,19 @@ func TestExtendSeedErrors(t *testing.T) {
 
 func TestAffineBasics(t *testing.T) {
 	p := Params{Scorer: scoring.NewSimple(2, -4), Gap: -1, GapOpen: -4, X: 40, Algo: AlgoAffine}
-	// Perfect match.
 	s := []byte("ACGTACGTACGTACGTACGT")
-	r := Affine(NewView(s), NewView(s), p)
-	if r.Score != 2*len(s) {
-		t.Errorf("affine perfect match: score %d, want %d", r.Score, 2*len(s))
-	}
-	// One long deletion: affine must prefer a single opened gap.
 	h := []byte("ACGTACGTAAAAAAAAAAACGTACGTGGGG")
 	v := append(append([]byte{}, h[:9]...), h[19:]...) // delete 10 symbols
-	r = Affine(NewView(h), NewView(v), p)
+	r := extendAll(p, seqPair{s, s}, seqPair{h, v})
+	// Perfect match.
+	if r[0].Score != 2*len(s) {
+		t.Errorf("affine perfect match: score %d, want %d", r[0].Score, 2*len(s))
+	}
+	// One long deletion: affine must prefer a single opened gap.
 	// 20 matches (score 40) minus open 4 minus 10×extend 10 = 26.
 	want := 2*(len(h)-10) - 4 - 10
-	if r.Score != want {
-		t.Errorf("affine long gap: score %d, want %d", r.Score, want)
+	if r[1].Score != want {
+		t.Errorf("affine long gap: score %d, want %d", r[1].Score, want)
 	}
 }
 
@@ -406,15 +433,17 @@ func TestAffineLargerSearchSpace(t *testing.T) {
 	// reproducing the §6.2 observation that ksw2's weaker long-gap
 	// penalty enlarges the search space.
 	rng := rand.New(rand.NewSource(12))
-	var linCells, affCells int64
-	for trial := 0; trial < 40; trial++ {
+	pairs := make([]seqPair, 40)
+	for i := range pairs {
 		h := randDNA(rng, 400)
-		v := mutate(rng, h, 0.15)
-		lin := Standard3(NewView(h), NewView(v), dnaParams(15))
-		ap := Params{Scorer: scoring.NewSimple(2, -4), Gap: -1, GapOpen: -4, X: 30, Algo: AlgoAffine}
-		af := Affine(NewView(h), NewView(v), ap)
-		linCells += lin.Stats.Cells
-		affCells += af.Stats.Cells
+		pairs[i] = seqPair{h, mutate(rng, h, 0.15)}
+	}
+	ap := Params{Scorer: scoring.NewSimple(2, -4), Gap: -1, GapOpen: -4, X: 30, Algo: AlgoAffine}
+	af := extendAll(ap, pairs...)
+	var linCells, affCells int64
+	for i, r := range extendAll(withAlgo(dnaParams(15), AlgoStandard3), pairs...) {
+		linCells += r.Stats.Cells
+		affCells += af[i].Stats.Cells
 	}
 	if affCells <= linCells {
 		t.Errorf("affine cells %d not larger than linear cells %d", affCells, linCells)
@@ -430,15 +459,16 @@ func TestBandedVsXDrop(t *testing.T) {
 	full := oracle.Extend(h, v, scoring.DNADefault.Table(), -1, oracle.Unpruned)
 	narrow := Banded(NewView(h), NewView(v), 10, scoring.DNADefault, -1)
 	wide := Banded(NewView(h), NewView(v), len(v), scoring.DNADefault, -1)
-	xd := Standard3(NewView(h), NewView(v), dnaParams(100))
 	if narrow.Score >= full.Score {
 		t.Errorf("narrow band should miss the optimum: banded %d vs full %d", narrow.Score, full.Score)
 	}
 	if wide.Score != full.Score {
 		t.Errorf("wide band %d != full %d", wide.Score, full.Score)
 	}
-	if xd.Score != full.Score {
-		t.Errorf("x-drop (X=100) %d != full %d", xd.Score, full.Score)
+	for _, xd := range extendAll(withAlgo(dnaParams(100), AlgoStandard3), seqPair{h, v}, seqPair{h, v}) {
+		if xd.Score != full.Score {
+			t.Errorf("x-drop (X=100) %d != full %d", xd.Score, full.Score)
+		}
 	}
 }
 
@@ -456,8 +486,10 @@ func TestReferenceMatrixComputedArea(t *testing.T) {
 		for _, s := range e.Computed {
 			cells += int64(s.Width())
 		}
-		if r := Standard3(NewView(h), NewView(v), dnaParams(x)); cells != r.Stats.Cells {
-			t.Errorf("X=%d: oracle computes %d cells, standard3 %d", x, cells, r.Stats.Cells)
+		for _, r := range extendAll(withAlgo(dnaParams(x), AlgoStandard3), seqPair{h, v}, seqPair{h, v}) {
+			if cells != r.Stats.Cells {
+				t.Errorf("X=%d: oracle computes %d cells, standard3 %d", x, cells, r.Stats.Cells)
+			}
 		}
 		area = append(area, cells)
 	}
@@ -469,15 +501,18 @@ func TestReferenceMatrixComputedArea(t *testing.T) {
 func TestWorkBytesAccounting(t *testing.T) {
 	h := bytes.Repeat([]byte("ACGT"), 100) // 400
 	v := bytes.Repeat([]byte("ACGT"), 100)
+	pairs := []seqPair{{h, v}, {h[:100], v}}
 	p := dnaParams(10)
-	std := Standard3(NewView(h), NewView(v), p)
-	if std.Stats.WorkBytes != 3*401*4 {
-		t.Errorf("standard3 WorkBytes = %d, want %d", std.Stats.WorkBytes, 3*401*4)
+	for i, std := range extendAll(withAlgo(p, AlgoStandard3), pairs...) {
+		if want := 3 * (len(pairs[i].h) + 1) * 4; std.Stats.WorkBytes != want {
+			t.Errorf("side %d: standard3 WorkBytes = %d, want %d", i, std.Stats.WorkBytes, want)
+		}
 	}
 	p.DeltaB = 64
-	rst := Restricted2(NewView(h), NewView(v), p)
-	if rst.Stats.WorkBytes != 2*64*4 {
-		t.Errorf("restricted2 WorkBytes = %d, want %d", rst.Stats.WorkBytes, 2*64*4)
+	for i, rst := range extendAll(p, pairs...) {
+		if rst.Stats.WorkBytes != 2*64*4 {
+			t.Errorf("side %d: restricted2 WorkBytes = %d, want %d", i, rst.Stats.WorkBytes, 2*64*4)
+		}
 	}
 	// The 55× headline: 3δ/2δb for a 25 kb sequence at δb=680.
 	ratio := float64(3*25001*4) / float64(2*680*4)
@@ -523,26 +558,24 @@ func TestAlgoString(t *testing.T) {
 }
 
 func TestWorkspaceReuseIsClean(t *testing.T) {
-	// Reusing one workspace across alignments of different sizes must
-	// give identical results to fresh workspaces.
+	// Reusing one workspace across queues of different sizes and lengths
+	// must give identical results to fresh workspaces.
 	rng := rand.New(rand.NewSource(15))
 	var w Workspace
 	for trial := 0; trial < 60; trial++ {
-		h := randDNA(rng, 1+rng.Intn(200))
-		v := mutate(rng, h, 0.2)
+		pairs := make([]seqPair, 1+rng.Intn(5))
+		for i := range pairs {
+			h := randDNA(rng, 1+rng.Intn(200))
+			pairs[i] = seqPair{h, mutate(rng, h, 0.2)}
+		}
 		p := dnaParams(12)
 		if trial%3 == 1 {
 			p.DeltaB = 8
 		}
-		a := w.Restricted2(NewView(h), NewView(v), p)
-		b := Restricted2(NewView(h), NewView(v), p)
-		if a.Score != b.Score || a.Stats != b.Stats {
-			t.Fatalf("trial %d: workspace reuse diverged: %+v vs %+v", trial, a, b)
-		}
-		s1 := w.Standard3(NewView(h), NewView(v), p)
-		s2 := Standard3(NewView(h), NewView(v), p)
-		if s1.Score != s2.Score || s1.Stats != s2.Stats {
-			t.Fatalf("trial %d: standard3 workspace reuse diverged", trial)
+		for _, algo := range []Algo{AlgoRestricted2, AlgoStandard3} {
+			if reused, fresh := w.queue(withAlgo(p, algo), pairs), extendAll(withAlgo(p, algo), pairs...); !slices.Equal(reused, fresh) {
+				t.Fatalf("trial %d: %v: workspace reuse diverged:\n%+v\n%+v", trial, algo, reused, fresh)
+			}
 		}
 	}
 }

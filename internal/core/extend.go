@@ -30,12 +30,6 @@ type SeedResult struct {
 
 // ExtendRight extends an alignment rightwards from (hOff, vOff): it aligns
 // h[hOff:] against v[vOff:] with the selected X-Drop variant.
-func ExtendRight(h, v []byte, hOff, vOff int, p Params) Result {
-	var w Workspace
-	return w.ExtendRight(h, v, hOff, vOff, p)
-}
-
-// ExtendRight is the workspace-reusing form of the package function.
 func (w *Workspace) ExtendRight(h, v []byte, hOff, vOff int, p Params) Result {
 	var r Result
 	w.align(NewView(h[hOff:]), NewView(v[vOff:]), &p, &r)
@@ -46,12 +40,6 @@ func (w *Workspace) ExtendRight(h, v []byte, hOff, vOff int, p Params) Result {
 // the reversed prefixes h[:hOff] and v[:vOff]. No copy is made — the
 // op(·) index transformation of §4.1.1 reads the prefixes backwards in
 // place.
-func ExtendLeft(h, v []byte, hOff, vOff int, p Params) Result {
-	var w Workspace
-	return w.ExtendLeft(h, v, hOff, vOff, p)
-}
-
-// ExtendLeft is the workspace-reusing form of the package function.
 func (w *Workspace) ExtendLeft(h, v []byte, hOff, vOff int, p Params) Result {
 	var r Result
 	w.align(NewReversedView(h[:hOff]), NewReversedView(v[:vOff]), &p, &r)

@@ -2,43 +2,6 @@ package core
 
 import "unsafe"
 
-// Restricted2 runs the paper's memory-restricted X-Drop extension
-// (Algorithm 1). It allocates its own workspace; use
-// (*Workspace).Restricted2 in hot loops.
-func Restricted2(h, v View, p Params) Result {
-	var w Workspace
-	return w.Restricted2(h, v, p)
-}
-
-// Restricted2 is the paper's contribution (§3): an X-Drop extension that
-// stores only two antidiagonals of bounded length δb (2δb scores total
-// instead of Standard3's 3δ). It is linearSweep's in-place layout, at the
-// wide tier.
-func (w *Workspace) Restricted2(h, v View, p Params) Result {
-	p.Algo = AlgoRestricted2
-	var r Result
-	w.sweep(h, v, &p, &r)
-	return r
-}
-
-// Standard3 runs Zhang's three-antidiagonal X-Drop extension. It allocates
-// its own workspace; use (*Workspace).Standard3 in hot loops.
-func Standard3(h, v View, p Params) Result {
-	var w Workspace
-	return w.Standard3(h, v, p)
-}
-
-// Standard3 runs Zhang's three-antidiagonal X-Drop extension using the
-// workspace buffers. Memory footprint is 3δ scores, δ = min(m,n)+1
-// (Fig. 3, left). It is linearSweep's three-buffer layout, at the wide
-// tier.
-func (w *Workspace) Standard3(h, v View, p Params) Result {
-	p.Algo = AlgoStandard3
-	var r Result
-	w.sweep(h, v, &p, &r)
-	return r
-}
-
 // linearCapacity resolves the working-window bound of a linear-gap sweep:
 // Restricted2 honours DeltaB, Standard3 is unbounded, i.e. δ = min(m,n)+1.
 func linearCapacity(m, n int, p *Params) int {
@@ -120,8 +83,7 @@ func linearCapacity(m, n int, p *Params) int {
 // Both bodies store identical rows in identical buffers, record identical
 // codes and return identical Results, so nothing downstream — Stats,
 // KernelFingerprint, caches, traces — knows which ran
-// (TestSweepKernelMatchesGeneric, TestVectorSweepMatchesGenericSweep,
-// TestVectorRecordMatchesGenericRecord).
+// (TestSweepKernelMatchesGeneric, TestVectorRecordMatchesGenericRecord).
 //
 // It writes the extension's Result to *res and reports false, *res zeroed,
 // only when a recording row would pass maxTraceCells: on the antidiagonal

@@ -11,7 +11,7 @@ import (
 // the wide tier's Result: the trace counters are plain sums over the
 // oracle's spans, and WorkBytes, which only a buffer layout defines, is 0.
 func oracleResult(h, v View, p Params) Result {
-	e := oracle.Extend(h.Bytes(), v.Bytes(), p.Scorer.Table(), p.Gap, p.X)
+	e := oracle.Extend(symbols(h), symbols(v), p.Scorer.Table(), p.Gap, p.X)
 	st := Stats{Antidiagonals: len(e.Computed), TheoreticalCells: int64(h.Len()) * int64(v.Len())}
 	for d, s := range e.Computed {
 		w := int64(s.Width())
@@ -22,6 +22,14 @@ func oracleResult(h, v View, p Params) Result {
 	}
 	st.SumComputedBand = st.Cells
 	return Result{Score: e.Score, EndH: e.EndH, EndV: e.EndV, Stats: st}
+}
+
+// symbols materialises a view's symbols in view order.
+func symbols(v View) []byte {
+	if v.rev {
+		return reversed(v.data)
+	}
+	return v.data
 }
 
 // The recording oracle: the naive two-pass replay that served every

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -95,7 +96,8 @@ func TestWorkspaceTrimReleasesOversizedBuffers(t *testing.T) {
 	h := randDNA(rng, 500)
 	v := mutate(rng, h, 0.05)
 	p := Params{Scorer: scoring.DNADefault, Gap: -1, X: 20, DeltaB: 64}
-	if got, want := ws.ExtendRight(h, v, 0, 0, p), ExtendRight(h, v, 0, 0, p); got != want {
+	pairs := []seqPair{{h, v}, {v, h}}
+	if got, want := ws.queue(p, pairs), extendAll(p, pairs...); !slices.Equal(got, want) {
 		t.Fatalf("after Trim: %+v, want %+v", got, want)
 	}
 

@@ -144,9 +144,10 @@ func getAll(c ResultCache, keys []CacheKey, outs []ipukernel.AlignOut, hit []boo
 // Each unit's kernel runs exactly once whatever the schedule, so a result
 // is a function of the comparison and these inputs alone. Knobs that only
 // shape the modeled schedule or its time — thread count, the IPU model,
-// LR splitting, work stealing and its busy-wait variance, dual issue, the
-// cost model, host-side parallelism — are deliberately excluded, so runs
-// differing only in those share cache entries.
+// LR splitting, work stealing and its busy-wait variance, dual issue,
+// host-side parallelism — are deliberately excluded, so runs differing
+// only in those share cache entries. The cost model is
+// platform.DefaultKernelCost, which no configuration sets.
 //
 // The last fingerprint is memoised: an engine asks for its configuration's
 // on every job it plans against the cache, and re-hashing the 64 KiB

@@ -307,10 +307,12 @@ type Stats struct {
 	DeadlineExceeded int64
 	// Kernel-tier counters over every executed extension (disjoint;
 	// cache-served and deduped comparisons execute nothing and count
-	// nowhere): NarrowExtensions completed on the int16 tier,
-	// PromotedExtensions saturated int16 and re-ran wide,
-	// WideExtensions ran int32 outright. Narrow and promoted stay zero
-	// unless core.Params.Tier selects TierNarrow or TierAuto.
+	// nowhere). The tier is the modeled device's score width, derived
+	// from the host's one int32 sweep, which runs at the same speed at
+	// every tier: NarrowExtensions would complete on int16,
+	// PromotedExtensions would saturate int16 and re-run on int32,
+	// WideExtensions are modeled int32 outright. Narrow and promoted stay
+	// zero unless core.Params.Tier selects TierNarrow or TierAuto.
 	NarrowExtensions, WideExtensions, PromotedExtensions int64
 	// Traceback fast-path counters over every executed extension:
 	// TracedExtensions delivered a recorded trace (CIGAR),

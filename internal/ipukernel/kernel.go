@@ -233,22 +233,15 @@ type Config struct {
 	// Traceback is set; part of the kernel fingerprint (when tracing), so
 	// gated and ungated runs never share cache entries.
 	TraceMinScore int
-	// Cost is the instruction cost model (zero value → calibrated
-	// defaults).
-	Cost platform.KernelCost
 	// Parallelism caps the host-side tile worker pool (0 → GOMAXPROCS).
 	// Callers that already run Run concurrently (driver.NewPlan) divide
 	// their budget here so nested pools do not multiply.
 	Parallelism int
 }
 
-// withDefaults resolves the thread count against the model and fills in
-// the calibrated cost model.
+// withDefaults resolves the thread count against the model.
 func (c Config) withDefaults(m platform.IPUModel) Config {
 	c.Threads = c.threads(m)
-	if c.Cost == (platform.KernelCost{}) {
-		c.Cost = platform.DefaultKernelCost
-	}
 	return c
 }
 

@@ -159,9 +159,13 @@ func TestResultsIndependentOfSchedule(t *testing.T) {
 // TestScheduleThreeWayTie drives the schedule on synthetic costs: a
 // single steal, a two-way race and a three-way race, each duplicate
 // charged to every tied thread and the unit owned by the last of them.
+// Every steal attempt costs the calibrated StealInstr (48 bundles).
 func TestScheduleThreeWayTie(t *testing.T) {
+	if steal := int64(platform.DefaultKernelCost.StealInstr + 0.5); steal != 48 {
+		t.Fatalf("steal cost %d, want 48", steal)
+	}
 	cost := []int64{100, 100, 90, 40, 30, 20}
-	cfg := Config{Threads: 3, Cost: platform.KernelCost{StealInstr: 10}}
+	cfg := Config{Threads: 3}
 	var s tileSchedule
 
 	schedule(cost, &cfg, &s)
@@ -176,11 +180,12 @@ func TestScheduleThreeWayTie(t *testing.T) {
 	}
 
 	// Threads start on units 0–2 at [100 100 90]. Unit 3: thread 2 alone
-	// (→ 140). Unit 4: threads 0 and 1 tie at 100 (→ 140 each). Unit 5:
-	// all three tie at 140 (→ 170). The final empty steal adds 10 each.
+	// (→ 90+48+40 = 178). Unit 4: threads 0 and 1 tie at 100 (→ 178 each).
+	// Unit 5: all three tie at 178 (→ 246). The final empty steal adds 48
+	// each.
 	cfg.WorkStealing = true
 	schedule(cost, &cfg, &s)
-	if want := []int64{180, 180, 180}; !slices.Equal(s.instr, want) {
+	if want := []int64{294, 294, 294}; !slices.Equal(s.instr, want) {
 		t.Errorf("stealing: instr %v, want %v", s.instr, want)
 	}
 	if want := []int{0, 1, 2, 2, 1, 2}; !slices.Equal(s.owner, want) {
@@ -196,7 +201,7 @@ func TestScheduleThreeWayTie(t *testing.T) {
 	// Fewer units than threads: nothing to steal, but every thread still
 	// pays the empty-list attempt.
 	schedule(cost[:2], &cfg, &s)
-	if want := []int64{110, 110, 10}; !slices.Equal(s.instr, want) {
+	if want := []int64{148, 148, 48}; !slices.Equal(s.instr, want) {
 		t.Errorf("short list: instr %v, want %v", s.instr, want)
 	}
 	if s.stealOps != 0 || s.races != 0 || len(s.owner) != 2 {

@@ -9,6 +9,7 @@ import (
 
 	"github.com/sram-align/xdropipu/internal/alignment"
 	"github.com/sram-align/xdropipu/internal/core"
+	"github.com/sram-align/xdropipu/internal/platform"
 )
 
 // unit is one schedulable piece of tile work: the extension sides
@@ -375,7 +376,7 @@ func schedule(cost []int64, cfg *Config, s *tileSchedule) {
 	for ; next < threads && next < len(cost); next++ {
 		run(next, next)
 	}
-	stealCost := int64(cfg.Cost.StealInstr + 0.5)
+	stealCost := int64(platform.DefaultKernelCost.StealInstr + 0.5)
 	for ; next < len(cost); next++ {
 		// The thread(s) with the lowest deterministic counter reach the
 		// steal swap first; exact ties race and take the same unit. A
@@ -574,7 +575,7 @@ func accumulate(o *AlignOut, c *Counters, s core.Stats) {
 // instrCost converts an extension trace into thread-instruction bundles
 // under the calibrated cost model, applying the dual-issue speedup last.
 func instrCost(cfg *Config, s core.Stats) int64 {
-	c := cfg.Cost
+	c := &platform.DefaultKernelCost
 	raw := c.InstrPerAlignment +
 		float64(s.Antidiagonals)*c.InstrPerIteration +
 		float64(s.Cells)*c.InstrPerCell

@@ -93,9 +93,6 @@ type KernelCost struct {
 	// StealInstr is the cost of one work-steal attempt (global value
 	// swap plus branch; §4.1.3).
 	StealInstr float64
-	// BusyWaitInstr is the thread-unique busy-wait loop stride used by
-	// eventual work stealing to break steal ties (§4.1.3).
-	BusyWaitInstr float64
 }
 
 // DefaultKernelCost is the calibrated codelet cost model.
@@ -105,7 +102,6 @@ var DefaultKernelCost = KernelCost{
 	InstrPerIteration: 10,
 	InstrPerAlignment: 260,
 	StealInstr:        48,
-	BusyWaitInstr:     7,
 }
 
 // Scaled returns a proportionally smaller machine: parallel resources

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -240,6 +241,62 @@ func TestServiceRefusalsRefundTenantToken(t *testing.T) {
 			waitForLive(t, svc, 0, 10*time.Second)
 		})
 	}
+}
+
+// TestServiceFastaQueryRejected: a FASTA submission's query is checked
+// before its body is read. A present k must be a positive integer and a
+// present protein flag must parse with strconv.ParseBool; anything else
+// answers 400, creates no job and refunds the tenant's admission token,
+// where it used to align silently with k = 17 or as DNA.
+func TestServiceFastaQueryRejected(t *testing.T) {
+	const burst = 2
+	svc := service.New(service.Config{
+		Shards:        1,
+		EngineOptions: []engine.Option{engine.WithDriverConfig(testCfg(1)), engine.WithExecutors(1)},
+		// No refill inside the test: only a refund restores a token.
+		TenantRatePerSec: 0.001, TenantBurst: burst,
+	})
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	post := func(query string) int {
+		t.Helper()
+		fasta := ">a\nACGTACGTACGTACGTACGTACGTACGTACGTACGT\n>b\nACGTACGTACGTACGTTCGTACGTACGTACGTACGT\n"
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs?stream=0&"+query, strings.NewReader(fasta))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", wire.ContentTypeFasta)
+		req.Header.Set("X-Tenant", "t")
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, query := range []string{
+		"k=abc", "k=-3", "k=0", "k=", "k=9.5",
+		"protein=yes", "protein=", "protein=2", "k=9&protein=on",
+	} {
+		if code := post(query); code != http.StatusBadRequest {
+			t.Errorf("?%s: status %d, want 400", query, code)
+		}
+		if got := svc.TenantTokens("t"); got < burst-0.01 {
+			t.Fatalf("?%s: bucket holds %.3f tokens, want the refunded %d", query, got, burst)
+		}
+	}
+	var stats service.StatsReply
+	getJSON(t, ts, "/v1/stats", &stats)
+	if stats.TrackedJobs != 0 {
+		t.Fatalf("rejected queries created %d jobs", stats.TrackedJobs)
+	}
+	for _, query := range []string{"k=9&protein=true", "protein=TRUE"} {
+		if code := post(query); code != http.StatusAccepted {
+			t.Errorf("?%s: status %d, want 202", query, code)
+		}
+	}
+	waitForLive(t, svc, 0, 10*time.Second)
 }
 
 // waitForLive polls the shard pool until the live-job total reaches n.

@@ -399,8 +399,17 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request) (d *workload
 		return wire.DecodeDataset(buf.Bytes())
 	case wire.ContentTypeFasta, "text/plain":
 		q := r.URL.Query()
-		protein := q.Get("protein") == "1" || q.Get("protein") == "true"
-		k, _ := strconv.Atoi(q.Get("k"))
+		protein, k := false, 0 // absent: DNA, DecodeFasta's default k
+		if q.Has("protein") {
+			if protein, err = strconv.ParseBool(q.Get("protein")); err != nil {
+				return nil, fmt.Errorf("bad protein flag %q", q.Get("protein"))
+			}
+		}
+		if q.Has("k") {
+			if k, err = strconv.Atoi(q.Get("k")); err != nil || k <= 0 {
+				return nil, fmt.Errorf("bad seed length k=%q: want a positive integer", q.Get("k"))
+			}
+		}
 		name := q.Get("name")
 		if name == "" {
 			name = "fasta"

@@ -5,6 +5,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"runtime"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/sram-align/xdropipu/internal/seqio"
 	"github.com/sram-align/xdropipu/internal/synth"
 	"github.com/sram-align/xdropipu/internal/workload"
 )
@@ -459,4 +461,60 @@ func TestReportWireKeys(t *testing.T) {
 	if *back.Report != sum {
 		t.Fatalf("report did not round-trip:\n got %+v\nwant %+v", *back.Report, sum)
 	}
+}
+
+// FuzzDecodeFasta fuzzes the second body format of POST /v1/jobs. It must
+// never panic; an accepted dataset passes Validate, holds the records in
+// file order, and pairs them the way DecodeFasta documents: walking the
+// pairs (2i, 2i+1) in order, each whose records both reach k yields the
+// next comparison, with a length-k seed at both midpoints, and a pair with
+// a record shorter than k yields none.
+func FuzzDecodeFasta(f *testing.F) {
+	f.Add([]byte(">a\nACGTACGTACGTACGTACGTACGTACGTACGTACGT\n>b\nACGTACGTACGTACGTTCGTACGTACGTACGTACGT\n"), false, 9)
+	f.Add([]byte(">a\nACGTACGTAC\n>b\nACGTAC\n>c d\nACGTNACGT\r\n;comment\nACGT\n>d\nacgtacgtacgtacgt\n>e\nA\n"), false, 4)
+	f.Add([]byte(">p\nMKVLAAGIVALLLAAGCS\n>q\nMKVLAAGIVGLLLAAGCS\n"), true, 0)
+	f.Add([]byte("ACGT\n>x\n\n>y\nAC\n"), false, -1)
+	f.Fuzz(func(t *testing.T, body []byte, protein bool, k int) {
+		d, err := DecodeFasta(bytes.NewReader(body), protein, k, "fuzz")
+		if err != nil {
+			return
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatalf("accepted dataset fails Validate: %v", err)
+		}
+		alpha := seqio.DNAAlphabet
+		if protein {
+			alpha = seqio.ProteinAlphabet
+		}
+		recs, err := seqio.ReadFasta(bytes.NewReader(body), alpha)
+		if err != nil {
+			t.Fatalf("DecodeFasta accepted what ReadFasta refuses: %v", err)
+		}
+		if d.NumSeqs() != len(recs) || d.Protein != protein {
+			t.Fatalf("%d sequences (protein %v) from %d records (protein %v)", d.NumSeqs(), d.Protein, len(recs), protein)
+		}
+		for i, r := range recs {
+			if !bytes.Equal(d.Seq(i), r.Data) {
+				t.Fatalf("sequence %d is %q, record %d in the file is %q", i, d.Seq(i), i, r.Data)
+			}
+		}
+		if k <= 0 {
+			k = 17
+		}
+		next := 0
+		for i := 0; i+1 < len(recs); i += 2 {
+			lh, lv := len(recs[i].Data), len(recs[i+1].Data)
+			if lh < k || lv < k {
+				continue
+			}
+			want := workload.Comparison{H: i, V: i + 1, SeedH: (lh - k) / 2, SeedV: (lv - k) / 2, SeedLen: k}
+			if next >= len(d.Comparisons) || d.Comparisons[next] != want {
+				t.Fatalf("comparison %d of %d: want %+v (records %d and %d)", next, len(d.Comparisons), want, i, i+1)
+			}
+			next++
+		}
+		if next != len(d.Comparisons) {
+			t.Fatalf("%d comparisons, but only %d pairs reach k = %d", len(d.Comparisons), next, k)
+		}
+	})
 }

@@ -67,19 +67,21 @@ const (
 	AlgoAffine = core.AlgoAffine
 )
 
-// Kernel tiers, the values of Params.Tier: the DP arithmetic width.
-// Every tier returns bit-identical Results; they differ only in DP
-// working-set footprint and throughput.
+// Kernel tiers, the values of Params.Tier: the modeled device's score
+// width. The host runs every extension on its one int32 sweep and derives
+// the tier's outcome from that Result, so every tier returns the same
+// scores at the same host throughput; the tiers differ in the modeled
+// working-set bytes and the narrow/promoted counters.
 const (
-	// TierWide runs every extension on int32 lanes (the default).
+	// TierWide models int32 scores for every extension (the default).
 	TierWide = core.TierWide
-	// TierNarrow attempts int16 lanes first and transparently re-runs
-	// an extension on int32 when its score headroom saturates.
+	// TierNarrow models int16 scores, and an int32 re-run on the device
+	// for an extension whose score would saturate them (promoted).
 	TierNarrow = core.TierNarrow
-	// TierAuto proves per extension that int16 cannot saturate and
-	// picks the narrow kernel only then — it never promotes, so the
-	// SRAM planner can budget narrow-only working sets and admit
-	// larger sequences per tile.
+	// TierAuto models int16 scores only where the extension provably
+	// cannot saturate them — it never promotes, so the SRAM planner can
+	// budget narrow-only working sets and admit larger sequences per
+	// tile.
 	TierAuto = core.TierAuto
 )
 
