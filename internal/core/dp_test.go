@@ -200,6 +200,34 @@ func TestSimpleScorersMatchReference(t *testing.T) {
 	}
 }
 
+// TestReversedViewsMatchMaterialised pins the operand staging: running
+// any variant on reversed views must equal running it on
+// materialised reversed byte slices, including the full execution trace.
+func TestReversedViewsMatchMaterialised(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	for trial := 0; trial < 200; trial++ {
+		hs := randDNA(rng, 1+rng.Intn(200))
+		vs := mutate(rng, hs, 0.2)
+		for _, algo := range []Algo{AlgoRestricted2, AlgoStandard3, AlgoAffine} {
+			p := Params{Scorer: scoring.DNADefault, Gap: -1, X: 10, Algo: algo}
+			if algo == AlgoAffine {
+				p.Scorer = scoring.NewSimple(2, -4)
+				p.Gap = -2
+				p.GapOpen = -4
+				p.X = 20
+			}
+			if algo == AlgoRestricted2 && trial%2 == 0 {
+				p.DeltaB = 8 // exercise the clamped path too
+			}
+			rev := Align(NewReversedView(hs), NewReversedView(vs), p)
+			mat := Align(NewView(reversed(hs)), NewView(reversed(vs)), p)
+			if rev.Score != mat.Score || rev.EndH != mat.EndH || rev.EndV != mat.EndV || rev.Stats != mat.Stats {
+				t.Fatalf("trial %d %v: reversed view %+v != materialised %+v", trial, algo, rev, mat)
+			}
+		}
+	}
+}
+
 // heldFootprint counts the score buffers a lane has allocated, checks
 // each holds exactly cells window cells plus the guards, and returns the
 // bytes of window cells held.

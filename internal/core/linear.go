@@ -83,7 +83,8 @@ func linearCapacity(m, n int, p *Params) int {
 // Both bodies store identical rows in identical buffers, record identical
 // codes and return identical Results, so nothing downstream — Stats,
 // KernelFingerprint, caches, traces — knows which ran
-// (TestSweepKernelMatchesGeneric, TestVectorRecordMatchesGenericRecord).
+// (TestSweepKernelMatchesGeneric, TestVectorSweepMatchesGenericSweep,
+// TestVectorRecordMatchesGenericRecord).
 //
 // It writes the extension's Result to *res and reports false, *res zeroed,
 // only when a recording row would pass maxTraceCells: on the antidiagonal

@@ -442,6 +442,35 @@ func vectorTrial(rng *rand.Rand, trial int) (h, v []byte, p Params) {
 	return h, v, p
 }
 
+// TestVectorSweepMatchesGenericSweep runs whole extensions with the
+// vector row body on and off: Result, Stats and the score buffers left
+// behind must be identical, for both layouts, clamped and unclamped
+// windows, every view direction and both scorers.
+func TestVectorSweepMatchesGenericSweep(t *testing.T) {
+	if !rowVec {
+		t.Skip("no AVX2 on this host")
+	}
+	defer func() { rowVec = true }()
+	rng := rand.New(rand.NewSource(92))
+	for trial := 0; trial < 300; trial++ {
+		h, v, p := vectorTrial(rng, trial)
+		hv, vv := View{h, trial%4 >= 2}, View{v, trial%8 >= 4}
+		var vec, gen Workspace
+		rowVec = true
+		a := vec.aligned(hv, vv, p)
+		rowVec = false
+		b := gen.aligned(hv, vv, p)
+		if a != b {
+			t.Fatalf("trial %d %v: vector %+v != generic %+v", trial, p.Algo, a, b)
+		}
+		for i, bufs := range [][2][]int32{{vec.wide.b0, gen.wide.b0}, {vec.wide.b1, gen.wide.b1}, {vec.wide.b2, gen.wide.b2}} {
+			if !slices.Equal(bufs[0], bufs[1]) {
+				t.Fatalf("trial %d %v: score buffer b%d differs after the sweep", trial, p.Algo, i)
+			}
+		}
+	}
+}
+
 // rowCodesRef is one recording row in scalar Go: the linear row recurrence
 // (diagonal from d2, wlast for the first cell; gap from the better of two
 // d1 neighbours; pruned below limit) plus fusedLinear's direction rule —
