@@ -322,13 +322,13 @@ func (tb *tracer) walkLinear(h, v View, p Params, score, bestI, bestD int, runs 
 
 // JoinCigar appends one comparison's columns to b in sequence-forward
 // order: the left extension's walked runs as they are (RecordLeft walks
-// reversed views), the seed's own columns (SeedCigar), then the right
+// reversed views), the seed's own columns (seedCigar), then the right
 // extension's walked runs back to front (RecordRight walks forward views).
 // The builder merges runs at both junctions, so b.Cigar() is the canonical
 // CIGAR of the whole comparison.
 func JoinCigar(b *alignment.Builder, h, v []byte, s Seed, left, right []alignment.Run) {
 	b.AppendRuns(left, false)
-	SeedCigar(b, h, v, s)
+	seedCigar(b, h, v, s)
 	b.AppendRuns(right, true)
 }
 
@@ -367,12 +367,12 @@ func (w *Workspace) RecordLeft(h, v []byte, hOff, vOff int, p Params, runs []ali
 	return w.recordRuns(NewReversedView(h[:hOff]), NewReversedView(v[:vOff]), p, runs)
 }
 
-// SeedCigar appends the '='/'X' columns of the seed region itself to b,
+// seedCigar appends the '='/'X' columns of the seed region itself to b,
 // one Append per run. Exact k-mer seeds yield a single '=' run; quasi-exact
 // protein seeds (PASTIS) may contain 'X' columns, which the score
 // reconstruction prices through the substitution table like any other
 // column.
-func SeedCigar(b *alignment.Builder, h, v []byte, s Seed) {
+func seedCigar(b *alignment.Builder, h, v []byte, s Seed) {
 	hs, vs := h[s.H:s.H+s.Len], v[s.V:s.V+s.Len]
 	for i := 0; i < len(hs); {
 		eq := hs[i] == vs[i]

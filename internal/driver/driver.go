@@ -743,10 +743,12 @@ func (bp *BatchPlan) FailedBatchResult(i int) *ipukernel.BatchResult {
 	return res
 }
 
-// AssemblePlan merges executed batch results into a replayable Plan. The
-// merge runs in batch order — results are keyed by GlobalID and the
-// aggregates are order-independent sums — so the plan (and every Report
-// scheduled from it) is identical for any execution interleaving.
+// AssemblePlan merges executed batch results into a replayable Plan in
+// one step: results are keyed by GlobalID and the batch-order fold does
+// the rest, so the plan (and every Report scheduled from it) is identical
+// for any execution interleaving. Callers that see batches land one at a
+// time — NewPlanContext's workers, the engine's deliveries — use an
+// Assembly instead and merge each batch as it lands.
 //
 // When the plan was built with dedup, executed (and cache-hit) results
 // are gathered per unique extension first, then fanned out to every
@@ -754,13 +756,94 @@ func (bp *BatchPlan) FailedBatchResult(i int) *ipukernel.BatchResult {
 // freshly executed extensions are pushed into the configured cache so
 // later jobs can skip them.
 func AssemblePlan(bp *BatchPlan, outs []*ipukernel.BatchResult) (*Plan, error) {
+	if bp.dedup == nil {
+		a := bp.NewAssembly()
+		for _, res := range outs {
+			if res != nil {
+				if err := a.Merge(res); err != nil {
+					return nil, err
+				}
+			}
+		}
+		return a.Fold(outs)
+	}
+	dm := bp.dedup
+	var uniqueOut []ipukernel.AlignOut
+	var have []bool
+	if len(outs) == 0 && bp.cached != nil {
+		// Nothing executed, so nothing is merged in: the lookup's own
+		// arrays are the per-extension view, read-only from here.
+		uniqueOut, have = bp.cachedOuts, bp.cached
+	} else {
+		uniqueOut = make([]ipukernel.AlignOut, dm.Unique())
+		have = make([]bool, dm.Unique())
+		copy(uniqueOut, bp.cachedOuts)
+		copy(have, bp.cached)
+	}
+	for _, res := range outs {
+		if res == nil {
+			continue // fold names the batch
+		}
+		for _, o := range res.Out {
+			if o.GlobalID < 0 || o.GlobalID >= len(bp.execUID) {
+				return nil, fmt.Errorf("driver: result for unknown comparison %d", o.GlobalID)
+			}
+			uid := bp.execUID[o.GlobalID]
+			uniqueOut[uid] = o
+			have[uid] = true
+		}
+	}
+	p, err := bp.fold(make([]ipukernel.AlignOut, bp.comparisons), outs)
+	if err != nil {
+		return nil, err
+	}
+	// Fan each unique extension's result back out to every comparison
+	// that shares it. Coordinates and scores are content-derived, so
+	// duplicates receive bit-identical alignments; only GlobalID is
+	// per-row.
+	for i := range p.results {
+		uid := dm.RowUID[i]
+		if !have[uid] {
+			return nil, fmt.Errorf("driver: no result for unique extension %d (comparison %d)", uid, i)
+		}
+		o := uniqueOut[uid]
+		o.GlobalID = i
+		if o.Clamped {
+			p.sum.Clamped++
+		}
+		if o.Failed {
+			p.sum.PartialFailures++
+		}
+		p.results[i] = o
+	}
+	for uid, key := range bp.keys {
+		// Failed placeholders are degraded bookkeeping, not alignments:
+		// caching one would serve a fault's shadow to a later (possibly
+		// fault-free) job.
+		if !bp.cached[uid] && have[uid] && !uniqueOut[uid].Failed {
+			o := uniqueOut[uid]
+			o.GlobalID = -1
+			bp.cfg.Cache.Put(key, o)
+		}
+	}
+	return p, nil
+}
+
+// fold builds the plan around its comparison-ordered results: the
+// batch-order half of assembly. Batch timings are replayed in schedule
+// order and DeviceComputeSeconds is a float sum, so both are taken in
+// batch order, never in the order batches landed; the integer counters
+// are order-independent sums. Clamped and PartialFailures are left to the
+// caller, which sees the per-comparison results.
+func (bp *BatchPlan) fold(results []ipukernel.AlignOut, outs []*ipukernel.BatchResult) (*Plan, error) {
 	if len(outs) != len(bp.batches) {
 		return nil, fmt.Errorf("driver: %d batch results for %d batches", len(outs), len(bp.batches))
 	}
 	p := &Plan{
 		cfg:     bp.cfg,
 		tiles:   bp.tiles,
-		results: make([]ipukernel.AlignOut, bp.comparisons),
+		results: results,
+		batches: make([]batchTiming, len(outs)),
 		sum: Summary{
 			Batches:          len(outs),
 			ReuseFactor:      bp.reuseFactor,
@@ -770,85 +853,83 @@ func AssemblePlan(bp *BatchPlan, outs []*ipukernel.BatchResult) (*Plan, error) {
 			Counters:         ipukernel.Counters{SkippedTheoreticalCells: bp.cacheSkipCells},
 		},
 	}
-	var uniqueOut []ipukernel.AlignOut
-	var have []bool
 	if bp.dedup != nil {
 		p.sum.UniqueExtensions = bp.dedup.Unique()
 		p.sum.DedupedComparisons = bp.dedup.Duplicates()
-		if len(outs) == 0 && bp.cached != nil {
-			// Nothing executed, so nothing is merged in: the lookup's own
-			// arrays are the per-extension view, read-only from here.
-			uniqueOut, have = bp.cachedOuts, bp.cached
-		} else {
-			uniqueOut = make([]ipukernel.AlignOut, bp.dedup.Unique())
-			have = make([]bool, bp.dedup.Unique())
-			copy(uniqueOut, bp.cachedOuts)
-			copy(have, bp.cached)
-		}
 	}
 	for bi, res := range outs {
 		if res == nil {
 			return nil, fmt.Errorf("driver: batch %d has no result", bi)
 		}
-		for _, o := range res.Out {
-			if bp.dedup != nil {
-				if o.GlobalID < 0 || o.GlobalID >= len(bp.execUID) {
-					return nil, fmt.Errorf("driver: result for unknown comparison %d", o.GlobalID)
-				}
-				uid := bp.execUID[o.GlobalID]
-				uniqueOut[uid] = o
-				have[uid] = true
-				continue
-			}
-			if o.GlobalID < 0 || o.GlobalID >= len(p.results) {
-				return nil, fmt.Errorf("driver: result for unknown comparison %d", o.GlobalID)
-			}
-			p.results[o.GlobalID] = o
-			if o.Clamped {
-				p.sum.Clamped++
-			}
-		}
-		p.batches = append(p.batches, batchTiming{
+		p.batches[bi] = batchTiming{
 			seconds:  res.Seconds,
 			inBytes:  res.HostBytesIn,
 			outBytes: res.HostBytesOut,
-		})
+		}
 		p.sum.DeviceComputeSeconds += res.Seconds
 		p.sum.Add(res.Counters)
 	}
+	return p, nil
+}
+
+// Assembly is the report of a plan built without dedup, filled as its
+// batches land: Merge copies each executed batch's results into the
+// comparison-ordered array the report will hold, and Fold adds the
+// batch-order accounting once every batch has landed. Without dedup a
+// batch's results are already per comparison, so the merge is the only
+// copy the report takes; the batch's own Out is free for a stream once
+// Merge returns.
+type Assembly struct {
+	bp      *BatchPlan
+	results []ipukernel.AlignOut
+	// clamped and failed count merged results whose δb window clamped and
+	// Failed placeholders; batches merge concurrently.
+	clamped, failed atomic.Int64
+}
+
+// NewAssembly allocates the report array of a plan built without dedup.
+// It returns nil for a dedup plan, whose batches execute unique
+// extensions that only AssemblePlan's fan-out maps back to comparisons.
+func (bp *BatchPlan) NewAssembly() *Assembly {
 	if bp.dedup != nil {
-		// Fan each unique extension's result back out to every comparison
-		// that shares it. Coordinates and scores are content-derived, so
-		// duplicates receive bit-identical alignments; only GlobalID is
-		// per-row.
-		for i := range p.results {
-			uid := bp.dedup.RowUID[i]
-			if !have[uid] {
-				return nil, fmt.Errorf("driver: no result for unique extension %d (comparison %d)", uid, i)
-			}
-			o := uniqueOut[uid]
-			o.GlobalID = i
-			if o.Clamped {
-				p.sum.Clamped++
-			}
-			p.results[i] = o
+		return nil
+	}
+	return &Assembly{bp: bp, results: make([]ipukernel.AlignOut, bp.comparisons)}
+}
+
+// Merge copies one executed batch's results into the report array, by
+// GlobalID. Batches may merge concurrently and in any order: a plan's
+// batches hold disjoint comparisons, so each merge writes its own slots.
+// res is only read; once Merge returns the report no longer depends on
+// res.Out.
+func (a *Assembly) Merge(res *ipukernel.BatchResult) error {
+	var clamped, failed int64
+	for _, o := range res.Out {
+		if o.GlobalID < 0 || o.GlobalID >= len(a.results) {
+			return fmt.Errorf("driver: result for unknown comparison %d", o.GlobalID)
 		}
-		for uid, key := range bp.keys {
-			// Failed placeholders are degraded bookkeeping, not
-			// alignments: caching one would serve a fault's shadow to
-			// a later (possibly fault-free) job.
-			if !bp.cached[uid] && have[uid] && !uniqueOut[uid].Failed {
-				o := uniqueOut[uid]
-				o.GlobalID = -1
-				bp.cfg.Cache.Put(key, o)
-			}
+		a.results[o.GlobalID] = o
+		if o.Clamped {
+			clamped++
+		}
+		if o.Failed {
+			failed++
 		}
 	}
-	for i := range p.results {
-		if p.results[i].Failed {
-			p.sum.PartialFailures++
-		}
+	a.clamped.Add(clamped)
+	a.failed.Add(failed)
+	return nil
+}
+
+// Fold finishes the plan once every batch has merged; outs holds each
+// batch's result in batch order, and only their scalars are read.
+func (a *Assembly) Fold(outs []*ipukernel.BatchResult) (*Plan, error) {
+	p, err := a.bp.fold(a.results, outs)
+	if err != nil {
+		return nil, err
 	}
+	p.sum.Clamped = int(a.clamped.Load())
+	p.sum.PartialFailures = int(a.failed.Load())
 	return p, nil
 }
 
@@ -868,8 +949,10 @@ func NewPlanContext(ctx context.Context, d *workload.Dataset, cfg Config) (*Plan
 	}
 
 	// A GOMAXPROCS-bounded worker pool pulls batch indexes from an atomic
-	// cursor and runs them on one modeled device.
+	// cursor and runs them on one modeled device. Without dedup each
+	// worker merges its batch into the report as it lands.
 	dev := bp.NewDevice()
+	asm := bp.NewAssembly()
 	outs := make([]*ipukernel.BatchResult, len(bp.batches))
 	errs := make([]error, len(bp.batches))
 	workers := runtime.GOMAXPROCS(0)
@@ -889,6 +972,9 @@ func NewPlanContext(ctx context.Context, d *workload.Dataset, cfg Config) (*Plan
 					return
 				}
 				outs[bi], errs[bi] = bp.ExecBatch(dev, bi, kcfg)
+				if errs[bi] == nil && asm != nil {
+					errs[bi] = asm.Merge(outs[bi])
+				}
 			}
 		}()
 	}
@@ -901,7 +987,10 @@ func NewPlanContext(ctx context.Context, d *workload.Dataset, cfg Config) (*Plan
 			return nil, err
 		}
 	}
-	return AssemblePlan(bp, outs)
+	if asm == nil {
+		return AssemblePlan(bp, outs)
+	}
+	return asm.Fold(outs)
 }
 
 // Batches returns the number of supersteps in the plan.

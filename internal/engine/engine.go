@@ -101,10 +101,11 @@ type Engine struct {
 	degraded    DegradedMode
 
 	mu     sync.Mutex
-	cond   *sync.Cond
-	active []*Job // built, unsettled jobs: registered by runJob, removed by finishLocked
-	live   int    // admitted jobs not yet finished
-	busy   int    // executors currently running a batch
+	cond   *sync.Cond // work to issue, or the engine closing
+	landed *sync.Cond // some job's land calls drained (Job.landing reached 0)
+	active []*Job     // built, unsettled jobs: registered by runJob, removed by finishLocked
+	live   int        // admitted jobs not yet finished
+	busy   int        // executors currently running a batch
 	closed bool
 	seq    int64
 
@@ -215,6 +216,7 @@ func New(opts ...Option) *Engine {
 		e.cfg.Cache = e.cache
 	}
 	e.cond = sync.NewCond(&e.mu)
+	e.landed = sync.NewCond(&e.mu)
 	e.closedCh = make(chan struct{})
 	e.slots = make(chan struct{}, e.queueDepth)
 	for i := 0; i < e.executors; i++ {
@@ -479,7 +481,7 @@ func (e *Engine) runJob(j *Job) {
 	close(j.built)
 	if nb == 0 {
 		e.mu.Unlock()
-		e.complete(j, bp)
+		e.complete(j, bp, nil)
 		return
 	}
 	e.active = append(e.active, j)
@@ -636,12 +638,39 @@ func (e *Engine) runnableLocked() int {
 }
 
 // deliver hands one returned execution (returned is evReturn or
-// evReturnHost) to the batch's state machine, streams what it accepts to
-// the job's consumer and, on the last batch, assembles the plan and
-// schedules the report. Job.step classifies failures — transient faults
-// retry within the engine's policy, everything else degrades — and
-// settles hedged batches first-result-wins: the losing copy is dropped
-// before it can touch stats, the stream or the report.
+// evReturnHost) to the batch's state machine and lands what it accepts.
+// Job.step classifies failures — transient faults retry within the
+// engine's policy, everything else degrades — and settles hedged batches
+// first-result-wins: the losing copy is dropped before it can touch
+// stats, the stream or the report.
+func (e *Engine) deliver(j *Job, bi int, returned batchEvent, out *ipukernel.BatchResult, err error) {
+	e.mu.Lock()
+	e.busy--
+	if out = j.step(bi, returned, out, err); out == nil {
+		e.mu.Unlock()
+		return
+	}
+	j.step(bi, evDeliver, out, nil)
+	e.land(j, bi)
+}
+
+// land records delivered batch bi in the job's report and publishes it to
+// the stream. It is called with e.mu held, right after the batch's
+// evDeliver, and releases it; the merge and any copy run outside the lock,
+// in the goroutine that delivered the batch. j.landing counts the calls in
+// flight: a stream replay waits for it to drain, and the call that drains
+// it once every batch is delivered completes the job, so neither sees a
+// batch whose merge or send is still to come.
+//
+// Without dedup the report takes its copy first (driver.Assembly.Merge)
+// and only then is the batch published, its own Out handed to the stream:
+// one copy per comparison, and the consumer owns what it receives. The
+// report's array is allocated by the lander of the first delivered batch,
+// after that batch is published, to keep an O(comparisons) allocation off
+// the first result's path; the batches that land before it exists stream
+// a copy, and the allocator merges them once it does. Under dedup the
+// stream carries the fan-out (a fresh array) and the report is assembled
+// from the raw results at completion.
 //
 // A streamed delivery ends by yielding the processor. The send cannot
 // block (the channel holds the whole schedule), so it only marks the
@@ -651,45 +680,95 @@ func (e *Engine) runnableLocked() int {
 // dozen batches into the job. Handing over here is what makes the stream
 // a stream: the consumer takes the update now, parks again on the empty
 // channel, and the executor resumes. On a job's last batch the yield
-// follows complete, so the same hand-off carries the close and the report.
-func (e *Engine) deliver(j *Job, bi int, returned batchEvent, out *ipukernel.BatchResult, err error) {
-	e.mu.Lock()
-	e.busy--
-	if out = j.step(bi, returned, out, err); out == nil {
+// follows complete, so the same hand-off carries the close and the
+// report; on the first it precedes the allocation.
+func (e *Engine) land(j *Job, bi int) {
+	if j.finished {
 		e.mu.Unlock()
 		return
 	}
-	// Copy the streamed view outside the lock when a consumer is
-	// already attached — the O(batch-results) copy must not serialize
-	// the scheduler. The stream can still open between the two critical
-	// sections; out is not in j.outs yet, so the replay cannot duplicate
-	// this batch, and the late copy below covers the send.
-	streaming := j.streaming
+	j.landing++
+	out, asm, bp := j.outs[bi], j.asm, j.bp
+	streaming := j.streaming // fixed until this call ends: a replay waits for it
+	early := asm == nil && j.expand == nil
+	alloc := early && !j.allocating
+	if alloc {
+		j.allocating = true
+	}
 	e.mu.Unlock()
+
+	var err error
+	if asm != nil {
+		err = asm.Merge(out)
+	}
 	var upd Update
 	if streaming {
 		upd = streamUpdate(j, bi, out)
+		if early {
+			upd.Results = slices.Clone(upd.Results) // the merge has yet to read out.Out
+		}
 	}
+
 	e.mu.Lock()
-	if j.step(bi, evDeliver, out, nil) == nil { // cancelled, or a hedged twin delivered, during the copy
+	sent := streaming && err == nil && !j.finished
+	if sent {
+		j.updates <- upd
+	}
+	if early {
+		finished := j.finished
+		if !finished {
+			if asm = j.asm; asm == nil {
+				j.early = append(j.early, bi) // the allocator merges it
+			}
+		}
+		e.mu.Unlock()
+		if sent {
+			runtime.Gosched()
+		}
+		switch {
+		case asm != nil: // allocated while this batch was published
+			err = asm.Merge(out)
+		case alloc && !finished:
+			asm = bp.NewAssembly()
+			var take []int
+			e.mu.Lock()
+			if !j.finished {
+				j.asm = asm
+				take, j.early = j.early, nil
+			}
+			e.mu.Unlock()
+			for _, b := range take {
+				if err == nil {
+					err = asm.Merge(j.outs[b])
+				}
+			}
+		}
+		e.mu.Lock()
+	}
+	if err != nil && !j.finished {
+		e.finishLocked(j, nil, err)
+	}
+	e.doneLanding(j)
+	if sent && !early {
+		runtime.Gosched()
+	}
+}
+
+// doneLanding ends one land call (or deadlineExpired's hold on the job).
+// The call that drains j.landing once every batch is delivered completes
+// the job. Called with e.mu held; releases it.
+func (e *Engine) doneLanding(j *Job) {
+	j.landing--
+	if j.landing > 0 {
 		e.mu.Unlock()
 		return
 	}
-	sent := j.streaming
-	if sent {
-		if !streaming {
-			upd = streamUpdate(j, bi, out)
-		}
-		j.updates <- upd
-	}
-	last := j.done == len(j.outs)
-	bp := j.bp
+	e.landed.Broadcast()
+	last := !j.finished && j.done == len(j.outs)
+	bp, asm := j.bp, j.asm
 	e.mu.Unlock()
 	if last {
-		e.complete(j, bp)
-	}
-	if sent {
-		runtime.Gosched()
+		e.complete(j, bp, asm)
 	}
 }
 
@@ -734,14 +813,20 @@ func (e *Engine) deadlineExpired(j *Job) {
 		}
 		e.mu.Unlock()
 	case DegradePartial:
-		bp := j.bp
+		var placeholders []int
 		for bi := range j.batches {
-			if out := j.step(bi, evDeadlinePartial, nil, nil); out != nil && j.streaming {
-				j.updates <- streamUpdate(j, bi, out)
+			if j.step(bi, evDeadlinePartial, nil, nil) != nil {
+				placeholders = append(placeholders, bi)
 			}
 		}
-		e.mu.Unlock()
-		e.complete(j, bp)
+		// The hold keeps the job from completing before the last
+		// placeholder batch has landed.
+		j.landing++
+		for _, bi := range placeholders {
+			e.land(j, bi)
+			e.mu.Lock()
+		}
+		e.doneLanding(j)
 	default:
 		e.finishLocked(j, nil, ErrDeadline)
 		e.mu.Unlock()
@@ -749,14 +834,21 @@ func (e *Engine) deadlineExpired(j *Job) {
 }
 
 // complete assembles the finished job's report — bit-identical to
-// driver.Run on the same dataset and configuration. The merge is
-// O(comparisons), so it runs outside the engine lock: every batch is
-// delivered by now (this goroutine delivered the last one), nothing
-// else writes j.outs, and a racing cancellation simply wins the
-// settlement below. The caller captured bp under the lock, since a
-// settled job releases its plan.
-func (e *Engine) complete(j *Job, bp *driver.BatchPlan) {
-	plan, err := driver.AssemblePlan(bp, j.outs)
+// driver.Run on the same dataset and configuration. Without dedup every
+// batch has already merged into asm, so only the batch-order fold is
+// left; a dedup plan (asm nil) is assembled here, O(comparisons), which
+// is why it runs outside the engine lock: every batch has landed by now,
+// nothing else writes j.outs, and a racing cancellation simply wins the
+// settlement below. The caller captured bp and asm under the lock, since
+// a settled job releases both.
+func (e *Engine) complete(j *Job, bp *driver.BatchPlan, asm *driver.Assembly) {
+	var plan *driver.Plan
+	var err error
+	if asm != nil {
+		plan, err = asm.Fold(j.outs)
+	} else {
+		plan, err = driver.AssemblePlan(bp, j.outs)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if j.finished { // cancelled while assembling
@@ -770,19 +862,18 @@ func (e *Engine) complete(j *Job, bp *driver.BatchPlan) {
 	e.finishLocked(j, plan.Schedule(e.cfg.IPUs), nil)
 }
 
-// streamUpdate builds the streamed view of batch bi. The results are
-// copied (and, under dedup, fanned out to per-comparison space so the
-// Update contract holds): AssemblePlan reads the raw slice later, and a
-// consumer mutating its stream must not corrupt the final report. The
-// copy happens only for jobs whose consumer opened the stream — the
-// channel's capacity covers the whole schedule, so sends never block an
-// executor even if the consumer stops reading.
+// streamUpdate builds the streamed view of landed batch bi. Under dedup
+// the results are fanned out to per-comparison space (a fresh slice, so
+// the Update contract holds); otherwise they are the batch's own Out,
+// capacity-capped so an append cannot reach past it. Either way the
+// consumer owns them: the report took its copy when the batch landed or,
+// under dedup, is assembled from the raw results the stream never sees.
+// The channel's capacity covers the whole schedule, so sends never block
+// an executor even if the consumer stops reading.
 func streamUpdate(j *Job, bi int, out *ipukernel.BatchResult) Update {
-	var results []ipukernel.AlignOut
+	results := out.Out[:len(out.Out):len(out.Out)]
 	if j.expand != nil {
-		results = j.expand(out.Out) // fresh slice: fan-out never aliases out.Out
-	} else {
-		results = append([]ipukernel.AlignOut(nil), out.Out...)
+		results = j.expand(out.Out)
 	}
 	return Update{
 		Batch:   bi,
@@ -805,8 +896,13 @@ const cachedChunkResults = 512
 // cachedChunkResults each — they belong to no executed batch but the
 // stream must still carry every comparison. The updates are windows of
 // the one cachedResults array, capacity capped so an append by one
-// consumer cannot reach into the next window.
+// consumer cannot reach into the next window. The replay first waits for
+// the job's land calls to drain, so every batch it hands over has been
+// merged into the report and none is still on its way to the stream.
 func (j *Job) openStreamLocked() {
+	for j.updates == nil && j.landing > 0 {
+		j.eng.landed.Wait()
+	}
 	if j.updates != nil {
 		return
 	}
@@ -862,6 +958,8 @@ func (e *Engine) finishLocked(j *Job, rep *driver.Report, err error) {
 	// replayable outs, not the submission's working set. Executors
 	// capture bp into locals under the lock before using it.
 	j.bp = nil
+	j.asm = nil
+	j.early = nil
 	j.dataset = nil
 	// An idle engine must not keep a settled job's partial results alive.
 	if i := slices.Index(e.active, j); i >= 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -178,6 +179,101 @@ func TestResultsAfterCompletion(t *testing.T) {
 		if r.Score == -999 {
 			t.Fatal("stream mutation leaked into the report")
 		}
+	}
+}
+
+// TestResultsLiveMutation: a consumer that opens the stream before the
+// first batch and overwrites every result as it arrives never reaches the
+// report, whichever way a batch lands — the first delivered batch (which
+// streams a copy, the report's array not yet allocated), the later ones
+// (which stream the kernel's own array), retried batches, a straggler
+// beaten by its hedge near the deadline, and the Failed placeholders of
+// permanently faulted batches under DegradePartial. Every streamed result
+// is checked before it is overwritten, and the report must equal
+// driver.Run's results with the placeholders in place. Run it with -race
+// and at 1, 2 and 4 processors: the hand-off is a data race if the
+// report's copy is not taken before a batch is published.
+func TestResultsLiveMutation(t *testing.T) {
+	d := readsData(t, 38, 30)
+	cfg := testCfg(1)
+	cfg.MaxBatchJobs = 3
+	ref, err := driver.Run(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The seed draws transient faults (retried), permanent ones
+	// (placeholders) and one straggler whose hedge attempt runs clean.
+	plan := driver.NewFaultPlan(1, driver.FaultSpec{
+		TransientRate: 0.3, PermanentRate: 0.15,
+		StragglerRate: 0.1, StragglerDelay: 1600 * time.Millisecond,
+	})
+	probe := probePlan(t, d, cfg)
+	want := slices.Clone(ref.Results)
+	var transients, placeholders, stragglers int
+	for bi := 0; bi < probe.Batches(); bi++ {
+		if plan.Kind(bi, 0) == driver.FaultPermanent {
+			for _, o := range probe.FailedBatchResult(bi).Out {
+				want[o.GlobalID] = o
+				placeholders++
+			}
+			continue
+		}
+		a := 0
+		for ; plan.Kind(bi, a) == driver.FaultTransient; a++ {
+			transients++
+		}
+		if plan.Kind(bi, a) == driver.FaultStraggler {
+			stragglers++
+			if plan.Kind(bi, a+1) != driver.FaultNone {
+				t.Fatalf("batch %d's hedge attempt draws a fault", bi)
+			}
+		}
+	}
+	if transients == 0 || placeholders == 0 || stragglers != 1 {
+		t.Fatalf("seed draws %d transient faults, %d placeholders and %d stragglers; want some, some and one",
+			transients, placeholders, stragglers)
+	}
+
+	// The hedge window opens at 0.8 s, long before the straggler wakes and
+	// long after every other batch has landed.
+	e := New(WithDriverConfig(withFaults(cfg, plan)), WithExecutors(4),
+		WithRetry(12, 0), WithRetryBackoff(200*time.Microsecond, 2*time.Millisecond),
+		WithJobDeadline(time.Second), WithDegradedMode(DegradePartial))
+	defer e.Close()
+	job, err := e.Submit(context.Background(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make([]bool, len(d.Comparisons))
+	for u := range job.Results() {
+		for k, o := range u.Results {
+			if seen[o.GlobalID] {
+				t.Fatalf("comparison %d streamed twice", o.GlobalID)
+			}
+			seen[o.GlobalID] = true
+			if !reflect.DeepEqual(o, want[o.GlobalID]) {
+				t.Fatalf("batch %d streamed comparison %d as %+v, want %+v", u.Batch, o.GlobalID, o, want[o.GlobalID])
+			}
+			u.Results[k].Score = -999
+		}
+	}
+	rep, err := job.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Contains(seen, false) {
+		t.Fatal("the stream missed a comparison")
+	}
+	if !reflect.DeepEqual(rep.Results, want) {
+		t.Fatal("the report's results differ from driver.Run's with the placeholders in place")
+	}
+	if rep.PartialFailures != placeholders {
+		t.Errorf("PartialFailures = %d, want %d", rep.PartialFailures, placeholders)
+	}
+	st := e.Stats()
+	if st.Retries != int64(transients) || st.Hedges != 1 || st.DeadlineExceeded != 0 {
+		t.Errorf("Retries %d, Hedges %d, DeadlineExceeded %d; want %d, 1, 0",
+			st.Retries, st.Hedges, st.DeadlineExceeded, transients)
 	}
 }
 

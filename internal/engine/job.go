@@ -47,9 +47,20 @@ type Job struct {
 	report    *driver.Report
 	err       error
 
+	// Landing (Engine.land). asm is the report being filled batch by batch
+	// (plans without dedup), nil until the lander of the first delivered
+	// batch allocates it; allocating is set from then on. early holds the
+	// batches published before asm existed, which that allocator merges.
+	// landing counts land calls in flight.
+	asm        *driver.Assembly
+	allocating bool
+	early      []int
+	landing    int
+
 	// Batch lifecycle, written by step alone (runJob allocates, settlement
 	// releases). batches is one record per batch; outs the delivered
-	// results driver.AssemblePlan consumes, nil until a batch is delivered.
+	// results, nil until a batch is delivered, which the stream replays and
+	// complete folds.
 	// nextIssue is the lowest pending batch — batches leave phasePending in
 	// index order — and ready the LIFO of batches waiting for an executor,
 	// so retries re-issue before fresh batches. retriesUsed draws down the
@@ -115,7 +126,7 @@ func (j *Job) settledLocked(bi int) bool {
 // here, under eng.mu. ev says what happened to batch bi; out and err carry
 // an execution's outcome (return events) or the result to record
 // (evDeliver). A return event hands back what the caller must record with
-// evDeliver once its stream copy is made — the execution's result, or
+// evDeliver — the execution's result, or
 // Failed placeholders when degradation completes the batch — and nil when
 // a twin will decide the batch or the failure was retried, re-queued or
 // failed the job. evDeliver and evDeadlinePartial hand back what they
@@ -269,7 +280,11 @@ type Update struct {
 	// entry per submitted comparison: duplicates arrive alongside their
 	// representative, bit-identical except for GlobalID. Under
 	// WithDegradedMode(DegradePartial) a quarantined batch streams Failed
-	// placeholders instead of alignments (check AlignOut.Failed).
+	// placeholders instead of alignments (check AlignOut.Failed). The
+	// consumer owns the slice: the report took its own copy before the
+	// update was sent, so writing to it never reaches Job.Wait's report.
+	// It is capacity-capped, so an append reallocates rather than reach
+	// into memory the consumer was not given.
 	Results []ipukernel.AlignOut
 	// Seconds is the batch's modeled on-device compute time (0 for a
 	// cache-served update).

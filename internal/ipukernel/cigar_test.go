@@ -84,7 +84,8 @@ func proteinCigarJobs(rng *rand.Rand) []cigarJob {
 
 // publicCigar is one comparison's CIGAR composed from the public entry
 // points: TracebackLeft's and TracebackRight's Cigars with the seed's
-// columns between them, joined by alignment.Concat.
+// columns between them (JoinCigar with no runs on either side), joined
+// by alignment.Concat.
 func publicCigar(t *testing.T, h, v []byte, s core.Seed, p core.Params) alignment.Cigar {
 	t.Helper()
 	var ws core.Workspace
@@ -97,7 +98,7 @@ func publicCigar(t *testing.T, h, v []byte, s core.Seed, p core.Params) alignmen
 		t.Fatalf("TracebackRight: %v", err)
 	}
 	var b alignment.Builder
-	core.SeedCigar(&b, h, v, s)
+	core.JoinCigar(&b, h, v, s, nil, nil)
 	c, err := alignment.Concat(l.Cigar, b.Cigar(), r.Cigar)
 	if err != nil {
 		t.Fatalf("Concat: %v", err)
@@ -153,8 +154,8 @@ func checkTileCigars(t *testing.T, tile *TileWork, cfg Config, out []AlignOut) i
 
 // TestTileCigarMatchesPublicJoin: the tile joins each traced comparison's
 // walked runs into one CIGAR itself. That CIGAR must be the one the public
-// entry points compose — TracebackLeft, SeedCigar, TracebackRight through
-// alignment.Concat — and re-price through alignment.ScoreOf to the
+// entry points compose — TracebackLeft, the seed's columns, TracebackRight
+// through alignment.Concat — and re-price through alignment.ScoreOf to the
 // kernel's score, with and without LR splitting, on both tiers, under the
 // score gate, for seeds at either end of their sequences (an empty side)
 // and for BLOSUM62 seeds with mismatched columns.

@@ -108,8 +108,9 @@ func (t *TileWork) UniqueSeqBytes() int {
 	return n
 }
 
-// uniqueSeqBytes is UniqueSeqBytes with a reusable sort scratch, so the
-// per-batch accounting loop in Run stays allocation-free once warm.
+// uniqueSeqBytes is UniqueSeqBytes with a reusable sort scratch — Run
+// keeps it in a pooled executor, so the per-batch accounting loop stays
+// allocation-free once warm.
 // Spans merge only within their own slab — offsets in different slabs
 // are unrelated addresses — so the sort is (slab, offset)-ordered and a
 // slab change closes the current merge run. The total is therefore
@@ -667,7 +668,8 @@ func Run(dev *ipu.Device, b *Batch, cfg Config) (*BatchResult, error) {
 	}
 	wg.Wait()
 
-	var spanScratch []workload.SeqRef
+	ex := execPool.Get().(*executor)
+	defer execPool.Put(ex)
 	for ti := range tiles {
 		tr := &tiles[ti]
 		if tr.err != nil {
@@ -679,7 +681,7 @@ func Run(dev *ipu.Device, b *Batch, cfg Config) (*BatchResult, error) {
 		res.HostBytesIn += int64(tile.SeqBytes() + len(tile.Seqs)*seqDescrBytes +
 			len(tile.Jobs)*JobTupleBytes + batchHdrBytes)
 		var unique int
-		unique, spanScratch = tile.uniqueSeqBytes(spanScratch)
+		unique, ex.seqRefs = tile.uniqueSeqBytes(ex.seqRefs)
 		res.UniqueSeqBytesIn += int64(unique)
 		// CIGARs ride the result return as 4-byte packed runs on top of
 		// the fixed result slot.

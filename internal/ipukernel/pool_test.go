@@ -198,3 +198,31 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmRunAllocs: a warm one-tile Run makes nine allocations, none of
+// them per tile: the result with its Out and TileInstr arrays, the
+// per-tile output offsets and tile results, and the worker pool's
+// closure with the config, cursor and wait group it shares. The tiles run
+// on pooled executors, and the per-tile unique-payload accounting after
+// them keeps its sort scratch in one too.
+func TestWarmRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops executors at random, so Run's allocations vary")
+	}
+	tile := warmTile(t, 4)
+	b := &Batch{Tiles: []TileWork{*tile}}
+	dev := ipu.New(ipu.Config{Model: platform.GC200})
+	cfg := dnaCfg(15)
+	cfg.Parallelism = 1
+	if _, err := Run(dev, b, cfg); err != nil { // warm the pooled executors
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Run(dev, b, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 9 {
+		t.Errorf("a warm one-tile Run allocates %.1f objects, want 9", allocs)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"github.com/sram-align/xdropipu/internal/alignment"
 	"github.com/sram-align/xdropipu/internal/core"
 	"github.com/sram-align/xdropipu/internal/platform"
+	"github.com/sram-align/xdropipu/internal/workload"
 )
 
 // unit is one schedulable piece of tile work: the extension sides
@@ -108,6 +109,10 @@ type executor struct {
 	batch  []core.Side
 	scores []core.Result
 	taken  int
+	// seqRefs is the sort scratch of Run's per-tile unique-payload
+	// accounting (TileWork.uniqueSeqBytes), which runs on the calling
+	// goroutine after the tiles have.
+	seqRefs []workload.SeqRef
 }
 
 // span is the half-open range [from, to) of one job's runs in a side's
