@@ -373,7 +373,9 @@ type BatchPlan struct {
 	execUID []int32
 	// cachedOuts[uid] holds the cache-hit result of unique extension uid
 	// where cached[uid] is set; those extensions were never planned for
-	// execution. Both are nil without a cache.
+	// execution. Both are nil without a cache. cachedOuts has one slot
+	// per comparison, not per extension: it is the array the report's
+	// Assembly adopts, merges into and fans out in place.
 	cachedOuts []ipukernel.AlignOut
 	cached     []bool
 	// keys[uid] is the cache key of unique extension uid, kept only when
@@ -453,7 +455,9 @@ func (bp *BatchPlan) ResultExpander() func([]ipukernel.AlignOut) []ipukernel.Ali
 // from the result cache (fanned out, GlobalID per row, rows in ascending
 // unique-extension order), or nil when nothing was cache-served. These
 // extensions never execute, so they appear in no batch; streaming
-// consumers receive them as an up-front update.
+// consumers receive them as an up-front update. The slice is the
+// caller's own; it must be taken before the plan's Assembly folds, which
+// fans out over the array it is read from.
 func (bp *BatchPlan) CachedResults() []ipukernel.AlignOut {
 	if bp.cacheHits == 0 {
 		return nil
@@ -523,9 +527,11 @@ func BuildBatches(ctx context.Context, d *workload.Dataset, cfg Config) (*BatchP
 			for uid, row := range dm.UniqueRows {
 				keys[uid] = CacheKey{Kernel: kernelFP, Ext: arena.ExtensionKeyOf(plan.At(int(row)))}
 			}
-			bp.cachedOuts = make([]ipukernel.AlignOut, len(keys))
+			// Sized to the comparison count: the report adopts this array
+			// (NewAssembly) and fans out into it in place.
+			bp.cachedOuts = make([]ipukernel.AlignOut, bp.comparisons)
 			bp.cached = make([]bool, len(keys))
-			bp.cacheHits = getAll(cfg.Cache, keys, bp.cachedOuts, bp.cached)
+			bp.cacheHits = getAll(cfg.Cache, keys, bp.cachedOuts[:len(keys)], bp.cached)
 			bp.cacheMisses = len(keys) - bp.cacheHits
 			if bp.cacheMisses > 0 {
 				bp.keys = keys
@@ -748,85 +754,18 @@ func (bp *BatchPlan) FailedBatchResult(i int) *ipukernel.BatchResult {
 // the rest, so the plan (and every Report scheduled from it) is identical
 // for any execution interleaving. Callers that see batches land one at a
 // time — NewPlanContext's workers, the engine's deliveries — use an
-// Assembly instead and merge each batch as it lands.
-//
-// When the plan was built with dedup, executed (and cache-hit) results
-// are gathered per unique extension first, then fanned out to every
-// comparison that shares the extension, with GlobalID rewritten per row;
-// freshly executed extensions are pushed into the configured cache so
-// later jobs can skip them.
+// Assembly directly and merge each batch as it lands. A plan assembles
+// once: under dedup the report is filled in place.
 func AssemblePlan(bp *BatchPlan, outs []*ipukernel.BatchResult) (*Plan, error) {
-	if bp.dedup == nil {
-		a := bp.NewAssembly()
-		for _, res := range outs {
-			if res != nil {
-				if err := a.Merge(res); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return a.Fold(outs)
-	}
-	dm := bp.dedup
-	var uniqueOut []ipukernel.AlignOut
-	var have []bool
-	if len(outs) == 0 && bp.cached != nil {
-		// Nothing executed, so nothing is merged in: the lookup's own
-		// arrays are the per-extension view, read-only from here.
-		uniqueOut, have = bp.cachedOuts, bp.cached
-	} else {
-		uniqueOut = make([]ipukernel.AlignOut, dm.Unique())
-		have = make([]bool, dm.Unique())
-		copy(uniqueOut, bp.cachedOuts)
-		copy(have, bp.cached)
-	}
+	a := bp.NewAssembly()
 	for _, res := range outs {
-		if res == nil {
-			continue // fold names the batch
-		}
-		for _, o := range res.Out {
-			if o.GlobalID < 0 || o.GlobalID >= len(bp.execUID) {
-				return nil, fmt.Errorf("driver: result for unknown comparison %d", o.GlobalID)
+		if res != nil { // fold names the batch
+			if err := a.Merge(res); err != nil {
+				return nil, err
 			}
-			uid := bp.execUID[o.GlobalID]
-			uniqueOut[uid] = o
-			have[uid] = true
 		}
 	}
-	p, err := bp.fold(make([]ipukernel.AlignOut, bp.comparisons), outs)
-	if err != nil {
-		return nil, err
-	}
-	// Fan each unique extension's result back out to every comparison
-	// that shares it. Coordinates and scores are content-derived, so
-	// duplicates receive bit-identical alignments; only GlobalID is
-	// per-row.
-	for i := range p.results {
-		uid := dm.RowUID[i]
-		if !have[uid] {
-			return nil, fmt.Errorf("driver: no result for unique extension %d (comparison %d)", uid, i)
-		}
-		o := uniqueOut[uid]
-		o.GlobalID = i
-		if o.Clamped {
-			p.sum.Clamped++
-		}
-		if o.Failed {
-			p.sum.PartialFailures++
-		}
-		p.results[i] = o
-	}
-	for uid, key := range bp.keys {
-		// Failed placeholders are degraded bookkeeping, not alignments:
-		// caching one would serve a fault's shadow to a later (possibly
-		// fault-free) job.
-		if !bp.cached[uid] && have[uid] && !uniqueOut[uid].Failed {
-			o := uniqueOut[uid]
-			o.GlobalID = -1
-			bp.cfg.Cache.Put(key, o)
-		}
-	}
-	return p, nil
+	return a.Fold(outs)
 }
 
 // fold builds the plan around its comparison-ordered results: the
@@ -872,43 +811,56 @@ func (bp *BatchPlan) fold(results []ipukernel.AlignOut, outs []*ipukernel.BatchR
 	return p, nil
 }
 
-// Assembly is the report of a plan built without dedup, filled as its
-// batches land: Merge copies each executed batch's results into the
-// comparison-ordered array the report will hold, and Fold adds the
-// batch-order accounting once every batch has landed. Without dedup a
-// batch's results are already per comparison, so the merge is the only
-// copy the report takes; the batch's own Out is free for a stream once
-// Merge returns.
+// Assembly is a plan's report, filled as its batches land: Merge copies
+// each executed batch's results into the array the report will hold, and
+// Fold adds the batch-order accounting once every batch has landed. The
+// merge is the only copy the report takes; the batch's own Out is free
+// for a stream once Merge returns.
+//
+// Without dedup a batch's results are already per comparison and merge
+// at their GlobalID. Under dedup they merge at their unique-extension
+// ordinal, beside the cache hits the build already placed there, and Fold
+// fans the first Unique() slots out to every comparison in place.
 type Assembly struct {
 	bp      *BatchPlan
 	results []ipukernel.AlignOut
-	// clamped and failed count merged results whose δb window clamped and
-	// Failed placeholders; batches merge concurrently.
-	clamped, failed atomic.Int64
+	// merged counts merged results; clamped and failed count those whose
+	// δb window clamped and Failed placeholders, which a dedup plan counts
+	// per comparison at the fan-out instead. Batches merge concurrently.
+	merged, clamped, failed atomic.Int64
 }
 
-// NewAssembly allocates the report array of a plan built without dedup.
-// It returns nil for a dedup plan, whose batches execute unique
-// extensions that only AssemblePlan's fan-out maps back to comparisons.
+// NewAssembly returns the plan's report under construction. A plan built
+// against a cache hands over the array its lookup filled (one slot per
+// comparison, the hits at their ordinals); any other plan allocates one.
 func (bp *BatchPlan) NewAssembly() *Assembly {
-	if bp.dedup != nil {
-		return nil
+	results := bp.cachedOuts
+	if results == nil {
+		results = make([]ipukernel.AlignOut, bp.comparisons)
 	}
-	return &Assembly{bp: bp, results: make([]ipukernel.AlignOut, bp.comparisons)}
+	return &Assembly{bp: bp, results: results}
 }
 
-// Merge copies one executed batch's results into the report array, by
-// GlobalID. Batches may merge concurrently and in any order: a plan's
-// batches hold disjoint comparisons, so each merge writes its own slots.
-// res is only read; once Merge returns the report no longer depends on
-// res.Out.
+// Merge copies one executed batch's results into the report array: by
+// GlobalID, or under dedup by the executed extension's ordinal. Batches
+// may merge concurrently and in any order: a plan's batches hold disjoint
+// comparisons, so each merge writes its own slots. res is only read;
+// once Merge returns the report no longer depends on res.Out.
 func (a *Assembly) Merge(res *ipukernel.BatchResult) error {
+	execUID := a.bp.execUID
+	dedup := a.bp.dedup != nil
 	var clamped, failed int64
 	for _, o := range res.Out {
-		if o.GlobalID < 0 || o.GlobalID >= len(a.results) {
-			return fmt.Errorf("driver: result for unknown comparison %d", o.GlobalID)
+		slot := o.GlobalID
+		if dedup {
+			if slot < 0 || slot >= len(execUID) {
+				return fmt.Errorf("driver: result for unknown comparison %d", slot)
+			}
+			slot = int(execUID[slot])
+		} else if slot < 0 || slot >= len(a.results) {
+			return fmt.Errorf("driver: result for unknown comparison %d", slot)
 		}
-		a.results[o.GlobalID] = o
+		a.results[slot] = o
 		if o.Clamped {
 			clamped++
 		}
@@ -916,20 +868,64 @@ func (a *Assembly) Merge(res *ipukernel.BatchResult) error {
 			failed++
 		}
 	}
+	a.merged.Add(int64(len(res.Out)))
 	a.clamped.Add(clamped)
 	a.failed.Add(failed)
 	return nil
 }
 
 // Fold finishes the plan once every batch has merged; outs holds each
-// batch's result in batch order, and only their scalars are read.
+// batch's result in batch order, and only their scalars are read. Under
+// dedup it first records every freshly executed alignment in the cache,
+// then fans each extension's result out to its comparisons.
 func (a *Assembly) Fold(outs []*ipukernel.BatchResult) (*Plan, error) {
-	p, err := a.bp.fold(a.results, outs)
+	bp := a.bp
+	p, err := bp.fold(a.results, outs)
 	if err != nil {
 		return nil, err
 	}
-	p.sum.Clamped = int(a.clamped.Load())
-	p.sum.PartialFailures = int(a.failed.Load())
+	want := bp.comparisons
+	if bp.dedup != nil {
+		want = len(bp.execUID)
+	}
+	if got := int(a.merged.Load()); got != want {
+		return nil, fmt.Errorf("driver: %d results merged for %d executed comparisons", got, want)
+	}
+	if bp.dedup == nil {
+		p.sum.Clamped = int(a.clamped.Load())
+		p.sum.PartialFailures = int(a.failed.Load())
+		return p, nil
+	}
+	if bp.keys != nil {
+		for _, uid := range bp.execUID {
+			// Failed placeholders are degraded bookkeeping, not
+			// alignments: caching one would serve a fault's shadow to a
+			// later (possibly fault-free) job.
+			if o := a.results[uid]; !o.Failed {
+				o.GlobalID = -1
+				bp.cfg.Cache.Put(bp.keys[uid], o)
+			}
+		}
+	}
+	// Fan out in place, last comparison first. An extension's ordinal is
+	// at most the row of its first appearance (RowUID[i] ≤ i), so slot i
+	// is written only after every row that reads it (rows ≤ i) has — the
+	// reads of rows below i come later and never reach slot i, and row i
+	// reads its own slot before writing it. Coordinates and scores are
+	// content-derived, so duplicates receive bit-identical alignments;
+	// only GlobalID is per row.
+	rowUID := bp.dedup.RowUID
+	for i := len(a.results) - 1; i >= 0; i-- {
+		o := a.results[rowUID[i]]
+		o.GlobalID = i
+		if o.Clamped {
+			p.sum.Clamped++
+		}
+		if o.Failed {
+			p.sum.PartialFailures++
+		}
+		a.results[i] = o
+	}
 	return p, nil
 }
 
@@ -949,8 +945,8 @@ func NewPlanContext(ctx context.Context, d *workload.Dataset, cfg Config) (*Plan
 	}
 
 	// A GOMAXPROCS-bounded worker pool pulls batch indexes from an atomic
-	// cursor and runs them on one modeled device. Without dedup each
-	// worker merges its batch into the report as it lands.
+	// cursor and runs them on one modeled device. Each worker merges its
+	// batch into the report as it lands.
 	dev := bp.NewDevice()
 	asm := bp.NewAssembly()
 	outs := make([]*ipukernel.BatchResult, len(bp.batches))
@@ -972,7 +968,7 @@ func NewPlanContext(ctx context.Context, d *workload.Dataset, cfg Config) (*Plan
 					return
 				}
 				outs[bi], errs[bi] = bp.ExecBatch(dev, bi, kcfg)
-				if errs[bi] == nil && asm != nil {
+				if errs[bi] == nil {
 					errs[bi] = asm.Merge(outs[bi])
 				}
 			}
@@ -986,9 +982,6 @@ func NewPlanContext(ctx context.Context, d *workload.Dataset, cfg Config) (*Plan
 		if err != nil {
 			return nil, err
 		}
-	}
-	if asm == nil {
-		return AssemblePlan(bp, outs)
 	}
 	return asm.Fold(outs)
 }

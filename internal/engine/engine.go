@@ -118,6 +118,11 @@ type Engine struct {
 	slots     chan struct{} // admission tokens, cap queueDepth
 	wgJobs    sync.WaitGroup
 	wgWorkers sync.WaitGroup
+
+	// landHook, when set, runs in land between the report's merge and the
+	// publish, outside the lock. Tests set it to hold a batch mid-landing;
+	// it is nil otherwise.
+	landHook func(j *Job, bi int)
 }
 
 // Option configures an Engine at construction.
@@ -456,7 +461,9 @@ func (e *Engine) runJob(j *Job) {
 
 	// The fan-out index and cached-results view are O(comparisons);
 	// build them outside the engine lock, like BuildBatches itself, so a
-	// large dedup-heavy submission cannot stall executors or Submits.
+	// large dedup-heavy submission cannot stall executors or Submits. The
+	// cached view is the stream's own copy, taken before any batch merges
+	// into the array it is read from.
 	var expand func([]ipukernel.AlignOut) []ipukernel.AlignOut
 	var cachedResults []ipukernel.AlignOut
 	if err == nil {
@@ -481,7 +488,7 @@ func (e *Engine) runJob(j *Job) {
 	close(j.built)
 	if nb == 0 {
 		e.mu.Unlock()
-		e.complete(j, bp, nil)
+		e.complete(j, bp.NewAssembly())
 		return
 	}
 	e.active = append(e.active, j)
@@ -662,15 +669,17 @@ func (e *Engine) deliver(j *Job, bi int, returned batchEvent, out *ipukernel.Bat
 // it once every batch is delivered completes the job, so neither sees a
 // batch whose merge or send is still to come.
 //
-// Without dedup the report takes its copy first (driver.Assembly.Merge)
-// and only then is the batch published, its own Out handed to the stream:
-// one copy per comparison, and the consumer owns what it receives. The
-// report's array is allocated by the lander of the first delivered batch,
-// after that batch is published, to keep an O(comparisons) allocation off
-// the first result's path; the batches that land before it exists stream
-// a copy, and the allocator merges them once it does. Under dedup the
-// stream carries the fan-out (a fresh array) and the report is assembled
-// from the raw results at completion.
+// The report takes its copy first (driver.Assembly.Merge) and only then
+// is the batch published. Without dedup the stream is handed the batch's
+// own Out: one copy per comparison, and the consumer owns what it
+// receives. Under dedup the stream carries the fan-out, a fresh array,
+// and the report merges the raw results at their extensions' ordinals.
+// The report's array is set up by the lander of the first delivered
+// batch, after that batch is published, to keep an O(comparisons)
+// allocation off the first result's path (a plan built against a cache
+// allocates nothing there: the report adopts its lookup's array); the
+// batches that land before it exists stream a copy when they stream the
+// kernel's own array, and the allocator merges them once it does.
 //
 // A streamed delivery ends by yielding the processor. The send cannot
 // block (the channel holds the whole schedule), so it only marks the
@@ -690,7 +699,7 @@ func (e *Engine) land(j *Job, bi int) {
 	j.landing++
 	out, asm, bp := j.outs[bi], j.asm, j.bp
 	streaming := j.streaming // fixed until this call ends: a replay waits for it
-	early := asm == nil && j.expand == nil
+	early := asm == nil
 	alloc := early && !j.allocating
 	if alloc {
 		j.allocating = true
@@ -704,9 +713,12 @@ func (e *Engine) land(j *Job, bi int) {
 	var upd Update
 	if streaming {
 		upd = streamUpdate(j, bi, out)
-		if early {
+		if early && j.expand == nil {
 			upd.Results = slices.Clone(upd.Results) // the merge has yet to read out.Out
 		}
+	}
+	if e.landHook != nil {
+		e.landHook(j, bi)
 	}
 
 	e.mu.Lock()
@@ -765,10 +777,10 @@ func (e *Engine) doneLanding(j *Job) {
 	}
 	e.landed.Broadcast()
 	last := !j.finished && j.done == len(j.outs)
-	bp, asm := j.bp, j.asm
+	asm := j.asm
 	e.mu.Unlock()
 	if last {
-		e.complete(j, bp, asm)
+		e.complete(j, asm)
 	}
 }
 
@@ -834,21 +846,15 @@ func (e *Engine) deadlineExpired(j *Job) {
 }
 
 // complete assembles the finished job's report — bit-identical to
-// driver.Run on the same dataset and configuration. Without dedup every
-// batch has already merged into asm, so only the batch-order fold is
-// left; a dedup plan (asm nil) is assembled here, O(comparisons), which
-// is why it runs outside the engine lock: every batch has landed by now,
-// nothing else writes j.outs, and a racing cancellation simply wins the
-// settlement below. The caller captured bp and asm under the lock, since
-// a settled job releases both.
-func (e *Engine) complete(j *Job, bp *driver.BatchPlan, asm *driver.Assembly) {
-	var plan *driver.Plan
-	var err error
-	if asm != nil {
-		plan, err = asm.Fold(j.outs)
-	} else {
-		plan, err = driver.AssemblePlan(bp, j.outs)
-	}
+// driver.Run on the same dataset and configuration. Every batch has
+// already merged into asm, so only the fold is left: the batch-order
+// accounting and, under dedup, the cache fill and the fan-out,
+// O(comparisons), which is why it runs outside the engine lock: every
+// batch has landed by now, nothing else writes j.outs, and a racing
+// cancellation simply wins the settlement below. The caller captured asm
+// under the lock, since a settled job releases it.
+func (e *Engine) complete(j *Job, asm *driver.Assembly) {
+	plan, err := asm.Fold(j.outs)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if j.finished { // cancelled while assembling

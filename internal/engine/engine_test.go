@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -274,6 +275,154 @@ func TestResultsLiveMutation(t *testing.T) {
 	if st.Retries != int64(transients) || st.Hedges != 1 || st.DeadlineExceeded != 0 {
 		t.Errorf("Retries %d, Hedges %d, DeadlineExceeded %d; want %d, 1, 0",
 			st.Retries, st.Hedges, st.DeadlineExceeded, transients)
+	}
+}
+
+// TestResultsOpenedMidLandingWaits: a stream opened while a batch is
+// between its landing and its publish waits for that landing to finish.
+// The first delivered batch lands before the report's array exists, so
+// its merge comes after the publish; a replay that did not wait would
+// hand the consumer the kernel's own array while the merge has yet to
+// read it, and an overwrite would reach the report. landHook holds the
+// first landing open while Results is called from another goroutine.
+func TestResultsOpenedMidLandingWaits(t *testing.T) {
+	d := readsData(t, 38, 30)
+	cfg := testCfg(1)
+	cfg.MaxBatchJobs = 3
+	ref, err := driver.Run(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(WithDriverConfig(cfg), WithExecutors(1))
+	defer e.Close()
+	paused, resume := make(chan int, 1), make(chan struct{})
+	var release sync.Once
+	defer release.Do(func() { close(resume) })
+	var held atomic.Bool
+	e.landHook = func(_ *Job, bi int) {
+		if held.CompareAndSwap(false, true) {
+			paused <- bi
+			<-resume
+		}
+	}
+	job, err := e.Submit(context.Background(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bi := <-paused
+	opened := make(chan (<-chan Update), 1)
+	go func() { opened <- job.Results() }()
+	var updates <-chan Update
+	seen := 0
+	overwrite := func(u Update) {
+		seen += len(u.Results)
+		for k := range u.Results {
+			u.Results[k].Score = -999
+		}
+	}
+	select {
+	case updates = <-opened:
+		t.Errorf("Results returned while batch %d was still landing", bi)
+		for len(updates) > 0 {
+			overwrite(<-updates)
+		}
+	case <-time.After(200 * time.Millisecond):
+	}
+	release.Do(func() { close(resume) })
+	if updates == nil {
+		updates = <-opened
+	}
+	for u := range updates {
+		overwrite(u)
+	}
+	rep, err := job.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen != len(d.Comparisons) {
+		t.Errorf("the stream carried %d results of %d", seen, len(d.Comparisons))
+	}
+	if !reflect.DeepEqual(rep.Results, ref.Results) {
+		t.Error("a streamed overwrite reached the report")
+	}
+}
+
+// TestDedupResultsLiveMutation is TestResultsLiveMutation for a plan
+// that dedups against a result cache: every extension is planned three
+// times and an earlier job has cached a third of them, so the stream
+// carries cache-served updates and fanned-out executed batches while the
+// report fills in place in the lookup's array. A consumer that opens the
+// stream before the first batch and overwrites every result never
+// reaches the report, and the cache keeps the executed alignments
+// unmutated: a follow-up job, served from it alone, gets them intact.
+// Each extension's first two rows are adjacent, so extension u's first
+// row is 2u and the in-place fan-out must not overwrite slot u before
+// row 2u has read it.
+func TestDedupResultsLiveMutation(t *testing.T) {
+	base := readsData(t, 38, 30)
+	cmps := make([]workload.Comparison, 0, 3*len(base.Comparisons))
+	for _, c := range base.Comparisons {
+		cmps = append(cmps, c, c)
+	}
+	d := base.WithComparisons(append(cmps, base.Comparisons...))
+	cfg := testCfg(1)
+	cfg.MaxBatchJobs = 3
+	ref, err := driver.Run(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(WithDriverConfig(cfg), WithResultCache(1<<12), WithExecutors(4))
+	defer e.Close()
+	const warmed = 10
+	warm, err := e.Submit(context.Background(), base.WithComparisons(base.Comparisons[:warmed]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := warm.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	run := func(label string) *driver.Report {
+		job, err := e.Submit(context.Background(), d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make([]bool, len(d.Comparisons))
+		for u := range job.Results() {
+			for k, o := range u.Results {
+				if seen[o.GlobalID] {
+					t.Fatalf("%s: comparison %d streamed twice", label, o.GlobalID)
+				}
+				seen[o.GlobalID] = true
+				if o != ref.Results[o.GlobalID] {
+					t.Fatalf("%s: batch %d streamed comparison %d as %+v, want %+v",
+						label, u.Batch, o.GlobalID, o, ref.Results[o.GlobalID])
+				}
+				u.Results[k].Score = -999
+			}
+		}
+		rep, err := job.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.Contains(seen, false) {
+			t.Fatalf("%s: the stream missed a comparison", label)
+		}
+		if !reflect.DeepEqual(rep.Results, ref.Results) {
+			t.Fatalf("%s: the report's results differ from driver.Run's", label)
+		}
+		return rep
+	}
+	rep := run("mixed job")
+	unique := len(base.Comparisons)
+	if rep.CacheHits != warmed || rep.CacheMisses != unique-warmed ||
+		rep.DedupedComparisons != len(d.Comparisons)-unique || rep.Batches < 2 {
+		t.Fatalf("mixed job: %d hits, %d misses, %d deduped, %d batches; want %d, %d, %d, ≥ 2",
+			rep.CacheHits, rep.CacheMisses, rep.DedupedComparisons, rep.Batches,
+			warmed, unique-warmed, len(d.Comparisons)-unique)
+	}
+	if rep := run("follow-up job"); rep.Batches != 0 || rep.CacheHits != unique {
+		t.Fatalf("follow-up job: %d batches, %d hits; want 0 and %d", rep.Batches, rep.CacheHits, unique)
 	}
 }
 

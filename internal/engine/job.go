@@ -47,11 +47,11 @@ type Job struct {
 	report    *driver.Report
 	err       error
 
-	// Landing (Engine.land). asm is the report being filled batch by batch
-	// (plans without dedup), nil until the lander of the first delivered
-	// batch allocates it; allocating is set from then on. early holds the
-	// batches published before asm existed, which that allocator merges.
-	// landing counts land calls in flight.
+	// Landing (Engine.land). asm is the report being filled batch by
+	// batch, nil until the lander of the first delivered batch allocates
+	// it; allocating is set from then on. early holds the batches
+	// published before asm existed, which that allocator merges. landing
+	// counts land calls in flight.
 	asm        *driver.Assembly
 	allocating bool
 	early      []int

@@ -281,7 +281,7 @@ func runTile(t *TileWork, cfg *Config, ex *executor, out []AlignOut) tileResult 
 			// The trace recording overflowed: degrade this one
 			// comparison to the PR 6 placeholder (GlobalID valid,
 			// everything else zero) instead of poisoning the batch.
-			// AssemblePlan never caches Failed results.
+			// The report's assembly never caches Failed results.
 			*o = AlignOut{GlobalID: o.GlobalID, Failed: true}
 			continue
 		}

@@ -396,6 +396,8 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request) (d *workload
 		if _, err := buf.ReadFrom(body); err != nil {
 			return nil, err
 		}
+		// The dataset adopts the body as its slabs: buf is this request's
+		// own and nothing writes to it again.
 		return wire.DecodeDataset(buf.Bytes())
 	case wire.ContentTypeFasta, "text/plain":
 		q := r.URL.Query()

@@ -134,13 +134,15 @@ func writeUvarint(buf *bytes.Buffer, v uint64) {
 	buf.Write(tmp[:binary.PutUvarint(tmp[:], v)])
 }
 
-// DecodeDataset reverses EncodeDataset: the restored dataset shares the
-// adopted slabs (no per-sequence copies) and validates like any other
-// submission. Both wire versions decode — "XDW1" single-slab payloads
-// from pre-spine senders and "XDW2" multi-slab spines. Lengths and
-// counts are checked against the remaining input before any allocation,
-// so truncated or hostile payloads (including absurd slab counts) fail
-// cleanly instead of over-allocating.
+// DecodeDataset reverses EncodeDataset. The dataset adopts p: its slabs
+// are capacity-capped subslices of p (no per-sequence or per-slab
+// copies), so the caller must not modify p afterwards. The plan's five
+// columns decode straight into the dataset's plan. Both wire versions
+// decode — "XDW1" single-slab payloads from pre-spine senders and "XDW2"
+// multi-slab spines — and the result validates like any other
+// submission. Lengths and counts are checked against the remaining input
+// before any allocation, so truncated or hostile payloads (including
+// absurd slab counts) fail cleanly instead of over-allocating.
 func DecodeDataset(p []byte) (*workload.Dataset, error) {
 	r := &reader{p: p}
 	var m [4]byte
@@ -156,10 +158,10 @@ func DecodeDataset(p []byte) (*workload.Dataset, error) {
 		nslabs := r.count("slabs", 1)
 		slabs = make([][]byte, 0, nslabs)
 		for i := 0; i < nslabs && r.err == nil; i++ {
-			slabs = append(slabs, append([]byte(nil), r.lenBytes("slab")...))
+			slabs = append(slabs, r.lenBytes("slab"))
 		}
 	} else {
-		slabs = [][]byte{append([]byte(nil), r.lenBytes("slab")...)}
+		slabs = [][]byte{r.lenBytes("slab")}
 	}
 	refBytes := 8
 	if multi {
@@ -175,27 +177,16 @@ func DecodeDataset(p []byte) (*workload.Dataset, error) {
 		refs[i].Len = int32(r.u32())
 	}
 	nrows := r.count("plan", 20)
-	plan := workload.NewPlan(nrows)
-	cols := [5][]int32{}
-	for c := range cols {
-		col := make([]int32, nrows)
-		for i := range col {
-			col[i] = int32(r.u32())
-		}
-		cols[c] = col
-	}
+	cols := make([]int32, 5*nrows)
+	r.int32s(cols)
 	if r.err != nil {
 		return nil, r.err
 	}
 	if len(r.p) != r.off {
 		return nil, fmt.Errorf("wire: %d trailing bytes", len(r.p)-r.off)
 	}
-	for i := 0; i < nrows; i++ {
-		plan.Add(workload.Comparison{
-			H: int(cols[0][i]), V: int(cols[1][i]),
-			SeedH: int(cols[2][i]), SeedV: int(cols[3][i]), SeedLen: int(cols[4][i]),
-		})
-	}
+	col := func(c int) []int32 { return cols[c*nrows : (c+1)*nrows : (c+1)*nrows] }
+	plan := &workload.Plan{H: col(0), V: col(1), SeedH: col(2), SeedV: col(3), SeedLen: col(4)}
 	arena, err := workload.RestoreArenaSlabs(slabs, refs)
 	if err != nil {
 		return nil, fmt.Errorf("wire: %w", err)
@@ -245,6 +236,21 @@ func (r *reader) u32() uint32 {
 	return binary.LittleEndian.Uint32(b[:])
 }
 
+// int32s fills dst with consecutive little-endian 32-bit words.
+func (r *reader) int32s(dst []int32) {
+	if r.err != nil {
+		return
+	}
+	if len(dst) > (len(r.p)-r.off)/4 {
+		r.fail("truncated payload")
+		return
+	}
+	for i := range dst {
+		dst[i] = int32(binary.LittleEndian.Uint32(r.p[r.off:]))
+		r.off += 4
+	}
+}
+
 func (r *reader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
@@ -259,7 +265,8 @@ func (r *reader) uvarint() uint64 {
 }
 
 // lenBytes reads a uvarint length and returns that many payload bytes as
-// a subslice (no copy).
+// a capacity-capped subslice (no copy), so an append to it cannot reach
+// the payload bytes that follow.
 func (r *reader) lenBytes(what string) []byte {
 	n := r.uvarint()
 	if r.err != nil {
@@ -269,8 +276,9 @@ func (r *reader) lenBytes(what string) []byte {
 		r.fail("%s length %d exceeds payload", what, n)
 		return nil
 	}
-	s := r.p[r.off : r.off+int(n)]
-	r.off += int(n)
+	end := r.off + int(n)
+	s := r.p[r.off:end:end]
+	r.off = end
 	return s
 }
 

@@ -12,6 +12,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/sram-align/xdropipu/internal/seqio"
 	"github.com/sram-align/xdropipu/internal/synth"
@@ -113,6 +114,54 @@ func TestServiceWireRejectsCorruption(t *testing.T) {
 	if _, err := EncodeDataset(&workload.Dataset{Name: "zero"}); err == nil {
 		t.Fatal("a spine-less dataset encoded")
 	}
+}
+
+// TestDecodeDatasetAdoptsPayload: the decoder adopts its input. At the
+// size of a service job (≈ 3 800 comparisons over ≈ 500 long reads) it
+// allocates less than half the payload — the slab is not copied and the
+// plan columns are filled once — and every decoded sequence's bytes lie
+// inside p.
+func TestDecodeDatasetAdoptsPayload(t *testing.T) {
+	d := synth.Reads(synth.ReadsSpec{
+		Name: "adopt", GenomeLen: 36000, Coverage: 12,
+		MeanReadLen: 900, MinReadLen: 300, MaxReadLen: 2250,
+		Errors:  synth.MutationProfile{Sub: 0.02, Ins: 0.02, Del: 0.02, Burst: 0.003, BurstLen: 24},
+		SeedLen: 17, MinOverlap: 225, Seed: 7, MaxComparisons: 3800,
+	})
+	if n := len(d.Comparisons); n < 3000 {
+		t.Fatalf("fixture has %d comparisons; want ≈ 3 800", n)
+	}
+	p, err := EncodeDataset(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got *workload.Dataset
+	grew := uint64(1 << 62)
+	for range 3 { // the least of three: a stray allocation elsewhere only adds
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err = DecodeDataset(p)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grew = min(grew, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("decoding %d bytes allocated %d B", len(p), grew)
+	if limit := uint64(len(p) / 2); grew >= limit {
+		t.Errorf("decoding %d bytes allocated %d B; want < %d", len(p), grew, limit)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(p)))
+	hi := lo + uintptr(len(p))
+	a, _ := got.Spine()
+	for i := 0; i < a.Len(); i++ {
+		seq := a.Seq(i)
+		at := uintptr(unsafe.Pointer(unsafe.SliceData(seq)))
+		if len(seq) == 0 || at < lo || at+uintptr(len(seq)) > hi {
+			t.Fatalf("sequence %d (%d bytes) does not lie inside the payload", i, len(seq))
+		}
+	}
+	sameDataset(t, got, d)
 }
 
 // TestServiceWireHostileCounts: a payload claiming absurd element counts

@@ -123,9 +123,14 @@ type Arena struct {
 	// duplicates copy their canonical's), the content-addressed identity
 	// behind ExtensionKey and the cross-job result cache.
 	digests []SeqDigest
-	// index maps content hashes to canonical sequence indices (first
-	// appearance of each distinct byte string).
-	index map[uint64][]int32
+	// index maps a content hash (digest Lo) to the first canonical
+	// sequence index filed under it (first appearance of a distinct byte
+	// string); collided holds, in index order, the later canonicals whose
+	// Lo equals an earlier one's — nil until a collision happens, which
+	// under a keyed 64-bit hash is all but never. A restored spine's index
+	// is nil until its first append (fileRestored).
+	index    map[uint64]int32
+	collided map[uint64][]int32
 	// savedBytes counts slab bytes avoided by interning.
 	savedBytes int64
 	// maxSlab is the per-slab byte cap (default MaxSlabBytes; tests and
@@ -149,7 +154,7 @@ func NewArena(sizeHint, seqHint int) *Arena {
 	a := &Arena{
 		refs:    make([]SeqRef, 0, seqHint),
 		digests: make([]SeqDigest, 0, seqHint),
-		index:   make(map[uint64][]int32, seqHint),
+		index:   make(map[uint64]int32, seqHint),
 		maxSlab: MaxSlabBytes,
 	}
 	if sizeHint > 0 {
@@ -320,13 +325,57 @@ func (a *Arena) SavedBytes() int64 { return a.savedBytes }
 // lookup returns the canonical index of s if its bytes are already pooled.
 // Comparing against a spilled slab faults it in.
 func (a *Arena) lookup(h uint64, s []byte) (int32, bool) {
-	for _, ci := range a.index[h] {
-		r := a.refs[ci]
-		if int(r.Len) == len(s) && string(a.seqBytes(r)) == string(s) {
+	return a.findCanonical(h, func(r SeqRef) bool {
+		return int(r.Len) == len(s) && string(a.seqBytes(r)) == string(s)
+	})
+}
+
+// findCanonical returns the first canonical sequence filed under digest
+// half lo whose span satisfies match. It files a restored spine's
+// canonicals first if nothing has yet.
+func (a *Arena) findCanonical(lo uint64, match func(SeqRef) bool) (int32, bool) {
+	if a.index == nil {
+		a.fileRestored()
+	}
+	ci, ok := a.index[lo]
+	if !ok {
+		return 0, false
+	}
+	if match(a.refs[ci]) {
+		return ci, true
+	}
+	for _, ci := range a.collided[lo] {
+		if match(a.refs[ci]) {
 			return ci, true
 		}
 	}
 	return 0, false
+}
+
+// file records sequence idx as a canonical under digest half lo.
+func (a *Arena) file(lo uint64, idx int32) {
+	if _, ok := a.index[lo]; !ok {
+		a.index[lo] = idx
+		return
+	}
+	if a.collided == nil {
+		a.collided = make(map[uint64][]int32)
+	}
+	a.collided[lo] = append(a.collided[lo], idx)
+}
+
+// fileRestored builds the intern index of a restored spine, which
+// RestoreArenaSlabs leaves to the first append: a decoded submission is
+// read, never appended to. Each span's first appearance is filed, in
+// index order; a later index with the same span is an interned copy.
+func (a *Arena) fileRestored() {
+	a.index = make(map[uint64]int32, len(a.refs))
+	for i, r := range a.refs {
+		lo := a.digests[i].Lo
+		if _, dup := a.findCanonical(lo, func(c SeqRef) bool { return c == r }); !dup {
+			a.file(lo, int32(i))
+		}
+	}
 }
 
 // openSlab returns the growing tail slab, rolling a fresh one if the
@@ -376,7 +425,7 @@ func (a *Arena) TryAppend(s []byte) (int, error) {
 	sl.size = len(b)
 	a.refs = append(a.refs, ref)
 	a.digests = append(a.digests, d)
-	a.index[d.Lo] = append(a.index[d.Lo], int32(idx))
+	a.file(d.Lo, int32(idx))
 	return idx, nil
 }
 
@@ -436,23 +485,20 @@ func (a *Arena) mark() arenaMark {
 // the restore is atomic across slab boundaries too. Must run before any
 // rolled-back span is shared.
 func (a *Arena) rollback(m arenaMark) {
-	cut := int32(m.refs)
-	for i := len(a.refs) - 1; i >= m.refs; i-- {
-		// Only canonical spans (first appearance of their bytes) live in
-		// the index; scrubbing a bucket is idempotent, so re-visiting the
-		// hash of an interned duplicate is harmless.
+	for i := int32(len(a.refs)) - 1; i >= int32(m.refs); i-- {
+		// Only canonical spans (first appearance of their bytes) are
+		// filed, in index order, so walking down from the top unfiles
+		// each one as the last filed under its hash; an interned
+		// duplicate is filed nowhere and matches neither test.
 		lo := a.digests[i].Lo
-		bucket := a.index[lo]
-		kept := bucket[:0]
-		for _, ci := range bucket {
-			if ci < cut {
-				kept = append(kept, ci)
+		if c := a.collided[lo]; len(c) > 0 && c[len(c)-1] == i {
+			if c = c[:len(c)-1]; len(c) == 0 {
+				delete(a.collided, lo)
+			} else {
+				a.collided[lo] = c
 			}
-		}
-		if len(kept) == 0 {
+		} else if ci, ok := a.index[lo]; ok && ci == i {
 			delete(a.index, lo)
-		} else {
-			a.index[lo] = kept
 		}
 	}
 	a.refs = a.refs[:m.refs]

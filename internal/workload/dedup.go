@@ -7,6 +7,8 @@
 
 package workload
 
+import "hash/maphash"
+
 // ExtensionKey is the canonical content-addressed identity of one seed
 // extension: the 128-bit content digests and lengths of H and V plus the
 // seed geometry. Two comparisons from different jobs in one process —
@@ -61,38 +63,66 @@ func (m *DedupMap) Duplicates() int { return len(m.RowUID) - len(m.UniqueRows) }
 // extSpanKey is the exact in-arena identity of one extension: the
 // canonical spine spans of both sequences plus the seed geometry. Content
 // interning guarantees that, within one arena, identical bytes share one
-// canonical span — so span equality is byte equality and the dedup map
-// needs no content hash, making in-plan dedup immune to hash collisions
-// by construction. The slab indices are part of the span identity:
-// offsets are only meaningful within a slab, so two spans at equal
-// offsets in different slabs must never collapse.
+// canonical span — so span equality is byte equality and dedup needs no
+// content hash for equality, making in-plan dedup immune to hash
+// collisions by construction. The slab indices are part of the span
+// identity: offsets are only meaningful within a slab, so two spans at
+// equal offsets in different slabs must never collapse.
 type extSpanKey struct {
 	hSlab, hOff, hLen, vSlab, vOff, vLen int32
 	seedH, seedV, seedLen                int32
 }
 
+// spanKey builds plan row i's extSpanKey.
+func (a *Arena) spanKey(p *Plan, i int32) extSpanKey {
+	rh, rv := a.refs[p.H[i]], a.refs[p.V[i]]
+	return extSpanKey{
+		hSlab: rh.Slab, hOff: rh.Off, hLen: rh.Len,
+		vSlab: rv.Slab, vOff: rv.Off, vLen: rv.Len,
+		seedH: p.SeedH[i], seedV: p.SeedV[i], seedLen: p.SeedLen[i],
+	}
+}
+
+// dedupSeed keys the slot hash of DedupPlan's table. Drawn once per
+// process like digestSeeds, so a submitter cannot line its rows up on one
+// probe chain; the hash only places a key, it never decides equality.
+var dedupSeed = maphash.MakeSeed()
+
 // DedupPlan computes the unique-extension mapping of plan p over the
 // arena. Rows with different pool indices but interned-identical bytes
 // (and equal seed geometry) collapse onto one representative; identical
 // pairs with different seeds, and (H,V) vs (V,H), never do.
+//
+// The lookup table is a power-of-two slice of at least 2·rows slots, each
+// 0 (empty) or uid+1, probed linearly from the key's hash. A probe
+// compares the full extSpanKey rebuilt from the slot's representative
+// row, so equality is exact span equality whatever the hash does.
 func (a *Arena) DedupPlan(p *Plan) *DedupMap {
 	n := p.Len()
 	m := &DedupMap{RowUID: make([]int32, n)}
-	seen := make(map[extSpanKey]int32, n)
-	for i := 0; i < n; i++ {
-		rh, rv := a.refs[p.H[i]], a.refs[p.V[i]]
-		k := extSpanKey{
-			hSlab: rh.Slab, hOff: rh.Off, hLen: rh.Len,
-			vSlab: rv.Slab, vOff: rv.Off, vLen: rv.Len,
-			seedH: p.SeedH[i], seedV: p.SeedV[i], seedLen: p.SeedLen[i],
+	size := 2
+	for size < 2*n {
+		size <<= 1
+	}
+	slots := make([]int32, size)
+	mask := uint64(size - 1)
+	for i := int32(0); i < int32(n); i++ {
+		k := a.spanKey(p, i)
+		pos := maphash.Comparable(dedupSeed, k) & mask
+		for {
+			s := slots[pos]
+			if s == 0 {
+				slots[pos] = int32(len(m.UniqueRows)) + 1
+				m.UniqueRows = append(m.UniqueRows, i)
+				m.Fanout = append(m.Fanout, 0)
+				break
+			}
+			if a.spanKey(p, m.UniqueRows[s-1]) == k {
+				break
+			}
+			pos = (pos + 1) & mask
 		}
-		uid, ok := seen[k]
-		if !ok {
-			uid = int32(len(m.UniqueRows))
-			seen[k] = uid
-			m.UniqueRows = append(m.UniqueRows, int32(i))
-			m.Fanout = append(m.Fanout, 0)
-		}
+		uid := slots[pos] - 1
 		m.RowUID[i] = uid
 		m.Fanout[uid]++
 	}

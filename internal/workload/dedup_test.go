@@ -316,3 +316,147 @@ func BenchmarkSeqDigest(b *testing.B) {
 
 // digestSink keeps BenchmarkSeqDigest's result live.
 var digestSink SeqDigest
+
+// dedupPlanRef is DedupPlan as a Go map from extSpanKey to ordinal: the
+// reference the slot table must reproduce row for row. It builds its keys
+// itself, so a fault in spanKey shows as a difference.
+func dedupPlanRef(a *Arena, p *Plan) *DedupMap {
+	n := p.Len()
+	m := &DedupMap{RowUID: make([]int32, n)}
+	seen := make(map[extSpanKey]int32, n)
+	for i := 0; i < n; i++ {
+		rh, rv := a.refs[p.H[i]], a.refs[p.V[i]]
+		k := extSpanKey{
+			hSlab: rh.Slab, hOff: rh.Off, hLen: rh.Len,
+			vSlab: rv.Slab, vOff: rv.Off, vLen: rv.Len,
+			seedH: p.SeedH[i], seedV: p.SeedV[i], seedLen: p.SeedLen[i],
+		}
+		uid, ok := seen[k]
+		if !ok {
+			uid = int32(len(m.UniqueRows))
+			seen[k] = uid
+			m.UniqueRows = append(m.UniqueRows, int32(i))
+			m.Fanout = append(m.Fanout, 0)
+		}
+		m.RowUID[i] = uid
+		m.Fanout[uid]++
+	}
+	return m
+}
+
+// Arena layouts dedupFixture builds.
+const (
+	oneSlab     = iota // appended into one slab
+	rolledSlabs        // appended into 64-byte slabs
+	gridSpans          // restored: spans on a grid of slab × offset × length
+	layouts
+)
+
+// dedupFixture draws an arena and a plan over it. Appended arenas intern
+// duplicate sequences (the same bytes appended under several indices,
+// across slabs when they roll); a restored grid arena has overlapping
+// spans that differ from each other in one field — slab, offset or
+// length — so a key that drops a field collapses extensions. Plan rows
+// repeat earlier rows literally, take the same pair under other seeds,
+// and mirror a row as (V,H) with swapped seeds.
+func dedupFixture(rng *rand.Rand, layout, distinct, seqs, rows int) (*Arena, *Plan) {
+	randSeq := func(n int) []byte {
+		s := make([]byte, n)
+		for j := range s {
+			s[j] = "ACGT"[rng.Intn(4)]
+		}
+		return s
+	}
+	var a *Arena
+	if layout == gridSpans {
+		slabs := [][]byte{randSeq(16), randSeq(16), randSeq(16)}
+		refs := make([]SeqRef, seqs)
+		for i := range refs {
+			refs[i] = SeqRef{Slab: int32(rng.Intn(3)), Off: int32(rng.Intn(4)), Len: int32(4 + rng.Intn(3))}
+		}
+		var err error
+		if a, err = RestoreArenaSlabs(slabs, refs); err != nil {
+			panic(err)
+		}
+	} else {
+		pool := make([][]byte, distinct)
+		for i := range pool {
+			pool[i] = randSeq(8 + rng.Intn(24))
+		}
+		a = NewArena(0, seqs)
+		if layout == rolledSlabs {
+			a.SetMaxSlabBytes(64)
+		}
+		for range seqs {
+			a.Append(pool[rng.Intn(distinct)])
+		}
+	}
+	cmps := make([]Comparison, 0, rows)
+	for range rows {
+		var c Comparison
+		switch r := rng.Intn(10); {
+		case r < 2 && len(cmps) > 0: // a literal repeat
+			c = cmps[rng.Intn(len(cmps))]
+		case r < 4 && len(cmps) > 0: // the same pair under another seed
+			c = cmps[rng.Intn(len(cmps))]
+			c.SeedH, c.SeedV = rng.Intn(2), rng.Intn(2)
+		case r < 6 && len(cmps) > 0: // mirrored
+			p := cmps[rng.Intn(len(cmps))]
+			c = Comparison{H: p.V, V: p.H, SeedH: p.SeedV, SeedV: p.SeedH, SeedLen: p.SeedLen}
+		default:
+			c = Comparison{H: rng.Intn(seqs), V: rng.Intn(seqs), SeedH: rng.Intn(2), SeedV: rng.Intn(2), SeedLen: 1 + rng.Intn(2)}
+		}
+		cmps = append(cmps, c)
+	}
+	return a, PlanOf(cmps)
+}
+
+func checkDedupAgainstRef(t *testing.T, a *Arena, p *Plan) {
+	t.Helper()
+	got, want := a.DedupPlan(p), dedupPlanRef(a, p)
+	if !reflect.DeepEqual(got, want) {
+		for i := range want.RowUID {
+			if got.RowUID[i] != want.RowUID[i] {
+				t.Fatalf("row %d of %d: uid %d, reference %d (%d vs %d unique)",
+					i, p.Len(), got.RowUID[i], want.RowUID[i], got.Unique(), want.Unique())
+			}
+		}
+		t.Fatalf("DedupPlan differs from the map reference:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// FuzzDedupPlan holds the slot table to the map reference on random
+// plans: interned duplicates, the same pair under several seeds, mirrored
+// pairs, single- and multi-slab spines, and restored spines whose spans
+// differ in a single field.
+func FuzzDedupPlan(f *testing.F) {
+	f.Add(int64(1), uint8(oneSlab), uint8(3), uint8(12), uint16(40))
+	f.Add(int64(2), uint8(oneSlab), uint8(1), uint8(1), uint16(1))
+	f.Add(int64(3), uint8(rolledSlabs), uint8(20), uint8(60), uint16(500))
+	f.Add(int64(4), uint8(rolledSlabs), uint8(5), uint8(9), uint16(0))
+	f.Add(int64(5), uint8(gridSpans), uint8(0), uint8(40), uint16(2000))
+	f.Fuzz(func(t *testing.T, seed int64, layout, distinct, seqs uint8, rows uint16) {
+		a, p := dedupFixture(rand.New(rand.NewSource(seed)), int(layout)%layouts,
+			1+int(distinct)%32, 1+int(seqs), int(rows)%4096)
+		checkDedupAgainstRef(t, a, p)
+	})
+}
+
+// TestDedupPlanLongProbeChains runs the slot table at 120 000 rows, where
+// probe chains run long and most probes compare a key that differs from
+// the representative's: over a few hundred appended sequences in rolled
+// slabs, and over a restored grid of overlapping spans.
+func TestDedupPlanLongProbeChains(t *testing.T) {
+	for _, layout := range []int{rolledSlabs, gridSpans} {
+		a, p := dedupFixture(rand.New(rand.NewSource(45)), layout, 300, 900, 120000)
+		if a.NumSlabs() < 2 {
+			t.Fatalf("layout %d: fixture spans %d slab; want several", layout, a.NumSlabs())
+		}
+		m := a.DedupPlan(p)
+		if m.Duplicates() < p.Len()/4 || m.Unique() < p.Len()/20 {
+			t.Fatalf("layout %d: %d unique of %d rows: want both duplicates and distinct extensions in bulk",
+				layout, m.Unique(), p.Len())
+		}
+		checkDedupAgainstRef(t, a, p)
+	}
+}

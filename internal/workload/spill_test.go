@@ -290,6 +290,18 @@ func TestRestoreArenaSlabsRoundTrip(t *testing.T) {
 	if r.SavedBytes() != a.SavedBytes() {
 		t.Errorf("restored SavedBytes %d, want %d", r.SavedBytes(), a.SavedBytes())
 	}
+	// The first append files the restored spine's intern index: bytes it
+	// already holds intern onto their first span, the slabs do not grow.
+	saved := r.SavedBytes()
+	for i := 0; i < a.Len(); i++ {
+		if j := r.Append(a.Seq(i)); r.Ref(j) != a.Ref(i) {
+			t.Errorf("re-appended seq %d landed at %+v, want its restored span %+v", i, r.Ref(j), a.Ref(i))
+		}
+	}
+	if r.NumSlabs() != a.NumSlabs() || r.SavedBytes() != saved+a.SeqBytes() {
+		t.Errorf("re-appending the spine's own bytes grew it: %d slabs, SavedBytes %d, want %d and %d",
+			r.NumSlabs(), r.SavedBytes(), a.NumSlabs(), saved+a.SeqBytes())
+	}
 	// Restored slabs come back sealed: the next append rolls.
 	r.Append([]byte("AACC"))
 	if r.NumSlabs() != a.NumSlabs()+1 {

@@ -428,7 +428,8 @@ func EncodeDataset(d *Dataset) ([]byte, error) { return wire.EncodeDataset(d) }
 // DecodeDataset reverses EncodeDataset; the restored dataset preserves
 // spans and bytes, and its digests are computed from those bytes in this
 // process, so routing and cache identity are those of the same content
-// submitted in process.
+// submitted in process. The dataset adopts p's bytes as its sequence
+// slabs, so p must not be modified afterwards.
 func DecodeDataset(p []byte) (*Dataset, error) { return wire.DecodeDataset(p) }
 
 // Wire content types.
