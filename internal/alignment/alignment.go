@@ -130,15 +130,6 @@ func (c Cigar) Validate() error {
 	return c.scan(nil)
 }
 
-// Runs decodes the Cigar into its run list.
-func (c Cigar) Runs() ([]Run, error) {
-	var runs []Run
-	if err := c.scan(func(r Run) error { runs = append(runs, r); return nil }); err != nil {
-		return nil, err
-	}
-	return runs, nil
-}
-
 // Parse validates s and returns it as a Cigar.
 func Parse(s string) (Cigar, error) {
 	c := Cigar(s)
@@ -198,31 +189,6 @@ func (c Cigar) Identity() float64 {
 // length+op word.
 const wireBytesPerRun = 4
 
-// WireBytes returns the encoded transfer size of the Cigar: 4 bytes per
-// run, 0 when empty.
-func (c Cigar) WireBytes() int {
-	st, err := c.Stats()
-	if err != nil {
-		return 0
-	}
-	return wireBytesPerRun * st.Runs
-}
-
-// Reverse returns the Cigar read back-to-front (runs reversed; each run
-// is symmetric). Reversing maps an alignment of (h, v) onto the reversed
-// sequences, which is how left seed extensions compose.
-func (c Cigar) Reverse() (Cigar, error) {
-	runs, err := c.Runs()
-	if err != nil {
-		return "", err
-	}
-	var b Builder
-	for i := len(runs) - 1; i >= 0; i-- {
-		b.Append(runs[i].Op, runs[i].Len)
-	}
-	return b.Cigar(), nil
-}
-
 // Builder assembles a canonical Cigar incrementally, merging adjacent
 // runs of the same operation. The zero value is ready to use.
 type Builder struct {
@@ -281,11 +247,6 @@ func (b *Builder) AppendRuns(runs []Run, reverse bool) {
 	b.buf, b.runs, b.lastOp, b.lastLen = buf, count, op, n
 }
 
-// AppendCigar appends every run of c, merging at the boundary.
-func (b *Builder) AppendCigar(c Cigar) error {
-	return c.scan(func(r Run) error { b.Append(r.Op, r.Len); return nil })
-}
-
 func (b *Builder) flush() {
 	if b.lastLen > 0 {
 		b.buf = append(appendLen(b.buf, b.lastLen), byte(b.lastOp))
@@ -306,8 +267,9 @@ func appendLen(buf []byte, n int) []byte {
 	return strconv.AppendInt(buf, int64(n), 10)
 }
 
-// WireBytes returns Cigar.WireBytes of the Cigar the builder would
-// return now, from the runs it has counted while encoding — no scan.
+// WireBytes returns the transfer size of the Cigar the builder would
+// return now — wireBytesPerRun per run (Stats.Runs) — from the runs it
+// has counted while encoding, without a scan.
 func (b *Builder) WireBytes() int {
 	runs := b.runs
 	if b.lastLen > 0 {
@@ -324,36 +286,6 @@ func (b *Builder) Cigar() Cigar {
 	b.buf = b.buf[:0]
 	b.runs, b.lastOp, b.lastLen = 0, 0, 0
 	return c
-}
-
-// FromRuns encodes a run list canonically (merging adjacent same-op
-// runs, skipping empty ones); invalid ops or negative lengths error.
-func FromRuns(runs []Run) (Cigar, error) {
-	var b Builder
-	for _, r := range runs {
-		if r.Len < 0 {
-			return "", fmt.Errorf("alignment: negative run length %d", r.Len)
-		}
-		if r.Len == 0 {
-			continue
-		}
-		if !r.Op.Valid() {
-			return "", fmt.Errorf("alignment: unknown op %q", byte(r.Op))
-		}
-		b.Append(r.Op, r.Len)
-	}
-	return b.Cigar(), nil
-}
-
-// Concat joins Cigars in order, merging runs at the junctions.
-func Concat(parts ...Cigar) (Cigar, error) {
-	var b Builder
-	for _, p := range parts {
-		if err := b.AppendCigar(p); err != nil {
-			return "", err
-		}
-	}
-	return b.Cigar(), nil
 }
 
 // ScoreOf recomputes the alignment score a Cigar implies over the two
@@ -424,25 +356,4 @@ type Alignment struct {
 	BegH, BegV, EndH, EndV int
 	// Cigar covers exactly the aligned region.
 	Cigar Cigar
-}
-
-// Identity is the fraction of '=' columns (0 for an empty alignment).
-func (a Alignment) Identity() float64 { return a.Cigar.Identity() }
-
-// Validate checks the structural invariants: well-formed canonical
-// Cigar, ordered non-negative coordinates, and operation spans that
-// consume exactly the reported query/target spans.
-func (a Alignment) Validate() error {
-	st, err := a.Cigar.Stats()
-	if err != nil {
-		return err
-	}
-	if a.BegH < 0 || a.BegV < 0 || a.BegH > a.EndH || a.BegV > a.EndV {
-		return fmt.Errorf("alignment: bad span [%d,%d)x[%d,%d)", a.BegH, a.EndH, a.BegV, a.EndV)
-	}
-	if st.SpanH != a.EndH-a.BegH || st.SpanV != a.EndV-a.BegV {
-		return fmt.Errorf("alignment: cigar %q spans %dx%d, alignment reports %dx%d",
-			a.Cigar, st.SpanH, st.SpanV, a.EndH-a.BegH, a.EndV-a.BegV)
-	}
-	return nil
 }

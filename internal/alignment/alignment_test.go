@@ -48,17 +48,45 @@ func randCigarRuns(rng *rand.Rand) (runs []Run, h, v []byte, matches, columns in
 	return runs, h, v, matches, columns
 }
 
+// runsOf decodes c into its run list.
+func runsOf(c Cigar) ([]Run, error) {
+	var runs []Run
+	err := c.scan(func(r Run) error { runs = append(runs, r); return nil })
+	return runs, err
+}
+
+// fromRuns encodes runs one Builder.Append at a time, in order or, with
+// reverse set, back to front: the reference AppendRuns is held to.
+func fromRuns(runs []Run, reverse bool) Cigar {
+	var b Builder
+	for k := range runs {
+		r := runs[k]
+		if reverse {
+			r = runs[len(runs)-1-k]
+		}
+		b.Append(r.Op, r.Len)
+	}
+	return b.Cigar()
+}
+
+// wireBytes is the transfer size of c: wireBytesPerRun per run.
+func wireBytes(t *testing.T, c Cigar) int {
+	t.Helper()
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatalf("Stats(%q): %v", c, err)
+	}
+	return wireBytesPerRun * st.Runs
+}
+
 // TestCigarProperties drives the package's core invariants over random
 // canonical CIGARs: round-trip String/Parse, exact span consumption,
-// identity in [0,1], reversal self-inverse, wire size accounting.
+// identity in [0,1], reversal self-inverse, the score oracle.
 func TestCigarProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for it := 0; it < 500; it++ {
 		runs, h, v, matches, columns := randCigarRuns(rng)
-		c, err := FromRuns(runs)
-		if err != nil {
-			t.Fatalf("FromRuns(%v): %v", runs, err)
-		}
+		c := fromRuns(runs, false)
 		if err := c.Validate(); err != nil {
 			t.Fatalf("generated cigar %q invalid: %v", c, err)
 		}
@@ -68,13 +96,12 @@ func TestCigarProperties(t *testing.T) {
 		if err != nil || rt != c {
 			t.Fatalf("round trip of %q: got %q, err %v", c, rt, err)
 		}
-		back, err := c.Runs()
+		back, err := runsOf(c)
 		if err != nil {
-			t.Fatalf("Runs(%q): %v", c, err)
+			t.Fatalf("runs of %q: %v", c, err)
 		}
-		again, err := FromRuns(back)
-		if err != nil || again != c {
-			t.Fatalf("FromRuns(Runs(%q)) = %q, err %v", c, again, err)
+		if again := fromRuns(back, false); again != c {
+			t.Fatalf("runs of %q re-encode to %q", c, again)
 		}
 
 		// Ops consume exactly the fragments they were generated from.
@@ -91,9 +118,6 @@ func TestCigarProperties(t *testing.T) {
 		if st.Runs != len(back) {
 			t.Fatalf("cigar %q run count %d, want %d", c, st.Runs, len(back))
 		}
-		if c.WireBytes() != 4*len(back) {
-			t.Fatalf("cigar %q wire bytes %d, want %d", c, c.WireBytes(), 4*len(back))
-		}
 
 		// Identity ∈ [0,1] and equals matches/columns.
 		id := c.Identity()
@@ -107,17 +131,14 @@ func TestCigarProperties(t *testing.T) {
 			t.Fatalf("empty cigar identity %v", id)
 		}
 
-		// Reverse is an involution and preserves stats.
-		rev, err := c.Reverse()
-		if err != nil {
-			t.Fatalf("Reverse(%q): %v", c, err)
-		}
+		// Reversal is an involution and preserves stats.
+		rev := fromRuns(back, true)
 		rst, err := rev.Stats()
 		if err != nil || rst.SpanH != st.SpanH || rst.SpanV != st.SpanV || rst.Matches != st.Matches {
-			t.Fatalf("Reverse(%q) = %q changed stats: %+v vs %+v (err %v)", c, rev, rst, st, err)
+			t.Fatalf("reverse of %q = %q changed stats: %+v vs %+v (err %v)", c, rev, rst, st, err)
 		}
-		rr, err := rev.Reverse()
-		if err != nil || rr != c {
+		revRuns, err := runsOf(rev)
+		if rr := fromRuns(revRuns, true); err != nil || rr != c {
 			t.Fatalf("double reverse of %q = %q, err %v", c, rr, err)
 		}
 
@@ -148,15 +169,6 @@ func TestCigarProperties(t *testing.T) {
 		if got != want {
 			t.Fatalf("ScoreOf(%q) = %d, want %d", c, got, want)
 		}
-
-		// Alignment validation over the same spans.
-		a := Alignment{Score: got, BegH: 3, BegV: 5, EndH: 3 + len(h), EndV: 5 + len(v), Cigar: c}
-		if err := a.Validate(); err != nil {
-			t.Fatalf("alignment of %q invalid: %v", c, err)
-		}
-		if a.Identity() != id {
-			t.Fatalf("alignment identity %v != cigar identity %v", a.Identity(), id)
-		}
 	}
 }
 
@@ -185,24 +197,9 @@ func TestCigarRejectsMalformed(t *testing.T) {
 		if Cigar(s).Identity() != 0 {
 			t.Errorf("Identity(%q) nonzero on malformed input", s)
 		}
-		if Cigar(s).WireBytes() != 0 {
-			t.Errorf("WireBytes(%q) nonzero on malformed input", s)
+		if _, err := Cigar(s).Stats(); err == nil {
+			t.Errorf("Stats(%q) accepted malformed input", s)
 		}
-		if _, err := Cigar(s).Runs(); err == nil {
-			t.Errorf("Runs(%q) accepted malformed input", s)
-		}
-		if _, err := Cigar(s).Reverse(); err == nil {
-			t.Errorf("Reverse(%q) accepted malformed input", s)
-		}
-	}
-	if _, err := FromRuns([]Run{{Op: OpMatch, Len: -1}}); err == nil {
-		t.Error("FromRuns accepted a negative run length")
-	}
-	if _, err := FromRuns([]Run{{Op: 'Q', Len: 2}}); err == nil {
-		t.Error("FromRuns accepted an unknown op")
-	}
-	if _, err := Concat("2=", "1Q"); err == nil {
-		t.Error("Concat accepted a malformed part")
 	}
 }
 
@@ -212,7 +209,7 @@ func TestCigarRejectsMalformed(t *testing.T) {
 // into range is still an error.
 func TestCigarLengthOverflowBoundary(t *testing.T) {
 	maxInt := strconv.Itoa(math.MaxInt)
-	runs, err := Cigar(maxInt + "=").Runs()
+	runs, err := runsOf(Cigar(maxInt + "="))
 	if err != nil || len(runs) != 1 || runs[0] != (Run{Op: OpMatch, Len: math.MaxInt}) {
 		t.Fatalf("Runs(%s=) = %v, %v; want one run of MaxInt", maxInt, runs, err)
 	}
@@ -237,30 +234,24 @@ func TestEmptyCigar(t *testing.T) {
 	if err != nil || st != (Stats{}) {
 		t.Fatalf("empty cigar stats %+v, err %v", st, err)
 	}
-	runs, err := c.Runs()
+	runs, err := runsOf(c)
 	if err != nil || len(runs) != 0 {
 		t.Fatalf("empty cigar runs %v, err %v", runs, err)
 	}
 	if s, err := ScoreOf(nil, nil, c, scoring.DNADefault, -1, 0); err != nil || s != 0 {
 		t.Fatalf("empty cigar score %d, err %v", s, err)
 	}
-	if a := (Alignment{BegH: 4, EndH: 4, BegV: 9, EndV: 9}); a.Validate() != nil {
-		t.Fatalf("empty alignment invalid: %v", a.Validate())
-	}
 }
 
-// TestBuilderMergesRuns checks boundary merging in Builder, Concat and
-// FromRuns — junction runs of the same op must coalesce into canonical
-// form.
+// TestBuilderMergesRuns checks boundary merging in Append and AppendRuns —
+// junction runs of the same op must coalesce into canonical form.
 func TestBuilderMergesRuns(t *testing.T) {
 	var b Builder
 	b.Append(OpMatch, 3)
 	b.Append(OpMatch, 2)
 	b.Append(OpIns, 0) // no-op
 	b.Append(OpDel, 1)
-	if err := b.AppendCigar("2D3="); err != nil {
-		t.Fatal(err)
-	}
+	b.AppendRuns([]Run{{OpDel, 2}, {OpMatch, 3}}, false)
 	if got := b.Cigar(); got != "5=3D3=" {
 		t.Fatalf("builder produced %q, want 5=3D3=", got)
 	}
@@ -269,17 +260,8 @@ func TestBuilderMergesRuns(t *testing.T) {
 		t.Fatalf("reused builder produced %q", got)
 	}
 
-	c, err := Concat("4=", "2=1X", "", "1X3I")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c != "6=2X3I" {
-		t.Fatalf("Concat = %q, want 6=2X3I", c)
-	}
-
-	merged, err := FromRuns([]Run{{OpMatch, 1}, {OpMatch, 4}, {OpDel, 0}, {OpMismatch, 2}})
-	if err != nil || merged != "5=2X" {
-		t.Fatalf("FromRuns merged to %q, err %v", merged, err)
+	if merged := fromRuns([]Run{{OpMatch, 1}, {OpMatch, 4}, {OpDel, 0}, {OpMismatch, 2}}, false); merged != "5=2X" {
+		t.Fatalf("Append merged to %q", merged)
 	}
 
 	// AppendRuns is Append over each run, in order or back to front: it
@@ -336,9 +318,9 @@ func TestBuilderMergesRuns(t *testing.T) {
 }
 
 // TestBuilderWireBytesMatchesCigar: the size a Builder derives from the
-// runs it counts while encoding is the one Cigar.WireBytes reads back from
-// the string — with a run still pending, across junction merges, and from
-// zero again after Cigar().
+// runs it counts while encoding is the one the string's Stats read back —
+// with a run still pending, across junction merges, and from zero again
+// after Cigar().
 func TestBuilderWireBytesMatchesCigar(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	var b Builder
@@ -349,21 +331,17 @@ func TestBuilderWireBytesMatchesCigar(t *testing.T) {
 		var direct Builder // the same parts through AppendRuns
 		for part := 0; part < 3; part++ {
 			runs, _, _, _, _ := randCigarRuns(rng)
-			c, err := FromRuns(runs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := b.AppendCigar(c); err != nil {
-				t.Fatal(err)
+			for _, r := range runs {
+				b.Append(r.Op, r.Len)
 			}
 			direct.AppendRuns(runs, false)
 		}
 		got, gotDirect := b.WireBytes(), direct.WireBytes()
 		c, cDirect := b.Cigar(), direct.Cigar()
-		if got != c.WireBytes() {
-			t.Fatalf("cigar %q: builder says %d wire bytes, the string %d", c, got, c.WireBytes())
+		if got != wireBytes(t, c) {
+			t.Fatalf("cigar %q: builder says %d wire bytes, the string %d", c, got, wireBytes(t, c))
 		}
-		if cDirect != c || gotDirect != c.WireBytes() {
+		if cDirect != c || gotDirect != got {
 			t.Fatalf("cigar %q: AppendRuns built %q and says %d wire bytes", c, cDirect, gotDirect)
 		}
 	}
@@ -395,21 +373,6 @@ func TestScoreOfRejectsDisagreement(t *testing.T) {
 	}
 	if _, err := ScoreOf(nil, nil, "", nil, -1, 0); err == nil {
 		t.Error("ScoreOf accepted a nil scorer")
-	}
-}
-
-// TestAlignmentValidateRejects covers the Alignment-level invariants.
-func TestAlignmentValidateRejects(t *testing.T) {
-	cases := []Alignment{
-		{BegH: -1, EndH: 0, Cigar: ""},                    // negative start
-		{BegH: 2, EndH: 1, Cigar: ""},                     // inverted span
-		{BegH: 0, EndH: 3, BegV: 0, EndV: 3, Cigar: "2="}, // span mismatch
-		{BegH: 0, EndH: 1, BegV: 0, EndV: 1, Cigar: "1M"}, // malformed cigar
-	}
-	for i, a := range cases {
-		if err := a.Validate(); err == nil {
-			t.Errorf("case %d: Validate accepted %+v", i, a)
-		}
 	}
 }
 
@@ -447,21 +410,20 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		runs, err := c.Runs()
+		runs, err := runsOf(c)
 		if err != nil {
-			t.Fatalf("accepted cigar %q failed Runs: %v", c, err)
+			t.Fatalf("accepted cigar %q failed to decode: %v", c, err)
 		}
-		back, err := FromRuns(runs)
-		if err != nil || back != c {
-			t.Fatalf("accepted cigar %q re-encodes to %q (err %v)", c, back, err)
+		if back := fromRuns(runs, false); back != c {
+			t.Fatalf("accepted cigar %q re-encodes to %q", c, back)
 		}
 		var b Builder
 		if b.AppendRuns(runs, false); b.Cigar() != c {
 			t.Fatalf("accepted cigar %q: AppendRuns of its runs does not re-encode it", c)
 		}
-		rev, err := c.Reverse()
-		if b.AppendRuns(runs, true); err != nil || b.Cigar() != rev {
-			t.Fatalf("accepted cigar %q: AppendRuns back to front differs from Reverse %q (err %v)", c, rev, err)
+		rev := fromRuns(runs, true)
+		if b.AppendRuns(runs, true); b.Cigar() != rev {
+			t.Fatalf("accepted cigar %q: AppendRuns back to front differs from Append back to front %q", c, rev)
 		}
 		st, err := c.Stats()
 		if err != nil {

@@ -53,9 +53,6 @@ func checkSeedTraceback(t *testing.T, h, v []byte, s Seed, p Params, label strin
 		t.Fatalf("%s: traceback span [%d,%d)x[%d,%d) != kernel [%d,%d)x[%d,%d)", label,
 			got.BegH, got.EndH, got.BegV, got.EndV, want.BegH, want.EndH, want.BegV, want.EndV)
 	}
-	if err := aln.Validate(); err != nil {
-		t.Fatalf("%s: emitted alignment invalid: %v (cigar %q)", label, err, aln.Cigar)
-	}
 	recon, err := alignment.ScoreOf(h[aln.BegH:aln.EndH], v[aln.BegV:aln.EndV], aln.Cigar,
 		p.Scorer, p.Gap, p.GapOpen)
 	if err != nil {
@@ -331,9 +328,6 @@ func FuzzTracebackOracle(f *testing.F) {
 		if got.Score != want.Score || got.BegH != want.BegH || got.BegV != want.BegV ||
 			got.EndH != want.EndH || got.EndV != want.EndV {
 			t.Fatalf("traceback %+v != kernel %+v", got, want)
-		}
-		if err := aln.Validate(); err != nil {
-			t.Fatalf("invalid alignment: %v (cigar %q)", err, aln.Cigar)
 		}
 		recon, err := alignment.ScoreOf(hb[aln.BegH:aln.EndH], vb[aln.BegV:aln.EndV], aln.Cigar,
 			p.Scorer, p.Gap, p.GapOpen)

@@ -176,7 +176,10 @@ func TestKernelSkippedWorkAccounting(t *testing.T) {
 	if skippedJobs != wantJobs {
 		t.Errorf("batches account %d skipped jobs, want %d", skippedJobs, wantJobs)
 	}
-	wantCells := 2 * ds["uniform"].TheoreticalCells() // 2 duplicate rows per unique
+	var wantCells int64
+	for _, c := range ds["uniform"].Comparisons {
+		wantCells += 2 * ds["uniform"].Complexity(c) // 2 duplicate rows per unique
+	}
 	if skippedCells != wantCells {
 		t.Errorf("batches account %d skipped cells, want %d", skippedCells, wantCells)
 	}

@@ -306,14 +306,6 @@ func (r *Report) GCUPS(seconds float64) float64 {
 	return metrics.GCUPS(r.TheoreticalCells, seconds)
 }
 
-// MeanBand returns the mean computed antidiagonal width.
-func (r *Report) MeanBand() float64 {
-	if r.Antidiags == 0 {
-		return 0
-	}
-	return float64(r.SumBand) / float64(r.Antidiags)
-}
-
 // Normalized fills Config defaults the way every entry point (Run,
 // NewPlan, the engine) must agree on, so a plan built anywhere schedules
 // identically everywhere.
@@ -654,9 +646,6 @@ func batchSlabSets(batches []*ipukernel.Batch, numSlabs int) [][]int32 {
 
 // Batches returns the number of supersteps in the build.
 func (bp *BatchPlan) Batches() int { return len(bp.batches) }
-
-// Comparisons returns the dataset's comparison count.
-func (bp *BatchPlan) Comparisons() int { return bp.comparisons }
 
 // NewDevice creates a modeled device matching the plan's configuration.
 // A device holds nothing else, so one serves any number of batches and

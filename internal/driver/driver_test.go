@@ -112,8 +112,11 @@ func TestGCUPSAndMeanBand(t *testing.T) {
 	if g := rep.GCUPS(rep.DeviceComputeSeconds); g <= 0 {
 		t.Errorf("GCUPS = %f", g)
 	}
-	if mb := rep.MeanBand(); mb <= 0 || mb > 1000 {
-		t.Errorf("MeanBand = %f", mb)
+	if rep.Antidiags == 0 {
+		t.Fatal("no antidiagonals counted")
+	}
+	if mb := float64(rep.SumBand) / float64(rep.Antidiags); mb <= 0 || mb > 1000 {
+		t.Errorf("mean band = %f", mb)
 	}
 }
 

@@ -24,7 +24,9 @@ func repackSpine(t testing.TB, d *workload.Dataset, maxSlab int) (*workload.Data
 	a := workload.NewArena(0, d.NumSeqs())
 	a.SetMaxSlabBytes(maxSlab)
 	for i := range d.NumSeqs() {
-		a.Append(d.Seq(i))
+		if _, err := a.TryAppend(d.Seq(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rd := a.NewDataset(d.Name, workload.PlanOf(d.Comparisons), d.Protein)
 	if err := rd.Validate(); err != nil {
@@ -47,11 +49,12 @@ func TestArenaSpineMultiSlabBitIdentical(t *testing.T) {
 		// Two layouts per dataset: slabs barely big enough for the longest
 		// sequence (maximum fragmentation), and a ~3-slab cut of the pool.
 		// Both are sized from the data so every fixture genuinely rolls.
-		longest := 0
+		longest, total := 0, 0
 		for i := range ds[tc.dataset].NumSeqs() {
 			longest = max(longest, ds[tc.dataset].SeqLen(i))
+			total += ds[tc.dataset].SeqLen(i)
 		}
-		caps := []int{longest, max(longest, int(ds[tc.dataset].TotalSeqBytes()/3)+1)}
+		caps := []int{longest, max(longest, total/3+1)}
 		for _, maxSlab := range caps {
 			rd, arena := repackSpine(t, ds[tc.dataset], maxSlab)
 			if arena.NumSlabs() < 2 {
@@ -127,7 +130,9 @@ func TestArenaSpineSpilledDedupPlanning(t *testing.T) {
 		"TTGCATGCATGCATTCATGCAAGCATGCATGC",
 		"ACGTACGTACGTACGTACGTACGTACGTACGT", // interns onto sequence 0
 	} {
-		a.Append([]byte(s))
+		if _, err := a.TryAppend([]byte(s)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	d := a.NewDataset("cold-plan", workload.PlanOf([]workload.Comparison{
 		{H: 0, V: 1, SeedH: 8, SeedV: 8, SeedLen: 8},

@@ -60,14 +60,6 @@ func TestTracebackReportOracle(t *testing.T) {
 				r.MaxLiveBand != w.MaxLiveBand || r.Clamped != w.Clamped {
 				t.Fatalf("%s: comparison %d score fields changed with traceback:\n on: %+v\noff: %+v", name, i, r, w)
 			}
-			aln := alignment.Alignment{
-				Score: r.Score,
-				BegH:  r.BegH, BegV: r.BegV, EndH: r.EndH, EndV: r.EndV,
-				Cigar: r.Cigar,
-			}
-			if err := aln.Validate(); err != nil {
-				t.Fatalf("%s: comparison %d alignment invalid: %v (cigar %q)", name, i, err, r.Cigar)
-			}
 			c := d.Comparisons[i]
 			h, v := d.Seq(c.H), d.Seq(c.V)
 			recon, err := alignment.ScoreOf(h[r.BegH:r.EndH], v[r.BegV:r.EndV], r.Cigar,

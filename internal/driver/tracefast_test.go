@@ -294,11 +294,12 @@ func TestTraceTooLargeDegradesSingleComparison(t *testing.T) {
 					restore()
 					t.Fatalf("sibling comparison %d lost its CIGAR", i)
 				}
-				if err := (alignment.Alignment{
-					Score: r.Score, BegH: r.BegH, BegV: r.BegV, EndH: r.EndH, EndV: r.EndV, Cigar: r.Cigar,
-				}).Validate(); err != nil {
+				ci := d.Comparisons[i]
+				h, v := d.Seq(ci.H), d.Seq(ci.V)
+				if s, err := alignment.ScoreOf(h[r.BegH:r.EndH], v[r.BegV:r.EndV], r.Cigar,
+					kernel.Params.Scorer, kernel.Params.Gap, kernel.Params.GapOpen); err != nil || s != r.Score {
 					restore()
-					t.Fatalf("sibling comparison %d invalid: %v", i, err)
+					t.Fatalf("sibling comparison %d re-prices to %d (err %v), score %d", i, s, err, r.Score)
 				}
 			}
 			restore()

@@ -20,6 +20,21 @@ func cacheTestConfig() driver.Config {
 		Params: core.Params{Scorer: scoring.DNADefault, Gap: -1, X: 10, DeltaB: 128}}}
 }
 
+// clone re-packs d's pool into a fresh arena under its own plan: the same
+// bytes and indices, no shared storage.
+func clone(t testing.TB, d *workload.Dataset) *workload.Dataset {
+	t.Helper()
+	seqs := make([][]byte, d.NumSeqs())
+	for i := range seqs {
+		seqs[i] = d.Seq(i)
+	}
+	c, err := workload.Pack(d.Name, seqs, d.Comparisons, d.Protein)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func cacheTestDataset(seed int64) *workload.Dataset {
 	return synth.UniformPairs(synth.UniformPairsSpec{
 		Count: 10, Length: 400, ErrorRate: 0.15, SeedLen: 17, Seed: seed})
@@ -31,9 +46,9 @@ func cacheTestDataset(seed int64) *workload.Dataset {
 // bit-identical to an uncached engine.
 func TestEngineResultCacheCrossJob(t *testing.T) {
 	d1 := cacheTestDataset(11)
-	d2 := d1.Clone() // same bytes, fresh arena
+	d2 := clone(t, d1) // same bytes, fresh arena
 
-	want, err := driver.Run(d1.Clone(), cacheTestConfig())
+	want, err := driver.Run(clone(t, d1), cacheTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +117,7 @@ func TestResultCacheKeepsCollidingSequencesApart(t *testing.T) {
 	xx := workload.MustPack("xx", [][]byte{x, x}, cmps, false)
 	yx := workload.MustPack("yx", [][]byte{y, x}, cmps, false)
 
-	want, err := driver.Run(yx.Clone(), cacheTestConfig())
+	want, err := driver.Run(clone(t, yx), cacheTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +306,7 @@ func TestCacheServesAcrossSchedules(t *testing.T) {
 	static := cacheTestConfig()
 	static.Kernel.Threads = 1
 
-	want, err := driver.Run(d.Clone(), static)
+	want, err := driver.Run(clone(t, d), static)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +315,7 @@ func TestCacheServesAcrossSchedules(t *testing.T) {
 	racy.Cache, static.Cache = cache, cache
 	warm := New(WithDriverConfig(racy))
 	defer warm.Close()
-	j, err := warm.Submit(context.Background(), d.Clone())
+	j, err := warm.Submit(context.Background(), clone(t, d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +329,7 @@ func TestCacheServesAcrossSchedules(t *testing.T) {
 
 	served := New(WithDriverConfig(static))
 	defer served.Close()
-	j, err = served.Submit(context.Background(), d.Clone())
+	j, err = served.Submit(context.Background(), clone(t, d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +536,7 @@ func TestEngineOptionOrderIrrelevant(t *testing.T) {
 		cfgs = append(cfgs, cfg)
 		var rep *driver.Report
 		for i := 0; i < 2; i++ {
-			j, err := eng.Submit(context.Background(), d.Clone())
+			j, err := eng.Submit(context.Background(), clone(t, d))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -104,7 +104,7 @@ func TestCacheServedStreamIsChunked(t *testing.T) {
 		case "after build":
 			<-job.built
 		case "after settlement":
-			<-job.Done()
+			<-job.doneCh
 		}
 		updates, results := leadingCachedUpdates(t, job, n)
 		if updates != wantUpdates || results != n {

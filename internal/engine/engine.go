@@ -405,9 +405,8 @@ func (e *Engine) Submit(ctx context.Context, d *workload.Dataset) (*Job, error) 
 	}
 	e.seq++
 	// The job runs on its own cancellable child of the submission context:
-	// the caller's ctx still cancels it, and Job.Cancel gives holders of
-	// the handle (a network front-end cancelling on client disconnect) the
-	// same clean teardown without owning the submit context.
+	// the caller's ctx still cancels it, and finishLocked cancels the child
+	// when the job settles, so planning that is still running stops.
 	jctx, jcancel := context.WithCancel(ctx)
 	j := &Job{
 		eng:     e,

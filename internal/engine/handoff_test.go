@@ -62,7 +62,8 @@ func TestFirstUpdateNotStarvedByExecutors(t *testing.T) {
 	buffered := len(updates)
 	delivered := e.Stats().BatchesDone - before
 	if !ok {
-		t.Fatalf("stream closed without an update: %v", job.Err())
+		_, err := job.Wait(context.Background())
+		t.Fatalf("stream closed without an update: %v", err)
 	}
 	if first.Batches < 32 {
 		t.Fatalf("schedule has %d batches; the test needs ≥ 32 to tell a starved consumer from a prompt one", first.Batches)

@@ -291,27 +291,6 @@ type Update struct {
 	Seconds float64
 }
 
-// Done returns a channel closed when the job settles (report ready,
-// failed, or cancelled).
-func (j *Job) Done() <-chan struct{} { return j.doneCh }
-
-// Cancel cancels the job: planning stops, not-yet-issued batches are
-// dropped, and Wait returns context.Canceled. It is the handle-side
-// cancellation hook for callers that do not own the submit context — a
-// service front-end tearing a job down when its client disconnects.
-// Idempotent; a no-op after the job settles.
-func (j *Job) Cancel() { j.cancel() }
-
-// Err returns the job's terminal error (nil while running or on success).
-func (j *Job) Err() error {
-	j.eng.mu.Lock()
-	defer j.eng.mu.Unlock()
-	if !j.finished {
-		return nil
-	}
-	return j.err
-}
-
 // Wait blocks until the job settles and returns its report — bit-identical
 // to driver.Run on the same dataset and engine configuration. The context
 // bounds only this wait; cancelling it does not cancel the job (cancel the

@@ -19,7 +19,9 @@ func repackedSpine(t testing.TB, d *workload.Dataset, maxSlab int) (*workload.Da
 	a := workload.NewArena(0, d.NumSeqs())
 	a.SetMaxSlabBytes(maxSlab)
 	for i := range d.NumSeqs() {
-		a.Append(d.Seq(i))
+		if _, err := a.TryAppend(d.Seq(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if a.NumSlabs() < 2 {
 		t.Fatalf("%d-byte cap produced %d slabs — fixture not multi-slab", maxSlab, a.NumSlabs())

@@ -2,7 +2,9 @@ package ipukernel
 
 import (
 	"math/rand"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -23,7 +25,7 @@ type cigarJob struct {
 func cigarTile(jobs []cigarJob) *TileWork {
 	t := &TileWork{}
 	for i, j := range jobs {
-		hi, vi := t.AddSeq(j.h), t.AddSeq(j.v)
+		hi, vi := t.addSeq(j.h), t.addSeq(j.v)
 		t.Jobs = append(t.Jobs, SeedJob{
 			HLocal: hi, VLocal: vi, SeedH: j.seed.H, SeedV: j.seed.V, SeedLen: j.seed.Len, GlobalID: i,
 		})
@@ -85,7 +87,8 @@ func proteinCigarJobs(rng *rand.Rand) []cigarJob {
 // publicCigar is one comparison's CIGAR composed from the public entry
 // points: TracebackLeft's and TracebackRight's Cigars with the seed's
 // columns between them (JoinCigar with no runs on either side), joined
-// by alignment.Concat.
+// run by run through Builder.Append, which merges same-op runs at the
+// junctions.
 func publicCigar(t *testing.T, h, v []byte, s core.Seed, p core.Params) alignment.Cigar {
 	t.Helper()
 	var ws core.Workspace
@@ -99,12 +102,21 @@ func publicCigar(t *testing.T, h, v []byte, s core.Seed, p core.Params) alignmen
 	}
 	var b alignment.Builder
 	core.JoinCigar(&b, h, v, s, nil, nil)
-	c, err := alignment.Concat(l.Cigar, b.Cigar(), r.Cigar)
-	if err != nil {
-		t.Fatalf("Concat: %v", err)
+	seed := b.Cigar()
+	for _, part := range []alignment.Cigar{l.Cigar, seed, r.Cigar} {
+		for _, m := range cigarRun.FindAllStringSubmatch(string(part), -1) {
+			n, err := strconv.Atoi(m[1])
+			if err != nil {
+				t.Fatalf("cigar %q: %v", part, err)
+			}
+			b.Append(alignment.Op(m[2][0]), n)
+		}
 	}
-	return c
+	return b.Cigar()
 }
+
+// cigarRun is one <length><op> run of a CIGAR string.
+var cigarRun = regexp.MustCompile(`(\d+)([=XID])`)
 
 // runCigarTile runs tile on a fresh executor and then once more on the
 // same (now warm) executor, requires the two runs to agree, and returns
@@ -155,7 +167,7 @@ func checkTileCigars(t *testing.T, tile *TileWork, cfg Config, out []AlignOut) i
 // TestTileCigarMatchesPublicJoin: the tile joins each traced comparison's
 // walked runs into one CIGAR itself. That CIGAR must be the one the public
 // entry points compose — TracebackLeft, the seed's columns, TracebackRight
-// through alignment.Concat — and re-price through alignment.ScoreOf to the
+// joined run by run — and re-price through alignment.ScoreOf to the
 // kernel's score, with and without LR splitting, on both tiers, under the
 // score gate, for seeds at either end of their sequences (an empty side)
 // and for BLOSUM62 seeds with mismatched columns.

@@ -53,8 +53,7 @@ type TileWork struct {
 	// SeqRef.Slab (shared, immutable). The partitioner leaves it nil and
 	// the driver binds it per execution attempt (Batch.Bound) from the
 	// arena's pinned slab set, so slabs a batch does not touch can stay
-	// spilled; standalone tiles built with AddSeq carry their private
-	// slab here directly.
+	// spilled; a tile built by hand carries its own slabs here directly.
 	Slabs [][]byte
 	// Seqs is the detached sequence set ω_i as spans into Slabs.
 	Seqs []workload.SeqRef
@@ -69,25 +68,6 @@ func (t *TileWork) Seq(i int) []byte {
 	return s[r.Off:r.End():r.End()]
 }
 
-// AddSeq appends s to the tile's private slab (the last entry of Slabs)
-// and returns its local index. It is the standalone construction path
-// (tests, single-tile tools); the partitioner instead points tiles at the
-// dataset's shared arena spine. Like Arena.Append, it panics if the slab
-// would outgrow 32-bit offsets.
-func (t *TileWork) AddSeq(s []byte) int {
-	if len(t.Slabs) == 0 {
-		t.Slabs = append(t.Slabs, nil)
-	}
-	si := len(t.Slabs) - 1
-	slab := t.Slabs[si]
-	if len(slab)+len(s) > workload.MaxSlabBytes {
-		panic(fmt.Sprintf("ipukernel: tile slab would exceed %d bytes", workload.MaxSlabBytes))
-	}
-	t.Seqs = append(t.Seqs, workload.SeqRef{Slab: int32(si), Off: int32(len(slab)), Len: int32(len(s))})
-	t.Slabs[si] = append(slab, s...)
-	return len(t.Seqs) - 1
-}
-
 // SeqBytes returns the tile's sequence payload size: the sum of span
 // lengths, charging one transfer per descriptor (a sequence placed twice —
 // the Copies mode — is transferred twice, as on the real device).
@@ -99,18 +79,12 @@ func (t *TileWork) SeqBytes() int {
 	return n
 }
 
-// UniqueSeqBytes returns the distinct slab bytes the tile's spans cover —
+// uniqueSeqBytes returns the distinct slab bytes the tile's spans cover —
 // the exact §4.1 payload an arena-aware exchange would ship, with spans
-// deduplicated and overlaps merged. SeqBytes ≥ UniqueSeqBytes; the gap is
-// what descriptor-level duplication still costs.
-func (t *TileWork) UniqueSeqBytes() int {
-	n, _ := t.uniqueSeqBytes(nil)
-	return n
-}
-
-// uniqueSeqBytes is UniqueSeqBytes with a reusable sort scratch — Run
-// keeps it in a pooled executor, so the per-batch accounting loop stays
-// allocation-free once warm.
+// deduplicated and overlaps merged — and the sort scratch it used, which
+// Run keeps in a pooled executor so the per-batch accounting loop stays
+// allocation-free once warm. SeqBytes ≥ uniqueSeqBytes; the gap is what
+// descriptor-level duplication still costs.
 // Spans merge only within their own slab — offsets in different slabs
 // are unrelated addresses — so the sort is (slab, offset)-ordered and a
 // slab change closes the current merge run. The total is therefore
@@ -147,15 +121,6 @@ type Batch struct {
 	Tiles []TileWork
 }
 
-// Jobs counts all comparisons in the batch.
-func (b *Batch) Jobs() int {
-	n := 0
-	for i := range b.Tiles {
-		n += len(b.Tiles[i].Jobs)
-	}
-	return n
-}
-
 // Bound returns a shallow copy of the batch with every tile's slab table
 // set to slabs (tiles share Seqs and Jobs with the original). This is
 // the driver's per-attempt binding step: the partitioner emits tiles
@@ -176,11 +141,10 @@ func (b *Batch) Bound(slabs [][]byte) *Batch {
 // (Fig. 4's (seqH*, seqV*, seedBegH, seedBegV) plus k); a result slot is
 // the L/R scores and end offsets.
 const (
-	JobTupleBytes  = 20
-	ResultBytes    = 32
-	seqDescrBytes  = 8 // per-sequence descriptor (pointer+length)
-	batchHdrBytes  = 64
-	outScoreFields = 4
+	JobTupleBytes = 20
+	ResultBytes   = 32
+	seqDescrBytes = 8 // per-sequence descriptor (pointer+length)
+	batchHdrBytes = 64
 )
 
 // Config selects the kernel variant and optimisation set.

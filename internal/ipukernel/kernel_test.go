@@ -32,7 +32,7 @@ func buildBatch(t *testing.T, count, length int, errRate float64, seed int64) (*
 	for i := 0; i < plan.Len(); i++ {
 		c := plan.At(i)
 		b.Tiles = append(b.Tiles, TileWork{
-			Slabs: arena.SlabViews(),
+			Slabs: slabViews(arena),
 			Seqs:  []workload.SeqRef{arena.Ref(c.H), arena.Ref(c.V)},
 			Jobs:  []SeedJob{{HLocal: 0, VLocal: 1, SeedH: c.SeedH, SeedV: c.SeedV, SeedLen: c.SeedLen, GlobalID: i}},
 		})
@@ -127,7 +127,7 @@ func TestMultiJobTileSharedSequences(t *testing.T) {
 	}
 	tile := TileWork{Jobs: jobs}
 	for _, s := range seqs {
-		tile.AddSeq(s)
+		tile.addSeq(s)
 	}
 	b := &Batch{Tiles: []TileWork{tile}}
 	dev := ipu.New(ipu.Config{Model: platform.GC200})
@@ -156,13 +156,26 @@ func TestMultiJobTileSharedSequences(t *testing.T) {
 	}
 }
 
+// addSeq appends s to the tile's private slab (the last entry of Slabs)
+// and returns its local index: a tile built by hand, where the
+// partitioner points tiles at the dataset's shared arena spine.
+func (t *TileWork) addSeq(s []byte) int {
+	if len(t.Slabs) == 0 {
+		t.Slabs = append(t.Slabs, nil)
+	}
+	si := len(t.Slabs) - 1
+	t.Seqs = append(t.Seqs, workload.SeqRef{Slab: int32(si), Off: int32(len(t.Slabs[si])), Len: int32(len(s))})
+	t.Slabs[si] = append(t.Slabs[si], s...)
+	return len(t.Seqs) - 1
+}
+
 // TestUniqueSeqBytes covers the span merge behind the exact §4.1 payload
 // stat: duplicates, overlaps and adjacent spans collapse, disjoint spans
 // sum, and SeqBytes (per-descriptor accounting) stays the upper bound.
 func TestUniqueSeqBytes(t *testing.T) {
 	empty := TileWork{}
-	if got := empty.UniqueSeqBytes(); got != 0 {
-		t.Errorf("empty tile UniqueSeqBytes = %d", got)
+	if got, _ := empty.uniqueSeqBytes(nil); got != 0 {
+		t.Errorf("empty tile uniqueSeqBytes = %d", got)
 	}
 	tile := TileWork{
 		Slabs: [][]byte{make([]byte, 100)},
@@ -175,13 +188,14 @@ func TestUniqueSeqBytes(t *testing.T) {
 		},
 	}
 	// Coverage: [10,30) ∪ [40,45) = 25 bytes; descriptors charge 40.
-	if got := tile.UniqueSeqBytes(); got != 25 {
-		t.Errorf("UniqueSeqBytes = %d, want 25", got)
+	got, _ := tile.uniqueSeqBytes(nil)
+	if got != 25 {
+		t.Errorf("uniqueSeqBytes = %d, want 25", got)
 	}
-	if got := tile.SeqBytes(); got != 40 {
-		t.Errorf("SeqBytes = %d, want 40", got)
+	if tile.SeqBytes() != 40 {
+		t.Errorf("SeqBytes = %d, want 40", tile.SeqBytes())
 	}
-	if tile.UniqueSeqBytes() > tile.SeqBytes() {
+	if got > tile.SeqBytes() {
 		t.Error("unique payload exceeds per-descriptor payload")
 	}
 }
@@ -195,7 +209,7 @@ func TestUniqueSeqBytesInRun(t *testing.T) {
 	arena, _ := d.Spine()
 	c := d.Comparisons[0]
 	tile := TileWork{
-		Slabs: arena.SlabViews(),
+		Slabs: slabViews(arena),
 		Seqs:  []workload.SeqRef{arena.Ref(c.H), arena.Ref(c.V), arena.Ref(c.H)},
 		Jobs: []SeedJob{
 			{HLocal: 0, VLocal: 1, SeedH: c.SeedH, SeedV: c.SeedV, SeedLen: c.SeedLen, GlobalID: 0},
@@ -227,8 +241,8 @@ func TestSRAMRejection(t *testing.T) {
 		big[i] = "ACGT"[i%4]
 	}
 	tile := TileWork{Jobs: []SeedJob{{HLocal: 0, VLocal: 1, SeedH: 0, SeedV: 0, SeedLen: 17}}}
-	tile.AddSeq(big)
-	tile.AddSeq(big)
+	tile.addSeq(big)
+	tile.addSeq(big)
 	b := &Batch{Tiles: []TileWork{tile}}
 	dev := ipu.New(ipu.Config{Model: platform.GC200})
 	if _, err := Run(dev, b, dnaCfg(10)); err == nil {
@@ -245,8 +259,8 @@ func TestStandard3NeedsMoreSRAM(t *testing.T) {
 	tile := &TileWork{
 		Jobs: []SeedJob{{HLocal: 0, VLocal: 1, SeedH: 10000, SeedV: 10000, SeedLen: 17}},
 	}
-	tile.AddSeq(all)
-	tile.AddSeq(all)
+	tile.addSeq(all)
+	tile.addSeq(all)
 	restricted := cfg.TileMemoryBytes(tile, platform.GC200)
 	cfg.Params.Algo = core.AlgoStandard3
 	standard := cfg.TileMemoryBytes(tile, platform.GC200)
@@ -291,7 +305,7 @@ func TestThreadScalingSpeedsUp(t *testing.T) {
 		// One tile, 12 equal jobs.
 		d := synth.UniformPairs(synth.UniformPairsSpec{Count: 12, Length: 400, ErrorRate: 0.15, SeedLen: 17, Seed: 4})
 		arena, _ := d.Spine()
-		tile := TileWork{Slabs: arena.SlabViews()}
+		tile := TileWork{Slabs: slabViews(arena)}
 		for i, c := range d.Comparisons {
 			tile.Seqs = append(tile.Seqs, arena.Ref(c.H), arena.Ref(c.V))
 			tile.Jobs = append(tile.Jobs, SeedJob{
@@ -352,8 +366,8 @@ func TestWorkStealingBalancesVariance(t *testing.T) {
 			sh = len(v) - 17
 		}
 		synth.PlantSeed(h, v, sh, sh, 17)
-		tile.AddSeq(h)
-		tile.AddSeq(v)
+		tile.addSeq(h)
+		tile.addSeq(v)
 		tile.Jobs = append(tile.Jobs, SeedJob{HLocal: 2 * i, VLocal: 2*i + 1, SeedH: sh, SeedV: sh, SeedLen: 17, GlobalID: i})
 	}
 	run := func(ws bool) float64 {
@@ -474,4 +488,13 @@ func TestCountersAddCoversEveryField(t *testing.T) {
 			t.Errorf("%s: c.Add(c) = %d, want %d (maxed: %v)", name, got, want, maxed[name])
 		}
 	}
+}
+
+// slabViews returns resident views of every slab of a's spine.
+func slabViews(a *workload.Arena) [][]byte {
+	views := make([][]byte, a.NumSlabs())
+	for i := range views {
+		views[i] = a.SlabView(i)
+	}
+	return views
 }

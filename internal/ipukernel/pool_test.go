@@ -19,7 +19,7 @@ func warmTile(t *testing.T, jobs int) *TileWork {
 		Count: jobs, Length: 700, ErrorRate: 0.15, SeedLen: 17, Seed: 21,
 	})
 	arena, _ := d.Spine()
-	tile := &TileWork{Slabs: arena.SlabViews()}
+	tile := &TileWork{Slabs: slabViews(arena)}
 	for i, c := range d.Comparisons {
 		tile.Seqs = append(tile.Seqs, arena.Ref(c.H), arena.Ref(c.V))
 		tile.Jobs = append(tile.Jobs, SeedJob{

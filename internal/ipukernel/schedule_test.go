@@ -24,7 +24,7 @@ func scheduleBatch(t *testing.T, length int) *Batch {
 		Count: 13, Length: length, ErrorRate: 0.15, SeedLen: 17, Seed: 7,
 	})
 	arena, _ := d.Spine()
-	same := TileWork{Slabs: arena.SlabViews()}
+	same := TileWork{Slabs: slabViews(arena)}
 	c0 := d.Comparisons[0]
 	same.Seqs = append(same.Seqs, arena.Ref(c0.H), arena.Ref(c0.V))
 	for k := 0; k < 24; k++ {
@@ -32,7 +32,7 @@ func scheduleBatch(t *testing.T, length int) *Batch {
 			HLocal: 0, VLocal: 1, SeedH: c0.SeedH, SeedV: c0.SeedV, SeedLen: c0.SeedLen, GlobalID: k,
 		})
 	}
-	mixed := TileWork{Slabs: arena.SlabViews()}
+	mixed := TileWork{Slabs: slabViews(arena)}
 	for i, c := range d.Comparisons[1:] {
 		mixed.Seqs = append(mixed.Seqs, arena.Ref(c.H), arena.Ref(c.V))
 		mixed.Jobs = append(mixed.Jobs, SeedJob{

@@ -293,7 +293,7 @@ func runTile(t *TileWork, cfg *Config, ex *executor, out []AlignOut) tileResult 
 		}
 		// Bridge the seed's own columns between the two walked paths.
 		core.JoinCigar(&ex.cigar, h, v, seed, ex.sideRuns(left, j), ex.sideRuns(right, j))
-		tr.cigarBytes += int64(ex.cigar.WireBytes()) // o.Cigar.WireBytes(), without scanning it
+		tr.cigarBytes += int64(ex.cigar.WireBytes()) // o.Cigar's wire size, without scanning it
 		o.Cigar = ex.cigar.Cigar()
 		o.TraceBytes = ex.traceBytes[left][j] + ex.traceBytes[right][j]
 		tr.TracebackBytes += int64(o.TraceBytes)

@@ -156,23 +156,3 @@ func SubstituteNeighbors(km uint64, k int, minScore int, emit func(uint64)) {
 		}
 	}
 }
-
-// UnpackDNA renders a packed DNA k-mer back to symbols (test helper).
-func UnpackDNA(km uint64, k int) []byte {
-	out := make([]byte, k)
-	for i := k - 1; i >= 0; i-- {
-		out[i] = "ACGT"[km&3]
-		km >>= 2
-	}
-	return out
-}
-
-// UnpackProtein renders a packed protein k-mer back to residues.
-func UnpackProtein(km uint64, k int) []byte {
-	out := make([]byte, k)
-	for i := k - 1; i >= 0; i-- {
-		out[i] = protAlpha[km&31]
-		km >>= 5
-	}
-	return out
-}

@@ -19,8 +19,8 @@ func TestScanDNABasic(t *testing.T) {
 	}
 	wants := []string{"ACG", "CGT", "GTA"}
 	for i, o := range occ {
-		if string(UnpackDNA(o.Kmer, 3)) != wants[i] || int(o.Pos) != i {
-			t.Errorf("occ %d = %s@%d, want %s@%d", i, UnpackDNA(o.Kmer, 3), o.Pos, wants[i], i)
+		if string(unpackDNA(o.Kmer, 3)) != wants[i] || int(o.Pos) != i {
+			t.Errorf("occ %d = %s@%d, want %s@%d", i, unpackDNA(o.Kmer, 3), o.Pos, wants[i], i)
 		}
 	}
 }
@@ -53,7 +53,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	seq := synth.RandDNA(rng, 500)
 	k := 21
 	if err := ScanDNA(seq, k, func(o Occurrence) {
-		if !bytes.Equal(UnpackDNA(o.Kmer, k), seq[o.Pos:int(o.Pos)+k]) {
+		if !bytes.Equal(unpackDNA(o.Kmer, k), seq[o.Pos:int(o.Pos)+k]) {
 			t.Fatalf("round trip failed at %d", o.Pos)
 		}
 	}); err != nil {
@@ -62,7 +62,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	prot := synth.RandProtein(rng, 300)
 	pk := 6
 	if err := ScanProtein(prot, pk, func(o Occurrence) {
-		if !bytes.Equal(UnpackProtein(o.Kmer, pk), prot[o.Pos:int(o.Pos)+pk]) {
+		if !bytes.Equal(unpackProtein(o.Kmer, pk), prot[o.Pos:int(o.Pos)+pk]) {
 			t.Fatalf("protein round trip failed at %d", o.Pos)
 		}
 	}); err != nil {
@@ -88,8 +88,8 @@ func TestCountDNAMatchesNaive(t *testing.T) {
 		t.Fatalf("more packed k-mers (%d) than strings (%d)", len(counts), len(naive))
 	}
 	for km, n := range counts {
-		if naive[string(UnpackDNA(km, k))] != n {
-			t.Fatalf("count mismatch for %s", UnpackDNA(km, k))
+		if naive[string(unpackDNA(km, k))] != n {
+			t.Fatalf("count mismatch for %s", unpackDNA(km, k))
 		}
 	}
 }
@@ -118,10 +118,10 @@ func TestSubstituteNeighbors(t *testing.T) {
 	seen := map[uint64]bool{}
 	SubstituteNeighbors(km, k, 0, func(nb uint64) {
 		if seen[nb] {
-			t.Fatalf("duplicate neighbour %s", UnpackProtein(nb, k))
+			t.Fatalf("duplicate neighbour %s", unpackProtein(nb, k))
 		}
 		seen[nb] = true
-		s := UnpackProtein(nb, k)
+		s := unpackProtein(nb, k)
 		// Exactly one position differs from AAA.
 		diff := 0
 		var subbed byte
@@ -163,4 +163,24 @@ func TestCountProtein(t *testing.T) {
 	if len(counts) != 4 {
 		t.Errorf("distinct k-mers = %d, want 4", len(counts))
 	}
+}
+
+// unpackDNA renders a packed DNA k-mer back to symbols.
+func unpackDNA(km uint64, k int) []byte {
+	out := make([]byte, k)
+	for i := k - 1; i >= 0; i-- {
+		out[i] = "ACGT"[km&3]
+		km >>= 2
+	}
+	return out
+}
+
+// unpackProtein renders a packed protein k-mer back to residues.
+func unpackProtein(km uint64, k int) []byte {
+	out := make([]byte, k)
+	for i := k - 1; i >= 0; i-- {
+		out[i] = protAlpha[km&31]
+		km >>= 5
+	}
+	return out
 }

@@ -704,7 +704,7 @@ func TestTracebackBudgetAdmitsWithinSRAM(t *testing.T) {
 				}
 			}
 			arena, _ := d.Spine()
-			res, err := ipukernel.Run(ipu.New(ipu.Config{Model: platform.GC200}), b.Bound(arena.SlabViews()), cfg)
+			res, err := ipukernel.Run(ipu.New(ipu.Config{Model: platform.GC200}), b.Bound(slabViews(arena)), cfg)
 			if err != nil {
 				t.Fatalf("tier %v: %v", tier, err)
 			}
@@ -1033,4 +1033,13 @@ func BenchmarkBuildItems(b *testing.B) {
 	for b.Loop() {
 		BuildItems(d, opt)
 	}
+}
+
+// slabViews returns resident views of every slab of a's spine.
+func slabViews(a *workload.Arena) [][]byte {
+	views := make([][]byte, a.NumSlabs())
+	for i := range views {
+		views[i] = a.SlabView(i)
+	}
+	return views
 }

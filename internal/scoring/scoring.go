@@ -90,10 +90,9 @@ var DNADefault = NewSimple(1, -1)
 
 // Matrix is a substitution-matrix scorer over a fixed symbol order.
 type Matrix struct {
-	name    string
-	symbols string
-	tab     PairTable
-	max     int
+	name string
+	tab  PairTable
+	max  int
 }
 
 // Score returns the matrix entry for the symbol pair; unknown symbols score
@@ -109,15 +108,12 @@ func (m *Matrix) MaxScore() int { return m.max }
 // String names the matrix.
 func (m *Matrix) String() string { return m.name }
 
-// Symbols returns the matrix's symbol order.
-func (m *Matrix) Symbols() string { return m.symbols }
-
 // newMatrix builds a Matrix from a row-major half-space-separated literal.
 func newMatrix(name, symbols string, rows [][]int8) *Matrix {
 	if len(rows) != len(symbols) {
 		panic("scoring: matrix row count mismatch")
 	}
-	m := &Matrix{name: name, symbols: symbols}
+	m := &Matrix{name: name}
 	// Unknown symbols behave like 'X' so Score is total over bytes.
 	xi := -1
 	for i := range symbols {

@@ -38,7 +38,7 @@ func FuzzReadFasta(f *testing.F) {
 				t.Fatalf("parsed record %q with empty sequence from %q", s.ID, in)
 			}
 			for i, c := range s.Data {
-				if !DNAAlphabet.Valid(c) || DNAAlphabet.Canonical(c) != c {
+				if strings.IndexByte("ACGTN", c) < 0 {
 					t.Fatalf("record %q has non-canonical symbol %q at %d", s.ID, c, i)
 				}
 			}

@@ -3,8 +3,7 @@
 //
 // Sequences are stored as plain byte slices of upper-case symbols
 // (nucleotides ACGT or amino-acid one-letter codes). The package validates
-// symbols against an Alphabet and offers the reverse-complement and indexing
-// helpers the alignment kernels build on.
+// symbols against an Alphabet and reads and writes FASTA.
 package seqio
 
 import (
@@ -68,12 +67,6 @@ func newAlphabet(kind Kind, symbols string) *Alphabet {
 // Kind returns the alphabet's sequence kind.
 func (a *Alphabet) Kind() Kind { return a.kind }
 
-// Valid reports whether c is an accepted symbol (either case).
-func (a *Alphabet) Valid(c byte) bool { return a.valid[c] }
-
-// Canonical returns the canonical (upper-case) form of c.
-func (a *Alphabet) Canonical(c byte) byte { return a.canon[c] }
-
 // Clean canonicalises s in place and returns an error naming the first
 // invalid symbol, if any.
 func (a *Alphabet) Clean(s []byte) error {
@@ -98,42 +91,7 @@ type Sequence struct {
 	Kind Kind
 }
 
-// Len returns the sequence length in symbols.
-func (s *Sequence) Len() int { return len(s.Data) }
-
 // String renders a short human-readable summary, not the raw symbols.
 func (s *Sequence) String() string {
 	return fmt.Sprintf("%s[%d %s]", s.ID, len(s.Data), s.Kind)
-}
-
-var revComp = func() [256]byte {
-	var t [256]byte
-	for i := 0; i < 256; i++ {
-		t[i] = byte(i)
-	}
-	t['A'], t['T'] = 'T', 'A'
-	t['C'], t['G'] = 'G', 'C'
-	t['a'], t['t'] = 't', 'a'
-	t['c'], t['g'] = 'g', 'c'
-	return t
-}()
-
-// ReverseComplement returns the reverse complement of a DNA sequence as a
-// new slice. Non-ACGT symbols (e.g. N) map to themselves.
-func ReverseComplement(s []byte) []byte {
-	out := make([]byte, len(s))
-	for i, c := range s {
-		out[len(s)-1-i] = revComp[c]
-	}
-	return out
-}
-
-// Reverse returns a reversed copy of s (used for protein left extensions in
-// tests; the aligner itself uses index views instead of copying).
-func Reverse(s []byte) []byte {
-	out := make([]byte, len(s))
-	for i, c := range s {
-		out[len(s)-1-i] = c
-	}
-	return out
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestAlphabetValidation(t *testing.T) {
@@ -35,36 +34,6 @@ func TestAlphabetValidation(t *testing.T) {
 		if tc.ok && string(data) != tc.want {
 			t.Errorf("Clean(%q) = %q, want %q", tc.in, data, tc.want)
 		}
-	}
-}
-
-func TestReverseComplement(t *testing.T) {
-	got := ReverseComplement([]byte("ACGTTN"))
-	if string(got) != "NAACGT" {
-		t.Fatalf("ReverseComplement = %q, want NAACGT", got)
-	}
-}
-
-func TestReverseComplementInvolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	f := func(n uint8) bool {
-		s := randomDNA(rng, int(n))
-		back := ReverseComplement(ReverseComplement(s))
-		return bytes.Equal(s, back)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReverseInvolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	f := func(n uint8) bool {
-		s := randomDNA(rng, int(n))
-		return bytes.Equal(s, Reverse(Reverse(s)))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

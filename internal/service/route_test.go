@@ -21,7 +21,9 @@ func TestRouteKeySlabLayoutInvariant(t *testing.T) {
 		a := workload.NewArena(0, len(seqs))
 		a.SetMaxSlabBytes(maxSlab)
 		for _, s := range seqs {
-			a.Append([]byte(s))
+			if _, err := a.TryAppend([]byte(s)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		d := a.NewDataset("route", workload.PlanOf(cmps), false)
 		if err := d.Validate(); err != nil {
@@ -43,9 +45,7 @@ func TestRouteKeySlabLayoutInvariant(t *testing.T) {
 
 	// Different content must (for this fixture) move the key — routeKey is
 	// a hash, so this guards against a degenerate constant, not collisions.
-	a2 := workload.NewArena(0, 1)
-	a2.Append([]byte("GGGGGGGGGGGGGGGG"))
-	d2 := a2.NewDataset("route", workload.PlanOf([]workload.Comparison{}), false)
+	d2 := workload.MustPack("route", [][]byte{[]byte("GGGGGGGGGGGGGGGG")}, nil, false)
 	if routeKey(single) == routeKey(d2) {
 		t.Error("different content produced the same routing key")
 	}

@@ -187,7 +187,9 @@ func multiSlabDataset(t *testing.T) *workload.Dataset {
 	a := workload.NewArena(0, 4)
 	a.SetMaxSlabBytes(8)
 	for _, s := range []string{"AAAACCCC", "GGGGTTTT", "ACGTACGT", "TTTTAAAA"} {
-		a.Append([]byte(s))
+		if _, err := a.TryAppend([]byte(s)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if a.NumSlabs() != 4 {
 		t.Fatalf("fixture spine has %d slabs, want 4", a.NumSlabs())
@@ -394,19 +396,18 @@ func sameDataset(t *testing.T, got, want *workload.Dataset) {
 // an allocation the payload could not back — and a dataset it accepts
 // survives encode→decode with the same spine and plan.
 func FuzzDecodeDataset(f *testing.F) {
-	small := workload.NewArena(0, 2)
-	small.Append([]byte("AAAACCCCGGGG"))
-	small.Append([]byte("AAAACCCCTTTT"))
-	xdw1, err := EncodeDataset(small.NewDataset("s", workload.PlanOf([]workload.Comparison{
-		{H: 0, V: 1, SeedH: 2, SeedV: 2, SeedLen: 4},
-	}), false))
+	xdw1, err := EncodeDataset(workload.MustPack("s", [][]byte{[]byte("AAAACCCCGGGG"), []byte("AAAACCCCTTTT")},
+		[]workload.Comparison{{H: 0, V: 1, SeedH: 2, SeedV: 2, SeedLen: 4}}, false))
 	if err != nil {
 		f.Fatal(err)
 	}
 	multi := workload.NewArena(0, 2)
 	multi.SetMaxSlabBytes(8)
-	multi.Append([]byte("AAAACCCC"))
-	multi.Append([]byte("GGGGTTTT"))
+	for _, s := range []string{"AAAACCCC", "GGGGTTTT"} {
+		if _, err := multi.TryAppend([]byte(s)); err != nil {
+			f.Fatal(err)
+		}
+	}
 	xdw2, err := EncodeDataset(multi.NewDataset("m", workload.PlanOf([]workload.Comparison{
 		{H: 0, V: 1, SeedH: 0, SeedV: 0, SeedLen: 4},
 	}), true))

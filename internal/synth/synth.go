@@ -56,9 +56,6 @@ type MutationProfile struct {
 	Protein bool
 }
 
-// Rate returns the total per-symbol error probability.
-func (m MutationProfile) Rate() float64 { return m.Sub + m.Ins + m.Del }
-
 // UniformDNA splits rate evenly across substitutions, insertions and
 // deletions, matching the paper's synthetic data ("uniform-randomly
 // mutating individual bases").

@@ -31,8 +31,8 @@ func TestMutationProfileRates(t *testing.T) {
 
 func TestUniformDNASplitsRate(t *testing.T) {
 	p := UniformDNA(0.15)
-	if r := p.Rate(); r < 0.149 || r > 0.151 {
-		t.Errorf("Rate() = %f, want 0.15", r)
+	if r := p.Sub + p.Ins + p.Del; r < 0.149 || r > 0.151 {
+		t.Errorf("total rate = %f, want 0.15", r)
 	}
 }
 
@@ -213,7 +213,7 @@ func TestDatasetValidateCatchesBadSeeds(t *testing.T) {
 
 func TestTotalSeqBytes(t *testing.T) {
 	d := workload.MustPack("", [][]byte{make([]byte, 10), make([]byte, 32)}, nil, false)
-	if d.TotalSeqBytes() != 42 {
-		t.Errorf("TotalSeqBytes = %d, want 42", d.TotalSeqBytes())
+	if n := d.SeqLen(0) + d.SeqLen(1); n != 42 {
+		t.Errorf("sequence bytes = %d, want 42", n)
 	}
 }

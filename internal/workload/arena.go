@@ -48,22 +48,6 @@ func (r SeqRef) End() int32 { return r.Off + r.Len }
 // only by storage. A single sequence must still fit one slab.
 const MaxSlabBytes = 1<<31 - 1
 
-// SlabState describes where a slab is in its lifecycle:
-// open → sealed → spilled (⇄ pinned). Only the last slab of a spine can
-// be open; only sealed slabs spill; pinned slabs are resident and stay
-// so until every pin is released.
-type SlabState int
-
-const (
-	// SlabOpen marks the growing tail slab; appends land here.
-	SlabOpen SlabState = iota
-	// SlabSealed marks an immutable resident slab (spillable).
-	SlabSealed
-	// SlabSpilled marks a sealed slab whose bytes live only in its
-	// spill file; access faults it back in.
-	SlabSpilled
-)
-
 // slab is one segment of the spine. data is accessed through an atomic
 // pointer so readers on the hot path never take the arena lock: it holds
 // the resident bytes, or nil while the slab is spilled. All other fields
@@ -96,17 +80,6 @@ func (sl *slab) bytes() []byte {
 
 func (sl *slab) setBytes(b []byte) { sl.data.Store(&b) }
 
-func (sl *slab) state() SlabState {
-	switch {
-	case !sl.sealed:
-		return SlabOpen
-	case sl.data.Load() == nil:
-		return SlabSpilled
-	default:
-		return SlabSealed
-	}
-}
-
 // Arena is the packed sequence pool Ω: a spine of slabs addressed by
 // SeqRef spans. Appending interns by content hash — a sequence already
 // in the pool is stored once and every later append of the same bytes
@@ -131,8 +104,6 @@ type Arena struct {
 	// is nil until its first append (fileRestored).
 	index    map[uint64]int32
 	collided map[uint64][]int32
-	// savedBytes counts slab bytes avoided by interning.
-	savedBytes int64
 	// maxSlab is the per-slab byte cap (default MaxSlabBytes; tests and
 	// benchmarks force it small to exercise slab rolls without
 	// multi-GiB fixtures).
@@ -238,24 +209,17 @@ func (a *Arena) Refs() []SeqRef { return a.refs }
 // NumSlabs returns the number of slabs in the spine.
 func (a *Arena) NumSlabs() int { return len(a.slabs) }
 
-// SlabStateOf returns slab si's lifecycle state.
-func (a *Arena) SlabStateOf(si int) SlabState {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.slabs[si].state()
-}
-
 // Slab returns the backing slab of a single-slab arena (shared; callers
 // must not mutate). The capacity is capped at the length, so an append
 // through the returned slice copies instead of scribbling over the
 // arena's spare capacity. It panics on a multi-slab spine — those
-// callers must use SlabView/SlabViews and honour SeqRef.Slab.
+// callers must use SlabView and honour SeqRef.Slab.
 func (a *Arena) Slab() []byte {
 	if len(a.slabs) == 0 {
 		return nil
 	}
 	if len(a.slabs) > 1 {
-		panic("workload: Slab() on a multi-slab arena; use SlabViews")
+		panic("workload: Slab() on a multi-slab arena; use SlabView")
 	}
 	return a.SlabView(0)
 }
@@ -278,17 +242,6 @@ func (a *Arena) SlabView(si int) []byte {
 	return b[:len(b):len(b)]
 }
 
-// SlabViews returns resident views of every slab in the spine, faulting
-// in any spilled ones. Index si of the result backs every span with
-// Slab == si.
-func (a *Arena) SlabViews() [][]byte {
-	views := make([][]byte, len(a.slabs))
-	for i := range views {
-		views[i] = a.SlabView(i)
-	}
-	return views
-}
-
 // SeqViews materialises the [][]byte view over the pool: one zero-copy
 // slab span per sequence, in index order.
 func (a *Arena) SeqViews() [][]byte {
@@ -308,19 +261,6 @@ func (a *Arena) SlabBytes() int {
 	}
 	return n
 }
-
-// SeqBytes returns the logical pool size: the sum of span lengths, i.e.
-// what Ω would cost without interning.
-func (a *Arena) SeqBytes() int64 {
-	var n int64
-	for _, r := range a.refs {
-		n += int64(r.Len)
-	}
-	return n
-}
-
-// SavedBytes reports slab bytes avoided by content interning.
-func (a *Arena) SavedBytes() int64 { return a.savedBytes }
 
 // lookup returns the canonical index of s if its bytes are already pooled.
 // Comparing against a spilled slab faults it in.
@@ -399,19 +339,22 @@ func (a *Arena) openSlab(need int) *slab {
 	return sl
 }
 
-// TryAppend is Append returning an error instead of panicking when a
-// single sequence cannot fit one slab. The check runs only when the
-// bytes are new — interned duplicates never grow the spine, so they
-// always fit. When the open slab would overflow the per-slab cap, the
-// arena seals it and rolls a fresh slab instead of erroring: streaming
-// ingestion past the cap is the normal path, not a failure.
+// TryAppend adds s to the pool and returns its new sequence index.
+// Storage is interned: when identical bytes are already pooled the new
+// index shares the existing span and the spine does not grow. Index
+// assignment is always sequential, so callers' external numbering (reads,
+// comparisons) survives interning untouched. It errors only when a single
+// sequence cannot fit one slab; the check runs only when the bytes are
+// new — interned duplicates never grow the spine, so they always fit.
+// When the open slab would overflow the per-slab cap, the arena seals it
+// and rolls a fresh slab instead of erroring: streaming ingestion past
+// the cap is the normal path, not a failure.
 func (a *Arena) TryAppend(s []byte) (int, error) {
 	idx := len(a.refs)
 	d := digestBytes(s)
 	if ci, ok := a.lookup(d.Lo, s); ok {
 		a.refs = append(a.refs, a.refs[ci])
 		a.digests = append(a.digests, a.digests[ci])
-		a.savedBytes += int64(len(s))
 		return idx, nil
 	}
 	if len(s) > a.maxSlab {
@@ -429,33 +372,6 @@ func (a *Arena) TryAppend(s []byte) (int, error) {
 	return idx, nil
 }
 
-// Append adds s to the pool and returns its new sequence index. Storage is
-// interned: when identical bytes are already pooled the new index shares
-// the existing span and the spine does not grow. Index assignment is
-// always sequential, so callers' external numbering (reads, comparisons)
-// survives interning untouched. Append panics only when a single sequence
-// exceeds the per-slab cap — use TryAppend where the input size is not
-// under the caller's control.
-func (a *Arena) Append(s []byte) int {
-	idx, err := a.TryAppend(s)
-	if err != nil {
-		panic(err.Error())
-	}
-	return idx
-}
-
-// Intern is Append with full deduplication: identical bytes return the
-// existing sequence index instead of minting a new one. Use it when the
-// caller keeps its own index mapping (e.g. a pipeline deduplicating reads);
-// use Append when external numbering must be preserved.
-func (a *Arena) Intern(s []byte) int {
-	if ci, ok := a.lookup(digestBytes(s).Lo, s); ok {
-		a.savedBytes += int64(len(s))
-		return int(ci)
-	}
-	return a.Append(s)
-}
-
 // arenaMark snapshots the arena's append state so a failed multi-record
 // ingest can be undone atomically — including any slab rolls it caused.
 type arenaMark struct {
@@ -465,11 +381,10 @@ type arenaMark struct {
 	slabs  int
 	open   int
 	sealed bool
-	saved  int64
 }
 
 func (a *Arena) mark() arenaMark {
-	m := arenaMark{refs: len(a.refs), slabs: len(a.slabs), saved: a.savedBytes}
+	m := arenaMark{refs: len(a.refs), slabs: len(a.slabs)}
 	if m.slabs > 0 {
 		tail := a.slabs[m.slabs-1]
 		m.open, m.sealed = tail.size, tail.sealed
@@ -517,7 +432,6 @@ func (a *Arena) rollback(m arenaMark) {
 			tail.sealed = false
 		}
 	}
-	a.savedBytes = m.saved
 }
 
 // AppendFasta parses FASTA records from r, validating against alpha, and

@@ -12,7 +12,7 @@ func TestArenaAppendAndSeq(t *testing.T) {
 	a := NewArena(0, 0)
 	in := [][]byte{[]byte("ACGT"), []byte("TTTT"), []byte("ACGTACGT")}
 	for i, s := range in {
-		if idx := a.Append(s); idx != i {
+		if idx := mustAppend(t, a, s); idx != i {
 			t.Fatalf("Append returned index %d, want %d", idx, i)
 		}
 	}
@@ -30,17 +30,17 @@ func TestArenaAppendAndSeq(t *testing.T) {
 	if got, want := a.SlabBytes(), 4+4+8; got != want {
 		t.Errorf("SlabBytes = %d, want %d", got, want)
 	}
-	if got := a.SeqBytes(); got != 16 {
-		t.Errorf("SeqBytes = %d, want 16", got)
+	if got := seqBytes(a); got != 16 {
+		t.Errorf("sequence bytes = %d, want 16", got)
 	}
 }
 
-// TestArenaInterning: Append dedups storage but preserves index numbering;
-// Intern dedups the index too.
+// TestArenaInterning: TryAppend dedups storage but preserves index
+// numbering.
 func TestArenaInterning(t *testing.T) {
 	a := NewArena(0, 0)
-	a.Append([]byte("ACGTACGT"))
-	dup := a.Append([]byte("ACGTACGT"))
+	mustAppend(t, a, []byte("ACGTACGT"))
+	dup := mustAppend(t, a, []byte("ACGTACGT"))
 	if dup != 1 {
 		t.Fatalf("Append duplicate returned index %d, want a fresh index 1", dup)
 	}
@@ -50,20 +50,17 @@ func TestArenaInterning(t *testing.T) {
 	if a.Ref(0) != a.Ref(1) {
 		t.Errorf("duplicate spans differ: %v vs %v", a.Ref(0), a.Ref(1))
 	}
-	if a.SavedBytes() != 8 {
-		t.Errorf("SavedBytes = %d, want 8", a.SavedBytes())
+	if savedBytes(a) != 8 {
+		t.Errorf("saved bytes = %d, want 8", savedBytes(a))
 	}
-	if got := a.Intern([]byte("ACGTACGT")); got != 0 {
-		t.Errorf("Intern of pooled bytes returned %d, want canonical index 0", got)
-	}
-	if got := a.Intern([]byte("GGGG")); got != 2 {
-		t.Errorf("Intern of new bytes returned %d, want 2", got)
+	if got := mustAppend(t, a, []byte("GGGG")); got != 2 {
+		t.Errorf("append of new bytes returned %d, want 2", got)
 	}
 	if a.SlabBytes() != 12 {
 		t.Errorf("SlabBytes = %d, want 12", a.SlabBytes())
 	}
 	// Same length, different content must not collide.
-	x := a.Append([]byte("TTTT"))
+	x := mustAppend(t, a, []byte("TTTT"))
 	if bytes.Equal(a.Seq(x), a.Seq(2)) {
 		t.Error("distinct content shares a span")
 	}
@@ -93,8 +90,8 @@ func TestArenaAppendFasta(t *testing.T) {
 
 func TestValidateCentralised(t *testing.T) {
 	a := NewArena(0, 0)
-	a.Append([]byte("ACGTACGT"))
-	a.Append([]byte("TTTTTTTT"))
+	mustAppend(t, a, []byte("ACGTACGT"))
+	mustAppend(t, a, []byte("TTTTTTTT"))
 	ok := Comparison{H: 0, V: 1, SeedH: 2, SeedV: 2, SeedLen: 4}
 	bad := []Comparison{
 		{H: 2, V: 0, SeedLen: 2},                      // missing sequence
@@ -143,8 +140,8 @@ func TestPlanColumnsRoundTrip(t *testing.T) {
 // copy), and it carries the arena and plan it was built from.
 func TestArenaDatasetView(t *testing.T) {
 	a := NewArena(0, 0)
-	a.Append([]byte("ACGTACGTACGT"))
-	a.Append([]byte("ACGAACGTACGT"))
+	mustAppend(t, a, []byte("ACGTACGTACGT"))
+	mustAppend(t, a, []byte("ACGAACGTACGT"))
 	p := PlanOf([]Comparison{{H: 0, V: 1, SeedH: 4, SeedV: 4, SeedLen: 4}})
 	d := a.NewDataset("view", p, false)
 	if err := d.Validate(); err != nil {
@@ -152,9 +149,6 @@ func TestArenaDatasetView(t *testing.T) {
 	}
 	if &d.Seq(0)[0] != &a.Slab()[a.Ref(0).Off] {
 		t.Error("dataset sequence is a copy, not a slab span")
-	}
-	if d.TotalSeqBytes() != a.SeqBytes() {
-		t.Errorf("view bytes %d != arena bytes %d", d.TotalSeqBytes(), a.SeqBytes())
 	}
 	ar, pl := d.Spine()
 	if ar != a || pl != p {

@@ -13,7 +13,7 @@ func mkArena(t *testing.T, seqs ...[]byte) *Arena {
 	t.Helper()
 	a := NewArena(0, len(seqs))
 	for _, s := range seqs {
-		a.Append(s)
+		mustAppend(t, a, s)
 	}
 	return a
 }
@@ -240,7 +240,7 @@ func TestSeqDigestSeedIndependence(t *testing.T) {
 		digests  []SeqDigest
 		refs     []SeqRef
 		saved    int64
-		interned []int
+		interned []SeqRef
 		dedup    *DedupMap
 	}
 	run := func() outcome {
@@ -265,18 +265,18 @@ func TestSeqDigestSeedIndependence(t *testing.T) {
 				}
 			}
 		}
-		r, err := RestoreArenaSlabs(a.SlabViews(), a.Refs())
+		r, err := RestoreArenaSlabs(slabViews(a), a.Refs())
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := outcome{refs: a.Refs(), saved: a.SavedBytes(), dedup: a.DedupPlan(plan)}
+		o := outcome{refs: a.Refs(), saved: savedBytes(a), dedup: a.DedupPlan(plan)}
 		in := NewArena(0, len(seqs))
 		for i, s := range seqs {
 			if r.Digest(i) != a.Digest(i) {
 				t.Errorf("seq %d: restored digest %+v, appended %+v", i, r.Digest(i), a.Digest(i))
 			}
 			o.digests = append(o.digests, a.Digest(i))
-			o.interned = append(o.interned, in.Intern(s))
+			o.interned = append(o.interned, in.Ref(mustAppend(t, in, s)))
 		}
 		return o
 	}
@@ -359,7 +359,7 @@ const (
 // length — so a key that drops a field collapses extensions. Plan rows
 // repeat earlier rows literally, take the same pair under other seeds,
 // and mirror a row as (V,H) with swapped seeds.
-func dedupFixture(rng *rand.Rand, layout, distinct, seqs, rows int) (*Arena, *Plan) {
+func dedupFixture(t testing.TB, rng *rand.Rand, layout, distinct, seqs, rows int) (*Arena, *Plan) {
 	randSeq := func(n int) []byte {
 		s := make([]byte, n)
 		for j := range s {
@@ -388,7 +388,7 @@ func dedupFixture(rng *rand.Rand, layout, distinct, seqs, rows int) (*Arena, *Pl
 			a.SetMaxSlabBytes(64)
 		}
 		for range seqs {
-			a.Append(pool[rng.Intn(distinct)])
+			mustAppend(t, a, pool[rng.Intn(distinct)])
 		}
 	}
 	cmps := make([]Comparison, 0, rows)
@@ -436,7 +436,7 @@ func FuzzDedupPlan(f *testing.F) {
 	f.Add(int64(4), uint8(rolledSlabs), uint8(5), uint8(9), uint16(0))
 	f.Add(int64(5), uint8(gridSpans), uint8(0), uint8(40), uint16(2000))
 	f.Fuzz(func(t *testing.T, seed int64, layout, distinct, seqs uint8, rows uint16) {
-		a, p := dedupFixture(rand.New(rand.NewSource(seed)), int(layout)%layouts,
+		a, p := dedupFixture(t, rand.New(rand.NewSource(seed)), int(layout)%layouts,
 			1+int(distinct)%32, 1+int(seqs), int(rows)%4096)
 		checkDedupAgainstRef(t, a, p)
 	})
@@ -448,7 +448,7 @@ func FuzzDedupPlan(f *testing.F) {
 // slabs, and over a restored grid of overlapping spans.
 func TestDedupPlanLongProbeChains(t *testing.T) {
 	for _, layout := range []int{rolledSlabs, gridSpans} {
-		a, p := dedupFixture(rand.New(rand.NewSource(45)), layout, 300, 900, 120000)
+		a, p := dedupFixture(t, rand.New(rand.NewSource(45)), layout, 300, 900, 120000)
 		if a.NumSlabs() < 2 {
 			t.Fatalf("layout %d: fixture spans %d slab; want several", layout, a.NumSlabs())
 		}

@@ -18,15 +18,14 @@ import (
 )
 
 // RestoreArenaSlabs rebuilds an arena spine from its slabs and span
-// table, the inverse of reading SlabViews() and Refs() on the wire's
+// table, the inverse of reading SlabView and Refs() on the wire's
 // encode side. The slabs and the span table are adopted, not copied — the
 // caller must not mutate them afterwards (slab contents are immutable
 // once shared) — and the slabs come back sealed, so the restored spine is
 // immediately spillable and a later append rolls a fresh slab. Spans are
 // validated against their slabs; exact duplicate spans are recognised as
-// interned (they share their canonical's digest and count toward
-// SavedBytes), so a round-tripped arena reports the same interning the
-// original did.
+// interned (they share their canonical's digest), so a round-tripped
+// arena interns exactly as the original did.
 func RestoreArenaSlabs(slabs [][]byte, refs []SeqRef) (*Arena, error) {
 	a := &Arena{
 		refs:    refs[:len(refs):len(refs)],
@@ -72,7 +71,6 @@ func RestoreArenaSlabs(slabs [][]byte, refs []SeqRef) (*Arena, error) {
 		r := refs[i]
 		if k > 0 && refs[order[k-1]] == r {
 			a.digests[i] = a.digests[order[k-1]]
-			a.savedBytes += int64(r.Len)
 			continue
 		}
 		a.digests[i] = digestBytes(slabs[r.Slab][r.Off:r.End()])

@@ -13,15 +13,15 @@ type arenaSnapshot struct {
 	saved   int64
 }
 
-func snapshot(a *Arena) arenaSnapshot {
-	return arenaSnapshot{n: a.Len(), slab: a.SlabBytes(), saved: a.SavedBytes()}
+func snapshot(t *testing.T, a *Arena) arenaSnapshot {
+	return arenaSnapshot{n: a.Len(), slab: a.SlabBytes(), saved: savedBytes(a)}
 }
 
 func TestAppendFastaRollbackOnError(t *testing.T) {
 	a := NewArena(0, 4)
-	pre := a.Append([]byte("ACGTACGTACGT"))
+	pre := mustAppend(t, a, []byte("ACGTACGTACGT"))
 
-	before := snapshot(a)
+	before := snapshot(t, a)
 	// Two good records land, then a bad symbol aborts the stream.
 	bad := ">r1\nTTTTGGGG\n>r2\nCCCCAAAA\n>r3\nACGTZZZZ\n"
 	ids, err := a.AppendFasta(strings.NewReader(bad), seqio.DNAAlphabet)
@@ -31,7 +31,7 @@ func TestAppendFastaRollbackOnError(t *testing.T) {
 	if ids != nil {
 		t.Fatalf("failed append returned ids %v", ids)
 	}
-	if got := snapshot(a); got != before {
+	if got := snapshot(t, a); got != before {
 		t.Fatalf("failed append left partial state: %+v, want %+v", got, before)
 	}
 
@@ -58,7 +58,7 @@ func TestAppendFastaRollbackOnError(t *testing.T) {
 		t.Errorf("record equal to pre-existing sequence did not intern")
 	}
 	slabAfterRetry := a.SlabBytes()
-	if i := a.Append([]byte("TTTTGGGG")); a.Ref(i) != a.Ref(1) {
+	if i := mustAppend(t, a, []byte("TTTTGGGG")); a.Ref(i) != a.Ref(1) {
 		t.Errorf("re-append after rollback minted a new span (double-intern)")
 	}
 	if a.SlabBytes() != slabAfterRetry {
@@ -68,7 +68,7 @@ func TestAppendFastaRollbackOnError(t *testing.T) {
 
 func TestAppendFastaRollbackPreservesPreexistingInterning(t *testing.T) {
 	a := NewArena(0, 2)
-	a.Append([]byte("ACGTACGT"))
+	mustAppend(t, a, []byte("ACGTACGT"))
 
 	// The failing stream interns a duplicate of the pre-existing sequence
 	// before hitting the bad record; rollback must not scrub the
@@ -77,10 +77,10 @@ func TestAppendFastaRollbackPreservesPreexistingInterning(t *testing.T) {
 	if _, err := a.AppendFasta(strings.NewReader(bad), seqio.DNAAlphabet); err == nil {
 		t.Fatal("invalid record accepted")
 	}
-	if a.Len() != 1 || a.SavedBytes() != 0 {
-		t.Fatalf("rollback left state: len %d saved %d", a.Len(), a.SavedBytes())
+	if a.Len() != 1 || savedBytes(a) != 0 {
+		t.Fatalf("rollback left state: len %d saved %d", a.Len(), savedBytes(a))
 	}
-	if i := a.Append([]byte("ACGTACGT")); a.Ref(i) != a.Ref(0) {
+	if i := mustAppend(t, a, []byte("ACGTACGT")); a.Ref(i) != a.Ref(0) {
 		t.Errorf("pre-existing sequence no longer interns after rollback")
 	}
 }
@@ -92,15 +92,15 @@ func TestAppendFastaRollbackPreservesPreexistingInterning(t *testing.T) {
 func TestAppendFastaRollbackAcrossSlabBoundary(t *testing.T) {
 	a := NewArena(0, 4)
 	a.SetMaxSlabBytes(8)
-	a.Append([]byte("AAAA")) // slab 0 half full, open
+	mustAppend(t, a, []byte("AAAA")) // slab 0 half full, open
 
-	before := snapshot(a)
+	before := snapshot(t, a)
 	// r1 fills slab 0 to the cap, r2 rolls a fresh slab, r3 aborts.
 	bad := ">r1\nCCCC\n>r2\nGGGGTTTT\n>r3\nZZ!\n"
 	if _, err := a.AppendFasta(strings.NewReader(bad), seqio.DNAAlphabet); err == nil {
 		t.Fatal("invalid record accepted")
 	}
-	if got := snapshot(a); got != before {
+	if got := snapshot(t, a); got != before {
 		t.Fatalf("cross-slab rollback left partial state: %+v, want %+v", got, before)
 	}
 	if a.NumSlabs() != 1 {
@@ -112,7 +112,7 @@ func TestAppendFastaRollbackAcrossSlabBoundary(t *testing.T) {
 
 	// The reopened tail keeps accepting appends in place: the next small
 	// sequence lands in slab 0 at the pre-failure offset, not a new slab.
-	if i := a.Append([]byte("TT")); a.Ref(i) != (SeqRef{Slab: 0, Off: 4, Len: 2}) {
+	if i := mustAppend(t, a, []byte("TT")); a.Ref(i) != (SeqRef{Slab: 0, Off: 4, Len: 2}) {
 		t.Fatalf("append after rollback landed at %+v, want {0 4 2}", a.Ref(i))
 	}
 
@@ -144,15 +144,15 @@ func TestAppendFastaRollbackAcrossSlabBoundary(t *testing.T) {
 func TestAppendFastaRollbackSealedTail(t *testing.T) {
 	a := NewArena(0, 4)
 	a.SetMaxSlabBytes(8)
-	a.Append([]byte("AAAA"))
+	mustAppend(t, a, []byte("AAAA"))
 	a.Seal()
 
-	before := snapshot(a)
+	before := snapshot(t, a)
 	bad := ">r1\nCCCCGGGG\n>bad\nNOPE!\n" // r1 rolls a fresh slab, then abort
 	if _, err := a.AppendFasta(strings.NewReader(bad), seqio.DNAAlphabet); err == nil {
 		t.Fatal("invalid record accepted")
 	}
-	if got := snapshot(a); got != before {
+	if got := snapshot(t, a); got != before {
 		t.Fatalf("rollback left partial state: %+v, want %+v", got, before)
 	}
 	if a.NumSlabs() != 1 {
@@ -161,7 +161,7 @@ func TestAppendFastaRollbackSealedTail(t *testing.T) {
 	if st := a.SlabStateOf(0); st != SlabSealed {
 		t.Fatalf("rollback reopened a sealed slab: state %v", st)
 	}
-	if i := a.Append([]byte("TT")); a.Ref(i) != (SeqRef{Slab: 1, Off: 0, Len: 2}) {
+	if i := mustAppend(t, a, []byte("TT")); a.Ref(i) != (SeqRef{Slab: 1, Off: 0, Len: 2}) {
 		t.Errorf("append after rollback landed at %+v, want a fresh slab", a.Ref(i))
 	}
 }

@@ -95,17 +95,6 @@ func (d *Dataset) WithComparisons(cmps []Comparison) *Dataset {
 	return d.arena.NewDataset(d.Name, PlanOf(cmps), d.Protein)
 }
 
-// Clone re-packs the dataset into a fresh, fully resident arena (faulting
-// in any spilled slabs) under its own copy of the plan: same indices,
-// same content digests, no shared storage.
-func (d *Dataset) Clone() *Dataset {
-	a := NewArena(d.arena.SlabBytes(), d.NumSeqs())
-	for i := range d.NumSeqs() {
-		a.Append(d.arena.Seq(i)) // fits: it already fit a slab of d's arena
-	}
-	return a.NewDataset(d.Name, PlanOf(d.plan.Comparisons()), d.Protein)
-}
-
 // NumSeqs returns the pool size.
 func (d *Dataset) NumSeqs() int { return d.arena.Len() }
 
@@ -117,10 +106,6 @@ func (d *Dataset) SeqLen(i int) int { return int(d.arena.refs[i].Len) }
 // Seq returns sequence i as a zero-copy, read-only view into its slab,
 // faulting the slab in if it is spilled.
 func (d *Dataset) Seq(i int) []byte { return d.arena.Seq(i) }
-
-// TotalSeqBytes sums sequence lengths (the logical |Ω|; interning may
-// store less — see Arena.SlabBytes).
-func (d *Dataset) TotalSeqBytes() int64 { return d.arena.SeqBytes() }
 
 // Validate checks that every comparison references a pooled sequence and
 // anchors its seed in range (Arena.ValidatePlan), and that Comparisons is
@@ -151,15 +136,6 @@ func (d *Dataset) ExtensionLens(c Comparison) (lh, lv, rh, rv int) {
 // column and the GCUPS numerator (§5.1).
 func (d *Dataset) Complexity(c Comparison) int64 {
 	return int64(d.SeqLen(c.H)) * int64(d.SeqLen(c.V))
-}
-
-// TheoreticalCells sums Complexity over all comparisons.
-func (d *Dataset) TheoreticalCells() int64 {
-	var n int64
-	for _, c := range d.Comparisons {
-		n += d.Complexity(c)
-	}
-	return n
 }
 
 // Alignment is the outcome of one comparison's seed-and-extend alignment,

@@ -48,11 +48,11 @@ func TestComplexity(t *testing.T) {
 	if d.Complexity(d.Comparisons[0]) != 8000 {
 		t.Errorf("Complexity = %d", d.Complexity(d.Comparisons[0]))
 	}
-	if d.TheoreticalCells() != 8000+4800 {
-		t.Errorf("TheoreticalCells = %d", d.TheoreticalCells())
+	if d.Complexity(d.Comparisons[1]) != 4800 {
+		t.Errorf("Complexity = %d", d.Complexity(d.Comparisons[1]))
 	}
-	if d.TotalSeqBytes() != 240 {
-		t.Errorf("TotalSeqBytes = %d", d.TotalSeqBytes())
+	if a, _ := d.Spine(); seqBytes(a) != 240 {
+		t.Errorf("sequence bytes = %d", seqBytes(a))
 	}
 }
 
@@ -151,26 +151,6 @@ func TestDatasetImmutable(t *testing.T) {
 				t.Error("a zero Dataset validated")
 			}
 		}},
-		{"Clone re-packs into a distinct arena", func(t *testing.T) {
-			d := MustPack("d", seqs, cmps, true)
-			c := d.Clone()
-			a, p := d.Spine()
-			ca, cp := c.Spine()
-			if ca == a || cp == p || &ca.Seq(0)[0] == &a.Seq(0)[0] {
-				t.Fatal("clone shares its spine with the original")
-			}
-			if c.Name != d.Name || !c.Protein || ca.Len() != a.Len() || cp.Len() != p.Len() {
-				t.Fatalf("clone shape: %q protein=%v %d seqs %d cmps", c.Name, c.Protein, ca.Len(), cp.Len())
-			}
-			for i := range a.Len() {
-				if ca.Digest(i) != a.Digest(i) || string(c.Seq(i)) != string(d.Seq(i)) {
-					t.Errorf("sequence %d differs in the clone", i)
-				}
-			}
-			if ca.SlabBytes() != a.SlabBytes() {
-				t.Errorf("clone lost interning: %d slab bytes, want %d", ca.SlabBytes(), a.SlabBytes())
-			}
-		}},
 		{"NewDataset over a spilled arena faults nothing", func(t *testing.T) {
 			a := rolledArena(t)
 			a.EnableSpill(t.TempDir())
@@ -188,7 +168,7 @@ func TestDatasetImmutable(t *testing.T) {
 				t.Fatal(err)
 			}
 			_ = d.WithComparisons(d.Comparisons)
-			if d.NumSeqs() != 4 || d.SeqLen(2) != 4 || d.TotalSeqBytes() != 16 || d.TheoreticalCells() != 16 {
+			if d.NumSeqs() != 4 || d.SeqLen(2) != 4 || seqBytes(a) != 16 || d.Complexity(d.Comparisons[0]) != 16 {
 				t.Error("span-table accessors disagree with the pool")
 			}
 			if got := a.Residency(); got.Faults != 0 || got.Spilled != before.Spilled {

@@ -192,7 +192,7 @@ type (
 )
 
 // NewArena returns an empty sequence arena with capacity hints (slab
-// bytes, sequence slots). Fill it with Append/Intern/AppendFasta, build a
+// bytes, sequence slots). Fill it with TryAppend/AppendFasta, build a
 // CmpPlan with PlanOf, then Arena.NewDataset yields the dataset every
 // engine submission can share without duplicating sequence memory.
 // NewDataset touches no sequence bytes, so slabs stay spillable
