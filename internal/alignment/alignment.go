@@ -40,9 +40,10 @@ const (
 )
 
 // Valid reports whether the operation is in the emitted set.
-func (o Op) Valid() bool {
-	return o == OpMatch || o == OpMismatch || o == OpIns || o == OpDel
-}
+func (o Op) Valid() bool { return validOps[o] }
+
+// validOps marks the emitted set, so a check is one lookup.
+var validOps = [256]bool{OpMatch: true, OpMismatch: true, OpIns: true, OpDel: true}
 
 // ConsumesH reports whether the operation advances the H (query) cursor.
 func (o Op) ConsumesH() bool { return o == OpMatch || o == OpMismatch || o == OpIns }
@@ -77,18 +78,14 @@ func (c Cigar) scan(fn func(Run) error) error {
 	prev := Op(0)
 	for i := 0; i < len(c); {
 		start := i
-		// The length accumulates as its digits are walked. It is capped
-		// once past what an int holds, so a long digit string cannot wrap
-		// back into range; the cap is reported below as strconv.Atoi did.
-		n, overflow := 0, false
-		for ; i < len(c) && c[i] >= '0' && c[i] <= '9'; i++ {
-			d := int(c[i] - '0')
-			if n > (math.MaxInt-d)/10 {
-				overflow = true
-				continue
-			}
-			n = n*10 + d
+		// The length accumulates unchecked in a uint64, which holds any
+		// 19 digits: more digits than that, or a value past what an int
+		// holds, is reported below as strconv.Atoi did.
+		var u uint64
+		for ; i < len(c) && c[i]-'0' < 10; i++ {
+			u = u*10 + uint64(c[i]-'0')
 		}
+		n, overflow := int(u), i-start > 19 || u > math.MaxInt
 		if i == start {
 			return fmt.Errorf("alignment: cigar %q: missing length at offset %d", c, start)
 		}

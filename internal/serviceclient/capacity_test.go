@@ -36,7 +36,7 @@ func TestServiceClientBuffersWorstCaseStream(t *testing.T) {
 	defer ts.Close()
 
 	c := serviceclient.New(ts.URL, serviceclient.WithTransportBackoff(time.Millisecond, 2*time.Millisecond))
-	job, err := c.Submit(context.Background(), testData(t, 43, 2))
+	job, err := c.Submit(context.Background(), testData(t, 43, n)) // the header announces what was submitted
 	if err != nil {
 		t.Fatal(err)
 	}

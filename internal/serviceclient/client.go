@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -193,14 +194,15 @@ func (c *Client) Submit(ctx context.Context, d *workload.Dataset) (*RemoteJob, e
 	if err != nil {
 		return nil, err
 	}
-	return c.openStream(ctx, resp)
+	return c.openStream(ctx, resp, len(d.Comparisons))
 }
 
 // openStream reads the header off a fresh result stream and starts the
-// reader goroutine that assembles the job.
-func (c *Client) openStream(ctx context.Context, resp *http.Response) (*RemoteJob, error) {
+// reader goroutine that assembles the job. The header must announce the
+// comparisons submitted: the client sizes its buffers from that count.
+func (c *Client) openStream(ctx context.Context, resp *http.Response, comparisons int) (*RemoteJob, error) {
 	br := bufio.NewReader(resp.Body)
-	hdr, err := readHeader(br)
+	hdr, err := readHeader(br, comparisons)
 	if err != nil {
 		resp.Body.Close()
 		return nil, err
@@ -220,7 +222,9 @@ func (c *Client) openStream(ctx context.Context, resp *http.Response) (*RemoteJo
 	return j, nil
 }
 
-func readHeader(br *bufio.Reader) (*wire.Header, error) {
+// readHeader reads a stream's header and checks that it announces the
+// job's comparison count.
+func readHeader(br *bufio.Reader, comparisons int) (*wire.Header, error) {
 	line, err := br.ReadBytes('\n')
 	if err != nil {
 		return nil, fmt.Errorf("serviceclient: reading stream header: %w", err)
@@ -232,6 +236,10 @@ func readHeader(br *bufio.Reader) (*wire.Header, error) {
 	if env.Header == nil {
 		return nil, errors.New("serviceclient: stream did not open with a header")
 	}
+	if env.Header.Comparisons != comparisons {
+		return nil, fmt.Errorf("serviceclient: stream header announces %d comparisons, the job has %d",
+			env.Header.Comparisons, comparisons)
+	}
 	return env.Header, nil
 }
 
@@ -242,12 +250,13 @@ func (j *RemoteJob) run(ctx context.Context, body io.ReadCloser, br *bufio.Reade
 	defer close(j.done)
 
 	results := make([]ipukernel.AlignOut, j.Comparisons)
+	arrived := make(idSet, (j.Comparisons+63)/64)
 	cursor := from
 	for {
-		fin, err := j.consume(br, results, &cursor)
+		fin, err := j.consume(br, results, arrived, &cursor)
 		body.Close()
 		if fin != nil {
-			j.settle(fin, results)
+			j.settle(fin, results, arrived)
 			return
 		}
 		if ctx.Err() != nil {
@@ -279,10 +288,31 @@ type streamBroken struct{ error }
 
 func (e *streamBroken) Unwrap() error { return e.error }
 
-// consume drains stream lines into results until the final record. Its
-// error is a *streamBroken when the transport failed, anything else when
-// the stream's content is wrong.
-func (j *RemoteJob) consume(br *bufio.Reader, results []ipukernel.AlignOut, cursor *int) (*wire.Final, error) {
+// idSet holds one bit per comparison: whether its result has arrived.
+type idSet []uint64
+
+// add records id and reports whether it was new.
+func (s idSet) add(id int) bool {
+	w, bit := id>>6, uint64(1)<<(id&63)
+	fresh := s[w]&bit == 0
+	s[w] |= bit
+	return fresh
+}
+
+// count returns how many ids have arrived.
+func (s idSet) count() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// consume drains stream lines into results until the final record,
+// marking each result's id in arrived. Its error is a *streamBroken when
+// the transport failed, anything else when the stream's content is wrong
+// — among that, a result id delivered twice.
+func (j *RemoteJob) consume(br *bufio.Reader, results []ipukernel.AlignOut, arrived idSet, cursor *int) (*wire.Final, error) {
 	// One line buffer serves the whole stream, and the next stream after
 	// it: a chunk line runs from tens of KB (a cache-served chunk, capped
 	// at the engine's cachedChunkResults) to hundreds (an executed batch,
@@ -337,6 +367,9 @@ func (j *RemoteJob) consume(br *bufio.Reader, results []ipukernel.AlignOut, curs
 			if id < 0 || id >= len(results) {
 				return nil, fmt.Errorf("serviceclient: result id %d out of range", id)
 			}
+			if !arrived.add(id) {
+				return nil, fmt.Errorf("serviceclient: result id %d delivered twice", id)
+			}
 			results[id] = outs[i]
 		}
 		j.updates <- engine.Update{
@@ -360,13 +393,19 @@ func readLine(br *bufio.Reader, buf []byte) ([]byte, error) {
 	}
 }
 
-func (j *RemoteJob) settle(fin *wire.Final, results []ipukernel.AlignOut) {
+// settle ends the job with its final record: the server's error, or the
+// report over results once every comparison's result has arrived.
+func (j *RemoteJob) settle(fin *wire.Final, results []ipukernel.AlignOut, arrived idSet) {
 	if fin.Error != "" {
 		j.err = errors.New(fin.Error)
 		return
 	}
 	if fin.Report == nil {
 		j.err = errors.New("serviceclient: final record carried neither report nor error")
+		return
+	}
+	if n := arrived.count(); n != len(results) {
+		j.err = fmt.Errorf("serviceclient: final report after %d of %d results", n, len(results))
 		return
 	}
 	j.rep = &driver.Report{Results: results, Summary: *fin.Report}
@@ -391,7 +430,7 @@ func (j *RemoteJob) resume(ctx context.Context, cursor int) (io.ReadCloser, *buf
 		return nil, nil, fmt.Errorf("serviceclient: resuming %s from %d: %w", j.ID, cursor, err)
 	}
 	br := bufio.NewReader(resp.Body)
-	if _, err := readHeader(br); err != nil {
+	if _, err := readHeader(br, j.Comparisons); err != nil {
 		resp.Body.Close()
 		return nil, nil, err
 	}

@@ -60,7 +60,7 @@ func TestConsumeResultsSurviveBufferReuse(t *testing.T) {
 	defer ts.Close()
 
 	c := serviceclient.New(ts.URL, serviceclient.WithTransportBackoff(time.Millisecond, 2*time.Millisecond))
-	job, err := c.Submit(context.Background(), testData(t, 43, 2))
+	job, err := c.Submit(context.Background(), testData(t, 43, 2*perChunk)) // the header announces what was submitted
 	if err != nil {
 		t.Fatal(err)
 	}
