@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -119,7 +120,8 @@ type ResultCache interface {
 // batchGetter is the lookup BuildBatches wants: every unique extension of
 // a plan in one call, so the cache can take each of its locks once and
 // let independent lookups overlap. outs[i] and hit[i] answer keys[i]; the
-// return value counts the hits.
+// return value counts the hits. keys is the build's scratch, reused once
+// the call returns: an implementation must not keep it.
 type batchGetter interface {
 	GetBatch(keys []CacheKey, outs []ipukernel.AlignOut, hit []bool) (hits int)
 }
@@ -137,6 +139,9 @@ func getAll(c ResultCache, keys []CacheKey, outs []ipukernel.AlignOut, hit []boo
 	}
 	return hits
 }
+
+// keyScratch recycles BuildBatches' cache-lookup keys across builds.
+var keyScratch = sync.Pool{New: func() any { return new([]CacheKey) }}
 
 // KernelFingerprint hashes every kernel-configuration input that can
 // change anything in an AlignOut: the algorithm, X, δb, gap penalties,
@@ -370,9 +375,10 @@ type BatchPlan struct {
 	// Assembly adopts, merges into and fans out in place.
 	cachedOuts []ipukernel.AlignOut
 	cached     []bool
-	// keys[uid] is the cache key of unique extension uid, kept only when
-	// some extension missed (the uids with cached[uid] clear), so
-	// AssemblePlan can fill the cache after execution.
+	// keys[i] is the cache key of unique extension execUID[i] — the
+	// misses, in ascending uid order like execUID — kept only when some
+	// extension missed, so AssemblePlan can fill the cache after
+	// execution.
 	keys []CacheKey
 	// cacheHits/cacheMisses count lookups at build time; cacheSkipCells
 	// is the per-comparison theoretical volume cache hits kept off the
@@ -515,7 +521,12 @@ func BuildBatches(ctx context.Context, d *workload.Dataset, cfg Config) (*BatchP
 		}
 		if cfg.Cache != nil {
 			kernelFP := KernelFingerprint(cfg.Kernel)
-			keys := make([]CacheKey, dm.Unique())
+			// The lookup's keys are scratch: only a miss's key outlives the
+			// build (bp.keys, for the Put pass).
+			scratch := keyScratch.Get().(*[]CacheKey)
+			defer keyScratch.Put(scratch)
+			keys := slices.Grow((*scratch)[:0], dm.Unique())[:dm.Unique()]
+			*scratch = keys
 			for uid, row := range dm.UniqueRows {
 				keys[uid] = CacheKey{Kernel: kernelFP, Ext: arena.ExtensionKeyOf(plan.At(int(row)))}
 			}
@@ -526,13 +537,15 @@ func BuildBatches(ctx context.Context, d *workload.Dataset, cfg Config) (*BatchP
 			bp.cacheHits = getAll(cfg.Cache, keys, bp.cachedOuts[:len(keys)], bp.cached)
 			bp.cacheMisses = len(keys) - bp.cacheHits
 			if bp.cacheMisses > 0 {
-				bp.keys = keys
+				bp.keys = make([]CacheKey, 0, bp.cacheMisses)
 			}
 			for uid, ok := range bp.cached {
 				if ok {
 					bp.cachedOuts[uid].GlobalID = -1
 					bp.cacheSkipCells += int64(dm.Fanout[uid]) *
 						int64(keys[uid].Ext.HLen) * int64(keys[uid].Ext.VLen)
+				} else {
+					bp.keys = append(bp.keys, keys[uid])
 				}
 			}
 		}
@@ -886,13 +899,13 @@ func (a *Assembly) Fold(outs []*ipukernel.BatchResult) (*Plan, error) {
 		return p, nil
 	}
 	if bp.keys != nil {
-		for _, uid := range bp.execUID {
+		for i, uid := range bp.execUID {
 			// Failed placeholders are degraded bookkeeping, not
 			// alignments: caching one would serve a fault's shadow to a
 			// later (possibly fault-free) job.
 			if o := a.results[uid]; !o.Failed {
 				o.GlobalID = -1
-				bp.cfg.Cache.Put(bp.keys[uid], o)
+				bp.cfg.Cache.Put(bp.keys[i], o)
 			}
 		}
 	}

@@ -17,6 +17,7 @@ package engine
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -230,11 +231,15 @@ func (s *cacheShard) evict() int32 {
 
 // GetBatch implements the driver's batched lookup: outs[i], hit[i]
 // answer keys[i], the return value counts the hits. Keys are hashed once
-// and bucketed by shard, each shard is locked once for all of its keys
-// (its Puts wait that long: ≈ 0.2 µs a key), and the counters are added
-// once.
+// and bucketed by shard in pooled scratch, each shard is locked once for
+// all of its keys (its Puts wait that long: ≈ 0.2 µs a key), and the
+// counters are added once.
 func (c *resultCache) GetBatch(keys []driver.CacheKey, outs []ipukernel.AlignOut, hit []bool) int {
-	hashes := make([]uint64, len(keys))
+	sc := batchScratch.Get().(*lookupScratch)
+	defer batchScratch.Put(sc)
+	hashes := slices.Grow(sc.hashes[:0], len(keys))[:len(keys)]
+	order := slices.Grow(sc.order[:0], len(keys))[:len(keys)]
+	sc.hashes, sc.order = hashes, order
 	var start [cacheShards + 1]int32
 	for i := range keys {
 		h := hashKey(&keys[i])
@@ -244,7 +249,6 @@ func (c *resultCache) GetBatch(keys []driver.CacheKey, outs []ipukernel.AlignOut
 	for si := 0; si < cacheShards; si++ {
 		start[si+1] += start[si]
 	}
-	order := make([]int32, len(keys))
 	next := start
 	for i, h := range hashes {
 		si := shardOf(h)
@@ -270,6 +274,16 @@ func (c *resultCache) GetBatch(keys []driver.CacheKey, outs []ipukernel.AlignOut
 	c.misses.Add(int64(len(keys) - hits))
 	return hits
 }
+
+// lookupScratch is GetBatch's per-call working set: each key's hash, and
+// the key indices bucketed by shard.
+type lookupScratch struct {
+	hashes []uint64
+	order  []int32
+}
+
+// batchScratch recycles GetBatch's scratch across lookups.
+var batchScratch = sync.Pool{New: func() any { return new(lookupScratch) }}
 
 // Get implements driver.ResultCache: GetBatch for one key.
 func (c *resultCache) Get(k driver.CacheKey) (ipukernel.AlignOut, bool) {

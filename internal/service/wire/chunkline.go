@@ -435,17 +435,35 @@ func (p *lineParser) float() float64 {
 	return f
 }
 
-// cigar reads a non-empty string body up to its closing quote. An escape
-// or any byte outside the CIGAR alphabet fails alignment.Parse, so no
-// separate string grammar is needed.
+// cigar reads a non-empty CIGAR up to its closing quote, checking the
+// grammar alignment.Parse accepts in the same pass — runs of a positive
+// length without leading zeros, at most 19 digits and no more than an int
+// holds, then an operation other than the run before's — and copies it
+// once. An escape, or any byte outside the CIGAR alphabet, declines the
+// line, so no separate string grammar is needed.
 func (p *lineParser) cigar() alignment.Cigar {
-	end := bytes.IndexByte(p.b[p.i:], '"')
-	if p.bad || end <= 0 {
-		p.bad = true
-		return ""
+	b, i := p.b, p.i
+	prev := alignment.Op(0)
+	for !p.bad {
+		start := i
+		var u uint64 // any 19 digits fit; the checks below are Parse's
+		for ; i < len(b) && b[i]-'0' < 10; i++ {
+			u = u*10 + uint64(b[i]-'0')
+		}
+		if i == start || b[start] == '0' || i-start > 19 || u > math.MaxInt || i == len(b) {
+			break
+		}
+		op := alignment.Op(b[i])
+		if !op.Valid() || op == prev {
+			break
+		}
+		prev = op
+		if i++; i < len(b) && b[i] == '"' {
+			c := alignment.Cigar(b[p.i:i])
+			p.i = i + 1
+			return c
+		}
 	}
-	c, err := alignment.Parse(string(p.b[p.i : p.i+end]))
-	p.bad = err != nil
-	p.i += end + 1
-	return c
+	p.bad = true
+	return ""
 }

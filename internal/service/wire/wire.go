@@ -65,73 +65,81 @@ var (
 
 const flagProtein = 1
 
-// EncodeDataset serializes a dataset's arena spine. The encoding is
-// canonical for a given spine: same slabs, spans and plan produce the
-// same bytes, and a single-slab spine encodes byte-identically to the
-// pre-spine XDW1 format.
+// EncodeDataset serializes a dataset's arena spine: the concatenation
+// of EncodeDatasetParts. The encoding is canonical for a given spine:
+// same slabs, spans and plan produce the same bytes, and a single-slab
+// spine encodes byte-identically to the pre-spine XDW1 format.
 func EncodeDataset(d *workload.Dataset) ([]byte, error) {
+	parts, err := EncodeDatasetParts(d)
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Join(parts, nil), nil
+}
+
+// EncodeDatasetParts returns the dataset's XDW bytes as parts whose
+// concatenation is the payload. Each slab is a part of its own — the
+// arena's own view, never copied — and everything else (magic, flags,
+// name, lengths, refs, plan) is one buffer of the encoder's, cut around
+// the slabs. The slab parts alias the arena: they stay valid as long as
+// the dataset, and must not be written to.
+func EncodeDatasetParts(d *workload.Dataset) ([][]byte, error) {
 	arena, plan := d.Spine()
 	if arena == nil || plan == nil {
 		return nil, fmt.Errorf("wire: dataset has no spine; build it with Pack or Arena.NewDataset")
 	}
 	refs := arena.Refs()
-	var buf bytes.Buffer
+	multi := arena.NumSlabs() > 1
+	var slabs [][]byte
+	mag, refBytes := magic, 8
+	if multi {
+		mag, refBytes = magic2, 12
+		slabs = make([][]byte, arena.NumSlabs())
+		for si := range slabs {
+			slabs[si] = arena.SlabView(si)
+		}
+	} else {
+		slabs = [][]byte{arena.Slab()}
+	}
 	var flags byte
 	if d.Protein {
 		flags |= flagProtein
 	}
-	var u32 [4]byte
-	if arena.NumSlabs() <= 1 {
-		slab := arena.Slab()
-		buf.Grow(len(slab) + len(refs)*8 + plan.Len()*20 + len(d.Name) + 64)
-		buf.Write(magic[:])
-		buf.WriteByte(flags)
-		writeUvarint(&buf, uint64(len(d.Name)))
-		buf.WriteString(d.Name)
-		writeUvarint(&buf, uint64(len(slab)))
-		buf.Write(slab)
-		writeUvarint(&buf, uint64(len(refs)))
-		for _, r := range refs {
-			binary.LittleEndian.PutUint32(u32[:], uint32(r.Off))
-			buf.Write(u32[:])
-			binary.LittleEndian.PutUint32(u32[:], uint32(r.Len))
-			buf.Write(u32[:])
-		}
-	} else {
-		buf.Grow(arena.SlabBytes() + len(refs)*12 + plan.Len()*20 + len(d.Name) + 64)
-		buf.Write(magic2[:])
-		buf.WriteByte(flags)
-		writeUvarint(&buf, uint64(len(d.Name)))
-		buf.WriteString(d.Name)
-		writeUvarint(&buf, uint64(arena.NumSlabs()))
-		for si := 0; si < arena.NumSlabs(); si++ {
-			slab := arena.SlabView(si)
-			writeUvarint(&buf, uint64(len(slab)))
-			buf.Write(slab)
-		}
-		writeUvarint(&buf, uint64(len(refs)))
-		for _, r := range refs {
-			binary.LittleEndian.PutUint32(u32[:], uint32(r.Slab))
-			buf.Write(u32[:])
-			binary.LittleEndian.PutUint32(u32[:], uint32(r.Off))
-			buf.Write(u32[:])
-			binary.LittleEndian.PutUint32(u32[:], uint32(r.Len))
-			buf.Write(u32[:])
-		}
+	own := make([]byte, 0, 5+len(d.Name)+len(refs)*refBytes+plan.Len()*20+
+		(len(slabs)+4)*binary.MaxVarintLen64)
+	own = append(own, mag[:]...)
+	own = append(own, flags)
+	own = binary.AppendUvarint(own, uint64(len(d.Name)))
+	own = append(own, d.Name...)
+	if multi {
+		own = binary.AppendUvarint(own, uint64(len(slabs)))
 	}
-	writeUvarint(&buf, uint64(plan.Len()))
+	cuts := make([]int, len(slabs)) // where each slab goes in own
+	for si, slab := range slabs {
+		own = binary.AppendUvarint(own, uint64(len(slab)))
+		cuts[si] = len(own)
+	}
+	own = binary.AppendUvarint(own, uint64(len(refs)))
+	for _, r := range refs {
+		if multi {
+			own = binary.LittleEndian.AppendUint32(own, uint32(r.Slab))
+		}
+		own = binary.LittleEndian.AppendUint32(own, uint32(r.Off))
+		own = binary.LittleEndian.AppendUint32(own, uint32(r.Len))
+	}
+	own = binary.AppendUvarint(own, uint64(plan.Len()))
 	for _, col := range [][]int32{plan.H, plan.V, plan.SeedH, plan.SeedV, plan.SeedLen} {
 		for _, v := range col {
-			binary.LittleEndian.PutUint32(u32[:], uint32(v))
-			buf.Write(u32[:])
+			own = binary.LittleEndian.AppendUint32(own, uint32(v))
 		}
 	}
-	return buf.Bytes(), nil
-}
-
-func writeUvarint(buf *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	buf.Write(tmp[:binary.PutUvarint(tmp[:], v)])
+	parts := make([][]byte, 0, 2*len(slabs)+1)
+	prev := 0
+	for si, at := range cuts {
+		parts = append(parts, own[prev:at:at], slabs[si])
+		prev = at
+	}
+	return append(parts, own[prev:]), nil
 }
 
 // DecodeDataset reverses EncodeDataset. The dataset adopts p: its slabs

@@ -31,7 +31,9 @@ import (
 	"io"
 	"math/bits"
 	"math/rand"
+	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -124,17 +126,20 @@ type RemoteJob struct {
 	Batches     int
 
 	c       *Client
-	updates chan engine.Update
+	updates *updateQueue
 	done    chan struct{}
 	rep     *driver.Report
 	err     error
 }
 
 // Results streams per-batch updates in delivery order, exactly as the
-// in-process Job would. The channel closes when the job settles; the
-// buffer covers the whole schedule, so an unread channel never blocks
-// assembly and Wait stays reachable.
-func (j *RemoteJob) Results() <-chan engine.Update { return j.updates }
+// in-process Job would. The channel closes after the last update once the
+// job has settled. The stream reader never waits for the consumer: what
+// the channel cannot hold waits in an ordered overflow (updateQueue), so
+// an unread channel never blocks assembly and Wait stays reachable. A
+// caller that takes the channel drains it: the goroutine that feeds it
+// from the overflow ends only when the overflow is empty.
+func (j *RemoteJob) Results() <-chan engine.Update { return j.updates.results() }
 
 // Wait blocks until the job settles and returns the assembled report —
 // bit-identical to the in-process engine's — or the job's terminal
@@ -170,18 +175,32 @@ func (j *RemoteJob) Cancel(ctx context.Context) error {
 
 // Submit encodes the dataset once and posts it, retrying transport
 // refusals, then hands the response stream to a reader goroutine and
-// returns the job handle as soon as the server's header arrives.
+// returns the job handle as soon as the server's header arrives. The
+// body is the encoder's parts written in turn: the arena's slabs go to
+// the connection from the dataset's own bytes, never copied into a
+// payload.
 func (c *Client) Submit(ctx context.Context, d *workload.Dataset) (*RemoteJob, error) {
-	payload, err := wire.EncodeDataset(d)
+	parts, err := wire.EncodeDatasetParts(d)
 	if err != nil {
 		return nil, err
 	}
+	size := int64(0)
+	for _, p := range parts {
+		size += int64(len(p))
+	}
+	// Each attempt, and each rewind the transport asks GetBody for, reads
+	// a net.Buffers of its own: reading consumes its slice headers.
+	body := func() (io.ReadCloser, error) {
+		b := net.Buffers(slices.Clone(parts))
+		return io.NopCloser(&b), nil
+	}
 	resp, err := c.doRetry(ctx, func() (*http.Request, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			c.base+"/v1/jobs", bytes.NewReader(payload))
+		b, _ := body()
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/jobs", b)
 		if err != nil {
 			return nil, err
 		}
+		req.ContentLength, req.GetBody = size, body
 		req.Header.Set("Content-Type", wire.ContentTypeDataset)
 		if c.tenant != "" {
 			req.Header.Set("X-Tenant", c.tenant)
@@ -199,7 +218,8 @@ func (c *Client) Submit(ctx context.Context, d *workload.Dataset) (*RemoteJob, e
 
 // openStream reads the header off a fresh result stream and starts the
 // reader goroutine that assembles the job. The header must announce the
-// comparisons submitted: the client sizes its buffers from that count.
+// comparisons submitted: the client sizes its result array from that
+// count.
 func (c *Client) openStream(ctx context.Context, resp *http.Response, comparisons int) (*RemoteJob, error) {
 	br := bufio.NewReader(resp.Body)
 	hdr, err := readHeader(br, comparisons)
@@ -209,14 +229,7 @@ func (c *Client) openStream(ctx context.Context, resp *http.Response, comparison
 	}
 	j := &RemoteJob{
 		ID: hdr.Job, Comparisons: hdr.Comparisons, Batches: hdr.Batches,
-		c: c, done: make(chan struct{}),
-		// Every chunk carries at least one comparison — an executed batch
-		// has at least one job, a cache-served chunk is a non-empty window
-		// of the cached results — and each comparison arrives once, so
-		// Comparisons bounds the chunks however the server cuts them; the
-		// +2 is slack, not a count. The reader can always buffer without
-		// blocking, matching the in-process Job's never-block guarantee.
-		updates: make(chan engine.Update, hdr.Comparisons+2),
+		c: c, done: make(chan struct{}), updates: newUpdateQueue(),
 	}
 	go j.run(ctx, resp.Body, br, hdr.From)
 	return j, nil
@@ -246,7 +259,7 @@ func readHeader(br *bufio.Reader, comparisons int) (*wire.Header, error) {
 // run consumes the stream (resuming across drops) until the final
 // record, then settles the job.
 func (j *RemoteJob) run(ctx context.Context, body io.ReadCloser, br *bufio.Reader, from int) {
-	defer close(j.updates)
+	defer j.updates.close()
 	defer close(j.done)
 
 	results := make([]ipukernel.AlignOut, j.Comparisons)
@@ -358,6 +371,13 @@ func (j *RemoteJob) consume(br *bufio.Reader, results []ipukernel.AlignOut, arri
 		if ch.Seq != *cursor {
 			return nil, fmt.Errorf("serviceclient: stream gap: got seq %d, want %d", ch.Seq, *cursor)
 		}
+		// Every chunk carries a result — an executed batch has at least
+		// one job, a cache-served chunk is a non-empty window of the
+		// cached results — and each result arrives once, so the job's
+		// comparisons bound its chunks and the update queue's overflow.
+		if len(outs) == 0 {
+			return nil, fmt.Errorf("serviceclient: chunk %d carries no results", ch.Seq)
+		}
 		*cursor = ch.Seq + 1
 		if ch.Batches > j.Batches {
 			j.Batches = ch.Batches
@@ -372,10 +392,10 @@ func (j *RemoteJob) consume(br *bufio.Reader, results []ipukernel.AlignOut, arri
 			}
 			results[id] = outs[i]
 		}
-		j.updates <- engine.Update{
+		j.updates.push(engine.Update{
 			Batch: ch.Batch, Batches: ch.Batches,
 			Seconds: ch.Seconds, Results: outs,
-		}
+		})
 	}
 }
 

@@ -93,10 +93,15 @@ var dedupSeed = maphash.MakeSeed()
 // (and equal seed geometry) collapse onto one representative; identical
 // pairs with different seeds, and (H,V) vs (V,H), never do.
 //
-// The lookup table is a power-of-two slice of at least 2·rows slots, each
-// 0 (empty) or uid+1, probed linearly from the key's hash. A probe
-// compares the full extSpanKey rebuilt from the slot's representative
-// row, so equality is exact span equality whatever the hash does.
+// The lookup table is a power-of-two slice of at least 2·rows slots,
+// probed linearly from the key's hash. A first pass fills each new key's
+// slot with its first row + 1 and records every row's slot, so the
+// unique count is known before UniqueRows and Fanout are made, once and
+// exact; a second pass, in row order, numbers each slot the first time a
+// row reaches it — at its first row, so ordinals follow first
+// appearance — and stores -(uid+1) there. A probe compares the full
+// extSpanKey rebuilt from the slot's first row, so equality is exact span
+// equality whatever the hash does.
 func (a *Arena) DedupPlan(p *Plan) *DedupMap {
 	n := p.Len()
 	m := &DedupMap{RowUID: make([]int32, n)}
@@ -106,23 +111,35 @@ func (a *Arena) DedupPlan(p *Plan) *DedupMap {
 	}
 	slots := make([]int32, size)
 	mask := uint64(size - 1)
+	unique := 0
 	for i := int32(0); i < int32(n); i++ {
 		k := a.spanKey(p, i)
 		pos := maphash.Comparable(dedupSeed, k) & mask
 		for {
 			s := slots[pos]
 			if s == 0 {
-				slots[pos] = int32(len(m.UniqueRows)) + 1
-				m.UniqueRows = append(m.UniqueRows, i)
-				m.Fanout = append(m.Fanout, 0)
+				slots[pos] = i + 1
+				unique++
 				break
 			}
-			if a.spanKey(p, m.UniqueRows[s-1]) == k {
+			if a.spanKey(p, s-1) == k {
 				break
 			}
 			pos = (pos + 1) & mask
 		}
-		uid := slots[pos] - 1
+		m.RowUID[i] = int32(pos)
+	}
+	if unique > 0 { // an empty plan leaves both nil
+		m.UniqueRows, m.Fanout = make([]int32, unique), make([]int32, unique)
+	}
+	next := int32(0)
+	for i, pos := range m.RowUID {
+		if s := slots[pos]; s > 0 { // i is the slot's first row
+			m.UniqueRows[next] = s - 1
+			next++
+			slots[pos] = -next
+		}
+		uid := -slots[pos] - 1
 		m.RowUID[i] = uid
 		m.Fanout[uid]++
 	}
