@@ -745,7 +745,7 @@ func (bp *BatchPlan) FailedBatchResult(i int) *ipukernel.BatchResult {
 	res := &ipukernel.BatchResult{Out: make([]ipukernel.AlignOut, 0, len(b.Tiles))}
 	for ti := range b.Tiles {
 		for _, job := range b.Tiles[ti].Jobs {
-			res.Out = append(res.Out, ipukernel.AlignOut{GlobalID: job.GlobalID, Failed: true})
+			res.Out = append(res.Out, ipukernel.AlignOut{GlobalID: int(job.GlobalID), Failed: true})
 		}
 	}
 	return res

@@ -2,11 +2,14 @@ package driver
 
 import (
 	"context"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"github.com/sram-align/xdropipu/internal/core"
 	"github.com/sram-align/xdropipu/internal/ipukernel"
+	"github.com/sram-align/xdropipu/internal/partition"
 	"github.com/sram-align/xdropipu/internal/platform"
 	"github.com/sram-align/xdropipu/internal/scoring"
 	"github.com/sram-align/xdropipu/internal/synth"
@@ -169,24 +172,117 @@ func TestInvalidDatasetRejected(t *testing.T) {
 	}
 }
 
-// BenchmarkBuildBatches plans the benchmark's shortread_plan shape — 150 bp
-// reads, 32 000 comparisons — under its configuration: X 5, δb 32, a
-// 1/8-scale GC200, batches capped at 64 jobs, every Table 1 flag on.
-// Planning is the only step before such a job's first batch runs.
-func BenchmarkBuildBatches(b *testing.B) {
-	d := synth.Reads(synth.ReadsSpec{
-		Name: "short", GenomeLen: 8_400, Coverage: 30, MeanReadLen: 150, MinReadLen: 100, MaxReadLen: 250,
-		Errors: synth.HiFiDNA(), SeedLen: 17, MinOverlap: 40, Seed: 7, MaxComparisons: 32_000,
-	})
+// workloadCfg is the driver configuration of the benchmark's workloads —
+// a 1/8-scale GC200, batches capped at 64 jobs, every Table 1 flag on —
+// under the given X, δb and traceback switch.
+func workloadCfg(x, deltaB int, traceback bool) Config {
 	cfg := testCfg(1, true)
 	cfg.TilesPerIPU = 0
 	cfg.Model = platform.GC200.Scaled(8)
-	cfg.Kernel.Params.X, cfg.Kernel.Params.DeltaB = 5, 32
+	cfg.Kernel.Params.X, cfg.Kernel.Params.DeltaB = x, deltaB
 	cfg.MaxBatchJobs = 64
+	cfg.Traceback = traceback
+	return cfg
+}
+
+// shortReads is the benchmark's shortread_plan data at seed 7: 150 bp
+// reads, 32 000 comparisons.
+var shortReads = synth.ReadsSpec{
+	Name: "short", GenomeLen: 8_400, Coverage: 30, MeanReadLen: 150, MinReadLen: 100, MaxReadLen: 250,
+	Errors: synth.HiFiDNA(), SeedLen: 17, MinOverlap: 40, Seed: 7, MaxComparisons: 32_000,
+}
+
+// BenchmarkBuildBatches plans the benchmark's shortread_plan shape under
+// its configuration: X 5, δb 32. Planning is the only step before such a
+// job's first batch runs.
+func BenchmarkBuildBatches(b *testing.B) {
+	d, cfg := synth.Reads(shortReads), workloadCfg(5, 32, false)
 	b.ReportAllocs()
 	for b.Loop() {
 		if _, err := BuildBatches(context.Background(), d, cfg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestBuildBatchesAllocs fences BenchmarkBuildBatches' allocations. Every
+// tile's jobs and sequence spans are windows of one allocation per call
+// and the batch headers come from doubling chunks, so the count does not
+// follow the ≈ 550 batches: 93 allocations and 2.95 MB a call, against
+// 2 266 and 3.25 MB when each tile of each batch allocated its own.
+// Not parallel: both counters are the whole process's.
+func TestBuildBatchesAllocs(t *testing.T) {
+	const maxAllocs, maxBytes = 200, 3_100_000
+	d, cfg := synth.Reads(shortReads), workloadCfg(5, 32, false)
+	build := func() {
+		if _, err := BuildBatches(context.Background(), d, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(3, build)
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%.0f allocations, %d B per call", allocs, bytes)
+	if allocs > maxAllocs || bytes > maxBytes {
+		t.Errorf("BuildBatches makes %.0f allocations and %d B a call, over the %d and %d B fence", allocs, bytes, maxAllocs, maxBytes)
+	}
+}
+
+// TestStandalonePartitionMatchesBuildBatches composes partition's three
+// exported stages the way a caller timing them one by one does —
+// DeriveSeqBudget, BuildItems under the driver's spread cap,
+// MakeBatchesFanout — and requires BuildBatches' exact batches, under the
+// benchmark workloads' configurations: δb 32 and 256, untraced and traced.
+// service_replay_warm runs longread_cold's configuration.
+func TestStandalonePartitionMatchesBuildBatches(t *testing.T) {
+	longReads := synth.ReadsSpec{
+		Name: "long", GenomeLen: 12_000, Coverage: 12, MeanReadLen: 900, MinReadLen: 300, MaxReadLen: 2250,
+		Errors:  synth.MutationProfile{Sub: 0.02, Ins: 0.02, Del: 0.02, Burst: 0.003, BurstLen: 24},
+		SeedLen: 17, MinOverlap: 225, Seed: 7, MaxComparisons: 1_200,
+	}
+	traceReads := longReads
+	traceReads.MinReadLen, traceReads.MaxReadLen = 600, 1350
+	for _, w := range []struct {
+		name      string
+		reads     synth.ReadsSpec
+		x, deltaB int
+		traceback bool
+	}{
+		{"longread_cold", longReads, 15, 256, false},
+		{"shortread_plan", shortReads, 5, 32, false},
+		{"service_trace_cold", traceReads, 15, 256, true},
+	} {
+		d, cfg := synth.Reads(w.reads), workloadCfg(w.x, w.deltaB, w.traceback).Normalized()
+		bp, err := BuildBatches(context.Background(), d, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		budget, err := partition.DeriveSeqBudget(d, cfg.Kernel, cfg.Model)
+		if err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		tiles := cfg.EffectiveTiles()
+		target := tiles * cfg.SpreadFactor
+		items := partition.BuildItems(d, partition.Options{
+			SeqBudget: budget, Reuse: cfg.Partition,
+			MaxCmps: (len(d.Comparisons) + target - 1) / target,
+		})
+		batches, err := partition.MakeBatchesFanout(d, items, tiles, cfg.Kernel, cfg.Model, cfg.MaxBatchJobs, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		if len(bp.batches) < 2 {
+			t.Fatalf("%s: %d batches; the check needs several", w.name, len(bp.batches))
+		}
+		if !reflect.DeepEqual(batches, bp.batches) {
+			t.Errorf("%s: the standalone stages made %d batches that differ from BuildBatches' %d",
+				w.name, len(batches), len(bp.batches))
 		}
 	}
 }

@@ -27,7 +27,7 @@ func cigarTile(jobs []cigarJob) *TileWork {
 	for i, j := range jobs {
 		hi, vi := t.addSeq(j.h), t.addSeq(j.v)
 		t.Jobs = append(t.Jobs, SeedJob{
-			HLocal: hi, VLocal: vi, SeedH: j.seed.H, SeedV: j.seed.V, SeedLen: j.seed.Len, GlobalID: i,
+			HLocal: hi, VLocal: vi, SeedH: j.seed.H, SeedV: j.seed.V, SeedLen: j.seed.Len, GlobalID: int32(i),
 		})
 	}
 	return t

@@ -33,14 +33,15 @@ type SeedJob struct {
 	HLocal, VLocal int
 	// SeedH, SeedV, SeedLen locate the seed match.
 	SeedH, SeedV, SeedLen int
-	// GlobalID identifies the comparison in the submitting dataset.
-	GlobalID int
+	// GlobalID identifies the comparison in the submitting dataset: a
+	// plan row, int32 like the plan's columns.
+	GlobalID int32
 	// Fanout is the number of planned comparisons this job represents
-	// after duplicate-extension elimination (0 or 1 = itself only). It is
-	// host bookkeeping for skipped-work accounting — the device tuple
-	// (JobTupleBytes) does not ship it, because fan-out happens on the
-	// host when results are assembled.
-	Fanout int
+	// after duplicate-extension elimination (0 or 1 = itself only), as the
+	// dedup map counts it. It is host bookkeeping for skipped-work
+	// accounting — the device tuple (JobTupleBytes) does not ship it,
+	// because fan-out happens on the host when results are assembled.
+	Fanout int32
 }
 
 // TileWork is the per-tile input of Fig. 4: the sequence set ω_i plus the
@@ -368,8 +369,19 @@ func (a Charge) With(b Charge) Charge {
 }
 
 // ExtensionCharge is the Charge of one comparison whose left extension
-// spans lh×lv and right extension rh×rv.
+// spans lh×lv and right extension rh×rv. Without traceback only the DP
+// buffers depend on the geometry, and that case inlines into the
+// partitioner's per-comparison folds.
 func (c *Config) ExtensionCharge(lh, lv, rh, rv int) Charge {
+	if !c.Traceback {
+		return Charge{maxMin: max(min(lh, lv), min(rh, rv))}
+	}
+	return c.tracedCharge(lh, lv, rh, rv)
+}
+
+// tracedCharge is ExtensionCharge with traceback on: the DP buffers plus
+// both extensions' direction-arena bounds.
+func (c *Config) tracedCharge(lh, lv, rh, rv int) Charge {
 	lf, lr := c.TraceCharges(lh, lv)
 	rf, rr := c.TraceCharges(rh, rv)
 	return Charge{max(min(lh, lv), min(rh, rv)), max(lf, rf), max(lr, rr)}

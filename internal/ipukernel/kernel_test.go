@@ -34,7 +34,7 @@ func buildBatch(t *testing.T, count, length int, errRate float64, seed int64) (*
 		b.Tiles = append(b.Tiles, TileWork{
 			Slabs: slabViews(arena),
 			Seqs:  []workload.SeqRef{arena.Ref(c.H), arena.Ref(c.V)},
-			Jobs:  []SeedJob{{HLocal: 0, VLocal: 1, SeedH: c.SeedH, SeedV: c.SeedV, SeedLen: c.SeedLen, GlobalID: i}},
+			Jobs:  []SeedJob{{HLocal: 0, VLocal: 1, SeedH: c.SeedH, SeedV: c.SeedV, SeedLen: c.SeedLen, GlobalID: int32(i)}},
 		})
 	}
 	return b, d
@@ -119,7 +119,7 @@ func TestMultiJobTileSharedSequences(t *testing.T) {
 	var jobs []SeedJob
 	for k := 0; k < 5; k++ {
 		a, b := k%4, (k+1)%4
-		jobs = append(jobs, SeedJob{HLocal: a, VLocal: b, SeedH: 100, SeedV: 100, SeedLen: 17, GlobalID: k})
+		jobs = append(jobs, SeedJob{HLocal: a, VLocal: b, SeedH: 100, SeedV: 100, SeedLen: 17, GlobalID: int32(k)})
 	}
 	// Plant exact seeds.
 	for _, j := range jobs {
@@ -310,7 +310,7 @@ func TestThreadScalingSpeedsUp(t *testing.T) {
 			tile.Seqs = append(tile.Seqs, arena.Ref(c.H), arena.Ref(c.V))
 			tile.Jobs = append(tile.Jobs, SeedJob{
 				HLocal: 2 * i, VLocal: 2*i + 1,
-				SeedH: c.SeedH, SeedV: c.SeedV, SeedLen: c.SeedLen, GlobalID: i,
+				SeedH: c.SeedH, SeedV: c.SeedV, SeedLen: c.SeedLen, GlobalID: int32(i),
 			})
 		}
 		cfg := dnaCfg(15)
@@ -368,7 +368,7 @@ func TestWorkStealingBalancesVariance(t *testing.T) {
 		synth.PlantSeed(h, v, sh, sh, 17)
 		tile.addSeq(h)
 		tile.addSeq(v)
-		tile.Jobs = append(tile.Jobs, SeedJob{HLocal: 2 * i, VLocal: 2*i + 1, SeedH: sh, SeedV: sh, SeedLen: 17, GlobalID: i})
+		tile.Jobs = append(tile.Jobs, SeedJob{HLocal: 2 * i, VLocal: 2*i + 1, SeedH: sh, SeedV: sh, SeedLen: 17, GlobalID: int32(i)})
 	}
 	run := func(ws bool) float64 {
 		dev := ipu.New(ipu.Config{Model: platform.GC200})
@@ -399,7 +399,7 @@ func TestEventualWorkStealingReducesRaces(t *testing.T) {
 	tile := TileWork{Slabs: b.Tiles[0].Slabs, Seqs: b.Tiles[0].Seqs}
 	for k := 0; k < 24; k++ {
 		j := b.Tiles[0].Jobs[0]
-		j.GlobalID = k
+		j.GlobalID = int32(k)
 		tile.Jobs = append(tile.Jobs, j)
 	}
 	run := func(busyWait bool) int {

@@ -24,7 +24,7 @@ func warmTile(t *testing.T, jobs int) *TileWork {
 		tile.Seqs = append(tile.Seqs, arena.Ref(c.H), arena.Ref(c.V))
 		tile.Jobs = append(tile.Jobs, SeedJob{
 			HLocal: 2 * i, VLocal: 2*i + 1,
-			SeedH: c.SeedH, SeedV: c.SeedV, SeedLen: c.SeedLen, GlobalID: i,
+			SeedH: c.SeedH, SeedV: c.SeedV, SeedLen: c.SeedLen, GlobalID: int32(i),
 		})
 	}
 	return tile

@@ -29,7 +29,7 @@ func scheduleBatch(t *testing.T, length int) *Batch {
 	same.Seqs = append(same.Seqs, arena.Ref(c0.H), arena.Ref(c0.V))
 	for k := 0; k < 24; k++ {
 		same.Jobs = append(same.Jobs, SeedJob{
-			HLocal: 0, VLocal: 1, SeedH: c0.SeedH, SeedV: c0.SeedV, SeedLen: c0.SeedLen, GlobalID: k,
+			HLocal: 0, VLocal: 1, SeedH: c0.SeedH, SeedV: c0.SeedV, SeedLen: c0.SeedLen, GlobalID: int32(k),
 		})
 	}
 	mixed := TileWork{Slabs: slabViews(arena)}
@@ -37,7 +37,7 @@ func scheduleBatch(t *testing.T, length int) *Batch {
 		mixed.Seqs = append(mixed.Seqs, arena.Ref(c.H), arena.Ref(c.V))
 		mixed.Jobs = append(mixed.Jobs, SeedJob{
 			HLocal: 2 * i, VLocal: 2*i + 1,
-			SeedH: c.SeedH, SeedV: c.SeedV, SeedLen: c.SeedLen, GlobalID: 24 + i,
+			SeedH: c.SeedH, SeedV: c.SeedV, SeedLen: c.SeedLen, GlobalID: int32(24 + i),
 		})
 	}
 	return &Batch{Tiles: []TileWork{same, mixed}}

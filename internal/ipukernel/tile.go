@@ -180,7 +180,7 @@ func runTile(t *TileWork, cfg *Config, ex *executor, out []AlignOut) tileResult 
 	var tr tileResult
 
 	for j := range t.Jobs {
-		out[j].GlobalID = t.Jobs[j].GlobalID
+		out[j].GlobalID = int(t.Jobs[j].GlobalID)
 	}
 
 	if cfg.Traceback {
@@ -270,7 +270,7 @@ func runTile(t *TileWork, cfg *Config, ex *executor, out []AlignOut) tileResult 
 		o := &out[j]
 		o.Score = o.LeftScore + core.SeedScore(h, v, seed, cfg.Params) + o.RightScore
 		tr.TheoreticalCells += int64(len(h)) * int64(len(v))
-		if f := job.Fanout; f > 1 {
+		if f := int(job.Fanout); f > 1 {
 			tr.SkippedTheoreticalCells += int64(f-1) * int64(len(h)) * int64(len(v))
 			tr.DedupSkippedJobs += f - 1
 		}

@@ -6,9 +6,10 @@
 package partition
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/sram-align/xdropipu/internal/ipukernel"
 	"github.com/sram-align/xdropipu/internal/platform"
@@ -37,11 +38,11 @@ type Item struct {
 	Copies bool
 }
 
-// CostEstimate returns the batching cost estimate for one comparison. The
-// paper uses the maximum running time, quadratic in the sequence lengths
-// (§4.2): the left and right extension rectangles.
-func CostEstimate(d *workload.Dataset, c workload.Comparison) float64 {
-	lh, lv, rh, rv := d.ExtensionLens(c)
+// CostEstimate returns the batching cost estimate for one comparison whose
+// left extension spans lh×lv and right extension rh×rv. The paper uses
+// the maximum running time, quadratic in the sequence lengths (§4.2): the
+// left and right extension rectangles.
+func CostEstimate(lh, lv, rh, rv int) float64 {
 	return float64(lh)*float64(lv) + float64(rh)*float64(rv)
 }
 
@@ -61,7 +62,8 @@ type Options struct {
 // BuildItems turns a dataset into schedulable items using the paper's
 // greedy edge-list walk (§4.3): adjacent vertices join the open partition
 // until the next vertex would exceed the sequence budget, then a new
-// partition starts.
+// partition starts. It reads every comparison from the plan's columns
+// and the arena's span lengths; no row is materialised.
 func BuildItems(d *workload.Dataset, opt Options) []Item {
 	arena, plan := d.Spine()
 	refs := arena.Refs()
@@ -71,21 +73,23 @@ func BuildItems(d *workload.Dataset, opt Options) []Item {
 		maxCmps = plan.Len() + 1
 	}
 	if !opt.Reuse {
-		items := make([]Item, 0, plan.Len())
-		for ci := 0; ci < plan.Len(); ci++ {
-			c := plan.At(ci)
-			it := Item{
-				Seqs:   []int{c.H},
-				Cmps:   []int{ci},
-				Cost:   CostEstimate(d, c),
-				Copies: true,
+		// One item per comparison, its Cmps and Seqs windows of two
+		// shared buffers.
+		items := make([]Item, plan.Len())
+		cmps := make([]int, plan.Len())
+		seqs := make([]int, 0, 2*plan.Len())
+		for ci, h := range plan.H {
+			cmps[ci] = ci
+			n := len(seqs)
+			seqs = append(seqs, int(h))
+			it := Item{Cmps: cmps[ci : ci+1 : ci+1], Bytes: int(refs[h].Len), Copies: true}
+			if v := plan.V[ci]; v != h {
+				seqs = append(seqs, int(v))
+				it.Bytes += int(refs[v].Len)
 			}
-			it.Bytes = int(refs[c.H].Len)
-			if c.V != c.H {
-				it.Seqs = append(it.Seqs, c.V)
-				it.Bytes += int(refs[c.V].Len)
-			}
-			items = append(items, it)
+			it.Seqs = seqs[n:len(seqs):len(seqs)]
+			it.Cost = CostEstimate(plan.ExtensionLens(refs, ci))
+			items[ci] = it
 		}
 		return items
 	}
@@ -96,8 +100,8 @@ func BuildItems(d *workload.Dataset, opt Options) []Item {
 	// would exceed the memory budget; then start a new partition. The
 	// frontier walk keeps partitions topologically local regardless of
 	// the sequence numbering, which is what makes reuse high on overlap
-	// graphs. The walk scans only the plan's H/V columns — the seed
-	// columns stay cold.
+	// graphs. The walk steers by the plan's H/V columns; the seed
+	// columns are read once per comparison, for its cost.
 	//
 	// vertex → incident edges in plan order, as one CSR: count degrees
 	// two slots ahead, prefix-sum so off[v+1] is v's first slot, then fill
@@ -178,6 +182,14 @@ func BuildItems(d *workload.Dataset, opt Options) []Item {
 		}
 		return int(refs[s].Len)
 	}
+	// grow is what comparison (h, v) adds to the open partition's bytes:
+	// a self-comparison's sequence ships once, as addSeq stores it.
+	grow := func(h, v int) int {
+		if h == v {
+			return need(h)
+		}
+		return need(h) + need(v)
+	}
 
 	var queue []int
 	for seed := range refs {
@@ -192,17 +204,16 @@ func BuildItems(d *workload.Dataset, opt Options) []Item {
 				if assigned[ci] {
 					continue
 				}
-				c := plan.At(ci)
-				grow := need(c.H) + need(c.V)
-				if cur.Bytes+grow > seqBudget || len(cur.Cmps) >= maxCmps {
+				h, v := int(plan.H[ci]), int(plan.V[ci])
+				if cur.Bytes+grow(h, v) > seqBudget || len(cur.Cmps) >= maxCmps {
 					if len(cur.Cmps) == 0 {
 						// A single comparison larger than the
 						// budget gets its own item; the batcher
 						// decides feasibility.
-						addSeq(c.H)
-						addSeq(c.V)
+						addSeq(h)
+						addSeq(v)
 						cur.Cmps = append(cur.Cmps, ci)
-						cur.Cost += CostEstimate(d, c)
+						cur.Cost += CostEstimate(plan.ExtensionLens(refs, ci))
 						assigned[ci] = true
 						flush()
 					}
@@ -214,20 +225,22 @@ func BuildItems(d *workload.Dataset, opt Options) []Item {
 					// unassigned edges extend the next partition
 					// instead of falling through to the reuse-blind
 					// mop-up sweep once their seed turns have passed.
+					// queue[qi] is u with the frontier after it, so
+					// the walk resumes in place; the consumed prefix
+					// is dropped once it outweighs the rest.
 					if len(cur.Cmps) > 0 {
 						flush()
-						pending := queue[qi+1:]
-						copy(queue[1:1+len(pending)], pending)
-						queue[0] = u
-						queue = queue[:1+len(pending)]
-						qi = 0
+						if 2*qi > len(queue) {
+							queue = queue[:copy(queue, queue[qi:])]
+							qi = 0
+						}
 					}
 					continue
 				}
-				wasH := inPart[c.H] == stamp
-				wasV := inPart[c.V] == stamp
-				addSeq(c.H)
-				addSeq(c.V)
+				wasH := inPart[h] == stamp
+				wasV := inPart[v] == stamp
+				addSeq(h)
+				addSeq(v)
 				// A vertex preserved across a flush may be re-appended
 				// when a new-partition edge rediscovers it (its stamp
 				// reset with the flush); the extra adjacency scan is
@@ -235,14 +248,14 @@ func BuildItems(d *workload.Dataset, opt Options) []Item {
 				// bounded by one slot per discovery, which keeps the
 				// walk's grouping — and the pinned golden schedules —
 				// unchanged.
-				if !wasH && c.H != u {
-					queue = append(queue, c.H)
+				if !wasH && h != u {
+					queue = append(queue, h)
 				}
-				if !wasV && c.V != u {
-					queue = append(queue, c.V)
+				if !wasV && v != u {
+					queue = append(queue, v)
 				}
 				cur.Cmps = append(cur.Cmps, ci)
-				cur.Cost += CostEstimate(d, c)
+				cur.Cost += CostEstimate(plan.ExtensionLens(refs, ci))
 				assigned[ci] = true
 			}
 		}
@@ -256,15 +269,14 @@ func BuildItems(d *workload.Dataset, opt Options) []Item {
 		if assigned[ci] {
 			continue
 		}
-		c := plan.At(ci)
-		grow := need(c.H) + need(c.V)
-		if (cur.Bytes+grow > seqBudget || len(cur.Cmps) >= maxCmps) && len(cur.Cmps) > 0 {
+		h, v := int(plan.H[ci]), int(plan.V[ci])
+		if (cur.Bytes+grow(h, v) > seqBudget || len(cur.Cmps) >= maxCmps) && len(cur.Cmps) > 0 {
 			flush()
 		}
-		addSeq(c.H)
-		addSeq(c.V)
+		addSeq(h)
+		addSeq(v)
 		cur.Cmps = append(cur.Cmps, ci)
-		cur.Cost += CostEstimate(d, c)
+		cur.Cost += CostEstimate(plan.ExtensionLens(refs, ci))
 		assigned[ci] = true
 	}
 	flush()
@@ -306,10 +318,11 @@ func ReuseFactor(d *workload.Dataset, items []Item) float64 {
 // algorithms on long reads (§3) and what δb fixes.
 func DeriveSeqBudget(d *workload.Dataset, cfg ipukernel.Config, model platform.IPUModel) (int, error) {
 	const allowance = 8 * 1024
-	_, plan := d.Spine()
+	arena, plan := d.Spine()
+	refs := arena.Refs()
 	var ch ipukernel.Charge
-	for ci := 0; ci < plan.Len(); ci++ {
-		ch = ch.With(cfg.ExtensionCharge(d.ExtensionLens(plan.At(ci))))
+	for ci := range plan.Len() {
+		ch = ch.With(cfg.ExtensionCharge(plan.ExtensionLens(refs, ci)))
 	}
 	bufs := cfg.BufferBytes(ch, model)
 	budget := model.DataSRAM() - bufs - allowance
@@ -383,24 +396,30 @@ func (x *seqIndex) clear() {
 // tileBuilder incrementally assembles one tile's work while tracking the
 // SRAM formula of the kernel configuration. Tiles reference the dataset's
 // shared arena spine: adding a sequence appends its span, never its
-// bytes. The tile's slab table stays nil — the driver binds it per
-// execution attempt from the arena's pinned slab set (Batch.Bound), so
-// building batches never forces spilled slabs resident.
+// bytes. The builder keeps the tile's sequence spans and jobs in storage
+// it reuses from batch to batch; emit writes the tile's work once, when
+// its batch closes. The tile's slab table stays nil — the driver binds it
+// per execution attempt from the arena's pinned slab set (Batch.Bound),
+// so building batches never forces spilled slabs resident.
 type tileBuilder struct {
-	work     ipukernel.TileWork
 	localIdx seqIndex
-	index    int // tile position within the batch
+	seqs     []workload.SeqRef // the tile's sequence set, in local order
+	jobs     []placedJob       // the tile's comparisons, in job order
+	index    int               // tile position within the batch
 	load     float64
 	seqBytes int
 	charge   ipukernel.Charge // fold over the placed items
 }
 
+// placedJob is one comparison placed on a tile, in the plan's int32
+// columns' width; emit widens it into an ipukernel.SeedJob.
+type placedJob struct{ hLocal, vLocal, seedH, seedV, seedLen, ci int32 }
+
 // reset returns the builder to the empty state for the next batch,
-// keeping only its local index's storage; the work it built now belongs
-// to the closed batch.
+// keeping its storage; the work it emitted belongs to the closed batch.
 func (tb *tileBuilder) reset() {
 	tb.localIdx.clear()
-	*tb = tileBuilder{localIdx: tb.localIdx, index: tb.index}
+	*tb = tileBuilder{localIdx: tb.localIdx, seqs: tb.seqs[:0], jobs: tb.jobs[:0], index: tb.index}
 }
 
 // memoryWith is the tile's SRAM need with it, whose Charge is ch, added.
@@ -408,7 +427,7 @@ func (tb *tileBuilder) reset() {
 // already holds need a lookup — none on an empty tile or for an item
 // carrying private copies.
 func (tb *tileBuilder) memoryWith(refs []workload.SeqRef, it *Item, ch ipukernel.Charge, cfg *ipukernel.Config, model platform.IPUModel) int {
-	seqBytes, nSeqs := tb.seqBytes+it.Bytes, len(tb.work.Seqs)+len(it.Seqs)
+	seqBytes, nSeqs := tb.seqBytes+it.Bytes, len(tb.seqs)+len(it.Seqs)
 	if !it.Copies && tb.localIdx.n > 0 {
 		for _, s := range it.Seqs {
 			if _, ok := tb.localIdx.get(s); ok {
@@ -417,39 +436,55 @@ func (tb *tileBuilder) memoryWith(refs []workload.SeqRef, it *Item, ch ipukernel
 			}
 		}
 	}
-	nJobs := len(tb.work.Jobs) + len(it.Cmps)
+	nJobs := len(tb.jobs) + len(it.Cmps)
 	return cfg.TileFootprint(seqBytes, nSeqs, nJobs, ch.With(tb.charge), model)
 }
 
-func (tb *tileBuilder) add(refs []workload.SeqRef, plan *workload.Plan, it *Item, ch ipukernel.Charge, fanout []int32) {
-	if tb.work.Jobs == nil {
-		tb.work.Seqs = make([]workload.SeqRef, 0, len(it.Seqs))
-		tb.work.Jobs = make([]ipukernel.SeedJob, 0, len(it.Cmps))
-	}
+// add places it, whose Charge is ch, on the tile.
+func (tb *tileBuilder) add(refs []workload.SeqRef, plan *workload.Plan, it *Item, ch ipukernel.Charge) {
 	for _, s := range it.Seqs {
 		if _, ok := tb.localIdx.get(s); !ok || it.Copies {
-			tb.localIdx.set(s, len(tb.work.Seqs))
-			tb.work.Seqs = append(tb.work.Seqs, refs[s])
+			tb.localIdx.set(s, len(tb.seqs))
+			tb.seqs = append(tb.seqs, refs[s])
 			tb.seqBytes += int(refs[s].Len)
 		}
 	}
 	for _, ci := range it.Cmps {
-		c := plan.At(ci)
-		hLocal, _ := tb.localIdx.get(c.H)
-		vLocal, _ := tb.localIdx.get(c.V)
-		job := ipukernel.SeedJob{
-			HLocal: hLocal,
-			VLocal: vLocal,
-			SeedH:  c.SeedH, SeedV: c.SeedV, SeedLen: c.SeedLen,
-			GlobalID: ci,
-		}
-		if fanout != nil {
-			job.Fanout = int(fanout[ci])
-		}
-		tb.work.Jobs = append(tb.work.Jobs, job)
+		h, _ := tb.localIdx.get(int(plan.H[ci]))
+		v, _ := tb.localIdx.get(int(plan.V[ci]))
+		tb.jobs = append(tb.jobs, placedJob{int32(h), int32(v), plan.SeedH[ci], plan.SeedV[ci], plan.SeedLen[ci], int32(ci)})
 	}
 	tb.charge = tb.charge.With(ch)
 	tb.load += it.Cost
+}
+
+// emit returns the tile's work, written into the next windows of seqBuf
+// and jobBuf.
+func (tb *tileBuilder) emit(fanout []int32, seqBuf *[]workload.SeqRef, jobBuf *[]ipukernel.SeedJob) ipukernel.TileWork {
+	w := ipukernel.TileWork{Seqs: carve(seqBuf, len(tb.seqs)), Jobs: carve(jobBuf, len(tb.jobs))}
+	copy(w.Seqs, tb.seqs)
+	for k, p := range tb.jobs {
+		job := &w.Jobs[k]
+		job.HLocal, job.VLocal = int(p.hLocal), int(p.vLocal)
+		job.SeedH, job.SeedV, job.SeedLen = int(p.seedH), int(p.seedV), int(p.seedLen)
+		job.GlobalID = p.ci
+		if fanout != nil {
+			job.Fanout = fanout[p.ci]
+		}
+	}
+	return w
+}
+
+// carve cuts the next n elements off *buf as a window whose capacity ends
+// at its length. When *buf has no room it starts a fresh chunk, twice the
+// last one or n if larger; earlier windows keep their chunk.
+func carve[T any](buf *[]T, n int) []T {
+	b := *buf
+	if len(b)+n > cap(b) {
+		b = make([]T, 0, max(n, 2*cap(b)))
+	}
+	*buf = b[:len(b)+n]
+	return b[len(b) : len(b)+n : len(b)+n]
 }
 
 // candidates is a batch's placement frontier as a container/heap ordered
@@ -503,7 +538,28 @@ func MakeBatchesFanout(d *workload.Dataset, items []Item, tiles int, cfg ipukern
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return items[order[a]].Cost > items[order[b]].Cost })
+	// Largest cost first, ties in item order: the stable sort's order.
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(items[b].Cost, items[a].Cost); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+
+	// The batches are cut from shared buffers: every tile's Seqs and Jobs
+	// are windows of seqBuf and jobBuf, each allocated once — every
+	// comparison of the items is one job, and a tile holds at most its
+	// items' sequences — and the Batch headers and Tiles arrays come from
+	// chunks that double as batches close.
+	nSeqs, nJobs := 0, 0
+	for i := range items {
+		nSeqs += len(items[i].Seqs)
+		nJobs += len(items[i].Cmps)
+	}
+	seqBuf := make([]workload.SeqRef, 0, nSeqs)
+	jobBuf := make([]ipukernel.SeedJob, 0, nJobs)
+	var batchBuf []ipukernel.Batch
+	var tileBuf []ipukernel.TileWork
 
 	var batches []*ipukernel.Batch
 	// pool[i] builds tile i of every batch; entries are created the first
@@ -520,15 +576,24 @@ func MakeBatchesFanout(d *workload.Dataset, items []Item, tiles int, cfg ipukern
 	var full []*tileBuilder // candidates the current item does not fit
 
 	closeBatch := func() {
-		b := &ipukernel.Batch{Tiles: make([]ipukernel.TileWork, 0, used)}
+		n := 0
 		for _, tb := range pool[:used] {
-			if len(tb.work.Jobs) > 0 {
-				b.Tiles = append(b.Tiles, tb.work)
+			if len(tb.jobs) > 0 {
+				n++
 			}
-			tb.reset()
 		}
-		if len(b.Tiles) > 0 {
+		if n > 0 {
+			b := &carve(&batchBuf, 1)[0]
+			b.Tiles = carve(&tileBuf, n)[:0]
+			for _, tb := range pool[:used] {
+				if len(tb.jobs) > 0 {
+					b.Tiles = append(b.Tiles, tb.emit(fanout, &seqBuf, &jobBuf))
+				}
+			}
 			batches = append(batches, b)
+		}
+		for _, tb := range pool[:used] {
+			tb.reset()
 		}
 		used, batchJobs = 0, 0
 		cand = append(cand[:0], pool[0])
@@ -536,12 +601,12 @@ func MakeBatchesFanout(d *workload.Dataset, items []Item, tiles int, cfg ipukern
 
 	for _, idx := range order {
 		it := &items[idx]
-		// The item's Charge reads its comparisons from the same source
-		// add() does: the SRAM check and placement must agree on seed
-		// geometry.
+		// The item's Charge reads its comparisons from the plan's columns,
+		// the source add copies the jobs' seeds from: the SRAM check and
+		// the placed work agree on seed geometry.
 		var ch ipukernel.Charge
 		for _, ci := range it.Cmps {
-			ch = ch.With(cfg.ExtensionCharge(d.ExtensionLens(plan.At(ci))))
+			ch = ch.With(cfg.ExtensionCharge(plan.ExtensionLens(refs, ci)))
 		}
 		placed := false
 		for attempt := 0; attempt < 2 && !placed; attempt++ {
@@ -558,7 +623,7 @@ func MakeBatchesFanout(d *workload.Dataset, items []Item, tiles int, cfg ipukern
 				continue
 			}
 			tb := cand[0]
-			tb.add(refs, plan, it, ch, fanout)
+			tb.add(refs, plan, it, ch)
 			heap.Fix(&cand, 0)
 			if tb.index == used {
 				if used++; used < tiles {

@@ -93,6 +93,27 @@ func TestReuseFactorSelfComparison(t *testing.T) {
 	}
 }
 
+// TestBuildItemsSelfComparisonChargedOnce: a self-comparison's sequence
+// ships once, so it grows the open partition by one copy. Charged twice,
+// the 60-byte self-comparison below would exceed the 100-byte budget on
+// its own and become its own item, and its sequence would ship again with
+// the other comparison; charged once, both fit one 90-byte partition.
+func TestBuildItemsSelfComparisonChargedOnce(t *testing.T) {
+	d := workload.MustPack("", [][]byte{make([]byte, 60), make([]byte, 30)},
+		[]workload.Comparison{
+			{H: 0, V: 0, SeedH: 5, SeedV: 20, SeedLen: 17},
+			{H: 0, V: 1, SeedH: 30, SeedV: 5, SeedLen: 17},
+		}, false)
+	items := BuildItems(d, Options{SeqBudget: 100, Reuse: true})
+	coverage(t, d, items)
+	if len(items) != 1 || items[0].Bytes != 90 {
+		t.Fatalf("items = %+v, want one 90-byte item", items)
+	}
+	if rf := ReuseFactor(d, items); rf != 150.0/90 {
+		t.Errorf("ReuseFactor = %.3f, want %.3f", rf, 150.0/90)
+	}
+}
+
 func TestBuildItemsWithReuse(t *testing.T) {
 	d := readsData(t, 2)
 	items := BuildItems(d, Options{SeqBudget: 200_000, Reuse: true})
@@ -129,7 +150,7 @@ func TestCostEstimate(t *testing.T) {
 		[]workload.Comparison{{H: 0, V: 1, SeedH: 40, SeedV: 30, SeedLen: 10}}, false)
 	// left: 40×30, right: 50×40.
 	want := float64(40*30 + 50*40)
-	if got := CostEstimate(d, d.Comparisons[0]); got != want {
+	if got := CostEstimate(d.ExtensionLens(d.Comparisons[0])); got != want {
 		t.Errorf("CostEstimate = %f, want %f", got, want)
 	}
 }
@@ -215,7 +236,7 @@ func TestMakeBatchesLoadBalance(t *testing.T) {
 	for ti := range b.Tiles {
 		var load float64
 		for _, j := range b.Tiles[ti].Jobs {
-			load += CostEstimate(d, d.Comparisons[j.GlobalID])
+			load += CostEstimate(d.ExtensionLens(d.Comparisons[j.GlobalID]))
 		}
 		if ti == 0 || load < lo {
 			lo = load
@@ -388,7 +409,7 @@ func buildItemsRescan(d *workload.Dataset, opt Options) []Item {
 			it := Item{
 				Seqs:   []int{c.H},
 				Cmps:   []int{ci},
-				Cost:   CostEstimate(d, c),
+				Cost:   CostEstimate(d.ExtensionLens(c)),
 				Copies: true,
 			}
 			it.Bytes = int(refs[c.H].Len)
@@ -463,6 +484,13 @@ func buildItemsRescan(d *workload.Dataset, opt Options) []Item {
 		}
 		return int(refs[s].Len)
 	}
+	// A self-comparison's sequence ships once, as addSeq stores it.
+	grow := func(c workload.Comparison) int {
+		if c.H == c.V {
+			return need(c.H)
+		}
+		return need(c.H) + need(c.V)
+	}
 
 	var queue []int
 	for seed := range refs {
@@ -478,8 +506,7 @@ func buildItemsRescan(d *workload.Dataset, opt Options) []Item {
 					continue
 				}
 				c := plan.At(ci)
-				grow := need(c.H) + need(c.V)
-				if cur.Bytes+grow > seqBudget || len(cur.Cmps) >= maxCmps {
+				if cur.Bytes+grow(c) > seqBudget || len(cur.Cmps) >= maxCmps {
 					if len(cur.Cmps) == 0 {
 						// A single comparison larger than the
 						// budget gets its own item; the batcher
@@ -487,7 +514,7 @@ func buildItemsRescan(d *workload.Dataset, opt Options) []Item {
 						addSeq(c.H)
 						addSeq(c.V)
 						cur.Cmps = append(cur.Cmps, ci)
-						cur.Cost += CostEstimate(d, c)
+						cur.Cost += CostEstimate(d.ExtensionLens(c))
 						assigned[ci] = true
 						flush()
 					}
@@ -527,7 +554,7 @@ func buildItemsRescan(d *workload.Dataset, opt Options) []Item {
 					queue = append(queue, c.V)
 				}
 				cur.Cmps = append(cur.Cmps, ci)
-				cur.Cost += CostEstimate(d, c)
+				cur.Cost += CostEstimate(d.ExtensionLens(c))
 				assigned[ci] = true
 			}
 		}
@@ -542,14 +569,13 @@ func buildItemsRescan(d *workload.Dataset, opt Options) []Item {
 			continue
 		}
 		c := plan.At(ci)
-		grow := need(c.H) + need(c.V)
-		if (cur.Bytes+grow > seqBudget || len(cur.Cmps) >= maxCmps) && len(cur.Cmps) > 0 {
+		if (cur.Bytes+grow(c) > seqBudget || len(cur.Cmps) >= maxCmps) && len(cur.Cmps) > 0 {
 			flush()
 		}
 		addSeq(c.H)
 		addSeq(c.V)
 		cur.Cmps = append(cur.Cmps, ci)
-		cur.Cost += CostEstimate(d, c)
+		cur.Cost += CostEstimate(d.ExtensionLens(c))
 		assigned[ci] = true
 	}
 	flush()
@@ -597,42 +623,50 @@ func TestBuildItemsMatchesRescan(t *testing.T) {
 	}
 }
 
-// FuzzBuildItems decodes a graph, a budget, a spread cap and the reuse
-// flag from the fuzz bytes and holds BuildItems to the rescanning walk.
-// Byte 0 picks n = 1–32 sequences and the next n bytes their lengths,
-// 27–282 bases. Four bytes then set the budget (0–4 335 B), the cap
-// (0–63) and the flag; the rest, two bytes at a time, are comparisons,
-// self-comparisons included.
+// decodeGraph decodes a graph, a budget, a spread cap and the reuse flag
+// from fuzz bytes. Byte 0 picks n = 1–32 sequences and the next n bytes
+// their lengths, 27–282 bases. Four bytes then set the budget (0–4 335 B),
+// the cap (0–63) and the flag; the rest, two bytes at a time, are
+// comparisons, self-comparisons included. ok is false when b is too short.
+func decodeGraph(b []byte) (d *workload.Dataset, opt Options, ok bool) {
+	if len(b) < 5 {
+		return nil, opt, false
+	}
+	n := 1 + int(b[0])%32
+	b = b[1:]
+	if len(b) < n+4 {
+		return nil, opt, false
+	}
+	seqs := make([][]byte, n)
+	for i := range seqs {
+		seqs[i] = make([]byte, 27+int(b[i]))
+	}
+	b = b[n:]
+	opt = Options{
+		SeqBudget: int(b[0])<<4 + int(b[1]),
+		MaxCmps:   int(b[2] % 64),
+		Reuse:     b[3]&1 == 0,
+	}
+	b = b[4:]
+	var cmps []workload.Comparison
+	for ; len(b) >= 2 && len(cmps) < 512; b = b[2:] {
+		cmps = append(cmps, workload.Comparison{
+			H: int(b[0]) % n, V: int(b[1]) % n, SeedH: 5, SeedV: 5, SeedLen: 17,
+		})
+	}
+	return workload.MustPack("", seqs, cmps, false), opt, true
+}
+
+// FuzzBuildItems holds BuildItems to the rescanning walk on decodeGraph's
+// graphs and options.
 func FuzzBuildItems(f *testing.F) {
 	f.Add([]byte{3, 100, 120, 140, 0x10, 0x01, 3, 1, 0, 1, 1, 2, 2, 0, 0, 0})
 	f.Add([]byte{7, 30, 60, 90, 120, 150, 180, 210, 0x04, 0x00, 2, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 0, 0, 2, 4, 6})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if len(b) < 5 {
+		d, opt, ok := decodeGraph(b)
+		if !ok {
 			return
 		}
-		n := 1 + int(b[0])%32
-		b = b[1:]
-		if len(b) < n+4 {
-			return
-		}
-		seqs := make([][]byte, n)
-		for i := range seqs {
-			seqs[i] = make([]byte, 27+int(b[i]))
-		}
-		b = b[n:]
-		opt := Options{
-			SeqBudget: int(b[0])<<4 + int(b[1]),
-			MaxCmps:   int(b[2] % 64),
-			Reuse:     b[3]&1 == 0,
-		}
-		b = b[4:]
-		var cmps []workload.Comparison
-		for ; len(b) >= 2 && len(cmps) < 512; b = b[2:] {
-			cmps = append(cmps, workload.Comparison{
-				H: int(b[0]) % n, V: int(b[1]) % n, SeedH: 5, SeedV: 5, SeedLen: 17,
-			})
-		}
-		d := workload.MustPack("", seqs, cmps, false)
 		sameItems(t, d, opt)
 		coverage(t, d, BuildItems(d, opt))
 	})
@@ -799,10 +833,10 @@ func (tb *scanTileBuilder) add(refs []workload.SeqRef, plan *workload.Plan, it *
 			HLocal: tb.localIdx[c.H],
 			VLocal: tb.localIdx[c.V],
 			SeedH:  c.SeedH, SeedV: c.SeedV, SeedLen: c.SeedLen,
-			GlobalID: ci,
+			GlobalID: int32(ci),
 		}
 		if fanout != nil {
-			job.Fanout = int(fanout[ci])
+			job.Fanout = fanout[ci]
 		}
 		tb.work.Jobs = append(tb.work.Jobs, job)
 		if mm := cmpMaxMin(refs, c); mm > tb.maxMin {
@@ -967,6 +1001,54 @@ func TestMakeBatchesMatchesExhaustiveScan(t *testing.T) {
 	if unplaceable == 0 || unplaceable == 60 {
 		t.Errorf("%d of 60 trials hit an unplaceable item; the sweep should cover both outcomes", unplaceable)
 	}
+}
+
+// FuzzMakeBatches holds the batcher to the all-tiles scan on fuzzed
+// graphs. Four bytes pick 1–8 tiles, a job cap of 0–8 (0 = none), the
+// traceback flag and the dedup fan-out (nil, or 1–4 per comparison), and
+// 16–143 KiB of tile data SRAM; the rest is decodeGraph's graph, whose
+// items are batched. Every tile the batcher admits must fit its SRAM.
+func FuzzMakeBatches(f *testing.F) {
+	f.Add([]byte{3, 2, 0x04, 40, 3, 100, 120, 140, 0x10, 0x01, 3, 1, 0, 1, 1, 2, 2, 0, 0, 0})
+	f.Add([]byte{1, 0, 0x01, 0, 7, 30, 60, 90, 120, 150, 180, 210, 0x04, 0x00, 2, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 0, 0, 2, 4, 6})
+	f.Add([]byte{7, 8, 0x07, 200, 5, 250, 40, 180, 90, 255, 0x00, 0x80, 5, 1, 0, 1, 1, 2, 2, 3, 3, 4, 0, 2, 1, 3, 2, 4})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) < 4 {
+			return
+		}
+		tiles, maxJobs := 1+int(b[0])%8, int(b[1])%9
+		cfg := testKernelCfg()
+		cfg.Traceback = b[2]&1 == 1
+		model := platform.GC200
+		model.SRAMPerTile = model.CodeReserve + (16+int(b[3])%128)<<10
+		d, opt, ok := decodeGraph(b[4:])
+		if !ok {
+			return
+		}
+		var fanout []int32
+		if k := int(b[2]>>1) % 5; k > 0 {
+			fanout = make([]int32, len(d.Comparisons))
+			for ci := range fanout {
+				fanout[ci] = int32(1 + (ci+k)%4)
+			}
+		}
+		items := BuildItems(d, opt)
+		want, wantErr := makeBatchesExhaustiveScan(d, items, tiles, cfg, model, maxJobs, fanout)
+		got, gotErr := MakeBatchesFanout(d, items, tiles, cfg, model, maxJobs, fanout)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("error %v, exhaustive scan %v", gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d batches differ from the exhaustive scan's %d", len(got), len(want))
+		}
+		for bi, batch := range got {
+			for ti := range batch.Tiles {
+				if mem := cfg.TileMemoryBytes(&batch.Tiles[ti], model); mem > model.DataSRAM() {
+					t.Fatalf("batch %d tile %d needs %d B of the %d B SRAM", bi, ti, mem, model.DataSRAM())
+				}
+			}
+		}
+	})
 }
 
 // shortReadItems is the benchmark's shortread_plan shape: 150 bp reads,

@@ -463,18 +463,20 @@ func (a *Arena) AppendFasta(r io.Reader, alpha *seqio.Alphabet) ([]string, error
 
 // ValidatePlan checks every comparison of p against the arena: sequence
 // indices in the pool, seeds in range. This is the single bounds-checking
-// implementation (Dataset.Validate delegates here), and it reads only the
-// span table, so it never faults a spilled slab in.
+// implementation (Dataset.Validate delegates here). It loops over the
+// columns and reads only the span table, so it never materialises a row
+// or faults a spilled slab in.
 func (a *Arena) ValidatePlan(p *Plan) error {
-	nseqs := a.Len()
-	for i := range p.Len() {
-		c := p.At(i)
-		if c.H < 0 || c.H >= nseqs || c.V < 0 || c.V >= nseqs {
+	nseqs := uint(a.Len())
+	for i, h := range p.H {
+		if v := p.V[i]; uint(h) >= nseqs || uint(v) >= nseqs {
 			return fmt.Errorf("workload: comparison %d references missing sequence", i)
 		}
-		lh, lv := int(a.refs[c.H].Len), int(a.refs[c.V].Len)
-		if c.SeedLen <= 0 || c.SeedH < 0 || c.SeedV < 0 ||
-			c.SeedH+c.SeedLen > lh || c.SeedV+c.SeedLen > lv {
+		// ExtensionLens subtracts in int, so no int32 sum wraps the check.
+		if p.SeedLen[i] <= 0 || p.SeedH[i] < 0 || p.SeedV[i] < 0 {
+			return fmt.Errorf("workload: comparison %d seed out of range", i)
+		}
+		if _, _, rh, rv := p.ExtensionLens(a.refs, i); rh < 0 || rv < 0 {
 			return fmt.Errorf("workload: comparison %d seed out of range", i)
 		}
 	}

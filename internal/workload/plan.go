@@ -58,6 +58,15 @@ func (p *Plan) At(i int) Comparison {
 	}
 }
 
+// ExtensionLens returns row i's four extension lengths, as
+// Dataset.ExtensionLens does for a materialised row, read straight from
+// the columns and refs, the arena's span table the plan indexes. Callers
+// that fold every row (validation, the partitioner) use it to skip At.
+func (p *Plan) ExtensionLens(refs []SeqRef, i int) (lh, lv, rh, rv int) {
+	sh, sv, sl := int(p.SeedH[i]), int(p.SeedV[i]), int(p.SeedLen[i])
+	return sh, sv, int(refs[p.H[i]].Len) - sh - sl, int(refs[p.V[i]].Len) - sv - sl
+}
+
 // Select returns a new plan holding rows[i] of p, in order — the
 // sub-plan the driver partitions when dedup reduces execution to the
 // unique-extension representatives.

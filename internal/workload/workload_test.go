@@ -41,6 +41,10 @@ func TestExtensionLens(t *testing.T) {
 	if lh != 40 || lv != 30 || rh != 50 || rv != 40 {
 		t.Errorf("extensions = %d,%d,%d,%d", lh, lv, rh, rv)
 	}
+	arena, plan := d.Spine()
+	if clh, clv, crh, crv := plan.ExtensionLens(arena.Refs(), 0); clh != lh || clv != lv || crh != rh || crv != rv {
+		t.Errorf("column extensions = %d,%d,%d,%d, the row's %d,%d,%d,%d", clh, clv, crh, crv, lh, lv, rh, rv)
+	}
 }
 
 func TestComplexity(t *testing.T) {
