@@ -23,8 +23,8 @@ import (
 //
 // Because the Result is the score sweep's — the narrow tier's outcome
 // included (narrowOutcome) — a traced extension never needs a separate
-// score pass on the host: the tile kernel sweeps every ungated traced
-// extension once, here. Whether the modeled device fuses or pays a score
+// score pass on the host: the tile kernel sweeps every traced extension
+// once, here, gated or not. Whether the modeled device fuses or pays a score
 // pass plus a second pass is ipukernel's decision (Config.fusedExtension):
 // it fuses only FusedEligible extensions, and then on SRAM grounds — a
 // fused recording lives on its thread for the whole scoring pass, so the

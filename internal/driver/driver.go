@@ -161,7 +161,8 @@ func KernelFingerprint(cfg ipukernel.Config) uint64 {
 	p := cfg.Params
 	k := kernelKey{params: [6]int64{int64(p.Algo), int64(p.X), int64(p.DeltaB), int64(p.Gap), int64(p.GapOpen), int64(p.Tier)}}
 	if cfg.Traceback {
-		k.traced, k.traceMinScore = true, int64(cfg.TraceMinScore)
+		// The kernel traces every comparison under any cutoff ≤ 0.
+		k.traced, k.traceMinScore = true, int64(max(0, cfg.TraceMinScore))
 	}
 	if p.Scorer != nil {
 		k.tab = p.Scorer.Table()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -202,6 +203,53 @@ func BenchmarkBuildBatches(b *testing.B) {
 		if _, err := BuildBatches(context.Background(), d, cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// traceReads is the benchmark's service_trace_cold data at seed 7: noisy
+// long reads of 600–1 350 bp, 1 300 comparisons.
+var traceReads = synth.ReadsSpec{
+	Name: "trace", GenomeLen: 13_200, Coverage: 12, MeanReadLen: 900, MinReadLen: 600, MaxReadLen: 1350,
+	Errors:  synth.MutationProfile{Sub: 0.02, Ins: 0.02, Del: 0.02, Burst: 0.003, BurstLen: 24},
+	SeedLen: 17, MinOverlap: 225, Seed: 7, MaxComparisons: 1_300,
+}
+
+// BenchmarkTraceGate runs traced jobs of the service_trace_cold shape
+// (X 15, δb 256) ungated and under cutoffs that half and a twentieth of
+// the comparisons pass, each the score-only run's matching quantile. The
+// host records every traced side once whatever the cutoff, so the gate
+// saves it only the skipped comparisons' CIGAR joins; pass reports the
+// fraction traced.
+func BenchmarkTraceGate(b *testing.B) {
+	d := synth.Reads(traceReads)
+	rep, err := Run(d, workloadCfg(15, 256, false))
+	if err != nil {
+		b.Fatal(err)
+	}
+	scores := make([]int, len(rep.Results))
+	for i, r := range rep.Results {
+		scores[i] = r.Score
+	}
+	slices.Sort(scores)
+	for _, g := range []struct {
+		name string
+		cut  int
+	}{
+		{"ungated", 0},
+		{"pass-50", scores[len(scores)/2]},
+		{"pass-5", scores[len(scores)*95/100]},
+	} {
+		b.Run(g.name, func(b *testing.B) {
+			cfg := workloadCfg(15, 256, true)
+			cfg.Kernel.TraceMinScore = g.cut
+			var rep *Report
+			for b.Loop() {
+				if rep, err = Run(d, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(rep.TracedExtensions)/float64(rep.TracedExtensions+rep.TraceSkippedExtensions), "pass")
+		})
 	}
 }
 

@@ -228,29 +228,46 @@ func traceCapDataset(big int) (*workload.Dataset, int) {
 // scored every replayed side before recording it: the host records such a
 // side in one sweep, and when that sweep overflows it scores the side
 // after all, so the model charges exactly the score pass the device ran.
+//
+// The gated rows' pins are those of a kernel that scored every side and
+// recorded only the comparisons passing the gate. In "gated" the cutoff
+// lies between the siblings' scores and the oversized comparison's, which
+// passes and degrades while the siblings deliver score-only results. In
+// "gated-out" the cutoff is above every score: the oversized comparison's
+// recording still overflows on the host, yet the gate, tested first, makes
+// it a score-only result and no failure.
 func TestTraceTooLargeDegradesSingleComparison(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		big      int
 		cap      int64
 		fused    bool
+		cut      int  // TraceMinScore
+		degraded bool // the oversized comparison passes the gate and fails
 		counters ipukernel.Counters
 		wall     uint64
 	}{
-		{"replay", 2000, 6_000, false, ipukernel.Counters{HostBytesIn: 5400, HostBytesOut: 252,
+		{"replay", 2000, 6_000, false, 0, true, ipukernel.Counters{HostBytesIn: 5400, HostBytesOut: 252,
 			UniqueSeqBytesIn: 4720, TheoreticalCells: 4032000, Cells: 52693, SumBand: 52693, Antidiags: 4608,
 			MaxSRAM: 159348, PeakTracebackBytes: 690, TracebackBytes: 6716, WideExtensions: 12,
 			TracedExtensions: 10}, 0x3f4ebba2482f2539},
-		{"fused", 400, 2_000, true, ipukernel.Counters{HostBytesIn: 2200, HostBytesOut: 252,
+		{"fused", 400, 2_000, true, 0, true, ipukernel.Counters{HostBytesIn: 2200, HostBytesOut: 252,
 			UniqueSeqBytesIn: 1520, TheoreticalCells: 192000, Cells: 6237, SumBand: 6237, Antidiags: 640,
 			MaxSRAM: 84602, PeakTracebackBytes: 690, TracebackBytes: 6721, WideExtensions: 10,
 			TracedExtensions: 10}, 0x3f40fb7e52dbb6e2},
+		{"gated", 2000, 6_000, false, 1000, true, ipukernel.Counters{HostBytesIn: 5400, HostBytesOut: 192,
+			UniqueSeqBytesIn: 4720, TheoreticalCells: 4032000, Cells: 52693, SumBand: 52693, Antidiags: 4608,
+			MaxSRAM: 159348, WideExtensions: 12, TraceSkippedExtensions: 10}, 0x3f4ebb97f524c0cb},
+		{"gated-out", 2000, 6_000, false, 1 << 30, false, ipukernel.Counters{HostBytesIn: 5400, HostBytesOut: 192,
+			UniqueSeqBytesIn: 4720, TheoreticalCells: 4032000, Cells: 52693, SumBand: 52693, Antidiags: 4608,
+			MaxSRAM: 159348, WideExtensions: 12, TraceSkippedExtensions: 12}, 0x3f4ebb97f524c0cb},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d, bigIdx := traceCapDataset(tc.big)
 			cache := newMapCache()
 			cfg := testCfg(1, false)
 			cfg.Traceback = true
+			cfg.Kernel.TraceMinScore = tc.cut
 			cfg.Cache = cache
 
 			c := d.Comparisons[bigIdx]
@@ -268,9 +285,9 @@ func TestTraceTooLargeDegradesSingleComparison(t *testing.T) {
 				restore()
 				t.Fatalf("capped run failed as a batch: %v", err)
 			}
-			if rep.PartialFailures != 1 {
+			if want := map[bool]int{true: 1}[tc.degraded]; rep.PartialFailures != want {
 				restore()
-				t.Fatalf("want exactly 1 degraded comparison, got %d", rep.PartialFailures)
+				t.Fatalf("want exactly %d degraded comparison, got %d", want, rep.PartialFailures)
 			}
 			if rep.Counters != tc.counters {
 				t.Errorf("capped run counters\n got %+v\nwant %+v", rep.Counters, tc.counters)
@@ -279,7 +296,7 @@ func TestTraceTooLargeDegradesSingleComparison(t *testing.T) {
 				t.Errorf("capped run modeled wall %v (%#x), want %v", rep.WallSeconds, got, math.Float64frombits(tc.wall))
 			}
 			for i, r := range rep.Results {
-				if i == bigIdx {
+				if i == bigIdx && tc.degraded {
 					if !r.Failed || r.Score != 0 || r.Cigar != "" {
 						restore()
 						t.Fatalf("oversized comparison not a clean Failed placeholder: %+v", r)
@@ -288,7 +305,14 @@ func TestTraceTooLargeDegradesSingleComparison(t *testing.T) {
 				}
 				if r.Failed {
 					restore()
-					t.Fatalf("sibling comparison %d poisoned by the oversized trace: %+v", i, r)
+					t.Fatalf("comparison %d poisoned by the oversized trace: %+v", i, r)
+				}
+				if r.Score < tc.cut {
+					if r.Cigar != "" || r.Score <= 0 {
+						restore()
+						t.Fatalf("gated comparison %d not a score-only result: %+v", i, r)
+					}
+					continue
 				}
 				if r.Cigar == "" {
 					restore()
@@ -315,7 +339,7 @@ func TestTraceTooLargeDegradesSingleComparison(t *testing.T) {
 				t.Fatalf("uncapped rerun still degraded: %d", rep2.PartialFailures)
 			}
 			big := rep2.Results[bigIdx]
-			if big.Failed || big.Cigar == "" || big.Score <= 0 {
+			if big.Failed || (big.Cigar == "") != (big.Score < tc.cut) || big.Score <= 0 {
 				t.Fatalf("uncapped rerun served a stale degraded result: %+v", big)
 			}
 			if rep2.CacheHits == 0 {

@@ -291,6 +291,14 @@ func TestKernelFingerprint(t *testing.T) {
 			t.Errorf("%s: fingerprint equal = %v, want %v", tc.name, same, tc.same)
 		}
 	}
+	// The kernel traces every comparison under any cutoff ≤ 0, so a
+	// negative gate and no gate give identical results and share entries.
+	traced, negative := base, base
+	traced.Traceback = true
+	negative.Traceback, negative.TraceMinScore = true, -1
+	if driver.KernelFingerprint(negative) != driver.KernelFingerprint(traced) {
+		t.Error("trace gate -1: fingerprint differs from the ungated traced one")
+	}
 }
 
 // TestCacheServesAcrossSchedules: a result is a function of the comparison

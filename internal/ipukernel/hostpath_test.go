@@ -47,7 +47,9 @@ func countSideCalls(t *testing.T) *sideCalls {
 // TestTraceRecordingBugFailsBatch: a recording error that is not an
 // overflow — core's re-price error for a corrupt direction code, say — on
 // the one host sweep of a replay-charged side fails the whole batch rather
-// than degrading its comparison.
+// than degrading its comparison. The gated row's cutoff is above every
+// score: the gate filters recorded results, so a recording bug on a
+// comparison it skips still fails the batch.
 func TestTraceRecordingBugFailsBatch(t *testing.T) {
 	saved := sides
 	t.Cleanup(func() { sides = saved })
@@ -57,32 +59,34 @@ func TestTraceRecordingBugFailsBatch(t *testing.T) {
 		r, trc, runs, _ := record(ws, h, v, hOff, vOff, p, runs)
 		return r, trc, runs, bug
 	}
-	cfg := dnaCfg(15)
-	cfg.Traceback = true
-	_, err := Run(ipu.New(ipu.Config{Model: platform.GC200}), scheduleBatch(t, 600), cfg)
-	if !errors.Is(err, bug) {
-		t.Fatalf("Run returned %v, want the recording error", err)
+	for _, run := range []struct {
+		name string
+		cut  int
+	}{{"ungated", 0}, {"gated", 1 << 30}} {
+		cfg := dnaCfg(15)
+		cfg.Traceback, cfg.TraceMinScore = true, run.cut
+		_, err := Run(ipu.New(ipu.Config{Model: platform.GC200}), scheduleBatch(t, 600), cfg)
+		if !errors.Is(err, bug) {
+			t.Errorf("%s: Run returned %v, want the recording error", run.name, err)
+		}
 	}
 }
 
-// TestTraceHostSweepsOnce pins which host sweeps a traced extension costs.
-// An ungated extension is swept once by the recording sweep whether the
-// modeled device fuses it (400 bp) or scores and replays it (600 bp, over
-// fusedTraceBudget, and every narrow-tier side); a gated run scores every
-// side and replays the above-cutoff ones. The racy schedule duplicates
-// units on the device, never on the host.
+// TestTraceHostSweepsOnce pins which host sweeps a traced extension costs:
+// one recording sweep and no score pass, whether the modeled device fuses
+// it (400 bp) or scores and replays it (600 bp, over fusedTraceBudget,
+// every narrow-tier side, and every side of a gated run, whose gate
+// filters the recorded results). The racy schedule duplicates units on
+// the device, never on the host.
 func TestTraceHostSweepsOnce(t *testing.T) {
 	for _, length := range []int{400, 600} {
 		for _, run := range []struct {
 			name string
 			mut  func(*Config)
-			// twoPass: the host scores every side, then records each traced
-			// one; otherwise it only records, in one sweep per side.
-			twoPass bool
 		}{
-			{"ungated-wide", func(c *Config) {}, false},
-			{"gated", func(c *Config) { c.TraceMinScore = pinGateScore }, true},
-			{"narrow", func(c *Config) { c.Params.Tier = core.TierNarrow }, false},
+			{"ungated-wide", func(c *Config) {}},
+			{"gated", func(c *Config) { c.TraceMinScore = pinGateScore }},
+			{"narrow", func(c *Config) { c.Params.Tier = core.TierNarrow }},
 		} {
 			t.Run(fmt.Sprintf("%s/%d", run.name, length), func(t *testing.T) {
 				cfg := dnaCfg(15)
@@ -97,19 +101,16 @@ func TestTraceHostSweepsOnce(t *testing.T) {
 				if res.TracedExtensions == 0 {
 					t.Fatal("no extension traced")
 				}
-				// Every side of every job, and each traced side once.
-				jobs, traced := int64(0), int64(res.TracedExtensions/2)
+				// Every side of every job recorded once, none scored.
+				jobs := int64(0)
 				for i := range b.Tiles {
 					jobs += int64(len(b.Tiles[i].Jobs))
 				}
 				want := [2]int64{0, jobs}
-				if run.twoPass {
-					want = [2]int64{jobs, traced}
-				}
 				for s := range sides {
 					got := [2]int64{n.score[s].Load(), n.record[s].Load()}
 					if got != want {
-						t.Errorf("%s side: score/record calls %v, want %v", sides[s].name, got, want)
+						t.Errorf("%s side: score/record calls %v, want %v", [2]string{"left", "right"}[s], got, want)
 					}
 				}
 			})

@@ -181,8 +181,8 @@ type Config struct {
 	// as a second pass (charged like another DP sweep); second passes are
 	// serialized through one per-tile arena, so TileMemoryBytes charges the
 	// tile's worst such extension once. Either way the tile stays
-	// SRAM-certified. The rule is the device's: on the host every ungated,
-	// fused-eligible extension is swept once, whatever it is charged.
+	// SRAM-certified. The rule is the device's: on the host every traced
+	// extension is swept once, whatever it is charged.
 	// Every recording's walked path is re-priced against its score, and a
 	// mismatch fails the batch. Traceback requires a linear-gap
 	// Params.Algo: Run rejects core.AlgoAffine, which is score-only.
@@ -191,13 +191,16 @@ type Config struct {
 	// score (left + seed + right): with a positive cutoff only
 	// comparisons that reach it are traced — the rest return score-only
 	// results (no CIGAR, no trace bytes), exactly as a score-only run
-	// would report them. Gated second passes are deferred until both
-	// extension scores are known and are charged to the threads that
-	// scored the sides, so a gated run never fuses (a fused recording
-	// cannot be deferred — its buffers are clobbered by the thread's next
+	// would report them. The host records every side once either way and
+	// the gate filters the recorded results. The modeled device scores
+	// first and runs the passing comparisons' second passes once both
+	// extension scores are known, each charged to the thread that scored
+	// the side, so a gated run never fuses (a fused recording cannot be
+	// deferred — its buffers are clobbered by the thread's next
 	// extension). Zero or negative traces every comparison. Ignored unless
-	// Traceback is set; part of the kernel fingerprint (when tracing), so
-	// gated and ungated runs never share cache entries.
+	// Traceback is set; part of the kernel fingerprint (when tracing, and
+	// clamped at zero), so gated and ungated runs never share cache
+	// entries.
 	TraceMinScore int
 	// Parallelism caps the host-side tile worker pool (0 → GOMAXPROCS).
 	// Callers that already run Run concurrently (driver.NewPlan) divide
@@ -238,7 +241,7 @@ func (c *Config) traceGated() bool { return c.Traceback && c.TraceMinScore > 0 }
 // fusedTraceBudget. The decision belongs to the model alone — the
 // instruction charge (one sweep or two) and the SRAM charge, which
 // partition folds through ExtensionCharge. The host sweeps
-// every ungated traced extension once either way (runSide).
+// every traced extension once either way (runSide).
 func (c *Config) fusedExtension(lh, lv int) bool {
 	return c.Traceback && !c.traceGated() && core.FusedEligible(lh, lv, c.Params) &&
 		c.ExtensionTraceBytes(lh, lv) <= fusedTraceBudget

@@ -2,7 +2,6 @@ package ipukernel
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 	"sync"
 	"unsafe"
@@ -32,7 +31,6 @@ var extendBatch = (*core.Workspace).ExtendBatch
 // core's recording entry point, where the side starts and how long it is,
 // and the AlignOut fields its result fills.
 var sides = [2]struct {
-	name string
 	// record runs the recording sweep and appends the walked path's runs.
 	record func(*core.Workspace, []byte, []byte, int, int, core.Params, []alignment.Run) (core.Result, core.Trace, []alignment.Run, error)
 	// at returns the offsets core's entry points extend from and the
@@ -41,14 +39,14 @@ var sides = [2]struct {
 	// place writes the side's extension result into o.
 	place func(o *AlignOut, hOff, vOff int, r core.Result)
 }{
-	left: {"left", (*core.Workspace).RecordLeft,
+	left: {(*core.Workspace).RecordLeft,
 		func(job *SeedJob, _, _ []byte) (int, int, int, int) {
 			return job.SeedH, job.SeedV, job.SeedH, job.SeedV
 		},
 		func(o *AlignOut, hOff, vOff int, r core.Result) {
 			o.LeftScore, o.BegH, o.BegV = r.Score, hOff-r.EndH, vOff-r.EndV
 		}},
-	right: {"right", (*core.Workspace).RecordRight,
+	right: {(*core.Workspace).RecordRight,
 		func(job *SeedJob, h, v []byte) (int, int, int, int) {
 			hOff, vOff := job.SeedH+job.SeedLen, job.SeedV+job.SeedLen
 			return hOff, vOff, len(h) - hOff, len(v) - vOff
@@ -67,8 +65,8 @@ type tileResult struct {
 	// (zero with Config.Traceback off).
 	cigarBytes int64
 	// err records a traceback kernel bug — a walked path that does not
-	// re-price to its score, or a replay not bit-matching its score pass —
-	// surfaced loudly instead of shipping a wrong alignment. A
+	// re-price to its score — surfaced loudly instead of shipping a wrong
+	// alignment. A
 	// trace-overflow (core.ErrTraceTooLarge) is not a kernel bug: it
 	// degrades its one comparison to a Failed placeholder instead of
 	// landing here.
@@ -90,15 +88,15 @@ type executor struct {
 	// Traceback scratch (sized only when Config.Traceback is on), indexed
 	// by side. runs holds every walked path of the side back to back, in
 	// core's walk order; the rest is indexed by job: where in runs the
-	// job's path lies, its trace footprint, and its score-pass Result,
-	// which a replayed recording is cross-checked against. The paths are
-	// joined with the seed columns once the tile's units have all run.
-	// failed marks jobs whose trace recording overflowed (degraded to a
-	// Failed placeholder).
+	// job's path lies, its trace footprint, and, with the score gate on,
+	// the charge of its modeled second pass, which runTile adds only if
+	// the comparison passes the gate. The paths are joined with the seed
+	// columns once the tile's units have all run. failed marks jobs whose
+	// trace recording overflowed (degraded to a Failed placeholder).
 	runs       [2][]alignment.Run
 	spans      [2][]span
 	traceBytes [2][]int
-	scored     [2][]core.Result
+	second     [2][]int64
 	failed     []bool
 	// cigar joins each job's runs and seed columns; its buffer is kept, so
 	// a join allocates only the string it returns.
@@ -147,7 +145,7 @@ func (ex *executor) prepareTraces(jobs int) {
 		ex.runs[s] = ex.runs[s][:0]
 		ex.spans[s] = resized(ex.spans[s], jobs)
 		ex.traceBytes[s] = resized(ex.traceBytes[s], jobs)
-		ex.scored[s] = resized(ex.scored[s], jobs)
+		ex.second[s] = resized(ex.second[s], jobs)
 	}
 	ex.failed = resized(ex.failed, jobs)
 }
@@ -157,24 +155,28 @@ func (ex *executor) prepareTraces(jobs int) {
 // hardware threads. It works in two phases:
 //
 //   - Execute: every side's kernel runs exactly once, on the executor's
-//     one workspace. A tile that scores (untraced, or traced with the
-//     gate on) runs every side first, in unit order, in one
-//     core.Workspace.ExtendBatch call, which runs them as a queue, two
-//     extensions in flight. Then each unit, in unit order, takes its sides'
-//     Results, runs its recordings, and memoises its charged instruction
-//     cost and its device counters. The results are therefore a function
-//     of the comparison and Params alone, whatever the schedule. A traced
-//     extension the device would score and then replay is still swept
-//     once here (runSide); the memoised cost charges it both passes.
+//     one workspace. An untraced tile scores every side first, in unit
+//     order, in one core.Workspace.ExtendBatch call, which runs them as a
+//     queue, two extensions in flight; a traced tile records every side
+//     instead, gated or not. Then each unit, in unit order, takes its
+//     sides' Results (or runs its recordings) and memoises its charged
+//     instruction cost and its device counters. The results are therefore
+//     a function of the comparison and Params alone, whatever the
+//     schedule. A traced extension the device would score and then replay
+//     is still swept once here (runSide); the memoised cost charges it
+//     both passes.
 //   - Schedule: schedule replays the IPU's deterministic thread schedule
 //     (§4.1.3) over the memoised costs — static assignment, stealing,
 //     races, busy-wait variance — without touching the tile. A race's
 //     duplicate is charged as the device would pay it: its cost on every
 //     tied thread and its counters once per execution.
 //
-// With traceback gated (Config.TraceMinScore), the execute phase scores
-// only, and the replays of above-cutoff comparisons are deferred until
-// after the schedule, each charged to the thread that owns the side's
+// With traceback gated (Config.TraceMinScore), the gate filters the
+// recorded results: a comparison below the cutoff delivers the score-only
+// result, and one at or above it its CIGAR. The modeled device scores
+// every side and runs the passing comparisons' second passes after the
+// schedule, so a gated unit's memoised cost is its score pass alone and
+// each passing side's second pass is added to the thread that owns its
 // unit — the skipped comparisons pay nothing beyond the score pass.
 func runTile(t *TileWork, cfg *Config, ex *executor, out []AlignOut) tileResult {
 	var tr tileResult
@@ -200,7 +202,7 @@ func runTile(t *TileWork, cfg *Config, ex *executor, out []AlignOut) tileResult 
 		return unit{job: ui, from: left, to: right + 1}
 	}
 	ex.batch = ex.batch[:0]
-	for ui := 0; ui < units && !cfg.recorded(); ui++ {
+	for ui := 0; ui < units && !cfg.Traceback; ui++ {
 		u := unitAt(ui)
 		job := &t.Jobs[u.job]
 		h, v := t.Seq(job.HLocal), t.Seq(job.VLocal)
@@ -227,36 +229,6 @@ func runTile(t *TileWork, cfg *Config, ex *executor, out []AlignOut) tileResult 
 		}
 	}
 
-	// Deferred gated replays: with the score gate active the execute phase
-	// recorded nothing, so replay the above-cutoff comparisons now, each
-	// side charged to the thread that owns its unit. The replays append to
-	// those threads' deterministic counters before the superstep maximum
-	// is taken — the modeled schedule runs them after the score pass
-	// drains.
-	instr := s.instr
-	if cfg.traceGated() {
-		for j := range t.Jobs {
-			job := &t.Jobs[j]
-			h, v := t.Seq(job.HLocal), t.Seq(job.VLocal)
-			seed := core.Seed{H: job.SeedH, V: job.SeedV, Len: job.SeedLen}
-			o := &out[j]
-			if o.LeftScore+core.SeedScore(h, v, seed, cfg.Params)+o.RightScore < cfg.TraceMinScore {
-				continue
-			}
-			for side := range sides {
-				if ex.failed[j] || tr.err != nil {
-					break
-				}
-				ui := j
-				if cfg.LRSplit {
-					ui = 2*j + side
-				}
-				instr[s.owner[ui]] += ex.replaySide(t, cfg, j, side, &tr)
-			}
-		}
-	}
-	tr.maxInstr = slices.Max(instr)
-
 	// Combine extension results (seed score bridged between them) and
 	// account theoretical cells once per comparison — duplicated racy
 	// executions must not inflate the GCUPS numerator (§5.1). A job with
@@ -277,18 +249,29 @@ func runTile(t *TileWork, cfg *Config, ex *executor, out []AlignOut) tileResult 
 		if !cfg.Traceback || tr.err != nil {
 			continue
 		}
+		if cfg.traceGated() && o.Score < cfg.TraceMinScore {
+			// Score-gated: deliver the score-only result, bit-identical
+			// to a traceback-off run's, whatever its recording did.
+			tr.TraceSkippedExtensions += 2
+			continue
+		}
+		for side := range sides {
+			// A gated side's second pass runs after the score pass
+			// drains, on the thread that owns its unit (ungated runs
+			// charge it in the unit's cost and leave second zero).
+			ui := j
+			if cfg.LRSplit {
+				ui = 2*j + side
+			}
+			s.instr[s.owner[ui]] += ex.second[side][j]
+			tr.PeakTracebackBytes = max(tr.PeakTracebackBytes, ex.traceBytes[side][j])
+		}
 		if ex.failed[j] {
 			// The trace recording overflowed: degrade this one
 			// comparison to the PR 6 placeholder (GlobalID valid,
 			// everything else zero) instead of poisoning the batch.
 			// The report's assembly never caches Failed results.
 			*o = AlignOut{GlobalID: o.GlobalID, Failed: true}
-			continue
-		}
-		if cfg.TraceMinScore > 0 && o.Score < cfg.TraceMinScore {
-			// Score-gated: deliver the score-only result, bit-identical
-			// to a traceback-off run's.
-			tr.TraceSkippedExtensions += 2
 			continue
 		}
 		// Bridge the seed's own columns between the two walked paths.
@@ -299,6 +282,7 @@ func runTile(t *TileWork, cfg *Config, ex *executor, out []AlignOut) tileResult 
 		tr.TracebackBytes += int64(o.TraceBytes)
 		tr.TracedExtensions += 2
 	}
+	tr.maxInstr = slices.Max(s.instr)
 	if cfg.Traceback {
 		ex.trimRuns()
 	}
@@ -438,34 +422,34 @@ func (ex *executor) runUnit(t *TileWork, cfg *Config, u unit, o *AlignOut, c *Co
 
 // runSide executes one extension side of job j, records its result in o,
 // adds its device counters to c, and returns its charged instruction cost.
-// A side that is scored takes the next Result of the tile's score pass
+// An untraced side takes the next Result of the tile's score pass
 // (ex.scores), which runTile has run for every such side in this order.
 //
-// With Config.Traceback ungated, every side runs one host sweep — the
-// recording sweep, whose Result is the score sweep's, tier outcome
-// included — however the modeled device schedules it:
-// Config.fusedExtension decides only the charge, one DP sweep when the
-// device fuses and two (score pass, then second pass) when it does not.
-// If that recording fails on a side the device would have scored first,
-// the side is scored after all, so its counters and charge are the score
-// pass's, as on the device, whose second pass is what failed. With the
-// score gate active a side keeps its score-pass Result for the recording
-// replay runTile defers until the schedule has run.
+// With Config.Traceback, every side runs one host sweep — the recording
+// sweep, whose Result is the score sweep's, tier outcome included —
+// however the modeled device schedules it: Config.fusedExtension decides
+// only the charge, one DP sweep when the device fuses and two (score
+// pass, then second pass) when it does not. If that recording fails on a
+// side the device would have scored first, the side is scored after all,
+// so its counters and charge are the score pass's, as on the device,
+// whose second pass is what failed. With the score gate on, the second
+// pass's charge is kept in ex.second instead of the unit's cost: runTile
+// adds it after the schedule if the comparison passes the gate.
 func (ex *executor) runSide(t *TileWork, cfg *Config, j, side int, o *AlignOut, c *Counters, tr *tileResult) int64 {
 	job := &t.Jobs[j]
 	h, v := t.Seq(job.HLocal), t.Seq(job.VLocal)
 	sd := &sides[side]
 	hOff, vOff, lh, lv := sd.at(job, h, v)
 	var r core.Result
-	var replay int64 // the modeled second pass's charge
-	if cfg.recorded() {
+	var second int64 // the modeled second pass's charge
+	if cfg.Traceback {
 		fused := cfg.fusedExtension(lh, lv)
 		var trc core.Trace
 		var err error
 		if r, trc, err = ex.recordSide(j, side, h, v, hOff, vOff, cfg.Params); err == nil {
-			ex.keepTrace(j, side, trc, tr)
+			ex.traceBytes[side][j] = trc.TraceBytes
 			if !fused {
-				replay = instrCost(cfg, r.Stats)
+				second = instrCost(cfg, r.Stats)
 			}
 		} else {
 			failTrace(err, &ex.failed[j], tr)
@@ -476,55 +460,22 @@ func (ex *executor) runSide(t *TileWork, cfg *Config, j, side int, o *AlignOut, 
 			extendBatch(&ex.ws, &cfg.Params, one[:], scored[:])
 			r = scored[0]
 		}
+		if cfg.traceGated() {
+			ex.second[side][j], second = second, 0
+		}
 	} else {
 		r = ex.scores[ex.taken]
 		ex.taken++
-		if cfg.traceGated() {
-			ex.scored[side][j] = r
-		}
 	}
 	sd.place(o, hOff, vOff, r)
 	accumulate(o, c, r.Stats)
-	return instrCost(cfg, r.Stats) + replay
+	return instrCost(cfg, r.Stats) + second
 }
 
 // scoreSide is side s of a comparison of h and v, extended from (hOff,
 // vOff), as the score entry takes it.
 func scoreSide(s int, h, v []byte, hOff, vOff int) core.Side {
 	return core.Side{H: h, V: v, HOff: hOff, VOff: vOff, Left: s == left}
-}
-
-// recorded reports whether the execute phase records every side instead
-// of scoring it: with Config.Traceback, ungated.
-func (cfg *Config) recorded() bool {
-	return cfg.Traceback && !cfg.traceGated()
-}
-
-// replaySide runs one side's recording as a second pass after a separate
-// score pass — the path of gated runs (Config.TraceMinScore > 0) —
-// cross-checks its Score/EndH/EndV against the side's score-pass Result
-// and keeps its trace. It returns the extra instruction cost charged for
-// the replay (one more DP sweep), or 0 on failure — a trace overflow degrades the one comparison via failed, while a
-// divergence, a corrupt trace or a path that does not re-price to its
-// score lands in tr.err and fails the batch loudly rather than shipping a
-// wrong alignment.
-func (ex *executor) replaySide(t *TileWork, cfg *Config, j, side int, tr *tileResult) int64 {
-	job := &t.Jobs[j]
-	h, v := t.Seq(job.HLocal), t.Seq(job.VLocal)
-	sd := &sides[side]
-	hOff, vOff, _, _ := sd.at(job, h, v)
-	_, trc, err := ex.recordSide(j, side, h, v, hOff, vOff, cfg.Params)
-	r := &ex.scored[side][j]
-	if err == nil && (trc.Score != r.Score || trc.EndH != r.EndH || trc.EndV != r.EndV) {
-		err = fmt.Errorf("ipukernel: %s traceback of comparison %d diverged: replay (%d,%d,%d) vs kernel (%d,%d,%d)",
-			sd.name, job.GlobalID, trc.Score, trc.EndH, trc.EndV, r.Score, r.EndH, r.EndV)
-	}
-	if err != nil {
-		failTrace(err, &ex.failed[j], tr)
-		return 0
-	}
-	ex.keepTrace(j, side, trc, tr)
-	return instrCost(cfg, r.Stats)
 }
 
 // recordSide runs the recording sweep of job j's side, appends its walked
@@ -534,12 +485,6 @@ func (ex *executor) recordSide(j, side int, h, v []byte, hOff, vOff int, p core.
 	r, trc, runs, err := sides[side].record(&ex.ws, h, v, hOff, vOff, p, ex.runs[side])
 	ex.runs[side], ex.spans[side][j] = runs, span{from, len(runs)}
 	return r, trc, err
-}
-
-// keepTrace stores one side's trace footprint and raises the tile's peak.
-func (ex *executor) keepTrace(j, side int, trc core.Trace, tr *tileResult) {
-	ex.traceBytes[side][j] = trc.TraceBytes
-	tr.PeakTracebackBytes = max(tr.PeakTracebackBytes, trc.TraceBytes)
 }
 
 // failTrace routes a recording error: a trace overflow degrades its one
