@@ -201,9 +201,9 @@ func GenomeTools(d *workload.Dataset, x int, cpu platform.CPUModel) *Result {
 
 // Logan runs the LOGAN-like GPU baseline: the same standard X-Drop search
 // space mapped SIMT-style — one alignment per thread block, each
-// antidiagonal processed in lockstep chunks of BlockLanes threads with a
-// block barrier per antidiagonal. Narrow bands leave most lanes idle and
-// pay the barrier anyway, which is why LOGAN loses badly at small X and
+// antidiagonal processed in lockstep chunks of 128 threads with a block
+// barrier per antidiagonal. Narrow bands leave most lanes idle and pay
+// the barrier anyway, which is why LOGAN loses badly at small X and
 // recovers at large X (Fig. 5). LOGAN supports DNA only (§2.4).
 func Logan(d *workload.Dataset, x int, gpu platform.GPUModel, numGPUs int) *Result {
 	if numGPUs <= 0 {

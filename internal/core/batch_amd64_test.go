@@ -125,7 +125,7 @@ func checkBatch(t testing.TB, sides []Side, p Params, front bool) []Result {
 
 // TestSweepBatchMatchesSingle runs queues of 0 to 40 sides — empty and
 // one-cell sides among them, left and right mixed, under both layouts,
-// both similarity forms and every tier, X down to 6 and δb down to 6 so
+// both similarity forms, X down to 6 and δb down to 6 so
 // that the clamp fires inside a lane — and one queue whose sides run longer than
 // sweepRows, so that the lanes cross calls, through ExtendBatch with the
 // arena and both lanes' buffers against an unmapped page at either end;
@@ -139,8 +139,7 @@ func TestSweepBatchMatchesSingle(t *testing.T) {
 	for trial := 0; trial < 48; trial++ {
 		form := batchForms[trial%2]
 		p := Params{Scorer: form.scorer, Gap: -1 - trial/4%2, X: 6 + rng.Intn(30),
-			DeltaB: []int{0, 6, 9, 32}[trial/2%4], Algo: []Algo{AlgoRestricted2, AlgoStandard3}[trial/8%2],
-			Tier: []Tier{TierWide, TierNarrow, TierAuto}[trial/16]}
+			DeltaB: []int{0, 6, 9, 32}[trial/2%4], Algo: []Algo{AlgoRestricted2, AlgoStandard3}[trial/8%2]}
 		for _, r := range checkBatch(t, batchSides(rng, trial%41, 300, form), p, trial%3 == 0) {
 			if r.Stats.Clamped {
 				clamped++

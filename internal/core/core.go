@@ -15,31 +15,28 @@
 //
 // The exported doors, by caller. Production — ipukernel's tiles — scores
 // every side of a tile through one Workspace.ExtendBatch queue and records
-// through RecordLeft/Right, with SeedScore, JoinCigar, FusedEligible and
-// NarrowCapLen. The facade and the pipelines (baselines, bench, elba,
-// pastis) call Align, ExtendSeed and TracebackSeed, and bench's Fig. 1
-// Banded. The repo benchmark's layer trace still calls the one-extension
-// Workspace methods ExtendLeft/Right, TracebackLeft/Right and
-// FusedExtendLeft/Right.
+// through RecordLeft/Right, with SeedScore and JoinCigar. The facade and
+// the pipelines (baselines, bench, elba, pastis) call Align, ExtendSeed
+// and TracebackSeed, and bench's Fig. 1 Banded. The repo benchmark's
+// layer trace also calls the one-extension Workspace methods
+// ExtendLeft/Right, and the doors only it reaches (benchdoors.go).
 //
 // The variants are served by two int32 antidiagonal sweeps: linearSweep
 // (linear.go — Restricted2's in-place two-buffer walk, and Standard3 as
 // the same body writing to a third buffer) and affineSweep (affine.go).
-// The narrow kernel tier (tier.go) is the modeled device's score width,
-// derived from the int32 Result, not a sweep of its own. Given a tracer,
-// linearSweep's rows also record per-cell directions for traceback
-// (fusedLinear, fused.go), whether as the single fused pass or as the
-// second pass after a score sweep. Affine is score-only. Each sweep has
-// one inner loop a row kind: Workspace.operands lays h and v out in sweep
-// order once per extension, so no sweep knows a view's direction. linearSweep
-// additionally has an AVX2 body on amd64 (row_amd64.s, eight cells per
-// instruction): one resident assembly body (sweepLinearVec) runs the whole
-// antidiagonal loop, with the same two row kinds — score rows, two
-// extensions of an ExtendBatch queue in turn, and recording rows, which
-// also pack their direction codes into the tracer. Both are bit-identical
-// to the Go loop they are tested against; RowISA reports which this
-// process runs. The X-Drop they are all held to is internal/oracle, which
-// shares no code with this package.
+// Given a tracer, linearSweep's rows also record per-cell directions for
+// traceback (fusedLinear, fused.go), whether as the single fused pass or
+// as the second pass after a score sweep. Affine is score-only. Each sweep
+// has one inner loop a row kind: Workspace.operands lays h and v out in
+// sweep order once per extension, so no sweep knows a view's direction.
+// linearSweep additionally has an AVX2 body on amd64 (row_amd64.s, eight
+// cells per instruction): one resident assembly body (sweepLinearVec) runs
+// the whole antidiagonal loop, with the same two row kinds — score rows,
+// two extensions of an ExtendBatch queue in turn, and recording rows,
+// which also pack their direction codes into the tracer. Both are
+// bit-identical to the Go loop they are tested against; RowISA reports
+// which this process runs. The X-Drop they are all held to is
+// internal/oracle, which shares no code with this package.
 package core
 
 import (
@@ -123,9 +120,8 @@ type Params struct {
 	GapOpen int
 	// Algo selects the implementation used by Align.
 	Algo Algo
-	// Tier selects the modeled kernel score width (see tier.go). The
-	// zero value is TierWide; TierNarrow/TierAuto opt in to int16 scores
-	// with overflow promotion back to int32, reported in Stats.
+	// Tier is ignored: every extension runs on int32 scores. The repo
+	// benchmark's layer trace (benchmark/trace.go) still sets it.
 	Tier Tier
 }
 
@@ -149,9 +145,6 @@ func (p *Params) Validate() error {
 	if p.Algo != AlgoRestricted2 && p.Algo != AlgoStandard3 && p.Algo != AlgoAffine {
 		return fmt.Errorf("core: unknown algorithm %v", p.Algo)
 	}
-	if p.Tier > TierAuto {
-		return fmt.Errorf("core: unknown kernel tier %d", p.Tier)
-	}
 	return nil
 }
 
@@ -168,8 +161,6 @@ type Stats struct {
 	// SumComputedBand accumulates the computed-window width per
 	// antidiagonal (equals Cells; kept separate for clarity in models).
 	SumComputedBand int64
-	// Chunks32 sums ceil(width/32) over antidiagonals (GPU warp model).
-	Chunks32 int64
 	// Chunks128 sums ceil(width/128) over antidiagonals (GPU block model).
 	Chunks128 int64
 	// Clamped reports whether Restricted2 had to shrink the live window
@@ -179,18 +170,9 @@ type Stats struct {
 	// (§5.1 defines GCUPS over the full matrix size).
 	TheoreticalCells int64
 	// WorkBytes is the modeled device memory footprint of the variant's
-	// working buffers at the tier's score width: 4-byte scores on the
-	// wide tier (3δ·4 for Standard3, 2δb·4 for Restricted2; §3, Fig. 3),
-	// 2-byte scores on the narrow tier.
+	// working buffers at 4-byte scores (3δ·4 for Standard3, 2δb·4 for
+	// Restricted2; §3, Fig. 3).
 	WorkBytes int
-	// Narrow reports that the modeled int16 attempt completes: the
-	// extension's Score stays within the saturation guard. Both false
-	// means a plain wide run. See tier.go.
-	Narrow bool
-	// Promoted is set with Narrow == false: the int16 attempt would
-	// saturate, and the device re-runs the extension on int32, whose
-	// Stats these are.
-	Promoted bool
 }
 
 // add merges another trace (used when combining left+right extensions).
@@ -198,7 +180,6 @@ func (s *Stats) add(o Stats) {
 	s.Antidiagonals += o.Antidiagonals
 	s.Cells += o.Cells
 	s.SumComputedBand += o.SumComputedBand
-	s.Chunks32 += o.Chunks32
 	s.Chunks128 += o.Chunks128
 	if o.MaxLiveBand > s.MaxLiveBand {
 		s.MaxLiveBand = o.MaxLiveBand
@@ -208,10 +189,6 @@ func (s *Stats) add(o Stats) {
 	if o.WorkBytes > s.WorkBytes {
 		s.WorkBytes = o.WorkBytes
 	}
-	// A merged trace is "narrow" only if every constituent ran narrow,
-	// and "promoted" if any constituent promoted.
-	s.Narrow = s.Narrow && o.Narrow
-	s.Promoted = s.Promoted || o.Promoted
 }
 
 // Result is the outcome of one semi-global X-Drop extension.
@@ -225,11 +202,10 @@ type Result struct {
 	Stats Stats
 }
 
-// Align runs the extension selected by p.Algo (and p.Tier) on views h
-// and v.
+// Align runs the extension selected by p.Algo on views h and v.
 func Align(h, v View, p Params) Result {
 	var w Workspace
 	var r Result
-	w.align(h, v, &p, &r)
+	w.sweep(h, v, &p, &r)
 	return r
 }

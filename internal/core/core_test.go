@@ -14,12 +14,6 @@ func dnaParams(x int) Params {
 	return Params{Scorer: scoring.DNADefault, Gap: -1, X: x}
 }
 
-// aligned is align with its Result returned.
-func (w *Workspace) aligned(h, v View, p Params) (r Result) {
-	w.align(h, v, &p, &r)
-	return r
-}
-
 // swept is sweep with its Result returned.
 func (w *Workspace) swept(h, v View, p Params) (r Result) {
 	w.sweep(h, v, &p, &r)
@@ -234,8 +228,8 @@ func TestVariantsAgreeWithOracle(t *testing.T) {
 // TestRestrictedWithSufficientBand pins the paper's δb selection claim
 // (§6.1) as a property: choosing δb ≥ δw preserves the computation
 // exactly. Restricted2 must equal Standard3 in every Result field except
-// Stats.WorkBytes (the one thing the layouts are meant to differ in) — at
-// both score widths and both view directions. One sweep body serves both
+// Stats.WorkBytes (the one thing the layouts are meant to differ in) — in
+// both view directions. One sweep body serves both
 // layouts, so this holds by construction; the test keeps it that way.
 // The bound is δw+1 cells: an antidiagonal's computed window reaches one
 // cell past the previous live window before pruning trims it back.
@@ -249,27 +243,21 @@ func TestRestrictedWithSufficientBand(t *testing.T) {
 			if rev {
 				h, v = NewReversedView(hs), NewReversedView(vs)
 			}
-			for _, tier := range []Tier{TierWide, TierNarrow} {
-				p := dnaParams(10)
-				p.Tier = tier
-				p.Algo = AlgoStandard3
-				full := Align(h, v, p)
-				if full.Stats.Narrow != (tier == TierNarrow) {
-					t.Fatalf("trial %d: tier %v ran narrow=%v", trial, tier, full.Stats.Narrow)
+			p := dnaParams(10)
+			p.Algo = AlgoStandard3
+			full := Align(h, v, p)
+			p.Algo = AlgoRestricted2
+			for _, slack := range []int{1, 2, 17} {
+				p.DeltaB = full.Stats.MaxLiveBand + slack
+				rst := Align(h, v, p)
+				if rst.Stats.WorkBytes >= full.Stats.WorkBytes {
+					t.Fatalf("trial %d: restricted2 WorkBytes %d not below standard3's %d",
+						trial, rst.Stats.WorkBytes, full.Stats.WorkBytes)
 				}
-				p.Algo = AlgoRestricted2
-				for _, slack := range []int{1, 2, 17} {
-					p.DeltaB = full.Stats.MaxLiveBand + slack
-					rst := Align(h, v, p)
-					if rst.Stats.WorkBytes >= full.Stats.WorkBytes {
-						t.Fatalf("trial %d: restricted2 WorkBytes %d not below standard3's %d",
-							trial, rst.Stats.WorkBytes, full.Stats.WorkBytes)
-					}
-					rst.Stats.WorkBytes = full.Stats.WorkBytes
-					if rst != full {
-						t.Fatalf("trial %d rev=%v %v δb=δw+%d diverged:\nrestricted2 %+v\nstandard3   %+v",
-							trial, rev, tier, slack, rst, full)
-					}
+				rst.Stats.WorkBytes = full.Stats.WorkBytes
+				if rst != full {
+					t.Fatalf("trial %d rev=%v δb=δw+%d diverged:\nrestricted2 %+v\nstandard3   %+v",
+						trial, rev, slack, rst, full)
 				}
 			}
 		}
@@ -530,7 +518,7 @@ func TestStatsObserveAndAdd(t *testing.T) {
 	if s.Antidiagonals != 2 || s.Cells != 300 || s.MaxLiveBand != 80 {
 		t.Errorf("observe: %+v", s)
 	}
-	if s.Chunks32 != 4+7 || s.Chunks128 != 1+2 {
+	if s.Chunks128 != 1+2 {
 		t.Errorf("chunks: %+v", s)
 	}
 	acc = statAcc{}

@@ -10,9 +10,7 @@ import (
 
 // The DP sweeps keep 4-byte scores, as the paper's kernel does (§3:
 // Stats.WorkBytes) and the IPU stores them — also half the cache pressure
-// of 8-byte ints, which is most of the kernels' memory traffic. The narrow
-// tier (tier.go) is a modeled score width, not a second sweep: its outcome
-// is derived from the int32 Result.
+// of 8-byte ints, which is most of the kernels' memory traffic.
 //
 // int32 bounds the representable alignment score to ±2^29-ish (scores are
 // kept above negInf32/2, see pruneLimit); with per-symbol scores ≤ 127
@@ -247,7 +245,8 @@ func (w *Workspace) Trim() {
 
 // sweep runs the score sweep of p.Algo's recurrence into *res, the whole
 // of it: one affine sweep, or one linear sweep that serves both the
-// Restricted2 and the Standard3 buffer layout.
+// Restricted2 and the Standard3 buffer layout. It takes p and res by
+// pointer, so an extension copies neither on its way to the kernel.
 func (w *Workspace) sweep(h, v View, p *Params, res *Result) {
 	hq, vq := w.operands(h, v)
 	if p.Algo == AlgoAffine {
@@ -261,16 +260,15 @@ func (w *Workspace) sweep(h, v View, p *Params, res *Result) {
 // so the kernel inner loops touch registers, not Stats memory; every sweep
 // flushes it into the Result once per extension.
 type statAcc struct {
-	antid               int
-	cells               int64
-	chunks32, chunks128 int64
-	maxLive             int
+	antid     int
+	cells     int64
+	chunks128 int64
+	maxLive   int
 }
 
 func (a *statAcc) observe(computedWidth, liveWidth int) {
 	a.antid++
 	a.cells += int64(computedWidth)
-	a.chunks32 += int64(uint(computedWidth+31) >> 5)
 	a.chunks128 += int64(uint(computedWidth+127) >> 7)
 	if liveWidth > a.maxLive {
 		a.maxLive = liveWidth
@@ -281,7 +279,6 @@ func (a *statAcc) flush(s *Stats) {
 	s.Antidiagonals += a.antid
 	s.Cells += a.cells
 	s.SumComputedBand += a.cells
-	s.Chunks32 += a.chunks32
 	s.Chunks128 += a.chunks128
 	if a.maxLive > s.MaxLiveBand {
 		s.MaxLiveBand = a.maxLive

@@ -156,7 +156,7 @@ func TestSimpleScorersMatchReference(t *testing.T) {
 		vs := mutate(rng, hs, []float64{0.02, 0.1, 0.25}[trial%3])
 		sprinkleWild(rng, hs)
 		sprinkleWild(rng, vs)
-		p := Params{Scorer: scoring.DNADefault, Gap: -1, X: []int{3, 10, 25, 60}[trial%4], Tier: TierWide}
+		p := Params{Scorer: scoring.DNADefault, Gap: -1, X: []int{3, 10, 25, 60}[trial%4]}
 		if trial%2 == 1 {
 			p.Scorer, p.Gap = scoring.NewSimple(2, -3), -2
 		}
@@ -169,7 +169,7 @@ func TestSimpleScorersMatchReference(t *testing.T) {
 			label := fmt.Sprintf("trial %d %v %v rev=%v/%v", trial, p.Scorer, algo, hv.rev, vv.rev)
 			pp := p
 			pp.Algo = algo
-			got := ws.aligned(hv, vv, pp)
+			got := ws.swept(hv, vv, pp)
 			rec, tr, err := ws.record(hv, vv, pp, !hv.rev)
 			if err != nil {
 				t.Fatalf("%s: record: %v", label, err)
@@ -250,10 +250,9 @@ func heldFootprint(t *testing.T, label string, b *scoreBufs, cells int) (bufs, b
 // and keeps Algorithm 1 literal: on a fresh Workspace a Restricted2 run
 // allocates exactly two score buffers of δb cells (the third stays nil —
 // antidiagonal d really overwrites d−2 in place), a Standard3 run three
-// of δ, an Affine run seven of δ, at either tier; and the modeled
-// footprint counts the window cells those buffers actually hold, at the
-// tier's score width (4-byte scores on the wide tier, §3; 2-byte on the
-// narrow, whose host run holds the same int32 buffers). A recording holds
+// of δ, an Affine run seven of δ; and the modeled footprint counts the
+// window cells those buffers actually hold, at 4-byte scores (§3). A
+// recording holds
 // three buffers in either layout and reports the score sweep's WorkBytes.
 func TestWorkBytesMatchesBufferFootprint(t *testing.T) {
 	h := []byte("ACGTACGTACGTACGT")
@@ -271,27 +270,21 @@ func TestWorkBytesMatchesBufferFootprint(t *testing.T) {
 		{AlgoStandard3, 4, 3, delta}, // Standard3 ignores δb
 		{AlgoAffine, 0, 7, delta},
 	} {
-		for _, tier := range []Tier{TierWide, TierNarrow} {
-			p := Params{Scorer: scoring.DNADefault, Gap: -1, GapOpen: -2, X: 10, DeltaB: tc.deltaB, Algo: tc.algo, Tier: tier}
-			label := fmt.Sprintf("%v/δb=%d/%v", tc.algo, tc.deltaB, tier)
-			var w Workspace
-			r := w.aligned(NewView(h), NewView(v), p)
-			ran, held := heldFootprint(t, label, &w.wide, tc.cells)
-			elem := scoreBytes
-			if tier == TierNarrow {
-				elem = narrowScoreBytes
-			}
-			if ran != tc.bufs {
-				t.Errorf("%s: %d score buffers allocated, want %d", label, ran, tc.bufs)
-			}
-			if want := tc.bufs * tc.cells * elem; r.Stats.WorkBytes != want {
-				t.Errorf("%s: WorkBytes = %d, want %d (%d buffers × %d cells × %d B)",
-					label, r.Stats.WorkBytes, want, tc.bufs, tc.cells, elem)
-			}
-			if held/scoreBytes*elem != r.Stats.WorkBytes {
-				t.Errorf("%s: buffers hold %d window cells, WorkBytes says %d B at %d B a cell",
-					label, held/scoreBytes, r.Stats.WorkBytes, elem)
-			}
+		p := Params{Scorer: scoring.DNADefault, Gap: -1, GapOpen: -2, X: 10, DeltaB: tc.deltaB, Algo: tc.algo}
+		label := fmt.Sprintf("%v/δb=%d", tc.algo, tc.deltaB)
+		var w Workspace
+		r := w.swept(NewView(h), NewView(v), p)
+		ran, held := heldFootprint(t, label, &w.wide, tc.cells)
+		if ran != tc.bufs {
+			t.Errorf("%s: %d score buffers allocated, want %d", label, ran, tc.bufs)
+		}
+		if want := tc.bufs * tc.cells * scoreBytes; r.Stats.WorkBytes != want {
+			t.Errorf("%s: WorkBytes = %d, want %d (%d buffers × %d cells × %d B)",
+				label, r.Stats.WorkBytes, want, tc.bufs, tc.cells, scoreBytes)
+		}
+		if held != r.Stats.WorkBytes {
+			t.Errorf("%s: buffers hold %d window cells, WorkBytes says %d B at %d B a cell",
+				label, held/scoreBytes, r.Stats.WorkBytes, scoreBytes)
 		}
 	}
 
@@ -309,7 +302,7 @@ func TestWorkBytesMatchesBufferFootprint(t *testing.T) {
 		{AlgoRestricted2, 4, 4},
 		{AlgoStandard3, 0, delta},
 	} {
-		p := Params{Scorer: scoring.DNADefault, Gap: -1, X: 10, DeltaB: tc.deltaB, Algo: tc.algo, Tier: TierWide}
+		p := Params{Scorer: scoring.DNADefault, Gap: -1, X: 10, DeltaB: tc.deltaB, Algo: tc.algo}
 		label := fmt.Sprintf("record/%v/δb=%d", tc.algo, tc.deltaB)
 		var w Workspace
 		r, _, err := w.fusedLinear(NewView(h), NewView(v), p)
@@ -320,7 +313,7 @@ func TestWorkBytesMatchesBufferFootprint(t *testing.T) {
 			t.Errorf("%s: %d buffers allocated, want 3", label, bufs)
 		}
 		var score Workspace
-		if want := score.aligned(NewView(h), NewView(v), p).Stats.WorkBytes; r.Stats.WorkBytes != want {
+		if want := score.swept(NewView(h), NewView(v), p).Stats.WorkBytes; r.Stats.WorkBytes != want {
 			t.Errorf("%s: WorkBytes = %d, the score sweep's is %d", label, r.Stats.WorkBytes, want)
 		}
 	}

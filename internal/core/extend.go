@@ -32,7 +32,7 @@ type SeedResult struct {
 // h[hOff:] against v[vOff:] with the selected X-Drop variant.
 func (w *Workspace) ExtendRight(h, v []byte, hOff, vOff int, p Params) Result {
 	var r Result
-	w.align(NewView(h[hOff:]), NewView(v[vOff:]), &p, &r)
+	w.sweep(NewView(h[hOff:]), NewView(v[vOff:]), &p, &r)
 	return r
 }
 
@@ -42,7 +42,7 @@ func (w *Workspace) ExtendRight(h, v []byte, hOff, vOff int, p Params) Result {
 // place.
 func (w *Workspace) ExtendLeft(h, v []byte, hOff, vOff int, p Params) Result {
 	var r Result
-	w.align(NewReversedView(h[:hOff]), NewReversedView(v[:vOff]), &p, &r)
+	w.sweep(NewReversedView(h[:hOff]), NewReversedView(v[:vOff]), &p, &r)
 	return r
 }
 
@@ -70,7 +70,7 @@ func (s *Side) views() (h, v View) {
 // side alone. On the resident sweep (rowVec: Restricted2 and Standard3)
 // the sides run as one queue on two interleaved lanes (sweepBatch);
 // otherwise — affine, a build without the assembly — each runs through
-// align on its own.
+// sweep on its own.
 func (w *Workspace) ExtendBatch(p *Params, sides []Side, out []Result) {
 	out = out[:len(sides)]
 	if rowVec && p.Algo != AlgoAffine {
@@ -81,16 +81,8 @@ func (w *Workspace) ExtendBatch(p *Params, sides []Side, out []Result) {
 	}
 	for i := range sides {
 		h, v := sides[i].views()
-		w.align(h, v, p, &out[i])
+		w.sweep(h, v, p, &out[i])
 	}
-}
-
-// align runs p.Algo's score sweep for one extension into *res and derives
-// its tier outcome (narrowOutcome). The chain below it takes p and res by
-// pointer, so an extension copies neither on its way to the kernel.
-func (w *Workspace) align(hv, vv View, p *Params, res *Result) {
-	w.sweep(hv, vv, p, res)
-	narrowOutcome(hv.Len(), vv.Len(), p, res)
 }
 
 // SeedScore sums the similarity over the seed region. For an exact k-mer

@@ -21,16 +21,14 @@ import (
 // the returned Result is bit-identical to the score sweep's in every
 // field, including the trace counters.
 //
-// Because the Result is the score sweep's — the narrow tier's outcome
-// included (narrowOutcome) — a traced extension never needs a separate
-// score pass on the host: the tile kernel sweeps every traced extension
-// once, here, gated or not. Whether the modeled device fuses or pays a score
-// pass plus a second pass is ipukernel's decision (Config.fusedExtension):
-// it fuses only FusedEligible extensions, and then on SRAM grounds — a
-// fused recording lives on its thread for the whole scoring pass, so the
-// SRAM model charges one direction arena per thread
-// (ipukernel.TileMemoryBytes) instead of the single serialized
-// second-pass arena.
+// Because the Result is the score sweep's, a traced extension never needs
+// a separate score pass on the host: the tile kernel sweeps every traced
+// extension once, here, gated or not. Whether the modeled device fuses or
+// pays a score pass plus a second pass is ipukernel's decision
+// (Config.fusedExtension), made on SRAM grounds — a fused recording lives
+// on its thread for the whole scoring pass, so the SRAM model charges one
+// direction arena per thread (ipukernel.TileMemoryBytes) instead of the
+// single serialized second-pass arena.
 //
 // AlgoAffine is score-only: the paper's kernel is linear-gap, and affine
 // gaps serve only as the ksw2 baseline's score. Every recording entry
@@ -39,15 +37,6 @@ import (
 // ErrAffineTraceback reports a traceback request under AlgoAffine, which
 // scores but does not record.
 var ErrAffineTraceback = errors.New("core: traceback records linear-gap extensions only; AlgoAffine is score-only")
-
-// FusedEligible reports whether the modeled device may record an m×n
-// extension under p in its scoring pass (the fused single-pass schedule):
-// linear-gap extensions scored at int32 only. The device keeps the
-// two-pass schedule for narrow-tier extensions, whose int16 score pass
-// cannot record; the host records either kind in one sweep.
-func FusedEligible(m, n int, p Params) bool {
-	return !useNarrow(m, n, &p)
-}
 
 // recordRuns runs the recording sweep over views h and v and walks the
 // recorded directions back from the best cell — failing unless the walked
@@ -72,42 +61,11 @@ func (w *Workspace) recordRuns(h, v View, p Params, runs []alignment.Run) (Resul
 	return r, tr, runs, nil
 }
 
-// record is recordRuns for the entry points that return a Cigar: the runs
-// go to the tracer's scratch and come back encoded as the Trace's Cigar;
-// rev encodes them back to front, which for forward views is view-forward
-// order.
-func (w *Workspace) record(h, v View, p Params, rev bool) (Result, Trace, error) {
-	tb := &w.tb
-	r, tr, runs, err := w.recordRuns(h, v, p, tb.runs[:0])
-	if err == nil {
-		tb.cig.AppendRuns(runs, rev)
-		tr.Cigar = tb.cig.Cigar()
-	}
-	tb.runs = runs
-	tb.trim()
-	return r, tr, err
-}
-
-// FusedExtendRight runs the right seed extension (ExtendRight geometry)
-// with fused direction recording: the Result bit-matches ExtendRight and
-// the Trace bit-matches TracebackRight (Cigar in sequence-forward
-// order).
-func (w *Workspace) FusedExtendRight(h, v []byte, hOff, vOff int, p Params) (Result, Trace, error) {
-	return w.record(NewView(h[hOff:]), NewView(v[vOff:]), p, true)
-}
-
-// FusedExtendLeft is FusedExtendRight for the left seed extension
-// (ExtendLeft geometry, reversed views; Cigar in sequence-forward
-// order, matching TracebackLeft).
-func (w *Workspace) FusedExtendLeft(h, v []byte, hOff, vOff int, p Params) (Result, Trace, error) {
-	return w.record(NewReversedView(h[:hOff]), NewReversedView(v[:vOff]), p, false)
-}
-
 // fusedLinear is the linear-gap recording sweep (Restricted2 / Standard3
 // window semantics, selected by p.Algo through linearCapacity): it opens
 // the recording with antidiagonal 0's one cell and runs linearSweep with
 // the tracer, whose every row then also records (see linearSweep). Its
-// Result is the score sweep's in every field, the tier outcome included.
+// Result is the score sweep's in every field.
 func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 	tb := &w.tb
 	tb.reset(h.Len() + v.Len() + 1)
@@ -117,7 +75,6 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 	if !linearSweep(&w.wide, hq, vq, &p, tb, &res) {
 		return Result{}, Trace{}, ErrTraceTooLarge
 	}
-	narrowOutcome(h.Len(), v.Len(), &p, &res)
 	return res, tb.trace(res), nil
 }
 

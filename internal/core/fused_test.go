@@ -71,56 +71,27 @@ func checkFusedExtension(t *testing.T, h, v []byte, hOff, vOff int, right bool, 
 
 // TestFusedDifferentialOracle is the seeded-fuzz oracle: score-only vs
 // second pass vs fused vs the naive replay across every linear-gap
-// variant, tier, size class and mutation rate, on both extension sides.
+// variant, size class and mutation rate, on both extension sides.
 func TestFusedDifferentialOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(4321))
-	for name, base := range tbVariants() {
-		for _, tier := range []Tier{TierWide, TierNarrow, TierAuto} {
-			p := base
-			p.Tier = tier
-			for _, size := range []int{40, 200, 700} {
-				for _, rate := range []float64{0.03, 0.25} {
-					for it := 0; it < 3; it++ {
-						h := randDNA(rng, size)
-						v := mutate(rng, h, rate)
-						k := 9
-						if k > len(v) {
-							k = len(v)
-						}
-						sH := rng.Intn(len(h) - k + 1)
-						sV := rng.Intn(len(v) - k + 1)
-						copy(v[sV:sV+k], h[sH:sH+k])
-						label := name + "/" + tier.String()
-						// Every tier: a recording's Result carries the
-						// narrow tier's outcome like the score sweep's.
-						checkFusedExtension(t, h, v, sH, sV, false, p, label+"/left")
-						checkFusedExtension(t, h, v, sH+k, sV+k, true, p, label+"/right")
+	for name, p := range tbVariants() {
+		for _, size := range []int{40, 200, 700} {
+			for _, rate := range []float64{0.03, 0.25} {
+				for it := 0; it < 3; it++ {
+					h := randDNA(rng, size)
+					v := mutate(rng, h, rate)
+					k := 9
+					if k > len(v) {
+						k = len(v)
 					}
+					sH := rng.Intn(len(h) - k + 1)
+					sV := rng.Intn(len(v) - k + 1)
+					copy(v[sV:sV+k], h[sH:sH+k])
+					checkFusedExtension(t, h, v, sH, sV, false, p, name+"/left")
+					checkFusedExtension(t, h, v, sH+k, sV+k, true, p, name+"/right")
 				}
 			}
 		}
-	}
-}
-
-// TestFusedEligibility pins the gate: the modeled device never fuses
-// narrow-tier extensions (its int16 score pass does not record), and
-// fuses wide extensions of every linear-gap variant.
-func TestFusedEligibility(t *testing.T) {
-	dna := tbVariants()["restricted2-db256"]
-	if FusedEligible(300, 300, dna) != true {
-		t.Fatal("wide restricted2 extension not fused-eligible")
-	}
-	narrow := dna
-	narrow.Tier = TierNarrow
-	if FusedEligible(100, 100, narrow) {
-		t.Fatal("narrow-tier extension fused-eligible; the device's int16 score pass does not record")
-	}
-	// Past the int16 headroom the auto tier falls back to wide lanes,
-	// and eligibility returns with it.
-	wideAgain := dna
-	wideAgain.Tier = TierAuto
-	if !FusedEligible(satGuard16+1, satGuard16+1, wideAgain) {
-		t.Fatal("auto tier past the narrow headroom should be fused-eligible")
 	}
 }
 

@@ -10,12 +10,12 @@ import (
 	"github.com/sram-align/xdropipu/internal/synth"
 )
 
-// Kernel-level micro-benchmarks: single-core Mcells/s of each variant at
-// each kernel tier, on the same 2000bp/15%-error workload as the facade
-// benchmarks. The per-layer metrics core.restricted2.mcells_per_s and
-// core.restricted2_narrow.mcells_per_s in BENCHMARK.json time the same
-// two tiers on the benchmark's own pairs. Both tiers run the one int32
-// sweep; the narrow one adds only its outcome (narrowOutcome).
+// Kernel-level micro-benchmarks: single-core Mcells/s of each variant on
+// the same 2000bp/15%-error workload as the facade benchmarks. The
+// per-layer metrics core.restricted2.mcells_per_s and
+// core.restricted2_narrow.mcells_per_s in BENCHMARK.json both time the one
+// int32 Restricted2 sweep on the benchmark's own pairs: the second row's
+// Params.Tier selects nothing.
 
 func benchKernelPair(n int, errRate float64) ([]byte, []byte) {
 	rng := rand.New(rand.NewSource(42))
@@ -24,39 +24,29 @@ func benchKernelPair(n int, errRate float64) ([]byte, []byte) {
 	return h, v
 }
 
-func benchKernel(b *testing.B, algo Algo, deltaB int, tier Tier) {
+func benchKernel(b *testing.B, algo Algo, deltaB int) {
 	b.Helper()
 	h, v := benchKernelPair(2000, 0.15)
-	p := Params{Scorer: scoring.DNADefault, Gap: -1, X: 15, Algo: algo, DeltaB: deltaB, Tier: tier}
+	p := Params{Scorer: scoring.DNADefault, Gap: -1, X: 15, Algo: algo, DeltaB: deltaB}
 	if algo == AlgoAffine {
 		p.GapOpen = -2
 	}
 	hv, vv := NewView(h), NewView(v)
 	var ws Workspace
-	ws.aligned(hv, vv, p) // warm buffers; the loop must be allocation-free
+	ws.swept(hv, vv, p) // warm buffers; the loop must be allocation-free
 	var cells int64
-	var promotions int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := ws.aligned(hv, vv, p)
+		r := ws.swept(hv, vv, p)
 		cells += r.Stats.Cells
-		if r.Stats.Promoted {
-			promotions++
-		}
 	}
 	b.ReportMetric(float64(cells)/b.Elapsed().Seconds()/1e6, "Mcells/s")
-	if tier == TierNarrow && promotions > 0 {
-		b.Fatalf("benchmark workload promoted %d/%d runs; tier comparison invalid", promotions, b.N)
-	}
 }
 
-func BenchmarkKernelRestricted2Wide(b *testing.B)   { benchKernel(b, AlgoRestricted2, 256, TierWide) }
-func BenchmarkKernelRestricted2Narrow(b *testing.B) { benchKernel(b, AlgoRestricted2, 256, TierNarrow) }
-func BenchmarkKernelStandard3Wide(b *testing.B)     { benchKernel(b, AlgoStandard3, 0, TierWide) }
-func BenchmarkKernelStandard3Narrow(b *testing.B)   { benchKernel(b, AlgoStandard3, 0, TierNarrow) }
-func BenchmarkKernelAffineWide(b *testing.B)        { benchKernel(b, AlgoAffine, 0, TierWide) }
-func BenchmarkKernelAffineNarrow(b *testing.B)      { benchKernel(b, AlgoAffine, 0, TierNarrow) }
+func BenchmarkKernelRestricted2Wide(b *testing.B) { benchKernel(b, AlgoRestricted2, 256) }
+func BenchmarkKernelStandard3Wide(b *testing.B)   { benchKernel(b, AlgoStandard3, 0) }
+func BenchmarkKernelAffineWide(b *testing.B)      { benchKernel(b, AlgoAffine, 0) }
 
 // benchPairs draws count read pairs for the workload-profile benchmarks:
 // two reads of one locus of minLen..maxLen bases under one error profile,
@@ -170,28 +160,26 @@ func benchKernelBatch(b *testing.B, pairs [][2]View, p Params) {
 // benchKernelWorkload runs the linear variants over one workload profile's
 // pairs: the two int32 score layouts — Restricted2's also as one queue of
 // all the pairs (Restricted2WideBatch), so that one process reads one lane
-// against two — the narrow tier (the same sweep plus its modeled
-// outcome), the recording sweep alone
-// (RecordSweepRestricted2Wide: rows, direction codes and packing, with no
-// walk and no CIGAR, so that one process reads a recording row against a
-// score row), and a whole traced extension (RecordRestricted2Wide: what it
-// costs beyond its score pass, walk and CIGAR included).
+// against two — the recording sweep alone (RecordSweepRestricted2Wide:
+// rows, direction codes and packing, with no walk and no CIGAR, so that
+// one process reads a recording row against a score row), and a whole
+// traced extension (RecordRestricted2Wide: what it costs beyond its score
+// pass, walk and CIGAR included).
 func benchKernelWorkload(b *testing.B, pairs [][2]View, p Params) {
-	score := func(algo Algo, tier Tier) func(*testing.B) {
+	score := func(algo Algo) func(*testing.B) {
 		p := p
-		p.Algo, p.Tier = algo, tier
+		p.Algo = algo
 		return func(b *testing.B) {
-			benchKernelPairs(b, pairs, func(ws *Workspace, h, v View) Result { return ws.aligned(h, v, p) })
+			benchKernelPairs(b, pairs, func(ws *Workspace, h, v View) Result { return ws.swept(h, v, p) })
 		}
 	}
-	b.Run("Restricted2Wide", score(AlgoRestricted2, TierWide))
+	b.Run("Restricted2Wide", score(AlgoRestricted2))
 	b.Run("Restricted2WideBatch", func(b *testing.B) {
 		p := p
 		p.Algo = AlgoRestricted2
 		benchKernelBatch(b, pairs, p)
 	})
-	b.Run("Standard3Wide", score(AlgoStandard3, TierWide))
-	b.Run("Restricted2Narrow", score(AlgoRestricted2, TierNarrow))
+	b.Run("Standard3Wide", score(AlgoStandard3))
 	b.Run("RecordSweepRestricted2Wide", func(b *testing.B) {
 		benchKernelPairs(b, pairs, func(ws *Workspace, h, v View) Result { return recordSweep(b, ws, h, v, p) })
 	})
@@ -255,7 +243,7 @@ func BenchmarkKernelBandSweep(b *testing.B) {
 	for _, x := range []int{3, 5, 15, 60, 120} {
 		p := Params{Scorer: scoring.DNADefault, Gap: -1, X: x, Algo: AlgoRestricted2}
 		b.Run(fmt.Sprintf("X=%d", x), func(b *testing.B) {
-			benchKernelPairs(b, pairs, func(ws *Workspace, h, v View) Result { return ws.aligned(h, v, p) })
+			benchKernelPairs(b, pairs, func(ws *Workspace, h, v View) Result { return ws.swept(h, v, p) })
 		})
 	}
 }
@@ -274,7 +262,7 @@ func BenchmarkKernelRowCost(b *testing.B) {
 		name string
 		run  func(ws *Workspace, h, v View, p Params) Result
 	}{
-		{"Score", func(ws *Workspace, h, v View, p Params) Result { return ws.aligned(h, v, p) }},
+		{"Score", func(ws *Workspace, h, v View, p Params) Result { return ws.swept(h, v, p) }},
 		{"Record", func(ws *Workspace, h, v View, p Params) Result { return recordSweep(b, ws, h, v, p) }},
 	}
 	for _, kind := range kinds {
@@ -319,21 +307,19 @@ func BenchmarkKernelRowCost(b *testing.B) {
 }
 
 // TestKernelLoopsAllocationFree pins the alloc regression: with a warm
-// workspace, no variant may allocate per extension on either tier — under
-// any view direction, so the staged operand copies (forward/forward
+// workspace, no variant may allocate per extension — under any view
+// direction, so the staged operand copies (forward/forward
 // reverses v, reversed/reversed h, reversed/forward both) are reused too.
 func TestKernelLoopsAllocationFree(t *testing.T) {
 	h, v := benchKernelPair(2000, 0.15)
 	for _, dir := range []struct{ hRev, vRev bool }{{false, false}, {true, true}, {false, true}, {true, false}} {
 		hv, vv := View{h, dir.hRev}, View{v, dir.vRev}
 		for _, algo := range []Algo{AlgoRestricted2, AlgoStandard3, AlgoAffine} {
-			for _, tier := range []Tier{TierWide, TierNarrow, TierAuto} {
-				p := Params{Scorer: scoring.DNADefault, Gap: -1, GapOpen: -2, X: 15, DeltaB: 256, Algo: algo, Tier: tier}
-				var ws Workspace
-				ws.aligned(hv, vv, p)
-				if n := testing.AllocsPerRun(10, func() { ws.aligned(hv, vv, p) }); n != 0 {
-					t.Errorf("%v/%v h.rev=%v v.rev=%v: %.0f allocs per warm extension, want 0", algo, tier, dir.hRev, dir.vRev, n)
-				}
+			p := Params{Scorer: scoring.DNADefault, Gap: -1, GapOpen: -2, X: 15, DeltaB: 256, Algo: algo}
+			var ws Workspace
+			ws.swept(hv, vv, p)
+			if n := testing.AllocsPerRun(10, func() { ws.swept(hv, vv, p) }); n != 0 {
+				t.Errorf("%v h.rev=%v v.rev=%v: %.0f allocs per warm extension, want 0", algo, dir.hRev, dir.vRev, n)
 			}
 		}
 	}

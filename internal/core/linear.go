@@ -534,14 +534,13 @@ func runQueue(states []sweepState) {
 }
 
 // finish writes the Result of a completed sweep. Every computed row — d−1
-// of them beside antidiagonal 0 — has one cell and one chunk of each size
+// of them beside antidiagonal 0 — has one cell and one 128-cell chunk
 // that the kernel does not count.
 func (st *sweepState) finish(res *Result) {
 	d := st.diag()
 	rows := int64(d - 1)
 	st.acc.antid = d
 	st.acc.cells += rows
-	st.acc.chunks32 += rows
 	st.acc.chunks128 += rows
 	st.acc.flush(&res.Stats)
 	res.Stats.Clamped = st.clamped
@@ -575,12 +574,13 @@ func sweepResident(b *scoreBufs, hq, vq []byte, p *Params, capacity int, acc sta
 	st[0].finish(res)
 }
 
-// sweepBatch runs the extensions of sides (linear, rowVec) as one queue of sweepLinearVec's score kind and writes each Result, with its
-// tier outcome, to out. Their operands are staged once, back to back, in
-// the workspace's arena — each between seqPad pad bytes, which neighbours
-// share — and the two lanes are the workspace's wide buffers and alt's,
-// each grown to the largest capacity in the queue; Stats.WorkBytes is
-// still each extension's own, as linearSweep computes it.
+// sweepBatch runs the extensions of sides (linear, rowVec) as one queue of
+// sweepLinearVec's score kind and writes each Result to out. Their
+// operands are staged once, back to back, in the workspace's arena — each
+// between seqPad pad bytes, which neighbours share — and the two lanes are
+// the workspace's wide buffers and alt's, each grown to the largest
+// capacity in the queue; Stats.WorkBytes is still each extension's own, as
+// linearSweep computes it.
 func (w *Workspace) sweepBatch(p *Params, sides []Side, out []Result) {
 	size, capacity := seqPad, 0
 	for i := range sides {
@@ -641,6 +641,5 @@ func (w *Workspace) sweepBatch(p *Params, sides []Side, out []Result) {
 	runQueue(states)
 	for i := range states {
 		states[i].finish(&out[i])
-		narrowOutcome(states[i].m, states[i].n, p, &out[i])
 	}
 }

@@ -8,15 +8,14 @@ import (
 
 // oracleResult runs the X-Drop oracle (internal/oracle, which shares no
 // code with this package) on the views' symbols and states its answer as
-// the wide tier's Result: the trace counters are plain sums over the
-// oracle's spans, and WorkBytes, which only a buffer layout defines, is 0.
+// a Result: the trace counters are plain sums over the oracle's spans,
+// and WorkBytes, which only a buffer layout defines, is 0.
 func oracleResult(h, v View, p Params) Result {
 	e := oracle.Extend(symbols(h), symbols(v), p.Scorer.Table(), p.Gap, p.X)
 	st := Stats{Antidiagonals: len(e.Computed), TheoreticalCells: int64(h.Len()) * int64(v.Len())}
 	for d, s := range e.Computed {
 		w := int64(s.Width())
 		st.Cells += w
-		st.Chunks32 += (w + 31) / 32
 		st.Chunks128 += (w + 127) / 128
 		st.MaxLiveBand = max(st.MaxLiveBand, e.Live[d].Width())
 	}

@@ -308,7 +308,7 @@ loop:                         \
 //
 // At window AX is cl, CX cu and BX cu − cl; a clamped window comes back
 // there. A row adds its width − 1 to cells and, only when it is wider than
-// 32 cells, its chunks past the first of each size: finish adds the rest
+// 32 cells, its 128-cell chunks past the first: finish adds the rest
 // from d. maxLive is stored only when it grows. A row with no live cell
 // (rowdead) is counted against the budget and ends the extension.
 #define SWEEP_LOOP(SIM, MASKS, PUT, HEAD, TAIL, NEXT, END, spent, row, window, wide, wided, loop, dead, tail, taildead, raise, raised, rotate, clamp, clampscan, newbest, bestscan, besttail, bestfound, rowdead, ended) \
@@ -391,9 +391,7 @@ rotate:                                    \
 	NEXT                                   \
 wide:                                      \
 	MOVQ    BX, R11                        \
-	SHRQ    $5, R11                        \
-	ADDQ    R11, (sweepState_acc+statAcc_chunks32)(R13) \
-	SHRQ    $2, R11                        \
+	SHRQ    $7, R11                        \
 	ADDQ    R11, (sweepState_acc+statAcc_chunks128)(R13) \
 	JMP     wided                          \
 raise:                                     \

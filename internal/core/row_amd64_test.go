@@ -457,9 +457,9 @@ func TestVectorSweepMatchesGenericSweep(t *testing.T) {
 		hv, vv := View{h, trial%4 >= 2}, View{v, trial%8 >= 4}
 		var vec, gen Workspace
 		rowVec = true
-		a := vec.aligned(hv, vv, p)
+		a := vec.swept(hv, vv, p)
 		rowVec = false
-		b := gen.aligned(hv, vv, p)
+		b := gen.swept(hv, vv, p)
 		if a != b {
 			t.Fatalf("trial %d %v: vector %+v != generic %+v", trial, p.Algo, a, b)
 		}

@@ -332,25 +332,6 @@ func JoinCigar(b *alignment.Builder, h, v []byte, s Seed, left, right []alignmen
 	b.AppendRuns(right, true)
 }
 
-// TracebackRight runs the second pass of the right seed extension
-// (ExtendRight) — the recording sweep, keeping only its Trace — and
-// returns its Cigar in sequence-forward order, which for forward views is
-// view-forward order. Score, EndH and EndV bit-match
-// Align(NewView(h[hOff:]), NewView(v[vOff:]), p).
-func (w *Workspace) TracebackRight(h, v []byte, hOff, vOff int, p Params) (Trace, error) {
-	_, tr, err := w.record(NewView(h[hOff:]), NewView(v[vOff:]), p, true)
-	return tr, err
-}
-
-// TracebackLeft runs the second pass of the left seed extension
-// (ExtendLeft, reversed views) and returns its Cigar in sequence-forward
-// order — for a reversed view that is the walk order itself, so the left
-// Cigar concatenates directly in front of the seed.
-func (w *Workspace) TracebackLeft(h, v []byte, hOff, vOff int, p Params) (Trace, error) {
-	_, tr, err := w.record(NewReversedView(h[:hOff]), NewReversedView(v[:vOff]), p, false)
-	return tr, err
-}
-
 // RecordRight runs the recording sweep of the right seed extension and
 // appends its walked path to runs, as maximal runs in walk order (the best
 // cell back to the seed: sequence-backward). The Result is

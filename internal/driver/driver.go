@@ -77,8 +77,7 @@ type Config struct {
 	// is part of the kernel fingerprint, so a shared result cache never
 	// serves CIGAR-less entries to a traceback-enabled run (or vice
 	// versa). Off, reports are bit-identical to the score-only stack. The
-	// trace gate lives on Kernel (TraceMinScore), the kernel tier on
-	// Kernel.Params.Tier.
+	// trace gate lives on Kernel (TraceMinScore).
 	Traceback bool
 	// Faults, when non-nil, installs deterministic fault injection at the
 	// ExecBatch boundary: transient and permanent execution failures plus
@@ -145,7 +144,7 @@ var keyScratch = sync.Pool{New: func() any { return new([]CacheKey) }}
 
 // KernelFingerprint hashes every kernel-configuration input that can
 // change anything in an AlignOut: the algorithm, X, δb, gap penalties,
-// the full scoring table, the kernel tier and the traceback settings.
+// the full scoring table and the traceback settings.
 // Each unit's kernel runs exactly once whatever the schedule, so a result
 // is a function of the comparison and these inputs alone. Knobs that only
 // shape the modeled schedule or its time — thread count, the IPU model,
@@ -159,7 +158,7 @@ var keyScratch = sync.Pool{New: func() any { return new([]CacheKey) }}
 // scoring table each time is work a cache-served job need not do.
 func KernelFingerprint(cfg ipukernel.Config) uint64 {
 	p := cfg.Params
-	k := kernelKey{params: [6]int64{int64(p.Algo), int64(p.X), int64(p.DeltaB), int64(p.Gap), int64(p.GapOpen), int64(p.Tier)}}
+	k := kernelKey{params: [5]int64{int64(p.Algo), int64(p.X), int64(p.DeltaB), int64(p.Gap), int64(p.GapOpen)}}
 	if cfg.Traceback {
 		// The kernel traces every comparison under any cutoff ≤ 0.
 		k.traced, k.traceMinScore = true, int64(max(0, cfg.TraceMinScore))
@@ -178,7 +177,7 @@ func KernelFingerprint(cfg ipukernel.Config) uint64 {
 // kernelKey is every input KernelFingerprint hashes. A scorer never
 // changes its table, so the table's address stands for its contents.
 type kernelKey struct {
-	params        [6]int64 // Algo, X, DeltaB, Gap, GapOpen, Tier
+	params        [5]int64 // Algo, X, DeltaB, Gap, GapOpen
 	traced        bool
 	traceMinScore int64
 	tab           *scoring.PairTable
@@ -199,13 +198,10 @@ func (k kernelKey) hash() uint64 {
 		binary.LittleEndian.PutUint64(b[:], uint64(v))
 		h.Write(b[:])
 	}
-	// The kernel tier, the last of params: completed narrow alignments are
-	// bit-identical to wide ones, but the tiers' trace accounting
-	// (Stats.WorkBytes, promotion counters) differs, so cached entries must
-	// not cross tiers.
 	for _, v := range k.params {
 		put(v)
 	}
+	put(0) // the retired kernel-tier slot; hashing it keeps existing fingerprints
 	if k.traced {
 		// Traceback-on results carry CIGARs and trace-byte accounting;
 		// they must never be served to (or taken from) a score-only run.
@@ -750,25 +746,6 @@ func (bp *BatchPlan) FailedBatchResult(i int) *ipukernel.BatchResult {
 		}
 	}
 	return res
-}
-
-// AssemblePlan merges executed batch results into a replayable Plan in
-// one step: results are keyed by GlobalID and the batch-order fold does
-// the rest, so the plan (and every Report scheduled from it) is identical
-// for any execution interleaving. Callers that see batches land one at a
-// time — NewPlanContext's workers, the engine's deliveries — use an
-// Assembly directly and merge each batch as it lands. A plan assembles
-// once: under dedup the report is filled in place.
-func AssemblePlan(bp *BatchPlan, outs []*ipukernel.BatchResult) (*Plan, error) {
-	a := bp.NewAssembly()
-	for _, res := range outs {
-		if res != nil { // fold names the batch
-			if err := a.Merge(res); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return a.Fold(outs)
 }
 
 // fold builds the plan around its comparison-ordered results: the

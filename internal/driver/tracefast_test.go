@@ -49,61 +49,56 @@ func traceScores(t *testing.T, d *workload.Dataset, cfg Config) []int {
 // fuse-or-replay rule sends some through the fused recording and the rest
 // through the score pass and a replay. Every result must equal the
 // score-only run's in every score field and carry a CIGAR that re-scores
-// to it, on both kernel tiers, with every extension counted as traced.
+// to it, with every extension counted as traced.
 // That the two paths record bit-identical traces is pinned per extension
 // by core's TestFusedDifferentialOracle.
 func TestTraceFuseRuleOracle(t *testing.T) {
 	d := readsData(t, 21, 40)
-	for _, tier := range []core.Tier{core.TierWide, core.TierAuto} {
-		off := testCfg(2, true)
-		off.Kernel.Params.Tier = tier
-		on := off
-		on.Traceback = true
+	off := testCfg(2, true)
+	on := off
+	on.Traceback = true
 
-		k := on.Normalized().Kernel
-		fused, replayed := 0, 0
-		for _, c := range d.Comparisons {
-			hn, vn := d.SeqLen(c.H), d.SeqLen(c.V)
-			for _, side := range [][2]int{{c.SeedH, c.SeedV}, {hn - c.SeedH - c.SeedLen, vn - c.SeedV - c.SeedLen}} {
-				if f, _ := k.TraceCharges(side[0], side[1]); f > 0 {
-					fused++
-				} else {
-					replayed++
-				}
+	k := on.Normalized().Kernel
+	fused, replayed := 0, 0
+	for _, c := range d.Comparisons {
+		hn, vn := d.SeqLen(c.H), d.SeqLen(c.V)
+		for _, side := range [][2]int{{c.SeedH, c.SeedV}, {hn - c.SeedH - c.SeedLen, vn - c.SeedV - c.SeedLen}} {
+			if f, _ := k.TraceCharges(side[0], side[1]); f > 0 {
+				fused++
+			} else {
+				replayed++
 			}
 		}
-		// On the auto tier these extensions all score narrow, which
-		// never fuses.
-		if replayed == 0 || (fused == 0 && tier == core.TierWide) {
-			t.Fatalf("tier %v: %d fused and %d replayed extensions, want both paths", tier, fused, replayed)
-		}
+	}
+	if replayed == 0 || fused == 0 {
+		t.Fatalf("%d fused and %d replayed extensions, want both paths", fused, replayed)
+	}
 
-		want, err := Run(d, off)
-		if err != nil {
-			t.Fatalf("tier %v: score-only run: %v", tier, err)
+	want, err := Run(d, off)
+	if err != nil {
+		t.Fatalf("score-only run: %v", err)
+	}
+	got, err := Run(d, on)
+	if err != nil {
+		t.Fatalf("traced run: %v", err)
+	}
+	if got.TracedExtensions != 2*len(d.Comparisons) || got.TraceSkippedExtensions != 0 {
+		t.Fatalf("counters traced=%d skipped=%d, want %d/0",
+			got.TracedExtensions, got.TraceSkippedExtensions, 2*len(d.Comparisons))
+	}
+	p := on.Kernel.Params
+	for i, r := range got.Results {
+		c := d.Comparisons[i]
+		h, v := d.Seq(c.H), d.Seq(c.V)
+		recon, err := alignment.ScoreOf(h[r.BegH:r.EndH], v[r.BegV:r.EndV], r.Cigar, p.Scorer, p.Gap, p.GapOpen)
+		if err != nil || recon != r.Score || r.TraceBytes <= 0 {
+			t.Fatalf("comparison %d: cigar %q re-scores to %d (err %v), kernel %d, trace bytes %d",
+				i, r.Cigar, recon, err, r.Score, r.TraceBytes)
 		}
-		got, err := Run(d, on)
-		if err != nil {
-			t.Fatalf("tier %v: traced run: %v", tier, err)
-		}
-		if got.TracedExtensions != 2*len(d.Comparisons) || got.TraceSkippedExtensions != 0 {
-			t.Fatalf("tier %v: counters traced=%d skipped=%d, want %d/0",
-				tier, got.TracedExtensions, got.TraceSkippedExtensions, 2*len(d.Comparisons))
-		}
-		p := on.Kernel.Params
-		for i, r := range got.Results {
-			c := d.Comparisons[i]
-			h, v := d.Seq(c.H), d.Seq(c.V)
-			recon, err := alignment.ScoreOf(h[r.BegH:r.EndH], v[r.BegV:r.EndV], r.Cigar, p.Scorer, p.Gap, p.GapOpen)
-			if err != nil || recon != r.Score || r.TraceBytes <= 0 {
-				t.Fatalf("tier %v: comparison %d: cigar %q re-scores to %d (err %v), kernel %d, trace bytes %d",
-					tier, i, r.Cigar, recon, err, r.Score, r.TraceBytes)
-			}
-			r.Cigar, r.TraceBytes = "", 0
-			if r != want.Results[i] {
-				t.Fatalf("tier %v: comparison %d differs from the score-only run:\ntraced:     %+v\nscore-only: %+v",
-					tier, i, r, want.Results[i])
-			}
+		r.Cigar, r.TraceBytes = "", 0
+		if r != want.Results[i] {
+			t.Fatalf("comparison %d differs from the score-only run:\ntraced:     %+v\nscore-only: %+v",
+				i, r, want.Results[i])
 		}
 	}
 }
@@ -249,18 +244,18 @@ func TestTraceTooLargeDegradesSingleComparison(t *testing.T) {
 	}{
 		{"replay", 2000, 6_000, false, 0, true, ipukernel.Counters{HostBytesIn: 5400, HostBytesOut: 252,
 			UniqueSeqBytesIn: 4720, TheoreticalCells: 4032000, Cells: 52693, SumBand: 52693, Antidiags: 4608,
-			MaxSRAM: 159348, PeakTracebackBytes: 690, TracebackBytes: 6716, WideExtensions: 12,
+			MaxSRAM: 159348, PeakTracebackBytes: 690, TracebackBytes: 6716,
 			TracedExtensions: 10}, 0x3f4ebba2482f2539},
 		{"fused", 400, 2_000, true, 0, true, ipukernel.Counters{HostBytesIn: 2200, HostBytesOut: 252,
 			UniqueSeqBytesIn: 1520, TheoreticalCells: 192000, Cells: 6237, SumBand: 6237, Antidiags: 640,
-			MaxSRAM: 84602, PeakTracebackBytes: 690, TracebackBytes: 6721, WideExtensions: 10,
+			MaxSRAM: 84602, PeakTracebackBytes: 690, TracebackBytes: 6721,
 			TracedExtensions: 10}, 0x3f40fb7e52dbb6e2},
 		{"gated", 2000, 6_000, false, 1000, true, ipukernel.Counters{HostBytesIn: 5400, HostBytesOut: 192,
 			UniqueSeqBytesIn: 4720, TheoreticalCells: 4032000, Cells: 52693, SumBand: 52693, Antidiags: 4608,
-			MaxSRAM: 159348, WideExtensions: 12, TraceSkippedExtensions: 10}, 0x3f4ebb97f524c0cb},
+			MaxSRAM: 159348, TraceSkippedExtensions: 10}, 0x3f4ebb97f524c0cb},
 		{"gated-out", 2000, 6_000, false, 1 << 30, false, ipukernel.Counters{HostBytesIn: 5400, HostBytesOut: 192,
 			UniqueSeqBytesIn: 4720, TheoreticalCells: 4032000, Cells: 52693, SumBand: 52693, Antidiags: 4608,
-			MaxSRAM: 159348, WideExtensions: 12, TraceSkippedExtensions: 12}, 0x3f4ebb97f524c0cb},
+			MaxSRAM: 159348, TraceSkippedExtensions: 12}, 0x3f4ebb97f524c0cb},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d, bigIdx := traceCapDataset(tc.big)
@@ -346,5 +341,17 @@ func TestTraceTooLargeDegradesSingleComparison(t *testing.T) {
 				t.Fatal("uncapped rerun had no cache hits for the small comparisons")
 			}
 		})
+	}
+}
+
+// TestRunRejectsUnknownKnobValues: traceback under AlgoAffine, which is
+// score-only, fails before any batch runs.
+func TestRunRejectsUnknownKnobValues(t *testing.T) {
+	d := readsData(t, 24, 8)
+	affine := testCfg(1, true)
+	affine.Traceback = true
+	affine.Kernel.Params.Algo, affine.Kernel.Params.GapOpen = core.AlgoAffine, -2
+	if _, err := Run(d, affine); err == nil {
+		t.Error("affine traceback: Run succeeded, want an error")
 	}
 }

@@ -312,15 +312,6 @@ type Stats struct {
 	// DeadlineExceeded counts jobs whose WithJobDeadline expired with
 	// work outstanding.
 	DeadlineExceeded int64
-	// Kernel-tier counters over every executed extension (disjoint;
-	// cache-served and deduped comparisons execute nothing and count
-	// nowhere). The tier is the modeled device's score width, derived
-	// from the host's one int32 sweep, which runs at the same speed at
-	// every tier: NarrowExtensions would complete on int16,
-	// PromotedExtensions would saturate int16 and re-run on int32,
-	// WideExtensions are modeled int32 outright. Narrow and promoted stay
-	// zero unless core.Params.Tier selects TierNarrow or TierAuto.
-	NarrowExtensions, WideExtensions, PromotedExtensions int64
 	// Traceback fast-path counters over every executed extension:
 	// TracedExtensions delivered a recorded trace (CIGAR),
 	// TraceSkippedExtensions fell below ipukernel.Config.TraceMinScore's
@@ -347,9 +338,6 @@ func (s *Stats) Add(o Stats) {
 	s.Quarantined += o.Quarantined
 	s.FaultsInjected += o.FaultsInjected
 	s.DeadlineExceeded += o.DeadlineExceeded
-	s.NarrowExtensions += o.NarrowExtensions
-	s.WideExtensions += o.WideExtensions
-	s.PromotedExtensions += o.PromotedExtensions
 	s.TracedExtensions += o.TracedExtensions
 	s.TraceSkippedExtensions += o.TraceSkippedExtensions
 }

@@ -220,9 +220,6 @@ func (j *Job) step(bi int, ev batchEvent, out *ipukernel.BatchResult, err error)
 		j.done++
 		e.stats.BatchesDone++
 		e.stats.CellsDone += out.Cells
-		e.stats.NarrowExtensions += int64(out.NarrowExtensions)
-		e.stats.WideExtensions += int64(out.WideExtensions)
-		e.stats.PromotedExtensions += int64(out.PromotedExtensions)
 		e.stats.TracedExtensions += int64(out.TracedExtensions)
 		e.stats.TraceSkippedExtensions += int64(out.TraceSkippedExtensions)
 	case evSettle:

@@ -168,9 +168,9 @@ func checkTileCigars(t *testing.T, tile *TileWork, cfg Config, out []AlignOut) i
 // walked runs into one CIGAR itself. That CIGAR must be the one the public
 // entry points compose — TracebackLeft, the seed's columns, TracebackRight
 // joined run by run — and re-price through alignment.ScoreOf to the
-// kernel's score, with and without LR splitting, on both tiers, under the
-// score gate, for seeds at either end of their sequences (an empty side)
-// and for BLOSUM62 seeds with mismatched columns.
+// kernel's score, with and without LR splitting, under the score gate,
+// for seeds at either end of their sequences (an empty side) and for
+// BLOSUM62 seeds with mismatched columns.
 func TestTileCigarMatchesPublicJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	dna := cigarTile(dnaCigarJobs(rng))
@@ -184,7 +184,6 @@ func TestTileCigarMatchesPublicJoin(t *testing.T) {
 	}{
 		{"dna", dna, dnaCfg(15), func(c *Config) {}},
 		{"dna/lrsplit", dna, dnaCfg(15), func(c *Config) { c.LRSplit, c.WorkStealing = true, true }},
-		{"dna/narrow", dna, dnaCfg(15), func(c *Config) { c.Params.Tier = core.TierNarrow }},
 		{"protein", protein, proteinCfg, func(c *Config) {}},
 		{"protein/lrsplit", protein, proteinCfg, func(c *Config) { c.LRSplit = true }},
 	} {

@@ -74,9 +74,8 @@ func TestTraceRecordingBugFailsBatch(t *testing.T) {
 
 // TestTraceHostSweepsOnce pins which host sweeps a traced extension costs:
 // one recording sweep and no score pass, whether the modeled device fuses
-// it (400 bp) or scores and replays it (600 bp, over fusedTraceBudget,
-// every narrow-tier side, and every side of a gated run, whose gate
-// filters the recorded results). The racy schedule duplicates units on
+// it (400 bp) or scores and replays it (600 bp, over fusedTraceBudget, and
+// every side of a gated run, whose gate filters the recorded results). The racy schedule duplicates units on
 // the device, never on the host.
 func TestTraceHostSweepsOnce(t *testing.T) {
 	for _, length := range []int{400, 600} {
@@ -86,7 +85,6 @@ func TestTraceHostSweepsOnce(t *testing.T) {
 		}{
 			{"ungated-wide", func(c *Config) {}},
 			{"gated", func(c *Config) { c.TraceMinScore = pinGateScore }},
-			{"narrow", func(c *Config) { c.Params.Tier = core.TierNarrow }},
 		} {
 			t.Run(fmt.Sprintf("%s/%d", run.name, length), func(t *testing.T) {
 				cfg := dnaCfg(15)

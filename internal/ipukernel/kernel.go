@@ -236,72 +236,34 @@ func (c *Config) traceGated() bool { return c.Traceback && c.TraceMinScore > 0 }
 
 // fusedExtension decides whether the modeled device records an extension
 // with side lengths lh×lv during its scoring pass (fused single-pass)
-// rather than scoring it and replaying: the run traces ungated, the
-// extension is core.FusedEligible, and its arena bound fits
-// fusedTraceBudget. The decision belongs to the model alone — the
-// instruction charge (one sweep or two) and the SRAM charge, which
-// partition folds through ExtensionCharge. The host sweeps
-// every traced extension once either way (runSide).
+// rather than scoring it and replaying: the run traces ungated and the
+// extension's arena bound fits fusedTraceBudget. The decision belongs to
+// the model alone — the instruction charge (one sweep or two) and the
+// SRAM charge, which partition folds through ExtensionCharge. The host
+// sweeps every traced extension once either way (runSide).
 func (c *Config) fusedExtension(lh, lv int) bool {
-	return c.Traceback && !c.traceGated() && core.FusedEligible(lh, lv, c.Params) &&
-		c.ExtensionTraceBytes(lh, lv) <= fusedTraceBudget
+	return c.Traceback && !c.traceGated() && c.ExtensionTraceBytes(lh, lv) <= fusedTraceBudget
 }
 
-// Tier returns the kernel tier, Params.Tier.
-func (c Config) Tier() core.Tier { return c.Params.Tier }
-
-// bufCellsPerThread returns the per-thread DP window size in score cells
-// for the configured algorithm given the largest min(m,n) among a tile's
-// extensions: Standard3 needs 3δ scores, Restricted2 needs 2δb (§3).
-func (c *Config) bufCellsPerThread(maxMinLen int) int {
+// WorkBufBytesPerThread returns the per-thread DP buffer footprint for
+// the configured algorithm given the largest min(m,n) among a tile's
+// extensions: Standard3 needs 3δ scores, Restricted2 2δb (§3), each 4
+// bytes — core's int32 sweeps, as the paper's kernel holds them. This is
+// the quantity the 55× claim compares.
+func (c *Config) WorkBufBytesPerThread(maxMinLen int) int {
+	const scoreBytes = 4
 	delta := maxMinLen + 1
 	switch c.Params.Algo {
 	case core.AlgoStandard3:
-		return 3 * delta
+		return 3 * delta * scoreBytes
 	case core.AlgoAffine:
-		return 7 * delta
+		return 7 * delta * scoreBytes
 	default:
 		db := c.Params.DeltaB
 		if db <= 0 || db > delta {
 			db = delta
 		}
-		return 2 * db
-	}
-}
-
-// WorkBufBytesPerThread returns the per-thread DP buffer footprint for
-// the configured algorithm and kernel tier given the largest min(m,n)
-// among a tile's extensions. This is the quantity the 55× claim
-// compares. The tier shapes it as the modeled device's workspaces
-// allocate (the host's hold int32 buffers at every tier):
-//
-//   - TierWide (or narrow-ineligible parameters): int32 buffers only.
-//   - TierNarrow: int16 buffers plus the full int32 set — a saturating
-//     extension promotes mid-batch and the wide buffers must already fit.
-//   - TierAuto: when every admissible extension passes the headroom
-//     precheck (maxMinLen within core.NarrowCapLen), int16 buffers only —
-//     Auto never promotes, so this is certifiable and is the tier's SRAM
-//     win. A mixed tile provisions wide buffers for the over-cap jobs
-//     plus int16 buffers sized to the largest headroom-certified job.
-func (c *Config) WorkBufBytesPerThread(maxMinLen int) int {
-	wide := c.bufCellsPerThread(maxMinLen) * core.WideScoreBytes
-	if !c.Params.NarrowEligible() {
-		return wide
-	}
-	switch c.Params.Tier {
-	case core.TierNarrow:
-		return wide + c.bufCellsPerThread(maxMinLen)*core.NarrowScoreBytes
-	case core.TierAuto:
-		if c.Params.Scorer == nil {
-			return wide
-		}
-		capLen := core.NarrowCapLen(c.Params.Scorer.MaxScore())
-		if maxMinLen <= capLen {
-			return c.bufCellsPerThread(maxMinLen) * core.NarrowScoreBytes
-		}
-		return wide + c.bufCellsPerThread(capLen)*core.NarrowScoreBytes
-	default:
-		return wide
+		return 2 * db * scoreBytes
 	}
 }
 
@@ -391,7 +353,7 @@ func (c *Config) tracedCharge(lh, lv, rh, rv int) Charge {
 }
 
 // BufferBytes is the tile SRAM a Charge claims on the model: every
-// thread's DP buffers (tier-aware) and fused trace arena, plus the one
+// thread's DP buffers and fused trace arena, plus the one
 // shared replay arena.
 func (c *Config) BufferBytes(ch Charge, model platform.IPUModel) int {
 	return c.threads(model)*(c.WorkBufBytesPerThread(ch.maxMin)+ch.fused) + ch.replay
@@ -498,18 +460,6 @@ type Counters struct {
 	// over every executed extension.
 	PeakTracebackBytes int   `json:"peakTracebackBytes"`
 	TracebackBytes     int64 `json:"tracebackBytes"`
-	// Kernel-tier accounting, one count per device execution of an
-	// extension (a comparison contributes two, and a raced unit its
-	// extensions again for every further tied thread; cache-served and
-	// deduped comparisons contribute nothing — no kernel ran for them).
-	// NarrowExtensions completed on the modeled int16 tier;
-	// PromotedExtensions saturated it and re-ran wide (core.Stats);
-	// WideExtensions ran int32 outright (TierWide, narrow-ineligible
-	// parameters, or an Auto headroom refusal). The three are disjoint and
-	// sum to the executed extensions.
-	NarrowExtensions   int `json:"narrowExtensions"`
-	WideExtensions     int `json:"wideExtensions"`
-	PromotedExtensions int `json:"promotedExtensions"`
 	// Traceback-gate accounting, one count per executed extension (an
 	// extension is either traced or skipped, never both; both are zero
 	// with Config.Traceback off). TracedExtensions recorded and delivered
@@ -539,9 +489,6 @@ func (c *Counters) Add(o Counters) {
 	c.DedupSkippedJobs += o.DedupSkippedJobs
 	c.PeakTracebackBytes = max(c.PeakTracebackBytes, o.PeakTracebackBytes)
 	c.TracebackBytes += o.TracebackBytes
-	c.NarrowExtensions += o.NarrowExtensions
-	c.WideExtensions += o.WideExtensions
-	c.PromotedExtensions += o.PromotedExtensions
 	c.TracedExtensions += o.TracedExtensions
 	c.TraceSkippedExtensions += o.TraceSkippedExtensions
 }

@@ -52,7 +52,7 @@ const pinGateScore = 300
 // a racy, an eventual-stealing, a gated-traceback racy, a fused-traceback
 // racy and a replay-traceback racy run, each tile's thread maximum and
 // the modeled seconds, bit for bit. A race's duplicate is device work, so
-// Cells, SumBand, Antidiags and the tier counts still include it. The
+// Cells, SumBand and Antidiags still include it. The
 // last two differ only in pair length, which puts every extension on one
 // side of fusedTraceBudget; they were recorded with the fused and replay
 // schedules forced, which the length now selects.
@@ -67,26 +67,26 @@ func TestModeledSchedulePinned(t *testing.T) {
 	}{
 		{"racy", 400, func(c *Config) { c.LRSplit, c.WorkStealing = true, true },
 			Counters{HostBytesIn: 11456, HostBytesOut: 1152, UniqueSeqBytesIn: 10400, TheoreticalCells: 5760000,
-				Cells: 1385307, SumBand: 1385307, Antidiags: 105984, Races: 204, StealOps: 264, MaxSRAM: 19744,
-				WideExtensions: 276}, []int64{1121883, 109424}, 0x3f74bc8c7171001b},
+				Cells: 1385307, SumBand: 1385307, Antidiags: 105984, Races: 204, StealOps: 264, MaxSRAM: 19744},
+			[]int64{1121883, 109424}, 0x3f74bc8c7171001b},
 		{"eventual", 400, func(c *Config) { c.LRSplit, c.WorkStealing, c.BusyWaitVariance = true, true, true },
 			Counters{HostBytesIn: 11456, HostBytesOut: 1152, UniqueSeqBytesIn: 10400, TheoreticalCells: 5760000,
-				Cells: 362451, SumBand: 362451, Antidiags: 27648, StealOps: 60, MaxSRAM: 19744,
-				WideExtensions: 72}, []int64{218924, 112085}, 0x3f5034b342811e19},
+				Cells: 362451, SumBand: 362451, Antidiags: 27648, StealOps: 60, MaxSRAM: 19744},
+			[]int64{218924, 112085}, 0x3f5034b342811e19},
 		{"gated-traceback-racy", 400, func(c *Config) { c.WorkStealing, c.Traceback, c.TraceMinScore = true, true, pinGateScore },
 			Counters{HostBytesIn: 11456, HostBytesOut: 13400, UniqueSeqBytesIn: 10400, TheoreticalCells: 5760000,
 				Cells: 1264971, SumBand: 1264971, Antidiags: 96768, Races: 90, StealOps: 114, MaxSRAM: 32145,
-				PeakTracebackBytes: 4368, TracebackBytes: 251037, WideExtensions: 252,
+				PeakTracebackBytes: 4368, TracebackBytes: 251037,
 				TracedExtensions: 58, TraceSkippedExtensions: 14}, []int64{2027338, 211510}, 0x3f82bbdd8eb23687},
 		{"fused-traceback-racy", 400, func(c *Config) { c.LRSplit, c.WorkStealing, c.Traceback = true, true, true },
 			Counters{HostBytesIn: 11456, HostBytesOut: 16500, UniqueSeqBytesIn: 10400, TheoreticalCells: 5760000,
 				Cells: 1385307, SumBand: 1385307, Antidiags: 105984, Races: 204, StealOps: 264, MaxSRAM: 94150,
-				PeakTracebackBytes: 4414, TracebackBytes: 312114, WideExtensions: 276,
+				PeakTracebackBytes: 4414, TracebackBytes: 312114,
 				TracedExtensions: 72}, []int64{1121883, 109424}, 0x3f74bc8cf8246195},
 		{"replay-traceback-racy", 600, func(c *Config) { c.LRSplit, c.WorkStealing, c.Traceback = true, true, true },
 			Counters{HostBytesIn: 16656, HostBytesOut: 25000, UniqueSeqBytesIn: 15600, TheoreticalCells: 12960000,
 				Cells: 2155302, SumBand: 2155302, Antidiags: 161184, Races: 204, StealOps: 264, MaxSRAM: 53719,
-				PeakTracebackBytes: 6800, TracebackBytes: 477220, WideExtensions: 276,
+				PeakTracebackBytes: 6800, TracebackBytes: 477220,
 				TracedExtensions: 72}, []int64{3466596, 337656}, 0x3f900401912b760d},
 	} {
 		cfg := dnaCfg(15)

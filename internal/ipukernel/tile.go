@@ -426,7 +426,7 @@ func (ex *executor) runUnit(t *TileWork, cfg *Config, u unit, o *AlignOut, c *Co
 // (ex.scores), which runTile has run for every such side in this order.
 //
 // With Config.Traceback, every side runs one host sweep — the recording
-// sweep, whose Result is the score sweep's, tier outcome included —
+// sweep, whose Result is the score sweep's —
 // however the modeled device schedules it: Config.fusedExtension decides
 // only the charge, one DP sweep when the device fuses and two (score
 // pass, then second pass) when it does not. If that recording fails on a
@@ -512,14 +512,6 @@ func accumulate(o *AlignOut, c *Counters, s core.Stats) {
 	c.Cells += s.Cells
 	c.SumBand += s.SumComputedBand
 	c.Antidiags += int64(s.Antidiagonals)
-	switch {
-	case s.Narrow:
-		c.NarrowExtensions++
-	case s.Promoted:
-		c.PromotedExtensions++
-	default:
-		c.WideExtensions++
-	}
 }
 
 // instrCost converts an extension trace into thread-instruction bundles

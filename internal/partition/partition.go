@@ -311,8 +311,8 @@ func ReuseFactor(d *workload.Dataset, items []Item) float64 {
 // DeriveSeqBudget computes the per-partition sequence budget for a dataset
 // under a kernel configuration: tile SRAM minus the buffers the fold of
 // every comparison's Charge claims (thread work buffers for the largest
-// extension under the configured algorithm and kernel tier, plus, with
-// traceback on, the trace arenas of the worst extensions), minus a small
+// extension under the configured algorithm, plus, with traceback on, the
+// trace arenas of the worst extensions), minus a small
 // allowance for tuples and results. It fails when those buffers alone
 // exceed tile SRAM — which is precisely what happens to the unrestricted
 // algorithms on long reads (§3) and what δb fixes.

@@ -698,57 +698,51 @@ func TestDeriveSeqBudget(t *testing.T) {
 // whose full SRAM model — work buffers plus the shared trace arena —
 // fits the device, and the modeled arena allowance must dominate the
 // peak trace footprint the kernel actually records while replaying
-// extensions. Exercised across every kernel tier so the narrow-tier
-// working-set savings never under-charge the trace arena.
+// extensions.
 func TestTracebackBudgetAdmitsWithinSRAM(t *testing.T) {
-	for _, tier := range []core.Tier{core.TierWide, core.TierNarrow, core.TierAuto} {
-		d := readsData(t, 11)
-		cfg := testKernelCfg()
-		cfg.Traceback = true
-		cfg.Params.Tier = tier
-		budget, err := DeriveSeqBudget(d, cfg, platform.GC200)
-		if err != nil {
-			t.Fatalf("tier %v: %v", tier, err)
-		}
-		// MaxCmps mirrors the driver's spread cap: it also keeps the
-		// per-item tuple/result overhead inside the budget allowance.
-		items := BuildItems(d, Options{SeqBudget: budget, Reuse: true, MaxCmps: 64})
-		batches, err := MakeBatchesFanout(d, items, 8, cfg, platform.GC200, 0, nil)
-		if err != nil {
-			t.Fatalf("tier %v: %v", tier, err)
-		}
-		for _, b := range batches {
-			allowance := 0
-			for ti := range b.Tiles {
-				tw := &b.Tiles[ti]
-				if mem := cfg.TileMemoryBytes(tw, platform.GC200); mem > platform.GC200.DataSRAM() {
-					t.Fatalf("tier %v: admitted tile needs %d B of the %d B SRAM",
-						tier, mem, platform.GC200.DataSRAM())
-				}
-				for _, j := range tw.Jobs {
-					hn, vn := int(tw.Seqs[j.HLocal].Len), int(tw.Seqs[j.VLocal].Len)
-					for _, tb := range []int{
-						cfg.ExtensionTraceBytes(j.SeedH, j.SeedV),
-						cfg.ExtensionTraceBytes(hn-j.SeedH-j.SeedLen, vn-j.SeedV-j.SeedLen),
-					} {
-						if tb > allowance {
-							allowance = tb
-						}
+	d := readsData(t, 11)
+	cfg := testKernelCfg()
+	cfg.Traceback = true
+	budget, err := DeriveSeqBudget(d, cfg, platform.GC200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// MaxCmps mirrors the driver's spread cap: it also keeps the
+	// per-item tuple/result overhead inside the budget allowance.
+	items := BuildItems(d, Options{SeqBudget: budget, Reuse: true, MaxCmps: 64})
+	batches, err := MakeBatchesFanout(d, items, 8, cfg, platform.GC200, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches {
+		allowance := 0
+		for ti := range b.Tiles {
+			tw := &b.Tiles[ti]
+			if mem := cfg.TileMemoryBytes(tw, platform.GC200); mem > platform.GC200.DataSRAM() {
+				t.Fatalf("admitted tile needs %d B of the %d B SRAM", mem, platform.GC200.DataSRAM())
+			}
+			for _, j := range tw.Jobs {
+				hn, vn := int(tw.Seqs[j.HLocal].Len), int(tw.Seqs[j.VLocal].Len)
+				for _, tb := range []int{
+					cfg.ExtensionTraceBytes(j.SeedH, j.SeedV),
+					cfg.ExtensionTraceBytes(hn-j.SeedH-j.SeedLen, vn-j.SeedV-j.SeedLen),
+				} {
+					if tb > allowance {
+						allowance = tb
 					}
 				}
 			}
-			arena, _ := d.Spine()
-			res, err := ipukernel.Run(ipu.New(ipu.Config{Model: platform.GC200}), b.Bound(slabViews(arena)), cfg)
-			if err != nil {
-				t.Fatalf("tier %v: %v", tier, err)
-			}
-			if res.PeakTracebackBytes == 0 {
-				t.Fatalf("tier %v: traceback run recorded no trace bytes", tier)
-			}
-			if res.PeakTracebackBytes > allowance {
-				t.Fatalf("tier %v: peak trace %d B exceeds modeled arena allowance %d B",
-					tier, res.PeakTracebackBytes, allowance)
-			}
+		}
+		arena, _ := d.Spine()
+		res, err := ipukernel.Run(ipu.New(ipu.Config{Model: platform.GC200}), b.Bound(slabViews(arena)), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PeakTracebackBytes == 0 {
+			t.Fatal("traceback run recorded no trace bytes")
+		}
+		if res.PeakTracebackBytes > allowance {
+			t.Fatalf("peak trace %d B exceeds modeled arena allowance %d B", res.PeakTracebackBytes, allowance)
 		}
 	}
 }

@@ -213,7 +213,8 @@ func (c CPUModel) VecCellsPerCycle(meanBand float64) float64 {
 
 // GPUModel describes a CUDA GPU running a LOGAN-style X-Drop kernel: one
 // alignment per thread block, the live antidiagonal processed in lockstep
-// chunks of BlockLanes threads with a block barrier per antidiagonal.
+// chunks of 128 threads (core's Stats.Chunks128) with a block barrier per
+// antidiagonal.
 type GPUModel struct {
 	// Name identifies the part.
 	Name string
@@ -224,9 +225,6 @@ type GPUModel struct {
 	// BlocksPerSM is the number of alignment blocks resident per SM
 	// (shared-memory bound for 3δ antidiagonal buffers).
 	BlocksPerSM int
-	// BlockLanes is the thread-block width; antidiagonals shorter than
-	// this waste lanes, LOGAN's weakness at small X (Fig. 5).
-	BlockLanes int
 	// CellCycles is the cycle cost of one lockstep chunk.
 	CellCycles float64
 	// SyncCycles is the per-antidiagonal block-barrier cost.
@@ -241,7 +239,6 @@ var A100 = GPUModel{
 	SMs:                 108,
 	ClockHz:             1.41e9,
 	BlocksPerSM:         4,
-	BlockLanes:          128,
 	CellCycles:          4,
 	SyncCycles:          100,
 	KernelLaunchSeconds: 20e-6,

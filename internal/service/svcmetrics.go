@@ -151,12 +151,6 @@ var shardFamilies = []struct {
 		func(s *ShardSnapshot) float64 { return float64(s.CacheEntries) }},
 	{"xdropipu_engine_cache_hit_rate", "Lifetime cache hit rate per shard.", metrics.PromGauge,
 		func(s *ShardSnapshot) float64 { return s.CacheHitRate }},
-	{"xdropipu_engine_narrow_extensions_total", "Extensions completed on the int16 kernel tier per shard.", metrics.PromCounter,
-		func(s *ShardSnapshot) float64 { return float64(s.NarrowExtensions) }},
-	{"xdropipu_engine_wide_extensions_total", "Extensions executed on the int32 kernel tier per shard.", metrics.PromCounter,
-		func(s *ShardSnapshot) float64 { return float64(s.WideExtensions) }},
-	{"xdropipu_engine_promoted_extensions_total", "Extensions that saturated int16 and re-ran int32 per shard.", metrics.PromCounter,
-		func(s *ShardSnapshot) float64 { return float64(s.PromotedExtensions) }},
 	{"xdropipu_engine_traced_extensions_total", "Extensions that delivered a recorded traceback per shard.", metrics.PromCounter,
 		func(s *ShardSnapshot) float64 { return float64(s.TracedExtensions) }},
 	{"xdropipu_engine_trace_skipped_extensions_total", "Extensions the traceback score gate skipped per shard.", metrics.PromCounter,

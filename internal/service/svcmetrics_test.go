@@ -102,8 +102,7 @@ func TestServiceStatsAndMetricsExposition(t *testing.T) {
 	if want := []string{
 		"BatchesDone", "CacheBytes", "CacheEntries", "CacheEvictions", "CacheHits", "CacheMisses",
 		"CellsDone", "DeadlineExceeded", "FaultsInjected", "Hedges", "InflightBatches",
-		"JobsDone", "JobsLive", "NarrowExtensions", "PromotedExtensions", "Quarantined",
-		"Retries", "TraceSkippedExtensions", "TracedExtensions", "WideExtensions",
+		"JobsDone", "JobsLive", "Quarantined", "Retries", "TraceSkippedExtensions", "TracedExtensions",
 		"cacheHitRate", "queueDepth", "queueOccupancy", "shard",
 	}; !slices.Equal(shardKeys, want) {
 		t.Fatalf("/v1/stats shard keys changed:\n got %q\nwant %q", shardKeys, want)
@@ -143,9 +142,6 @@ func TestServiceStatsAndMetricsExposition(t *testing.T) {
 		"xdropipu_engine_cache_bytes gauge",
 		"xdropipu_engine_cache_entries gauge",
 		"xdropipu_engine_cache_hit_rate gauge",
-		"xdropipu_engine_narrow_extensions_total counter",
-		"xdropipu_engine_wide_extensions_total counter",
-		"xdropipu_engine_promoted_extensions_total counter",
 		"xdropipu_engine_traced_extensions_total counter",
 		"xdropipu_engine_trace_skipped_extensions_total counter",
 		"xdropipu_engine_retries_total counter",

@@ -362,18 +362,6 @@ type Result struct {
 	TraceBytes    int    `json:"tb,omitempty"`
 }
 
-// FromAlignOut converts one kernel result to its wire form.
-func FromAlignOut(o ipukernel.AlignOut) Result {
-	return Result{
-		GlobalID: o.GlobalID, Score: o.Score,
-		LeftScore: o.LeftScore, RightScore: o.RightScore,
-		BegH: o.BegH, BegV: o.BegV, EndH: o.EndH, EndV: o.EndV,
-		Cells: o.Cells, Antidiagonals: o.Antidiagonals,
-		MaxLiveBand: o.MaxLiveBand, Clamped: o.Clamped, Failed: o.Failed,
-		Cigar: string(o.Cigar), TraceBytes: o.TraceBytes,
-	}
-}
-
 // AlignOut converts the wire form back, re-validating the CIGAR so a
 // corrupted stream cannot smuggle an invalid edit script into client
 // code that trusts the Cigar invariants.

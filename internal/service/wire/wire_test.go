@@ -463,7 +463,7 @@ func setNonZero(v reflect.Value, next *int) {
 }
 
 // TestReportWireKeys pins the final record's report object: clients in
-// other languages read these 30 keys, and the struct behind them is now
+// other languages read these 27 keys, and the struct behind them is now
 // assembled by embedding — a renamed, retagged or newly exported field
 // must show up here, not in someone's dashboard.
 func TestReportWireKeys(t *testing.T) {
@@ -483,11 +483,11 @@ func TestReportWireKeys(t *testing.T) {
 	want := []string{
 		"antidiags", "batches", "cacheHits", "cacheMisses", "cells", "clamped",
 		"dedupedComparisons", "deviceComputeSeconds", "hostBytesIn", "hostBytesOut",
-		"ipus", "maxSRAM", "narrowExtensions", "partialFailures", "peakTracebackBytes",
-		"promotedExtensions", "races", "reuseFactor", "skippedTheoreticalCells",
-		"stealOps", "sumBand", "theoreticalCells", "traceSkippedExtensions",
-		"tracebackBytes", "tracedExtensions", "transferSeconds", "uniqueExtensions",
-		"uniqueSeqBytesIn", "wallSeconds", "wideExtensions",
+		"ipus", "maxSRAM", "partialFailures", "peakTracebackBytes", "races",
+		"reuseFactor", "skippedTheoreticalCells", "stealOps", "sumBand",
+		"theoreticalCells", "traceSkippedExtensions", "tracebackBytes",
+		"tracedExtensions", "transferSeconds", "uniqueExtensions",
+		"uniqueSeqBytesIn", "wallSeconds",
 	}
 	var got []string
 	for k, v := range obj.Report {

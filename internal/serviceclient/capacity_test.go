@@ -3,6 +3,7 @@ package serviceclient_test
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -22,6 +23,7 @@ import (
 func TestServiceClientBuffersWorstCaseStream(t *testing.T) {
 	const n, cached = 64, 40
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) // an unread body makes the server linger 0.5 s on close
 		fmt.Fprintf(w, `{"header":{"job":"j000001","comparisons":%d,"batches":%d,"shard":0}}`+"\n", n, n-cached)
 		for seq := 0; seq < n; seq++ {
 			batch := -1

@@ -6,6 +6,7 @@ package serviceclient_test
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -80,6 +81,7 @@ func TestServiceClientRetriesRefusals(t *testing.T) {
 		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
 			attempts.Add(1)
 			if refusals.Add(-1) >= 0 {
+				io.Copy(io.Discard, r.Body) // an unread body makes the server linger 0.5 s on close
 				w.Header().Set("Retry-After", "1")
 				http.Error(w, `{"error":"synthetic saturation"}`, http.StatusTooManyRequests)
 				return
@@ -112,7 +114,8 @@ func TestServiceClientRetriesRefusals(t *testing.T) {
 // TestServiceClientGivesUpAfterRetries: persistent refusal surfaces as a
 // terminal error naming the exhausted attempts, not a hang.
 func TestServiceClientGivesUpAfterRetries(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) // an unread body makes the server linger 0.5 s on close
 		http.Error(w, `{"error":"always full"}`, http.StatusTooManyRequests)
 	}))
 	defer ts.Close()

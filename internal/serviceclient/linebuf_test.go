@@ -6,6 +6,7 @@ package serviceclient_test
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -54,6 +55,7 @@ func TestConsumeResultsSurviveBufferReuse(t *testing.T) {
 		t.Fatalf("chunk lines of %d and %d bytes do not exercise the reused buffer", len(first), len(second))
 	}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) // an unread body makes the server linger 0.5 s on close
 		fmt.Fprintf(w, `{"header":{"job":"j000001","comparisons":%d,"batches":2,"shard":0}}`+"\n%s\n%s\n"+`{"final":{"report":{}}}`+"\n",
 			2*perChunk, first, second)
 	}))

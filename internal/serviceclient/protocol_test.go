@@ -7,6 +7,7 @@ package serviceclient_test
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -35,6 +36,7 @@ func TestServiceClientProtocolErrorIsTerminal(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var requests atomic.Int32
 			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				io.Copy(io.Discard, r.Body) // an unread body makes the server linger 0.5 s on close
 				requests.Add(1)
 				fmt.Fprintf(w, `{"header":{"job":"j000001","comparisons":2,"batches":3,"shard":0}}`+"\n%s\n%s\n", good, tc.bad)
 				// No final record: the stream just ends, as a window replay
@@ -94,6 +96,7 @@ func TestServiceClientFinalNeedsEveryResult(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var requests atomic.Int32
 			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				io.Copy(io.Discard, r.Body) // an unread body makes the server linger 0.5 s on close
 				requests.Add(1)
 				fmt.Fprint(w, `{"header":{"job":"j000001","comparisons":2,"batches":2,"shard":0}}`+"\n")
 				for _, c := range tc.chunks {
@@ -130,6 +133,7 @@ func TestServiceClientChecksHeaderCount(t *testing.T) {
 	for _, announced := range []int{-5, 0, 1, 3} {
 		t.Run(fmt.Sprint(announced), func(t *testing.T) {
 			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				io.Copy(io.Discard, r.Body) // an unread body makes the server linger 0.5 s on close
 				fmt.Fprintf(w, `{"header":{"job":"j000001","comparisons":%d,"batches":1,"shard":0}}`+"\n", announced)
 				fmt.Fprint(w, `{"final":{"report":{}}}`+"\n")
 			}))
@@ -146,7 +150,8 @@ func TestServiceClientChecksHeaderCount(t *testing.T) {
 		const result = `{"id":%d,"score":5,"ls":1,"rs":2,"bh":0,"bv":0,"eh":9,"ev":9,"cells":40,"ad":18,"band":3}`
 		var requests atomic.Int32
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if requests.Add(1) == 1 { // the submission: one chunk, then the stream drops
+			io.Copy(io.Discard, r.Body) // an unread body makes the server linger 0.5 s on close
+			if requests.Add(1) == 1 {   // the submission: one chunk, then the stream drops
 				fmt.Fprint(w, `{"header":{"job":"j000001","comparisons":2,"batches":2,"shard":0}}`+"\n")
 				fmt.Fprintf(w, `{"chunk":{"seq":0,"batch":0,"batches":2,"results":[`+result+`]}}`+"\n", 0)
 				return

@@ -8,6 +8,7 @@ package serviceclient_test
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -26,6 +27,7 @@ import (
 // block until Wait's deadline.
 func TestServiceClientRejectsEmptyChunks(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) // an unread body makes the server linger 0.5 s on close
 		fmt.Fprint(w, `{"header":{"job":"j000001","comparisons":2,"batches":2,"shard":0}}`+"\n")
 		for seq := 0; seq < 10; seq++ {
 			fmt.Fprintf(w, `{"chunk":{"seq":%d,"batch":-1,"batches":2,"results":[]}}`+"\n", seq)
@@ -58,6 +60,7 @@ func TestServiceClientRejectsEmptyChunks(t *testing.T) {
 func TestServiceClientQueueSpillsInOrder(t *testing.T) {
 	const n = 3 * serviceclient.UpdateQueueCap
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) // an unread body makes the server linger 0.5 s on close
 		fmt.Fprintf(w, `{"header":{"job":"j000001","comparisons":%d,"batches":%d,"shard":0}}`+"\n", n, n)
 		for seq := 0; seq < n; seq++ {
 			fmt.Fprintf(w, `{"chunk":{"seq":%d,"batch":%d,"batches":%d,"results":[{"id":%d,"score":%d,"ls":1,"rs":2,"bh":0,"bv":0,"eh":9,"ev":9,"cells":40,"ad":18,"band":3}]}}`+"\n",

@@ -252,16 +252,6 @@ func (a *Arena) SeqViews() [][]byte {
 	return seqs
 }
 
-// SlabBytes returns the physical pool size across all slabs — what the
-// host actually holds (or would hold fully resident) after interning.
-func (a *Arena) SlabBytes() int {
-	var n int
-	for _, sl := range a.slabs {
-		n += sl.size
-	}
-	return n
-}
-
 // lookup returns the canonical index of s if its bytes are already pooled.
 // Comparing against a spilled slab faults it in.
 func (a *Arena) lookup(h uint64, s []byte) (int32, bool) {

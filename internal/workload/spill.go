@@ -156,15 +156,6 @@ func (a *Arena) Pin(set []int32) (*SlabPin, error) {
 	return p, nil
 }
 
-// PinAll pins every slab in the spine.
-func (a *Arena) PinAll() (*SlabPin, error) {
-	set := make([]int32, len(a.slabs))
-	for i := range set {
-		set[i] = int32(i)
-	}
-	return a.Pin(set)
-}
-
 func (a *Arena) unpinLocked(set []int32) {
 	for _, si := range set {
 		a.slabs[si].pins--

@@ -33,10 +33,10 @@ import (
 //     set (two IPUs, partitioning, LR split, eventual work stealing, dual
 //     issue, four comparisons a batch), or Standard3 on a bare fleet (one
 //     IPU of four tiles, static schedule, three comparisons a batch).
-//   - tier, traceback, and the gate (TraceMinScore 0 or the corpus's
-//     median oracle score).
+//   - traceback, and the gate (TraceMinScore 0 or the corpus's median
+//     oracle score).
 //   - dedup, and the result cache: none; cold, holding what the row's
-//     configuration stores under the next tier (and, traced, the other
+//     configuration stores under twice its δb (and, traced, the other
 //     gate); or warm, filled by the row's own configuration.
 //   - faults: none, transient retried, or permanent (mixed with transient)
 //     quarantined to the host path.
@@ -47,7 +47,6 @@ import (
 var latticeAxes = [][]string{
 	{"dna", "protein"},
 	{"r2", "s3"},
-	{"wide", "narrow", "auto"},
 	{"untraced", "traced"},
 	{"ungated", "gated"},
 	{"nodedup", "dedup"},
@@ -66,45 +65,37 @@ var latticeExcluded = []string{
 	"permanent run", "permanent staged", "warm transient", "warm permanent",
 }
 
-// latticeRows holds every pair of values latticeExcluded allows, and the
-// triple that records on the host's fused path: traced, ungated, wide.
-// Rows equal on the first seven axes form a report class: they differ
-// only in faults, layout, path and worker count, and report byte for
-// byte alike.
+// latticeRows holds every pair of values latticeExcluded allows. Rows
+// equal on the first six axes form a report class: they differ only in
+// faults, layout, path and worker count, and report byte for byte alike.
 var latticeRows = []string{
-	"dna r2 wide untraced ungated nodedup nocache nofault oneslab run",
-	"dna r2 wide untraced ungated nodedup nocache transient slabs engine",
-	"dna r2 wide untraced ungated nodedup nocache permanent oneslab engine",
-	"dna s3 narrow traced gated dedup cold permanent spilled service",
-	"dna s3 narrow traced gated dedup cold nofault slabs staged",
-	"protein r2 auto untraced ungated dedup warm nofault spilled staged",
-	"protein r2 auto untraced ungated dedup warm nofault oneslab service",
-	"protein s3 auto traced gated nodedup nocache transient oneslab engine",
-	"protein s3 auto traced gated nodedup nocache permanent slabs service",
-	"protein r2 narrow untraced ungated dedup cold permanent oneslab engine",
-	"protein r2 narrow untraced ungated dedup cold nofault slabs run",
-	"dna s3 wide traced gated dedup warm nofault spilled run",
-	"dna s3 wide traced gated dedup warm nofault slabs engine",
-	"dna r2 narrow traced ungated nodedup nocache transient spilled engine",
-	"dna r2 narrow traced ungated nodedup nocache nofault oneslab staged",
-	"protein s3 wide untraced ungated dedup cold transient oneslab service",
-	"protein s3 wide untraced ungated dedup cold nofault oneslab staged",
-	"dna r2 auto traced gated dedup nocache nofault oneslab run",
-	"dna r2 auto traced gated dedup nocache nofault slabs staged",
-	"dna r2 narrow untraced ungated dedup warm nofault oneslab run",
-	"dna r2 narrow untraced ungated dedup warm nofault slabs staged",
-	"dna r2 auto untraced ungated dedup cold nofault oneslab run",
-	"dna r2 auto untraced ungated dedup cold nofault slabs staged",
-	"dna r2 wide traced ungated dedup nocache nofault oneslab run",
-	"dna r2 wide traced ungated dedup nocache transient spilled service",
+	"dna r2 untraced ungated nodedup nocache nofault oneslab run",
+	"dna r2 untraced ungated nodedup nocache transient slabs engine",
+	"dna r2 untraced ungated nodedup nocache permanent oneslab engine",
+	"dna s3 traced gated dedup cold permanent spilled service",
+	"dna s3 traced gated dedup cold nofault slabs staged",
+	"protein r2 untraced ungated dedup warm nofault spilled staged",
+	"protein r2 untraced ungated dedup warm nofault oneslab service",
+	"protein s3 traced gated nodedup nocache transient oneslab engine",
+	"protein s3 traced gated nodedup nocache permanent slabs service",
+	"protein r2 untraced ungated dedup cold permanent oneslab engine",
+	"protein r2 untraced ungated dedup cold nofault slabs run",
+	"dna s3 traced gated dedup warm nofault spilled run",
+	"dna s3 traced gated dedup warm nofault slabs engine",
+	"dna r2 traced ungated nodedup nocache transient spilled engine",
+	"dna r2 traced ungated nodedup nocache nofault oneslab staged",
+	"protein s3 untraced ungated dedup cold transient oneslab service",
+	"protein s3 untraced ungated dedup cold nofault oneslab staged",
+	"dna r2 traced gated dedup nocache nofault oneslab run",
+	"dna r2 traced gated dedup nocache nofault slabs staged",
 }
 
 // latticeRow is one parsed row: its values, name, report class, index, and
 // workers — GOMAXPROCS for the run, an engine's executors and queue depth.
 type latticeRow struct {
-	name, class                                                         string
-	corpus, algo, tier, trace, gate, dedup, cache, faults, layout, path string
-	index, workers                                                      int
+	name, class                                                   string
+	corpus, algo, trace, gate, dedup, cache, faults, layout, path string
+	index, workers                                                int
 }
 
 // TestInvariantLattice states the system's defining invariant once: the
@@ -153,8 +144,8 @@ func parseLattice(t *testing.T) []latticeRow {
 	held := map[string]bool{}
 	for i, spec := range latticeRows {
 		words := strings.Fields(spec)
-		r := latticeRow{name: strings.Join(words, "-"), class: strings.Join(words[:7], " "), index: i, workers: []int{1, 2, 4}[i%3]}
-		fields := []*string{&r.corpus, &r.algo, &r.tier, &r.trace, &r.gate, &r.dedup, &r.cache, &r.faults, &r.layout, &r.path}
+		r := latticeRow{name: strings.Join(words, "-"), class: strings.Join(words[:6], " "), index: i, workers: []int{1, 2, 4}[i%3]}
+		fields := []*string{&r.corpus, &r.algo, &r.trace, &r.gate, &r.dedup, &r.cache, &r.faults, &r.layout, &r.path}
 		if len(words) != len(fields) {
 			t.Fatalf("row %q: %d words, want one per axis", spec, len(words))
 		}
@@ -191,12 +182,10 @@ type latticeCorpus struct {
 	d      *workload.Dataset
 	params core.Params
 	// unique counts the leading comparisons, each a distinct extension;
-	// the rest duplicate them. saturates marks an extension that
-	// overflows the narrow tier's int16.
-	unique    int
-	saturates bool
-	want      []oracle.Alignment
-	cut       int // the median oracle score
+	// the rest duplicate them.
+	unique int
+	want   []oracle.Alignment
+	cut    int // the median oracle score
 	// results is the results fingerprint (trace fields cleared), set by
 	// the first row; traces holds each comparison's first CIGAR seen.
 	results, traces []ipukernel.AlignOut
@@ -210,8 +199,7 @@ type latticeCorpus struct {
 // comparison under fresh indices for the same bytes, and the last pair
 // again. DNA runs the paper's scheme (+1/−1, gap −1, X 15) scaled by 64:
 // every prune decision is the unit scheme's, and the identical pair's
-// 541-base extensions overflow int16 (TierNarrow promotes them, TierAuto
-// runs them wide).
+// 541-base extensions score past the int16 range.
 func newLatticeCorpus(t *testing.T, protein bool) *latticeCorpus {
 	rng := rand.New(rand.NewSource(2304))
 	gen, prof, k := synth.RandDNA, synth.UniformDNA(0.08), 17
@@ -243,7 +231,7 @@ func newLatticeCorpus(t *testing.T, protein bool) *latticeCorpus {
 	again := cmps[1]
 	again.H, again.V = len(seqs)-2, len(seqs)-1
 	cmps = append(cmps, cmps[0], again, cmps[unique-1])
-	c := &latticeCorpus{d: workload.MustPack("lattice", seqs, cmps, protein), params: p, unique: unique, saturates: !protein}
+	c := &latticeCorpus{d: workload.MustPack("lattice", seqs, cmps, protein), params: p, unique: unique}
 
 	kcfg := ipukernel.Config{Params: p, Traceback: true}
 	var scores []int
@@ -274,7 +262,6 @@ func newLatticeCorpus(t *testing.T, protein bool) *latticeCorpus {
 // cache (faults are the engine paths' own, in runLatticeRow).
 func (c *latticeCorpus) config(t *testing.T, r latticeRow) driver.Config {
 	p := c.params
-	p.Tier = core.Tier(slices.Index(latticeAxes[2], r.tier))
 	cfg := driver.Config{IPUs: 1, TilesPerIPU: 4, MaxBatchJobs: 3}
 	if r.algo == "r2" {
 		cfg = driver.Config{IPUs: 2, TilesPerIPU: 8, Partition: true, MaxBatchJobs: 4, Kernel: ipukernel.Config{
@@ -299,8 +286,10 @@ func (c *latticeCorpus) config(t *testing.T, r latticeRow) driver.Config {
 		c.check(t, mustRun(t, c.d, f), f)
 	}
 	if r.cache == "cold" {
+		// Twice the δb: hashed into the fingerprint, and no row clamps at
+		// either, so fill's check holds the foreign results to the corpus's.
 		foreign := cfg
-		foreign.Kernel.Params.Tier = (p.Tier + 1) % 3
+		foreign.Kernel.Params.DeltaB = 2 * p.DeltaB
 		fill(foreign)
 		if cfg.Kernel.Traceback {
 			foreign = cfg
@@ -488,11 +477,8 @@ func (c *latticeCorpus) check(t *testing.T, rep *driver.Report, cfg driver.Confi
 //     skipped theoretical cells are the corpus's, and executed work takes
 //     modeled time.
 //   - A cold cache serves nothing, not even the row's configuration under
-//     another tier or gate; a warm one serves every extension, whatever
+//     another δb or gate; a warm one serves every extension, whatever
 //     the layout, and executes no batch.
-//   - Tier counters sum to two per executed extension; wide runs nothing
-//     narrow; narrow promotes exactly where an extension saturates; auto
-//     never promotes and runs the saturating extension wide.
 //   - Traced extensions are those of executed comparisons at or above the
 //     gate, the rest skipped; untraced, the gate is not hashed into the
 //     kernel fingerprint, so score-only runs share cache entries.
@@ -529,15 +515,6 @@ func latticePredicates(t *testing.T, r latticeRow, c *latticeCorpus, cfg driver.
 	}
 	if rep.CacheHits != hits || rep.CacheMisses != misses || r.cache == "warm" && rep.Batches != 0 {
 		t.Errorf("%s cache: %d hits, %d misses, %d batches", r.cache, rep.CacheHits, rep.CacheMisses, rep.Batches)
-	}
-	narrow, wide, promoted := rep.NarrowExtensions, rep.WideExtensions, rep.PromotedExtensions
-	sat := c.saturates && executed > 0
-	if narrow+wide+promoted != 2*executed ||
-		r.tier == "wide" && narrow+promoted != 0 ||
-		r.tier == "narrow" && (promoted > 0) != sat ||
-		r.tier == "auto" && (promoted != 0 || (wide > 0) != sat) ||
-		r.tier != "wide" && executed > 0 && narrow == 0 {
-		t.Errorf("%s tier over %d executed extensions: %d narrow, %d wide, %d promoted", r.tier, executed, narrow, wide, promoted)
 	}
 	// The executed extensions are the first executed comparisons'.
 	traced := 0

@@ -71,6 +71,10 @@ var reachConfigs = [][]string{nil, {"purego"}}
 // function only tests call, or only other unreached functions call,
 // fails the test with its file:line: delete it, or move it into the
 // _test.go of the package that uses it.
+//
+// The benchmark module may not change with the code it measures, so the
+// functions only it reaches are its doors: each is declared in its
+// package's benchdoors.go, and nothing production reaches is.
 func TestProductionReachesEveryFunction(t *testing.T) {
 	start := time.Now()
 	const module = "github.com/sram-align/xdropipu"
@@ -195,22 +199,31 @@ func TestProductionReachesEveryFunction(t *testing.T) {
 		}
 	}
 
-	reached := g.reach()
-	var unreached []string
+	reached, production := g.reach(true), g.reach(false)
+	var faults []string
+	unreached := 0
 	for pos, d := range g.decls {
-		if !reached[pos] {
-			p := fset.Position(pos)
-			unreached = append(unreached, fmt.Sprintf("%s:%d: %s", p.Filename, p.Line, d.name))
+		p := fset.Position(pos)
+		at := fmt.Sprintf("%s:%d: %s", p.Filename, p.Line, d.name)
+		door := filepath.Base(p.Filename) == "benchdoors.go"
+		switch {
+		case !reached[pos]:
+			unreached++
+			faults = append(faults, at+" is reached by no production code")
+		case production[pos] && door:
+			faults = append(faults, at+" is reached by production code; move it out of benchdoors.go")
+		case !production[pos] && !door:
+			faults = append(faults, at+" is reached only by the benchmark; move it into its package's benchdoors.go")
 		}
 	}
-	slices.Sort(unreached)
-	for _, u := range unreached {
-		t.Errorf("%s is reached by no production code", u)
+	slices.Sort(faults)
+	for _, f := range faults {
+		t.Error(f)
 	}
 	if len(g.decls) < 500 {
 		t.Fatalf("only %d functions declared; the walk missed the module", len(g.decls))
 	}
-	t.Logf("%d functions, %d unreached, %v", len(g.decls), len(unreached), time.Since(start).Round(time.Millisecond))
+	t.Logf("%d functions, %d unreached, %v", len(g.decls), unreached, time.Since(start).Round(time.Millisecond))
 }
 
 // reachDecl is one declared function or method.
@@ -229,6 +242,7 @@ type reachGraph struct {
 	decls map[token.Pos]*reachDecl
 	edges map[token.Pos][]token.Pos
 	roots []token.Pos // functions referenced from outside any function body
+	bench []token.Pos // functions the benchmark module references
 }
 
 func (g *reachGraph) addFile(fset *token.FileSet, module, pkg string, f *ast.File, info *types.Info) {
@@ -248,7 +262,11 @@ func (g *reachGraph) addFile(fset *token.FileSet, module, pkg string, f *ast.Fil
 	}
 	for _, decl := range f.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || caller {
+		if caller {
+			g.bench = append(g.bench, refs(decl)...)
+			continue
+		}
+		if !ok {
 			g.roots = append(g.roots, refs(decl)...)
 			continue
 		}
@@ -279,8 +297,9 @@ func (g *reachGraph) addFile(fset *token.FileSet, module, pkg string, f *ast.Fil
 	}
 }
 
-// reach returns every declaration reachable from the roots.
-func (g *reachGraph) reach() map[token.Pos]bool {
+// reach returns every declaration reachable from the roots, and with
+// bench from the benchmark module's references too.
+func (g *reachGraph) reach(bench bool) map[token.Pos]bool {
 	seen := map[token.Pos]bool{}
 	var stack []token.Pos
 	visit := func(pos token.Pos) {
@@ -291,6 +310,11 @@ func (g *reachGraph) reach() map[token.Pos]bool {
 	}
 	for _, pos := range g.roots {
 		visit(pos)
+	}
+	if bench {
+		for _, pos := range g.bench {
+			visit(pos)
+		}
 	}
 	for pos, d := range g.decls {
 		if d.root {

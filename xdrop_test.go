@@ -23,20 +23,20 @@ func TestXDropProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for range 30 {
 		h, v, s, p := xdropCase(rng.Int63(), uint16(rng.Uint32()), uint8(rng.Uint32()), uint8(rng.Uint32()),
-			uint8(rng.Uint32()), uint8(rng.Uint32()), uint8(rng.Uint32()), rng.Intn(2) == 0)
+			uint8(rng.Uint32()), uint8(rng.Uint32()), rng.Intn(2) == 0)
 		checkXDrop(t, h, v, s, p)
 	}
 }
 
 // FuzzXDropOracle runs checkXDrop on fuzzed pairs: length, divergence,
-// alphabet, X, δb, gap penalty and kernel tier.
+// alphabet, X, δb and gap penalty.
 func FuzzXDropOracle(f *testing.F) {
-	f.Add(int64(1), uint16(300), uint8(10), uint8(15), uint8(0), uint8(0), uint8(0), false)
-	f.Add(int64(2), uint16(250), uint8(30), uint8(40), uint8(9), uint8(1), uint8(1), false)
-	f.Add(int64(3), uint16(200), uint8(15), uint8(49), uint8(0), uint8(1), uint8(2), true)
-	f.Add(int64(4), uint16(120), uint8(35), uint8(3), uint8(4), uint8(3), uint8(1), true)
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, rate, x, deltaB, gap, tier uint8, protein bool) {
-		h, v, s, p := xdropCase(seed, n, rate, x, deltaB, gap, tier, protein)
+	f.Add(int64(1), uint16(300), uint8(10), uint8(15), uint8(0), uint8(0), false)
+	f.Add(int64(2), uint16(250), uint8(30), uint8(40), uint8(9), uint8(1), false)
+	f.Add(int64(3), uint16(200), uint8(15), uint8(49), uint8(0), uint8(1), true)
+	f.Add(int64(4), uint16(120), uint8(35), uint8(3), uint8(4), uint8(3), true)
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, rate, x, deltaB, gap uint8, protein bool) {
+		h, v, s, p := xdropCase(seed, n, rate, x, deltaB, gap, protein)
 		checkXDrop(t, h, v, s, p)
 	})
 }
@@ -44,7 +44,7 @@ func FuzzXDropOracle(f *testing.F) {
 // xdropCase builds a pair and its parameters from fuzz inputs: h random, v
 // h mutated at up to 40 % divergence, an exact seed planted near
 // the middle; +1/−1 DNA or BLOSUM62, gap −1…−4, X 0…255, δb 0…255.
-func xdropCase(seed int64, n uint16, rate, x, deltaB, gap, tier uint8, protein bool) ([]byte, []byte, core.Seed, core.Params) {
+func xdropCase(seed int64, n uint16, rate, x, deltaB, gap uint8, protein bool) ([]byte, []byte, core.Seed, core.Params) {
 	rng := rand.New(rand.NewSource(seed))
 	gen, prof, k := synth.RandDNA, synth.UniformDNA(float64(rate%41)/100), 11
 	p := core.Params{Scorer: scoring.DNADefault}
@@ -57,7 +57,7 @@ func xdropCase(seed int64, n uint16, rate, x, deltaB, gap, tier uint8, protein b
 	s := core.Seed{H: rng.Intn(len(h) - k + 1), Len: k}
 	s.V = min(s.H, len(v)-k)
 	synth.PlantSeed(h, v, s.H, s.V, k)
-	p.Gap, p.X, p.DeltaB, p.Tier = -1-int(gap%4), int(x), int(deltaB), core.Tier(tier%3)
+	p.Gap, p.X, p.DeltaB = -1-int(gap%4), int(x), int(deltaB)
 	return h, v, s, p
 }
 

@@ -67,24 +67,6 @@ const (
 	AlgoAffine = core.AlgoAffine
 )
 
-// Kernel tiers, the values of Params.Tier: the modeled device's score
-// width. The host runs every extension on its one int32 sweep and derives
-// the tier's outcome from that Result, so every tier returns the same
-// scores at the same host throughput; the tiers differ in the modeled
-// working-set bytes and the narrow/promoted counters.
-const (
-	// TierWide models int32 scores for every extension (the default).
-	TierWide = core.TierWide
-	// TierNarrow models int16 scores, and an int32 re-run on the device
-	// for an extension whose score would saturate them (promoted).
-	TierNarrow = core.TierNarrow
-	// TierAuto models int16 scores only where the extension provably
-	// cannot saturate them — it never promotes, so the SRAM planner can
-	// budget narrow-only working sets and admit larger sequences per
-	// tile.
-	TierAuto = core.TierAuto
-)
-
 // Align runs one semi-global X-Drop extension of h against v.
 func Align(h, v []byte, p Params) Result {
 	return core.Align(core.NewView(h), core.NewView(v), p)
