@@ -21,6 +21,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/sram-align/xdropipu/internal/clock"
 	"github.com/sram-align/xdropipu/internal/ipu"
 	"github.com/sram-align/xdropipu/internal/ipukernel"
 	"github.com/sram-align/xdropipu/internal/metrics"
@@ -679,22 +680,21 @@ func (bp *BatchPlan) KernelConfig(poolWorkers int) ipukernel.Config {
 // ExecBatch runs batch i on dev. Batches are independent (disjoint
 // comparisons, no shared device state that affects results), so any
 // executor may run any subset in any order; per-batch results are
-// deterministic. It is attempt 0 of ExecBatchAttempt — the path every
-// pre-fault-tolerance caller keeps.
+// deterministic. It is attempt 0 of ExecBatchAttempt, on clock.Real.
 func (bp *BatchPlan) ExecBatch(dev *ipu.Device, i int, kcfg ipukernel.Config) (*ipukernel.BatchResult, error) {
-	return bp.ExecBatchAttempt(dev, i, 0, kcfg)
+	return bp.ExecBatchAttempt(dev, i, 0, kcfg, clock.Real)
 }
 
 // ExecBatchAttempt runs one attempt of batch i on dev, consulting the
 // configured fault plan first: an injected transient or permanent fault
 // returns a *FaultError without touching the device, and a straggler
-// decision delays the (otherwise normal) execution. attempt numbers
-// re-executions of the same batch — retries and hedges — so a seeded
-// plan's schedule is reproducible per execution, not just per batch.
-// Whenever an attempt returns a result, it is bit-identical to every
-// other attempt's: injection can only fail or delay, never corrupt.
-func (bp *BatchPlan) ExecBatchAttempt(dev *ipu.Device, i, attempt int, kcfg ipukernel.Config) (*ipukernel.BatchResult, error) {
-	return bp.exec(dev, i, attempt, kcfg, bp.cfg.Faults)
+// decision delays the (otherwise normal) execution by a wait on clk.
+// attempt numbers re-executions of the same batch — retries and hedges —
+// so a seeded plan's schedule is reproducible per execution, not just per
+// batch. Whenever an attempt returns a result, it is bit-identical to
+// every other attempt's: injection can only fail or delay, never corrupt.
+func (bp *BatchPlan) ExecBatchAttempt(dev *ipu.Device, i, attempt int, kcfg ipukernel.Config, clk clock.Clock) (*ipukernel.BatchResult, error) {
+	return bp.exec(dev, i, attempt, kcfg, bp.cfg.Faults, clk)
 }
 
 // ExecBatchHost runs batch i through the reference host path: the same
@@ -707,7 +707,7 @@ func (bp *BatchPlan) ExecBatchAttempt(dev *ipu.Device, i, attempt int, kcfg ipuk
 // report assembled from any mix of fleet and host executions is
 // bit-identical to the fault-free run.
 func (bp *BatchPlan) ExecBatchHost(i int, kcfg ipukernel.Config) (*ipukernel.BatchResult, error) {
-	return bp.exec(bp.NewDevice(), i, 0, kcfg, nil)
+	return bp.exec(bp.NewDevice(), i, 0, kcfg, nil, nil)
 }
 
 // exec is the one execution sequence behind the fleet and host paths:
@@ -715,8 +715,8 @@ func (bp *BatchPlan) ExecBatchHost(i int, kcfg ipukernel.Config) (*ipukernel.Bat
 // slab set in the arena, bind the batch to the pinned views, run it on
 // dev and release the pin. Pinning an already resident slab is a counter
 // bump, so the in-memory path pays one mutex round-trip per execution.
-func (bp *BatchPlan) exec(dev *ipu.Device, i, attempt int, kcfg ipukernel.Config, faults *FaultPlan) (*ipukernel.BatchResult, error) {
-	if err := faults.inject(i, attempt); err != nil {
+func (bp *BatchPlan) exec(dev *ipu.Device, i, attempt int, kcfg ipukernel.Config, faults *FaultPlan, clk clock.Clock) (*ipukernel.BatchResult, error) {
+	if err := faults.inject(i, attempt, clk); err != nil {
 		return nil, err
 	}
 	b := bp.batches[i]

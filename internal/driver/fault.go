@@ -1,9 +1,12 @@
 package driver
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"time"
+
+	"github.com/sram-align/xdropipu/internal/clock"
 )
 
 // FaultKind classifies one injected fault.
@@ -60,8 +63,8 @@ type FaultSpec struct {
 // boundary — the substrate for chaos testing the layers above. Decisions
 // are a pure function of (seed, batch index, attempt), so a given plan
 // injects exactly the same faults on every run and tests can predict
-// counters exactly; only wall-clock timing (straggler sleeps) touches
-// the real clock. Injection never changes any result that is delivered:
+// counters exactly; a straggler waits on the clock its caller passes.
+// Injection never changes any result that is delivered:
 // a faulted execution either fails outright or runs late, and re-executed
 // batches are bit-identical by the repository's determinism invariant —
 // which is precisely why the engine's retry/hedge layer is sound.
@@ -105,9 +108,10 @@ func (p *FaultPlan) Kind(batch, attempt int) FaultKind {
 }
 
 // inject applies the plan's decision to one execution: it returns the
-// injected error for a failure, sleeps out a straggler delay, and counts
-// whatever it did. A nil plan injects nothing.
-func (p *FaultPlan) inject(batch, attempt int) error {
+// injected error for a failure, waits out a straggler delay on clk (a
+// slow device is not interrupted), and counts whatever it did. A nil
+// plan injects nothing.
+func (p *FaultPlan) inject(batch, attempt int, clk clock.Clock) error {
 	switch p.Kind(batch, attempt) {
 	case FaultTransient:
 		p.transients.Add(1)
@@ -118,7 +122,7 @@ func (p *FaultPlan) inject(batch, attempt int) error {
 	case FaultStraggler:
 		p.stragglers.Add(1)
 		if p.spec.StragglerDelay > 0 {
-			time.Sleep(p.spec.StragglerDelay)
+			clock.Sleep(context.Background(), clk, p.spec.StragglerDelay)
 		}
 	}
 	return nil

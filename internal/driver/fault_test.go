@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/sram-align/xdropipu/internal/clock"
 	"github.com/sram-align/xdropipu/internal/ipukernel"
 )
 
@@ -113,7 +114,7 @@ func TestExecBatchAttemptInjects(t *testing.T) {
 	dev := faulty.NewDevice()
 	kcfg := faulty.KernelConfig(1)
 	for i := 0; i < faulty.Batches(); i++ {
-		_, err := faulty.ExecBatchAttempt(dev, i, 0, kcfg)
+		_, err := faulty.ExecBatchAttempt(dev, i, 0, kcfg, clock.Real)
 		var fe *FaultError
 		if !errors.As(err, &fe) {
 			t.Fatalf("batch %d: err = %v, want *FaultError", i, err)

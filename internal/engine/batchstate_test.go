@@ -8,13 +8,15 @@ import (
 	"testing"
 	"time"
 
+	"github.com/sram-align/xdropipu/internal/clock"
 	"github.com/sram-align/xdropipu/internal/driver"
 	"github.com/sram-align/xdropipu/internal/ipukernel"
 )
 
 // These tests drive Job.step directly on a hand-built job: no executors,
-// no sleeps. Backoff is an hour, so an armed timer can only be stopped,
-// never fire into the test.
+// no sleeps. The engine's clock is manual and only the hedge test moves
+// it, with no timer pending, so an armed timer can only be stopped, never
+// fire into the test.
 
 var (
 	errTransient = &driver.FaultError{Kind: driver.FaultTransient}
@@ -38,8 +40,8 @@ func machinePlan(t *testing.T) *driver.BatchPlan {
 // executor pool, the state runJob leaves behind.
 func newMachine(bp *driver.BatchPlan, mode DegradedMode) (*Engine, *Job) {
 	e := &Engine{
-		retryMax: 3, backoffBase: time.Hour, backoffCap: time.Hour,
-		degraded: mode, live: 1, slots: make(chan struct{}, 1),
+		retryMax: 3, backoffBase: time.Millisecond, backoffCap: time.Millisecond,
+		degraded: mode, live: 1, slots: make(chan struct{}, 1), clk: new(clock.Manual),
 	}
 	e.cond = sync.NewCond(&e.mu)
 	e.slots <- struct{}{}
@@ -116,7 +118,7 @@ func TestBatchTransitions(t *testing.T) {
 		},
 		"backoff": func(j *Job) {
 			j.batches[0] = batchState{phase: phaseBackoff, attempts: 1,
-				timer: time.AfterFunc(time.Hour, func() {})}
+				timer: j.eng.clk.AfterFunc(time.Millisecond, func() {})}
 			j.nextIssue, j.issued, j.retriesUsed = 1, 1, 1
 		},
 		"delivered": func(j *Job) {
@@ -358,13 +360,6 @@ func TestBatchTransitionsStaleFleetFailure(t *testing.T) {
 	e.finishLocked(j, nil, errors.New("test over"))
 }
 
-// tick returns once the wall clock has moved, so two start stamps taken
-// either side of it differ.
-func tick() {
-	for t0 := time.Now().UnixNano(); time.Now().UnixNano() == t0; {
-	}
-}
-
 // TestBatchTransitionsHedgeStart: the hedge scan duplicates the batch
 // whose current execution has run longest. Batch 0 starts first, fails
 // and is retried after batch 1 started, so batch 1 is the straggler. The
@@ -374,7 +369,8 @@ func TestBatchTransitionsHedgeStart(t *testing.T) {
 	bp := machinePlan(t)
 	e, j := newMachine(bp, DegradeFail)
 	e.deadline, e.hedgeWindow = time.Hour, time.Hour // the window is open from admission
-	j.deadline = time.Now().Add(time.Hour)
+	clk := e.clk.(*clock.Manual)
+	j.deadline = clk.Now().Add(time.Hour)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	pick := func(want int) {
@@ -382,7 +378,7 @@ func TestBatchTransitionsHedgeStart(t *testing.T) {
 		if pj, bi := e.pickLocked(); pj != j || bi != want {
 			t.Fatalf("pickLocked = (%v, %d), want batch %d", pj != nil, bi, want)
 		}
-		tick()
+		clk.Advance(time.Millisecond) // two start stamps either side differ
 	}
 	pick(0)
 	pick(1)

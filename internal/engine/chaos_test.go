@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/sram-align/xdropipu/internal/clock"
 	"github.com/sram-align/xdropipu/internal/driver"
 	"github.com/sram-align/xdropipu/internal/workload"
 )
@@ -332,7 +333,8 @@ func TestCancelDropsQueuedWorkAndLateResults(t *testing.T) {
 	plan := driver.NewFaultPlan(3, driver.FaultSpec{
 		StragglerRate: 1, StragglerDelay: 400 * time.Millisecond,
 	})
-	e := New(WithDriverConfig(withFaults(cfg, plan)), WithExecutors(execs))
+	clk := new(clock.Manual)
+	e := New(WithDriverConfig(withFaults(cfg, plan)), WithExecutors(execs), withClock(clk))
 	ctx, cancel := context.WithCancel(context.Background())
 	job, err := e.Submit(ctx, d)
 	if err != nil {
@@ -350,7 +352,14 @@ func TestCancelDropsQueuedWorkAndLateResults(t *testing.T) {
 	if got != 0 {
 		t.Fatalf("%d updates leaked into a cancelled job's stream", got)
 	}
-	if err := e.Close(); err != nil { // waits out the straggling executions
+	// The executions in flight at cancel straggle on, each on one timer;
+	// Close waits for them to return.
+	e.mu.Lock()
+	inflight := e.busy
+	e.mu.Unlock()
+	awaitTimers(t, clk, inflight)
+	clk.Advance(400 * time.Millisecond)
+	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()
@@ -414,13 +423,22 @@ func TestDeadlineHedgeAndFallback(t *testing.T) {
 	plan := driver.NewFaultPlan(4, driver.FaultSpec{
 		StragglerRate: 1, StragglerDelay: 1500 * time.Millisecond,
 	})
+	clk := new(clock.Manual)
 	e := New(WithDriverConfig(withFaults(cfg, plan)), WithExecutors(3),
 		WithJobDeadline(500*time.Millisecond),
-		WithDegradedMode(DegradeFallback))
+		WithDegradedMode(DegradeFallback), withClock(clk))
 	job, err := e.Submit(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
+	awaitTimers(t, clk, 3) // the job's two alarms and the first execution's straggle
+	// The hedge window opens: an idle executor duplicates the batch, and
+	// the duplicate straggles too.
+	clk.Advance(400 * time.Millisecond)
+	awaitTimers(t, clk, 3)
+	// The deadline quarantines the batch; the third executor runs it on
+	// the host path.
+	clk.Advance(100 * time.Millisecond)
 	got, err := job.Wait(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -437,7 +455,8 @@ func TestDeadlineHedgeAndFallback(t *testing.T) {
 	if st.BatchesDone != 1 {
 		t.Fatalf("BatchesDone = %d: a losing hedge copy double-counted", st.BatchesDone)
 	}
-	if err := e.Close(); err != nil { // waits out the straggling copies
+	clk.Advance(1500 * time.Millisecond) // the straggling copies return, and drop
+	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 	assertNoGoroutineLeak(t, base)
@@ -453,14 +472,17 @@ func TestDeadlinePartialCompletes(t *testing.T) {
 	plan := driver.NewFaultPlan(8, driver.FaultSpec{
 		StragglerRate: 1, StragglerDelay: 2 * time.Second,
 	})
+	clk := new(clock.Manual)
 	e := New(WithDriverConfig(withFaults(cfg, plan)), WithExecutors(2),
 		WithJobDeadline(300*time.Millisecond),
-		WithDegradedMode(DegradePartial))
+		WithDegradedMode(DegradePartial), withClock(clk))
 	job, err := e.Submit(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	updates := job.Results()
+	awaitTimers(t, clk, 4) // the job's two alarms and both executors' straggles
+	clk.Advance(300 * time.Millisecond)
 	got, err := job.Wait(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -489,6 +511,7 @@ func TestDeadlinePartialCompletes(t *testing.T) {
 	if st.Quarantined == 0 {
 		t.Fatal("Quarantined = 0, want every undelivered batch")
 	}
+	clk.Advance(2 * time.Second) // the straggling executions return, and drop
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -526,4 +549,19 @@ func TestFaultInjectionOffIsByteIdentical(t *testing.T) {
 func withFaults(cfg driver.Config, p *driver.FaultPlan) driver.Config {
 	cfg.Faults = p
 	return cfg
+}
+
+// withClock runs the engine's deadlines, hedging, backoff and straggler
+// waits on c.
+func withClock(c clock.Clock) Option { return func(e *Engine) { e.clk = c } }
+
+// awaitTimers returns once clk holds n pending timers: the engine has
+// armed what the test's next step is meant to fire.
+func awaitTimers(t *testing.T, clk *clock.Manual, n int) {
+	t.Helper()
+	for start := time.Now(); clk.Advance(0) < n; time.Sleep(50 * time.Microsecond) {
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("%d timers pending, want %d", clk.Advance(0), n)
+		}
+	}
 }

@@ -28,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/sram-align/xdropipu/internal/clock"
 	"github.com/sram-align/xdropipu/internal/driver"
 	"github.com/sram-align/xdropipu/internal/ipu"
 	"github.com/sram-align/xdropipu/internal/ipukernel"
@@ -99,6 +100,7 @@ type Engine struct {
 	deadline    time.Duration // per-job wall-clock deadline (0 = none)
 	hedgeWindow time.Duration // hedging opens this long before the deadline
 	degraded    DegradedMode
+	clk         clock.Clock // deadlines, hedging, backoff and the fault plan's straggler waits
 
 	mu     sync.Mutex
 	cond   *sync.Cond // work to issue, or the engine closing
@@ -209,7 +211,7 @@ func WithExecutors(n int) Option { return func(e *Engine) { e.executors = n } }
 
 // New starts an engine and its executor pool. Close releases it.
 func New(opts ...Option) *Engine {
-	e := &Engine{queueDepth: DefaultQueueDepth}
+	e := &Engine{queueDepth: DefaultQueueDepth, clk: clock.Real}
 	for _, o := range opts {
 		o(e)
 	}
@@ -408,7 +410,7 @@ func (e *Engine) Submit(ctx context.Context, d *workload.Dataset) (*Job, error) 
 	if e.deadline > 0 {
 		// The clock starts at admission: queue wait was the caller's
 		// backpressure, planning and execution are the job's own.
-		j.deadline = time.Now().Add(e.deadline)
+		j.deadline = e.clk.Now().Add(e.deadline)
 	}
 	e.live++
 	e.wgJobs.Add(1)
@@ -484,12 +486,12 @@ func (e *Engine) runJob(j *Job) {
 		// hedge window opens, one settles (or degrades) the job at the
 		// deadline itself. Settlement stops both; a callback that already
 		// fired re-checks under the lock and becomes a no-op.
-		j.alarms[0] = time.AfterFunc(time.Until(j.deadline)-e.hedgeWindow, func() {
+		j.alarms[0] = e.clk.AfterFunc(j.deadline.Sub(e.clk.Now())-e.hedgeWindow, func() {
 			e.mu.Lock()
 			e.cond.Broadcast()
 			e.mu.Unlock()
 		})
-		j.alarms[1] = time.AfterFunc(time.Until(j.deadline), func() { e.deadlineExpired(j) })
+		j.alarms[1] = e.clk.AfterFunc(j.deadline.Sub(e.clk.Now()), func() { e.deadlineExpired(j) })
 	}
 	e.cond.Broadcast()
 	e.mu.Unlock()
@@ -538,7 +540,7 @@ func (e *Engine) pickLocked() (*Job, int) {
 	if e.deadline <= 0 {
 		return nil, -1
 	}
-	now := time.Now()
+	now := e.clk.Now()
 	var hj *Job
 	hbi := -1
 	var earliest int64
@@ -616,7 +618,7 @@ func (e *Engine) executor() {
 			out, err := bp.ExecBatchHost(bi, kcfg)
 			e.deliver(j, bi, evReturnHost, out, err)
 		} else {
-			out, err := bp.ExecBatchAttempt(dev, bi, attempt, kcfg)
+			out, err := bp.ExecBatchAttempt(dev, bi, attempt, kcfg, e.clk)
 			e.deliver(j, bi, evReturn, out, err)
 		}
 	}

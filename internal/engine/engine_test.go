@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/sram-align/xdropipu/internal/clock"
 	"github.com/sram-align/xdropipu/internal/core"
 	"github.com/sram-align/xdropipu/internal/driver"
 	"github.com/sram-align/xdropipu/internal/ipukernel"
@@ -235,18 +236,39 @@ func TestResultsLiveMutation(t *testing.T) {
 			transients, placeholders, stragglers)
 	}
 
-	// The hedge window opens at 0.8 s, long before the straggler wakes and
-	// long after every other batch has landed.
+	clk := new(clock.Manual)
 	e := New(WithDriverConfig(withFaults(cfg, plan)), WithExecutors(4),
 		WithRetry(12, 0), WithRetryBackoff(200*time.Microsecond, 2*time.Millisecond),
-		WithJobDeadline(time.Second), WithDegradedMode(DegradePartial))
+		WithJobDeadline(time.Second), WithDegradedMode(DegradePartial), withClock(clk))
 	defer e.Close()
 	job, err := e.Submit(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The clock fires each backoff timer (due within 3 ms) once it is
+	// armed, and opens the hedge window, 0.8 s in, once every batch but the
+	// straggler has landed; the straggler wakes at 1.6 s.
+	var landed atomic.Int64
+	go func() {
+		for landed.Load() < int64(probe.Batches()-1) {
+			select {
+			case <-job.doneCh:
+				return
+			default:
+			}
+			// Timers past the job's two alarms and the stragglers' waits
+			// (counted before they arm) are backoffs.
+			pending := clk.Advance(0)
+			if _, _, s := plan.Injected(); pending > 2+int(s) {
+				clk.Advance(3 * time.Millisecond)
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+		clk.Advance(800 * time.Millisecond)
+	}()
 	seen := make([]bool, len(d.Comparisons))
 	for u := range job.Results() {
+		landed.Add(1)
 		for k, o := range u.Results {
 			if seen[o.GlobalID] {
 				t.Fatalf("comparison %d streamed twice", o.GlobalID)
@@ -276,6 +298,7 @@ func TestResultsLiveMutation(t *testing.T) {
 		t.Errorf("Retries %d, Hedges %d, DeadlineExceeded %d; want %d, 1, 0",
 			st.Retries, st.Hedges, st.DeadlineExceeded, transients)
 	}
+	clk.Advance(time.Second) // the straggler's first execution returns, and drops
 }
 
 // TestResultsOpenedMidLandingWaits: a stream opened while a batch is

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"github.com/sram-align/xdropipu/internal/clock"
 	"github.com/sram-align/xdropipu/internal/driver"
 	"github.com/sram-align/xdropipu/internal/ipukernel"
 	"github.com/sram-align/xdropipu/internal/workload"
@@ -70,7 +71,7 @@ type Job struct {
 	nextIssue   int
 	ready       []int
 	retriesUsed int
-	alarms      [2]*time.Timer
+	alarms      [2]clock.Timer
 }
 
 // batchPhase is where a batch stands. Executions in flight are counted
@@ -94,7 +95,7 @@ type batchState struct {
 	attempts int32       // executions issued, so the next one's attempt number
 	inflight int32       // executions running now
 	startNS  int64       // when inflight last left zero, for slowest-batch hedging
-	timer    *time.Timer // the pending backoff timer (phaseBackoff only)
+	timer    clock.Timer // the pending backoff timer (phaseBackoff only)
 }
 
 // batchEvent is something that happens to a batch; Job.step is the one
@@ -153,7 +154,7 @@ func (j *Job) step(bi int, ev batchEvent, out *ipukernel.BatchResult, err error)
 		}
 		next = phaseRunning
 		if b.inflight == 0 && !j.deadline.IsZero() {
-			b.startNS = time.Now().UnixNano()
+			b.startNS = e.clk.Now().UnixNano()
 		}
 		j.issued++
 		b.attempts++
@@ -254,7 +255,7 @@ func (j *Job) step(bi int, ev batchEvent, out *ipukernel.BatchResult, err error)
 	case phaseBackoff:
 		// Created under the engine lock, so the callback (which takes it)
 		// cannot run before the timer is stored.
-		b.timer = time.AfterFunc(e.backoffFor(j, bi, int(b.attempts)), func() {
+		b.timer = e.clk.AfterFunc(e.backoffFor(j, bi, int(b.attempts)), func() {
 			e.mu.Lock()
 			j.step(bi, evTimer, nil, nil)
 			e.mu.Unlock()

@@ -47,7 +47,7 @@ func (s *Server) tenantLocked(name string) *tenantState {
 		ts = s.tenants[name]
 	}
 	if ts == nil {
-		ts = &tenantState{tokens: float64(s.cfg.TenantBurst), last: time.Now()}
+		ts = &tenantState{tokens: float64(s.cfg.TenantBurst), last: s.clk.Now()}
 		s.tenants[name] = ts
 	}
 	return ts
@@ -63,7 +63,7 @@ func (s *Server) admitTenant(name string) (bool, time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ts := s.tenantLocked(name)
-	now := time.Now()
+	now := s.clk.Now()
 	ts.tokens += now.Sub(ts.last).Seconds() * s.cfg.TenantRatePerSec
 	if burst := float64(s.cfg.TenantBurst); ts.tokens > burst {
 		ts.tokens = burst

@@ -1,6 +1,10 @@
 package service
 
-import "time"
+import (
+	"time"
+
+	"github.com/sram-align/xdropipu/internal/clock"
+)
 
 // TenantTokens reports what is left in a tenant's admission bucket.
 func (s *Server) TenantTokens(name string) float64 {
@@ -21,3 +25,8 @@ func (s *Server) SetClosing(closing bool) {
 // SetBodyStall shortens bodyStallTimeout for this server. Call it before
 // the server takes requests.
 func (s *Server) SetBodyStall(d time.Duration) { s.bodyStall = d }
+
+// SetClock puts the server's timing — job latencies, tenant buckets,
+// retention and stream lingers — on c. Call it before the server takes
+// requests.
+func (s *Server) SetClock(c clock.Clock) { s.clk = c }

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/sram-align/xdropipu/internal/clock"
 	"github.com/sram-align/xdropipu/internal/driver"
 	"github.com/sram-align/xdropipu/internal/engine"
 	"github.com/sram-align/xdropipu/internal/service/wire"
@@ -49,16 +50,16 @@ type jobState struct {
 	err         error
 	final       []byte // encoded final line
 	attached    int
-	lingerT     *time.Timer
+	lingerT     clock.Timer
 	notify      chan struct{} // closed and replaced on every append/finish
 }
 
 func newJobState(id, tenant string, shard int, cancel context.CancelFunc,
-	linger time.Duration, comparisons, windowMax int) *jobState {
+	linger time.Duration, comparisons, windowMax int, created time.Time) *jobState {
 	return &jobState{
 		id: id, tenant: tenant, shard: shard, cancelJob: cancel,
 		linger: linger, comparisons: comparisons, windowMax: windowMax,
-		created: time.Now(), notify: make(chan struct{}),
+		created: created, notify: make(chan struct{}),
 	}
 }
 

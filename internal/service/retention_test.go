@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"github.com/sram-align/xdropipu/internal/alignment"
+	"github.com/sram-align/xdropipu/internal/clock"
 	"github.com/sram-align/xdropipu/internal/core"
 	"github.com/sram-align/xdropipu/internal/driver"
 	"github.com/sram-align/xdropipu/internal/engine"
@@ -52,7 +53,7 @@ func TestSettledJobReleasesEngineJob(t *testing.T) {
 	}
 	freed := make(chan struct{})
 	runtime.SetFinalizer(job, func(*engine.Job) { close(freed) })
-	js := newJobState("j000001", "t", 0, cancel, 0, len(d.Comparisons), s.cfg.WindowChunks)
+	js := newJobState("j000001", "t", 0, cancel, 0, len(d.Comparisons), s.cfg.WindowChunks, s.clk.Now())
 	s.mu.Lock()
 	s.jobs[js.id] = js
 	s.tenantLocked(js.tenant).Live++
@@ -106,7 +107,7 @@ func TestSettledJobReleasesEngineJob(t *testing.T) {
 // claim sizes instead of allocating them). It returns only the id: a
 // *jobState held by the test would defeat the reachability check.
 func settleRetained(s *Server, id string, size int) string {
-	js := newJobState(id, "t", 0, func() {}, 0, 1, s.cfg.WindowChunks)
+	js := newJobState(id, "t", 0, func() {}, 0, 1, s.cfg.WindowChunks, s.clk.Now())
 	js.appendUpdate(engine.Update{Batches: 1, Results: []ipukernel.AlignOut{{GlobalID: 0, Score: 42}}})
 	held := js.finish(&driver.Report{}, nil)
 	if size == 0 {
@@ -200,25 +201,27 @@ func TestServiceRetentionByteBudget(t *testing.T) {
 // is not counted as eviction.
 func TestServiceRetentionTTL(t *testing.T) {
 	s := New(Config{JobTTL: 150 * time.Millisecond})
+	clk := new(clock.Manual)
+	s.SetClock(clk)
 	defer s.Close()
 	settleRetained(s, "first", 0)
+	clk.Advance(60 * time.Millisecond)
+	settleRetained(s, "second", 0)
+	clk.Advance(90*time.Millisecond - 1)
 	if s.lookup("first") == nil {
 		t.Fatal("settled job not addressable inside its TTL")
 	}
-	time.Sleep(60 * time.Millisecond)
-	settleRetained(s, "second", 0)
-	for deadline := time.Now().Add(10 * time.Second); s.lookup("first") != nil; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("job still addressable long after JobTTL")
-		}
+	clk.Advance(1)
+	if s.lookup("first") != nil {
+		t.Fatal("job still addressable after JobTTL")
 	}
+	clk.Advance(60*time.Millisecond - 1)
 	if s.lookup("second") == nil {
 		t.Fatal("a job settled later expired with the earlier one")
 	}
-	for deadline := time.Now().Add(10 * time.Second); s.lookup("second") != nil; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the timer was not re-armed for the next job in the queue")
-		}
+	clk.Advance(1)
+	if s.lookup("second") != nil {
+		t.Fatal("the timer was not re-armed for the next job in the queue")
 	}
 	if ids, snap := retentionState(s); len(ids) != 0 || snap != (JobsSnapshot{}) {
 		t.Fatalf("after expiry: retained %v, %+v", ids, snap)
@@ -271,7 +274,7 @@ func TestAppendUpdateAllocatesTheLineOnce(t *testing.T) {
 		outs[i] = ipukernel.AlignOut{GlobalID: i, Score: 900 + i, EndH: 1500, EndV: 1490, Cells: 48000, Cigar: b.Cigar(), TraceBytes: 12000}
 	}
 	u := engine.Update{Batch: 3, Batches: 21, Seconds: 1.25e-4, Results: outs}
-	js := newJobState("j", "t", 0, func() {}, 0, len(outs), 4)
+	js := newJobState("j", "t", 0, func() {}, 0, len(outs), 4, time.Time{})
 	js.appendUpdate(u)
 	line := len(js.window[0])
 

@@ -14,6 +14,7 @@ import (
 	"time"
 	"unicode/utf8"
 
+	"github.com/sram-align/xdropipu/internal/clock"
 	"github.com/sram-align/xdropipu/internal/engine"
 )
 
@@ -25,6 +26,7 @@ func TestAdmitTenantRefusalAlwaysAtLeastOneSecond(t *testing.T) {
 	s := &Server{
 		cfg:     Config{TenantRatePerSec: 500, TenantBurst: 1},
 		tenants: make(map[string]*tenantState),
+		clk:     new(clock.Manual),
 	}
 	ok, d := s.admitTenant("hot")
 	if !ok || d != 0 {
@@ -68,6 +70,7 @@ func TestTenantCapSharesOverflowBucket(t *testing.T) {
 	s := &Server{
 		cfg:     Config{TenantRatePerSec: 0.001, TenantBurst: 2},
 		tenants: make(map[string]*tenantState),
+		clk:     new(clock.Manual),
 	}
 	admitted := 0
 	for i := 0; i < 2*maxTenants; i++ {
@@ -79,7 +82,7 @@ func TestTenantCapSharesOverflowBucket(t *testing.T) {
 		t.Fatalf("%d distinct names left %d tenant entries, cap is %d+1", 2*maxTenants, n, maxTenants)
 	}
 	// The first maxTenants names each get their own bucket; the rest share
-	// one burst of 2 at a refill rate that adds nothing during the test.
+	// one burst of 2, which the stopped clock never refills.
 	if want := maxTenants + 2; admitted != want {
 		t.Fatalf("admitted %d of %d one-shot names, want %d (cap + one overflow burst)", admitted, 2*maxTenants, want)
 	}

@@ -38,6 +38,7 @@ import (
 	"time"
 	"unicode/utf8"
 
+	"github.com/sram-align/xdropipu/internal/clock"
 	"github.com/sram-align/xdropipu/internal/engine"
 	"github.com/sram-align/xdropipu/internal/metrics"
 	"github.com/sram-align/xdropipu/internal/service/wire"
@@ -113,6 +114,7 @@ type Server struct {
 	// bodyStall is bodyStallTimeout; a field so that a test can see a
 	// stall refused without waiting 30 s for it.
 	bodyStall time.Duration
+	clk       clock.Clock // all timing but the body stall's net.Conn deadline
 
 	mu      sync.Mutex
 	jobs    map[string]*jobState
@@ -124,7 +126,7 @@ type Server struct {
 	retained      []retainedJob
 	retainedBytes int64
 	evictedJobs   int64 // settled jobs dropped over maxRetainedBytes
-	expiry        *time.Timer
+	expiry        clock.Timer
 
 	closedCh chan struct{}
 	wg       sync.WaitGroup // pump goroutines
@@ -149,6 +151,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		bodyStall: bodyStallTimeout,
+		clk:       clock.Real,
 		jobs:      make(map[string]*jobState),
 		tenants:   make(map[string]*tenantState),
 		closedCh:  make(chan struct{}),
@@ -311,7 +314,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.nextID++
 	id := fmt.Sprintf("j%06d", s.nextID)
-	js := newJobState(id, tenant, shard, cancel, linger, len(d.Comparisons), s.cfg.WindowChunks)
+	js := newJobState(id, tenant, shard, cancel, linger, len(d.Comparisons), s.cfg.WindowChunks, s.clk.Now())
 	s.jobs[id] = js
 	ts := s.tenantLocked(tenant)
 	ts.Submitted++
@@ -496,12 +499,12 @@ func (s *Server) pump(js *jobState, job *engine.Job) {
 	for u := range job.Results() {
 		js.appendUpdate(u)
 		if js.nextSeq == 1 { // the pump is nextSeq's only writer
-			s.firstChunk.Observe(time.Since(js.created).Seconds())
+			s.firstChunk.Observe(s.clk.Now().Sub(js.created).Seconds())
 		}
 	}
 	rep, err := job.Wait(context.Background())
 	size := js.finish(rep, err)
-	s.jobSeconds.Observe(time.Since(js.created).Seconds())
+	s.jobSeconds.Observe(s.clk.Now().Sub(js.created).Seconds())
 	s.mu.Lock()
 	ts := s.tenantLocked(js.tenant)
 	ts.Live--
@@ -533,7 +536,7 @@ type retainedJob struct {
 // a job larger than the whole budget still replays until its TTL. An
 // evicted id answers 404 exactly like an expired one.
 func (s *Server) retainLocked(js *jobState, size int) {
-	r := retainedJob{js, int64(size), time.Now().Add(s.cfg.JobTTL)}
+	r := retainedJob{js, int64(size), s.clk.Now().Add(s.cfg.JobTTL)}
 	s.retained = append(s.retained, r)
 	s.retainedBytes += r.bytes
 	for len(s.retained) > 1 && s.retainedBytes > maxRetainedBytes {
@@ -559,9 +562,9 @@ func (s *Server) armExpiryLocked() {
 	switch {
 	case s.closed || len(s.retained) == 0:
 	case s.expiry == nil:
-		s.expiry = time.AfterFunc(time.Until(s.retained[0].expires), s.expire)
+		s.expiry = s.clk.AfterFunc(s.retained[0].expires.Sub(s.clk.Now()), s.expire)
 	default:
-		s.expiry.Reset(time.Until(s.retained[0].expires))
+		s.expiry.Reset(s.retained[0].expires.Sub(s.clk.Now()))
 	}
 }
 
@@ -569,7 +572,7 @@ func (s *Server) armExpiryLocked() {
 func (s *Server) expire() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for now := time.Now(); len(s.retained) > 0 && !s.retained[0].expires.After(now); {
+	for now := s.clk.Now(); len(s.retained) > 0 && !s.retained[0].expires.After(now); {
 		s.dropOldestLocked()
 	}
 	s.armExpiryLocked()
@@ -644,7 +647,7 @@ func (s *Server) detach(js *jobState) {
 		return
 	}
 	if js.lingerT == nil {
-		js.lingerT = time.AfterFunc(js.linger, func() {
+		js.lingerT = s.clk.AfterFunc(js.linger, func() {
 			js.mu.Lock()
 			fire := js.attached == 0 && !js.done
 			js.mu.Unlock()

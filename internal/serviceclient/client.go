@@ -30,7 +30,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"math/rand"
+	"math/rand/v2"
 	"net"
 	"net/http"
 	"slices"
@@ -38,6 +38,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/sram-align/xdropipu/internal/clock"
 	"github.com/sram-align/xdropipu/internal/driver"
 	"github.com/sram-align/xdropipu/internal/engine"
 	"github.com/sram-align/xdropipu/internal/ipukernel"
@@ -54,7 +55,7 @@ type Client struct {
 	retries int // transport attempts per request (submit and resume alike)
 	backoff time.Duration
 	cap     time.Duration
-	rng     *rand.Rand
+	clk     clock.Clock // the backoff waits run on it
 }
 
 // Option configures a Client.
@@ -106,7 +107,7 @@ func New(base string, opts ...Option) *Client {
 	c := &Client{
 		base: base, hc: http.DefaultClient,
 		retries: 4, backoff: 100 * time.Millisecond, cap: 2 * time.Second,
-		rng: rand.New(rand.NewSource(1)),
+		clk: clock.Real,
 	}
 	for _, o := range opts {
 		o(c)
@@ -513,26 +514,21 @@ func (e *retryableStatus) Error() string {
 }
 
 // sleep waits out one backoff step: the server's Retry-After when the
-// last refusal carried one, otherwise base<<attempt with full jitter,
+// last refusal carried one, otherwise base<<(attempt-1) with full jitter,
 // capped.
 func (c *Client) sleep(ctx context.Context, attempt int, lastErr error) error {
 	d := c.backoff << (attempt - 1)
 	if d > c.cap {
 		d = c.cap
 	}
-	d = time.Duration(c.rng.Int63n(int64(d)) + 1) // full jitter in (0, d]
+	// Full jitter in (0, d], from the process-seeded source that is safe
+	// for concurrent calls: clients refused together retry apart.
+	d = time.Duration(rand.Int64N(int64(d)) + 1)
 	var rs *retryableStatus
 	if errors.As(lastErr, &rs) && rs.retryAfter > 0 {
 		d = rs.retryAfter
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return clock.Sleep(ctx, c.clk, d)
 }
 
 // parseRetryAfter returns the refusal's Retry-After hint, or 0 when the

@@ -11,10 +11,12 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/sram-align/xdropipu/internal/clock"
 	"github.com/sram-align/xdropipu/internal/core"
 	"github.com/sram-align/xdropipu/internal/driver"
 	"github.com/sram-align/xdropipu/internal/engine"
@@ -66,7 +68,9 @@ func golden(t *testing.T, opts []engine.Option, d *workload.Dataset) *driver.Rep
 
 // TestServiceClientRetriesRefusals: the first submissions bounce off a
 // 429 middleware; the client backs off and lands the job, and the report
-// matches the in-process golden.
+// matches the in-process golden. Each wait is the server's Retry-After
+// exactly, and without the header a jittered wait within the backoff
+// step.
 func TestServiceClientRetriesRefusals(t *testing.T) {
 	opts := []engine.Option{engine.WithDriverConfig(testCfg()), engine.WithExecutors(1)}
 	d := testData(t, 41, 18)
@@ -76,13 +80,17 @@ func TestServiceClientRetriesRefusals(t *testing.T) {
 	defer svc.Close()
 	var refusals atomic.Int64
 	refusals.Store(2)
+	var hint atomic.Bool // refusals carry Retry-After: 1
+	hint.Store(true)
 	var attempts atomic.Int64
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
 			attempts.Add(1)
 			if refusals.Add(-1) >= 0 {
 				io.Copy(io.Discard, r.Body) // an unread body makes the server linger 0.5 s on close
-				w.Header().Set("Retry-After", "1")
+				if hint.Load() {
+					w.Header().Set("Retry-After", "1")
+				}
 				http.Error(w, `{"error":"synthetic saturation"}`, http.StatusTooManyRequests)
 				return
 			}
@@ -92,10 +100,39 @@ func TestServiceClientRetriesRefusals(t *testing.T) {
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
+	const base, ceil = time.Millisecond, 10 * time.Millisecond
 	c := serviceclient.New(ts.URL,
 		serviceclient.WithTransportRetry(4),
-		serviceclient.WithTransportBackoff(time.Millisecond, 10*time.Millisecond))
-	job, err := c.Submit(context.Background(), d)
+		serviceclient.WithTransportBackoff(base, ceil))
+	clk := recordingClock{new(clock.Manual), make(chan time.Duration)}
+	c.SetClock(clk)
+	// submit runs Submit beside the test, which reads each backoff wait
+	// as the client arms it and steps the clock through it.
+	submit := func(check func(n int, wait time.Duration)) (*serviceclient.RemoteJob, error) {
+		type result struct {
+			job *serviceclient.RemoteJob
+			err error
+		}
+		done := make(chan result, 1)
+		go func() {
+			job, err := c.Submit(context.Background(), d)
+			done <- result{job, err}
+		}()
+		for n := 1; ; n++ {
+			select {
+			case wait := <-clk.waits:
+				check(n, wait)
+				clk.Advance(wait)
+			case r := <-done:
+				return r.job, r.err
+			}
+		}
+	}
+	job, err := submit(func(n int, wait time.Duration) {
+		if wait != time.Second {
+			t.Errorf("wait %d = %v, want the server's Retry-After (1s)", n, wait)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,6 +146,59 @@ func TestServiceClientRetriesRefusals(t *testing.T) {
 	if n := attempts.Load(); n != 3 {
 		t.Fatalf("submit attempts = %d, want 3 (two refusals, one success)", n)
 	}
+	if waited := clk.Now().Sub(time.Unix(0, 0)); waited != 2*time.Second {
+		t.Fatalf("the client waited %v in all, want two Retry-Afters (2s)", waited)
+	}
+
+	refusals.Store(2)
+	hint.Store(false)
+	if _, err := submit(func(n int, wait time.Duration) {
+		if step := base << (n - 1); wait <= 0 || wait > step || wait > ceil {
+			t.Errorf("unhinted wait %d = %v, want within (0, %v]", n, wait, step)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recordingClock hands the test every wait a client arms, after arming
+// it, so the test can step the clock through it.
+type recordingClock struct {
+	*clock.Manual
+	waits chan time.Duration
+}
+
+func (c recordingClock) AfterFunc(d time.Duration, f func()) clock.Timer {
+	t := c.Manual.AfterFunc(d, f)
+	c.waits <- d
+	return t
+}
+
+// TestServiceClientConcurrentRetries: submissions refused together on one
+// client back off concurrently. The jitter they draw must come from a
+// source safe for concurrent use; under -race a shared *rand.Rand fails
+// here.
+func TestServiceClientConcurrentRetries(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) // an unread body makes the server linger 0.5 s on close
+		http.Error(w, `{"error":"always full"}`, http.StatusTooManyRequests)
+	}))
+	defer ts.Close()
+	c := serviceclient.New(ts.URL,
+		serviceclient.WithTransportRetry(4),
+		serviceclient.WithTransportBackoff(time.Millisecond, 2*time.Millisecond))
+	d := testData(t, 43, 6)
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.Submit(context.Background(), d); err == nil || !strings.Contains(err.Error(), "gave up after 4 attempts") {
+				t.Errorf("want exhausted-retries error, got %v", err)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestServiceClientGivesUpAfterRetries: persistent refusal surfaces as a

@@ -27,6 +27,7 @@ import (
 var reachAllowed = map[string]string{
 	"internal/oracle.Seed":                 "the independent X-Drop oracle's seed extension, kept as a reference the lattice and core tests compare against",
 	"internal/core.SetTraceCellCapForTest": "driver and ipukernel tests lower the trace cap through it to force ErrTraceTooLarge; a test-only file cannot cross packages",
+	"internal/clock.Manual.Advance":        "engine, service and client tests step the manual clock through it; production runs on clock.Real, and one fake shared across packages cannot live in a test-only file",
 }
 
 // reachStdInterfaces are the standard-library interfaces whose methods
