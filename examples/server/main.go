@@ -163,6 +163,11 @@ func main() {
 		if rep, err := job.Wait(context.Background()); err == nil {
 			fmt.Printf("\nwarm-cache replay of client 0: %d alignments, %d cache hits, %d batches executed\n",
 				len(rep.Results), rep.CacheHits, rep.Batches)
+			// The final record says where the job's time went; with
+			// nothing to execute it is decode, plan and the fold.
+			ph := job.Phases()
+			fmt.Printf("its phases: decode %v, plan %v, execute %v, complete %v, stream %v of %v\n",
+				ph.Decode, ph.PlanDedup+ph.PlanItems+ph.PlanBatches, ph.Execute, ph.Complete, ph.Stream, ph.Wall)
 		}
 	}
 

@@ -20,6 +20,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/sram-align/xdropipu/internal/clock"
 	"github.com/sram-align/xdropipu/internal/ipu"
@@ -491,6 +492,30 @@ func (bp *BatchPlan) CachedResults() []ipukernel.AlignOut {
 // representative's result back out, so Report.Results stays one entry per
 // submitted comparison.
 func BuildBatches(ctx context.Context, d *workload.Dataset, cfg Config) (*BatchPlan, error) {
+	return BuildBatchesMarked(ctx, d, cfg, nil)
+}
+
+// PlanStage names a stage boundary inside BuildBatches.
+type PlanStage uint8
+
+const (
+	// PlanDeduped: the dataset is validated, deduplicated and looked up
+	// in the result cache.
+	PlanDeduped PlanStage = iota
+	// PlanItemized: the comparisons are priced and grouped into items,
+	// under the derived sequence budget; the batcher is next. A plan the
+	// cache serves whole passes it with no items.
+	PlanItemized
+)
+
+// BuildBatchesMarked is BuildBatches calling mark (when not nil) as it
+// passes each PlanStage, in order, so that a caller can stamp where the
+// plan's time went; a build that fails passes only the stages before
+// the failure.
+func BuildBatchesMarked(ctx context.Context, d *workload.Dataset, cfg Config, mark func(PlanStage)) (*BatchPlan, error) {
+	if mark == nil {
+		mark = func(PlanStage) {}
+	}
 	cfg = cfg.Normalized()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -550,6 +575,8 @@ func BuildBatches(ctx context.Context, d *workload.Dataset, cfg Config) (*BatchP
 		if dedupUseful {
 			if bp.cacheHits == dm.Unique() {
 				// Every extension came from the cache: nothing to execute.
+				mark(PlanDeduped)
+				mark(PlanItemized)
 				bp.tiles = cfg.EffectiveTiles()
 				bp.reuseFactor = 1
 				return bp, nil
@@ -577,11 +604,14 @@ func BuildBatches(ctx context.Context, d *workload.Dataset, cfg Config) (*BatchP
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	mark(PlanDeduped)
 
+	planner := partition.NewPlanner(execD, cfg.Kernel, cfg.Model)
+	defer planner.Release()
 	seqBudget := cfg.SeqBudget
 	if seqBudget <= 0 {
 		var err error
-		seqBudget, err = partition.DeriveSeqBudget(execD, cfg.Kernel, cfg.Model)
+		seqBudget, err = planner.SeqBudget()
 		if err != nil {
 			return nil, err
 		}
@@ -599,7 +629,7 @@ func BuildBatches(ctx context.Context, d *workload.Dataset, cfg Config) (*BatchP
 			maxCmps = 1
 		}
 	}
-	items := partition.BuildItems(execD, partition.Options{
+	planner.BuildItems(partition.Options{
 		SeqBudget: seqBudget,
 		Reuse:     cfg.Partition,
 		MaxCmps:   maxCmps,
@@ -607,13 +637,14 @@ func BuildBatches(ctx context.Context, d *workload.Dataset, cfg Config) (*BatchP
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	batches, err := partition.MakeBatchesFanout(execD, items, tiles, cfg.Kernel, cfg.Model, cfg.MaxBatchJobs, fanout)
+	mark(PlanItemized)
+	batches, err := planner.Batches(tiles, cfg.MaxBatchJobs, fanout)
 	if err != nil {
 		return nil, err
 	}
 	bp.tiles = tiles
 	bp.batches = batches
-	bp.reuseFactor = partition.ReuseFactor(execD, items)
+	bp.reuseFactor = planner.ReuseFactor()
 	bp.arena, _ = execD.Spine()
 	bp.batchSlabs = batchSlabSets(batches, bp.arena.NumSlabs())
 	return bp, nil
@@ -682,19 +713,22 @@ func (bp *BatchPlan) KernelConfig(poolWorkers int) ipukernel.Config {
 // executor may run any subset in any order; per-batch results are
 // deterministic. It is attempt 0 of ExecBatchAttempt, on clock.Real.
 func (bp *BatchPlan) ExecBatch(dev *ipu.Device, i int, kcfg ipukernel.Config) (*ipukernel.BatchResult, error) {
-	return bp.ExecBatchAttempt(dev, i, 0, kcfg, clock.Real)
+	res, _, err := bp.ExecBatchAttempt(context.Background(), dev, i, 0, kcfg, clock.Real)
+	return res, err
 }
 
 // ExecBatchAttempt runs one attempt of batch i on dev, consulting the
 // configured fault plan first: an injected transient or permanent fault
 // returns a *FaultError without touching the device, and a straggler
-// decision delays the (otherwise normal) execution by a wait on clk.
-// attempt numbers re-executions of the same batch — retries and hedges —
-// so a seeded plan's schedule is reproducible per execution, not just per
-// batch. Whenever an attempt returns a result, it is bit-identical to
-// every other attempt's: injection can only fail or delay, never corrupt.
-func (bp *BatchPlan) ExecBatchAttempt(dev *ipu.Device, i, attempt int, kcfg ipukernel.Config, clk clock.Clock) (*ipukernel.BatchResult, error) {
-	return bp.exec(dev, i, attempt, kcfg, bp.cfg.Faults, clk)
+// decision delays the (otherwise normal) execution by a wait on clk,
+// which ends with ctx's error if ctx is done first. attempt numbers
+// re-executions of the same batch — retries and hedges — so a seeded
+// plan's schedule is reproducible per execution, not just per batch.
+// Whenever an attempt returns a result, it is bit-identical to every
+// other attempt's: injection can only fail or delay, never corrupt. pin
+// is how long pinning the batch's slabs took on clk.
+func (bp *BatchPlan) ExecBatchAttempt(ctx context.Context, dev *ipu.Device, i, attempt int, kcfg ipukernel.Config, clk clock.Clock) (res *ipukernel.BatchResult, pin time.Duration, err error) {
+	return bp.exec(ctx, dev, i, attempt, kcfg, bp.cfg.Faults, clk)
 }
 
 // ExecBatchHost runs batch i through the reference host path: the same
@@ -707,7 +741,8 @@ func (bp *BatchPlan) ExecBatchAttempt(dev *ipu.Device, i, attempt int, kcfg ipuk
 // report assembled from any mix of fleet and host executions is
 // bit-identical to the fault-free run.
 func (bp *BatchPlan) ExecBatchHost(i int, kcfg ipukernel.Config) (*ipukernel.BatchResult, error) {
-	return bp.exec(bp.NewDevice(), i, 0, kcfg, nil, nil)
+	res, _, err := bp.exec(context.Background(), bp.NewDevice(), i, 0, kcfg, nil, clock.Real)
+	return res, err
 }
 
 // exec is the one execution sequence behind the fleet and host paths:
@@ -715,20 +750,25 @@ func (bp *BatchPlan) ExecBatchHost(i int, kcfg ipukernel.Config) (*ipukernel.Bat
 // slab set in the arena, bind the batch to the pinned views, run it on
 // dev and release the pin. Pinning an already resident slab is a counter
 // bump, so the in-memory path pays one mutex round-trip per execution.
-func (bp *BatchPlan) exec(dev *ipu.Device, i, attempt int, kcfg ipukernel.Config, faults *FaultPlan, clk clock.Clock) (*ipukernel.BatchResult, error) {
-	if err := faults.inject(i, attempt, clk); err != nil {
-		return nil, err
+// It returns how long the pin took on clk beside the result.
+func (bp *BatchPlan) exec(ctx context.Context, dev *ipu.Device, i, attempt int, kcfg ipukernel.Config, faults *FaultPlan, clk clock.Clock) (*ipukernel.BatchResult, time.Duration, error) {
+	if err := faults.inject(ctx, i, attempt, clk); err != nil {
+		return nil, 0, err
 	}
 	b := bp.batches[i]
+	var pinned time.Duration
 	if bp.arena != nil {
+		start := clk.Now()
 		pin, err := bp.arena.Pin(bp.batchSlabs[i])
 		if err != nil {
-			return nil, fmt.Errorf("driver: batch %d slab pin: %w", i, err)
+			return nil, 0, fmt.Errorf("driver: batch %d slab pin: %w", i, err)
 		}
 		defer pin.Release()
+		pinned = clk.Now().Sub(start)
 		b = b.Bound(pin.Slabs())
 	}
-	return ipukernel.Run(dev, b, kcfg)
+	res, err := ipukernel.Run(dev, b, kcfg)
+	return res, pinned, err
 }
 
 // FailedBatchResult synthesizes batch i's degraded outcome: one Failed

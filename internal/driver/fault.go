@@ -108,10 +108,11 @@ func (p *FaultPlan) Kind(batch, attempt int) FaultKind {
 }
 
 // inject applies the plan's decision to one execution: it returns the
-// injected error for a failure, waits out a straggler delay on clk (a
-// slow device is not interrupted), and counts whatever it did. A nil
-// plan injects nothing.
-func (p *FaultPlan) inject(batch, attempt int, clk clock.Clock) error {
+// injected error for a failure, waits out a straggler delay on clk, and
+// counts whatever it did. The wait ends early, with ctx's error, once
+// ctx is done: the job the execution serves has settled and nothing will
+// read its result. A nil plan injects nothing.
+func (p *FaultPlan) inject(ctx context.Context, batch, attempt int, clk clock.Clock) error {
 	switch p.Kind(batch, attempt) {
 	case FaultTransient:
 		p.transients.Add(1)
@@ -122,7 +123,7 @@ func (p *FaultPlan) inject(batch, attempt int, clk clock.Clock) error {
 	case FaultStraggler:
 		p.stragglers.Add(1)
 		if p.spec.StragglerDelay > 0 {
-			clock.Sleep(context.Background(), clk, p.spec.StragglerDelay)
+			return clock.Sleep(ctx, clk, p.spec.StragglerDelay)
 		}
 	}
 	return nil

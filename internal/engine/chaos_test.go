@@ -352,13 +352,8 @@ func TestCancelDropsQueuedWorkAndLateResults(t *testing.T) {
 	if got != 0 {
 		t.Fatalf("%d updates leaked into a cancelled job's stream", got)
 	}
-	// The executions in flight at cancel straggle on, each on one timer;
-	// Close waits for them to return.
-	e.mu.Lock()
-	inflight := e.busy
-	e.mu.Unlock()
-	awaitTimers(t, clk, inflight)
-	clk.Advance(400 * time.Millisecond)
+	// The executions in flight at cancel end their straggler waits with
+	// the job's context, so Close returns without the clock moving.
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -455,8 +450,7 @@ func TestDeadlineHedgeAndFallback(t *testing.T) {
 	if st.BatchesDone != 1 {
 		t.Fatalf("BatchesDone = %d: a losing hedge copy double-counted", st.BatchesDone)
 	}
-	clk.Advance(1500 * time.Millisecond) // the straggling copies return, and drop
-	if err := e.Close(); err != nil {
+	if err := e.Close(); err != nil { // the straggling copies end with the job, and drop
 		t.Fatal(err)
 	}
 	assertNoGoroutineLeak(t, base)
@@ -511,9 +505,74 @@ func TestDeadlinePartialCompletes(t *testing.T) {
 	if st.Quarantined == 0 {
 		t.Fatal("Quarantined = 0, want every undelivered batch")
 	}
-	clk.Advance(2 * time.Second) // the straggling executions return, and drop
-	if err := e.Close(); err != nil {
+	if err := e.Close(); err != nil { // the straggling executions end with the job, and drop
 		t.Fatal(err)
+	}
+}
+
+// TestSettledJobsFreeStragglers: an execution straggling on the fault
+// plan's delay ends its wait when its job settles — cancelled, or at its
+// deadline under each DegradedMode — so Close returns while the manual
+// clock stands short of every straggler's hour.
+func TestSettledJobsFreeStragglers(t *testing.T) {
+	many := readsData(t, 39, 18)
+	one := readsData(t, 36, 6)
+	const deadline = 300 * time.Millisecond
+	for _, row := range []struct {
+		name  string
+		d     *workload.Dataset
+		execs int
+		opts  []Option
+		// settle makes the job settle once its executions straggle.
+		settle  func(cancel context.CancelFunc, clk *clock.Manual)
+		wantErr error
+	}{
+		{"cancel", many, 2, nil,
+			func(cancel context.CancelFunc, _ *clock.Manual) { cancel() }, context.Canceled},
+		{"deadline-fail", many, 2, []Option{WithJobDeadline(deadline)},
+			func(_ context.CancelFunc, clk *clock.Manual) { clk.Advance(deadline) }, ErrDeadline},
+		// One batch and a third executor, free for the host path.
+		{"deadline-fallback", one, 3, []Option{WithJobDeadline(deadline), WithDegradedMode(DegradeFallback)},
+			func(_ context.CancelFunc, clk *clock.Manual) { clk.Advance(deadline) }, nil},
+		{"deadline-partial", many, 2, []Option{WithJobDeadline(deadline), WithDegradedMode(DegradePartial)},
+			func(_ context.CancelFunc, clk *clock.Manual) { clk.Advance(deadline) }, nil},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := testCfg(1)
+			cfg.MaxBatchJobs = 4
+			plan := driver.NewFaultPlan(5, driver.FaultSpec{StragglerRate: 1, StragglerDelay: time.Hour})
+			clk := new(clock.Manual)
+			e := New(append(row.opts, WithDriverConfig(withFaults(cfg, plan)), WithExecutors(row.execs), withClock(clk))...)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			job, err := e.Submit(ctx, row.d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			timers := 1 // one execution straggles per batch or executor
+			if nb := probePlan(t, row.d, cfg).Batches(); nb > 1 {
+				timers = 2
+			}
+			if len(row.opts) > 0 {
+				timers += 2 // the job's hedge and deadline alarms
+			}
+			awaitTimers(t, clk, timers)
+			row.settle(cancel, clk)
+			if _, err := job.Wait(context.Background()); !errors.Is(err, row.wantErr) {
+				t.Fatalf("job err = %v, want %v", err, row.wantErr)
+			}
+			before := clk.Now()
+			closed := make(chan struct{})
+			go func() { e.Close(); close(closed) }()
+			select {
+			case <-closed:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Close still waits on a straggler of a settled job")
+			}
+			if now := clk.Now(); !now.Equal(before) {
+				t.Fatalf("the clock moved from %v to %v", before, now)
+			}
+		})
 	}
 }
 

@@ -375,6 +375,7 @@ func (e *Engine) Submit(ctx context.Context, d *workload.Dataset) (*Job, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	submitted := e.clk.Now()
 	select {
 	case <-e.closedCh:
 		return nil, ErrClosed
@@ -399,18 +400,22 @@ func (e *Engine) Submit(ctx context.Context, d *workload.Dataset) (*Job, error) 
 	// when the job settles, so planning that is still running stops.
 	jctx, jcancel := context.WithCancel(ctx)
 	j := &Job{
-		eng:     e,
-		ctx:     jctx,
-		cancel:  jcancel,
-		seq:     e.seq,
-		dataset: d,
-		built:   make(chan struct{}),
-		doneCh:  make(chan struct{}),
+		eng:       e,
+		ctx:       jctx,
+		cancel:    jcancel,
+		seq:       e.seq,
+		dataset:   d,
+		built:     make(chan struct{}),
+		doneCh:    make(chan struct{}),
+		submitted: submitted,
+		stamps:    stamps{segAdmit, submitted},
 	}
+	admitted := e.clk.Now()
+	j.stamps.to(&j.phases, admitted, segDedup)
 	if e.deadline > 0 {
 		// The clock starts at admission: queue wait was the caller's
 		// backpressure, planning and execution are the job's own.
-		j.deadline = e.clk.Now().Add(e.deadline)
+		j.deadline = admitted.Add(e.deadline)
 	}
 	e.live++
 	e.wgJobs.Add(1)
@@ -446,7 +451,18 @@ func (e *Engine) Close() error {
 // scheduler, then watches for cancellation until the job finishes.
 func (e *Engine) runJob(j *Job) {
 	defer e.wgJobs.Done()
-	bp, err := driver.BuildBatches(j.ctx, j.dataset, e.cfg)
+	// The plan's stamps are runJob's own until the job is registered:
+	// Submit handed them over before starting it, and nothing else writes
+	// them before they are added back under the lock.
+	var plan Phases
+	st := j.stamps
+	bp, err := driver.BuildBatchesMarked(j.ctx, j.dataset, e.cfg, func(s driver.PlanStage) {
+		next := segItems
+		if s == driver.PlanItemized {
+			next = segBatches
+		}
+		st.to(&plan, e.clk.Now(), next)
+	})
 
 	// The fan-out index and cached-results view are O(comparisons);
 	// build them outside the engine lock, like BuildBatches itself, so a
@@ -463,6 +479,8 @@ func (e *Engine) runJob(j *Job) {
 	// Until the job is registered below, runJob is the only goroutine
 	// that can settle it, so no finished re-check is needed here.
 	e.mu.Lock()
+	j.phases.Add(plan)
+	j.stamps = st
 	if err != nil {
 		e.finishLocked(j, nil, err)
 		e.mu.Unlock()
@@ -474,6 +492,18 @@ func (e *Engine) runJob(j *Job) {
 	j.expand = expand
 	j.cachedResults = cachedResults
 	j.batches = make([]batchState, nb) // every batch phasePending
+	// Registered: a plan with batches executes, one the cache served
+	// whole goes straight to its fold.
+	now := e.clk.Now()
+	if nb == 0 {
+		j.stamps.to(&j.phases, now, segComplete)
+	} else {
+		j.stamps.to(&j.phases, now, segExecute)
+	}
+	if len(cachedResults) > 0 {
+		j.updated = true
+		j.phases.Add(Phases{FirstUpdate: now.Sub(j.submitted)})
+	}
 	close(j.built)
 	if nb == 0 {
 		e.mu.Unlock()
@@ -591,6 +621,7 @@ func (e *Engine) executor() {
 		}
 		attempt := int(j.batches[bi].attempts) - 1 // step counted this issue
 		fallback := j.batches[bi].fallback
+		issued := j.batches[bi].issuedNS
 		e.busy++
 		// Split the CPU budget between each batch's tile pool and the
 		// executors that will plausibly run alongside this one: the busy
@@ -616,10 +647,12 @@ func (e *Engine) executor() {
 			// Quarantined work runs on the reference host path, outside
 			// the fleet and its fault plan.
 			out, err := bp.ExecBatchHost(bi, kcfg)
-			e.deliver(j, bi, evReturnHost, out, err)
+			e.deliver(j, bi, evReturnHost, out, err, issued, 0)
 		} else {
-			out, err := bp.ExecBatchAttempt(dev, bi, attempt, kcfg, e.clk)
-			e.deliver(j, bi, evReturn, out, err)
+			// The job's context ends a straggler's wait once the job has
+			// settled, so a settled job parks no executor.
+			out, pin, err := bp.ExecBatchAttempt(j.ctx, dev, bi, attempt, kcfg, e.clk)
+			e.deliver(j, bi, evReturn, out, err, issued, pin)
 		}
 	}
 }
@@ -638,14 +671,23 @@ func (e *Engine) runnableLocked() int {
 // Job.step classifies failures — transient faults retry within the
 // engine's policy, everything else degrades — and settles hedged batches
 // first-result-wins: the losing copy is dropped before it can touch
-// stats, the stream or the report.
-func (e *Engine) deliver(j *Job, bi int, returned batchEvent, out *ipukernel.BatchResult, err error) {
+// stats, the stream or the report. issued is when the execution was
+// issued (UnixNano on the engine's clock) and pin how long its slab pin
+// took, for the job's Phases.
+func (e *Engine) deliver(j *Job, bi int, returned batchEvent, out *ipukernel.BatchResult, err error, issued int64, pin time.Duration) {
 	e.mu.Lock()
 	e.busy--
+	if j.finished {
+		e.mu.Unlock()
+		return
+	}
+	first := j.batches[bi].firstNS
+	j.phases.Add(Phases{Pin: pin, Exec: time.Duration(e.clk.Now().UnixNano()-issued) - pin})
 	if out = j.step(bi, returned, out, err); out == nil {
 		e.mu.Unlock()
 		return
 	}
+	j.phases.Add(Phases{Wait: time.Duration(issued - first)})
 	j.step(bi, evDeliver, out, nil)
 	e.land(j, bi)
 }
@@ -695,10 +737,14 @@ func (e *Engine) land(j *Job, bi int) {
 	}
 	e.mu.Unlock()
 
+	// The landing's time: merges into the report, and the hand-off from
+	// the merge's end to the update's send.
+	t := e.clk.Now()
 	var err error
 	if asm != nil {
 		err = asm.Merge(out)
 	}
+	merged := e.clk.Now()
 	var upd Update
 	if streaming {
 		upd = streamUpdate(j, bi, out)
@@ -715,6 +761,12 @@ func (e *Engine) land(j *Job, bi int) {
 	if sent {
 		j.updates <- upd
 	}
+	published := e.clk.Now()
+	merge, publish := merged.Sub(t), published.Sub(merged)
+	if err == nil && !j.finished && !j.updated {
+		j.updated = true
+		j.phases.Add(Phases{FirstUpdate: published.Sub(j.submitted)})
+	}
 	if early {
 		finished := j.finished
 		if !finished {
@@ -726,6 +778,7 @@ func (e *Engine) land(j *Job, bi int) {
 		if sent {
 			runtime.Gosched()
 		}
+		t = e.clk.Now()
 		switch {
 		case asm != nil: // allocated while this batch was published
 			err = asm.Merge(out)
@@ -744,10 +797,14 @@ func (e *Engine) land(j *Job, bi int) {
 				}
 			}
 		}
+		merge += e.clk.Now().Sub(t)
 		e.mu.Lock()
 	}
-	if err != nil && !j.finished {
-		e.finishLocked(j, nil, err)
+	if !j.finished {
+		j.phases.Add(Phases{Merge: merge, Publish: publish})
+		if err != nil {
+			e.finishLocked(j, nil, err)
+		}
 	}
 	e.doneLanding(j)
 	if sent && !early {
@@ -766,6 +823,9 @@ func (e *Engine) doneLanding(j *Job) {
 	}
 	e.landed.Broadcast()
 	last := !j.finished && j.done == len(j.outs)
+	if last {
+		j.stamps.to(&j.phases, e.clk.Now(), segComplete)
+	}
 	asm := j.asm
 	e.mu.Unlock()
 	if last {
@@ -924,6 +984,11 @@ func (j *Job) openStreamLocked() {
 // the stream, drops the job from the scheduler, releases the admission
 // slot and wakes everyone.
 func (e *Engine) finishLocked(j *Job, rep *driver.Report, err error) {
+	// The last stamp: the open segment ends here, and with it the job's
+	// wall time.
+	now := e.clk.Now()
+	j.stamps.to(&j.phases, now, segSettled)
+	j.phases.Add(Phases{Wall: now.Sub(j.submitted)})
 	// Stop pending backoff and deadline timers and drop the lifecycle
 	// records; a timer callback that already fired finds the job settled
 	// under the lock and no-ops.

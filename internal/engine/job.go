@@ -37,6 +37,18 @@ type Job struct {
 	// engine runs without WithJobDeadline). Set before the job is
 	// registered and immutable afterwards.
 	deadline time.Time
+	// submitted is when Submit was called, the job's phases' origin.
+	// Immutable.
+	submitted time.Time
+
+	// phases is where the job's time has gone and stamps its open
+	// segment. Submit starts them, runJob owns them while it plans, and
+	// from the job's registration on they are guarded by eng.mu and
+	// written only until the job settles. updated records that the first
+	// update was stamped.
+	phases  Phases
+	stamps  stamps
+	updated bool
 
 	// All fields below are guarded by eng.mu.
 	bp        *driver.BatchPlan
@@ -94,7 +106,9 @@ type batchState struct {
 	fallback bool        // quarantined: executions issued from now on run the reference host path
 	attempts int32       // executions issued, so the next one's attempt number
 	inflight int32       // executions running now
+	firstNS  int64       // when the first execution was issued, for Phases.Wait
 	startNS  int64       // when inflight last left zero, for slowest-batch hedging
+	issuedNS int64       // when the latest execution was issued
 	timer    clock.Timer // the pending backoff timer (phaseBackoff only)
 }
 
@@ -153,8 +167,12 @@ func (j *Job) step(bi int, ev batchEvent, out *ipukernel.BatchResult, err error)
 			return nil
 		}
 		next = phaseRunning
-		if b.inflight == 0 && !j.deadline.IsZero() {
-			b.startNS = e.clk.Now().UnixNano()
+		b.issuedNS = e.clk.Now().UnixNano()
+		if b.attempts == 0 {
+			b.firstNS = b.issuedNS
+		}
+		if b.inflight == 0 {
+			b.startNS = b.issuedNS
 		}
 		j.issued++
 		b.attempts++
@@ -171,6 +189,11 @@ func (j *Job) step(bi int, ev batchEvent, out *ipukernel.BatchResult, err error)
 		case b.inflight > 0:
 			// A twin of this batch is still running (hedge or stale
 			// fleet copy behind a quarantine); let it decide the batch.
+			return nil
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+			// The submission's context ended this execution's straggler
+			// wait: settle with its error, as runJob would.
+			e.finishLocked(j, nil, err)
 			return nil
 		case ev == evReturnHost:
 			// The reference path itself failed — deterministic, so no
@@ -300,6 +323,14 @@ func (j *Job) Wait(ctx context.Context) (*driver.Report, error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
+}
+
+// Phases returns where the job's wall time has gone so far. Once the job
+// has settled the value is final, and its segments sum to its Wall.
+func (j *Job) Phases() Phases {
+	j.eng.mu.Lock()
+	defer j.eng.mu.Unlock()
+	return j.phases
 }
 
 // Results streams the job's batches as they complete; batches executed

@@ -9,7 +9,9 @@ import (
 	"cmp"
 	"container/heap"
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
 
 	"github.com/sram-align/xdropipu/internal/ipukernel"
 	"github.com/sram-align/xdropipu/internal/platform"
@@ -59,39 +61,237 @@ type Options struct {
 	MaxCmps int
 }
 
-// BuildItems turns a dataset into schedulable items using the paper's
-// greedy edge-list walk (§4.3): adjacent vertices join the open partition
-// until the next vertex would exceed the sequence budget, then a new
-// partition starts. It reads every comparison from the plan's columns
-// and the arena's span lengths; no row is materialised.
-func BuildItems(d *workload.Dataset, opt Options) []Item {
+// Planner plans one dataset's comparisons for one kernel configuration:
+// the sequence budget, the §4.3 items and the §4.2 batches, in that order.
+// NewPlanner reads every comparison's geometry once, in row order: it
+// keeps each row's four extension lengths, folds the rows' Charges for
+// the budget and sums their single-comparison bytes for the reuse factor.
+// The later stages price rows from the kept lengths, so an item's Cost is
+// the same float64 a walk-order CostEstimate sum gives (the walk adds the
+// rows' costs in its own order) and an item's Charge the same fold
+// (Charge.With is a max, so the batcher's row order does not matter).
+//
+// The planner's working memory — the lengths, the walk's CSR and state,
+// the items' Cmps and Seqs windows, the batcher's builders — comes from a
+// free list and goes back on Release; none of it outlives the plan. Only
+// the batches, which Batches allocates, do.
+type Planner struct {
+	plan  *workload.Plan
+	refs  []workload.SeqRef
+	cfg   ipukernel.Config
+	model platform.IPUModel
+	fold  ipukernel.Charge // every comparison's Charge, folded
+	naive int64            // every comparison's single-comparison bytes, summed
+	s     *scratch
+}
+
+// scratch is a plan's working memory, reused from plan to plan.
+type scratch struct {
+	lens []extLens // row → its extension lengths
+
+	// The walk: the vertex → incident-rows CSR, each vertex's cursor into
+	// it, the rows taken, and per vertex the open partition's stamp.
+	off, edges, next []int32
+	assigned         []bool
+	stamp            []int32
+	queue            []int
+
+	// The items, cut from shared buffers: item i's Cmps and Seqs are
+	// windows of cmps and seqs. itemOf maps a row to its item.
+	items  []Item
+	cmps   []int
+	seqs   []int
+	itemOf []int32
+
+	// The batcher: per item the fold of its rows' Charges, the placement
+	// order, the tile builders and candidates, and per vertex its position
+	// in the item a tile takes first (tileBuilder.add).
+	charges []ipukernel.Charge
+	order   []int
+	tiles   []*tileBuilder
+	cand    candidates
+	full    []*tileBuilder
+	pos     []int32
+}
+
+// extLens is one comparison's geometry: its left extension spans lh×lv
+// and its right extension rh×rv.
+type extLens struct{ lh, lv, rh, rv int32 }
+
+func (e extLens) cost() float64 {
+	return CostEstimate(int(e.lh), int(e.lv), int(e.rh), int(e.rv))
+}
+
+func (e extLens) charge(cfg *ipukernel.Config) ipukernel.Charge {
+	return cfg.ExtensionCharge(int(e.lh), int(e.lv), int(e.rh), int(e.rv))
+}
+
+// scratches holds idle plans' working memory for the next plans to take:
+// a free list of at most GOMAXPROCS entries, as many as can plan at once
+// without waiting, each as large as the largest plan it served. It is not
+// a sync.Pool, which under the race detector drops a share of what is put
+// back, so that a plan's allocations are the same in every build.
+var scratches struct {
+	sync.Mutex
+	idle []*scratch
+}
+
+// getScratch takes an idle scratch, or a new one.
+func getScratch() *scratch {
+	scratches.Lock()
+	defer scratches.Unlock()
+	n := len(scratches.idle)
+	if n == 0 {
+		return new(scratch)
+	}
+	s := scratches.idle[n-1]
+	scratches.idle[n-1] = nil
+	scratches.idle = scratches.idle[:n-1]
+	return s
+}
+
+// putScratch returns s to the free list, unless the list is full.
+func putScratch(s *scratch) {
+	scratches.Lock()
+	defer scratches.Unlock()
+	if len(scratches.idle) < runtime.GOMAXPROCS(0) {
+		scratches.idle = append(scratches.idle, s)
+	}
+}
+
+// resize returns s with length n, reallocated only when it lacks the
+// capacity; the contents are whatever s held.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// NewPlanner prices d's comparisons under cfg on model. Release the
+// planner when done with it.
+func NewPlanner(d *workload.Dataset, cfg ipukernel.Config, model platform.IPUModel) *Planner {
 	arena, plan := d.Spine()
-	refs := arena.Refs()
+	p := &Planner{plan: plan, refs: arena.Refs(), cfg: cfg, model: model, s: getScratch()}
+	p.fold, p.naive = p.s.price(plan, p.refs, &p.cfg)
+	return p
+}
+
+// Release returns the planner's working memory to the free list. The items
+// and the planner are unusable afterwards; the batches are the caller's.
+func (p *Planner) Release() {
+	p.s.items = p.s.items[:0]
+	putScratch(p.s)
+	p.s = nil
+}
+
+// price is the one pass over the comparisons' geometry, in row order: it
+// records each row's extension lengths and returns the fold of the rows'
+// Charges under cfg (zero when cfg is nil) and their single-comparison
+// bytes summed. It also sizes the row → item map the walk fills.
+func (s *scratch) price(plan *workload.Plan, refs []workload.SeqRef, cfg *ipukernel.Config) (fold ipukernel.Charge, naive int64) {
+	n := plan.Len()
+	s.lens = resize(s.lens, n)
+	s.itemOf = resize(s.itemOf, n)
+	for ci := range n {
+		lh, lv, rh, rv := plan.ExtensionLens(refs, ci)
+		s.lens[ci] = extLens{int32(lh), int32(lv), int32(rh), int32(rv)}
+		if h, v := plan.H[ci], plan.V[ci]; v != h {
+			naive += int64(refs[h].Len) + int64(refs[v].Len)
+		} else {
+			naive += int64(refs[h].Len)
+		}
+		if cfg != nil {
+			fold = fold.With(cfg.ExtensionCharge(lh, lv, rh, rv))
+		}
+	}
+	return fold, naive
+}
+
+// SeqBudget computes the per-partition sequence budget: tile SRAM minus
+// the buffers the fold of every comparison's Charge claims (thread work
+// buffers for the largest extension under the configured algorithm,
+// plus, with traceback on, the trace arenas of the worst extensions),
+// minus a small allowance for tuples and results. It fails when those
+// buffers alone exceed tile SRAM — which is precisely what happens to the
+// unrestricted algorithms on long reads (§3) and what δb fixes.
+func (p *Planner) SeqBudget() (int, error) {
+	const allowance = 8 * 1024
+	bufs := p.cfg.BufferBytes(p.fold, p.model)
+	budget := p.model.DataSRAM() - bufs - allowance
+	if budget <= 0 {
+		return 0, fmt.Errorf(
+			"partition: %v work buffers need %d B of the %d B tile SRAM; use the memory-restricted algorithm or a smaller δb",
+			p.cfg.Params.Algo, bufs, p.model.DataSRAM())
+	}
+	return budget, nil
+}
+
+// BuildItems groups the comparisons into items (see the package's
+// BuildItems); the items are the planner's, for Batches.
+func (p *Planner) BuildItems(opt Options) { p.s.walk(p.plan, p.refs, opt) }
+
+// Batches distributes the items across tiles (see MakeBatchesFanout).
+// The batches are the caller's own.
+func (p *Planner) Batches(tiles, maxJobs int, fanout []int32) ([]*ipukernel.Batch, error) {
+	return p.s.batch(p.plan, p.refs, p.s.items, tiles, &p.cfg, p.model, maxJobs, fanout)
+}
+
+// ReuseFactor reports the items' transfer saving: the ratio of naive
+// per-comparison sequence bytes to the bytes the items actually carry.
+// 1.0 means no reuse; 2.0 means each transferred sequence serves two
+// comparisons on average. A comparison's naive bytes are what its
+// single-comparison item ships: a self-comparison's sequence once. Every
+// comparison lands in exactly one item, so the naive bytes are the
+// pricing pass's sum.
+func (p *Planner) ReuseFactor() float64 {
+	var actual int64
+	for i := range p.s.items {
+		actual += int64(p.s.items[i].Bytes)
+	}
+	if actual == 0 {
+		return 1
+	}
+	return float64(p.naive) / float64(actual)
+}
+
+// walk turns the priced rows into items using the paper's greedy
+// edge-list walk (§4.3): adjacent vertices join the open partition until
+// the next vertex would exceed the sequence budget, then a new partition
+// starts. It reads the plan's H/V columns and the arena's span lengths;
+// no row is materialised. It leaves the items in s.items and each row's
+// item in s.itemOf.
+func (s *scratch) walk(plan *workload.Plan, refs []workload.SeqRef, opt Options) {
+	n := plan.Len()
 	seqBudget := opt.SeqBudget
 	maxCmps := opt.MaxCmps
 	if maxCmps <= 0 {
-		maxCmps = plan.Len() + 1
+		maxCmps = n + 1
 	}
+	items := s.items[:0]
+	s.cmps = resize(s.cmps, n)
 	if !opt.Reuse {
 		// One item per comparison, its Cmps and Seqs windows of two
 		// shared buffers.
-		items := make([]Item, plan.Len())
-		cmps := make([]int, plan.Len())
-		seqs := make([]int, 0, 2*plan.Len())
+		if items == nil || cap(items) < n {
+			items = make([]Item, 0, n)
+		}
+		seqs := resize(s.seqs, 2*n)[:0]
 		for ci, h := range plan.H {
-			cmps[ci] = ci
-			n := len(seqs)
+			s.cmps[ci] = ci
+			s.itemOf[ci] = int32(ci)
+			k := len(seqs)
 			seqs = append(seqs, int(h))
-			it := Item{Cmps: cmps[ci : ci+1 : ci+1], Bytes: int(refs[h].Len), Copies: true}
+			it := Item{Cmps: s.cmps[ci : ci+1 : ci+1], Bytes: int(refs[h].Len), Cost: s.lens[ci].cost(), Copies: true}
 			if v := plan.V[ci]; v != h {
 				seqs = append(seqs, int(v))
 				it.Bytes += int(refs[v].Len)
 			}
-			it.Seqs = seqs[n:len(seqs):len(seqs)]
-			it.Cost = CostEstimate(plan.ExtensionLens(refs, ci))
-			items[ci] = it
+			it.Seqs = seqs[k:len(seqs):len(seqs)]
+			items = append(items, it)
 		}
-		return items
+		s.items, s.seqs = items, seqs
+		return
 	}
 
 	// Greedy graph growing (§4.3): start from a vertex, walk through its
@@ -100,14 +300,15 @@ func BuildItems(d *workload.Dataset, opt Options) []Item {
 	// would exceed the memory budget; then start a new partition. The
 	// frontier walk keeps partitions topologically local regardless of
 	// the sequence numbering, which is what makes reuse high on overlap
-	// graphs. The walk steers by the plan's H/V columns; the seed
-	// columns are read once per comparison, for its cost.
+	// graphs. The walk steers by the plan's H/V columns and adds each
+	// taken row's precomputed cost.
 	//
 	// vertex → incident edges in plan order, as one CSR: count degrees
 	// two slots ahead, prefix-sum so off[v+1] is v's first slot, then fill
 	// while advancing off[v+1] to v's end — which is v+1's start, leaving
 	// v's edges at edges[off[v]:off[v+1]].
-	off := make([]int32, len(refs)+2)
+	off := resize(s.off, len(refs)+2)
+	clear(off)
 	for ci, h := range plan.H {
 		off[h+2]++
 		if v := plan.V[ci]; v != h {
@@ -117,7 +318,7 @@ func BuildItems(d *workload.Dataset, opt Options) []Item {
 	for i := 2; i < len(off); i++ {
 		off[i] += off[i-1]
 	}
-	edges := make([]int32, off[len(off)-1])
+	edges := resize(s.edges, int(off[len(off)-1]))
 	for ci, h := range plan.H {
 		edges[off[h+1]] = int32(ci)
 		off[h+1]++
@@ -127,8 +328,8 @@ func BuildItems(d *workload.Dataset, opt Options) []Item {
 		}
 	}
 
-	var items []Item
-	assigned := make([]bool, plan.Len())
+	assigned := resize(s.assigned, n)
+	clear(assigned)
 	// next[v] is v's first edge slot not yet known to be assigned. assigned
 	// never clears, so a scan starting past the assigned prefix of v's
 	// edges skips only visits that were no-op continues: the items are
@@ -136,7 +337,7 @@ func BuildItems(d *workload.Dataset, opt Options) []Item {
 	// the cursor until a later partition takes it. On the shortread_plan
 	// shape the walk makes two visits per edge slot, against eighteen when
 	// every scan starts at off[v].
-	next := make([]int32, len(refs))
+	next := resize(s.next, len(refs))
 	copy(next, off)
 	advance := func(v int) []int32 {
 		i, end := next[v], off[v+1]
@@ -146,17 +347,17 @@ func BuildItems(d *workload.Dataset, opt Options) []Item {
 		next[v] = i
 		return edges[i:end]
 	}
-	inPart := make([]int, len(refs)) // vertex → open-partition stamp
-	for i := range inPart {
-		inPart[i] = -1
-	}
+	// inPart[v] is the stamp of the open partition holding v (stamps
+	// start at 1, so a cleared table holds nothing).
+	inPart := resize(s.stamp, len(refs))
+	clear(inPart)
 	// The items' Cmps and Seqs are windows of two shared buffers, cut at
 	// each flush. Every comparison lands in exactly one item, so the open
 	// item's Cmps appends in place into what the closed ones left free.
-	freeCmps := make([]int, plan.Len())
-	seqs := make([]int, 0, plan.Len())
+	freeCmps := s.cmps
+	seqs := resize(s.seqs, n)[:0]
 	cur, seqStart := Item{Cmps: freeCmps[:0]}, 0
-	stamp := 0
+	stamp := int32(1)
 
 	flush := func() {
 		if n := len(cur.Cmps); n > 0 {
@@ -169,18 +370,27 @@ func BuildItems(d *workload.Dataset, opt Options) []Item {
 		cur = Item{Cmps: freeCmps[:0]}
 		stamp++
 	}
-	addSeq := func(s int) {
-		if inPart[s] != stamp {
-			inPart[s] = stamp
-			seqs = append(seqs, s)
-			cur.Bytes += int(refs[s].Len)
+	addSeq := func(v int) {
+		if inPart[v] != stamp {
+			inPart[v] = stamp
+			seqs = append(seqs, v)
+			cur.Bytes += int(refs[v].Len)
 		}
 	}
-	need := func(s int) int {
-		if inPart[s] == stamp {
+	// take puts comparison ci, (h, v), in the open partition.
+	take := func(ci, h, v int) {
+		addSeq(h)
+		addSeq(v)
+		cur.Cmps = append(cur.Cmps, ci)
+		cur.Cost += s.lens[ci].cost()
+		assigned[ci] = true
+		s.itemOf[ci] = int32(len(items))
+	}
+	need := func(v int) int {
+		if inPart[v] == stamp {
 			return 0
 		}
-		return int(refs[s].Len)
+		return int(refs[v].Len)
 	}
 	// grow is what comparison (h, v) adds to the open partition's bytes:
 	// a self-comparison's sequence ships once, as addSeq stores it.
@@ -191,7 +401,7 @@ func BuildItems(d *workload.Dataset, opt Options) []Item {
 		return need(h) + need(v)
 	}
 
-	var queue []int
+	queue := s.queue[:0]
 	for seed := range refs {
 		if len(advance(seed)) == 0 {
 			continue
@@ -210,11 +420,7 @@ func BuildItems(d *workload.Dataset, opt Options) []Item {
 						// A single comparison larger than the
 						// budget gets its own item; the batcher
 						// decides feasibility.
-						addSeq(h)
-						addSeq(v)
-						cur.Cmps = append(cur.Cmps, ci)
-						cur.Cost += CostEstimate(plan.ExtensionLens(refs, ci))
-						assigned[ci] = true
+						take(ci, h, v)
 						flush()
 					}
 					// Leave the edge for a later partition rooted
@@ -239,8 +445,7 @@ func BuildItems(d *workload.Dataset, opt Options) []Item {
 				}
 				wasH := inPart[h] == stamp
 				wasV := inPart[v] == stamp
-				addSeq(h)
-				addSeq(v)
+				take(ci, h, v)
 				// A vertex preserved across a flush may be re-appended
 				// when a new-partition edge rediscovers it (its stamp
 				// reset with the flush); the extra adjacency scan is
@@ -254,9 +459,6 @@ func BuildItems(d *workload.Dataset, opt Options) []Item {
 				if !wasV && v != u {
 					queue = append(queue, v)
 				}
-				cur.Cmps = append(cur.Cmps, ci)
-				cur.Cost += CostEstimate(plan.ExtensionLens(refs, ci))
-				assigned[ci] = true
 			}
 		}
 	}
@@ -273,65 +475,11 @@ func BuildItems(d *workload.Dataset, opt Options) []Item {
 		if (cur.Bytes+grow(h, v) > seqBudget || len(cur.Cmps) >= maxCmps) && len(cur.Cmps) > 0 {
 			flush()
 		}
-		addSeq(h)
-		addSeq(v)
-		cur.Cmps = append(cur.Cmps, ci)
-		cur.Cost += CostEstimate(plan.ExtensionLens(refs, ci))
-		assigned[ci] = true
+		take(ci, h, v)
 	}
 	flush()
-	return items
-}
-
-// ReuseFactor reports the transfer saving of a set of items: the ratio of
-// naive per-comparison sequence bytes to the bytes the items actually
-// carry. 1.0 means no reuse; 2.0 means each transferred sequence serves
-// two comparisons on average. A comparison's naive bytes are what its
-// single-comparison item ships: a self-comparison's sequence once.
-func ReuseFactor(d *workload.Dataset, items []Item) float64 {
-	arena, plan := d.Spine()
-	refs := arena.Refs()
-	var naive, actual int64
-	for _, it := range items {
-		actual += int64(it.Bytes)
-		for _, ci := range it.Cmps {
-			h, v := plan.H[ci], plan.V[ci]
-			naive += int64(refs[h].Len)
-			if v != h {
-				naive += int64(refs[v].Len)
-			}
-		}
-	}
-	if actual == 0 {
-		return 1
-	}
-	return float64(naive) / float64(actual)
-}
-
-// DeriveSeqBudget computes the per-partition sequence budget for a dataset
-// under a kernel configuration: tile SRAM minus the buffers the fold of
-// every comparison's Charge claims (thread work buffers for the largest
-// extension under the configured algorithm, plus, with traceback on, the
-// trace arenas of the worst extensions), minus a small
-// allowance for tuples and results. It fails when those buffers alone
-// exceed tile SRAM — which is precisely what happens to the unrestricted
-// algorithms on long reads (§3) and what δb fixes.
-func DeriveSeqBudget(d *workload.Dataset, cfg ipukernel.Config, model platform.IPUModel) (int, error) {
-	const allowance = 8 * 1024
-	arena, plan := d.Spine()
-	refs := arena.Refs()
-	var ch ipukernel.Charge
-	for ci := range plan.Len() {
-		ch = ch.With(cfg.ExtensionCharge(plan.ExtensionLens(refs, ci)))
-	}
-	bufs := cfg.BufferBytes(ch, model)
-	budget := model.DataSRAM() - bufs - allowance
-	if budget <= 0 {
-		return 0, fmt.Errorf(
-			"partition: %v work buffers need %d B of the %d B tile SRAM; use the memory-restricted algorithm or a smaller δb",
-			cfg.Params.Algo, bufs, model.DataSRAM())
-	}
-	return budget, nil
+	s.off, s.edges, s.next, s.assigned, s.stamp, s.queue = off, edges, next, assigned, inPart, queue
+	s.items, s.seqs = items, seqs
 }
 
 // seqIndex maps the global ids of the sequences a tile holds to their
@@ -401,8 +549,16 @@ func (x *seqIndex) clear() {
 // its batch closes. The tile's slab table stays nil — the driver binds it
 // per execution attempt from the arena's pinned slab set (Batch.Bound),
 // so building batches never forces spilled slabs resident.
+//
+// The global id → tile-local index is built lazily. A tile's first item's
+// Seqs are the tile's sequences, in order, so its comparisons' local
+// indices are their sequences' positions in those Seqs; only a second
+// item, which may share sequences with the first, needs the index, which
+// is then built from the first item's Seqs.
 type tileBuilder struct {
 	localIdx seqIndex
+	indexed  bool              // localIdx holds the tile's sequences
+	first    []int             // the first item's Seqs, while localIdx is unbuilt
 	seqs     []workload.SeqRef // the tile's sequence set, in local order
 	jobs     []placedJob       // the tile's comparisons, in job order
 	index    int               // tile position within the batch
@@ -418,8 +574,22 @@ type placedJob struct{ hLocal, vLocal, seedH, seedV, seedLen, ci int32 }
 // reset returns the builder to the empty state for the next batch,
 // keeping its storage; the work it emitted belongs to the closed batch.
 func (tb *tileBuilder) reset() {
-	tb.localIdx.clear()
+	if tb.indexed {
+		tb.localIdx.clear()
+	}
 	*tb = tileBuilder{localIdx: tb.localIdx, seqs: tb.seqs[:0], jobs: tb.jobs[:0], index: tb.index}
+}
+
+// indexSeqs builds the tile's local index unless it is built: until then
+// the tile holds at most its first item, whose Seqs are its local order.
+func (tb *tileBuilder) indexSeqs() {
+	if tb.indexed {
+		return
+	}
+	for k, s := range tb.first {
+		tb.localIdx.set(s, k)
+	}
+	tb.indexed, tb.first = true, nil
 }
 
 // memoryWith is the tile's SRAM need with it, whose Charge is ch, added.
@@ -428,7 +598,8 @@ func (tb *tileBuilder) reset() {
 // carrying private copies.
 func (tb *tileBuilder) memoryWith(refs []workload.SeqRef, it *Item, ch ipukernel.Charge, cfg *ipukernel.Config, model platform.IPUModel) int {
 	seqBytes, nSeqs := tb.seqBytes+it.Bytes, len(tb.seqs)+len(it.Seqs)
-	if !it.Copies && tb.localIdx.n > 0 {
+	if !it.Copies && len(tb.seqs) > 0 {
+		tb.indexSeqs()
 		for _, s := range it.Seqs {
 			if _, ok := tb.localIdx.get(s); ok {
 				seqBytes -= int(refs[s].Len)
@@ -440,19 +611,34 @@ func (tb *tileBuilder) memoryWith(refs []workload.SeqRef, it *Item, ch ipukernel
 	return cfg.TileFootprint(seqBytes, nSeqs, nJobs, ch.With(tb.charge), model)
 }
 
-// add places it, whose Charge is ch, on the tile.
-func (tb *tileBuilder) add(refs []workload.SeqRef, plan *workload.Plan, it *Item, ch ipukernel.Charge) {
-	for _, s := range it.Seqs {
-		if _, ok := tb.localIdx.get(s); !ok || it.Copies {
-			tb.localIdx.set(s, len(tb.seqs))
+// add places it, whose Charge is ch, on the tile. pos is a table over
+// the dataset's sequences that the first item on a tile writes its Seqs'
+// positions into and reads its comparisons' local indices from.
+func (tb *tileBuilder) add(refs []workload.SeqRef, plan *workload.Plan, it *Item, pos []int32, ch ipukernel.Charge) {
+	if len(tb.jobs) == 0 {
+		tb.first = it.Seqs
+		for k, s := range it.Seqs {
+			pos[s] = int32(k)
 			tb.seqs = append(tb.seqs, refs[s])
 			tb.seqBytes += int(refs[s].Len)
 		}
-	}
-	for _, ci := range it.Cmps {
-		h, _ := tb.localIdx.get(int(plan.H[ci]))
-		v, _ := tb.localIdx.get(int(plan.V[ci]))
-		tb.jobs = append(tb.jobs, placedJob{int32(h), int32(v), plan.SeedH[ci], plan.SeedV[ci], plan.SeedLen[ci], int32(ci)})
+		for _, ci := range it.Cmps {
+			tb.jobs = append(tb.jobs, placedJob{pos[plan.H[ci]], pos[plan.V[ci]], plan.SeedH[ci], plan.SeedV[ci], plan.SeedLen[ci], int32(ci)})
+		}
+	} else {
+		tb.indexSeqs()
+		for _, s := range it.Seqs {
+			if _, ok := tb.localIdx.get(s); !ok || it.Copies {
+				tb.localIdx.set(s, len(tb.seqs))
+				tb.seqs = append(tb.seqs, refs[s])
+				tb.seqBytes += int(refs[s].Len)
+			}
+		}
+		for _, ci := range it.Cmps {
+			h, _ := tb.localIdx.get(int(plan.H[ci]))
+			v, _ := tb.localIdx.get(int(plan.V[ci]))
+			tb.jobs = append(tb.jobs, placedJob{int32(h), int32(v), plan.SeedH[ci], plan.SeedV[ci], plan.SeedLen[ci], int32(ci)})
+		}
 	}
 	tb.charge = tb.charge.With(ch)
 	tb.load += it.Cost
@@ -504,16 +690,32 @@ func (c *candidates) Pop() any {
 	return tb
 }
 
-// MakeBatchesFanout distributes items across tiles into BSP batches:
-// items are placed largest-cost-first onto the least-loaded tile of the
-// open batch that still has the SRAM for them (longest-processing-time
-// k-partitioning under the §4.2 quadratic estimate); when no tile fits,
-// the batch closes. maxJobs caps the jobs per batch (0 = no cap): finer
-// batches keep the multi-IPU work queue deep enough for the driver to
-// scale and prefetch (§4.4). fanout[ci] is the number of planned
-// comparisons that comparison ci represents after duplicate-extension
-// elimination (nil = every comparison stands for itself); the counts ride
-// along on the tile jobs so the kernel can account the work dedup skipped.
+// itemCharges folds each row's Charge into its item's, in row order:
+// Charge.With is a max, so the fold equals the item-order one. A row
+// whose itemOf is negative belongs to no item.
+func (s *scratch) itemCharges(items int, cfg *ipukernel.Config) []ipukernel.Charge {
+	charges := resize(s.charges, items)
+	clear(charges)
+	for ci, it := range s.itemOf {
+		if it >= 0 {
+			charges[it] = charges[it].With(s.lens[ci].charge(cfg))
+		}
+	}
+	s.charges = charges
+	return charges
+}
+
+// batch distributes items across tiles into BSP batches: items are placed
+// largest-cost-first onto the least-loaded tile of the open batch that
+// still has the SRAM for them (longest-processing-time k-partitioning
+// under the §4.2 quadratic estimate); when no tile fits, the batch
+// closes. maxJobs caps the jobs per batch (0 = no cap): finer batches
+// keep the multi-IPU work queue deep enough for the driver to scale and
+// prefetch (§4.4). fanout[ci] is the number of planned comparisons that
+// comparison ci represents after duplicate-extension elimination (nil =
+// every comparison stands for itself); the counts ride along on the tile
+// jobs so the kernel can account the work dedup skipped. s.itemOf maps
+// the items' rows to them and s.lens holds the rows' lengths.
 //
 // "Least-loaded tile that fits, lowest index on ties" is evaluated without
 // visiting every tile. All empty tiles of a batch are interchangeable
@@ -523,7 +725,7 @@ func (c *candidates) Pop() any {
 // `used` as the one empty representative, kept in (load, index) order;
 // the first that fits is the argmin over all tiles. Cost per item is
 // O(|item|) plus O(log used) per tile tried, independent of `tiles`.
-func MakeBatchesFanout(d *workload.Dataset, items []Item, tiles int, cfg ipukernel.Config, model platform.IPUModel, maxJobs int, fanout []int32) ([]*ipukernel.Batch, error) {
+func (s *scratch) batch(plan *workload.Plan, refs []workload.SeqRef, items []Item, tiles int, cfg *ipukernel.Config, model platform.IPUModel, maxJobs int, fanout []int32) ([]*ipukernel.Batch, error) {
 	if tiles <= 0 {
 		return nil, fmt.Errorf("partition: tiles must be positive")
 	}
@@ -531,13 +733,15 @@ func MakeBatchesFanout(d *workload.Dataset, items []Item, tiles int, cfg ipukern
 		maxJobs = 1 << 30
 	}
 	budget := model.DataSRAM()
-	arena, plan := d.Spine()
-	refs := arena.Refs()
+	charges := s.itemCharges(len(items), cfg)
+	pos := resize(s.pos, len(refs))
+	s.pos = pos
 
-	order := make([]int, len(items))
+	order := resize(s.order, len(items))
 	for i := range order {
 		order[i] = i
 	}
+	s.order = order
 	// Largest cost first, ties in item order: the stable sort's order.
 	slices.SortFunc(order, func(a, b int) int {
 		if c := cmp.Compare(items[b].Cost, items[a].Cost); c != 0 {
@@ -563,8 +767,12 @@ func MakeBatchesFanout(d *workload.Dataset, items []Item, tiles int, cfg ipukern
 
 	var batches []*ipukernel.Batch
 	// pool[i] builds tile i of every batch; entries are created the first
-	// time a batch reaches that many tiles and reset when it closes.
-	var pool []*tileBuilder
+	// time a batch reaches that many tiles, kept from plan to plan and
+	// reset when a batch closes.
+	pool := s.tiles
+	for _, tb := range pool {
+		tb.reset() // a failed plan leaves its last batch's builders filled
+	}
 	builder := func(i int) *tileBuilder {
 		if i == len(pool) {
 			pool = append(pool, &tileBuilder{index: i})
@@ -572,8 +780,9 @@ func MakeBatchesFanout(d *workload.Dataset, items []Item, tiles int, cfg ipukern
 		return pool[i]
 	}
 	used, batchJobs := 0, 0
-	cand := candidates{builder(0)}
-	var full []*tileBuilder // candidates the current item does not fit
+	cand := append(s.cand[:0], builder(0))
+	full := s.full[:0] // candidates the current item does not fit
+	defer func() { s.tiles, s.cand, s.full = pool, cand[:0], full[:0] }()
 
 	closeBatch := func() {
 		n := 0
@@ -600,21 +809,14 @@ func MakeBatchesFanout(d *workload.Dataset, items []Item, tiles int, cfg ipukern
 	}
 
 	for _, idx := range order {
-		it := &items[idx]
-		// The item's Charge reads its comparisons from the plan's columns,
-		// the source add copies the jobs' seeds from: the SRAM check and
-		// the placed work agree on seed geometry.
-		var ch ipukernel.Charge
-		for _, ci := range it.Cmps {
-			ch = ch.With(cfg.ExtensionCharge(plan.ExtensionLens(refs, ci)))
-		}
+		it, ch := &items[idx], charges[idx]
 		placed := false
 		for attempt := 0; attempt < 2 && !placed; attempt++ {
 			if batchJobs+len(it.Cmps) > maxJobs && batchJobs > 0 {
 				closeBatch()
 			}
 			full = full[:0]
-			for len(cand) > 0 && cand[0].memoryWith(refs, it, ch, &cfg, model) > budget {
+			for len(cand) > 0 && cand[0].memoryWith(refs, it, ch, cfg, model) > budget {
 				full = append(full, heap.Pop(&cand).(*tileBuilder))
 			}
 			if len(cand) == 0 {
@@ -623,7 +825,7 @@ func MakeBatchesFanout(d *workload.Dataset, items []Item, tiles int, cfg ipukern
 				continue
 			}
 			tb := cand[0]
-			tb.add(refs, plan, it, ch)
+			tb.add(refs, plan, it, pos, ch)
 			heap.Fix(&cand, 0)
 			if tb.index == used {
 				if used++; used < tiles {

@@ -65,6 +65,100 @@ func coverage(t *testing.T, d *workload.Dataset, items []Item) {
 	}
 }
 
+// reuseFactor is the items' transfer saving read item by item: naive
+// per-comparison sequence bytes (a self-comparison's sequence once) over
+// the bytes the items carry. The planner takes the naive bytes from its
+// pricing pass (Planner.ReuseFactor); TestPlannerMatchesItemOrderPricing
+// holds the two equal.
+func reuseFactor(d *workload.Dataset, items []Item) float64 {
+	arena, plan := d.Spine()
+	refs := arena.Refs()
+	var naive, actual int64
+	for _, it := range items {
+		actual += int64(it.Bytes)
+		for _, ci := range it.Cmps {
+			h, v := plan.H[ci], plan.V[ci]
+			naive += int64(refs[h].Len)
+			if v != h {
+				naive += int64(refs[v].Len)
+			}
+		}
+	}
+	if actual == 0 {
+		return 1
+	}
+	return float64(naive) / float64(actual)
+}
+
+// walkOrderCosts is the per-item pricing the walk did before the
+// planner's pricing pass, kept as the reference: each item's Cost summed
+// over its comparisons in the order the walk took them (its Cmps order),
+// each CostEstimate read from the geometry there.
+func walkOrderCosts(d *workload.Dataset, items []Item) []float64 {
+	arena, plan := d.Spine()
+	costs := make([]float64, len(items))
+	for i, it := range items {
+		for _, ci := range it.Cmps {
+			costs[i] += CostEstimate(plan.ExtensionLens(arena.Refs(), ci))
+		}
+	}
+	return costs
+}
+
+// itemOrderCharges is the per-item Charge the batcher folded before the
+// pricing pass, kept as the reference: each item's comparisons' Charges
+// in item order.
+func itemOrderCharges(d *workload.Dataset, items []Item, cfg ipukernel.Config) []ipukernel.Charge {
+	arena, plan := d.Spine()
+	charges := make([]ipukernel.Charge, len(items))
+	for i, it := range items {
+		for _, ci := range it.Cmps {
+			charges[i] = charges[i].With(cfg.ExtensionCharge(plan.ExtensionLens(arena.Refs(), ci)))
+		}
+	}
+	return charges
+}
+
+// samePricing fails unless the planner prices items exactly as the
+// references do: every Item.Cost and every item's Charge bit-equal, every
+// tile of batches (when given) charged the fold of its jobs' Charges in
+// job order, and the reuse factor equal to the item-by-item one.
+func samePricing(tb testing.TB, d *workload.Dataset, items []Item, cfg ipukernel.Config, model platform.IPUModel, batches []*ipukernel.Batch) {
+	tb.Helper()
+	for i, want := range walkOrderCosts(d, items) {
+		if items[i].Cost != want {
+			tb.Fatalf("item %d costs %v, the walk-order sum %v", i, items[i].Cost, want)
+		}
+	}
+	p := NewPlanner(d, cfg, model)
+	defer p.Release()
+	p.s.adopt(items)
+	got := p.s.itemCharges(len(items), &p.cfg)
+	for i, want := range itemOrderCharges(d, items, cfg) {
+		if got[i] != want {
+			tb.Fatalf("item %d charged %+v, the item-order fold %+v", i, got[i], want)
+		}
+	}
+	arena, plan := d.Spine()
+	for bi, b := range batches {
+		for ti := range b.Tiles {
+			var rows, want ipukernel.Charge
+			for _, job := range b.Tiles[ti].Jobs {
+				ci := int(job.GlobalID)
+				want = want.With(cfg.ExtensionCharge(plan.ExtensionLens(arena.Refs(), ci)))
+				rows = rows.With(got[p.s.itemOf[ci]])
+			}
+			if rows != want {
+				tb.Fatalf("batch %d tile %d charged %+v, its jobs' fold %+v", bi, ti, rows, want)
+			}
+		}
+	}
+	p.s.items = append(p.s.items[:0], items...)
+	if rf, want := p.ReuseFactor(), reuseFactor(d, items); rf != want {
+		tb.Fatalf("reuse factor %v, item by item %v", rf, want)
+	}
+}
+
 func TestBuildItemsNoReuse(t *testing.T) {
 	d := readsData(t, 1)
 	items := BuildItems(d, Options{SeqBudget: 1 << 20, Reuse: false})
@@ -72,7 +166,7 @@ func TestBuildItemsNoReuse(t *testing.T) {
 	if len(items) != len(d.Comparisons) {
 		t.Fatalf("no-reuse should yield one item per comparison: %d != %d", len(items), len(d.Comparisons))
 	}
-	if rf := ReuseFactor(d, items); rf != 1 {
+	if rf := reuseFactor(d, items); rf != 1 {
 		t.Errorf("no-reuse ReuseFactor = %f, want 1", rf)
 	}
 }
@@ -88,7 +182,7 @@ func TestReuseFactorSelfComparison(t *testing.T) {
 		}, false)
 	items := BuildItems(d, Options{SeqBudget: 1 << 20, Reuse: false})
 	coverage(t, d, items)
-	if rf := ReuseFactor(d, items); rf != 1 {
+	if rf := reuseFactor(d, items); rf != 1 {
 		t.Errorf("ReuseFactor = %.3f over self-comparisons without reuse, want 1", rf)
 	}
 }
@@ -109,7 +203,7 @@ func TestBuildItemsSelfComparisonChargedOnce(t *testing.T) {
 	if len(items) != 1 || items[0].Bytes != 90 {
 		t.Fatalf("items = %+v, want one 90-byte item", items)
 	}
-	if rf := ReuseFactor(d, items); rf != 150.0/90 {
+	if rf := reuseFactor(d, items); rf != 150.0/90 {
 		t.Errorf("ReuseFactor = %.3f, want %.3f", rf, 150.0/90)
 	}
 }
@@ -121,7 +215,7 @@ func TestBuildItemsWithReuse(t *testing.T) {
 	if len(items) >= len(d.Comparisons) {
 		t.Errorf("reuse produced %d items for %d comparisons — no grouping", len(items), len(d.Comparisons))
 	}
-	rf := ReuseFactor(d, items)
+	rf := reuseFactor(d, items)
 	if rf <= 1.2 {
 		t.Errorf("reuse factor %.2f too low for an overlap graph", rf)
 	}
@@ -381,7 +475,7 @@ func TestBuildItemsFrontierPreservedAcrossFlush(t *testing.T) {
 	budget := 1000 + rng.Intn(2500)
 	items := BuildItems(d, Options{SeqBudget: budget, Reuse: true})
 	coverage(t, d, items)
-	if rf := ReuseFactor(d, items); rf < 3.0 {
+	if rf := reuseFactor(d, items); rf < 3.0 {
 		t.Errorf("ReuseFactor = %.3f, want ≥ 3.0 (old frontier-discarding walk scored 2.81)", rf)
 	}
 	for _, it := range items {
@@ -623,6 +717,58 @@ func TestBuildItemsMatchesRescan(t *testing.T) {
 	}
 }
 
+// TestPlannerMatchesItemOrderPricing: the planner's own stages — on
+// pooled scratch, twice in a row so the second plan reuses the first's
+// memory — give BuildItems' items and MakeBatchesFanout's batches, priced
+// as the references price them, on the shortread_plan shape and on long
+// reads with traceback.
+func TestPlannerMatchesItemOrderPricing(t *testing.T) {
+	short, _, shortCfg := shortReadItems(t, 8_000)
+	traced := testKernelCfg()
+	traced.Traceback = true
+	for _, c := range []struct {
+		name string
+		d    *workload.Dataset
+		cfg  ipukernel.Config
+	}{
+		{"short", short, shortCfg},
+		{"long-traced", readsData(t, 11), traced},
+	} {
+		budget, err := DeriveSeqBudget(c.d, c.cfg, platform.GC200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := Options{SeqBudget: budget, Reuse: true, MaxCmps: (len(c.d.Comparisons) + 184*3 - 1) / (184 * 3)}
+		items := BuildItems(c.d, opt)
+		want, err := MakeBatchesFanout(c.d, items, 184, c.cfg, platform.GC200, 64, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePricing(t, c.d, items, c.cfg, platform.GC200, want)
+		for round := range 2 {
+			p := NewPlanner(c.d, c.cfg, platform.GC200)
+			if got, err := p.SeqBudget(); err != nil || got != budget {
+				t.Fatalf("%s: planner budget %d (%v), DeriveSeqBudget's %d", c.name, got, err, budget)
+			}
+			p.BuildItems(opt)
+			if !reflect.DeepEqual(p.s.items, items) {
+				t.Fatalf("%s round %d: the planner's items differ from BuildItems'", c.name, round)
+			}
+			got, err := p.Batches(184, 64, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s round %d: the planner's %d batches differ from MakeBatchesFanout's %d", c.name, round, len(got), len(want))
+			}
+			if rf := p.ReuseFactor(); rf != reuseFactor(c.d, items) {
+				t.Fatalf("%s: reuse factor %v, item by item %v", c.name, rf, reuseFactor(c.d, items))
+			}
+			p.Release()
+		}
+	}
+}
+
 // decodeGraph decodes a graph, a budget, a spread cap and the reuse flag
 // from fuzz bytes. Byte 0 picks n = 1–32 sequences and the next n bytes
 // their lengths, 27–282 bases. Four bytes then set the budget (0–4 335 B),
@@ -668,7 +814,9 @@ func FuzzBuildItems(f *testing.F) {
 			return
 		}
 		sameItems(t, d, opt)
-		coverage(t, d, BuildItems(d, opt))
+		items := BuildItems(d, opt)
+		coverage(t, d, items)
+		samePricing(t, d, items, testKernelCfg(), platform.GC200, nil)
 	})
 }
 
@@ -1035,6 +1183,7 @@ func FuzzMakeBatches(f *testing.F) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%d batches differ from the exhaustive scan's %d", len(got), len(want))
 		}
+		samePricing(t, d, items, cfg, model, got)
 		for bi, batch := range got {
 			for ti := range batch.Tiles {
 				if mem := cfg.TileMemoryBytes(&batch.Tiles[ti], model); mem > model.DataSRAM() {

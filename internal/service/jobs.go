@@ -33,7 +33,9 @@ type jobState struct {
 	linger      time.Duration
 	comparisons int
 	windowMax   int
-	created     time.Time
+	// decode is the service's first phase: the request from its arrival
+	// to its Submit.
+	decode time.Duration
 
 	// scratch is the pump's encode buffer, reused across the job's chunks
 	// and dropped when the job settles.
@@ -55,11 +57,11 @@ type jobState struct {
 }
 
 func newJobState(id, tenant string, shard int, cancel context.CancelFunc,
-	linger time.Duration, comparisons, windowMax int, created time.Time) *jobState {
+	linger time.Duration, comparisons, windowMax int, decode time.Duration) *jobState {
 	return &jobState{
 		id: id, tenant: tenant, shard: shard, cancelJob: cancel,
 		linger: linger, comparisons: comparisons, windowMax: windowMax,
-		created: created, notify: make(chan struct{}),
+		decode: decode, notify: make(chan struct{}),
 	}
 }
 
@@ -107,10 +109,10 @@ func (js *jobState) appendUpdate(u engine.Update) {
 	js.mu.Unlock()
 }
 
-// finish records the job's terminal outcome and encodes the final line.
-// It returns the bytes the settled job retains.
-func (js *jobState) finish(rep *driver.Report, err error) int {
-	fin := wire.Final{}
+// finish records the job's terminal outcome and encodes the final line,
+// phases included. It returns the bytes the settled job retains.
+func (js *jobState) finish(rep *driver.Report, err error, phases engine.Phases) int {
+	fin := wire.Final{Phases: phases}
 	if err != nil {
 		fin.Error = err.Error()
 	} else {

@@ -132,12 +132,14 @@ type Server struct {
 	wg       sync.WaitGroup // pump goroutines
 
 	// firstChunk observes, per job that produced a chunk, the seconds from
-	// the job's creation to its first chunk entering the replay window —
-	// what a streaming client waits before it has anything to work on.
+	// the request's arrival to the job's first update (its phases' Decode
+	// plus FirstUpdate) — what a streaming client waits before it has
+	// anything to work on.
 	firstChunk metrics.PromHistogram
-	// jobSeconds observes every settled job's creation-to-settlement time:
-	// a cache-served job and a cold one differ by an order of magnitude
-	// and nothing else on the server tells them apart.
+	// jobSeconds observes every settled job's Wall, from the request's
+	// arrival to its final record: a cache-served job and a cold one
+	// differ by an order of magnitude and nothing else on the server
+	// tells them apart.
 	jobSeconds metrics.PromHistogram
 }
 
@@ -235,6 +237,7 @@ func routeKey(d *workload.Dataset) uint64 {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	arrived := s.clk.Now()
 	tenant := tenantName(r)
 	if ok, retry := s.admitTenant(tenant); !ok {
 		writeRetryAfter(w, retry)
@@ -296,6 +299,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
+	decode := s.clk.Now().Sub(arrived)
 	job, err := eng.Submit(ctx, d)
 	if err != nil {
 		cancel()
@@ -314,7 +318,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.nextID++
 	id := fmt.Sprintf("j%06d", s.nextID)
-	js := newJobState(id, tenant, shard, cancel, linger, len(d.Comparisons), s.cfg.WindowChunks, s.clk.Now())
+	js := newJobState(id, tenant, shard, cancel, linger, len(d.Comparisons), s.cfg.WindowChunks, decode)
 	s.jobs[id] = js
 	ts := s.tenantLocked(tenant)
 	ts.Submitted++
@@ -494,17 +498,25 @@ func (s *Server) lookup(id string) *jobState {
 // retention queue. The engine job is the pump's alone: jobState never
 // holds it, so it is garbage once the pump returns instead of staying
 // reachable through s.jobs for as long as the job is retained.
+//
+// The job's phases time both histograms: the engine stamped its segments,
+// the service adds Decode and Stream, its tail from the result stream's
+// close to the final record.
 func (s *Server) pump(js *jobState, job *engine.Job) {
 	defer s.wg.Done()
 	for u := range job.Results() {
 		js.appendUpdate(u)
 		if js.nextSeq == 1 { // the pump is nextSeq's only writer
-			s.firstChunk.Observe(s.clk.Now().Sub(js.created).Seconds())
+			s.firstChunk.Observe((js.decode + job.Phases().FirstUpdate).Seconds())
 		}
 	}
+	closed := s.clk.Now()
 	rep, err := job.Wait(context.Background())
-	size := js.finish(rep, err)
-	s.jobSeconds.Observe(s.clk.Now().Sub(js.created).Seconds())
+	phases := job.Phases()
+	stream := s.clk.Now().Sub(closed)
+	phases.Add(engine.Phases{Decode: js.decode, Stream: stream, Wall: js.decode + stream})
+	size := js.finish(rep, err, phases)
+	s.jobSeconds.Observe(phases.Wall.Seconds())
 	s.mu.Lock()
 	ts := s.tenantLocked(js.tenant)
 	ts.Live--

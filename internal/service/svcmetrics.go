@@ -206,9 +206,9 @@ var histogramFamilies = []struct {
 	name, help string
 	get        func(*Server) *metrics.PromHistogram
 }{
-	{"xdropipu_service_first_chunk_seconds", "Seconds from a job's creation to its first result chunk entering the replay window.",
+	{"xdropipu_service_first_chunk_seconds", "Seconds from a job's request to its first update, its phases' decode plus first update.",
 		func(s *Server) *metrics.PromHistogram { return &s.firstChunk }},
-	{"xdropipu_service_job_seconds", "Seconds from a job's creation to its settlement.",
+	{"xdropipu_service_job_seconds", "Seconds from a job's request to its final record, its phases' wall.",
 		func(s *Server) *metrics.PromHistogram { return &s.jobSeconds }},
 }
 

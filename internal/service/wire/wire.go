@@ -19,6 +19,7 @@ import (
 
 	"github.com/sram-align/xdropipu/internal/alignment"
 	"github.com/sram-align/xdropipu/internal/driver"
+	"github.com/sram-align/xdropipu/internal/engine"
 	"github.com/sram-align/xdropipu/internal/ipukernel"
 	"github.com/sram-align/xdropipu/internal/seqio"
 	"github.com/sram-align/xdropipu/internal/workload"
@@ -417,10 +418,13 @@ type Chunk struct {
 type ReportSummary = driver.Summary
 
 // Final closes every result stream: the report summary on success, the
-// job's terminal error otherwise.
+// job's terminal error otherwise, and either way where the job's wall
+// time went — the engine's phases with the service's own decode and
+// stream segments.
 type Final struct {
 	Report *ReportSummary `json:"report,omitempty"`
 	Error  string         `json:"error,omitempty"`
+	Phases engine.Phases  `json:"phases,omitzero"`
 }
 
 // Envelope is one NDJSON line of the result stream: exactly one of the

@@ -131,6 +131,7 @@ type RemoteJob struct {
 	done    chan struct{}
 	rep     *driver.Report
 	err     error
+	phases  *engine.Phases // the final record's, nil until it arrives
 }
 
 // Results streams per-batch updates in delivery order, exactly as the
@@ -152,6 +153,21 @@ func (j *RemoteJob) Wait(ctx context.Context) (*driver.Report, error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
+}
+
+// Phases returns where the job's wall time went, as the server's final
+// record gave it: the engine's phases with the service's decode and
+// stream segments. It is zero until the job settles, and stays zero when
+// the stream ended without a final record.
+func (j *RemoteJob) Phases() engine.Phases {
+	select {
+	case <-j.done:
+		if j.phases != nil {
+			return *j.phases
+		}
+	default:
+	}
+	return engine.Phases{}
 }
 
 // Cancel asks the server to tear the job down. The stream then settles
@@ -417,6 +433,7 @@ func readLine(br *bufio.Reader, buf []byte) ([]byte, error) {
 // settle ends the job with its final record: the server's error, or the
 // report over results once every comparison's result has arrived.
 func (j *RemoteJob) settle(fin *wire.Final, results []ipukernel.AlignOut, arrived idSet) {
+	j.phases = &fin.Phases
 	if fin.Error != "" {
 		j.err = errors.New(fin.Error)
 		return
