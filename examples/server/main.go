@@ -158,7 +158,7 @@ func main() {
 	// routing hashes the sequence digests, so the repeat lands on the
 	// shard that already paid for these extensions: every result comes
 	// from its cache and zero batches execute.
-	c := xdropipu.NewServiceClient(base, xdropipu.WithServiceTenant("pipeline"))
+	c := xdropipu.NewServiceClient(base, xdropipu.WithServiceTenant("pipeline"), xdropipu.WithServicePhases())
 	if job, err := c.Submit(context.Background(), clientData(0)); err == nil {
 		if rep, err := job.Wait(context.Background()); err == nil {
 			fmt.Printf("\nwarm-cache replay of client 0: %d alignments, %d cache hits, %d batches executed\n",

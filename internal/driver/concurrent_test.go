@@ -11,10 +11,9 @@ import (
 )
 
 // TestBuildBatchesConcurrent: builds of different datasets and
-// configurations running at once, each on pooled planner scratch that
-// other builds used before it, make exactly the plans their serial
-// builds make. Under -race, a window of pooled memory that outlived its
-// build, or one build writing into another's, shows as a race or as a
+// configurations running at once make exactly the plans their serial
+// builds make. Under -race, state one build shares with another — a
+// pooled buffer, a package-level table — shows as a race or as a
 // differing plan.
 func TestBuildBatchesConcurrent(t *testing.T) {
 	short := shortReads

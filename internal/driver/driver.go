@@ -607,7 +607,6 @@ func BuildBatchesMarked(ctx context.Context, d *workload.Dataset, cfg Config, ma
 	mark(PlanDeduped)
 
 	planner := partition.NewPlanner(execD, cfg.Kernel, cfg.Model)
-	defer planner.Release()
 	seqBudget := cfg.SeqBudget
 	if seqBudget <= 0 {
 		var err error

@@ -40,8 +40,8 @@ type Phases struct {
 	// Complete is the report's fold — the batch-order accounting, the
 	// cache fill and the dedup fan-out — and the job's settlement.
 	Complete time.Duration `json:"completeNs,omitempty"`
-	// Stream is the service's: from the engine's result stream closing to
-	// the final record.
+	// Stream is the service's: from the engine's settlement, through the
+	// drain of the updates still buffered then, to the final record.
 	Stream time.Duration `json:"streamNs,omitempty"`
 	// Wall is the time the segments tile: Submit to settlement, or, from
 	// the service, the request's arrival to its final record.

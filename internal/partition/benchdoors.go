@@ -15,42 +15,31 @@ import (
 // DeriveSeqBudget computes the per-partition sequence budget for a dataset
 // under a kernel configuration (Planner.SeqBudget).
 func DeriveSeqBudget(d *workload.Dataset, cfg ipukernel.Config, model platform.IPUModel) (int, error) {
-	p := NewPlanner(d, cfg, model)
-	defer p.Release()
-	return p.SeqBudget()
+	return NewPlanner(d, cfg, model).SeqBudget()
 }
 
 // BuildItems turns a dataset into schedulable items using the paper's
 // greedy edge-list walk (§4.3): adjacent vertices join the open partition
 // until the next vertex would exceed the sequence budget, then a new
-// partition starts. The items are the caller's own.
+// partition starts.
 func BuildItems(d *workload.Dataset, opt Options) []Item {
 	arena, plan := d.Spine()
-	s := new(scratch)
-	s.price(plan, arena.Refs(), nil)
-	s.walk(plan, arena.Refs(), opt)
-	return s.items
+	items, _, _ := walk(plan, arena.Refs(), opt, nil)
+	return items
 }
 
 // MakeBatchesFanout distributes items, which hold disjoint comparisons of
-// d as BuildItems makes them, across tiles into BSP batches (see
-// scratch.batch for the placement rule, maxJobs and fanout).
+// d as BuildItems makes them, across tiles into BSP batches (see batch for
+// the placement rule, maxJobs and fanout). It folds each item's Charge
+// from its comparisons, as the walk does for the Planner's items.
 func MakeBatchesFanout(d *workload.Dataset, items []Item, tiles int, cfg ipukernel.Config, model platform.IPUModel, maxJobs int, fanout []int32) ([]*ipukernel.Batch, error) {
-	p := NewPlanner(d, cfg, model)
-	defer p.Release()
-	p.s.adopt(items)
-	return p.s.batch(p.plan, p.refs, items, tiles, &p.cfg, model, maxJobs, fanout)
-}
-
-// adopt maps the rows of items, which hold disjoint comparisons, to
-// them, as the walk does for its own; a row in no item maps to -1.
-func (s *scratch) adopt(items []Item) {
-	for ci := range s.itemOf {
-		s.itemOf[ci] = -1
-	}
+	arena, plan := d.Spine()
+	refs := arena.Refs()
+	charges := make([]ipukernel.Charge, len(items))
 	for i := range items {
 		for _, ci := range items[i].Cmps {
-			s.itemOf[ci] = int32(i)
+			charges[i] = charges[i].With(cfg.ExtensionCharge(plan.ExtensionLens(refs, ci)))
 		}
 	}
+	return batch(plan, refs, items, charges, tiles, &cfg, model, maxJobs, fanout)
 }

@@ -9,9 +9,7 @@ import (
 	"cmp"
 	"container/heap"
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 
 	"github.com/sram-align/xdropipu/internal/ipukernel"
 	"github.com/sram-align/xdropipu/internal/platform"
@@ -63,149 +61,28 @@ type Options struct {
 
 // Planner plans one dataset's comparisons for one kernel configuration:
 // the sequence budget, the §4.3 items and the §4.2 batches, in that order.
-// NewPlanner reads every comparison's geometry once, in row order: it
-// keeps each row's four extension lengths, folds the rows' Charges for
-// the budget and sums their single-comparison bytes for the reuse factor.
-// The later stages price rows from the kept lengths, so an item's Cost is
-// the same float64 a walk-order CostEstimate sum gives (the walk adds the
-// rows' costs in its own order) and an item's Charge the same fold
-// (Charge.With is a max, so the batcher's row order does not matter).
-//
-// The planner's working memory — the lengths, the walk's CSR and state,
-// the items' Cmps and Seqs windows, the batcher's builders — comes from a
-// free list and goes back on Release; none of it outlives the plan. Only
-// the batches, which Batches allocates, do.
+// SeqBudget folds every comparison's Charge in row order. The walk reads
+// a comparison's geometry where it takes the row into an item: it adds
+// the row's cost to the item in the walk's order, so an item's Cost is
+// the same float64 it always was, and folds the row's Charge into the
+// item's (Charge.With is a max, so the order does not matter) for the
+// batcher, which then reads no row's geometry again. The planner keeps no
+// per-row state, and nothing of it outlives the plan but the batches.
 type Planner struct {
 	plan  *workload.Plan
 	refs  []workload.SeqRef
 	cfg   ipukernel.Config
 	model platform.IPUModel
-	fold  ipukernel.Charge // every comparison's Charge, folded
-	naive int64            // every comparison's single-comparison bytes, summed
-	s     *scratch
+
+	items   []Item
+	charges []ipukernel.Charge // items[i]'s rows' Charges, folded
+	naive   int64              // the rows' single-comparison bytes, summed
 }
 
-// scratch is a plan's working memory, reused from plan to plan.
-type scratch struct {
-	lens []extLens // row → its extension lengths
-
-	// The walk: the vertex → incident-rows CSR, each vertex's cursor into
-	// it, the rows taken, and per vertex the open partition's stamp.
-	off, edges, next []int32
-	assigned         []bool
-	stamp            []int32
-	queue            []int
-
-	// The items, cut from shared buffers: item i's Cmps and Seqs are
-	// windows of cmps and seqs. itemOf maps a row to its item.
-	items  []Item
-	cmps   []int
-	seqs   []int
-	itemOf []int32
-
-	// The batcher: per item the fold of its rows' Charges, the placement
-	// order, the tile builders and candidates, and per vertex its position
-	// in the item a tile takes first (tileBuilder.add).
-	charges []ipukernel.Charge
-	order   []int
-	tiles   []*tileBuilder
-	cand    candidates
-	full    []*tileBuilder
-	pos     []int32
-}
-
-// extLens is one comparison's geometry: its left extension spans lh×lv
-// and its right extension rh×rv.
-type extLens struct{ lh, lv, rh, rv int32 }
-
-func (e extLens) cost() float64 {
-	return CostEstimate(int(e.lh), int(e.lv), int(e.rh), int(e.rv))
-}
-
-func (e extLens) charge(cfg *ipukernel.Config) ipukernel.Charge {
-	return cfg.ExtensionCharge(int(e.lh), int(e.lv), int(e.rh), int(e.rv))
-}
-
-// scratches holds idle plans' working memory for the next plans to take:
-// a free list of at most GOMAXPROCS entries, as many as can plan at once
-// without waiting, each as large as the largest plan it served. It is not
-// a sync.Pool, which under the race detector drops a share of what is put
-// back, so that a plan's allocations are the same in every build.
-var scratches struct {
-	sync.Mutex
-	idle []*scratch
-}
-
-// getScratch takes an idle scratch, or a new one.
-func getScratch() *scratch {
-	scratches.Lock()
-	defer scratches.Unlock()
-	n := len(scratches.idle)
-	if n == 0 {
-		return new(scratch)
-	}
-	s := scratches.idle[n-1]
-	scratches.idle[n-1] = nil
-	scratches.idle = scratches.idle[:n-1]
-	return s
-}
-
-// putScratch returns s to the free list, unless the list is full.
-func putScratch(s *scratch) {
-	scratches.Lock()
-	defer scratches.Unlock()
-	if len(scratches.idle) < runtime.GOMAXPROCS(0) {
-		scratches.idle = append(scratches.idle, s)
-	}
-}
-
-// resize returns s with length n, reallocated only when it lacks the
-// capacity; the contents are whatever s held.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
-// NewPlanner prices d's comparisons under cfg on model. Release the
-// planner when done with it.
+// NewPlanner plans d's comparisons under cfg on model.
 func NewPlanner(d *workload.Dataset, cfg ipukernel.Config, model platform.IPUModel) *Planner {
 	arena, plan := d.Spine()
-	p := &Planner{plan: plan, refs: arena.Refs(), cfg: cfg, model: model, s: getScratch()}
-	p.fold, p.naive = p.s.price(plan, p.refs, &p.cfg)
-	return p
-}
-
-// Release returns the planner's working memory to the free list. The items
-// and the planner are unusable afterwards; the batches are the caller's.
-func (p *Planner) Release() {
-	p.s.items = p.s.items[:0]
-	putScratch(p.s)
-	p.s = nil
-}
-
-// price is the one pass over the comparisons' geometry, in row order: it
-// records each row's extension lengths and returns the fold of the rows'
-// Charges under cfg (zero when cfg is nil) and their single-comparison
-// bytes summed. It also sizes the row → item map the walk fills.
-func (s *scratch) price(plan *workload.Plan, refs []workload.SeqRef, cfg *ipukernel.Config) (fold ipukernel.Charge, naive int64) {
-	n := plan.Len()
-	s.lens = resize(s.lens, n)
-	s.itemOf = resize(s.itemOf, n)
-	for ci := range n {
-		lh, lv, rh, rv := plan.ExtensionLens(refs, ci)
-		s.lens[ci] = extLens{int32(lh), int32(lv), int32(rh), int32(rv)}
-		if h, v := plan.H[ci], plan.V[ci]; v != h {
-			naive += int64(refs[h].Len) + int64(refs[v].Len)
-		} else {
-			naive += int64(refs[h].Len)
-		}
-		if cfg != nil {
-			fold = fold.With(cfg.ExtensionCharge(lh, lv, rh, rv))
-		}
-	}
-	return fold, naive
+	return &Planner{plan: plan, refs: arena.Refs(), cfg: cfg, model: model}
 }
 
 // SeqBudget computes the per-partition sequence budget: tile SRAM minus
@@ -217,7 +94,11 @@ func (s *scratch) price(plan *workload.Plan, refs []workload.SeqRef, cfg *ipuker
 // unrestricted algorithms on long reads (§3) and what δb fixes.
 func (p *Planner) SeqBudget() (int, error) {
 	const allowance = 8 * 1024
-	bufs := p.cfg.BufferBytes(p.fold, p.model)
+	var fold ipukernel.Charge
+	for ci := range p.plan.Len() {
+		fold = fold.With(p.cfg.ExtensionCharge(p.plan.ExtensionLens(p.refs, ci)))
+	}
+	bufs := p.cfg.BufferBytes(fold, p.model)
 	budget := p.model.DataSRAM() - bufs - allowance
 	if budget <= 0 {
 		return 0, fmt.Errorf(
@@ -228,13 +109,15 @@ func (p *Planner) SeqBudget() (int, error) {
 }
 
 // BuildItems groups the comparisons into items (see the package's
-// BuildItems); the items are the planner's, for Batches.
-func (p *Planner) BuildItems(opt Options) { p.s.walk(p.plan, p.refs, opt) }
+// BuildItems), pricing each item's Charge as it goes; the items are the
+// planner's, for Batches.
+func (p *Planner) BuildItems(opt Options) {
+	p.items, p.charges, p.naive = walk(p.plan, p.refs, opt, &p.cfg)
+}
 
 // Batches distributes the items across tiles (see MakeBatchesFanout).
-// The batches are the caller's own.
 func (p *Planner) Batches(tiles, maxJobs int, fanout []int32) ([]*ipukernel.Batch, error) {
-	return p.s.batch(p.plan, p.refs, p.s.items, tiles, &p.cfg, p.model, maxJobs, fanout)
+	return batch(p.plan, p.refs, p.items, p.charges, tiles, &p.cfg, p.model, maxJobs, fanout)
 }
 
 // ReuseFactor reports the items' transfer saving: the ratio of naive
@@ -242,12 +125,12 @@ func (p *Planner) Batches(tiles, maxJobs int, fanout []int32) ([]*ipukernel.Batc
 // 1.0 means no reuse; 2.0 means each transferred sequence serves two
 // comparisons on average. A comparison's naive bytes are what its
 // single-comparison item ships: a self-comparison's sequence once. Every
-// comparison lands in exactly one item, so the naive bytes are the
-// pricing pass's sum.
+// comparison lands in exactly one item, so the naive bytes are the sum
+// the walk kept as it took the rows.
 func (p *Planner) ReuseFactor() float64 {
 	var actual int64
-	for i := range p.s.items {
-		actual += int64(p.s.items[i].Bytes)
+	for i := range p.items {
+		actual += int64(p.items[i].Bytes)
 	}
 	if actual == 0 {
 		return 1
@@ -255,43 +138,60 @@ func (p *Planner) ReuseFactor() float64 {
 	return float64(p.naive) / float64(actual)
 }
 
-// walk turns the priced rows into items using the paper's greedy
-// edge-list walk (§4.3): adjacent vertices join the open partition until
-// the next vertex would exceed the sequence budget, then a new partition
-// starts. It reads the plan's H/V columns and the arena's span lengths;
-// no row is materialised. It leaves the items in s.items and each row's
-// item in s.itemOf.
-func (s *scratch) walk(plan *workload.Plan, refs []workload.SeqRef, opt Options) {
+// walk turns the rows into items using the paper's greedy edge-list walk
+// (§4.3): adjacent vertices join the open partition until the next vertex
+// would exceed the sequence budget, then a new partition starts. It reads
+// the plan's H/V columns and the arena's span lengths; no row is
+// materialised. With cfg it also returns each item's Charge, the fold of
+// its rows' Charges under cfg; and the rows' single-comparison bytes.
+func walk(plan *workload.Plan, refs []workload.SeqRef, opt Options, cfg *ipukernel.Config) (items []Item, charges []ipukernel.Charge, naive int64) {
 	n := plan.Len()
 	seqBudget := opt.SeqBudget
 	maxCmps := opt.MaxCmps
 	if maxCmps <= 0 {
 		maxCmps = n + 1
 	}
-	items := s.items[:0]
-	s.cmps = resize(s.cmps, n)
+	// price reads row ci's geometry, once: its cost, and its Charge
+	// folded into *ch. It also counts the row's single-comparison bytes.
+	price := func(ci, h, v int, ch *ipukernel.Charge) float64 {
+		naive += int64(refs[h].Len)
+		if v != h {
+			naive += int64(refs[v].Len)
+		}
+		lh, lv, rh, rv := plan.ExtensionLens(refs, ci)
+		if cfg != nil {
+			*ch = ch.With(cfg.ExtensionCharge(lh, lv, rh, rv))
+		}
+		return CostEstimate(lh, lv, rh, rv)
+	}
+	cmps := make([]int, n)
 	if !opt.Reuse {
 		// One item per comparison, its Cmps and Seqs windows of two
 		// shared buffers.
-		if items == nil || cap(items) < n {
-			items = make([]Item, 0, n)
+		items = make([]Item, n)
+		if cfg != nil {
+			charges = make([]ipukernel.Charge, 0, n)
 		}
-		seqs := resize(s.seqs, 2*n)[:0]
+		seqs := make([]int, 0, 2*n)
 		for ci, h := range plan.H {
-			s.cmps[ci] = ci
-			s.itemOf[ci] = int32(ci)
+			cmps[ci] = ci
 			k := len(seqs)
 			seqs = append(seqs, int(h))
-			it := Item{Cmps: s.cmps[ci : ci+1 : ci+1], Bytes: int(refs[h].Len), Cost: s.lens[ci].cost(), Copies: true}
-			if v := plan.V[ci]; v != h {
+			it := Item{Cmps: cmps[ci : ci+1 : ci+1], Bytes: int(refs[h].Len), Copies: true}
+			v := plan.V[ci]
+			if v != h {
 				seqs = append(seqs, int(v))
 				it.Bytes += int(refs[v].Len)
 			}
 			it.Seqs = seqs[k:len(seqs):len(seqs)]
-			items = append(items, it)
+			var ch ipukernel.Charge
+			it.Cost = price(ci, int(h), int(v), &ch)
+			items[ci] = it
+			if cfg != nil {
+				charges = append(charges, ch)
+			}
 		}
-		s.items, s.seqs = items, seqs
-		return
+		return items, charges, naive
 	}
 
 	// Greedy graph growing (§4.3): start from a vertex, walk through its
@@ -300,15 +200,14 @@ func (s *scratch) walk(plan *workload.Plan, refs []workload.SeqRef, opt Options)
 	// would exceed the memory budget; then start a new partition. The
 	// frontier walk keeps partitions topologically local regardless of
 	// the sequence numbering, which is what makes reuse high on overlap
-	// graphs. The walk steers by the plan's H/V columns and adds each
-	// taken row's precomputed cost.
+	// graphs. The walk steers by the plan's H/V columns; the seed
+	// columns are read once per comparison, where it is taken.
 	//
 	// vertex → incident edges in plan order, as one CSR: count degrees
 	// two slots ahead, prefix-sum so off[v+1] is v's first slot, then fill
 	// while advancing off[v+1] to v's end — which is v+1's start, leaving
 	// v's edges at edges[off[v]:off[v+1]].
-	off := resize(s.off, len(refs)+2)
-	clear(off)
+	off := make([]int32, len(refs)+2)
 	for ci, h := range plan.H {
 		off[h+2]++
 		if v := plan.V[ci]; v != h {
@@ -318,7 +217,7 @@ func (s *scratch) walk(plan *workload.Plan, refs []workload.SeqRef, opt Options)
 	for i := 2; i < len(off); i++ {
 		off[i] += off[i-1]
 	}
-	edges := resize(s.edges, int(off[len(off)-1]))
+	edges := make([]int32, off[len(off)-1])
 	for ci, h := range plan.H {
 		edges[off[h+1]] = int32(ci)
 		off[h+1]++
@@ -328,8 +227,16 @@ func (s *scratch) walk(plan *workload.Plan, refs []workload.SeqRef, opt Options)
 		}
 	}
 
-	assigned := resize(s.assigned, n)
-	clear(assigned)
+	// The spread cap makes at least ⌈n/MaxCmps⌉ items; with it set, the
+	// items and their Charges start with room for that many.
+	if opt.MaxCmps > 0 && n > 0 {
+		k := (n + opt.MaxCmps - 1) / opt.MaxCmps
+		items = make([]Item, 0, k)
+		if cfg != nil {
+			charges = make([]ipukernel.Charge, 0, k)
+		}
+	}
+	assigned := make([]bool, n)
 	// next[v] is v's first edge slot not yet known to be assigned. assigned
 	// never clears, so a scan starting past the assigned prefix of v's
 	// edges skips only visits that were no-op continues: the items are
@@ -337,7 +244,7 @@ func (s *scratch) walk(plan *workload.Plan, refs []workload.SeqRef, opt Options)
 	// the cursor until a later partition takes it. On the shortread_plan
 	// shape the walk makes two visits per edge slot, against eighteen when
 	// every scan starts at off[v].
-	next := resize(s.next, len(refs))
+	next := make([]int32, len(refs))
 	copy(next, off)
 	advance := func(v int) []int32 {
 		i, end := next[v], off[v+1]
@@ -348,15 +255,15 @@ func (s *scratch) walk(plan *workload.Plan, refs []workload.SeqRef, opt Options)
 		return edges[i:end]
 	}
 	// inPart[v] is the stamp of the open partition holding v (stamps
-	// start at 1, so a cleared table holds nothing).
-	inPart := resize(s.stamp, len(refs))
-	clear(inPart)
+	// start at 1, so a fresh table holds nothing).
+	inPart := make([]int32, len(refs))
 	// The items' Cmps and Seqs are windows of two shared buffers, cut at
 	// each flush. Every comparison lands in exactly one item, so the open
 	// item's Cmps appends in place into what the closed ones left free.
-	freeCmps := s.cmps
-	seqs := resize(s.seqs, n)[:0]
+	freeCmps := cmps
+	seqs := make([]int, 0, n)
 	cur, seqStart := Item{Cmps: freeCmps[:0]}, 0
+	var curCharge ipukernel.Charge
 	stamp := int32(1)
 
 	flush := func() {
@@ -366,8 +273,11 @@ func (s *scratch) walk(plan *workload.Plan, refs []workload.SeqRef, opt Options)
 			cur.Seqs = seqs[seqStart:len(seqs):len(seqs)]
 			seqStart = len(seqs)
 			items = append(items, cur)
+			if cfg != nil {
+				charges = append(charges, curCharge)
+			}
 		}
-		cur = Item{Cmps: freeCmps[:0]}
+		cur, curCharge = Item{Cmps: freeCmps[:0]}, ipukernel.Charge{}
 		stamp++
 	}
 	addSeq := func(v int) {
@@ -382,9 +292,8 @@ func (s *scratch) walk(plan *workload.Plan, refs []workload.SeqRef, opt Options)
 		addSeq(h)
 		addSeq(v)
 		cur.Cmps = append(cur.Cmps, ci)
-		cur.Cost += s.lens[ci].cost()
+		cur.Cost += price(ci, h, v, &curCharge)
 		assigned[ci] = true
-		s.itemOf[ci] = int32(len(items))
 	}
 	need := func(v int) int {
 		if inPart[v] == stamp {
@@ -401,7 +310,7 @@ func (s *scratch) walk(plan *workload.Plan, refs []workload.SeqRef, opt Options)
 		return need(h) + need(v)
 	}
 
-	queue := s.queue[:0]
+	var queue []int
 	for seed := range refs {
 		if len(advance(seed)) == 0 {
 			continue
@@ -478,8 +387,7 @@ func (s *scratch) walk(plan *workload.Plan, refs []workload.SeqRef, opt Options)
 		take(ci, h, v)
 	}
 	flush()
-	s.off, s.edges, s.next, s.assigned, s.stamp, s.queue = off, edges, next, assigned, inPart, queue
-	s.items, s.seqs = items, seqs
+	return items, charges, naive
 }
 
 // seqIndex maps the global ids of the sequences a tile holds to their
@@ -690,21 +598,6 @@ func (c *candidates) Pop() any {
 	return tb
 }
 
-// itemCharges folds each row's Charge into its item's, in row order:
-// Charge.With is a max, so the fold equals the item-order one. A row
-// whose itemOf is negative belongs to no item.
-func (s *scratch) itemCharges(items int, cfg *ipukernel.Config) []ipukernel.Charge {
-	charges := resize(s.charges, items)
-	clear(charges)
-	for ci, it := range s.itemOf {
-		if it >= 0 {
-			charges[it] = charges[it].With(s.lens[ci].charge(cfg))
-		}
-	}
-	s.charges = charges
-	return charges
-}
-
 // batch distributes items across tiles into BSP batches: items are placed
 // largest-cost-first onto the least-loaded tile of the open batch that
 // still has the SRAM for them (longest-processing-time k-partitioning
@@ -714,8 +607,8 @@ func (s *scratch) itemCharges(items int, cfg *ipukernel.Config) []ipukernel.Char
 // prefetch (§4.4). fanout[ci] is the number of planned comparisons that
 // comparison ci represents after duplicate-extension elimination (nil =
 // every comparison stands for itself); the counts ride along on the tile
-// jobs so the kernel can account the work dedup skipped. s.itemOf maps
-// the items' rows to them and s.lens holds the rows' lengths.
+// jobs so the kernel can account the work dedup skipped. charges[i] is
+// the fold of items[i]'s rows' Charges.
 //
 // "Least-loaded tile that fits, lowest index on ties" is evaluated without
 // visiting every tile. All empty tiles of a batch are interchangeable
@@ -725,7 +618,7 @@ func (s *scratch) itemCharges(items int, cfg *ipukernel.Config) []ipukernel.Char
 // `used` as the one empty representative, kept in (load, index) order;
 // the first that fits is the argmin over all tiles. Cost per item is
 // O(|item|) plus O(log used) per tile tried, independent of `tiles`.
-func (s *scratch) batch(plan *workload.Plan, refs []workload.SeqRef, items []Item, tiles int, cfg *ipukernel.Config, model platform.IPUModel, maxJobs int, fanout []int32) ([]*ipukernel.Batch, error) {
+func batch(plan *workload.Plan, refs []workload.SeqRef, items []Item, charges []ipukernel.Charge, tiles int, cfg *ipukernel.Config, model platform.IPUModel, maxJobs int, fanout []int32) ([]*ipukernel.Batch, error) {
 	if tiles <= 0 {
 		return nil, fmt.Errorf("partition: tiles must be positive")
 	}
@@ -733,15 +626,14 @@ func (s *scratch) batch(plan *workload.Plan, refs []workload.SeqRef, items []Ite
 		maxJobs = 1 << 30
 	}
 	budget := model.DataSRAM()
-	charges := s.itemCharges(len(items), cfg)
-	pos := resize(s.pos, len(refs))
-	s.pos = pos
+	// pos is the table a tile's first item writes its Seqs' positions
+	// into (tileBuilder.add).
+	pos := make([]int32, len(refs))
 
-	order := resize(s.order, len(items))
+	order := make([]int, len(items))
 	for i := range order {
 		order[i] = i
 	}
-	s.order = order
 	// Largest cost first, ties in item order: the stable sort's order.
 	slices.SortFunc(order, func(a, b int) int {
 		if c := cmp.Compare(items[b].Cost, items[a].Cost); c != 0 {
@@ -767,12 +659,8 @@ func (s *scratch) batch(plan *workload.Plan, refs []workload.SeqRef, items []Ite
 
 	var batches []*ipukernel.Batch
 	// pool[i] builds tile i of every batch; entries are created the first
-	// time a batch reaches that many tiles, kept from plan to plan and
-	// reset when a batch closes.
-	pool := s.tiles
-	for _, tb := range pool {
-		tb.reset() // a failed plan leaves its last batch's builders filled
-	}
+	// time a batch reaches that many tiles and reset when it closes.
+	var pool []*tileBuilder
 	builder := func(i int) *tileBuilder {
 		if i == len(pool) {
 			pool = append(pool, &tileBuilder{index: i})
@@ -780,9 +668,8 @@ func (s *scratch) batch(plan *workload.Plan, refs []workload.SeqRef, items []Ite
 		return pool[i]
 	}
 	used, batchJobs := 0, 0
-	cand := append(s.cand[:0], builder(0))
-	full := s.full[:0] // candidates the current item does not fit
-	defer func() { s.tiles, s.cand, s.full = pool, cand[:0], full[:0] }()
+	cand := candidates{builder(0)}
+	var full []*tileBuilder // candidates the current item does not fit
 
 	closeBatch := func() {
 		n := 0

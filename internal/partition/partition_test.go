@@ -120,40 +120,51 @@ func itemOrderCharges(d *workload.Dataset, items []Item, cfg ipukernel.Config) [
 }
 
 // samePricing fails unless the planner prices items exactly as the
-// references do: every Item.Cost and every item's Charge bit-equal, every
-// tile of batches (when given) charged the fold of its jobs' Charges in
-// job order, and the reuse factor equal to the item-by-item one.
-func samePricing(tb testing.TB, d *workload.Dataset, items []Item, cfg ipukernel.Config, model platform.IPUModel, batches []*ipukernel.Batch) {
+// references do: its items are BuildItems' under opt, every Item.Cost is
+// bit-equal to the walk-order sum and every item's Charge to the
+// item-order fold, every tile of batches (when given) is charged the fold
+// of its jobs' Charges, and the reuse factor equals the item-by-item one.
+func samePricing(tb testing.TB, d *workload.Dataset, opt Options, cfg ipukernel.Config, model platform.IPUModel, batches []*ipukernel.Batch) {
 	tb.Helper()
+	items := BuildItems(d, opt)
+	p := NewPlanner(d, cfg, model)
+	p.BuildItems(opt)
+	if !reflect.DeepEqual(p.items, items) {
+		tb.Fatalf("the planner's %d items differ from BuildItems' %d", len(p.items), len(items))
+	}
 	for i, want := range walkOrderCosts(d, items) {
 		if items[i].Cost != want {
 			tb.Fatalf("item %d costs %v, the walk-order sum %v", i, items[i].Cost, want)
 		}
 	}
-	p := NewPlanner(d, cfg, model)
-	defer p.Release()
-	p.s.adopt(items)
-	got := p.s.itemCharges(len(items), &p.cfg)
+	if len(p.charges) != len(items) {
+		tb.Fatalf("%d item Charges for %d items", len(p.charges), len(items))
+	}
 	for i, want := range itemOrderCharges(d, items, cfg) {
-		if got[i] != want {
-			tb.Fatalf("item %d charged %+v, the item-order fold %+v", i, got[i], want)
+		if p.charges[i] != want {
+			tb.Fatalf("item %d charged %+v, the item-order fold %+v", i, p.charges[i], want)
 		}
 	}
 	arena, plan := d.Spine()
+	itemOf := make([]int, plan.Len())
+	for i := range items {
+		for _, ci := range items[i].Cmps {
+			itemOf[ci] = i
+		}
+	}
 	for bi, b := range batches {
 		for ti := range b.Tiles {
 			var rows, want ipukernel.Charge
 			for _, job := range b.Tiles[ti].Jobs {
 				ci := int(job.GlobalID)
 				want = want.With(cfg.ExtensionCharge(plan.ExtensionLens(arena.Refs(), ci)))
-				rows = rows.With(got[p.s.itemOf[ci]])
+				rows = rows.With(p.charges[itemOf[ci]])
 			}
 			if rows != want {
 				tb.Fatalf("batch %d tile %d charged %+v, its jobs' fold %+v", bi, ti, rows, want)
 			}
 		}
 	}
-	p.s.items = append(p.s.items[:0], items...)
 	if rf, want := p.ReuseFactor(), reuseFactor(d, items); rf != want {
 		tb.Fatalf("reuse factor %v, item by item %v", rf, want)
 	}
@@ -717,11 +728,10 @@ func TestBuildItemsMatchesRescan(t *testing.T) {
 	}
 }
 
-// TestPlannerMatchesItemOrderPricing: the planner's own stages — on
-// pooled scratch, twice in a row so the second plan reuses the first's
-// memory — give BuildItems' items and MakeBatchesFanout's batches, priced
-// as the references price them, on the shortread_plan shape and on long
-// reads with traceback.
+// TestPlannerMatchesItemOrderPricing: the planner's own stages give
+// DeriveSeqBudget's budget, BuildItems' items and MakeBatchesFanout's
+// batches, priced as the references price them, on the shortread_plan
+// shape and on long reads with traceback.
 func TestPlannerMatchesItemOrderPricing(t *testing.T) {
 	short, _, shortCfg := shortReadItems(t, 8_000)
 	traced := testKernelCfg()
@@ -744,27 +754,18 @@ func TestPlannerMatchesItemOrderPricing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		samePricing(t, c.d, items, c.cfg, platform.GC200, want)
-		for round := range 2 {
-			p := NewPlanner(c.d, c.cfg, platform.GC200)
-			if got, err := p.SeqBudget(); err != nil || got != budget {
-				t.Fatalf("%s: planner budget %d (%v), DeriveSeqBudget's %d", c.name, got, err, budget)
-			}
-			p.BuildItems(opt)
-			if !reflect.DeepEqual(p.s.items, items) {
-				t.Fatalf("%s round %d: the planner's items differ from BuildItems'", c.name, round)
-			}
-			got, err := p.Batches(184, 64, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s round %d: the planner's %d batches differ from MakeBatchesFanout's %d", c.name, round, len(got), len(want))
-			}
-			if rf := p.ReuseFactor(); rf != reuseFactor(c.d, items) {
-				t.Fatalf("%s: reuse factor %v, item by item %v", c.name, rf, reuseFactor(c.d, items))
-			}
-			p.Release()
+		samePricing(t, c.d, opt, c.cfg, platform.GC200, want)
+		p := NewPlanner(c.d, c.cfg, platform.GC200)
+		if got, err := p.SeqBudget(); err != nil || got != budget {
+			t.Fatalf("%s: planner budget %d (%v), DeriveSeqBudget's %d", c.name, got, err, budget)
+		}
+		p.BuildItems(opt)
+		got, err := p.Batches(184, 64, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the planner's %d batches differ from MakeBatchesFanout's %d", c.name, len(got), len(want))
 		}
 	}
 }
@@ -814,9 +815,8 @@ func FuzzBuildItems(f *testing.F) {
 			return
 		}
 		sameItems(t, d, opt)
-		items := BuildItems(d, opt)
-		coverage(t, d, items)
-		samePricing(t, d, items, testKernelCfg(), platform.GC200, nil)
+		coverage(t, d, BuildItems(d, opt))
+		samePricing(t, d, opt, testKernelCfg(), platform.GC200, nil)
 	})
 }
 
@@ -1183,7 +1183,7 @@ func FuzzMakeBatches(f *testing.F) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%d batches differ from the exhaustive scan's %d", len(got), len(want))
 		}
-		samePricing(t, d, items, cfg, model, got)
+		samePricing(t, d, opt, cfg, model, got)
 		for bi, batch := range got {
 			for ti := range batch.Tiles {
 				if mem := cfg.TileMemoryBytes(&batch.Tiles[ti], model); mem > model.DataSRAM() {

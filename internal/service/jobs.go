@@ -33,9 +33,14 @@ type jobState struct {
 	linger      time.Duration
 	comparisons int
 	windowMax   int
-	// decode is the service's first phase: the request from its arrival
-	// to its Submit.
-	decode time.Duration
+	// arrived is the request's arrival; decode is the service's first
+	// phase, from it to the job's Submit.
+	arrived time.Time
+	decode  time.Duration
+	// phases makes the final record carry the job's phases. The request
+	// asks for them (?phases=1): their widths vary from run to run, so
+	// a stream without them is the same bytes for the same job.
+	phases bool
 
 	// scratch is the pump's encode buffer, reused across the job's chunks
 	// and dropped when the job settles.
@@ -57,11 +62,11 @@ type jobState struct {
 }
 
 func newJobState(id, tenant string, shard int, cancel context.CancelFunc,
-	linger time.Duration, comparisons, windowMax int, decode time.Duration) *jobState {
+	linger time.Duration, comparisons, windowMax int, arrived time.Time) *jobState {
 	return &jobState{
 		id: id, tenant: tenant, shard: shard, cancelJob: cancel,
 		linger: linger, comparisons: comparisons, windowMax: windowMax,
-		decode: decode, notify: make(chan struct{}),
+		arrived: arrived, notify: make(chan struct{}),
 	}
 }
 
@@ -110,9 +115,13 @@ func (js *jobState) appendUpdate(u engine.Update) {
 }
 
 // finish records the job's terminal outcome and encodes the final line,
-// phases included. It returns the bytes the settled job retains.
+// with phases if the request asked for them. It returns the bytes the
+// settled job retains.
 func (js *jobState) finish(rep *driver.Report, err error, phases engine.Phases) int {
-	fin := wire.Final{Phases: phases}
+	fin := wire.Final{}
+	if js.phases {
+		fin.Phases = phases
+	}
 	if err != nil {
 		fin.Error = err.Error()
 	} else {

@@ -53,7 +53,7 @@ func TestSettledJobReleasesEngineJob(t *testing.T) {
 	}
 	freed := make(chan struct{})
 	runtime.SetFinalizer(job, func(*engine.Job) { close(freed) })
-	js := newJobState("j000001", "t", 0, cancel, 0, len(d.Comparisons), s.cfg.WindowChunks, 0)
+	js := newJobState("j000001", "t", 0, cancel, 0, len(d.Comparisons), s.cfg.WindowChunks, s.clk.Now())
 	s.mu.Lock()
 	s.jobs[js.id] = js
 	s.tenantLocked(js.tenant).Live++
@@ -107,7 +107,7 @@ func TestSettledJobReleasesEngineJob(t *testing.T) {
 // claim sizes instead of allocating them). It returns only the id: a
 // *jobState held by the test would defeat the reachability check.
 func settleRetained(s *Server, id string, size int) string {
-	js := newJobState(id, "t", 0, func() {}, 0, 1, s.cfg.WindowChunks, 0)
+	js := newJobState(id, "t", 0, func() {}, 0, 1, s.cfg.WindowChunks, s.clk.Now())
 	js.appendUpdate(engine.Update{Batches: 1, Results: []ipukernel.AlignOut{{GlobalID: 0, Score: 42}}})
 	held := js.finish(&driver.Report{}, nil, engine.Phases{})
 	if size == 0 {
@@ -274,7 +274,7 @@ func TestAppendUpdateAllocatesTheLineOnce(t *testing.T) {
 		outs[i] = ipukernel.AlignOut{GlobalID: i, Score: 900 + i, EndH: 1500, EndV: 1490, Cells: 48000, Cigar: b.Cigar(), TraceBytes: 12000}
 	}
 	u := engine.Update{Batch: 3, Batches: 21, Seconds: 1.25e-4, Results: outs}
-	js := newJobState("j", "t", 0, func() {}, 0, len(outs), 4, 0)
+	js := newJobState("j", "t", 0, func() {}, 0, len(outs), 4, time.Time{})
 	js.appendUpdate(u)
 	line := len(js.window[0])
 

@@ -318,7 +318,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.nextID++
 	id := fmt.Sprintf("j%06d", s.nextID)
-	js := newJobState(id, tenant, shard, cancel, linger, len(d.Comparisons), s.cfg.WindowChunks, decode)
+	js := newJobState(id, tenant, shard, cancel, linger, len(d.Comparisons), s.cfg.WindowChunks, arrived)
+	js.decode, js.phases = decode, r.URL.Query().Get("phases") == "1"
 	s.jobs[id] = js
 	ts := s.tenantLocked(tenant)
 	ts.Submitted++
@@ -499,9 +500,12 @@ func (s *Server) lookup(id string) *jobState {
 // holds it, so it is garbage once the pump returns instead of staying
 // reachable through s.jobs for as long as the job is retained.
 //
-// The job's phases time both histograms: the engine stamped its segments,
-// the service adds Decode and Stream, its tail from the result stream's
-// close to the final record.
+// The job's phases time both histograms. The engine stamped its segments,
+// from Submit to its settlement; the service adds Decode before them and
+// Stream after them, and its Wall runs from the request's arrival to the
+// final record. Stream is what Decode and the engine's segments leave of
+// that Wall: the pump's drain of the updates still buffered at settlement,
+// and the final record.
 func (s *Server) pump(js *jobState, job *engine.Job) {
 	defer s.wg.Done()
 	for u := range job.Results() {
@@ -510,13 +514,12 @@ func (s *Server) pump(js *jobState, job *engine.Job) {
 			s.firstChunk.Observe((js.decode + job.Phases().FirstUpdate).Seconds())
 		}
 	}
-	closed := s.clk.Now()
 	rep, err := job.Wait(context.Background())
 	phases := job.Phases()
-	stream := s.clk.Now().Sub(closed)
-	phases.Add(engine.Phases{Decode: js.decode, Stream: stream, Wall: js.decode + stream})
+	wall := s.clk.Now().Sub(js.arrived)
+	phases.Add(engine.Phases{Decode: js.decode, Stream: wall - js.decode - phases.Wall, Wall: wall - phases.Wall})
 	size := js.finish(rep, err, phases)
-	s.jobSeconds.Observe(phases.Wall.Seconds())
+	s.jobSeconds.Observe(wall.Seconds())
 	s.mu.Lock()
 	ts := s.tenantLocked(js.tenant)
 	ts.Live--

@@ -418,9 +418,10 @@ type Chunk struct {
 type ReportSummary = driver.Summary
 
 // Final closes every result stream: the report summary on success, the
-// job's terminal error otherwise, and either way where the job's wall
-// time went — the engine's phases with the service's own decode and
-// stream segments.
+// job's terminal error otherwise, and, when the submission asked for them
+// (POST /v1/jobs?phases=1), where the job's wall time went — the engine's
+// phases with the service's own decode and stream segments. Without them
+// the record's bytes do not vary from run to run.
 type Final struct {
 	Report *ReportSummary `json:"report,omitempty"`
 	Error  string         `json:"error,omitempty"`

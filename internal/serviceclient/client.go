@@ -52,7 +52,8 @@ type Client struct {
 	hc      *http.Client
 	tenant  string
 	linger  time.Duration
-	retries int // transport attempts per request (submit and resume alike)
+	phases  bool // ask for the final record's phases block
+	retries int  // transport attempts per request (submit and resume alike)
 	backoff time.Duration
 	cap     time.Duration
 	clk     clock.Clock // the backoff waits run on it
@@ -73,6 +74,10 @@ func WithTenant(name string) Option { return func(c *Client) { c.tenant = name }
 // long (X-Linger, capped server-side) so the client can resume instead
 // of losing the job to disconnect-cancellation.
 func WithStreamLinger(d time.Duration) Option { return func(c *Client) { c.linger = d } }
+
+// WithPhases asks the server to write where each job's wall time went
+// into its final record (?phases=1), for RemoteJob.Phases.
+func WithPhases() Option { return func(c *Client) { c.phases = true } }
 
 // WithTransportRetry sets how many attempts each transport operation
 // gets (default 4). This layer retries refusals and broken connections
@@ -157,8 +162,9 @@ func (j *RemoteJob) Wait(ctx context.Context) (*driver.Report, error) {
 
 // Phases returns where the job's wall time went, as the server's final
 // record gave it: the engine's phases with the service's decode and
-// stream segments. It is zero until the job settles, and stays zero when
-// the stream ended without a final record.
+// stream segments. It is zero unless the client was built WithPhases,
+// until the job settles, and when the stream ended without a final
+// record.
 func (j *RemoteJob) Phases() engine.Phases {
 	select {
 	case <-j.done:
@@ -211,9 +217,13 @@ func (c *Client) Submit(ctx context.Context, d *workload.Dataset) (*RemoteJob, e
 		b := net.Buffers(slices.Clone(parts))
 		return io.NopCloser(&b), nil
 	}
+	query := ""
+	if c.phases {
+		query = "?phases=1"
+	}
 	resp, err := c.doRetry(ctx, func() (*http.Request, error) {
 		b, _ := body()
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/jobs", b)
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/jobs"+query, b)
 		if err != nil {
 			return nil, err
 		}

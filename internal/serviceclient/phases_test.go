@@ -30,7 +30,7 @@ func TestServiceClientPhasesRoundTrip(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
-	job, err := serviceclient.New(ts.URL).Submit(context.Background(), d)
+	job, err := serviceclient.New(ts.URL, serviceclient.WithPhases()).Submit(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}

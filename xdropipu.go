@@ -395,6 +395,9 @@ var (
 	// WithStreamLinger asks the server to keep a disconnected job alive
 	// that long so the client can resume its stream.
 	WithStreamLinger = serviceclient.WithStreamLinger
+	// WithServicePhases asks the server for each job's phases, where its
+	// wall time went, read back by RemoteJob.Phases.
+	WithServicePhases = serviceclient.WithPhases
 	// WithTransportRetry sets transport attempts per request.
 	WithTransportRetry = serviceclient.WithTransportRetry
 	// WithTransportBackoff shapes the jittered retry backoff.
