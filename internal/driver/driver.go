@@ -712,22 +712,36 @@ func (bp *BatchPlan) KernelConfig(poolWorkers int) ipukernel.Config {
 // executor may run any subset in any order; per-batch results are
 // deterministic. It is attempt 0 of ExecBatchAttempt, on clock.Real.
 func (bp *BatchPlan) ExecBatch(dev *ipu.Device, i int, kcfg ipukernel.Config) (*ipukernel.BatchResult, error) {
-	res, _, err := bp.ExecBatchAttempt(context.Background(), dev, i, 0, kcfg, clock.Real)
+	res, _, err := bp.ExecBatchAttempt(context.Background(), dev, i, 0, kcfg, clock.Real, nil)
 	return res, err
 }
 
 // ExecBatchAttempt runs one attempt of batch i on dev, consulting the
 // configured fault plan first: an injected transient or permanent fault
 // returns a *FaultError without touching the device, and a straggler
-// decision delays the (otherwise normal) execution by a wait on clk,
-// which ends with ctx's error if ctx is done first. attempt numbers
-// re-executions of the same batch — retries and hedges — so a seeded
-// plan's schedule is reproducible per execution, not just per batch.
-// Whenever an attempt returns a result, it is bit-identical to every
-// other attempt's: injection can only fail or delay, never corrupt. pin
-// is how long pinning the batch's slabs took on clk.
-func (bp *BatchPlan) ExecBatchAttempt(ctx context.Context, dev *ipu.Device, i, attempt int, kcfg ipukernel.Config, clk clock.Clock) (res *ipukernel.BatchResult, pin time.Duration, err error) {
-	return bp.exec(ctx, dev, i, attempt, kcfg, bp.cfg.Faults, clk)
+// decision runs the batch normally and then returns it late, after a wait
+// on clk that ends with ctx's error if ctx is done first. computed, when
+// non-nil, is called once the batch has run, before that wait. attempt
+// numbers re-executions of the same batch — retries and hedges — so a
+// seeded plan's schedule is reproducible per execution, not just per
+// batch. Whenever an attempt returns a result, it is bit-identical to
+// every other attempt's: injection can only fail or delay, never corrupt.
+// pin is how long pinning the batch's slabs took on clk.
+func (bp *BatchPlan) ExecBatchAttempt(ctx context.Context, dev *ipu.Device, i, attempt int, kcfg ipukernel.Config, clk clock.Clock, computed func()) (res *ipukernel.BatchResult, pin time.Duration, err error) {
+	delay, err := bp.cfg.Faults.inject(i, attempt)
+	if err != nil {
+		return nil, 0, err
+	}
+	res, pin, err = bp.exec(dev, i, kcfg, clk)
+	if computed != nil {
+		computed()
+	}
+	if delay > 0 {
+		if werr := clock.Sleep(ctx, clk, delay); werr != nil {
+			return nil, 0, werr
+		}
+	}
+	return res, pin, err
 }
 
 // ExecBatchHost runs batch i through the reference host path: the same
@@ -740,20 +754,16 @@ func (bp *BatchPlan) ExecBatchAttempt(ctx context.Context, dev *ipu.Device, i, a
 // report assembled from any mix of fleet and host executions is
 // bit-identical to the fault-free run.
 func (bp *BatchPlan) ExecBatchHost(i int, kcfg ipukernel.Config) (*ipukernel.BatchResult, error) {
-	res, _, err := bp.exec(context.Background(), bp.NewDevice(), i, 0, kcfg, nil, clock.Real)
+	res, _, err := bp.exec(bp.NewDevice(), i, kcfg, clock.Real)
 	return res, err
 }
 
 // exec is the one execution sequence behind the fleet and host paths:
-// draw the attempt's fault (a nil plan injects nothing), pin batch i's
-// slab set in the arena, bind the batch to the pinned views, run it on
-// dev and release the pin. Pinning an already resident slab is a counter
-// bump, so the in-memory path pays one mutex round-trip per execution.
-// It returns how long the pin took on clk beside the result.
-func (bp *BatchPlan) exec(ctx context.Context, dev *ipu.Device, i, attempt int, kcfg ipukernel.Config, faults *FaultPlan, clk clock.Clock) (*ipukernel.BatchResult, time.Duration, error) {
-	if err := faults.inject(ctx, i, attempt, clk); err != nil {
-		return nil, 0, err
-	}
+// pin batch i's slab set in the arena, bind the batch to the pinned views,
+// run it on dev and release the pin. Pinning an already resident slab is
+// a counter bump, so the in-memory path pays one mutex round-trip per
+// execution. It returns how long the pin took on clk beside the result.
+func (bp *BatchPlan) exec(dev *ipu.Device, i int, kcfg ipukernel.Config, clk clock.Clock) (*ipukernel.BatchResult, time.Duration, error) {
 	b := bp.batches[i]
 	var pinned time.Duration
 	if bp.arena != nil {

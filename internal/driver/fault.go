@@ -1,12 +1,9 @@
 package driver
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 	"time"
-
-	"github.com/sram-align/xdropipu/internal/clock"
 )
 
 // FaultKind classifies one injected fault.
@@ -53,7 +50,7 @@ type FaultSpec struct {
 	// PermanentRate is the probability a batch fails on every attempt.
 	PermanentRate float64
 	// StragglerRate is the probability an individual (batch, attempt)
-	// execution is delayed by StragglerDelay before running normally.
+	// execution runs normally and then returns StragglerDelay late.
 	StragglerRate float64
 	// StragglerDelay is the wall-clock delay of a straggler execution.
 	StragglerDelay time.Duration
@@ -63,7 +60,8 @@ type FaultSpec struct {
 // boundary — the substrate for chaos testing the layers above. Decisions
 // are a pure function of (seed, batch index, attempt), so a given plan
 // injects exactly the same faults on every run and tests can predict
-// counters exactly; a straggler waits on the clock its caller passes.
+// counters exactly; a straggler computes, then waits on the clock its
+// caller passes.
 // Injection never changes any result that is delivered:
 // a faulted execution either fails outright or runs late, and re-executed
 // batches are bit-identical by the repository's determinism invariant —
@@ -107,26 +105,24 @@ func (p *FaultPlan) Kind(batch, attempt int) FaultKind {
 	return FaultNone
 }
 
-// inject applies the plan's decision to one execution: it returns the
-// injected error for a failure, waits out a straggler delay on clk, and
-// counts whatever it did. The wait ends early, with ctx's error, once
-// ctx is done: the job the execution serves has settled and nothing will
-// read its result. A nil plan injects nothing.
-func (p *FaultPlan) inject(ctx context.Context, batch, attempt int, clk clock.Clock) error {
+// inject applies the plan's decision to one execution and counts it: it
+// returns the injected error for a failure and, for a straggler, the delay
+// its caller waits out once the execution has computed, so a straggler
+// returns late without holding back the compute itself. A nil plan
+// injects nothing.
+func (p *FaultPlan) inject(batch, attempt int) (time.Duration, error) {
 	switch p.Kind(batch, attempt) {
 	case FaultTransient:
 		p.transients.Add(1)
-		return &FaultError{Batch: batch, Attempt: attempt, Kind: FaultTransient}
+		return 0, &FaultError{Batch: batch, Attempt: attempt, Kind: FaultTransient}
 	case FaultPermanent:
 		p.permanents.Add(1)
-		return &FaultError{Batch: batch, Attempt: attempt, Kind: FaultPermanent}
+		return 0, &FaultError{Batch: batch, Attempt: attempt, Kind: FaultPermanent}
 	case FaultStraggler:
 		p.stragglers.Add(1)
-		if p.spec.StragglerDelay > 0 {
-			return clock.Sleep(ctx, clk, p.spec.StragglerDelay)
-		}
+		return p.spec.StragglerDelay, nil
 	}
-	return nil
+	return 0, nil
 }
 
 // Injected returns the plan-lifetime injection counters: transient and

@@ -114,7 +114,7 @@ func TestExecBatchAttemptInjects(t *testing.T) {
 	dev := faulty.NewDevice()
 	kcfg := faulty.KernelConfig(1)
 	for i := 0; i < faulty.Batches(); i++ {
-		_, _, err := faulty.ExecBatchAttempt(context.Background(), dev, i, 0, kcfg, clock.Real)
+		_, _, err := faulty.ExecBatchAttempt(context.Background(), dev, i, 0, kcfg, clock.Real, nil)
 		var fe *FaultError
 		if !errors.As(err, &fe) {
 			t.Fatalf("batch %d: err = %v, want *FaultError", i, err)

@@ -125,6 +125,11 @@ type Engine struct {
 	// publish, outside the lock. Tests set it to hold a batch mid-landing;
 	// it is nil otherwise.
 	landHook func(j *Job, bi int)
+	// computeHook, when set, runs in the executor once a fleet execution
+	// has computed — before a straggler's delay, and before the job's
+	// first-batch hold ends — outside the lock. Tests set it to hold an
+	// execution there; it is nil otherwise.
+	computeHook func(j *Job, bi int)
 }
 
 // Option configures an Engine at construction.
@@ -513,11 +518,13 @@ func (e *Engine) runJob(j *Job) {
 	e.active = append(e.active, j)
 	if !j.deadline.IsZero() {
 		// Two alarms per deadlined job: one wakes idle executors when the
-		// hedge window opens, one settles (or degrades) the job at the
-		// deadline itself. Settlement stops both; a callback that already
-		// fired re-checks under the lock and becomes a no-op.
+		// hedge window opens, ending the first-batch hold if it still
+		// stands, one settles (or degrades) the job at the deadline
+		// itself. Settlement stops both; a callback that already fired
+		// re-checks under the lock and becomes a no-op.
 		j.alarms[0] = e.clk.AfterFunc(j.deadline.Sub(e.clk.Now())-e.hedgeWindow, func() {
 			e.mu.Lock()
+			j.alone = false
 			e.cond.Broadcast()
 			e.mu.Unlock()
 		})
@@ -548,11 +555,18 @@ func (e *Engine) runJob(j *Job) {
 // deadline. The chosen batch is stepped here, under the lock, so
 // concurrent executors never double-pick; a hedge then runs exactly like
 // any other attempt.
+//
+// A job's first execution, if the job has streamed nothing yet (a plan
+// the cache served in part has), computes alone: the job is marked alone
+// and nothing else of it is issued until that execution has computed
+// (Engine.computed) or returned (deliver), its hedge window opens (the
+// first alarm) or it settles. The first result waits on one batch at the
+// whole host's width, not on two at half of it.
 func (e *Engine) pickLocked() (*Job, int) {
 	var best *Job
 	for _, j := range e.active {
-		if len(j.ready) == 0 && j.nextIssue == len(j.batches) {
-			continue // nothing queued, nothing fresh
+		if j.alone || len(j.ready) == 0 && j.nextIssue == len(j.batches) {
+			continue // held back, or nothing queued and nothing fresh
 		}
 		if best == nil || j.issued < best.issued ||
 			(j.issued == best.issued && j.seq < best.seq) {
@@ -564,18 +578,18 @@ func (e *Engine) pickLocked() (*Job, int) {
 		if n := len(best.ready); n > 0 {
 			bi = best.ready[n-1]
 		}
+		best.alone = best.issued == 0 && !best.updated && !e.hedgeOpen(best)
 		best.step(bi, evIssue, nil, nil)
 		return best, bi
 	}
 	if e.deadline <= 0 {
 		return nil, -1
 	}
-	now := e.clk.Now()
 	var hj *Job
 	hbi := -1
 	var earliest int64
 	for _, j := range e.active {
-		if j.deadline.IsZero() || now.Before(j.deadline.Add(-e.hedgeWindow)) {
+		if !e.hedgeOpen(j) {
 			continue
 		}
 		for bi := range j.batches {
@@ -593,6 +607,20 @@ func (e *Engine) pickLocked() (*Job, int) {
 	}
 	hj.step(hbi, evHedge, nil, nil)
 	return hj, hbi
+}
+
+// hedgeOpen reports whether j's hedge window has opened.
+func (e *Engine) hedgeOpen(j *Job) bool {
+	return !j.deadline.IsZero() && !e.clk.Now().Before(j.deadline.Add(-e.hedgeWindow))
+}
+
+// releaseLocked ends j's first-batch hold, if it has one, and wakes the
+// executors it kept idle.
+func (e *Engine) releaseLocked(j *Job) {
+	if j.alone {
+		j.alone = false
+		e.cond.Broadcast()
+	}
 }
 
 // executor is one device-executor goroutine: it owns a modeled device
@@ -626,14 +654,19 @@ func (e *Engine) executor() {
 		// Split the CPU budget between each batch's tile pool and the
 		// executors that will plausibly run alongside this one: the busy
 		// ones plus however many of the remaining runnable batches the
-		// pool can absorb. A lone batch gets the whole machine; a
-		// saturated engine gives each batch one thread — and a burst of
-		// picks converges immediately instead of letting the first few
-		// batches keep full-width pools. Parallelism never affects
-		// results, only wall time.
+		// pool can absorb. A saturated engine gives each batch one thread
+		// — and a burst of picks converges immediately instead of letting
+		// the first few batches keep full-width pools. A job's first
+		// execution, which computes alone (pickLocked), gets the whole
+		// machine whatever else runs: the job's first result waits on it.
+		// Parallelism never affects results, only wall time.
 		width := e.busy + e.runnableLocked()
 		if width > e.executors {
 			width = e.executors
+		}
+		alone := j.alone
+		if alone {
+			width = 1
 		}
 		// Capture the plan while locked: a settled job's bp is released,
 		// and this batch may race a cancellation.
@@ -650,11 +683,28 @@ func (e *Engine) executor() {
 			e.deliver(j, bi, evReturnHost, out, err, issued, 0)
 		} else {
 			// The job's context ends a straggler's wait once the job has
-			// settled, so a settled job parks no executor.
-			out, pin, err := bp.ExecBatchAttempt(j.ctx, dev, bi, attempt, kcfg, e.clk)
+			// settled, so a settled job parks no executor. The wait comes
+			// after the compute, and a first execution's hold ends before
+			// it.
+			var computed func()
+			if alone || e.computeHook != nil {
+				computed = func() { e.computed(j, bi) }
+			}
+			out, pin, err := bp.ExecBatchAttempt(j.ctx, dev, bi, attempt, kcfg, e.clk, computed)
 			e.deliver(j, bi, evReturn, out, err, issued, pin)
 		}
 	}
+}
+
+// computed runs once batch bi's fleet execution has computed: it ends the
+// job's first-batch hold if this execution held it.
+func (e *Engine) computed(j *Job, bi int) {
+	if e.computeHook != nil {
+		e.computeHook(j, bi)
+	}
+	e.mu.Lock()
+	e.releaseLocked(j)
+	e.mu.Unlock()
 }
 
 // runnableLocked counts executions not yet handed to an executor.
@@ -681,6 +731,7 @@ func (e *Engine) deliver(j *Job, bi int, returned batchEvent, out *ipukernel.Bat
 		e.mu.Unlock()
 		return
 	}
+	e.releaseLocked(j) // returned or failed: a first execution holds no longer
 	first := j.batches[bi].firstNS
 	j.phases.Add(Phases{Pin: pin, Exec: time.Duration(e.clk.Now().UnixNano()-issued) - pin})
 	if out = j.step(bi, returned, out, err); out == nil {

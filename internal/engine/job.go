@@ -55,6 +55,7 @@ type Job struct {
 	updates   chan Update
 	streaming bool // updates is open
 	issued    int  // executions issued (first issues + retries + hedges): the fair-share key
+	alone     bool // the first execution computes; nothing else of the job issues (Engine.pickLocked)
 	done      int  // batches delivered (first accepted result per batch)
 	finished  bool
 	report    *driver.Report
