@@ -2,8 +2,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -188,5 +192,106 @@ func TestMeasureWithFakeRunner(t *testing.T) {
 	}
 	if r.Pass || len(r.Failures) != 2 || !strings.Contains(r.Failures[0], "modeled_gcups differs") {
 		t.Errorf("a moved modeled metric: pass %v, failures %v; want one failure per workload", r.Pass, r.Failures)
+	}
+}
+
+func TestSeedCacheCopies(t *testing.T) {
+	from, to := filepath.Join(t.TempDir(), "gocache"), filepath.Join(t.TempDir(), ".bench_build", "gocache")
+	files := map[string]string{"README": "cache", "trim.txt": "1700000000", "0a/0a1b-a": "v1 entry", "ff/ffee-d": "object"}
+	for name, body := range files {
+		path := filepath.Join(from, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := seedCache(from, to); err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range files {
+		got, err := os.ReadFile(filepath.Join(to, name))
+		if err != nil || string(got) != body {
+			t.Errorf("%s: %q, %v; want %q", name, got, err, body)
+		}
+	}
+	// A copy, not a link: the go command rewrites entries in place.
+	if err := os.WriteFile(filepath.Join(to, "0a/0a1b-a"), []byte("v1 rewritten"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(filepath.Join(from, "0a/0a1b-a")); string(got) != "v1 entry" {
+		t.Errorf("writing the seeded entry changed the source's to %q", got)
+	}
+
+	none := filepath.Join(t.TempDir(), "none")
+	if err := seedCache(filepath.Join(t.TempDir(), "missing"), none); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(none); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("seeding from a missing cache created %s (%v)", none, err)
+	}
+}
+
+// TestBuildSidesSeedsNewCheckouts: each new checkout builds on a copy of
+// the invoking checkout's cache when it has one, else of the first
+// side's; the invoking checkout, as the head, builds on its own.
+func TestBuildSidesSeedsNewCheckouts(t *testing.T) {
+	// fakeBuild records which cache entries the checkout had before it
+	// built, then adds its own, as a build would.
+	type built struct{ dir, had string }
+	var log []built
+	fakeBuild := func(_ context.Context, dir string) error {
+		entries, _ := os.ReadDir(goCache(dir))
+		var had []string
+		for _, e := range entries {
+			had = append(had, e.Name())
+		}
+		log = append(log, built{dir, strings.Join(had, ",")})
+		if err := os.MkdirAll(goCache(dir), 0o777); err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(goCache(dir), "from-"+filepath.Base(dir)), nil, 0o666)
+	}
+	for _, c := range []struct {
+		name      string
+		rootCache bool
+		headIsWT  bool
+		want      []string // what each side had before it built
+	}{
+		{"root cache, two worktrees", true, false, []string{"from-root", "from-root"}},
+		{"no root cache, two worktrees", false, false, []string{"", "from-base"}},
+		{"root cache, working tree head", true, true, []string{"from-root", "from-root"}},
+		{"no root cache, working tree head", false, true, []string{"", ""}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tmp := t.TempDir()
+			root := filepath.Join(tmp, "root")
+			if c.rootCache {
+				if err := os.MkdirAll(goCache(root), 0o777); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(goCache(root), "from-root"), nil, 0o666); err != nil {
+					t.Fatal(err)
+				}
+			}
+			base := side{Rev: "base", dir: filepath.Join(tmp, "base")}
+			head := side{Rev: "head", dir: filepath.Join(tmp, "head")}
+			if c.headIsWT {
+				head.dir = root
+			}
+			log = nil
+			if err := buildSides(context.Background(), root, []side{base, head}, fakeBuild); err != nil {
+				t.Fatal(err)
+			}
+			if len(log) != 2 || log[0].dir != base.dir || log[1].dir != head.dir {
+				t.Fatalf("built %+v, want base then head", log)
+			}
+			for i, b := range log {
+				if b.had != c.want[i] {
+					t.Errorf("%s built on %q, want %q", b.dir, b.had, c.want[i])
+				}
+			}
+		})
 	}
 }

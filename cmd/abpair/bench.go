@@ -7,8 +7,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strconv"
 	"strings"
 )
@@ -52,6 +54,62 @@ func removeCheckout(root string, s side) {
 	if _, err := git(context.Background(), root, "worktree", "remove", "--force", s.dir); err != nil {
 		fmt.Fprintln(os.Stderr, "abpair:", err)
 	}
+}
+
+// goCache is the Go build cache the checkout at dir's run.sh builds with.
+func goCache(dir string) string { return filepath.Join(dir, ".bench_build", "gocache") }
+
+// seedCache copies the Go build cache at from to to; when from does not
+// exist it does nothing. The cache's entries are keyed by the hash of
+// their inputs, so a checkout reuses only what its own source would have
+// produced. They are copied, not linked: the go command rewrites some
+// entries in place.
+func seedCache(from, to string) error {
+	if _, err := os.Stat(from); errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	return filepath.WalkDir(from, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(from, path)
+		if err != nil {
+			return err
+		}
+		dst := filepath.Join(to, rel)
+		switch {
+		case d.IsDir():
+			return os.MkdirAll(dst, 0o777)
+		case d.Type().IsRegular():
+			b, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			return os.WriteFile(dst, b, 0o666)
+		}
+		return nil // the cache holds no links or devices; skip any
+	})
+}
+
+// buildSides builds each side in turn with build. A checkout other than
+// the invoking one, at root, starts from a copy of a built Go cache: the
+// invoking checkout's, or else the first side's once it is built.
+func buildSides(ctx context.Context, root string, sides []side, build func(context.Context, string) error) error {
+	seed := goCache(root)
+	for _, s := range sides {
+		if s.dir != root {
+			if err := seedCache(seed, goCache(s.dir)); err != nil {
+				return fmt.Errorf("seeding %s's build cache: %w", s.Rev, err)
+			}
+		}
+		if err := build(ctx, s.dir); err != nil {
+			return fmt.Errorf("building %s: %w", s.Rev, err)
+		}
+		if _, err := os.Stat(seed); err != nil {
+			seed = goCache(s.dir)
+		}
+	}
+	return nil
 }
 
 // build builds the checkout's benchmark through its own run.sh, so the

@@ -8,6 +8,9 @@
 // Each revision is checked out with `git worktree add` under a temporary
 // directory (-work) and runs its own benchmark/run.sh, which builds the
 // benchmark from that checkout's source into the checkout's .bench_build.
+// Before a new checkout builds, its Go build cache is seeded with a copy
+// of the invoking checkout's (or, if that has none, of the first built
+// checkout's), so the standard library is compiled once, not per side.
 // Without -head the head side is the repository's working tree as it
 // stands. For every workload and seed abpair runs N pairs, alternating
 // which side goes first — ABBA, and BAAB for the next workload or seed —
@@ -110,10 +113,8 @@ func run(ctx context.Context, o options) (*report, error) {
 		}
 		defer removeCheckout(root, head)
 	}
-	for _, s := range []side{base, head} {
-		if err := build(ctx, s.dir); err != nil {
-			return nil, fmt.Errorf("building %s: %w", s.Rev, err)
-		}
+	if err := buildSides(ctx, root, []side{base, head}, build); err != nil {
+		return nil, err
 	}
 	save := func(r *report) error { return writeReport(o.out, r) }
 	return measure(ctx, p, base, head, benchRun, save, os.Stderr)

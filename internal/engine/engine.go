@@ -512,6 +512,10 @@ func (e *Engine) runJob(j *Job) {
 	close(j.built)
 	if nb == 0 {
 		e.mu.Unlock()
+		// The cache served every result, and they are the stream's the
+		// moment it opens: the consumer built woke takes them now, not
+		// after the O(comparisons) fold ("Streaming hand-off").
+		runtime.Gosched()
 		e.complete(j, bp.NewAssembly())
 		return
 	}

@@ -83,3 +83,67 @@ func TestFirstUpdateNotStarvedByExecutors(t *testing.T) {
 		t.Errorf("stream carried %d updates, schedule has %d batches", n, first.Batches)
 	}
 }
+
+// TestCachedUpdatesNotStarvedByFold: a consumer parked on Results() gets
+// a cache-served job's first update before the job settles. The plan's
+// results are the stream's once the job is registered, but the goroutine
+// that registered it goes on to the O(comparisons) fold in complete, and
+// without a scheduling point between the two the consumer it woke runs
+// only after the fold and the settlement: at -cpu 1 the parent of the
+// commit that added the yield hands every one of these 20 000-comparison
+// jobs' first update to a consumer that finds the job already settled.
+// With the yield a few may still: once in 61 schedules Go's scheduler
+// takes the global run queue, where the yield put the registering
+// goroutine, before the local one, and a GC cycle can take the processor
+// too. So the count is over ten jobs, and at -cpu 2 and 4 the same bound
+// must hold. No clocks: whether the job had settled at the first receive.
+func TestCachedUpdatesNotStarvedByFold(t *testing.T) {
+	const jobs, allowed = 10, 3
+	base := synth.UniformPairs(synth.UniformPairsSpec{
+		Count: 500, Length: 200, ErrorRate: 0.15, SeedLen: 17, Seed: 41})
+	d := dupDataset(base, 40)
+	n := len(d.Comparisons)
+	e := New(WithDriverConfig(cacheTestConfig()), WithResultCache(1<<12))
+	defer e.Close()
+	cold, err := e.Submit(context.Background(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cold.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	settled := 0
+	for range jobs {
+		job, err := e.Submit(context.Background(), d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		updates := job.Results()
+		first, ok := <-updates
+		select {
+		case <-job.doneCh:
+			settled++
+		default:
+		}
+		if !ok || first.Batch != -1 {
+			t.Fatalf("first update of batch %d (open %v), want a cache-served one", first.Batch, ok)
+		}
+		results := len(first.Results)
+		for u := range updates {
+			results += len(u.Results)
+		}
+		rep, err := job.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Batches != 0 || results != n {
+			t.Fatalf("warm job ran %d batches and streamed %d of %d results", rep.Batches, results, n)
+		}
+	}
+	t.Logf("%d of %d jobs settled at their first receive", settled, jobs)
+	if settled > allowed {
+		t.Errorf("%d of %d cache-served jobs had settled when their first update reached the consumer; want ≤ %d",
+			settled, jobs, allowed)
+	}
+}

@@ -11,7 +11,8 @@ import "time"
 // Stream after them, and its Wall covers them too.
 //
 // Beside the segments, FirstUpdate is the time from Submit to the job's
-// first update, and Pin, Exec, Wait, Merge and Publish are per-batch
+// first update, FirstWrite the service's time to its first chunk line on
+// the wire, and Pin, Exec, Wait, Merge and Publish are per-batch
 // totals: summed over batches and executions, which overlap each other
 // and the segments.
 //
@@ -51,6 +52,11 @@ type Phases struct {
 	// of a plan the cache served results to, otherwise the first batch's
 	// landing. Zero when no update was produced.
 	FirstUpdate time.Duration `json:"firstUpdateNs,omitempty"`
+	// FirstWrite is the service's: the request's arrival to the first
+	// chunk line flushed to any of the job's streams. Zero when no stream
+	// flushed one; past Wall when none had before the final record was
+	// made (a detached job read later).
+	FirstWrite time.Duration `json:"firstWriteNs,omitempty"`
 	// Pin sums the fleet executions' slab pins.
 	Pin time.Duration `json:"pinNs,omitempty"`
 	// Exec sums the executions' run time after the pin, straggler delays
@@ -79,6 +85,7 @@ func (p *Phases) Add(o Phases) {
 	p.Stream += o.Stream
 	p.Wall += o.Wall
 	p.FirstUpdate += o.FirstUpdate
+	p.FirstWrite += o.FirstWrite
 	p.Pin += o.Pin
 	p.Exec += o.Exec
 	p.Wait += o.Wait

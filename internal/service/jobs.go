@@ -59,6 +59,13 @@ type jobState struct {
 	attached    int
 	lingerT     clock.Timer
 	notify      chan struct{} // closed and replaced on every append/finish
+	// fin is the final record final encodes: a late FirstWrite encodes it
+	// again.
+	fin wire.Final
+	// written is set, and firstWrite stamped, once a stream has flushed
+	// one of the job's chunk lines.
+	written    bool
+	firstWrite time.Duration
 }
 
 func newJobState(id, tenant string, shard int, cancel context.CancelFunc,
@@ -116,26 +123,24 @@ func (js *jobState) appendUpdate(u engine.Update) {
 
 // finish records the job's terminal outcome and encodes the final line,
 // with phases if the request asked for them. It returns the bytes the
-// settled job retains.
+// settled job retains. The record keeps a copy of the report's summary,
+// not the report: the results go with the engine job.
 func (js *jobState) finish(rep *driver.Report, err error, phases engine.Phases) int {
-	fin := wire.Final{}
-	if js.phases {
-		fin.Phases = phases
-	}
-	if err != nil {
-		fin.Error = err.Error()
-	} else {
-		fin.Report = &rep.Summary
-	}
-	line, _ := json.Marshal(wire.Envelope{Final: &fin})
-	line = append(line, '\n')
 	js.scratch = nil
 	js.mu.Lock()
 	defer js.mu.Unlock()
+	if js.phases {
+		js.fin.Phases = phases
+	}
+	if err != nil {
+		js.fin.Error = err.Error()
+	} else {
+		sum := rep.Summary
+		js.fin.Report = &sum
+	}
 	js.done = true
 	js.err = err
-	js.final = line
-	js.windowBytes += len(line)
+	js.encodeFinalLocked()
 	if js.lingerT != nil {
 		js.lingerT.Stop()
 		js.lingerT = nil
@@ -143,6 +148,43 @@ func (js *jobState) finish(rep *driver.Report, err error, phases engine.Phases) 
 	close(js.notify)
 	js.notify = make(chan struct{})
 	return js.windowBytes
+}
+
+// encodeFinalLocked encodes the final line from fin, with FirstWrite in
+// the phases once it is stamped.
+func (js *jobState) encodeFinalLocked() {
+	fin := js.fin
+	if js.phases && js.written {
+		fin.Phases.FirstWrite = js.firstWrite
+	}
+	line, _ := json.Marshal(wire.Envelope{Final: &fin})
+	line = append(line, '\n')
+	js.windowBytes += len(line) - len(js.final)
+	js.final = line
+}
+
+// wrote records that a stream has flushed one of the job's chunk lines at
+// now. The first call stamps FirstWrite and returns it; a final line
+// encoded before then is encoded again with it (retention keeps the size
+// it charged at settlement, a few bytes short of the new line's).
+func (js *jobState) wrote(now time.Time) (firstWrite time.Duration, first bool) {
+	js.mu.Lock()
+	defer js.mu.Unlock()
+	if js.written {
+		return 0, false
+	}
+	js.written, js.firstWrite = true, now.Sub(js.arrived)
+	if js.done && js.phases {
+		js.encodeFinalLocked()
+	}
+	return js.firstWrite, true
+}
+
+// finalLine returns the encoded final line; the job has settled.
+func (js *jobState) finalLine() []byte {
+	js.mu.Lock()
+	defer js.mu.Unlock()
+	return js.final
 }
 
 // attach registers a stream reader and disarms any pending linger
@@ -157,22 +199,21 @@ func (js *jobState) attach() {
 	js.mu.Unlock()
 }
 
-// collect returns the encoded chunks at and after cursor, the final line
-// once the job settled and the cursor is drained, and the channel that
-// signals the next append. gone reports a cursor older than the window.
-func (js *jobState) collect(cursor int) (lines [][]byte, final []byte, notify chan struct{}, gone bool) {
+// collect returns the encoded chunks at and after cursor, whether they
+// are the last (the job settled and they drain the cursor: the final line
+// follows), and the channel that signals the next append. gone reports a
+// cursor older than the window.
+func (js *jobState) collect(cursor int) (lines [][]byte, last bool, notify chan struct{}, gone bool) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
 	if cursor < js.firstSeq {
-		return nil, nil, nil, true
+		return nil, false, nil, true
 	}
 	if idx := cursor - js.firstSeq; idx < len(js.window) {
 		lines = js.window[idx:]
 	}
-	if js.done && cursor+len(lines) == js.nextSeq {
-		final = js.final
-	}
-	return lines, final, js.notify, false
+	last = js.done && cursor+len(lines) == js.nextSeq
+	return lines, last, js.notify, false
 }
 
 // cursorBounds returns the oldest cursor the window can still replay and

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -137,5 +138,95 @@ func TestFinalRecordPhasesOnRequest(t *testing.T) {
 		if got := bytes.Contains(last, []byte(`"phases":`)); got != c.want || c.want && env.Final.Phases.Wall <= 0 {
 			t.Fatalf("%q: final record %s, want phases %v", c.query, last, c.want)
 		}
+	}
+}
+
+// TestFirstWriteStampsTheFlush: under ?phases=1 the final record's
+// FirstWrite is the request's arrival to the first chunk line flushed to
+// a stream, so it is no earlier than the engine's first update (Decode +
+// FirstUpdate); a plain stream carries no phases, FirstWrite included. A
+// detached job's first chunk is flushed only when a stream reads it,
+// after the job settled: its final record is made again with the stamp,
+// which then lies past Wall. Each flushed job is observed once by the
+// first-chunk histogram.
+func TestFirstWriteStampsTheFlush(t *testing.T) {
+	s, d := phasesTestServer(t)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body, err := wire.EncodeDataset(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastLine := func(r io.Reader) []byte {
+		var last []byte
+		sc := bufio.NewScanner(r)
+		sc.Buffer(nil, 1<<20)
+		for sc.Scan() {
+			last = append(last[:0], sc.Bytes()...)
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return last
+	}
+	final := func(line []byte) *wire.Final {
+		var env wire.Envelope
+		if err := json.Unmarshal(line, &env); err != nil || env.Final == nil || env.Final.Error != "" {
+			t.Fatalf("%q is no successful final record (%v)", line, err)
+		}
+		return env.Final
+	}
+	post := func(query string) *http.Response {
+		resp, err := http.Post(ts.URL+"/v1/jobs"+query, wire.ContentTypeDataset, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	resp := post("?phases=1")
+	p := final(lastLine(resp.Body)).Phases
+	resp.Body.Close()
+	if p.FirstWrite <= 0 || p.FirstWrite < p.Decode+p.FirstUpdate || p.FirstWrite > p.Wall {
+		t.Errorf("streamed job: FirstWrite %v, want in [Decode + FirstUpdate, Wall] = [%v, %v]",
+			p.FirstWrite, p.Decode+p.FirstUpdate, p.Wall)
+	}
+
+	resp = post("")
+	last := lastLine(resp.Body)
+	resp.Body.Close()
+	if final(last); bytes.Contains(last, []byte("firstWriteNs")) || bytes.Contains(last, []byte(`"phases"`)) {
+		t.Errorf("plain stream's final record %s carries phases", last)
+	}
+
+	resp = post("?phases=1&stream=0")
+	var hdr wire.Header
+	err = json.NewDecoder(resp.Body).Decode(&hdr)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	js := s.lookup(hdr.Job)
+	for {
+		js.mu.Lock()
+		done, notify := js.done, js.notify
+		js.mu.Unlock()
+		if done {
+			break
+		}
+		<-notify
+	}
+	resp, err = http.Get(ts.URL + "/v1/jobs/" + hdr.Job + "/results?from=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p = final(lastLine(resp.Body)).Phases
+	resp.Body.Close()
+	if p.FirstWrite <= p.Wall {
+		t.Errorf("detached job read after it settled: FirstWrite %v, want past Wall %v", p.FirstWrite, p.Wall)
+	}
+	f := s.firstChunk.Family("first_chunk_seconds", "")
+	if n := f.Samples[len(f.Samples)-1].Value; n != 3 {
+		t.Errorf("first-chunk histogram observed %v jobs, want 3", n)
 	}
 }

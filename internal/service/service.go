@@ -32,6 +32,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -131,9 +132,9 @@ type Server struct {
 	closedCh chan struct{}
 	wg       sync.WaitGroup // pump goroutines
 
-	// firstChunk observes, per job that produced a chunk, the seconds from
-	// the request's arrival to the job's first update (its phases' Decode
-	// plus FirstUpdate) — what a streaming client waits before it has
+	// firstChunk observes, per job a stream flushed a chunk line of, the
+	// seconds from the request's arrival to the first such flush (its
+	// phases' FirstWrite) — what a streaming client waits before it has
 	// anything to work on.
 	firstChunk metrics.PromHistogram
 	// jobSeconds observes every settled job's Wall, from the request's
@@ -500,19 +501,20 @@ func (s *Server) lookup(id string) *jobState {
 // holds it, so it is garbage once the pump returns instead of staying
 // reachable through s.jobs for as long as the job is retained.
 //
-// The job's phases time both histograms. The engine stamped its segments,
-// from Submit to its settlement; the service adds Decode before them and
-// Stream after them, and its Wall runs from the request's arrival to the
-// final record. Stream is what Decode and the engine's segments leave of
-// that Wall: the pump's drain of the updates still buffered at settlement,
-// and the final record.
+// The job's phases time the job_seconds histogram. The engine stamped its
+// segments, from Submit to its settlement; the service adds Decode before
+// them and Stream after them, and its Wall runs from the request's
+// arrival to the final record. Stream is what Decode and the engine's
+// segments leave of that Wall: the pump's drain of the updates still
+// buffered at settlement, and the final record.
 func (s *Server) pump(js *jobState, job *engine.Job) {
 	defer s.wg.Done()
 	for u := range job.Results() {
 		js.appendUpdate(u)
-		if js.nextSeq == 1 { // the pump is nextSeq's only writer
-			s.firstChunk.Observe((js.decode + job.Phases().FirstUpdate).Seconds())
-		}
+		// The streams appendUpdate woke write the line now, not after
+		// the pump has encoded every update the engine queued
+		// ("Streaming hand-off").
+		runtime.Gosched()
 	}
 	rep, err := job.Wait(context.Background())
 	phases := job.Phases()
@@ -613,8 +615,9 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, js *jobState,
 	rc.Flush()
 
 	cursor := from
+	wrote := false // this stream has flushed a chunk line
 	for {
-		lines, final, notify, gone := js.collect(cursor)
+		lines, last, notify, gone := js.collect(cursor)
 		if gone {
 			// The window outran this reader (possible only if the cursor
 			// was valid at entry and the writer lapped us). Terminate;
@@ -628,10 +631,15 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, js *jobState,
 		}
 		cursor += len(lines)
 		if len(lines) > 0 {
-			rc.Flush()
+			if rc.Flush() == nil && !wrote {
+				wrote = true
+				if d, first := js.wrote(s.clk.Now()); first {
+					s.firstChunk.Observe(d.Seconds())
+				}
+			}
 		}
-		if final != nil {
-			w.Write(final)
+		if last {
+			w.Write(js.finalLine())
 			rc.Flush()
 			return
 		}

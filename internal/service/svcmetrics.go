@@ -206,7 +206,7 @@ var histogramFamilies = []struct {
 	name, help string
 	get        func(*Server) *metrics.PromHistogram
 }{
-	{"xdropipu_service_first_chunk_seconds", "Seconds from a job's request to its first update, its phases' decode plus first update.",
+	{"xdropipu_service_first_chunk_seconds", "Seconds from a job's request to the first chunk line flushed to one of its streams, its phases' first write.",
 		func(s *Server) *metrics.PromHistogram { return &s.firstChunk }},
 	{"xdropipu_service_job_seconds", "Seconds from a job's request to its final record, its phases' wall.",
 		func(s *Server) *metrics.PromHistogram { return &s.jobSeconds }},

@@ -44,6 +44,17 @@ func TestServiceStatsAndMetricsExposition(t *testing.T) {
 		}
 		waitForLive(t, svc, 0, 10*time.Second)
 	}
+	// A detached job's first chunk is written when a stream reads it.
+	for _, id := range []string{"j000001", "j000002"} {
+		resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + id + "/results?from=0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fin := drainStream(t, resp.Body); fin.Error != "" {
+			t.Fatalf("%s: %s", id, fin.Error)
+		}
+		resp.Body.Close()
+	}
 
 	// The pump settles a tenant's counters just after the engine reports
 	// the job done; poll until it has.
@@ -174,8 +185,9 @@ func TestServiceStatsAndMetricsExposition(t *testing.T) {
 		"xdropipu_service_jobs_tracked 2",
 		"xdropipu_service_jobs_evicted_total 0",
 		"xdropipu_engine_cache_hits_total",
-		// Both completed jobs produced a chunk — the second its cache-served
-		// Batch == -1 one — so each was observed once, in some finite bucket.
+		// A stream flushed a chunk of both jobs — the second its
+		// cache-served Batch == -1 one — so each was observed once, in some
+		// finite bucket.
 		`xdropipu_service_first_chunk_seconds_bucket{le="0.001"}`,
 		`xdropipu_service_first_chunk_seconds_bucket{le="+Inf"} 2`,
 		"xdropipu_service_first_chunk_seconds_count 2",

@@ -33,6 +33,7 @@ import (
 	"math/rand/v2"
 	"net"
 	"net/http"
+	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -423,6 +424,10 @@ func (j *RemoteJob) consume(br *bufio.Reader, results []ipukernel.AlignOut, arri
 			Batch: ch.Batch, Batches: ch.Batches,
 			Seconds: ch.Seconds, Results: outs,
 		})
+		// The consumer push woke takes the update now, not once the
+		// reader has parsed every line the socket holds (the "Streaming
+		// hand-off" rule of the engine and the service).
+		runtime.Gosched()
 	}
 }
 
