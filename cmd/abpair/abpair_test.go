@@ -233,9 +233,10 @@ func TestSeedCacheCopies(t *testing.T) {
 	}
 }
 
-// TestBuildSidesSeedsNewCheckouts: each new checkout builds on a copy of
-// the invoking checkout's cache when it has one, else of the first
-// side's; the invoking checkout, as the head, builds on its own.
+// TestBuildSidesSeedsNewCheckouts: each checkout with no cache yet builds
+// on a copy of the invoking checkout's cache when it has one, else of the
+// first side's; the invoking checkout, as the head, builds on its own
+// cache when it has one, else on the base's.
 func TestBuildSidesSeedsNewCheckouts(t *testing.T) {
 	// fakeBuild records which cache entries the checkout had before it
 	// built, then adds its own, as a build would.
@@ -262,7 +263,7 @@ func TestBuildSidesSeedsNewCheckouts(t *testing.T) {
 		{"root cache, two worktrees", true, false, []string{"from-root", "from-root"}},
 		{"no root cache, two worktrees", false, false, []string{"", "from-base"}},
 		{"root cache, working tree head", true, true, []string{"from-root", "from-root"}},
-		{"no root cache, working tree head", false, true, []string{"", ""}},
+		{"no root cache, working tree head", false, true, []string{"", "from-base"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			tmp := t.TempDir()

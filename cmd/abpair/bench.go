@@ -91,13 +91,14 @@ func seedCache(from, to string) error {
 	})
 }
 
-// buildSides builds each side in turn with build. A checkout other than
-// the invoking one, at root, starts from a copy of a built Go cache: the
+// buildSides builds each side in turn with build. A side with no Go cache
+// of its own yet — a new worktree, or the invoking checkout at root
+// before run.sh has built there — starts from a copy of a built one: the
 // invoking checkout's, or else the first side's once it is built.
 func buildSides(ctx context.Context, root string, sides []side, build func(context.Context, string) error) error {
 	seed := goCache(root)
 	for _, s := range sides {
-		if s.dir != root {
+		if _, err := os.Stat(goCache(s.dir)); errors.Is(err, fs.ErrNotExist) {
 			if err := seedCache(seed, goCache(s.dir)); err != nil {
 				return fmt.Errorf("seeding %s's build cache: %w", s.Rev, err)
 			}

@@ -195,12 +195,15 @@ func newMapCache() *mapCache {
 	return &mapCache{m: make(map[CacheKey]ipukernel.AlignOut)}
 }
 
-func (c *mapCache) Get(k CacheKey) (ipukernel.AlignOut, bool) {
-	out, ok := c.m[k]
-	if ok {
-		c.hits++
+func (c *mapCache) GetBatch(keys []CacheKey, outs []ipukernel.AlignOut, hit []bool) int {
+	n := 0
+	for i, k := range keys {
+		if outs[i], hit[i] = c.m[k]; hit[i] {
+			n++
+		}
 	}
-	return out, ok
+	c.hits += n
+	return n
 }
 
 func (c *mapCache) Put(k CacheKey, out ipukernel.AlignOut) {

@@ -106,39 +106,18 @@ type CacheKey struct {
 	Ext workload.ExtensionKey
 }
 
-// ResultCache memoises finished extensions across jobs. Get returns the
-// cached alignment for a key (GlobalID in the returned value is
-// meaningless; the assembler rewrites it per comparison); Put records an
-// executed extension. Implementations must be safe for concurrent use —
-// the engine's executors and builders share one cache. A cache that also
-// has GetBatch (batchGetter, below) is asked once per plan instead of once
-// per extension.
-type ResultCache interface {
-	Get(key CacheKey) (ipukernel.AlignOut, bool)
-	Put(key CacheKey, out ipukernel.AlignOut)
-}
-
-// batchGetter is the lookup BuildBatches wants: every unique extension of
-// a plan in one call, so the cache can take each of its locks once and
-// let independent lookups overlap. outs[i] and hit[i] answer keys[i]; the
+// ResultCache memoises finished extensions across jobs. GetBatch is the
+// lookup BuildBatches makes: every unique extension of a plan in one call,
+// so the cache can take each of its locks once and let independent
+// lookups overlap. outs[i] and hit[i] answer keys[i] (GlobalID in a cached
+// value is meaningless; the assembler rewrites it per comparison); the
 // return value counts the hits. keys is the build's scratch, reused once
-// the call returns: an implementation must not keep it.
-type batchGetter interface {
+// the call returns: an implementation must not keep it. Put records an
+// executed extension. Implementations must be safe for concurrent use —
+// the engine's executors and builders share one cache.
+type ResultCache interface {
 	GetBatch(keys []CacheKey, outs []ipukernel.AlignOut, hit []bool) (hits int)
-}
-
-// getAll is BuildBatches' one lookup: GetBatch where the cache has it,
-// otherwise the same contract from a loop over Get.
-func getAll(c ResultCache, keys []CacheKey, outs []ipukernel.AlignOut, hit []bool) (hits int) {
-	if b, ok := c.(batchGetter); ok {
-		return b.GetBatch(keys, outs, hit)
-	}
-	for i, k := range keys {
-		if outs[i], hit[i] = c.Get(k); hit[i] {
-			hits++
-		}
-	}
-	return hits
+	Put(key CacheKey, out ipukernel.AlignOut)
 }
 
 // keyScratch recycles BuildBatches' cache-lookup keys across builds.
@@ -557,7 +536,7 @@ func BuildBatchesMarked(ctx context.Context, d *workload.Dataset, cfg Config, ma
 			// (NewAssembly) and fans out into it in place.
 			bp.cachedOuts = make([]ipukernel.AlignOut, bp.comparisons)
 			bp.cached = make([]bool, len(keys))
-			bp.cacheHits = getAll(cfg.Cache, keys, bp.cachedOuts[:len(keys)], bp.cached)
+			bp.cacheHits = cfg.Cache.GetBatch(keys, bp.cachedOuts[:len(keys)], bp.cached)
 			bp.cacheMisses = len(keys) - bp.cacheHits
 			if bp.cacheMisses > 0 {
 				bp.keys = make([]CacheKey, 0, bp.cacheMisses)

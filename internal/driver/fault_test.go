@@ -257,7 +257,8 @@ type countingCache struct {
 
 func newCountingCache() *countingCache { return &countingCache{} }
 
-func (c *countingCache) Get(CacheKey) (ipukernel.AlignOut, bool) {
-	return ipukernel.AlignOut{}, false
+func (c *countingCache) GetBatch(keys []CacheKey, outs []ipukernel.AlignOut, hit []bool) int {
+	clear(hit[:len(keys)])
+	return 0
 }
 func (c *countingCache) Put(_ CacheKey, out ipukernel.AlignOut) { c.put = append(c.put, out) }

@@ -229,7 +229,7 @@ func (s *cacheShard) evict() int32 {
 	}
 }
 
-// GetBatch implements the driver's batched lookup: outs[i], hit[i]
+// GetBatch implements driver.ResultCache's lookup: outs[i], hit[i]
 // answer keys[i], the return value counts the hits. Keys are hashed once
 // and bucketed by shard in pooled scratch, each shard is locked once for
 // all of its keys (its Puts wait that long: ≈ 0.2 µs a key), and the
@@ -284,22 +284,6 @@ type lookupScratch struct {
 
 // batchScratch recycles GetBatch's scratch across lookups.
 var batchScratch = sync.Pool{New: func() any { return new(lookupScratch) }}
-
-// Get implements driver.ResultCache: GetBatch for one key.
-func (c *resultCache) Get(k driver.CacheKey) (ipukernel.AlignOut, bool) {
-	h := hashKey(&k)
-	s := &c.shards[shardOf(h)]
-	var out ipukernel.AlignOut
-	s.mu.Lock()
-	ok := s.lookup(h, &k, &out)
-	s.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return out, ok
-}
 
 // Put implements driver.ResultCache.
 func (c *resultCache) Put(k driver.CacheKey, out ipukernel.AlignOut) {

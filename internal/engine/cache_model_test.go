@@ -96,7 +96,7 @@ func TestResultCacheModel(t *testing.T) {
 			case 0, 1:
 				put(k)
 			case 2:
-				out, ok := c.Get(k)
+				out, ok := get(c, k)
 				check(k, out, ok)
 				if !ok {
 					break
@@ -246,7 +246,7 @@ func TestResultCacheBatchedLookupUnderPuts(t *testing.T) {
 				if hits != 0 {
 					t.Errorf("GetBatch returned %d hits more than it flagged", hits)
 				}
-				c.Get(testKey(ids[0])) // a single lookup per batch, counted like the rest
+				get(c, testKey(ids[0])) // a single lookup per batch, counted like the rest
 				issued.Add(batchKeys + 1)
 				runtime.Gosched()
 			}
@@ -312,9 +312,8 @@ func TestCacheBytesTracksHeap(t *testing.T) {
 // BenchmarkResultCacheLookup is a warm plan's lookups without the service
 // around them: 16 k resident entries, 3 800 keys an iteration in
 // submission order, reported as ns/lookup — Batched through GetBatch, as
-// BuildBatches asks an engine's cache; Single one Get at a time, as the
-// driver adapts a cache that has no GetBatch. It says where to look; the
-// verdict on a change is benchmark/'s service_replay_warm.
+// BuildBatches asks an engine's cache. It says where to look; the verdict
+// on a change is benchmark/'s service_replay_warm.
 func BenchmarkResultCacheLookup(b *testing.B) {
 	const resident, plan = 16 << 10, 3800
 	c := newResultCache(1 << 18)
@@ -342,14 +341,12 @@ func BenchmarkResultCacheLookup(b *testing.B) {
 		}
 		report(b)
 	})
-	b.Run("Single", func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			for i, k := range plans[n%len(plans)] {
-				if outs[i], hit[i] = c.Get(k); !hit[i] {
-					b.Fatalf("resident key %d missed", i)
-				}
-			}
-		}
-		report(b)
-	})
+}
+
+// get is a one-key GetBatch.
+func get(c *resultCache, k driver.CacheKey) (ipukernel.AlignOut, bool) {
+	var out [1]ipukernel.AlignOut
+	var hit [1]bool
+	c.GetBatch([]driver.CacheKey{k}, out[:], hit[:])
+	return out[0], hit[0]
 }

@@ -165,7 +165,7 @@ func TestResultCacheLRUEviction(t *testing.T) {
 	}
 	live := 0
 	for i := 0; i < n; i++ {
-		if out, ok := c.Get(testKey(i)); ok {
+		if out, ok := get(c, testKey(i)); ok {
 			live++
 			if out.Score != i {
 				t.Fatalf("key %d returned score %d", i, out.Score)
@@ -199,20 +199,20 @@ func TestResultCacheCollisionSafety(t *testing.T) {
 	k4.Kernel++ // same extension, different kernel configuration
 
 	c.Put(k1, ipukernel.AlignOut{Score: 10})
-	if _, ok := c.Get(k2); ok {
+	if _, ok := get(c, k2); ok {
 		t.Fatal("colliding key served another extension's result")
 	}
-	if _, ok := c.Get(k3); ok {
+	if _, ok := get(c, k3); ok {
 		t.Fatal("digest half-collision served another extension's result")
 	}
-	if _, ok := c.Get(k4); ok {
+	if _, ok := get(c, k4); ok {
 		t.Fatal("entry served across kernel configurations")
 	}
 	c.Put(k2, ipukernel.AlignOut{Score: 20})
 	c.Put(k3, ipukernel.AlignOut{Score: 30})
 	c.Put(k4, ipukernel.AlignOut{Score: 40})
 	for i, want := range map[int]driver.CacheKey{10: k1, 20: k2, 30: k3, 40: k4} {
-		out, ok := c.Get(want)
+		out, ok := get(c, want)
 		if !ok || out.Score != i {
 			t.Errorf("key for score %d: ok=%v out=%+v", i, ok, out)
 		}

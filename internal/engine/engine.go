@@ -104,7 +104,7 @@ type Engine struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond // work to issue, or the engine closing
-	landed *sync.Cond // some job's land calls drained (Job.landing reached 0)
+	landed sync.Cond  // some job's report exists, its landings drained (Job.landing reached 0), or it settled
 	active []*Job     // built, unsettled jobs: registered by runJob, removed by finishLocked
 	live   int        // admitted jobs not yet finished
 	busy   int        // executors currently running a batch
@@ -120,16 +120,6 @@ type Engine struct {
 	slots     chan struct{} // admission tokens, cap queueDepth
 	wgJobs    sync.WaitGroup
 	wgWorkers sync.WaitGroup
-
-	// landHook, when set, runs in land between the report's merge and the
-	// publish, outside the lock. Tests set it to hold a batch mid-landing;
-	// it is nil otherwise.
-	landHook func(j *Job, bi int)
-	// computeHook, when set, runs in the executor once a fleet execution
-	// has computed — before a straggler's delay, and before the job's
-	// first-batch hold ends — outside the lock. Tests set it to hold an
-	// execution there; it is nil otherwise.
-	computeHook func(j *Job, bi int)
 }
 
 // Option configures an Engine at construction.
@@ -228,7 +218,7 @@ func New(opts ...Option) *Engine {
 		e.cfg.Cache = e.cache
 	}
 	e.cond = sync.NewCond(&e.mu)
-	e.landed = sync.NewCond(&e.mu)
+	e.landed.L = &e.mu
 	e.closedCh = make(chan struct{})
 	e.slots = make(chan struct{}, e.queueDepth)
 	for i := 0; i < e.executors; i++ {
@@ -506,7 +496,6 @@ func (e *Engine) runJob(j *Job) {
 		j.stamps.to(&j.phases, now, segExecute)
 	}
 	if len(cachedResults) > 0 {
-		j.updated = true
 		j.phases.Add(Phases{FirstUpdate: now.Sub(j.submitted)})
 	}
 	close(j.built)
@@ -521,18 +510,7 @@ func (e *Engine) runJob(j *Job) {
 	}
 	e.active = append(e.active, j)
 	if !j.deadline.IsZero() {
-		// Two alarms per deadlined job: one wakes idle executors when the
-		// hedge window opens, ending the first-batch hold if it still
-		// stands, one settles (or degrades) the job at the deadline
-		// itself. Settlement stops both; a callback that already fired
-		// re-checks under the lock and becomes a no-op.
-		j.alarms[0] = e.clk.AfterFunc(j.deadline.Sub(e.clk.Now())-e.hedgeWindow, func() {
-			e.mu.Lock()
-			j.alone = false
-			e.cond.Broadcast()
-			e.mu.Unlock()
-		})
-		j.alarms[1] = e.clk.AfterFunc(j.deadline.Sub(e.clk.Now()), func() { e.deadlineExpired(j) })
+		e.armLocked(j)
 	}
 	e.cond.Broadcast()
 	e.mu.Unlock()
@@ -548,6 +526,21 @@ func (e *Engine) runJob(j *Job) {
 	}
 }
 
+// armLocked arms a deadlined job's two alarms: one wakes idle executors
+// when the hedge window opens, ending the first-batch hold if it still
+// stands, one settles (or degrades) the job at the deadline itself.
+// Settlement stops both; a callback that already fired re-checks under the
+// lock and becomes a no-op.
+func (e *Engine) armLocked(j *Job) {
+	j.alarms[0] = e.clk.AfterFunc(j.deadline.Sub(e.clk.Now())-e.hedgeWindow, func() {
+		e.mu.Lock()
+		j.step(0, evRelease, nil, nil)
+		e.cond.Broadcast()
+		e.mu.Unlock()
+	})
+	j.alarms[1] = e.clk.AfterFunc(j.deadline.Sub(e.clk.Now()), func() { e.deadlineExpired(j) })
+}
+
 // pickLocked chooses the next execution to issue: among built jobs with
 // work left, the one with the fewest issued executions (ties broken by
 // submission order) — a per-job fair share that keeps a flood of batches
@@ -561,11 +554,12 @@ func (e *Engine) runJob(j *Job) {
 // any other attempt.
 //
 // A job's first execution, if the job has streamed nothing yet (a plan
-// the cache served in part has), computes alone: the job is marked alone
-// and nothing else of it is issued until that execution has computed
-// (Engine.computed) or returned (deliver), its hedge window opens (the
-// first alarm) or it settles. The first result waits on one batch at the
-// whole host's width, not on two at half of it.
+// the cache served in part has), computes alone: its evIssue marks the
+// job alone, and nothing else of it is issued until the hold's evRelease
+// — that execution has computed (Engine.computed) or returned (deliver),
+// or its hedge window opened (the first alarm) — or until it settles. The
+// first result waits on one batch at the whole host's width, not on two
+// at half of it.
 func (e *Engine) pickLocked() (*Job, int) {
 	var best *Job
 	for _, j := range e.active {
@@ -582,7 +576,6 @@ func (e *Engine) pickLocked() (*Job, int) {
 		if n := len(best.ready); n > 0 {
 			bi = best.ready[n-1]
 		}
-		best.alone = best.issued == 0 && !best.updated && !e.hedgeOpen(best)
 		best.step(bi, evIssue, nil, nil)
 		return best, bi
 	}
@@ -616,15 +609,6 @@ func (e *Engine) pickLocked() (*Job, int) {
 // hedgeOpen reports whether j's hedge window has opened.
 func (e *Engine) hedgeOpen(j *Job) bool {
 	return !j.deadline.IsZero() && !e.clk.Now().Before(j.deadline.Add(-e.hedgeWindow))
-}
-
-// releaseLocked ends j's first-batch hold, if it has one, and wakes the
-// executors it kept idle.
-func (e *Engine) releaseLocked(j *Job) {
-	if j.alone {
-		j.alone = false
-		e.cond.Broadcast()
-	}
 }
 
 // executor is one device-executor goroutine: it owns a modeled device
@@ -691,7 +675,7 @@ func (e *Engine) executor() {
 			// after the compute, and a first execution's hold ends before
 			// it.
 			var computed func()
-			if alone || e.computeHook != nil {
+			if alone {
 				computed = func() { e.computed(j, bi) }
 			}
 			out, pin, err := bp.ExecBatchAttempt(j.ctx, dev, bi, attempt, kcfg, e.clk, computed)
@@ -703,11 +687,8 @@ func (e *Engine) executor() {
 // computed runs once batch bi's fleet execution has computed: it ends the
 // job's first-batch hold if this execution held it.
 func (e *Engine) computed(j *Job, bi int) {
-	if e.computeHook != nil {
-		e.computeHook(j, bi)
-	}
 	e.mu.Lock()
-	e.releaseLocked(j)
+	j.step(bi, evRelease, nil, nil)
 	e.mu.Unlock()
 }
 
@@ -721,51 +702,77 @@ func (e *Engine) runnableLocked() int {
 }
 
 // deliver hands one returned execution (returned is evReturn or
-// evReturnHost) to the batch's state machine and lands what it accepts.
-// Job.step classifies failures — transient faults retry within the
-// engine's policy, everything else degrades — and settles hedged batches
-// first-result-wins: the losing copy is dropped before it can touch
-// stats, the stream or the report. issued is when the execution was
-// issued (UnixNano on the engine's clock) and pin how long its slab pin
-// took, for the job's Phases.
+// evReturnHost) to deliverLocked and lands what it delivers.
 func (e *Engine) deliver(j *Job, bi int, returned batchEvent, out *ipukernel.BatchResult, err error, issued int64, pin time.Duration) {
 	e.mu.Lock()
 	e.busy--
-	if j.finished {
-		e.mu.Unlock()
+	if e.deliverLocked(j, bi, returned, out, err, issued, pin) {
+		e.land(j, bi)
 		return
 	}
-	e.releaseLocked(j) // returned or failed: a first execution holds no longer
+	e.mu.Unlock()
+}
+
+// deliverLocked steps one returned execution through the batch's state
+// machine and reports whether the batch was delivered, so its caller
+// lands it in the same hold of e.mu. Job.step classifies failures —
+// transient faults retry within the engine's policy, everything else
+// degrades — and settles hedged batches first-result-wins: the losing
+// copy is dropped before it can touch stats, the stream or the report.
+// issued is when the execution was issued (UnixNano on the engine's
+// clock) and pin how long its slab pin took, for the job's Phases.
+func (e *Engine) deliverLocked(j *Job, bi int, returned batchEvent, out *ipukernel.BatchResult, err error, issued int64, pin time.Duration) bool {
+	if j.finished {
+		return false
+	}
+	j.step(bi, evRelease, nil, nil) // returned or failed: a first execution holds no longer
 	first := j.batches[bi].firstNS
 	j.phases.Add(Phases{Pin: pin, Exec: time.Duration(e.clk.Now().UnixNano()-issued) - pin})
 	if out = j.step(bi, returned, out, err); out == nil {
-		e.mu.Unlock()
-		return
+		return false
 	}
 	j.phases.Add(Phases{Wait: time.Duration(issued - first)})
 	j.step(bi, evDeliver, out, nil)
-	e.land(j, bi)
+	return true
+}
+
+// A landing is one delivered batch on its way into the job's report and
+// onto its stream. Engine.landStep moves it through its events.
+type landing struct {
+	bi             int
+	next           landEvent
+	first          bool // the job's first delivered batch: it publishes, then allocates the report
+	streaming      bool // the stream was open when the landing began; a replay waits for it to end
+	sent           bool // the update went onto the stream
+	out            *ipukernel.BatchResult
+	bp             *driver.BatchPlan
+	asm            *driver.Assembly
+	err            error
+	merge, publish time.Duration
+}
+
+// landEvent is a landing's event, in the order they happen.
+type landEvent uint8
+
+const (
+	evLand    landEvent = iota // the batch was delivered: the landing begins
+	evPublish                  // the update goes onto the stream
+	evLanded                   // the report holds the batch: the landing ends
+	landEnded
+)
+
+// waiting reports whether landing l waits for the job's report: a batch
+// delivered after the first merges before it publishes, so until the
+// first landing has allocated the report, or the job has settled, it
+// cannot go on.
+func (l *landing) waiting(j *Job) bool {
+	return l.next == evPublish && !l.first && j.asm == nil && !j.finished
 }
 
 // land records delivered batch bi in the job's report and publishes it to
-// the stream. It is called with e.mu held, right after the batch's
-// evDeliver, and releases it; the merge and any copy run outside the lock,
-// in the goroutine that delivered the batch. j.landing counts the calls in
-// flight: a stream replay waits for it to drain, and the call that drains
-// it once every batch is delivered completes the job, so neither sees a
-// batch whose merge or send is still to come.
-//
-// The report takes its copy first (driver.Assembly.Merge) and only then
-// is the batch published. Without dedup the stream is handed the batch's
-// own Out: one copy per comparison, and the consumer owns what it
-// receives. Under dedup the stream carries the fan-out, a fresh array,
-// and the report merges the raw results at their extensions' ordinals.
-// The report's array is set up by the lander of the first delivered
-// batch, after that batch is published, to keep an O(comparisons)
-// allocation off the first result's path (a plan built against a cache
-// allocates nothing there: the report adopts its lookup's array); the
-// batches that land before it exists stream a copy when they stream the
-// kernel's own array, and the allocator merges them once it does.
+// the stream: it runs the batch's landing from its first event to its
+// last, waiting where the landing waits. It is called with e.mu held,
+// right after the batch's evDeliver, and releases it.
 //
 // A streamed delivery ends by yielding the processor. The send cannot
 // block (the channel holds the whole schedule), so it only marks the
@@ -778,114 +785,105 @@ func (e *Engine) deliver(j *Job, bi int, returned batchEvent, out *ipukernel.Bat
 // follows complete, so the same hand-off carries the close and the
 // report; on the first it precedes the allocation.
 func (e *Engine) land(j *Job, bi int) {
-	if j.finished {
-		e.mu.Unlock()
-		return
-	}
-	j.landing++
-	out, asm, bp := j.outs[bi], j.asm, j.bp
-	streaming := j.streaming // fixed until this call ends: a replay waits for it
-	early := asm == nil
-	alloc := early && !j.allocating
-	if alloc {
-		j.allocating = true
+	l := landing{bi: bi}
+	for e.landStep(j, &l) {
+		for l.waiting(j) {
+			e.landed.Wait()
+		}
 	}
 	e.mu.Unlock()
-
-	// The landing's time: merges into the report, and the hand-off from
-	// the merge's end to the update's send.
-	t := e.clk.Now()
-	var err error
-	if asm != nil {
-		err = asm.Merge(out)
-	}
-	merged := e.clk.Now()
-	var upd Update
-	if streaming {
-		upd = streamUpdate(j, bi, out)
-		if early && j.expand == nil {
-			upd.Results = slices.Clone(upd.Results) // the merge has yet to read out.Out
-		}
-	}
-	if e.landHook != nil {
-		e.landHook(j, bi)
-	}
-
-	e.mu.Lock()
-	sent := streaming && err == nil && !j.finished
-	if sent {
-		j.updates <- upd
-	}
-	published := e.clk.Now()
-	merge, publish := merged.Sub(t), published.Sub(merged)
-	if err == nil && !j.finished && !j.updated {
-		j.updated = true
-		j.phases.Add(Phases{FirstUpdate: published.Sub(j.submitted)})
-	}
-	if early {
-		finished := j.finished
-		if !finished {
-			if asm = j.asm; asm == nil {
-				j.early = append(j.early, bi) // the allocator merges it
-			}
-		}
-		e.mu.Unlock()
-		if sent {
-			runtime.Gosched()
-		}
-		t = e.clk.Now()
-		switch {
-		case asm != nil: // allocated while this batch was published
-			err = asm.Merge(out)
-		case alloc && !finished:
-			asm = bp.NewAssembly()
-			var take []int
-			e.mu.Lock()
-			if !j.finished {
-				j.asm = asm
-				take, j.early = j.early, nil
-			}
-			e.mu.Unlock()
-			for _, b := range take {
-				if err == nil {
-					err = asm.Merge(j.outs[b])
-				}
-			}
-		}
-		merge += e.clk.Now().Sub(t)
-		e.mu.Lock()
-	}
-	if !j.finished {
-		j.phases.Add(Phases{Merge: merge, Publish: publish})
-		if err != nil {
-			e.finishLocked(j, nil, err)
-		}
-	}
-	e.doneLanding(j)
-	if sent && !early {
+	if l.sent && !l.first {
 		runtime.Gosched()
 	}
 }
 
-// doneLanding ends one land call (or deadlineExpired's hold on the job).
-// The call that drains j.landing once every batch is delivered completes
-// the job. Called with e.mu held; releases it.
-func (e *Engine) doneLanding(j *Job) {
-	j.landing--
-	if j.landing > 0 {
+// landStep runs landing l's next event: the work that comes before it,
+// outside the lock, then the event, under it. It is called, and returns,
+// with e.mu held, and reports whether l has events left; it is not called
+// while l is waiting. It alone writes the job's landing count and report
+// (settlement releases the report).
+//
+// evLand counts the landing in and marks the batch delivered first
+// (Job.done is 1: a delivery and its evLand share one hold of the lock).
+// Before evPublish a later landing merges into the report
+// (driver.Assembly.Merge) and builds its update: without dedup the
+// batch's own Out, which the consumer then owns, under dedup the fan-out,
+// a fresh array, while the report merges the raw results at their
+// extensions' ordinals. The first landing publishes before the report
+// exists, to keep an O(comparisons) allocation off the first result's
+// path (a plan built against a cache allocates nothing there: the report
+// adopts its lookup's array), so its update is a copy; then it allocates
+// the report and merges, and its evLanded hands the report over.
+// evLanded counts the landing out, and the one that drains the count once
+// every batch is delivered completes the job: no merge or send is still
+// to come then, nor when a stream replay, which waits for the drain, runs.
+func (e *Engine) landStep(j *Job, l *landing) bool {
+	switch l.next {
+	case evLand:
+		j.landing++
+		l.first, l.streaming = j.done == 1, j.streaming
+		l.out, l.bp = j.outs[l.bi], j.bp
+	case evPublish:
+		l.asm = j.asm
 		e.mu.Unlock()
-		return
+		t := e.clk.Now()
+		if l.asm != nil {
+			l.err = l.asm.Merge(l.out)
+		}
+		merged := e.clk.Now()
+		var upd Update
+		if l.streaming {
+			upd = streamUpdate(j, l.bi, l.out)
+			if l.first && j.expand == nil {
+				upd.Results = slices.Clone(upd.Results) // the report has yet to read out.Out
+			}
+		}
+		e.mu.Lock()
+		live := l.err == nil && !j.finished
+		if l.sent = live && l.streaming; l.sent {
+			j.updates <- upd
+		}
+		published := e.clk.Now()
+		l.merge, l.publish = merged.Sub(t), published.Sub(merged)
+		if live && l.first && len(j.cachedResults) == 0 {
+			j.phases.Add(Phases{FirstUpdate: published.Sub(j.submitted)})
+		}
+	case evLanded:
+		alloc := l.first && l.err == nil && !j.finished
+		if l.first {
+			e.mu.Unlock()
+			if l.sent {
+				runtime.Gosched()
+			}
+			if alloc {
+				t := e.clk.Now()
+				l.asm = l.bp.NewAssembly()
+				l.err = l.asm.Merge(l.out)
+				l.merge += e.clk.Now().Sub(t)
+			}
+			e.mu.Lock()
+		}
+		if !j.finished {
+			if alloc {
+				j.asm = l.asm
+			}
+			j.phases.Add(Phases{Merge: l.merge, Publish: l.publish})
+			if l.err != nil {
+				e.finishLocked(j, nil, l.err)
+			}
+		}
+		j.landing--
+		e.landed.Broadcast()
+		if j.landing == 0 && !j.finished && j.done == len(j.outs) {
+			j.stamps.to(&j.phases, e.clk.Now(), segComplete)
+			asm := j.asm
+			e.mu.Unlock()
+			e.complete(j, asm)
+			e.mu.Lock()
+		}
 	}
-	e.landed.Broadcast()
-	last := !j.finished && j.done == len(j.outs)
-	if last {
-		j.stamps.to(&j.phases, e.clk.Now(), segComplete)
-	}
-	asm := j.asm
-	e.mu.Unlock()
-	if last {
-		e.complete(j, asm)
-	}
+	l.next++
+	return l.next < landEnded
 }
 
 // backoffFor shapes the delay before batch bi's next attempt:
@@ -929,20 +927,15 @@ func (e *Engine) deadlineExpired(j *Job) {
 		}
 		e.mu.Unlock()
 	case DegradePartial:
-		var placeholders []int
+		// Each placeholder batch lands before the next is delivered, so
+		// the last one's landing completes the job.
 		for bi := range j.batches {
 			if j.step(bi, evDeadlinePartial, nil, nil) != nil {
-				placeholders = append(placeholders, bi)
+				e.land(j, bi)
+				e.mu.Lock()
 			}
 		}
-		// The hold keeps the job from completing before the last
-		// placeholder batch has landed.
-		j.landing++
-		for _, bi := range placeholders {
-			e.land(j, bi)
-			e.mu.Lock()
-		}
-		e.doneLanding(j)
+		e.mu.Unlock()
 	default:
 		e.finishLocked(j, nil, ErrDeadline)
 		e.mu.Unlock()
@@ -1074,7 +1067,6 @@ func (e *Engine) finishLocked(j *Job, rep *driver.Report, err error) {
 	// capture bp into locals under the lock before using it.
 	j.bp = nil
 	j.asm = nil
-	j.early = nil
 	j.dataset = nil
 	// An idle engine must not keep a settled job's partial results alive.
 	if i := slices.Index(e.active, j); i >= 0 {
@@ -1083,4 +1075,5 @@ func (e *Engine) finishLocked(j *Job, rep *driver.Report, err error) {
 	e.live--
 	<-e.slots
 	e.cond.Broadcast()
+	e.landed.Broadcast() // landings waiting for the report
 }

@@ -306,8 +306,9 @@ func TestResultsLiveMutation(t *testing.T) {
 // The first delivered batch lands before the report's array exists, so
 // its merge comes after the publish; a replay that did not wait would
 // hand the consumer the kernel's own array while the merge has yet to
-// read it, and an overwrite would reach the report. landHook holds the
-// first landing open while Results is called from another goroutine.
+// read it, and an overwrite would reach the report. A lab holds the first
+// landing open, one event in, while Results is called from another
+// goroutine.
 func TestResultsOpenedMidLandingWaits(t *testing.T) {
 	d := readsData(t, 38, 30)
 	cfg := testCfg(1)
@@ -316,25 +317,13 @@ func TestResultsOpenedMidLandingWaits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(WithDriverConfig(cfg), WithExecutors(1))
-	defer e.Close()
-	paused, resume := make(chan int, 1), make(chan struct{})
-	var release sync.Once
-	defer release.Do(func() { close(resume) })
-	var held atomic.Bool
-	e.landHook = func(_ *Job, bi int) {
-		if held.CompareAndSwap(false, true) {
-			paused <- bi
-			<-resume
-		}
+	l := newLab(t, newLabScenario(t, d, cfg))
+	for _, m := range []moveKind{mIssue, mCompute, mReturn} {
+		l.apply(move{m, 0}, true)
 	}
-	job, err := e.Submit(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bi := <-paused
+	bi := l.landers[0].bi
 	opened := make(chan (<-chan Update), 1)
-	go func() { opened <- job.Results() }()
+	go func() { opened <- l.j.Results() }()
 	var updates <-chan Update
 	seen := 0
 	overwrite := func(u Update) {
@@ -351,14 +340,17 @@ func TestResultsOpenedMidLandingWaits(t *testing.T) {
 		}
 	case <-time.After(200 * time.Millisecond):
 	}
-	release.Do(func() { close(resume) })
+	for len(l.landers) > 0 {
+		l.apply(move{mLand, 0}, true)
+	}
 	if updates == nil {
 		updates = <-opened
 	}
+	l.run()
 	for u := range updates {
 		overwrite(u)
 	}
-	rep, err := job.Wait(context.Background())
+	rep, err := l.j.Wait(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,8 +17,9 @@ import (
 // update is batch 0's. On the ≈ 60-batch schedule of
 // TestFirstUpdateNotStarvedByExecutors with two executors, every job's
 // first update is batch 0 and, when batch 0 has computed, it is the only
-// execution of its job ever issued. Without the hold the two executors
-// split the host between batches 0 and 1 and batch 1 often lands first.
+// execution of its job ever issued (a lab of the same plan issues until
+// nothing more will). Without the hold the two executors split the host
+// between batches 0 and 1 and batch 1 often lands first.
 func TestFirstBatchComputesAlone(t *testing.T) {
 	const executors, jobs = 2, 6
 	d := synth.Reads(synth.ReadsSpec{
@@ -36,20 +35,20 @@ func TestFirstBatchComputesAlone(t *testing.T) {
 	cfg.Model, cfg.TilesPerIPU, cfg.MaxBatchJobs = platform.GC200.Scaled(8), 0, 64
 	e := New(WithDriverConfig(cfg), WithExecutors(executors))
 	defer e.Close()
-	var mu sync.Mutex
-	issuedAtCompute := map[*Job]int{} // the job's executions issued when batch 0 first computed
-	e.computeHook = func(j *Job, bi int) {
-		if bi != 0 {
-			return
-		}
-		e.mu.Lock()
-		n := j.issued
-		e.mu.Unlock()
-		mu.Lock()
-		if _, ok := issuedAtCompute[j]; !ok {
-			issuedAtCompute[j] = n
-		}
-		mu.Unlock()
+	l := newLab(t, newLabScenario(t, d, cfg))
+	for l.canIssueLocked() {
+		l.apply(move{mIssue, 0}, true)
+	}
+	l.e.mu.Lock()
+	issued := l.j.issued
+	l.e.mu.Unlock()
+	if issued != 1 {
+		t.Errorf("%d executions issued when batch 0 had computed, want 1", issued)
+	}
+	l.apply(move{mCompute, 0}, true)
+	l.run()
+	if _, err := l.j.Wait(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 
 	for n := range jobs {
@@ -69,12 +68,6 @@ func TestFirstBatchComputesAlone(t *testing.T) {
 		}
 		if first.Batch != 0 {
 			t.Errorf("job %d: first update is batch %d of %d, want batch 0", n, first.Batch, first.Batches)
-		}
-		mu.Lock()
-		issued, ok := issuedAtCompute[job]
-		mu.Unlock()
-		if !ok || issued != 1 {
-			t.Errorf("job %d: %d executions issued when batch 0 had computed (seen %v), want 1", n, issued, ok)
 		}
 	}
 }
@@ -174,62 +167,59 @@ func TestFirstBatchHoldReleases(t *testing.T) {
 		}
 	})
 
+	// The next three hold a first execution mid-compute on a lab of the
+	// plan: it is issued and has not computed.
+	sc := newLabScenario(t, d, cfg)
+	held := func(t *testing.T, sc *labScenario) *lab {
+		t.Helper()
+		l := newLab(t, sc)
+		l.apply(move{mIssue, 0}, true)
+		return l
+	}
+
 	t.Run("cancelled", func(t *testing.T) {
-		e := New(WithDriverConfig(cfg), WithExecutors(2))
-		held, release := holdFirstCompute(e, nil)
-		ctx, cancel := context.WithCancel(context.Background())
-		job, err := e.Submit(ctx, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-held
-		cancel()
-		if _, err := job.Wait(context.Background()); !errors.Is(err, context.Canceled) {
+		l := held(t, sc)
+		l.apply(move{mCancel, 0}, true)
+		if _, err := l.j.Wait(context.Background()); !errors.Is(err, context.Canceled) {
 			t.Fatalf("job err = %v, want context.Canceled", err)
 		}
 		// The cancelled job's first execution still computes; the other
 		// executor serves the next job whole.
-		next, err := e.Submit(context.Background(), d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := next.Wait(context.Background())
+		next := l.another()
+		next.run()
+		got, err := next.j.Wait(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		reportsEqual(t, "job after a cancelled hold", got, want)
-		close(release)
-		if err := e.Close(); err != nil {
-			t.Fatal(err)
-		}
+		l.apply(move{mCompute, 0}, false) // the engine's stats are the next job's now
+		l.apply(move{mReturn, 0}, false)
 	})
 
 	t.Run("hedge-window", func(t *testing.T) {
-		clk := new(clock.Manual)
-		e := New(WithDriverConfig(cfg), WithExecutors(2), withClock(clk), WithJobDeadline(time.Second))
-		held, release := holdFirstCompute(e, nil)
-		job, err := e.Submit(context.Background(), d)
-		if err != nil {
-			t.Fatal(err)
+		sc := *sc
+		sc.deadline = true
+		l := held(t, &sc)
+		updates := l.j.Results()
+		l.e.mu.Lock()
+		issued := l.j.issued
+		l.e.mu.Unlock()
+		if issued != 1 || l.canIssueLocked() {
+			t.Fatalf("%d executions issued while the first computes, more can issue: %v; want 1, false", issued, l.canIssueLocked())
 		}
-		updates := job.Results()
-		<-held
-		awaitTimers(t, clk, 2) // the job's hedge and deadline alarms
-		e.mu.Lock()
-		issued := job.issued
-		e.mu.Unlock()
-		if issued != 1 {
-			t.Fatalf("%d executions issued while the first computes, want 1", issued)
+		l.apply(move{mWindow, 0}, true) // the hedge window opens
+		for l.canIssueLocked() && len(updates) == 0 {
+			l.apply(move{mIssue, 0}, true)
+			l.apply(move{mReturn, len(l.execs) - 1}, true)
+			for len(l.landers) > 0 {
+				l.apply(move{mLand, 0}, true)
+			}
 		}
-		clk.Advance(800 * time.Millisecond) // the hedge window opens
 		if u := nextUpdate(t, updates); u.Batch == 0 {
 			t.Fatal("batch 0 streamed while its execution was held")
 		}
-		close(release)
-		if _, err := job.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Close(); err != nil {
+		l.run()
+		if _, err := l.j.Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -239,66 +229,26 @@ func TestFirstBatchHoldReleases(t *testing.T) {
 			Count: 700, Length: 200, ErrorRate: 0.15, SeedLen: 17, Seed: 37})
 		ccfg := cacheTestConfig()
 		ccfg.MaxBatchJobs = 16
-		e := New(WithDriverConfig(ccfg), WithExecutors(2), WithResultCache(1<<12))
-		warm, err := e.Submit(context.Background(), pairs.WithComparisons(pairs.Comparisons[:600]))
-		if err != nil {
+		ccfg.Cache = newResultCache(1 << 12)
+		if _, err := driver.Run(pairs.WithComparisons(pairs.Comparisons[:600]), ccfg); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := warm.Wait(context.Background()); err != nil {
-			t.Fatal(err)
+		// The mixed job's first execution is mid-compute; a second one of
+		// the same job must issue meanwhile.
+		l := held(t, newLabScenario(t, pairs, ccfg))
+		if !l.canIssueLocked() {
+			t.Fatal("no other batch can issue: a job the cache served in part is held")
 		}
-		// From here on the first execution computed is the mixed job's;
-		// a second one of the same job must compute while it is held.
-		second := make(chan int, 1)
-		held, release := holdFirstCompute(e, func(j *Job, bi int) {
-			select {
-			case second <- bi:
-			default:
-			}
-		})
-		job, err := e.Submit(context.Background(), pairs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-held
-		select {
-		case <-second:
-		case <-time.After(10 * time.Second):
-			t.Fatal("no other batch computed: a job the cache served in part is held")
-		}
-		close(release)
-		rep, err := job.Wait(context.Background())
+		l.apply(move{mIssue, 0}, true)
+		l.run()
+		rep, err := l.j.Wait(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rep.CacheHits != 600 || rep.Batches < 2 {
 			t.Fatalf("mixed job: %d hits over %d batches, want 600 over ≥ 2", rep.CacheHits, rep.Batches)
 		}
-		if err := e.Close(); err != nil {
-			t.Fatal(err)
-		}
 	})
-}
-
-// holdFirstCompute makes the first execution e computes from now on wait,
-// as if still computing, until release is closed; held receives its job
-// once it waits. Every later execution runs then (nil or not).
-func holdFirstCompute(e *Engine, then func(j *Job, bi int)) (held chan *Job, release chan struct{}) {
-	held, release = make(chan *Job, 1), make(chan struct{})
-	var first atomic.Bool
-	e.mu.Lock()
-	e.computeHook = func(j *Job, bi int) {
-		if first.CompareAndSwap(false, true) {
-			held <- j
-			<-release
-			return
-		}
-		if then != nil {
-			then(j, bi)
-		}
-	}
-	e.mu.Unlock()
-	return held, release
 }
 
 // nextUpdate receives one update, or fails the test if none comes.

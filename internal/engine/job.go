@@ -44,32 +44,27 @@ type Job struct {
 	// phases is where the job's time has gone and stamps its open
 	// segment. Submit starts them, runJob owns them while it plans, and
 	// from the job's registration on they are guarded by eng.mu and
-	// written only until the job settles. updated records that the first
-	// update was stamped.
-	phases  Phases
-	stamps  stamps
-	updated bool
+	// written only until the job settles.
+	phases Phases
+	stamps stamps
 
 	// All fields below are guarded by eng.mu.
 	bp        *driver.BatchPlan
 	updates   chan Update
 	streaming bool // updates is open
 	issued    int  // executions issued (first issues + retries + hedges): the fair-share key
-	alone     bool // the first execution computes; nothing else of the job issues (Engine.pickLocked)
+	alone     bool // the first execution computes; nothing else of the job issues (step: evIssue, evRelease)
 	done      int  // batches delivered (first accepted result per batch)
 	finished  bool
 	report    *driver.Report
 	err       error
 
-	// Landing (Engine.land). asm is the report being filled batch by
-	// batch, nil until the lander of the first delivered batch allocates
-	// it; allocating is set from then on. early holds the batches
-	// published before asm existed, which that allocator merges. landing
-	// counts land calls in flight.
-	asm        *driver.Assembly
-	allocating bool
-	early      []int
-	landing    int
+	// Landing (Engine.land), written by Engine.landStep alone (settlement
+	// releases asm). asm is the report being filled batch by batch, nil
+	// until the lander of the first delivered batch has allocated it;
+	// landing counts landings in flight.
+	asm     *driver.Assembly
+	landing int
 
 	// Batch lifecycle, written by step alone (runJob allocates, settlement
 	// releases). batches is one record per batch; outs the delivered
@@ -127,6 +122,7 @@ const (
 	evQuarantine                        // DegradeFallback: its fault tolerance, or the deadline, ran out
 	evDeadlinePartial                   // the deadline expired under DegradePartial
 	evSettle                            // the job is settling
+	evRelease                           // the first-batch hold ends: its execution computed or returned, or the hedge window opened
 )
 
 // settledLocked reports whether nothing more can happen to batch bi: the
@@ -138,8 +134,8 @@ func (j *Job) settledLocked(bi int) bool {
 }
 
 // step is the batch state machine: every write to a batchState, to the
-// ready queue and to the job's issue, delivery and retry counters happens
-// here, under eng.mu. ev says what happened to batch bi; out and err carry
+// ready queue, to the job's issue, delivery and retry counters and to its
+// first-batch hold happens here, under eng.mu. ev says what happened to batch bi; out and err carry
 // an execution's outcome (return events) or the result to record
 // (evDeliver). A return event hands back what the caller must record with
 // evDeliver — the execution's result, or
@@ -166,6 +162,10 @@ func (j *Job) step(bi int, ev batchEvent, out *ipukernel.BatchResult, err error)
 			e.stats.Hedges++
 		} else if b.phase != phasePending && b.phase != phaseReady {
 			return nil
+		} else if j.issued == 0 && len(j.cachedResults) == 0 && !e.hedgeOpen(j) {
+			// The job's first execution, with nothing streamed yet (a plan
+			// the cache served in part has): it computes alone.
+			j.alone = true
 		}
 		next = phaseRunning
 		b.issuedNS = e.clk.Now().UnixNano()
@@ -251,6 +251,11 @@ func (j *Job) step(bi int, ev batchEvent, out *ipukernel.BatchResult, err error)
 		if b.timer != nil {
 			b.timer.Stop()
 			b.timer = nil
+		}
+	case evRelease:
+		if j.alone {
+			j.alone = false
+			e.cond.Broadcast() // the executors the hold kept idle
 		}
 	}
 	if next == b.phase {

@@ -168,8 +168,7 @@ type (
 	// ResultCache memoises finished extensions across jobs; implement it
 	// to plug a custom cache into IPUConfig.Cache (WithResultCache
 	// provides the engine's bounded, recency-approximating sharded cache).
-	// A cache that also has GetBatch(keys, outs, hit) (hits int) is asked
-	// once per plan instead of once per extension.
+	// It is asked once per plan, for every unique extension at once.
 	ResultCache = driver.ResultCache
 )
 
