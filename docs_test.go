@@ -14,10 +14,10 @@ import (
 )
 
 // TestDocsCiteExistingTests: every Test*, Fuzz* and Benchmark* name the
-// documentation and the CI workflow cite is the name of a function in the
-// tree, or a prefix of one (the docs write TestServiceRetention*, the
-// workflow selects by -run pattern). A renamed or deleted test must take
-// its citations with it.
+// documentation, the verify skill and the CI workflow cite is the name of
+// a function in the tree, or a prefix of one (the docs write
+// TestServiceRetention*, the skill and the workflow select by -run
+// pattern). A renamed or deleted test must take its citations with it.
 func TestDocsCiteExistingTests(t *testing.T) {
 	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
 	var funcs []string
@@ -43,7 +43,7 @@ func TestDocsCiteExistingTests(t *testing.T) {
 
 	cited := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z]\w*`)
 	names := 0
-	for _, doc := range []string{"DESIGN.md", "README.md", "benchmark/README.md", ".github/workflows/ci.yml"} {
+	for _, doc := range []string{"DESIGN.md", "README.md", "benchmark/README.md", ".github/workflows/ci.yml", verifySkill} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -108,9 +108,9 @@ func TestDocsCiteExportedNames(t *testing.T) {
 
 // TestDocsCiteDesignHeadings: every section pointer into DESIGN.md — its
 // name quoted after "DESIGN.md" or "DESIGN.md's" — in the Go sources,
-// README.md and ROADMAP.md names a heading of DESIGN.md. A bold paragraph
-// label is not a heading: a reader searching the outline would not find
-// it.
+// README.md, ROADMAP.md and the verify skill names a heading of
+// DESIGN.md. A bold paragraph label is not a heading: a reader searching
+// the outline would not find it.
 func TestDocsCiteDesignHeadings(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -120,7 +120,7 @@ func TestDocsCiteDesignHeadings(t *testing.T) {
 	for _, m := range regexp.MustCompile(`(?m)^#+ (.+)$`).FindAllStringSubmatch(string(design), -1) {
 		headings[m[1]] = true
 	}
-	docs := []string{"README.md", "ROADMAP.md"}
+	docs := []string{"README.md", "ROADMAP.md", verifySkill}
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if d != nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
 			return filepath.SkipDir
@@ -151,6 +151,10 @@ func TestDocsCiteDesignHeadings(t *testing.T) {
 		t.Fatal("no DESIGN.md section pointers found; the pattern matches nothing")
 	}
 }
+
+// verifySkill is the notes on building and driving the repository that
+// cite tests, -run patterns and DESIGN.md sections like the other docs.
+const verifySkill = ".claude/skills/verify/SKILL.md"
 
 // topLevelNames returns the package-level funcs, types, vars and consts
 // the files declare (methods excluded).

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -37,6 +38,27 @@ func phasesTestServer(t *testing.T) (*Server, *workload.Dataset) {
 	return s, d
 }
 
+// registerJob submits d to the server's shard and registers the job, with
+// phases asked for, as handleSubmit does, but starts no pump: the caller
+// starts it when the test is ready for it.
+func registerJob(t *testing.T, s *Server, d *workload.Dataset) (*jobState, *engine.Job) {
+	t.Helper()
+	arrived := s.clk.Now()
+	job, err := s.shards[0].Submit(context.Background(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.nextID++
+	js := newJobState(fmt.Sprintf("j%06d", s.nextID), "t", 0, func() {}, 0, len(d.Comparisons), s.cfg.WindowChunks, arrived)
+	js.phases = true
+	s.jobs[js.id] = js
+	s.tenantLocked(js.tenant).Live++
+	s.wg.Add(1)
+	return js, job
+}
+
 // TestPhasesWallCoversStreamDrain: the final record's Wall runs from the
 // request's arrival to the final record, also when the pump lags behind
 // the engine. The test holds the pump at its first update until the
@@ -47,19 +69,8 @@ func phasesTestServer(t *testing.T) (*Server, *workload.Dataset) {
 func TestPhasesWallCoversStreamDrain(t *testing.T) {
 	const hold = 20 * time.Millisecond
 	s, d := phasesTestServer(t)
-	arrived := s.clk.Now()
-	job, err := s.shards[0].Submit(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	js := newJobState("j000001", "t", 0, func() {}, 0, len(d.Comparisons), s.cfg.WindowChunks, arrived)
-	js.phases = true
+	js, job := registerJob(t, s, d)
 	js.mu.Lock() // the pump's first appendUpdate waits here
-	s.mu.Lock()
-	s.jobs[js.id] = js
-	s.tenantLocked(js.tenant).Live++
-	s.wg.Add(1)
-	s.mu.Unlock()
 	go s.pump(js, job)
 
 	if _, err := job.Wait(context.Background()); err != nil {
@@ -144,11 +155,17 @@ func TestFinalRecordPhasesOnRequest(t *testing.T) {
 // TestFirstWriteStampsTheFlush: under ?phases=1 the final record's
 // FirstWrite is the request's arrival to the first chunk line flushed to
 // a stream, so it is no earlier than the engine's first update (Decode +
-// FirstUpdate); a plain stream carries no phases, FirstWrite included. A
-// detached job's first chunk is flushed only when a stream reads it,
-// after the job settled: its final record is made again with the stamp,
-// which then lies past Wall. Each flushed job is observed once by the
-// first-chunk histogram.
+// FirstUpdate). On a streamed job it is also no later than Wall when the
+// flush comes before the final record. The service does not promise that
+// order (a pump that drains a small job before the writer flushes chunk 0
+// makes the record first), so the test makes it certain: it registers the
+// job as handleSubmit does, hands the job's first update to the window
+// itself, and starts the pump only once a stream has flushed that chunk.
+// A plain stream carries no phases, FirstWrite included. A detached job's
+// first chunk is flushed only when a stream reads it, after the job
+// settled: its final record is made again with the stamp, which then lies
+// past Wall. Each flushed job is observed once by the first-chunk
+// histogram.
 func TestFirstWriteStampsTheFlush(t *testing.T) {
 	s, d := phasesTestServer(t)
 	ts := httptest.NewServer(s.Handler())
@@ -184,7 +201,26 @@ func TestFirstWriteStampsTheFlush(t *testing.T) {
 		return resp
 	}
 
-	resp := post("?phases=1")
+	streamed, job := registerJob(t, s, d)
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + streamed.id + "/results?from=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed.appendUpdate(<-job.Results())
+	for timeout := time.After(10 * time.Second); ; {
+		streamed.mu.Lock()
+		written := streamed.written
+		streamed.mu.Unlock()
+		if written {
+			break
+		}
+		select {
+		case <-timeout:
+			t.Fatal("no stream flushed the first chunk")
+		case <-time.After(100 * time.Microsecond):
+		}
+	}
+	go s.pump(streamed, job)
 	p := final(lastLine(resp.Body)).Phases
 	resp.Body.Close()
 	if p.FirstWrite <= 0 || p.FirstWrite < p.Decode+p.FirstUpdate || p.FirstWrite > p.Wall {
