@@ -19,28 +19,7 @@ import (
 // TestServiceRetention*, the skill and the workflow select by -run
 // pattern). A renamed or deleted test must take its citations with it.
 func TestDocsCiteExistingTests(t *testing.T) {
-	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
-	var funcs []string
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if d != nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
-			return filepath.SkipDir // build outputs (.bench_build), not the tree
-		}
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
-			return err
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		for _, m := range decl.FindAllSubmatch(src, -1) {
-			funcs = append(funcs, string(m[1]))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	funcs := declaredTests(t)
 	cited := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z]\w*`)
 	names := 0
 	for _, doc := range []string{"DESIGN.md", "README.md", "benchmark/README.md", ".github/workflows/ci.yml", verifySkill} {
@@ -56,7 +35,7 @@ func TestDocsCiteExistingTests(t *testing.T) {
 			seen[name] = true
 			names++
 			found := false
-			for _, f := range funcs {
+			for f := range funcs {
 				if strings.HasPrefix(f, name) {
 					found = true
 					break
@@ -150,6 +129,34 @@ func TestDocsCiteDesignHeadings(t *testing.T) {
 	if pointers == 0 {
 		t.Fatal("no DESIGN.md section pointers found; the pattern matches nothing")
 	}
+}
+
+// declaredTests maps each Test*, Fuzz* and Benchmark* function declared
+// in a _test.go file of the tree to the directories that declare it.
+func declaredTests(t *testing.T) map[string][]string {
+	t.Helper()
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+	funcs := map[string][]string{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if d != nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir // build outputs (.bench_build), not the tree
+		}
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			funcs[string(m[1])] = append(funcs[string(m[1])], filepath.Dir(path))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return funcs
 }
 
 // verifySkill is the notes on building and driving the repository that

@@ -70,17 +70,7 @@ func TestOptimizedVariantsMatchReference(t *testing.T) {
 		if trial%11 == 0 {
 			vs = randDNA(rng, 1+rng.Intn(150)) // unrelated pair
 		}
-		var hv, vv View
-		switch trial % 4 {
-		case 0:
-			hv, vv = NewView(hs), NewView(vs)
-		case 1:
-			hv, vv = NewReversedView(hs), NewReversedView(vs)
-		case 2: // mixed directions: no staged operand copy, or two
-			hv, vv = NewView(hs), NewReversedView(vs)
-		default:
-			hv, vv = NewReversedView(hs), NewView(vs)
-		}
+		hv, vv := trialViews(trial, hs, vs)
 
 		ref := oracleResult(hv, vv, p)
 		for _, algo := range []Algo{AlgoStandard3, AlgoRestricted2} {
@@ -101,6 +91,20 @@ func TestOptimizedVariantsMatchReference(t *testing.T) {
 	}
 }
 
+// trialViews views hs and vs in the directions trial picks: both forward,
+// both reversed, or mixed (no staged operand copy, or two).
+func trialViews(trial int, hs, vs []byte) (View, View) {
+	switch trial % 4 {
+	case 0:
+		return NewView(hs), NewView(vs)
+	case 1:
+		return NewReversedView(hs), NewReversedView(vs)
+	case 2:
+		return NewView(hs), NewReversedView(vs)
+	}
+	return NewReversedView(hs), NewView(vs)
+}
+
 // TestAffineZeroOpenMatchesReference pins the affine kernel to the
 // linear-gap oracle in the regime where the two recurrences coincide:
 // with GapOpen = 0, E and F reduce to plain gap extensions of H, and a
@@ -112,17 +116,7 @@ func TestAffineZeroOpenMatchesReference(t *testing.T) {
 		hs := randDNA(rng, 1+rng.Intn(150))
 		vs := mutate(rng, hs, []float64{0, 0.1, 0.3, 0.8}[trial%4])
 		p := Params{Scorer: scoring.DNADefault, Gap: -1, X: []int{0, 3, 9, 25, 1 << 18}[trial%5]}
-		var hv, vv View
-		switch trial % 4 {
-		case 0:
-			hv, vv = NewView(hs), NewView(vs)
-		case 1:
-			hv, vv = NewReversedView(hs), NewReversedView(vs)
-		case 2: // mixed directions: no staged operand copy, or two
-			hv, vv = NewView(hs), NewReversedView(vs)
-		default:
-			hv, vv = NewReversedView(hs), NewView(vs)
-		}
+		hv, vv := trialViews(trial, hs, vs)
 		ref := oracleResult(hv, vv, p)
 		pp := p
 		pp.Algo = AlgoAffine // GapOpen stays 0

@@ -78,18 +78,32 @@ func benchPairs(seed int64, count, minLen, maxLen int, errs synth.MutationProfil
 func benchKernelPairs(b *testing.B, pairs [][2]View, run func(ws *Workspace, h, v View) Result) {
 	b.Helper()
 	var ws Workspace
-	for _, pr := range pairs {
-		run(&ws, pr[0], pr[1])
-	}
+	benchPasses(b, len(pairs), func(empty bool) (cells, antid int64) {
+		for _, pr := range pairs {
+			h, v := pr[0], pr[1]
+			if empty {
+				h, v = View{rev: h.rev}, View{rev: v.rev}
+			}
+			r := run(&ws, h, v)
+			cells += r.Stats.Cells
+			antid += int64(r.Stats.Antidiagonals)
+		}
+		return cells, antid
+	})
+}
+
+// benchPasses times pass, which runs a benchmark's n extensions once (of
+// empty operands when asked) and returns their cells and antidiagonals,
+// after one warm pass, and reports what benchKernelPairs reports.
+func benchPasses(b *testing.B, n int, pass func(empty bool) (cells, antid int64)) {
+	b.Helper()
+	pass(false)
 	var cells, antid int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, pr := range pairs {
-			r := run(&ws, pr[0], pr[1])
-			cells += r.Stats.Cells
-			antid += int64(r.Stats.Antidiagonals)
-		}
+		c, a := pass(false)
+		cells, antid = cells+c, antid+a
 	}
 	b.ReportMetric(float64(cells)/b.Elapsed().Seconds()/1e6, "Mcells/s")
 	b.ReportMetric(float64(cells)/float64(antid), "band")
@@ -99,11 +113,9 @@ func benchKernelPairs(b *testing.B, pairs [][2]View, run func(ws *Workspace, h, 
 	const emptyRounds = 64
 	start := time.Now()
 	for i := 0; i < emptyRounds; i++ {
-		for _, pr := range pairs {
-			run(&ws, View{rev: pr[0].rev}, View{rev: pr[1].rev})
-		}
+		pass(true)
 	}
-	b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(emptyRounds*len(pairs)), "ns/ext")
+	b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(emptyRounds*n), "ns/ext")
 }
 
 // benchSides turns pairs into the sides of one queue: a pair of reversed
@@ -133,28 +145,18 @@ func benchKernelBatch(b *testing.B, pairs [][2]View, p Params) {
 	}
 	out := make([]Result, len(sides))
 	var ws Workspace
-	ws.ExtendBatch(&p, sides, out)
-	var cells, antid int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	benchPasses(b, len(sides), func(noOperands bool) (cells, antid int64) {
+		if noOperands {
+			ws.ExtendBatch(&p, empty, out)
+			return 0, 0
+		}
 		ws.ExtendBatch(&p, sides, out)
 		for _, r := range out {
 			cells += r.Stats.Cells
 			antid += int64(r.Stats.Antidiagonals)
 		}
-	}
-	b.ReportMetric(float64(cells)/b.Elapsed().Seconds()/1e6, "Mcells/s")
-	b.ReportMetric(float64(cells)/float64(antid), "band")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(antid), "ns/row")
-
-	b.StopTimer()
-	const emptyRounds = 64
-	start := time.Now()
-	for i := 0; i < emptyRounds; i++ {
-		ws.ExtendBatch(&p, empty, out)
-	}
-	b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(emptyRounds*len(empty)), "ns/ext")
+		return cells, antid
+	})
 }
 
 // benchKernelWorkload runs the linear variants over one workload profile's

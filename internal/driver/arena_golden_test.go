@@ -130,10 +130,7 @@ func TestArenaPathMatchesReferenceOracle(t *testing.T) {
 	d := synth.UniformPairs(synth.UniformPairsSpec{
 		Count: 8, Length: 220, ErrorRate: 0.12, SeedLen: 13, Seed: 404})
 	p := core.Params{Scorer: scoring.DNADefault, Gap: -1, X: 12}
-	rep, err := Run(d, Config{IPUs: 1, Partition: true, Kernel: ipukernel.Config{Params: p}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := mustRun(t, d, Config{IPUs: 1, Partition: true, Kernel: ipukernel.Config{Params: p}})
 	for ci, c := range d.Comparisons {
 		want := oracle.Seed(d.Seq(c.H), d.Seq(c.V), c.SeedH, c.SeedV, c.SeedLen, p.Scorer.Table(), p.Gap, p.X)
 		got := rep.Results[ci]

@@ -1,7 +1,6 @@
 package driver
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -67,16 +66,10 @@ func TestDedupModeledWorkDrops(t *testing.T) {
 	d := duplicated(ds["reads"], 4)
 	cfg := goldenConfigs()["reads-partition"].cfg
 
-	off, err := Run(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	off := mustRun(t, d, cfg)
 	cfgOn := cfg
 	cfgOn.DedupExtensions = true
-	on, err := Run(d, cfgOn)
-	if err != nil {
-		t.Fatal(err)
-	}
+	on := mustRun(t, d, cfgOn)
 	if on.TheoreticalCells*4 != off.TheoreticalCells {
 		t.Errorf("executed theoretical cells %d, want a quarter of %d", on.TheoreticalCells, off.TheoreticalCells)
 	}
@@ -157,10 +150,7 @@ func TestKernelSkippedWorkAccounting(t *testing.T) {
 	cfg := goldenConfigs()["uniform-nopart"].cfg
 	cfg.DedupExtensions = true
 
-	bp, err := BuildBatches(context.Background(), d, cfg.Normalized())
-	if err != nil {
-		t.Fatal(err)
-	}
+	bp := mustPlan(t, d, cfg.Normalized())
 	dev := bp.NewDevice()
 	var skippedJobs int
 	var skippedCells int64
@@ -219,18 +209,12 @@ func TestResultCacheDriverPath(t *testing.T) {
 	d := duplicated(ds["uniform"], 2)
 	base := goldenConfigs()["uniform-nopart"].cfg
 
-	plain, err := Run(d, base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := mustRun(t, d, base)
 
 	cache := newMapCache()
 	cfg := base
 	cfg.Cache = cache // implies dedup
-	cold, err := Run(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := mustRun(t, d, cfg)
 	sameResults(t, "cold", cold.Results, plain.Results)
 	if cold.CacheHits != 0 || cold.CacheMisses != cold.UniqueExtensions {
 		t.Errorf("cold run: hits %d misses %d (unique %d)", cold.CacheHits, cold.CacheMisses, cold.UniqueExtensions)
@@ -239,10 +223,7 @@ func TestResultCacheDriverPath(t *testing.T) {
 		t.Errorf("cold run put %d entries, want %d", cache.puts, cold.UniqueExtensions)
 	}
 
-	warm, err := Run(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := mustRun(t, d, cfg)
 	sameResults(t, "warm", warm.Results, plain.Results)
 	if warm.Batches != 0 {
 		t.Errorf("warm run executed %d batches, want 0", warm.Batches)
@@ -263,15 +244,9 @@ func TestResultCacheDriverPath(t *testing.T) {
 	// warmed entries and produces that configuration's own results.
 	cfgX := cfg
 	cfgX.Kernel.Params.X = cfg.Kernel.Params.X + 20
-	plainX, err := Run(d, goldenConfigsWithX(base, cfgX.Kernel.Params.X))
-	if err != nil {
-		t.Fatal(err)
-	}
+	plainX := mustRun(t, d, goldenConfigsWithX(base, cfgX.Kernel.Params.X))
 	hitsBefore := cache.hits
-	crossed, err := Run(d, cfgX)
-	if err != nil {
-		t.Fatal(err)
-	}
+	crossed := mustRun(t, d, cfgX)
 	if cache.hits != hitsBefore {
 		t.Errorf("cache served entries across kernel configurations (%d extra hits)", cache.hits-hitsBefore)
 	}

@@ -47,14 +47,32 @@ func readsData(t *testing.T, seed int64, maxCmp int) *workload.Dataset {
 	return d
 }
 
+// mustRun is Run's report of d under cfg, failing the test on an error.
+func mustRun(t testing.TB, d *workload.Dataset, cfg Config) *Report {
+	t.Helper()
+	rep, err := Run(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// mustPlan is BuildBatches' plan of d under cfg, failing the test on an
+// error.
+func mustPlan(t testing.TB, d *workload.Dataset, cfg Config) *BatchPlan {
+	t.Helper()
+	bp, err := BuildBatches(context.Background(), d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bp
+}
+
 func TestMoreIPUsNeverSlower(t *testing.T) {
 	d := readsData(t, 2, 120)
 	var prev float64
 	for i, n := range []int{1, 2, 4, 8} {
-		rep, err := Run(d, testCfg(n, true))
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := mustRun(t, d, testCfg(n, true))
 		if i > 0 && rep.WallSeconds > prev*1.001 {
 			t.Errorf("%d IPUs slower than fewer: %g > %g", n, rep.WallSeconds, prev)
 		}
@@ -64,14 +82,8 @@ func TestMoreIPUsNeverSlower(t *testing.T) {
 
 func TestPartitioningReducesTraffic(t *testing.T) {
 	d := readsData(t, 3, 150)
-	single, err := Run(d, testCfg(4, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi, err := Run(d, testCfg(4, true))
-	if err != nil {
-		t.Fatal(err)
-	}
+	single := mustRun(t, d, testCfg(4, false))
+	multi := mustRun(t, d, testCfg(4, true))
 	if multi.HostBytesIn >= single.HostBytesIn {
 		t.Errorf("partitioning did not cut traffic: %d -> %d", single.HostBytesIn, multi.HostBytesIn)
 	}
@@ -93,14 +105,8 @@ func TestDeviceComputeIndependentOfIPUCount(t *testing.T) {
 	// Total on-device compute is a property of the workload, not of how
 	// many devices share it.
 	d := readsData(t, 4, 60)
-	r1, err := Run(d, testCfg(1, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r4, err := Run(d, testCfg(4, true))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := mustRun(t, d, testCfg(1, true))
+	r4 := mustRun(t, d, testCfg(4, true))
 	if r1.DeviceComputeSeconds != r4.DeviceComputeSeconds {
 		t.Errorf("device compute changed with IPU count: %g vs %g",
 			r1.DeviceComputeSeconds, r4.DeviceComputeSeconds)
@@ -109,10 +115,7 @@ func TestDeviceComputeIndependentOfIPUCount(t *testing.T) {
 
 func TestGCUPSAndMeanBand(t *testing.T) {
 	d := readsData(t, 6, 30)
-	rep, err := Run(d, testCfg(1, true))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := mustRun(t, d, testCfg(1, true))
 	if g := rep.GCUPS(rep.DeviceComputeSeconds); g <= 0 {
 		t.Errorf("GCUPS = %f", g)
 	}
@@ -126,10 +129,7 @@ func TestGCUPSAndMeanBand(t *testing.T) {
 
 func TestEmptyDataset(t *testing.T) {
 	d := workload.MustPack("empty", nil, nil, false)
-	rep, err := Run(d, testCfg(1, true))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := mustRun(t, d, testCfg(1, true))
 	if rep.Batches != 0 || rep.WallSeconds != 0 {
 		t.Errorf("empty dataset produced work: %+v", rep)
 	}
@@ -139,10 +139,7 @@ func TestDefaultsApplied(t *testing.T) {
 	d := readsData(t, 7, 10)
 	cfg := testCfg(0, true) // IPUs=0 → 1
 	cfg.Model = platform.IPUModel{}
-	rep, err := Run(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := mustRun(t, d, cfg)
 	if len(rep.Results) != len(d.Comparisons) {
 		t.Error("defaults run failed")
 	}

@@ -98,19 +98,13 @@ func TestExecBatchAttemptInjects(t *testing.T) {
 	cfg := testCfg(1, true)
 	cfg.MaxBatchJobs = 4
 
-	clean, err := BuildBatches(context.Background(), d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	clean := mustPlan(t, d, cfg)
 	// Transient on attempt 0 everywhere, never after: rate 1 would fail
 	// every attempt, so pick the schedule by hand via a full-rate plan
 	// and assert attempt-dependence with Kind instead.
 	plan := NewFaultPlan(5, FaultSpec{TransientRate: 1})
 	cfg.Faults = plan
-	faulty, err := BuildBatches(context.Background(), d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	faulty := mustPlan(t, d, cfg)
 	dev := faulty.NewDevice()
 	kcfg := faulty.KernelConfig(1)
 	for i := 0; i < faulty.Batches(); i++ {
@@ -155,10 +149,7 @@ func TestFailedBatchResult(t *testing.T) {
 	d := readsData(t, 22, 12)
 	cfg := testCfg(1, true)
 	cfg.MaxBatchJobs = 3
-	bp, err := BuildBatches(context.Background(), d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bp := mustPlan(t, d, cfg)
 	dev := bp.NewDevice()
 	kcfg := bp.KernelConfig(1)
 	for i := 0; i < bp.Batches(); i++ {
@@ -198,10 +189,7 @@ func TestAssemblePlanPartialFailures(t *testing.T) {
 		if dedup {
 			cfg.Cache = cache
 		}
-		bp, err := BuildBatches(context.Background(), d, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		bp := mustPlan(t, d, cfg)
 		if bp.Batches() < 2 {
 			t.Fatalf("want several batches, got %d", bp.Batches())
 		}
@@ -209,6 +197,7 @@ func TestAssemblePlanPartialFailures(t *testing.T) {
 		kcfg := bp.KernelConfig(1)
 		outs := make([]*ipukernel.BatchResult, bp.Batches())
 		for i := range outs {
+			var err error
 			if outs[i], err = bp.ExecBatch(dev, i, kcfg); err != nil {
 				t.Fatal(err)
 			}

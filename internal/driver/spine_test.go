@@ -8,7 +8,6 @@
 package driver
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -78,10 +77,7 @@ func TestArenaSpineMultiSlabBitIdentical(t *testing.T) {
 func TestArenaSpineSpillExecution(t *testing.T) {
 	ds := goldenDatasets(t)
 	tc := goldenConfigs()["reads-partition"]
-	want, err := Run(ds[tc.dataset], tc.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := mustRun(t, ds[tc.dataset], tc.cfg)
 
 	rd, arena := repackSpine(t, ds[tc.dataset], 1<<13)
 	arena.EnableSpill(t.TempDir())
@@ -93,10 +89,7 @@ func TestArenaSpineSpillExecution(t *testing.T) {
 		t.Fatalf("fixture not fully spilled: %+v", st)
 	}
 
-	rep, err := Run(rd, tc.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := mustRun(t, rd, tc.cfg)
 	if got := reportFingerprint(rep); got != reportFingerprint(want) {
 		t.Errorf("spilled-spine report %s differs from resident %s", got, reportFingerprint(want))
 	}
@@ -152,10 +145,7 @@ func TestArenaSpineSpilledDedupPlanning(t *testing.T) {
 
 	cfg := goldenConfigs()["reads-partition"].cfg
 	cfg.DedupExtensions = true
-	bp, err := BuildBatches(context.Background(), d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bp := mustPlan(t, d, cfg)
 	if bp.dedup == nil || bp.dedup.Duplicates() != 1 {
 		t.Fatalf("dedup sub-plan path did not run: %+v", bp.dedup)
 	}
@@ -210,14 +200,8 @@ func TestArenaSpineSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want, err := Run(single, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Run(multi, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := mustRun(t, single, cfg)
+	got := mustRun(t, multi, cfg)
 	if a, b := reportFingerprint(want), reportFingerprint(got); a != b {
 		t.Fatalf("smoke: multi-slab spilled report %s differs from single-slab %s", b, a)
 	}

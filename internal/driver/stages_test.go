@@ -24,10 +24,7 @@ func TestStagedExecutionMatchesNewPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bp, err := BuildBatches(context.Background(), d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bp := mustPlan(t, d, cfg)
 	if bp.Batches() < 2 {
 		t.Fatalf("want several batches, got %d", bp.Batches())
 	}
@@ -58,10 +55,7 @@ func TestStagedExecutionMatchesNewPlan(t *testing.T) {
 // bounds.
 func TestAssemblePlanUnknownComparison(t *testing.T) {
 	d := readsData(t, 12, 8)
-	bp, err := BuildBatches(context.Background(), d, testCfg(1, true))
-	if err != nil {
-		t.Fatal(err)
-	}
+	bp := mustPlan(t, d, testCfg(1, true))
 	outs := make([]*ipukernel.BatchResult, bp.Batches())
 	for i := range outs {
 		outs[i] = &ipukernel.BatchResult{}
@@ -69,7 +63,7 @@ func TestAssemblePlanUnknownComparison(t *testing.T) {
 	outs[0] = &ipukernel.BatchResult{
 		Out: []ipukernel.AlignOut{{GlobalID: len(d.Comparisons) + 5}},
 	}
-	_, err = AssemblePlan(bp, outs)
+	_, err := AssemblePlan(bp, outs)
 	if err == nil || !strings.Contains(err.Error(), "unknown comparison") {
 		t.Fatalf("AssemblePlan = %v, want unknown-comparison error", err)
 	}
@@ -84,10 +78,7 @@ func TestAssemblePlanUnknownComparison(t *testing.T) {
 // are caught.
 func TestAssemblePlanShapeErrors(t *testing.T) {
 	d := readsData(t, 12, 8)
-	bp, err := BuildBatches(context.Background(), d, testCfg(1, true))
-	if err != nil {
-		t.Fatal(err)
-	}
+	bp := mustPlan(t, d, testCfg(1, true))
 	if _, err := AssemblePlan(bp, nil); err == nil {
 		t.Fatal("mismatched result count accepted")
 	}

@@ -32,10 +32,7 @@ func shortReadsData(t *testing.T, seed int64, maxCmp int) *workload.Dataset {
 // comparison scores, for deriving percentile gate cutoffs.
 func traceScores(t *testing.T, d *workload.Dataset, cfg Config) []int {
 	t.Helper()
-	rep, err := Run(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := mustRun(t, d, cfg)
 	scores := make([]int, len(rep.Results))
 	for i, r := range rep.Results {
 		scores[i] = r.Score
@@ -117,34 +114,22 @@ func TestTraceGateCacheComposition(t *testing.T) {
 	base.Traceback = true
 	base.Cache = cache
 
-	u1, err := Run(d, base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	u1 := mustRun(t, d, base)
 	if u1.CacheHits != 0 {
 		t.Fatalf("cold ungated run hit the cache %d times", u1.CacheHits)
 	}
-	u2, err := Run(d, base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	u2 := mustRun(t, d, base)
 	if u2.CacheHits == 0 {
 		t.Fatal("warm ungated rerun had no cache hits")
 	}
 
 	gated := base
 	gated.Kernel.TraceMinScore = cut
-	g1, err := Run(d, gated)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g1 := mustRun(t, d, gated)
 	if g1.CacheHits != 0 {
 		t.Fatalf("gated run shared %d entries with the ungated fill", g1.CacheHits)
 	}
-	g2, err := Run(d, gated)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g2 := mustRun(t, d, gated)
 	if g2.CacheHits == 0 {
 		t.Fatal("warm gated rerun had no cache hits")
 	}
@@ -326,10 +311,7 @@ func TestTraceTooLargeDegradesSingleComparison(t *testing.T) {
 			// With the cap restored and the same warm cache, the big
 			// comparison must come back real — proving its Failed
 			// placeholder was never cached.
-			rep2, err := Run(d, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rep2 := mustRun(t, d, cfg)
 			if rep2.PartialFailures != 0 {
 				t.Fatalf("uncapped rerun still degraded: %d", rep2.PartialFailures)
 			}

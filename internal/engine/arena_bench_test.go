@@ -17,26 +17,36 @@ import (
 // dataset, so a submission carries spans and the pool bytes are resident
 // once. allocs/op and B/op are per job.
 func benchmarkSubmit(b *testing.B, submitters int) {
-	d := synth.UniformPairs(synth.UniformPairsSpec{
-		Count: 12, Length: 500, ErrorRate: 0.15, SeedLen: 17, Seed: 77})
+	benchmarkJobs(b, submitPairs(), submitters, false)
+}
 
-	cfg := driver.Config{IPUs: 1, Partition: true, Kernel: ipukernel.Config{
+// submitPairs is the submit benchmarks' dataset: 12 uniform pairs.
+func submitPairs() *workload.Dataset {
+	return synth.UniformPairs(synth.UniformPairsSpec{
+		Count: 12, Length: 500, ErrorRate: 0.15, SeedLen: 17, Seed: 77})
+}
+
+// benchmarkJobs submits d b.N times from submitters goroutines to one
+// engine, warmed by a first job outside the measurement (device pools,
+// executors), with extension dedup as given.
+func benchmarkJobs(b *testing.B, d *workload.Dataset, submitters int, dedup bool, opts ...Option) {
+	cfg := driver.Config{IPUs: 1, Partition: true, DedupExtensions: dedup, Kernel: ipukernel.Config{
 		Params: core.Params{Scorer: scoring.DNADefault, Gap: -1, X: 10, DeltaB: 128}}}
-	eng := New(WithDriverConfig(cfg), WithQueueDepth(max(submitters, DefaultQueueDepth)))
+	eng := New(append([]Option{WithDriverConfig(cfg),
+		WithQueueDepth(max(submitters, DefaultQueueDepth))}, opts...)...)
 	defer eng.Close()
 
-	// Warm the engine (device pools, executors) outside the measurement.
 	if j, err := eng.Submit(context.Background(), d); err != nil {
 		b.Fatal(err)
 	} else if _, err := j.Wait(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 
-	jobs := make(chan *workload.Dataset, submitters)
+	jobs := make(chan struct{}, submitters)
 	done := make(chan error, submitters)
 	for w := 0; w < submitters; w++ {
 		go func() {
-			for d := range jobs {
+			for range jobs {
 				j, err := eng.Submit(context.Background(), d)
 				if err == nil {
 					_, err = j.Wait(context.Background())
@@ -50,7 +60,7 @@ func benchmarkSubmit(b *testing.B, submitters int) {
 	b.ResetTimer()
 	go func() {
 		for i := 0; i < b.N; i++ {
-			jobs <- d
+			jobs <- struct{}{}
 		}
 		close(jobs)
 	}()

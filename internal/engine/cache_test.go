@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"math/bits"
 	"reflect"
 	"testing"
@@ -56,27 +55,15 @@ func TestEngineResultCacheCrossJob(t *testing.T) {
 	eng := New(WithDriverConfig(cacheTestConfig()), WithResultCache(1<<12))
 	defer eng.Close()
 
-	j1, err := eng.Submit(context.Background(), d1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep1, err := j1.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	j1 := submit(t, eng, d1)
+	rep1 := wait(t, j1)
 	st1 := eng.Stats()
 	if st1.CacheHits != 0 || st1.CacheMisses == 0 {
 		t.Fatalf("cold job: hits %d misses %d", st1.CacheHits, st1.CacheMisses)
 	}
 
-	j2, err := eng.Submit(context.Background(), d2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep2, err := j2.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	j2 := submit(t, eng, d2)
+	rep2 := wait(t, j2)
 	st2 := eng.Stats()
 
 	for i := range want.Results {
@@ -125,14 +112,8 @@ func TestResultCacheKeepsCollidingSequencesApart(t *testing.T) {
 	defer eng.Close()
 	var reps []*driver.Report
 	for _, d := range []*workload.Dataset{xx, yx} {
-		j, err := eng.Submit(context.Background(), d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := j.Wait(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
+		j := submit(t, eng, d)
+		rep := wait(t, j)
 		reps = append(reps, rep)
 	}
 	if reps[0].Results[0].Score == want.Results[0].Score {
@@ -323,28 +304,16 @@ func TestCacheServesAcrossSchedules(t *testing.T) {
 	racy.Cache, static.Cache = cache, cache
 	warm := New(WithDriverConfig(racy))
 	defer warm.Close()
-	j, err := warm.Submit(context.Background(), clone(t, d))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := j.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := submit(t, warm, clone(t, d))
+	cold := wait(t, j)
 	if cold.Races == 0 {
 		t.Fatal("warming run raced no steals")
 	}
 
 	served := New(WithDriverConfig(static))
 	defer served.Close()
-	j, err = served.Submit(context.Background(), clone(t, d))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := j.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	j = submit(t, served, clone(t, d))
+	got := wait(t, j)
 	if got.CacheHits != len(d.Comparisons) {
 		t.Fatalf("cache hits %d, want all %d comparisons", got.CacheHits, len(d.Comparisons))
 	}
@@ -367,10 +336,7 @@ func TestStreamingPerComparisonUnderDedup(t *testing.T) {
 
 	collect := func(warm bool) map[int]ipukernel.AlignOut {
 		t.Helper()
-		job, err := eng.Submit(context.Background(), dup)
-		if err != nil {
-			t.Fatal(err)
-		}
+		job := submit(t, eng, dup)
 		got := make(map[int]ipukernel.AlignOut)
 		for u := range job.Results() {
 			if u.Batch == -1 && !warm && len(got) > 0 {
@@ -386,10 +352,7 @@ func TestStreamingPerComparisonUnderDedup(t *testing.T) {
 				got[o.GlobalID] = o
 			}
 		}
-		rep, err := job.Wait(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := wait(t, job)
 		if len(got) != len(dup.Comparisons) {
 			t.Fatalf("streamed %d comparisons, submitted %d", len(got), len(dup.Comparisons))
 		}
@@ -417,49 +380,7 @@ func TestStreamingPerComparisonUnderDedup(t *testing.T) {
 // workload (each comparison planned 4×) under three engine modes; the
 // dedup and cache rows should run ≥ 2× the jobs/s of the off row.
 func benchmarkSubmitDedup(b *testing.B, submitters int, dedup bool, opts ...Option) {
-	base := synth.UniformPairs(synth.UniformPairsSpec{
-		Count: 12, Length: 500, ErrorRate: 0.15, SeedLen: 17, Seed: 77})
-	dup := dupDataset(base, 4)
-
-	cfg := driver.Config{IPUs: 1, Partition: true, DedupExtensions: dedup, Kernel: ipukernel.Config{
-		Params: core.Params{Scorer: scoring.DNADefault, Gap: -1, X: 10, DeltaB: 128}}}
-	eng := New(append([]Option{WithDriverConfig(cfg),
-		WithQueueDepth(max(submitters, DefaultQueueDepth))}, opts...)...)
-	defer eng.Close()
-
-	if j, err := eng.Submit(context.Background(), dup); err != nil {
-		b.Fatal(err)
-	} else if _, err := j.Wait(context.Background()); err != nil {
-		b.Fatal(err)
-	}
-
-	jobs := make(chan struct{}, submitters)
-	done := make(chan error, submitters)
-	for w := 0; w < submitters; w++ {
-		go func() {
-			for range jobs {
-				j, err := eng.Submit(context.Background(), dup)
-				if err == nil {
-					_, err = j.Wait(context.Background())
-				}
-				done <- err
-			}
-		}()
-	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	go func() {
-		for i := 0; i < b.N; i++ {
-			jobs <- struct{}{}
-		}
-		close(jobs)
-	}()
-	for i := 0; i < b.N; i++ {
-		if err := <-done; err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchmarkJobs(b, dupDataset(submitPairs(), 4), submitters, dedup, opts...)
 }
 
 func BenchmarkSubmitDedupOff1(b *testing.B) { benchmarkSubmitDedup(b, 1, false) }
@@ -489,13 +410,7 @@ func TestSubmitDedupThroughputGain(t *testing.T) {
 		defer eng.Close()
 		var rep *driver.Report
 		for i := 0; i < 2; i++ { // second submission warms the cache mode
-			j, err := eng.Submit(context.Background(), dup)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep, err = j.Wait(context.Background()); err != nil {
-				t.Fatal(err)
-			}
+			rep = wait(t, submit(t, eng, dup))
 		}
 		return rep
 	}
@@ -544,13 +459,7 @@ func TestEngineOptionOrderIrrelevant(t *testing.T) {
 		cfgs = append(cfgs, cfg)
 		var rep *driver.Report
 		for i := 0; i < 2; i++ {
-			j, err := eng.Submit(context.Background(), clone(t, d))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep, err = j.Wait(context.Background()); err != nil {
-				t.Fatal(err)
-			}
+			rep = wait(t, submit(t, eng, clone(t, d)))
 		}
 		eng.Close()
 		if rep.CacheHits != rep.UniqueExtensions || rep.Batches != 0 {

@@ -51,10 +51,7 @@ func leadingCachedUpdates(t *testing.T, job *Job, n int) (updates, results int) 
 		// are already queued over the same array, and must not see it.
 		_ = append(u.Results, u.Results[0])
 	}
-	rep, err := job.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := wait(t, job)
 	if len(rep.Results) != n {
 		t.Fatalf("report carries %d results, want %d", len(rep.Results), n)
 	}
@@ -86,20 +83,11 @@ func TestCacheServedStreamIsChunked(t *testing.T) {
 
 	eng := New(WithDriverConfig(cacheTestConfig()), WithResultCache(1<<12))
 	defer eng.Close()
-	cold, err := eng.Submit(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := cold.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := submit(t, eng, d)
+	want := wait(t, cold)
 
 	for _, when := range []string{"before build", "after build", "after settlement"} {
-		job, err := eng.Submit(context.Background(), d)
-		if err != nil {
-			t.Fatal(err)
-		}
+		job := submit(t, eng, d)
 		switch when {
 		case "after build":
 			<-job.built
@@ -131,18 +119,10 @@ func TestMixedJobLeadsWithCachedChunks(t *testing.T) {
 	const warmed = 600
 	eng := New(WithDriverConfig(cacheTestConfig()), WithResultCache(1<<12))
 	defer eng.Close()
-	warm, err := eng.Submit(context.Background(), d.WithComparisons(d.Comparisons[:warmed]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := warm.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	warm := submit(t, eng, d.WithComparisons(d.Comparisons[:warmed]))
+	wait(t, warm)
 
-	job, err := eng.Submit(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submit(t, eng, d)
 	updates, results := leadingCachedUpdates(t, job, len(d.Comparisons))
 	if results != warmed || updates != (warmed+cachedChunkResults-1)/cachedChunkResults {
 		t.Errorf("%d results over %d cache-served updates, want %d over %d",

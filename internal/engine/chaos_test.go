@@ -90,10 +90,7 @@ func TestChaosMatrix(t *testing.T) {
 			cfg.MaxBatchJobs = 4
 			cfg.DedupExtensions = tc.dedup
 			cfg.Traceback = tc.traceback
-			want, err := driver.Run(d, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := runRef(t, d, cfg)
 			plan := driver.NewFaultPlan(int64(1000+i), driver.FaultSpec{
 				TransientRate:  0.25,
 				StragglerRate:  0.10,
@@ -113,14 +110,8 @@ func TestChaosMatrix(t *testing.T) {
 				jobs = 2 // the second submission re-runs warm through the cache
 			}
 			for k := 0; k < jobs; k++ {
-				job, err := e.Submit(context.Background(), d)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := job.Wait(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
+				job := submit(t, e, d)
+				got := wait(t, job)
 				if tc.cache {
 					// A cache changes the report's hit/miss bookkeeping
 					// (and a warm job's batch count) by design; the
@@ -181,10 +172,7 @@ func TestChaosPermanentFallback(t *testing.T) {
 	d := readsData(t, 32, 30)
 	cfg := testCfg(2)
 	cfg.MaxBatchJobs = 3
-	want, err := driver.Run(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runRef(t, d, cfg)
 	nb := probePlan(t, d, cfg).Batches()
 	plan := driver.NewFaultPlan(6, driver.FaultSpec{PermanentRate: 0.4, TransientRate: 0.2})
 	wantTr, wantPm, _ := predictFaults(plan, nb)
@@ -195,14 +183,8 @@ func TestChaosPermanentFallback(t *testing.T) {
 		WithRetry(12, 0), WithRetryBackoff(200*time.Microsecond, 2*time.Millisecond),
 		WithDegradedMode(DegradeFallback))
 	defer e.Close()
-	job, err := e.Submit(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := job.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submit(t, e, d)
+	got := wait(t, job)
 	reportsEqual(t, "permanent fallback", got, want)
 	if got.PartialFailures != 0 {
 		t.Fatalf("PartialFailures = %d under fallback, want 0", got.PartialFailures)
@@ -228,10 +210,7 @@ func TestChaosPermanentPartial(t *testing.T) {
 	d := readsData(t, 32, 30)
 	cfg := testCfg(2)
 	cfg.MaxBatchJobs = 3
-	want, err := driver.Run(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runRef(t, d, cfg)
 	probe := probePlan(t, d, cfg)
 	nb := probe.Batches()
 	plan := driver.NewFaultPlan(6, driver.FaultSpec{PermanentRate: 0.4, TransientRate: 0.2})
@@ -248,10 +227,7 @@ func TestChaosPermanentPartial(t *testing.T) {
 		WithRetry(12, 0), WithRetryBackoff(200*time.Microsecond, 2*time.Millisecond),
 		WithDegradedMode(DegradePartial))
 	defer e.Close()
-	job, err := e.Submit(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submit(t, e, d)
 	// Stream and report must agree on which comparisons failed.
 	streamFailed := 0
 	streamed := 0
@@ -263,10 +239,7 @@ func TestChaosPermanentPartial(t *testing.T) {
 			}
 		}
 	}
-	got, err := job.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := wait(t, job)
 	if got.PartialFailures != wantFailed {
 		t.Fatalf("PartialFailures = %d, want %d", got.PartialFailures, wantFailed)
 	}
@@ -301,11 +274,8 @@ func TestRetryBudgetExhaustedFailsJob(t *testing.T) {
 	e := New(WithDriverConfig(withFaults(testCfg(1), plan)), WithExecutors(2),
 		WithRetry(10, 2), WithRetryBackoff(100*time.Microsecond, time.Millisecond))
 	defer e.Close()
-	job, err := e.Submit(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = job.Wait(context.Background())
+	job := submit(t, e, d)
+	_, err := job.Wait(context.Background())
 	var fe *driver.FaultError
 	if !errors.As(err, &fe) || !fe.Transient() {
 		t.Fatalf("job err = %v, want transient *FaultError", err)
@@ -411,10 +381,7 @@ func TestDeadlineHedgeAndFallback(t *testing.T) {
 	if nb := probePlan(t, d, cfg).Batches(); nb != 1 {
 		t.Fatalf("want a single batch, got %d", nb)
 	}
-	want, err := driver.Run(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runRef(t, d, cfg)
 	plan := driver.NewFaultPlan(4, driver.FaultSpec{
 		StragglerRate: 1, StragglerDelay: 1500 * time.Millisecond,
 	})
@@ -422,10 +389,7 @@ func TestDeadlineHedgeAndFallback(t *testing.T) {
 	e := New(WithDriverConfig(withFaults(cfg, plan)), WithExecutors(3),
 		WithJobDeadline(500*time.Millisecond),
 		WithDegradedMode(DegradeFallback), withClock(clk))
-	job, err := e.Submit(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submit(t, e, d)
 	awaitTimers(t, clk, 3) // the job's two alarms and the first execution's straggle
 	// The hedge window opens: an idle executor duplicates the batch, and
 	// the duplicate straggles too.
@@ -434,10 +398,7 @@ func TestDeadlineHedgeAndFallback(t *testing.T) {
 	// The deadline quarantines the batch; the third executor runs it on
 	// the host path.
 	clk.Advance(100 * time.Millisecond)
-	got, err := job.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := wait(t, job)
 	reportsEqual(t, "deadline fallback", got, want)
 	st := e.Stats()
 	if st.Hedges != 1 {
@@ -470,17 +431,11 @@ func TestDeadlinePartialCompletes(t *testing.T) {
 	e := New(WithDriverConfig(withFaults(cfg, plan)), WithExecutors(2),
 		WithJobDeadline(300*time.Millisecond),
 		WithDegradedMode(DegradePartial), withClock(clk))
-	job, err := e.Submit(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submit(t, e, d)
 	updates := job.Results()
 	awaitTimers(t, clk, 4) // the job's two alarms and both executors' straggles
 	clk.Advance(300 * time.Millisecond)
-	got, err := job.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := wait(t, job)
 	if got.PartialFailures != len(d.Comparisons) {
 		t.Fatalf("PartialFailures = %d, want every comparison (%d)",
 			got.PartialFailures, len(d.Comparisons))
@@ -582,20 +537,11 @@ func TestSettledJobsFreeStragglers(t *testing.T) {
 func TestFaultInjectionOffIsByteIdentical(t *testing.T) {
 	d := readsData(t, 38, 20)
 	cfg := testCfg(2)
-	want, err := driver.Run(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runRef(t, d, cfg)
 	e := New(WithDriverConfig(cfg), WithExecutors(4))
 	defer e.Close()
-	job, err := e.Submit(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := job.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submit(t, e, d)
+	got := wait(t, job)
 	reportsEqual(t, "no faults", got, want)
 	st := e.Stats()
 	if st.Retries != 0 || st.Hedges != 0 || st.Quarantined != 0 ||

@@ -48,6 +48,37 @@ func readsData(t *testing.T, seed int64, maxCmp int) *workload.Dataset {
 	return d
 }
 
+// submit submits d to e, failing the test on an error.
+func submit(t testing.TB, e *Engine, d *workload.Dataset) *Job {
+	t.Helper()
+	job, err := e.Submit(context.Background(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return job
+}
+
+// wait is job's report, failing the test on an error.
+func wait(t testing.TB, job *Job) *driver.Report {
+	t.Helper()
+	rep, err := job.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// runRef is driver.Run's report of d under cfg, failing the test on an
+// error.
+func runRef(t testing.TB, d *workload.Dataset, cfg driver.Config) *driver.Report {
+	t.Helper()
+	ref, err := driver.Run(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
 // reportsEqual compares two reports bit for bit.
 func reportsEqual(t *testing.T, label string, got, want *driver.Report) {
 	t.Helper()
@@ -109,10 +140,7 @@ func TestEngineStreaming(t *testing.T) {
 	cfg.MaxBatchJobs = 4 // force several batches so streaming is visible
 	e := New(WithDriverConfig(cfg))
 	defer e.Close()
-	job, err := e.Submit(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submit(t, e, d)
 	seen := make(map[int]ipukernel.AlignOut)
 	var batches, total int
 	for u := range job.Results() {
@@ -129,10 +157,7 @@ func TestEngineStreaming(t *testing.T) {
 			seen[o.GlobalID] = o
 		}
 	}
-	rep, err := job.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := wait(t, job)
 	if batches != rep.Batches {
 		t.Errorf("streamed %d batches, report says %d", batches, rep.Batches)
 	}
@@ -154,14 +179,8 @@ func TestResultsAfterCompletion(t *testing.T) {
 	cfg.MaxBatchJobs = 4
 	e := New(WithDriverConfig(cfg))
 	defer e.Close()
-	job, err := e.Submit(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := job.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submit(t, e, d)
+	rep := wait(t, job)
 	seen := 0
 	batches := 0
 	for u := range job.Results() {
@@ -199,10 +218,7 @@ func TestResultsLiveMutation(t *testing.T) {
 	d := readsData(t, 38, 30)
 	cfg := testCfg(1)
 	cfg.MaxBatchJobs = 3
-	ref, err := driver.Run(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := runRef(t, d, cfg)
 	// The seed draws transient faults (retried), permanent ones
 	// (placeholders) and one straggler whose hedge attempt runs clean.
 	plan := driver.NewFaultPlan(1, driver.FaultSpec{
@@ -241,10 +257,7 @@ func TestResultsLiveMutation(t *testing.T) {
 		WithRetry(12, 0), WithRetryBackoff(200*time.Microsecond, 2*time.Millisecond),
 		WithJobDeadline(time.Second), WithDegradedMode(DegradePartial), withClock(clk))
 	defer e.Close()
-	job, err := e.Submit(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submit(t, e, d)
 	// The clock fires each backoff timer (due within 3 ms) once it is
 	// armed, and opens the hedge window, 0.8 s in, once every batch but the
 	// straggler has landed; the straggler wakes at 1.6 s.
@@ -280,10 +293,7 @@ func TestResultsLiveMutation(t *testing.T) {
 			u.Results[k].Score = -999
 		}
 	}
-	rep, err := job.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := wait(t, job)
 	if slices.Contains(seen, false) {
 		t.Fatal("the stream missed a comparison")
 	}
@@ -313,10 +323,7 @@ func TestResultsOpenedMidLandingWaits(t *testing.T) {
 	d := readsData(t, 38, 30)
 	cfg := testCfg(1)
 	cfg.MaxBatchJobs = 3
-	ref, err := driver.Run(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := runRef(t, d, cfg)
 	l := newLab(t, newLabScenario(t, d, cfg))
 	for _, m := range []moveKind{mIssue, mCompute, mReturn} {
 		l.apply(move{m, 0}, true)
@@ -382,26 +389,15 @@ func TestDedupResultsLiveMutation(t *testing.T) {
 	d := base.WithComparisons(append(cmps, base.Comparisons...))
 	cfg := testCfg(1)
 	cfg.MaxBatchJobs = 3
-	ref, err := driver.Run(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := runRef(t, d, cfg)
 	e := New(WithDriverConfig(cfg), WithResultCache(1<<12), WithExecutors(4))
 	defer e.Close()
 	const warmed = 10
-	warm, err := e.Submit(context.Background(), base.WithComparisons(base.Comparisons[:warmed]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := warm.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	warm := submit(t, e, base.WithComparisons(base.Comparisons[:warmed]))
+	wait(t, warm)
 
 	run := func(label string) *driver.Report {
-		job, err := e.Submit(context.Background(), d)
-		if err != nil {
-			t.Fatal(err)
-		}
+		job := submit(t, e, d)
 		seen := make([]bool, len(d.Comparisons))
 		for u := range job.Results() {
 			for k, o := range u.Results {
@@ -416,10 +412,7 @@ func TestDedupResultsLiveMutation(t *testing.T) {
 				u.Results[k].Score = -999
 			}
 		}
-		rep, err := job.Wait(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := wait(t, job)
 		if slices.Contains(seen, false) {
 			t.Fatalf("%s: the stream missed a comparison", label)
 		}
@@ -474,25 +467,16 @@ func TestCancelDoesNotPoisonEngine(t *testing.T) {
 
 	big := readsData(t, 7, 40)
 	small := readsData(t, 8, 10)
-	want, err := driver.Run(small, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runRef(t, small, cfg)
 
-	jobA, err := e.Submit(context.Background(), big)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jobA := submit(t, e, big)
 	ctxB, cancelB := context.WithCancel(context.Background())
 	jobB, err := e.Submit(ctxB, big)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cancelB()
-	jobC, err := e.Submit(context.Background(), small)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jobC := submit(t, e, small)
 
 	if _, err := jobA.Wait(context.Background()); err != nil {
 		t.Errorf("job A: %v", err)
@@ -547,24 +531,13 @@ func TestEngineSubmissionOrderIrrelevant(t *testing.T) {
 	cfg := testCfg(2)
 	probe := readsData(t, 21, 20)
 	other := readsData(t, 22, 24)
-	want, err := driver.Run(probe, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runRef(t, probe, cfg)
 	for _, order := range [][2]*workload.Dataset{{probe, other}, {other, probe}} {
 		e := New(WithDriverConfig(cfg), WithExecutors(2))
-		j0, err := e.Submit(context.Background(), order[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		j1, err := e.Submit(context.Background(), order[1])
-		if err != nil {
-			t.Fatal(err)
-		}
+		j0 := submit(t, e, order[0])
+		j1 := submit(t, e, order[1])
 		for _, j := range []*Job{j0, j1} {
-			if _, err := j.Wait(context.Background()); err != nil {
-				t.Fatal(err)
-			}
+			wait(t, j)
 		}
 		probeJob := j0
 		if order[0] != probe {
@@ -583,17 +556,11 @@ func TestEngineSubmissionOrderIrrelevant(t *testing.T) {
 func TestEngineEmptyDataset(t *testing.T) {
 	e := New(WithDriverConfig(testCfg(1)))
 	defer e.Close()
-	job, err := e.Submit(context.Background(), workload.MustPack("empty", nil, nil, false))
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submit(t, e, workload.MustPack("empty", nil, nil, false))
 	for range job.Results() {
 		t.Error("empty dataset streamed an update")
 	}
-	rep, err := job.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := wait(t, job)
 	if len(rep.Results) != 0 || rep.Batches != 0 {
 		t.Errorf("empty report: %+v", rep)
 	}
@@ -605,22 +572,14 @@ func TestEngineBuildError(t *testing.T) {
 	defer e.Close()
 	bad := workload.MustPack("", [][]byte{make([]byte, 50)}, nil, false).
 		WithComparisons([]workload.Comparison{{H: 0, V: 3, SeedLen: 10}})
-	job, err := e.Submit(context.Background(), bad)
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submit(t, e, bad)
 	if _, err := job.Wait(context.Background()); err == nil {
 		t.Fatal("invalid dataset produced a report")
 	}
 	// The engine keeps serving.
 	good := readsData(t, 2, 8)
-	job2, err := e.Submit(context.Background(), good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := job2.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	job2 := submit(t, e, good)
+	wait(t, job2)
 }
 
 // TestWaitContextBoundsOnlyTheWait: a cancelled Wait leaves the job
@@ -632,10 +591,7 @@ func TestWaitContextBoundsOnlyTheWait(t *testing.T) {
 	slow := driver.NewFaultPlan(1, driver.FaultSpec{StragglerRate: 1, StragglerDelay: 200 * time.Millisecond})
 	e := New(WithDriverConfig(withFaults(testCfg(1), slow)))
 	defer e.Close()
-	job, err := e.Submit(context.Background(), readsData(t, 4, 12))
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submit(t, e, readsData(t, 4, 12))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := job.Wait(ctx); !errors.Is(err, context.Canceled) {

@@ -8,7 +8,6 @@ import (
 
 	"github.com/sram-align/xdropipu/internal/clock"
 	"github.com/sram-align/xdropipu/internal/driver"
-	"github.com/sram-align/xdropipu/internal/platform"
 	"github.com/sram-align/xdropipu/internal/synth"
 )
 
@@ -22,17 +21,7 @@ import (
 // between batches 0 and 1 and batch 1 often lands first.
 func TestFirstBatchComputesAlone(t *testing.T) {
 	const executors, jobs = 2, 6
-	d := synth.Reads(synth.ReadsSpec{
-		Name: "handoff", GenomeLen: 36000, Coverage: 12,
-		MeanReadLen: 900, MinReadLen: 300, MaxReadLen: 2250,
-		Errors:  synth.MutationProfile{Sub: 0.02, Ins: 0.02, Del: 0.02, Burst: 0.003, BurstLen: 24},
-		SeedLen: 17, MinOverlap: 225, Seed: 23, MaxComparisons: 3800,
-	})
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	cfg := testCfg(1)
-	cfg.Model, cfg.TilesPerIPU, cfg.MaxBatchJobs = platform.GC200.Scaled(8), 0, 64
+	d, cfg := handoffPlan(t)
 	e := New(WithDriverConfig(cfg), WithExecutors(executors))
 	defer e.Close()
 	l := newLab(t, newLabScenario(t, d, cfg))
@@ -52,17 +41,12 @@ func TestFirstBatchComputesAlone(t *testing.T) {
 	}
 
 	for n := range jobs {
-		job, err := e.Submit(context.Background(), d)
-		if err != nil {
-			t.Fatal(err)
-		}
+		job := submit(t, e, d)
 		updates := job.Results()
 		first, ok := <-updates
 		for range updates {
 		}
-		if _, err := job.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
+		wait(t, job)
 		if !ok || first.Batches < 32 {
 			t.Fatalf("job %d: first update %+v; the test needs a schedule of ≥ 32 batches", n, first)
 		}
@@ -86,10 +70,7 @@ func TestFirstBatchHoldReleases(t *testing.T) {
 	if nb < 3 {
 		t.Fatalf("want several batches, got %d", nb)
 	}
-	want, err := driver.Run(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runRef(t, d, cfg)
 
 	// The fault on batch 0's first attempt, and none anywhere else: the
 	// first seed whose plan draws exactly that.
@@ -123,10 +104,7 @@ func TestFirstBatchHoldReleases(t *testing.T) {
 		if u := nextUpdate(t, updates); u.Batch != 0 {
 			t.Fatalf("last update is batch %d, want 0", u.Batch)
 		}
-		got, err := job.Wait(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := wait(t, job)
 		reportsEqual(t, "held job", got, want)
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
@@ -137,10 +115,7 @@ func TestFirstBatchHoldReleases(t *testing.T) {
 		plan := onlyFirst(driver.FaultStraggler, driver.FaultSpec{StragglerRate: 0.2, StragglerDelay: time.Hour})
 		clk := new(clock.Manual)
 		e := New(WithDriverConfig(withFaults(cfg, plan)), WithExecutors(2), withClock(clk))
-		job, err := e.Submit(context.Background(), d)
-		if err != nil {
-			t.Fatal(err)
-		}
+		job := submit(t, e, d)
 		updates := job.Results()
 		othersStream(t, updates)
 		awaitTimers(t, clk, 1) // batch 0's straggle, armed after it computed
@@ -153,10 +128,7 @@ func TestFirstBatchHoldReleases(t *testing.T) {
 		clk := new(clock.Manual)
 		e := New(WithDriverConfig(withFaults(cfg, plan)), WithExecutors(2), withClock(clk),
 			WithRetry(1, 0), WithRetryBackoff(time.Second, time.Second))
-		job, err := e.Submit(context.Background(), d)
-		if err != nil {
-			t.Fatal(err)
-		}
+		job := submit(t, e, d)
 		updates := job.Results()
 		othersStream(t, updates)
 		awaitTimers(t, clk, 1) // batch 0's backoff

@@ -4,9 +4,30 @@ import (
 	"context"
 	"testing"
 
+	"github.com/sram-align/xdropipu/internal/driver"
 	"github.com/sram-align/xdropipu/internal/platform"
 	"github.com/sram-align/xdropipu/internal/synth"
+	"github.com/sram-align/xdropipu/internal/workload"
 )
+
+// handoffPlan is a job of noisy long reads on the benchmark's device and
+// batch cap (184 tiles, ≤ 64 comparisons a batch): a schedule of ≈ 60
+// batches.
+func handoffPlan(t *testing.T) (*workload.Dataset, driver.Config) {
+	t.Helper()
+	d := synth.Reads(synth.ReadsSpec{
+		Name: "handoff", GenomeLen: 36000, Coverage: 12,
+		MeanReadLen: 900, MinReadLen: 300, MaxReadLen: 2250,
+		Errors:  synth.MutationProfile{Sub: 0.02, Ins: 0.02, Del: 0.02, Burst: 0.003, BurstLen: 24},
+		SeedLen: 17, MinOverlap: 225, Seed: 23, MaxComparisons: 3800,
+	})
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := testCfg(1)
+	cfg.Model, cfg.TilesPerIPU, cfg.MaxBatchJobs = platform.GC200.Scaled(8), 0, 64
+	return d, cfg
+}
 
 // TestFirstUpdateNotStarvedByExecutors: a consumer parked on Results()
 // gets its first update while the job is still young. Executors never
@@ -26,37 +47,17 @@ import (
 // -tags purego), so the 10 ms quantum is several of them.
 func TestFirstUpdateNotStarvedByExecutors(t *testing.T) {
 	const executors = 2
-	d := synth.Reads(synth.ReadsSpec{
-		Name: "handoff", GenomeLen: 36000, Coverage: 12,
-		MeanReadLen: 900, MinReadLen: 300, MaxReadLen: 2250,
-		Errors:  synth.MutationProfile{Sub: 0.02, Ins: 0.02, Del: 0.02, Burst: 0.003, BurstLen: 24},
-		SeedLen: 17, MinOverlap: 225, Seed: 23, MaxComparisons: 3800,
-	})
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// The benchmark's device and batch cap (184 tiles, ≤ 64 comparisons a
-	// batch): a schedule of ≈ 60 batches.
-	cfg := testCfg(1)
-	cfg.Model, cfg.TilesPerIPU, cfg.MaxBatchJobs = platform.GC200.Scaled(8), 0, 64
+	d, cfg := handoffPlan(t)
 	e := New(WithDriverConfig(cfg), WithExecutors(executors))
 	defer e.Close()
 
 	// One job first, joined without streaming: devices, workspaces and the
 	// executor pool are warm when the measured job starts.
-	warm, err := e.Submit(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := warm.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	warm := submit(t, e, d)
+	wait(t, warm)
 	before := e.Stats().BatchesDone
 
-	job, err := e.Submit(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submit(t, e, d)
 	updates := job.Results()
 	first, ok := <-updates
 	buffered := len(updates)
@@ -76,9 +77,7 @@ func TestFirstUpdateNotStarvedByExecutors(t *testing.T) {
 	for range updates {
 		n++
 	}
-	if _, err := job.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	wait(t, job)
 	if n != first.Batches {
 		t.Errorf("stream carried %d updates, schedule has %d batches", n, first.Batches)
 	}
@@ -105,20 +104,12 @@ func TestCachedUpdatesNotStarvedByFold(t *testing.T) {
 	n := len(d.Comparisons)
 	e := New(WithDriverConfig(cacheTestConfig()), WithResultCache(1<<12))
 	defer e.Close()
-	cold, err := e.Submit(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cold.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	cold := submit(t, e, d)
+	wait(t, cold)
 
 	settled := 0
 	for range jobs {
-		job, err := e.Submit(context.Background(), d)
-		if err != nil {
-			t.Fatal(err)
-		}
+		job := submit(t, e, d)
 		updates := job.Results()
 		first, ok := <-updates
 		select {
@@ -133,10 +124,7 @@ func TestCachedUpdatesNotStarvedByFold(t *testing.T) {
 		for u := range updates {
 			results += len(u.Results)
 		}
-		rep, err := job.Wait(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := wait(t, job)
 		if rep.Batches != 0 || results != n {
 			t.Fatalf("warm job ran %d batches and streamed %d of %d results", rep.Batches, results, n)
 		}

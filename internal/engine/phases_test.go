@@ -71,24 +71,15 @@ func TestPhasesTileWallOnManualClock(t *testing.T) {
 	if nb := probePlan(t, d, cfg).Batches(); nb < 3 {
 		t.Fatalf("want several batches, got %d", nb)
 	}
-	want, err := driver.Run(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runRef(t, d, cfg)
 	all := []string{"admit", "dedup", "items", "batches", "execute", "complete"}
 
 	t.Run("batches", func(t *testing.T) {
 		clk := newTickClock()
 		e := New(WithDriverConfig(cfg), WithExecutors(2), withClock(clk))
 		defer e.Close()
-		job, err := e.Submit(context.Background(), d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := job.Wait(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
+		job := submit(t, e, d)
+		got := wait(t, job)
 		reportsEqual(t, "phased job", got, want)
 		p := job.Phases()
 		checkTiled(t, p, all...)
@@ -106,14 +97,8 @@ func TestPhasesTileWallOnManualClock(t *testing.T) {
 		e := New(WithDriverConfig(cfg), WithExecutors(2), WithResultCache(0), withClock(clk))
 		defer e.Close()
 		for pass := range 2 {
-			job, err := e.Submit(context.Background(), d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := job.Wait(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
+			job := submit(t, e, d)
+			rep := wait(t, job)
 			if pass == 0 {
 				continue
 			}
@@ -158,16 +143,10 @@ func TestPhasesTileWallOnManualClock(t *testing.T) {
 		e := New(WithDriverConfig(withFaults(cfg, plan)), WithExecutors(2),
 			WithJobDeadline(deadline), WithDegradedMode(DegradePartial), withClock(clk))
 		defer e.Close()
-		job, err := e.Submit(context.Background(), d)
-		if err != nil {
-			t.Fatal(err)
-		}
+		job := submit(t, e, d)
 		awaitTimers(t, clk.Manual, 4) // the job's two alarms and both executors' straggles
 		clk.Advance(deadline)
-		rep, err := job.Wait(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := wait(t, job)
 		if rep.PartialFailures != len(d.Comparisons) {
 			t.Fatalf("PartialFailures = %d, want %d", rep.PartialFailures, len(d.Comparisons))
 		}
@@ -194,13 +173,8 @@ func TestPhasesSumOnRealClock(t *testing.T) {
 	e := New(WithDriverConfig(cfg), WithExecutors(2))
 	defer e.Close()
 	start := time.Now()
-	job, err := e.Submit(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := job.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	job := submit(t, e, d)
+	wait(t, job)
 	wall := time.Since(start)
 	p := job.Phases()
 	if sum := segments(p); sum != p.Wall {

@@ -68,10 +68,7 @@ func TestTracebackSoakStreamingDedupCancel(t *testing.T) {
 	// Ground truth: plain engine (no dedup, no cache), traceback on.
 	plainCfg := testCfg(2)
 	plainCfg.Traceback = true
-	want, err := driver.Run(base, plainCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runRef(t, base, plainCfg)
 	for i, r := range want.Results {
 		if r.Cigar == "" {
 			t.Fatalf("ground-truth comparison %d has no cigar", i)
@@ -155,10 +152,7 @@ func TestTracebackSoakStreamingDedupCancel(t *testing.T) {
 	if st.CacheHits == 0 {
 		t.Fatal("soak produced no cache hits")
 	}
-	job, err := eng.Submit(context.Background(), base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submit(t, eng, base)
 	got := collectStream(t, job, len(base.Comparisons))
 	for i := range got {
 		if got[i] != want.Results[i] {
@@ -196,10 +190,7 @@ func TestTracebackStreamCigarsValidate(t *testing.T) {
 	cfg.MaxBatchJobs = 8
 	e := New(WithDriverConfig(cfg))
 	defer e.Close()
-	job, err := e.Submit(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submit(t, e, d)
 	got := collectStream(t, job, len(d.Comparisons))
 	p := cfg.Kernel.Params
 	for i, r := range got {

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"testing"
 
 	"github.com/sram-align/xdropipu/internal/driver"
@@ -46,10 +45,7 @@ func TestEngineTraceCounters(t *testing.T) {
 	cfg.Traceback = true
 
 	e := New(WithDriverConfig(cfg))
-	job, err := e.Submit(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submit(t, e, d)
 	collectStream(t, job, len(d.Comparisons))
 	st := e.Stats()
 	e.Close()
@@ -60,10 +56,7 @@ func TestEngineTraceCounters(t *testing.T) {
 
 	cfg.Kernel.TraceMinScore = 1 << 30
 	g := New(WithDriverConfig(cfg))
-	job, err = g.Submit(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	job = submit(t, g, d)
 	got := collectStream(t, job, len(d.Comparisons))
 	st = g.Stats()
 	g.Close()

@@ -92,10 +92,7 @@ func TestTraceHostSweepsOnce(t *testing.T) {
 				run.mut(&cfg)
 				b := scheduleBatch(t, length)
 				n := countSideCalls(t)
-				res, err := Run(ipu.New(ipu.Config{Model: platform.GC200}), b, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				res := mustRun(t, ipu.New(ipu.Config{Model: platform.GC200}), b, cfg)
 				if res.TracedExtensions == 0 {
 					t.Fatal("no extension traced")
 				}

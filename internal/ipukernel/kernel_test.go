@@ -19,6 +19,14 @@ func dnaCfg(x int) Config {
 	}
 }
 
+// stealCfg is dnaCfg(x) with LR splitting and work stealing under the
+// busy-wait variance.
+func stealCfg(x int) Config {
+	cfg := dnaCfg(x)
+	cfg.LRSplit, cfg.WorkStealing, cfg.BusyWaitVariance = true, true, true
+	return cfg
+}
+
 // buildBatch places one uniform synthetic comparison per tile. Tiles
 // reference the dataset's shared arena slab, as the partitioner builds
 // them.
@@ -40,13 +48,20 @@ func buildBatch(t *testing.T, count, length int, errRate float64, seed int64) (*
 	return b, d
 }
 
-func TestRunBasic(t *testing.T) {
-	dev := ipu.New(ipu.Config{Model: platform.GC200})
-	b, d := buildBatch(t, 20, 600, 0.15, 1)
-	res, err := Run(dev, b, dnaCfg(15))
+// mustRun is Run of b on dev under cfg, failing the test on an error.
+func mustRun(t testing.TB, dev *ipu.Device, b *Batch, cfg Config) *BatchResult {
+	t.Helper()
+	res, err := Run(dev, b, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+func TestRunBasic(t *testing.T) {
+	dev := ipu.New(ipu.Config{Model: platform.GC200})
+	b, d := buildBatch(t, 20, 600, 0.15, 1)
+	res := mustRun(t, dev, b, dnaCfg(15))
 	if len(res.Out) != 20 {
 		t.Fatalf("got %d outputs", len(res.Out))
 	}
@@ -82,10 +97,7 @@ func TestKernelMatchesDirectExtension(t *testing.T) {
 		b, d := buildBatch(t, 12, 500, 0.1, 2)
 		cfg := dnaCfg(10)
 		cfgMut(&cfg)
-		res, err := Run(dev, b, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustRun(t, dev, b, cfg)
 		for i, o := range res.Out {
 			c := d.Comparisons[i]
 			want, err := core.ExtendSeed(d.Seq(c.H), d.Seq(c.V),
@@ -131,14 +143,7 @@ func TestMultiJobTileSharedSequences(t *testing.T) {
 	}
 	b := &Batch{Tiles: []TileWork{tile}}
 	dev := ipu.New(ipu.Config{Model: platform.GC200})
-	cfg := dnaCfg(10)
-	cfg.LRSplit = true
-	cfg.WorkStealing = true
-	cfg.BusyWaitVariance = true
-	res, err := Run(dev, b, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, dev, b, stealCfg(10))
 	if res.StealOps == 0 {
 		t.Error("work stealing never engaged")
 	}
@@ -217,10 +222,7 @@ func TestUniqueSeqBytesInRun(t *testing.T) {
 		},
 	}
 	dev := ipu.New(ipu.Config{Model: platform.GC200})
-	res, err := Run(dev, &Batch{Tiles: []TileWork{tile}}, dnaCfg(10))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, dev, &Batch{Tiles: []TileWork{tile}}, dnaCfg(10))
 	hn, vn := d.SeqLen(c.H), d.SeqLen(c.V)
 	if want := int64(2*hn + vn); res.HostBytesIn-int64(3*seqDescrBytes+2*JobTupleBytes+batchHdrBytes) != want {
 		t.Errorf("per-descriptor sequence payload = %d, want %d",
@@ -304,21 +306,9 @@ func TestThreadScalingSpeedsUp(t *testing.T) {
 		dev := ipu.New(ipu.Config{Model: platform.GC200})
 		// One tile, 12 equal jobs.
 		d := synth.UniformPairs(synth.UniformPairsSpec{Count: 12, Length: 400, ErrorRate: 0.15, SeedLen: 17, Seed: 4})
-		arena, _ := d.Spine()
-		tile := TileWork{Slabs: slabViews(arena)}
-		for i, c := range d.Comparisons {
-			tile.Seqs = append(tile.Seqs, arena.Ref(c.H), arena.Ref(c.V))
-			tile.Jobs = append(tile.Jobs, SeedJob{
-				HLocal: 2 * i, VLocal: 2*i + 1,
-				SeedH: c.SeedH, SeedV: c.SeedV, SeedLen: c.SeedLen, GlobalID: int32(i),
-			})
-		}
 		cfg := dnaCfg(15)
 		cfg.Threads = threads
-		res, err := Run(dev, &Batch{Tiles: []TileWork{tile}}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustRun(t, dev, &Batch{Tiles: []TileWork{*pairsTile(d)}}, cfg)
 		return res.Seconds
 	}
 	t1 := mk(1)
@@ -336,10 +326,7 @@ func TestDualIssueSpeedsUp(t *testing.T) {
 		b, _ := buildBatch(t, 10, 500, 0.15, 5)
 		cfg := dnaCfg(15)
 		cfg.DualIssue = dual
-		res, err := Run(dev, b, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustRun(t, dev, b, cfg)
 		return res.Seconds
 	}
 	ratio := run(false) / run(true)
@@ -376,10 +363,7 @@ func TestWorkStealingBalancesVariance(t *testing.T) {
 		cfg.LRSplit = true
 		cfg.WorkStealing = ws
 		cfg.BusyWaitVariance = true
-		res, err := Run(dev, &Batch{Tiles: []TileWork{tile}}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustRun(t, dev, &Batch{Tiles: []TileWork{tile}}, cfg)
 		return res.Seconds
 	}
 	static := run(false)
@@ -407,10 +391,7 @@ func TestEventualWorkStealingReducesRaces(t *testing.T) {
 		cfg := dnaCfg(15)
 		cfg.WorkStealing = true
 		cfg.BusyWaitVariance = busyWait
-		res, err := Run(dev, &Batch{Tiles: []TileWork{tile}}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustRun(t, dev, &Batch{Tiles: []TileWork{tile}}, cfg)
 		return res.Races
 	}
 	racy := run(false)
@@ -439,15 +420,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() *BatchResult {
 		dev := ipu.New(ipu.Config{Model: platform.GC200})
 		b, _ := buildBatch(t, 16, 400, 0.2, 9)
-		cfg := dnaCfg(12)
-		cfg.LRSplit = true
-		cfg.WorkStealing = true
-		cfg.BusyWaitVariance = true
-		res, err := Run(dev, b, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return mustRun(t, dev, b, stealCfg(12))
 	}
 	a, b := run(), run()
 	if a.Seconds != b.Seconds || a.Races != b.Races || a.Cells != b.Cells {

@@ -15,9 +15,14 @@ import (
 // warmTile builds a multi-job tile for executor-reuse tests.
 func warmTile(t *testing.T, jobs int) *TileWork {
 	t.Helper()
-	d := synth.UniformPairs(synth.UniformPairsSpec{
+	return pairsTile(synth.UniformPairs(synth.UniformPairsSpec{
 		Count: jobs, Length: 700, ErrorRate: 0.15, SeedLen: 17, Seed: 21,
-	})
+	}))
+}
+
+// pairsTile puts every comparison of d on one tile, each with its own two
+// sequences.
+func pairsTile(d *synth.Dataset) *TileWork {
 	arena, _ := d.Spine()
 	tile := &TileWork{Slabs: slabViews(arena)}
 	for i, c := range d.Comparisons {
@@ -167,15 +172,7 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func() *BatchResult {
 		dev := ipu.New(ipu.Config{Model: platform.GC200})
 		b, _ := buildBatch(t, 24, 400, 0.18, 31)
-		cfg := dnaCfg(12)
-		cfg.LRSplit = true
-		cfg.WorkStealing = true
-		cfg.BusyWaitVariance = true
-		res, err := Run(dev, b, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return mustRun(t, dev, b, stealCfg(12))
 	}
 	old := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(old)

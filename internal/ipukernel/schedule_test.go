@@ -91,10 +91,7 @@ func TestModeledSchedulePinned(t *testing.T) {
 	} {
 		cfg := dnaCfg(15)
 		run.mut(&cfg)
-		res, err := Run(ipu.New(ipu.Config{Model: platform.GC200}), scheduleBatch(t, run.length), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustRun(t, ipu.New(ipu.Config{Model: platform.GC200}), scheduleBatch(t, run.length), cfg)
 		if res.Counters != run.c {
 			t.Errorf("%s: counters\n got %+v\nwant %+v", run.name, res.Counters, run.c)
 		}

@@ -17,6 +17,16 @@ func hasPair(cmps []workload.Comparison, a, b int) bool {
 	return false
 }
 
+// mustDetect is Detect of seqs, failing the test on an error.
+func mustDetect(t testing.TB, seqs [][]byte, opt Options) ([]workload.Comparison, Stats) {
+	t.Helper()
+	cmps, st, err := Detect(seqs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cmps, st
+}
+
 func TestDetectFindsOverlappingReads(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	genome := synth.RandDNA(rng, 12000)
@@ -28,10 +38,7 @@ func TestDetectFindsOverlappingReads(t *testing.T) {
 		prof.Apply(rng, genome[6000:10000]),
 		synth.RandDNA(rng, 4000),
 	}
-	cmps, st, err := Detect(reads, Options{K: 17, MinKmerFreq: 2, MinSharedSeeds: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cmps, st := mustDetect(t, reads, Options{K: 17, MinKmerFreq: 2, MinSharedSeeds: 2})
 	if st.ReliableKmers == 0 || st.Comparisons != len(cmps) {
 		t.Errorf("stats inconsistent: %+v", st)
 	}
@@ -61,10 +68,7 @@ func TestDetectSeedsAreRealMatches(t *testing.T) {
 		prof.Apply(rng, genome[0:5000]),
 		prof.Apply(rng, genome[2000:8000]),
 	}
-	cmps, _, err := Detect(reads, Options{K: 17, MinKmerFreq: 2, MinSharedSeeds: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cmps, _ := mustDetect(t, reads, Options{K: 17, MinKmerFreq: 2, MinSharedSeeds: 2})
 	if len(cmps) != 1 {
 		t.Fatalf("got %d comparisons, want 1", len(cmps))
 	}
@@ -83,14 +87,8 @@ func TestDetectMinSharedSeeds(t *testing.T) {
 		append([]byte{}, genome[0:3500]...),
 		append([]byte{}, genome[3000:6000]...), // 500 bp of exact overlap
 	}
-	loose, _, err := Detect(reads, Options{K: 17, MinKmerFreq: 2, MinSharedSeeds: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	strict, _, err := Detect(reads, Options{K: 17, MinKmerFreq: 2, MinSharedSeeds: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	loose, _ := mustDetect(t, reads, Options{K: 17, MinKmerFreq: 2, MinSharedSeeds: 1})
+	strict, _ := mustDetect(t, reads, Options{K: 17, MinKmerFreq: 2, MinSharedSeeds: 1000})
 	if len(loose) != 1 {
 		t.Fatalf("loose detection found %d pairs", len(loose))
 	}
@@ -108,14 +106,8 @@ func TestDetectProteinQuasiExact(t *testing.T) {
 	unrelated := synth.RandProtein(rng, 400)
 	seqs := [][]byte{a, b, unrelated}
 
-	exact, _, err := Detect(seqs, Options{K: 6, MinKmerFreq: 1, MinSharedSeeds: 2, Protein: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	quasi, _, err := Detect(seqs, Options{K: 6, MinKmerFreq: 1, MinSharedSeeds: 2, Protein: true, SubstituteMinScore: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact, _ := mustDetect(t, seqs, Options{K: 6, MinKmerFreq: 1, MinSharedSeeds: 2, Protein: true})
+	quasi, _ := mustDetect(t, seqs, Options{K: 6, MinKmerFreq: 1, MinSharedSeeds: 2, Protein: true, SubstituteMinScore: 3})
 	if !hasPair(exact, 0, 1) && !hasPair(quasi, 0, 1) {
 		t.Fatal("homologous pair not seeded at all")
 	}
@@ -133,14 +125,8 @@ func TestDetectDeterministic(t *testing.T) {
 	for i := 0; i+4000 <= 20000; i += 1500 {
 		reads = append(reads, prof.Apply(rng, genome[i:i+4000]))
 	}
-	a, _, err := Detect(reads, Options{K: 17, MinKmerFreq: 2, MinSharedSeeds: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := Detect(reads, Options{K: 17, MinKmerFreq: 2, MinSharedSeeds: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, _ := mustDetect(t, reads, Options{K: 17, MinKmerFreq: 2, MinSharedSeeds: 2})
+	b, _ := mustDetect(t, reads, Options{K: 17, MinKmerFreq: 2, MinSharedSeeds: 2})
 	if len(a) != len(b) {
 		t.Fatal("nondeterministic comparison count")
 	}

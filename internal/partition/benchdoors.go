@@ -21,11 +21,12 @@ func DeriveSeqBudget(d *workload.Dataset, cfg ipukernel.Config, model platform.I
 // BuildItems turns a dataset into schedulable items using the paper's
 // greedy edge-list walk (§4.3): adjacent vertices join the open partition
 // until the next vertex would exceed the sequence budget, then a new
-// partition starts.
+// partition starts. It walks through a Planner of the zero kernel
+// configuration, whose Charges it drops.
 func BuildItems(d *workload.Dataset, opt Options) []Item {
-	arena, plan := d.Spine()
-	items, _, _ := walk(plan, arena.Refs(), opt, nil)
-	return items
+	p := NewPlanner(d, ipukernel.Config{}, platform.IPUModel{})
+	p.BuildItems(opt)
+	return p.items
 }
 
 // MakeBatchesFanout distributes items, which hold disjoint comparisons of

@@ -108,13 +108,6 @@ func (p *Planner) SeqBudget() (int, error) {
 	return budget, nil
 }
 
-// BuildItems groups the comparisons into items (see the package's
-// BuildItems), pricing each item's Charge as it goes; the items are the
-// planner's, for Batches.
-func (p *Planner) BuildItems(opt Options) {
-	p.items, p.charges, p.naive = walk(p.plan, p.refs, opt, &p.cfg)
-}
-
 // Batches distributes the items across tiles (see MakeBatchesFanout).
 func (p *Planner) Batches(tiles, maxJobs int, fanout []int32) ([]*ipukernel.Batch, error) {
 	return batch(p.plan, p.refs, p.items, p.charges, tiles, &p.cfg, p.model, maxJobs, fanout)
@@ -138,13 +131,18 @@ func (p *Planner) ReuseFactor() float64 {
 	return float64(p.naive) / float64(actual)
 }
 
-// walk turns the rows into items using the paper's greedy edge-list walk
-// (§4.3): adjacent vertices join the open partition until the next vertex
-// would exceed the sequence budget, then a new partition starts. It reads
-// the plan's H/V columns and the arena's span lengths; no row is
-// materialised. With cfg it also returns each item's Charge, the fold of
-// its rows' Charges under cfg; and the rows' single-comparison bytes.
-func walk(plan *workload.Plan, refs []workload.SeqRef, opt Options, cfg *ipukernel.Config) (items []Item, charges []ipukernel.Charge, naive int64) {
+// BuildItems turns the rows into items using the paper's greedy edge-list
+// walk (§4.3): adjacent vertices join the open partition until the next
+// vertex would exceed the sequence budget, then a new partition starts.
+// It reads the plan's H/V columns and the arena's span lengths; no row is
+// materialised. Beside each item it keeps the item's Charge, the fold of
+// its rows' Charges, for Batches, and it sums the rows' single-comparison
+// bytes for ReuseFactor.
+func (p *Planner) BuildItems(opt Options) {
+	plan, refs := p.plan, p.refs
+	var items []Item
+	var charges []ipukernel.Charge
+	var naive int64
 	n := plan.Len()
 	seqBudget := opt.SeqBudget
 	maxCmps := opt.MaxCmps
@@ -159,9 +157,7 @@ func walk(plan *workload.Plan, refs []workload.SeqRef, opt Options, cfg *ipukern
 			naive += int64(refs[v].Len)
 		}
 		lh, lv, rh, rv := plan.ExtensionLens(refs, ci)
-		if cfg != nil {
-			*ch = ch.With(cfg.ExtensionCharge(lh, lv, rh, rv))
-		}
+		*ch = ch.With(p.cfg.ExtensionCharge(lh, lv, rh, rv))
 		return CostEstimate(lh, lv, rh, rv)
 	}
 	cmps := make([]int, n)
@@ -169,9 +165,7 @@ func walk(plan *workload.Plan, refs []workload.SeqRef, opt Options, cfg *ipukern
 		// One item per comparison, its Cmps and Seqs windows of two
 		// shared buffers.
 		items = make([]Item, n)
-		if cfg != nil {
-			charges = make([]ipukernel.Charge, 0, n)
-		}
+		charges = make([]ipukernel.Charge, 0, n)
 		seqs := make([]int, 0, 2*n)
 		for ci, h := range plan.H {
 			cmps[ci] = ci
@@ -187,11 +181,10 @@ func walk(plan *workload.Plan, refs []workload.SeqRef, opt Options, cfg *ipukern
 			var ch ipukernel.Charge
 			it.Cost = price(ci, int(h), int(v), &ch)
 			items[ci] = it
-			if cfg != nil {
-				charges = append(charges, ch)
-			}
+			charges = append(charges, ch)
 		}
-		return items, charges, naive
+		p.items, p.charges, p.naive = items, charges, naive
+		return
 	}
 
 	// Greedy graph growing (§4.3): start from a vertex, walk through its
@@ -232,9 +225,7 @@ func walk(plan *workload.Plan, refs []workload.SeqRef, opt Options, cfg *ipukern
 	if opt.MaxCmps > 0 && n > 0 {
 		k := (n + opt.MaxCmps - 1) / opt.MaxCmps
 		items = make([]Item, 0, k)
-		if cfg != nil {
-			charges = make([]ipukernel.Charge, 0, k)
-		}
+		charges = make([]ipukernel.Charge, 0, k)
 	}
 	assigned := make([]bool, n)
 	// next[v] is v's first edge slot not yet known to be assigned. assigned
@@ -273,9 +264,7 @@ func walk(plan *workload.Plan, refs []workload.SeqRef, opt Options, cfg *ipukern
 			cur.Seqs = seqs[seqStart:len(seqs):len(seqs)]
 			seqStart = len(seqs)
 			items = append(items, cur)
-			if cfg != nil {
-				charges = append(charges, curCharge)
-			}
+			charges = append(charges, curCharge)
 		}
 		cur, curCharge = Item{Cmps: freeCmps[:0]}, ipukernel.Charge{}
 		stamp++
@@ -387,7 +376,7 @@ func walk(plan *workload.Plan, refs []workload.SeqRef, opt Options, cfg *ipukern
 		take(ci, h, v)
 	}
 	flush()
-	return items, charges, naive
+	p.items, p.charges, p.naive = items, charges, naive
 }
 
 // seqIndex maps the global ids of the sequences a tile holds to their

@@ -170,6 +170,26 @@ func samePricing(tb testing.TB, d *workload.Dataset, opt Options, cfg ipukernel.
 	}
 }
 
+// mustBudget is DeriveSeqBudget of d, failing the test on an error.
+func mustBudget(t testing.TB, d *workload.Dataset, cfg ipukernel.Config, model platform.IPUModel) int {
+	t.Helper()
+	budget, err := DeriveSeqBudget(d, cfg, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return budget
+}
+
+// mustBatches is MakeBatchesFanout of items, failing the test on an error.
+func mustBatches(t testing.TB, d *workload.Dataset, items []Item, tiles int, cfg ipukernel.Config, model platform.IPUModel, maxJobs int, fanout []int32) []*ipukernel.Batch {
+	t.Helper()
+	batches, err := MakeBatchesFanout(d, items, tiles, cfg, model, maxJobs, fanout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return batches
+}
+
 func TestBuildItemsNoReuse(t *testing.T) {
 	d := readsData(t, 1)
 	items := BuildItems(d, Options{SeqBudget: 1 << 20, Reuse: false})
@@ -264,10 +284,7 @@ func TestMakeBatchesCoverageAndMemory(t *testing.T) {
 	d := readsData(t, 4)
 	cfg := testKernelCfg()
 	items := BuildItems(d, Options{SeqBudget: 150_000, Reuse: true})
-	batches, err := MakeBatchesFanout(d, items, 16, cfg, platform.GC200, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	batches := mustBatches(t, d, items, 16, cfg, platform.GC200, 0, nil)
 	seen := make([]int, len(d.Comparisons))
 	for _, b := range batches {
 		if len(b.Tiles) > 16 {
@@ -304,14 +321,8 @@ func TestMakeBatchesFewerWithReuse(t *testing.T) {
 	})
 	cfg := testKernelCfg()
 	tiles := 2
-	single, err := MakeBatchesFanout(d, BuildItems(d, Options{SeqBudget: 150_000, Reuse: false}), tiles, cfg, platform.GC200, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi, err := MakeBatchesFanout(d, BuildItems(d, Options{SeqBudget: 150_000, Reuse: true}), tiles, cfg, platform.GC200, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	single := mustBatches(t, d, BuildItems(d, Options{SeqBudget: 150_000, Reuse: false}), tiles, cfg, platform.GC200, 0, nil)
+	multi := mustBatches(t, d, BuildItems(d, Options{SeqBudget: 150_000, Reuse: true}), tiles, cfg, platform.GC200, 0, nil)
 	if len(single) < 2 {
 		t.Fatalf("workload too small to exercise batching: %d batches", len(single))
 	}
@@ -324,10 +335,7 @@ func TestMakeBatchesLoadBalance(t *testing.T) {
 	d := readsData(t, 6)
 	cfg := testKernelCfg()
 	items := BuildItems(d, Options{SeqBudget: 150_000, Reuse: true})
-	batches, err := MakeBatchesFanout(d, items, 4, cfg, platform.GC200, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	batches := mustBatches(t, d, items, 4, cfg, platform.GC200, 0, nil)
 	// In the first (fullest) batch, tile cost estimates should be within
 	// a reasonable factor of each other (LPT guarantee-ish).
 	if len(batches) == 0 {
@@ -384,27 +392,15 @@ func TestStandardAlgoNeedsMoreBatches(t *testing.T) {
 	}
 	tiles := 1
 	restricted := testKernelCfg()
-	rBudget, err := DeriveSeqBudget(d, restricted, platform.GC200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := MakeBatchesFanout(d, BuildItems(d, Options{SeqBudget: rBudget, Reuse: true}), tiles, restricted, platform.GC200, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rBudget := mustBudget(t, d, restricted, platform.GC200)
+	rb := mustBatches(t, d, BuildItems(d, Options{SeqBudget: rBudget, Reuse: true}), tiles, restricted, platform.GC200, 0, nil)
 	standard := restricted
 	standard.Params.Algo = core.AlgoStandard3
-	sBudget, err := DeriveSeqBudget(d, standard, platform.GC200)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sBudget := mustBudget(t, d, standard, platform.GC200)
 	if sBudget >= rBudget {
 		t.Fatalf("standard budget %d should be below restricted %d", sBudget, rBudget)
 	}
-	sb, err := MakeBatchesFanout(d, BuildItems(d, Options{SeqBudget: sBudget, Reuse: true}), tiles, standard, platform.GC200, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sb := mustBatches(t, d, BuildItems(d, Options{SeqBudget: sBudget, Reuse: true}), tiles, standard, platform.GC200, 0, nil)
 	if len(sb) <= len(rb) {
 		t.Errorf("standard3 (%d batches) should need more batches than restricted2 (%d)", len(sb), len(rb))
 	}
@@ -718,10 +714,7 @@ func TestBuildItemsMatchesRescan(t *testing.T) {
 		}
 	}
 	d, _, cfg := shortReadItems(t, 8_000)
-	derived, err := DeriveSeqBudget(d, cfg, platform.GC200)
-	if err != nil {
-		t.Fatal(err)
-	}
+	derived := mustBudget(t, d, cfg, platform.GC200)
 	maxCmps := (len(d.Comparisons) + 184*3 - 1) / (184 * 3)
 	for _, budget := range []int{2_000, 20_000, derived} {
 		sameItems(t, d, Options{SeqBudget: budget, Reuse: true, MaxCmps: maxCmps})
@@ -744,16 +737,10 @@ func TestPlannerMatchesItemOrderPricing(t *testing.T) {
 		{"short", short, shortCfg},
 		{"long-traced", readsData(t, 11), traced},
 	} {
-		budget, err := DeriveSeqBudget(c.d, c.cfg, platform.GC200)
-		if err != nil {
-			t.Fatal(err)
-		}
+		budget := mustBudget(t, c.d, c.cfg, platform.GC200)
 		opt := Options{SeqBudget: budget, Reuse: true, MaxCmps: (len(c.d.Comparisons) + 184*3 - 1) / (184 * 3)}
 		items := BuildItems(c.d, opt)
-		want, err := MakeBatchesFanout(c.d, items, 184, c.cfg, platform.GC200, 64, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := mustBatches(t, c.d, items, 184, c.cfg, platform.GC200, 64, nil)
 		samePricing(t, c.d, opt, c.cfg, platform.GC200, want)
 		p := NewPlanner(c.d, c.cfg, platform.GC200)
 		if got, err := p.SeqBudget(); err != nil || got != budget {
@@ -851,17 +838,11 @@ func TestTracebackBudgetAdmitsWithinSRAM(t *testing.T) {
 	d := readsData(t, 11)
 	cfg := testKernelCfg()
 	cfg.Traceback = true
-	budget, err := DeriveSeqBudget(d, cfg, platform.GC200)
-	if err != nil {
-		t.Fatal(err)
-	}
+	budget := mustBudget(t, d, cfg, platform.GC200)
 	// MaxCmps mirrors the driver's spread cap: it also keeps the
 	// per-item tuple/result overhead inside the budget allowance.
 	items := BuildItems(d, Options{SeqBudget: budget, Reuse: true, MaxCmps: 64})
-	batches, err := MakeBatchesFanout(d, items, 8, cfg, platform.GC200, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	batches := mustBatches(t, d, items, 8, cfg, platform.GC200, 0, nil)
 	for _, b := range batches {
 		allowance := 0
 		for ti := range b.Tiles {

@@ -41,12 +41,19 @@ func seqsOf(d *synth.Dataset) [][]byte {
 	return arena.SeqViews()
 }
 
-func TestSearchRecoversFamilies(t *testing.T) {
-	data, labels := familyData(t)
-	res, err := Search(data.seqs, Config{Backend: ipuBackend()})
+// mustSearch is Search of seqs, failing the test on an error.
+func mustSearch(t testing.TB, seqs [][]byte, cfg Config) *Result {
+	t.Helper()
+	res, err := Search(seqs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+func TestSearchRecoversFamilies(t *testing.T) {
+	data, labels := familyData(t)
+	res := mustSearch(t, data.seqs, Config{Backend: ipuBackend()})
 	if res.OverlapStats.Comparisons == 0 {
 		t.Fatal("no candidate pairs seeded")
 	}
@@ -88,14 +95,8 @@ func TestSearchRecoversFamilies(t *testing.T) {
 
 func TestSearchCPUAndIPUAgree(t *testing.T) {
 	data, _ := familyData(t)
-	a, err := Search(data.seqs, Config{Backend: ipuBackend()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Search(data.seqs, Config{Backend: &backend.CPU{Model: platform.EPYC7763, X: 49}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := mustSearch(t, data.seqs, Config{Backend: ipuBackend()})
+	b := mustSearch(t, data.seqs, Config{Backend: &backend.CPU{Model: platform.EPYC7763, X: 49}})
 	if len(a.Pairs) != len(b.Pairs) {
 		t.Fatalf("backends disagree: %d vs %d pairs", len(a.Pairs), len(b.Pairs))
 	}
@@ -121,14 +122,8 @@ func TestSearchQuasiExactImprovesRecall(t *testing.T) {
 	d, _ := synth.ProteinFamilies(synth.ProteinFamiliesSpec{
 		Families: 4, MembersPerFamily: 3, MeanLen: 250, MutRate: 0.25, Seed: 2,
 	})
-	exact, err := Search(seqsOf(d), Config{Backend: ipuBackend(), SubstituteMinScore: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	quasi, err := Search(seqsOf(d), Config{Backend: ipuBackend(), SubstituteMinScore: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := mustSearch(t, seqsOf(d), Config{Backend: ipuBackend(), SubstituteMinScore: -1})
+	quasi := mustSearch(t, seqsOf(d), Config{Backend: ipuBackend(), SubstituteMinScore: 3})
 	if quasi.OverlapStats.Comparisons < exact.OverlapStats.Comparisons {
 		t.Errorf("quasi-exact seeded fewer candidates (%d) than exact (%d)",
 			quasi.OverlapStats.Comparisons, exact.OverlapStats.Comparisons)

@@ -25,16 +25,7 @@ import (
 // and returns the response (body closed, job left running server-side).
 func postDetached(t *testing.T, ts *httptest.Server, tenant string, payload []byte) *http.Response {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs?stream=0", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", wire.ContentTypeDataset)
-	req.Header.Set("X-Tenant", tenant)
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := post(t, ts, "/v1/jobs?stream=0", bytes.NewReader(payload), "X-Tenant", tenant)
 	resp.Body.Close()
 	return resp
 }
@@ -59,20 +50,14 @@ func TestServiceTenantFairShare(t *testing.T) {
 	opts := []engine.Option{
 		engine.WithDriverConfig(testCfg(1)), engine.WithQueueDepth(64), engine.WithExecutors(2),
 	}
-	svc := service.New(service.Config{
+	_, ts := serve(t, service.Config{
 		Shards: 1, EngineOptions: opts,
 		// A refill slow enough that the bucket cannot recover a token
 		// mid-test: admission is burst-only for both tenants.
 		TenantRatePerSec: 0.001, TenantBurst: 2,
 	})
-	defer svc.Close()
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
 
-	payload, err := wire.EncodeDataset(readsData(t, 5, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := encode(t, readsData(t, 5, 6))
 
 	greedyRefused := 0
 	for i := 0; i < 4; i++ {
@@ -121,15 +106,9 @@ func TestServiceLoadShedding(t *testing.T) {
 	opts := []engine.Option{
 		engine.WithDriverConfig(cfg), engine.WithQueueDepth(8), engine.WithExecutors(1),
 	}
-	svc := service.New(service.Config{Shards: 1, EngineOptions: opts, MaxLiveJobs: 1})
-	defer svc.Close()
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
+	svc, ts := serve(t, service.Config{Shards: 1, EngineOptions: opts, MaxLiveJobs: 1})
 
-	payload, err := wire.EncodeDataset(readsData(t, 7, 12))
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := encode(t, readsData(t, 7, 12))
 	if resp := postDetached(t, ts, "a", payload); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("first submit: %s", resp.Status)
 	}
@@ -156,10 +135,7 @@ func TestServiceLoadShedding(t *testing.T) {
 // where the server can still run a job the tenant can still submit one.
 func TestServiceRefusalsRefundTenantToken(t *testing.T) {
 	const burst, refusals = 2, 5
-	payload, err := wire.EncodeDataset(readsData(t, 7, 12))
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := encode(t, readsData(t, 7, 12))
 	for _, tc := range []struct {
 		name    string
 		maxBody int64
@@ -202,7 +178,7 @@ func TestServiceRefusalsRefundTenantToken(t *testing.T) {
 			cfg.Faults = driver.NewFaultPlan(1, driver.FaultSpec{
 				StragglerRate: 1, StragglerDelay: 300 * time.Millisecond,
 			})
-			svc := service.New(service.Config{
+			svc, ts := serve(t, service.Config{
 				Shards: 1, MaxLiveJobs: 1, MaxBodyBytes: tc.maxBody,
 				EngineOptions: []engine.Option{
 					engine.WithDriverConfig(cfg), engine.WithQueueDepth(8), engine.WithExecutors(1),
@@ -210,9 +186,6 @@ func TestServiceRefusalsRefundTenantToken(t *testing.T) {
 				// No refill inside the test: only a refund restores a token.
 				TenantRatePerSec: 0.001, TenantBurst: burst,
 			})
-			defer svc.Close()
-			ts := httptest.NewServer(svc.Handler())
-			defer ts.Close()
 
 			if tc.arrange != nil {
 				tc.arrange(t, svc, ts)
@@ -250,28 +223,16 @@ func TestServiceRefusalsRefundTenantToken(t *testing.T) {
 // where it used to align silently with k = 17 or as DNA.
 func TestServiceFastaQueryRejected(t *testing.T) {
 	const burst = 2
-	svc := service.New(service.Config{
+	svc, ts := serve(t, service.Config{
 		Shards:        1,
 		EngineOptions: []engine.Option{engine.WithDriverConfig(testCfg(1)), engine.WithExecutors(1)},
 		// No refill inside the test: only a refund restores a token.
 		TenantRatePerSec: 0.001, TenantBurst: burst,
 	})
-	defer svc.Close()
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	post := func(query string) int {
+	submitFasta := func(query string) int {
 		t.Helper()
 		fasta := ">a\nACGTACGTACGTACGTACGTACGTACGTACGTACGT\n>b\nACGTACGTACGTACGTTCGTACGTACGTACGTACGT\n"
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs?stream=0&"+query, strings.NewReader(fasta))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", wire.ContentTypeFasta)
-		req.Header.Set("X-Tenant", "t")
-		resp, err := ts.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
+		resp := post(t, ts, "/v1/jobs?stream=0&"+query, strings.NewReader(fasta), "Content-Type", wire.ContentTypeFasta, "X-Tenant", "t")
 		resp.Body.Close()
 		return resp.StatusCode
 	}
@@ -279,7 +240,7 @@ func TestServiceFastaQueryRejected(t *testing.T) {
 		"k=abc", "k=-3", "k=0", "k=", "k=9.5",
 		"protein=yes", "protein=", "protein=2", "k=9&protein=on",
 	} {
-		if code := post(query); code != http.StatusBadRequest {
+		if code := submitFasta(query); code != http.StatusBadRequest {
 			t.Errorf("?%s: status %d, want 400", query, code)
 		}
 		if got := svc.TenantTokens("t"); got < burst-0.01 {
@@ -292,7 +253,7 @@ func TestServiceFastaQueryRejected(t *testing.T) {
 		t.Fatalf("rejected queries created %d jobs", stats.TrackedJobs)
 	}
 	for _, query := range []string{"k=9&protein=true", "protein=TRUE"} {
-		if code := post(query); code != http.StatusAccepted {
+		if code := submitFasta(query); code != http.StatusAccepted {
 			t.Errorf("?%s: status %d, want 202", query, code)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"github.com/sram-align/xdropipu/internal/engine"
@@ -21,12 +20,9 @@ import (
 // replay window — each chunk has its own seq, and a resume cursor that
 // falls between two of them replays the rest byte for byte.
 func TestServiceResumeBetweenCacheServedChunks(t *testing.T) {
-	svc := service.New(service.Config{Shards: 1, EngineOptions: []engine.Option{
+	_, ts := serve(t, service.Config{Shards: 1, EngineOptions: []engine.Option{
 		engine.WithDriverConfig(testCfg(1)), engine.WithResultCache(1 << 12),
 	}})
-	defer svc.Close()
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
 
 	base := synth.UniformPairs(synth.UniformPairsSpec{
 		Count: 275, Length: 200, ErrorRate: 0.15, SeedLen: 17, Seed: 41})
@@ -35,10 +31,7 @@ func TestServiceResumeBetweenCacheServedChunks(t *testing.T) {
 		cmps = append(cmps, base.Comparisons...)
 	}
 	d := base.WithComparisons(cmps)
-	payload, err := wire.EncodeDataset(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := encode(t, d)
 
 	// readLines returns a stream's lines, header first, final last.
 	readLines := func(resp *http.Response) [][]byte {

@@ -8,7 +8,6 @@ package service_test
 
 import (
 	"context"
-	"net/http/httptest"
 	"testing"
 
 	"github.com/sram-align/xdropipu/internal/driver"
@@ -68,10 +67,7 @@ func TestServiceLoopbackDifferential(t *testing.T) {
 			}
 			wants := inProcessGoldens(t, tc.opts, datasets)
 
-			svc := service.New(service.Config{Shards: 1, EngineOptions: tc.opts})
-			defer svc.Close()
-			ts := httptest.NewServer(svc.Handler())
-			defer ts.Close()
+			svc, ts := serve(t, service.Config{Shards: 1, EngineOptions: tc.opts})
 			c := serviceclient.New(ts.URL)
 
 			for i, want := range wants {
@@ -134,10 +130,7 @@ func TestServiceLoopbackDifferential(t *testing.T) {
 func TestServiceFastaSubmission(t *testing.T) {
 	cfg := testCfg(1)
 	opts := []engine.Option{engine.WithDriverConfig(cfg), engine.WithExecutors(1)}
-	svc := service.New(service.Config{Shards: 1, EngineOptions: opts})
-	defer svc.Close()
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
+	_, ts := serve(t, service.Config{Shards: 1, EngineOptions: opts})
 
 	fasta := ">a\nACGTACGTACGTACGTACGTACGTACGTACGTACGT\n>b\nACGTACGTACGTACGTTCGTACGTACGTACGTACGT\n"
 	resp, err := ts.Client().Post(ts.URL+"/v1/jobs?k=9&name=pair", "text/x-fasta",

@@ -43,19 +43,13 @@ func TestFirstChunkNotStarvedByExecutors(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := wire.EncodeDataset(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := encode(t, d)
 	// The benchmark's device and batch cap: ≈ 60 batches of ≈ 1.5 ms.
 	cfg := testCfg(1)
 	cfg.Model, cfg.TilesPerIPU, cfg.MaxBatchJobs = platform.GC200.Scaled(8), 0, 64
-	svc := service.New(service.Config{Shards: 1, EngineOptions: []engine.Option{
+	svc, ts := serve(t, service.Config{Shards: 1, EngineOptions: []engine.Option{
 		engine.WithDriverConfig(cfg), engine.WithExecutors(2),
 	}})
-	defer svc.Close()
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
 
 	post := func() *http.Response {
 		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", wire.ContentTypeDataset, bytes.NewReader(payload))
@@ -140,10 +134,7 @@ func TestFirstChunkNotStarvedByPump(t *testing.T) {
 	for range 40 {
 		cmps = append(cmps, base.Comparisons...)
 	}
-	payload, err := wire.EncodeDataset(base.WithComparisons(cmps))
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := encode(t, base.WithComparisons(cmps))
 	cfg := driver.Config{IPUs: 1, Partition: true, Kernel: ipukernel.Config{
 		Params: core.Params{Scorer: scoring.DNADefault, Gap: -1, X: 10, DeltaB: 128}}}
 	svc := service.New(service.Config{Shards: 1, EngineOptions: []engine.Option{

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"github.com/sram-align/xdropipu/internal/ipukernel"
 	"github.com/sram-align/xdropipu/internal/platform"
 	"github.com/sram-align/xdropipu/internal/scoring"
+	"github.com/sram-align/xdropipu/internal/service"
 	"github.com/sram-align/xdropipu/internal/service/wire"
 	"github.com/sram-align/xdropipu/internal/synth"
 	"github.com/sram-align/xdropipu/internal/workload"
@@ -54,6 +57,46 @@ func reportsEqual(t *testing.T, label string, got, want *driver.Report) {
 }
 
 func newStringReader(s string) io.Reader { return strings.NewReader(s) }
+
+// serve starts a service of cfg behind a test HTTP server; both close
+// when the test ends.
+func serve(t *testing.T, cfg service.Config) (*service.Server, *httptest.Server) {
+	svc := service.New(cfg)
+	t.Cleanup(func() { svc.Close() })
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(ts.Close)
+	return svc, ts
+}
+
+// encode is d's XDW payload, failing the test on an error.
+func encode(t *testing.T, d *workload.Dataset) []byte {
+	t.Helper()
+	payload, err := wire.EncodeDataset(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// post POSTs body to path on ts as an XDW dataset, with the headers given
+// as name, value pairs (a Content-Type among them replaces the dataset's),
+// and fails the test on a transport error. The caller closes the body.
+func post(t *testing.T, ts *httptest.Server, path string, body io.Reader, header ...string) *http.Response {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+path, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", wire.ContentTypeDataset)
+	for i := 0; i+1 < len(header); i += 2 {
+		req.Header.Set(header[i], header[i+1])
+	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
 
 // drainStream reads a raw NDJSON result stream to its final record.
 func drainStream(t *testing.T, body io.Reader) *wire.Final {

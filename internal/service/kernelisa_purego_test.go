@@ -3,7 +3,6 @@
 package service_test
 
 import (
-	"net/http/httptest"
 	"testing"
 
 	"github.com/sram-align/xdropipu/internal/engine"
@@ -13,10 +12,7 @@ import (
 // TestServiceStatsKernelISAPurego: a purego build has no vector row body,
 // and /v1/stats says so.
 func TestServiceStatsKernelISAPurego(t *testing.T) {
-	svc := service.New(service.Config{EngineOptions: []engine.Option{engine.WithDriverConfig(testCfg(1))}})
-	defer svc.Close()
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
+	_, ts := serve(t, service.Config{EngineOptions: []engine.Option{engine.WithDriverConfig(testCfg(1))}})
 	var stats service.StatsReply
 	getJSON(t, ts, "/v1/stats", &stats)
 	if stats.KernelISA != "generic" {

@@ -14,7 +14,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"testing"
 	"time"
@@ -43,15 +42,9 @@ func slowOpts(delay time.Duration, seed int64) []engine.Option {
 // submitting stream mid-job cancels the engine work; nothing leaks and
 // the server closes cleanly. Run under -race in CI's service soak.
 func TestServiceDisconnectCancelsJob(t *testing.T) {
-	svc := service.New(service.Config{Shards: 1, EngineOptions: slowOpts(100*time.Millisecond, 2)})
-	defer svc.Close()
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
+	svc, ts := serve(t, service.Config{Shards: 1, EngineOptions: slowOpts(100*time.Millisecond, 2)})
 
-	payload, err := wire.EncodeDataset(readsData(t, 11, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := encode(t, readsData(t, 11, 16))
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(payload))
 	if err != nil {
@@ -112,29 +105,14 @@ func streamChunks(t *testing.T, br *bufio.Reader, max int) (chunks []*wire.Chunk
 // comparison once, and (c) the engine executed each batch exactly once —
 // resume is replay, not re-execution.
 func TestServiceResumeFromCursor(t *testing.T) {
-	svc := service.New(service.Config{
+	svc, ts := serve(t, service.Config{
 		Shards: 1, EngineOptions: slowOpts(50*time.Millisecond, 3),
 		Linger: 0, MaxLinger: time.Minute, // linger comes from the client header
 	})
-	defer svc.Close()
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
 
 	d := readsData(t, 13, 20)
-	payload, err := wire.EncodeDataset(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", wire.ContentTypeDataset)
-	req.Header.Set("X-Linger", "30s")
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := encode(t, d)
+	resp := post(t, ts, "/v1/jobs", bytes.NewReader(payload), "X-Linger", "30s")
 	br := bufio.NewReader(resp.Body)
 	hline, err := br.ReadBytes('\n')
 	if err != nil {
@@ -222,29 +200,15 @@ func TestServiceResumeFromCursor(t *testing.T) {
 func TestServiceResumeWindowGone(t *testing.T) {
 	cfg := testCfg(1)
 	cfg.MaxBatchJobs = 4 // multi-chunk delivery trims the 1-chunk window
-	svc := service.New(service.Config{
+	_, ts := serve(t, service.Config{
 		Shards: 1, WindowChunks: 1,
 		EngineOptions: []engine.Option{engine.WithDriverConfig(cfg), engine.WithExecutors(1)},
 	})
-	defer svc.Close()
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
 
-	payload, err := wire.EncodeDataset(readsData(t, 17, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := encode(t, readsData(t, 17, 16))
 	// Submit detached: no stream ever attaches, so the job runs to
 	// completion with the pump trimming the 1-chunk window as it goes.
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs?stream=0", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", wire.ContentTypeDataset)
-	sresp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sresp := post(t, ts, "/v1/jobs?stream=0", bytes.NewReader(payload))
 	if sresp.StatusCode != http.StatusAccepted {
 		t.Fatalf("detached submit: %s", sresp.Status)
 	}
@@ -331,24 +295,10 @@ func TestServiceResumeWindowGone(t *testing.T) {
 // streams settle with the cancellation error and the engine frees the
 // slot.
 func TestServiceCancelEndpoint(t *testing.T) {
-	svc := service.New(service.Config{Shards: 1, EngineOptions: slowOpts(100*time.Millisecond, 5)})
-	defer svc.Close()
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
+	svc, ts := serve(t, service.Config{Shards: 1, EngineOptions: slowOpts(100*time.Millisecond, 5)})
 
-	payload, err := wire.EncodeDataset(readsData(t, 19, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", wire.ContentTypeDataset)
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := encode(t, readsData(t, 19, 16))
+	resp := post(t, ts, "/v1/jobs", bytes.NewReader(payload))
 	defer resp.Body.Close()
 	br := bufio.NewReader(resp.Body)
 	line, err := br.ReadBytes('\n')
@@ -384,25 +334,10 @@ func TestServiceCancelEndpoint(t *testing.T) {
 // jobs, not DELETE requests — a second DELETE of the same job and a
 // DELETE of a job that already settled add nothing.
 func TestServiceCancelCountsJobOnce(t *testing.T) {
-	svc := service.New(service.Config{Shards: 1, EngineOptions: slowOpts(100*time.Millisecond, 6)})
-	defer svc.Close()
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	payload, err := wire.EncodeDataset(readsData(t, 23, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, ts := serve(t, service.Config{Shards: 1, EngineOptions: slowOpts(100*time.Millisecond, 6)})
+	payload := encode(t, readsData(t, 23, 16))
 	submit := func(tenant string) string {
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs?stream=0", bytes.NewReader(payload))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", wire.ContentTypeDataset)
-		req.Header.Set("X-Tenant", tenant)
-		resp, err := ts.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
+		resp := post(t, ts, "/v1/jobs?stream=0", bytes.NewReader(payload), "X-Tenant", tenant)
 		defer resp.Body.Close()
 		var hdr wire.Header
 		if resp.StatusCode != http.StatusAccepted || json.NewDecoder(resp.Body).Decode(&hdr) != nil {
@@ -471,15 +406,9 @@ func TestServiceCancelCountsJobOnce(t *testing.T) {
 func TestServiceStalledBodyIsDisconnected(t *testing.T) {
 	const stall = 300 * time.Millisecond
 	opts := slowOpts(150*time.Millisecond, 3)
-	svc := service.New(service.Config{Shards: 1, EngineOptions: opts})
+	svc, ts := serve(t, service.Config{Shards: 1, EngineOptions: opts})
 	svc.SetBodyStall(stall)
-	defer svc.Close()
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	payload, err := wire.EncodeDataset(readsData(t, 11, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := encode(t, readsData(t, 11, 16))
 
 	type streamed struct {
 		final *wire.Final

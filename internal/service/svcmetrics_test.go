@@ -6,7 +6,6 @@ package service_test
 
 import (
 	"io"
-	"net/http/httptest"
 	"slices"
 	"strings"
 	"testing"
@@ -15,7 +14,6 @@ import (
 	"github.com/sram-align/xdropipu/internal/core"
 	"github.com/sram-align/xdropipu/internal/engine"
 	"github.com/sram-align/xdropipu/internal/service"
-	"github.com/sram-align/xdropipu/internal/service/wire"
 )
 
 func TestServiceStatsAndMetricsExposition(t *testing.T) {
@@ -25,15 +23,9 @@ func TestServiceStatsAndMetricsExposition(t *testing.T) {
 		engine.WithDriverConfig(cfg), engine.WithExecutors(1),
 		engine.WithResultCache(1024),
 	}
-	svc := service.New(service.Config{Shards: 2, EngineOptions: opts})
-	defer svc.Close()
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
+	svc, ts := serve(t, service.Config{Shards: 2, EngineOptions: opts})
 
-	payload, err := wire.EncodeDataset(readsData(t, 29, 12))
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := encode(t, readsData(t, 29, 12))
 	// Two identical submissions from one tenant: the second must hit the
 	// affinity-routed shard's warm cache — so it may only be planned once
 	// the first has finished and stored its results.

@@ -95,10 +95,7 @@ func TestEncodeDatasetPartsJoinToPayload(t *testing.T) {
 			if string(joined[:4]) != tc.magic {
 				t.Fatalf("framed as %q, want %s", joined[:4], tc.magic)
 			}
-			p, err := EncodeDataset(tc.d)
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := mustEncode(t, tc.d)
 			if !bytes.Equal(joined, p) {
 				t.Fatal("joined parts differ from EncodeDataset")
 			}
@@ -115,10 +112,7 @@ func TestEncodeDatasetPartsJoinToPayload(t *testing.T) {
 					t.Errorf("slab %d was copied into the payload, want the arena's view", si)
 				}
 			}
-			back, err := DecodeDataset(p)
-			if err != nil {
-				t.Fatal(err)
-			}
+			back := mustDecode(t, p)
 			if back.Name != tc.d.Name || back.Protein != tc.d.Protein {
 				t.Errorf("decoded name %q protein %v, want %q %v", back.Name, back.Protein, tc.d.Name, tc.d.Protein)
 			}

@@ -19,7 +19,8 @@ import (
 	"github.com/sram-align/xdropipu/internal/workload"
 )
 
-func encodedPayload(t *testing.T) []byte {
+// wireReads is the reads dataset the round trips encode.
+func wireReads(t *testing.T) *workload.Dataset {
 	t.Helper()
 	d := synth.Reads(synth.ReadsSpec{
 		Name: "wire", GenomeLen: 30000, Coverage: 6, MeanReadLen: 1500, MinReadLen: 600,
@@ -28,6 +29,17 @@ func encodedPayload(t *testing.T) []byte {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	return d
+}
+
+func encodedPayload(t *testing.T) []byte {
+	t.Helper()
+	return mustEncode(t, wireReads(t))
+}
+
+// mustEncode is d's XDW payload, failing the test on an error.
+func mustEncode(t testing.TB, d *workload.Dataset) []byte {
+	t.Helper()
 	p, err := EncodeDataset(d)
 	if err != nil {
 		t.Fatal(err)
@@ -35,22 +47,20 @@ func encodedPayload(t *testing.T) []byte {
 	return p
 }
 
+// mustDecode is the dataset of XDW payload p, failing the test on an error.
+func mustDecode(t testing.TB, p []byte) *workload.Dataset {
+	t.Helper()
+	d, err := DecodeDataset(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestServiceWireRoundTrip(t *testing.T) {
-	d := synth.Reads(synth.ReadsSpec{
-		Name: "wire", GenomeLen: 30000, Coverage: 6, MeanReadLen: 1500, MinReadLen: 600,
-		Errors: synth.HiFiDNA(), SeedLen: 17, MinOverlap: 400, Seed: 9, MaxComparisons: 20,
-	})
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	p, err := EncodeDataset(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeDataset(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := wireReads(t)
+	p := mustEncode(t, d)
+	got := mustDecode(t, p)
 	if got.Name != d.Name || got.Protein != d.Protein {
 		t.Fatalf("metadata drift: %q/%v vs %q/%v", got.Name, got.Protein, d.Name, d.Protein)
 	}
@@ -83,10 +93,7 @@ func TestServiceWireRoundTrip(t *testing.T) {
 
 	// Canonical encoding: re-encoding the decoded dataset reproduces the
 	// payload byte for byte.
-	p2, err := EncodeDataset(got)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p2 := mustEncode(t, got)
 	if string(p2) != string(p) {
 		t.Fatal("encoding is not canonical: decode→encode changed bytes")
 	}
@@ -131,15 +138,13 @@ func TestDecodeDatasetAdoptsPayload(t *testing.T) {
 	if n := len(d.Comparisons); n < 3000 {
 		t.Fatalf("fixture has %d comparisons; want ≈ 3 800", n)
 	}
-	p, err := EncodeDataset(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mustEncode(t, d)
 	var got *workload.Dataset
 	grew := uint64(1 << 62)
 	for range 3 { // the least of three: a stray allocation elsewhere only adds
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
+		var err error
 		got, err = DecodeDataset(p)
 		runtime.ReadMemStats(&after)
 		if err != nil {
@@ -215,17 +220,11 @@ func TestServiceWireSingleSlabStaysXDW1(t *testing.T) {
 
 func TestServiceWireMultiSlabRoundTrip(t *testing.T) {
 	d := multiSlabDataset(t)
-	p, err := EncodeDataset(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mustEncode(t, d)
 	if string(p[:4]) != "XDW2" {
 		t.Fatalf("multi-slab payload framed as %q, want XDW2", p[:4])
 	}
-	got, err := DecodeDataset(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mustDecode(t, p)
 	wantArena, wantPlan := d.Spine()
 	gotArena, gotPlan := got.Spine()
 	if gotArena.NumSlabs() != wantArena.NumSlabs() {
@@ -247,10 +246,7 @@ func TestServiceWireMultiSlabRoundTrip(t *testing.T) {
 		}
 	}
 	// Canonical: decode→encode reproduces the payload byte for byte.
-	p2, err := EncodeDataset(got)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p2 := mustEncode(t, got)
 	if string(p2) != string(p) {
 		t.Fatal("XDW2 encoding is not canonical: decode→encode changed bytes")
 	}
@@ -271,10 +267,7 @@ func TestServiceWireXDW1GoldenDecode(t *testing.T) {
 	for _, v := range []uint32{0, 1, 0, 0, 4} { // H V SeedH SeedV SeedLen columns
 		p = u32le(p, v)
 	}
-	d, err := DecodeDataset(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := mustDecode(t, p)
 	if d.Name != "g" || d.Protein {
 		t.Fatalf("golden metadata: %q/%v", d.Name, d.Protein)
 	}
@@ -289,10 +282,7 @@ func TestServiceWireXDW1GoldenDecode(t *testing.T) {
 		t.Fatalf("golden plan corrupt: %+v", plan.At(0))
 	}
 	// And the golden is canonical: re-encoding reproduces it exactly.
-	p2, err := EncodeDataset(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p2 := mustEncode(t, d)
 	if string(p2) != string(p) {
 		t.Fatal("re-encoding the XDW1 golden changed bytes")
 	}
@@ -300,10 +290,7 @@ func TestServiceWireXDW1GoldenDecode(t *testing.T) {
 
 func TestServiceWireMultiSlabRejectsCorruption(t *testing.T) {
 	d := multiSlabDataset(t)
-	p, err := EncodeDataset(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mustEncode(t, d)
 	cases := map[string][]byte{
 		"truncated mid-slab": p[:9],
 		"truncated mid-refs": p[:len(p)-30],

@@ -47,10 +47,7 @@ func TestServiceClientCacheServedAllocs(t *testing.T) {
 		}
 		for range job.Results() {
 		}
-		rep, err := job.Wait(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := mustWait(t, ctx, job)
 		return rep.Summary.CacheMisses
 	}
 	run() // cold: executes and fills the cache

@@ -1,15 +1,9 @@
 package serviceclient_test
 
 import (
-	"context"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"testing"
-	"time"
-
-	"github.com/sram-align/xdropipu/internal/serviceclient"
 )
 
 // TestServiceClientBuffersWorstCaseStream: the reader must never block on
@@ -22,29 +16,20 @@ import (
 // returned.
 func TestServiceClientBuffersWorstCaseStream(t *testing.T) {
 	const n, cached = 64, 40
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body) // an unread body makes the server linger 0.5 s on close
-		fmt.Fprintf(w, `{"header":{"job":"j000001","comparisons":%d,"batches":%d,"shard":0}}`+"\n", n, n-cached)
+	ts := stubServer(t, func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintln(w, headerLine(n, n-cached))
 		for seq := 0; seq < n; seq++ {
 			batch := -1
 			if seq >= cached {
 				batch = seq - cached
 			}
-			fmt.Fprintf(w, `{"chunk":{"seq":%d,"batch":%d,"batches":%d,"results":[{"id":%d,"score":5,"ls":1,"rs":2,"bh":0,"bv":0,"eh":9,"ev":9,"cells":40,"ad":18,"band":3}]}}`+"\n",
-				seq, batch, n-cached, seq)
+			fmt.Fprintln(w, chunkLine(seq, batch, n-cached, resultJSON(seq, 5, "")))
 		}
-		fmt.Fprint(w, `{"final":{"report":{}}}`+"\n")
-	}))
-	defer ts.Close()
-
-	c := serviceclient.New(ts.URL, serviceclient.WithTransportBackoff(time.Millisecond, 2*time.Millisecond))
-	job, err := c.Submit(context.Background(), testData(t, 43, n)) // the header announces what was submitted
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	rep, err := job.Wait(ctx) // nothing has read Results yet
+		fmt.Fprintln(w, finalLine)
+	})
+	job := submit(t, fastClient(ts.URL), testData(t, 43, n)) // the header announces what was submitted
+	// Nothing has read Results yet.
+	rep, err := job.Wait(waitCtx(t))
 	if err != nil {
 		t.Fatalf("Wait with an undrained stream of %d one-result chunks: %v", n, err)
 	}

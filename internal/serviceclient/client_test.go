@@ -136,10 +136,7 @@ func TestServiceClientRetriesRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := job.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mustWait(t, context.Background(), job)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("report after retried submit differs\n got: %+v\nwant: %+v", got, want)
 	}
@@ -179,14 +176,8 @@ func (c recordingClock) AfterFunc(d time.Duration, f func()) clock.Timer {
 // source safe for concurrent use; under -race a shared *rand.Rand fails
 // here.
 func TestServiceClientConcurrentRetries(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body) // an unread body makes the server linger 0.5 s on close
-		http.Error(w, `{"error":"always full"}`, http.StatusTooManyRequests)
-	}))
-	defer ts.Close()
-	c := serviceclient.New(ts.URL,
-		serviceclient.WithTransportRetry(4),
-		serviceclient.WithTransportBackoff(time.Millisecond, 2*time.Millisecond))
+	ts := stubServer(t, alwaysFull)
+	c := fastClient(ts.URL, serviceclient.WithTransportRetry(4))
 	d := testData(t, 43, 6)
 	var wg sync.WaitGroup
 	for range 4 {
@@ -201,17 +192,16 @@ func TestServiceClientConcurrentRetries(t *testing.T) {
 	wg.Wait()
 }
 
+// alwaysFull refuses every request.
+func alwaysFull(w http.ResponseWriter, r *http.Request) {
+	http.Error(w, `{"error":"always full"}`, http.StatusTooManyRequests)
+}
+
 // TestServiceClientGivesUpAfterRetries: persistent refusal surfaces as a
 // terminal error naming the exhausted attempts, not a hang.
 func TestServiceClientGivesUpAfterRetries(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body) // an unread body makes the server linger 0.5 s on close
-		http.Error(w, `{"error":"always full"}`, http.StatusTooManyRequests)
-	}))
-	defer ts.Close()
-	c := serviceclient.New(ts.URL,
-		serviceclient.WithTransportRetry(3),
-		serviceclient.WithTransportBackoff(time.Millisecond, 2*time.Millisecond))
+	ts := stubServer(t, alwaysFull)
+	c := fastClient(ts.URL, serviceclient.WithTransportRetry(3))
 	_, err := c.Submit(context.Background(), testData(t, 43, 6))
 	if err == nil || !strings.Contains(err.Error(), "gave up after 3 attempts") {
 		t.Fatalf("want exhausted-retries error, got %v", err)
@@ -287,20 +277,14 @@ func TestServiceClientResumesDroppedStream(t *testing.T) {
 		serviceclient.WithStreamLinger(30*time.Second),
 		serviceclient.WithTransportRetry(4),
 		serviceclient.WithTransportBackoff(2*time.Millisecond, 20*time.Millisecond))
-	job, err := c.Submit(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submit(t, c, d)
 	seen := map[int]int{}
 	for u := range job.Results() {
 		for _, o := range u.Results {
 			seen[o.GlobalID]++
 		}
 	}
-	got, err := job.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mustWait(t, context.Background(), job)
 	if !ah.used.Load() {
 		t.Fatal("abort middleware never fired; resume path untested")
 	}
@@ -334,10 +318,7 @@ func TestServiceClientCancel(t *testing.T) {
 	defer ts.Close()
 
 	c := serviceclient.New(ts.URL)
-	job, err := c.Submit(context.Background(), testData(t, 53, 20))
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := submit(t, c, testData(t, 53, 20))
 	if err := job.Cancel(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,7 @@ package serviceclient_test
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"github.com/sram-align/xdropipu/internal/ipukernel"
@@ -50,11 +48,7 @@ func TestFirstResultNotStarvedByReader(t *testing.T) {
 	}
 	final, _ := json.Marshal(wire.Envelope{Final: &wire.Final{Report: &wire.ReportSummary{}}})
 	stream = append(append(stream, final...), '\n')
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body)
-		w.Write(stream)
-	}))
-	defer ts.Close()
+	ts := stubServer(t, func(w http.ResponseWriter, r *http.Request) { w.Write(stream) })
 
 	job, err := serviceclient.New(ts.URL).Submit(context.Background(), d)
 	if err != nil {
@@ -74,9 +68,7 @@ func TestFirstResultNotStarvedByReader(t *testing.T) {
 	for range updates {
 		n++
 	}
-	if _, err := job.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	mustWait(t, context.Background(), job)
 	if n != chunks {
 		t.Errorf("stream carried %d updates, want %d", n, chunks)
 	}

@@ -4,18 +4,12 @@
 package serviceclient_test
 
 import (
-	"context"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
-	"time"
 
 	"github.com/sram-align/xdropipu/internal/alignment"
 	"github.com/sram-align/xdropipu/internal/engine"
-	"github.com/sram-align/xdropipu/internal/serviceclient"
 )
 
 // TestConsumeResultsSurviveBufferReuse streams two chunks, each longer
@@ -37,41 +31,23 @@ func TestConsumeResultsSurviveBufferReuse(t *testing.T) {
 		return b.Cigar()
 	}
 	chunk := func(seq int) string {
-		var sb strings.Builder
-		fmt.Fprintf(&sb, `{"chunk":{"seq":%d,"batch":%d,"batches":2,"results":[`, seq, seq)
-		for i := 0; i < perChunk; i++ {
+		results := make([]string, perChunk)
+		for i := range results {
 			id := seq*perChunk + i
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			fmt.Fprintf(&sb, `{"id":%d,"score":%d,"ls":1,"rs":2,"bh":0,"bv":0,"eh":9,"ev":9,"cells":40,"ad":18,"band":3,"cigar":%q}`,
-				id, 100+id, cigarOf(id))
+			results[i] = resultJSON(id, 100+id, fmt.Sprintf(`,"cigar":%q`, cigarOf(id)))
 		}
-		sb.WriteString("]}}")
-		return sb.String()
+		return chunkLine(seq, seq, 2, results...)
 	}
 	first, second := chunk(0), chunk(1)
 	if len(first) <= 4096 || len(second) < len(first) {
 		t.Fatalf("chunk lines of %d and %d bytes do not exercise the reused buffer", len(first), len(second))
 	}
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body) // an unread body makes the server linger 0.5 s on close
-		fmt.Fprintf(w, `{"header":{"job":"j000001","comparisons":%d,"batches":2,"shard":0}}`+"\n%s\n%s\n"+`{"final":{"report":{}}}`+"\n",
-			2*perChunk, first, second)
-	}))
-	defer ts.Close()
-
-	c := serviceclient.New(ts.URL, serviceclient.WithTransportBackoff(time.Millisecond, 2*time.Millisecond))
-	job, err := c.Submit(context.Background(), testData(t, 43, 2*perChunk)) // the header announces what was submitted
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	rep, err := job.Wait(ctx) // the whole stream is consumed: the buffer now holds the final record
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := stubServer(t, func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, "%s\n%s\n%s\n%s\n", headerLine(2*perChunk, 2), first, second, finalLine)
+	})
+	job := submit(t, fastClient(ts.URL), testData(t, 43, 2*perChunk)) // the header announces what was submitted
+	// The whole stream is consumed: the buffer now holds the final record.
+	rep := mustWait(t, waitCtx(t), job)
 	var updates []engine.Update
 	for u := range job.Results() {
 		updates = append(updates, u)

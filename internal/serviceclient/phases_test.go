@@ -34,9 +34,7 @@ func TestServiceClientPhasesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := job.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	mustWait(t, context.Background(), job)
 	got := job.Phases()
 
 	// The final record as the server retains it, replayed from the start.

@@ -7,15 +7,10 @@ package serviceclient_test
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
-
-	"github.com/sram-align/xdropipu/internal/serviceclient"
 )
 
 // TestServiceClientProtocolErrorIsTerminal serves one well-formed chunk
@@ -24,36 +19,24 @@ import (
 // error. A resumed stream would be served the same bytes again (the stub
 // answers GET …/results too), which before the fix was a busy loop.
 func TestServiceClientProtocolErrorIsTerminal(t *testing.T) {
-	const result = `{"id":%d,"score":5,"ls":1,"rs":2,"bh":0,"bv":0,"eh":9,"ev":9,"cells":40,"ad":18,"band":3%s}`
-	good := `{"chunk":{"seq":0,"batch":0,"batches":3,"results":[` + fmt.Sprintf(result, 0, "") + `]}}`
+	good := chunkLine(0, 0, 3, resultJSON(0, 5, ""))
 	for name, tc := range map[string]struct{ bad, want string }{
 		"malformed line":  {`{"chunk":{"seq":1,"batch":1,`, "bad stream record"},
-		"seq gap":         {`{"chunk":{"seq":2,"batch":1,"batches":3,"results":[]}}`, "stream gap"},
-		"id out of range": {`{"chunk":{"seq":1,"batch":1,"batches":3,"results":[` + fmt.Sprintf(result, 7, "") + `]}}`, "out of range"},
-		"invalid cigar":   {`{"chunk":{"seq":1,"batch":1,"batches":3,"results":[` + fmt.Sprintf(result, 1, `,"cigar":"3=0X"`) + `]}}`, "corrupt result 1"},
+		"seq gap":         {chunkLine(2, 1, 3), "stream gap"},
+		"id out of range": {chunkLine(1, 1, 3, resultJSON(7, 5, "")), "out of range"},
+		"invalid cigar":   {chunkLine(1, 1, 3, resultJSON(1, 5, `,"cigar":"3=0X"`)), "corrupt result 1"},
 		"empty record":    {`{}`, "empty stream record"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			var requests atomic.Int32
-			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				io.Copy(io.Discard, r.Body) // an unread body makes the server linger 0.5 s on close
+			ts := stubServer(t, func(w http.ResponseWriter, r *http.Request) {
 				requests.Add(1)
-				fmt.Fprintf(w, `{"header":{"job":"j000001","comparisons":2,"batches":3,"shard":0}}`+"\n%s\n%s\n", good, tc.bad)
+				fmt.Fprintf(w, "%s\n%s\n%s\n", headerLine(2, 3), good, tc.bad)
 				// No final record: the stream just ends, as a window replay
 				// of a still-running job would not.
-			}))
-			defer ts.Close()
-			c := serviceclient.New(ts.URL, serviceclient.WithTransportBackoff(time.Millisecond, 2*time.Millisecond))
-			job, err := c.Submit(context.Background(), testData(t, 43, 2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			rep, err := job.Wait(ctx)
-			if err == nil || rep != nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("Wait = %v, %v; want an error containing %q", rep, err, tc.want)
-			}
+			})
+			job := submit(t, fastClient(ts.URL), testData(t, 43, 2))
+			waitFails(t, waitCtx(t), job, tc.want)
 			delivered := 0
 			for range job.Results() {
 				delivered++
@@ -74,13 +57,12 @@ func TestServiceClientProtocolErrorIsTerminal(t *testing.T) {
 // handing Wait a report with a zero-valued result — and, being the
 // window's content, is not resumed.
 func TestServiceClientFinalNeedsEveryResult(t *testing.T) {
-	const result = `{"id":%d,"score":5,"ls":1,"rs":2,"bh":0,"bv":0,"eh":9,"ev":9,"cells":40,"ad":18,"band":3}`
 	chunk := func(seq int, ids ...int) string {
 		var rs []string
 		for _, id := range ids {
-			rs = append(rs, fmt.Sprintf(result, id))
+			rs = append(rs, resultJSON(id, 5, ""))
 		}
-		return fmt.Sprintf(`{"chunk":{"seq":%d,"batch":%d,"batches":2,"results":[%s]}}`, seq, seq, strings.Join(rs, ","))
+		return chunkLine(seq, seq, 2, rs...)
 	}
 	d := testData(t, 43, 2)
 	for name, tc := range map[string]struct {
@@ -95,27 +77,16 @@ func TestServiceClientFinalNeedsEveryResult(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			var requests atomic.Int32
-			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				io.Copy(io.Discard, r.Body) // an unread body makes the server linger 0.5 s on close
+			ts := stubServer(t, func(w http.ResponseWriter, r *http.Request) {
 				requests.Add(1)
-				fmt.Fprint(w, `{"header":{"job":"j000001","comparisons":2,"batches":2,"shard":0}}`+"\n")
+				fmt.Fprintln(w, headerLine(2, 2))
 				for _, c := range tc.chunks {
 					fmt.Fprintln(w, c)
 				}
-				fmt.Fprint(w, `{"final":{"report":{}}}`+"\n")
-			}))
-			defer ts.Close()
-			c := serviceclient.New(ts.URL, serviceclient.WithTransportBackoff(time.Millisecond, 2*time.Millisecond))
-			job, err := c.Submit(context.Background(), d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			rep, err := job.Wait(ctx)
-			if err == nil || rep != nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("Wait = %v, %v; want an error containing %q", rep, err, tc.want)
-			}
+				fmt.Fprintln(w, finalLine)
+			})
+			job := submit(t, fastClient(ts.URL), d)
+			waitFails(t, waitCtx(t), job, tc.want)
 			if n := requests.Load(); n != 1 {
 				t.Errorf("%d requests, want 1: a protocol error must not resume", n)
 			}
@@ -132,14 +103,10 @@ func TestServiceClientChecksHeaderCount(t *testing.T) {
 	d := testData(t, 43, 2)
 	for _, announced := range []int{-5, 0, 1, 3} {
 		t.Run(fmt.Sprint(announced), func(t *testing.T) {
-			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				io.Copy(io.Discard, r.Body) // an unread body makes the server linger 0.5 s on close
-				fmt.Fprintf(w, `{"header":{"job":"j000001","comparisons":%d,"batches":1,"shard":0}}`+"\n", announced)
-				fmt.Fprint(w, `{"final":{"report":{}}}`+"\n")
-			}))
-			defer ts.Close()
-			c := serviceclient.New(ts.URL, serviceclient.WithTransportBackoff(time.Millisecond, 2*time.Millisecond))
-			job, err := c.Submit(context.Background(), d)
+			ts := stubServer(t, func(w http.ResponseWriter, r *http.Request) {
+				fmt.Fprintf(w, "%s\n%s\n", headerLine(announced, 1), finalLine)
+			})
+			job, err := fastClient(ts.URL).Submit(context.Background(), d)
 			if want := fmt.Sprintf("announces %d comparisons, the job has 2", announced); err == nil || job != nil || !strings.Contains(err.Error(), want) {
 				t.Fatalf("Submit = %v, %v; want an error containing %q", job, err, want)
 			}
@@ -147,31 +114,17 @@ func TestServiceClientChecksHeaderCount(t *testing.T) {
 	}
 
 	t.Run("resumed", func(t *testing.T) {
-		const result = `{"id":%d,"score":5,"ls":1,"rs":2,"bh":0,"bv":0,"eh":9,"ev":9,"cells":40,"ad":18,"band":3}`
 		var requests atomic.Int32
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			io.Copy(io.Discard, r.Body) // an unread body makes the server linger 0.5 s on close
-			if requests.Add(1) == 1 {   // the submission: one chunk, then the stream drops
-				fmt.Fprint(w, `{"header":{"job":"j000001","comparisons":2,"batches":2,"shard":0}}`+"\n")
-				fmt.Fprintf(w, `{"chunk":{"seq":0,"batch":0,"batches":2,"results":[`+result+`]}}`+"\n", 0)
+		ts := stubServer(t, func(w http.ResponseWriter, r *http.Request) {
+			if requests.Add(1) == 1 { // the submission: one chunk, then the stream drops
+				fmt.Fprintf(w, "%s\n%s\n", headerLine(2, 2), chunkLine(0, 0, 2, resultJSON(0, 5, "")))
 				return
 			}
 			fmt.Fprint(w, `{"header":{"job":"j000001","comparisons":7,"batches":2,"shard":0,"from":1}}`+"\n")
-			fmt.Fprintf(w, `{"chunk":{"seq":1,"batch":1,"batches":2,"results":[`+result+`]}}`+"\n", 1)
-			fmt.Fprint(w, `{"final":{"report":{}}}`+"\n")
-		}))
-		defer ts.Close()
-		c := serviceclient.New(ts.URL, serviceclient.WithTransportBackoff(time.Millisecond, 2*time.Millisecond))
-		job, err := c.Submit(context.Background(), d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		const want = "announces 7 comparisons, the job has 2"
-		if rep, err := job.Wait(ctx); err == nil || rep != nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("Wait = %v, %v; want an error containing %q", rep, err, want)
-		}
+			fmt.Fprintf(w, "%s\n%s\n", chunkLine(1, 1, 2, resultJSON(1, 5, "")), finalLine)
+		})
+		job := submit(t, fastClient(ts.URL), d)
+		waitFails(t, waitCtx(t), job, "announces 7 comparisons, the job has 2")
 		if n := requests.Load(); n != 2 {
 			t.Errorf("%d requests, want the submission and one resume", n)
 		}

@@ -8,9 +8,7 @@ package serviceclient_test
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
@@ -26,30 +24,20 @@ import (
 // queued them could fill any buffer sized from the comparison count and
 // block until Wait's deadline.
 func TestServiceClientRejectsEmptyChunks(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body) // an unread body makes the server linger 0.5 s on close
-		fmt.Fprint(w, `{"header":{"job":"j000001","comparisons":2,"batches":2,"shard":0}}`+"\n")
+	ts := stubServer(t, func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintln(w, headerLine(2, 2))
 		for seq := 0; seq < 10; seq++ {
-			fmt.Fprintf(w, `{"chunk":{"seq":%d,"batch":-1,"batches":2,"results":[]}}`+"\n", seq)
+			fmt.Fprintln(w, chunkLine(seq, -1, 2))
 		}
 		for id := 0; id < 2; id++ {
-			fmt.Fprintf(w, `{"chunk":{"seq":%d,"batch":%d,"batches":2,"results":[{"id":%d,"score":5,"ls":1,"rs":2,"bh":0,"bv":0,"eh":9,"ev":9,"cells":40,"ad":18,"band":3}]}}`+"\n",
-				10+id, id, id)
+			fmt.Fprintln(w, chunkLine(10+id, id, 2, resultJSON(id, 5, "")))
 		}
-		fmt.Fprint(w, `{"final":{"report":{}}}`+"\n")
-	}))
-	defer ts.Close()
-	c := serviceclient.New(ts.URL, serviceclient.WithTransportBackoff(time.Millisecond, 2*time.Millisecond))
-	job, err := c.Submit(context.Background(), testData(t, 43, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
+		fmt.Fprintln(w, finalLine)
+	})
+	job := submit(t, fastClient(ts.URL), testData(t, 43, 2))
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	const want = "chunk 0 carries no results"
-	if rep, err := job.Wait(ctx); err == nil || rep != nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Wait = %v, %v; want an error containing %q", rep, err, want)
-	}
+	waitFails(t, ctx, job, "chunk 0 carries no results")
 }
 
 // TestServiceClientQueueSpillsInOrder streams three channels' worth of
@@ -59,17 +47,14 @@ func TestServiceClientRejectsEmptyChunks(t *testing.T) {
 // stream — nor starts for a job whose Results nobody has asked for.
 func TestServiceClientQueueSpillsInOrder(t *testing.T) {
 	const n = 3 * serviceclient.UpdateQueueCap
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body) // an unread body makes the server linger 0.5 s on close
-		fmt.Fprintf(w, `{"header":{"job":"j000001","comparisons":%d,"batches":%d,"shard":0}}`+"\n", n, n)
+	ts := stubServer(t, func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintln(w, headerLine(n, n))
 		for seq := 0; seq < n; seq++ {
-			fmt.Fprintf(w, `{"chunk":{"seq":%d,"batch":%d,"batches":%d,"results":[{"id":%d,"score":%d,"ls":1,"rs":2,"bh":0,"bv":0,"eh":9,"ev":9,"cells":40,"ad":18,"band":3}]}}`+"\n",
-				seq, seq, n, seq, seq+5)
+			fmt.Fprintln(w, chunkLine(seq, seq, n, resultJSON(seq, seq+5, "")))
 		}
-		fmt.Fprint(w, `{"final":{"report":{}}}`+"\n")
-	}))
-	defer ts.Close()
-	c := serviceclient.New(ts.URL, serviceclient.WithTransportBackoff(time.Millisecond, 2*time.Millisecond))
+		fmt.Fprintln(w, finalLine)
+	})
+	c := fastClient(ts.URL)
 	d := testData(t, 43, n)
 
 	for _, mode := range []string{"taken, drained after Wait", "drained slowly", "taken after Wait"} {
@@ -91,9 +76,7 @@ func TestServiceClientQueueSpillsInOrder(t *testing.T) {
 			switch mode {
 			case "taken, drained after Wait":
 				results = job.Results()
-				if _, err := job.Wait(ctx); err != nil {
-					t.Fatal(err)
-				}
+				mustWait(t, ctx, job)
 			case "drained slowly":
 				results = job.Results()
 				for got < n/2 {
@@ -102,9 +85,7 @@ func TestServiceClientQueueSpillsInOrder(t *testing.T) {
 					time.Sleep(200 * time.Microsecond)
 				}
 			case "taken after Wait":
-				if _, err := job.Wait(ctx); err != nil {
-					t.Fatal(err)
-				}
+				mustWait(t, ctx, job)
 				if forwarders() != 0 {
 					t.Fatal("a forwarder runs for a job whose Results was never taken")
 				}
@@ -117,10 +98,7 @@ func TestServiceClientQueueSpillsInOrder(t *testing.T) {
 			if got != n {
 				t.Fatalf("%d updates, want %d", got, n)
 			}
-			rep, err := job.Wait(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rep := mustWait(t, ctx, job)
 			for id, o := range rep.Results {
 				if o.GlobalID != id || o.Score != id+5 {
 					t.Fatalf("report result %d = id %d score %d", id, o.GlobalID, o.Score)
