@@ -365,7 +365,8 @@ type BatchPlan struct {
 	cacheSkipCells         int64
 
 	// fanOnce/fanOffsets/fanRows lazily build the uid → comparison-rows
-	// index (CSR layout) behind ResultExpander and CachedResults.
+	// index (CSR layout) behind ResultExpander and CachedResults; a plan
+	// the cache served whole without in-job duplicates never builds it.
 	fanOnce    sync.Once
 	fanOffsets []int32
 	fanRows    []int32
@@ -398,8 +399,9 @@ func (bp *BatchPlan) fanIndex() (offsets, rows []int32) {
 // per batch so streaming consumers keep the documented "GlobalID indexes
 // the submitted dataset" contract. Returns nil when the plan was built
 // without dedup (results are already per-comparison). The expander holds
-// only the small fan-out index, so callers may retain it after releasing
-// the plan; it is safe for concurrent use.
+// only the small fan-out index, built only when something executes, so
+// callers may retain it after releasing the plan; it is safe for
+// concurrent use.
 //
 // The expansion is best-effort on malformed input: a result whose
 // GlobalID falls outside the executed sub-plan (impossible absent a
@@ -409,8 +411,11 @@ func (bp *BatchPlan) ResultExpander() func([]ipukernel.AlignOut) []ipukernel.Ali
 	if bp.dedup == nil {
 		return nil
 	}
-	offsets, rows := bp.fanIndex()
 	execUID := bp.execUID
+	var offsets, rows []int32
+	if len(execUID) > 0 {
+		offsets, rows = bp.fanIndex()
+	}
 	return func(out []ipukernel.AlignOut) []ipukernel.AlignOut {
 		exp := make([]ipukernel.AlignOut, 0, len(out))
 		for _, o := range out {
@@ -434,9 +439,20 @@ func (bp *BatchPlan) ResultExpander() func([]ipukernel.AlignOut) []ipukernel.Ali
 // consumers receive them as an up-front update. The slice is the
 // caller's own; it must be taken before the plan's Assembly folds, which
 // fans out over the array it is read from.
+//
+// A plan the cache served whole without in-job duplicates has its rows
+// as ordinals: its results are one copy of the lookup's prefix, each
+// given its row as GlobalID.
 func (bp *BatchPlan) CachedResults() []ipukernel.AlignOut {
 	if bp.cacheHits == 0 {
 		return nil
+	}
+	if bp.cacheHits == len(bp.cached) && bp.dedup.Duplicates() == 0 {
+		res := slices.Clone(bp.cachedOuts[:bp.cacheHits])
+		for row := range res {
+			res[row].GlobalID = row
+		}
+		return res
 	}
 	offsets, rows := bp.fanIndex()
 	n := 0

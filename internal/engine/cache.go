@@ -7,11 +7,12 @@
 // other's results regardless of pool numbering, the way LOGAN-class batch
 // aligners avoid ever re-extending identical seed pairs.
 //
-// A shard is one flat slice of entries indexed by a 64-bit pre-hash of
-// the whole key. A hit reads one entry and sets one bit in it
-// (second-chance eviction); a plan's lookups arrive as one batch, so each
-// shard is locked once per plan and independent lookups overlap their
-// cache misses instead of queueing behind a lock round-trip each.
+// A shard is one flat slice of entries indexed by an open-addressed table
+// of 64-bit slots, placed by a pre-hash of the whole key. A hit reads one
+// slot and one entry and sets one bit in it (second-chance eviction); a
+// plan's lookups arrive as one batch, so each shard is locked once per
+// plan and independent lookups overlap their cache misses instead of
+// queueing behind a lock round-trip each.
 
 package engine
 
@@ -38,25 +39,28 @@ const (
 )
 
 // cacheEntry is one resident extension: everything a lookup touches sits
-// in the one slot it has to read anyway.
+// in the one entry it has to read anyway.
 type cacheEntry struct {
-	hash uint64 // the pre-hash the entry is indexed under
-	next int32  // next entry under the same pre-hash, -1 at the chain's end
+	hash uint64 // the pre-hash the entry is filed under
 	ref  bool   // hit since the clock hand last passed
 	key  driver.CacheKey
 	out  ipukernel.AlignOut
 }
 
 // cacheShard holds its entries in one slice that grows to the shard's
-// limit and is then reused slot by slot. index maps a pre-hash to the
-// head of its chain; distinct keys that mix to one pre-hash chain through
-// next, and find confirms a match on the full key, so a pre-hash
-// collision can never alias two extensions.
+// limit and is then reused entry by entry, and finds them through slots:
+// a power-of-two table, at most half full, of words tag<<32 | index+1
+// (0 is empty), where the tag is the pre-hash's upper half and its low
+// bits pick the word's home slot. A word sits at the first empty slot at
+// or after its home (linear probing), and a removal shifts the words
+// behind it back, so no probe sequence ever has a gap. find confirms a
+// tag match on the full key, so a pre-hash collision can never alias two
+// extensions.
 type cacheShard struct {
 	mu      sync.Mutex
-	index   map[uint64]int32
+	slots   []uint64
 	entries []cacheEntry
-	hand    int // next slot the eviction clock examines
+	hand    int // next entry the eviction clock examines
 }
 
 // resultCache implements driver.ResultCache and its batched lookup,
@@ -75,11 +79,12 @@ type resultCache struct {
 }
 
 // cacheEntryOverheadBytes is an entry's share of what its shard holds
-// beside the entries: the index slot (a 16-byte key/value pair and a
-// control byte, in tables that run between 7/16 and 7/8 full: 19–39
-// bytes) and the entry slice's growth slack (at most an eighth).
+// beside the entries: its slots (the table doubles past half full, so
+// 2–4 eight-byte slots an entry: 16–32 bytes) and the entry slice's
+// growth slack (at most an eighth of a 200-byte entry: 0–25 bytes), each
+// taken at the middle of its range.
 // TestCacheBytesTracksHeap holds the sum to the heap within 10 %.
-const cacheEntryOverheadBytes = 44
+const cacheEntryOverheadBytes = 36
 
 // cacheEntryFixedBytes is what an entry occupies outside its CIGAR.
 const cacheEntryFixedBytes = int64(unsafe.Sizeof(cacheEntry{})) + cacheEntryOverheadBytes
@@ -92,11 +97,7 @@ func newResultCache(entries int) *resultCache {
 	if entries <= 0 {
 		entries = DefaultResultCacheEntries
 	}
-	c := &resultCache{perShard: (entries + cacheShards - 1) / cacheShards}
-	for i := range c.shards {
-		c.shards[i].index = make(map[uint64]int32)
-	}
-	return c
+	return &resultCache{perShard: (entries + cacheShards - 1) / cacheShards}
 }
 
 // hashKey mixes every field of the key into the 64-bit pre-hash. The
@@ -130,19 +131,28 @@ func (c *resultCache) resident() int64 {
 	return int64(n)
 }
 
-// find returns the slot holding k, or -1. h only selects the chain; the
-// match is the full key.
+// minCacheSlots is the size of a shard's first slot table.
+const minCacheSlots = 8
+
+// find returns the index of the entry holding k, or -1. The pre-hash
+// places the probe and its tag filters the words on the way; the match
+// is the full key.
 func (s *cacheShard) find(h uint64, k *driver.CacheKey) int32 {
-	i, ok := s.index[h]
-	if !ok {
+	if len(s.slots) == 0 {
 		return -1
 	}
-	for ; i >= 0; i = s.entries[i].next {
-		if s.entries[i].key == *k {
-			return i
+	tag, mask := h>>32, uint64(len(s.slots)-1)
+	for pos := tag & mask; ; pos = (pos + 1) & mask {
+		w := s.slots[pos]
+		if w == 0 {
+			return -1
+		}
+		if w>>32 == tag {
+			if i := int32(uint32(w)) - 1; s.entries[i].key == *k {
+				return i
+			}
 		}
 	}
-	return -1
 }
 
 // lookup is find plus a hit's copy into out and its one write: the
@@ -174,7 +184,7 @@ func (s *cacheShard) put(h uint64, k *driver.CacheKey, out ipukernel.AlignOut, l
 		e.out, e.ref = out, true
 		return bytesDelta, false
 	}
-	var slot int32
+	var i int32
 	if len(s.entries) < limit {
 		if len(s.entries) == cap(s.entries) {
 			// Grow by an eighth, never past the limit: the slack stays
@@ -182,68 +192,106 @@ func (s *cacheShard) put(h uint64, k *driver.CacheKey, out ipukernel.AlignOut, l
 			n := min(limit, cap(s.entries)+max(8, cap(s.entries)/8))
 			s.entries = append(make([]cacheEntry, 0, n), s.entries...)
 		}
-		slot = int32(len(s.entries))
-		s.entries = s.entries[:slot+1]
+		i = int32(len(s.entries))
+		s.entries = s.entries[:i+1]
 	} else {
-		slot = s.evict()
-		bytesDelta -= entryBytes(s.entries[slot].out)
+		i = s.evict()
+		bytesDelta -= entryBytes(s.entries[i].out)
 		evicted = true
 	}
-	// The victim is unlinked by now, so the chain head read here is
-	// current even when victim and newcomer share a pre-hash.
-	head, chained := s.index[h]
-	if !chained {
-		head = -1
+	s.entries[i] = cacheEntry{hash: h, key: *k, out: out}
+	if 2*len(s.entries) > len(s.slots) {
+		// Past half full: double the table and file every entry again,
+		// the one just written among them.
+		s.rehash(max(minCacheSlots, 2*len(s.slots)))
+	} else {
+		s.place(h, i)
 	}
-	s.entries[slot] = cacheEntry{hash: h, next: head, key: *k, out: out}
-	s.index[h] = slot
 	return bytesDelta, evicted
 }
 
+// place files entry i, pre-hash h, in the first empty slot from its home.
+func (s *cacheShard) place(h uint64, i int32) {
+	mask := uint64(len(s.slots) - 1)
+	pos := h >> 32 & mask
+	for s.slots[pos] != 0 {
+		pos = (pos + 1) & mask
+	}
+	s.slots[pos] = h>>32<<32 | uint64(i+1)
+}
+
+// rehash replaces the slot table by one of n slots holding every entry.
+func (s *cacheShard) rehash(n int) {
+	s.slots = make([]uint64, n)
+	for i := range s.entries {
+		s.place(s.entries[i].hash, int32(i))
+	}
+}
+
 // evict advances the clock to the first entry not hit since the hand
-// last passed it, clearing the bits it steps over, unlinks that entry
-// from its chain and returns its slot. Two laps at most: the first clears
-// every bit.
+// last passed it, clearing the bits it steps over, removes that entry's
+// slot and returns its index. Two laps at most: the first clears every
+// bit.
 func (s *cacheShard) evict() int32 {
 	for {
-		slot := int32(s.hand)
+		i := int32(s.hand)
 		if s.hand++; s.hand == len(s.entries) {
 			s.hand = 0
 		}
-		e := &s.entries[slot]
+		e := &s.entries[i]
 		if e.ref {
 			e.ref = false
 			continue
 		}
-		if head := s.index[e.hash]; head != slot {
-			for s.entries[head].next != slot {
-				head = s.entries[head].next
-			}
-			s.entries[head].next = e.next
-		} else if e.next >= 0 {
-			s.index[e.hash] = e.next
-		} else {
-			delete(s.index, e.hash)
+		mask := uint64(len(s.slots) - 1)
+		pos := e.hash >> 32 & mask
+		for uint32(s.slots[pos]) != uint32(i+1) {
+			pos = (pos + 1) & mask
 		}
-		return slot
+		s.unlink(pos)
+		return i
 	}
+}
+
+// unlink empties slot pos by backward shift: each later word of its
+// cluster that may sit at the gap (its home lies cyclically at or before
+// the gap) moves back into it, and the gap moves to where that word was,
+// until an empty slot ends the cluster. A word is never left behind a
+// gap on its own probe sequence.
+func (s *cacheShard) unlink(pos uint64) {
+	mask := uint64(len(s.slots) - 1)
+	for j := (pos + 1) & mask; s.slots[j] != 0; j = (j + 1) & mask {
+		if home := s.slots[j] >> 32 & mask; (j-home)&mask >= (j-pos)&mask {
+			s.slots[pos] = s.slots[j]
+			pos = j
+		}
+	}
+	s.slots[pos] = 0
 }
 
 // GetBatch implements driver.ResultCache's lookup: outs[i], hit[i]
 // answer keys[i], the return value counts the hits. Keys are hashed once
-// and bucketed by shard in pooled scratch, each shard is locked once for
-// all of its keys (its Puts wait that long: ≈ 0.2 µs a key), and the
-// counters are added once.
+// into pooled scratch and looked up by lookupBatch.
 func (c *resultCache) GetBatch(keys []driver.CacheKey, outs []ipukernel.AlignOut, hit []bool) int {
 	sc := batchScratch.Get().(*lookupScratch)
 	defer batchScratch.Put(sc)
-	hashes := slices.Grow(sc.hashes[:0], len(keys))[:len(keys)]
-	order := slices.Grow(sc.order[:0], len(keys))[:len(keys)]
-	sc.hashes, sc.order = hashes, order
-	var start [cacheShards + 1]int32
+	sc.hashes = slices.Grow(sc.hashes[:0], len(keys))[:len(keys)]
 	for i := range keys {
-		h := hashKey(&keys[i])
-		hashes[i] = h
+		sc.hashes[i] = hashKey(&keys[i])
+	}
+	return c.lookupBatch(keys, sc, outs, hit)
+}
+
+// lookupBatch answers keys under the pre-hashes in sc.hashes: the keys
+// are bucketed by shard in sc.order, each shard is locked once for all
+// of its keys (its Puts wait that long: ≈ 0.2 µs a key), and the
+// counters are added once.
+func (c *resultCache) lookupBatch(keys []driver.CacheKey, sc *lookupScratch, outs []ipukernel.AlignOut, hit []bool) int {
+	hashes := sc.hashes
+	order := slices.Grow(sc.order[:0], len(keys))[:len(keys)]
+	sc.order = order
+	var start [cacheShards + 1]int32
+	for _, h := range hashes {
 		start[shardOf(h)+1]++
 	}
 	for si := 0; si < cacheShards; si++ {
@@ -287,10 +335,14 @@ var batchScratch = sync.Pool{New: func() any { return new(lookupScratch) }}
 
 // Put implements driver.ResultCache.
 func (c *resultCache) Put(k driver.CacheKey, out ipukernel.AlignOut) {
-	h := hashKey(&k)
+	c.putHashed(hashKey(&k), &k, out)
+}
+
+// putHashed is Put under the pre-hash h.
+func (c *resultCache) putHashed(h uint64, k *driver.CacheKey, out ipukernel.AlignOut) {
 	s := &c.shards[shardOf(h)]
 	s.mu.Lock()
-	bytesDelta, evicted := s.put(h, &k, out, c.perShard)
+	bytesDelta, evicted := s.put(h, k, out, c.perShard)
 	s.mu.Unlock()
 	c.payloadBytes.Add(bytesDelta)
 	if evicted {

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -9,16 +11,22 @@ import (
 	"testing"
 
 	"github.com/sram-align/xdropipu/internal/alignment"
+	"github.com/sram-align/xdropipu/internal/core"
 	"github.com/sram-align/xdropipu/internal/driver"
 	"github.com/sram-align/xdropipu/internal/ipukernel"
+	"github.com/sram-align/xdropipu/internal/platform"
+	"github.com/sram-align/xdropipu/internal/scoring"
+	"github.com/sram-align/xdropipu/internal/synth"
+	"github.com/sram-align/xdropipu/internal/workload"
 )
 
 // cacheAudit walks every shard and checks what must hold between any two
-// operations: entries within the bound, every resident entry found under
-// its own key, the index no larger than the entries, and the counters
-// equal to what the walk sums — payloadBytes is only ever adjusted by
-// deltas, so this is the one place the sum is taken.
-func cacheAudit(t *testing.T, c *resultCache, inserts int64) {
+// operations: entries within the bound, each filed under hashOf of its
+// key in the shard that pre-hash picks, the slot table sound
+// (shardAudit), and the counters equal to what the walk sums —
+// payloadBytes is only ever adjusted by deltas, so this is the one place
+// the sum is taken.
+func cacheAudit(t *testing.T, c *resultCache, inserts int64, hashOf func(*driver.CacheKey) uint64) {
 	t.Helper()
 	var resident, bytes int64
 	for si := range c.shards {
@@ -26,19 +34,14 @@ func cacheAudit(t *testing.T, c *resultCache, inserts int64) {
 		if len(s.entries) > c.perShard {
 			t.Fatalf("shard %d holds %d entries, limit %d", si, len(s.entries), c.perShard)
 		}
-		if len(s.index) > len(s.entries) {
-			t.Fatalf("shard %d: %d index slots over %d entries", si, len(s.index), len(s.entries))
-		}
 		for i := range s.entries {
 			e := &s.entries[i]
-			if shardOf(e.hash) != si || e.hash != hashKey(&e.key) {
-				t.Fatalf("shard %d slot %d filed under the wrong hash", si, i)
-			}
-			if got := s.find(e.hash, &e.key); got != int32(i) {
-				t.Fatalf("shard %d slot %d: find returns slot %d", si, i, got)
+			if shardOf(e.hash) != si || e.hash != hashOf(&e.key) {
+				t.Fatalf("shard %d entry %d filed under the wrong hash", si, i)
 			}
 			bytes += entryBytes(e.out)
 		}
+		shardAudit(t, s)
 		resident += int64(len(s.entries))
 	}
 	if got := c.resident(); got != resident {
@@ -49,6 +52,37 @@ func cacheAudit(t *testing.T, c *resultCache, inserts int64) {
 	}
 	if got := c.evictions.Load(); got != inserts-resident {
 		t.Fatalf("evictions = %d, inserts %d − resident %d = %d", got, inserts, resident, inserts-resident)
+	}
+}
+
+// shardAudit checks a shard's slot table against its entries: a
+// power-of-two table at most half full, exactly one occupied slot per
+// entry, each word carrying its entry's tag, and every entry found along
+// its own probe sequence (find stops at the first empty slot, so a word
+// stranded behind a gap is not found).
+func shardAudit(t *testing.T, s *cacheShard) {
+	t.Helper()
+	if n := len(s.slots); n&(n-1) != 0 || 2*len(s.entries) > n {
+		t.Fatalf("%d slots for %d entries: want a power of two at most half full", n, len(s.entries))
+	}
+	occupied := 0
+	for pos, w := range s.slots {
+		if w == 0 {
+			continue
+		}
+		occupied++
+		if i := int(uint32(w)) - 1; i < 0 || i >= len(s.entries) || w>>32 != s.entries[i].hash>>32 {
+			t.Fatalf("slot %d holds word %#x: no entry of %d carries it", pos, w, len(s.entries))
+		}
+	}
+	if occupied != len(s.entries) {
+		t.Fatalf("%d occupied slots for %d entries", occupied, len(s.entries))
+	}
+	for i := range s.entries {
+		e := &s.entries[i]
+		if got := s.find(e.hash, &e.key); got != int32(i) {
+			t.Fatalf("entry %d: find returns %d", i, got)
+		}
 	}
 }
 
@@ -144,10 +178,10 @@ func TestResultCacheModel(t *testing.T) {
 				}
 			}
 			if op%97 == 0 {
-				cacheAudit(t, c, inserts)
+				cacheAudit(t, c, inserts, hashKey)
 			}
 		}
-		cacheAudit(t, c, inserts)
+		cacheAudit(t, c, inserts, hashKey)
 		if got := c.hits.Load() + c.misses.Load(); got != lookups || c.hits.Load() != hits {
 			t.Fatalf("hits %d + misses %d, want %d lookups of which %d hit", c.hits.Load(), c.misses.Load(), lookups, hits)
 		}
@@ -179,10 +213,107 @@ func TestResultCacheWorkingSetBelowCapacityNeverEvicts(t *testing.T) {
 			t.Fatalf("key %d served score %d", i, outs[i].Score)
 		}
 	}
-	cacheAudit(t, c, n)
+	cacheAudit(t, c, n, hashKey)
 	if ev := c.evictions.Load(); ev != 0 {
 		t.Fatalf("%d evictions with the working set at 6 %% of capacity", ev)
 	}
+}
+
+// FuzzResultCache runs random Put and batched and single lookup
+// sequences (putHashed, lookupBatch: Put and GetBatch under a given
+// pre-hash) over a small key space against a map model, auditing the
+// cache after every step. Pre-hashes are forced, not hashKey's (unless
+// shape's top bits pick it): keys fall in one or two shards, many share a whole
+// pre-hash, more share a tag while differing below it, and tags that
+// differ still share home slots, so probes cross long clusters of
+// colliding words and full shards evict out of their middle. A hit must
+// carry the last value stored under its own key.
+func FuzzResultCache(f *testing.F) {
+	// shape's bytes, low first: entries per shard, key space, then tag,
+	// home and pre-hash moduli in nibbles; bit 28 spreads the keys over
+	// two shards, and the top three bits set pick hashKey instead.
+	for i, shape := range []uint32{0x11151203, 0x03021c07, 0x02000a01, 0x12232e0b, 0xe0002602} {
+		ops := make([]byte, 600)
+		rand.New(rand.NewSource(int64(i))).Read(ops)
+		f.Add(shape, ops)
+	}
+	f.Add(uint32(0x01040308), []byte("the quick brown fox jumps over the lazy dog, then puts it all back"))
+	f.Fuzz(func(t *testing.T, shape uint32, ops []byte) {
+		limit := 1 + int(shape&0xff)%12        // entries per shard
+		keySpace := 2 + int(shape>>8&0xff)%48  // distinct keys
+		tagMod := 1 + uint64(shape>>16&0xf)%6  // distinct tags
+		homeMod := 1 + uint64(shape>>20&0xf)%4 // distinct homes among them
+		lowMod := 1 + uint64(shape>>24&0xf)%4  // pre-hashes under one tag
+		twoShards, real := shape>>28&1 == 1, shape>>29 == 7
+		c := newResultCache(cacheShards * limit)
+		ids := make(map[driver.CacheKey]int, keySpace)
+		hashes := make([]uint64, keySpace)
+		for id := range hashes {
+			k := testKey(id)
+			ids[k] = id
+			if real {
+				hashes[id] = hashKey(&k)
+				continue
+			}
+			tag := uint64(id)%tagMod<<12 | uint64(id)%tagMod%homeMod
+			if twoShards {
+				tag |= uint64(id%2) << 28
+			}
+			hashes[id] = tag<<32 | uint64(id)%lowMod
+		}
+		hashOf := func(k *driver.CacheKey) uint64 { return hashes[ids[*k]] }
+		model := make(map[driver.CacheKey]ipukernel.AlignOut)
+		var inserts int64
+		check := func(k driver.CacheKey, out ipukernel.AlignOut, ok bool) {
+			t.Helper()
+			if !ok {
+				return
+			}
+			if want, known := model[k]; !known || out != want {
+				t.Fatalf("hit on key %d returned %+v, last stored %+v (known %v)", ids[k], out, want, known)
+			}
+		}
+		for n := 0; n+1 < len(ops); n += 2 {
+			k := testKey(int(ops[n+1]) % keySpace)
+			h := hashOf(&k)
+			switch ops[n] % 4 {
+			case 0, 1:
+				out := ipukernel.AlignOut{Score: n, Cigar: alignment.Cigar(strings.Repeat("=", int(ops[n])%5))}
+				if c.shards[shardOf(h)].find(h, &k) < 0 {
+					inserts++
+				}
+				c.putHashed(h, &k, out)
+				model[k] = out
+			case 2:
+				sc := &lookupScratch{hashes: []uint64{h}}
+				var outs [1]ipukernel.AlignOut
+				var hit [1]bool
+				c.lookupBatch([]driver.CacheKey{k}, sc, outs[:], hit[:])
+				check(k, outs[0], hit[0])
+			case 3:
+				// A batch of the next few ops' keys.
+				m := min(1+int(ops[n+1])%8, len(ops)-n-1)
+				keys := make([]driver.CacheKey, m)
+				sc := &lookupScratch{hashes: make([]uint64, m)}
+				for i := range keys {
+					keys[i] = testKey(int(ops[n+1+i]) % keySpace)
+					sc.hashes[i] = hashOf(&keys[i])
+				}
+				outs, hit := make([]ipukernel.AlignOut, m), make([]bool, m)
+				hits := c.lookupBatch(keys, sc, outs, hit)
+				for i, k := range keys {
+					check(k, outs[i], hit[i])
+					if hit[i] {
+						hits--
+					}
+				}
+				if hits != 0 {
+					t.Fatalf("lookupBatch counted %d hits more than it flagged", hits)
+				}
+			}
+			cacheAudit(t, c, inserts, hashOf)
+		}
+	})
 }
 
 // TestResultCacheBatchedLookupUnderPuts: batched lookups race Puts from
@@ -273,9 +404,9 @@ func TestResultCacheBatchedLookupUnderPuts(t *testing.T) {
 
 // TestCacheBytesTracksHeap: Stats.CacheBytes (the cache's payloadBytes)
 // against what the shards really hold — the heap's growth from no cache
-// to a filled one: entries, index tables and CIGAR bytes together — at
+// to a filled one: entries, slot tables and CIGAR bytes together — at
 // 1 k and 100 k entries. cacheEntryFixedBytes is the entry's size plus an
-// estimate of its index share; this is the check on that estimate and on
+// estimate of its slots' share; this is the check on that estimate and on
 // the growth slack put allows itself.
 func TestCacheBytesTracksHeap(t *testing.T) {
 	heap := func() int64 {
@@ -341,6 +472,67 @@ func BenchmarkResultCacheLookup(b *testing.B) {
 		}
 		report(b)
 	})
+}
+
+// BenchmarkWarmPlan is a warm job's plan up to its first update, without
+// the service around it: BuildBatches (dedup, keys, the batched lookup),
+// CachedResults and ResultExpander, over the four datasets of the repo
+// benchmark's service_replay_warm against a cache they have all been run
+// into. Reported as ns/cmp beside B/op. It says where to look; the
+// verdict on a change is benchmark/'s service_replay_warm.
+//
+// The datasets and the config are a copy of benchmark/workloads.go, and
+// nothing checks that they still agree: noisyLongReads(36_000, 3_800)
+// under defaultSeed+i, driverConfig at that spec's X and δb, and
+// engineOptions' cache size. A change there must be copied here, or this
+// measures another workload.
+func BenchmarkWarmPlan(b *testing.B) {
+	const scale = 8
+	cfg := driver.Config{
+		IPUs:      1,
+		Model:     platform.GC200.Scaled(scale),
+		Partition: true,
+		Kernel: ipukernel.Config{
+			Params:  core.Params{Scorer: scoring.DNADefault, Gap: -1, X: 15, DeltaB: 256},
+			LRSplit: true, WorkStealing: true, BusyWaitVariance: true, DualIssue: true,
+		},
+		BatchOverheadSeconds: driver.DefaultBatchOverheadSeconds / scale,
+		MaxBatchJobs:         64,
+		Cache:                newResultCache(1 << 18),
+	}
+	data := make([]*workload.Dataset, 4)
+	cmps := 0
+	for i := range data {
+		const mean = 900
+		data[i] = synth.Reads(synth.ReadsSpec{
+			Name: fmt.Sprintf("service_replay_warm-%d", i), Seed: 20230417 + int64(i),
+			GenomeLen: 36_000, Coverage: 12,
+			MeanReadLen: mean, MinReadLen: mean / 3, MaxReadLen: mean * 5 / 2,
+			Errors:  synth.MutationProfile{Sub: 0.02, Ins: 0.02, Del: 0.02, Burst: 0.003, BurstLen: 24},
+			SeedLen: 17, MinOverlap: mean / 4, MaxComparisons: 3_800,
+		})
+		if _, err := driver.Run(data[i], cfg); err != nil {
+			b.Fatal(err)
+		}
+		cmps += len(data[i].Comparisons)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := range b.N {
+		d := data[n%len(data)]
+		bp, err := driver.BuildBatches(ctx, d, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if cached := bp.CachedResults(); len(cached) != len(d.Comparisons) || bp.Batches() != 0 {
+			b.Fatalf("%d of %d comparisons cache-served, %d batches", len(cached), len(d.Comparisons), bp.Batches())
+		}
+		if bp.ResultExpander() == nil {
+			b.Fatal("a plan built against a cache has no expander")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())*float64(len(data))/float64(b.N*cmps), "ns/cmp")
 }
 
 // get is a one-key GetBatch.

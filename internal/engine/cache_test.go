@@ -164,11 +164,12 @@ func TestResultCacheLRUEviction(t *testing.T) {
 // TestResultCacheCollisionSafety: keys that differ in one field only —
 // a length, one digest half, the kernel fingerprint — must resolve
 // independently, and so must two different keys forced onto the same
-// 64-bit pre-hash: the pre-hash only selects a chain, the match is the
-// full key, so no hash collision can alias two extensions. The forced
-// case drives a shard by hand with a pre-hash of the test's choosing; it
-// fails if find trusts the pre-hash (returns the chain head without
-// comparing keys): ka would then be served kb's value.
+// 64-bit pre-hash: the pre-hash only places a key and its tag only
+// filters the probe, the match is the full key, so no hash collision can
+// alias two extensions. The forced case drives a shard by hand with a
+// pre-hash of the test's choosing; it fails if find trusts the tag
+// (returns the first word that carries it without comparing keys): ka
+// would then be served kb's value.
 func TestResultCacheCollisionSafety(t *testing.T) {
 	c := newResultCache(1 << 10)
 	k1 := testKey(1)
@@ -199,9 +200,9 @@ func TestResultCacheCollisionSafety(t *testing.T) {
 		}
 	}
 
-	// Two different keys under one pre-hash, in a shard of two slots.
-	const h, limit = 0xfeedface, 2
-	s := &cacheShard{index: map[uint64]int32{}}
+	// Two different keys under one pre-hash, in a shard of two entries.
+	const h, limit = 0x0badf00d_feedface, 2
+	s := &cacheShard{}
 	ka, kb, kc := testKey(2), testKey(3), testKey(4)
 	score := func(k driver.CacheKey) int {
 		t.Helper()
@@ -216,13 +217,15 @@ func TestResultCacheCollisionSafety(t *testing.T) {
 		t.Fatalf("same pre-hash, different key: served score %d", got)
 	}
 	s.put(h, &kb, ipukernel.AlignOut{Score: 2}, limit)
-	if len(s.entries) != 2 || len(s.index) != 1 {
-		t.Fatalf("colliding keys: %d entries under %d index slots, want 2 under 1", len(s.entries), len(s.index))
+	if len(s.entries) != 2 {
+		t.Fatalf("colliding keys: %d entries, want 2", len(s.entries))
 	}
+	// One word each, both with the one tag, on the one probe sequence.
+	shardAudit(t, s)
 	if a, b := score(ka), score(kb); a != 1 || b != 2 {
 		t.Fatalf("colliding keys served %d and %d, want 1 and 2", a, b)
 	}
-	// Put over a resident key refreshes in place: no new slot, no eviction.
+	// Put over a resident key refreshes in place: no new entry, no eviction.
 	if _, evicted := s.put(h, &ka, ipukernel.AlignOut{Score: 11}, limit); evicted || len(s.entries) != 2 {
 		t.Fatalf("refresh evicted=%v, %d entries", evicted, len(s.entries))
 	}
@@ -231,12 +234,85 @@ func TestResultCacheCollisionSafety(t *testing.T) {
 	}
 	// A third key under the same pre-hash evicts one of the two (both are
 	// marked hit, so the clock clears both and takes the first); the other
-	// must stay reachable through the shortened chain.
+	// must stay reachable.
 	if _, evicted := s.put(h, &kc, ipukernel.AlignOut{Score: 3}, limit); !evicted {
 		t.Fatal("third key in a full shard evicted nothing")
 	}
 	if a, b, c := score(ka), score(kb), score(kc); a != -1 || b != 2 || c != 3 {
 		t.Fatalf("after eviction: %d, %d, %d, want -1, 2, 3", a, b, c)
+	}
+	shardAudit(t, s)
+}
+
+// TestResultCacheEvictFromClusterMiddle: a shard of eight entries whose
+// pre-hashes put every word's home within four slots, one cluster of
+// eight words (once wrapping past the table's end). Round after round,
+// the clock is steered onto one entry in the cluster's middle (every
+// other entry is hit first), and a newcomer with a home in the cluster
+// takes its place. The victim must miss and every other entry stay
+// findable: a removal that only cleared its slot would leave the words
+// behind it past a gap on their own probe sequences.
+func TestResultCacheEvictFromClusterMiddle(t *testing.T) {
+	const limit = 8
+	for _, base := range []uint64{3, 14} {
+		s := &cacheShard{}
+		hashOf := func(id int) uint64 {
+			tag := uint64(id)<<8 | (base+uint64(id)%4)&15 // home (base + id%4) mod 16
+			return tag<<32 | uint64(id)
+		}
+		resident := map[int]bool{}
+		put := func(id int) {
+			t.Helper()
+			k := testKey(id)
+			s.put(hashOf(id), &k, ipukernel.AlignOut{Score: id}, limit)
+			resident[id] = true
+		}
+		lookup := func(id int) bool {
+			t.Helper()
+			k := testKey(id)
+			var out ipukernel.AlignOut
+			ok := s.lookup(hashOf(id), &k, &out)
+			if ok && out.Score != id {
+				t.Fatalf("key %d served score %d", id, out.Score)
+			}
+			return ok
+		}
+		for id := 1; id <= limit; id++ {
+			put(id)
+		}
+		shardAudit(t, s)
+		if len(s.slots) != 2*limit {
+			t.Fatalf("base %d: %d slots for %d entries", base, len(s.slots), limit)
+		}
+		next := limit + 1
+		for _, victim := range []int32{3, 1, 5, 6, 2, 4, 0, 7, 3, 5} {
+			gone := s.entries[victim].key
+			for i := range s.entries {
+				if int32(i) != victim {
+					s.entries[i].ref = true
+				}
+			}
+			s.entries[victim].ref = false
+			put(next)
+			next++
+			if s.entries[victim].key == gone {
+				t.Fatalf("base %d: the clock did not take entry %d", base, victim)
+			}
+			for id := range resident {
+				if testKey(id) == gone {
+					delete(resident, id)
+					if lookup(id) {
+						t.Fatalf("base %d: evicted key %d still served", base, id)
+					}
+				}
+			}
+			for id := range resident {
+				if !lookup(id) {
+					t.Fatalf("base %d: after evicting entry %d, key %d is lost", base, victim, id)
+				}
+			}
+			shardAudit(t, s)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"github.com/sram-align/xdropipu/internal/driver"
@@ -140,5 +141,50 @@ func TestMixedJobLeadsWithCachedChunks(t *testing.T) {
 		if rep.Results[i] != plain.Results[i] {
 			t.Fatalf("result %d %+v differs from the uncached run's %+v", i, rep.Results[i], plain.Results[i])
 		}
+	}
+}
+
+// TestDuplicateFreeCachedStreamIsOwned: a job with no in-job duplicates
+// that the cache serves whole streams its report row for row — the
+// cache-served updates carry comparisons 0, 1, 2, … in order, each equal
+// to driver.Run's — and what it streams is the consumer's own:
+// overwriting every streamed result as it arrives leaves the report
+// equal to driver.Run's.
+func TestDuplicateFreeCachedStreamIsOwned(t *testing.T) {
+	d := synth.UniformPairs(synth.UniformPairsSpec{
+		Count: 700, Length: 200, ErrorRate: 0.15, SeedLen: 17, Seed: 41})
+	want, err := driver.Run(clone(t, d), cacheTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New(WithDriverConfig(cacheTestConfig()), WithResultCache(1<<12))
+	defer eng.Close()
+	wait(t, submit(t, eng, d))
+
+	job := submit(t, eng, clone(t, d))
+	var streamed []ipukernel.AlignOut
+	for u := range job.Results() {
+		if u.Batch != -1 {
+			t.Fatalf("a warm job streamed executed batch %d", u.Batch)
+		}
+		streamed = append(streamed, u.Results...)
+		for i := range u.Results {
+			u.Results[i] = ipukernel.AlignOut{GlobalID: -7, Score: -7}
+		}
+	}
+	rep := wait(t, job)
+	if rep.Batches != 0 || rep.DedupedComparisons != 0 || rep.CacheHits != len(d.Comparisons) {
+		t.Fatalf("warm job: %d batches, %d duplicates, %d hits of %d", rep.Batches, rep.DedupedComparisons, rep.CacheHits, len(d.Comparisons))
+	}
+	if !reflect.DeepEqual(streamed, want.Results) {
+		for i := range streamed {
+			if i >= len(want.Results) || streamed[i] != want.Results[i] {
+				t.Fatalf("streamed result %d of %d: %+v, driver.Run's row %+v", i, len(streamed), streamed[i], want.Results[min(i, len(want.Results)-1)])
+			}
+		}
+		t.Fatalf("streamed %d results, driver.Run reports %d", len(streamed), len(want.Results))
+	}
+	if !reflect.DeepEqual(rep.Results, want.Results) {
+		t.Fatal("overwriting the streamed results changed the report")
 	}
 }

@@ -346,9 +346,10 @@ func dedupPlanRef(a *Arena, p *Plan) *DedupMap {
 
 // Arena layouts dedupFixture builds.
 const (
-	oneSlab     = iota // appended into one slab
-	rolledSlabs        // appended into 64-byte slabs
-	gridSpans          // restored: spans on a grid of slab × offset × length
+	oneSlab      = iota // appended into one slab
+	rolledSlabs         // appended into 64-byte slabs
+	gridSpans           // restored: spans on a grid of slab × offset × length
+	slabLenSpans        // restored: spans at offset 0 differing in slab and length, one seed
 	layouts
 )
 
@@ -358,7 +359,10 @@ const (
 // spans that differ from each other in one field — slab, offset or
 // length — so a key that drops a field collapses extensions. Plan rows
 // repeat earlier rows literally, take the same pair under other seeds,
-// and mirror a row as (V,H) with swapped seeds.
+// and mirror a row as (V,H) with swapped seeds. The slab-and-length
+// layout gives every row offset 0 and one seed, so its distinct keys
+// differ only in slab or length and a probe that stopped comparing those
+// would merge any two it met.
 func dedupFixture(t testing.TB, rng *rand.Rand, layout, distinct, seqs, rows int) (*Arena, *Plan) {
 	randSeq := func(n int) []byte {
 		s := make([]byte, n)
@@ -368,11 +372,14 @@ func dedupFixture(t testing.TB, rng *rand.Rand, layout, distinct, seqs, rows int
 		return s
 	}
 	var a *Arena
-	if layout == gridSpans {
+	if layout == gridSpans || layout == slabLenSpans {
 		slabs := [][]byte{randSeq(16), randSeq(16), randSeq(16)}
 		refs := make([]SeqRef, seqs)
 		for i := range refs {
 			refs[i] = SeqRef{Slab: int32(rng.Intn(3)), Off: int32(rng.Intn(4)), Len: int32(4 + rng.Intn(3))}
+			if layout == slabLenSpans {
+				refs[i] = SeqRef{Slab: int32(rng.Intn(len(slabs))), Len: int32(1 + rng.Intn(16))}
+			}
 		}
 		var err error
 		if a, err = RestoreArenaSlabs(slabs, refs); err != nil {
@@ -406,6 +413,9 @@ func dedupFixture(t testing.TB, rng *rand.Rand, layout, distinct, seqs, rows int
 		default:
 			c = Comparison{H: rng.Intn(seqs), V: rng.Intn(seqs), SeedH: rng.Intn(2), SeedV: rng.Intn(2), SeedLen: 1 + rng.Intn(2)}
 		}
+		if layout == slabLenSpans {
+			c.SeedH, c.SeedV, c.SeedLen = 0, 0, 1
+		}
 		cmps = append(cmps, c)
 	}
 	return a, PlanOf(cmps)
@@ -428,13 +438,15 @@ func checkDedupAgainstRef(t *testing.T, a *Arena, p *Plan) {
 // FuzzDedupPlan holds the slot table to the map reference on random
 // plans: interned duplicates, the same pair under several seeds, mirrored
 // pairs, single- and multi-slab spines, and restored spines whose spans
-// differ in a single field.
+// differ in a single field. The last seed's 96 rows differ only in slab
+// or length, so under any dedupSeed some of them share a probe chain.
 func FuzzDedupPlan(f *testing.F) {
 	f.Add(int64(1), uint8(oneSlab), uint8(3), uint8(12), uint16(40))
 	f.Add(int64(2), uint8(oneSlab), uint8(1), uint8(1), uint16(1))
 	f.Add(int64(3), uint8(rolledSlabs), uint8(20), uint8(60), uint16(500))
 	f.Add(int64(4), uint8(rolledSlabs), uint8(5), uint8(9), uint16(0))
 	f.Add(int64(5), uint8(gridSpans), uint8(0), uint8(40), uint16(2000))
+	f.Add(int64(6), uint8(slabLenSpans), uint8(0), uint8(199), uint16(96))
 	f.Fuzz(func(t *testing.T, seed int64, layout, distinct, seqs uint8, rows uint16) {
 		a, p := dedupFixture(t, rand.New(rand.NewSource(seed)), int(layout)%layouts,
 			1+int(distinct)%32, 1+int(seqs), int(rows)%4096)
