@@ -707,11 +707,12 @@ func (bp *BatchPlan) KernelConfig(poolWorkers int) ipukernel.Config {
 // executor may run any subset in any order; per-batch results are
 // deterministic. It is attempt 0 of ExecBatchAttempt, on clock.Real.
 func (bp *BatchPlan) ExecBatch(dev *ipu.Device, i int, kcfg ipukernel.Config) (*ipukernel.BatchResult, error) {
-	res, _, err := bp.ExecBatchAttempt(context.Background(), dev, i, 0, kcfg, clock.Real, nil)
+	res, _, err := bp.ExecBatchAttempt(context.Background(), dev, i, 0, kcfg, ipukernel.Turn{}, clock.Real, nil)
 	return res, err
 }
 
-// ExecBatchAttempt runs one attempt of batch i on dev, consulting the
+// ExecBatchAttempt runs one attempt of batch i on dev at turn (its place
+// at the host's ipukernel.Gate; the zero Turn is ungated), consulting the
 // configured fault plan first: an injected transient or permanent fault
 // returns a *FaultError without touching the device, and a straggler
 // decision runs the batch normally and then returns it late, after a wait
@@ -722,12 +723,12 @@ func (bp *BatchPlan) ExecBatch(dev *ipu.Device, i int, kcfg ipukernel.Config) (*
 // batch. Whenever an attempt returns a result, it is bit-identical to
 // every other attempt's: injection can only fail or delay, never corrupt.
 // pin is how long pinning the batch's slabs took on clk.
-func (bp *BatchPlan) ExecBatchAttempt(ctx context.Context, dev *ipu.Device, i, attempt int, kcfg ipukernel.Config, clk clock.Clock, computed func()) (res *ipukernel.BatchResult, pin time.Duration, err error) {
+func (bp *BatchPlan) ExecBatchAttempt(ctx context.Context, dev *ipu.Device, i, attempt int, kcfg ipukernel.Config, turn ipukernel.Turn, clk clock.Clock, computed func()) (res *ipukernel.BatchResult, pin time.Duration, err error) {
 	delay, err := bp.cfg.Faults.inject(i, attempt)
 	if err != nil {
 		return nil, 0, err
 	}
-	res, pin, err = bp.exec(dev, i, kcfg, clk)
+	res, pin, err = bp.exec(dev, i, kcfg, turn, clk)
 	if computed != nil {
 		computed()
 	}
@@ -749,16 +750,16 @@ func (bp *BatchPlan) ExecBatchAttempt(ctx context.Context, dev *ipu.Device, i, a
 // report assembled from any mix of fleet and host executions is
 // bit-identical to the fault-free run.
 func (bp *BatchPlan) ExecBatchHost(i int, kcfg ipukernel.Config) (*ipukernel.BatchResult, error) {
-	res, _, err := bp.exec(bp.NewDevice(), i, kcfg, clock.Real)
+	res, _, err := bp.exec(bp.NewDevice(), i, kcfg, ipukernel.Turn{}, clock.Real)
 	return res, err
 }
 
 // exec is the one execution sequence behind the fleet and host paths:
 // pin batch i's slab set in the arena, bind the batch to the pinned views,
-// run it on dev and release the pin. Pinning an already resident slab is
-// a counter bump, so the in-memory path pays one mutex round-trip per
-// execution. It returns how long the pin took on clk beside the result.
-func (bp *BatchPlan) exec(dev *ipu.Device, i int, kcfg ipukernel.Config, clk clock.Clock) (*ipukernel.BatchResult, time.Duration, error) {
+// run it on dev at turn and release the pin. Pinning an already resident
+// slab is a counter bump, so the in-memory path pays one mutex round-trip
+// per execution. It returns how long the pin took on clk beside the result.
+func (bp *BatchPlan) exec(dev *ipu.Device, i int, kcfg ipukernel.Config, turn ipukernel.Turn, clk clock.Clock) (*ipukernel.BatchResult, time.Duration, error) {
 	b := bp.batches[i]
 	var pinned time.Duration
 	if bp.arena != nil {
@@ -771,7 +772,7 @@ func (bp *BatchPlan) exec(dev *ipu.Device, i int, kcfg ipukernel.Config, clk clo
 		pinned = clk.Now().Sub(start)
 		b = b.Bound(pin.Slabs())
 	}
-	res, err := ipukernel.Run(dev, b, kcfg)
+	res, err := turn.Run(dev, b, kcfg)
 	return res, pinned, err
 }
 

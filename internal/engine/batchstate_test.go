@@ -375,7 +375,7 @@ func TestBatchTransitionsHedgeStart(t *testing.T) {
 	defer e.mu.Unlock()
 	pick := func(want int) {
 		t.Helper()
-		if pj, bi := e.pickLocked(); pj != j || bi != want {
+		if pj, bi := e.pickLocked(false); pj != j || bi != want {
 			t.Fatalf("pickLocked = (%v, %d), want batch %d", pj != nil, bi, want)
 		}
 		clk.Advance(time.Millisecond) // two start stamps either side differ
@@ -398,7 +398,7 @@ func TestBatchTransitionsHedgeStart(t *testing.T) {
 			e.stats.Hedges, j.batches[0].hedged, j.batches[1].hedged)
 	}
 	pick(0) // then the other one, once
-	if pj, _ := e.pickLocked(); pj != nil {
+	if pj, _ := e.pickLocked(false); pj != nil {
 		t.Fatal("a batch was hedged twice")
 	}
 	e.finishLocked(j, nil, errors.New("test over"))

@@ -102,6 +102,11 @@ type Engine struct {
 	degraded    DegradedMode
 	clk         clock.Clock // deadlines, hedging, backoff and the fault plan's straggler waits
 
+	// gate orders this engine's executions at tile granularity: a job's
+	// first execution goes first (ipukernel.Gate). One per engine, so two
+	// engines in one process never gate each other.
+	gate *ipukernel.Gate
+
 	mu     sync.Mutex
 	cond   *sync.Cond // work to issue, or the engine closing
 	landed sync.Cond  // some job's report exists, its landings drained (Job.landing reached 0), or it settled
@@ -201,7 +206,10 @@ func WithDegradedMode(m DegradedMode) Option {
 func WithQueueDepth(n int) Option { return func(e *Engine) { e.queueDepth = n } }
 
 // WithExecutors sets the host-side executor pool width (0 → GOMAXPROCS).
-// Executor count changes throughput only, never results or reports.
+// The engine runs n + 1 executors: the n take any batch, the one more
+// only a job's first execution, so a new job's first batch never queues
+// behind another job's batches. Executor count changes throughput only,
+// never results or reports.
 func WithExecutors(n int) Option { return func(e *Engine) { e.executors = n } }
 
 // New starts an engine and its executor pool. Close releases it.
@@ -217,13 +225,14 @@ func New(opts ...Option) *Engine {
 		e.cache = newResultCache(e.cacheEntries)
 		e.cfg.Cache = e.cache
 	}
+	e.gate = ipukernel.NewGate()
 	e.cond = sync.NewCond(&e.mu)
 	e.landed.L = &e.mu
 	e.closedCh = make(chan struct{})
 	e.slots = make(chan struct{}, e.queueDepth)
-	for i := 0; i < e.executors; i++ {
+	for i := 0; i <= e.executors; i++ {
 		e.wgWorkers.Add(1)
-		go e.executor()
+		go e.executor(i == e.executors)
 	}
 	return e
 }
@@ -277,7 +286,9 @@ type Stats struct {
 	// and autoscaling signal.
 	JobsLive int
 	// InflightBatches counts executors currently running a batch — the
-	// instantaneous fleet utilisation signal.
+	// instantaneous fleet utilisation signal. An engine of WithExecutors(n)
+	// runs n + 1 executors, so it reaches n + 1 while a job's first
+	// execution runs beside n other batches.
 	InflightBatches int
 	// CacheHits, CacheMisses and CacheEvictions count result-cache
 	// activity across all jobs (all zero without WithResultCache).
@@ -560,11 +571,18 @@ func (e *Engine) armLocked(j *Job) {
 // or its hedge window opened (the first alarm) — or until it settles. The
 // first result waits on one batch at the whole host's width, not on two
 // at half of it.
-func (e *Engine) pickLocked() (*Job, int) {
+//
+// The first-only executor (firstOnly) takes first executions alone
+// (Job.first) and never hedges: it is free for a new job's first batch
+// whatever the other executors run.
+func (e *Engine) pickLocked(firstOnly bool) (*Job, int) {
 	var best *Job
 	for _, j := range e.active {
 		if j.alone || len(j.ready) == 0 && j.nextIssue == len(j.batches) {
 			continue // held back, or nothing queued and nothing fresh
+		}
+		if firstOnly && !j.first() {
+			continue
 		}
 		if best == nil || j.issued < best.issued ||
 			(j.issued == best.issued && j.seq < best.seq) {
@@ -579,7 +597,7 @@ func (e *Engine) pickLocked() (*Job, int) {
 		best.step(bi, evIssue, nil, nil)
 		return best, bi
 	}
-	if e.deadline <= 0 {
+	if e.deadline <= 0 || firstOnly {
 		return nil, -1
 	}
 	var hj *Job
@@ -614,8 +632,9 @@ func (e *Engine) hedgeOpen(j *Job) bool {
 // executor is one device-executor goroutine: it owns a modeled device
 // and pulls batches from whichever job the fair-share policy selects —
 // the earliest-free-device rule falls out of executors pulling work the
-// moment they go idle.
-func (e *Engine) executor() {
+// moment they go idle. The first-only executor (firstOnly) pulls first
+// executions alone.
+func (e *Engine) executor(firstOnly bool) {
 	defer e.wgWorkers.Done()
 	// The engine's configuration is fixed, so one device per executor,
 	// created lazily on first work, serves every job.
@@ -625,7 +644,7 @@ func (e *Engine) executor() {
 		var j *Job
 		var bi int
 		for {
-			j, bi = e.pickLocked()
+			j, bi = e.pickLocked(firstOnly)
 			if j != nil {
 				break
 			}
@@ -673,12 +692,13 @@ func (e *Engine) executor() {
 			// The job's context ends a straggler's wait once the job has
 			// settled, so a settled job parks no executor. The wait comes
 			// after the compute, and a first execution's hold ends before
-			// it.
+			// it. A first execution goes first at the engine's tile gate;
+			// every other one yields to it between tiles.
 			var computed func()
 			if alone {
 				computed = func() { e.computed(j, bi) }
 			}
-			out, pin, err := bp.ExecBatchAttempt(j.ctx, dev, bi, attempt, kcfg, e.clk, computed)
+			out, pin, err := bp.ExecBatchAttempt(j.ctx, dev, bi, attempt, kcfg, e.gate.Turn(alone), e.clk, computed)
 			e.deliver(j, bi, evReturn, out, err, issued, pin)
 		}
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -236,4 +237,86 @@ func nextUpdate(t *testing.T, updates <-chan Update) Update {
 		t.Fatal("no update: the job's other batches are held")
 	}
 	return Update{}
+}
+
+// TestFirstExecutionNotQueuedBehindExecutors: the first-only executor is
+// free for a job's first execution whatever the others run. Every batch
+// of the plan but batch 0 straggles for an hour on a manual clock that
+// does not move, so both regular executors of WithExecutors(2) end up
+// parked on job A's batches; job B's first execution is still issued, and
+// streams, before any of them returns. Without the extra executor, or
+// with one that takes any batch, B waits for the clock.
+func TestFirstExecutionNotQueuedBehindExecutors(t *testing.T) {
+	d := readsData(t, 61, 24)
+	cfg := testCfg(1)
+	cfg.MaxBatchJobs = 4
+	nb := probePlan(t, d, cfg).Batches()
+	if nb < 4 {
+		t.Fatalf("want ≥ 4 batches, got %d", nb)
+	}
+	want := runRef(t, d, cfg)
+	var plan *driver.FaultPlan
+	for seed := int64(1); plan == nil && seed < 100000; seed++ {
+		p := driver.NewFaultPlan(seed, driver.FaultSpec{StragglerRate: 0.9, StragglerDelay: time.Hour})
+		ok := p.Kind(0, 0) == driver.FaultNone
+		for bi := 1; ok && bi < nb; bi++ {
+			ok = p.Kind(bi, 0) == driver.FaultStraggler
+		}
+		if ok {
+			plan = p
+		}
+	}
+	if plan == nil {
+		t.Fatal("no seed straggles every batch but batch 0")
+	}
+	clk := new(clock.Manual)
+	e := New(WithDriverConfig(withFaults(cfg, plan)), WithExecutors(2), withClock(clk))
+	var jobs []*Job
+	// The clock moves until every job has settled: each straggle ends.
+	settle := func() {
+		for _, j := range jobs {
+			for settled := false; !settled; {
+				select {
+				case <-j.doneCh:
+					settled = true
+				default:
+					clk.Advance(time.Hour)
+					runtime.Gosched()
+				}
+			}
+		}
+	}
+	defer e.Close()
+	defer settle() // a failed test leaves no executor parked on the clock
+	a := submit(t, e, d)
+	jobs = append(jobs, a)
+	awaitTimers(t, clk, 2) // both regular executors wait out a straggle of A's
+	b := submit(t, e, d)
+	jobs = append(jobs, b)
+	if u := nextUpdate(t, b.Results()); u.Batch != 0 {
+		t.Fatalf("job B's first update is batch %d, want 0", u.Batch)
+	}
+	e.mu.Lock()
+	for bi, out := range a.outs[1:] {
+		if out != nil {
+			t.Errorf("job A's batch %d was delivered before the clock moved", bi+1)
+		}
+	}
+	e.mu.Unlock()
+	settle()
+	for _, j := range jobs {
+		reportsEqual(t, "straggled job", wait(t, j), want)
+	}
+}
+
+// TestEnginesDoNotShareGate: each engine orders its executions at a tile
+// gate of its own, so two engines in one process never gate each other
+// (TestGatesAreIndependent in ipukernel holds two gates apart).
+func TestEnginesDoNotShareGate(t *testing.T) {
+	e1, e2 := New(), New()
+	defer e1.Close()
+	defer e2.Close()
+	if e1.gate == nil || e1.gate == e2.gate {
+		t.Fatalf("engines' gates %p and %p: want two", e1.gate, e2.gate)
+	}
 }

@@ -133,6 +133,14 @@ func (j *Job) settledLocked(bi int) bool {
 	return j.finished || j.batches[bi].phase == phaseDelivered
 }
 
+// first reports whether the job's next execution is its first one while
+// nothing of the job has streamed (a plan the cache served in part has)
+// and its hedge window is shut: the execution that computes alone, and the
+// only kind the first-only executor takes.
+func (j *Job) first() bool {
+	return j.issued == 0 && len(j.cachedResults) == 0 && !j.eng.hedgeOpen(j)
+}
+
 // step is the batch state machine: every write to a batchState, to the
 // ready queue, to the job's issue, delivery and retry counters and to its
 // first-batch hold happens here, under eng.mu. ev says what happened to batch bi; out and err carry
@@ -162,9 +170,9 @@ func (j *Job) step(bi int, ev batchEvent, out *ipukernel.BatchResult, err error)
 			e.stats.Hedges++
 		} else if b.phase != phasePending && b.phase != phaseReady {
 			return nil
-		} else if j.issued == 0 && len(j.cachedResults) == 0 && !e.hedgeOpen(j) {
-			// The job's first execution, with nothing streamed yet (a plan
-			// the cache served in part has): it computes alone.
+		} else if j.first() {
+			// The job's first execution, with nothing streamed yet: it
+			// computes alone.
 			j.alone = true
 		}
 		next = phaseRunning

@@ -276,7 +276,7 @@ func (l *lab) apply(m move, check bool) {
 	case mIssue:
 		e.mu.Lock()
 		hedge := j.alone || len(j.ready) == 0 && j.nextIssue == len(j.batches)
-		pj, bi := e.pickLocked()
+		pj, bi := e.pickLocked(false)
 		if pj != j {
 			e.mu.Unlock()
 			l.fail("nothing was issued")

@@ -15,7 +15,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/sram-align/xdropipu/internal/alignment"
 	"github.com/sram-align/xdropipu/internal/core"
@@ -506,8 +505,9 @@ type BatchResult struct {
 	Counters
 }
 
-// Run executes a batch on the device and accounts one BSP superstep.
-func Run(dev *ipu.Device, b *Batch, cfg Config) (*BatchResult, error) {
+// Run executes a batch on the device at the turn's gate and accounts one
+// BSP superstep: the results are Run's whatever the turn.
+func (t Turn) Run(dev *ipu.Device, b *Batch, cfg Config) (*BatchResult, error) {
 	cfg = cfg.withDefaults(dev.Model())
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
@@ -558,7 +558,9 @@ func Run(dev *ipu.Device, b *Batch, cfg Config) (*BatchResult, error) {
 	// the HTTP handler's write and flush, the client's reader once netpoll
 	// has readied it — otherwise waits out the batch, or Go's 10 ms
 	// preemption quantum, at every hop. With nothing else runnable the
-	// yield returns at once.
+	// yield returns at once. Workers claim tiles at the turn's Gate, so
+	// between two tiles a worker of a yielding execution also waits for
+	// the first executions' tiles to be claimed.
 	workers := cfg.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -566,7 +568,7 @@ func Run(dev *ipu.Device, b *Batch, cfg Config) (*BatchResult, error) {
 	if workers > len(b.Tiles) {
 		workers = len(b.Tiles)
 	}
-	var cursor atomic.Int64
+	c := t.claims(len(b.Tiles))
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
@@ -575,8 +577,8 @@ func Run(dev *ipu.Device, b *Batch, cfg Config) (*BatchResult, error) {
 			ex := execPool.Get().(*executor)
 			defer execPool.Put(ex)
 			for {
-				ti := int(cursor.Add(1)) - 1
-				if ti >= len(b.Tiles) {
+				ti, ok := c.next()
+				if !ok {
 					return
 				}
 				tile := &b.Tiles[ti]

@@ -796,6 +796,11 @@ func decodeGraph(b []byte) (d *workload.Dataset, opt Options, ok bool) {
 func FuzzBuildItems(f *testing.F) {
 	f.Add([]byte{3, 100, 120, 140, 0x10, 0x01, 3, 1, 0, 1, 1, 2, 2, 0, 0, 0})
 	f.Add([]byte{7, 30, 60, 90, 120, 150, 180, 210, 0x04, 0x00, 2, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 0, 0, 2, 4, 6})
+	// Eight 75-byte sequences, a 816-byte budget and two comparisons an
+	// item, over edges 0–0, 7–4, 7–7, 7–5 and 0–4: a flush at vertex 7
+	// leaves one of its edges for a later partition, and a cursor that
+	// stepped over it would group the items unlike the rescanning walk.
+	f.Add([]byte{39, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 66, 48, 48, 48, 55, 36, 55, 55, 55, 37, 48, 36})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		d, opt, ok := decodeGraph(b)
 		if !ok {

@@ -322,7 +322,8 @@ var (
 	WithDegradedMode = engine.WithDegradedMode
 	// WithQueueDepth bounds in-flight submissions (backpressure).
 	WithQueueDepth = engine.WithQueueDepth
-	// WithExecutors sets the host-side executor pool width.
+	// WithExecutors sets the host-side executor pool width: n executors
+	// for any batch, plus one that takes only a job's first batch.
 	WithExecutors = engine.WithExecutors
 )
 
