@@ -37,6 +37,18 @@ func TestSummarizeVerdicts(t *testing.T) {
 	lower := metricSpec{Name: "ttfb_s_p50", Better: "lower", Bound: 0.25}
 	higher := metricSpec{Name: "cmps_per_s", Better: "higher", Bound: 0.25}
 	base := []float64{10, 11, 9, 10, 10.5, 9.5, 10, 10}
+	base10 := append(slices.Clone(base), 10.2, 9.8)
+	// mixed scales the first eight of base10 by f and the last two by g.
+	mixed := func(f, g float64) []float64 {
+		h := make([]float64, len(base10))
+		for i, b := range base10 {
+			h[i] = b * f
+			if i >= 8 {
+				h[i] = b * g
+			}
+		}
+		return h
+	}
 	scaled := func(f float64) []float64 {
 		h := make([]float64, len(base))
 		for i, b := range base {
@@ -59,6 +71,10 @@ func TestSummarizeVerdicts(t *testing.T) {
 		{"inside the base's IQR", lower, base, scaled(0.99), "flat", 8, 0},
 		// The median ratio is 0.75, but only 5 of 8 pairs agree.
 		{"too few pairs agree", lower, base, []float64{7.5, 8.25, 6.75, 7.5, 7.875, 11, 12, 11}, "flat", 5, 3},
+		// A gain needs ⌈9N/10⌉ pairs, 9 of 10: 8 read flat. A loss needs
+		// ⌈¾ N⌉, so 8 of 10 is one.
+		{"a gain in 8 of 10 pairs", lower, base10, mixed(0.75, 1.1), "flat", 8, 2},
+		{"a loss in 8 of 10 pairs", lower, base10, mixed(1.2, 0.9), "loss", 2, 8},
 		{"modeled bit-equal", metricSpec{Name: "modeled_gcups", Better: "higher", Bound: 0.12}, base, scaled(1), "equal", 0, 0},
 		{"modeled differs", metricSpec{Name: "modeled_gcups", Better: "higher", Bound: 0.12}, base, scaled(1.0000001), "differs", 8, 0},
 		{"a zero reading", lower, base, append(scaled(1)[:7], 0), "unmeasured", 0, 0},

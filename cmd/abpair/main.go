@@ -23,8 +23,9 @@
 // Per workload and end-to-end metric it reports the median of the paired
 // ratios head ÷ base with their quartiles (the same for the raw readings),
 // how many pairs the head won, and the base's interquartile range relative
-// to its median. A gain or a loss is named only when the median ratio lies
-// outside the base's IQR and at least three pairs in four agree. The
+// to its median. A gain is named only when the median ratio lies outside
+// the base's IQR and at least nine pairs in ten agree, a loss when three
+// in four do. The
 // comparison fails when a metric's median ratio is worse than its
 // BENCHMARK.json bound, when a modeled_* metric differs in any pair, or
 // when a run is incorrect or the head failed a larger share of jobs.

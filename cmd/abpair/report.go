@@ -180,14 +180,17 @@ func summarize(m metricSpec, base, head []float64, raw [][2]float64) metricSumma
 	if lower {
 		gain = -gain
 	}
-	agree := (3*s.N + 3) / 4 // ⌈¾ N⌉
+	// A gain is named only where a change claiming it is accepted, at
+	// 9 of 10 pairs; a loss is named at ¾ of them, so it shows sooner.
+	gainAgree := (9*s.N + 9) / 10 // ⌈9N/10⌉
+	lossAgree := (3*s.N + 3) / 4  // ⌈¾ N⌉
 	switch {
 	case s.Verdict != "":
 	case -gain > m.Bound:
 		s.Verdict = "exceeds bound"
-	case gain > s.BaseIQR && s.Won >= agree:
+	case gain > s.BaseIQR && s.Won >= gainAgree:
 		s.Verdict = "gain"
-	case -gain > s.BaseIQR && s.Lost >= agree:
+	case -gain > s.BaseIQR && s.Lost >= lossAgree:
 		s.Verdict = "loss"
 	default:
 		s.Verdict = "flat"

@@ -330,6 +330,7 @@ type BatchPlan struct {
 	cfg         Config
 	tiles       int
 	batches     []*ipukernel.Batch
+	firstIssue  int // the batch the batcher's estimate prices least
 	comparisons int
 	reuseFactor float64
 
@@ -632,12 +633,13 @@ func BuildBatchesMarked(ctx context.Context, d *workload.Dataset, cfg Config, ma
 		return nil, err
 	}
 	mark(PlanItemized)
-	batches, err := planner.Batches(tiles, cfg.MaxBatchJobs, fanout)
+	batches, cheapest, err := planner.Batches(tiles, cfg.MaxBatchJobs, fanout)
 	if err != nil {
 		return nil, err
 	}
 	bp.tiles = tiles
 	bp.batches = batches
+	bp.firstIssue = cheapest
 	bp.reuseFactor = planner.ReuseFactor()
 	bp.arena, _ = execD.Spine()
 	bp.batchSlabs = batchSlabSets(batches, bp.arena.NumSlabs())
@@ -682,6 +684,14 @@ func batchSlabSets(batches []*ipukernel.Batch, numSlabs int) [][]int32 {
 
 // Batches returns the number of supersteps in the build.
 func (bp *BatchPlan) Batches() int { return len(bp.batches) }
+
+// FirstIssue returns the batch a caller waiting on the plan's first
+// result executes first: the one whose items' §4.2 estimates sum least,
+// the lowest index on ties, and 0 for a plan with no batches. The batcher
+// places the costliest items first, so batch 0 is the plan's dearest.
+// Which batch executes first never reaches a result, a batch index or
+// the modeled schedule, which replays the batches in index order.
+func (bp *BatchPlan) FirstIssue() int { return bp.firstIssue }
 
 // NewDevice creates a modeled device matching the plan's configuration.
 // A device holds nothing else, so one serves any number of batches and

@@ -47,8 +47,9 @@ func newMachine(bp *driver.BatchPlan, mode DegradedMode) (*Engine, *Job) {
 	e.slots <- struct{}{}
 	j := &Job{
 		eng: e, seq: 1, doneCh: make(chan struct{}), bp: bp,
-		outs:    make([]*ipukernel.BatchResult, bp.Batches()),
-		batches: make([]batchState, bp.Batches()),
+		outs:       make([]*ipukernel.BatchResult, bp.Batches()),
+		batches:    make([]batchState, bp.Batches()),
+		firstIssue: bp.FirstIssue(),
 	}
 	e.active = []*Job{j}
 	return e, j
@@ -361,12 +362,15 @@ func TestBatchTransitionsStaleFleetFailure(t *testing.T) {
 }
 
 // TestBatchTransitionsHedgeStart: the hedge scan duplicates the batch
-// whose current execution has run longest. Batch 0 starts first, fails
-// and is retried after batch 1 started, so batch 1 is the straggler. The
-// parent commit stamped startNS only while it was zero and never cleared
-// it, so batch 0 kept its first attempt's stamp and was hedged instead.
+// whose current execution has run longest. The first-issued batch a
+// starts first, fails and is retried after the other batch b started, so
+// b is the straggler. The parent commit stamped startNS only while it was
+// zero and never cleared it, so a kept its first attempt's stamp and was
+// hedged instead.
 func TestBatchTransitionsHedgeStart(t *testing.T) {
 	bp := machinePlan(t)
+	a := bp.FirstIssue()
+	b := 1 - a
 	e, j := newMachine(bp, DegradeFail)
 	e.deadline, e.hedgeWindow = time.Hour, time.Hour // the window is open from admission
 	clk := e.clk.(*clock.Manual)
@@ -380,24 +384,24 @@ func TestBatchTransitionsHedgeStart(t *testing.T) {
 		}
 		clk.Advance(time.Millisecond) // two start stamps either side differ
 	}
-	pick(0)
-	pick(1)
-	j.step(0, evReturn, nil, errTransient) // → backoff
-	j.step(0, evTimer, nil, nil)           // → ready
-	pick(0)                                // the retry: batch 0's clock restarts
+	pick(a)
+	pick(b)
+	j.step(a, evReturn, nil, errTransient) // → backoff
+	j.step(a, evTimer, nil, nil)           // → ready
+	pick(a)                                // the retry: a's clock restarts
 	if e.stats.Hedges != 0 {
 		t.Fatalf("Hedges = %d before anything is idle", e.stats.Hedges)
 	}
-	if j.batches[0].startNS <= j.batches[1].startNS {
-		t.Fatalf("batch 0 restarted at %d, not after batch 1's start %d",
-			j.batches[0].startNS, j.batches[1].startNS)
+	if j.batches[a].startNS <= j.batches[b].startNS {
+		t.Fatalf("batch %d restarted at %d, not after batch %d's start %d",
+			a, j.batches[a].startNS, b, j.batches[b].startNS)
 	}
-	pick(1) // nothing left to issue: the scan hedges the older execution
-	if e.stats.Hedges != 1 || !j.batches[1].hedged || j.batches[0].hedged {
-		t.Fatalf("Hedges = %d, hedged = %v/%v: want batch 1 alone duplicated",
-			e.stats.Hedges, j.batches[0].hedged, j.batches[1].hedged)
+	pick(b) // nothing left to issue: the scan hedges the older execution
+	if e.stats.Hedges != 1 || !j.batches[b].hedged || j.batches[a].hedged {
+		t.Fatalf("Hedges = %d, hedged = %v/%v: want batch %d alone duplicated",
+			e.stats.Hedges, j.batches[a].hedged, j.batches[b].hedged, b)
 	}
-	pick(0) // then the other one, once
+	pick(a) // then the other one, once
 	if pj, _ := e.pickLocked(false); pj != nil {
 		t.Fatal("a batch was hedged twice")
 	}

@@ -498,6 +498,7 @@ func (e *Engine) runJob(j *Job) {
 	j.expand = expand
 	j.cachedResults = cachedResults
 	j.batches = make([]batchState, nb) // every batch phasePending
+	j.firstIssue = bp.FirstIssue()
 	// Registered: a plan with batches executes, one the cache served
 	// whole goes straight to its fold.
 	now := e.clk.Now()
@@ -539,13 +540,15 @@ func (e *Engine) runJob(j *Job) {
 
 // armLocked arms a deadlined job's two alarms: one wakes idle executors
 // when the hedge window opens, ending the first-batch hold if it still
-// stands, one settles (or degrades) the job at the deadline itself.
-// Settlement stops both; a callback that already fired re-checks under the
-// lock and becomes a no-op.
+// stands (the release goes to the first-issued batch, the one a hold is
+// on, so another batch's delivery cannot drop it), one settles (or
+// degrades) the job at the deadline itself. Settlement stops both; a
+// callback that already fired re-checks under the lock and becomes a
+// no-op.
 func (e *Engine) armLocked(j *Job) {
 	j.alarms[0] = e.clk.AfterFunc(j.deadline.Sub(e.clk.Now())-e.hedgeWindow, func() {
 		e.mu.Lock()
-		j.step(0, evRelease, nil, nil)
+		j.step(j.firstIssue, evRelease, nil, nil)
 		e.cond.Broadcast()
 		e.mu.Unlock()
 	})
@@ -556,13 +559,13 @@ func (e *Engine) armLocked(j *Job) {
 // work left, the one with the fewest issued executions (ties broken by
 // submission order) — a per-job fair share that keeps a flood of batches
 // from one client from starving the rest. Ready retries re-issue before
-// fresh batches. With nothing to issue and a job deadline configured,
-// it falls back to hedging: inside a job's hedge window the slowest
-// outstanding batch is duplicated once (first result wins), so a single
-// straggling device cannot push an otherwise-finished job past its
-// deadline. The chosen batch is stepped here, under the lock, so
-// concurrent executors never double-pick; a hedge then runs exactly like
-// any other attempt.
+// fresh batches, which issue in the job's issue order (Job.issueAt). With
+// nothing to issue and a job deadline configured, it falls back to
+// hedging: inside a job's hedge window the slowest outstanding batch is
+// duplicated once (first result wins), so a single straggling device
+// cannot push an otherwise-finished job past its deadline. The chosen
+// batch is stepped here, under the lock, so concurrent executors never
+// double-pick; a hedge then runs exactly like any other attempt.
 //
 // A job's first execution, if the job has streamed nothing yet (a plan
 // the cache served in part has), computes alone: its evIssue marks the
@@ -590,7 +593,7 @@ func (e *Engine) pickLocked(firstOnly bool) (*Job, int) {
 		}
 	}
 	if best != nil {
-		bi := best.nextIssue
+		bi := best.issueAt(best.nextIssue)
 		if n := len(best.ready); n > 0 {
 			bi = best.ready[n-1]
 		}
@@ -940,17 +943,20 @@ func (e *Engine) deadlineExpired(j *Job) {
 		return
 	}
 	e.stats.DeadlineExceeded++
+	// The batches go in issue order, so pending ones leave phasePending in
+	// the order nextIssue counts them: a landing below lets go of the
+	// lock, and an executor may issue meanwhile.
 	switch e.degraded {
 	case DegradeFallback:
-		for bi := range j.batches {
-			j.step(bi, evQuarantine, nil, nil)
+		for pos := range j.batches {
+			j.step(j.issueAt(pos), evQuarantine, nil, nil)
 		}
 		e.mu.Unlock()
 	case DegradePartial:
 		// Each placeholder batch lands before the next is delivered, so
 		// the last one's landing completes the job.
-		for bi := range j.batches {
-			if j.step(bi, evDeadlinePartial, nil, nil) != nil {
+		for pos := range j.batches {
+			if bi := j.issueAt(pos); j.step(bi, evDeadlinePartial, nil, nil) != nil {
 				e.land(j, bi)
 				e.mu.Lock()
 			}

@@ -70,12 +70,15 @@ type Job struct {
 	// releases). batches is one record per batch; outs the delivered
 	// results, nil until a batch is delivered, which the stream replays and
 	// complete folds.
-	// nextIssue is the lowest pending batch — batches leave phasePending in
-	// index order — and ready the LIFO of batches waiting for an executor,
+	// firstIssue is the batch issued first (BatchPlan.FirstIssue), set
+	// with batches. nextIssue is the position in the issue order
+	// (issueAt) of the next pending batch — batches leave phasePending in
+	// that order — and ready the LIFO of batches waiting for an executor,
 	// so retries re-issue before fresh batches. retriesUsed draws down the
 	// per-job retry budget; alarms are the hedge-window and expiry timers.
 	batches     []batchState
 	outs        []*ipukernel.BatchResult
+	firstIssue  int
 	nextIssue   int
 	ready       []int
 	retriesUsed int
@@ -131,6 +134,20 @@ const (
 // firing into a settled job all drop on the same test.
 func (j *Job) settledLocked(bi int) bool {
 	return j.finished || j.batches[bi].phase == phaseDelivered
+}
+
+// issueAt is the batch at position pos of the job's issue order: the
+// plan's least-cost batch first, so the first result waits on the
+// cheapest execution, then every other batch in index order. The order
+// decides only which batch computes when.
+func (j *Job) issueAt(pos int) int {
+	switch {
+	case pos == 0:
+		return j.firstIssue
+	case pos <= j.firstIssue:
+		return pos - 1
+	}
+	return pos
 }
 
 // first reports whether the job's next execution is its first one while

@@ -46,18 +46,19 @@ type Turn struct {
 func (g *Gate) Turn(first bool) Turn { return Turn{g, first} }
 
 // claims is one execution's tile cursor at its Turn: the workers of a Run
-// claim tiles through it.
+// claim tiles through it. It is passed by value; only the cursor is
+// shared.
 type claims struct {
 	Turn
 	n      int64
 	line   uint64 // a first execution's place in the gate's line
-	cursor atomic.Int64
+	cursor *atomic.Int64
 }
 
 // claims starts an execution of n tiles. A first execution with a tile to
 // claim lines up at its gate.
-func (t Turn) claims(n int) *claims {
-	c := &claims{Turn: t, n: int64(n)}
+func (t Turn) claims(n int) claims {
+	c := claims{Turn: t, n: int64(n), cursor: new(atomic.Int64)}
 	if t.gate != nil && t.first && n > 0 {
 		c.line = t.gate.queued.Add(1) - 1
 	}
@@ -67,7 +68,7 @@ func (t Turn) claims(n int) *claims {
 // held reports whether a worker of this gated execution must wait before
 // its next claim: a yielding one while any first execution in line has a
 // tile left, a first one while an execution ahead of it in line has.
-func (c *claims) held() bool {
+func (c claims) held() bool {
 	if c.first {
 		return c.gate.done.Load() < c.line
 	}
@@ -77,7 +78,7 @@ func (c *claims) held() bool {
 // next claims the execution's next tile, after waiting at the gate while
 // the execution is held there; ok is false once every tile is claimed. The
 // claim of a first execution's last tile lets the next in line go.
-func (c *claims) next() (ti int, ok bool) {
+func (c claims) next() (ti int, ok bool) {
 	if c.gate != nil && c.held() {
 		c.wait()
 	}
@@ -89,7 +90,7 @@ func (c *claims) next() (ti int, ok bool) {
 }
 
 // wait parks the calling worker while its execution is held at the gate.
-func (c *claims) wait() {
+func (c claims) wait() {
 	g := c.gate
 	g.mu.Lock()
 	g.parked++

@@ -122,7 +122,7 @@ func TestGateLinesUpFirstExecutions(t *testing.T) {
 	a := g.Turn(true).claims(2)
 	b := g.Turn(true).claims(2)
 	y := g.Turn(false).claims(1)
-	claim := func(c *claims) (<-chan int, <-chan struct{}) {
+	claim := func(c claims) (<-chan int, <-chan struct{}) {
 		claimed, returned := make(chan int, 1), make(chan struct{})
 		go func() {
 			ti, _ := c.next()

@@ -568,31 +568,34 @@ func (t Turn) Run(dev *ipu.Device, b *Batch, cfg Config) (*BatchResult, error) {
 	if workers > len(b.Tiles) {
 		workers = len(b.Tiles)
 	}
+	// One closure, started once per worker, holds c by value: the
+	// workers share its cursor alone.
 	c := t.claims(len(b.Tiles))
 	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ex := execPool.Get().(*executor)
-			defer execPool.Put(ex)
-			for {
-				ti, ok := c.next()
-				if !ok {
-					return
-				}
-				tile := &b.Tiles[ti]
-				sram := cfg.TileMemoryBytes(tile, dev.Model())
-				if sram > dev.DataSRAM() {
-					tiles[ti].err = fmt.Errorf("ipukernel: tile %d needs %d B SRAM, budget %d B (use graph partitioning / smaller δb)",
-						ti, sram, dev.DataSRAM())
-					continue
-				}
-				tiles[ti] = runTile(tile, &cfg, ex, res.Out[outOff[ti]:outOff[ti]+len(tile.Jobs)])
-				tiles[ti].MaxSRAM = sram
-				runtime.Gosched()
+	work := func() {
+		defer wg.Done()
+		ex := execPool.Get().(*executor)
+		defer execPool.Put(ex)
+		for {
+			ti, ok := c.next()
+			if !ok {
+				return
 			}
-		}()
+			tile := &b.Tiles[ti]
+			sram := cfg.TileMemoryBytes(tile, dev.Model())
+			if sram > dev.DataSRAM() {
+				tiles[ti].err = fmt.Errorf("ipukernel: tile %d needs %d B SRAM, budget %d B (use graph partitioning / smaller δb)",
+					ti, sram, dev.DataSRAM())
+				continue
+			}
+			tiles[ti] = runTile(tile, &cfg, ex, res.Out[outOff[ti]:outOff[ti]+len(tile.Jobs)])
+			tiles[ti].MaxSRAM = sram
+			runtime.Gosched()
+		}
+	}
+	wg.Add(workers)
+	for range workers {
+		go work()
 	}
 	wg.Wait()
 

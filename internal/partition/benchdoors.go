@@ -42,5 +42,6 @@ func MakeBatchesFanout(d *workload.Dataset, items []Item, tiles int, cfg ipukern
 			charges[i] = charges[i].With(cfg.ExtensionCharge(plan.ExtensionLens(refs, ci)))
 		}
 	}
-	return batch(plan, refs, items, charges, tiles, &cfg, model, maxJobs, fanout)
+	batches, _, err := batch(plan, refs, items, charges, tiles, &cfg, model, maxJobs, fanout)
+	return batches, err
 }

@@ -109,7 +109,9 @@ func (p *Planner) SeqBudget() (int, error) {
 }
 
 // Batches distributes the items across tiles (see MakeBatchesFanout).
-func (p *Planner) Batches(tiles, maxJobs int, fanout []int32) ([]*ipukernel.Batch, error) {
+// cheapest is the index of the batch whose items' §4.2 estimates sum
+// least, the lowest index on ties (0 with no batches).
+func (p *Planner) Batches(tiles, maxJobs int, fanout []int32) (batches []*ipukernel.Batch, cheapest int, err error) {
 	return batch(p.plan, p.refs, p.items, p.charges, tiles, &p.cfg, p.model, maxJobs, fanout)
 }
 
@@ -607,9 +609,13 @@ func (c *candidates) Pop() any {
 // `used` as the one empty representative, kept in (load, index) order;
 // the first that fits is the argmin over all tiles. Cost per item is
 // O(|item|) plus O(log used) per tile tried, independent of `tiles`.
-func batch(plan *workload.Plan, refs []workload.SeqRef, items []Item, charges []ipukernel.Charge, tiles int, cfg *ipukernel.Config, model platform.IPUModel, maxJobs int, fanout []int32) ([]*ipukernel.Batch, error) {
+//
+// cheapest is the batch whose tiles' loads sum least, the lowest index on
+// ties: LPT fills the first batches with the largest items, so it is
+// usually the last.
+func batch(plan *workload.Plan, refs []workload.SeqRef, items []Item, charges []ipukernel.Charge, tiles int, cfg *ipukernel.Config, model platform.IPUModel, maxJobs int, fanout []int32) (batches []*ipukernel.Batch, cheapest int, err error) {
 	if tiles <= 0 {
-		return nil, fmt.Errorf("partition: tiles must be positive")
+		return nil, 0, fmt.Errorf("partition: tiles must be positive")
 	}
 	if maxJobs <= 0 {
 		maxJobs = 1 << 30
@@ -646,7 +652,7 @@ func batch(plan *workload.Plan, refs []workload.SeqRef, items []Item, charges []
 	var batchBuf []ipukernel.Batch
 	var tileBuf []ipukernel.TileWork
 
-	var batches []*ipukernel.Batch
+	var least float64 // batches[cheapest]'s load
 	// pool[i] builds tile i of every batch; entries are created the first
 	// time a batch reaches that many tiles and reset when it closes.
 	var pool []*tileBuilder
@@ -670,10 +676,15 @@ func batch(plan *workload.Plan, refs []workload.SeqRef, items []Item, charges []
 		if n > 0 {
 			b := &carve(&batchBuf, 1)[0]
 			b.Tiles = carve(&tileBuf, n)[:0]
+			load := 0.0
 			for _, tb := range pool[:used] {
 				if len(tb.jobs) > 0 {
 					b.Tiles = append(b.Tiles, tb.emit(fanout, &seqBuf, &jobBuf))
+					load += tb.load
 				}
+			}
+			if len(batches) == 0 || load < least {
+				cheapest, least = len(batches), load
 			}
 			batches = append(batches, b)
 		}
@@ -715,10 +726,10 @@ func batch(plan *workload.Plan, refs []workload.SeqRef, items []Item, charges []
 			placed = true
 		}
 		if !placed {
-			return nil, fmt.Errorf("partition: item with %d comparisons (%d B of sequences) cannot fit an empty tile; reduce δb or split the item",
+			return nil, 0, fmt.Errorf("partition: item with %d comparisons (%d B of sequences) cannot fit an empty tile; reduce δb or split the item",
 				len(it.Cmps), it.Bytes)
 		}
 	}
 	closeBatch()
-	return batches, nil
+	return batches, cheapest, nil
 }

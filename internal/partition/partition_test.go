@@ -747,7 +747,7 @@ func TestPlannerMatchesItemOrderPricing(t *testing.T) {
 			t.Fatalf("%s: planner budget %d (%v), DeriveSeqBudget's %d", c.name, got, err, budget)
 		}
 		p.BuildItems(opt)
-		got, err := p.Batches(184, 64, nil)
+		got, _, err := p.Batches(184, 64, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,9 +42,9 @@ type jobState struct {
 	// a stream without them is the same bytes for the same job.
 	phases bool
 
-	// scratch is the pump's encode buffer, reused across the job's chunks
-	// and dropped when the job settles.
-	scratch []byte
+	// scratch is the pump's encode buffer, taken from lineScratch at the
+	// job's first chunk and handed back when the job settles.
+	scratch *[]byte
 
 	mu          sync.Mutex
 	batches     int      // schedule size, learned from the first update
@@ -93,15 +93,24 @@ func (js *jobState) clientCancel() (first bool) {
 	return first
 }
 
+// lineScratch recycles the pumps' encode buffers across jobs. A job's
+// lines come in completion order, not by size, so a buffer of the job's
+// own would grow again at each line longer than any before it.
+var lineScratch = sync.Pool{New: func() any { return new([]byte) }}
+
 // appendUpdate encodes one engine update as the next chunk line and
 // appends it to the window, trimming the front past the bound. The pump
-// is the only appender, so encoding happens outside the lock — into the
+// is the only appender, so encoding happens outside the lock — into a
 // scratch buffer, of which the window keeps an exact-length copy: a line
 // lives as long as the job is addressable, append's growth slack would
 // live as long.
 func (js *jobState) appendUpdate(u engine.Update) {
-	js.scratch = wire.AppendChunkLine(js.scratch[:0], js.nextSeq, u.Batch, u.Batches, u.Seconds, u.Results)
-	line := bytes.Clone(js.scratch)
+	if js.scratch == nil {
+		js.scratch = lineScratch.Get().(*[]byte)
+	}
+	buf := wire.AppendChunkLine((*js.scratch)[:0], js.nextSeq, u.Batch, u.Batches, u.Seconds, u.Results)
+	*js.scratch = buf
+	line := bytes.Clone(buf)
 	js.mu.Lock()
 	if js.batches == 0 {
 		js.batches = u.Batches
@@ -126,7 +135,10 @@ func (js *jobState) appendUpdate(u engine.Update) {
 // settled job retains. The record keeps a copy of the report's summary,
 // not the report: the results go with the engine job.
 func (js *jobState) finish(rep *driver.Report, err error, phases engine.Phases) int {
-	js.scratch = nil
+	if js.scratch != nil {
+		lineScratch.Put(js.scratch)
+		js.scratch = nil
+	}
 	js.mu.Lock()
 	defer js.mu.Unlock()
 	if js.phases {
