@@ -370,6 +370,13 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
+// PauseWorker asks one tile worker of a running batch that yields at the
+// engine's tile gate to step aside for one tile (ipukernel.Gate.Pause), so
+// that its processor polls the network: a caller that has just handed a
+// reader bytes through a socket calls it once. It parks nobody while a
+// single worker runs, and never a job's first execution.
+func (e *Engine) PauseWorker() { e.gate.Pause() }
+
 // Submit enqueues a dataset for alignment and returns immediately with a
 // Job handle. It blocks only for admission when QueueDepth jobs are
 // already in flight; ctx cancels both the wait and the job itself

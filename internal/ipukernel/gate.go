@@ -1,6 +1,7 @@
 package ipukernel
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -16,15 +17,28 @@ import (
 // that execution returns, so its tail shares the host with the next in
 // line and no processor idles while tiles wait.
 //
+// A gate can also ask one worker to step aside for a tile (Pause): the
+// next worker of a yielding execution to finish a tile while another
+// worker runs at the gate parks until some other worker there claims a
+// tile or exits. Its processor then finds no goroutine to run, and the
+// runtime polls the network there, not only every 10 ms from sysmon: a
+// reader that a flushed line woke gets a processor while every other one
+// computes tiles. An unused pause lapses when the gate's last worker
+// exits.
+//
 // A gate orders executions that share one gate only: executions on two
 // gates never wait on each other. Results never depend on it; only which
 // tile computes when does.
 type Gate struct {
 	mu     sync.Mutex
-	moved  sync.Cond     // done grew
+	moved  sync.Cond     // done grew, or a worker standing aside may go
 	queued atomic.Uint64 // first executions that have lined up
 	done   atomic.Uint64 // of those, the ones whose last tile is claimed: the line's head is the next
+	pause  atomic.Bool   // a pause no worker has taken
+	aside  atomic.Int32  // workers standing aside for a pause, changed under mu
 	parked int           // workers waiting at the gate, guarded by mu
+	active int           // workers running at the gate and not standing aside, guarded by mu
+	steps  uint64        // claims and exits since a worker stood aside, guarded by mu
 }
 
 // NewGate returns an open gate.
@@ -44,6 +58,12 @@ type Turn struct {
 // Turn returns an execution's place at g: first if a caller waits on its
 // results, yielding otherwise. A nil g gives an ungated Turn.
 func (g *Gate) Turn(first bool) Turn { return Turn{g, first} }
+
+// Pause asks one worker to step aside for a tile: the next worker of a
+// yielding execution to finish a tile while another worker runs at g. A
+// first execution's workers never do. The pause lapses unused when g's
+// last worker exits, so a later execution's workers find none.
+func (g *Gate) Pause() { g.pause.Store(true) }
 
 // claims is one execution's tile cursor at its Turn: the workers of a Run
 // claim tiles through it. It is passed by value; only the cursor is
@@ -65,6 +85,65 @@ func (t Turn) claims(n int) claims {
 	return c
 }
 
+// enter and leave bracket one worker's time at the gate. The last worker
+// to leave lapses an unused pause; any leaving releases a worker standing
+// aside.
+func (c claims) enter() {
+	if g := c.gate; g != nil {
+		g.mu.Lock()
+		g.active++
+		g.mu.Unlock()
+	}
+}
+
+func (c claims) leave() {
+	if g := c.gate; g != nil {
+		g.mu.Lock()
+		if g.active--; g.active == 0 {
+			g.pause.Store(false)
+		}
+		g.stepLocked()
+		g.mu.Unlock()
+	}
+}
+
+// step follows each tile a worker computes: the worker stands aside for a
+// pause it may take, or else yields the processor.
+func (c claims) step() {
+	if g := c.gate; g != nil && !c.first && g.pause.Load() && g.standAside() {
+		return
+	}
+	runtime.Gosched()
+}
+
+// standAside takes the pause and parks the calling worker until another
+// worker claims a tile or leaves. It takes nothing, and returns false,
+// while no other worker is active at the gate.
+func (g *Gate) standAside() bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.active < 2 || !g.pause.CompareAndSwap(true, false) {
+		return false
+	}
+	g.active--
+	g.aside.Add(1)
+	for seen := g.steps; g.steps == seen; {
+		g.moved.Wait()
+	}
+	g.aside.Add(-1)
+	g.active++
+	return true
+}
+
+// stepLocked releases the workers standing aside: a peer has claimed a
+// tile or left.
+func (g *Gate) stepLocked() {
+	if g.aside.Load() > 0 {
+		g.steps++
+		g.moved.Broadcast()
+	}
+}
+
 // held reports whether a worker of this gated execution must wait before
 // its next claim: a yielding one while any first execution in line has a
 // tile left, a first one while an execution ahead of it in line has.
@@ -77,7 +156,8 @@ func (c claims) held() bool {
 
 // next claims the execution's next tile, after waiting at the gate while
 // the execution is held there; ok is false once every tile is claimed. The
-// claim of a first execution's last tile lets the next in line go.
+// claim of a first execution's last tile lets the next in line go, and
+// any claim releases a worker standing aside.
 func (c claims) next() (ti int, ok bool) {
 	if c.gate != nil && c.held() {
 		c.wait()
@@ -85,6 +165,11 @@ func (c claims) next() (ti int, ok bool) {
 	i := c.cursor.Add(1) - 1
 	if c.first && i == c.n-1 && c.gate != nil {
 		c.gate.open()
+	}
+	if c.gate != nil && c.gate.aside.Load() > 0 {
+		c.gate.mu.Lock()
+		c.gate.stepLocked()
+		c.gate.mu.Unlock()
 	}
 	return int(i), i < c.n
 }

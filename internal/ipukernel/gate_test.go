@@ -31,6 +31,31 @@ func awaitParked(t *testing.T, g *Gate, n int, done <-chan struct{}) {
 	}
 }
 
+// awaitAside returns once n workers stand aside at g for a pause, or fails
+// the test if done is closed first: what it stands for did not park.
+func awaitAside(t *testing.T, g *Gate, n int, done <-chan struct{}) {
+	t.Helper()
+	for int(g.aside.Load()) < n {
+		select {
+		case <-done:
+			t.Fatalf("a worker went on past a pause (%d of %d aside)", g.aside.Load(), n)
+		default:
+			runtime.Gosched()
+		}
+	}
+}
+
+// stepping runs one worker's step after a tile in a goroutine; the
+// channel closes when it returns.
+func stepping(c claims) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		c.step()
+		close(done)
+	}()
+	return done
+}
+
 // within receives from ch, or fails the test after ten seconds.
 func within[T any](t *testing.T, ch <-chan T, what string) T {
 	t.Helper()
@@ -168,4 +193,141 @@ func TestGatesAreIndependent(t *testing.T) {
 		t.Fatalf("%d workers parked at the other gate", n)
 	}
 	held.next()
+}
+
+// TestGatePauseParksOneYieldingWorker: a pause parks exactly one worker of
+// a yielding execution, the next to finish a tile, and it claims nothing
+// until a peer claims a tile; a second pause's worker goes on when its
+// last peer exits. The pause is one-shot: the next worker to finish a
+// tile only yields.
+func TestGatePauseParksOneYieldingWorker(t *testing.T) {
+	g := NewGate()
+	y := g.Turn(false).claims(4)
+	for range 3 {
+		y.enter()
+	}
+	g.Pause()
+	aside := stepping(y)
+	awaitAside(t, g, 1, aside)
+	within(t, stepping(y), "a second worker's step after the pause was taken")
+	if n := g.aside.Load(); n != 1 {
+		t.Fatalf("%d workers stand aside, want 1", n)
+	}
+	select {
+	case <-aside:
+		t.Fatal("the worker standing aside went on before a peer claimed")
+	default:
+	}
+	if ti, ok := y.next(); ti != 0 || !ok {
+		t.Fatalf("the peer claimed tile %d (%v), want 0", ti, ok)
+	}
+	within(t, aside, "the worker standing aside after a peer's claim")
+	if n := y.cursor.Load(); n != 1 {
+		t.Fatalf("%d tiles claimed, want the peer's one", n)
+	}
+
+	g.Pause()
+	aside = stepping(y)
+	awaitAside(t, g, 1, aside)
+	y.leave()
+	y.leave() // two peers exit: the worker standing aside is the last
+	within(t, aside, "the worker standing aside after its peers exited")
+	y.leave()
+}
+
+// TestGatePauseNeedsARunningPeer: a pause parks no worker while it is the
+// only one running at the gate, whether the pause came while none ran or
+// while it ran.
+func TestGatePauseNeedsARunningPeer(t *testing.T) {
+	g := NewGate()
+	y := g.Turn(false).claims(2)
+	g.Pause() // no worker running yet
+	y.enter()
+	within(t, stepping(y), "a lone worker's step after a pause with none running")
+	g.Pause() // one worker running
+	within(t, stepping(y), "a lone worker's step after a pause")
+	y.leave()
+	if n := g.aside.Load(); n != 0 {
+		t.Fatalf("%d workers stand aside", n)
+	}
+}
+
+// TestGatePauseSparesFirstExecutions: a first execution's workers never
+// stand aside; the pause stays armed for a yielding execution's worker,
+// which a first execution's claim releases.
+func TestGatePauseSparesFirstExecutions(t *testing.T) {
+	g := NewGate()
+	f := g.Turn(true).claims(4)
+	y := g.Turn(false).claims(4)
+	f.enter()
+	f.enter()
+	y.enter()
+	g.Pause()
+	within(t, stepping(f), "a first execution's worker's step after a pause")
+	within(t, stepping(f), "a first execution's other worker's step")
+	aside := stepping(y)
+	awaitAside(t, g, 1, aside)
+	f.next()
+	within(t, aside, "the yielding worker after the first execution's claim")
+}
+
+// TestGatePauseDoesNotCarryOver: a pause no worker took lapses when the
+// gate's last worker exits, and parks no worker of an execution that
+// starts after that.
+func TestGatePauseDoesNotCarryOver(t *testing.T) {
+	g := NewGate()
+	a := g.Turn(true).claims(2)
+	a.enter()
+	a.enter()
+	g.Pause()
+	a.next()
+	a.next()
+	a.leave()
+	a.leave()
+	b := g.Turn(false).claims(2)
+	b.enter()
+	b.enter()
+	within(t, stepping(b), "a later execution's worker's step")
+	if n := g.aside.Load(); n != 0 {
+		t.Fatalf("%d workers stand aside", n)
+	}
+}
+
+// TestGatePausedRunCompletes: a yielding Run whose gate is paused over and
+// over, at every tile, finishes with the ungated Run's results: a worker
+// standing aside is released by its last peer's exit, and never waits
+// for itself.
+func TestGatePausedRunCompletes(t *testing.T) {
+	dev := ipu.New(ipu.Config{Model: platform.GC200})
+	b, _ := buildBatch(t, 12, 300, 0.15, 7)
+	cfg := stealCfg(12)
+	cfg.Parallelism = 3
+	want := mustRun(t, dev, b, cfg)
+
+	g := NewGate()
+	done := make(chan struct{})
+	var got *BatchResult
+	var err error
+	go func() {
+		defer close(done)
+		got, err = g.Turn(false).Run(dev, b, cfg)
+	}()
+	for paused := true; paused; {
+		select {
+		case <-done:
+			paused = false
+		default:
+			g.Pause()
+			runtime.Gosched()
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("a paused Run differs from the ungated Run")
+	}
+	if n := g.aside.Load(); n != 0 {
+		t.Fatalf("%d workers stand aside after the Run", n)
+	}
 }

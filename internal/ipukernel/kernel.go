@@ -560,7 +560,8 @@ func (t Turn) Run(dev *ipu.Device, b *Batch, cfg Config) (*BatchResult, error) {
 	// preemption quantum, at every hop. With nothing else runnable the
 	// yield returns at once. Workers claim tiles at the turn's Gate, so
 	// between two tiles a worker of a yielding execution also waits for
-	// the first executions' tiles to be claimed.
+	// the first executions' tiles to be claimed, or stands aside for a
+	// tile when the gate is paused.
 	workers := cfg.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -576,6 +577,8 @@ func (t Turn) Run(dev *ipu.Device, b *Batch, cfg Config) (*BatchResult, error) {
 		defer wg.Done()
 		ex := execPool.Get().(*executor)
 		defer execPool.Put(ex)
+		c.enter()
+		defer c.leave()
 		for {
 			ti, ok := c.next()
 			if !ok {
@@ -590,7 +593,7 @@ func (t Turn) Run(dev *ipu.Device, b *Batch, cfg Config) (*BatchResult, error) {
 			}
 			tiles[ti] = runTile(tile, &cfg, ex, res.Out[outOff[ti]:outOff[ti]+len(tile.Jobs)])
 			tiles[ti].MaxSRAM = sram
-			runtime.Gosched()
+			c.step()
 		}
 	}
 	wg.Add(workers)

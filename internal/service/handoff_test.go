@@ -10,10 +10,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"github.com/sram-align/xdropipu/internal/core"
 	"github.com/sram-align/xdropipu/internal/driver"
@@ -34,40 +38,8 @@ import (
 // then; with a free processor (-cpu 4) or one shared by everything
 // (-cpu 1) the same bound holds. Counts only — no sleeps, no clocks.
 func TestFirstChunkNotStarvedByExecutors(t *testing.T) {
-	d := synth.Reads(synth.ReadsSpec{
-		Name: "handoff", GenomeLen: 36000, Coverage: 12,
-		MeanReadLen: 900, MinReadLen: 300, MaxReadLen: 2250,
-		Errors:  synth.MutationProfile{Sub: 0.02, Ins: 0.02, Del: 0.02, Burst: 0.003, BurstLen: 24},
-		SeedLen: 17, MinOverlap: 225, Seed: 23, MaxComparisons: 3800,
-	})
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	payload := encode(t, d)
-	// The benchmark's device and batch cap: ≈ 60 batches of ≈ 1.5 ms.
-	cfg := testCfg(1)
-	cfg.Model, cfg.TilesPerIPU, cfg.MaxBatchJobs = platform.GC200.Scaled(8), 0, 64
-	svc, ts := serve(t, service.Config{Shards: 1, EngineOptions: []engine.Option{
-		engine.WithDriverConfig(cfg), engine.WithExecutors(2),
-	}})
-
-	post := func() *http.Response {
-		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", wire.ContentTypeDataset, bytes.NewReader(payload))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("submit: %s", resp.Status)
-		}
-		return resp
-	}
-	// One job first, drained: the connection, devices and workspaces are
-	// warm when the measured job starts.
-	warm := post()
-	if fin := drainStream(t, warm.Body); fin.Error != "" {
-		t.Fatal(fin.Error)
-	}
-	warm.Body.Close()
+	svc, ts := serve(t, executorsConfig())
+	post := warmExecutorsJobs(t, ts)
 	before := svc.Shards()[0].Stats().BatchesDone
 
 	resp := post()
@@ -94,6 +66,162 @@ func TestFirstChunkNotStarvedByExecutors(t *testing.T) {
 	if fin := drainStream(t, br); fin.Error != "" {
 		t.Fatal(fin.Error)
 	}
+}
+
+// executorsConfig is a one-shard service of two executors over the
+// benchmark's device and batch cap.
+func executorsConfig() service.Config {
+	cfg := testCfg(1)
+	cfg.Model, cfg.TilesPerIPU, cfg.MaxBatchJobs = platform.GC200.Scaled(8), 0, 64
+	return service.Config{Shards: 1, EngineOptions: []engine.Option{
+		engine.WithDriverConfig(cfg), engine.WithExecutors(2),
+	}}
+}
+
+// warmExecutorsJobs returns a func that POSTs a job of noisy long reads
+// to ts, ≈ 60 batches of ≈ 1.5 ms under executorsConfig, and returns its
+// streaming response. It runs one job to its end first, so the
+// connection, devices and workspaces are warm for the next.
+func warmExecutorsJobs(t *testing.T, ts *httptest.Server) func() *http.Response {
+	d := synth.Reads(synth.ReadsSpec{
+		Name: "handoff", GenomeLen: 36000, Coverage: 12,
+		MeanReadLen: 900, MinReadLen: 300, MaxReadLen: 2250,
+		Errors:  synth.MutationProfile{Sub: 0.02, Ins: 0.02, Del: 0.02, Burst: 0.003, BurstLen: 24},
+		SeedLen: 17, MinOverlap: 225, Seed: 23, MaxComparisons: 3800,
+	})
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	payload := encode(t, d)
+	post := func() *http.Response {
+		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", wire.ContentTypeDataset, bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("submit: %s", resp.Status)
+		}
+		return resp
+	}
+	warm := post()
+	if fin := drainStream(t, warm.Body); fin.Error != "" {
+		t.Fatal(fin.Error)
+	}
+	warm.Body.Close()
+	return post
+}
+
+// flushClock is a ResponseWriter that notes when each chunk line is
+// flushed, before the bytes go to the socket.
+type flushClock struct {
+	http.ResponseWriter
+	pending int
+	at      []time.Time // at[i]: chunk line i's flush
+}
+
+// isChunk reports whether an NDJSON stream line is a chunk line.
+func isChunk(line []byte) bool { return bytes.HasPrefix(line, []byte(`{"chunk"`)) }
+
+func (w *flushClock) Write(p []byte) (int, error) {
+	if isChunk(p) {
+		w.pending++
+	}
+	return w.ResponseWriter.Write(p)
+}
+
+func (w *flushClock) Flush() {
+	now := time.Now()
+	for ; w.pending > 0; w.pending-- {
+		w.at = append(w.at, now)
+	}
+	w.ResponseWriter.(http.Flusher).Flush()
+}
+
+// TestFirstChunkReachesReaderAfterFlush: the first chunk line, once
+// flushed, reaches the HTTP client about a tile later. The line waits in
+// the client's socket until some processor polls the network, which the
+// runtime does when a processor has no goroutine to run, or from sysmon
+// every 10 ms; with every processor computing tiles, the tile worker that
+// steps aside after the first flush (Engine.PauseWorker) makes one idle.
+// The hop's control is the same wait for the job's later chunk lines
+// that the client was blocked on, which no pause follows: on the same
+// host, at the same moment, in the same jobs. Over 15 jobs the median
+// first-line wait must be under 0.4× the later lines' median, in one of
+// two rounds. On a 2-CPU host at -cpu 2 the parent of the commit that
+// added the pause read 0.27–1.68× (2 of 26 rounds under 0.4×) and failed
+// 8 runs of 8, and this tree read 0.15–0.29×.
+//
+// The ratio is checked only where it was measured: at -cpu 2 named on the
+// command line, as the CI hand-off step and the mutation table do, on a
+// host with two CPUs or more, and not under -race. Elsewhere the test
+// skips. At -cpu 1 no processor can go idle; at -cpu 4 no reading was
+// taken; under -race a tile outlasts the wait; and in a plain
+// `go test ./...` the other packages' test binaries run beside this one,
+// so the OS scheduler, not the runtime's network poll, sets the wait.
+func TestFirstChunkReachesReaderAfterFlush(t *testing.T) {
+	if flag.Lookup("test.cpu").Value.String() == "" || runtime.GOMAXPROCS(0) != 2 || runtime.NumCPU() < 2 || raceEnabled {
+		t.Skip("checks a wall-clock ratio only at -cpu 2 named on the command line, on 2 or more CPUs, without -race")
+	}
+	const rounds, jobs, bound = 2, 15, 0.4
+	svc := service.New(executorsConfig())
+	defer svc.Close()
+	flushed := make(chan []time.Time, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fc := &flushClock{ResponseWriter: w}
+		svc.Handler().ServeHTTP(fc, r)
+		if r.Method == http.MethodPost {
+			flushed <- fc.at
+		}
+	}))
+	defer ts.Close()
+	post := warmExecutorsJobs(t, ts)
+	<-flushed // the warm job's
+
+	check := func() bool {
+		var first, later []time.Duration
+		for range jobs {
+			resp := post()
+			br := bufio.NewReaderSize(resp.Body, 1<<20)
+			if _, err := br.ReadBytes('\n'); err != nil { // header
+				t.Fatal(err)
+			}
+			var read []time.Time
+			for {
+				line, err := br.ReadBytes('\n')
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !isChunk(line) {
+					break
+				}
+				read = append(read, time.Now())
+			}
+			resp.Body.Close()
+			at := <-flushed
+			if len(at) != len(read) {
+				t.Fatalf("%d chunk lines flushed, %d read", len(at), len(read))
+			}
+			first = append(first, read[0].Sub(at[0]))
+			for i := 1; i < len(at); i++ {
+				// The first line of a flush made after the previous
+				// line was read: the client was waiting for it.
+				if at[i] != at[i-1] && at[i].After(read[i-1]) {
+					later = append(later, read[i].Sub(at[i]))
+				}
+			}
+		}
+		slices.Sort(first)
+		slices.Sort(later)
+		f, l := first[len(first)/2], later[len(later)/2]
+		t.Logf("median wait from flush to read: first chunk line %v, %d later lines %v (%.2f×)", f, len(later), l, float64(f)/float64(l))
+		return float64(f) <= bound*float64(l)
+	}
+	for range rounds {
+		if check() {
+			return
+		}
+	}
+	t.Errorf("the first chunk line waited over %.1f× the later lines' wait for its reader in each of %d rounds", bound, rounds)
 }
 
 // pipeResponse is a streaming http.ResponseWriter over an io.Pipe: each

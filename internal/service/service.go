@@ -635,6 +635,11 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, js *jobState,
 				wrote = true
 				if d, first := js.wrote(s.clk.Now()); first {
 					s.firstChunk.Observe(d.Seconds())
+					// The line waits in the reader's socket until a
+					// processor polls the network, which one busy
+					// with tiles does only every 10 ms: one tile
+					// worker steps aside for a tile so that one does.
+					s.shards[js.shard].PauseWorker()
 				}
 			}
 		}
